@@ -170,10 +170,13 @@ func freePorts(n int) ([]string, error) {
 // same function; the collective calls inside line them up.
 func runWorkload(rt *gdi.Runtime, mix workload.Mix, scale, ops, iters int, seed int64, replicas int) {
 	cfg := kron.Config{Scale: scale, EdgeFactor: 16, Seed: seed, NumLabels: 20, NumProps: 13}.WithDefaults()
+	idxBuckets, idxEntries := workload.IndexSizing(cfg, rt.Size())
 	db := rt.CreateDatabase(gdi.DatabaseParams{
-		BlockSize:      512,
-		BlocksPerRank:  int((cfg.NumVertices()*12+cfg.NumEdges()*2)/uint64(rt.Size())) + (1 << 13),
-		DenseAnalytics: true,
+		BlockSize:           512,
+		BlocksPerRank:       int((cfg.NumVertices()*12+cfg.NumEdges()*2)/uint64(rt.Size())) + (1 << 13),
+		IndexBucketsPerRank: idxBuckets,
+		IndexEntriesPerRank: idxEntries,
+		DenseAnalytics:      true,
 		// Follower chains serve optimistic reads only; without replicas the
 		// read path is unchanged so the cross-backend equivalence runs stay
 		// bit-identical.

@@ -49,13 +49,16 @@ func main() {
 	}
 	cfg := kron.Config{Scale: *scale, EdgeFactor: 16, Seed: *seed, NumLabels: 20, NumProps: 13}.WithDefaults()
 	rt := gdi.Init(*ranks, gdi.RuntimeOptions{RemoteLatencyNs: *latency})
+	idxBuckets, idxEntries := workload.IndexSizing(cfg, *ranks)
 	db := rt.CreateDatabase(gdi.DatabaseParams{
-		BlockSize:       512,
-		BlocksPerRank:   int((cfg.NumVertices()*10+cfg.NumEdges()*2)/uint64(*ranks)) + (1 << 13),
-		ScalarCommit:    *scalarCommit,
-		CacheBlocks:     *cacheBlocks,
-		OptimisticReads: *optimisticReads,
-		HolderCodec:     codec,
+		BlockSize:           512,
+		BlocksPerRank:       int((cfg.NumVertices()*10+cfg.NumEdges()*2)/uint64(*ranks)) + (1 << 13),
+		IndexBucketsPerRank: idxBuckets,
+		IndexEntriesPerRank: idxEntries,
+		ScalarCommit:        *scalarCommit,
+		CacheBlocks:         *cacheBlocks,
+		OptimisticReads:     *optimisticReads,
+		HolderCodec:         codec,
 	})
 	sch, err := kron.DefineSchema(db.Engine(), cfg)
 	if err != nil {

@@ -52,13 +52,16 @@ func main() {
 		os.Exit(2)
 	}
 	rt := gdi.Init(*ranks)
+	idxBuckets, idxEntries := workload.IndexSizing(cfg, *ranks)
 	db := rt.CreateDatabase(gdi.DatabaseParams{
-		BlockSize:      512,
-		BlocksPerRank:  int((cfg.NumVertices()*12+cfg.NumEdges()*2)/uint64(*ranks)) + (1 << 13),
-		CacheBlocks:    *cacheBlocks,
-		DenseAnalytics: *denseAnalytics,
-		HTAPSnapshots:  *htap,
-		HolderCodec:    codec,
+		BlockSize:           512,
+		BlocksPerRank:       int((cfg.NumVertices()*12+cfg.NumEdges()*2)/uint64(*ranks)) + (1 << 13),
+		IndexBucketsPerRank: idxBuckets,
+		IndexEntriesPerRank: idxEntries,
+		CacheBlocks:         *cacheBlocks,
+		DenseAnalytics:      *denseAnalytics,
+		HTAPSnapshots:       *htap,
+		HolderCodec:         codec,
 	})
 	sch, err := kron.DefineSchema(db.Engine(), cfg)
 	if err != nil {

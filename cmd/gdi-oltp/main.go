@@ -61,9 +61,12 @@ func main() {
 			os.Exit(2)
 		}
 		rt := gdi.Init(*ranks)
+		idxBuckets, idxEntries := workload.IndexSizing(cfg, *ranks)
 		db := rt.CreateDatabase(gdi.DatabaseParams{
 			BlockSize:             512,
 			BlocksPerRank:         int((cfg.NumVertices()*10+cfg.NumEdges()*2)/uint64(*ranks)) + (1 << 13),
+			IndexBucketsPerRank:   idxBuckets,
+			IndexEntriesPerRank:   idxEntries,
 			ScalarCommit:          *scalarCommit,
 			CacheBlocks:           *cacheBlocks,
 			OptimisticReads:       *optimisticReads,

@@ -138,6 +138,26 @@
 // ablation benchmark measures this at ≥2x end to end. DatabaseParams.
 // ScalarCommit restores the scalar protocol for ablation and debugging.
 //
+// # ID translation and bulk loading
+//
+// Application IDs resolve to internal DPtrs through the offloaded DHT. A
+// lookup is the bucket load plus one four-word atomic-load train per chain
+// hop — two round trips at chain length one — and nothing caches the result
+// across calls, because a cached DPtr goes stale on delete, migration and
+// promotion. Process.BulkLoadVertices and Process.BulkLoadEdges are
+// collective and translate in trains too: vertices are routed to their
+// owners with one all-to-all and their index entries to the keys' home ranks
+// with a second, where they are inserted locally; the edge loader resolves
+// each distinct endpoint once, with a batched level-synchronous lookup (one
+// train per rank per chain level), instead of twice per edge. The outcome of
+// a bulk load is collective: if any rank meets a missing endpoint
+// (ErrNotFound), an exhausted block pool or a full index (ErrNoMemory),
+// every rank returns an error wrapping the same sentinel, and none is left
+// waiting in an exchange. Size the index for the graph
+// (DatabaseParams.IndexEntriesPerRank of about twice the vertices per rank):
+// a full index now fails the load, or the commit that creates the vertex,
+// where it used to store vertices nobody could find.
+//
 // # Caching and optimistic reads
 //
 // The third read-path tier avoids remote traffic entirely. Every per-vertex

@@ -451,12 +451,18 @@ func (p *Process) LocalVerticesWithLabel(l LabelID) []VertexID {
 	return p.db.eng.LocalVerticesWithLabel(p.rank, l)
 }
 
-// BulkLoadVertices ingests vertices collectively (BULK workloads).
+// BulkLoadVertices ingests vertices collectively (BULK workloads). Every
+// process must call it, and all of them return together: when any process runs
+// out of blocks or the internal index is full, each returns an error wrapping
+// ErrNoMemory.
 func (p *Process) BulkLoadVertices(specs []VertexSpec) error {
 	return p.db.eng.BulkLoadVertices(p.rank, specs)
 }
 
-// BulkLoadEdges ingests edges collectively.
+// BulkLoadEdges ingests edges collectively; both endpoints of every edge must
+// already be loaded. The outcome is collective: an edge naming a missing
+// vertex fails the call on every process with ErrNotFound, before any edge is
+// stored.
 func (p *Process) BulkLoadEdges(specs []EdgeSpec) error {
 	return p.db.eng.BulkLoadEdges(p.rank, specs)
 }

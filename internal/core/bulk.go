@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -25,15 +26,29 @@ type EdgeSpec struct {
 	Label                lpg.LabelID
 }
 
+// indexEntry is one internal-index publication on its way to the rank that
+// holds the key's bucket.
+type indexEntry struct {
+	App uint64
+	DP  fabric.DPtr
+}
+
 // BulkLoadVertices is the collective vertex-ingestion path
 // (GDI_BulkLoadVertices, the BULK workload class of §2). Every rank
 // contributes a slice of specs; vertices are routed to their owner rank
-// with one all-to-all, then each rank materializes its own shard locally —
+// with one all-to-all, and each rank materializes its own shard locally —
 // no locks are needed because bulk loading is collective and delimited by
-// barriers.
+// barriers. The index entries are published the same way: a second
+// all-to-all carries each (appID, DPtr) pair to the rank holding the key's
+// bucket, which inserts it into its own DHT shard, so publishing costs no
+// remote atomics.
 //
-// Work: O(|specs| · holder size); depth: O(log P) for the exchange plus the
-// local build.
+// The outcome is collective: when any rank runs out of blocks or index
+// entries, every rank returns an error wrapping ErrNoMemory (the vertices
+// stored so far stay findable).
+//
+// Work: O(|specs| · holder size); depth: O(log P) for the two exchanges plus
+// the local build.
 func (e *Engine) BulkLoadVertices(rank fabric.Rank, specs []VertexSpec) error {
 	n := e.fab.Size()
 	out := make([][]VertexSpec, n)
@@ -41,50 +56,96 @@ func (e *Engine) BulkLoadVertices(rank fabric.Rank, specs []VertexSpec) error {
 		o := e.OwnerOf(sp.AppID)
 		out[o] = append(out[o], sp)
 	}
-	in := collective.Alltoall(e.comm, rank, out)
+	entries, err := e.buildVertices(rank, collective.Alltoall(e.comm, rank, out))
+
+	publish := make([][]indexEntry, n)
+	for _, en := range entries {
+		h := e.index.HomeRank(en.App)
+		publish[h] = append(publish[h], en)
+	}
+	for _, batch := range collective.Alltoall(e.comm, rank, publish) {
+		for _, en := range batch {
+			if !e.index.Insert(rank, en.App, uint64(en.DP)) && err == nil {
+				err = fmt.Errorf("%w: internal index full publishing vertex %d", ErrNoMemory, en.App)
+			}
+		}
+	}
+	return e.agreeOnError(rank, err)
+}
+
+// buildVertices materializes the specs routed to this rank, in arrival order,
+// and returns the index entries to publish. It stops at the first block it
+// cannot acquire; what it built before that is complete and is returned.
+func (e *Engine) buildVertices(rank fabric.Rank, in [][]VertexSpec) (entries []indexEntry, err error) {
 	bs := e.cfg.BlockSize
 	// The local materialization runs under the HTAP commit gate like any
-	// apply phase; the gate is scoped between the exchange and the barrier
-	// so a holder never waits on another rank.
+	// apply phase; the gate is scoped between two collectives so a holder
+	// never waits on another rank.
+	var deltas []snapshot.Record
 	if e.snap != nil {
 		e.htapGate.RLock()
+		defer func() {
+			e.snap.AppendDeltas(rank, deltas)
+			e.htapGate.RUnlock()
+		}()
 	}
-	var deltas []snapshot.Record
 	for _, batch := range in {
 		for _, sp := range batch {
 			v := &holder.Vertex{AppID: sp.AppID, Labels: sp.Labels, Props: sp.Props}
 			stream := holder.EncodeVertexCodec(v, bs, e.cfg.HolderCodec)
-			need := len(stream) / bs
-			blocks := make([]fabric.DPtr, need)
+			blocks := make([]fabric.DPtr, len(stream)/bs)
 			for i := range blocks {
-				dp, err := e.store.AcquireBlock(rank, rank)
-				if err != nil {
-					if e.snap != nil {
-						e.htapGate.RUnlock()
+				dp, aerr := e.store.AcquireBlock(rank, rank)
+				if aerr != nil {
+					for _, got := range blocks[:i] {
+						e.store.ReleaseBlock(rank, got)
 					}
-					return fmt.Errorf("%w: bulk loading vertex %d", ErrNoMemory, sp.AppID)
+					return entries, fmt.Errorf("%w: bulk loading vertex %d", ErrNoMemory, sp.AppID)
 				}
 				blocks[i] = dp
 			}
-			for i := 1; i < need; i++ {
+			for i := 1; i < len(blocks); i++ {
 				holder.SetTableEntry(stream, i-1, blocks[i])
 			}
 			for i, dp := range blocks {
 				e.store.WriteBlock(rank, dp, stream[i*bs:(i+1)*bs])
 			}
-			e.index.Insert(rank, sp.AppID, uint64(blocks[0]))
+			entries = append(entries, indexEntry{App: sp.AppID, DP: blocks[0]})
 			e.local[rank].addVertex(blocks[0], sp.AppID, sp.Labels)
 			if e.snap != nil {
 				deltas = append(deltas, snapshot.Record{Kind: snapshot.KindCreate, DP: blocks[0], App: sp.AppID})
 			}
 		}
 	}
-	if e.snap != nil {
-		e.snap.AppendDeltas(rank, deltas)
-		e.htapGate.RUnlock()
+	return entries, nil
+}
+
+// bulkErrs are the failures a bulk load can report, in the order
+// agreeOnError ranks them; the last one stands for anything else.
+var bulkErrs = [...]error{ErrNotFound, ErrNoMemory, ErrTxCritical}
+
+// agreeOnError makes the outcome of a collective routine collective: every
+// rank contributes its local error, and either all ranks return nil or all
+// return an error — the failing rank its own, the others one wrapping the same
+// sentinel. No rank returns before every rank has entered, so it also closes
+// the routine like a barrier. Without it a rank that fails early leaves its
+// peers blocked in the next collective.
+func (e *Engine) agreeOnError(rank fabric.Rank, err error) error {
+	code := 0
+	if err != nil {
+		code = len(bulkErrs)
+		for i, sentinel := range bulkErrs {
+			if errors.Is(err, sentinel) {
+				code = i + 1
+				break
+			}
+		}
 	}
-	e.comm.Barrier(rank)
-	return nil
+	worst := collective.Allreduce(e.comm, rank, code, func(a, b int) int { return max(a, b) })
+	if err != nil || worst == 0 {
+		return err
+	}
+	return fmt.Errorf("%w: collective operation failed on another rank", bulkErrs[worst-1])
 }
 
 // recDelivery routes one edge record to the rank owning its vertex.
@@ -94,26 +155,52 @@ type recDelivery struct {
 }
 
 // BulkLoadEdges is the collective edge-ingestion path (GDI_BulkLoadEdges).
-// Records for both endpoints are built in appID space, resolved through the
-// internal index, routed to the owning ranks with one all-to-all, and then
-// merged: each rank rewrites each of its touched vertices exactly once no
-// matter how many edges landed on it.
+// Each distinct endpoint is resolved through the internal index exactly once
+// (a batched lookup, see lookupVertices); the records for both endpoints are
+// routed to the owning ranks with one all-to-all and then merged: each rank
+// rewrites each of its touched vertices exactly once no matter how many
+// edges landed on it.
 //
-// Work: O(|specs|) DHT lookups + O(Σ touched holder blocks); depth:
-// O(log P) exchange + local merge.
+// The outcome is collective. An edge naming a vertex the index does not hold
+// fails the load on every rank with ErrNotFound before anything is routed, so
+// the store is untouched; block exhaustion during the merge fails it on every
+// rank with ErrNoMemory.
+//
+// Work: O(distinct endpoints) index lookups in O(1) trains per rank and chunk
+// + O(Σ touched holder blocks); depth: O(log P) exchange + local merge.
 func (e *Engine) BulkLoadEdges(rank fabric.Rank, specs []EdgeSpec) error {
-	n := e.fab.Size()
-	out := make([][]recDelivery, n)
+	out, err := e.routeEdges(rank, specs)
+	if err = e.agreeOnError(rank, err); err != nil {
+		return err
+	}
+	return e.agreeOnError(rank, e.mergeEdges(rank, collective.Alltoall(e.comm, rank, out)))
+}
+
+// routeEdges resolves the endpoints of specs and builds the per-owner-rank
+// record deliveries, in spec order.
+func (e *Engine) routeEdges(rank fabric.Rank, specs []EdgeSpec) ([][]recDelivery, error) {
+	slot := make(map[uint64]int) // application ID → its position in apps
+	var apps []uint64
 	for _, sp := range specs {
-		oRaw, ok := e.index.Lookup(rank, sp.OriginApp)
-		if !ok {
-			return fmt.Errorf("%w: bulk edge origin %d", ErrNotFound, sp.OriginApp)
+		for _, app := range [2]uint64{sp.OriginApp, sp.TargetApp} {
+			if _, seen := slot[app]; !seen {
+				slot[app] = len(apps)
+				apps = append(apps, app)
+			}
 		}
-		tRaw, ok := e.index.Lookup(rank, sp.TargetApp)
-		if !ok {
-			return fmt.Errorf("%w: bulk edge target %d", ErrNotFound, sp.TargetApp)
+	}
+	dps, found := e.lookupVertices(rank, apps)
+
+	out := make([][]recDelivery, e.fab.Size())
+	for _, sp := range specs {
+		oi, ti := slot[sp.OriginApp], slot[sp.TargetApp]
+		if !found[oi] {
+			return nil, fmt.Errorf("%w: bulk edge origin %d", ErrNotFound, sp.OriginApp)
 		}
-		o, t := fabric.DPtr(oRaw), fabric.DPtr(tRaw)
+		if !found[ti] {
+			return nil, fmt.Errorf("%w: bulk edge target %d", ErrNotFound, sp.TargetApp)
+		}
+		o, t := dps[oi], dps[ti]
 		back := holder.DirIn
 		if sp.Dir == holder.DirUndirected {
 			back = holder.DirUndirected
@@ -124,9 +211,12 @@ func (e *Engine) BulkLoadEdges(rank fabric.Rank, specs []EdgeSpec) error {
 		}
 		out[t.Rank()] = append(out[t.Rank()], recDelivery{V: t, Rec: holder.EdgeRec{Neighbor: o, Dir: back, Label: sp.Label}})
 	}
-	in := collective.Alltoall(e.comm, rank, out)
+	return out, nil
+}
 
-	// Group deliveries by vertex so each holder is rewritten once.
+// mergeEdges appends the delivered records to this rank's holders, grouped by
+// vertex so each holder is rewritten once, in ascending DPtr order.
+func (e *Engine) mergeEdges(rank fabric.Rank, in [][]recDelivery) error {
 	byVertex := make(map[fabric.DPtr][]holder.EdgeRec)
 	for _, batch := range in {
 		for _, d := range batch {
@@ -139,22 +229,15 @@ func (e *Engine) BulkLoadEdges(rank fabric.Rank, specs []EdgeSpec) error {
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 
-	bs := e.cfg.BlockSize
 	if e.snap != nil {
 		e.htapGate.RLock()
+		defer e.htapGate.RUnlock()
 	}
 	for _, dp := range order {
-		if err := e.appendRecords(rank, dp, byVertex[dp], bs); err != nil {
-			if e.snap != nil {
-				e.htapGate.RUnlock()
-			}
+		if err := e.appendRecords(rank, dp, byVertex[dp], e.cfg.BlockSize); err != nil {
 			return err
 		}
 	}
-	if e.snap != nil {
-		e.htapGate.RUnlock()
-	}
-	e.comm.Barrier(rank)
 	return nil
 }
 
@@ -184,10 +267,13 @@ func (e *Engine) appendRecords(rank fabric.Rank, primary fabric.DPtr, recs []hol
 	v.Edges = append(v.Edges, recs...)
 	stream := holder.EncodeVertexCodec(v, bs, e.cfg.HolderCodec)
 	need := len(stream) / bs
-	for len(blocks) < need {
+	for had := len(blocks); len(blocks) < need; {
 		dp, err := e.store.AcquireBlock(rank, rank)
 		if err != nil {
-			return ErrNoMemory
+			for _, got := range blocks[had:] {
+				e.store.ReleaseBlock(rank, got)
+			}
+			return fmt.Errorf("%w: bulk merging %d edge records into %v", ErrNoMemory, len(recs), primary)
 		}
 		blocks = append(blocks, dp)
 	}

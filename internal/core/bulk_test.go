@@ -1,0 +1,436 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/gdi-go/gdi/internal/collective"
+	"github.com/gdi-go/gdi/internal/fabric"
+	"github.com/gdi-go/gdi/internal/holder"
+	"github.com/gdi-go/gdi/internal/lpg"
+	"github.com/gdi-go/gdi/internal/metadata"
+	"github.com/gdi-go/gdi/internal/rma"
+)
+
+// referenceLoadEdges is the loader BulkLoadEdges replaced — two scalar index
+// lookups per edge, no de-duplication — kept as the oracle the batched
+// resolve is checked against. Routing and merge are the engine's own.
+func referenceLoadEdges(e *Engine, rank fabric.Rank, specs []EdgeSpec) error {
+	out := make([][]recDelivery, e.fab.Size())
+	for _, sp := range specs {
+		oRaw, ok := e.index.Lookup(rank, sp.OriginApp)
+		if !ok {
+			return fmt.Errorf("%w: bulk edge origin %d", ErrNotFound, sp.OriginApp)
+		}
+		tRaw, ok := e.index.Lookup(rank, sp.TargetApp)
+		if !ok {
+			return fmt.Errorf("%w: bulk edge target %d", ErrNotFound, sp.TargetApp)
+		}
+		o, t := fabric.DPtr(oRaw), fabric.DPtr(tRaw)
+		back := holder.DirIn
+		if sp.Dir == holder.DirUndirected {
+			back = holder.DirUndirected
+		}
+		out[o.Rank()] = append(out[o.Rank()], recDelivery{V: o, Rec: holder.EdgeRec{Neighbor: t, Dir: sp.Dir, Label: sp.Label}})
+		if o == t && sp.Dir == holder.DirUndirected {
+			continue
+		}
+		out[t.Rank()] = append(out[t.Rank()], recDelivery{V: t, Rec: holder.EdgeRec{Neighbor: o, Dir: back, Label: sp.Label}})
+	}
+	err := e.mergeEdges(rank, collective.Alltoall(e.comm, rank, out))
+	e.comm.Barrier(rank)
+	return err
+}
+
+// windowLog is a transport that remembers every window allocated through it,
+// so a test can compare two engines' entire one-sided state: block payloads,
+// free lists, lock words, and the DHT's table and heap.
+type windowLog struct {
+	fabric.Transport
+	bytes []fabric.ByteWin
+	words []fabric.WordWin
+}
+
+func (w *windowLog) NewByteWin(segSize int) fabric.ByteWin {
+	win := w.Transport.NewByteWin(segSize)
+	w.bytes = append(w.bytes, win)
+	return win
+}
+
+func (w *windowLog) NewWordWin(nWords int) fabric.WordWin {
+	win := w.Transport.NewWordWin(nWords)
+	w.words = append(w.words, win)
+	return win
+}
+
+// dump reads every rank's segment of every window.
+func (w *windowLog) dump() (bytes [][]byte, words [][]uint64) {
+	for r := 0; r < w.Size(); r++ {
+		rank := fabric.Rank(r)
+		for _, win := range w.bytes {
+			buf := make([]byte, win.SegSize())
+			win.Get(rank, rank, 0, buf)
+			bytes = append(bytes, buf)
+		}
+		for _, win := range w.words {
+			idxs := make([]int, win.Words())
+			for i := range idxs {
+				idxs[i] = i
+			}
+			words = append(words, win.LoadBatch(rank, rank, idxs))
+		}
+	}
+	return bytes, words
+}
+
+// bulkTestGraph is a small graph with everything the loader has to get right:
+// labels and properties, hubs whose holders span many blocks, all three
+// directions, duplicate edges and self-loops. Specs are dealt to the ranks
+// that contribute them, not to the owners.
+func bulkTestGraph(ranks, vertices, edges int, label lpg.LabelID, ptype lpg.PTypeID) (vs [][]VertexSpec, es [][]EdgeSpec) {
+	rng := rand.New(rand.NewSource(11))
+	vs, es = make([][]VertexSpec, ranks), make([][]EdgeSpec, ranks)
+	for i := 0; i < vertices; i++ {
+		sp := VertexSpec{AppID: uint64(i) * 3}
+		if i%2 == 0 {
+			sp.Labels = []lpg.LabelID{label}
+		}
+		if i%3 == 0 {
+			sp.Props = []lpg.Property{{PType: ptype, Value: []byte(fmt.Sprintf("vertex-%d", i))}}
+		}
+		r := rng.Intn(ranks)
+		vs[r] = append(vs[r], sp)
+	}
+	for i := 0; i < edges; i++ {
+		o, t := rng.Intn(vertices), rng.Intn(vertices)
+		if i%4 == 0 {
+			o = rng.Intn(4) // hubs
+		}
+		if i%97 == 0 {
+			t = o // self-loop
+		}
+		sp := EdgeSpec{OriginApp: uint64(o) * 3, TargetApp: uint64(t) * 3, Dir: holder.Direction(i % 3), Label: label}
+		r := rng.Intn(ranks)
+		es[r] = append(es[r], sp)
+	}
+	return vs, es
+}
+
+// TestBulkLoadEdgesMatchesReferenceLoader is the golden test of the batched
+// loader: against the per-edge-lookup oracle it must leave every window of
+// every rank — block pool, lock words, DHT — the vertex shards and the HTAP
+// delta log identical, on both holder codecs.
+func TestBulkLoadEdgesMatchesReferenceLoader(t *testing.T) {
+	const ranks = 4
+	for _, tc := range []struct {
+		name  string
+		codec holder.Codec
+		htap  bool
+	}{
+		{"v1", holder.CodecV1, false},
+		{"v2", holder.CodecV2, false},
+		{"v2-htap", holder.CodecV2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			type loaded struct {
+				log *windowLog
+				e   *Engine
+			}
+			load := func(edges func(*Engine, fabric.Rank, []EdgeSpec) error) loaded {
+				log := &windowLog{Transport: rma.New(ranks)}
+				e := NewEngine(log, Config{
+					BlockSize: 128, BlocksPerRank: 1 << 12,
+					// Two buckets per rank: every lookup walks a long chain.
+					DHTBucketsPerRank: 2, DHTEntriesPerRank: 256,
+					HolderCodec: tc.codec, HTAPSnapshots: tc.htap,
+				})
+				label, _ := e.DefineLabel("L")
+				ptype, _ := e.DefinePType("p", metadata.PTypeSpec{Datatype: lpg.TypeString})
+				vs, es := bulkTestGraph(ranks, 300, 3000, label, ptype)
+				e.fab.Run(func(r rma.Rank) {
+					if err := e.BulkLoadVertices(r, vs[r]); err != nil {
+						t.Error(err)
+						return
+					}
+					if err := edges(e, r, es[r]); err != nil {
+						t.Error(err)
+					}
+				})
+				return loaded{log, e}
+			}
+			got := load((*Engine).BulkLoadEdges)
+			want := load(referenceLoadEdges)
+			if t.Failed() {
+				return
+			}
+			gotBytes, gotWords := got.log.dump()
+			wantBytes, wantWords := want.log.dump()
+			if !reflect.DeepEqual(gotBytes, wantBytes) {
+				t.Error("byte windows (block payloads) differ from the reference loader's")
+			}
+			if !reflect.DeepEqual(gotWords, wantWords) {
+				t.Error("word windows (free lists, lock words, DHT) differ from the reference loader's")
+			}
+			total := 0
+			for r := 0; r < ranks; r++ {
+				rank := fabric.Rank(r)
+				if g, w := got.e.LocalVertexCount(rank), want.e.LocalVertexCount(rank); g != w {
+					t.Errorf("rank %d: %d local vertices, reference has %d", r, g, w)
+				}
+				total += got.e.LocalVertexCount(rank)
+				if !tc.htap {
+					continue
+				}
+				gs, ws := got.e.Snapshots(), want.e.Snapshots()
+				gd, gerr := gs.Deltas(rank, 0, gs.LogLen(rank))
+				wd, werr := ws.Deltas(rank, 0, ws.LogLen(rank))
+				if gerr != nil || werr != nil || len(gd) == 0 || !reflect.DeepEqual(gd, wd) {
+					t.Errorf("rank %d: delta log of %d records differs from the reference's %d (%v, %v)", r, len(gd), len(wd), gerr, werr)
+				}
+			}
+			if total != 300 || got.e.index.Len(0) != 300 {
+				t.Errorf("loaded %d vertices, %d index entries, want 300 each", total, got.e.index.Len(0))
+			}
+		})
+	}
+}
+
+// TestBulkLoadEdgesResolvesEachEndpointOnce is the loader's traffic contract:
+// the remote atomics BulkLoadEdges issues (all of them belong to the resolve
+// phase — routing is messages, the merge is rank-local) depend on the distinct
+// endpoints, not on the number of edges.
+func TestBulkLoadEdgesResolvesEachEndpointOnce(t *testing.T) {
+	const ranks, vertices = 4, 512
+	traffic := func(chords []int) fabric.Snapshot {
+		e := newEngine(t, ranks)
+		var before, after fabric.Snapshot
+		e.fab.Run(func(r rma.Rank) {
+			var vs []VertexSpec
+			var es []EdgeSpec
+			for i := int(r); i < vertices; i += ranks {
+				vs = append(vs, VertexSpec{AppID: uint64(i)})
+			}
+			// Every rank's edges touch every vertex, whatever the chords.
+			for i := 0; i < vertices; i++ {
+				for _, c := range chords {
+					es = append(es, EdgeSpec{OriginApp: uint64(i), TargetApp: uint64((i + c) % vertices), Dir: holder.DirOut})
+				}
+			}
+			if err := e.BulkLoadVertices(r, vs); err != nil {
+				t.Error(err)
+				return
+			}
+			if r == 0 {
+				before = e.fab.TotalSnapshot()
+			}
+			e.comm.Barrier(r)
+			if err := e.BulkLoadEdges(r, es); err != nil {
+				t.Error(err)
+			}
+			if r == 0 {
+				after = e.fab.TotalSnapshot()
+			}
+			e.comm.Barrier(r)
+		})
+		return fabric.Snapshot{
+			RemoteAtoms:   after.RemoteAtoms - before.RemoteAtoms,
+			AtomicBatches: after.AtomicBatches - before.AtomicBatches,
+		}
+	}
+	one, four := traffic([]int{1}), traffic([]int{1, 2, 3, 5})
+	if one.RemoteAtoms == 0 {
+		t.Fatal("the resolve phase issued no remote atomics: the contract measures nothing")
+	}
+	if one != four {
+		t.Errorf("4x the edges over the same endpoints changed the resolve traffic: %d atomics in %d trains, then %d in %d",
+			one.RemoteAtoms, one.AtomicBatches, four.RemoteAtoms, four.AtomicBatches)
+	}
+	// One chunk per rank: a bucket train and an entry train per chain level
+	// towards each of the 3 remote ranks, where the per-edge loop paid two
+	// round trips per edge endpoint. Generous bound: 8 levels.
+	if limit := int64(ranks * (ranks - 1) * 8); one.AtomicBatches > limit {
+		t.Errorf("resolve phase posted %d trains, want at most %d", one.AtomicBatches, limit)
+	}
+}
+
+// runCollective runs fn on every rank and fails the test when the ranks have
+// not all returned by the deadline — the symptom of a rank leaving a
+// collective routine early.
+func runCollective(t *testing.T, e *Engine, fn func(r rma.Rank) error) []error {
+	t.Helper()
+	errs := make([]error, e.fab.Size())
+	var mu sync.Mutex
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.fab.Run(func(r rma.Rank) {
+			err := fn(r)
+			mu.Lock()
+			errs[r] = err
+			mu.Unlock()
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		mu.Lock()
+		defer mu.Unlock()
+		t.Fatalf("collective call did not return on every rank within the deadline (returned so far: %v)", errs)
+	}
+	return errs
+}
+
+// TestBulkLoadMissingEndpointFailsCollectively: one rank is handed an edge to
+// a vertex that does not exist. Every rank must return — the erring one with
+// ErrNotFound, its peers with an error wrapping the same sentinel — and
+// nothing may have been merged.
+func TestBulkLoadMissingEndpointFailsCollectively(t *testing.T) {
+	const ranks = 4
+	e := newEngine(t, ranks)
+	runCollective(t, e, func(r rma.Rank) error {
+		var vs []VertexSpec
+		for i := 0; i < 8; i++ {
+			vs = append(vs, VertexSpec{AppID: uint64(int(r)*8 + i)})
+		}
+		if err := e.BulkLoadVertices(r, vs); err != nil {
+			t.Error(err)
+		}
+		return nil
+	})
+	free := e.FreeBlocks(0)
+	errs := runCollective(t, e, func(r rma.Rank) error {
+		es := []EdgeSpec{{OriginApp: uint64(r), TargetApp: uint64(r) + 8, Dir: holder.DirOut}}
+		if r == 2 {
+			es = append(es, EdgeSpec{OriginApp: 1, TargetApp: 999, Dir: holder.DirOut})
+		}
+		return e.BulkLoadEdges(r, es)
+	})
+	for r, err := range errs {
+		if !errors.Is(err, ErrNotFound) {
+			t.Errorf("rank %d returned %v, want an error wrapping ErrNotFound", r, err)
+		}
+	}
+	if e.FreeBlocks(0) != free {
+		t.Error("a failed resolve still merged edges")
+	}
+	// The engine is still usable collectively.
+	for r, err := range runCollective(t, e, func(r rma.Rank) error {
+		return e.BulkLoadEdges(r, []EdgeSpec{{OriginApp: uint64(r), TargetApp: uint64(r) + 8, Dir: holder.DirOut}})
+	}) {
+		if err != nil {
+			t.Errorf("rank %d: load after the failed one: %v", r, err)
+		}
+	}
+}
+
+// TestBulkLoadPoolExhaustionFailsCollectively: a rank that runs out of blocks
+// mid-build must not leave its peers in the exchange.
+func TestBulkLoadPoolExhaustionFailsCollectively(t *testing.T) {
+	const ranks = 4
+	e := NewEngine(rma.New(ranks), Config{BlockSize: 128, BlocksPerRank: 8})
+	errs := runCollective(t, e, func(r rma.Rank) error {
+		var vs []VertexSpec
+		if r == 1 {
+			for i := 0; i < 20; i++ {
+				vs = append(vs, VertexSpec{AppID: uint64(i) * ranks}) // all owned by rank 0
+			}
+		}
+		return e.BulkLoadVertices(r, vs)
+	})
+	for r, err := range errs {
+		if !errors.Is(err, ErrNoMemory) {
+			t.Errorf("rank %d returned %v, want an error wrapping ErrNoMemory", r, err)
+		}
+	}
+}
+
+// findable counts the application IDs below limit the internal index resolves.
+func findable(t *testing.T, e *Engine, limit uint64) int {
+	t.Helper()
+	tx := e.StartLocal(0, ReadOnly)
+	defer tx.Abort()
+	n := 0
+	for app := uint64(0); app < limit; app++ {
+		if _, err := tx.TranslateVertexID(app); err == nil {
+			n++
+		} else if !errors.Is(err, ErrNotFound) {
+			t.Fatal(err)
+		}
+	}
+	return n
+}
+
+func storedVertices(e *Engine) int {
+	n := 0
+	for r := 0; r < e.fab.Size(); r++ {
+		n += e.LocalVertexCount(fabric.Rank(r))
+	}
+	return n
+}
+
+// TestBulkLoadFullIndexIsReported: an undersized index used to drop the
+// Insert result, storing vertices nobody could find. The load must fail on
+// every rank with ErrNoMemory instead.
+func TestBulkLoadFullIndexIsReported(t *testing.T) {
+	const ranks = 2
+	e := NewEngine(rma.New(ranks), Config{BlockSize: 128, BlocksPerRank: 256, DHTBucketsPerRank: 4, DHTEntriesPerRank: 5})
+	errs := runCollective(t, e, func(r rma.Rank) error {
+		var vs []VertexSpec
+		for i := 0; i < 10; i++ {
+			vs = append(vs, VertexSpec{AppID: uint64(int(r)*10 + i)})
+		}
+		return e.BulkLoadVertices(r, vs)
+	})
+	for r, err := range errs {
+		if !errors.Is(err, ErrNoMemory) {
+			t.Errorf("rank %d returned %v, want an error wrapping ErrNoMemory", r, err)
+		}
+	}
+	if got := findable(t, e, 20); got != ranks*5 {
+		t.Errorf("%d vertices findable, want the index's capacity of %d", got, ranks*5)
+	}
+}
+
+// TestCommitFullIndexFailsBeforePublish: the commit that creates a vertex the
+// index has no room for must fail as a whole, before anything is written —
+// every stored vertex stays findable, and the blocks come back.
+func TestCommitFullIndexFailsBeforePublish(t *testing.T) {
+	e := NewEngine(rma.New(2), Config{BlockSize: 128, BlocksPerRank: 256, DHTBucketsPerRank: 4, DHTEntriesPerRank: 3})
+	create := func(apps ...uint64) error {
+		tx := e.StartLocal(0, ReadWrite)
+		for _, app := range apps {
+			if _, err := tx.CreateVertex(app); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tx.Commit()
+	}
+	for app := uint64(0); app < 5; app++ {
+		if err := create(app); err != nil {
+			t.Fatalf("create %d: %v", app, err)
+		}
+	}
+	free := e.FreeBlocks(0) + e.FreeBlocks(1)
+	// One entry left, three vertices: all or nothing.
+	err := create(5, 6, 7)
+	if !errors.Is(err, ErrNoMemory) || !errors.Is(err, ErrTxCritical) {
+		t.Fatalf("commit into a full index returned %v, want a transaction-critical ErrNoMemory", err)
+	}
+	if got, stored := findable(t, e, 8), storedVertices(e); got != 5 || stored != 5 {
+		t.Errorf("after the failed commit: %d findable, %d stored, want 5 and 5", got, stored)
+	}
+	if got := e.FreeBlocks(0) + e.FreeBlocks(1); got != free {
+		t.Errorf("failed commit leaked blocks: %d free, had %d", got, free)
+	}
+	if err := create(5); err != nil {
+		t.Fatalf("the last index entry is still usable: %v", err)
+	}
+	if got, stored := findable(t, e, 8), storedVertices(e); got != 6 || stored != 6 {
+		t.Errorf("%d findable, %d stored, want 6 and 6", got, stored)
+	}
+}

@@ -217,6 +217,27 @@ func (tx *Tx) Commit() error {
 		plans = append(plans, pl)
 	}
 
+	// Prepare, index: reserve the internal-index entries of the new vertices.
+	// It is the last step that can fail (the DHT heap is finite), so it sits
+	// here, where failure still aborts cleanly, and not in the publish step
+	// after the write-back, where a full index used to leave a stored vertex
+	// nobody could find. A reader that finds an entry early runs into the
+	// vertex's exclusive lock, held since the lock train above, exactly as it
+	// does between publish and release.
+	for pi, pl := range plans {
+		if pl.vs == nil || !pl.vs.isNew {
+			continue
+		}
+		if !tx.eng.index.Insert(tx.rank, pl.vs.v.AppID, uint64(pl.vs.primary)) {
+			for _, done := range plans[:pi] {
+				if done.vs != nil && done.vs.isNew {
+					tx.eng.index.Delete(tx.rank, done.vs.v.AppID)
+				}
+			}
+			return fail(fmt.Errorf("%w: internal index full publishing vertex %d", ErrNoMemory, pl.vs.v.AppID))
+		}
+	}
+
 	// HTAP gate: the whole apply phase — first write-back PUT through the
 	// final lock release, plus the delta-log append — runs under the commit
 	// gate in read mode. AcquireCut holds the gate exclusively while every
@@ -410,9 +431,9 @@ func (tx *Tx) Commit() error {
 	}
 
 	// Apply, publish: release excess blocks and maintain the explicit
-	// indexes. New vertices become findable here, but their exclusive locks
-	// are still held, so no reader observes them before the write-back
-	// above has landed.
+	// indexes. New vertices have been findable through the internal index
+	// since prepare, but their exclusive locks are still held, so no reader
+	// observes them before the write-back above has landed.
 	for _, pl := range plans {
 		for _, dp := range pl.release {
 			tx.eng.store.ReleaseBlock(tx.rank, dp)
@@ -420,7 +441,6 @@ func (tx *Tx) Commit() error {
 		if pl.vs != nil {
 			st := pl.vs
 			if st.isNew {
-				tx.eng.index.Insert(tx.rank, st.v.AppID, uint64(st.primary))
 				tx.eng.idxAddVertex(tx.rank, st.primary, st.v.AppID, st.v.Labels)
 			} else if !labelSetsEqual(st.origLabel, st.v.Labels) {
 				tx.eng.idxUpdateLabels(tx.rank, st.primary, st.origLabel, st.v.Labels)

@@ -336,6 +336,21 @@ func (e *Engine) OwnerOf(appID uint64) fabric.Rank {
 	return fabric.Rank(appID % uint64(e.fab.Size()))
 }
 
+// lookupVertices resolves application IDs to primary DPtrs through the
+// internal index, all of them at once (dht.Map.LookupBatch: two round trips
+// per remote rank per chunk at chain length one, where a loop of scalar
+// lookups pays two per ID). ok[i] is false for an ID the index does not hold.
+func (e *Engine) lookupVertices(origin fabric.Rank, apps []uint64) (dps []fabric.DPtr, ok []bool) {
+	vals := make([]uint64, len(apps))
+	ok = make([]bool, len(apps))
+	e.index.LookupBatch(origin, apps, vals, ok)
+	dps = make([]fabric.DPtr, len(apps))
+	for i, v := range vals {
+		dps[i] = fabric.DPtr(v)
+	}
+	return dps, ok
+}
+
 // DefineLabel registers a label on every replica. It is the driver-context
 // convenience for the collective GDI_CreateLabel; inside SPMD code use
 // CreateLabelCollective.

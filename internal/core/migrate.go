@@ -210,7 +210,12 @@ func (e *Engine) MigrateVertices(me fabric.Rank, moves []MigrationMove) (int, er
 	// second best-effort train.
 	var secTrain []locks.TrainLock
 	var replSkip []*migCand // replicated vertices skipped under a held lock
-	for _, c := range live {
+	apps := make([]uint64, len(live))
+	for i, c := range live {
+		apps[i] = c.mv.App
+	}
+	indexed, found := e.lookupVertices(me, apps)
+	for i, c := range live {
 		if !c.ok {
 			continue
 		}
@@ -219,7 +224,7 @@ func (e *Engine) MigrateVertices(me fabric.Rank, moves []MigrationMove) (int, er
 			skip(c)
 			continue
 		}
-		if val, found := e.index.Lookup(me, v.AppID); !found || fabric.DPtr(val) != c.mv.Old {
+		if !found[i] || indexed[i] != c.mv.Old {
 			skip(c) // the index no longer names this placement
 			continue
 		}
@@ -503,17 +508,22 @@ func (e *Engine) planRebalance(tops [][]HeatSample) []MigrationMove {
 		}
 		return cands[i].app < cands[j].app
 	})
+	// Sorted descending (raw totals bound filtered ones): nothing hot enough
+	// follows the first candidate below the threshold.
+	hot := sort.Search(len(cands), func(i int) bool { return cands[i].total < uint64(e.cfg.RebalanceMinHeat) })
+	cands = cands[:hot]
+	apps := make([]uint64, len(cands))
+	for i, c := range cands {
+		apps[i] = c.app
+	}
+	placed, found := e.lookupVertices(0, apps)
 	movesPerDest := make([]int, n)
 	var plan []MigrationMove
-	for _, c := range cands {
-		if c.total < uint64(e.cfg.RebalanceMinHeat) {
-			break // sorted descending (raw totals bound filtered ones): nothing hotter follows
-		}
-		val, found := e.index.Lookup(0, c.app)
-		if !found {
+	for i, c := range cands {
+		if !found[i] {
 			continue
 		}
-		old := fabric.DPtr(val)
+		old := placed[i]
 		owner := old.Rank()
 		// Only samples recorded against the current placement count: heat a
 		// rank accumulated while the vertex lived elsewhere (including reads

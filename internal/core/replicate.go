@@ -245,10 +245,38 @@ func (e *Engine) ReplicateFromRank(origin, src fabric.Rank, k int) int {
 	if !runIsolated(func() { listing = e.listVertices(origin, src) }) {
 		return 0
 	}
+	apps := make([]uint64, len(listing))
+	for i, it := range listing {
+		apps[i] = it.app
+	}
+	return e.replicateAll(origin, apps, k)
+}
+
+// replicateAll seeds a follower copy on origin for each of apps, resolving
+// all of them through the internal index first (one batched lookup instead of
+// one per vertex), and returns how many copies it seeded.
+func (e *Engine) replicateAll(origin fabric.Rank, apps []uint64, k int) int {
+	// A dead rank takes the index entries hashed to it along; leave those
+	// keys out so the batch walk reaches everything else.
+	dead := e.deadSet()
+	reachable := make([]uint64, 0, len(apps))
+	for _, app := range apps {
+		if !dead[e.index.HomeRank(app)] {
+			reachable = append(reachable, app)
+		}
+	}
+	apps = reachable
+	var primaries []fabric.DPtr
+	var found []bool
+	if !runIsolated(func() { primaries, found = e.lookupVertices(origin, apps) }) {
+		return 0
+	}
 	n := 0
-	for _, it := range listing {
+	for i, app := range apps {
 		seeded := false
-		runIsolated(func() { seeded = e.replicateOne(origin, it.app, k) })
+		if found[i] {
+			runIsolated(func() { seeded = e.replicateOne(origin, app, primaries[i], k) })
+		}
 		if seeded {
 			n++
 		}
@@ -275,18 +303,13 @@ func (e *Engine) ReplicateUniform(origin fabric.Rank, k int) int {
 // uses: each rank replicates exactly what it reads most. Requires
 // Config.RebalanceHeatTracking. Returns the seed count.
 func (e *Engine) ReplicateHot(origin fabric.Rank, k, topM int) int {
-	n := 0
+	var apps []uint64
 	for _, s := range e.topHeat(origin, topM) {
-		if s.Owner == origin {
-			continue
-		}
-		seeded := false
-		runIsolated(func() { seeded = e.replicateOne(origin, s.App, k) })
-		if seeded {
-			n++
+		if s.Owner != origin {
+			apps = append(apps, s.App)
 		}
 	}
-	return n
+	return e.replicateAll(origin, apps, k)
 }
 
 // replicateOne pulls one follower copy of vertex app onto origin, leaving the
@@ -297,15 +320,10 @@ func (e *Engine) ReplicateHot(origin fabric.Rank, k, topM int) int {
 // and every existing group grow in the same train), everything is published
 // with one vectored PUT train per rank, and the fresh follower word enters
 // lockstep at the version the primary's release bumps to.
-func (e *Engine) replicateOne(origin fabric.Rank, app uint64, k int) bool {
+func (e *Engine) replicateOne(origin fabric.Rank, app uint64, primary fabric.DPtr, k int) bool {
 	if k < 2 {
 		return false
 	}
-	val, found := e.index.Lookup(origin, app)
-	if !found {
-		return false
-	}
-	primary := fabric.DPtr(val)
 	if primary.Rank() == origin || !e.validPoolDPtr(primary) || e.isDead(primary.Rank()) {
 		return false
 	}

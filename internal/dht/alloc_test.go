@@ -24,8 +24,8 @@ func TestInsertAllocatesOnBucketRank(t *testing.T) {
 		}
 	}
 	for key := uint64(0); key < 200; key++ {
-		bRank, bIdx := m.bucketOf(key)
-		bucket := ref(uint64(bRank)<<rankShift | uint64(bIdx))
+		bucket := m.bucketOf(key)
+		bRank := bucket.rank()
 		found := false
 		for p := m.loadNext(0, bucket); !p.isNull(); p = m.loadNext(0, p) {
 			k, _, _, ok := m.loadEntry(0, p)

@@ -18,6 +18,15 @@
 //     concurrent readers detect and restart on), the second CAS unlinks it
 //     from its predecessor.
 //
+// Round trips. A lookup reads the bucket word, then one entry per chain hop;
+// an entry's four words (key, value, next, reuse tag) travel as one
+// atomic-load train, so a lookup at chain length one costs two round trips.
+// Replace, Delete and the unlink walk pay the same per hop before their CAS.
+// LookupBatch resolves many keys level-synchronously — all bucket heads as
+// one train per bucket rank, then one train per entry rank per chain level —
+// which is how the bulk loader and the other per-item translation loops of
+// package core pay O(chain length) round trips per rank instead of O(keys).
+//
 // One hardening beyond the paper's pseudocode: pointers carry a 15-bit
 // reuse tag that is bumped when a heap slot is recycled, and every entry
 // stores its current tag. A reader that follows a stale pointer into a
@@ -124,12 +133,19 @@ func New(f fabric.Transport, cfg Config) *Map {
 func packFreeHead(tag uint32, idx uint32) uint64 { return uint64(tag)<<32 | uint64(idx) }
 func unpackFreeHead(h uint64) (tag, idx uint32)  { return uint32(h >> 32), uint32(h) }
 
-// hash spreads a key over the global bucket space (Fibonacci hashing).
-func (m *Map) bucketOf(key uint64) (fabric.Rank, int) {
+// bucketOf spreads a key over the global bucket space (Fibonacci hashing) and
+// returns the ref of its bucket word.
+func (m *Map) bucketOf(key uint64) ref {
 	h := key * 0x9e3779b97f4a7c15
 	b := h % m.totalBucket
-	return fabric.Rank(b / uint64(m.bucketsPer)), int(b % uint64(m.bucketsPer))
+	return ref((b/uint64(m.bucketsPer))<<rankShift | b%uint64(m.bucketsPer))
 }
+
+// HomeRank returns the rank holding key's bucket — and, unless that rank's
+// heap is exhausted, its entry. A collective loader routes (key, val) pairs
+// there and inserts them with origin == target, so publishing an index entry
+// costs no remote atomics at all.
+func (m *Map) HomeRank(key uint64) fabric.Rank { return m.bucketOf(key).rank() }
 
 // alloc grabs a heap slot on the preferred rank and bumps its reuse tag,
 // stealing from successive ranks if that heap is exhausted. Insert prefers
@@ -198,25 +214,24 @@ func (m *Map) casNext(origin fabric.Rank, p ref, old, new ref) bool {
 	return ok
 }
 
-// loadEntry AGETs an entry's fields and verifies the reuse tag. ok is false
-// when the slot was recycled under the reader, who must restart.
+// loadEntry fetches an entry's four words as one atomic-load train — a
+// single round trip — and verifies the reuse tag. The tag is the last index
+// of the train: WordWin.LoadBatch applies its loads in index order, so a tag
+// that still matches proves key, val and next were read from this incarnation
+// of the slot (alloc bumps the tag before it rewrites any of them). ok is
+// false when the slot was recycled under the reader, who must restart.
 func (m *Map) loadEntry(origin fabric.Rank, p ref) (key, val uint64, next ref, ok bool) {
-	r, base := p.rank(), int(p.idx())*eWords
-	key = m.heap.Load(origin, r, base+eKey)
-	val = m.heap.Load(origin, r, base+eVal)
-	next = ref(m.heap.Load(origin, r, base+eNext))
-	tag := uint16(m.heap.Load(origin, r, base+eTag))
-	ok = tag == p.tag()
-	return
+	base := int(p.idx()) * eWords
+	w := m.heap.LoadBatch(origin, p.rank(), []int{base + eKey, base + eVal, base + eNext, base + eTag})
+	return w[eKey], w[eVal], ref(w[eNext]), uint16(w[eTag]) == p.tag()
 }
 
 // Insert adds key → val. Duplicate keys may coexist (the paper's DHT is a
 // multimap at the protocol level); GDA's users ensure key uniqueness.
 // Returns false when the heap is exhausted.
 func (m *Map) Insert(origin fabric.Rank, key, val uint64) bool {
-	bRank, bIdx := m.bucketOf(key)
-	bucket := ref(uint64(bRank)<<rankShift | uint64(bIdx))
-	p, ok := m.alloc(origin, bRank)
+	bucket := m.bucketOf(key)
+	p, ok := m.alloc(origin, bucket.rank())
 	if !ok {
 		return false
 	}
@@ -243,8 +258,7 @@ func (m *Map) Lookup(origin fabric.Rank, key uint64) (val uint64, found bool) {
 }
 
 func (m *Map) lookupOnce(origin fabric.Rank, key uint64) (val uint64, found, restart bool) {
-	bRank, bIdx := m.bucketOf(key)
-	bucket := ref(uint64(bRank)<<rankShift | uint64(bIdx))
+	bucket := m.bucketOf(key)
 	p := m.loadNext(origin, bucket)
 	for !p.isNull() {
 		k, v, next, ok := m.loadEntry(origin, p)
@@ -258,6 +272,98 @@ func (m *Map) lookupOnce(origin fabric.Rank, key uint64) (val uint64, found, res
 		p = next
 	}
 	return 0, false, false
+}
+
+// batchChunk bounds how many keys one level-synchronous walk carries, and so
+// the size of every train it posts (4 words per key at an entry level: 64 KiB
+// of indices on a wire transport) and of its scratch state.
+const batchChunk = 2048
+
+// LookupBatch resolves many keys at once: vals[i], found[i] receive what
+// Lookup(origin, keys[i]) would return. Duplicate and missing keys are legal.
+// vals and found must be as long as keys.
+//
+// The walk is level-synchronous — the §5.6 pattern of posting many one-sided
+// operations and synchronizing once. Per chunk of batchChunk keys it loads
+// all bucket heads with one atomic-load train per bucket rank, then advances
+// every unresolved key by one chain hop per level with one train per entry
+// rank. N keys whose chains have length one therefore cost two round trips
+// per remote rank instead of 2N. A key that meets a tombstone or a recycled
+// slot falls back to the scalar Lookup, for that key only.
+func (m *Map) LookupBatch(origin fabric.Rank, keys, vals []uint64, found []bool) {
+	if len(vals) != len(keys) || len(found) != len(keys) {
+		panic(fmt.Sprintf("dht: LookupBatch of %d keys into %d values, %d flags", len(keys), len(vals), len(found)))
+	}
+	for lo := 0; lo < len(keys); lo += batchChunk {
+		hi := min(lo+batchChunk, len(keys))
+		m.lookupChunk(origin, keys[lo:hi], vals[lo:hi], found[lo:hi])
+	}
+}
+
+func (m *Map) lookupChunk(origin fabric.Rank, keys, vals []uint64, found []bool) {
+	// at[i] is where key i's walk stands: its bucket word, then the entry to
+	// visit next. byRank groups the walks still running by the rank their
+	// next load targets.
+	at := make([]ref, len(keys))
+	byRank := make([][]int, m.f.Size())
+	var idxs []int
+	for i, key := range keys {
+		vals[i], found[i] = 0, false
+		at[i] = m.bucketOf(key)
+		byRank[at[i].rank()] = append(byRank[at[i].rank()], i)
+	}
+	for r, walks := range byRank {
+		if len(walks) == 0 {
+			continue
+		}
+		idxs = idxs[:0]
+		for _, i := range walks {
+			idxs = append(idxs, int(at[i].idx()))
+		}
+		for j, head := range m.table.LoadBatch(origin, fabric.Rank(r), idxs) {
+			at[walks[j]] = ref(head)
+		}
+	}
+	running := make([]int, 0, len(keys))
+	for i, p := range at {
+		if !p.isNull() {
+			running = append(running, i)
+		}
+	}
+	for len(running) > 0 {
+		for r := range byRank {
+			byRank[r] = byRank[r][:0]
+		}
+		for _, i := range running {
+			byRank[at[i].rank()] = append(byRank[at[i].rank()], i)
+		}
+		running = running[:0]
+		for r, walks := range byRank {
+			if len(walks) == 0 {
+				continue
+			}
+			// Four words per entry, tag last, exactly as loadEntry orders them.
+			idxs = idxs[:0]
+			for _, i := range walks {
+				base := int(at[i].idx()) * eWords
+				idxs = append(idxs, base+eKey, base+eVal, base+eNext, base+eTag)
+			}
+			words := m.heap.LoadBatch(origin, fabric.Rank(r), idxs)
+			for j, i := range walks {
+				w, p := words[j*eWords:(j+1)*eWords], at[i]
+				next := ref(w[eNext])
+				switch {
+				case uint16(w[eTag]) != p.tag() || next == p:
+					vals[i], found[i] = m.Lookup(origin, keys[i])
+				case w[eKey] == keys[i]:
+					vals[i], found[i] = w[eVal], true
+				case !next.isNull():
+					at[i] = next
+					running = append(running, i)
+				}
+			}
+		}
+	}
 }
 
 // Replace CAS-swings the value of an existing key from old to new — the
@@ -288,8 +394,7 @@ func (m *Map) ReplaceFetch(origin fabric.Rank, key, old, new uint64) (cur uint64
 }
 
 func (m *Map) replaceOnce(origin fabric.Rank, key, old, new uint64) (done, swapped bool, cur uint64, found bool) {
-	bRank, bIdx := m.bucketOf(key)
-	bucket := ref(uint64(bRank)<<rankShift | uint64(bIdx))
+	bucket := m.bucketOf(key)
 	p := m.loadNext(origin, bucket)
 	for !p.isNull() {
 		k, v, next, ok := m.loadEntry(origin, p)
@@ -334,8 +439,7 @@ func (m *Map) Delete(origin fabric.Rank, key uint64) bool {
 
 // deleteOnce walks the chain once; done=false requests a restart.
 func (m *Map) deleteOnce(origin fabric.Rank, key uint64) (done, removed bool) {
-	bRank, bIdx := m.bucketOf(key)
-	bucket := ref(uint64(bRank)<<rankShift | uint64(bIdx))
+	bucket := m.bucketOf(key)
 	prev := bucket
 	p := m.loadNext(origin, bucket)
 	for !p.isNull() {

@@ -25,8 +25,10 @@ type Counters struct {
 	// (the commit write-back trains of §5.6).
 	PutBatches atomic.Int64
 	// AtomicBatches counts vectored CASBatch/LoadBatch trains towards remote
-	// targets (the lock trains of the batched commit path and the version
-	// revalidation trains of the block cache).
+	// targets (the lock trains of the batched commit path, the version
+	// revalidation trains of the block cache, and the DHT's entry fetches).
+	// Scalar atomics are not trains: the round trips a rank paid for word
+	// traffic are its scalar remote atomics plus its trains.
 	AtomicBatches atomic.Int64
 	// CacheHits and CacheMisses count lookups of the rank's block cache:
 	// hits are remote block reads served from a version-validated local copy

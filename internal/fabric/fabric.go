@@ -76,6 +76,15 @@ type WordWin interface {
 	CAS(origin, target Rank, idx int, old, new uint64) (prev uint64, swapped bool)
 	// LoadBatch atomically reads every word in idxs from target's segment as
 	// one train of remote atomic gets and returns the values in order.
+	//
+	// Ordering guarantee: the target applies the loads one after another in
+	// idxs order, each a sequentially consistent atomic load — out[j] is read
+	// no earlier than out[i] for i < j. A train is not a snapshot (a writer
+	// may land between two of its loads), but a reader can place a guard word
+	// last and know that everything before it was read before the guard: the
+	// DHT's entry fetch reads key, val, next and then the reuse tag this way,
+	// and a matching tag vouches for the three words read ahead of it.
+	// Backends must preserve this when they vectorize the train.
 	LoadBatch(origin, target Rank, idxs []int) []uint64
 	// CASBatch issues every op towards target as one train of remote CAS
 	// atomics and returns the per-op results in order. The ops are applied

@@ -327,6 +327,10 @@ func (w *wordWin) CAS(origin, target fabric.Rank, idx int, old, new uint64) (uin
 	return binary.LittleEndian.Uint64(resp), resp[8] == 1
 }
 
+// LoadBatch sends the whole train as one opLoadBatch frame. Both the local
+// fast path and the remote handler (execute) walk idxs front to back, one
+// atomic load each, so the words come back read in idxs order — the ordering
+// guarantee of fabric.WordWin.LoadBatch.
 func (w *wordWin) LoadBatch(origin, target fabric.Rank, idxs []int) []uint64 {
 	if len(idxs) == 0 {
 		return nil
@@ -423,6 +427,7 @@ func (w *wordWin) execute(op byte, req []byte) []byte {
 		out := binary.LittleEndian.AppendUint64(nil, prev)
 		return append(out, boolByte(swapped))
 	case opLoadBatch:
+		// Applied in request order: callers rely on it (guard word last).
 		k := int(binary.LittleEndian.Uint32(req))
 		out := make([]byte, 0, 8*k)
 		for i := 0; i < k; i++ {

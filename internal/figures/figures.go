@@ -78,11 +78,12 @@ func loadGDA(ranks int, cfg kron.Config) (*gdi.Runtime, *gdi.Database, kron.Sche
 	rt := gdi.Init(ranks)
 	// Size the pool to the shard: ~(n + m)/ranks holders with headroom.
 	perRank := int((cfg.NumVertices()*8+cfg.NumEdges()*2)/uint64(ranks)) + (1 << 12)
+	idxBuckets, idxEntries := workload.IndexSizing(cfg, ranks)
 	db := rt.CreateDatabase(gdi.DatabaseParams{
 		BlockSize:           512,
 		BlocksPerRank:       perRank,
-		IndexBucketsPerRank: int(cfg.NumVertices()/uint64(ranks)) + 64,
-		IndexEntriesPerRank: int(cfg.NumVertices()/uint64(ranks))*2 + 1024,
+		IndexBucketsPerRank: idxBuckets,
+		IndexEntriesPerRank: idxEntries,
 	})
 	sch, err := kron.DefineSchema(db.Engine(), cfg)
 	if err != nil {

@@ -247,6 +247,9 @@ func (w *WordWin) CAS(origin, target Rank, idx int, old, new uint64) (prev uint6
 // charged once per train — the "CAS-free word train" the block cache uses to
 // revalidate many cached holders against their version stamps in a single
 // round-trip. A batch of size one costs exactly as much as a scalar Load.
+// The loads are applied in idxs order (the loop below), which is the ordering
+// guarantee of fabric.WordWin.LoadBatch: a guard word placed last is read
+// after every word before it.
 func (w *WordWin) LoadBatch(origin, target Rank, idxs []int) []uint64 {
 	if len(idxs) == 0 {
 		return nil

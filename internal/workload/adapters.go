@@ -234,20 +234,36 @@ func (c *rpcClient) Do(op Op, app, app2 uint64) error {
 	return nil
 }
 
-// LoadGDA bulk-loads the kron graph into a gdi database (collective).
+// IndexSizing returns the internal-index sizing (DatabaseParams
+// IndexBucketsPerRank and IndexEntriesPerRank) for a database that loads
+// cfg's graph on the given number of ranks: about one bucket per loaded
+// vertex, and twice the loaded entries plus slack, so an uneven hash and the
+// run's own inserts still fit — and never less than the engine defaults
+// (1<<12 buckets, 1<<14 entries), which are ample up to scale 15 and
+// overflow from scale 16 on two ranks. A full index fails the bulk load, or
+// the commit that creates the vertex, with ErrNoMemory.
+func IndexSizing(cfg kron.Config, ranks int) (bucketsPerRank, entriesPerRank int) {
+	perRank := int(cfg.NumVertices() / uint64(ranks))
+	return max(perRank+64, 1<<12), max(2*perRank+1024, 1<<14)
+}
+
+// LoadGDA bulk-loads the kron graph into a gdi database (collective). Bulk
+// load outcomes are collective, so every rank sees the same failure.
 func LoadGDA(rt *gdi.Runtime, db *gdi.Database, cfg kron.Config, sch kron.Schema) error {
-	var loadErr error
+	errs := make([]error, rt.Size())
 	rt.Run(db, func(p *gdi.Process) {
-		n := p.Size()
-		if err := p.BulkLoadVertices(kron.VerticesFor(cfg, sch, int(p.Rank()), n)); err != nil {
-			loadErr = err
+		r, n := int(p.Rank()), p.Size()
+		if errs[r] = p.BulkLoadVertices(kron.VerticesFor(cfg, sch, r, n)); errs[r] != nil {
 			return
 		}
-		if err := p.BulkLoadEdges(kron.EdgesFor(cfg, sch, int(p.Rank()), n)); err != nil {
-			loadErr = err
-		}
+		errs[r] = p.BulkLoadEdges(kron.EdgesFor(cfg, sch, r, n))
 	})
-	return loadErr
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // LoadLock fills the Neo4j-like baseline with the identical graph.
