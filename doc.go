@@ -203,20 +203,42 @@
 // transactional API: a Pattern names a motif — k-hop expansion, triangles
 // through a source, fixed-length simple paths — with an optional DNF
 // constraint per hop (§3.6 label/property predicates), a LIMIT, and a
-// property projection. query.Run compiles the pattern onto the batch read
-// API via Transaction.ExpandFrontier: each hop's frontier is deduplicated,
-// associated in one AssociateVertices call — one vectored GET train per
-// owner rank, regardless of frontier size — filtered against the hop's
-// constraint, and its neighbor union becomes the next frontier. The naive
-// reference executor (query.RunNaive) shares every piece of that logic but
-// associates one vertex at a time, paying one scalar round trip each; the
-// two are golden-tested equivalent across both holder codecs and replicated
-// engines, and the QueryAblation benchmark gates compiled ≥2x over naive at
-// 8 ranks under 1µs injected latency, with counter assertions pinning the
-// one-train-per-owner-rank-per-hop contract. Patterns also carry a
-// versioned wire codec (Encode/Decode, fuzzed in CI) so a driver can ship a
-// plan to a server rank as bytes. Results are canonically ordered, so runs
-// are reproducible under any association interleaving.
+// property projection. query.Run compiles the pattern onto
+// Transaction.ExpandFrontier: each hop's frontier is deduplicated, read in
+// one batched round — one vectored GET train per owner rank, regardless of
+// frontier size — filtered against the hop's constraint, and its neighbor
+// union becomes the next frontier. The naive reference executor
+// (query.RunNaive) keeps the same contract on handles, one scalar
+// AssociateVertex round trip per vertex; the two are golden-tested
+// equivalent across both holder codecs, replicated engines, cache on and
+// off, optimistic and locking transactions, and the QueryAblation benchmark
+// gates compiled ≥2x over naive at 8 ranks under 1µs injected latency, with
+// counter assertions pinning the one-train-per-owner-rank-per-hop contract.
+// Patterns also carry a versioned wire codec (Encode/Decode, fuzzed in CI) so
+// a driver can ship a plan to a server rank as bytes. Results are canonically
+// ordered, so runs are reproducible under any association interleaving.
+//
+// Traversal cost model. A hop does not materialize handles. In an optimistic
+// read-only transaction a frontier vertex costs one guard stamp, the blocks
+// the hop needs of it, and the bytes of its labels and properties — no heap
+// object: holders are read into a per-transaction arena (cache hits copied,
+// misses in one GET train per rank per round), the constraint is evaluated
+// in place on the encoded entry region, neighbors are harvested straight off
+// the varint runs, and a (vertex, version) pair joins the read set Commit
+// revalidates. What a hop fetches depends on what it does next: a harvesting
+// hop reads whole chains (it wants the edges); the last, filter-only hop reads
+// each holder only up to the end of its entries — under the v2 codec, whose
+// stream is header | table | homes | replicas | entries | edges, that is the
+// primary block for all but mega-hubs, so a frontier vertex costs its
+// properties, not its degree. A hop allocates a few dozen objects — the
+// arena's slices, each sized in one step — whatever its width (CI pins this
+// next to the point-read guard), and the arena is garbage once the
+// transaction closes: nothing of a hop counts against the live heap.
+// LIMIT is a bounded top-k on the canonical order over IDs, and only the
+// rows it keeps are associated as handles, for the projection. Forwarding
+// stubs, follower-served vertices, holders caught mid-write, and all
+// frontiers of locking transactions fall back to one AssociateVertices
+// batch; a frontier vertex that no longer exists is ErrNotFound.
 //
 // The cmd/gdi-ldbc driver exercises the layer end to end with an
 // LDBC-SNB-interactive-flavored mix — IS-style point reads, IC-style 2-hop

@@ -23,7 +23,7 @@
 //
 // When Config.CacheBlocks is set, every rank additionally keeps a
 // version-validated cache of remote block copies (see cache.go): the
-// stamped read protocol — GuardStamps, ReadBlocksStamped, InstallCached,
+// stamped read protocol — LockStampsInto, ReadBlocksStamped, InstallStamped,
 // or the one-call ReadBlocksCached wrapper — revalidates cached holders
 // against the version counters embedded in the per-block lock words and
 // skips the GET traffic entirely on a hit.

@@ -3,6 +3,7 @@ package block
 import (
 	"container/list"
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/gdi-go/gdi/internal/fabric"
@@ -138,6 +139,74 @@ func (s *Store) invalidateCached(origin fabric.Rank, dp fabric.DPtr) {
 	}
 }
 
+// Trains is the reusable scratch of the vectored read primitives
+// (LockStampsInto, ReadBlocksStamped): the buffers in which a batch is grouped
+// by owner rank before it leaves as one train per rank. A caller that keeps
+// one across calls — a frontier expansion does, for every hop of a query —
+// pays no allocation for the grouping once the buffers have seen a batch of
+// that size, and each buffer grows in one step, so even a first batch costs
+// the same few allocations whatever its size. The zero value is ready to
+// use; a Trains is not safe for concurrent use.
+type Trains struct {
+	target  []int32 // per batch position: owner rank, or -1 for "not in this train"
+	count   []int32 // per rank: members, then write cursor; all zero between calls
+	touched []int32 // ranks with members, in first-seen order
+	order   []int32 // batch positions grouped by rank, groups in touched order
+	begin   int32   // where in order the next group to pop starts
+
+	idxs []int          // one train's word indices
+	ops  []fabric.GetOp // one train's GET ops
+}
+
+// group sorts the positions named in tr.target by owner rank — a counting
+// sort that only touches the counters of ranks actually present, so a
+// two-block batch on a 65 536-rank fabric costs two steps, not 65 536.
+// Afterwards tr.touched lists the ranks present and pop hands out their
+// groups, in that order.
+func (tr *Trains) group(ranks int) {
+	if len(tr.count) < ranks {
+		tr.count = make([]int32, ranks)
+	}
+	tr.touched, tr.begin = slices.Grow(tr.touched[:0], min(ranks, len(tr.target))), 0
+	n := 0
+	for _, t := range tr.target {
+		if t < 0 {
+			continue
+		}
+		if tr.count[t] == 0 {
+			tr.touched = append(tr.touched, t)
+		}
+		tr.count[t]++
+		n++
+	}
+	if cap(tr.order) < n {
+		tr.order = make([]int32, n)
+	}
+	tr.order = tr.order[:n]
+	off := int32(0)
+	for _, t := range tr.touched {
+		c := tr.count[t]
+		tr.count[t] = off
+		off += c
+	}
+	for i, t := range tr.target {
+		if t >= 0 {
+			tr.order[tr.count[t]] = int32(i)
+			tr.count[t]++
+		}
+	}
+}
+
+// pop returns the group of tr.touched[k] — the rank and the batch positions
+// it owns — and zeroes the rank's counter for the next call of group. The
+// groups must be popped in order, each once.
+func (tr *Trains) pop(k int) (fabric.Rank, []int32) {
+	r := tr.touched[k]
+	pos := tr.order[tr.begin:tr.count[r]]
+	tr.begin, tr.count[r] = tr.count[r], 0
+	return fabric.Rank(r), pos
+}
+
 // LockStamps reads the lock words guarding the given blocks — one vectored
 // atomic-load train per distinct owner rank — and returns the raw words
 // aligned with dps. Interpret them with locks.Version and locks.WriteHeld.
@@ -145,26 +214,36 @@ func (s *Store) invalidateCached(origin fabric.Rank, dp fabric.DPtr) {
 // holders on one rank costs a single remote round-trip.
 func (s *Store) LockStamps(origin fabric.Rank, dps []fabric.DPtr) []uint64 {
 	out := make([]uint64, len(dps))
-	byTarget := make(map[fabric.Rank][]int) // target -> positions in dps
-	for i, dp := range dps {
+	s.LockStampsInto(origin, dps, out, &Trains{})
+	return out
+}
+
+// LockStampsInto is LockStamps into the first len(dps) words of out, grouping
+// the batch in the caller's scratch: beyond the word slices the fabric itself
+// returns (one per owner rank), it allocates nothing.
+func (s *Store) LockStampsInto(origin fabric.Rank, dps []fabric.DPtr, out []uint64, tr *Trains) {
+	tr.target = slices.Grow(tr.target[:0], len(dps))
+	for _, dp := range dps {
 		s.checkDPtr(dp)
-		byTarget[dp.Rank()] = append(byTarget[dp.Rank()], i)
+		tr.target = append(tr.target, int32(dp.Rank()))
 	}
-	for t, pos := range byTarget {
-		idxs := make([]int, len(pos))
-		for j, i := range pos {
-			idxs[j] = 1 + int(dps[i].Off())
+	tr.group(s.f.Size())
+	tr.idxs = slices.Grow(tr.idxs[:0], len(dps))
+	for k := range tr.touched {
+		t, pos := tr.pop(k)
+		tr.idxs = tr.idxs[:0]
+		for _, i := range pos {
+			tr.idxs = append(tr.idxs, 1+int(dps[i].Off()))
 		}
-		for j, w := range s.sys.LoadBatch(origin, t, idxs) {
+		for j, w := range s.sys.LoadBatch(origin, t, tr.idxs) {
 			out[pos[j]] = w
 		}
 	}
-	return out
 }
 
 // LockStamp loads the single lock word guarding dp — the scalar form of
 // LockStamps for the one-holder optimistic point read, whose steady-state
-// path must not allocate (LockStamps builds per-target batch maps).
+// path must not allocate at all.
 func (s *Store) LockStamp(origin fabric.Rank, dp fabric.DPtr) uint64 {
 	s.checkDPtr(dp)
 	return s.sys.Load(origin, dp.Rank(), 1+int(dp.Off()))
@@ -175,7 +254,8 @@ func (s *Store) LockStamp(origin fabric.Rank, dp fabric.DPtr) uint64 {
 // bit clear) — the scalar, allocation-free form of the cache hit in
 // ReadBlocksStamped, including the hit/miss accounting. Returns false when
 // caching is off, dp is local, or the copy is missing or stale; the caller
-// then fetches and (after establishing stability) installs via InstallCached.
+// then fetches and (after establishing stability) installs via
+// InstallStamped.
 func (s *Store) CachedBlock(origin fabric.Rank, dp, guard fabric.DPtr, stamp uint64, dst []byte) bool {
 	c := s.cacheOf(origin)
 	if c == nil || dp.Rank() == origin {
@@ -189,115 +269,111 @@ func (s *Store) CachedBlock(origin fabric.Rank, dp, guard fabric.DPtr, stamp uin
 	return false
 }
 
-// GuardStamps loads the lock words of the distinct guards into a map, one
-// vectored atomic-load train per owner rank. A stamp set is the unit the
-// read protocols revalidate against: the transaction layer stamps a whole
-// fetch's guards once and serves every streaming round of every holder
-// against the same stamps, instead of paying a stamp train per round.
-func (s *Store) GuardStamps(origin fabric.Rank, guards []fabric.DPtr) map[fabric.DPtr]uint64 {
-	uniq := make([]fabric.DPtr, 0, len(guards))
-	seen := make(map[fabric.DPtr]uint64, len(guards))
-	for _, g := range guards {
-		if _, dup := seen[g]; !dup {
-			seen[g] = 0
-			uniq = append(uniq, g)
-		}
-	}
-	for i, w := range s.LockStamps(origin, uniq) {
-		seen[uniq[i]] = w
-	}
-	return seen
+// StampedRead is one block of a stamped read: the unit the read protocols
+// revalidate. The transaction layer stamps the guards of a whole fetch once
+// (LockStampsInto) and serves every streaming round of every holder against
+// those stamps, instead of paying a stamp train per round.
+type StampedRead struct {
+	// DP is the block to read and Buf its destination.
+	DP  fabric.DPtr
+	Buf []byte
+	// Guard is the holder primary whose lock word protects the block, Stamp
+	// that word as the caller loaded it before the read.
+	Guard fabric.DPtr
+	Stamp uint64
+	// Fetched is set by ReadBlocksStamped: the block came off the wire (or,
+	// for a local block, out of the pool) rather than out of the cache, so
+	// its stability is only as good as the caller's locks or post-stamp check.
+	Fetched bool
 }
 
-// ReadBlocksStamped fetches block dps[i] into bufs[i] against the
-// caller-provided guard stamps (from GuardStamps): cached copies carrying
-// the stamped version with the write bit clear are served locally with no
-// GET traffic, and the rest come off the wire as one vectored GET train per
-// owner rank.
+// ReadBlocksStamped serves every read against its stamp: cached copies
+// carrying the stamped version with the write bit clear are copied out
+// locally with no GET traffic, and the rest come off the wire as one
+// vectored GET train per owner rank (a batch of one block goes scalar).
 //
 // When install is true the caller guarantees content stability — it holds
 // read locks on the guards, or runs in a collective read epoch (§3.3) — so
 // fetched blocks are installed into the cache immediately at the stamped
 // version. When install is false (the optimistic tier) nothing is
 // installed: the caller must establish stability with a post-stamp train
-// and then hand the accepted blocks to InstallCached.
-//
-// Returns fetched[i] = true for blocks that came off the wire (their
-// stability is not yet established when install is false).
-func (s *Store) ReadBlocksStamped(origin fabric.Rank, dps, guards []fabric.DPtr, bufs [][]byte, stamps map[fabric.DPtr]uint64, install bool) (fetched []bool) {
-	if len(dps) != len(guards) || len(dps) != len(bufs) {
-		panic(fmt.Sprintf("block: stamped batch of %d DPtrs, %d guards, %d buffers", len(dps), len(guards), len(bufs)))
-	}
-	n := len(dps)
-	fetched = make([]bool, n)
-	if n == 0 {
-		return fetched
+// and then hand the accepted reads to InstallStamped.
+func (s *Store) ReadBlocksStamped(origin fabric.Rank, reads []StampedRead, install bool, tr *Trains) {
+	if len(reads) == 0 {
+		return
 	}
 	cache := s.cacheOf(origin)
-
-	missIdx := make([]int, 0, n)
+	tr.target = slices.Grow(tr.target[:0], len(reads))
 	var hits, misses int64
-	for i := range dps {
-		w := stamps[guards[i]]
-		if cache != nil && dps[i].Rank() != origin {
-			if ver, found := cache.lookup(dps[i], guards[i], bufs[i]); found && ver == locks.Version(w) && !locks.WriteHeld(w) {
+	for i := range reads {
+		r := &reads[i]
+		s.checkDPtr(r.DP)
+		if len(r.Buf) > s.blockSize {
+			panic(fmt.Sprintf("block: read of %d bytes exceeds block size %d", len(r.Buf), s.blockSize))
+		}
+		r.Fetched = true
+		if cache != nil && r.DP.Rank() != origin {
+			if ver, found := cache.lookup(r.DP, r.Guard, r.Buf); found && ver == locks.Version(r.Stamp) && !locks.WriteHeld(r.Stamp) {
 				hits++
+				r.Fetched = false
+				tr.target = append(tr.target, -1)
 				continue
 			}
 			misses++
 		}
-		missIdx = append(missIdx, i)
+		tr.target = append(tr.target, int32(r.DP.Rank()))
 	}
 	if cache != nil {
 		s.f.AddCache(origin, hits, misses)
 	}
-	if len(missIdx) == 0 {
-		return fetched
-	}
-	mdps := make([]fabric.DPtr, len(missIdx))
-	mbufs := make([][]byte, len(missIdx))
-	for j, i := range missIdx {
-		mdps[j] = dps[i]
-		mbufs[j] = bufs[i]
-		fetched[i] = true
-	}
-	s.ReadBlocksBatch(origin, mdps, mbufs)
-	if install && cache != nil {
-		for _, i := range missIdx {
-			if dps[i].Rank() != origin {
-				cache.install(dps[i], guards[i], locks.Version(stamps[guards[i]]), bufs[i])
-			}
+	tr.group(s.f.Size())
+	tr.ops = slices.Grow(tr.ops[:0], len(tr.order))
+	for k := range tr.touched {
+		t, pos := tr.pop(k)
+		if len(tr.order) == 1 { // a batch of one is a scalar GET, as in ReadBlocksBatch
+			r := &reads[pos[0]]
+			s.data.Get(origin, t, int(r.DP.Off())*s.blockSize, r.Buf)
+			break
 		}
+		tr.ops = tr.ops[:0]
+		for _, i := range pos {
+			tr.ops = append(tr.ops, fabric.GetOp{Off: int(reads[i].DP.Off()) * s.blockSize, Buf: reads[i].Buf})
+		}
+		s.data.GetBatch(origin, t, tr.ops)
 	}
-	return fetched
+	if install {
+		s.InstallStamped(origin, reads)
+	}
 }
 
-// InstallCached installs validated copies of one holder's fetched blocks,
-// all guarded by guard and stable at version ver. Callers on the optimistic
-// tier invoke it after their post-stamp train confirmed the guard did not
-// move across the fetch.
-func (s *Store) InstallCached(origin fabric.Rank, guard fabric.DPtr, ver uint64, dps []fabric.DPtr, bufs [][]byte) {
+// InstallStamped installs validated copies of the reads that came off the
+// wire (Fetched, and remote), each under its guard at its stamp's version.
+// Callers on the optimistic tier invoke it, on the reads of the holders they
+// accepted, after their post-stamp train confirmed the guards did not move
+// across the fetch.
+func (s *Store) InstallStamped(origin fabric.Rank, reads []StampedRead) {
 	cache := s.cacheOf(origin)
 	if cache == nil {
 		return
 	}
-	for i, dp := range dps {
-		if dp.Rank() != origin {
-			cache.install(dp, guard, ver, bufs[i])
+	for i := range reads {
+		if r := &reads[i]; r.Fetched && r.DP.Rank() != origin {
+			cache.install(r.DP, r.Guard, locks.Version(r.Stamp), r.Buf)
 		}
 	}
 }
 
 // ReadBlocksCached is the self-contained, one-call form of the stamped read
-// protocol (the transaction layer uses the split GuardStamps /
-// ReadBlocksStamped / InstallCached primitives directly so one stamp set
-// can cover every streaming round of a flush): one stamp train, cache hits
-// served locally, misses fetched, and — when locked is false (no read locks
-// held, the optimistic tier) — a post-stamp train over the miss guards
-// implementing the seqlock double-check: a fetch is accepted and cached
-// only if its guard shows the same version with the write bit clear on both
-// sides of the read. With locked true the caller guarantees stability (read
-// locks or a collective read epoch) and the post-check is elided.
+// protocol (the transaction layer uses the split LockStampsInto /
+// ReadBlocksStamped / InstallStamped primitives directly so one stamp set
+// can cover every streaming round of a flush): one stamp train over the
+// distinct guards, cache hits served locally, misses fetched, and — when
+// locked is false (no read locks held, the optimistic tier) — a post-stamp
+// train over the miss guards implementing the seqlock double-check: a fetch
+// is accepted and cached only if its guard shows the same version with the
+// write bit clear on both sides of the read. With locked true the caller
+// guarantees stability (read locks or a collective read epoch) and the
+// post-check is elided.
 //
 // It returns, aligned with dps: the guard version each accepted buffer
 // corresponds to, and whether the read was accepted. Rejected reads
@@ -314,36 +390,58 @@ func (s *Store) ReadBlocksCached(origin fabric.Rank, dps, guards []fabric.DPtr, 
 	if n == 0 {
 		return vers, ok
 	}
-	stamps := s.GuardStamps(origin, guards)
-	fetched := s.ReadBlocksStamped(origin, dps, guards, bufs, stamps, locked)
+	var tr Trains
+	stamps := s.guardStamps(origin, guards, &tr)
+	reads := make([]StampedRead, n)
+	for i := range reads {
+		reads[i] = StampedRead{DP: dps[i], Buf: bufs[i], Guard: guards[i], Stamp: stamps[guards[i]]}
+	}
+	s.ReadBlocksStamped(origin, reads, locked, &tr)
 
-	post := stamps
+	var post map[fabric.DPtr]uint64
 	if !locked {
 		var missGuards []fabric.DPtr
-		for i := range dps {
-			if fetched[i] {
+		for i := range reads {
+			if reads[i].Fetched {
 				missGuards = append(missGuards, guards[i])
 			}
 		}
 		if len(missGuards) > 0 {
-			post = s.GuardStamps(origin, missGuards)
+			post = s.guardStamps(origin, missGuards, &tr)
 		}
 	}
-	for i := range dps {
-		pre := stamps[guards[i]]
-		if !fetched[i] {
-			// Cache hits were validated against the stamp at lookup time.
-			vers[i], ok[i] = locks.Version(pre), true
-			continue
-		}
-		if !locked {
-			po := post[guards[i]]
-			if locks.WriteHeld(pre) || locks.WriteHeld(po) || locks.Version(pre) != locks.Version(po) {
-				continue // torn or moving: rejected, not cached
+	for i := range reads {
+		r := &reads[i]
+		// Cache hits were validated against the stamp at lookup time.
+		if r.Fetched && !locked {
+			if po := post[r.Guard]; locks.WriteHeld(r.Stamp) || locks.WriteHeld(po) || locks.Version(r.Stamp) != locks.Version(po) {
+				r.Fetched = false // torn or moving: rejected, not cached
+				continue
 			}
-			s.InstallCached(origin, guards[i], locks.Version(pre), dps[i:i+1], bufs[i:i+1])
 		}
-		vers[i], ok[i] = locks.Version(pre), true
+		vers[i], ok[i] = locks.Version(r.Stamp), true
+	}
+	if !locked {
+		s.InstallStamped(origin, reads)
 	}
 	return vers, ok
+}
+
+// guardStamps loads the lock words of the distinct guards into a map, one
+// vectored atomic-load train per owner rank.
+func (s *Store) guardStamps(origin fabric.Rank, guards []fabric.DPtr, tr *Trains) map[fabric.DPtr]uint64 {
+	seen := make(map[fabric.DPtr]uint64, len(guards))
+	uniq := make([]fabric.DPtr, 0, len(guards))
+	for _, g := range guards {
+		if _, dup := seen[g]; !dup {
+			seen[g] = 0
+			uniq = append(uniq, g)
+		}
+	}
+	words := make([]uint64, len(uniq))
+	s.LockStampsInto(origin, uniq, words, tr)
+	for i, w := range words {
+		seen[uniq[i]] = w
+	}
+	return seen
 }

@@ -188,6 +188,71 @@ func (pc *PropCond) eval(props []lpg.Property) bool {
 	return false
 }
 
+// EvalEntries evaluates the constraint in place on an encoded label/property
+// entry region (the formats of lpg.IterEntries): the answer Eval gives on the
+// region's decoded labels and properties, without materializing either — the
+// form a frontier expansion filters thousands of holders with. The region is
+// validated first, so a malformed one is an error, never a partial answer.
+// A nil constraint matches everything.
+func (c *Constraint) EvalEntries(region []byte, varint bool) (bool, error) {
+	if c == nil {
+		return true, nil
+	}
+	it := lpg.IterEntries(region, varint)
+	for {
+		id, payload, ok := it.Next()
+		if !ok {
+			break
+		}
+		if id == lpg.IDLabel {
+			if _, ok := lpg.EntryLabel(payload, varint); !ok {
+				return false, fmt.Errorf("constraint: malformed label entry payload of %d bytes", len(payload))
+			}
+		}
+	}
+	if err := it.Err(); err != nil {
+		return false, err
+	}
+	for i := range c.Subs {
+		if c.Subs[i].evalEntries(region, varint) {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
+// evalEntries is eval over a validated entry region: one in-place scan per
+// condition, stopping at the first entry that decides it.
+func (sub *Subconstraint) evalEntries(region []byte, varint bool) bool {
+	for _, lc := range sub.Labels {
+		has := false
+		it := lpg.IterEntries(region, varint)
+		for id, payload, ok := it.Next(); ok && !has; id, payload, ok = it.Next() {
+			if id == lpg.IDLabel {
+				l, _ := lpg.EntryLabel(payload, varint)
+				has = l == lc.Label
+			}
+		}
+		if has == lc.Absent {
+			return false
+		}
+	}
+	for i := range sub.Props {
+		pc := &sub.Props[i]
+		match := false
+		it := lpg.IterEntries(region, varint)
+		for id, payload, ok := it.Next(); ok && !match; id, payload, ok = it.Next() {
+			if id != lpg.IDLabel && lpg.PTypeID(id) == pc.PType {
+				match = pc.Op == OpExists || compare(pc.Datatype, pc.Op, payload, pc.Operand)
+			}
+		}
+		if !match {
+			return false
+		}
+	}
+	return true
+}
+
 // compare applies op between a stored value and the operand under the
 // declared datatype's ordering.
 func compare(dt lpg.Datatype, op Op, value, operand []byte) bool {

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/gdi-go/gdi/internal/constraint"
 	"github.com/gdi-go/gdi/internal/holder"
+	"github.com/gdi-go/gdi/internal/lpg"
 	"github.com/gdi-go/gdi/internal/rma"
 )
 
@@ -93,6 +95,79 @@ func TestPointReadPathAllocatesNothing(t *testing.T) {
 					}
 				})
 			}
+		})
+	}
+}
+
+// TestFrontierHopAllocsIndependentOfWidth is the same guard for the frontier
+// path: a frontier vertex costs no heap object. A warm-cache filter hop in a
+// transaction of its own — begin, ExpandFrontier with a predicate, commit —
+// allocates a few dozen objects (the transaction and its arena: one slice per
+// kind of per-vertex bookkeeping, each sized in one step; the result slice,
+// the read set, one word slice per stamp train and rank), and that count is
+// the same for a frontier of 64 vertices and one of 1 024, local, cached and
+// multi-block ones mixed.
+func TestFrontierHopAllocsIndependentOfWidth(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is not meaningful under the race detector")
+	}
+	for _, codec := range []holder.Codec{holder.CodecV1, holder.CodecV2} {
+		t.Run(codec.String(), func(t *testing.T) {
+			e := NewEngine(rma.New(2), Config{
+				BlockSize:       64,
+				BlocksPerRank:   1 << 13,
+				LockTries:       256,
+				CacheBlocks:     true,
+				CacheCapacity:   1 << 13,
+				OptimisticReads: true,
+				HolderCodec:     codec,
+			})
+			_, knows, age, _ := seedPersonSchema(t, e)
+			const wide = 1024
+			seed := e.StartLocal(0, ReadWrite)
+			frontier := make([]rma.DPtr, wide)
+			for i := range frontier {
+				dp, err := seed.CreateVertex(uint64(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				frontier[i] = dp
+				h, _ := seed.AssociateVertex(dp)
+				if err := h.AddProperty(age, lpg.EncodeUint64(uint64(i%90))); err != nil {
+					t.Fatal(err)
+				}
+				if i > 0 {
+					if _, err := seed.CreateEdge(dp, frontier[i/2], holder.DirOut, knows); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := seed.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			cons := constraint.New(e.Registry(0))
+			cons.AddPropCond(cons.AddSubconstraint(constraint.Subconstraint{}), constraint.PropCond{
+				PType: age, Datatype: lpg.TypeUint64, Op: constraint.OpGe, Operand: lpg.EncodeUint64(30)})
+
+			hop := func(width int) float64 {
+				run := func() {
+					tx := e.StartLocal(0, ReadOnly)
+					matched, _, err := tx.ExpandFrontier(frontier[:width], 0, cons)
+					if err != nil || len(matched) == 0 {
+						panic(fmt.Sprintf("filter hop: %d matched, %v", len(matched), err))
+					}
+					if err := tx.Commit(); err != nil {
+						panic(err)
+					}
+				}
+				run() // fills the cache
+				return testing.AllocsPerRun(100, run)
+			}
+			at64, at1024 := hop(64), hop(wide)
+			if at64 != at1024 || at64 > 48 {
+				t.Fatalf("a warm filter hop allocates %.0f objects over 64 vertices and %.0f over 1024, want the same few dozen", at64, at1024)
+			}
+			t.Logf("%v: %.0f allocations per warm filter hop", codec, at64)
 		})
 	}
 }

@@ -544,7 +544,7 @@ func (tx *Tx) Commit() error {
 		w, v := mirWords[i], mirVers[i]
 		runIsolated(func() { locks.ReleaseMirrorTrain(tx.rank, w, v) })
 	}
-	tx.closed = true
+	tx.close()
 	return nil
 }
 
@@ -585,16 +585,23 @@ func (tx *Tx) validateOptimistic() error {
 	if !tx.optimistic() || len(tx.optReads) == 0 {
 		return nil
 	}
-	dps := make([]fabric.DPtr, 0, len(tx.optReads))
-	for dp := range tx.optReads {
-		dps = append(dps, dp)
+	// A transaction that expanded frontiers validates out of the arena it
+	// already holds; a point read's one-entry read set is not worth one.
+	var local stamper
+	st := &local
+	if tx.frontier != nil {
+		st = &tx.frontier.stamper
 	}
-	words := tx.eng.store.LockStamps(tx.rank, dps)
-	for i, dp := range dps {
-		if got := locks.Version(words[i]); got != tx.optReads[dp] {
+	st.dps = st.dps[:0]
+	for _, r := range tx.optReads {
+		st.dps = append(st.dps, r.dp)
+	}
+	words := st.load(tx)
+	for i, r := range tx.optReads {
+		if got := locks.Version(words[i]); got != r.ver {
 			tx.eng.optAborts.Add(1)
 			return tx.fail(fmt.Errorf("optimistic validation of %v: version %d, read at %d: %w",
-				dp, got, tx.optReads[dp], locks.ErrContended))
+				r.dp, got, r.ver, locks.ErrContended))
 		}
 	}
 	return nil
@@ -654,7 +661,14 @@ func (tx *Tx) abortLocked() {
 			tx.eng.store.ReleaseBlock(tx.rank, es.primary)
 		}
 	}
+	tx.close()
+}
+
+// close marks the transaction finished and lets go of its frontier arena: a
+// closed Tx someone still holds pins no holder bytes.
+func (tx *Tx) close() {
 	tx.closed = true
+	tx.frontier = nil
 }
 
 func labelSetsEqual(a, b []lpg.LabelID) bool {

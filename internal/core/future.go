@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"github.com/gdi-go/gdi/internal/block"
 	"github.com/gdi-go/gdi/internal/fabric"
 	"github.com/gdi-go/gdi/internal/holder"
 	"github.com/gdi-go/gdi/internal/locks"
@@ -149,16 +150,16 @@ type pendingFetch struct {
 	buf    []byte
 	blocks []fabric.DPtr
 	nb     int
-	ver    uint64
+	stamp  uint64      // the guard word every round of this fetch is served against
+	ver    uint64      // its version
 	fwd    fabric.DPtr // set when dp held a migration stub: chase here
 	err    error
-	// Optimistic-tier bookkeeping: the blocks that came off the wire (their
+	// Optimistic-tier bookkeeping: the reads that came off the wire (their
 	// stability is only established by the post-stamp check, after which
 	// they are installed into the cache) and a provisional deleted/corrupt
 	// verdict awaiting that check.
-	fetchedDps  []fabric.DPtr
-	fetchedBufs [][]byte
-	suspect     error
+	fetched []block.StampedRead
+	suspect error
 }
 
 // flushPending completes every queued association (the Flush of the op
@@ -225,10 +226,7 @@ func (tx *Tx) flushPending() {
 			if st, ver, ok := tx.tryReplicaRead(dp); ok {
 				st.origLabel = append([]lpg.LabelID(nil), st.v.Labels...)
 				tx.verts[dp] = st
-				if tx.optReads == nil {
-					tx.optReads = make(map[fabric.DPtr]uint64)
-				}
-				tx.optReads[dp] = ver
+				tx.optReads = append(tx.optReads, optRead{dp, ver})
 				tx.eng.recordHeat(tx.rank, st.v.AppID, dp.Rank())
 				for _, f := range futs {
 					f.resolveState(st)
@@ -350,8 +348,8 @@ func (tx *Tx) flushPending() {
 				break
 			}
 			for _, pf := range unstable {
-				pf.buf, pf.blocks, pf.nb, pf.ver, pf.fwd = nil, nil, 0, 0, 0
-				pf.fetchedDps, pf.fetchedBufs, pf.suspect = nil, nil, nil
+				pf.buf, pf.blocks, pf.nb, pf.fwd = nil, nil, 0, 0
+				pf.fetched, pf.suspect = nil, nil
 			}
 			remaining = unstable
 		}
@@ -398,10 +396,7 @@ func (tx *Tx) flushPending() {
 					// current owner, not the vacated one.
 					tx.eng.recordHeat(tx.rank, v.AppID, pf.dp.Rank())
 					if tx.optimistic() {
-						if tx.optReads == nil {
-							tx.optReads = make(map[fabric.DPtr]uint64)
-						}
-						tx.optReads[pf.dp] = pf.ver
+						tx.optReads = append(tx.optReads, optRead{pf.dp, pf.ver})
 					}
 				}
 			}
@@ -463,38 +458,39 @@ func (tx *Tx) fetchHolderStreams(fetches []*pendingFetch) (unstable []*pendingFe
 
 	// Stamp every primary once; in optimistic mode a guard already held by
 	// a writer cannot validate, so its holder goes straight to retry.
+	var trains block.Trains
 	live := make([]*pendingFetch, 0, len(fetches))
-	var stamps map[fabric.DPtr]uint64
 	if stamped {
 		prims := make([]fabric.DPtr, len(fetches))
 		for i, pf := range fetches {
 			prims[i] = pf.dp
 		}
-		stamps = store.GuardStamps(tx.rank, prims)
-		for _, pf := range fetches {
-			w := stamps[pf.dp]
-			if opt && locks.WriteHeld(w) {
+		words := make([]uint64, len(prims))
+		store.LockStampsInto(tx.rank, prims, words, &trains)
+		for i, pf := range fetches {
+			if opt && locks.WriteHeld(words[i]) {
 				unstable = append(unstable, pf)
 				continue
 			}
-			pf.ver = locks.Version(w)
+			pf.stamp, pf.ver = words[i], locks.Version(words[i])
 			live = append(live, pf)
 		}
 	} else {
 		live = append(live, fetches...)
 	}
 
-	readRound := func(dps, guards []fabric.DPtr, bufs [][]byte, pfs []*pendingFetch) {
-		if !stamped {
-			store.ReadBlocksBatch(tx.rank, dps, bufs)
-			return
-		}
-		fetched := store.ReadBlocksStamped(tx.rank, dps, guards, bufs, stamps, !opt)
+	// readRound reads one block of every holder in roundPfs, reads[j] for
+	// roundPfs[j].
+	reads := make([]block.StampedRead, 0, len(live))
+	roundPfs := make([]*pendingFetch, 0, len(live))
+	readRound := func() {
+		// Without stamps there is no cache either, and a stamped read with
+		// nothing to look up is a plain batch read.
+		store.ReadBlocksStamped(tx.rank, reads, !opt, &trains)
 		if opt {
-			for j, pf := range pfs {
-				if fetched[j] {
-					pf.fetchedDps = append(pf.fetchedDps, dps[j])
-					pf.fetchedBufs = append(pf.fetchedBufs, bufs[j])
+			for j, pf := range roundPfs {
+				if reads[j].Fetched {
+					pf.fetched = append(pf.fetched, reads[j])
 				}
 			}
 		}
@@ -514,18 +510,12 @@ func (tx *Tx) fetchHolderStreams(fetches []*pendingFetch) (unstable []*pendingFe
 	}
 
 	// Round 0: every primary block, guarded by its own lock word.
-	dps := make([]fabric.DPtr, 0, len(live))
-	guards := make([]fabric.DPtr, 0, len(live))
-	bufs := make([][]byte, 0, len(live))
-	roundPfs := make([]*pendingFetch, 0, len(live))
 	for _, pf := range live {
 		pf.buf = make([]byte, bs)
-		dps = append(dps, pf.dp)
-		guards = append(guards, pf.dp)
-		bufs = append(bufs, pf.buf)
+		reads = append(reads, block.StampedRead{DP: pf.dp, Buf: pf.buf, Guard: pf.dp, Stamp: pf.stamp})
 		roundPfs = append(roundPfs, pf)
 	}
-	readRound(dps, guards, bufs, roundPfs)
+	readRound()
 	cur := make([]*pendingFetch, 0, len(live))
 	for _, pf := range live {
 		nb := holder.NumBlocks(pf.buf)
@@ -557,7 +547,7 @@ func (tx *Tx) fetchHolderStreams(fetches []*pendingFetch) (unstable []*pendingFe
 	// Continuation rounds: block `round` of every holder still needing one,
 	// guarded by the holder's primary.
 	for round := 1; len(cur) > 0; round++ {
-		dps, guards, bufs, roundPfs = dps[:0], guards[:0], bufs[:0], roundPfs[:0]
+		reads, roundPfs = reads[:0], roundPfs[:0]
 		next := cur[:0]
 		for _, pf := range cur {
 			if pf.nb <= round {
@@ -569,16 +559,14 @@ func (tx *Tx) fetchHolderStreams(fetches []*pendingFetch) (unstable []*pendingFe
 				continue
 			}
 			pf.blocks = append(pf.blocks, dp)
-			dps = append(dps, dp)
-			guards = append(guards, pf.dp)
-			bufs = append(bufs, pf.buf[round*bs:(round+1)*bs])
+			reads = append(reads, block.StampedRead{DP: dp, Buf: pf.buf[round*bs : (round+1)*bs], Guard: pf.dp, Stamp: pf.stamp})
 			roundPfs = append(roundPfs, pf)
 			next = append(next, pf)
 		}
-		if len(dps) == 0 {
+		if len(reads) == 0 {
 			break
 		}
-		readRound(dps, guards, bufs, roundPfs)
+		readRound()
 		cur = next
 	}
 
@@ -587,7 +575,7 @@ func (tx *Tx) fetchHolderStreams(fetches []*pendingFetch) (unstable []*pendingFe
 	// of their wire reads was stable.
 	if opt {
 		for _, pf := range fetches {
-			if pf.err == nil && pf.suspect == nil && len(pf.fetchedDps) > 0 {
+			if pf.err == nil && pf.suspect == nil && len(pf.fetched) > 0 {
 				toCheck = append(toCheck, pf)
 			}
 		}
@@ -598,10 +586,10 @@ func (tx *Tx) fetchHolderStreams(fetches []*pendingFetch) (unstable []*pendingFe
 		for i, pf := range toCheck {
 			prims[i] = pf.dp
 		}
-		post := store.GuardStamps(tx.rank, prims)
-		for _, pf := range toCheck {
-			w := post[pf.dp]
-			if locks.Version(w) != pf.ver || locks.WriteHeld(w) {
+		post := make([]uint64, len(prims))
+		store.LockStampsInto(tx.rank, prims, post, &trains)
+		for i, pf := range toCheck {
+			if w := post[i]; locks.Version(w) != pf.ver || locks.WriteHeld(w) {
 				pf.suspect = nil
 				unstable = append(unstable, pf)
 				continue
@@ -611,7 +599,7 @@ func (tx *Tx) fetchHolderStreams(fetches []*pendingFetch) (unstable []*pendingFe
 				pf.suspect = nil
 				continue
 			}
-			store.InstallCached(tx.rank, pf.dp, pf.ver, pf.fetchedDps, pf.fetchedBufs)
+			store.InstallStamped(tx.rank, pf.fetched)
 		}
 	}
 	return unstable

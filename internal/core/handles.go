@@ -246,7 +246,9 @@ func (h *VertexHandle) Edges(mask DirMask, cons *constraint.Constraint) ([]EdgeI
 	}
 	// EdgeInfo carries record indices (EdgeUIDs), so this path works on the
 	// materialized slice; it allocates the result anyway.
-	h.tx.materializeEdges(h.st)
+	if err := h.tx.materializeEdges(h.st); err != nil {
+		return nil, err
+	}
 	var out []EdgeInfo
 	for i, rec := range h.st.v.Edges {
 		if !mask.matches(rec.Dir) {
@@ -346,6 +348,9 @@ func (h *VertexHandle) ForEachEdge(mask DirMask, fn func(nb fabric.DPtr, dir hol
 			ferr = visit(rec)
 			return ferr == nil
 		})
+		if err := h.st.view.Err(); err != nil && ferr == nil {
+			ferr = fmt.Errorf("%w: holder %v: %v", ErrNotFound, h.st.primary, err)
+		}
 		return ferr
 	}
 	for _, rec := range h.st.v.Edges {
@@ -358,7 +363,9 @@ func (h *VertexHandle) ForEachEdge(mask DirMask, fn func(nb fabric.DPtr, dir hol
 
 // CountEdges counts incident edges matching mask
 // (the LinkBench "count edges of a vertex" operation). O(deg(v)), no
-// communication beyond the holder already fetched.
+// communication beyond the holder already fetched. It has no error to
+// return: over a corrupt edge region it counts the records ahead of the
+// damage, which every error-returning accessor then reports.
 func (h *VertexHandle) CountEdges(mask DirMask) int {
 	n := 0
 	if h.st.lazyEdges {
@@ -526,7 +533,9 @@ func (tx *Tx) DeleteEdge(uid holder.EdgeUID) error {
 	if err != nil {
 		return err
 	}
-	tx.materializeEdges(vh.st) // the UID indexes the record slice
+	if err := tx.materializeEdges(vh.st); err != nil { // the UID indexes the record slice
+		return err
+	}
 	if int(uid.Index) >= len(vh.st.v.Edges) {
 		return fmt.Errorf("%w: edge %v/%d", ErrNotFound, uid.Vertex, uid.Index)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"github.com/gdi-go/gdi/internal/block"
 	"github.com/gdi-go/gdi/internal/fabric"
 	"github.com/gdi-go/gdi/internal/holder"
 	"github.com/gdi-go/gdi/internal/locks"
@@ -8,7 +9,7 @@ import (
 
 // ReadArena is the reusable scratch of the allocation-free point-read path:
 // the holder stream buffer, the zero-copy view over it, and the bookkeeping
-// slices for blocks fetched off the wire. A worker keeps one arena and passes
+// slice for blocks fetched off the wire. A worker keeps one arena and passes
 // it to every OptimisticPointRead; after warm-up the steady-state hit path
 // (local holder, or every remote block served by the validated cache)
 // performs zero heap allocations per read.
@@ -18,8 +19,7 @@ type ReadArena struct {
 	buf  []byte
 	view holder.View
 
-	fetchedDps  []fabric.DPtr
-	fetchedBufs [][]byte
+	fetched []block.StampedRead
 }
 
 // grow returns ar.buf resized to n bytes, preserving current contents (the
@@ -49,7 +49,10 @@ func (ar *ReadArena) grow(n int) []byte {
 // served entirely locally. Returns false on any instability — a concurrent
 // writer, a migration stub, a deleted holder — and the caller falls back to
 // a transactional read; fn is only called on acceptance, and the view it
-// receives is valid only during the call (it aliases the arena).
+// receives is valid only during the call (it aliases the arena). Acceptance
+// vouches for the header and the label/property entries; a v2 edge region is
+// validated by the walk that reads it, so an fn that walks edges and cares
+// checks View.Err afterwards.
 //
 // The hit path — stamps, cached or local block reads, varint iteration —
 // allocates nothing; only cache misses (fetch + install) and first-use arena
@@ -61,8 +64,7 @@ func (e *Engine) OptimisticPointRead(origin fabric.Rank, primary fabric.DPtr, ar
 	if locks.WriteHeld(stamp) {
 		return false
 	}
-	ar.fetchedDps = ar.fetchedDps[:0]
-	ar.fetchedBufs = ar.fetchedBufs[:0]
+	ar.fetched = ar.fetched[:0]
 
 	// readBlock serves dp into dst: local blocks straight from the pool,
 	// remote blocks from the validated cache, the rest — recorded for
@@ -76,8 +78,7 @@ func (e *Engine) OptimisticPointRead(origin fabric.Rank, primary fabric.DPtr, ar
 			return
 		}
 		store.ReadBlock(origin, dp, dst)
-		ar.fetchedDps = append(ar.fetchedDps, dp)
-		ar.fetchedBufs = append(ar.fetchedBufs, dst)
+		ar.fetched = append(ar.fetched, block.StampedRead{DP: dp, Buf: dst, Guard: primary, Stamp: stamp, Fetched: true})
 	}
 
 	buf := ar.grow(bs)
@@ -110,9 +111,7 @@ func (e *Engine) OptimisticPointRead(origin fabric.Rank, primary fabric.DPtr, ar
 	if err := ar.view.Reset(buf); err != nil {
 		return false
 	}
-	if len(ar.fetchedDps) > 0 {
-		store.InstallCached(origin, primary, locks.Version(stamp), ar.fetchedDps, ar.fetchedBufs)
-	}
+	store.InstallStamped(origin, ar.fetched)
 	if e.cfg.RebalanceHeatTracking {
 		e.recordHeat(origin, ar.view.AppID(), primary.Rank())
 	}

@@ -102,10 +102,20 @@ type Tx struct {
 	newByApp  map[uint64]fabric.DPtr      // own uncommitted vertices, by app ID
 	dirtyList []fabric.DPtr               // commit write-back order (the paper's vector)
 	pending   []*VertexFuture             // queued non-blocking associations
-	optReads  map[fabric.DPtr]uint64      // optimistic tier: vertex -> version observed
+	optReads  []optRead                   // optimistic tier: the read set Commit revalidates
 	moved     map[fabric.DPtr]fabric.DPtr // migration aliases chased: old -> new primary
+	frontier  *frontierScratch            // ExpandFrontier's arena, from the first expansion until close
 	critical  error                       // sticky transaction-critical failure
 	closed    bool
+}
+
+// optRead is one entry of the optimistic read set: a vertex (by primary
+// DPtr, also when a follower copy served the read) and the guard version its
+// content was validated at. A vertex read twice appears twice; both versions
+// must still hold at commit.
+type optRead struct {
+	dp  fabric.DPtr
+	ver uint64
 }
 
 // StartLocal begins a single-process transaction (GDI_StartTransaction).
@@ -305,7 +315,9 @@ func (tx *Tx) ensureWrite(st *vertexState) error {
 	}
 	// Mutations (and the commit re-encode they lead to) work on the
 	// materialized edge list; lazily decoded holders realize it here.
-	tx.materializeEdges(st)
+	if err := tx.materializeEdges(st); err != nil {
+		return err
+	}
 	if !st.dirty {
 		st.dirty = true
 		tx.dirtyList = append(tx.dirtyList, st.primary)
@@ -314,13 +326,20 @@ func (tx *Tx) ensureWrite(st *vertexState) error {
 }
 
 // materializeEdges realizes a lazily decoded holder's []EdgeRec from its
-// view. Idempotent and free for eager states.
-func (tx *Tx) materializeEdges(st *vertexState) {
+// view. Idempotent and free for eager states. The walk is also the edge
+// region's validation (the fetch only vouched for the entries), so a corrupt
+// region surfaces here, as the ErrNotFound a corrupt holder has always been.
+func (tx *Tx) materializeEdges(st *vertexState) error {
 	if !st.lazyEdges {
-		return
+		return nil
 	}
-	st.v.Edges = st.view.AppendEdges(st.v.Edges[:0])
+	edges := st.view.AppendEdges(st.v.Edges[:0])
+	if err := st.view.Err(); err != nil {
+		return fmt.Errorf("%w: holder %v: %v", ErrNotFound, st.primary, err)
+	}
+	st.v.Edges = edges
 	st.lazyEdges = false
+	return nil
 }
 
 // CreateVertex allocates a new vertex with the given application-level ID,

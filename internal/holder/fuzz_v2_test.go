@@ -79,21 +79,23 @@ func FuzzVarintEdgeRun(f *testing.F) {
 		}
 		sameRecords(t, got, recs)
 
-		// Early stop must still report the full region length (the View
-		// layout pass depends on it).
+		// An early stop returns at once: one callback, and the bytes of the
+		// records behind it stay undecoded.
 		if len(recs) > 1 {
-			stopped, err := forEachEdgeV2(enc, len(recs), func(EdgeRec) bool { return false })
-			if err != nil || stopped != len(enc) {
-				t.Fatalf("early-stop walk: consumed %d (err %v), want %d", stopped, err, len(enc))
+			calls := 0
+			stopped, err := forEachEdgeV2(enc, len(recs), func(EdgeRec) bool { calls++; return false })
+			if err != nil || calls != 1 || stopped >= len(enc) {
+				t.Fatalf("early-stop walk: %d callbacks, consumed %d of %d bytes (err %v)", calls, stopped, len(enc), err)
 			}
 		}
 	})
 }
 
 // FuzzHolderV2RoundTrip drives the whole v2 vertex-holder codec: v2
-// encode→decode identity (including the View iterators), v1→v2→v1 content
-// equality for mixed-codec stores, and arbitrary bytes through DecodeVertex
-// and View.Reset, which must reject corruption with an error, never a panic.
+// encode→decode identity (including the View iterators and the entry-prefix
+// view), v1→v2→v1 content equality for mixed-codec stores, and arbitrary
+// bytes through DecodeVertex and the View, which must reject corruption with
+// an error — at Reset, or through Err on the edge walk — never a panic.
 func FuzzHolderV2RoundTrip(f *testing.F) {
 	f.Add([]byte{}, byte(0))
 	f.Add([]byte{9, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, byte(1))
@@ -106,7 +108,19 @@ func FuzzHolderV2RoundTrip(f *testing.F) {
 			t.Fatal("DecodeVertex returned nil, nil")
 		}
 		var w View
-		_ = w.Reset(data)
+		if w.Reset(data) == nil {
+			// Reset vouches for the entry bounds only: the entry region must
+			// be sliceable and an edge walk over whatever follows must end in
+			// records or Err, not a panic.
+			_ = w.Entries()
+			w.ForEachEdge(func(EdgeRec) bool { return true })
+			w.HasHome(0)
+		}
+		if len(data) >= HeaderSize {
+			if pre := EntryBlocks(data, 64); pre < 1 || (NumBlocks(data) >= 1 && pre > NumBlocks(data)) {
+				t.Fatalf("EntryBlocks = %d for a header claiming %d blocks", pre, NumBlocks(data))
+			}
+		}
 
 		blockSize := []int{64, 72, 128, 512}[int(sizeSel)%4]
 		v := vertexFromBytes(data)
@@ -139,6 +153,19 @@ func FuzzHolderV2RoundTrip(f *testing.F) {
 			t.Fatalf("view header %d/%d, want %d/%d", w.NumEdges(), w.AppID(), len(v.Edges), v.AppID)
 		}
 		sameRecords(t, w.AppendEdges(nil), v.Edges)
+		if err := w.Err(); err != nil {
+			t.Fatalf("edge walk over a fresh v2 stream: %v", err)
+		}
+		// The entries sit ahead of the edge runs: the prefix EntryBlocks
+		// names is all a label/property reader needs.
+		if err := w.Reset(stream[:EntryBlocks(stream, blockSize)*blockSize]); err != nil {
+			t.Fatalf("view reset on the entry prefix: %v", err)
+		}
+		labels, props, err := lpg.SplitEntriesVar(w.Entries())
+		if err != nil {
+			t.Fatalf("entry region of a fresh v2 stream: %v", err)
+		}
+		sameVertexContent(t, &Vertex{AppID: v.AppID, Homes: v.Homes, Edges: v.Edges, Labels: labels, Props: props}, v)
 
 		// v1 → v2 → v1: content equality across both conversions, the
 		// invariant migration and promotion rely on when they re-encode a

@@ -3,7 +3,7 @@
 // fixed-size blocks of the BGDL level.
 //
 // A holder is a logically contiguous byte stream physically split across
-// blocks (which need not be contiguous or even on one rank). The stream
+// blocks (which need not be contiguous or even on one rank). The v1 stream
 // layout follows Figure 3:
 //
 //	header      32 bytes: #blocks, #edges, entry-region size, kind/flags,
@@ -13,9 +13,18 @@
 //	            block's address is the vertex's identity and is not stored
 //	homes       #homes DPtrs of former primary blocks now holding forwarding
 //	            stubs (vertices only; populated by live migration)
+//	replicas    #replicas groups of #blocks DPtrs: the follower copies
 //	edges       #edges fixed-size lightweight-edge records (vertices only)
 //	entries     label & property entries (package lpg wire format)
 //	unused      slack up to #blocks · blockSize
+//
+// The v2 codec (v2.go) keeps the header and the fixed regions and turns the
+// last two around — entries first, then varint edge runs — so that what a
+// vertex *is* (labels, properties) can be read, and fetched, without touching
+// who it knows: with fixed 16-byte records the entry offset is a
+// multiplication, with varint runs it would be a walk over the whole
+// adjacency. View is the zero-copy reader of either format; EntryBlocks tells
+// a reader how much of a chain the labels and properties need.
 //
 // Every table entry i lands at logical offset 32+8i, which is always inside
 // the first i+1 blocks, so a reader can fetch the primary block and then

@@ -13,14 +13,27 @@ import (
 // list, and replica-group regions keep the fixed v1 layout — every in-place
 // mutation the system performs on a stream (SetTableEntry, RewriteAsReplica,
 // the replica flag OR) touches only those regions, so it works identically on
-// both formats — while the edge and entry regions switch to delta+varint
-// encodings:
+// both formats — while the two variable regions switch to delta+varint
+// encodings and swap places:
 //
+//	header | table | homes | replicas | entries | edges | unused
+//
+//	entries  the package lpg varint entry format (no padding, no terminator)
 //	edges    runs of consecutive records sharing (direction, heavy, label):
 //	         uvarint run header (count<<3 | heavy<<2 | dir), uvarint label,
 //	         the first neighbor DPtr as an absolute uvarint, every following
 //	         neighbor as a zig-zag varint delta from its predecessor
-//	entries  the package lpg varint entry format (no padding, no terminator)
+//
+// v1 keeps the paper's Figure 3 order (edges, then entries), where fixed
+// 16-byte records make the entry offset a multiplication. A varint edge
+// region has no such closed form — its length is only known by walking it,
+// and the 32-byte header has no room for it — so v2 puts the entries first:
+// their offset and length follow from the header alone, a reader that wants
+// a vertex's labels or properties never touches (or even fetches) its
+// adjacency, and an edge appended at the tail moves no property byte. The
+// cost of a property read is then O(label/property bytes) whatever the
+// degree; the edge runs are parsed, and validated, by the first walk that
+// actually wants them.
 //
 // Records stay in insertion order — the edge UID contract (UID = record
 // index, deletion is by index) forbids sorting — and the zig-zag deltas
@@ -120,33 +133,35 @@ func appendEdgesV2(dst []byte, recs []EdgeRec) []byte {
 }
 
 // forEachEdgeV2 parses a v2 edge region in place, calling fn for each of the
-// numEdges records in order, and returns the region's byte length. fn may be
-// nil (a validating/measuring walk). It never panics on corrupt input.
+// numEdges records in order until fn returns false, and returns how many
+// bytes of the region it decoded — the whole region after a full walk, only
+// the prefix an early stop needed. It never panics on corrupt input; records
+// ahead of the corruption have been yielded by the time it is found.
 func forEachEdgeV2(buf []byte, numEdges int, fn func(EdgeRec) bool) (consumed int, err error) {
 	off, decoded := 0, 0
 	for decoded < numEdges {
 		hdr, n := binary.Uvarint(buf[off:])
 		if n <= 0 {
-			return 0, fmt.Errorf("holder: malformed v2 run header at offset %d", off)
+			return off, fmt.Errorf("holder: malformed v2 run header at offset %d", off)
 		}
 		off += n
 		count := int(hdr >> 3)
 		if count <= 0 || count > numEdges-decoded {
-			return 0, fmt.Errorf("holder: v2 run of %d records, %d remaining", count, numEdges-decoded)
+			return off, fmt.Errorf("holder: v2 run of %d records, %d remaining", count, numEdges-decoded)
 		}
 		dir := Direction(hdr & 0x3)
 		if dir > DirUndirected {
-			return 0, fmt.Errorf("holder: v2 run with direction %d", dir)
+			return off, fmt.Errorf("holder: v2 run with direction %d", dir)
 		}
 		heavy := hdr&(1<<2) != 0
 		label, n := binary.Uvarint(buf[off:])
 		if n <= 0 || label > math.MaxUint32 {
-			return 0, fmt.Errorf("holder: malformed v2 run label at offset %d", off)
+			return off, fmt.Errorf("holder: malformed v2 run label at offset %d", off)
 		}
 		off += n
 		first, n := binary.Uvarint(buf[off:])
 		if n <= 0 {
-			return 0, fmt.Errorf("holder: malformed v2 neighbor at offset %d", off)
+			return off, fmt.Errorf("holder: malformed v2 neighbor at offset %d", off)
 		}
 		off += n
 		nbr := first
@@ -154,18 +169,18 @@ func forEachEdgeV2(buf []byte, numEdges int, fn func(EdgeRec) bool) (consumed in
 			if k > 0 {
 				delta, n := binary.Varint(buf[off:])
 				if n <= 0 {
-					return 0, fmt.Errorf("holder: malformed v2 delta at offset %d", off)
+					return off, fmt.Errorf("holder: malformed v2 delta at offset %d", off)
 				}
 				off += n
 				nbr = uint64(int64(nbr) + delta)
 			}
-			if fn != nil && !fn(EdgeRec{
+			if !fn(EdgeRec{
 				Neighbor: rma.DPtr(nbr),
 				Dir:      dir,
 				Heavy:    heavy,
 				Label:    lpg.LabelID(label),
 			}) {
-				fn = nil // early stop: keep walking to measure the region
+				return off, nil
 			}
 		}
 		decoded += count
@@ -228,13 +243,13 @@ func encodeVertexV2(v *Vertex, blockSize int) []byte {
 			off += 8
 		}
 	}
+	off += copy(buf[off:], entryRegion)
 	// Append in place: buf[:off] has capacity for the whole stream, so the
 	// varint appends land directly in the slack-backed buffer.
 	edges := appendEdgesV2(buf[:off], v.Edges)
 	if len(edges) != off+edgeBytes {
 		panic(fmt.Sprintf("holder: v2 edge region of %d bytes, sized %d", len(edges)-off, edgeBytes))
 	}
-	copy(buf[off+edgeBytes:], entryRegion)
 	return buf
 }
 
@@ -268,26 +283,27 @@ func decodeVertexV2(buf []byte, numBlocks int, flags uint32) (*Vertex, error) {
 			v.Replicas[g] = group
 		}
 	}
-	if numEdges > 0 {
-		if numEdges > len(buf)-off {
-			return nil, fmt.Errorf("holder: v2 holder claims %d edges in %d bytes", numEdges, len(buf)-off)
-		}
-		v.Edges = make([]EdgeRec, 0, numEdges)
-		consumed, err := forEachEdgeV2(buf[off:], numEdges, func(rec EdgeRec) bool {
-			v.Edges = append(v.Edges, rec)
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-		off += consumed
-	}
 	if entryBytes > len(buf)-off {
 		return nil, fmt.Errorf("holder: truncated v2 entry region (%d bytes, %d left)", entryBytes, len(buf)-off)
 	}
 	v.Labels, v.Props, err = lpg.SplitEntriesVar(buf[off : off+entryBytes])
 	if err != nil {
 		return nil, err
+	}
+	off += entryBytes
+	if numEdges > 0 {
+		// Every record takes at least one byte, which bounds the allocation
+		// a corrupt count could ask for.
+		if numEdges > len(buf)-off {
+			return nil, fmt.Errorf("holder: v2 holder claims %d edges in %d bytes", numEdges, len(buf)-off)
+		}
+		v.Edges = make([]EdgeRec, 0, numEdges)
+		if _, err := forEachEdgeV2(buf[off:], numEdges, func(rec EdgeRec) bool {
+			v.Edges = append(v.Edges, rec)
+			return true
+		}); err != nil {
+			return nil, err
+		}
 	}
 	return v, nil
 }

@@ -2,6 +2,7 @@ package holder
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"github.com/gdi-go/gdi/internal/lpg"
@@ -262,6 +263,199 @@ func TestViewMatchesDecode(t *testing.T) {
 		}
 		meta.Edges = w.AppendEdges(nil)
 		sameVertexContent(t, meta, v)
+		if err := w.Err(); err != nil {
+			t.Fatalf("%v: walks over a fresh stream left Err = %v", c, err)
+		}
+
+		// The entry region is addressable on its own, and so are the homes.
+		sameEntries(t, c, w.Entries(), v)
+		if !w.HasHome(v.Homes[0]) || w.HasHome(v.Edges[0].Neighbor) {
+			t.Fatalf("%v: HasHome disagrees with homes %v", c, v.Homes)
+		}
+
+		// A prefix that reaches the end of the entries is a complete view of
+		// the labels and properties.
+		pre := EntryBlocks(stream, 64)
+		var pw View
+		if err := pw.Reset(stream[:pre*64]); err != nil {
+			t.Fatalf("%v: reset on the %d-block entry prefix: %v", c, pre, err)
+		}
+		sameEntries(t, c, pw.Entries(), v)
+		if pre > 1 {
+			if err := pw.Reset(stream[:(pre-1)*64]); err == nil {
+				t.Fatalf("%v: reset accepted a prefix one block short of the entries", c)
+			}
+		}
+	}
+}
+
+// sameEntries asserts an encoded entry region decodes to v's labels and
+// properties.
+func sameEntries(t *testing.T, c Codec, region []byte, v *Vertex) {
+	t.Helper()
+	split := lpg.SplitEntriesSafe
+	if c == CodecV2 {
+		split = lpg.SplitEntriesVar
+	}
+	labels, props, err := split(region)
+	if err != nil {
+		t.Fatalf("%v: entry region: %v", c, err)
+	}
+	sameVertexContent(t, &Vertex{AppID: v.AppID, Homes: v.Homes, Edges: v.Edges, Labels: labels, Props: props}, v)
+}
+
+// hubVertex is a vertex with n lightweight edges in runs of 50 and a label
+// and property worth reading.
+func hubVertex(n int) *Vertex {
+	v := &Vertex{
+		AppID:  99,
+		Labels: []lpg.LabelID{16},
+		Props:  []lpg.Property{{PType: 40, Value: lpg.EncodeUint64(31)}},
+	}
+	for i := 0; i < n; i++ {
+		v.Edges = append(v.Edges, EdgeRec{
+			Neighbor: rma.MakeDPtr(rma.Rank(i%3), uint64(1000+7*i)),
+			Dir:      DirOut,
+			Label:    lpg.LabelID(16 + i/50%2),
+		})
+	}
+	return v
+}
+
+// TestEntryBlocksOfAHub: under v2 a hub's labels and properties sit in its
+// primary block however long the edge runs behind them — the point of the
+// layout; under v1 they follow the records, so the prefix is the content.
+func TestEntryBlocksOfAHub(t *testing.T) {
+	v := hubVertex(2000)
+	v2 := EncodeVertexCodec(v, 512, CodecV2)
+	if nb, pre := NumBlocks(v2), EntryBlocks(v2, 512); nb < 4 || pre != 1 {
+		t.Fatalf("v2 hub: entries end in block %d of %d, want the primary block of a chain of at least 4", pre, nb)
+	}
+	var w View
+	if err := w.Reset(v2[:512]); err != nil {
+		t.Fatalf("reset on the primary block of a v2 hub: %v", err)
+	}
+	sameEntries(t, CodecV2, w.Entries(), v)
+	w.ForEachEdge(func(EdgeRec) bool { return true })
+	if w.Err() == nil {
+		t.Fatal("an edge walk over a one-block prefix of a hub reported no error")
+	}
+	v1 := EncodeVertexCodec(v, 512, CodecV1)
+	if nb, pre := NumBlocks(v1), EntryBlocks(v1, 512); pre != nb {
+		t.Fatalf("v1 hub: entry prefix of %d blocks, chain of %d: the entries follow the edge records", pre, nb)
+	}
+	// A garbage header never asks for more than the chain it claims.
+	junk := bytes.Repeat([]byte{0xff}, HeaderSize)
+	binary.LittleEndian.PutUint32(junk, 7)
+	if pre := EntryBlocks(junk, 512); pre != 7 {
+		t.Fatalf("garbage header: entry prefix of %d blocks, want the claimed 7", pre)
+	}
+}
+
+// TestEarlyStopEndsTheWalk pins the early-exit contract on a hub: a callback
+// that declines the first record is the last thing the walk does. The bytes
+// decoded stop with it (forEachEdgeV2's count), and so does what the walk
+// can see — damage behind the stop goes unnoticed until a walk reaches it.
+func TestEarlyStopEndsTheWalk(t *testing.T) {
+	const degree = 17000
+	v := hubVertex(degree)
+	region := appendEdgesV2(nil, v.Edges)
+	calls := 0
+	consumed, err := forEachEdgeV2(region, degree, func(EdgeRec) bool { calls++; return false })
+	if err != nil || calls != 1 {
+		t.Fatalf("early stop: %d callbacks, err %v, want exactly one", calls, err)
+	}
+	if consumed > 3*binary.MaxVarintLen64 {
+		t.Fatalf("early stop decoded %d of %d bytes, want one run header and one neighbor", consumed, len(region))
+	}
+
+	stream := EncodeVertexCodec(v, 512, CodecV2)
+	damage := bytes.LastIndexByte(stream, region[len(region)-1])
+	for i := damage - 32; i <= damage; i++ {
+		stream[i] = 0xff // an endless varint in the last run
+	}
+	var w View
+	if err := w.Reset(stream); err != nil {
+		t.Fatal(err)
+	}
+	calls = 0
+	w.ForEachNeighbor(func(rma.DPtr, Direction) bool { calls++; return calls < 3 })
+	if calls != 3 || w.Err() != nil {
+		t.Fatalf("early stop through the view: %d callbacks, Err %v, want 3 and nil", calls, w.Err())
+	}
+	calls = 0
+	w.ForEachEdge(func(EdgeRec) bool { calls++; return true })
+	if w.Err() == nil || calls == 0 || calls >= degree {
+		t.Fatalf("full walk over the damaged tail: %d callbacks, Err %v, want a prefix and an error", calls, w.Err())
+	}
+}
+
+// TestViewServesEntriesOfADamagedHolder: what Reset validates is what a
+// property read needs, no more. A v2 stream whose edge region is garbage
+// still yields its labels and properties; the damage surfaces, as an error
+// and never a panic, on the first walk into the edges, and sticks.
+func TestViewServesEntriesOfADamagedHolder(t *testing.T) {
+	v := hubVertex(300)
+	stream := EncodeVertexCodec(v, 128, CodecV2)
+	var w View
+	if err := w.Reset(stream); err != nil {
+		t.Fatal(err)
+	}
+	edges := len(stream) - len(appendEdgesV2(nil, v.Edges)) // an upper bound on where the runs start
+	for i := edges - 128; i < len(stream); i++ {
+		if i >= w.edgesOff {
+			stream[i] = 0xff
+		}
+	}
+	if err := w.Reset(stream); err != nil {
+		t.Fatalf("reset must not look at the edge region: %v", err)
+	}
+	sameEntries(t, CodecV2, w.Entries(), v)
+	if meta, err := w.DecodeMeta(); err != nil || meta.AppID != v.AppID || len(meta.Props) != 1 {
+		t.Fatalf("DecodeMeta over a damaged edge region: %+v, %v", meta, err)
+	}
+	if w.Err() != nil {
+		t.Fatalf("Err = %v before any edge access", w.Err())
+	}
+	n := 0
+	w.ForEachEdge(func(EdgeRec) bool { n++; return true })
+	if w.Err() == nil || n != 0 {
+		t.Fatalf("walk over garbage runs: %d records, Err %v, want none and an error", n, w.Err())
+	}
+	if got := w.AppendEdges(nil); len(got) != 0 || w.Err() == nil {
+		t.Fatalf("a failed view yielded %d records on a later walk", len(got))
+	}
+	if _, err := DecodeVertex(stream); err == nil {
+		t.Fatal("the materializing decoder accepted the damaged stream")
+	}
+	if err := w.Reset(stream); err != nil || w.Err() != nil {
+		t.Fatalf("Reset must clear the sticky error: %v / %v", err, w.Err())
+	}
+}
+
+// TestViewRejectsTruncatedEntryRegion: the entry bound is part of the O(1)
+// validation, under both codecs.
+func TestViewRejectsTruncatedEntryRegion(t *testing.T) {
+	for _, c := range []Codec{CodecV1, CodecV2} {
+		v := testVertex()
+		stream := EncodeVertexCodec(v, 512, c)
+		var w View
+		if err := w.Reset(stream); err != nil {
+			t.Fatal(err)
+		}
+		end := w.entOff + w.entryBytes
+		if err := w.Reset(stream[:end]); err != nil {
+			t.Fatalf("%v: reset on a stream cut at the end of the entries: %v", c, err)
+		}
+		if err := w.Reset(stream[:end-1]); err == nil {
+			t.Fatalf("%v: reset accepted an entry region one byte short", c)
+		}
+		// A header claiming more entry bytes than the stream holds.
+		grown := append([]byte(nil), stream...)
+		binary.LittleEndian.PutUint32(grown[8:], uint32(len(stream)))
+		if err := w.Reset(grown); err == nil {
+			t.Fatalf("%v: reset accepted an entry region longer than the stream", c)
+		}
 	}
 }
 

@@ -8,11 +8,20 @@ import (
 	"github.com/gdi-go/gdi/internal/rma"
 )
 
-// View is a zero-copy reader over an encoded vertex-holder stream: it
-// validates the layout once at Reset and then iterates edge records in place
-// — fixed 16-byte records for v1, varint runs for v2 — without materializing
-// a []EdgeRec or copying a byte. The steady-state point-read and CSR index
-// paths run entirely on Views, which is what makes them allocation-free.
+// View is a zero-copy reader over an encoded vertex-holder stream: Reset
+// validates the header and locates every region in O(1), and the accessors
+// then read labels, properties and edge records in place — fixed 16-byte
+// records for v1, varint runs for v2 — without materializing a []EdgeRec or
+// copying a byte. The steady-state point-read, frontier-expansion and CSR
+// index paths run entirely on Views, which is what makes them
+// allocation-free.
+//
+// A v2 edge region has no length field, so it is validated by the walk that
+// reads it rather than at Reset: a walk that meets corruption stops, and the
+// view reports it through Err (the bufio.Scanner contract). Everything else
+// — header, fixed regions, the bounds of the entry region — is checked at
+// Reset, so a view over a stream whose tail is missing or damaged still
+// serves the vertex's labels and properties.
 //
 // A View aliases the stream it was Reset with; it is only valid while those
 // bytes are stable (a fetched copy, a cached copy under a validated version
@@ -29,15 +38,19 @@ type View struct {
 	appID       uint64
 	isReplica   bool
 
-	edgesOff   int // byte offset of the edge region
-	edgesLen   int // its exact encoded length (validated at Reset)
-	entryBytes int // entry region length; starts at edgesOff+edgesLen
+	homesOff   int   // byte offset of the home list (the replica groups follow it)
+	edgesOff   int   // byte offset of the edge region
+	entOff     int   // byte offset of the entry region
+	entryBytes int   // its length
+	err        error // first edge-region corruption a walk met since Reset
 }
 
-// Reset points the view at a vertex-holder stream, validating the header and
-// every region bound (for v2 this includes one in-place walk of the varint
-// edge runs). After a nil error the iteration methods cannot fail and do not
-// allocate. The view aliases buf.
+// Reset points the view at a vertex-holder stream, validating the header,
+// the fixed regions and the bounds of the entry region — O(1) work whatever
+// the vertex's degree. buf may be a prefix of the stream as long as it
+// reaches the end of the entry region (EntryBlocks): labels and properties are
+// then fully readable, and an edge walk reports the missing tail through Err.
+// The view aliases buf.
 func (w *View) Reset(buf []byte) error {
 	numBlocks, flags, err := checkHeader(buf)
 	if err != nil {
@@ -47,6 +60,7 @@ func (w *View) Reset(buf []byte) error {
 		return fmt.Errorf("holder: view over an edge holder")
 	}
 	w.buf = buf
+	w.err = nil
 	w.numBlocks = numBlocks
 	w.numEdges = int(binary.LittleEndian.Uint32(buf[4:]))
 	w.entryBytes = int(binary.LittleEndian.Uint32(buf[8:]))
@@ -58,27 +72,31 @@ func (w *View) Reset(buf []byte) error {
 	if flags&flagV2 != 0 {
 		w.codec = CodecV2
 	}
-	off, err := fixedRegionsEnd(buf, numBlocks, w.numHomes, w.numReplicas)
+	w.homesOff, err = fixedRegionsEnd(buf, numBlocks, w.numHomes, w.numReplicas)
 	if err != nil {
 		return err
 	}
-	w.edgesOff = off + 8*w.numHomes + 8*w.numReplicas*numBlocks
-	if w.codec == CodecV1 {
-		if w.numEdges > (len(buf)-w.edgesOff)/EdgeRecSize {
-			return fmt.Errorf("holder: truncated edge region (%d records, %d bytes)", w.numEdges, len(buf)-w.edgesOff)
-		}
-		w.edgesLen = w.numEdges * EdgeRecSize
+	varOff := w.homesOff + 8*w.numHomes + 8*w.numReplicas*numBlocks
+	if w.codec == CodecV2 {
+		w.entOff = varOff
+		w.edgesOff = varOff + w.entryBytes
 	} else {
-		w.edgesLen, err = forEachEdgeV2(buf[w.edgesOff:], w.numEdges, nil)
-		if err != nil {
-			return err
+		if w.numEdges > (len(buf)-varOff)/EdgeRecSize {
+			return fmt.Errorf("holder: truncated edge region (%d records, %d bytes)", w.numEdges, len(buf)-varOff)
 		}
+		w.edgesOff = varOff
+		w.entOff = varOff + w.numEdges*EdgeRecSize
 	}
-	if w.entryBytes > len(buf)-w.edgesOff-w.edgesLen {
-		return fmt.Errorf("holder: truncated entry region (%d bytes, %d left)", w.entryBytes, len(buf)-w.edgesOff-w.edgesLen)
+	if w.entryBytes > len(buf)-w.entOff {
+		return fmt.Errorf("holder: truncated entry region (%d bytes, %d left)", w.entryBytes, len(buf)-w.entOff)
 	}
 	return nil
 }
+
+// Err returns the first corruption an edge walk met since Reset, or nil. A
+// walk that set it yielded only the records ahead of the damage; later walks
+// yield nothing.
+func (w *View) Err() error { return w.err }
 
 // Codec returns the wire format of the viewed stream.
 func (w *View) Codec() Codec { return w.codec }
@@ -97,11 +115,30 @@ func (w *View) AppID() uint64 { return w.appID }
 // IsReplica reports whether the stream is a follower copy.
 func (w *View) IsReplica() bool { return w.isReplica }
 
+// Entries returns the encoded label/property entry region, aliasing the
+// stream: package lpg's fixed entry format for a v1 stream, its varint
+// format for a v2 one (lpg.IterEntries walks either in place).
+func (w *View) Entries() []byte { return w.buf[w.entOff : w.entOff+w.entryBytes] }
+
+// HasHome reports whether dp is one of the vertex's former primary blocks
+// (Vertex.Homes) — with the current primary, the identities under which
+// edge records and edge holders may still name this vertex.
+func (w *View) HasHome(dp rma.DPtr) bool {
+	for i := 0; i < w.numHomes; i++ {
+		if rma.DPtr(binary.LittleEndian.Uint64(w.buf[w.homesOff+8*i:])) == dp {
+			return true
+		}
+	}
+	return false
+}
+
 // ForEachEdge calls fn for every inline edge record in insertion order,
-// parsing the stream in place. fn returning false stops the walk. The
-// records are yielded exactly as DecodeVertex would materialize them.
+// parsing the stream in place. fn returning false stops the walk at once —
+// nothing past the record it declined is decoded. The records are yielded
+// exactly as DecodeVertex would materialize them; a v2 walk that runs into
+// corruption stops there and records it for Err.
 func (w *View) ForEachEdge(fn func(EdgeRec) bool) {
-	if w.numEdges == 0 {
+	if w.numEdges == 0 || w.err != nil {
 		return
 	}
 	if w.codec == CodecV1 {
@@ -114,8 +151,9 @@ func (w *View) ForEachEdge(fn func(EdgeRec) bool) {
 		}
 		return
 	}
-	// Reset validated the region; the walk cannot fail.
-	forEachEdgeV2(w.buf[w.edgesOff:w.edgesOff+w.edgesLen], w.numEdges, fn)
+	if _, err := forEachEdgeV2(w.buf[w.edgesOff:], w.numEdges, fn); err != nil {
+		w.err = err
+	}
 }
 
 // ForEachNeighbor calls fn with the neighbor DPtr and direction of every
@@ -133,7 +171,8 @@ func (w *View) ForEachNeighbor(fn func(nbr rma.DPtr, dir Direction) bool) {
 
 // AppendEdges materializes the edge records into dst (usually dst[:0] of a
 // reusable slice) and returns it — the lazy-decode escape hatch for paths
-// that need a mutable []EdgeRec after all.
+// that need a mutable []EdgeRec after all. Check Err afterwards: a corrupt
+// v2 region yields a short slice.
 func (w *View) AppendEdges(dst []EdgeRec) []EdgeRec {
 	if cap(dst) < w.numEdges {
 		dst = make([]EdgeRec, 0, w.numEdges)
@@ -151,7 +190,7 @@ func (w *View) AppendEdges(dst []EdgeRec) []EdgeRec {
 // on the view, and only a mutation pays for AppendEdges.
 func (w *View) DecodeMeta() (*Vertex, error) {
 	v := &Vertex{AppID: w.appID, IsReplica: w.isReplica, Codec: w.codec}
-	off := w.edgesOff - 8*w.numHomes - 8*w.numReplicas*w.numBlocks
+	off := w.homesOff
 	if w.numHomes > 0 {
 		v.Homes = make([]rma.DPtr, 0, w.numHomes)
 		for i := 0; i < w.numHomes; i++ {
@@ -170,15 +209,46 @@ func (w *View) DecodeMeta() (*Vertex, error) {
 			v.Replicas[g] = group
 		}
 	}
-	ent := w.buf[w.edgesOff+w.edgesLen : w.edgesOff+w.edgesLen+w.entryBytes]
 	var err error
 	if w.codec == CodecV2 {
-		v.Labels, v.Props, err = lpg.SplitEntriesVar(ent)
+		v.Labels, v.Props, err = lpg.SplitEntriesVar(w.Entries())
 	} else {
-		v.Labels, v.Props, err = lpg.SplitEntriesSafe(ent)
+		v.Labels, v.Props, err = lpg.SplitEntriesSafe(w.Entries())
 	}
 	if err != nil {
 		return nil, err
 	}
 	return v, nil
+}
+
+// EntryBlocks reads, from a vertex holder's primary block alone, how many
+// leading blocks of its chain cover the stream from the header through the
+// end of the entry region — the prefix a reader that only wants labels and
+// properties has to fetch (View.Reset accepts exactly such a prefix). For a
+// v2 holder that is block 0 unless the block table alone outgrows it; for a
+// v1 holder, whose entries follow the edge records, it is the blocks holding
+// content. The result is clamped to [1, NumBlocks], so a garbage header costs
+// at most the whole chain, which the decoders then reject.
+func EntryBlocks(primary []byte, blockSize int) int {
+	if len(primary) < HeaderSize {
+		panic("holder: primary block prefix too small")
+	}
+	nb := uint64(binary.LittleEndian.Uint32(primary[0:]))
+	if nb <= 1 {
+		return 1
+	}
+	end := HeaderSize + 8*(nb-1) +
+		8*uint64(binary.LittleEndian.Uint32(primary[24:])) + // homes
+		uint64(binary.LittleEndian.Uint32(primary[8:])) // entries
+	if binary.LittleEndian.Uint32(primary[12:])&flagV2 == 0 {
+		end += EdgeRecSize * uint64(binary.LittleEndian.Uint32(primary[4:]))
+	}
+	// Each replica group is nb words of an nb-block stream: more than
+	// blockSize/8 of them cannot be real, and would overflow the product.
+	groups := uint64(binary.LittleEndian.Uint32(primary[28:]))
+	if groups > uint64(blockSize)/8 {
+		return int(nb)
+	}
+	end += 8 * groups * nb
+	return int(min(nb, (end+uint64(blockSize)-1)/uint64(blockSize)))
 }

@@ -72,58 +72,136 @@ func EncodeEntriesVar(labels []LabelID, props []Property) []byte {
 	return buf
 }
 
-// ForEachEntryVar walks a v2 entry region in place, calling fn for every
-// entry (payload aliases buf). It returns an error — never panics — on any
-// malformed or truncated input. fn returning false stops the walk early.
-func ForEachEntryVar(buf []byte, fn func(id uint32, payload []byte) bool) error {
-	off := 0
-	for off < len(buf) {
-		id, n := binary.Uvarint(buf[off:])
-		if n <= 0 || id > math.MaxUint32 {
-			return fmt.Errorf("lpg: malformed v2 entry ID at offset %d", off)
-		}
-		off += n
-		size, n := binary.Uvarint(buf[off:])
-		if n <= 0 || size > uint64(len(buf)-off-n) {
-			return fmt.Errorf("lpg: truncated v2 entry at offset %d", off)
-		}
-		off += n
-		if !fn(uint32(id), buf[off:off+int(size)]) {
-			return nil
-		}
-		off += int(size)
+// EntryIter walks an encoded label/property entry region in place — the
+// fixed format of entry.go or, with varint set, the v2 format above —
+// yielding each entry's ID and payload (aliasing the region) without
+// materializing anything. It never panics: malformed or truncated input ends
+// the walk and is reported by Err. The zero value walks nothing.
+type EntryIter struct {
+	buf    []byte
+	off    int
+	varint bool
+	err    error
+}
+
+// IterEntries starts a walk over region in the given format.
+func IterEntries(region []byte, varint bool) EntryIter {
+	return EntryIter{buf: region, varint: varint}
+}
+
+// Next returns the next entry, or ok=false at the end of the region (the
+// IDEnd terminator or the end of the buffer in the fixed format, the end of
+// the region in the varint one) and on malformed input. Empty slots of the
+// fixed format are skipped; the varint format has no reserved IDs, so
+// meeting one there is an error.
+func (it *EntryIter) Next() (id uint32, payload []byte, ok bool) {
+	if it.err != nil {
+		return 0, nil, false
 	}
-	return nil
+	if it.varint {
+		return it.nextVar()
+	}
+	buf := it.buf
+	for it.off+entryHeaderSize <= len(buf) {
+		off := it.off
+		id = binary.LittleEndian.Uint32(buf[off:])
+		size := int(binary.LittleEndian.Uint32(buf[off+4:]))
+		if id == IDEnd {
+			it.off = len(buf)
+			return 0, nil, false
+		}
+		end := off + entryHeaderSize + pad4(size)
+		if size < 0 || end > len(buf) || end < off {
+			it.err = fmt.Errorf("lpg: truncated entry at offset %d (size %d, buffer %d)", off, size, len(buf))
+			return 0, nil, false
+		}
+		it.off = end
+		if id != IDEmpty {
+			return id, buf[off+entryHeaderSize : off+entryHeaderSize+size], true
+		}
+	}
+	return 0, nil, false
+}
+
+func (it *EntryIter) nextVar() (uint32, []byte, bool) {
+	buf, off := it.buf, it.off
+	if off >= len(buf) {
+		return 0, nil, false
+	}
+	id, n := binary.Uvarint(buf[off:])
+	if n <= 0 || id > math.MaxUint32 {
+		it.err = fmt.Errorf("lpg: malformed v2 entry ID at offset %d", off)
+		return 0, nil, false
+	}
+	if id == uint64(IDEmpty) || id == uint64(IDEnd) {
+		it.err = fmt.Errorf("lpg: reserved entry ID %d in v2 region", id)
+		return 0, nil, false
+	}
+	off += n
+	size, n := binary.Uvarint(buf[off:])
+	if n <= 0 || size > uint64(len(buf)-off-n) {
+		it.err = fmt.Errorf("lpg: truncated v2 entry at offset %d", off)
+		return 0, nil, false
+	}
+	off += n
+	it.off = off + int(size)
+	return uint32(id), buf[off:it.off], true
+}
+
+// Err reports the malformation that ended the walk, if any.
+func (it *EntryIter) Err() error { return it.err }
+
+// EntryLabel decodes the label a label entry's payload carries: four
+// little-endian bytes in the fixed format, one exact uvarint in the varint
+// one. ok is false for a malformed payload.
+func EntryLabel(payload []byte, varint bool) (l LabelID, ok bool) {
+	if !varint {
+		if len(payload) != 4 {
+			return 0, false
+		}
+		return LabelID(binary.LittleEndian.Uint32(payload)), true
+	}
+	v, n := binary.Uvarint(payload)
+	if n <= 0 || n != len(payload) || v > math.MaxUint32 {
+		return 0, false
+	}
+	return LabelID(v), true
+}
+
+// splitEntries decodes an entry region of either format into label IDs and
+// properties, preserving order within each kind. Property values alias buf.
+func splitEntries(buf []byte, varint bool) (labels []LabelID, props []Property, err error) {
+	it := IterEntries(buf, varint)
+	for {
+		id, payload, ok := it.Next()
+		if !ok {
+			break
+		}
+		if id != IDLabel {
+			props = append(props, Property{PType: PTypeID(id), Value: payload})
+			continue
+		}
+		l, ok := EntryLabel(payload, varint)
+		if !ok {
+			return nil, nil, fmt.Errorf("lpg: malformed label entry payload of %d bytes", len(payload))
+		}
+		labels = append(labels, l)
+	}
+	if err := it.Err(); err != nil {
+		return nil, nil, err
+	}
+	return labels, props, nil
 }
 
 // SplitEntriesVar decodes a v2 entry region back into label IDs and
 // properties, preserving order within each kind. Property values are copied
 // out of buf so callers may reuse the stream buffer.
 func SplitEntriesVar(buf []byte) (labels []LabelID, props []Property, err error) {
-	walkErr := ForEachEntryVar(buf, func(id uint32, payload []byte) bool {
-		switch id {
-		case IDEmpty, IDEnd:
-			err = fmt.Errorf("lpg: reserved entry ID %d in v2 region", id)
-			return false
-		case IDLabel:
-			l, n := binary.Uvarint(payload)
-			if n <= 0 || n != len(payload) || l > math.MaxUint32 {
-				err = fmt.Errorf("lpg: malformed v2 label payload of %d bytes", len(payload))
-				return false
-			}
-			labels = append(labels, LabelID(l))
-		default:
-			props = append(props, Property{PType: PTypeID(id), Value: append([]byte(nil), payload...)})
-		}
-		return true
-	})
-	if err == nil {
-		err = walkErr
+	labels, props, err = splitEntries(buf, true)
+	for i := range props {
+		props[i].Value = append([]byte(nil), props[i].Value...)
 	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return labels, props, nil
+	return labels, props, err
 }
 
 // UvarintLen returns the encoded size of v as a uvarint.
@@ -141,47 +219,10 @@ func VarintLen(v int64) int {
 	return UvarintLen(uint64(v)<<1 ^ uint64(v>>63))
 }
 
-// DecodeEntriesSafe is the error-returning form of DecodeEntries, used by
-// the holder decode paths so that corrupt fixed-format streams (which also
-// arrive as arbitrary fuzzed bytes) are rejected instead of panicking.
-func DecodeEntriesSafe(buf []byte) (entries []Entry, consumed int, err error) {
-	off := 0
-	for off+entryHeaderSize <= len(buf) {
-		id := binary.LittleEndian.Uint32(buf[off:])
-		size := int(binary.LittleEndian.Uint32(buf[off+4:]))
-		if id == IDEnd {
-			return entries, off + entryHeaderSize, nil
-		}
-		if size < 0 {
-			return nil, 0, fmt.Errorf("lpg: corrupt entry size at offset %d", off)
-		}
-		end := off + entryHeaderSize + pad4(size)
-		if end > len(buf) || end < off {
-			return nil, 0, fmt.Errorf("lpg: truncated entry at offset %d (size %d, buffer %d)", off, size, len(buf))
-		}
-		if id != IDEmpty {
-			entries = append(entries, Entry{ID: id, Payload: buf[off+entryHeaderSize : off+entryHeaderSize+size]})
-		}
-		off = end
-	}
-	return entries, off, nil
-}
-
-// SplitEntriesSafe is the error-returning form of SplitEntries.
+// SplitEntriesSafe is the error-returning form of SplitEntries, used by the
+// holder decode paths so that corrupt fixed-format streams (which also arrive
+// as arbitrary fuzzed bytes) are rejected instead of panicking. Property
+// values alias buf.
 func SplitEntriesSafe(buf []byte) (labels []LabelID, props []Property, err error) {
-	entries, _, err := DecodeEntriesSafe(buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, e := range entries {
-		if e.IsLabel() {
-			if len(e.Payload) != 4 {
-				return nil, nil, fmt.Errorf("lpg: label entry with %d-byte payload", len(e.Payload))
-			}
-			labels = append(labels, e.Label())
-		} else {
-			props = append(props, Property{PType: e.PType(), Value: e.Payload})
-		}
-	}
-	return labels, props, nil
+	return splitEntries(buf, false)
 }

@@ -5,23 +5,37 @@
 // "Demystifying Graph Databases" compiled onto the engine's future/batch
 // API.
 //
-// The compiled executor (Run) turns every hop into ONE batched association
-// round: the frontier is deduped and handed to core.Tx.ExpandFrontier, which
-// groups the fetches by owner rank into one vectored GET train per rank,
-// folds forwarding-stub chases and multi-block continuation reads into the
-// following rounds of the same flush, and serves replica- and cache-eligible
-// fetches with no traffic at all. A k-hop pattern therefore costs k+1
-// association rounds regardless of frontier width, where the naive reference
+// The compiled executor (Run) turns every hop into ONE batched round: the
+// frontier goes to core.Tx.ExpandFrontier, which dedups it, stamps the guard
+// words and reads the holders — cached blocks locally, the rest as one
+// vectored GET train per owner rank per round — into the transaction's
+// frontier arena, evaluates the hop's predicate in place on the encoded
+// label/property entries, harvests the next frontier straight off the edge
+// runs, and records one (vertex, version) pair per vertex for commit-time
+// validation. A hop materializes no handle and allocates nothing per vertex;
+// only vertex IDs travel between hops. The last hop of a k-hop only filters,
+// so it fetches each holder just up to the end of its entries — the primary
+// block, under the v2 codec — not its edge chain. Forwarding stubs,
+// follower-served vertices and locking transactions fall back to one
+// AssociateVertices batch inside the same call. A k-hop pattern therefore
+// costs k+1 rounds regardless of frontier width, where the naive reference
 // (RunNaive) pays one scalar AssociateVertex round-trip per frontier vertex.
+//
+// LIMIT is applied as a bounded top-k over the matched IDs in canonical
+// order, and only the rows it keeps are built and — under projection —
+// associated as handles. It does not stop the last hop early: a frontier
+// DPtr may be a forwarding stub whose resolved ID sorts anywhere, so no
+// prefix of the frontier is known to hold the first rows.
+//
 // Both executors return canonically sorted rows, so their results are
 // bit-identical — the golden-equivalence contract the tests pin across both
-// holder codecs and replicated stores.
+// holder codecs, replicated stores, and optimistic and locking transactions.
 package query
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/gdi-go/gdi/internal/constraint"
 	"github.com/gdi-go/gdi/internal/core"
@@ -130,98 +144,167 @@ func (p *Pattern) Validate() error {
 	return nil
 }
 
-// expander abstracts the one operation the two executors differ in: resolve
-// a frontier to handles. The compiled expander batches the whole frontier
-// into one association round; the naive one pays a scalar association per
-// vertex. Everything downstream — predicate filtering, dedup, harvest order,
-// canonical sort — is shared, which is what makes the golden-equivalence
-// guarantee structural rather than coincidental.
-type expander func(frontier []fabric.DPtr, mask core.DirMask, cons *constraint.Constraint) ([]*core.VertexHandle, []fabric.DPtr, error)
+// executor is what the two executors differ in: how a frontier is expanded
+// (IDs in, IDs out) and how the vertices whose own adjacency a shape walks are
+// associated. The compiled one batches either into one round; the naive one
+// pays a scalar association per vertex. Everything downstream — predicate
+// filtering, dedup, harvest order, canonical sort — is shared, which is what
+// makes the golden-equivalence guarantee structural rather than coincidental.
+type executor struct {
+	// expand filters frontier by cons and harvests the matched vertices'
+	// distinct neighbors under mask (core.Tx.ExpandFrontier's contract).
+	expand func(frontier []fabric.DPtr, mask core.DirMask, cons *constraint.Constraint) (matched, next []fabric.DPtr, err error)
+	// associate returns a handle per vertex, aligned with dps; a vertex that
+	// no longer exists is an ErrNotFound.
+	associate func(dps []fabric.DPtr) ([]*core.VertexHandle, error)
+}
 
 // Run executes the pattern with the compiled frontier-batched plan: one
-// association round (one train per owner rank) per hop.
+// batched round (one train per owner rank) per hop.
 func Run(tx *core.Tx, src fabric.DPtr, p *Pattern) (*Result, error) {
-	return run(tx, src, p, tx.ExpandFrontier)
+	return run(tx, src, p, executor{
+		expand:    tx.ExpandFrontier,
+		associate: func(dps []fabric.DPtr) ([]*core.VertexHandle, error) { return associateAll(tx, dps) },
+	})
+}
+
+// associateAll is one AssociateVertices round in which a vertex that no
+// longer exists is an error — the read set is stale — not a nil handle.
+func associateAll(tx *core.Tx, dps []fabric.DPtr) ([]*core.VertexHandle, error) {
+	hs, err := tx.AssociateVertices(dps)
+	if err != nil {
+		return nil, err
+	}
+	for i, h := range hs {
+		if h == nil {
+			return nil, fmt.Errorf("%w: vertex %v no longer exists", core.ErrNotFound, dps[i])
+		}
+	}
+	return hs, nil
 }
 
 // RunNaive executes the pattern with the per-vertex reference walk: one
 // scalar AssociateVertex per frontier vertex per hop. It exists as the
 // golden reference and the ablation baseline.
 func RunNaive(tx *core.Tx, src fabric.DPtr, p *Pattern) (*Result, error) {
-	return run(tx, src, p, naiveExpand(tx))
+	return run(tx, src, p, executor{
+		expand: naiveExpand(tx),
+		associate: func(dps []fabric.DPtr) ([]*core.VertexHandle, error) {
+			hs := make([]*core.VertexHandle, len(dps))
+			for i, dp := range dps {
+				var err error
+				if hs[i], err = tx.AssociateVertex(dp); err != nil {
+					return nil, err
+				}
+			}
+			return hs, nil
+		},
+	})
 }
 
-func run(tx *core.Tx, src fabric.DPtr, p *Pattern, ex expander) (*Result, error) {
+func run(tx *core.Tx, src fabric.DPtr, p *Pattern, ex executor) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	var (
-		rows []Row
-		err  error
+		found tuples
+		err   error
 	)
 	switch p.Kind {
 	case KHop:
-		rows, err = runKHop(src, p, ex)
+		found, err = runKHop(src, p, ex)
 	case Triangle:
-		rows, err = runTriangle(src, p, ex)
+		found, err = runTriangle(src, p, ex)
 	case Path:
-		rows, err = runPath(src, p, ex)
+		found, err = runPath(src, p, ex)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return finish(tx, p, rows)
+	return finish(tx, p, found)
 }
 
-// runKHop is BFS layering: round i associates the layer-i frontier (one
-// train per rank under the compiled expander), filters it by the predicate
-// of the hop that reached it, and harvests the next layer under hop i's
-// mask. Visited vertices never re-enter a frontier, so a k-hop costs exactly
-// k+1 association rounds.
-func runKHop(src fabric.DPtr, p *Pattern, ex expander) ([]Row, error) {
+// tuples is a set of witness tuples of one width, stored flat: tuple i is
+// v[i*w:(i+1)*w]. Every shape yields one width — 1 for k-hop, 3 for
+// triangles, len(Hops)+1 for paths — so the executors carry IDs, never rows,
+// and only the rows a result keeps are ever built.
+type tuples struct {
+	w int
+	v []fabric.DPtr
+}
+
+func (t tuples) len() int { return len(t.v) / t.w }
+
+func (t tuples) at(i int) []fabric.DPtr { return t.v[i*t.w : (i+1)*t.w] }
+
+// runKHop is BFS layering: round i expands the layer-i frontier (one train
+// per rank under the compiled executor), filtering it by the predicate of the
+// hop that reached it and harvesting the next layer under hop i's mask.
+// Visited vertices never re-enter a frontier, so a k-hop costs exactly k+1
+// rounds. Only IDs travel between the rounds.
+func runKHop(src fabric.DPtr, p *Pattern, ex executor) (tuples, error) {
 	frontier := []fabric.DPtr{src}
 	visited := map[fabric.DPtr]struct{}{src: {}}
-	var last []*core.VertexHandle
+	var last []fabric.DPtr
 	for i := 0; i <= len(p.Hops); i++ {
 		var cons *constraint.Constraint
 		if i > 0 {
 			cons = p.Hops[i-1].Cons
 		}
-		mask := core.DirMask(0) // final round: associate + filter only
+		mask := core.DirMask(0) // final round: filter only
 		if i < len(p.Hops) {
 			mask = p.Hops[i].Mask
 		}
-		matched, next, err := ex(frontier, mask, cons)
+		matched, next, err := ex.expand(frontier, mask, cons)
 		if err != nil {
-			return nil, err
+			return tuples{}, err
 		}
 		last = matched
 		frontier = frontier[:0]
+		// The final layer is never consulted as "visited": next is already
+		// distinct, so it only has to be told from the layers before it.
+		finalLayer := i+1 == len(p.Hops)
 		for _, nb := range next {
 			if _, seen := visited[nb]; !seen {
-				visited[nb] = struct{}{}
+				if !finalLayer {
+					visited[nb] = struct{}{}
+				}
 				frontier = append(frontier, nb)
 			}
 		}
 	}
-	rows := make([]Row, 0, len(last))
-	for _, h := range last {
-		rows = append(rows, Row{Verts: []fabric.DPtr{h.ID()}})
-	}
-	return rows, nil
+	return tuples{w: 1, v: last}, nil
 }
 
-// runTriangle closes wedges: associate the source's neighbors in one round,
-// keep those matching the predicate, and report every matched pair that is
-// itself adjacent under the same mask. Two association rounds total.
-func runTriangle(src fabric.DPtr, p *Pattern, ex expander) ([]Row, error) {
+// filterHandles is expand's filter step for the shapes that go on to walk
+// each survivor's own adjacency: the distinct vertices among hs that satisfy
+// cons, in order.
+func filterHandles(hs []*core.VertexHandle, cons *constraint.Constraint) []*core.VertexHandle {
+	kept := hs[:0]
+	seen := make(map[fabric.DPtr]struct{}, len(hs))
+	for _, h := range hs {
+		if _, dup := seen[h.ID()]; dup {
+			continue
+		}
+		seen[h.ID()] = struct{}{}
+		if h.Matches(cons) {
+			kept = append(kept, h)
+		}
+	}
+	return kept
+}
+
+// runTriangle closes wedges: expand the source for its neighbors, associate
+// them in one round, keep those matching the predicate, and report every
+// matched pair that is itself adjacent under the same mask. Two rounds total.
+func runTriangle(src fabric.DPtr, p *Pattern, ex executor) (tuples, error) {
 	hop := Hop{Mask: core.MaskAll}
 	if len(p.Hops) == 1 {
 		hop = p.Hops[0]
 	}
-	_, nbs, err := ex([]fabric.DPtr{src}, hop.Mask, nil)
+	_, nbs, err := ex.expand([]fabric.DPtr{src}, hop.Mask, nil)
 	if err != nil {
-		return nil, err
+		return tuples{}, err
 	}
 	corners := nbs[:0]
 	for _, nb := range nbs {
@@ -229,15 +312,16 @@ func runTriangle(src fabric.DPtr, p *Pattern, ex expander) ([]Row, error) {
 			corners = append(corners, nb)
 		}
 	}
-	matched, _, err := ex(corners, 0, hop.Cons)
+	hs, err := ex.associate(corners)
 	if err != nil {
-		return nil, err
+		return tuples{}, err
 	}
+	matched := filterHandles(hs, hop.Cons)
 	inSet := make(map[fabric.DPtr]struct{}, len(matched))
 	for _, h := range matched {
 		inSet[h.ID()] = struct{}{}
 	}
-	var rows []Row
+	found := tuples{w: 3}
 	for _, hb := range matched {
 		b := hb.ID()
 		if err := hb.ForEachNeighbor(hop.Mask, func(c fabric.DPtr) {
@@ -245,21 +329,21 @@ func runTriangle(src fabric.DPtr, p *Pattern, ex expander) ([]Row, error) {
 				return // each closing edge reports once, b < c
 			}
 			if _, ok := inSet[c]; ok {
-				rows = append(rows, Row{Verts: []fabric.DPtr{src, b, c}})
+				found.v = append(found.v, src, b, c)
 			}
 		}); err != nil {
-			return nil, err
+			return tuples{}, err
 		}
 	}
-	return dedupRows(rows), nil
+	return found.dedup(), nil
 }
 
 // runPath enumerates simple paths level by level: round i associates the
 // distinct depth-i path tails in one train per rank, prunes paths whose tail
 // fails the predicate of the hop that reached it, and extends the survivors
 // under hop i's mask, skipping vertices already on the path.
-func runPath(src fabric.DPtr, p *Pattern, ex expander) ([]Row, error) {
-	paths := [][]fabric.DPtr{{src}}
+func runPath(src fabric.DPtr, p *Pattern, ex executor) (tuples, error) {
+	paths := tuples{w: 1, v: []fabric.DPtr{src}}
 	for i := 0; i <= len(p.Hops); i++ {
 		var cons *constraint.Constraint
 		if i > 0 {
@@ -268,67 +352,56 @@ func runPath(src fabric.DPtr, p *Pattern, ex expander) ([]Row, error) {
 		// One association round for ALL tails at this depth.
 		var tails []fabric.DPtr
 		tailSeen := make(map[fabric.DPtr]struct{})
-		for _, path := range paths {
-			t := path[len(path)-1]
+		for k := 0; k < paths.len(); k++ {
+			t := paths.at(k)[paths.w-1]
 			if _, dup := tailSeen[t]; !dup {
 				tailSeen[t] = struct{}{}
 				tails = append(tails, t)
 			}
 		}
-		matched, _, err := ex(tails, 0, cons)
+		hs, err := ex.associate(tails)
 		if err != nil {
-			return nil, err
+			return tuples{}, err
 		}
-		byTail := make(map[fabric.DPtr]*core.VertexHandle, len(matched))
-		for _, h := range matched {
+		byTail := make(map[fabric.DPtr]*core.VertexHandle, len(hs))
+		for _, h := range filterHandles(hs, cons) {
 			byTail[h.ID()] = h
 		}
-		if i == len(p.Hops) {
-			// Final depth: keep paths whose tail survived the last predicate.
-			kept := paths[:0]
-			for _, path := range paths {
-				if _, ok := byTail[path[len(path)-1]]; ok {
-					kept = append(kept, path)
-				}
-			}
-			paths = kept
-			break
+		// Keep the paths whose tail survived the predicate; below the final
+		// depth, each of them extended by every neighbor not yet on it.
+		next := tuples{w: paths.w}
+		if i < len(p.Hops) {
+			next.w++
 		}
-		var next [][]fabric.DPtr
-		for _, path := range paths {
-			h, ok := byTail[path[len(path)-1]]
+		for k := 0; k < paths.len(); k++ {
+			path := paths.at(k)
+			h, ok := byTail[path[paths.w-1]]
 			if !ok {
 				continue
 			}
+			if i == len(p.Hops) {
+				next.v = append(next.v, path...)
+				continue
+			}
 			if err := h.ForEachNeighbor(p.Hops[i].Mask, func(nb fabric.DPtr) {
-				for _, v := range path {
-					if v == nb {
-						return // simple paths only
-					}
+				if !slices.Contains(path, nb) { // simple paths only
+					next.v = append(append(next.v, path...), nb)
 				}
-				ext := make([]fabric.DPtr, len(path)+1)
-				copy(ext, path)
-				ext[len(path)] = nb
-				next = append(next, ext)
 			}); err != nil {
-				return nil, err
+				return tuples{}, err
 			}
 		}
 		paths = next
 	}
-	rows := make([]Row, 0, len(paths))
-	for _, path := range paths {
-		rows = append(rows, Row{Verts: path})
-	}
-	return dedupRows(rows), nil
+	return paths.dedup(), nil
 }
 
-// naiveExpand mirrors core.Tx.ExpandFrontier vertex by vertex: same dedup,
-// same filter, same harvest order — but one scalar association round-trip
-// per frontier vertex.
-func naiveExpand(tx *core.Tx) expander {
-	return func(frontier []fabric.DPtr, mask core.DirMask, cons *constraint.Constraint) ([]*core.VertexHandle, []fabric.DPtr, error) {
-		var matched []*core.VertexHandle
+// naiveExpand is core.Tx.ExpandFrontier's contract vertex by vertex, on
+// handles: same dedup, same filter, same harvest order — but one scalar
+// association round-trip per frontier vertex.
+func naiveExpand(tx *core.Tx) func([]fabric.DPtr, core.DirMask, *constraint.Constraint) (matched, next []fabric.DPtr, err error) {
+	return func(frontier []fabric.DPtr, mask core.DirMask, cons *constraint.Constraint) (matched, next []fabric.DPtr, err error) {
+		var kept []*core.VertexHandle
 		seenV := make(map[fabric.DPtr]struct{}, len(frontier))
 		for _, dp := range frontier {
 			h, err := tx.AssociateVertex(dp)
@@ -340,15 +413,15 @@ func naiveExpand(tx *core.Tx) expander {
 			}
 			seenV[h.ID()] = struct{}{}
 			if h.Matches(cons) {
-				matched = append(matched, h)
+				kept = append(kept, h)
+				matched = append(matched, h.ID())
 			}
 		}
 		if mask == 0 {
 			return matched, nil, nil
 		}
-		var next []fabric.DPtr
 		seenN := make(map[fabric.DPtr]struct{})
-		for _, h := range matched {
+		for _, h := range kept {
 			if err := h.ForEachNeighbor(mask, func(nb fabric.DPtr) {
 				if _, dup := seenN[nb]; !dup {
 					seenN[nb] = struct{}{}
@@ -362,48 +435,95 @@ func naiveExpand(tx *core.Tx) expander {
 	}
 }
 
-// finish sorts rows canonically, applies the limit, and resolves the
-// projection. Projection targets are already associated by the final
-// round, so this is communication-free under both executors.
-func finish(tx *core.Tx, p *Pattern, rows []Row) (*Result, error) {
-	sort.Slice(rows, func(i, j int) bool { return lessVerts(rows[i].Verts, rows[j].Verts) })
-	if p.Limit > 0 && len(rows) > p.Limit {
-		rows = rows[:p.Limit]
+// finish puts the found tuples in canonical order — lexicographic — keeps the
+// first Pattern.Limit of them, and only then builds rows: a limited result
+// selects its rows with a bounded top-k instead of sorting, or even
+// materializing, the rows it drops, and the projection associates just the
+// rows it returns (one batched round; their holders were read moments ago, so
+// the cache serves it).
+func finish(tx *core.Tx, p *Pattern, found tuples) (*Result, error) {
+	keep := found.len()
+	if p.Limit > 0 && keep > p.Limit {
+		keep = p.Limit
 	}
-	if p.HasProject {
-		for i := range rows {
-			h, err := tx.AssociateVertexAsync(rows[i].Verts[len(rows[i].Verts)-1]).Wait()
-			if err != nil {
-				return nil, err
-			}
-			rows[i].Prop, rows[i].OK = h.Property(p.Project)
+	top := found.smallest(keep)
+	rows := make([]Row, len(top))
+	verts := make([]fabric.DPtr, 0, len(top)*found.w)
+	for k, i := range top {
+		verts = append(verts, found.at(int(i))...)
+		rows[k].Verts = verts[len(verts)-found.w : len(verts) : len(verts)]
+	}
+	if p.HasProject && len(rows) > 0 {
+		lasts := make([]fabric.DPtr, len(rows))
+		for k := range rows {
+			lasts[k] = rows[k].Verts[found.w-1]
+		}
+		hs, err := associateAll(tx, lasts)
+		if err != nil {
+			return nil, err
+		}
+		for k, h := range hs {
+			rows[k].Prop, rows[k].OK = h.Property(p.Project)
 		}
 	}
 	return &Result{Rows: rows}, nil
 }
 
-func lessVerts(a, b []fabric.DPtr) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
+// smallest returns the indices of the k canonically smallest tuples, in
+// canonical order. With k below the set's size it is a bounded top-k: one
+// pass over the tuples against a max-heap of the k best so far — O(n log k)
+// comparisons and k words of memory, where sorting all n would spend
+// O(n log n) on rows the limit then drops.
+func (t tuples) smallest(k int) []int32 {
+	cmp := func(i, j int32) int { return slices.Compare(t.at(int(i)), t.at(int(j))) }
+	less := func(i, j int32) bool { return cmp(i, j) < 0 }
+	heap := make([]int32, 0, k)
+	// down restores the max-heap below position i.
+	down := func(i int) {
+		for {
+			big := i
+			for c := 2*i + 1; c <= 2*i+2 && c < len(heap); c++ {
+				if less(heap[big], heap[c]) {
+					big = c
+				}
+			}
+			if big == i {
+				return
+			}
+			heap[i], heap[big] = heap[big], heap[i]
+			i = big
 		}
 	}
-	return len(a) < len(b)
+	for i := int32(0); int(i) < t.len(); i++ {
+		switch {
+		case len(heap) < k:
+			heap = append(heap, i)
+			if len(heap) == k {
+				for j := k/2 - 1; j >= 0; j-- {
+					down(j)
+				}
+			}
+		case k > 0 && less(i, heap[0]):
+			heap[0] = i
+			down(0)
+		}
+	}
+	slices.SortFunc(heap, cmp)
+	return heap
 }
 
-// dedupRows removes duplicate witness tuples (paths revisited through
-// parallel edges, wedges closed by multi-edges) without disturbing order;
-// finish sorts afterwards anyway.
-func dedupRows(rows []Row) []Row {
-	seen := make(map[string]struct{}, len(rows))
-	out := rows[:0]
-	for _, r := range rows {
-		k := vertsKey(r.Verts)
+// dedup removes duplicate tuples (paths revisited through parallel edges,
+// wedges closed by multi-edges) without disturbing order.
+func (t tuples) dedup() tuples {
+	seen := make(map[string]struct{}, t.len())
+	out := tuples{w: t.w, v: t.v[:0]}
+	for i := 0; i < t.len(); i++ {
+		k := vertsKey(t.at(i))
 		if _, dup := seen[k]; dup {
 			continue
 		}
 		seen[k] = struct{}{}
-		out = append(out, r)
+		out.v = append(out.v, t.at(i)...)
 	}
 	return out
 }

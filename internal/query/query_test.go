@@ -1,6 +1,7 @@
 package query
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -26,11 +27,18 @@ type testGraph struct {
 
 const graphVerts = 48
 
+// hubApp is the extra vertex newTestGraph adds on request: a hub whose holder
+// spans at least four blocks under either codec — a bulky property and eight
+// parallel edges to each of eight vertices whose ranks alternate, so that the
+// v2 deltas stay wide. It is one hop from those eight and two from most of
+// the graph, so 2-hop patterns meet it in their last frontier.
+const hubApp = graphVerts
+
 // newTestGraph seeds a fixed pseudo-random graph: every vertex gets an age,
 // even appIDs get the Person label, and each vertex sends three outgoing
 // edges drawn from a fixed-seed stream (self-loops skipped, parallel edges
 // possible — the dedup paths must cope).
-func newTestGraph(t *testing.T, ranks int, codec holder.Codec, replicas int, cache bool) *testGraph {
+func newTestGraph(t *testing.T, ranks int, codec holder.Codec, replicas int, cache, hub bool) *testGraph {
 	t.Helper()
 	e := core.NewEngine(rma.New(ranks), core.Config{
 		BlockSize:       256,
@@ -49,10 +57,17 @@ func newTestGraph(t *testing.T, ranks int, codec holder.Codec, replicas int, cac
 	if g.age, err = e.DefinePType("age", metadata.PTypeSpec{Datatype: lpg.TypeUint64}); err != nil {
 		t.Fatal(err)
 	}
+	bio, err := e.DefinePType("bio", metadata.PTypeSpec{Datatype: lpg.TypeBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rnd := rand.New(rand.NewSource(7))
 	tx := e.StartLocal(0, core.ReadWrite)
-	g.verts = make([]fabric.DPtr, graphVerts)
-	for app := uint64(0); app < graphVerts; app++ {
+	g.verts = make([]fabric.DPtr, graphVerts, graphVerts+1)
+	if hub {
+		g.verts = g.verts[:graphVerts+1]
+	}
+	for app := uint64(0); app < uint64(len(g.verts)); app++ {
 		dp, err := tx.CreateVertex(app)
 		if err != nil {
 			t.Fatal(err)
@@ -82,8 +97,31 @@ func newTestGraph(t *testing.T, ranks int, codec holder.Codec, replicas int, cac
 			}
 		}
 	}
+	if hub {
+		h, err := tx.AssociateVertex(g.verts[hubApp])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.AddProperty(bio, make([]byte, 400)); err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 8; round++ {
+			for to := 1; to < graphVerts; to += 6 {
+				if _, err := tx.CreateEdge(g.verts[hubApp], g.verts[to], holder.DirOut, g.person); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
+	}
+	if hub {
+		primary := make([]byte, 256)
+		e.Store().ReadBlock(0, g.verts[hubApp], primary)
+		if nb := holder.NumBlocks(primary); nb < 4 {
+			t.Fatalf("hub holder spans %d blocks under %v, want at least 4", nb, codec)
+		}
 	}
 	if replicas > 1 {
 		for r := 0; r < ranks; r++ {
@@ -105,17 +143,17 @@ func (g *testGraph) ageOver(over uint64) *constraint.Constraint {
 	return c
 }
 
-// runBoth executes p compiled and naive in fresh read-only transactions and
-// requires bit-identical results.
-func runBoth(t *testing.T, g *testGraph, src fabric.DPtr, p *Pattern) *Result {
+// runBoth executes p compiled and naive in fresh transactions of the given
+// mode and requires bit-identical results.
+func runBoth(t *testing.T, g *testGraph, mode core.Mode, src fabric.DPtr, p *Pattern) *Result {
 	t.Helper()
-	txC := g.e.StartLocal(0, core.ReadOnly)
+	txC := g.e.StartLocal(0, mode)
 	defer txC.Abort()
 	compiled, err := Run(txC, src, p)
 	if err != nil {
 		t.Fatalf("compiled: %v", err)
 	}
-	txN := g.e.StartLocal(0, core.ReadOnly)
+	txN := g.e.StartLocal(0, mode)
 	defer txN.Abort()
 	naive, err := RunNaive(txN, src, p)
 	if err != nil {
@@ -151,20 +189,142 @@ func MaskOut(m core.DirMask) Hop { return Hop{Mask: m} }
 
 // TestGoldenEquivalence is the satellite-4 contract: every query shape,
 // bit-identical between the compiled plan and the naive reference, across
-// both holder codecs and with replicas enabled.
+// both holder codecs and with replicas enabled — in an optimistic read-only
+// transaction (the lean frontier route), again in a locking read-write one,
+// and again on a store without the block cache. The graph carries a hub of
+// four or more blocks that 2-hop patterns meet in their last frontier, and the
+// last pass runs after a last-hop vertex has migrated from the highest rank
+// to rank 0: the edge records still hold its old DPtr, and its new ID sorts
+// ahead of every other row.
 func TestGoldenEquivalence(t *testing.T) {
+	const ranks = 4
+	twoHop := []Hop{MaskOut(core.MaskAll), MaskOut(core.MaskAll)}
+	// sweep runs every pattern under test from a spread of sources.
+	sweep := func(t *testing.T, g *testGraph, mode core.Mode) {
+		for name, p := range patternsUnderTest(g) {
+			t.Run(name, func(t *testing.T) {
+				for src := uint64(0); src < graphVerts; src += 7 {
+					runBoth(t, g, mode, g.verts[src], p)
+				}
+			})
+		}
+	}
+	// limits cuts 2-hop results at, around and far below their row count,
+	// with the projection that turns the kept rows into handles, and checks
+	// the hub was among the vertices the last hop had to filter.
+	limits := func(t *testing.T, g *testGraph, mode core.Mode) {
+		hubLast := false
+		for src := uint64(0); src < graphVerts; src += 5 {
+			all := runBoth(t, g, mode, g.verts[src], &Pattern{Kind: KHop, Hops: twoHop})
+			for _, r := range all.Rows {
+				hubLast = hubLast || r.Verts[0] == g.verts[hubApp]
+			}
+			for _, limit := range []int{1, 5, len(all.Rows), len(all.Rows) + 1} {
+				if limit == 0 {
+					continue // 0 means unlimited
+				}
+				got := runBoth(t, g, mode, g.verts[src], &Pattern{Kind: KHop, Hops: twoHop, Limit: limit, Project: g.age, HasProject: true})
+				want := all.Rows[:min(limit, len(all.Rows))]
+				if len(got.Rows) != len(want) {
+					t.Fatalf("src %d limit %d: %d rows, want %d", src, limit, len(got.Rows), len(want))
+				}
+				for i := range want {
+					if !reflect.DeepEqual(got.Rows[i].Verts, want[i].Verts) || !got.Rows[i].OK {
+						t.Fatalf("src %d limit %d: row %d = %+v, want the unlimited result's %v with its age", src, limit, i, got.Rows[i], want[i].Verts)
+					}
+				}
+			}
+		}
+		if !hubLast {
+			t.Fatal("no 2-hop query met the hub in its last frontier")
+		}
+	}
 	for _, codec := range []holder.Codec{holder.CodecV1, holder.CodecV2} {
 		for _, replicas := range []int{1, 3} {
 			t.Run(fmt.Sprintf("codec=%v/replicas=%d", codec, replicas), func(t *testing.T) {
-				g := newTestGraph(t, 4, codec, replicas, true)
-				for name, p := range patternsUnderTest(g) {
-					t.Run(name, func(t *testing.T) {
-						for src := uint64(0); src < graphVerts; src += 7 {
-							runBoth(t, g, g.verts[src], p)
-						}
-					})
+				g := newTestGraph(t, ranks, codec, replicas, true, true)
+				sweep(t, g, core.ReadOnly)
+				t.Run("limits", func(t *testing.T) { limits(t, g, core.ReadOnly) })
+				t.Run("read-write", func(t *testing.T) {
+					sweep(t, g, core.ReadWrite)
+					limits(t, g, core.ReadWrite)
+				})
+				t.Run("cache=off", func(t *testing.T) {
+					cold := newTestGraph(t, ranks, codec, replicas, false, true)
+					sweep(t, cold, core.ReadOnly)
+					limits(t, cold, core.ReadOnly)
+				})
+				if replicas > 1 {
+					return // replicated vertices are pinned in place: nothing to migrate
 				}
+				t.Run("after-migration", func(t *testing.T) {
+					// Move a rank-3 vertex to rank 0. Rank is the DPtr's high
+					// bits, so among the vertices without the Person label —
+					// the odd ones, on ranks 1 and 3 — it now sorts first,
+					// while its neighbors' edge records still name the stub.
+					moved := uint64(ranks - 1)
+					n, err := g.e.MigrateVertices(0, []core.MigrationMove{{App: moved, Old: g.verts[moved], Dest: 0}})
+					if err != nil || n != 1 {
+						t.Fatalf("migration of vertex %d: moved %d, %v", moved, n, err)
+					}
+					look := g.e.StartLocal(0, core.ReadOnly)
+					current, err := look.TranslateVertexID(moved)
+					look.Abort()
+					if err != nil || current.Rank() != 0 {
+						t.Fatalf("vertex %d after migration: %v, %v", moved, current, err)
+					}
+					notPerson := constraint.New(g.e.Registry(0))
+					notPerson.AddLabelCond(notPerson.AddSubconstraint(constraint.Subconstraint{}), constraint.LabelCond{Label: g.person, Absent: true})
+					odd := []Hop{MaskOut(core.MaskAll), {Mask: core.MaskAll, Cons: notPerson}}
+					first := 0
+					for src := uint64(0); src < graphVerts; src++ {
+						all := runBoth(t, g, core.ReadOnly, g.verts[src], &Pattern{Kind: KHop, Hops: odd})
+						one := runBoth(t, g, core.ReadOnly, g.verts[src], &Pattern{Kind: KHop, Hops: odd, Limit: 1, Project: g.age, HasProject: true})
+						for _, r := range all.Rows {
+							if r.Verts[0] == g.verts[moved] {
+								t.Fatalf("src %d: a row carries the stale DPtr %v", src, r.Verts[0])
+							}
+							if r.Verts[0] == current {
+								if one.Rows[0].Verts[0] != current {
+									t.Fatalf("src %d: LIMIT 1 kept %v, want the migrated vertex %v", src, one.Rows[0].Verts[0], current)
+								}
+								first++
+							}
+						}
+					}
+					if first == 0 {
+						t.Fatal("no 2-hop query met the migrated vertex in its last frontier")
+					}
+					sweep(t, g, core.ReadOnly)
+					limits(t, g, core.ReadOnly)
+					t.Run("read-write", func(t *testing.T) { sweep(t, g, core.ReadWrite) })
+				})
 			})
+		}
+	}
+}
+
+// TestRunReportsVanishedVertexLikeNaive is the query-level regression test of
+// the nil-handle dereference in ExpandFrontier: a pattern rooted at a vertex
+// that has since been deleted used to crash the compiled executor where the
+// naive one reports ErrNotFound. They agree now.
+func TestRunReportsVanishedVertexLikeNaive(t *testing.T) {
+	g := newTestGraph(t, 2, holder.CodecV2, 1, true, false)
+	victim := g.verts[5]
+	del := g.e.StartLocal(0, core.ReadWrite)
+	if err := del.DeleteVertex(victim); err != nil {
+		t.Fatal(err)
+	}
+	if err := del.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range patternsUnderTest(g) {
+		for exec, run := range map[string]func(*core.Tx, fabric.DPtr, *Pattern) (*Result, error){"compiled": Run, "naive": RunNaive} {
+			tx := g.e.StartLocal(0, core.ReadOnly)
+			if _, err := run(tx, victim, p); !errors.Is(err, core.ErrNotFound) {
+				t.Fatalf("%s, %s executor over a deleted source: %v, want ErrNotFound", name, exec, err)
+			}
+			tx.Abort()
 		}
 	}
 }
@@ -235,7 +395,7 @@ func TestKHopSemantics(t *testing.T) {
 // naive per-vertex walk never forms a train at all.
 func TestCompiledExpansionBatchesTrains(t *testing.T) {
 	const ranks = 4
-	g := newTestGraph(t, ranks, holder.CodecV1, 1, false)
+	g := newTestGraph(t, ranks, holder.CodecV1, 1, false, false)
 	p := &Pattern{Kind: KHop, Hops: []Hop{{Mask: core.MaskAll}, {Mask: core.MaskAll}}}
 
 	snap := func() fabric.Snapshot { return g.e.Fabric().TotalSnapshot() }
