@@ -9,14 +9,16 @@ package gdi_test
 //   - Lightweight vs. heavy edges (§5.4.2): inline records vs. dedicated
 //     edge holders.
 //   - Collective vs. pointwise transactions for global reads (§3.3): the
-//     cost of per-vertex read locking that collective read transactions
-//     elide.
+//     cost of the per-vertex version validation that collective read
+//     transactions elide.
+//
+// The remaining benchmarks measure features against running without them:
+// workload-aware rebalancing, k-replica holder chains, and HTAP snapshots.
 
 import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -125,311 +127,6 @@ func BenchmarkAblation_EdgeWeight(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblation_FrontierBatching compares scalar frontier expansion
-// (one blocking AssociateVertex round-trip per frontier vertex) against the
-// batched path (AssociateVertices: one vectored fetch train per owner rank
-// and level) under injected remote latency — the §5.6 overlap/batching
-// design choice. The workload is the one-sided BFS (BFSDirect), where every
-// rank traverses from its own root fetching remote holders directly, so
-// roughly (ranks-1)/ranks of every frontier is remote. With
-// RemoteLatencyNs = 1000 at 8 ranks the batched expansion collapses
-// per-vertex round-trips into per-owner-rank ones and wins by far more
-// than 2x. The owner-routed collective BFS/KHop use the same batch entry
-// point for their (owner-local) frontier fetches.
-func BenchmarkAblation_FrontierBatching(b *testing.B) {
-	cfg := kron.Config{Scale: 9, EdgeFactor: 8, Seed: 7, NumLabels: 4, NumProps: 3}.WithDefaults()
-	const ranks = 8
-	rt := gdi.Init(ranks, gdi.RuntimeOptions{RemoteLatencyNs: 1000})
-	// 64-byte blocks make every holder span several blocks (the multi-block
-	// regime of §5.5): the scalar path then pays one remote round-trip per
-	// block, the batched path one train per owner rank per streaming round.
-	db := rt.CreateDatabase(gdi.DatabaseParams{BlockSize: 64, BlocksPerRank: 1 << 17})
-	sch, err := kron.DefineSchema(db.Engine(), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := workload.LoadGDA(rt, db, cfg, sch); err != nil {
-		b.Fatal(err)
-	}
-	g := &analytics.Graph{DB: db, Schema: sch}
-	run := func(b *testing.B, bfs func(*gdi.Process, *analytics.Graph, uint64) (int64, int, error)) {
-		for i := 0; i < b.N; i++ {
-			rt.Run(db, func(p *gdi.Process) {
-				if _, _, err := bfs(p, g, uint64(p.Rank())); err != nil {
-					b.Error(err)
-				}
-			})
-		}
-	}
-	b.Run("scalar", func(b *testing.B) { run(b, analytics.BFSDirectScalar) })
-	b.Run("batched", func(b *testing.B) { run(b, analytics.BFSDirect) })
-}
-
-// BenchmarkAblation_CommitBatching compares the scalar commit protocol (one
-// remote round-trip per lock word and per dirty block, §5.6's naive
-// write-back) against the batched write path: deferred lock upgrades
-// resolved as one CAS train per owner rank, dirty blocks flushed as one
-// vectored PUT train per owner rank, group commit coalescing concurrent
-// workers of the same rank, and a final per-rank release train — the
-// write-side twin of FrontierBatching. The workload is multi-vertex update
-// transactions over rank-disjoint key chunks (no lock contention, so the
-// measurement isolates commit traffic) against uniform holders carrying a
-// fixed-size payload: with round-robin vertex placement, (ranks-1)/ranks of
-// every write set is remote, and 64-byte blocks put every holder in the
-// multi-block regime of §5.5. The scalar apply phase then pays one remote
-// round-trip per lock word and per holder block, while the batched commit
-// pays a handful of per-rank trains per transaction. With
-// RemoteLatencyNs = 1000 at 8 ranks the batched path must win by at
-// least 2x.
-func BenchmarkAblation_CommitBatching(b *testing.B) {
-	const (
-		ranks          = 8
-		workersPerRank = 2
-		txPerWorker    = 8
-		updatesPerTx   = 48
-		numVertices    = 2048
-		payloadBytes   = 256 // ~6 blocks per holder at 64B blocks
-	)
-	run := func(b *testing.B, scalarCommit bool) {
-		rt := gdi.Init(ranks, gdi.RuntimeOptions{RemoteLatencyNs: 1000})
-		db := rt.CreateDatabase(gdi.DatabaseParams{
-			BlockSize: 64, BlocksPerRank: 1 << 13, ScalarCommit: scalarCommit,
-		})
-		payload, err := db.DefinePType("payload", gdi.PTypeSpec{Datatype: gdi.TypeBytes})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var loadErr error
-		rt.Run(db, func(p *gdi.Process) {
-			var specs []gdi.VertexSpec
-			if p.Rank() == 0 {
-				for app := uint64(0); app < numVertices; app++ {
-					specs = append(specs, gdi.VertexSpec{
-						AppID: app,
-						Props: []gdi.Property{{PType: payload, Value: make([]byte, payloadBytes)}},
-					})
-				}
-			}
-			if err := p.BulkLoadVertices(specs); err != nil {
-				loadErr = err
-			}
-		})
-		if loadErr != nil {
-			b.Fatal(loadErr)
-		}
-		// Resolve every appID once up front: the benchmark measures commit
-		// traffic, not index lookups. Each (rank, worker) pair updates its
-		// own disjoint chunk, so transactions never contend on locks.
-		ids := make([]gdi.VertexID, numVertices)
-		{
-			tx := db.Process(0).StartTransaction(gdi.ReadOnly)
-			for app := uint64(0); app < numVertices; app++ {
-				if ids[app], err = tx.TranslateVertexID(app); err != nil {
-					b.Fatal(err)
-				}
-			}
-			tx.Commit()
-		}
-		const chunk = numVertices / (ranks * workersPerRank)
-		newPayload := make([]byte, payloadBytes)
-		for i := range newPayload {
-			newPayload[i] = byte(i)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rt.Run(db, func(p *gdi.Process) {
-				var wg sync.WaitGroup
-				for w := 0; w < workersPerRank; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						base := uint64(chunk * (int(p.Rank())*workersPerRank + w))
-						for t := 0; t < txPerWorker; t++ {
-							tx := p.StartTransaction(gdi.ReadWrite)
-							dps := make([]gdi.VertexID, updatesPerTx)
-							for j := range dps {
-								dps[j] = ids[base+uint64((t*updatesPerTx+j*5)%chunk)]
-							}
-							hs, err := tx.AssociateVertices(dps)
-							if err != nil {
-								b.Error(err)
-								tx.Abort()
-								return
-							}
-							for j, h := range hs {
-								if h == nil {
-									b.Errorf("vertex %v missing", dps[j])
-									tx.Abort()
-									return
-								}
-								if err := h.SetProperty(payload, newPayload); err != nil {
-									b.Error(err)
-									tx.Abort()
-									return
-								}
-							}
-							if err := tx.Commit(); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}(w)
-				}
-				wg.Wait()
-			})
-		}
-	}
-	b.Run("scalar", func(b *testing.B) { run(b, true) })
-	b.Run("batched", func(b *testing.B) { run(b, false) })
-}
-
-// BenchmarkAnalyticsAblation compares the map-based analytics engine
-// (map[VertexID] adjacency, per-edge message structs, channel-mail exchange)
-// against the dense CSR engine (index-compacted snapshot, flat value arrays,
-// one-sided inbox PUT trains) on PageRank — the iterative kernel whose
-// per-edge work dominates. The map engine's channel exchange bypasses the
-// latency model entirely, so the dense engine wins purely on data
-// organization: zero map lookups and zero per-edge allocations on the
-// iteration path, while additionally paying the modeled one PUT train per
-// owner rank and iteration. PageRank runs to convergence depth (i=50 — the
-// paper's i=10 is a throughput snapshot, Graphalytics runs to a tolerance),
-// so the measurement is dominated by the iteration engine the knob swaps
-// rather than the one-time snapshot fetch both engines share. With
-// RemoteLatencyNs = 1000 at 8 ranks the dense engine must win by at
-// least 2x.
-func BenchmarkAnalyticsAblation(b *testing.B) {
-	cfg := kron.Config{Scale: 11, EdgeFactor: 16, Seed: 5, NumLabels: 4, NumProps: 3}.WithDefaults()
-	const ranks = 8
-	const iters = 50
-	run := func(b *testing.B, dense bool) {
-		rt := gdi.Init(ranks, gdi.RuntimeOptions{RemoteLatencyNs: 1000})
-		db := rt.CreateDatabase(gdi.DatabaseParams{
-			BlockSize:      512,
-			BlocksPerRank:  int((cfg.NumVertices()*12+cfg.NumEdges()*2)/ranks) + (1 << 13),
-			DenseAnalytics: dense,
-		})
-		sch, err := kron.DefineSchema(db.Engine(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := workload.LoadGDA(rt, db, cfg, sch); err != nil {
-			b.Fatal(err)
-		}
-		g := &analytics.Graph{DB: db, Schema: sch}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rt.Run(db, func(p *gdi.Process) {
-				if _, _, err := analytics.PageRank(p, g, iters, 0.85); err != nil {
-					b.Error(err)
-				}
-			})
-		}
-	}
-	b.Run("map-engine", func(b *testing.B) { run(b, false) })
-	b.Run("dense-csr", func(b *testing.B) { run(b, true) })
-}
-
-// BenchmarkCacheAblation compares the locked, uncached read path (every
-// read-only transaction read-locks its vertex and re-fetches the holder,
-// one GET round per block) against the cached optimistic path of the
-// version-validated block cache: no read locks at all, the holder
-// revalidated against its guard word's version stamp and served from the
-// rank-local cache, plus one validation word train at commit. The workload
-// is the §6.4 OLTP point-read shape — single-vertex read transactions (the
-// GetProps op that dominates the read-mostly mixes) over a shared keyspace,
-// so with round-robin placement (ranks-1)/ranks of all reads are remote —
-// against uniform holders carrying a fixed-size payload: 64-byte blocks put
-// every holder deep in the multi-block regime of §5.5, where the uncached
-// path pays two lock atomics plus one remote round-trip per holder block
-// and the warm cached path pays two remote atomics in total. With
-// RemoteLatencyNs = 1000 at 8 ranks the cached+optimistic path must win by
-// at least 2x (measured ~2.3x on a single-core runner; the margin grows
-// with cores, since only the uncached path's spins serialize).
-func BenchmarkCacheAblation(b *testing.B) {
-	const (
-		ranks        = 8
-		txPerRank    = 32
-		numVertices  = 2048
-		payloadBytes = 512 // ~10 blocks per holder at 64B blocks
-	)
-	run := func(b *testing.B, cached bool) {
-		rt := gdi.Init(ranks, gdi.RuntimeOptions{RemoteLatencyNs: 1000})
-		db := rt.CreateDatabase(gdi.DatabaseParams{
-			BlockSize:       64,
-			BlocksPerRank:   1 << 14,
-			CacheBlocks:     cached,
-			CacheCapacity:   1 << 15,
-			OptimisticReads: cached,
-		})
-		payload, err := db.DefinePType("payload", gdi.PTypeSpec{Datatype: gdi.TypeBytes})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var loadErr error
-		rt.Run(db, func(p *gdi.Process) {
-			var specs []gdi.VertexSpec
-			if p.Rank() == 0 {
-				for app := uint64(0); app < numVertices; app++ {
-					specs = append(specs, gdi.VertexSpec{
-						AppID: app,
-						Props: []gdi.Property{{PType: payload, Value: make([]byte, payloadBytes)}},
-					})
-				}
-			}
-			if err := p.BulkLoadVertices(specs); err != nil {
-				loadErr = err
-			}
-		})
-		if loadErr != nil {
-			b.Fatal(loadErr)
-		}
-		ids := make([]gdi.VertexID, numVertices)
-		{
-			tx := db.Process(0).StartTransaction(gdi.ReadOnly)
-			for app := uint64(0); app < numVertices; app++ {
-				if ids[app], err = tx.TranslateVertexID(app); err != nil {
-					b.Fatal(err)
-				}
-			}
-			tx.Commit()
-		}
-		readRound := func(p *gdi.Process) {
-			for t := 0; t < txPerRank; t++ {
-				tx := p.StartTransaction(gdi.ReadOnly)
-				h, err := tx.AssociateVertex(ids[(int(p.Rank())*7919+t*37)%numVertices])
-				if err != nil {
-					b.Error(err)
-					tx.Abort()
-					return
-				}
-				h.Property(payload)
-				if err := tx.Commit(); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}
-		// One warm round outside the measurement: the cached run measures
-		// the steady state the ROADMAP targets (a holder read moments after
-		// it was last read), not the cold fill.
-		rt.Run(db, func(p *gdi.Process) { readRound(p) })
-		db.Engine().Fabric().ResetCounters()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rt.Run(db, func(p *gdi.Process) { readRound(p) })
-		}
-		b.StopTimer()
-		if cached {
-			snap := db.Engine().Fabric().TotalSnapshot()
-			if lookups := snap.CacheHits + snap.CacheMisses; lookups > 0 {
-				b.ReportMetric(float64(snap.CacheHits)/float64(lookups)*100, "hit%")
-			}
-		}
-	}
-	b.Run("locked-uncached", func(b *testing.B) { run(b, false) })
-	b.Run("cached-optimistic", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkRebalanceAblation measures what workload-aware rebalancing buys
@@ -593,7 +290,6 @@ func BenchmarkReplicationAblation(b *testing.B) {
 			BlockSize:             512,
 			BlocksPerRank:         1 << 13,
 			LockTries:             512,
-			OptimisticReads:       true,
 			RebalanceHeatTracking: true, // both variants pay for tracking
 			RebalanceTopK:         1024,
 		})
@@ -693,8 +389,9 @@ func BenchmarkReplicationAblation(b *testing.B) {
 }
 
 // BenchmarkAblation_CollectiveVsLocalScan compares reading every vertex
-// through one collective read transaction (lock-free, §3.3) against
-// pointwise local read transactions (one lock round trip per vertex).
+// through one collective read transaction (no validation, §3.3) against
+// pointwise local read transactions (one stamp and one validation train per
+// vertex).
 func BenchmarkAblation_CollectiveVsLocalScan(b *testing.B) {
 	cfg := kron.Config{Scale: 9, EdgeFactor: 4, Seed: 1, NumLabels: 4, NumProps: 3}.WithDefaults()
 	const ranks = 2
@@ -771,10 +468,9 @@ func BenchmarkHTAPAblation(b *testing.B) {
 	)
 	rt := gdi.Init(ranks, gdi.RuntimeOptions{RemoteLatencyNs: 1000})
 	db := rt.CreateDatabase(gdi.DatabaseParams{
-		BlockSize:      512,
-		BlocksPerRank:  int((cfg.NumVertices()*12+cfg.NumEdges()*2)/ranks) + (1 << 14),
-		DenseAnalytics: true,
-		HTAPSnapshots:  true,
+		BlockSize:     512,
+		BlocksPerRank: int((cfg.NumVertices()*12+cfg.NumEdges()*2)/ranks) + (1 << 14),
+		HTAPSnapshots: true,
 	})
 	sch, err := kron.DefineSchema(db.Engine(), cfg)
 	if err != nil {
@@ -848,150 +544,4 @@ func BenchmarkHTAPAblation(b *testing.B) {
 	b.ReportMetric(qpsConc, "htap-qps")
 	b.ReportMetric(qpsConc/qpsBase, "qps-ratio")
 	b.ReportMetric(makespan, "makespan-x")
-}
-
-// BenchmarkCodecAblation measures what the v2 holder wire format buys on the
-// §6.4 OLTP shape it was built for: point-read transactions with a commit mix
-// over vertices whose holders are dominated by inline edge records. 64-byte
-// blocks put every holder in the multi-block regime, so the read path pays
-// one remote round per block and the commit write-back one PUT per block —
-// the delta+varint edge runs of v2 shrink the edge region by ~4x, holders
-// span fewer blocks, and both the latency (fewer rounds at RemoteLatencyNs =
-// 1000) and the traffic (bytes/op, from the fabric byte counters) drop.
-// Neighbors are co-located mod ranks, the locality a partitioner produces
-// and the delta encoding exploits. CI gates on BOTH ratios: v2 must be
-// >= 1.4x faster and move >= 1.5x fewer bytes than v1 (see cmd/benchjson).
-func BenchmarkCodecAblation(b *testing.B) {
-	const (
-		ranks       = 8
-		txPerRank   = 32
-		writeEvery  = 4 // every 4th transaction is a read-modify-write commit
-		numVertices = 2048
-		fan         = 12 // out-degree; in-degree matches (ring chords)
-	)
-	run := func(b *testing.B, codec gdi.HolderCodec) {
-		rt := gdi.Init(ranks, gdi.RuntimeOptions{RemoteLatencyNs: 1000})
-		db := rt.CreateDatabase(gdi.DatabaseParams{
-			BlockSize:       64,
-			BlocksPerRank:   1 << 14,
-			OptimisticReads: true,
-			HolderCodec:     codec,
-		})
-		seq, err := db.DefinePType("seq", gdi.PTypeSpec{
-			Datatype: gdi.TypeUint64, SizeType: gdi.SizeFixed, Limit: 8})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var loadErr error
-		rt.Run(db, func(p *gdi.Process) {
-			var vs []gdi.VertexSpec
-			var es []gdi.EdgeSpec
-			if p.Rank() == 0 {
-				for app := uint64(0); app < numVertices; app++ {
-					vs = append(vs, gdi.VertexSpec{
-						AppID: app,
-						Props: []gdi.Property{{PType: seq, Value: gdi.Uint64Value(0)}},
-					})
-				}
-				for app := uint64(0); app < numVertices; app++ {
-					for k := 1; k <= fan; k++ {
-						// Chords in steps of `ranks` keep each neighbor on the
-						// origin's rank: dense DPtr deltas, the partitioned
-						// locality v2's varint runs compress.
-						es = append(es, gdi.EdgeSpec{
-							OriginApp: app,
-							TargetApp: (app + uint64(k*ranks)) % numVertices,
-							Dir:       gdi.DirOut,
-						})
-					}
-				}
-			}
-			if err := p.BulkLoadVertices(vs); err != nil {
-				loadErr = err
-				return
-			}
-			if err := p.BulkLoadEdges(es); err != nil {
-				loadErr = err
-			}
-		})
-		if loadErr != nil {
-			b.Fatal(loadErr)
-		}
-		ids := make([]gdi.VertexID, numVertices)
-		{
-			tx := db.Process(0).StartTransaction(gdi.ReadOnly)
-			for app := uint64(0); app < numVertices; app++ {
-				if ids[app], err = tx.TranslateVertexID(app); err != nil {
-					b.Fatal(err)
-				}
-			}
-			tx.Commit()
-		}
-		// Writers touch rank-disjoint chunks so the mix never aborts on lock
-		// conflicts; reads roam the whole keyspace (7/8 remote).
-		const chunk = numVertices / ranks
-		workRound := func(p *gdi.Process) {
-			for t := 0; t < txPerRank; t++ {
-				if t%writeEvery == 0 {
-					app := uint64(int(p.Rank())*chunk + (t*13)%chunk)
-					tx := p.StartTransaction(gdi.ReadWrite)
-					h, err := tx.AssociateVertex(ids[app])
-					if err != nil {
-						b.Error(err)
-						tx.Abort()
-						return
-					}
-					cur, _ := h.Property(seq)
-					if err := h.SetProperty(seq, gdi.Uint64Value(gdi.Uint64Of(cur)+1)); err != nil {
-						b.Error(err)
-						tx.Abort()
-						return
-					}
-					if err := tx.Commit(); err != nil {
-						b.Error(err)
-						return
-					}
-					continue
-				}
-				tx := p.StartTransaction(gdi.ReadOnly)
-				h, err := tx.AssociateVertex(ids[(int(p.Rank())*7919+t*37)%numVertices])
-				if err != nil {
-					b.Error(err)
-					tx.Abort()
-					return
-				}
-				deg := 0
-				if err := h.ForEachEdge(gdi.MaskAll, func(gdi.VertexID, gdi.Direction) {
-					deg++
-				}); err != nil {
-					b.Error(err)
-					tx.Abort()
-					return
-				}
-				if deg != 2*fan {
-					b.Errorf("degree = %d, want %d", deg, 2*fan)
-					tx.Abort()
-					return
-				}
-				if err := tx.Commit(); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}
-		rt.Run(db, func(p *gdi.Process) { workRound(p) }) // warm-up round
-		db.Engine().Fabric().ResetCounters()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rt.Run(db, func(p *gdi.Process) { workRound(p) })
-		}
-		b.StopTimer()
-		snap := db.Engine().Fabric().TotalSnapshot()
-		ops := float64(b.N) * ranks * txPerRank
-		b.ReportMetric(float64(snap.BytesPut+snap.BytesGot)/ops, "bytes/op")
-		b.ReportMetric(float64(snap.BytesPut)/ops, "putbytes/op")
-		b.ReportMetric(float64(snap.BytesGot)/ops, "getbytes/op")
-	}
-	b.Run("v1", func(b *testing.B) { run(b, gdi.CodecV1) })
-	b.Run("v2", func(b *testing.B) { run(b, gdi.CodecV2) })
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	gdi "github.com/gdi-go/gdi"
+	"github.com/gdi-go/gdi/internal/locks"
 )
 
 // asyncDB builds a database over `ranks` processes with one vertex per rank
@@ -200,29 +201,24 @@ func TestVertexFutureClosedTransaction(t *testing.T) {
 }
 
 func TestVertexFutureTransactionCritical(t *testing.T) {
-	// ScalarCommit makes the blocker's AddLabel take its exclusive lock
-	// eagerly; on the batched path upgrades are deferred to the commit
-	// train and would not block the reader below.
-	_, db, ids := asyncDB(t, 2, 4, gdi.DatabaseParams{LockTries: 2, ScalarCommit: true})
+	_, db, ids := asyncDB(t, 2, 4, gdi.DatabaseParams{LockTries: 2})
 	label, err := db.DefineLabel("L")
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := db.Process(0)
 
-	// Write-lock ids[1] in a concurrent transaction via a label mutation.
-	blocker := p.StartTransaction(gdi.ReadWrite)
-	bh, err := blocker.AssociateVertex(ids[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bh.AddLabel(label); err != nil {
+	// Hold ids[1]'s lock word exclusively, as a committing writer holds it
+	// between its commit lock train and its release.
+	win, target, idx := db.Engine().Store().LockWord(ids[1])
+	blocker := locks.Word{Win: win, Target: target, Idx: idx}
+	if err := blocker.TryAcquireWrite(0, 2); err != nil {
 		t.Fatal(err)
 	}
 
 	// A locking transaction now cannot read-lock ids[1]: the whole flush
 	// fails transaction-critically.
-	tx := p.StartTransaction(gdi.ReadOnly)
+	tx := p.StartTransaction(gdi.ReadWrite)
 	futOK := tx.AssociateVertexAsync(ids[0])
 	futBad := tx.AssociateVertexAsync(ids[1])
 	if _, err := futBad.Wait(); !errors.Is(err, gdi.ErrTransactionCritical) {
@@ -236,10 +232,10 @@ func TestVertexFutureTransactionCritical(t *testing.T) {
 		t.Errorf("scalar call after critical: got %v", err)
 	}
 	tx.Abort()
-	blocker.Abort()
+	blocker.ReleaseWrite(0)
 
-	// The blocker's abort released the write lock; a fresh transaction and
-	// batch succeed, proving the failed flush leaked no read locks either.
+	// With the write lock released, a fresh transaction and batch succeed,
+	// proving the failed flush leaked no read locks either.
 	retry := p.StartTransaction(gdi.ReadWrite)
 	handles, err := retry.AssociateVertices(ids)
 	if err != nil {

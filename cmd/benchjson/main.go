@@ -80,8 +80,8 @@ func metricRatio(optimized, baseline, metric string) func(*report) (string, floa
 }
 
 // trafficRatio gates a paired ablation on bytes moved: the baseline
-// variant's bytes/op over the optimized variant's (bigger is better —
-// the optimized codec moves fewer bytes for the same logical work).
+// variant's bytes/op over the optimized variant's (bigger is better — the
+// optimized variant moves fewer bytes for the same logical work).
 // Absent/degenerate exactly as metricRatio, with the divisor flipped.
 func trafficRatio(baseline, optimized, metric string) func(*report) (string, float64) {
 	return func(r *report) (string, float64) {
@@ -99,12 +99,10 @@ func trafficRatio(baseline, optimized, metric string) func(*report) (string, flo
 }
 
 // minGate combines gates: the reported ratio is the weakest of the parts
-// that ran, so the CI threshold holds on every reported axis at once
-// (CodecAblation must win on wall time AND bytes moved). Absent parts are
-// dropped — QueryAblation reports no bytes/op, so its traffic part never
-// runs and the verdict is the ns ratio alone — but a degenerate part
-// (reported yet unusable) still skips the whole gate rather than silently
-// weakening it.
+// that ran, so the CI threshold holds on every reported axis at once.
+// Absent parts are dropped — a QueryAblation run that reports no bytes/op
+// gates on the ns ratio alone — but a degenerate part (reported yet
+// unusable) still skips the whole gate rather than silently weakening it.
 func minGate(parts ...func(*report) (string, float64)) func(*report) (string, float64) {
 	return func(r *report) (string, float64) {
 		label, ratio := "", math.Inf(1)
@@ -129,14 +127,9 @@ func minGate(parts ...func(*report) (string, float64)) func(*report) (string, fl
 
 // gates maps each gated ablation benchmark to its CI ratio.
 var gates = map[string]func(*report) (string, float64){
-	"Ablation_FrontierBatching": nsRatio("scalar", "batched"),
-	"Ablation_CommitBatching":   nsRatio("scalar", "batched"),
-	"CacheAblation":             nsRatio("locked-uncached", "cached-optimistic"),
-	"CodecAblation":             minGate(nsRatio("v1", "v2"), trafficRatio("v1", "v2", "bytes/op")),
-	"QueryAblation":             minGate(nsRatio("naive", "compiled"), trafficRatio("naive", "compiled", "bytes/op")),
-	"AnalyticsAblation":         nsRatio("map-engine", "dense-csr"),
-	"RebalanceAblation":         metricRatio("rebalanced", "static", "queries/s"),
-	"ReplicationAblation":       metricRatio("replicated-k3", "unreplicated", "queries/s"),
+	"QueryAblation":       minGate(nsRatio("naive", "compiled"), trafficRatio("naive", "compiled", "bytes/op")),
+	"RebalanceAblation":   metricRatio("rebalanced", "static", "queries/s"),
+	"ReplicationAblation": metricRatio("replicated-k3", "unreplicated", "queries/s"),
 	"HTAPAblation": func(r *report) (string, float64) {
 		x := r.Metrics[""]["makespan-x"]
 		if x == 0 {

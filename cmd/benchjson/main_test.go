@@ -10,9 +10,6 @@ BenchmarkRebalanceAblation/static-8         	       1	5000000 ns/op	       12000
 BenchmarkRebalanceAblation/rebalanced-8     	       1	3000000 ns/op	       180000 queries/s
 BenchmarkReplicationAblation/unreplicated-8 	       1	4000000 ns/op	       100000 queries/s
 BenchmarkReplicationAblation/replicated-k3-8	       1	2000000 ns/op	       210000 queries/s
-BenchmarkCacheAblation/locked-uncached-8    	     100	  40000 ns/op
-BenchmarkCodecAblation/v1-8                 	      10	6000000 ns/op	       640.0 bytes/op
-BenchmarkCodecAblation/v2-8                 	      10	3000000 ns/op	       400.0 bytes/op
 BenchmarkHTAPAblation-8                     	       1	9000000 ns/op
 BenchmarkQueryAblation/naive-8              	       1	8000000 ns/op	        50 queries/s	        90.0 trains/op
 BenchmarkQueryAblation/compiled-8           	       1	2000000 ns/op	       200 queries/s	        12.0 trains/op
@@ -25,8 +22,8 @@ func parseSample(t *testing.T) map[string]*report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(order) != 7 {
-		t.Fatalf("parsed %d benchmarks (%v), want 7", len(order), order)
+	if len(order) != 5 {
+		t.Fatalf("parsed %d benchmarks (%v), want 5", len(order), order)
 	}
 	return reports
 }
@@ -72,20 +69,22 @@ func TestApplyGateRatios(t *testing.T) {
 		t.Errorf("ReplicationAblation ratio = %v, want 2.1", r.GateRatio)
 	}
 
-	// CodecAblation gates on the weakest of its two ratios: ns/op is 2.0x
-	// but bytes/op is only 1.6x, so the bytes ratio is the verdict.
-	r = reports["CodecAblation"]
+	// A composite gate is the weakest of its ratios: ns/op is 4.0x but
+	// bytes/op only 1.6x, so the bytes ratio is the verdict.
+	r = &report{Name: "QueryAblation",
+		NsPerOp: map[string]float64{"naive": 8000000, "compiled": 2000000},
+		Metrics: map[string]map[string]float64{"naive": {"bytes/op": 640}, "compiled": {"bytes/op": 400}}}
 	applyGate(r)
-	if r.Gate != "min: bytes/op v1 / v2" {
-		t.Errorf("CodecAblation gate = %q", r.Gate)
+	if r.Gate != "min: bytes/op naive / compiled" {
+		t.Errorf("QueryAblation gate = %q", r.Gate)
 	}
 	if r.GateRatio != 1.6 {
-		t.Errorf("CodecAblation ratio = %v, want 1.6", r.GateRatio)
+		t.Errorf("QueryAblation ratio = %v, want 1.6", r.GateRatio)
 	}
 
-	// QueryAblation reports only ns/op and train metrics — no bytes/op. Its
-	// composite gate must drop the absent traffic part and gate on the ns
-	// ratio alone, never divide by the part that is not there.
+	// The sample QueryAblation reports only ns/op and train metrics — no
+	// bytes/op. Its composite gate must drop the absent traffic part and gate
+	// on the ns ratio alone, never divide by the part that is not there.
 	r = reports["QueryAblation"]
 	applyGate(r)
 	if r.Gate != "min: ns/op naive / compiled" {
@@ -110,41 +109,23 @@ func TestApplyGateRatios(t *testing.T) {
 func TestApplyGateSkipsDegenerateBaselines(t *testing.T) {
 	reports := parseSample(t)
 
-	// CacheAblation ran only its baseline variant: the ns/op gate divides by
-	// an absent optimized variant.
-	r := reports["CacheAblation"]
-	applyGate(r)
-	if r.Gate != "skipped" || r.GateRatio != 0 {
-		t.Errorf("CacheAblation gate = %q ratio %v, want skipped/0", r.Gate, r.GateRatio)
-	}
-
 	// HTAPAblation ran without its makespan-x metric (the closure used to
 	// emit a labelled gate with ratio 0).
-	r = reports["HTAPAblation"]
+	r := reports["HTAPAblation"]
 	applyGate(r)
 	if r.Gate != "skipped" || r.GateRatio != 0 {
 		t.Errorf("HTAPAblation gate = %q ratio %v, want skipped/0", r.Gate, r.GateRatio)
 	}
 
-	// A composite gate whose metric part is entirely absent — neither
-	// variant reported bytes/op — gates on the parts that did run: the
-	// absent axis is dropped, not divided by, and not allowed to silence
-	// the ns ratio.
-	r = &report{Name: "CodecAblation", NsPerOp: map[string]float64{"v1": 6000000, "v2": 3000000}}
-	applyGate(r)
-	if r.Gate != "min: ns/op v1 / v2" || r.GateRatio != 2.0 {
-		t.Errorf("CodecAblation without bytes/op: gate = %q ratio %v, want ns-only/2.0", r.Gate, r.GateRatio)
-	}
-
-	// But a *degenerate* metric part — one variant reported bytes/op, the
-	// other did not — still poisons the whole composite: half a metric is
-	// evidence of a broken run, not of an intentionally unreported axis.
-	r = &report{Name: "CodecAblation",
-		NsPerOp: map[string]float64{"v1": 6000000, "v2": 3000000},
-		Metrics: map[string]map[string]float64{"v1": {"bytes/op": 640}}}
+	// A *degenerate* metric part — one variant reported bytes/op, the other
+	// did not — poisons the whole composite: half a metric is evidence of a
+	// broken run, not of an intentionally unreported axis.
+	r = &report{Name: "QueryAblation",
+		NsPerOp: map[string]float64{"naive": 8000000, "compiled": 2000000},
+		Metrics: map[string]map[string]float64{"naive": {"bytes/op": 640}}}
 	applyGate(r)
 	if r.Gate != "skipped" || r.GateRatio != 0 {
-		t.Errorf("CodecAblation with half a bytes/op: gate = %q ratio %v, want skipped/0", r.Gate, r.GateRatio)
+		t.Errorf("QueryAblation with half a bytes/op: gate = %q ratio %v, want skipped/0", r.Gate, r.GateRatio)
 	}
 
 	// A query benchmark run where the compiled variant never ran at all:

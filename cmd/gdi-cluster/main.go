@@ -176,11 +176,6 @@ func runWorkload(rt *gdi.Runtime, mix workload.Mix, scale, ops, iters int, seed 
 		BlocksPerRank:       int((cfg.NumVertices()*12+cfg.NumEdges()*2)/uint64(rt.Size())) + (1 << 13),
 		IndexBucketsPerRank: idxBuckets,
 		IndexEntriesPerRank: idxEntries,
-		DenseAnalytics:      true,
-		// Follower chains serve optimistic reads only; without replicas the
-		// read path is unchanged so the cross-backend equivalence runs stay
-		// bit-identical.
-		OptimisticReads: replicas > 1,
 	})
 	sch, err := kron.DefineSchema(db.Engine(), cfg)
 	if err != nil {
@@ -292,10 +287,9 @@ func runKill(rt *gdi.Runtime, ops int, seed int64, replicas, kill int) {
 		replicas = 3
 	}
 	db := rt.CreateDatabase(gdi.DatabaseParams{
-		BlockSize:       512,
-		BlocksPerRank:   1 << 13,
-		LockTries:       512,
-		OptimisticReads: true,
+		BlockSize:     512,
+		BlocksPerRank: 1 << 13,
+		LockTries:     512,
 	})
 	payload, err := db.DefinePType("payload", gdi.PTypeSpec{Datatype: gdi.TypeBytes})
 	if err != nil {

@@ -4,9 +4,6 @@
 // Usage:
 //
 //	gdi-figures [-profile quick|full] [-fig all|4a|4b|4c|4d|5|6a|6b|6c|6d|6e|6f|rich|real]
-//
-// See EXPERIMENTS.md for the paper-vs-measured record produced from these
-// runs.
 package main
 
 import (

@@ -30,23 +30,13 @@ func main() {
 	updatesW := flag.Int("updates", 10, "mix weight: update transactions (U-style)")
 	limit := flag.Int("limit", 20, "LIMIT per 2-hop query (the SNB top-20)")
 	ageOver := flag.Uint64("age-over", 30, "2-hop predicate: friends-of-friends with age >= this")
-	naive := flag.Bool("naive", false, "run the 2-hop class through the per-vertex reference walk instead of the compiled frontier-batched plan (ablation)")
 	hist := flag.Bool("hist", false, "print per-class latency histograms")
-	scalarCommit := flag.Bool("scalar-commit", false, "disable the batched write path (ablation)")
-	cacheBlocks := flag.Bool("cache-blocks", true, "per-process version-validated block cache")
-	optimisticReads := flag.Bool("optimistic-reads", true, "read-only transactions skip locks and version-validate at commit (optimistic aborts count as failed)")
 	replicas := flag.Int("replicas", 1, "k-replica holder chains; optimistic reads are served from a local follower when one exists")
-	holderCodec := flag.String("holder-codec", "v1", `holder wire format: "v1" or "v2"`)
 	flag.Parse()
 	if *workers == 0 {
 		*workers = *ranks
 	}
 
-	codec, err := gdi.ParseHolderCodec(*holderCodec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gdi-ldbc:", err)
-		os.Exit(2)
-	}
 	cfg := kron.Config{Scale: *scale, EdgeFactor: 16, Seed: *seed, NumLabels: 20, NumProps: 13}.WithDefaults()
 	rt := gdi.Init(*ranks, gdi.RuntimeOptions{RemoteLatencyNs: *latency})
 	idxBuckets, idxEntries := workload.IndexSizing(cfg, *ranks)
@@ -55,10 +45,6 @@ func main() {
 		BlocksPerRank:       int((cfg.NumVertices()*10+cfg.NumEdges()*2)/uint64(*ranks)) + (1 << 13),
 		IndexBucketsPerRank: idxBuckets,
 		IndexEntriesPerRank: idxEntries,
-		ScalarCommit:        *scalarCommit,
-		CacheBlocks:         *cacheBlocks,
-		OptimisticReads:     *optimisticReads,
-		HolderCodec:         codec,
 	})
 	sch, err := kron.DefineSchema(db.Engine(), cfg)
 	if err != nil {
@@ -93,19 +79,14 @@ func main() {
 		},
 		FriendLimit: *limit,
 		AgeOver:     *ageOver,
-		Naive:       *naive,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gdi-ldbc:", err)
 		os.Exit(1)
 	}
 
-	plan := "compiled"
-	if *naive {
-		plan = "naive"
-	}
-	fmt.Printf("mix=LDBC-interactive servers=%d workers=%d |V|=%d |E|=%d plan=%s\n",
-		*ranks, res.Workers, cfg.NumVertices(), cfg.NumEdges(), plan)
+	fmt.Printf("mix=LDBC-interactive servers=%d workers=%d |V|=%d |E|=%d\n",
+		*ranks, res.Workers, cfg.NumVertices(), cfg.NumEdges())
 	fmt.Printf("throughput: %.0f queries/s   failed: %.2f%%   elapsed: %s   2hop rows: %d\n",
 		res.QPS(), res.FailedFraction()*100, res.Elapsed.Round(1e6), res.Rows)
 	snap := db.Engine().Fabric().TotalSnapshot()

@@ -29,10 +29,7 @@ func main() {
 	k := flag.Int("k", 3, "hops for khop / feature dimension for gnn")
 	iters := flag.Int("iters", 10, "iterations for pagerank (cdlp uses 5, wcc runs to convergence)")
 	seed := flag.Int64("seed", 1, "generator seed")
-	cacheBlocks := flag.Bool("cache-blocks", false, "enable the per-process version-validated block cache; repeated frontier reads are served locally")
-	denseAnalytics := flag.Bool("dense-analytics", false, "run the iterative kernels on the dense CSR engine: index-compacted snapshots, direction-optimizing BFS, one-sided exchange")
 	htap := flag.Bool("htap", false, "run the kernels over a live snapshot cut while an open-loop OLTP load keeps committing; reports the load's served QPS next to each algorithm's wall time (bfs and pagerank only)")
-	holderCodec := flag.String("holder-codec", "v1", `holder wire format — "v1" (fixed-width records) or "v2" (delta+varint edge runs; CSR snapshot builds read them in place); reads auto-detect per holder`)
 	flag.Parse()
 
 	var algos []string
@@ -46,11 +43,6 @@ func main() {
 	}
 
 	cfg := kron.Config{Scale: *scale, EdgeFactor: 16, Seed: *seed, NumLabels: 20, NumProps: 13}.WithDefaults()
-	codec, err := gdi.ParseHolderCodec(*holderCodec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gdi-olap:", err)
-		os.Exit(2)
-	}
 	rt := gdi.Init(*ranks)
 	idxBuckets, idxEntries := workload.IndexSizing(cfg, *ranks)
 	db := rt.CreateDatabase(gdi.DatabaseParams{
@@ -58,10 +50,7 @@ func main() {
 		BlocksPerRank:       int((cfg.NumVertices()*12+cfg.NumEdges()*2)/uint64(*ranks)) + (1 << 13),
 		IndexBucketsPerRank: idxBuckets,
 		IndexEntriesPerRank: idxEntries,
-		CacheBlocks:         *cacheBlocks,
-		DenseAnalytics:      *denseAnalytics,
 		HTAPSnapshots:       *htap,
-		HolderCodec:         codec,
 	})
 	sch, err := kron.DefineSchema(db.Engine(), cfg)
 	if err != nil {
@@ -77,8 +66,7 @@ func main() {
 		runHTAP(rt, db, g, sch, cfg, algos, *ranks, *iters)
 		return
 	}
-	fmt.Printf("servers=%d |V|=%d |E|=%d dense-analytics=%v holder-codec=%s\n",
-		*ranks, cfg.NumVertices(), cfg.NumEdges(), *denseAnalytics, codec)
+	fmt.Printf("servers=%d |V|=%d |E|=%d\n", *ranks, cfg.NumVertices(), cfg.NumEdges())
 	fmt.Printf("%-10s %-12s %11s %11s %13s %13s  %s\n",
 		"algo", "time", "put-trains", "get-trains", "bytes-put", "bytes-got", "result")
 
@@ -90,7 +78,7 @@ func main() {
 		var runErr error
 		start := time.Now()
 		rt.Run(db, func(p *gdi.Process) {
-			s, err := runAlgo(p, g, sch, name, *k, *iters, *seed, *denseAnalytics)
+			s, err := runAlgo(p, g, sch, name, *k, *iters, *seed)
 			if p.Rank() == 0 {
 				mu.Lock()
 				summary = s
@@ -114,23 +102,17 @@ func main() {
 			after.BytesGot-before.BytesGot,
 			summary)
 	}
-	if *cacheBlocks {
-		snap := fab.TotalSnapshot()
-		fmt.Printf("block cache: %d hits, %d misses\n", snap.CacheHits, snap.CacheMisses)
-	}
+	snap := fab.TotalSnapshot()
+	fmt.Printf("block cache: %d hits, %d misses\n", snap.CacheHits, snap.CacheMisses)
 }
 
 // runAlgo executes one workload on this rank and returns its summary line.
-func runAlgo(p *gdi.Process, g *analytics.Graph, sch kron.Schema, name string, k, iters int, seed int64, dense bool) (string, error) {
+func runAlgo(p *gdi.Process, g *analytics.Graph, sch kron.Schema, name string, k, iters int, seed int64) (string, error) {
 	switch name {
 	case "bfs":
-		if dense {
-			visited, depth, stats, err := analytics.BFSDense(p, g, 0)
-			return fmt.Sprintf("visited %d vertices, eccentricity %d (%d push / %d pull levels)",
-				visited, depth, stats.PushLevels, stats.PullLevels), err
-		}
-		visited, depth, err := analytics.BFS(p, g, 0)
-		return fmt.Sprintf("visited %d vertices, eccentricity %d", visited, depth), err
+		visited, depth, stats, err := analytics.BFSDense(p, g, 0)
+		return fmt.Sprintf("visited %d vertices, eccentricity %d (%d push / %d pull levels)",
+			visited, depth, stats.PushLevels, stats.PullLevels), err
 	case "khop":
 		n, err := analytics.KHop(p, g, 0, k)
 		return fmt.Sprintf("%d vertices within %d hops", n, k), err

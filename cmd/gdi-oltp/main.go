@@ -24,14 +24,10 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent client sessions (default: one per rank; more exercises group commit)")
 	seed := flag.Int64("seed", 1, "run seed")
 	hist := flag.Bool("hist", false, "print per-op latency histograms")
-	scalarCommit := flag.Bool("scalar-commit", false, "gda: disable the batched write path (commit lock trains, vectored write-back, group commit) — ablation")
-	cacheBlocks := flag.Bool("cache-blocks", false, "gda: enable the per-process version-validated block cache (remote reads revalidate cached copies instead of re-fetching)")
-	optimisticReads := flag.Bool("optimistic-reads", false, "gda: read-only transactions take no read locks; their read set is version-validated at commit (optimistic aborts count as failed)")
 	zipfS := flag.Float64("zipf", 0, "Zipf exponent for operation keys (0 = uniform); skewed traffic, rank 0 hottest")
 	zipfLocal := flag.Bool("zipf-local", false, "with -zipf: give each worker its own hot set (worker-affine skew, the regime -rebalance exploits)")
 	rebalance := flag.Bool("rebalance", false, "gda: track access heat, run a warmup round, and live-migrate hot vertices onto their dominant accessors before the measured run")
-	replicas := flag.Int("replicas", 1, "gda: k-replica holder chains — every vertex gets one primary plus k-1 follower chains kept in lockstep by the commit fan-out; optimistic reads are served from a local follower when one exists (pair with -optimistic-reads)")
-	holderCodec := flag.String("holder-codec", "v1", `gda: holder wire format — "v1" (fixed-width records) or "v2" (delta+varint edge runs, varint entries, inline single-block holders); reads auto-detect per holder, so either setting opens a store written under the other`)
+	replicas := flag.Int("replicas", 1, "gda: k-replica holder chains — every vertex gets one primary plus k-1 follower chains kept in lockstep by the commit fan-out; optimistic reads are served from a local follower when one exists")
 	flag.Parse()
 	if *workers == 0 {
 		*workers = *ranks
@@ -55,11 +51,6 @@ func main() {
 	var insertBase uint64 // keeps measured-run inserts clear of warmup inserts
 	switch *system {
 	case "gda":
-		codec, err := gdi.ParseHolderCodec(*holderCodec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gdi-oltp:", err)
-			os.Exit(2)
-		}
 		rt := gdi.Init(*ranks)
 		idxBuckets, idxEntries := workload.IndexSizing(cfg, *ranks)
 		db := rt.CreateDatabase(gdi.DatabaseParams{
@@ -67,11 +58,7 @@ func main() {
 			BlocksPerRank:         int((cfg.NumVertices()*10+cfg.NumEdges()*2)/uint64(*ranks)) + (1 << 13),
 			IndexBucketsPerRank:   idxBuckets,
 			IndexEntriesPerRank:   idxEntries,
-			ScalarCommit:          *scalarCommit,
-			CacheBlocks:           *cacheBlocks,
-			OptimisticReads:       *optimisticReads,
 			RebalanceHeatTracking: *rebalance,
-			HolderCodec:           codec,
 		})
 		sch, err := kron.DefineSchema(db.Engine(), cfg)
 		if err != nil {
@@ -155,28 +142,15 @@ func main() {
 		res.QPS(), res.FailedFraction()*100, res.Elapsed.Round(1e6))
 	if gdaDB != nil {
 		snap := gdaDB.Engine().Fabric().TotalSnapshot()
-		path := "batched"
-		if *scalarCommit {
-			path = "scalar"
-		}
-		fmt.Printf("write path: %s   remote puts: %d (trains: %d)   remote atomics: %d (trains: %d)\n",
-			path, snap.RemotePuts, snap.PutBatches, snap.RemoteAtoms, snap.AtomicBatches)
-		readPath := "locked"
-		if *optimisticReads {
-			readPath = "optimistic"
-		}
-		cache := "off"
+		fmt.Printf("write path: remote puts: %d (trains: %d)   remote atomics: %d (trains: %d)\n",
+			snap.RemotePuts, snap.PutBatches, snap.RemoteAtoms, snap.AtomicBatches)
 		hitRate := 0.0
-		if *cacheBlocks {
-			cache = "on"
-			if lookups := snap.CacheHits + snap.CacheMisses; lookups > 0 {
-				hitRate = float64(snap.CacheHits) / float64(lookups) * 100
-			}
+		if lookups := snap.CacheHits + snap.CacheMisses; lookups > 0 {
+			hitRate = float64(snap.CacheHits) / float64(lookups) * 100
 		}
-		fmt.Printf("read path: %s   cache: %s   hits: %d   misses: %d (%.1f%% hit rate)   optimistic aborts: %d\n",
-			readPath, cache, snap.CacheHits, snap.CacheMisses, hitRate, gdaDB.Engine().OptimisticAborts())
-		fmt.Printf("storage: codec: %s   bytes put: %d   bytes got: %d\n",
-			gdaDB.Engine().Codec(), snap.BytesPut, snap.BytesGot)
+		fmt.Printf("read path: cache hits: %d   misses: %d (%.1f%% hit rate)   optimistic aborts: %d\n",
+			snap.CacheHits, snap.CacheMisses, hitRate, gdaDB.Engine().OptimisticAborts())
+		fmt.Printf("storage: bytes put: %d   bytes got: %d\n", snap.BytesPut, snap.BytesGot)
 		if *rebalance {
 			fmt.Printf("placement: migrations: %d   skipped: %d   forwarded reads: %d\n",
 				gdaDB.Engine().Migrations(), gdaDB.Engine().MigrationSkips(), gdaDB.Engine().ForwardedReads())

@@ -110,9 +110,7 @@
 //  1. Lock train (prepare). Every deferred upgrade and fresh-vertex lock is
 //     resolved as one vectored CAS train per owner rank, in globally sorted
 //     (deadlock-free) order. Contention rolls the train back and aborts the
-//     transaction with ErrTransactionCritical — the same all-or-nothing
-//     contract as the scalar path, surfaced at commit instead of at the
-//     mutating call.
+//     transaction with ErrTransactionCritical.
 //  2. Write-back train (apply). All dirty holder blocks and deletion
 //     poisons are flushed as one vectored PUT train per owner rank, instead
 //     of one blocking PUT per block. Concurrent transactions committing
@@ -124,19 +122,15 @@
 //  3. Release train. All locks still held at the end of commit are dropped
 //     as one train per owner rank.
 //
-// Ordering guarantees are unchanged from the scalar protocol: a
-// transaction's effects become visible only between its write-back landing
-// and its locks releasing, so readers never observe partial commits, and
-// the prepare/apply split keeps aborts clean (a transaction that fails in
-// prepare — lock train, stale metadata, block exhaustion — has written
-// nothing). What the batched path does change is when lock conflicts
-// surface: two writers contending for the same vertex both proceed past
-// their mutating calls and one (or both) fails at Commit, where the scalar
-// path would have failed the second mutating call itself. Under injected
-// remote latency a commit touching holders on k ranks pays O(k) round-trips
-// rather than one per lock word and dirty block — the CommitBatching
-// ablation benchmark measures this at ≥2x end to end. DatabaseParams.
-// ScalarCommit restores the scalar protocol for ablation and debugging.
+// A transaction's effects become visible only between its write-back
+// landing and its locks releasing, so readers never observe partial
+// commits, and the prepare/apply split keeps aborts clean (a transaction
+// that fails in prepare — lock train, stale metadata, block exhaustion — has
+// written nothing). Lock conflicts surface at Commit: two writers contending
+// for the same vertex both proceed past their mutating calls and one (or
+// both) fails there. Under injected remote latency a commit touching holders
+// on k ranks pays O(k) round-trips rather than one per lock word and dirty
+// block.
 //
 // # ID translation and bulk loading
 //
@@ -165,9 +159,9 @@
 // content only changes while the write bit is set. That one word is a full
 // coherence protocol:
 //
-//   - Block cache (DatabaseParams.CacheBlocks). Each process keeps an LRU
-//     cache of remote block copies stamped with the guard version they were
-//     read at. A fetch first loads the guard words — one vectored
+//   - Block cache (DatabaseParams.CacheCapacity blocks). Each process keeps
+//     an LRU cache of remote block copies stamped with the guard version
+//     they were read at. A fetch first loads the guard words — one vectored
 //     atomic-load train per owner rank, however many holders it covers —
 //     and any cached block whose stamp matches the current version (write
 //     bit clear) is served locally, with no GET traffic. Misses fall
@@ -175,27 +169,23 @@
 //     time; a bumped version simply makes the stale copy miss. There are no
 //     invalidation messages: writers invalidate by releasing their locks.
 //
-//   - Optimistic read transactions (DatabaseParams.OptimisticReads). Local
-//     read-only transactions stop taking read locks altogether. A fetch is
-//     accepted only if its guard shows the same version with the write bit
-//     clear on both sides of the read (cached copies satisfy this by
-//     construction, so a fully cached fetch needs no second look), and the
-//     transaction records every (vertex, version) pair it read. Commit
+//   - Optimistic read transactions. Local read-only transactions take no
+//     read locks at all. A fetch is accepted only if its guard shows the
+//     same version with the write bit clear on both sides of the read
+//     (cached copies satisfy this by construction, so a fully cached fetch
+//     needs no second look), and the transaction records every (vertex,
+//     version) pair it read. Commit
 //     revalidates the whole read set with one atomic-load train per owner
 //     rank: if every version is unchanged the transaction serializes at
 //     that instant; if any moved, it fails with ErrTransactionCritical —
 //     the optimistic abort of §3.8 — and the caller retries, exactly as
-//     with lock contention. Read-write transactions keep the PR-2 lock
-//     trains (their read locks make cached fetches trivially stable), and
-//     collective read-only transactions keep their §3.3 lock-free epoch;
-//     both still ride the cache.
+//     with lock contention. Read-write transactions take read locks in
+//     trains (which make cached fetches trivially stable), and collective
+//     read-only transactions keep their §3.3 lock-free epoch; both still
+//     ride the cache.
 //
-// The two knobs compose with either write path: scalar and batched commits
-// alike bump versions at write-unlock, so readers converge no matter how
-// the writer released. Cache hit/miss counters surface in the fabric
-// snapshots and in the gdi-oltp report alongside the train counters; the
-// CacheAblation benchmark gates the tier at ≥2x over the locked, uncached
-// read path at 8 ranks under 1µs injected remote latency.
+// Cache hit/miss counters surface in the fabric snapshots and in the
+// gdi-oltp report alongside the train counters.
 //
 // # Query layer
 //
@@ -210,8 +200,8 @@
 // union becomes the next frontier. The naive reference executor
 // (query.RunNaive) keeps the same contract on handles, one scalar
 // AssociateVertex round trip per vertex; the two are golden-tested
-// equivalent across both holder codecs, replicated engines, cache on and
-// off, optimistic and locking transactions, and the QueryAblation benchmark
+// equivalent across replicated engines, migrated vertices, and optimistic
+// and locking transactions, and the QueryAblation benchmark
 // gates compiled ≥2x over naive at 8 ranks under 1µs injected latency, with
 // counter assertions pinning the one-train-per-owner-rank-per-hop contract.
 // Patterns also carry a versioned wire codec (Encode/Decode, fuzzed in CI) so
@@ -227,9 +217,9 @@
 // the varint runs, and a (vertex, version) pair joins the read set Commit
 // revalidates. What a hop fetches depends on what it does next: a harvesting
 // hop reads whole chains (it wants the edges); the last, filter-only hop reads
-// each holder only up to the end of its entries — under the v2 codec, whose
-// stream is header | table | homes | replicas | entries | edges, that is the
-// primary block for all but mega-hubs, so a frontier vertex costs its
+// each holder only up to the end of its entries — the holder stream is
+// header | table | homes | replicas | entries | edges, so that is the
+// primary block for all but mega-hubs, and a frontier vertex costs its
 // properties, not its degree. A hop allocates a few dozen objects — the
 // arena's slices, each sized in one step — whatever its width (CI pins this
 // next to the point-read guard), and the arena is garbage once the
@@ -246,28 +236,19 @@
 // reporting per-query-class latency and the train counters that show what
 // the compiled plans put on the wire.
 //
-// # Dense analytics engine
+// # Analytics kernels
 //
-// The iterative OLAP kernels (BFS, PageRank, CDLP, WCC, LCC) come in two
-// engines, selected by DatabaseParams.DenseAnalytics:
+// The iterative OLAP kernels (BFS, PageRank, CDLP, WCC, LCC) compact each
+// rank's shard once per query into a CSR snapshot: a collective
+// index-exchange pass assigns every local vertex a dense int32 index
+// (ascending VertexID order) and resolves every neighbor — each distinct
+// remote neighbor is looked up on its owner exactly once — to a pre-resolved
+// (rank, remoteIndex) pair. Adjacency then lives in flat offset+target arrays
+// (the CSR layout of the high-performance graph literature) and iteration
+// values in dense []float64/[]uint64 arrays, so the kernels run with zero
+// map lookups and zero per-edge allocations.
 //
-//   - The map engine (the default and the ablation baseline) snapshots each
-//     rank's shard into map[VertexID][]VertexID adjacency and exchanges
-//     per-edge message structs through the collective layer's channel mail —
-//     simple, but every iteration pays hash lookups and allocations per
-//     edge, and its traffic bypasses the RMA fabric and its latency model.
-//
-//   - The dense CSR engine compacts the shard once per query: a collective
-//     index-exchange pass assigns every local vertex a dense int32 index
-//     (ascending VertexID order) and resolves every neighbor — each distinct
-//     remote neighbor is looked up on its owner exactly once — to a
-//     pre-resolved (rank, remoteIndex) pair. Adjacency then lives in flat
-//     offset+target arrays (the CSR layout of the high-performance graph
-//     literature) and iteration values in dense []float64/[]uint64 arrays,
-//     so the kernels run with zero map lookups and zero per-edge
-//     allocations.
-//
-// Dense-engine iteration traffic moves through a one-sided exchange
+// Iteration traffic moves through a one-sided exchange
 // (alltoallv) built on per-rank RMA inboxes: each rank's inbox segment is
 // statically partitioned into one slot per source, and a sender writes its
 // whole per-destination payload — however many messages it carries — as a
@@ -289,15 +270,13 @@
 // every rank scans its own unvisited vertices for a frontier neighbor.
 // BFSDense reports the push/pull split per traversal.
 //
-// The dense engine emits messages in exactly the map engine's order
-// (ascending dense index, holder record order within a vertex, incoming
-// chunks folded in source-rank order), so PageRank/CDLP/WCC/LCC results are
-// bit-identical across engines — golden equivalence tests enforce this —
-// while dense arrays additionally make dense PageRank run-to-run
-// deterministic (no map-iteration order in the sums). The AnalyticsAblation
-// benchmark gates the engine at ≥2x over the map baseline for
-// convergence-depth PageRank at 8 ranks under 1µs injected remote latency,
-// even though only the dense engine's exchange pays that latency.
+// The kernels emit messages in exactly the order of their straightforward
+// map-based formulation (ascending dense index, holder record order within a
+// vertex, incoming chunks folded in source-rank order), which the tests keep
+// as an oracle: PageRank/CDLP/WCC/LCC results are bit-identical to it, and
+// the dense arrays make PageRank run-to-run deterministic (no map-iteration
+// order in the sums). KHop, BI2 and the GNN layer are the OLSP side instead:
+// collective transactions that associate vertices through handles.
 //
 // # Live rebalancing
 //
@@ -460,51 +439,35 @@
 // race detector in CI; gdi-olap -htap reports cut-analytics wall time next
 // to the served QPS of a live LinkBench load.
 //
-// # Storage engine v2
+// # Holder wire format
 //
 // Holder chains — the per-vertex block streams everything above the block
-// store reads and writes — come in two wire formats, selected by
-// DatabaseParams.HolderCodec (ParseHolderCodec maps the -holder-codec CLI
-// flag). CodecV1, the default and the ablation baseline, is the fixed-width
-// format of the earlier tiers. CodecV2 keeps the 32-byte header, the block
-// table, the former-homes list, and the replica groups byte-identical to v1
-// — every consumer of those regions (SetTableEntry, RewriteAsReplica,
-// migration, failover) works on either format untouched — and re-encodes
-// the variable regions:
+// store reads and writes — share one wire format: a 32-byte header, the
+// block table, the former-homes list and the replica groups (the regions
+// SetTableEntry, RewriteAsReplica, migration and failover rewrite in place),
+// then the varint label/property entries, then the edge records as
+// delta+varint runs:
 //
-//   - Delta+varint edge runs. Maximal runs of consecutive edge records
-//     sharing (direction, weight class, label) collapse to one uvarint run
-//     header, the label, the first neighbor DPtr as an absolute uvarint, and
-//     zig-zag varint deltas between successors. Neighbors that land near
-//     each other — the common case under locality-aware placement, where
-//     co-resident DPtrs differ only in their offset bits — cost one or two
-//     bytes each instead of eight. Record order within the holder is
-//     insertion order, exactly as in v1, because edge UIDs index into it.
+//   - Maximal runs of consecutive edge records sharing (direction, weight
+//     class, label) collapse to one uvarint run header, the label, the first
+//     neighbor DPtr as an absolute uvarint, and zig-zag varint deltas
+//     between successors. Neighbors that land near each other — the common
+//     case under locality-aware placement, where co-resident DPtrs differ
+//     only in their offset bits — cost one or two bytes each instead of
+//     eight. Record order within the holder is insertion order, because edge
+//     UIDs index into it.
 //
-//   - Varint property entries and an inline flag for single-block holders:
-//     a holder whose whole stream fits its head block skips the chain walk
-//     entirely on the read path.
+//   - An inline flag marks single-block holders: a holder whose whole stream
+//     fits its head block skips the chain walk entirely on the read path.
 //
-// Decoding dispatches on a per-holder flag bit, never on the engine
-// setting, so a store written under either codec opens under the other and
-// mixed holders coexist indefinitely: the knob only selects the format of
-// new writes, and rewrites, migration, and replication fan-out converge
-// holders toward it. Cross-version compat tests keep a v1-seeded store
-// readable and writable under v2 (and vice versa) through migration and
-// kill-a-rank failover stress; the dense analytics golden tests hold
-// PageRank/BFS bit-identical across codecs.
-//
-// The read path is allocation-free in steady state for both codecs: point
-// reads run through a per-transaction ReadArena whose view decodes varints
-// in place from the fetched blocks — no materialized edge slices — and a CI
-// allocation guard asserts 0 allocs/op on the cached optimistic point-read
-// and ForEachNeighbor paths (outside -race builds, whose shadow allocations
-// would distort testing.AllocsPerRun). The CodecAblation benchmark gates
-// the tier on both axes at once — point-read + commit mix at 8 ranks under
-// 1µs injected remote latency with 64-byte blocks, v2 ≥1.4x v1 on wall time
-// AND ≥1.5x fewer bytes moved (measured ~1.6x and ~4x) — and the varint
-// run and whole-holder round-trip codecs are fuzzed (FuzzVarintEdgeRun,
-// FuzzHolderV2RoundTrip) with checked-in corpora.
+// The read path is allocation-free in steady state: point reads run through
+// a per-transaction ReadArena whose view decodes varints in place from the
+// fetched blocks — no materialized edge slices — and a CI allocation guard
+// asserts 0 allocs/op on the cached optimistic point-read and
+// ForEachNeighbor paths (outside -race builds, whose shadow allocations
+// would distort testing.AllocsPerRun). The varint run and whole-holder
+// round-trip codecs are fuzzed (FuzzVarintEdgeRun, FuzzHolderV2RoundTrip)
+// with checked-in corpora.
 //
 // # Fabric backends
 //
@@ -543,9 +506,9 @@
 // Graph data is serializable: transactions use per-vertex reader-writer
 // locks with bounded acquisition; contended transactions fail with
 // ErrTransactionCritical and must be restarted by the caller (this is what
-// the paper reports as the failed-transaction percentage). Read-only
-// transactions under OptimisticReads replace their read locks with
-// commit-time version validation (see above) and keep serializability.
+// the paper reports as the failed-transaction percentage). Local read-only
+// transactions replace read locks with commit-time version validation (see
+// above) and keep serializability.
 // Metadata and indexes are eventually consistent; write transactions that
 // race a metadata change detect staleness at commit and abort. Live
 // migration preserves all of this: a migration train holds the vertex's

@@ -75,9 +75,6 @@ type (
 	// TrafficSnapshot is a plain-value copy of one rank's one-sided traffic
 	// counters, as returned by Transport.CounterSnapshot/TotalSnapshot.
 	TrafficSnapshot = fabric.Snapshot
-	// HolderCodec selects the holder wire format (DatabaseParams.HolderCodec):
-	// CodecV1 or CodecV2. Parse flag values with ParseHolderCodec.
-	HolderCodec = holder.Codec
 )
 
 // Datatype values.
@@ -117,20 +114,6 @@ const (
 	MaskUndirected = core.MaskUndirected
 	MaskAll        = core.MaskAll
 )
-
-// Holder wire formats (DatabaseParams.HolderCodec).
-const (
-	// CodecV1 is the fixed-size holder format: 16-byte edge records, padded
-	// 8-byte-header entries. The default and the CodecAblation baseline.
-	CodecV1 = holder.CodecV1
-	// CodecV2 is the compressed holder format: delta+varint edge runs,
-	// varint entries, and an inline flag that lets single-block holders skip
-	// the chain walk. Same fixed header, table, and replica regions as v1.
-	CodecV2 = holder.CodecV2
-)
-
-// ParseHolderCodec parses a -holder-codec flag value ("v1", "v2").
-func ParseHolderCodec(s string) (HolderCodec, error) { return holder.ParseCodec(s) }
 
 // Transaction modes.
 const (
@@ -240,36 +223,13 @@ type DatabaseParams struct {
 	// LockTries bounds lock acquisition before a transaction-critical
 	// failure (default 64).
 	LockTries int
-	// ScalarCommit disables the batched write path — commit-time lock
-	// trains, vectored write-back, and group commit — so every lock word
-	// and dirty block pays its own remote round-trip at commit. Ablation
-	// and debugging only; leave false in production configurations.
-	ScalarCommit bool
-	// CacheBlocks gives every process a version-validated cache of remote
-	// block copies: repeated vertex-holder reads revalidate their cached
-	// blocks against the version counters embedded in the per-vertex lock
-	// words (one atomic-load train per owner rank) and skip the remote GET
-	// traffic entirely on a hit. Cache hit/miss counters are reported
-	// through the fabric's counter snapshots.
-	CacheBlocks bool
-	// CacheCapacity is the per-process cache size in blocks (default 8192);
-	// only meaningful with CacheBlocks.
+	// CacheCapacity is the size in blocks (default 8192) of every process's
+	// version-validated cache of remote block copies: repeated vertex-holder
+	// reads revalidate their cached blocks against the version counters
+	// embedded in the per-vertex lock words (one atomic-load train per owner
+	// rank) and skip the remote GET traffic entirely on a hit. Cache hit/miss
+	// counters are reported through the fabric's counter snapshots.
 	CacheCapacity int
-	// OptimisticReads switches local read-only transactions to the
-	// optimistic tier: no per-vertex read locks at all. Fetches are
-	// version-validated at read time, the (vertex, version) read set is
-	// revalidated with one atomic-load train per owner rank at Commit, and
-	// a moved version aborts the transaction with ErrTransactionCritical
-	// (the optimistic abort of §3.8). Pairs naturally with CacheBlocks.
-	OptimisticReads bool
-	// DenseAnalytics switches the iterative analytics kernels (BFS,
-	// PageRank, CDLP, WCC, LCC) to the dense CSR snapshot engine: flat
-	// offset+target adjacency arrays in a per-rank dense index space, bitmap
-	// frontiers with direction-optimizing (push/pull) BFS, and all iteration
-	// traffic routed through one-sided inbox PUT trains instead of the
-	// collective layer's channel mail. The map-based engine remains the
-	// default and serves as the AnalyticsAblation baseline.
-	DenseAnalytics bool
 	// ExchangeBytesPerRank sizes the one-sided exchange inbox per process
 	// (default 2 MiB); larger analytics rounds stream in sub-rounds.
 	ExchangeBytesPerRank int
@@ -299,13 +259,6 @@ type DatabaseParams struct {
 	// HTAPCutRetries bounds the validated-read loop of snapshot block reads
 	// (default 64); only meaningful with HTAPSnapshots.
 	HTAPCutRetries int
-	// HolderCodec selects the storage wire format holders are encoded with:
-	// CodecV1 (fixed-size edge records, the default and ablation baseline)
-	// or CodecV2 (delta+varint compressed edge runs, varint entries, inline
-	// single-block fast path). Reads auto-detect the format per holder, so
-	// mixed stores work and a running database converges to the configured
-	// codec as commits, migration, and replication rewrite holders.
-	HolderCodec HolderCodec
 }
 
 // Database is one distributed graph database. Multiple databases may
@@ -323,11 +276,7 @@ func (rt *Runtime) CreateDatabase(p DatabaseParams) *Database {
 		DHTBucketsPerRank:     p.IndexBucketsPerRank,
 		DHTEntriesPerRank:     p.IndexEntriesPerRank,
 		LockTries:             p.LockTries,
-		ScalarCommit:          p.ScalarCommit,
-		CacheBlocks:           p.CacheBlocks,
 		CacheCapacity:         p.CacheCapacity,
-		OptimisticReads:       p.OptimisticReads,
-		DenseAnalytics:        p.DenseAnalytics,
 		ExchangeBytesPerRank:  p.ExchangeBytesPerRank,
 		RebalanceHeatTracking: p.RebalanceHeatTracking,
 		RebalanceTopK:         p.RebalanceTopK,
@@ -336,7 +285,6 @@ func (rt *Runtime) CreateDatabase(p DatabaseParams) *Database {
 		RebalanceBatch:        p.RebalanceBatch,
 		HTAPSnapshots:         p.HTAPSnapshots,
 		HTAPCutRetries:        p.HTAPCutRetries,
-		HolderCodec:           p.HolderCodec,
 	})
 	return &Database{rt: rt, eng: eng}
 }

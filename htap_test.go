@@ -27,17 +27,15 @@ import (
 //     state (TestHTAPCoherenceStress, run under -race in CI).
 
 // htapGraph loads a deterministic Kronecker graph into a database with the
-// snapshot subsystem (and the dense analytics engine it feeds) enabled.
-func htapGraph(t *testing.T, ranks int, cfg kron.Config, optimistic bool) (*gdi.Runtime, *gdi.Database, *analytics.Graph) {
+// snapshot subsystem enabled.
+func htapGraph(t *testing.T, ranks int, cfg kron.Config) (*gdi.Runtime, *gdi.Database, *analytics.Graph) {
 	t.Helper()
 	cfg = cfg.WithDefaults()
 	rt := gdi.Init(ranks)
 	db := rt.CreateDatabase(gdi.DatabaseParams{
-		BlockSize:       512,
-		BlocksPerRank:   1 << 16,
-		DenseAnalytics:  true,
-		HTAPSnapshots:   true,
-		OptimisticReads: optimistic,
+		BlockSize:     512,
+		BlocksPerRank: 1 << 16,
+		HTAPSnapshots: true,
 	})
 	sch, err := kron.DefineSchema(db.Engine(), cfg)
 	if err != nil {
@@ -179,7 +177,7 @@ func htapWriter(db *gdi.Database, rank gdi.Rank, seed int64, ops int, base uint6
 func TestHTAPOpenRequiresKnob(t *testing.T) {
 	rt := gdi.Init(2)
 	defer rt.Finalize()
-	db := rt.CreateDatabase(gdi.DatabaseParams{BlockSize: 256, BlocksPerRank: 1 << 12, DenseAnalytics: true})
+	db := rt.CreateDatabase(gdi.DatabaseParams{BlockSize: 256, BlocksPerRank: 1 << 12})
 	g := &analytics.Graph{DB: db}
 	rt.Run(db, func(p *gdi.Process) {
 		if _, err := analytics.OpenHTAP(p, g); err == nil {
@@ -202,7 +200,7 @@ func TestHTAPCutStableUnderWrites(t *testing.T) {
 		iters   = 20
 	)
 	cfg := kron.Config{Scale: scale, EdgeFactor: 8, Seed: 7}
-	rt, db, g := htapGraph(t, ranks, cfg, false)
+	rt, db, g := htapGraph(t, ranks, cfg)
 	defer rt.Finalize()
 	nVerts := uint64(1) << scale
 
@@ -315,7 +313,7 @@ func TestHTAPCutStableUnderWrites(t *testing.T) {
 func TestHTAPFoldBitIdenticalToRebuild(t *testing.T) {
 	const ranks = 4
 	cfg := kron.Config{Scale: 7, EdgeFactor: 8, Seed: 11}
-	rt, db, g := htapGraph(t, ranks, cfg, false)
+	rt, db, g := htapGraph(t, ranks, cfg)
 	defer rt.Finalize()
 
 	var (
@@ -422,7 +420,7 @@ func TestHTAPFoldBitIdenticalToRebuild(t *testing.T) {
 func TestHTAPArenaLeakOnDrop(t *testing.T) {
 	const ranks = 4
 	cfg := kron.Config{Scale: 7, EdgeFactor: 8, Seed: 3}
-	rt, db, g := htapGraph(t, ranks, cfg, false)
+	rt, db, g := htapGraph(t, ranks, cfg)
 	defer rt.Finalize()
 
 	var (
@@ -501,7 +499,7 @@ func TestHTAPReplicatedCommitsUnderPinnedCut(t *testing.T) {
 		iters        = 15
 	)
 	cfg := kron.Config{Scale: scale, EdgeFactor: 8, Seed: 31}
-	rt, db, g := htapGraph(t, ranks, cfg, true)
+	rt, db, g := htapGraph(t, ranks, cfg)
 	defer rt.Finalize()
 
 	payload, err := db.DefinePType("replpayload", gdi.PTypeSpec{Datatype: gdi.TypeBytes})
@@ -733,7 +731,7 @@ func TestHTAPCoherenceStress(t *testing.T) {
 		rounds    = 3
 	)
 	cfg := kron.Config{Scale: scale, EdgeFactor: 8, Seed: 23}
-	rt, db, g := htapGraph(t, ranks, cfg, true)
+	rt, db, g := htapGraph(t, ranks, cfg)
 	defer rt.Finalize()
 	nVerts := uint64(1) << scale
 	initial := db.TotalVertices()

@@ -11,19 +11,18 @@
 // shard, and collective communication for the cross-process phases
 // (Table 2).
 //
-// The iterative kernels (BFS, PageRank, CDLP, WCC, LCC) additionally come in
-// a dense CSR variant (csr.go, dense.go) selected by
-// DatabaseParams.DenseAnalytics: index-compacted snapshots, bitmap frontiers
-// with direction-optimizing BFS, and all iteration traffic routed through
-// the one-sided exchange instead of the channel mail below. See the "Dense
-// analytics engine" section of the package gdi documentation.
+// The iterative kernels (BFS, PageRank, CDLP, WCC, LCC) run over dense CSR
+// snapshots of the local shard (csr.go, dense.go): index-compacted
+// adjacency, bitmap frontiers with direction-optimizing BFS, and all
+// iteration traffic routed through the one-sided exchange. KHop, BI2 and the
+// GNN layer are the paper's OLSP path instead: collective transactions that
+// associate vertices through handles and move messages with the collective
+// layer's all-to-all (exchange below).
 package analytics
 
 import (
 	"errors"
-	"fmt"
 	"math"
-	"sort"
 
 	gdi "github.com/gdi-go/gdi"
 	"github.com/gdi-go/gdi/internal/collective"
@@ -36,23 +35,11 @@ type Graph struct {
 	Schema kron.Schema
 }
 
-// vmsg is a vertex-addressed message: the exchange unit of the frontier/
-// value-propagation phases.
-type vmsg struct {
-	V   gdi.VertexID
-	Val uint64
-}
-
-type fmsg struct {
-	V   gdi.VertexID
-	Val float64
-}
-
 // exchange routes messages to the rank owning each target vertex with one
 // all-to-all (O(log P) + payload depth). Self-rank delivery is handed over
 // directly — the local bucket never enters the mailbox (Alltoall assigns the
 // self slot without a channel round-trip, and a single-rank exchange skips
-// the collective entirely). The dense engine's one-sided successor
+// the collective entirely). The dense kernels' one-sided exchange
 // (exchange.Round) short-circuits the self slot the same way, issuing zero
 // PUT trains for rank-local traffic.
 func exchange[T any](p *gdi.Process, buckets [][]T) []T {
@@ -67,203 +54,51 @@ func exchange[T any](p *gdi.Process, buckets [][]T) []T {
 	return out
 }
 
-// denseEngine reports whether this graph's database runs the CSR analytics
-// engine (DatabaseParams.DenseAnalytics).
-func denseEngine(g *Graph) bool { return g.DB.Engine().DenseAnalytics() }
-
 func bucketize[T any](n int) [][]T { return make([][]T, n) }
 
-// BFS runs a level-synchronous parallel breadth-first search from the
-// vertex with application ID rootApp over all edges (both directions, as
-// Graph500 treats the Kronecker graph). It returns the number of reached
-// vertices and the eccentricity on every rank.
-//
-// Each level's frontier is expanded through Transaction.AssociateVertices:
-// the whole frontier is fetched with vectored one-sided reads grouped by
-// owner rank, so under injected remote latency a level pays one round-trip
-// per owner rank instead of one per frontier vertex (§5.6).
-func BFS(p *gdi.Process, g *Graph, rootApp uint64) (visited int64, depth int, err error) {
-	if denseEngine(g) {
-		visited, depth, _, err = bfsDense(p, g, rootApp)
-		return visited, depth, err
-	}
-	return bfs(p, g, rootApp, true)
-}
-
-// BFSDense runs the direction-optimizing dense-engine BFS regardless of the
-// DenseAnalytics knob and additionally reports how many levels were expanded
-// top-down (push) versus bottom-up (pull).
-func BFSDense(p *gdi.Process, g *Graph, rootApp uint64) (visited int64, depth int, stats BFSStats, err error) {
-	return bfsDense(p, g, rootApp)
-}
-
-// BFSScalar is BFS with scalar frontier expansion — one blocking
-// AssociateVertex round-trip per frontier vertex. It exists as the baseline
-// of the batching ablation; use BFS.
-func BFSScalar(p *gdi.Process, g *Graph, rootApp uint64) (visited int64, depth int, err error) {
-	return bfs(p, g, rootApp, false)
-}
-
-func bfs(p *gdi.Process, g *Graph, rootApp uint64, batched bool) (visited int64, depth int, err error) {
-	tx := p.StartCollectiveTransaction(gdi.ReadOnly)
-	defer tx.Commit()
-
-	level := make(map[gdi.VertexID]int)
-	var frontier []gdi.VertexID
-	if int(p.Rank()) == int(p.Database().Engine().OwnerOf(rootApp)) {
-		root, terr := tx.TranslateVertexID(rootApp)
-		if terr != nil {
-			err = terr
-			// Fall through: the collective loop below must still run on all
-			// ranks; an empty frontier terminates it immediately.
-		} else {
-			frontier = []gdi.VertexID{root}
-		}
-	}
-	n := p.Size()
-	batch := make([]gdi.VertexID, 0, len(frontier))
-	for d := 0; ; d++ {
-		batch = batch[:0]
-		for _, v := range frontier {
-			if _, seen := level[v]; seen {
-				continue
-			}
-			level[v] = d
-			batch = append(batch, v)
-		}
-		local := int64(len(batch))
-		handles, aerr := associateFrontier(tx, batch, batched)
-		if aerr != nil {
-			err = aerr
-		}
-		buckets := bucketize[gdi.VertexID](n)
-		for _, h := range handles {
-			if h == nil {
-				continue
-			}
-			if eerr := h.ForEachNeighbor(gdi.MaskAll, func(nb gdi.VertexID) {
-				buckets[int(nb.Rank())] = append(buckets[int(nb.Rank())], nb)
-			}); eerr != nil {
-				err = eerr
-			}
-		}
-		incoming := exchange(p, buckets)
-		frontier = frontier[:0]
-		for _, v := range incoming {
-			if _, seen := level[v]; !seen {
-				frontier = append(frontier, v)
-			}
-		}
-		visited += local
-		total := p.AllreduceInt64(local)
-		if total == 0 {
-			visited = p.AllreduceInt64(visited)
-			return visited, d, err
-		}
-		depth = d
-	}
-}
-
-// BFSDirect runs a breadth-first traversal executed entirely by the calling
-// process through one-sided reads: every frontier holder — local or remote —
-// is fetched directly with AssociateVertices, one vectored read train per
-// owner rank and level. No other rank executes traversal code (they only
-// participate in the collective transaction's delimiting barriers), which is
-// the defining one-sided property of GDI-RMA and the access pattern of the
-// paper's OLSP k-hop queries (Figure 6e/6f). Collective: every rank must
-// call it, each with its own root; it returns that root's reached-vertex
-// count and eccentricity.
-func BFSDirect(p *gdi.Process, g *Graph, rootApp uint64) (visited int64, depth int, err error) {
-	return bfsDirect(p, g, rootApp, true)
-}
-
-// BFSDirectScalar is BFSDirect with scalar expansion — one blocking remote
-// round-trip per frontier vertex. It is the baseline of the batching
-// ablation; use BFSDirect.
-func BFSDirectScalar(p *gdi.Process, g *Graph, rootApp uint64) (visited int64, depth int, err error) {
-	return bfsDirect(p, g, rootApp, false)
-}
-
-func bfsDirect(p *gdi.Process, g *Graph, rootApp uint64, batched bool) (int64, int, error) {
-	tx := p.StartCollectiveTransaction(gdi.ReadOnly)
-	defer tx.Commit()
-	root, err := tx.TranslateVertexID(rootApp)
+// agreeOnError makes a rank-local failure inside a collective kernel
+// collective: one allgather of the error texts, after which every rank
+// returns the lowest failing rank's error (the error itself on that rank,
+// its text on the others), or nil when no rank failed. A kernel calls it
+// before the next collective step, so a failure never strands the other
+// ranks in a collective the failed rank has left.
+func agreeOnError(p *gdi.Process, err error) error {
+	msg := ""
 	if err != nil {
-		return 0, 0, err
+		msg = err.Error()
 	}
-	seen := map[gdi.VertexID]bool{root: true}
-	frontier := []gdi.VertexID{root}
-	var visited int64
-	depth := 0
-	for d := 0; len(frontier) > 0; d++ {
-		depth = d
-		visited += int64(len(frontier))
-		handles, err := associateFrontier(tx, frontier, batched)
-		if err != nil {
-			return 0, 0, err
-		}
-		var next []gdi.VertexID
-		for _, h := range handles {
-			if h == nil {
-				continue
-			}
-			if err := h.ForEachNeighbor(gdi.MaskAll, func(nb gdi.VertexID) {
-				if !seen[nb] {
-					seen[nb] = true
-					next = append(next, nb)
-				}
-			}); err != nil {
-				return 0, 0, err
-			}
-		}
-		frontier = next
-	}
-	return visited, depth, nil
-}
-
-// associateFrontier materializes handles for one frontier, either through
-// the batch entry point (one vectored fetch train per owner rank) or with
-// scalar blocking calls (the ablation baseline). Missing vertices yield nil
-// entries in both modes. With DatabaseParams.CacheBlocks the batch path
-// rides the version-validated block cache automatically: a frontier vertex
-// fetched by an earlier level (or an earlier query against the same
-// database) is revalidated with the per-rank stamp train and served locally
-// instead of paying another GET train.
-func associateFrontier(tx *gdi.Transaction, frontier []gdi.VertexID, batched bool) ([]*gdi.Vertex, error) {
-	if batched {
-		return tx.AssociateVertices(frontier)
-	}
-	handles := make([]*gdi.Vertex, len(frontier))
-	var firstErr error
-	for i, v := range frontier {
-		h, err := tx.AssociateVertex(v)
-		if err != nil {
-			// Match the batch contract: missing vertices yield nil entries,
-			// only transaction-level failures surface as errors.
-			if !errors.Is(err, gdi.ErrNotFound) && firstErr == nil {
-				firstErr = err
-			}
+	for _, m := range collective.Allgather(p.Comm(), p.Rank(), msg) {
+		if m == "" {
 			continue
 		}
-		handles[i] = h
+		if m == msg {
+			return err
+		}
+		return errors.New(m)
 	}
-	return handles, firstErr
+	return nil
 }
 
 // KHop counts the vertices within k hops of rootApp (the k-hop queries of
-// Figure 6e/6f).
+// Figure 6e/6f). Like BFS, a missing root reaches nothing and only its owner
+// rank reports ErrNotFound; a failure while expanding a ring is reported on
+// every rank.
 func KHop(p *gdi.Process, g *Graph, rootApp uint64, k int) (int64, error) {
 	tx := p.StartCollectiveTransaction(gdi.ReadOnly)
 	defer tx.Commit()
 
 	seen := make(map[gdi.VertexID]bool)
 	var frontier []gdi.VertexID
+	var rootErr error
 	if int(p.Rank()) == int(p.Database().Engine().OwnerOf(rootApp)) {
 		root, err := tx.TranslateVertexID(rootApp)
 		if err != nil {
-			return 0, err
+			// Fall through: the collective loop below must still run on all
+			// ranks; an empty frontier reaches nothing.
+			rootErr = err
+		} else {
+			frontier = []gdi.VertexID{root}
 		}
-		frontier = []gdi.VertexID{root}
 	}
 	n := p.Size()
 	var local int64
@@ -283,24 +118,18 @@ func KHop(p *gdi.Process, g *Graph, rootApp uint64, k int) (int64, error) {
 		}
 		// Expand the whole ring at once: one batched fetch train per owner
 		// rank instead of one blocking round-trip per vertex.
-		handles, err := tx.AssociateVertices(batch)
-		if err != nil {
-			return 0, err
-		}
 		buckets := bucketize[gdi.VertexID](n)
-		var ferr error
+		handles, err := tx.AssociateVertices(batch)
 		for _, h := range handles {
-			if h == nil {
+			if h == nil || err != nil {
 				continue
 			}
-			if err := h.ForEachNeighbor(gdi.MaskAll, func(nb gdi.VertexID) {
+			err = h.ForEachNeighbor(gdi.MaskAll, func(nb gdi.VertexID) {
 				buckets[int(nb.Rank())] = append(buckets[int(nb.Rank())], nb)
-			}); err != nil {
-				ferr = err
-			}
+			})
 		}
-		if ferr != nil {
-			return 0, ferr
+		if err := agreeOnError(p, err); err != nil {
+			return 0, err
 		}
 		incoming := exchange(p, buckets)
 		frontier = frontier[:0]
@@ -310,277 +139,7 @@ func KHop(p *gdi.Process, g *Graph, rootApp uint64, k int) (int64, error) {
 			}
 		}
 	}
-	return p.AllreduceInt64(local), nil
-}
-
-// localAdjacency snapshots the rank's shard: per-vertex out-neighbors and
-// all-neighbors (the one-time edge fetch all iterative algorithms share).
-type adjacency struct {
-	ids []gdi.VertexID
-	app map[gdi.VertexID]uint64
-	out map[gdi.VertexID][]gdi.VertexID
-	all map[gdi.VertexID][]gdi.VertexID
-}
-
-func loadAdjacency(p *gdi.Process, tx *gdi.Transaction) (*adjacency, error) {
-	a := &adjacency{
-		app: make(map[gdi.VertexID]uint64),
-		out: make(map[gdi.VertexID][]gdi.VertexID),
-		all: make(map[gdi.VertexID][]gdi.VertexID),
-	}
-	a.ids = p.LocalVertices()
-	sort.Slice(a.ids, func(i, j int) bool { return a.ids[i] < a.ids[j] })
-	// One batched association for the whole shard (every holder is local
-	// here, but the batch path also skips per-call flush overhead).
-	handles, err := tx.AssociateVertices(a.ids)
-	if err != nil {
-		return nil, err
-	}
-	for i, v := range a.ids {
-		h := handles[i]
-		if h == nil {
-			return nil, fmt.Errorf("analytics: local vertex %v disappeared", v)
-		}
-		a.app[v] = h.AppID()
-		edges, err := h.Edges(gdi.MaskAll, nil)
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range edges {
-			a.all[v] = append(a.all[v], e.Neighbor)
-			if e.Dir == gdi.DirOut || e.Dir == gdi.DirUndirected {
-				a.out[v] = append(a.out[v], e.Neighbor)
-			}
-		}
-	}
-	return a, nil
-}
-
-// PageRank runs iters iterations of damped PageRank over out-edges
-// (df = damping factor, the paper uses 0.85 and i=10). It returns the local
-// rank mass by appID and the global L1 norm (≈1).
-func PageRank(p *gdi.Process, g *Graph, iters int, df float64) (map[uint64]float64, float64, error) {
-	if denseEngine(g) {
-		return pageRankDense(p, g, iters, df)
-	}
-	tx := p.StartCollectiveTransaction(gdi.ReadOnly)
-	defer tx.Commit()
-	adj, err := loadAdjacency(p, tx)
-	if err != nil {
-		return nil, 0, err
-	}
-	nGlobal := float64(p.AllreduceInt64(int64(len(adj.ids))))
-	if nGlobal == 0 {
-		return nil, 0, fmt.Errorf("analytics: empty graph")
-	}
-	rank := make(map[gdi.VertexID]float64, len(adj.ids))
-	for _, v := range adj.ids {
-		rank[v] = 1 / nGlobal
-	}
-	n := p.Size()
-	for it := 0; it < iters; it++ {
-		buckets := bucketize[fmsg](n)
-		dangling := 0.0
-		for _, v := range adj.ids {
-			outs := adj.out[v]
-			if len(outs) == 0 {
-				dangling += rank[v]
-				continue
-			}
-			share := rank[v] / float64(len(outs))
-			for _, nb := range outs {
-				buckets[int(nb.Rank())] = append(buckets[int(nb.Rank())], fmsg{V: nb, Val: share})
-			}
-		}
-		incoming := exchange(p, buckets)
-		danglingAll := p.AllreduceFloat64(dangling)
-		base := (1-df)/nGlobal + df*danglingAll/nGlobal
-		next := make(map[gdi.VertexID]float64, len(adj.ids))
-		for _, v := range adj.ids {
-			next[v] = base
-		}
-		for _, m := range incoming {
-			next[m.V] += df * m.Val
-		}
-		rank = next
-	}
-	out := make(map[uint64]float64, len(adj.ids))
-	local := 0.0
-	for v, r := range rank {
-		out[adj.app[v]] = r
-		local += r
-	}
-	return out, p.AllreduceFloat64(local), nil
-}
-
-// CDLP runs iters rounds of synchronous community detection by label
-// propagation (Graphalytics semantics: adopt the smallest most-frequent
-// neighbor label; labels start as appIDs). Returns local appID → community.
-func CDLP(p *gdi.Process, g *Graph, iters int) (map[uint64]uint64, error) {
-	if denseEngine(g) {
-		return cdlpDense(p, g, iters)
-	}
-	tx := p.StartCollectiveTransaction(gdi.ReadOnly)
-	defer tx.Commit()
-	adj, err := loadAdjacency(p, tx)
-	if err != nil {
-		return nil, err
-	}
-	label := make(map[gdi.VertexID]uint64, len(adj.ids))
-	for _, v := range adj.ids {
-		label[v] = adj.app[v]
-	}
-	n := p.Size()
-	for it := 0; it < iters; it++ {
-		buckets := bucketize[vmsg](n)
-		for _, v := range adj.ids {
-			for _, nb := range adj.all[v] {
-				buckets[int(nb.Rank())] = append(buckets[int(nb.Rank())], vmsg{V: nb, Val: label[v]})
-			}
-		}
-		incoming := exchange(p, buckets)
-		counts := make(map[gdi.VertexID]map[uint64]int)
-		for _, m := range incoming {
-			c, ok := counts[m.V]
-			if !ok {
-				c = make(map[uint64]int)
-				counts[m.V] = c
-			}
-			c[m.Val]++
-		}
-		for _, v := range adj.ids {
-			c := counts[v]
-			if len(c) == 0 {
-				continue
-			}
-			best, bestCount := label[v], 0
-			first := true
-			for l, cnt := range c {
-				if cnt > bestCount || (cnt == bestCount && (first || l < best)) {
-					best, bestCount = l, cnt
-					first = false
-				}
-			}
-			label[v] = best
-		}
-	}
-	out := make(map[uint64]uint64, len(adj.ids))
-	for v, l := range label {
-		out[adj.app[v]] = l
-	}
-	return out, nil
-}
-
-// WCC computes weakly connected components by iterative minimum-appID
-// propagation until global convergence (bounded by maxIters; the paper
-// reports i=5 rounds on Kronecker graphs). Returns local appID → component
-// and the number of iterations executed.
-func WCC(p *gdi.Process, g *Graph, maxIters int) (map[uint64]uint64, int, error) {
-	if denseEngine(g) {
-		return wccDense(p, g, maxIters)
-	}
-	tx := p.StartCollectiveTransaction(gdi.ReadOnly)
-	defer tx.Commit()
-	adj, err := loadAdjacency(p, tx)
-	if err != nil {
-		return nil, 0, err
-	}
-	comp := make(map[gdi.VertexID]uint64, len(adj.ids))
-	for _, v := range adj.ids {
-		comp[v] = adj.app[v]
-	}
-	n := p.Size()
-	it := 0
-	for ; it < maxIters; it++ {
-		buckets := bucketize[vmsg](n)
-		for _, v := range adj.ids {
-			for _, nb := range adj.all[v] {
-				buckets[int(nb.Rank())] = append(buckets[int(nb.Rank())], vmsg{V: nb, Val: comp[v]})
-			}
-		}
-		incoming := exchange(p, buckets)
-		var changed int64
-		for _, m := range incoming {
-			if m.Val < comp[m.V] {
-				comp[m.V] = m.Val
-				changed++
-			}
-		}
-		if p.AllreduceInt64(changed) == 0 {
-			it++
-			break
-		}
-	}
-	out := make(map[uint64]uint64, len(adj.ids))
-	for v, c := range comp {
-		out[adj.app[v]] = c
-	}
-	return out, it, nil
-}
-
-// LCC computes the average local clustering coefficient. Neighbor
-// adjacency is read through GDI directly (remote holder fetches), the
-// communication-heavy pattern the paper attributes to LCC's O(n + m^{3/2})
-// cost.
-func LCC(p *gdi.Process, g *Graph) (float64, error) {
-	if denseEngine(g) {
-		return lccDense(p, g)
-	}
-	tx := p.StartCollectiveTransaction(gdi.ReadOnly)
-	defer tx.Commit()
-	adj, err := loadAdjacency(p, tx)
-	if err != nil {
-		return 0, err
-	}
-	localSum, localCnt := 0.0, int64(0)
-	for _, v := range adj.ids {
-		mine := make(map[gdi.VertexID]bool)
-		nbrs := make([]gdi.VertexID, 0, len(adj.all[v]))
-		for _, nb := range adj.all[v] {
-			if nb != v && !mine[nb] {
-				mine[nb] = true
-				nbrs = append(nbrs, nb)
-			}
-		}
-		deg := len(mine)
-		localCnt++
-		if deg < 2 {
-			continue
-		}
-		// Fetch the whole neighborhood in one batch: LCC is the paper's
-		// communication-heaviest kernel, and batching turns its per-neighbor
-		// remote fetches into one vectored train per owner rank.
-		handles, err := tx.AssociateVertices(nbrs)
-		if err != nil {
-			return 0, err
-		}
-		links := 0
-		for i, nb := range nbrs {
-			h := handles[i]
-			if h == nil {
-				return 0, fmt.Errorf("analytics: neighbor %v disappeared", nb)
-			}
-			seen := make(map[gdi.VertexID]bool, h.Degree())
-			if err := h.ForEachNeighbor(gdi.MaskAll, func(x gdi.VertexID) {
-				if x == nb || seen[x] {
-					return
-				}
-				seen[x] = true
-				if mine[x] {
-					links++
-				}
-			}); err != nil {
-				return 0, err
-			}
-		}
-		localSum += float64(links) / float64(deg*(deg-1))
-	}
-	sum := p.AllreduceFloat64(localSum)
-	cnt := p.AllreduceInt64(localCnt)
-	if cnt == 0 {
-		return 0, nil
-	}
-	return sum / float64(cnt), nil
+	return p.AllreduceInt64(local), rootErr
 }
 
 // BI2 is the business-intelligence aggregation of Figure 6b (modeled on

@@ -1,9 +1,12 @@
 package analytics
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	gdi "github.com/gdi-go/gdi"
 	"github.com/gdi-go/gdi/internal/baseline/graph500"
@@ -44,62 +47,35 @@ func testGraph(t *testing.T, ranks int, cfg kron.Config) (*gdi.Runtime, *Graph) 
 
 var smallCfg = kron.Config{Scale: 7, EdgeFactor: 8, Seed: 42, NumLabels: 5, NumProps: 4}
 
+// TestBFSMatchesGraph500 holds BFS to the Graph500 reference from several
+// roots: every rank must report the reference's visited count and its number
+// of levels.
 func TestBFSMatchesGraph500(t *testing.T) {
+	csr := kron.BuildCSR(smallCfg.WithDefaults())
 	for _, ranks := range []int{1, 4} {
-		rt, g := testGraph(t, ranks, smallCfg)
-		csr := kron.BuildCSR(smallCfg.WithDefaults())
-		wantVisited := graph500.Visited(graph500.BFS(csr, 0, 0))
-
-		var visited int64
-		var mu sync.Mutex
-		rt.Run(g.DB, func(p *gdi.Process) {
-			v, _, err := BFS(p, g, 0)
-			if err != nil {
-				t.Error(err)
-				return
+		t.Run(fmt.Sprintf("ranks=%d", ranks), func(t *testing.T) {
+			rt, g := testGraph(t, ranks, smallCfg)
+			for root := uint64(0); root < 4; root++ {
+				t.Run(fmt.Sprintf("root=%d", root), func(t *testing.T) {
+					levels := graph500.BFS(csr, root, 0)
+					wantDepth := 0
+					for _, l := range levels {
+						wantDepth = max(wantDepth, int(l)+1)
+					}
+					rt.Run(g.DB, func(p *gdi.Process) {
+						visited, depth, err := BFS(p, g, root)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if int(visited) != graph500.Visited(levels) || depth != wantDepth {
+							t.Errorf("rank %d: BFS = (%d visited, %d levels), Graph500 (%d, %d)",
+								p.Rank(), visited, depth, graph500.Visited(levels), wantDepth)
+						}
+					})
+				})
 			}
-			mu.Lock()
-			visited = v
-			mu.Unlock()
 		})
-		if int(visited) != wantVisited {
-			t.Fatalf("ranks=%d: GDI BFS visited %d, Graph500 %d", ranks, visited, wantVisited)
-		}
-	}
-}
-
-// TestBFSDirectMatchesGraph500 checks the one-sided traversal (and its
-// scalar ablation baseline) against the Graph500 oracle: every rank
-// traverses independently from its own root and must see exactly the
-// reference reached-vertex count.
-func TestBFSDirectMatchesGraph500(t *testing.T) {
-	for _, ranks := range []int{1, 4} {
-		rt, g := testGraph(t, ranks, smallCfg)
-		csr := kron.BuildCSR(smallCfg.WithDefaults())
-		for name, bfs := range map[string]func(*gdi.Process, *Graph, uint64) (int64, int, error){
-			"batched": BFSDirect, "scalar": BFSDirectScalar,
-		} {
-			var mu sync.Mutex
-			failed := false
-			rt.Run(g.DB, func(p *gdi.Process) {
-				root := uint64(p.Rank())
-				want := int64(graph500.Visited(graph500.BFS(csr, root, 0)))
-				got, _, err := bfs(p, g, root)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if got != want {
-					mu.Lock()
-					failed = true
-					mu.Unlock()
-					t.Errorf("%s ranks=%d root=%d: visited %d, want %d", name, ranks, root, got, want)
-				}
-			})
-			if failed {
-				return
-			}
-		}
 	}
 }
 
@@ -473,4 +449,34 @@ func TestBFSFromMissingRootTerminates(t *testing.T) {
 			t.Errorf("BFS from missing root visited %d", visited)
 		}
 	})
+}
+
+// TestKHopFromMissingRootTerminates: the owner of a missing root must keep
+// taking part in the level loop's collectives, or every other rank waits in
+// them forever. A regression is a hang, so the ranks run under a deadline.
+func TestKHopFromMissingRootTerminates(t *testing.T) {
+	rt, g := testGraph(t, 2, kron.Config{Scale: 4, EdgeFactor: 2, Seed: 1, NumLabels: 2, NumProps: 1})
+	const missing = 1 << 40
+	owner := g.DB.Engine().OwnerOf(missing)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rt.Run(g.DB, func(p *gdi.Process) {
+			n, err := KHop(p, g, missing, 2)
+			if n != 0 {
+				t.Errorf("rank %d: KHop from a missing root counted %d", p.Rank(), n)
+			}
+			if p.Rank() == owner && !errors.Is(err, gdi.ErrNotFound) {
+				t.Errorf("owner rank error = %v, want ErrNotFound", err)
+			}
+			if p.Rank() != owner && err != nil {
+				t.Errorf("rank %d: %v", p.Rank(), err)
+			}
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("KHop from a missing root did not return on every rank")
+	}
 }

@@ -30,8 +30,8 @@ func (t target) packed() uint64 { return uint64(uint32(t.rank))<<32 | uint64(uin
 // and all-neighbor lists as flat offset+target arrays — the CSR layout
 // "Demystifying Graph Databases" identifies as the canonical
 // high-performance adjacency organization. Edge targets preserve holder
-// record order, so the dense kernels emit messages in exactly the order the
-// map engine does (bit-identical floating-point results).
+// record order, so the kernels emit messages in exactly the order of their
+// map-based reference formulation (bit-identical floating-point results).
 type csr struct {
 	me     int32
 	nRanks int

@@ -8,19 +8,19 @@ import (
 	gdi "github.com/gdi-go/gdi"
 )
 
-// This file implements the dense CSR analytics engine
-// (DatabaseParams.DenseAnalytics): the iterative kernels rebuilt over the
-// index-compacted snapshot of csr.go. Values live in flat arrays indexed by
-// dense vertex index, messages are little-endian records in reusable
-// per-destination byte buffers, and every exchange is exactly one PUT train
-// per destination rank and round through the one-sided exchange — no map
-// lookups and no per-edge allocations anywhere on the iteration path.
+// This file implements the iterative kernels over the index-compacted
+// snapshot of csr.go. Values live in flat arrays indexed by dense vertex
+// index, messages are little-endian records in reusable per-destination byte
+// buffers, and every exchange is exactly one PUT train per destination rank
+// and round through the one-sided exchange — no map lookups and no per-edge
+// allocations anywhere on the iteration path.
 //
-// Message emission order deliberately mirrors the map engine (ascending
-// dense index = ascending VertexID, holder record order within a vertex,
-// incoming chunks folded in source-rank order), so floating-point kernels
-// produce bit-identical per-vertex results; the golden equivalence tests
-// hold both engines to that.
+// Message emission order deliberately mirrors the straightforward map-based
+// formulation of each kernel (ascending dense index = ascending VertexID,
+// holder record order within a vertex, incoming chunks folded in
+// source-rank order), so floating-point kernels produce bit-identical
+// per-vertex results; the golden equivalence tests hold the kernels to the
+// map-based reference versions they keep as oracles.
 
 // BFSStats reports how a direction-optimizing BFS traversed: how many
 // levels expanded top-down (push) versus bottom-up (pull).
@@ -36,13 +36,26 @@ type BFSStats struct {
 // heuristic on vertex counts).
 const bfsPullAlpha = 4
 
-// bfsDense is the direction-optimizing breadth-first search over bitmap
-// frontiers in the dense index space. Push levels route frontier segments
-// (dense indices, deduplicated per destination with a bitmap) through the
-// exchange; pull levels broadcast the claimed-frontier bitmap and let every
-// rank scan its own unvisited vertices for a frontier neighbor. The return
-// contract matches the map engine's BFS exactly.
-func bfsDense(p *gdi.Process, g *Graph, rootApp uint64) (int64, int, BFSStats, error) {
+// BFS runs a level-synchronous parallel breadth-first search from the
+// vertex with application ID rootApp over all edges (both directions, as
+// Graph500 treats the Kronecker graph). It returns the number of reached
+// vertices and the eccentricity on every rank; a missing root reaches
+// nothing, and only its owner rank reports ErrNotFound.
+func BFS(p *gdi.Process, g *Graph, rootApp uint64) (visited int64, depth int, err error) {
+	visited, depth, _, err = BFSDense(p, g, rootApp)
+	return visited, depth, err
+}
+
+// BFSDense is BFS that also reports how many levels were expanded top-down
+// (push) versus bottom-up (pull). The name is kept because the benchmark
+// module calls it.
+//
+// It is a direction-optimizing breadth-first search over bitmap frontiers in
+// the dense index space. Push levels route frontier segments (dense indices,
+// deduplicated per destination with a bitmap) through the exchange; pull
+// levels broadcast the claimed-frontier bitmap and let every rank scan its
+// own unvisited vertices for a frontier neighbor.
+func BFSDense(p *gdi.Process, g *Graph, rootApp uint64) (int64, int, BFSStats, error) {
 	tx := p.StartCollectiveTransaction(gdi.ReadOnly)
 	defer tx.Commit()
 	c, err := buildCSR(p, tx)
@@ -54,8 +67,8 @@ func bfsDense(p *gdi.Process, g *Graph, rootApp uint64) (int64, int, BFSStats, e
 	if int(c.me) == int(p.Database().Engine().OwnerOf(rootApp)) {
 		root, terr := tx.TranslateVertexID(rootApp)
 		if terr != nil {
-			// Match the map engine: record the error but keep running the
-			// collective loop; an empty frontier terminates it immediately.
+			// Record the error but keep running the collective loop; an
+			// empty frontier terminates it immediately.
 			firstErr = terr
 		} else if ix, ok := c.idx[root]; ok {
 			rootIdx = ix
@@ -188,10 +201,12 @@ func bfsOverCSR(p *gdi.Process, c *csr, rootIdx int32, firstErr error) (int64, i
 	}
 }
 
-// pageRankDense is damped PageRank over the CSR snapshot: dense []float64
-// mass arrays, rank-mass messages as (index, share) records, one PUT train
-// per owner rank and iteration.
-func pageRankDense(p *gdi.Process, g *Graph, iters int, df float64) (map[uint64]float64, float64, error) {
+// PageRank runs iters iterations of damped PageRank over out-edges
+// (df = damping factor, the paper uses 0.85 and i=10). It returns the local
+// rank mass by appID and the global L1 norm (≈1). Dense []float64 mass
+// arrays, rank-mass messages as (index, share) records, one PUT train per
+// owner rank and iteration.
+func PageRank(p *gdi.Process, g *Graph, iters int, df float64) (map[uint64]float64, float64, error) {
 	tx := p.StartCollectiveTransaction(gdi.ReadOnly)
 	defer tx.Commit()
 	c, err := buildCSR(p, tx)
@@ -255,12 +270,13 @@ func pageRankOverCSR(p *gdi.Process, c *csr, iters int, df float64) (map[uint64]
 	return out, p.AllreduceFloat64(local), nil
 }
 
-// cdlpDense is synchronous label propagation over the CSR snapshot. Incoming
-// labels are grouped per destination index with a counting sort into
-// reusable flat arrays, each group sorted ascending, and the smallest
-// most-frequent label adopted — the same Graphalytics rule, without the
-// per-vertex frequency maps.
-func cdlpDense(p *gdi.Process, g *Graph, iters int) (map[uint64]uint64, error) {
+// CDLP runs iters rounds of synchronous community detection by label
+// propagation (Graphalytics semantics: adopt the smallest most-frequent
+// neighbor label; labels start as appIDs). Returns local appID → community.
+// Incoming labels are grouped per destination index with a counting sort
+// into reusable flat arrays, each group sorted ascending, and the smallest
+// most-frequent label adopted — without per-vertex frequency maps.
+func CDLP(p *gdi.Process, g *Graph, iters int) (map[uint64]uint64, error) {
 	tx := p.StartCollectiveTransaction(gdi.ReadOnly)
 	defer tx.Commit()
 	c, err := buildCSR(p, tx)
@@ -339,10 +355,11 @@ func cdlpDense(p *gdi.Process, g *Graph, iters int) (map[uint64]uint64, error) {
 	return out, nil
 }
 
-// wccDense is minimum-label propagation over the CSR snapshot until global
-// convergence, dense []uint64 component array, same iteration count as the
-// map engine.
-func wccDense(p *gdi.Process, g *Graph, maxIters int) (map[uint64]uint64, int, error) {
+// WCC computes weakly connected components by iterative minimum-appID
+// propagation until global convergence (bounded by maxIters; the paper
+// reports i=5 rounds on Kronecker graphs). Returns local appID → component
+// and the number of iterations executed.
+func WCC(p *gdi.Process, g *Graph, maxIters int) (map[uint64]uint64, int, error) {
 	tx := p.StartCollectiveTransaction(gdi.ReadOnly)
 	defer tx.Commit()
 	c, err := buildCSR(p, tx)
@@ -386,12 +403,13 @@ func wccDense(p *gdi.Process, g *Graph, maxIters int) (map[uint64]uint64, int, e
 	return out, it, nil
 }
 
-// lccDense computes the average local clustering coefficient over the CSR
-// snapshot with exactly two exchange rounds for the whole rank: a request
-// round shipping each vertex's sorted deduplicated neighbor set to every
-// neighbor's owner, and a reply round carrying one intersection count per
-// request — instead of the map engine's per-vertex remote holder fetches.
-func lccDense(p *gdi.Process, g *Graph) (float64, error) {
+// LCC computes the average local clustering coefficient — the kernel the
+// paper prices at O(n + m^{3/2}) — with exactly two exchange rounds for the
+// whole rank: a request round shipping each vertex's sorted deduplicated
+// neighbor set to every neighbor's owner, and a reply round carrying one
+// intersection count per request, instead of per-vertex remote holder
+// fetches.
+func LCC(p *gdi.Process, g *Graph) (float64, error) {
 	tx := p.StartCollectiveTransaction(gdi.ReadOnly)
 	defer tx.Commit()
 	c, err := buildCSR(p, tx)

@@ -12,47 +12,12 @@ import (
 	"github.com/gdi-go/gdi/internal/kron"
 )
 
-// testGraphDense loads the same deterministic Kronecker LPG as testGraph,
-// with the dense CSR analytics engine switched on or off.
-func testGraphDense(t *testing.T, ranks int, cfg kron.Config, dense bool) (*gdi.Runtime, *Graph) {
-	t.Helper()
-	cfg = cfg.WithDefaults()
-	rt := gdi.Init(ranks)
-	db := rt.CreateDatabase(gdi.DatabaseParams{
-		BlockSize: 512, BlocksPerRank: 1 << 16, DenseAnalytics: dense,
-	})
-	sch, err := kron.DefineSchema(db.Engine(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var loadErr error
-	var mu sync.Mutex
-	rt.Run(db, func(p *gdi.Process) {
-		n := p.Size()
-		if err := p.BulkLoadVertices(kron.VerticesFor(cfg, sch, int(p.Rank()), n)); err != nil {
-			mu.Lock()
-			loadErr = err
-			mu.Unlock()
-			return
-		}
-		if err := p.BulkLoadEdges(kron.EdgesFor(cfg, sch, int(p.Rank()), n)); err != nil {
-			mu.Lock()
-			loadErr = err
-			mu.Unlock()
-		}
-	})
-	if loadErr != nil {
-		t.Fatal(loadErr)
-	}
-	return rt, &Graph{DB: db, Schema: sch}
-}
-
 // customGraph bulk-loads an explicit edge list (rank 0 contributes all
-// specs) into a database with the dense engine enabled.
+// specs) into a fresh database.
 func customGraph(t *testing.T, ranks int, nVerts uint64, edges []gdi.EdgeSpec) (*gdi.Runtime, *Graph) {
 	t.Helper()
 	rt := gdi.Init(ranks)
-	db := rt.CreateDatabase(gdi.DatabaseParams{BlocksPerRank: 1 << 14, DenseAnalytics: true})
+	db := rt.CreateDatabase(gdi.DatabaseParams{BlocksPerRank: 1 << 14})
 	label, err := db.DefineLabel("L")
 	if err != nil {
 		t.Fatal(err)
@@ -95,11 +60,22 @@ func mergeMaps[K comparable, V any](mu *sync.Mutex, dst map[K]V, src map[K]V) {
 	}
 }
 
-// TestDenseGoldenEquivalence holds the dense CSR engine to bit-identical
-// results against the map engine on the same graph: PageRank mass per
-// vertex, CDLP labels, WCC components and iteration count, the LCC average,
-// and BFS visited count and depth.
+// TestDenseGoldenEquivalence holds the dense CSR kernels to bit-identical
+// results against the map-based oracles (oracle_test.go) on the same graph:
+// PageRank mass per vertex, CDLP labels, WCC components and iteration count,
+// the LCC average, and BFS visited count and depth.
 func TestDenseGoldenEquivalence(t *testing.T) {
+	type kernels struct {
+		pageRank func(*gdi.Process, *Graph, int, float64) (map[uint64]float64, float64, error)
+		cdlp     func(*gdi.Process, *Graph, int) (map[uint64]uint64, error)
+		wcc      func(*gdi.Process, *Graph, int) (map[uint64]uint64, int, error)
+		lcc      func(*gdi.Process, *Graph) (float64, error)
+		bfs      func(*gdi.Process, *Graph, uint64) (int64, int, error)
+	}
+	engines := map[bool]kernels{
+		false: {pageRankMap, cdlpMap, wccMap, lccMap, bfsMap},
+		true:  {PageRank, CDLP, WCC, LCC, BFS},
+	}
 	for _, ranks := range []int{1, 4} {
 		type result struct {
 			pr      map[uint64]float64
@@ -111,9 +87,10 @@ func TestDenseGoldenEquivalence(t *testing.T) {
 			visited int64
 			depth   int
 		}
+		rt, g := testGraph(t, ranks, smallCfg)
 		results := make(map[bool]*result)
 		for _, dense := range []bool{false, true} {
-			rt, g := testGraphDense(t, ranks, smallCfg, dense)
+			k := engines[dense]
 			res := &result{
 				pr:   make(map[uint64]float64),
 				cdlp: make(map[uint64]uint64),
@@ -122,27 +99,27 @@ func TestDenseGoldenEquivalence(t *testing.T) {
 			results[dense] = res
 			var mu sync.Mutex
 			rt.Run(g.DB, func(p *gdi.Process) {
-				pr, norm, err := PageRank(p, g, 5, 0.85)
+				pr, norm, err := k.pageRank(p, g, 5, 0.85)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				cd, err := CDLP(p, g, 5)
+				cd, err := k.cdlp(p, g, 5)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				wc, its, err := WCC(p, g, 1000)
+				wc, its, err := k.wcc(p, g, 1000)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				lcc, err := LCC(p, g)
+				lcc, err := k.lcc(p, g)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				visited, depth, err := BFS(p, g, 0)
+				visited, depth, err := k.bfs(p, g, 0)
 				if err != nil {
 					t.Error(err)
 					return
@@ -191,11 +168,11 @@ func TestDenseGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestDenseBFSDirectionSwitch drives the direction-optimizing heuristic
+// TestDenseBFSPushPullSwitch drives the direction-optimizing heuristic
 // through both phases on a two-tier graph: a sparse root level (push), a
 // dense middle level covering most of the graph (pull), whose expansion must
 // still discover the leaf tier.
-func TestDenseBFSDirectionSwitch(t *testing.T) {
+func TestDenseBFSPushPullSwitch(t *testing.T) {
 	const nVerts = 64
 	var edges []gdi.EdgeSpec
 	// Root 0 fans out to 1..47 (the dense frontier), vertex 1 reaches the
@@ -230,7 +207,7 @@ func TestDenseBFSDirectionSwitch(t *testing.T) {
 // whole graph, and undirected edges traversed in both directions.
 func TestDenseBFSEdgeCases(t *testing.T) {
 	t.Run("missing-root", func(t *testing.T) {
-		rt, g := testGraphDense(t, 2, kron.Config{Scale: 4, EdgeFactor: 2, Seed: 1, NumLabels: 2, NumProps: 1}, true)
+		rt, g := testGraph(t, 2, kron.Config{Scale: 4, EdgeFactor: 2, Seed: 1, NumLabels: 2, NumProps: 1})
 		rt.Run(g.DB, func(p *gdi.Process) {
 			visited, depth, _, err := BFSDense(p, g, 1<<40)
 			if visited != 0 || depth != 0 {
@@ -317,10 +294,10 @@ func TestDenseBFSEdgeCases(t *testing.T) {
 
 // TestDensePageRankDeterministic: two independent runs of dense PageRank at
 // the same seed must be diff-clean to the last bit — the dense arrays remove
-// the map-iteration nondeterminism of the old engine.
+// the map-iteration nondeterminism of the map-based formulation.
 func TestDensePageRankDeterministic(t *testing.T) {
 	dump := func() string {
-		rt, g := testGraphDense(t, 4, smallCfg, true)
+		rt, g := testGraph(t, 4, smallCfg)
 		got := make(map[uint64]float64)
 		var mu sync.Mutex
 		var norm float64

@@ -222,7 +222,7 @@ func (s *HTAPSession) Drop() { s.cut.Release() }
 func (s *HTAPSession) Cut() *snapshot.Cut { return s.cut }
 
 // PageRank runs damped PageRank over the session's cut-sourced CSR.
-// Collective; bit-identical to the dense engine on a quiesced database.
+// Collective; bit-identical to PageRank on a quiesced database.
 func (s *HTAPSession) PageRank(iters int, df float64) (map[uint64]float64, float64, error) {
 	return pageRankOverCSR(s.p, s.c, iters, df)
 }

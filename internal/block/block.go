@@ -93,7 +93,8 @@ type Config struct {
 	// CacheBlocks, when positive, gives every rank a version-validated
 	// cache of that many remote block copies, served by the stamped read
 	// protocol (ReadBlocksStamped and the ReadBlocksCached wrapper) and
-	// revalidated against the guard lock words' version stamps.
+	// revalidated against the guard lock words' version stamps. (A capacity,
+	// not a switch; the name stays because the benchmark module sets it.)
 	CacheBlocks int
 }
 

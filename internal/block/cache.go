@@ -116,9 +116,6 @@ func (s *Store) cacheOf(origin fabric.Rank) *blockCache {
 	return s.caches[origin]
 }
 
-// CacheEnabled reports whether the store runs with a block cache.
-func (s *Store) CacheEnabled() bool { return s.caches != nil }
-
 // CacheLen returns the number of entries in rank r's cache (diagnostics and
 // tests).
 func (s *Store) CacheLen(r fabric.Rank) int {

@@ -189,23 +189,23 @@ func (pc *PropCond) eval(props []lpg.Property) bool {
 }
 
 // EvalEntries evaluates the constraint in place on an encoded label/property
-// entry region (the formats of lpg.IterEntries): the answer Eval gives on the
+// entry region (the format of lpg.IterEntries): the answer Eval gives on the
 // region's decoded labels and properties, without materializing either — the
 // form a frontier expansion filters thousands of holders with. The region is
 // validated first, so a malformed one is an error, never a partial answer.
 // A nil constraint matches everything.
-func (c *Constraint) EvalEntries(region []byte, varint bool) (bool, error) {
+func (c *Constraint) EvalEntries(region []byte) (bool, error) {
 	if c == nil {
 		return true, nil
 	}
-	it := lpg.IterEntries(region, varint)
+	it := lpg.IterEntries(region)
 	for {
 		id, payload, ok := it.Next()
 		if !ok {
 			break
 		}
 		if id == lpg.IDLabel {
-			if _, ok := lpg.EntryLabel(payload, varint); !ok {
+			if _, ok := lpg.EntryLabel(payload); !ok {
 				return false, fmt.Errorf("constraint: malformed label entry payload of %d bytes", len(payload))
 			}
 		}
@@ -214,7 +214,7 @@ func (c *Constraint) EvalEntries(region []byte, varint bool) (bool, error) {
 		return false, err
 	}
 	for i := range c.Subs {
-		if c.Subs[i].evalEntries(region, varint) {
+		if c.Subs[i].evalEntries(region) {
 			return true, nil
 		}
 	}
@@ -223,13 +223,13 @@ func (c *Constraint) EvalEntries(region []byte, varint bool) (bool, error) {
 
 // evalEntries is eval over a validated entry region: one in-place scan per
 // condition, stopping at the first entry that decides it.
-func (sub *Subconstraint) evalEntries(region []byte, varint bool) bool {
+func (sub *Subconstraint) evalEntries(region []byte) bool {
 	for _, lc := range sub.Labels {
 		has := false
-		it := lpg.IterEntries(region, varint)
+		it := lpg.IterEntries(region)
 		for id, payload, ok := it.Next(); ok && !has; id, payload, ok = it.Next() {
 			if id == lpg.IDLabel {
-				l, _ := lpg.EntryLabel(payload, varint)
+				l, _ := lpg.EntryLabel(payload)
 				has = l == lc.Label
 			}
 		}
@@ -240,7 +240,7 @@ func (sub *Subconstraint) evalEntries(region []byte, varint bool) bool {
 	for i := range sub.Props {
 		pc := &sub.Props[i]
 		match := false
-		it := lpg.IterEntries(region, varint)
+		it := lpg.IterEntries(region)
 		for id, payload, ok := it.Next(); ok && !match; id, payload, ok = it.Next() {
 			if id != lpg.IDLabel && lpg.PTypeID(id) == pc.PType {
 				match = pc.Op == OpExists || compare(pc.Datatype, pc.Op, payload, pc.Operand)

@@ -236,16 +236,10 @@ func TestAgainstBruteForce(t *testing.T) {
 		if got := c.Eval(labels, ps); got != want {
 			t.Fatalf("trial %d: Eval = %v, want %v for %s on labels=%v age=%d", trial, got, want, c, labels, age)
 		}
-		// The in-place evaluator must agree on both entry wire formats.
-		for _, varint := range []bool{false, true} {
-			region := lpg.EncodeEntries(labels, ps)
-			if varint {
-				region = lpg.EncodeEntriesVar(labels, ps)
-			}
-			if got, err := c.EvalEntries(region, varint); err != nil || got != want {
-				t.Fatalf("trial %d: EvalEntries(varint=%v) = %v, %v, want %v for %s on labels=%v age=%d",
-					trial, varint, got, err, want, c, labels, age)
-			}
+		// The in-place evaluator must agree with Eval.
+		if got, err := c.EvalEntries(lpg.EncodeEntries(labels, ps)); err != nil || got != want {
+			t.Fatalf("trial %d: EvalEntries = %v, %v, want %v for %s on labels=%v age=%d",
+				trial, got, err, want, c, labels, age)
 		}
 	}
 }
@@ -260,32 +254,20 @@ func TestEvalEntriesRejectsMalformedRegions(t *testing.T) {
 	ps := []lpg.Property{{PType: pAge, Value: lpg.EncodeUint64(7)}, {PType: pName, Value: []byte("x")}}
 	labels := []lpg.LabelID{16}
 
-	for _, varint := range []bool{false, true} {
-		region := lpg.EncodeEntries(labels, ps)
-		if varint {
-			region = lpg.EncodeEntriesVar(labels, ps)
-		}
-		if ok, err := c.EvalEntries(region, varint); err != nil || !ok {
-			t.Fatalf("varint=%v: intact region = %v, %v, want match", varint, ok, err)
-		}
-		if ok, err := (*Constraint)(nil).EvalEntries(region[:3], varint); err != nil || !ok {
-			t.Fatalf("varint=%v: nil constraint = %v, %v, want match without looking", varint, ok, err)
-		}
+	region := lpg.EncodeEntries(labels, ps)
+	if ok, err := c.EvalEntries(region); err != nil || !ok {
+		t.Fatalf("intact region = %v, %v, want match", ok, err)
 	}
-	// Varint: a truncated last entry. Fixed: a size field running past the
-	// buffer (a cut without a terminator is just the end of the region).
-	v2 := lpg.EncodeEntriesVar(labels, ps)
-	if ok, err := c.EvalEntries(v2[:len(v2)-1], true); err == nil || ok {
-		t.Fatalf("truncated varint region = %v, %v, want an error", ok, err)
+	if ok, err := (*Constraint)(nil).EvalEntries(region[:3]); err != nil || !ok {
+		t.Fatalf("nil constraint = %v, %v, want match without looking", ok, err)
 	}
-	v1 := lpg.EncodeEntries(labels, ps)
-	v1[len(v1)-lpg.EndEntrySize-lpg.EntrySize(1)+4] = 0xff // the name entry's size
-	if ok, err := c.EvalEntries(v1, false); err == nil || ok {
-		t.Fatalf("fixed region with an oversized entry = %v, %v, want an error", ok, err)
+	// A truncated last entry.
+	if ok, err := c.EvalEntries(region[:len(region)-1]); err == nil || ok {
+		t.Fatalf("truncated region = %v, %v, want an error", ok, err)
 	}
 	// A label entry whose payload is not a label.
-	bad := lpg.AppendEntryVar(nil, lpg.IDLabel, []byte{0x80})
-	if ok, err := c.EvalEntries(bad, true); err == nil || ok {
+	bad := lpg.AppendEntry(nil, lpg.IDLabel, []byte{0x80})
+	if ok, err := c.EvalEntries(bad); err == nil || ok {
 		t.Fatalf("malformed label payload = %v, %v, want an error", ok, err)
 	}
 }

@@ -10,12 +10,13 @@ import (
 	"github.com/gdi-go/gdi/internal/rma"
 )
 
-// Allocation-regression guard for the storage-engine v2 tentpole: the
-// steady-state point-read path — seqlock stamps, cached or local block reads,
-// in-place varint iteration over the view — must allocate nothing per
-// operation. A regression here silently re-introduces GC pressure on the
-// hottest read path, so CI runs this as a hard gate (the non-race step of the
-// race job; AllocsPerRun is meaningless under the detector, see raceEnabled).
+// Allocation-regression guard for the read path: the steady-state point-read
+// path — seqlock stamps, cached or local block reads, in-place varint
+// iteration over the view — must allocate nothing per operation, whether the
+// holder is one block or a chain. A regression here silently re-introduces GC
+// pressure on the hottest read path, so CI runs this as a hard gate (the
+// non-race step of the race job; AllocsPerRun is meaningless under the
+// detector, see raceEnabled).
 
 // seedFanVertex commits one center vertex on rank 1 with fan out-edges and
 // returns its DPtr.
@@ -45,18 +46,21 @@ func TestPointReadPathAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is not meaningful under the race detector")
 	}
-	for _, codec := range []holder.Codec{holder.CodecV1, holder.CodecV2} {
-		t.Run(codec.String(), func(t *testing.T) {
+	// At 256 bytes the center's holder is a single block; at 64 it is a chain.
+	for _, blockSize := range []int{64, 256} {
+		t.Run(fmt.Sprintf("block=%d", blockSize), func(t *testing.T) {
 			e := NewEngine(rma.New(2), Config{
-				BlockSize:       64,
-				BlocksPerRank:   1 << 12,
-				LockTries:       256,
-				CacheBlocks:     true,
-				CacheCapacity:   512,
-				OptimisticReads: true,
-				HolderCodec:     codec,
+				BlockSize:     blockSize,
+				BlocksPerRank: 1 << 12,
+				LockTries:     256,
+				CacheCapacity: 512,
 			})
 			center := seedFanVertex(t, e, 8)
+			primary := make([]byte, blockSize)
+			e.Store().ReadBlock(center.Rank(), center, primary)
+			if nb := holder.NumBlocks(primary); (nb == 1) != (blockSize == 256) {
+				t.Fatalf("center holder spans %d blocks of %d bytes", nb, blockSize)
+			}
 
 			// Placement hashes the application ID, so derive the two origins
 			// from wherever the vertex actually landed.
@@ -106,21 +110,18 @@ func TestPointReadPathAllocatesNothing(t *testing.T) {
 // kind of per-vertex bookkeeping, each sized in one step; the result slice,
 // the read set, one word slice per stamp train and rank), and that count is
 // the same for a frontier of 64 vertices and one of 1 024, local, cached and
-// multi-block ones mixed.
+// multi-block ones mixed, over 64- and 256-byte blocks alike.
 func TestFrontierHopAllocsIndependentOfWidth(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is not meaningful under the race detector")
 	}
-	for _, codec := range []holder.Codec{holder.CodecV1, holder.CodecV2} {
-		t.Run(codec.String(), func(t *testing.T) {
+	for _, blockSize := range []int{64, 256} {
+		t.Run(fmt.Sprintf("block=%d", blockSize), func(t *testing.T) {
 			e := NewEngine(rma.New(2), Config{
-				BlockSize:       64,
-				BlocksPerRank:   1 << 13,
-				LockTries:       256,
-				CacheBlocks:     true,
-				CacheCapacity:   1 << 13,
-				OptimisticReads: true,
-				HolderCodec:     codec,
+				BlockSize:     blockSize,
+				BlocksPerRank: 1 << 13,
+				LockTries:     256,
+				CacheCapacity: 1 << 13,
 			})
 			_, knows, age, _ := seedPersonSchema(t, e)
 			const wide = 1024
@@ -167,7 +168,7 @@ func TestFrontierHopAllocsIndependentOfWidth(t *testing.T) {
 			if at64 != at1024 || at64 > 48 {
 				t.Fatalf("a warm filter hop allocates %.0f objects over 64 vertices and %.0f over 1024, want the same few dozen", at64, at1024)
 			}
-			t.Logf("%v: %.0f allocations per warm filter hop", codec, at64)
+			t.Logf("%.0f allocations per warm filter hop", at64)
 		})
 	}
 }

@@ -92,7 +92,7 @@ func (e *Engine) buildVertices(rank fabric.Rank, in [][]VertexSpec) (entries []i
 	for _, batch := range in {
 		for _, sp := range batch {
 			v := &holder.Vertex{AppID: sp.AppID, Labels: sp.Labels, Props: sp.Props}
-			stream := holder.EncodeVertexCodec(v, bs, e.cfg.HolderCodec)
+			stream := holder.EncodeVertex(v, bs)
 			blocks := make([]fabric.DPtr, len(stream)/bs)
 			for i := range blocks {
 				dp, aerr := e.store.AcquireBlock(rank, rank)
@@ -265,7 +265,7 @@ func (e *Engine) appendRecords(rank fabric.Rank, primary fabric.DPtr, recs []hol
 		return fmt.Errorf("%w: %v", ErrNotFound, err)
 	}
 	v.Edges = append(v.Edges, recs...)
-	stream := holder.EncodeVertexCodec(v, bs, e.cfg.HolderCodec)
+	stream := holder.EncodeVertex(v, bs)
 	need := len(stream) / bs
 	for had := len(blocks); len(blocks) < need; {
 		dp, err := e.store.AcquireBlock(rank, rank)

@@ -124,17 +124,19 @@ func bulkTestGraph(ranks, vertices, edges int, label lpg.LabelID, ptype lpg.PTyp
 // TestBulkLoadEdgesMatchesReferenceLoader is the golden test of the batched
 // loader: against the per-edge-lookup oracle it must leave every window of
 // every rank — block pool, lock words, DHT — the vertex shards and the HTAP
-// delta log identical, on both holder codecs.
+// delta log identical, with and without HTAP snapshots, over 64- and 128-byte
+// blocks.
 func TestBulkLoadEdgesMatchesReferenceLoader(t *testing.T) {
 	const ranks = 4
 	for _, tc := range []struct {
-		name  string
-		codec holder.Codec
-		htap  bool
+		name      string
+		blockSize int
+		htap      bool
 	}{
-		{"v1", holder.CodecV1, false},
-		{"v2", holder.CodecV2, false},
-		{"v2-htap", holder.CodecV2, true},
+		{"block=64/plain", 64, false},
+		{"block=64/htap", 64, true},
+		{"block=128/plain", 128, false},
+		{"block=128/htap", 128, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			type loaded struct {
@@ -144,10 +146,10 @@ func TestBulkLoadEdgesMatchesReferenceLoader(t *testing.T) {
 			load := func(edges func(*Engine, fabric.Rank, []EdgeSpec) error) loaded {
 				log := &windowLog{Transport: rma.New(ranks)}
 				e := NewEngine(log, Config{
-					BlockSize: 128, BlocksPerRank: 1 << 12,
+					BlockSize: tc.blockSize, BlocksPerRank: 1 << 12,
 					// Two buckets per rank: every lookup walks a long chain.
 					DHTBucketsPerRank: 2, DHTEntriesPerRank: 256,
-					HolderCodec: tc.codec, HTAPSnapshots: tc.htap,
+					HTAPSnapshots: tc.htap,
 				})
 				label, _ := e.DefineLabel("L")
 				ptype, _ := e.DefinePType("p", metadata.PTypeSpec{Datatype: lpg.TypeString})

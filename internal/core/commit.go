@@ -17,15 +17,12 @@ import (
 // apply phase that cannot: either all dirty holders are written back or
 // none (§5.6).
 //
-// On the batched write path (the default) the remote traffic of a commit is
-// organized into per-owner-rank trains instead of per-word and per-block
-// round-trips: deferred lock upgrades and fresh-vertex locks resolve as one
-// vectored CAS train per owner rank, dirty holder blocks flush as one
-// vectored PUT train per owner rank — coalesced with concurrent committers
-// of the same rank by the engine's group committer — and the final lock
-// release is again one train per rank. Config.ScalarCommit restores the
-// scalar protocol (one remote round-trip per lock word and per dirty
-// block) for ablation.
+// The remote traffic of a commit is organized into per-owner-rank trains
+// instead of per-word and per-block round-trips: deferred lock upgrades and
+// fresh-vertex locks resolve as one vectored CAS train per owner rank, dirty
+// holder blocks flush as one vectored PUT train per owner rank — coalesced
+// with concurrent committers of the same rank by the engine's group
+// committer — and the final lock release is again one train per rank.
 //
 // Work: O(Σ dirty holder blocks); depth: O(1) per holder after the
 // sequential prepare walk. Collective transactions add two O(log P)
@@ -54,15 +51,13 @@ func (tx *Tx) Commit() error {
 		return tx.critical
 	}
 
-	batched := tx.batchedCommit()
-
 	// Prepare, lock train: resolve every deferred exclusive lock — upgrades
 	// of read-held words and fresh locks of new vertices — as one vectored
 	// CAS train per owner rank, in globally sorted (deadlock-free) order.
 	// Contention fails the whole train, which rolls its partial
 	// acquisitions back itself; the abort below then drops the still-held
 	// read locks.
-	if batched && !tx.skipLocks() {
+	if !tx.skipLocks() {
 		var train []locks.TrainLock
 		var members []*vertexState
 		for _, primary := range tx.dirtyList {
@@ -100,7 +95,7 @@ func (tx *Tx) Commit() error {
 	// stub word (so the poison below bumps its version and every cached or
 	// optimistic reader of the stub revalidates), poison in the apply phase,
 	// release, and free the blocks. Acquisition can fail, so it belongs to
-	// prepare; the scalar path pays one CAS per word.
+	// prepare.
 	var stubWords []locks.Word
 	var stubVers []uint64
 	var stubBlocks []fabric.DPtr
@@ -116,26 +111,13 @@ func (tx *Tx) Commit() error {
 			}
 		}
 		if len(stubTrain) > 0 {
-			if batched {
-				vers, err := locks.AcquireWriteTrain(tx.rank, stubTrain, tx.eng.cfg.LockTries)
-				if err != nil {
-					tx.fail(fmt.Errorf("commit stub train over %d blocks: %w", len(stubTrain), err))
-					tx.abortLocked()
-					return tx.critical
-				}
-				stubVers = vers
-			} else {
-				for i, l := range stubTrain {
-					if err := l.Word.TryAcquireWrite(tx.rank, tx.eng.cfg.LockTries); err != nil {
-						for j := 0; j < i; j++ {
-							stubTrain[j].Word.ReleaseWrite(tx.rank)
-						}
-						tx.fail(fmt.Errorf("write-locking migration stub %v: %w", stubBlocks[i], err))
-						tx.abortLocked()
-						return tx.critical
-					}
-				}
+			vers, err := locks.AcquireWriteTrain(tx.rank, stubTrain, tx.eng.cfg.LockTries)
+			if err != nil {
+				tx.fail(fmt.Errorf("commit stub train over %d blocks: %w", len(stubTrain), err))
+				tx.abortLocked()
+				return tx.critical
 			}
+			stubVers = vers
 			for _, l := range stubTrain {
 				stubWords = append(stubWords, l.Word)
 			}
@@ -209,7 +191,7 @@ func (tx *Tx) Commit() error {
 		if !es.dirty || es.deleted {
 			continue
 		}
-		pl, err := prepare(es.primary, holder.EncodeEdgeCodec(es.e, bs, tx.eng.cfg.HolderCodec), es.blocks)
+		pl, err := prepare(es.primary, holder.EncodeEdge(es.e, bs), es.blocks)
 		if err != nil {
 			return fail(err)
 		}
@@ -320,20 +302,15 @@ func (tx *Tx) Commit() error {
 
 	// Apply, write-back: every holder block and every deletion poison (a
 	// zeroed primary header, so stale DPtrs fail cleanly). This phase
-	// cannot fail. The scalar path issues one blocking PUT per block; the
-	// batched path collects the transaction's whole write set and hands it
-	// to the rank's group committer, which flushes it — merged with any
-	// concurrently committing transactions of this rank — as one vectored
-	// PUT train per owner rank.
+	// cannot fail. The transaction's whole write set goes to the rank's
+	// group committer, which flushes it — merged with any concurrently
+	// committing transactions of this rank — as one vectored PUT train per
+	// owner rank.
 	var wbDps []fabric.DPtr
 	var wbData [][]byte
 	put := func(dp fabric.DPtr, payload []byte) {
-		if batched {
-			wbDps = append(wbDps, dp)
-			wbData = append(wbData, payload)
-		} else {
-			tx.eng.store.WriteBlock(tx.rank, dp, payload)
-		}
+		wbDps = append(wbDps, dp)
+		wbData = append(wbData, payload)
 	}
 	for pi, pl := range plans {
 		for i, dp := range pl.blocks {
@@ -454,23 +431,20 @@ func (tx *Tx) Commit() error {
 	// Deletions: retract from indexes, unlock (the poison has already been
 	// written above, under the lock), then free the storage. Unlocking
 	// before the block release keeps a recycler of the freed primary from
-	// contending with our stale lock word; the batched path drops every
-	// deleted vertex's exclusive lock as one train per owner rank — the
-	// paper's demanding deletions write-lock whole neighborhoods, so
-	// delete-heavy commits would otherwise pay one release round-trip per
-	// vertex.
-	if batched {
-		var delWords []locks.Word
-		var delVers []uint64
-		for _, st := range tx.verts {
-			if st.deleted && st.lock == lockWrite {
-				delWords = append(delWords, tx.lockWord(st.primary))
-				delVers = append(delVers, st.lockVer)
-				st.lock = lockNone
-			}
+	// contending with our stale lock word. Every deleted vertex's exclusive
+	// lock drops as one train per owner rank — the paper's demanding
+	// deletions write-lock whole neighborhoods, so delete-heavy commits
+	// would otherwise pay one release round-trip per vertex.
+	var delWords []locks.Word
+	var delVers []uint64
+	for _, st := range tx.verts {
+		if st.deleted && st.lock == lockWrite {
+			delWords = append(delWords, tx.lockWord(st.primary))
+			delVers = append(delVers, st.lockVer)
+			st.lock = lockNone
 		}
-		locks.ReleaseWriteTrain(tx.rank, delWords, delVers)
 	}
+	locks.ReleaseWriteTrain(tx.rank, delWords, delVers)
 	for _, st := range tx.verts {
 		if !st.deleted {
 			continue
@@ -479,7 +453,6 @@ func (tx *Tx) Commit() error {
 			tx.eng.index.Delete(tx.rank, st.v.AppID)
 			tx.eng.idxRemoveVertex(tx.rank, st.primary, st.origLabel)
 		}
-		tx.unlockState(st)
 		if st.blocks == nil {
 			st.blocks = []fabric.DPtr{st.primary}
 		}
@@ -509,31 +482,24 @@ func (tx *Tx) Commit() error {
 
 	tx.eng.fab.FlushAll(tx.rank)
 
-	// Release every remaining lock. The batched path partitions the held
-	// words by kind and drops each set as one train per owner rank; the
-	// scalar path pays one remote atomic per word.
-	if batched {
-		var wWords, rWords []locks.Word
-		var wVers []uint64
-		for _, st := range tx.verts {
-			switch st.lock {
-			case lockWrite:
-				wWords = append(wWords, tx.lockWord(st.primary))
-				wVers = append(wVers, st.lockVer)
-			case lockRead, lockUpgrade:
-				rWords = append(rWords, tx.lockWord(st.primary))
-			default:
-				continue
-			}
-			st.lock = lockNone
+	// Release every remaining lock: the held words, partitioned by kind,
+	// drop as one train per owner rank and kind.
+	var wWords, rWords []locks.Word
+	var wVers []uint64
+	for _, st := range tx.verts {
+		switch st.lock {
+		case lockWrite:
+			wWords = append(wWords, tx.lockWord(st.primary))
+			wVers = append(wVers, st.lockVer)
+		case lockRead, lockUpgrade:
+			rWords = append(rWords, tx.lockWord(st.primary))
+		default:
+			continue
 		}
-		locks.ReleaseWriteTrain(tx.rank, wWords, wVers)
-		locks.ReleaseReadTrain(tx.rank, rWords)
-	} else {
-		for _, st := range tx.verts {
-			tx.unlockState(st)
-		}
+		st.lock = lockNone
 	}
+	locks.ReleaseWriteTrain(tx.rank, wWords, wVers)
+	locks.ReleaseReadTrain(tx.rank, rWords)
 
 	// Replica fan-out, release: the marked follower words move to the
 	// version the primaries' release train just published — one CAS train
@@ -551,24 +517,19 @@ func (tx *Tx) Commit() error {
 // encodeForCommit encodes a dirty vertex for write-back and decides the fate
 // of its follower groups. A same-shape rewrite under a train-acquired write
 // lock keeps them — the fan-out lands the new content on every follower
-// inside this commit. A reshape (block count changed) or a scalar commit
-// strips the groups from the encoding and retires them instead of resizing
-// remote chains on the commit path; a later seeding round restores k.
+// inside this commit. A reshape (block count changed) strips the groups
+// from the encoding and retires them instead of resizing remote chains on
+// the commit path; a later seeding round restores k.
 func (tx *Tx) encodeForCommit(st *vertexState, bs int) (stream []byte, fan, drop [][]fabric.DPtr) {
-	// Every rewrite encodes under the engine codec — this is how a store
-	// converges to a new wire format holder by holder; a codec change that
-	// reshapes the holder drops its follower groups like any other reshape.
-	codec := tx.eng.cfg.HolderCodec
 	if len(st.v.Replicas) == 0 {
-		return holder.EncodeVertexCodec(st.v, bs, codec), nil, nil
+		return holder.EncodeVertex(st.v, bs), nil, nil
 	}
-	if tx.batchedCommit() && st.lock == lockWrite && st.blocks != nil &&
-		holder.VertexBlocksCodec(st.v, bs, codec) == len(st.blocks) {
-		return holder.EncodeVertexCodec(st.v, bs, codec), st.v.Replicas, nil
+	if st.lock == lockWrite && st.blocks != nil && holder.VertexBlocks(st.v, bs) == len(st.blocks) {
+		return holder.EncodeVertex(st.v, bs), st.v.Replicas, nil
 	}
 	drop = st.v.Replicas
 	st.v.Replicas = nil
-	return holder.EncodeVertexCodec(st.v, bs, codec), nil, drop
+	return holder.EncodeVertex(st.v, bs), nil, drop
 }
 
 // validateOptimistic is the commit-time check of the optimistic read tier:

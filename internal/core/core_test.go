@@ -464,24 +464,21 @@ func TestMultiBlockGrowthAndShrink(t *testing.T) {
 }
 
 func TestLockConflictFailsTransaction(t *testing.T) {
-	// The scalar write path takes exclusive locks eagerly at mutation time;
-	// the batched path defers them to the commit lock train (covered by
-	// TestDeferredUpgradeConflictSurfacesAtCommit).
-	e := NewEngine(rma.New(1), Config{BlockSize: 256, BlocksPerRank: 4096, ScalarCommit: true})
+	// Mutations defer their exclusive locks to the commit lock train
+	// (TestDeferredUpgradeConflictSurfacesAtCommit); here the word is held
+	// directly, as a committing writer holds it between that train and the
+	// release.
+	e := newEngine(t, 1)
 	tx := e.StartLocal(0, ReadWrite)
 	dp, _ := tx.CreateVertex(1)
 	tx.Commit()
 
 	// Writer holds the exclusive lock...
-	w := e.StartLocal(0, ReadWrite)
-	hw, err := w.AssociateVertex(dp)
-	if err != nil {
+	word := e.lockWordOf(dp)
+	if err := word.TryAcquireWrite(0, 64); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.ensureWrite(hw.st); err != nil {
-		t.Fatal(err)
-	}
-	// ...so a reader must fail with a transaction-critical error.
+	// ...so a locking reader must fail with a transaction-critical error.
 	r := e.StartLocal(0, ReadWrite)
 	if _, err := r.AssociateVertex(dp); !errors.Is(err, ErrTxCritical) {
 		t.Fatalf("read under write lock: %v", err)
@@ -497,10 +494,8 @@ func TestLockConflictFailsTransaction(t *testing.T) {
 	if err := r.Commit(); !errors.Is(err, ErrTxCritical) {
 		t.Fatalf("commit of critical tx: %v", err)
 	}
-	if err := w.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	// After the writer committed, readers succeed again.
+	word.ReleaseWrite(0)
+	// After the writer released, readers succeed again.
 	r2 := e.StartLocal(0, ReadOnly)
 	if _, err := r2.AssociateVertex(dp); err != nil {
 		t.Fatal(err)
@@ -509,11 +504,11 @@ func TestLockConflictFailsTransaction(t *testing.T) {
 }
 
 func TestDeferredUpgradeConflictSurfacesAtCommit(t *testing.T) {
-	// Batched write path: a mutation on a read-held vertex only marks the
-	// upgrade; the held shared lock keeps other writers out, and the
-	// exclusive CAS happens in the commit lock train. A concurrent reader
-	// therefore still associates freely, and the writer's commit fails
-	// while that reader is live.
+	// A mutation on a read-held vertex only marks the upgrade; the held
+	// shared lock keeps other writers out, and the exclusive CAS happens in
+	// the commit lock train. A concurrent locking reader therefore still
+	// associates freely, and the writer's commit fails while that reader is
+	// live.
 	e := newEngine(t, 1)
 	_, _, age, _ := seedPersonSchema(t, e)
 	tx := e.StartLocal(0, ReadWrite)
@@ -535,7 +530,7 @@ func TestDeferredUpgradeConflictSurfacesAtCommit(t *testing.T) {
 	}
 
 	// A reader can still join: the word holds shared locks only.
-	r := e.StartLocal(0, ReadOnly)
+	r := e.StartLocal(0, ReadWrite)
 	if _, err := r.AssociateVertex(dp); err != nil {
 		t.Fatal("reader blocked by a deferred upgrade:", err)
 	}

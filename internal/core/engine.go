@@ -65,35 +65,12 @@ type Config struct {
 	// LockTries bounds lock acquisition; exceeding it aborts the
 	// transaction (the paper's failed transactions).
 	LockTries int
-	// ScalarCommit disables the batched write path — commit-time lock
-	// trains, vectored write-back, and group commit — so every dirty block
-	// and lock word pays its own remote round-trip at commit. It exists for
-	// the CommitBatching ablation and for debugging; production
-	// configurations leave it false.
-	ScalarCommit bool
-	// CacheBlocks gives every rank a version-validated cache of remote
-	// block copies: vertex-holder fetches revalidate cached blocks against
-	// the version counters in the per-block lock words (one atomic-load
-	// train per owner rank) and skip the GET traffic on a hit. It composes
-	// with either write path — both bump the versions at write-unlock.
-	CacheBlocks bool
-	// CacheCapacity is the per-rank cache size in blocks (default 8192);
-	// only meaningful with CacheBlocks.
+	// CacheCapacity is the size in blocks (default 8192) of every rank's
+	// version-validated cache of remote block copies: vertex-holder fetches
+	// revalidate cached blocks against the version counters in the
+	// per-block lock words (one atomic-load train per owner rank) and skip
+	// the GET traffic on a hit.
 	CacheCapacity int
-	// OptimisticReads makes local read-only transactions lock-free: instead
-	// of taking per-vertex read locks they record (vertex, version) pairs at
-	// fetch time and revalidate all of them with one atomic-load train per
-	// owner rank at commit, aborting with a transaction-critical error when
-	// any version moved (§3.8's optimistic aborts).
-	OptimisticReads bool
-	// DenseAnalytics switches the iterative analytics kernels (BFS, PageRank,
-	// CDLP, WCC, LCC) to the CSR snapshot engine: per-rank index-compacted
-	// adjacency in flat offset+target arrays, bitmap frontiers with
-	// direction-optimizing BFS, and all iteration traffic routed through the
-	// one-sided exchange (per-rank inbox PUT trains) instead of the
-	// collective layer's channel mail. The map-based engine remains the
-	// default and the ablation baseline.
-	DenseAnalytics bool
 	// ExchangeBytesPerRank sizes the one-sided exchange's per-rank inbox
 	// (default 2 MiB); oversized rounds stream in sub-rounds automatically.
 	ExchangeBytesPerRank int
@@ -124,14 +101,6 @@ type Config struct {
 	// HTAPCutRetries bounds the validated-read loop of cut block reads
 	// (default snapshot.DefaultCutRetries).
 	HTAPCutRetries int
-	// HolderCodec selects the wire format new and rewritten holders are
-	// encoded with: holder.CodecV1 (fixed 16-byte edge records, the default
-	// and the ablation baseline) or holder.CodecV2 (delta+varint edge runs,
-	// varint entries, inline single-block flag). Decoding always dispatches
-	// on the stream's own header flag, so a store may hold both formats at
-	// once — re-encoding writes (commits, migration, promotion, bulk load)
-	// convert holders to the engine codec as they touch them.
-	HolderCodec holder.Codec
 }
 
 // withDefaults fills zero fields with workable defaults.
@@ -151,7 +120,7 @@ func (c Config) withDefaults() Config {
 	if c.LockTries == 0 {
 		c.LockTries = 64
 	}
-	if c.CacheBlocks && c.CacheCapacity == 0 {
+	if c.CacheCapacity == 0 {
 		c.CacheCapacity = 1 << 13
 	}
 	if c.ExchangeBytesPerRank == 0 {
@@ -239,13 +208,9 @@ func newLocalIndex() *localIndex {
 // NewEngine collectively creates a database engine over fabric f.
 func NewEngine(f fabric.Transport, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	cacheBlocks := 0
-	if cfg.CacheBlocks {
-		cacheBlocks = cfg.CacheCapacity
-	}
 	e := &Engine{
 		fab:     f,
-		store:   block.NewStore(f, block.Config{BlockSize: cfg.BlockSize, BlocksPerRank: cfg.BlocksPerRank, CacheBlocks: cacheBlocks}),
+		store:   block.NewStore(f, block.Config{BlockSize: cfg.BlockSize, BlocksPerRank: cfg.BlocksPerRank, CacheBlocks: cfg.CacheCapacity}),
 		index:   dht.New(f, dht.Config{BucketsPerRank: cfg.DHTBucketsPerRank, EntriesPerRank: cfg.DHTEntriesPerRank}),
 		comm:    collective.New(f),
 		regs:    make([]*metadata.Registry, f.Size()),
@@ -300,9 +265,6 @@ func (e *Engine) Fabric() fabric.Transport { return e.fab }
 // Comm returns the engine's communicator for user-level collectives.
 func (e *Engine) Comm() *collective.Comm { return e.comm }
 
-// DenseAnalytics reports whether the CSR analytics engine is enabled.
-func (e *Engine) DenseAnalytics() bool { return e.cfg.DenseAnalytics }
-
 // Exchange returns the engine's one-sided alltoallv context, allocating its
 // inbox windows on first use (so OLTP-only databases never pay for them).
 // The first calls may race across ranks; allocation is serialized.
@@ -316,15 +278,9 @@ func (e *Engine) Exchange() *exchange.Exchange {
 // Store exposes the block pool (used by diagnostics and tests).
 func (e *Engine) Store() *block.Store { return e.store }
 
-// Codec returns the holder wire format the engine encodes with. Decoding is
-// always format-agnostic (the stream header says which codec wrote it).
-func (e *Engine) Codec() holder.Codec { return e.cfg.HolderCodec }
-
-// SetHolderCodec switches the encode codec of a running engine — the
-// cross-version compatibility tests use it to grow mixed v1/v2 stores:
-// existing holders keep their format until a commit, migration, promotion,
-// or bulk merge rewrites them under the new codec.
-func (e *Engine) SetHolderCodec(c holder.Codec) { e.cfg.HolderCodec = c }
+// Codec returns the holder wire format, which is always holder.CodecV2.
+// Kept because the benchmark module passes it to holder.EncodeVertexCodec.
+func (e *Engine) Codec() holder.Codec { return holder.CodecV2 }
 
 // Registry returns rank r's metadata replica.
 func (e *Engine) Registry(r fabric.Rank) *metadata.Registry { return e.regs[r] }

@@ -36,8 +36,8 @@ func (h *VertexHandle) Matches(cons *constraint.Constraint) bool {
 // of whatever came off the wire, evaluates cons in place on the encoded
 // entry region, harvests neighbors straight off the view, and appends a
 // (vertex, version) pair to the read set Commit revalidates. A filter-only
-// hop fetches only the blocks that reach the end of the entry region —
-// under the v2 codec the primary block for all but mega-hubs — not the chain.
+// hop fetches only the blocks that reach the end of the entry region — the
+// primary block for all but mega-hubs — not the chain.
 // What that route cannot serve goes through AssociateVertices in one batch
 // and is filtered and harvested through its handles: forwarding stubs,
 // vertices a local follower copy serves, holders that were being written or
@@ -387,7 +387,7 @@ func (tx *Tx) evalFrontier(sc *frontierScratch, mask DirMask, cons *constraint.C
 		err := view.Reset(it.buf)
 		var ok bool
 		if err == nil {
-			ok, err = cons.EvalEntries(view.Entries(), view.Codec() == holder.CodecV2)
+			ok, err = cons.EvalEntries(view.Entries())
 		}
 		if err != nil {
 			return nil, nil, fmt.Errorf("%w: holder %v: %v", ErrNotFound, it.dp, err)

@@ -58,9 +58,10 @@ func referenceExpand(tx *Tx, frontier []rma.DPtr, mask DirMask, cons *constraint
 	return matched, next, nil
 }
 
-// frontierGraph is a seeded engine for the expansion tests: 64-byte blocks,
-// so that properties alone spill most holders into chains, a hub, heavy
-// edges, and — after shake — vertices that live behind forwarding stubs.
+// frontierGraph is a seeded engine for the expansion tests: small blocks
+// (at 64 bytes properties alone spill most holders into chains), a hub,
+// heavy edges, and — after shake — vertices that live behind forwarding
+// stubs.
 type frontierGraph struct {
 	e      *Engine
 	person lpg.LabelID
@@ -71,13 +72,9 @@ type frontierGraph struct {
 
 const frontierVerts = 40
 
-func newFrontierGraph(t *testing.T, ranks int, cfg Config) *frontierGraph {
+func newFrontierGraph(t *testing.T, ranks, blockSize, cacheBlocks int) *frontierGraph {
 	t.Helper()
-	cfg.BlockSize, cfg.BlocksPerRank, cfg.LockTries = 64, 1<<12, 256
-	if cfg.CacheBlocks {
-		cfg.CacheCapacity = 1 << 10
-	}
-	g := &frontierGraph{e: NewEngine(rma.New(ranks), cfg)}
+	g := &frontierGraph{e: NewEngine(rma.New(ranks), Config{BlockSize: blockSize, BlocksPerRank: 1 << 12, LockTries: 256, CacheCapacity: cacheBlocks})}
 	g.person, _, g.age, _ = seedPersonSchema(t, g.e)
 	g.since = payloadPType(t, g.e)
 	rnd := rand.New(rand.NewSource(11))
@@ -125,7 +122,7 @@ func newFrontierGraph(t *testing.T, ranks int, cfg Config) *frontierGraph {
 		for i := 0; i < 3; i++ {
 			edge(app, rnd.Intn(frontierVerts))
 		}
-		edge(app, 1) // vertex 1 is everyone's neighbor: a hub of a dozen blocks
+		edge(app, 1) // vertex 1 is everyone's neighbor: a hub of a dozen 64-byte blocks
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
@@ -143,29 +140,27 @@ func (g *frontierGraph) ageOver(over uint64) *constraint.Constraint {
 }
 
 // TestExpandFrontierMatchesHandleWalk holds the expansion to its handle-based
-// oracle — same matched IDs, same neighbors, same order — on every tier it
-// serves: the optimistic read-only one (the lean route, with and without the
-// block cache), the locking read-only one and a read-write transaction (both
-// handed to AssociateVertices whole), under both codecs, on frontiers with
-// duplicates, before and after live migration leaves forwarding stubs behind
-// some of the DPtrs the frontiers and the edge records still use.
+// oracle — same matched IDs, same neighbors, same order — on both tiers it
+// serves: the optimistic read-only one (the lean route, over a cache that
+// holds the graph and over a one-block cache that evicts on every install)
+// and the locking read-write one (handed to AssociateVertices whole), over
+// 64- and 256-byte blocks, on frontiers with duplicates, before and after
+// live migration leaves forwarding stubs behind some of the DPtrs the
+// frontiers and the edge records still use.
 func TestExpandFrontierMatchesHandleWalk(t *testing.T) {
 	tiers := []struct {
-		name string
-		cfg  Config
-		mode Mode
+		name        string
+		mode        Mode
+		cacheBlocks int
 	}{
-		{"optimistic", Config{OptimisticReads: true}, ReadOnly},
-		{"optimistic-cached", Config{OptimisticReads: true, CacheBlocks: true}, ReadOnly},
-		{"locking", Config{}, ReadOnly},
-		{"read-write", Config{OptimisticReads: true, CacheBlocks: true}, ReadWrite},
+		{"optimistic", ReadOnly, 1 << 10},
+		{"optimistic-cache=1", ReadOnly, 1},
+		{"read-write", ReadWrite, 1 << 10},
 	}
-	for _, codec := range []holder.Codec{holder.CodecV1, holder.CodecV2} {
+	for _, blockSize := range []int{64, 256} {
 		for _, tier := range tiers {
-			t.Run(fmt.Sprintf("%v/%s", codec, tier.name), func(t *testing.T) {
-				cfg := tier.cfg
-				cfg.HolderCodec = codec
-				g := newFrontierGraph(t, 4, cfg)
+			t.Run(fmt.Sprintf("block=%d/%s", blockSize, tier.name), func(t *testing.T) {
+				g := newFrontierGraph(t, 4, blockSize, tier.cacheBlocks)
 				rnd := rand.New(rand.NewSource(5))
 				pool := slices.Clone(g.dps)
 				// round runs a dozen expansions; stubs is how many vertices
@@ -228,7 +223,7 @@ func TestExpandFrontierMatchesHandleWalk(t *testing.T) {
 // optimistic transaction used to crash the expansion (AssociateVertices
 // reports it as a nil handle). It is a stale read set, and says so.
 func TestExpandFrontierReportsVanishedVertex(t *testing.T) {
-	e := NewEngine(rma.New(2), Config{BlockSize: 64, BlocksPerRank: 1 << 10, LockTries: 64, OptimisticReads: true, CacheBlocks: true})
+	e := NewEngine(rma.New(2), Config{BlockSize: 64, BlocksPerRank: 1 << 10, LockTries: 64})
 	knows, err := e.DefineLabel("KNOWS")
 	if err != nil {
 		t.Fatal(err)
@@ -275,13 +270,12 @@ func TestExpandFrontierReportsVanishedVertex(t *testing.T) {
 }
 
 // TestFilterHopFetchesPropertyPrefixOnly is the traffic contract of a
-// filter-only hop over v2 holders: with a cold cache it GETs one block per
-// remote frontier vertex — the one its labels and properties sit in — where a
+// filter-only hop over multi-block holders: with a cold cache it GETs one
+// block per remote frontier vertex — the one its labels and properties sit in — where a
 // harvesting hop reads every chain to its end; warm, neither GETs anything.
 func TestFilterHopFetchesPropertyPrefixOnly(t *testing.T) {
 	e := NewEngine(rma.New(2), Config{
-		BlockSize: 128, BlocksPerRank: 1 << 12, LockTries: 64,
-		OptimisticReads: true, CacheBlocks: true, CacheCapacity: 1 << 11, HolderCodec: holder.CodecV2,
+		BlockSize: 128, BlocksPerRank: 1 << 12, LockTries: 64, CacheCapacity: 1 << 11,
 	})
 	_, knows, age, _ := seedPersonSchema(t, e)
 	const n, fan = 24, 60
@@ -367,7 +361,7 @@ func TestFilterHopFetchesPropertyPrefixOnly(t *testing.T) {
 // read consistently goes to the flush with its retry budget: a vertex whose
 // guard a writer holds throughout exhausts it.
 func TestExpandFrontierJoinsTheReadSet(t *testing.T) {
-	g := newFrontierGraph(t, 2, Config{OptimisticReads: true, CacheBlocks: true, HolderCodec: holder.CodecV2})
+	g := newFrontierGraph(t, 2, 64, 1<<10)
 	frontier := g.dps[:10]
 
 	tx := g.e.StartLocal(0, ReadOnly)
@@ -419,7 +413,7 @@ func TestExpandFrontierJoinsTheReadSet(t *testing.T) {
 // TestExpandFrontierReadsLocalFollowers: a frontier vertex this rank holds a
 // follower copy of is served by it, and validated against its primary.
 func TestExpandFrontierReadsLocalFollowers(t *testing.T) {
-	_, e := newReplicaEngine(t, 2, false)
+	_, e := newReplicaEngine(t, 2)
 	dpA, dpV, _ := seedTwoHopGraph(t, e, 8)
 	fr := otherRank(dpV, 2)
 	if n := e.ReplicateFromRank(fr, dpV.Rank(), 2); n != 1 {
@@ -451,8 +445,19 @@ func TestExpandFrontierReadsLocalFollowers(t *testing.T) {
 // a bulky filler, three blocks further on — and a writer always flips both in
 // one commit, so a predicate asking for the two to differ matches nothing in
 // any committed state: a match is a torn holder the seqlock let through.
-// Expansions that validate at commit must also have seen every vertex.
+// Expansions that validate at commit must also have seen every vertex. It
+// runs over a cache that holds every holder, where most reads are stamped
+// cache hits, and over a one-block cache, where nearly every read comes off
+// the wire while the writers run.
 func TestExpandFrontierCoherenceStress(t *testing.T) {
+	for _, cacheBlocks := range []int{512, 1} {
+		t.Run(fmt.Sprintf("cache=%d", cacheBlocks), func(t *testing.T) {
+			expandFrontierCoherenceStress(t, cacheBlocks)
+		})
+	}
+}
+
+func expandFrontierCoherenceStress(t *testing.T, cacheBlocks int) {
 	const (
 		ranks   = 2
 		keys    = 8
@@ -460,100 +465,94 @@ func TestExpandFrontierCoherenceStress(t *testing.T) {
 		readers = 2
 		rounds  = 150
 	)
-	for _, codec := range []holder.Codec{holder.CodecV1, holder.CodecV2} {
-		t.Run(codec.String(), func(t *testing.T) {
-			e := NewEngine(rma.New(ranks), Config{
-				BlockSize: 64, BlocksPerRank: 1 << 12, LockTries: 256,
-				CacheBlocks: true, CacheCapacity: 512, OptimisticReads: true, HolderCodec: codec,
-			})
-			_, _, head, _ := seedPersonSchema(t, e)
-			filler := payloadPType(t, e)
-			tail, err := e.DefinePType("tail", metadata.PTypeSpec{Datatype: lpg.TypeUint64, SizeType: lpg.SizeFixed, Limit: 8})
-			if err != nil {
+
+	e := NewEngine(rma.New(ranks), Config{BlockSize: 64, BlocksPerRank: 1 << 12, LockTries: 256, CacheCapacity: cacheBlocks})
+	_, _, head, _ := seedPersonSchema(t, e)
+	filler := payloadPType(t, e)
+	tail, err := e.DefinePType("tail", metadata.PTypeSpec{Datatype: lpg.TypeUint64, SizeType: lpg.SizeFixed, Limit: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := e.StartLocal(0, ReadWrite)
+	dps := make([]rma.DPtr, keys)
+	for i := range dps {
+		dps[i], _ = seed.CreateVertex(uint64(i))
+		h, _ := seed.AssociateVertex(dps[i])
+		for _, p := range []lpg.Property{{PType: head, Value: lpg.EncodeUint64(0)}, {PType: filler, Value: make([]byte, 150)}, {PType: tail, Value: lpg.EncodeUint64(0)}} {
+			if err := h.AddProperty(p.PType, p.Value); err != nil {
 				t.Fatal(err)
 			}
-			seed := e.StartLocal(0, ReadWrite)
-			dps := make([]rma.DPtr, keys)
-			for i := range dps {
-				dps[i], _ = seed.CreateVertex(uint64(i))
-				h, _ := seed.AssociateVertex(dps[i])
-				for _, p := range []lpg.Property{{PType: head, Value: lpg.EncodeUint64(0)}, {PType: filler, Value: make([]byte, 150)}, {PType: tail, Value: lpg.EncodeUint64(0)}} {
-					if err := h.AddProperty(p.PType, p.Value); err != nil {
-						t.Fatal(err)
+		}
+	}
+	if err := seed.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	differ := constraint.New(e.Registry(0))
+	for bit := uint64(0); bit < 2; bit++ {
+		i := differ.AddSubconstraint(constraint.Subconstraint{})
+		differ.AddPropCond(i, constraint.PropCond{PType: head, Datatype: lpg.TypeUint64, Op: constraint.OpEq, Operand: lpg.EncodeUint64(bit)})
+		differ.AddPropCond(i, constraint.PropCond{PType: tail, Datatype: lpg.TypeUint64, Op: constraint.OpEq, Operand: lpg.EncodeUint64(1 - bit)})
+	}
+
+	var wg sync.WaitGroup
+	var validated atomic.Int64
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w) + 3))
+			for i := 0; i < rounds; i++ {
+				tx := e.StartLocal(rma.Rank(w%ranks), ReadWrite)
+				h, err := tx.AssociateVertex(dps[rng.Intn(keys)])
+				if err == nil {
+					cur, _ := h.Property(head)
+					flipped := lpg.EncodeUint64(1 - lpg.DecodeUint64(cur))
+					if err = h.SetProperty(head, flipped); err == nil {
+						err = h.SetProperty(tail, flipped)
 					}
 				}
+				if err == nil {
+					err = tx.Commit()
+				}
+				tx.Abort()
+				if err != nil && !errors.Is(err, ErrTxCritical) {
+					t.Error(err)
+					return
+				}
 			}
-			if err := seed.Commit(); err != nil {
-				t.Fatal(err)
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				tx := e.StartLocal(rma.Rank(r%ranks), ReadOnly)
+				torn, _, err := tx.ExpandFrontier(dps, DirMask(i%2)*MaskAll, differ)
+				var all []rma.DPtr
+				if err == nil {
+					all, _, err = tx.ExpandFrontier(dps, 0, nil)
+				}
+				if err == nil {
+					err = tx.Commit()
+				}
+				tx.Abort()
+				switch {
+				case errors.Is(err, ErrTxCritical):
+				case err != nil:
+					t.Error(err)
+					return
+				case len(torn) != 0 || len(all) != keys:
+					t.Errorf("validated expansion saw %d torn vertices and %d of %d vertices", len(torn), len(all), keys)
+					return
+				default:
+					validated.Add(1)
+				}
 			}
-			differ := constraint.New(e.Registry(0))
-			for bit := uint64(0); bit < 2; bit++ {
-				i := differ.AddSubconstraint(constraint.Subconstraint{})
-				differ.AddPropCond(i, constraint.PropCond{PType: head, Datatype: lpg.TypeUint64, Op: constraint.OpEq, Operand: lpg.EncodeUint64(bit)})
-				differ.AddPropCond(i, constraint.PropCond{PType: tail, Datatype: lpg.TypeUint64, Op: constraint.OpEq, Operand: lpg.EncodeUint64(1 - bit)})
-			}
-
-			var wg sync.WaitGroup
-			var validated atomic.Int64
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(w) + 3))
-					for i := 0; i < rounds; i++ {
-						tx := e.StartLocal(rma.Rank(w%ranks), ReadWrite)
-						h, err := tx.AssociateVertex(dps[rng.Intn(keys)])
-						if err == nil {
-							cur, _ := h.Property(head)
-							flipped := lpg.EncodeUint64(1 - lpg.DecodeUint64(cur))
-							if err = h.SetProperty(head, flipped); err == nil {
-								err = h.SetProperty(tail, flipped)
-							}
-						}
-						if err == nil {
-							err = tx.Commit()
-						}
-						tx.Abort()
-						if err != nil && !errors.Is(err, ErrTxCritical) {
-							t.Error(err)
-							return
-						}
-					}
-				}(w)
-			}
-			for r := 0; r < readers; r++ {
-				wg.Add(1)
-				go func(r int) {
-					defer wg.Done()
-					for i := 0; i < rounds; i++ {
-						tx := e.StartLocal(rma.Rank(r%ranks), ReadOnly)
-						torn, _, err := tx.ExpandFrontier(dps, DirMask(i%2)*MaskAll, differ)
-						var all []rma.DPtr
-						if err == nil {
-							all, _, err = tx.ExpandFrontier(dps, 0, nil)
-						}
-						if err == nil {
-							err = tx.Commit()
-						}
-						tx.Abort()
-						switch {
-						case errors.Is(err, ErrTxCritical):
-						case err != nil:
-							t.Error(err)
-							return
-						case len(torn) != 0 || len(all) != keys:
-							t.Errorf("validated expansion saw %d torn vertices and %d of %d vertices", len(torn), len(all), keys)
-							return
-						default:
-							validated.Add(1)
-						}
-					}
-				}(r)
-			}
-			wg.Wait()
-			if validated.Load() == 0 {
-				t.Fatal("no expansion validated: the stress measured nothing")
-			}
-		})
+		}(r)
+	}
+	wg.Wait()
+	if validated.Load() == 0 {
+		t.Fatal("no expansion validated: the stress measured nothing")
 	}
 }

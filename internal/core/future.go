@@ -163,8 +163,8 @@ type pendingFetch struct {
 }
 
 // flushPending completes every queued association (the Flush of the op
-// queue). The protocol mirrors the scalar path exactly — lock, fetch,
-// decode, install — but performs the fetch rounds with vectored reads:
+// queue). The protocol is lock, fetch, decode, install, with the fetch
+// rounds performed as vectored reads:
 //
 //  1. Per-vertex read locks are acquired as one vectored CAS train per
 //     owner rank. Lock contention is transaction-critical and poisons the
@@ -176,13 +176,13 @@ type pendingFetch struct {
 //     rank. The holder streaming invariant (table entry i precedes block
 //     i+1) then lets round i fetch block i of every multi-block holder,
 //     again batched by rank, so a flush over b-block holders needs b
-//     batched rounds, not Σb scalar reads. With the block cache enabled the
-//     reads go through Store.ReadBlocksStamped against guard words stamped
-//     once per flush attempt: blocks whose cached copy still carries the
-//     guard's current version are served locally with no GET traffic at
-//     all. Optimistic holders whose guard version moved
-//     mid-fetch (a writer committed between rounds) are torn; they are
-//     re-fetched from scratch, up to the transaction's retry budget.
+//     batched rounds, not Σb scalar reads. The reads go through
+//     Store.ReadBlocksStamped against guard words stamped once per flush
+//     attempt: blocks whose cached copy still carries the guard's current
+//     version are served locally with no GET traffic at all. Optimistic
+//     holders whose guard version moved mid-fetch (a writer committed
+//     between rounds) are torn; they are re-fetched from scratch, up to the
+//     transaction's retry budget.
 //  3. Each holder is decoded and installed into the per-transaction cache;
 //     its futures resolve to handles over the shared state.
 func (tx *Tx) flushPending() {
@@ -337,7 +337,7 @@ func (tx *Tx) flushPending() {
 			}
 			if attempt+1 >= tx.eng.cfg.LockTries {
 				// An optimistic abort like the commit-time one, surfaced at
-				// fetch time: count it so ablation reports stay
+				// fetch time: count it so the abort reports stay
 				// self-describing.
 				tx.eng.optAborts.Add(1)
 				crit := tx.fail(fmt.Errorf("optimistic fetch of %d vertices still torn after %d attempts: %w",
@@ -441,8 +441,7 @@ func (tx *Tx) addAlias(dp, next fabric.DPtr) {
 // retry. Holders that turn out deleted or corrupt have pf.err set and are
 // not returned.
 //
-// Whenever version stamps matter (the optimistic tier or the block cache),
-// the guards are stamped once up front — one atomic-load train per owner
+// The guards are stamped once up front — one atomic-load train per owner
 // rank — and every round of every holder is served against those stamps:
 // cache hits valid at the stamp cost no traffic at all, and misses come off
 // the wire one GET train per rank per round. The optimistic tier then
@@ -454,29 +453,24 @@ func (tx *Tx) fetchHolderStreams(fetches []*pendingFetch) (unstable []*pendingFe
 	bs := tx.eng.cfg.BlockSize
 	store := tx.eng.store
 	opt := tx.optimistic()
-	stamped := opt || store.CacheEnabled()
 
 	// Stamp every primary once; in optimistic mode a guard already held by
 	// a writer cannot validate, so its holder goes straight to retry.
 	var trains block.Trains
 	live := make([]*pendingFetch, 0, len(fetches))
-	if stamped {
-		prims := make([]fabric.DPtr, len(fetches))
-		for i, pf := range fetches {
-			prims[i] = pf.dp
+	prims := make([]fabric.DPtr, len(fetches))
+	for i, pf := range fetches {
+		prims[i] = pf.dp
+	}
+	words := make([]uint64, len(prims))
+	store.LockStampsInto(tx.rank, prims, words, &trains)
+	for i, pf := range fetches {
+		if opt && locks.WriteHeld(words[i]) {
+			unstable = append(unstable, pf)
+			continue
 		}
-		words := make([]uint64, len(prims))
-		store.LockStampsInto(tx.rank, prims, words, &trains)
-		for i, pf := range fetches {
-			if opt && locks.WriteHeld(words[i]) {
-				unstable = append(unstable, pf)
-				continue
-			}
-			pf.stamp, pf.ver = words[i], locks.Version(words[i])
-			live = append(live, pf)
-		}
-	} else {
-		live = append(live, fetches...)
+		pf.stamp, pf.ver = words[i], locks.Version(words[i])
+		live = append(live, pf)
 	}
 
 	// readRound reads one block of every holder in roundPfs, reads[j] for
@@ -484,8 +478,6 @@ func (tx *Tx) fetchHolderStreams(fetches []*pendingFetch) (unstable []*pendingFe
 	reads := make([]block.StampedRead, 0, len(live))
 	roundPfs := make([]*pendingFetch, 0, len(live))
 	readRound := func() {
-		// Without stamps there is no cache either, and a stamped read with
-		// nothing to look up is a plain batch read.
 		store.ReadBlocksStamped(tx.rank, reads, !opt, &trains)
 		if opt {
 			for j, pf := range roundPfs {

@@ -312,9 +312,7 @@ func (e *Engine) MigrateVertices(me fabric.Rank, moves []MigrationMove) (int, er
 			}
 		}
 		c.v.Homes = append(homes, c.mv.Old)
-		// Migration re-encodes under the engine codec — moving a vertex is
-		// also how a store converges to a new wire format without downtime.
-		c.stream = holder.EncodeVertexCodec(c.v, bs, e.cfg.HolderCodec)
+		c.stream = holder.EncodeVertex(c.v, bs)
 		need := len(c.stream) / bs
 		c.newBlocks = append(c.newBlocks, c.dst)
 		fail := false

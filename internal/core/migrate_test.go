@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"testing"
 
 	"github.com/gdi-go/gdi/internal/locks"
@@ -218,14 +217,14 @@ func check2Lookup(e *Engine, appID uint64) (rma.DPtr, error) {
 
 // TestMigrateDeletedVertexFreesStubs: deleting a migrated vertex retires its
 // forwarding stubs — the pool returns to its pre-create level and the stale
-// DPtr reports not-found instead of resurrecting anything.
+// DPtr reports not-found instead of resurrecting anything, with or without
+// HTAP snapshots.
 func TestMigrateDeletedVertexFreesStubs(t *testing.T) {
-	for _, scalar := range []bool{false, true} {
-		t.Run(fmt.Sprintf("scalarCommit=%v", scalar), func(t *testing.T) {
-			e := NewEngine(rma.New(2), Config{
-				BlockSize: 64, BlocksPerRank: 1 << 12, LockTries: 256,
-				ScalarCommit: scalar, RebalanceHeatTracking: true,
-			})
+	for _, ce := range commitEngines(2, Config{
+		BlockSize: 64, BlocksPerRank: 1 << 12, LockTries: 256, RebalanceHeatTracking: true,
+	}) {
+		t.Run(ce.name, func(t *testing.T) {
+			e := ce.e
 			pt := payloadPType(t, e)
 			free0, free1 := e.FreeBlocks(0), e.FreeBlocks(1)
 			old := seedPayloadVertex(t, e, 1, pt, 16)
@@ -257,7 +256,7 @@ func TestMigrateSkipsContendedVertex(t *testing.T) {
 	pt := payloadPType(t, e)
 	dp := seedPayloadVertex(t, e, 1, pt, 4)
 
-	reader := e.StartLocal(0, ReadOnly)
+	reader := e.StartLocal(0, ReadWrite)
 	if _, err := reader.AssociateVertex(dp); err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +375,7 @@ func TestStaleAndFreshDPtrInOneBatch(t *testing.T) {
 	old := seedPayloadVertex(t, e, 1, pt, 16)
 	fresh := mustMigrate(t, e, 1, 0)
 
-	tx := e.StartLocal(1, ReadOnly)
+	tx := e.StartLocal(1, ReadWrite)
 	hs, err := tx.AssociateVertices([]rma.DPtr{old, fresh})
 	if err != nil {
 		t.Fatal(err)

@@ -14,16 +14,14 @@ import (
 // vertex returns to its original block, so the DPtr matches again — must be
 // caught by the guard versions, not the pointer comparison.
 
-// newMigrationCacheEngine: cache + optimistic tier + heat tracking.
+// newMigrationCacheEngine: a cache of cacheCap blocks and heat tracking.
 func newMigrationCacheEngine(t *testing.T, ranks, cacheCap int) *Engine {
 	t.Helper()
 	return NewEngine(rma.New(ranks), Config{
 		BlockSize:             64,
 		BlocksPerRank:         1 << 12,
 		LockTries:             256,
-		CacheBlocks:           true,
 		CacheCapacity:         cacheCap,
-		OptimisticReads:       true,
 		RebalanceHeatTracking: true,
 	})
 }

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/gdi-go/gdi/internal/holder"
 	"github.com/gdi-go/gdi/internal/rma"
 )
 
@@ -27,20 +26,18 @@ import (
 //   - golden bit-stability: a vertex nobody writes returns bit-identical
 //     bytes before, during, and after every migration.
 //
+// It runs over a cache that holds every holder and over a one-block cache,
+// where nearly every read comes off the wire.
 // Run under -race in CI (the migration stress step of the race job).
 func TestMigrationCoherenceStress(t *testing.T) {
-	migrationCoherenceStress(t, holder.CodecV1)
+	for _, cacheBlocks := range []int{512, 1} {
+		t.Run(fmt.Sprintf("cache=%d", cacheBlocks), func(t *testing.T) {
+			migrationCoherenceStress(t, cacheBlocks)
+		})
+	}
 }
 
-// TestMigrationCoherenceStressV2 is the same stress tier over the v2
-// (delta+varint) holder codec: every seed, rewrite, and migration re-encode
-// goes through the compressed wire format, so tearing or mis-sizing in the
-// varint paths would surface as torn payloads or lost updates here.
-func TestMigrationCoherenceStressV2(t *testing.T) {
-	migrationCoherenceStress(t, holder.CodecV2)
-}
-
-func migrationCoherenceStress(t *testing.T, codec holder.Codec) {
+func migrationCoherenceStress(t *testing.T, cacheBlocks int) {
 	const (
 		ranks             = 4
 		keys              = 12
@@ -52,8 +49,7 @@ func migrationCoherenceStress(t *testing.T, codec holder.Codec) {
 		migrationAttempts = 160
 		goldenApp         = uint64(keys) // written once, migrated forever
 	)
-	e := newMigrationCacheEngine(t, ranks, 512)
-	e.SetHolderCodec(codec)
+	e := newMigrationCacheEngine(t, ranks, cacheBlocks)
 	pt := payloadPType(t, e)
 	dps := make([]rma.DPtr, keys)
 	for i := range dps {

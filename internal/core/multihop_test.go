@@ -156,7 +156,7 @@ func TestMultiHopRevisitOfMigratedVertexUsesAliasMap(t *testing.T) {
 // against the primary word, so the commit MUST abort; a reader that
 // validated against the untouched follower word would wrongly survive.
 func TestLaggingFollowerMultiHopReadValidatesPrimary(t *testing.T) {
-	_, e := newReplicaEngine(t, 2, false)
+	_, e := newReplicaEngine(t, 2)
 	const words = 8
 	dpA, dpV, pt := seedTwoHopGraph(t, e, words)
 	fr := otherRank(dpV, 2) // rank 0: A's owner, V's follower rank

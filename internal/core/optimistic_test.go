@@ -15,21 +15,21 @@ import (
 	"github.com/gdi-go/gdi/internal/rma"
 )
 
-// newOptimisticEngine builds an engine with the block cache and the
-// optimistic read tier enabled. The 64-byte blocks put every payload-bearing
-// holder in the multi-block regime, so torn multi-round fetches are possible
-// in principle and the validation protocol actually has work to do.
-func newOptimisticEngine(t *testing.T, ranks int, scalarCommit bool) *Engine {
+// optimisticConfig is the engine of the optimistic-tier tests: a small block
+// cache, and 64-byte blocks that put every payload-bearing holder in the
+// multi-block regime, so torn multi-round fetches are possible in principle
+// and the validation protocol actually has work to do.
+var optimisticConfig = Config{
+	BlockSize:     64,
+	BlocksPerRank: 1 << 12,
+	LockTries:     256,
+	CacheCapacity: 512,
+}
+
+// newOptimisticEngine builds an engine from optimisticConfig.
+func newOptimisticEngine(t *testing.T, ranks int) *Engine {
 	t.Helper()
-	return NewEngine(rma.New(ranks), Config{
-		BlockSize:       64,
-		BlocksPerRank:   1 << 12,
-		LockTries:       256,
-		ScalarCommit:    scalarCommit,
-		CacheBlocks:     true,
-		CacheCapacity:   512,
-		OptimisticReads: true,
-	})
+	return NewEngine(rma.New(ranks), optimisticConfig)
 }
 
 // payloadPattern builds a payload of words bytes/8 identical uint64s — a
@@ -87,7 +87,7 @@ func payloadPType(t *testing.T, e *Engine) lpg.PTypeID {
 }
 
 func TestOptimisticReadTakesNoLocks(t *testing.T) {
-	e := newOptimisticEngine(t, 2, false)
+	e := newOptimisticEngine(t, 2)
 	pt := payloadPType(t, e)
 	dp := seedPayloadVertex(t, e, 1, pt, 8)
 
@@ -106,14 +106,14 @@ func TestOptimisticReadTakesNoLocks(t *testing.T) {
 	}
 }
 
-// TestOptimisticStaleVersionAbort drives the §3.8 optimistic abort on both
-// write paths: a read-only transaction whose read set was overwritten before
-// commit must fail validation whether the writer released its locks through
-// the batched release train or the scalar CAS-per-word path.
+// TestOptimisticStaleVersionAbort drives the §3.8 optimistic abort: a
+// read-only transaction whose read set was overwritten before commit must
+// fail validation once the writer's release train has bumped the version,
+// with or without HTAP snapshots hooking the writer's commit.
 func TestOptimisticStaleVersionAbort(t *testing.T) {
-	for _, scalar := range []bool{false, true} {
-		t.Run(fmt.Sprintf("scalarCommit=%v", scalar), func(t *testing.T) {
-			e := newOptimisticEngine(t, 2, scalar)
+	for _, ce := range commitEngines(2, optimisticConfig) {
+		t.Run(ce.name, func(t *testing.T) {
+			e := ce.e
 			pt := payloadPType(t, e)
 			dp := seedPayloadVertex(t, e, 1, pt, 8)
 
@@ -167,7 +167,7 @@ func TestOptimisticStaleVersionAbort(t *testing.T) {
 }
 
 func TestReadOnlyCommitValidatesWithoutWriters(t *testing.T) {
-	e := newOptimisticEngine(t, 2, false)
+	e := newOptimisticEngine(t, 2)
 	pt := payloadPType(t, e)
 	dps := []rma.DPtr{
 		seedPayloadVertex(t, e, 0, pt, 8),
@@ -196,7 +196,7 @@ func TestReadOnlyCommitValidatesWithoutWriters(t *testing.T) {
 // same remote vertex is served from the block cache: cache hits appear and
 // no further GET traffic is issued for the holder blocks.
 func TestCacheServesRepeatedReads(t *testing.T) {
-	e := newOptimisticEngine(t, 2, false)
+	e := newOptimisticEngine(t, 2)
 	pt := payloadPType(t, e)
 	dp := seedPayloadVertex(t, e, 1, pt, 8) // owner rank 1; reader rank 0 is remote
 
@@ -232,11 +232,12 @@ func TestCacheServesRepeatedReads(t *testing.T) {
 // TestDeletionPoisonInvalidatesCachedCopy: deleting a vertex bumps its
 // guard version (the deletion poison is written under the write lock), so a
 // reader holding a cached copy must refetch, observe the poison, and report
-// not-found rather than resurrect the cached holder.
+// not-found rather than resurrect the cached holder, with or without HTAP
+// snapshots.
 func TestDeletionPoisonInvalidatesCachedCopy(t *testing.T) {
-	for _, scalar := range []bool{false, true} {
-		t.Run(fmt.Sprintf("scalarCommit=%v", scalar), func(t *testing.T) {
-			e := newOptimisticEngine(t, 2, scalar)
+	for _, ce := range commitEngines(2, optimisticConfig) {
+		t.Run(ce.name, func(t *testing.T) {
+			e := ce.e
 			pt := payloadPType(t, e)
 			dp := seedPayloadVertex(t, e, 1, pt, 8)
 
@@ -273,8 +274,18 @@ func TestDeletionPoisonInvalidatesCachedCopy(t *testing.T) {
 // internally consistent (untorn), and the sequence numbers a reader observes
 // per vertex must never go backwards (versions are monotonic, and a
 // validated read reflects the latest committed state at validation time).
+// It runs over a cache that holds every holder and over a one-block cache,
+// where nearly every read comes off the wire.
 // Run under -race in CI.
 func TestOptimisticCoherenceStress(t *testing.T) {
+	for _, cacheBlocks := range []int{512, 1} {
+		t.Run(fmt.Sprintf("cache=%d", cacheBlocks), func(t *testing.T) {
+			optimisticCoherenceStress(t, cacheBlocks)
+		})
+	}
+}
+
+func optimisticCoherenceStress(t *testing.T, cacheBlocks int) {
 	const (
 		ranks           = 4
 		keys            = 16
@@ -284,7 +295,9 @@ func TestOptimisticCoherenceStress(t *testing.T) {
 		writesPerWriter = 150
 		readsPerReader  = 250
 	)
-	e := newOptimisticEngine(t, ranks, false)
+	cfg := optimisticConfig
+	cfg.CacheCapacity = cacheBlocks
+	e := NewEngine(rma.New(ranks), cfg)
 	pt := payloadPType(t, e)
 	dps := make([]rma.DPtr, keys)
 	for i := range dps {

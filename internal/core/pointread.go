@@ -15,6 +15,8 @@ import (
 // performs zero heap allocations per read.
 //
 // Arenas follow the handle rules: one arena per goroutine, never shared.
+// The type is exported because the benchmark module's point-read probe
+// passes one.
 type ReadArena struct {
 	buf  []byte
 	view holder.View
@@ -39,6 +41,7 @@ func (ar *ReadArena) grow(n int) []byte {
 // and hands the validated stream to fn as a zero-copy view — the leanest
 // form of the optimistic tier, for point lookups that need no transaction
 // (monitoring probes, benchmark harnesses, read-mostly caches above GDI).
+// The benchmark module's point-read probe calls it.
 //
 // Protocol: stamp the primary's guard word (one atomic load), read the
 // holder's blocks — local blocks from the pool, remote blocks from the

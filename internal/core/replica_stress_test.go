@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/gdi-go/gdi/internal/fabric"
-	"github.com/gdi-go/gdi/internal/holder"
 	"github.com/gdi-go/gdi/internal/rma"
 )
 
@@ -25,18 +24,6 @@ import (
 //
 // Runs under -race in CI (the kill-a-rank step of the race job).
 func TestKillARankFailoverStress(t *testing.T) {
-	killARankFailoverStress(t, holder.CodecV1)
-}
-
-// TestKillARankFailoverStressV2 runs the same kill-a-rank tier over the v2
-// (delta+varint) holder codec: replication fan-out, follower promotion, and
-// the post-failover re-commit path all re-encode through the compressed wire
-// format.
-func TestKillARankFailoverStressV2(t *testing.T) {
-	killARankFailoverStress(t, holder.CodecV2)
-}
-
-func killARankFailoverStress(t *testing.T, codec holder.Codec) {
 	const (
 		ranks           = 4
 		k               = 3 // one primary + two followers
@@ -50,11 +37,9 @@ func killARankFailoverStress(t *testing.T, codec holder.Codec) {
 	)
 	f := rma.New(ranks)
 	e := NewEngine(f, Config{
-		BlockSize:       64,
-		BlocksPerRank:   1 << 12,
-		LockTries:       256,
-		OptimisticReads: true,
-		HolderCodec:     codec,
+		BlockSize:     64,
+		BlocksPerRank: 1 << 12,
+		LockTries:     256,
 	})
 	pt := payloadPType(t, e)
 	for i := 0; i < keys; i++ {

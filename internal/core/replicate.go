@@ -396,7 +396,7 @@ func (e *Engine) replicateOne(origin fabric.Rank, app uint64, primary fabric.DPt
 	// the bigger group region pushed the holder over a block boundary.
 	existing := len(v.Replicas)
 	v.Replicas = append(v.Replicas, nil)
-	need := holder.VertexBlocksCodec(v, bs, e.cfg.HolderCodec)
+	need := holder.VertexBlocks(v, bs)
 	acquire := func(target fabric.Rank, dst []fabric.DPtr) ([]fabric.DPtr, bool) {
 		for len(dst) < need {
 			dp, aerr := e.store.AcquireBlock(origin, target)
@@ -466,7 +466,7 @@ func (e *Engine) replicateOne(origin fabric.Rank, app uint64, primary fabric.DPt
 
 	// Publish: the grown primary chain plus every follower stream, one
 	// vectored PUT train per rank.
-	stream := holder.EncodeVertexCodec(v, bs, e.cfg.HolderCodec)
+	stream := holder.EncodeVertex(v, bs)
 	for i := 1; i < need; i++ {
 		holder.SetTableEntry(stream, i-1, chain[i])
 	}
@@ -738,19 +738,7 @@ func (e *Engine) promoteOne(origin fabric.Rank, it promoteItem, dead map[fabric.
 		}
 	}
 	v.Homes = homes
-	codec := e.cfg.HolderCodec
-	need := holder.VertexBlocksCodec(v, bs, codec)
-	if need > nb {
-		// A codec switch can inflate the re-encoding past the copy we hold
-		// blocks for (a v2 follower promoted on a v1-configured engine). Fall
-		// back to the copy's own codec, under which content only shrinks; the
-		// next full rewrite converts the holder.
-		codec = v.Codec
-		need = holder.VertexBlocksCodec(v, bs, codec)
-	}
-	if need > nb {
-		need = nb // cannot happen (content shrank); never grow past the copy
-	}
+	need := min(holder.VertexBlocks(v, bs), nb) // content only shrank; never grow past the copy
 	// Shrink every surviving group to the new block count before encoding
 	// (group length must equal the holder's block count exactly).
 	var freeTail []fabric.DPtr
@@ -760,7 +748,7 @@ func (e *Engine) promoteOne(origin fabric.Rank, it promoteItem, dead map[fabric.
 			v.Replicas[gi] = g[:need]
 		}
 	}
-	stream := holder.EncodeVertexCodec(v, bs, codec)
+	stream := holder.EncodeVertex(v, bs)
 	for i := 1; i < need; i++ {
 		holder.SetTableEntry(stream, i-1, chain[i])
 	}

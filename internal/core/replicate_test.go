@@ -1,23 +1,22 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"github.com/gdi-go/gdi/internal/lpg"
 	"github.com/gdi-go/gdi/internal/rma"
 )
 
-// newReplicaEngine builds an optimistic-read engine over a killable simulator
-// fabric and returns both.
-func newReplicaEngine(t *testing.T, ranks int, scalarCommit bool) (*rma.Fabric, *Engine) {
+// newReplicaEngine builds an engine over a killable simulator fabric and
+// returns both.
+func newReplicaEngine(t *testing.T, ranks int) (*rma.Fabric, *Engine) {
 	t.Helper()
 	f := rma.New(ranks)
 	e := NewEngine(f, Config{
-		BlockSize:       64,
-		BlocksPerRank:   1 << 12,
-		LockTries:       256,
-		ScalarCommit:    scalarCommit,
-		OptimisticReads: true,
+		BlockSize:     64,
+		BlocksPerRank: 1 << 12,
+		LockTries:     256,
 	})
 	return f, e
 }
@@ -79,7 +78,7 @@ func writeSeq(t *testing.T, e *Engine, r rma.Rank, app, seq uint64, pt lpg.PType
 // copy, and an optimistic read from the follower rank is served locally —
 // the replica-read counter moves — while still validating at commit.
 func TestReplicateSeedsFollowerAndServesReads(t *testing.T) {
-	_, e := newReplicaEngine(t, 2, false)
+	_, e := newReplicaEngine(t, 2)
 	pt := payloadPType(t, e)
 	dp := seedPayloadVertex(t, e, 1, pt, 8)
 	fr := otherRank(dp, 2)
@@ -111,7 +110,7 @@ func TestReplicateSeedsFollowerAndServesReads(t *testing.T) {
 // inside the commit, so the next replica-served read returns the new value
 // and still passes commit-time validation against the primary's word.
 func TestReplicatedCommitFansOut(t *testing.T) {
-	_, e := newReplicaEngine(t, 2, false)
+	_, e := newReplicaEngine(t, 2)
 	pt := payloadPType(t, e)
 	const words = 8
 	dp := seedPayloadVertex(t, e, 1, pt, words)
@@ -142,7 +141,7 @@ func TestReplicatedCommitFansOut(t *testing.T) {
 // retires the follower groups instead of resizing them under commit latency;
 // reads fall back to the primary and stay correct.
 func TestReshapeDropsFollowers(t *testing.T) {
-	_, e := newReplicaEngine(t, 2, false)
+	_, e := newReplicaEngine(t, 2)
 	pt := payloadPType(t, e)
 	dp := seedPayloadVertex(t, e, 1, pt, 8)
 	fr := otherRank(dp, 2)
@@ -169,17 +168,29 @@ func TestReshapeDropsFollowers(t *testing.T) {
 	}
 }
 
-// TestAbortedWriteKeepsLockstep: a scalar-mode abort releases a held write
-// lock, bumping the primary's version without changing content; the follower
-// must track the bump or every later replica read would fail validation.
+// TestAbortedWriteKeepsLockstep: an abort after the commit lock train
+// releases a held write lock, bumping the primary's version without changing
+// content; the follower must track the bump or every later replica read
+// would fail validation. The commit rewrites the replicated vertex in place
+// and grows a second one on a rank whose pool is empty, so prepare fails
+// after the train has write-locked both.
 func TestAbortedWriteKeepsLockstep(t *testing.T) {
-	_, e := newReplicaEngine(t, 2, true) // scalar: writes lock eagerly
+	_, e := newReplicaEngine(t, 2)
 	pt := payloadPType(t, e)
 	const words = 8
 	dp := seedPayloadVertex(t, e, 1, pt, words)
 	fr := otherRank(dp, 2)
+	other := seedPayloadVertex(t, e, 2, pt, words)
+	if other.Rank() != fr {
+		t.Fatalf("second vertex on rank %d, want the follower rank %d", other.Rank(), fr)
+	}
 	if n := e.ReplicateFromRank(fr, dp.Rank(), 2); n != 1 {
 		t.Fatalf("seeded %d copies, want 1", n)
+	}
+	for {
+		if _, err := e.store.AcquireBlock(fr, fr); err != nil {
+			break
+		}
 	}
 
 	tx := e.StartLocal(dp.Rank(), ReadWrite)
@@ -190,7 +201,16 @@ func TestAbortedWriteKeepsLockstep(t *testing.T) {
 	if err := h.SetProperty(pt, payloadPattern(5, words)); err != nil {
 		t.Fatal(err)
 	}
-	tx.Abort()
+	grow, err := tx.AssociateVertex(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := grow.SetProperty(pt, payloadPattern(5, 8*words)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); !errors.Is(err, ErrNoMemory) {
+		t.Fatalf("commit into an empty pool: %v, want ErrNoMemory", err)
+	}
 
 	base := e.ReplicaReads()
 	if got := readSeq(t, e, fr, 1, pt); got != 0 {
@@ -205,7 +225,7 @@ func TestAbortedWriteKeepsLockstep(t *testing.T) {
 // the follower copies; the follower rank's directory empties and reads
 // report not-found.
 func TestDeleteRetiresFollowers(t *testing.T) {
-	_, e := newReplicaEngine(t, 2, false)
+	_, e := newReplicaEngine(t, 2)
 	pt := payloadPType(t, e)
 	dp := seedPayloadVertex(t, e, 1, pt, 8)
 	fr := otherRank(dp, 2)
@@ -245,7 +265,7 @@ func TestPromoteDeadFailsOver(t *testing.T) {
 		words = 8
 		app   = uint64(1)
 	)
-	f, e := newReplicaEngine(t, ranks, false)
+	f, e := newReplicaEngine(t, ranks)
 	pt := payloadPType(t, e)
 	dp := seedPayloadVertex(t, e, app, pt, words)
 	src := dp.Rank()
@@ -321,7 +341,7 @@ func TestPromoteDeadFailsOver(t *testing.T) {
 // a replicated vertex, and the skip (which bumps the primary's version under
 // a held lock) leaves the followers in lockstep.
 func TestReplicatedVertexPinnedDuringMigration(t *testing.T) {
-	_, e := newReplicaEngine(t, 2, false)
+	_, e := newReplicaEngine(t, 2)
 	pt := payloadPType(t, e)
 	dp := seedPayloadVertex(t, e, 1, pt, 8)
 	fr := otherRank(dp, 2)

@@ -29,7 +29,7 @@ const (
 	lockRead
 	lockWrite
 	// lockUpgrade marks a held shared lock whose exclusive upgrade is
-	// deferred to the commit-time lock train (the batched write path).
+	// deferred to the commit-time lock train.
 	// Upgrades are only granted to the sole reader, so the held shared lock
 	// keeps every other writer out until the train runs: deferral batches
 	// the remote CAS without weakening isolation.
@@ -176,22 +176,16 @@ func (tx *Tx) check() error {
 // skipLocks reports whether this transaction runs without per-vertex locks.
 func (tx *Tx) skipLocks() bool { return tx.collective && tx.mode == ReadOnly }
 
-// optimistic reports whether this transaction runs the optimistic read tier:
-// a local read-only transaction under Config.OptimisticReads takes no read
-// locks at all — every holder fetch is accepted only when its guard word
-// shows the same version (write bit clear) on both sides of the read, the
-// (vertex, version) pair is recorded, and Commit revalidates the whole read
-// set with one atomic-load train per owner rank. Collective read-only
-// transactions keep their own lock-free path (§3.3 lets them assume no
-// concurrent writers, so they need neither locks nor validation).
-func (tx *Tx) optimistic() bool {
-	return tx.eng.cfg.OptimisticReads && tx.mode == ReadOnly && !tx.collective
-}
-
-// batchedCommit reports whether the engine runs the batched write path:
-// deferred lock upgrades resolved by a commit-time lock train, vectored
-// write-back, and group commit.
-func (tx *Tx) batchedCommit() bool { return !tx.eng.cfg.ScalarCommit }
+// optimistic reports whether this transaction runs the optimistic read tier
+// (§3.8): a local read-only transaction takes no read locks at all — every
+// holder fetch is accepted only when its guard word shows the same version
+// (write bit clear) on both sides of the read, the (vertex, version) pair is
+// recorded, and Commit revalidates the whole read set with one atomic-load
+// train per owner rank, aborting with a transaction-critical error when any
+// version moved. Collective read-only transactions keep their own lock-free
+// path (§3.3 lets them assume no concurrent writers, so they need neither
+// locks nor validation); read-write transactions take per-vertex locks.
+func (tx *Tx) optimistic() bool { return tx.mode == ReadOnly && !tx.collective }
 
 // registry returns the rank-local metadata replica.
 func (tx *Tx) registry() *metadata.Registry { return tx.eng.regs[tx.rank] }
@@ -282,12 +276,11 @@ func (tx *Tx) unlockState(st *vertexState) {
 	st.lock = lockNone
 }
 
-// ensureWrite makes st exclusively held and marks it dirty. On the batched
-// write path the remote upgrade CAS is deferred: the state moves to
+// ensureWrite makes st exclusively held and marks it dirty. The remote
+// upgrade CAS of a read-held vertex is deferred: the state moves to
 // lockUpgrade and the commit-time lock train resolves every deferred word
-// with one vectored CAS train per owner rank. On the scalar path (and for
-// states without a lock to build on) the upgrade happens here, one remote
-// atomic per call.
+// with one vectored CAS train per owner rank. A state without a lock to
+// build on is write-locked here, one remote atomic per call.
 func (tx *Tx) ensureWrite(st *vertexState) error {
 	if tx.mode == ReadOnly {
 		return ErrReadOnly
@@ -295,18 +288,11 @@ func (tx *Tx) ensureWrite(st *vertexState) error {
 	switch st.lock {
 	case lockWrite, lockUpgrade:
 	case lockRead:
-		if tx.batchedCommit() {
-			st.lock = lockUpgrade
-		} else {
-			if err := tx.lockWord(st.primary).TryUpgrade(tx.rank, tx.eng.cfg.LockTries); err != nil {
-				return tx.fail(fmt.Errorf("upgrading lock on %v: %w", st.primary, err))
-			}
-			st.lock = lockWrite
-		}
+		st.lock = lockUpgrade
 	case lockNone:
-		// Batched-path fresh vertices stay unlocked until the commit train:
-		// they are unpublished, so nothing can race them before then.
-		if !tx.skipLocks() && !(tx.batchedCommit() && st.isNew) {
+		// Fresh vertices stay unlocked until the commit train: they are
+		// unpublished, so nothing can race them before then.
+		if !tx.skipLocks() && !st.isNew {
 			if err := tx.lockWord(st.primary).TryAcquireWrite(tx.rank, tx.eng.cfg.LockTries); err != nil {
 				return tx.fail(fmt.Errorf("write-locking %v: %w", st.primary, err))
 			}
@@ -363,17 +349,9 @@ func (tx *Tx) CreateVertex(appID uint64) (fabric.DPtr, error) {
 		v:       &holder.Vertex{AppID: appID},
 		isNew:   true,
 	}
-	// On the batched write path the exclusive lock on a fresh vertex is
-	// taken by the commit-time lock train (one CAS train per owner rank):
-	// the vertex is unpublished until commit, so nothing can touch it
-	// before then. The scalar path locks eagerly, one remote atomic each.
-	if !tx.skipLocks() && !tx.batchedCommit() {
-		if err := tx.lockWord(primary).TryAcquireWrite(tx.rank, tx.eng.cfg.LockTries); err != nil {
-			tx.eng.store.ReleaseBlock(tx.rank, primary)
-			return fabric.NullDPtr, tx.fail(err)
-		}
-		st.lock = lockWrite
-	}
+	// The exclusive lock on a fresh vertex is taken by the commit-time lock
+	// train (one CAS train per owner rank): the vertex is unpublished until
+	// commit, so nothing can touch it before then.
 	st.dirty = true
 	tx.dirtyList = append(tx.dirtyList, primary)
 	tx.verts[primary] = st

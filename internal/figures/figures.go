@@ -1,8 +1,7 @@
 // Package figures regenerates every table and figure of the paper's
 // evaluation (§6) at laptop scale: the same series, rows, and systems, with
 // "servers" played by fabric ranks. It is shared by the bench_test.go
-// harness and the cmd/gdi-figures binary. EXPERIMENTS.md records the
-// paper-vs-measured comparison produced from these runs.
+// harness and the cmd/gdi-figures binary.
 package figures
 
 import (

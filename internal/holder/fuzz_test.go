@@ -47,25 +47,126 @@ func sameRecords(t *testing.T, got, want []EdgeRec) {
 	}
 }
 
-// FuzzHolderRecords drives the Logical Layout (§5.4) end to end for vertex
-// holders whose edge lists span multi-block chains: encode at a small block
-// size, check the block-table streaming invariant, link a synthetic chain
-// through the table, decode, and verify every record survives. A second
-// append-and-re-encode pass mirrors the bulk-load merge path, which grows a
-// decoded holder and writes it back through a longer chain.
-func FuzzHolderRecords(f *testing.F) {
+// vertexFromBytes derives a full fuzz vertex — edge records plus labels and
+// properties — from raw input, reusing recordsFromBytes for the edge list.
+func vertexFromBytes(data []byte) *Vertex {
+	var appID uint64
+	for i, b := range data {
+		appID |= uint64(b) << (8 * (i % 8))
+	}
+	v := &Vertex{AppID: appID, Edges: recordsFromBytes(data)}
+	for i := 0; i+1 < len(data) && i < 10; i += 2 {
+		if data[i]%2 == 0 {
+			v.Labels = append(v.Labels, lpg.LabelID(uint32(data[i])<<8|uint32(data[i+1])))
+		} else {
+			v.Props = append(v.Props, lpg.Property{
+				PType: lpg.PTypeID(lpg.FirstDynamicID + uint32(data[i])),
+				Value: data[i+1 : min(len(data), i+1+int(data[i+1])%9)],
+			})
+		}
+	}
+	if len(data) > 2 {
+		for i := 0; i < int(data[0]%3); i++ {
+			v.Homes = append(v.Homes, rma.MakeDPtr(rma.Rank(data[1])+rma.Rank(i), uint64(data[2])))
+		}
+	}
+	return v
+}
+
+// FuzzVarintEdgeRun exercises the delta+varint edge-run codec at both
+// ends: arbitrary bytes through the run decoder must error — never panic —
+// and records derived from the input must survive encode→decode bit-exactly,
+// with the measured size matching the encoder's output.
+func FuzzVarintEdgeRun(f *testing.F) {
+	f.Add([]byte{}, uint16(0))
+	f.Add([]byte{9, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, uint16(3))
+	f.Add([]byte{0x0b, 0x10, 0x64, 0x06, 0x04}, uint16(2)) // one well-formed run header
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, uint16(1))
+	f.Fuzz(func(t *testing.T, data []byte, n uint16) {
+		// Raw bytes into the decoder with a fuzzed record count: must never
+		// panic, and on success must have consumed no more than the buffer.
+		count := int(n) % 1024
+		var raw []EdgeRec
+		consumed, err := forEachEdgeRun(data, count, func(rec EdgeRec) bool {
+			raw = append(raw, rec)
+			return true
+		})
+		if err == nil {
+			if consumed > len(data) {
+				t.Fatalf("consumed %d of %d bytes", consumed, len(data))
+			}
+			if len(raw) != count {
+				t.Fatalf("decoded %d records, asked for %d", len(raw), count)
+			}
+		}
+
+		// Derived records: encode, check the size accounting, decode back.
+		recs := recordsFromBytes(data)
+		enc := appendEdgeRuns(nil, recs)
+		if len(enc) != edgeRunsSize(recs) {
+			t.Fatalf("encoded %d bytes, edgeRunsSize said %d", len(enc), edgeRunsSize(recs))
+		}
+		var got []EdgeRec
+		consumed, err = forEachEdgeRun(enc, len(recs), func(rec EdgeRec) bool {
+			got = append(got, rec)
+			return true
+		})
+		if err != nil {
+			t.Fatalf("decode of freshly encoded runs: %v", err)
+		}
+		if consumed != len(enc) {
+			t.Fatalf("decode consumed %d of %d bytes", consumed, len(enc))
+		}
+		sameRecords(t, got, recs)
+
+		// An early stop returns at once: one callback, and the bytes of the
+		// records behind it stay undecoded.
+		if len(recs) > 1 {
+			calls := 0
+			stopped, err := forEachEdgeRun(enc, len(recs), func(EdgeRec) bool { calls++; return false })
+			if err != nil || calls != 1 || stopped >= len(enc) {
+				t.Fatalf("early-stop walk: %d callbacks, consumed %d of %d bytes (err %v)", calls, stopped, len(enc), err)
+			}
+		}
+	})
+}
+
+// FuzzHolderV2RoundTrip drives the Logical Layout (§5.4) end to end for
+// vertex holders: encode→decode identity (including the View iterators and
+// the entry-prefix view) at block sizes small enough for multi-block chains,
+// the block-table streaming invariant on a synthetic chain linked through
+// the table, an append-and-re-encode pass like the bulk-load merge path, and
+// arbitrary bytes through DecodeVertex and the View, which must reject
+// corruption with an error — at Reset, or through Err on the edge walk —
+// never a panic.
+func FuzzHolderV2RoundTrip(f *testing.F) {
 	f.Add([]byte{}, byte(0))
 	f.Add([]byte{9, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, byte(1))
 	f.Add([]byte{39, 7, 255, 254, 253, 252, 251, 250, 2, 1, 0, 77}, byte(2))
 	f.Add([]byte{16, 0, 1, 0, 0, 0, 1, 0, 1, 16, 0, 1, 0, 0, 0, 1, 2, 32}, byte(3))
 	f.Fuzz(func(t *testing.T, data []byte, sizeSel byte) {
-		blockSize := []int{64, 72, 128, 512}[int(sizeSel)%4]
-		recs := recordsFromBytes(data)
-		var appID uint64
-		for i, b := range data {
-			appID |= uint64(b) << (8 * (i % 8))
+		// Arbitrary bytes are a holder stream from a hostile rank: both
+		// decode entry points must fail cleanly.
+		if v, err := DecodeVertex(data); err == nil && v == nil {
+			t.Fatal("DecodeVertex returned nil, nil")
 		}
-		v := &Vertex{AppID: appID, Edges: recs}
+		var w View
+		if w.Reset(data) == nil {
+			// Reset vouches for the entry bounds only: the entry region must
+			// be sliceable and an edge walk over whatever follows must end in
+			// records or Err, not a panic.
+			_ = w.Entries()
+			w.ForEachEdge(func(EdgeRec) bool { return true })
+			w.HasHome(0)
+		}
+		if len(data) >= HeaderSize {
+			if pre := EntryBlocks(data, 64); pre < 1 || (NumBlocks(data) >= 1 && pre > NumBlocks(data)) {
+				t.Fatalf("EntryBlocks = %d for a header claiming %d blocks", pre, NumBlocks(data))
+			}
+		}
+
+		blockSize := []int{64, 72, 128, 512}[int(sizeSel)%4]
+		v := vertexFromBytes(data)
 
 		stream := EncodeVertex(v, blockSize)
 		nb := VertexBlocks(v, blockSize)
@@ -75,21 +176,21 @@ func FuzzHolderRecords(f *testing.F) {
 		if NumBlocks(stream) != nb {
 			t.Fatalf("header says %d blocks, layout computed %d", NumBlocks(stream), nb)
 		}
+		if Inline(stream) != (nb == 1) {
+			t.Fatalf("inline flag %v with %d blocks", Inline(stream), nb)
+		}
 		if IsEdgeHolder(stream) {
 			t.Fatal("vertex holder flagged as edge holder")
 		}
 		// The streaming invariant: table entry i must be fully contained in
 		// the first i+1 blocks, so a reader never needs a block before the
-		// entry addressing it.
+		// entry addressing it. Link a synthetic continuation chain through
+		// the table and read it back, exactly as the fetch rounds do.
 		for i := 0; i < nb-1; i++ {
 			if TableEntryOffset(i)+8 > (i+1)*blockSize {
 				t.Fatalf("table entry %d at offset %d spills past block %d (block size %d)",
 					i, TableEntryOffset(i), i, blockSize)
 			}
-		}
-		// Link a synthetic continuation chain through the table and read it
-		// back, exactly as the fetch rounds do.
-		for i := 0; i < nb-1; i++ {
 			SetTableEntry(stream, i, rma.MakeDPtr(rma.Rank(i%7), uint64(i+1)))
 		}
 		for i := 0; i < nb-1; i++ {
@@ -97,23 +198,37 @@ func FuzzHolderRecords(f *testing.F) {
 				t.Fatalf("table entry %d: got %v", i, got)
 			}
 		}
-
 		got, err := DecodeVertex(stream)
 		if err != nil {
-			t.Fatalf("decode: %v (%d records, block size %d)", err, len(recs), blockSize)
+			t.Fatalf("decode: %v (%d records, block size %d)", err, len(v.Edges), blockSize)
 		}
-		if got.AppID != v.AppID {
-			t.Fatalf("appID %d, want %d", got.AppID, v.AppID)
+		sameVertexContent(t, got, v)
+
+		// The zero-copy view must agree with the materializing decoder.
+		if err := w.Reset(stream); err != nil {
+			t.Fatalf("view reset on a fresh stream: %v", err)
 		}
-		sameRecords(t, got.Edges, v.Edges)
+		if w.NumEdges() != len(v.Edges) || w.AppID() != v.AppID {
+			t.Fatalf("view header %d/%d, want %d/%d", w.NumEdges(), w.AppID(), len(v.Edges), v.AppID)
+		}
+		sameRecords(t, w.AppendEdges(nil), v.Edges)
+		if err := w.Err(); err != nil {
+			t.Fatalf("edge walk over a fresh stream: %v", err)
+		}
+		// The entries sit ahead of the edge runs: the prefix EntryBlocks
+		// names is all a label/property reader needs.
+		if err := w.Reset(stream[:EntryBlocks(stream, blockSize)*blockSize]); err != nil {
+			t.Fatalf("view reset on the entry prefix: %v", err)
+		}
+		sameEntries(t, w.Entries(), v)
 
 		// Append-and-re-encode: grow the decoded holder by its own records
 		// (the bulk-load merge path) and round-trip again through a chain
 		// that is at least as long.
-		got.Edges = append(got.Edges, recs...)
+		got.Edges = append(got.Edges, v.Edges...)
 		stream2 := EncodeVertex(got, blockSize)
-		if VertexBlocks(got, blockSize)*blockSize != len(stream2) {
-			t.Fatalf("re-encoded stream of %d bytes", len(stream2))
+		if VertexBlocks(got, blockSize)*blockSize != len(stream2) || len(stream2) < len(stream) {
+			t.Fatalf("re-encoded stream of %d bytes, first encoding %d", len(stream2), len(stream))
 		}
 		again, err := DecodeVertex(stream2)
 		if err != nil {
@@ -124,7 +239,9 @@ func FuzzHolderRecords(f *testing.F) {
 }
 
 // FuzzEdgeHolderRoundTrip covers the heavy-edge holder codec with fuzzed
-// endpoints, direction, and rich data.
+// endpoints, direction, and rich data, at a block size small enough that the
+// entry region spills into continuation blocks; the raw tail, read as a
+// holder stream, must decode or fail with an error — never panic.
 func FuzzEdgeHolderRoundTrip(f *testing.F) {
 	f.Add(uint64(5), uint64(9), byte(0), []byte{3, 1, 4, 1, 5, 9, 2, 6})
 	f.Add(uint64(1<<63), uint64(0), byte(2), []byte{})
@@ -144,7 +261,14 @@ func FuzzEdgeHolderRoundTrip(f *testing.F) {
 				})
 			}
 		}
+		DecodeEdge(tail)
 		buf := EncodeEdge(e, 64)
+		if len(buf) != EdgeBlocks(e, 64)*64 || NumBlocks(buf) != EdgeBlocks(e, 64) {
+			t.Fatalf("stream of %d bytes, header %d blocks, layout %d", len(buf), NumBlocks(buf), EdgeBlocks(e, 64))
+		}
+		if !IsEdgeHolder(buf) || Inline(buf) != (NumBlocks(buf) == 1) {
+			t.Fatalf("flags: edge holder %v, inline %v with %d blocks", IsEdgeHolder(buf), Inline(buf), NumBlocks(buf))
+		}
 		got, err := DecodeEdge(buf)
 		if err != nil {
 			t.Fatal(err)

@@ -3,8 +3,8 @@
 // fixed-size blocks of the BGDL level.
 //
 // A holder is a logically contiguous byte stream physically split across
-// blocks (which need not be contiguous or even on one rank). The v1 stream
-// layout follows Figure 3:
+// blocks (which need not be contiguous or even on one rank). The stream
+// layout is:
 //
 //	header      32 bytes: #blocks, #edges, entry-region size, kind/flags,
 //	            #home blocks, and the application-level ID (vertices) or the
@@ -14,17 +14,29 @@
 //	homes       #homes DPtrs of former primary blocks now holding forwarding
 //	            stubs (vertices only; populated by live migration)
 //	replicas    #replicas groups of #blocks DPtrs: the follower copies
-//	edges       #edges fixed-size lightweight-edge records (vertices only)
-//	entries     label & property entries (package lpg wire format)
+//	entries     label & property entries (package lpg varint wire format)
+//	edges       runs of consecutive records sharing (direction, heavy,
+//	            label): uvarint run header (count<<3 | heavy<<2 | dir),
+//	            uvarint label, the first neighbor DPtr as an absolute
+//	            uvarint, every following neighbor as a zig-zag varint delta
+//	            from its predecessor (vertices only)
 //	unused      slack up to #blocks · blockSize
 //
-// The v2 codec (v2.go) keeps the header and the fixed regions and turns the
-// last two around — entries first, then varint edge runs — so that what a
-// vertex *is* (labels, properties) can be read, and fetched, without touching
-// who it knows: with fixed 16-byte records the entry offset is a
-// multiplication, with varint runs it would be a walk over the whole
-// adjacency. View is the zero-copy reader of either format; EntryBlocks tells
-// a reader how much of a chain the labels and properties need.
+// The paper's Figure 3 puts the edge records before the entries, which
+// works while records are a fixed 16 bytes: the entry offset is then a
+// multiplication. A varint edge region has no such closed form — its length
+// is only known by walking it, and the header has no room for it — so the
+// entries come first: their offset and length follow from the header alone,
+// a reader that wants a vertex's labels or properties never touches (or even
+// fetches) its adjacency, and an edge appended at the tail moves no property
+// byte. View is the zero-copy reader; EntryBlocks tells a reader how much of
+// a chain the labels and properties need.
+//
+// Records stay in insertion order — the edge UID contract (UID = record
+// index, deletion is by index) forbids sorting — and the zig-zag deltas
+// compress unsorted neighbors just as well when they share a rank, which is
+// the common case hyper-partitioned placement produces: a run of same-rank
+// neighbors costs 2–4 bytes per record.
 //
 // Every table entry i lands at logical offset 32+8i, which is always inside
 // the first i+1 blocks, so a reader can fetch the primary block and then
@@ -35,11 +47,15 @@
 // holder and carry at most one label. An edge with more labels or with
 // properties is "heavy": its inline record points at a dedicated edge
 // holder instead of at the neighbor vertex.
+//
+// Every decode path returns an error on malformed input instead of
+// panicking: holder bytes cross the fabric and are fuzzed as arbitrary input.
 package holder
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"github.com/gdi-go/gdi/internal/lpg"
 	"github.com/gdi-go/gdi/internal/rma"
@@ -48,8 +64,15 @@ import (
 // HeaderSize is the fixed holder header size in bytes.
 const HeaderSize = 32
 
-// EdgeRecSize is the size of one inline edge record.
-const EdgeRecSize = 16
+// Codec names a holder wire format. The compressed format is the only one;
+// the type and CodecV2 remain because the benchmark module passes
+// Engine.Codec() to EncodeVertexCodec.
+type Codec uint8
+
+// CodecV2 is the compressed format: varint entries first, then
+// delta+varint edge runs, with the inline single-block flag. It is what
+// Engine.Codec returns, for the benchmark module.
+const CodecV2 Codec = 1
 
 // Direction of an edge relative to the vertex holding the record.
 type Direction uint8
@@ -134,10 +157,6 @@ type Vertex struct {
 	Labels []lpg.LabelID
 	// Props are the vertex's properties in insertion order.
 	Props []lpg.Property
-	// Codec records which wire format the stream was decoded from (the zero
-	// value is CodecV1). Not encoded; re-encoding under a different codec is
-	// exactly how migration and promotion convert holders between formats.
-	Codec Codec
 }
 
 // Edge is the decoded logical form of a heavy-edge holder.
@@ -161,43 +180,15 @@ const (
 	// stream is byte-identical to the primary's except for this bit and the
 	// block table, which points at the follower's own blocks.
 	flagReplica = 1 << 2
-	// flagV2 tags a stream encoded with the v2 codec (delta+varint edge
-	// runs, varint entries — see v2.go). The decoders dispatch on it, so v1
-	// and v2 holders coexist in one store.
+	// flagV2 tags every holder stream the encoders write. The decoders
+	// reject a stream without it: the bit is what tells a holder from a
+	// zeroed or foreign block.
 	flagV2 = 1 << 3
-	// flagInline marks a single-block v2 holder: no block table, no
+	// flagInline marks a single-block holder: no block table, no
 	// continuation chain — a reader that sees it on the primary block knows
 	// the whole holder is already in hand and skips the chain walk.
 	flagInline = 1 << 4
 )
-
-// contentSizeVertex returns the logical byte size of v excluding slack.
-func contentSizeVertex(v *Vertex, numBlocks int) int {
-	entries := lpg.EndEntrySize
-	for range v.Labels {
-		entries += lpg.EntrySize(4)
-	}
-	for _, p := range v.Props {
-		entries += lpg.EntrySize(len(p.Value))
-	}
-	// Each replica group stores one DPtr per block of the holder, so the
-	// replica region participates in the block-count fixed point exactly as
-	// the table does.
-	return HeaderSize + 8*(numBlocks-1) + 8*len(v.Homes) + 8*len(v.Replicas)*numBlocks +
-		EdgeRecSize*len(v.Edges) + entries
-}
-
-func contentSizeEdge(e *Edge, numBlocks int) int {
-	entries := lpg.EndEntrySize
-	for range e.Labels {
-		entries += lpg.EntrySize(4)
-	}
-	for _, p := range e.Props {
-		entries += lpg.EntrySize(len(p.Value))
-	}
-	// Edge holders carry one 8-byte direction word in place of edge records.
-	return HeaderSize + 8*(numBlocks-1) + 8 + entries
-}
 
 // blocksFor solves the fixed point: the table grows with the block count.
 func blocksFor(size func(numBlocks int) int, blockSize int) int {
@@ -212,27 +203,145 @@ func blocksFor(size func(numBlocks int) int, blockSize int) int {
 	}
 }
 
-// VertexBlocks returns how many blocks v needs at the given block size.
-func VertexBlocks(v *Vertex, blockSize int) int {
-	return blocksFor(func(n int) int { return contentSizeVertex(v, n) }, blockSize)
+// edgeRunsSize returns the encoded byte size of recs in the run format
+// without building the region.
+func edgeRunsSize(recs []EdgeRec) int {
+	size := 0
+	for i := 0; i < len(recs); {
+		r0 := recs[i]
+		j := i + 1
+		for j < len(recs) && recs[j].Dir == r0.Dir && recs[j].Heavy == r0.Heavy && recs[j].Label == r0.Label {
+			j++
+		}
+		size += lpg.UvarintLen(uint64(j-i)<<3) + lpg.UvarintLen(uint64(r0.Label)) +
+			lpg.UvarintLen(uint64(r0.Neighbor))
+		prev := uint64(r0.Neighbor)
+		for k := i + 1; k < j; k++ {
+			nb := uint64(recs[k].Neighbor)
+			size += lpg.VarintLen(int64(nb) - int64(prev))
+			prev = nb
+		}
+		i = j
+	}
+	return size
 }
 
-// EdgeBlocks returns how many blocks e needs at the given block size.
-func EdgeBlocks(e *Edge, blockSize int) int {
-	return blocksFor(func(n int) int { return contentSizeEdge(e, n) }, blockSize)
+// appendEdgeRuns encodes recs into the run format.
+func appendEdgeRuns(dst []byte, recs []EdgeRec) []byte {
+	for i := 0; i < len(recs); {
+		r0 := recs[i]
+		j := i + 1
+		for j < len(recs) && recs[j].Dir == r0.Dir && recs[j].Heavy == r0.Heavy && recs[j].Label == r0.Label {
+			j++
+		}
+		hdr := uint64(j-i)<<3 | uint64(r0.Dir)&0x3
+		if r0.Heavy {
+			hdr |= 1 << 2
+		}
+		dst = binary.AppendUvarint(dst, hdr)
+		dst = binary.AppendUvarint(dst, uint64(r0.Label))
+		dst = binary.AppendUvarint(dst, uint64(r0.Neighbor))
+		prev := uint64(r0.Neighbor)
+		for k := i + 1; k < j; k++ {
+			nb := uint64(recs[k].Neighbor)
+			dst = binary.AppendVarint(dst, int64(nb)-int64(prev))
+			prev = nb
+		}
+		i = j
+	}
+	return dst
+}
+
+// forEachEdgeRun parses an edge region in place, calling fn for each of the
+// numEdges records in order until fn returns false, and returns how many
+// bytes of the region it decoded — the whole region after a full walk, only
+// the prefix an early stop needed. It never panics on corrupt input; records
+// ahead of the corruption have been yielded by the time it is found.
+func forEachEdgeRun(buf []byte, numEdges int, fn func(EdgeRec) bool) (consumed int, err error) {
+	off, decoded := 0, 0
+	for decoded < numEdges {
+		hdr, n := binary.Uvarint(buf[off:])
+		if n <= 0 {
+			return off, fmt.Errorf("holder: malformed run header at offset %d", off)
+		}
+		off += n
+		count := int(hdr >> 3)
+		if count <= 0 || count > numEdges-decoded {
+			return off, fmt.Errorf("holder: run of %d records, %d remaining", count, numEdges-decoded)
+		}
+		dir := Direction(hdr & 0x3)
+		if dir > DirUndirected {
+			return off, fmt.Errorf("holder: run with direction %d", dir)
+		}
+		heavy := hdr&(1<<2) != 0
+		label, n := binary.Uvarint(buf[off:])
+		if n <= 0 || label > math.MaxUint32 {
+			return off, fmt.Errorf("holder: malformed run label at offset %d", off)
+		}
+		off += n
+		first, n := binary.Uvarint(buf[off:])
+		if n <= 0 {
+			return off, fmt.Errorf("holder: malformed neighbor at offset %d", off)
+		}
+		off += n
+		nbr := first
+		for k := 0; k < count; k++ {
+			if k > 0 {
+				delta, n := binary.Varint(buf[off:])
+				if n <= 0 {
+					return off, fmt.Errorf("holder: malformed delta at offset %d", off)
+				}
+				off += n
+				nbr = uint64(int64(nbr) + delta)
+			}
+			if !fn(EdgeRec{
+				Neighbor: rma.DPtr(nbr),
+				Dir:      dir,
+				Heavy:    heavy,
+				Label:    lpg.LabelID(label),
+			}) {
+				return off, nil
+			}
+		}
+		decoded += count
+	}
+	return off, nil
+}
+
+// contentSizeVertex returns the logical byte size of v excluding slack, with
+// the edge and entry region sizes precomputed by the caller (they do not
+// depend on the block count, so the fixed point recomputes only the
+// fixed-width regions). Each replica group stores one DPtr per block of the
+// holder, so the replica region participates in the fixed point exactly as
+// the table does.
+func contentSizeVertex(v *Vertex, numBlocks, edgeBytes, entryBytes int) int {
+	return HeaderSize + 8*(numBlocks-1) + 8*len(v.Homes) + 8*len(v.Replicas)*numBlocks +
+		edgeBytes + entryBytes
+}
+
+// VertexBlocks returns how many blocks v needs at the given block size. It
+// always agrees with len(EncodeVertex(v, blockSize))/blockSize.
+func VertexBlocks(v *Vertex, blockSize int) int {
+	edgeBytes := edgeRunsSize(v.Edges)
+	entryBytes := lpg.EntriesSize(v.Labels, v.Props)
+	return blocksFor(func(n int) int { return contentSizeVertex(v, n, edgeBytes, entryBytes) }, blockSize)
 }
 
 // EncodeVertex serializes v into a logical stream of exactly
 // VertexBlocks(v)·blockSize bytes. The block table is zeroed; the caller
 // fills it with SetTableEntry after acquiring the continuation blocks.
 func EncodeVertex(v *Vertex, blockSize int) []byte {
-	numBlocks := VertexBlocks(v, blockSize)
-	buf := make([]byte, numBlocks*blockSize)
+	edgeBytes := edgeRunsSize(v.Edges)
 	entryRegion := lpg.EncodeEntries(v.Labels, v.Props)
+	numBlocks := blocksFor(func(n int) int { return contentSizeVertex(v, n, edgeBytes, len(entryRegion)) }, blockSize)
+	buf := make([]byte, numBlocks*blockSize)
 
-	var flags uint32
+	flags := uint32(flagV2)
 	if v.IsReplica {
 		flags |= flagReplica
+	}
+	if numBlocks == 1 {
+		flags |= flagInline
 	}
 	binary.LittleEndian.PutUint32(buf[0:], uint32(numBlocks))
 	binary.LittleEndian.PutUint32(buf[4:], uint32(len(v.Edges)))
@@ -256,81 +365,71 @@ func EncodeVertex(v *Vertex, blockSize int) []byte {
 			off += 8
 		}
 	}
-	for _, rec := range v.Edges {
-		off += encodeEdgeRec(buf[off:], rec)
+	off += copy(buf[off:], entryRegion)
+	// Append in place: buf[:off] has capacity for the whole stream, so the
+	// varint appends land directly in the slack-backed buffer.
+	edges := appendEdgeRuns(buf[:off], v.Edges)
+	if len(edges) != off+edgeBytes {
+		panic(fmt.Sprintf("holder: edge region of %d bytes, sized %d", len(edges)-off, edgeBytes))
 	}
-	copy(buf[off:], entryRegion)
 	return buf
 }
 
-// DecodeVertex parses a logical stream produced by EncodeVertex or the v2
-// encoder, dispatching on the header's codec flag. It returns an error —
-// never panics — on malformed input of either format.
+// EncodeVertexCodec is EncodeVertex; the codec argument is ignored. Kept
+// because the benchmark module's holder encode probe calls it.
+func EncodeVertexCodec(v *Vertex, blockSize int, _ Codec) []byte { return EncodeVertex(v, blockSize) }
+
+// DecodeVertex parses a logical stream produced by EncodeVertex. It returns
+// an error — never panics — on malformed input.
 func DecodeVertex(buf []byte) (*Vertex, error) {
-	numBlocks, flags, err := checkHeader(buf)
+	var w View
+	if err := w.Reset(buf); err != nil {
+		return nil, err
+	}
+	v, err := w.DecodeMeta()
 	if err != nil {
 		return nil, err
 	}
-	if flags&flagEdgeHolder != 0 {
-		return nil, fmt.Errorf("holder: expected a vertex holder, found an edge holder")
-	}
-	if flags&flagV2 != 0 {
-		return decodeVertexV2(buf, numBlocks, flags)
-	}
-	numEdges := int(binary.LittleEndian.Uint32(buf[4:]))
-	entryBytes := int(binary.LittleEndian.Uint32(buf[8:]))
-	numHomes := int(binary.LittleEndian.Uint32(buf[24:]))
-	numReplicas := int(binary.LittleEndian.Uint32(buf[28:]))
-	v := &Vertex{AppID: binary.LittleEndian.Uint64(buf[16:]), IsReplica: flags&flagReplica != 0}
-	off, err := fixedRegionsEnd(buf, numBlocks, numHomes, numReplicas)
-	if err != nil {
-		return nil, err
-	}
-	rest := len(buf) - off - 8*numHomes - 8*numReplicas*numBlocks
-	if numEdges > rest/EdgeRecSize || entryBytes > rest-numEdges*EdgeRecSize {
-		return nil, fmt.Errorf("holder: truncated vertex holder (%d blocks, %d homes, %d replicas, %d edges, %d entry bytes, %d buffer)",
-			numBlocks, numHomes, numReplicas, numEdges, entryBytes, len(buf))
-	}
-	if numHomes > 0 {
-		v.Homes = make([]rma.DPtr, numHomes)
-		for i := range v.Homes {
-			v.Homes[i] = rma.DPtr(binary.LittleEndian.Uint64(buf[off:]))
-			off += 8
+	if w.numEdges > 0 {
+		// Every record takes at least one byte, which bounds the allocation
+		// a corrupt count could ask for.
+		if w.numEdges > len(buf)-w.edgesOff {
+			return nil, fmt.Errorf("holder: holder claims %d edges in %d bytes", w.numEdges, len(buf)-w.edgesOff)
 		}
-	}
-	if numReplicas > 0 {
-		v.Replicas = make([][]rma.DPtr, numReplicas)
-		for g := range v.Replicas {
-			group := make([]rma.DPtr, numBlocks)
-			for i := range group {
-				group[i] = rma.DPtr(binary.LittleEndian.Uint64(buf[off:]))
-				off += 8
-			}
-			v.Replicas[g] = group
+		v.Edges = w.AppendEdges(nil)
+		if err := w.Err(); err != nil {
+			return nil, err
 		}
-	}
-	v.Edges = make([]EdgeRec, numEdges)
-	for i := range v.Edges {
-		v.Edges[i] = decodeEdgeRec(buf[off:])
-		off += EdgeRecSize
-	}
-	v.Labels, v.Props, err = lpg.SplitEntriesSafe(buf[off : off+entryBytes])
-	if err != nil {
-		return nil, err
 	}
 	return v, nil
 }
 
-// EncodeEdge serializes a heavy-edge holder.
-func EncodeEdge(e *Edge, blockSize int) []byte {
-	numBlocks := EdgeBlocks(e, blockSize)
-	buf := make([]byte, numBlocks*blockSize)
-	entryRegion := lpg.EncodeEntries(e.Labels, e.Props)
+// contentSizeEdge returns the logical byte size of e excluding slack: edge
+// holders carry one 8-byte direction word in place of edge records.
+func contentSizeEdge(numBlocks, entryBytes int) int {
+	return HeaderSize + 8*(numBlocks-1) + 8 + entryBytes
+}
 
+// EdgeBlocks returns how many blocks e needs at the given block size.
+func EdgeBlocks(e *Edge, blockSize int) int {
+	entryBytes := lpg.EntriesSize(e.Labels, e.Props)
+	return blocksFor(func(n int) int { return contentSizeEdge(n, entryBytes) }, blockSize)
+}
+
+// EncodeEdge serializes a heavy-edge holder: the endpoint header, the
+// direction word, and the entry region.
+func EncodeEdge(e *Edge, blockSize int) []byte {
+	entryRegion := lpg.EncodeEntries(e.Labels, e.Props)
+	numBlocks := blocksFor(func(n int) int { return contentSizeEdge(n, len(entryRegion)) }, blockSize)
+	buf := make([]byte, numBlocks*blockSize)
+
+	flags := uint32(flagEdgeHolder | flagV2)
+	if numBlocks == 1 {
+		flags |= flagInline
+	}
 	binary.LittleEndian.PutUint32(buf[0:], uint32(numBlocks))
-	binary.LittleEndian.PutUint32(buf[4:], 0)
 	binary.LittleEndian.PutUint32(buf[8:], uint32(len(entryRegion)))
-	binary.LittleEndian.PutUint32(buf[12:], flagEdgeHolder)
+	binary.LittleEndian.PutUint32(buf[12:], flags)
 	binary.LittleEndian.PutUint64(buf[16:], uint64(e.Origin))
 	binary.LittleEndian.PutUint64(buf[24:], uint64(e.Target))
 
@@ -341,9 +440,8 @@ func EncodeEdge(e *Edge, blockSize int) []byte {
 	return buf
 }
 
-// DecodeEdge parses a logical stream produced by EncodeEdge or the v2
-// encoder, dispatching on the header's codec flag. It returns an error —
-// never panics — on malformed input of either format.
+// DecodeEdge parses a logical stream produced by EncodeEdge. It returns an
+// error — never panics — on malformed input.
 func DecodeEdge(buf []byte) (*Edge, error) {
 	numBlocks, flags, err := checkHeader(buf)
 	if err != nil {
@@ -366,11 +464,7 @@ func DecodeEdge(buf []byte) (*Edge, error) {
 	}
 	e.Dir = Direction(binary.LittleEndian.Uint32(buf[off:]))
 	off += 8
-	if flags&flagV2 != 0 {
-		e.Labels, e.Props, err = lpg.SplitEntriesVar(buf[off : off+entryBytes])
-	} else {
-		e.Labels, e.Props, err = lpg.SplitEntriesSafe(buf[off : off+entryBytes])
-	}
+	e.Labels, e.Props, err = lpg.SplitEntries(buf[off : off+entryBytes])
 	if err != nil {
 		return nil, err
 	}
@@ -389,28 +483,31 @@ func checkHeader(buf []byte) (numBlocks int, flags uint32, err error) {
 	if flags&flagMoved != 0 {
 		return 0, 0, fmt.Errorf("holder: block is a migration forwarding stub, not a holder")
 	}
+	if flags&flagV2 == 0 {
+		return 0, 0, fmt.Errorf("holder: stream without the format flag (flags %#x)", flags)
+	}
 	return numBlocks, flags, nil
 }
 
-func encodeEdgeRec(dst []byte, rec EdgeRec) int {
-	binary.LittleEndian.PutUint64(dst[0:], uint64(rec.Neighbor))
-	meta := uint32(rec.Dir) & 0x3
-	if rec.Heavy {
-		meta |= 1 << 2
+// fixedRegionsEnd bound-checks the fixed-width regions (table, homes,
+// replica groups) against the buffer and returns the offset of the first
+// variable region. Every arithmetic step is guarded so arbitrary header
+// values cannot overflow into a false bound.
+func fixedRegionsEnd(buf []byte, numBlocks, numHomes, numReplicas int) (int, error) {
+	n := len(buf)
+	// Each count is first bounded by what could possibly fit in the buffer
+	// (8 bytes per word), so the product below cannot overflow a 64-bit int
+	// before it is compared against the real bound.
+	if numBlocks > n/8+1 || numHomes > n/8 || numReplicas > n/8 {
+		return 0, fmt.Errorf("holder: corrupt header (%d blocks, %d homes, %d replicas, %d bytes)",
+			numBlocks, numHomes, numReplicas, n)
 	}
-	binary.LittleEndian.PutUint32(dst[8:], meta)
-	binary.LittleEndian.PutUint32(dst[12:], uint32(rec.Label))
-	return EdgeRecSize
-}
-
-func decodeEdgeRec(src []byte) EdgeRec {
-	meta := binary.LittleEndian.Uint32(src[8:])
-	return EdgeRec{
-		Neighbor: rma.DPtr(binary.LittleEndian.Uint64(src[0:])),
-		Dir:      Direction(meta & 0x3),
-		Heavy:    meta&(1<<2) != 0,
-		Label:    lpg.LabelID(binary.LittleEndian.Uint32(src[12:])),
+	off := HeaderSize + 8*(numBlocks-1)
+	if end := off + 8*numHomes + 8*numReplicas*numBlocks; end > n {
+		return 0, fmt.Errorf("holder: truncated holder (%d blocks, %d homes, %d replicas, %d bytes)",
+			numBlocks, numHomes, numReplicas, n)
 	}
+	return off, nil
 }
 
 // NumBlocks reads the block count from a holder's primary-block prefix.
@@ -454,8 +551,8 @@ func MovedAppID(primary []byte) uint64 {
 }
 
 // Inline reads the single-block flag from a holder's primary-block prefix:
-// true for a v2 holder whose whole stream fits its primary block, so a
-// reader holding that block needs no table lookup and no chain walk.
+// true for a holder whose whole stream fits its primary block, so a reader
+// holding that block needs no table lookup and no chain walk.
 func Inline(primary []byte) bool {
 	if len(primary) < HeaderSize {
 		panic("holder: primary block prefix too small")

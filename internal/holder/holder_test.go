@@ -2,6 +2,7 @@ package holder
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -59,13 +60,13 @@ func TestEmptyVertex(t *testing.T) {
 
 func TestMultiBlockVertex(t *testing.T) {
 	v := &Vertex{AppID: 7}
-	for i := 0; i < 100; i++ { // 1600 bytes of edge records alone
+	for i := 0; i < 100; i++ { // one run per record: ~1 KB of edge runs alone
 		v.Edges = append(v.Edges, EdgeRec{Neighbor: rma.MakeDPtr(rma.Rank(i%4), uint64(i+1)), Dir: DirOut, Label: lpg.LabelID(i)})
 	}
 	v.Props = append(v.Props, lpg.Property{PType: 30, Value: bytes.Repeat([]byte{9}, 700)})
 	buf := EncodeVertex(v, 256)
-	if nb := NumBlocks(buf); nb < 9 {
-		t.Fatalf("vertex with 2.3KB content in %d blocks of 256B", nb)
+	if nb := NumBlocks(buf); nb < 7 {
+		t.Fatalf("vertex with 1.7KB content in %d blocks of 256B", nb)
 	}
 	got, err := DecodeVertex(buf)
 	if err != nil {
@@ -80,14 +81,18 @@ func TestBlocksFixedPointConverges(t *testing.T) {
 	// Content that barely crosses a block boundary when the table grows.
 	for blockSize := 64; blockSize <= 1024; blockSize *= 2 {
 		for nEdges := 0; nEdges < 64; nEdges++ {
-			v := &Vertex{AppID: 1, Edges: make([]EdgeRec, nEdges)}
+			v := &Vertex{AppID: 1}
+			for i := 0; i < nEdges; i++ {
+				v.Edges = append(v.Edges, EdgeRec{Neighbor: rma.MakeDPtr(rma.Rank(i%3), uint64(i)), Label: lpg.LabelID(i % 2)})
+			}
+			size := func(n int) int { return contentSizeVertex(v, n, edgeRunsSize(v.Edges), 0) }
 			nb := VertexBlocks(v, blockSize)
-			content := contentSizeVertex(v, nb)
+			content := size(nb)
 			if content > nb*blockSize {
 				t.Fatalf("blockSize=%d edges=%d: content %d overflows %d blocks", blockSize, nEdges, content, nb)
 			}
 			if nb > 1 {
-				smaller := contentSizeVertex(v, nb-1)
+				smaller := size(nb - 1)
 				if smaller <= (nb-1)*blockSize {
 					t.Fatalf("blockSize=%d edges=%d: %d blocks not minimal", blockSize, nEdges, nb)
 				}
@@ -186,12 +191,34 @@ func TestEdgeRecEncodingExhaustive(t *testing.T) {
 	for _, dir := range []Direction{DirOut, DirIn, DirUndirected} {
 		for _, heavy := range []bool{false, true} {
 			rec := EdgeRec{Neighbor: rma.MakeDPtr(9, 1234), Dir: dir, Heavy: heavy, Label: 77}
-			var buf [EdgeRecSize]byte
-			encodeEdgeRec(buf[:], rec)
-			if got := decodeEdgeRec(buf[:]); got != rec {
-				t.Fatalf("edge rec %+v decoded as %+v", rec, got)
+			var got []EdgeRec
+			if _, err := forEachEdgeRun(appendEdgeRuns(nil, []EdgeRec{rec}), 1, func(r EdgeRec) bool {
+				got = append(got, r)
+				return true
+			}); err != nil || len(got) != 1 || got[0] != rec {
+				t.Fatalf("edge rec %+v decoded as %+v (%v)", rec, got, err)
 			}
 		}
+	}
+}
+
+// TestDecodersRejectStreamWithoutFormatFlag: every stream the encoders write
+// carries the format flag, and a block without it — zeroed, foreign, or in
+// the retired fixed-width layout — is not a holder.
+func TestDecodersRejectStreamWithoutFormatFlag(t *testing.T) {
+	strip := func(buf []byte) []byte {
+		binary.LittleEndian.PutUint32(buf[12:], binary.LittleEndian.Uint32(buf[12:])&^flagV2)
+		return buf
+	}
+	if _, err := DecodeVertex(strip(EncodeVertex(sampleVertex(), 512))); err == nil {
+		t.Fatal("DecodeVertex accepted a stream without the format flag")
+	}
+	var w View
+	if err := w.Reset(strip(EncodeVertex(sampleVertex(), 512))); err == nil {
+		t.Fatal("View.Reset accepted a stream without the format flag")
+	}
+	if _, err := DecodeEdge(strip(EncodeEdge(&Edge{Origin: rma.MakeDPtr(0, 1), Target: rma.MakeDPtr(0, 2)}, 128))); err == nil {
+		t.Fatal("DecodeEdge accepted a stream without the format flag")
 	}
 }
 

@@ -10,13 +10,12 @@ import (
 
 // View is a zero-copy reader over an encoded vertex-holder stream: Reset
 // validates the header and locates every region in O(1), and the accessors
-// then read labels, properties and edge records in place — fixed 16-byte
-// records for v1, varint runs for v2 — without materializing a []EdgeRec or
-// copying a byte. The steady-state point-read, frontier-expansion and CSR
-// index paths run entirely on Views, which is what makes them
-// allocation-free.
+// then read labels, properties and edge runs in place without materializing
+// a []EdgeRec or copying a byte. The steady-state point-read,
+// frontier-expansion and CSR index paths run entirely on Views, which is
+// what makes them allocation-free.
 //
-// A v2 edge region has no length field, so it is validated by the walk that
+// The edge region has no length field, so it is validated by the walk that
 // reads it rather than at Reset: a walk that meets corruption stops, and the
 // view reports it through Err (the bufio.Scanner contract). Everything else
 // — header, fixed regions, the bounds of the entry region — is checked at
@@ -28,8 +27,7 @@ import (
 // stamp, or a holder protected by the caller's lock). The zero View is ready
 // for Reset; Views are cheap to embed and reuse.
 type View struct {
-	buf   []byte
-	codec Codec
+	buf []byte
 
 	numBlocks   int
 	numEdges    int
@@ -68,25 +66,12 @@ func (w *View) Reset(buf []byte) error {
 	w.numReplicas = int(binary.LittleEndian.Uint32(buf[28:]))
 	w.appID = binary.LittleEndian.Uint64(buf[16:])
 	w.isReplica = flags&flagReplica != 0
-	w.codec = CodecV1
-	if flags&flagV2 != 0 {
-		w.codec = CodecV2
-	}
 	w.homesOff, err = fixedRegionsEnd(buf, numBlocks, w.numHomes, w.numReplicas)
 	if err != nil {
 		return err
 	}
-	varOff := w.homesOff + 8*w.numHomes + 8*w.numReplicas*numBlocks
-	if w.codec == CodecV2 {
-		w.entOff = varOff
-		w.edgesOff = varOff + w.entryBytes
-	} else {
-		if w.numEdges > (len(buf)-varOff)/EdgeRecSize {
-			return fmt.Errorf("holder: truncated edge region (%d records, %d bytes)", w.numEdges, len(buf)-varOff)
-		}
-		w.edgesOff = varOff
-		w.entOff = varOff + w.numEdges*EdgeRecSize
-	}
+	w.entOff = w.homesOff + 8*w.numHomes + 8*w.numReplicas*numBlocks
+	w.edgesOff = w.entOff + w.entryBytes
 	if w.entryBytes > len(buf)-w.entOff {
 		return fmt.Errorf("holder: truncated entry region (%d bytes, %d left)", w.entryBytes, len(buf)-w.entOff)
 	}
@@ -97,9 +82,6 @@ func (w *View) Reset(buf []byte) error {
 // walk that set it yielded only the records ahead of the damage; later walks
 // yield nothing.
 func (w *View) Err() error { return w.err }
-
-// Codec returns the wire format of the viewed stream.
-func (w *View) Codec() Codec { return w.codec }
 
 // NumBlocks returns the holder's block count.
 func (w *View) NumBlocks() int { return w.numBlocks }
@@ -116,8 +98,7 @@ func (w *View) AppID() uint64 { return w.appID }
 func (w *View) IsReplica() bool { return w.isReplica }
 
 // Entries returns the encoded label/property entry region, aliasing the
-// stream: package lpg's fixed entry format for a v1 stream, its varint
-// format for a v2 one (lpg.IterEntries walks either in place).
+// stream (lpg.IterEntries walks it in place).
 func (w *View) Entries() []byte { return w.buf[w.entOff : w.entOff+w.entryBytes] }
 
 // HasHome reports whether dp is one of the vertex's former primary blocks
@@ -135,23 +116,13 @@ func (w *View) HasHome(dp rma.DPtr) bool {
 // ForEachEdge calls fn for every inline edge record in insertion order,
 // parsing the stream in place. fn returning false stops the walk at once —
 // nothing past the record it declined is decoded. The records are yielded
-// exactly as DecodeVertex would materialize them; a v2 walk that runs into
+// exactly as DecodeVertex would materialize them; a walk that runs into
 // corruption stops there and records it for Err.
 func (w *View) ForEachEdge(fn func(EdgeRec) bool) {
 	if w.numEdges == 0 || w.err != nil {
 		return
 	}
-	if w.codec == CodecV1 {
-		off := w.edgesOff
-		for i := 0; i < w.numEdges; i++ {
-			if !fn(decodeEdgeRec(w.buf[off:])) {
-				return
-			}
-			off += EdgeRecSize
-		}
-		return
-	}
-	if _, err := forEachEdgeV2(w.buf[w.edgesOff:], w.numEdges, fn); err != nil {
+	if _, err := forEachEdgeRun(w.buf[w.edgesOff:], w.numEdges, fn); err != nil {
 		w.err = err
 	}
 }
@@ -172,7 +143,7 @@ func (w *View) ForEachNeighbor(fn func(nbr rma.DPtr, dir Direction) bool) {
 // AppendEdges materializes the edge records into dst (usually dst[:0] of a
 // reusable slice) and returns it — the lazy-decode escape hatch for paths
 // that need a mutable []EdgeRec after all. Check Err afterwards: a corrupt
-// v2 region yields a short slice.
+// region yields a short slice.
 func (w *View) AppendEdges(dst []EdgeRec) []EdgeRec {
 	if cap(dst) < w.numEdges {
 		dst = make([]EdgeRec, 0, w.numEdges)
@@ -189,7 +160,7 @@ func (w *View) AppendEdges(dst []EdgeRec) []EdgeRec {
 // clean read-only vertex never materializes its edge list — iteration runs
 // on the view, and only a mutation pays for AppendEdges.
 func (w *View) DecodeMeta() (*Vertex, error) {
-	v := &Vertex{AppID: w.appID, IsReplica: w.isReplica, Codec: w.codec}
+	v := &Vertex{AppID: w.appID, IsReplica: w.isReplica}
 	off := w.homesOff
 	if w.numHomes > 0 {
 		v.Homes = make([]rma.DPtr, 0, w.numHomes)
@@ -210,11 +181,7 @@ func (w *View) DecodeMeta() (*Vertex, error) {
 		}
 	}
 	var err error
-	if w.codec == CodecV2 {
-		v.Labels, v.Props, err = lpg.SplitEntriesVar(w.Entries())
-	} else {
-		v.Labels, v.Props, err = lpg.SplitEntriesSafe(w.Entries())
-	}
+	v.Labels, v.Props, err = lpg.SplitEntries(w.Entries())
 	if err != nil {
 		return nil, err
 	}
@@ -224,11 +191,10 @@ func (w *View) DecodeMeta() (*Vertex, error) {
 // EntryBlocks reads, from a vertex holder's primary block alone, how many
 // leading blocks of its chain cover the stream from the header through the
 // end of the entry region — the prefix a reader that only wants labels and
-// properties has to fetch (View.Reset accepts exactly such a prefix). For a
-// v2 holder that is block 0 unless the block table alone outgrows it; for a
-// v1 holder, whose entries follow the edge records, it is the blocks holding
-// content. The result is clamped to [1, NumBlocks], so a garbage header costs
-// at most the whole chain, which the decoders then reject.
+// properties has to fetch (View.Reset accepts exactly such a prefix): block
+// 0 unless the block table, homes and replica groups alone outgrow it. The
+// result is clamped to [1, NumBlocks], so a garbage header costs at most the
+// whole chain, which the decoders then reject.
 func EntryBlocks(primary []byte, blockSize int) int {
 	if len(primary) < HeaderSize {
 		panic("holder: primary block prefix too small")
@@ -240,9 +206,6 @@ func EntryBlocks(primary []byte, blockSize int) int {
 	end := HeaderSize + 8*(nb-1) +
 		8*uint64(binary.LittleEndian.Uint32(primary[24:])) + // homes
 		uint64(binary.LittleEndian.Uint32(primary[8:])) // entries
-	if binary.LittleEndian.Uint32(primary[12:])&flagV2 == 0 {
-		end += EdgeRecSize * uint64(binary.LittleEndian.Uint32(primary[4:]))
-	}
 	// Each replica group is nb words of an nb-block stream: more than
 	// blockSize/8 of them cannot be real, and would overflow the product.
 	groups := uint64(binary.LittleEndian.Uint32(primary[28:]))

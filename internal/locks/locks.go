@@ -119,26 +119,6 @@ func (w Word) TryAcquireWrite(origin fabric.Rank, tries int) error {
 	return ErrContended
 }
 
-// TryUpgrade converts a held shared lock into the exclusive lock. It
-// succeeds only while the caller is the sole reader; otherwise the caller
-// keeps its shared lock and receives ErrContended.
-func (w Word) TryUpgrade(origin fabric.Rank, tries int) error {
-	for i := 0; i < tries; i++ {
-		cur := w.Win.Load(origin, w.Target, w.Idx)
-		if cur&writeBit != 0 {
-			// Impossible while we hold a read lock under correct usage.
-			return ErrContended
-		}
-		if cur&readerMask != 1 {
-			continue // other readers present
-		}
-		if _, ok := w.Win.CAS(origin, w.Target, w.Idx, cur, (cur-1)|writeBit); ok {
-			return nil
-		}
-	}
-	return ErrContended
-}
-
 // ReleaseWrite drops the exclusive lock and bumps the version counter — the
 // signal that tells version-validated readers their cached copies of the
 // guarded holder are stale. A write-held word is stable (readers cannot

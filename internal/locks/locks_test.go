@@ -59,25 +59,36 @@ func TestReadersExcludeWriter(t *testing.T) {
 	w.ReleaseRead(0)
 }
 
+// upgrade converts our shared lock on w into the exclusive one: a write
+// train of one word marked FromRead, the form a commit upgrades its read
+// locks in.
+func upgrade(w Word, tries int) ([]uint64, error) {
+	return AcquireWriteTrain(0, []TrainLock{{Word: w, FromRead: true}}, tries)
+}
+
 func TestUpgradeSoleReader(t *testing.T) {
 	w, _ := word(1)
 	if err := w.TryAcquireRead(0, DefaultTries); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.TryUpgrade(0, DefaultTries); err != nil {
+	vers, err := upgrade(w, DefaultTries)
+	if err != nil {
 		t.Fatal("upgrade as sole reader failed:", err)
 	}
 	if wr, rd := w.Peek(0); !wr || rd != 0 {
 		t.Fatalf("after upgrade Peek = (%v, %d), want (true, 0)", wr, rd)
 	}
-	w.ReleaseWrite(0)
+	ReleaseWriteTrain(0, []Word{w}, vers)
+	if wr, rd := w.Peek(0); wr || rd != 0 {
+		t.Fatalf("after release Peek = (%v, %d), want (false, 0)", wr, rd)
+	}
 }
 
 func TestUpgradeFailsWithOtherReaders(t *testing.T) {
 	w, _ := word(1)
 	_ = w.TryAcquireRead(0, DefaultTries)
 	_ = w.TryAcquireRead(0, DefaultTries)
-	if err := w.TryUpgrade(0, 4); err != ErrContended {
+	if _, err := upgrade(w, 4); err != ErrContended {
 		t.Fatalf("upgrade with 2 readers: err = %v, want ErrContended", err)
 	}
 	// The failed upgrade must not have dropped our shared lock.
@@ -357,7 +368,7 @@ func TestWriteUnlockBumpsVersion(t *testing.T) {
 	if err := w.TryAcquireRead(0, DefaultTries); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.TryUpgrade(0, DefaultTries); err != nil {
+	if _, err := AcquireWriteTrain(0, []TrainLock{{Word: w, FromRead: true}}, DefaultTries); err != nil {
 		t.Fatal(err)
 	}
 	if v := Version(raw(w)); v != 3 {

@@ -3,38 +3,42 @@ package lpg
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
-// The label/property entry wire format of §5.4.3. An entry is:
+// The label/property entry wire format of §5.4.3, in its varint form. An
+// entry is:
 //
-//	u32 id    — IDEmpty, IDEnd, IDLabel, or a property-type integer ID
-//	u32 size  — payload size in bytes
-//	payload   — size bytes, padded to the next 4-byte boundary
+//	uvarint id    — IDLabel or a property-type integer ID
+//	uvarint size  — payload size in bytes
+//	payload       — size bytes, unpadded
 //
-// A label entry has id = IDLabel and a 4-byte payload holding the LabelID.
-// A property entry has id = the PTypeID and the encoded value as payload.
-// The region is terminated by an IDEnd entry (8 bytes, size 0).
+// Label entries carry the LabelID itself as a uvarint payload, so the
+// common small-ID label costs 3 bytes. There is no terminator and no
+// empty-slot padding: the region length recorded in the holder header is
+// authoritative, which is what lets the decoder reject any truncation
+// instead of walking past the region. (The paper's fixed-width entries — u32
+// id, u32 size, 4-byte-padded payload, IDEnd terminator — spend 12 bytes on
+// a label and up to 3 bytes of padding per property.)
+//
+// Every decode path returns an error on malformed input rather than
+// panicking — these bytes cross the fabric and are fuzzed as arbitrary input.
 
-// entryHeaderSize is the fixed per-entry header size.
-const entryHeaderSize = 8
-
-// pad4 rounds n up to a multiple of 4.
-func pad4(n int) int { return (n + 3) &^ 3 }
-
-// EntrySize returns the encoded size of an entry with a payload of n bytes.
-func EntrySize(n int) int { return entryHeaderSize + pad4(n) }
-
-// EndEntrySize is the size of the terminating IDEnd entry.
-const EndEntrySize = entryHeaderSize
-
-// AppendLabelEntry appends a label entry to buf.
-func AppendLabelEntry(buf []byte, l LabelID) []byte {
-	var payload [4]byte
-	binary.LittleEndian.PutUint32(payload[:], uint32(l))
-	return AppendEntry(buf, IDLabel, payload[:])
+// AppendEntry appends one entry with the given ID and payload.
+func AppendEntry(buf []byte, id uint32, payload []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(id))
+	buf = binary.AppendUvarint(buf, uint64(len(payload)))
+	return append(buf, payload...)
 }
 
-// AppendPropertyEntry appends a property entry to buf.
+// AppendLabelEntry appends a label entry: id IDLabel, uvarint payload.
+func AppendLabelEntry(buf []byte, l LabelID) []byte {
+	var payload [binary.MaxVarintLen32]byte
+	n := binary.PutUvarint(payload[:], uint64(l))
+	return AppendEntry(buf, IDLabel, payload[:n])
+}
+
+// AppendPropertyEntry appends a property entry.
 func AppendPropertyEntry(buf []byte, pt PTypeID, value []byte) []byte {
 	if uint32(pt) < FirstDynamicID && pt != PTypeDegree && pt != PTypeAppID {
 		panic(fmt.Sprintf("lpg: property entry with reserved ID %d", pt))
@@ -42,91 +46,32 @@ func AppendPropertyEntry(buf []byte, pt PTypeID, value []byte) []byte {
 	return AppendEntry(buf, uint32(pt), value)
 }
 
-// AppendEntry appends a raw entry with the given ID and payload.
-func AppendEntry(buf []byte, id uint32, payload []byte) []byte {
-	var hdr [entryHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], id)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, payload...)
-	for i := len(payload); i%4 != 0; i++ {
-		buf = append(buf, 0)
+// EntriesSize returns the encoded size of the given labels and properties
+// without building the region — the holder layer's block-count fixed point
+// calls it once per candidate block count.
+func EntriesSize(labels []LabelID, props []Property) int {
+	n := 0
+	for _, l := range labels {
+		lv := UvarintLen(uint64(l))
+		n += UvarintLen(uint64(IDLabel)) + UvarintLen(uint64(lv)) + lv
 	}
-	return buf
-}
-
-// AppendEndEntry appends the IDEnd terminator.
-func AppendEndEntry(buf []byte) []byte { return AppendEntry(buf, IDEnd, nil) }
-
-// Entry is one decoded label or property entry.
-type Entry struct {
-	// ID is IDLabel for label entries, or the PTypeID for property entries.
-	ID uint32
-	// Payload is the raw value (aliasing the input buffer).
-	Payload []byte
-}
-
-// IsLabel reports whether the entry is a label entry.
-func (e Entry) IsLabel() bool { return e.ID == IDLabel }
-
-// Label returns the label ID of a label entry.
-func (e Entry) Label() LabelID {
-	if !e.IsLabel() {
-		panic("lpg: Label() on a non-label entry")
+	for _, p := range props {
+		n += UvarintLen(uint64(p.PType)) + UvarintLen(uint64(len(p.Value))) + len(p.Value)
 	}
-	return LabelID(binary.LittleEndian.Uint32(e.Payload))
-}
-
-// PType returns the property-type ID of a property entry.
-func (e Entry) PType() PTypeID {
-	if e.IsLabel() {
-		panic("lpg: PType() on a label entry")
-	}
-	return PTypeID(e.ID)
-}
-
-// DecodeEntries walks buf and returns all non-empty entries up to the IDEnd
-// terminator (or the end of buf). It returns the entries and the number of
-// bytes consumed including the terminator.
-func DecodeEntries(buf []byte) (entries []Entry, consumed int) {
-	off := 0
-	for off+entryHeaderSize <= len(buf) {
-		id := binary.LittleEndian.Uint32(buf[off:])
-		size := int(binary.LittleEndian.Uint32(buf[off+4:]))
-		if id == IDEnd {
-			return entries, off + entryHeaderSize
-		}
-		end := off + entryHeaderSize + pad4(size)
-		if end > len(buf) {
-			panic(fmt.Sprintf("lpg: truncated entry at offset %d (size %d, buffer %d)", off, size, len(buf)))
-		}
-		if id != IDEmpty {
-			entries = append(entries, Entry{ID: id, Payload: buf[off+entryHeaderSize : off+entryHeaderSize+size]})
-		}
-		off = end
-	}
-	return entries, off
+	return n
 }
 
 // EncodeEntries serializes labels and properties into a fresh entry region,
-// terminated with IDEnd. Properties is a list of (ptype, value) pairs in
-// insertion order.
+// preserving insertion order within each kind.
 func EncodeEntries(labels []LabelID, props []Property) []byte {
-	n := EndEntrySize
-	for range labels {
-		n += EntrySize(4)
-	}
-	for _, p := range props {
-		n += EntrySize(len(p.Value))
-	}
-	buf := make([]byte, 0, n)
+	buf := make([]byte, 0, EntriesSize(labels, props))
 	for _, l := range labels {
 		buf = AppendLabelEntry(buf, l)
 	}
 	for _, p := range props {
 		buf = AppendPropertyEntry(buf, p.PType, p.Value)
 	}
-	return AppendEndEntry(buf)
+	return buf
 }
 
 // Property is one (property type, encoded value) pair.
@@ -135,16 +80,97 @@ type Property struct {
 	Value []byte
 }
 
-// SplitEntries decodes an entry region back into label IDs and properties,
-// preserving order within each kind.
-func SplitEntries(buf []byte) (labels []LabelID, props []Property) {
-	entries, _ := DecodeEntries(buf)
-	for _, e := range entries {
-		if e.IsLabel() {
-			labels = append(labels, e.Label())
-		} else {
-			props = append(props, Property{PType: e.PType(), Value: e.Payload})
-		}
+// EntryIter walks an encoded label/property entry region in place, yielding
+// each entry's ID and payload (aliasing the region) without materializing
+// anything. It never panics: malformed or truncated input ends the walk and
+// is reported by Err. The zero value walks nothing.
+type EntryIter struct {
+	buf []byte
+	off int
+	err error
+}
+
+// IterEntries starts a walk over region.
+func IterEntries(region []byte) EntryIter { return EntryIter{buf: region} }
+
+// Next returns the next entry, or ok=false at the end of the region and on
+// malformed input. The format has no use for the reserved IDs IDEmpty and
+// IDEnd, so meeting one is an error.
+func (it *EntryIter) Next() (id uint32, payload []byte, ok bool) {
+	buf, off := it.buf, it.off
+	if it.err != nil || off >= len(buf) {
+		return 0, nil, false
 	}
-	return labels, props
+	v, n := binary.Uvarint(buf[off:])
+	if n <= 0 || v > math.MaxUint32 {
+		it.err = fmt.Errorf("lpg: malformed entry ID at offset %d", off)
+		return 0, nil, false
+	}
+	if v == uint64(IDEmpty) || v == uint64(IDEnd) {
+		it.err = fmt.Errorf("lpg: reserved entry ID %d", v)
+		return 0, nil, false
+	}
+	off += n
+	size, n := binary.Uvarint(buf[off:])
+	if n <= 0 || size > uint64(len(buf)-off-n) {
+		it.err = fmt.Errorf("lpg: truncated entry at offset %d", off)
+		return 0, nil, false
+	}
+	off += n
+	it.off = off + int(size)
+	return uint32(v), buf[off:it.off], true
+}
+
+// Err reports the malformation that ended the walk, if any.
+func (it *EntryIter) Err() error { return it.err }
+
+// EntryLabel decodes the label a label entry's payload carries: one exact
+// uvarint. ok is false for a malformed payload.
+func EntryLabel(payload []byte) (l LabelID, ok bool) {
+	v, n := binary.Uvarint(payload)
+	if n <= 0 || n != len(payload) || v > math.MaxUint32 {
+		return 0, false
+	}
+	return LabelID(v), true
+}
+
+// SplitEntries decodes an entry region back into label IDs and properties,
+// preserving order within each kind. Property values are copied out of buf
+// so callers may reuse the stream buffer.
+func SplitEntries(buf []byte) (labels []LabelID, props []Property, err error) {
+	it := IterEntries(buf)
+	for {
+		id, payload, ok := it.Next()
+		if !ok {
+			break
+		}
+		if id != IDLabel {
+			props = append(props, Property{PType: PTypeID(id), Value: append([]byte(nil), payload...)})
+			continue
+		}
+		l, ok := EntryLabel(payload)
+		if !ok {
+			return nil, nil, fmt.Errorf("lpg: malformed label entry payload of %d bytes", len(payload))
+		}
+		labels = append(labels, l)
+	}
+	if err := it.Err(); err != nil {
+		return nil, nil, err
+	}
+	return labels, props, nil
+}
+
+// UvarintLen returns the encoded size of v as a uvarint.
+func UvarintLen(v uint64) int {
+	n := 1
+	for v >= 0x80 {
+		v >>= 7
+		n++
+	}
+	return n
+}
+
+// VarintLen returns the encoded size of v as a zig-zag varint.
+func VarintLen(v int64) int {
+	return UvarintLen(uint64(v)<<1 ^ uint64(v>>63))
 }

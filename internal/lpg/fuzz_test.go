@@ -8,8 +8,8 @@ import (
 // entriesFromBytes deterministically derives a label set and property list
 // from raw fuzz input. Property-type IDs are kept in the dynamic range
 // (reserved IDs below FirstDynamicID are rejected by AppendPropertyEntry by
-// contract) and value sizes are drawn so that unpadded, padded, empty, and
-// multi-word payloads all occur.
+// contract) and value sizes are drawn so that empty, short, and multi-word
+// payloads all occur.
 func entriesFromBytes(data []byte) (labels []LabelID, props []Property) {
 	next := func() byte {
 		if len(data) == 0 {
@@ -38,18 +38,27 @@ func entriesFromBytes(data []byte) (labels []LabelID, props []Property) {
 
 // FuzzEntryRoundTrip drives the §5.4.3 entry wire format end to end:
 // whatever label/property combination the fuzzer derives must encode into a
-// terminated region, decode back into the identical labels and properties,
-// and re-encode byte-identically (the codec is canonical).
+// region of exactly EntriesSize bytes, decode back into the identical labels
+// and properties, and re-encode byte-identically (the codec is canonical).
+// The raw input itself, read as an entry region, must decode or fail with an
+// error — never panic.
 func FuzzEntryRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 16})
 	f.Add([]byte{0, 2, 1, 5, 4, 9, 8, 7, 6, 2, 0, 0})
 	f.Add([]byte{3, 1, 2, 3, 4, 5, 6, 3, 255, 66, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		SplitEntries(data)
+
 		labels, props := entriesFromBytes(data)
 		buf := EncodeEntries(labels, props)
-
-		gotLabels, gotProps := SplitEntries(buf)
+		if len(buf) != EntriesSize(labels, props) {
+			t.Fatalf("encoded %d bytes, EntriesSize said %d", len(buf), EntriesSize(labels, props))
+		}
+		gotLabels, gotProps, err := SplitEntries(buf)
+		if err != nil {
+			t.Fatalf("decode of a fresh region: %v", err)
+		}
 		if len(gotLabels) != len(labels) {
 			t.Fatalf("decoded %d labels, encoded %d", len(gotLabels), len(labels))
 		}
@@ -69,23 +78,16 @@ func FuzzEntryRoundTrip(f *testing.F) {
 				t.Fatalf("property %d: value %v, want %v", i, gotProps[i].Value, props[i].Value)
 			}
 		}
-
-		// The decoder must consume exactly the encoded region (terminator
-		// included), and re-encoding the decoded form must be canonical.
-		if entries, consumed := DecodeEntries(buf); consumed != len(buf) {
-			t.Fatalf("consumed %d of %d bytes (%d entries)", consumed, len(buf), len(entries))
-		}
 		if again := EncodeEntries(gotLabels, gotProps); !bytes.Equal(again, buf) {
 			t.Fatalf("re-encode not canonical:\n got %v\nwant %v", again, buf)
 		}
 
-		// Decoding must also be stable against trailing garbage: everything
-		// after the IDEnd terminator is slack and must be ignored.
-		padded := append(append([]byte(nil), buf...), data...)
-		padLabels, padProps := SplitEntries(padded)
-		if len(padLabels) != len(labels) || len(padProps) != len(props) {
-			t.Fatalf("slack bytes changed the decode: %d/%d entries, want %d/%d",
-				len(padLabels), len(padProps), len(labels), len(props))
+		// The region length is authoritative: cutting the last byte off a
+		// non-empty region must be an error, not a shorter answer.
+		if len(buf) > 0 {
+			if _, _, err := SplitEntries(buf[:len(buf)-1]); err == nil {
+				t.Fatal("a region one byte short decoded without error")
+			}
 		}
 	})
 }

@@ -80,7 +80,10 @@ func TestEntryEncodeDecode(t *testing.T) {
 		{PType: PTypeID(21), Value: nil}, // empty payload is legal
 	}
 	buf := EncodeEntries(labels, props)
-	gotLabels, gotProps := SplitEntries(buf)
+	gotLabels, gotProps, err := SplitEntries(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(gotLabels, labels) {
 		t.Fatalf("labels = %v, want %v", gotLabels, labels)
 	}
@@ -96,48 +99,43 @@ func TestEntryEncodeDecode(t *testing.T) {
 
 func TestEntriesEmpty(t *testing.T) {
 	buf := EncodeEntries(nil, nil)
-	if len(buf) != EndEntrySize {
-		t.Fatalf("empty region = %d bytes, want %d", len(buf), EndEntrySize)
+	if len(buf) != 0 {
+		t.Fatalf("empty region = %d bytes, want 0", len(buf))
 	}
-	labels, props := SplitEntries(buf)
-	if labels != nil || props != nil {
-		t.Fatalf("empty region decoded to %v, %v", labels, props)
-	}
-}
-
-func TestDecodeSkipsEmptyEntries(t *testing.T) {
-	buf := AppendLabelEntry(nil, 7)
-	buf = AppendEntry(buf, IDEmpty, make([]byte, 12)) // hole left by a removal
-	buf = AppendPropertyEntry(buf, 33, EncodeUint64(9))
-	buf = AppendEndEntry(buf)
-	entries, consumed := DecodeEntries(buf)
-	if consumed != len(buf) {
-		t.Fatalf("consumed %d of %d bytes", consumed, len(buf))
-	}
-	if len(entries) != 2 || !entries[0].IsLabel() || entries[0].Label() != 7 || entries[1].PType() != 33 {
-		t.Fatalf("entries = %+v", entries)
+	labels, props, err := SplitEntries(buf)
+	if err != nil || labels != nil || props != nil {
+		t.Fatalf("empty region decoded to %v, %v, %v", labels, props, err)
 	}
 }
 
+// TestDecodeWithoutTerminatorStopsAtEnd: the format has no terminator entry,
+// so the region length the holder header records is what ends a walk — the
+// bytes that follow the region in its block are never read as entries.
 func TestDecodeWithoutTerminatorStopsAtEnd(t *testing.T) {
 	buf := AppendLabelEntry(nil, 3)
-	entries, consumed := DecodeEntries(buf)
-	if len(entries) != 1 || consumed != len(buf) {
-		t.Fatalf("entries=%d consumed=%d", len(entries), consumed)
+	region := len(buf)
+	buf = append(buf, 0xff, 0xff) // what follows the region: no entry at all
+	labels, props, err := SplitEntries(buf[:region])
+	if err != nil || len(labels) != 1 || labels[0] != 3 || props != nil {
+		t.Fatalf("region decoded to %v, %v, %v; want the one label", labels, props, err)
+	}
+	it := IterEntries(buf[:region])
+	it.Next()
+	if _, _, ok := it.Next(); ok || it.Err() != nil {
+		t.Fatalf("walk past the last entry: ok %v, err %v; want a clean end", ok, it.Err())
+	}
+	if _, _, err := SplitEntries(buf); err == nil {
+		t.Fatal("the bytes past the region decoded as an entry")
 	}
 }
 
-func TestPaddingAlignsEntries(t *testing.T) {
-	// 5-byte payload pads to 8; next entry must still decode.
-	buf := AppendPropertyEntry(nil, 30, []byte{1, 2, 3, 4, 5})
-	if len(buf)%4 != 0 {
-		t.Fatalf("entry not 4-byte aligned: %d", len(buf))
-	}
-	buf = AppendLabelEntry(buf, 9)
-	buf = AppendEndEntry(buf)
-	labels, props := SplitEntries(buf)
-	if len(labels) != 1 || labels[0] != 9 || len(props) != 1 || len(props[0].Value) != 5 {
-		t.Fatalf("decoded %v %v", labels, props)
+func TestReservedEntryIDsRejected(t *testing.T) {
+	for _, id := range []uint32{IDEmpty, IDEnd} {
+		buf := AppendLabelEntry(nil, 7)
+		buf = AppendEntry(buf, id, make([]byte, 4))
+		if _, _, err := SplitEntries(buf); err == nil {
+			t.Fatalf("entry with reserved ID %d accepted", id)
+		}
 	}
 }
 
@@ -152,8 +150,8 @@ func TestQuickEntryRoundTrip(t *testing.T) {
 			props = append(props, Property{PType: PTypeID(FirstDynamicID + uint32(i)), Value: p})
 		}
 		buf := EncodeEntries(labels, props)
-		gl, gp := SplitEntries(buf)
-		if len(gl) != len(labels) || len(gp) != len(props) {
+		gl, gp, err := SplitEntries(buf)
+		if err != nil || len(gl) != len(labels) || len(gp) != len(props) {
 			return false
 		}
 		for i := range labels {
@@ -173,24 +171,25 @@ func TestQuickEntryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTruncatedEntryPanics(t *testing.T) {
+func TestTruncatedEntryRejected(t *testing.T) {
 	buf := AppendPropertyEntry(nil, 30, make([]byte, 40))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("truncated entry region did not panic")
-		}
-	}()
-	DecodeEntries(buf[:12]) // header promises 40 bytes, buffer has 4
+	if _, _, err := SplitEntries(buf[:12]); err == nil { // the size promises 40 bytes, 10 follow
+		t.Fatal("truncated entry region accepted")
+	}
+	bad := AppendEntry(nil, IDLabel, []byte{0x80}) // a label payload that is no uvarint
+	if _, _, err := SplitEntries(bad); err == nil {
+		t.Fatal("malformed label payload accepted")
+	}
 }
 
 func TestEntrySizeAccounting(t *testing.T) {
-	if EntrySize(0) != 8 || EntrySize(1) != 12 || EntrySize(4) != 12 || EntrySize(5) != 16 {
-		t.Fatalf("EntrySize: %d %d %d %d", EntrySize(0), EntrySize(1), EntrySize(4), EntrySize(5))
+	if n := len(AppendLabelEntry(nil, 16)); n != 3 {
+		t.Fatalf("small label entry = %d bytes, want 3", n)
 	}
-	buf := EncodeEntries([]LabelID{1}, []Property{{PType: 30, Value: make([]byte, 5)}})
-	want := EntrySize(4) + EntrySize(5) + EndEntrySize
-	if len(buf) != want {
-		t.Fatalf("encoded size %d, want %d", len(buf), want)
+	labels := []LabelID{1, 300}
+	props := []Property{{PType: 30, Value: make([]byte, 5)}, {PType: 200, Value: make([]byte, 130)}}
+	if got, want := len(EncodeEntries(labels, props)), EntriesSize(labels, props); got != want {
+		t.Fatalf("encoded size %d, EntriesSize %d", got, want)
 	}
 }
 

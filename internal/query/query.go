@@ -15,7 +15,7 @@
 // validation. A hop materializes no handle and allocates nothing per vertex;
 // only vertex IDs travel between hops. The last hop of a k-hop only filters,
 // so it fetches each holder just up to the end of its entries — the primary
-// block, under the v2 codec — not its edge chain. Forwarding stubs,
+// block for all but mega-hubs — not its edge chain. Forwarding stubs,
 // follower-served vertices and locking transactions fall back to one
 // AssociateVertices batch inside the same call. A k-hop pattern therefore
 // costs k+1 rounds regardless of frontier width, where the naive reference
@@ -28,8 +28,9 @@
 // prefix of the frontier is known to hold the first rows.
 //
 // Both executors return canonically sorted rows, so their results are
-// bit-identical — the golden-equivalence contract the tests pin across both
-// holder codecs, replicated stores, and optimistic and locking transactions.
+// bit-identical — the golden-equivalence contract the tests pin across
+// replicated stores, migrated vertices, and optimistic and locking
+// transactions.
 package query
 
 import (
@@ -184,8 +185,9 @@ func associateAll(tx *core.Tx, dps []fabric.DPtr) ([]*core.VertexHandle, error) 
 }
 
 // RunNaive executes the pattern with the per-vertex reference walk: one
-// scalar AssociateVertex per frontier vertex per hop. It exists as the
-// golden reference and the ablation baseline.
+// scalar AssociateVertex per frontier vertex per hop. It is the golden
+// reference Run is tested against, and the benchmark module's result check
+// calls it.
 func RunNaive(tx *core.Tx, src fabric.DPtr, p *Pattern) (*Result, error) {
 	return run(tx, src, p, executor{
 		expand: naiveExpand(tx),

@@ -28,26 +28,33 @@ type testGraph struct {
 const graphVerts = 48
 
 // hubApp is the extra vertex newTestGraph adds on request: a hub whose holder
-// spans at least four blocks under either codec — a bulky property and eight
-// parallel edges to each of eight vertices whose ranks alternate, so that the
-// v2 deltas stay wide. It is one hop from those eight and two from most of
+// spans at least four blocks — a bulky property and eight parallel edges to
+// each of eight vertices whose ranks alternate, so that the neighbor deltas
+// stay wide. It is one hop from those eight and two from most of
 // the graph, so 2-hop patterns meet it in their last frontier.
 const hubApp = graphVerts
+
+// storeShape is the block size and per-rank cache capacity a test graph is
+// stored with. The block size decides how long each holder's chain is; a
+// one-block cache evicts on every install, so nearly every read comes off
+// the wire.
+type storeShape struct {
+	blockSize, cacheBlocks int
+}
+
+var defaultShape = storeShape{blockSize: 256, cacheBlocks: 1 << 10}
 
 // newTestGraph seeds a fixed pseudo-random graph: every vertex gets an age,
 // even appIDs get the Person label, and each vertex sends three outgoing
 // edges drawn from a fixed-seed stream (self-loops skipped, parallel edges
 // possible — the dedup paths must cope).
-func newTestGraph(t *testing.T, ranks int, codec holder.Codec, replicas int, cache, hub bool) *testGraph {
+func newTestGraph(t *testing.T, ranks int, shape storeShape, replicas int, hub bool) *testGraph {
 	t.Helper()
 	e := core.NewEngine(rma.New(ranks), core.Config{
-		BlockSize:       256,
-		BlocksPerRank:   1 << 12,
-		LockTries:       256,
-		OptimisticReads: true,
-		CacheBlocks:     cache,
-		CacheCapacity:   1 << 10,
-		HolderCodec:     codec,
+		BlockSize:     shape.blockSize,
+		BlocksPerRank: 1 << 12,
+		LockTries:     256,
+		CacheCapacity: shape.cacheBlocks,
 	})
 	g := &testGraph{e: e}
 	var err error
@@ -117,10 +124,10 @@ func newTestGraph(t *testing.T, ranks int, codec holder.Codec, replicas int, cac
 		t.Fatal(err)
 	}
 	if hub {
-		primary := make([]byte, 256)
+		primary := make([]byte, shape.blockSize)
 		e.Store().ReadBlock(0, g.verts[hubApp], primary)
 		if nb := holder.NumBlocks(primary); nb < 4 {
-			t.Fatalf("hub holder spans %d blocks under %v, want at least 4", nb, codec)
+			t.Fatalf("hub holder spans %d blocks, want at least 4", nb)
 		}
 	}
 	if replicas > 1 {
@@ -187,15 +194,16 @@ func patternsUnderTest(g *testGraph) map[string]*Pattern {
 // MaskOut wraps a bare mask as an unconstrained hop.
 func MaskOut(m core.DirMask) Hop { return Hop{Mask: m} }
 
-// TestGoldenEquivalence is the satellite-4 contract: every query shape,
-// bit-identical between the compiled plan and the naive reference, across
-// both holder codecs and with replicas enabled — in an optimistic read-only
+// TestGoldenEquivalence is the executors' contract: every query shape,
+// bit-identical between the compiled plan and the naive reference, with and
+// without replicas, over 64-byte blocks and over 256-byte ones, which lay the
+// same holders out as longer or shorter chains — in an optimistic read-only
 // transaction (the lean frontier route), again in a locking read-write one,
-// and again on a store without the block cache. The graph carries a hub of
-// four or more blocks that 2-hop patterns meet in their last frontier, and the
-// last pass runs after a last-hop vertex has migrated from the highest rank
-// to rank 0: the edge records still hold its old DPtr, and its new ID sorts
-// ahead of every other row.
+// and again over a one-block cache. The graph carries a
+// hub of four or more blocks that 2-hop patterns meet in their last
+// frontier, and the last pass runs after a last-hop vertex has migrated from
+// the highest rank to rank 0: the edge records still hold its old DPtr, and
+// its new ID sorts ahead of every other row.
 func TestGoldenEquivalence(t *testing.T) {
 	const ranks = 4
 	twoHop := []Hop{MaskOut(core.MaskAll), MaskOut(core.MaskAll)}
@@ -239,69 +247,76 @@ func TestGoldenEquivalence(t *testing.T) {
 			t.Fatal("no 2-hop query met the hub in its last frontier")
 		}
 	}
-	for _, codec := range []holder.Codec{holder.CodecV1, holder.CodecV2} {
+	for _, blockSize := range []int{64, 256} {
 		for _, replicas := range []int{1, 3} {
-			t.Run(fmt.Sprintf("codec=%v/replicas=%d", codec, replicas), func(t *testing.T) {
-				g := newTestGraph(t, ranks, codec, replicas, true, true)
-				sweep(t, g, core.ReadOnly)
-				t.Run("limits", func(t *testing.T) { limits(t, g, core.ReadOnly) })
-				t.Run("read-write", func(t *testing.T) {
-					sweep(t, g, core.ReadWrite)
-					limits(t, g, core.ReadWrite)
-				})
-				t.Run("cache=off", func(t *testing.T) {
-					cold := newTestGraph(t, ranks, codec, replicas, false, true)
-					sweep(t, cold, core.ReadOnly)
-					limits(t, cold, core.ReadOnly)
-				})
-				if replicas > 1 {
-					return // replicated vertices are pinned in place: nothing to migrate
-				}
-				t.Run("after-migration", func(t *testing.T) {
-					// Move a rank-3 vertex to rank 0. Rank is the DPtr's high
-					// bits, so among the vertices without the Person label —
-					// the odd ones, on ranks 1 and 3 — it now sorts first,
-					// while its neighbors' edge records still name the stub.
-					moved := uint64(ranks - 1)
-					n, err := g.e.MigrateVertices(0, []core.MigrationMove{{App: moved, Old: g.verts[moved], Dest: 0}})
-					if err != nil || n != 1 {
-						t.Fatalf("migration of vertex %d: moved %d, %v", moved, n, err)
-					}
-					look := g.e.StartLocal(0, core.ReadOnly)
-					current, err := look.TranslateVertexID(moved)
-					look.Abort()
-					if err != nil || current.Rank() != 0 {
-						t.Fatalf("vertex %d after migration: %v, %v", moved, current, err)
-					}
-					notPerson := constraint.New(g.e.Registry(0))
-					notPerson.AddLabelCond(notPerson.AddSubconstraint(constraint.Subconstraint{}), constraint.LabelCond{Label: g.person, Absent: true})
-					odd := []Hop{MaskOut(core.MaskAll), {Mask: core.MaskAll, Cons: notPerson}}
-					first := 0
-					for src := uint64(0); src < graphVerts; src++ {
-						all := runBoth(t, g, core.ReadOnly, g.verts[src], &Pattern{Kind: KHop, Hops: odd})
-						one := runBoth(t, g, core.ReadOnly, g.verts[src], &Pattern{Kind: KHop, Hops: odd, Limit: 1, Project: g.age, HasProject: true})
-						for _, r := range all.Rows {
-							if r.Verts[0] == g.verts[moved] {
-								t.Fatalf("src %d: a row carries the stale DPtr %v", src, r.Verts[0])
-							}
-							if r.Verts[0] == current {
-								if one.Rows[0].Verts[0] != current {
-									t.Fatalf("src %d: LIMIT 1 kept %v, want the migrated vertex %v", src, one.Rows[0].Verts[0], current)
-								}
-								first++
-							}
-						}
-					}
-					if first == 0 {
-						t.Fatal("no 2-hop query met the migrated vertex in its last frontier")
-					}
-					sweep(t, g, core.ReadOnly)
-					limits(t, g, core.ReadOnly)
-					t.Run("read-write", func(t *testing.T) { sweep(t, g, core.ReadWrite) })
-				})
+			t.Run(fmt.Sprintf("block=%d/replicas=%d", blockSize, replicas), func(t *testing.T) {
+				goldenPasses(t, ranks, storeShape{blockSize: blockSize, cacheBlocks: defaultShape.cacheBlocks}, replicas, sweep, limits)
 			})
 		}
 	}
+}
+
+// goldenPasses is one TestGoldenEquivalence configuration: the sweep and the
+// limits, read-only and read-write, again over a one-block cache, and — when
+// nothing is replicated — once more after a migration.
+func goldenPasses(t *testing.T, ranks int, shape storeShape, replicas int, sweep, limits func(*testing.T, *testGraph, core.Mode)) {
+	g := newTestGraph(t, ranks, shape, replicas, true)
+	sweep(t, g, core.ReadOnly)
+	t.Run("limits", func(t *testing.T) { limits(t, g, core.ReadOnly) })
+	t.Run("read-write", func(t *testing.T) {
+		sweep(t, g, core.ReadWrite)
+		limits(t, g, core.ReadWrite)
+	})
+	t.Run("cache=1", func(t *testing.T) {
+		cold := newTestGraph(t, ranks, storeShape{blockSize: shape.blockSize, cacheBlocks: 1}, replicas, true)
+		sweep(t, cold, core.ReadOnly)
+		limits(t, cold, core.ReadOnly)
+	})
+	if replicas > 1 {
+		return // replicated vertices are pinned in place: nothing to migrate
+	}
+	t.Run("after-migration", func(t *testing.T) {
+		// Move a rank-3 vertex to rank 0. Rank is the DPtr's high
+		// bits, so among the vertices without the Person label —
+		// the odd ones, on ranks 1 and 3 — it now sorts first,
+		// while its neighbors' edge records still name the stub.
+		moved := uint64(ranks - 1)
+		n, err := g.e.MigrateVertices(0, []core.MigrationMove{{App: moved, Old: g.verts[moved], Dest: 0}})
+		if err != nil || n != 1 {
+			t.Fatalf("migration of vertex %d: moved %d, %v", moved, n, err)
+		}
+		look := g.e.StartLocal(0, core.ReadOnly)
+		current, err := look.TranslateVertexID(moved)
+		look.Abort()
+		if err != nil || current.Rank() != 0 {
+			t.Fatalf("vertex %d after migration: %v, %v", moved, current, err)
+		}
+		notPerson := constraint.New(g.e.Registry(0))
+		notPerson.AddLabelCond(notPerson.AddSubconstraint(constraint.Subconstraint{}), constraint.LabelCond{Label: g.person, Absent: true})
+		odd := []Hop{MaskOut(core.MaskAll), {Mask: core.MaskAll, Cons: notPerson}}
+		first := 0
+		for src := uint64(0); src < graphVerts; src++ {
+			all := runBoth(t, g, core.ReadOnly, g.verts[src], &Pattern{Kind: KHop, Hops: odd})
+			one := runBoth(t, g, core.ReadOnly, g.verts[src], &Pattern{Kind: KHop, Hops: odd, Limit: 1, Project: g.age, HasProject: true})
+			for _, r := range all.Rows {
+				if r.Verts[0] == g.verts[moved] {
+					t.Fatalf("src %d: a row carries the stale DPtr %v", src, r.Verts[0])
+				}
+				if r.Verts[0] == current {
+					if one.Rows[0].Verts[0] != current {
+						t.Fatalf("src %d: LIMIT 1 kept %v, want the migrated vertex %v", src, one.Rows[0].Verts[0], current)
+					}
+					first++
+				}
+			}
+		}
+		if first == 0 {
+			t.Fatal("no 2-hop query met the migrated vertex in its last frontier")
+		}
+		sweep(t, g, core.ReadOnly)
+		limits(t, g, core.ReadOnly)
+		t.Run("read-write", func(t *testing.T) { sweep(t, g, core.ReadWrite) })
+	})
 }
 
 // TestRunReportsVanishedVertexLikeNaive is the query-level regression test of
@@ -309,7 +324,7 @@ func TestGoldenEquivalence(t *testing.T) {
 // that has since been deleted used to crash the compiled executor where the
 // naive one reports ErrNotFound. They agree now.
 func TestRunReportsVanishedVertexLikeNaive(t *testing.T) {
-	g := newTestGraph(t, 2, holder.CodecV2, 1, true, false)
+	g := newTestGraph(t, 2, defaultShape, 1, false)
 	victim := g.verts[5]
 	del := g.e.StartLocal(0, core.ReadWrite)
 	if err := del.DeleteVertex(victim); err != nil {
@@ -392,30 +407,30 @@ func TestKHopSemantics(t *testing.T) {
 // reads directly off the counters: the compiled plan's frontier rounds ride
 // at most one GET train per remote rank per association round (and at least
 // one train total, proving the frontier really was vectored), while the
-// naive per-vertex walk never forms a train at all.
+// naive per-vertex walk never forms a train at all. Each executor runs on a
+// fresh copy of the graph, so both start from a cold block cache.
 func TestCompiledExpansionBatchesTrains(t *testing.T) {
 	const ranks = 4
-	g := newTestGraph(t, ranks, holder.CodecV1, 1, false, false)
+	g, gN := newTestGraph(t, ranks, defaultShape, 1, false), newTestGraph(t, ranks, defaultShape, 1, false)
 	p := &Pattern{Kind: KHop, Hops: []Hop{{Mask: core.MaskAll}, {Mask: core.MaskAll}}}
 
-	snap := func() fabric.Snapshot { return g.e.Fabric().TotalSnapshot() }
-
-	base := snap()
+	base := g.e.Fabric().TotalSnapshot()
 	tx := g.e.StartLocal(0, core.ReadOnly)
 	res, err := Run(tx, g.verts[1], p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tx.Abort()
-	mid := snap()
+	mid := g.e.Fabric().TotalSnapshot()
 
-	txN := g.e.StartLocal(0, core.ReadOnly)
-	resN, err := RunNaive(txN, g.verts[1], p)
+	baseN := gN.e.Fabric().TotalSnapshot()
+	txN := gN.e.StartLocal(0, core.ReadOnly)
+	resN, err := RunNaive(txN, gN.verts[1], p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	txN.Abort()
-	end := snap()
+	end := gN.e.Fabric().TotalSnapshot()
 
 	if len(res.Rows) == 0 || !reflect.DeepEqual(res, resN) {
 		t.Fatalf("executors diverged or empty: %d vs %d rows", len(res.Rows), len(resN.Rows))
@@ -428,10 +443,10 @@ func TestCompiledExpansionBatchesTrains(t *testing.T) {
 	if trains < 1 || trains > maxTrains {
 		t.Fatalf("compiled 2-hop issued %d GET trains, want 1..%d", trains, maxTrains)
 	}
-	if nt := end.GetBatches - mid.GetBatches; nt != 0 {
+	if nt := end.GetBatches - baseN.GetBatches; nt != 0 {
 		t.Fatalf("naive walk issued %d GET trains, want 0 (every fetch is a scalar round-trip)", nt)
 	}
-	if ng := end.RemoteGets - mid.RemoteGets; ng == 0 {
+	if ng := end.RemoteGets - baseN.RemoteGets; ng == 0 {
 		t.Fatal("naive walk issued no remote gets — graph too local to compare")
 	}
 }

@@ -78,9 +78,6 @@ type LDBCConfig struct {
 	AgeOver uint64
 	// InsertBase offsets fresh appIDs clear of earlier runs.
 	InsertBase uint64
-	// Naive runs the 2-hop class through the per-vertex reference walk
-	// instead of the compiled frontier-batched plan — the ablation baseline.
-	Naive bool
 }
 
 // LDBCResult reports one run with per-class accounting.
@@ -210,7 +207,7 @@ func RunLDBC(db *gdi.Database, sch kron.Schema, cfg LDBCConfig) (LDBCResult, err
 					err = ldbcShortRead(p, sch, app)
 				case ClassFriends:
 					var n int
-					n, err = ldbcFriends(p, pattern, app, cfg.Naive)
+					n, err = ldbcFriends(p, pattern, app)
 					rows.Add(int64(n))
 				case ClassUpdate:
 					app2 := pickKey(rng)
@@ -267,22 +264,16 @@ func ldbcShortRead(p *gdi.Process, sch kron.Schema, app uint64) error {
 	return mapErr(tx.Commit())
 }
 
-// ldbcFriends is the IC-style 2-hop friend-of-friend query, compiled or
-// naive. It returns the row count so the driver can prove the run did real
-// pattern matching.
-func ldbcFriends(p *gdi.Process, pattern *query.Pattern, app uint64, naive bool) (int, error) {
+// ldbcFriends is the IC-style 2-hop friend-of-friend query. It returns the
+// row count so the driver can prove the run did real pattern matching.
+func ldbcFriends(p *gdi.Process, pattern *query.Pattern, app uint64) (int, error) {
 	tx := p.StartTransaction(gdi.ReadOnly)
 	defer tx.Abort()
 	id, err := tx.TranslateVertexID(app)
 	if err != nil {
 		return 0, mapErr(err)
 	}
-	var res *query.Result
-	if naive {
-		res, err = query.RunNaive(tx, id, pattern)
-	} else {
-		res, err = query.Run(tx, id, pattern)
-	}
+	res, err := query.Run(tx, id, pattern)
 	if err != nil {
 		return 0, mapErr(err)
 	}

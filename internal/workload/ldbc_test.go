@@ -12,10 +12,8 @@ func newLDBCDatabase(t *testing.T) (*gdi.Runtime, *gdi.Database, kron.Config, kr
 	cfg := kron.Config{Scale: 8, EdgeFactor: 8, Seed: 3, NumLabels: 20, NumProps: 13}.WithDefaults()
 	rt := gdi.Init(4)
 	db := rt.CreateDatabase(gdi.DatabaseParams{
-		BlockSize:       512,
-		BlocksPerRank:   int((cfg.NumVertices()*10+cfg.NumEdges()*2)/4) + (1 << 13),
-		CacheBlocks:     true,
-		OptimisticReads: true,
+		BlockSize:     512,
+		BlocksPerRank: int((cfg.NumVertices()*10+cfg.NumEdges()*2)/4) + (1 << 13),
 	})
 	sch, err := kron.DefineSchema(db.Engine(), cfg)
 	if err != nil {
@@ -28,8 +26,7 @@ func newLDBCDatabase(t *testing.T) (*gdi.Runtime, *gdi.Database, kron.Config, kr
 }
 
 // TestRunLDBCMix smoke-runs the interactive mix and checks the per-class
-// accounting adds up: every class ran, 2-hop queries returned rows, and the
-// compiled and naive plans agree on the total row count at the same seed.
+// accounting adds up: every class ran and 2-hop queries returned rows.
 func TestRunLDBCMix(t *testing.T) {
 	_, db, cfg, sch := newLDBCDatabase(t)
 	base := LDBCConfig{
@@ -60,26 +57,6 @@ func TestRunLDBCMix(t *testing.T) {
 	}
 	if res.Rows == 0 {
 		t.Fatal("2-hop queries returned no rows")
-	}
-
-	// The same seed with the naive plan must do the same logical work.
-	// Friends-only weights keep the comparison runs read-only, so the first
-	// run cannot mutate the graph out from under the second.
-	cfgC, cfgN := base, base
-	cfgC.Seed, cfgN.Seed = 99, 99
-	cfgC.Weights = [NumQueryClasses]int{ClassFriends: 100}
-	cfgN.Weights = cfgC.Weights
-	cfgN.Naive = true
-	resC, err := RunLDBC(db, sch, cfgC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resN, err := RunLDBC(db, sch, cfgN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resC.Rows != resN.Rows {
-		t.Fatalf("compiled plan returned %d rows, naive %d — plans diverge", resC.Rows, resN.Rows)
 	}
 }
 

@@ -35,9 +35,8 @@ func BenchmarkQueryAblation(b *testing.B) {
 	run := func(b *testing.B, naive bool) {
 		rt := gdi.Init(ranks, gdi.RuntimeOptions{RemoteLatencyNs: 1000})
 		db := rt.CreateDatabase(gdi.DatabaseParams{
-			BlockSize:       1024, // fan in+out edges plus the age prop, one block
-			BlocksPerRank:   1 << 13,
-			OptimisticReads: true,
+			BlockSize:     1024, // fan in+out edges plus the age prop, one block
+			BlocksPerRank: 1 << 13,
 		})
 		age, err := db.DefinePType("age", gdi.PTypeSpec{
 			Datatype: gdi.TypeUint64, SizeType: gdi.SizeFixed, Limit: 8})
