@@ -280,109 +280,27 @@
 //
 // # Live rebalancing
 //
-// The paper's evaluation runs on statically hashed vertex placement
-// (OwnerOf = appID mod P), which collapses under the skewed, locality-heavy
-// access patterns real OLTP traffic exhibits: a rank whose users hammer a
-// hot set owned elsewhere pays a remote round-trip per access forever. The
-// live-rebalancing tier moves vertices between ranks without stopping
-// traffic, composing machinery the engine already has:
-//
-//   - Heat tracking (DatabaseParams.RebalanceHeatTracking): every
-//     vertex-holder fetch bumps a rank-local (accessor, vertex) counter —
-//     nothing travels over the fabric on the hot path.
-//
-//   - The Rebalance collective (Process.Rebalance): ranks fold their
-//     RebalanceTopK hottest samples through the collective layer, rank 0
-//     computes a greedy Schism-style plan — hottest vertices first, each
-//     moved to its dominant accessor when that beats the current placement,
-//     capped per destination by RebalanceMaxMoves — and broadcasts it in a
-//     canonical wire format (fuzzed by FuzzMigrationPlan); every rank then
-//     executes the moves it is the destination of, RebalanceBatch vertices
-//     per migration train.
-//
-//   - A migration train write-locks the old primaries with one best-effort
-//     vectored CAS train (busy vertices are skipped, never stalled on),
-//     copies the holder chains with batched GETs into destination blocks
-//     from the BGDL allocator, publishes content and forwarding stubs as
-//     one vectored PUT train per owner rank, CAS-swings the DHT entry from
-//     the old DPtr to the new one, and releases all locks as one train —
-//     every release bumping the lock-word version counters, which is the
-//     entire invalidation broadcast: version-stamped cache copies and
-//     optimistic read sets of the old placement fail validation and refetch
-//     at the new owner, exactly as they do for deletion poisons.
-//
-// Stale DPtrs stay valid: the vacated primary holds a one-hop forwarding
-// stub, and a fetch that lands on it chases to the current primary
-// (counted by Engine.ForwardedReads). A vertex remembers its former homes
-// in its holder; migration rewrites all of their stubs to point at the new
-// primary (chases never chain), and migrating back to a former rank reuses
-// that rank's home block — restoring the vertex's original DPtr there, the
-// ABA case the version counters disarm. Deleting a migrated vertex retires
-// its stubs under their locks along with the holder. Edge records written
-// before a move keep their old endpoint DPtrs; sibling matching accepts
-// every identity a vertex has had, so deletions and traversals stay
-// correct.
-//
-// The migration stress tier (TestMigrationCoherenceStress, in the -race CI
-// job) runs writers, optimistic readers, and a live migrator on one vertex
-// set and checks untorn reads, per-reader monotonic versions, conservation
-// of committed writes, and a golden vertex whose bytes stay bit-identical
-// across every move. The RebalanceAblation benchmark gates the tier: with
-// Zipf-skewed worker-affine point reads/writes at 8 ranks under 1µs
-// injected remote latency, one rebalancing round must recover at least
-// 1.5x the static-placement throughput (measured ~2x).
+// Process.Rebalance moves hot vertices to the rank that reads them most,
+// without stopping traffic: heat tracking (DatabaseParams.RebalanceHeatTracking)
+// samples accesses rank-locally, rank 0 plans greedy Schism-style moves, and
+// each destination runs migration trains that copy holder chains under
+// best-effort write locks, leave one-hop forwarding stubs at the vacated
+// blocks, swing the DHT entries and release with a version bump, which is
+// the whole invalidation broadcast. ARCHITECTURE.md, "Life of a chain move",
+// describes the train; TestMigrationCoherenceStress and the
+// RebalanceAblation benchmark test it.
 //
 // # Replication
 //
-// k-replica holder chains (Process.Replicate, Process.ReplicateHot) trade
-// write fan-out for read locality and rank-failure survival: a replicated
-// vertex keeps its primary chain — the placement the internal index names —
-// plus up to k-1 follower chains on distinct ranks, each a byte-identical
-// copy of the primary's stream re-pointed at its own blocks. A follower's
-// head lock word is a mirrored version word, not a lock: follower word free
-// at version v guarantees the follower's content equals the primary's at v.
-//
-//   - Seeding pulls with the migration train's skeleton: best-effort
-//     write-lock of the primary, one batched chain read, re-encode with one
-//     more follower group, publish, and enter the new word into lockstep.
-//     Process.Replicate seeds uniformly from the k-1 predecessor ranks;
-//     Process.ReplicateHot seeds only this rank's hottest remotely-owned
-//     vertices, using the rebalancer's heat samples.
-//
-//   - Commits fan out inside the existing group-commit train: follower
-//     words are mirror-marked (free@v → marked@v, one CAS train per
-//     follower rank), the follower payloads ride the same vectored PUT
-//     train as the primary blocks, and release goes primary-then-follower
-//     (marked@v → free@v+1). A follower whose mark CAS fails has fallen out
-//     of lockstep and is dropped, not retried; reshapes and deletions drop
-//     follower groups too. Correctness never depends on fan-out reaching
-//     every copy.
-//
-//   - Optimistic read-only transactions consult the rank-local replica
-//     directory first: a hit is a seqlock read of the local follower chain
-//     with zero remote traffic, and the observed version is recorded
-//     against the primary DPtr — the unchanged commit-time validation train
-//     checks the primary's word, so a stale follower costs an optimistic
-//     abort, never a stale read.
-//
-//   - When the transport reports a rank dead, Process.PromoteDead (called
-//     after in-flight commits drain) has each surviving follower race its
-//     siblings through one DHT compare-and-swap from the dead primary to
-//     its own head; the winner re-encodes itself as primary, prunes dead
-//     placements, rewrites surviving siblings into lockstep, and restores
-//     the directories. DHT entries deliberately fate-share with their
-//     bucket's rank rather than the inserting (owner) rank, so a rank death
-//     does not take the failover metadata down with the primaries it owned.
-//
-// The kill-a-rank stress tier (TestKillARankFailoverStress, in the -race CI
-// job) kills a rank under concurrent writers and optimistic readers and
-// checks that no committed write is lost, reads stay untorn and monotonic,
-// and every dead-primary vertex is promoted exactly once; cluster-smoke
-// repeats the check over the TCP backend with a real SIGKILLed process
-// (gdi-cluster -kill). The ReplicationAblation benchmark gates the read
-// win: on read-dominated worker-affine Zipf traffic at 8 ranks under 1µs
-// injected remote latency, k=3 must deliver at least 1.5x the unreplicated
-// throughput (measured ~1.8x).
+// k-replica holder chains (Process.Replicate, Process.ReplicateHot) keep up
+// to k-1 follower copies of a vertex's chain on other ranks, in lockstep
+// with the primary through mirrored version words: commits fan same-shape
+// rewrites out to them, optimistic reads are served by a local follower and
+// validated against the primary, and Process.PromoteDead fails a dead rank's
+// vertices over to one surviving follower each through a single DHT
+// compare-and-swap. ARCHITECTURE.md, "Life of a replicated commit" and "Life
+// of a chain move", describe the protocol; TestKillARankFailoverStress,
+// gdi-cluster -kill and the ReplicationAblation benchmark test it.
 //
 // # HTAP snapshots
 //

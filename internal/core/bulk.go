@@ -93,19 +93,12 @@ func (e *Engine) buildVertices(rank fabric.Rank, in [][]VertexSpec) (entries []i
 		for _, sp := range batch {
 			v := &holder.Vertex{AppID: sp.AppID, Labels: sp.Labels, Props: sp.Props}
 			stream := holder.EncodeVertex(v, bs)
-			blocks := make([]fabric.DPtr, len(stream)/bs)
-			for i := range blocks {
-				dp, aerr := e.store.AcquireBlock(rank, rank)
-				if aerr != nil {
-					for _, got := range blocks[:i] {
-						e.store.ReleaseBlock(rank, got)
-					}
-					return entries, fmt.Errorf("%w: bulk loading vertex %d", ErrNoMemory, sp.AppID)
+			blocks, _, err := e.layoutChain(rank, rank, stream, nil, nil)
+			if err != nil {
+				for _, got := range blocks {
+					e.store.ReleaseBlock(rank, got)
 				}
-				blocks[i] = dp
-			}
-			for i := 1; i < len(blocks); i++ {
-				holder.SetTableEntry(stream, i-1, blocks[i])
+				return entries, fmt.Errorf("%w: bulk loading vertex %d", err, sp.AppID)
 			}
 			for i, dp := range blocks {
 				e.store.WriteBlock(rank, dp, stream[i*bs:(i+1)*bs])
@@ -243,22 +236,9 @@ func (e *Engine) mergeEdges(rank fabric.Rank, in [][]recDelivery) error {
 
 // appendRecords merges records into one locally-owned vertex holder.
 func (e *Engine) appendRecords(rank fabric.Rank, primary fabric.DPtr, recs []holder.EdgeRec, bs int) error {
-	buf := make([]byte, bs)
-	e.store.ReadBlock(rank, primary, buf)
-	nb := holder.NumBlocks(buf)
-	if nb < 1 {
+	buf, blocks := e.readChain(rank, primary, nil)
+	if buf == nil {
 		return fmt.Errorf("%w: bulk edge endpoint %v", ErrNotFound, primary)
-	}
-	blocks := []fabric.DPtr{primary}
-	if nb > 1 {
-		full := make([]byte, nb*bs)
-		copy(full, buf)
-		buf = full
-		for i := 1; i < nb; i++ {
-			dp := holder.TableEntry(buf, i-1)
-			e.store.ReadBlock(rank, dp, buf[i*bs:(i+1)*bs])
-			blocks = append(blocks, dp)
-		}
 	}
 	v, err := holder.DecodeVertex(buf)
 	if err != nil {
@@ -266,23 +246,16 @@ func (e *Engine) appendRecords(rank fabric.Rank, primary fabric.DPtr, recs []hol
 	}
 	v.Edges = append(v.Edges, recs...)
 	stream := holder.EncodeVertex(v, bs)
-	need := len(stream) / bs
-	for had := len(blocks); len(blocks) < need; {
-		dp, err := e.store.AcquireBlock(rank, rank)
-		if err != nil {
-			for _, got := range blocks[had:] {
-				e.store.ReleaseBlock(rank, got)
-			}
-			return fmt.Errorf("%w: bulk merging %d edge records into %v", ErrNoMemory, len(recs), primary)
+	had := len(blocks)
+	blocks, tail, err := e.layoutChain(rank, rank, stream, blocks, nil)
+	if err != nil {
+		for _, got := range blocks[had:] {
+			e.store.ReleaseBlock(rank, got)
 		}
-		blocks = append(blocks, dp)
+		return fmt.Errorf("%w: bulk merging %d edge records into %v", err, len(recs), primary)
 	}
-	for _, dp := range blocks[need:] {
+	for _, dp := range tail {
 		e.store.ReleaseBlock(rank, dp)
-	}
-	blocks = blocks[:need]
-	for i := 1; i < need; i++ {
-		holder.SetTableEntry(stream, i-1, blocks[i])
 	}
 	for i, dp := range blocks {
 		e.store.WriteBlock(rank, dp, stream[i*bs:(i+1)*bs])

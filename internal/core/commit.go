@@ -67,10 +67,10 @@ func (tx *Tx) Commit() error {
 			}
 			switch {
 			case st.lock == lockUpgrade:
-				train = append(train, locks.TrainLock{Word: tx.lockWord(primary), FromRead: true})
+				train = append(train, locks.TrainLock{Word: tx.eng.lockWordOf(primary), FromRead: true})
 				members = append(members, st)
 			case st.lock == lockNone && st.isNew:
-				train = append(train, locks.TrainLock{Word: tx.lockWord(primary)})
+				train = append(train, locks.TrainLock{Word: tx.eng.lockWordOf(primary)})
 				members = append(members, st)
 			}
 		}
@@ -106,7 +106,7 @@ func (tx *Tx) Commit() error {
 				continue
 			}
 			for _, h := range st.v.Homes {
-				stubTrain = append(stubTrain, locks.TrainLock{Word: tx.lockWord(h)})
+				stubTrain = append(stubTrain, locks.TrainLock{Word: tx.eng.lockWordOf(h)})
 				stubBlocks = append(stubBlocks, h)
 			}
 		}
@@ -139,29 +139,6 @@ func (tx *Tx) Commit() error {
 	var acquired []fabric.DPtr // for rollback of a failed prepare
 	bs := tx.eng.cfg.BlockSize
 
-	prepare := func(primary fabric.DPtr, stream []byte, old []fabric.DPtr) (pl plan, err error) {
-		need := len(stream) / bs
-		blocks := old
-		if blocks == nil {
-			blocks = []fabric.DPtr{primary}
-		}
-		for len(blocks) < need {
-			dp, aerr := tx.eng.store.AcquireBlock(tx.rank, primary.Rank())
-			if aerr != nil {
-				return plan{}, ErrNoMemory
-			}
-			acquired = append(acquired, dp)
-			blocks = append(blocks, dp)
-		}
-		pl.stream = stream
-		pl.blocks = blocks[:need]
-		pl.release = blocks[need:]
-		for i := 1; i < need; i++ {
-			holder.SetTableEntry(stream, i-1, blocks[i])
-		}
-		return pl, nil
-	}
-
 	fail := func(err error) error {
 		for _, dp := range acquired {
 			tx.eng.store.ReleaseBlock(tx.rank, dp)
@@ -178,25 +155,22 @@ func (tx *Tx) Commit() error {
 			continue
 		}
 		stream, fan, drop := tx.encodeForCommit(st, bs)
-		pl, err := prepare(primary, stream, st.blocks)
+		blocks, release, err := tx.eng.layoutChain(tx.rank, primary.Rank(), stream, chainOf(primary, st.blocks), &acquired)
 		if err != nil {
 			return fail(err)
 		}
-		pl.vs = st
-		pl.fan = fan
-		pl.drop = drop
-		plans = append(plans, pl)
+		plans = append(plans, plan{vs: st, stream: stream, blocks: blocks, release: release, fan: fan, drop: drop})
 	}
 	for _, es := range tx.edges {
 		if !es.dirty || es.deleted {
 			continue
 		}
-		pl, err := prepare(es.primary, holder.EncodeEdge(es.e, bs), es.blocks)
+		stream := holder.EncodeEdge(es.e, bs)
+		blocks, release, err := tx.eng.layoutChain(tx.rank, es.primary.Rank(), stream, chainOf(es.primary, es.blocks), &acquired)
 		if err != nil {
 			return fail(err)
 		}
-		pl.es = es
-		plans = append(plans, pl)
+		plans = append(plans, plan{es: es, stream: stream, blocks: blocks, release: release})
 	}
 
 	// Prepare, index: reserve the internal-index entries of the new vertices.
@@ -269,7 +243,7 @@ func (tx *Tx) Commit() error {
 			words := make([]locks.Word, len(refs))
 			vers := make([]uint64, len(refs))
 			for i, ref := range refs {
-				words[i] = tx.lockWord(ref.group[0])
+				words[i] = tx.eng.lockWordOf(ref.group[0])
 				vers[i] = plans[ref.pl].vs.lockVer
 			}
 			var held []bool
@@ -277,13 +251,10 @@ func (tx *Tx) Commit() error {
 				tx.eng.replicaDrops.Add(int64(len(refs)))
 				continue
 			}
-			var hw []locks.Word
-			var hv []uint64
+			hw, hv, _ := splitHeld(words, vers, held)
 			for i, ref := range refs {
 				if held[i] {
 					fanHeld[ref.pl] = append(fanHeld[ref.pl], ref.group)
-					hw = append(hw, words[i])
-					hv = append(hv, vers[i])
 				} else {
 					// Out of lockstep: retire the copy. Its stale listing in
 					// the primary's group table is harmless — every later
@@ -306,31 +277,17 @@ func (tx *Tx) Commit() error {
 	// group committer, which flushes it — merged with any concurrently
 	// committing transactions of this rank — as one vectored PUT train per
 	// owner rank.
-	var wbDps []fabric.DPtr
-	var wbData [][]byte
-	put := func(dp fabric.DPtr, payload []byte) {
-		wbDps = append(wbDps, dp)
-		wbData = append(wbData, payload)
-	}
+	var wb writeList
 	for pi, pl := range plans {
-		for i, dp := range pl.blocks {
-			put(dp, pl.stream[i*bs:(i+1)*bs])
-		}
-		// Follower fan-out: the marked groups receive the same stream with
-		// the replica flag set and the block table re-pointed at their own
-		// blocks, riding the same write-back train.
-		for _, g := range fanHeld[pi] {
-			rep := holder.RewriteAsReplica(pl.stream, g)
-			for i, dp := range g {
-				put(dp, rep[i*bs:(i+1)*bs])
-			}
-		}
+		// Follower fan-out: the marked groups receive the same stream as
+		// replicas, riding the same write-back train.
+		wb.appendChainWrites(pl.stream, pl.blocks, fanHeld[pi], bs)
 		// Reshaped-away groups are poisoned at the head (a local replica read
 		// then fails the replica-flag check and falls back) before their
 		// blocks are returned below.
 		for _, g := range pl.drop {
 			if len(g) > 0 && !tx.eng.isDead(g[0].Rank()) {
-				put(g[0], make([]byte, holder.HeaderSize))
+				wb.put(g[0], make([]byte, holder.HeaderSize))
 			}
 		}
 	}
@@ -340,11 +297,11 @@ func (tx *Tx) Commit() error {
 	var delDrops []plan
 	for _, st := range tx.verts {
 		if st.deleted && !st.isNew {
-			put(st.primary, make([]byte, holder.HeaderSize))
+			wb.put(st.primary, make([]byte, holder.HeaderSize))
 			if st.v != nil && len(st.v.Replicas) > 0 {
 				for _, g := range st.v.Replicas {
 					if len(g) > 0 && !tx.eng.isDead(g[0].Rank()) {
-						put(g[0], make([]byte, holder.HeaderSize))
+						wb.put(g[0], make([]byte, holder.HeaderSize))
 					}
 				}
 				delDrops = append(delDrops, plan{vs: st, drop: st.v.Replicas})
@@ -353,13 +310,13 @@ func (tx *Tx) Commit() error {
 	}
 	for _, es := range tx.edges {
 		if es.deleted && !es.isNew {
-			put(es.primary, make([]byte, holder.HeaderSize))
+			wb.put(es.primary, make([]byte, holder.HeaderSize))
 		}
 	}
 	for _, h := range stubBlocks {
-		put(h, make([]byte, holder.HeaderSize))
+		wb.put(h, make([]byte, holder.HeaderSize))
 	}
-	tx.eng.groupWriteBack(tx.rank, wbDps, wbData)
+	tx.eng.groupWriteBack(tx.rank, wb.dps, wb.data)
 
 	// Retire dropped follower groups now that their poison has landed: return
 	// the blocks and clear the follower ranks' directory entries.
@@ -439,7 +396,7 @@ func (tx *Tx) Commit() error {
 	var delVers []uint64
 	for _, st := range tx.verts {
 		if st.deleted && st.lock == lockWrite {
-			delWords = append(delWords, tx.lockWord(st.primary))
+			delWords = append(delWords, tx.eng.lockWordOf(st.primary))
 			delVers = append(delVers, st.lockVer)
 			st.lock = lockNone
 		}
@@ -453,10 +410,7 @@ func (tx *Tx) Commit() error {
 			tx.eng.index.Delete(tx.rank, st.v.AppID)
 			tx.eng.idxRemoveVertex(tx.rank, st.primary, st.origLabel)
 		}
-		if st.blocks == nil {
-			st.blocks = []fabric.DPtr{st.primary}
-		}
-		for _, dp := range st.blocks {
+		for _, dp := range chainOf(st.primary, st.blocks) {
 			tx.eng.store.ReleaseBlock(tx.rank, dp)
 		}
 		st.blocks = nil
@@ -465,10 +419,7 @@ func (tx *Tx) Commit() error {
 		if !es.deleted {
 			continue
 		}
-		if es.blocks == nil {
-			es.blocks = []fabric.DPtr{es.primary}
-		}
-		for _, dp := range es.blocks {
+		for _, dp := range chainOf(es.primary, es.blocks) {
 			tx.eng.store.ReleaseBlock(tx.rank, dp)
 		}
 		es.blocks = nil
@@ -489,10 +440,10 @@ func (tx *Tx) Commit() error {
 	for _, st := range tx.verts {
 		switch st.lock {
 		case lockWrite:
-			wWords = append(wWords, tx.lockWord(st.primary))
+			wWords = append(wWords, tx.eng.lockWordOf(st.primary))
 			wVers = append(wVers, st.lockVer)
 		case lockRead, lockUpgrade:
-			rWords = append(rWords, tx.lockWord(st.primary))
+			rWords = append(rWords, tx.eng.lockWordOf(st.primary))
 		default:
 			continue
 		}
@@ -512,6 +463,15 @@ func (tx *Tx) Commit() error {
 	}
 	tx.close()
 	return nil
+}
+
+// chainOf returns a holder's known chain, or just its primary block for a
+// holder this transaction created (whose chain is not laid out yet).
+func chainOf(primary fabric.DPtr, blocks []fabric.DPtr) []fabric.DPtr {
+	if blocks == nil {
+		return []fabric.DPtr{primary}
+	}
+	return blocks
 }
 
 // encodeForCommit encodes a dirty vertex for write-back and decides the fate
@@ -607,7 +567,7 @@ func (tx *Tx) abortLocked() {
 		bump := st.lock == lockWrite && !st.isNew && st.v != nil && len(st.v.Replicas) > 0
 		var mver uint64
 		if bump {
-			mver = locks.Version(tx.lockWord(st.primary).Stamp(tx.rank))
+			mver = locks.Version(tx.eng.lockWordOf(st.primary).Stamp(tx.rank))
 		}
 		tx.unlockState(st)
 		if bump {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -79,4 +80,54 @@ func TestDeleteVertexV2(t *testing.T) {
 		t.Fatalf("dangling records after delete: %d, %d", hb.Degree(), hc.Degree())
 	}
 	tx3.Commit()
+}
+
+// TestAssociateEdgeHolderRejectsReusedBlock: a heavy-edge holder's primary
+// block that now holds other bytes — a block count with a garbage table
+// entry naming a rank that does not exist, or an absurd block count — must
+// read as ErrNotFound. Read-only (lock-free) transactions reach this fetch
+// too, so nothing in the block can be trusted: it used to panic on the
+// out-of-range rank and to die sizing a buffer on the block count.
+func TestAssociateEdgeHolderRejectsReusedBlock(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		nb   uint32
+	}{{"garbage-table-entry", 3}, {"absurd-block-count", 0xfffffff0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine(rma.New(2), Config{BlockSize: 64, BlocksPerRank: 1 << 12, LockTries: 256})
+			_, knows, _, _ := seedPersonSchema(t, e)
+			tx := e.StartLocal(0, ReadWrite)
+			a, _ := tx.CreateVertex(1)
+			b, _ := tx.CreateVertex(2)
+			uid, err := tx.CreateRichEdge(a, b, holder.DirOut, []lpg.LabelID{knows}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			probe := e.StartLocal(0, ReadOnly)
+			ha, err := probe.AssociateVertex(uid.Vertex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			infos, err := ha.Edges(MaskOut, nil)
+			if err != nil || len(infos) != 1 {
+				t.Fatalf("heavy edge infos = %+v, %v", infos, err)
+			}
+			probe.Abort()
+
+			garbage := make([]byte, 64)
+			binary.LittleEndian.PutUint32(garbage[0:], tc.nb)
+			binary.LittleEndian.PutUint32(garbage[12:], 1) // the edge-holder flag bit
+			binary.LittleEndian.PutUint64(garbage[holder.TableEntryOffset(0):], uint64(rma.MakeDPtr(255, 5)))
+			e.Store().WriteBlock(0, infos[0].Holder, garbage)
+
+			ro := e.StartLocal(1, ReadOnly)
+			defer ro.Abort()
+			if _, err := ro.AssociateEdgeHolder(infos[0].Holder); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("AssociateEdgeHolder over a reused block: err = %v, want ErrNotFound", err)
+			}
+		})
+	}
 }

@@ -304,7 +304,7 @@ func (tx *Tx) flushPending() {
 		if locking {
 			words := make([]locks.Word, len(fetches))
 			for i, pf := range fetches {
-				words[i] = tx.lockWord(pf.dp)
+				words[i] = tx.eng.lockWordOf(pf.dp)
 			}
 			if err := locks.AcquireReadTrain(tx.rank, words, tx.eng.cfg.LockTries); err != nil {
 				crit := tx.fail(fmt.Errorf("read-locking a %d-vertex association batch: %w", len(fetches), err))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/gdi-go/gdi/internal/collective"
@@ -10,63 +11,51 @@ import (
 	"github.com/gdi-go/gdi/internal/locks"
 )
 
-// Live vertex migration. A migration moves one vertex's holder chain from
-// its current primary block P (rank A) to a new primary T on the destination
-// rank, without stopping traffic, by composing machinery that already
-// exists: the destination blocks come from the BGDL allocator, the copy runs
-// under a commit-style exclusive lock train, the internal index entry is
-// CAS-swung from P to T, and the vacated blocks are retired through the
-// deletion-poison discipline — P is rewritten (under its lock, so its
-// version bumps) into a one-hop forwarding stub, which makes every
-// version-stamped cache copy and optimistic read of the old placement fail
-// validation and refetch at the new owner instead of reading a stale copy.
+// Live vertex migration moves a vertex's holder chain from its primary P on
+// another rank to a new primary T here, without stopping traffic: it is one
+// user of the chain mover (mover.go). ARCHITECTURE.md, "Life of a chain
+// move", has the steps; this comment keeps what the code cannot show.
 //
-// Stale DPtrs keep working: edge records written before the move still point
-// at P, and a fetch that lands on the stub chases it to T (counted in
-// ForwardedReads). The vertex remembers its former homes (holder.Vertex
-// .Homes); each holds a stub pointing at the current primary — migration
-// rewrites all of them, so chases are always one hop — and a migration back
-// to a former rank reuses that rank's home block, restoring the vertex's
-// original DPtr there. That re-use is the ABA case: a reader holding a copy
-// of P's content from before the vertex left must not accept it when the
-// vertex returns, which the lock-word version counters guarantee (every stub
-// and content write bumps them).
+// The vacated P — and every former home (holder.Vertex.Homes) — is rewritten
+// under its write lock into a one-hop forwarding stub to T, so stale DPtrs in
+// edge records keep resolving (ForwardedReads counts the chases). Migrating
+// back to a former rank reuses that rank's home block, restoring the
+// vertex's original DPtr there. That reuse is the ABA case: a reader holding
+// a copy of P from before the vertex left must not accept it when the vertex
+// returns, which the lock-word versions guarantee, because every stub and
+// content write bumps them.
 //
-// Concurrency: the exclusive lock on P serializes migration against every
-// writer and locking reader of the vertex (their read locks block the train,
-// so a transaction that fetched the vertex pins its placement until it
-// ends), and against DHT inserts/deletes of the key, which only happen under
-// the same lock. Optimistic readers need no locks: their version validation
-// rejects anything that raced the move.
-
-// lockWordOf addresses dp's per-block reader-writer lock word.
-func (e *Engine) lockWordOf(dp fabric.DPtr) locks.Word {
-	win, target, idx := e.store.LockWord(dp)
-	return locks.Word{Win: win, Target: target, Idx: idx}
-}
-
-// validPoolDPtr reports whether dp addresses a real block of the pool
-// (plans travel over the wire; apply must not panic on a corrupt one).
-func (e *Engine) validPoolDPtr(dp fabric.DPtr) bool {
-	return !dp.IsNull() && dp.Off() > 0 && dp.Off() < uint64(e.store.BlocksPerRank()) &&
-		int(dp.Rank()) < e.fab.Size()
-}
+// The exclusive lock on P serializes migration against every writer and
+// locking reader of the vertex, and against DHT inserts and deletes of its
+// key, which only happen under the same lock. Optimistic readers need no
+// locks: their version validation rejects anything that raced the move.
 
 // migCand tracks one move through the phases of a migration train.
 type migCand struct {
-	mv        MigrationMove
-	word      locks.Word    // old primary's lock word
-	ver       uint64        // its version while held
-	buf       []byte        // old holder's full logical stream
-	oldBlocks []fabric.DPtr // old chain (buf's blocks, primary first)
-	v         *holder.Vertex
-	dst       fabric.DPtr  // new primary on the destination rank
-	dstFresh  bool         // dst came from the allocator (vs. a reused home)
-	secWords  []locks.Word // dst word + stub words of the other homes
-	secVers   []uint64
-	newBlocks []fabric.DPtr
-	stream    []byte
-	ok        bool
+	mv       MigrationMove
+	word     locks.Word // old primary's lock word
+	ver      uint64     // its version while held
+	old      chainRead  // the old chain, read under the lock
+	v        *holder.Vertex
+	dst      fabric.DPtr   // new primary on the destination rank
+	fresh    []fabric.DPtr // destination blocks acquired for the move (rollback list)
+	secWords []locks.Word  // dst word + stub words of the other homes
+	secVers  []uint64
+	chain    []fabric.DPtr // the new chain, dst first
+	stream   []byte
+	ok       bool
+}
+
+// skipMove drops a candidate after its primary was locked. That lock is
+// already queued on the release train, so only the candidate's own state —
+// secondary locks, destination blocks — is rolled back.
+func (e *Engine) skipMove(me fabric.Rank, c *migCand) {
+	e.migSkips.Add(1)
+	locks.ReleaseWriteTrain(me, c.secWords, c.secVers)
+	for _, dp := range c.fresh {
+		e.store.ReleaseBlock(me, dp)
+	}
+	c.secWords, c.secVers, c.fresh, c.ok = nil, nil, nil, false
 }
 
 // MigrateVertices executes one batched migration train: every move must have
@@ -78,11 +67,6 @@ type migCand struct {
 // locks as one train. It returns how many vertices actually moved; skipped
 // moves are counted on the engine (MigrationSkips).
 func (e *Engine) MigrateVertices(me fabric.Rank, moves []MigrationMove) (int, error) {
-	if len(moves) == 0 {
-		return 0, nil
-	}
-	bs := e.cfg.BlockSize
-
 	// Candidates: structurally valid moves targeting this rank.
 	cands := make([]*migCand, 0, len(moves))
 	for _, mv := range moves {
@@ -133,257 +117,61 @@ func (e *Engine) MigrateVertices(me fabric.Rank, moves []MigrationMove) (int, er
 		live = append(live, c)
 	}
 
-	// skip drops a candidate after its primary was locked: its lock is
-	// already queued on the release train, so only per-candidate state
-	// (fresh destination blocks, secondary locks) needs rolling back.
-	skip := func(c *migCand) {
-		e.migSkips.Add(1)
-		if len(c.secWords) > 0 {
-			locks.ReleaseWriteTrain(me, c.secWords, c.secVers)
-			c.secWords, c.secVers = nil, nil
-		}
-		if len(c.newBlocks) > 1 {
-			for _, dp := range c.newBlocks[1:] {
-				e.store.ReleaseBlock(me, dp)
-			}
-		}
-		if c.dstFresh && !c.dst.IsNull() {
-			e.store.ReleaseBlock(me, c.dst)
-		}
-		c.ok = false
-	}
-
-	// Phase 2: read the holder chains, batched — round 0 all primaries, then
-	// one batched round per continuation block. Content is stable under the
-	// exclusive locks.
-	var dps []fabric.DPtr
-	var bufs [][]byte
-	for _, c := range live {
-		c.buf = make([]byte, bs)
-		dps = append(dps, c.mv.Old)
-		bufs = append(bufs, c.buf)
-	}
-	e.store.ReadBlocksBatch(me, dps, bufs)
-	for _, c := range live {
-		nb := holder.NumBlocks(c.buf)
-		// A poisoned (deleted), forwarded (already migrated), or recycled
-		// block means the plan went stale between planning and locking. A
-		// recycled block carries arbitrary bytes, so the block count is
-		// untrusted until phase 3 confirms the vertex's identity: bound it
-		// by the pool size before sizing any allocation on it.
-		if nb < 1 || nb > e.store.BlocksPerRank() ||
-			holder.IsMoved(c.buf) || holder.IsEdgeHolder(c.buf) {
-			skip(c)
-			continue
-		}
-		c.oldBlocks = append(c.oldBlocks, c.mv.Old)
-		if nb > 1 {
-			full := make([]byte, nb*bs)
-			copy(full, c.buf)
-			c.buf = full
-		}
-		c.ok = true
-	}
-	for round := 1; ; round++ {
-		dps, bufs = dps[:0], bufs[:0]
-		for _, c := range live {
-			if !c.ok || holder.NumBlocks(c.buf) <= round {
-				continue
-			}
-			dp := holder.TableEntry(c.buf, round-1)
-			if !e.validPoolDPtr(dp) {
-				skip(c)
-				continue
-			}
-			c.oldBlocks = append(c.oldBlocks, dp)
-			dps = append(dps, dp)
-			bufs = append(bufs, c.buf[round*bs:(round+1)*bs])
-		}
-		if len(dps) == 0 {
-			break
-		}
-		e.store.ReadBlocksBatch(me, dps, bufs)
-	}
-
-	// Phase 3: decode, confirm identity, pick the destination primary, and
-	// lock the secondary words (destination + every other home stub) with a
-	// second best-effort train.
-	var secTrain []locks.TrainLock
-	var replSkip []*migCand // replicated vertices skipped under a held lock
-	apps := make([]uint64, len(live))
+	// Phase 2: read the old chains, batched. A poisoned (deleted), forwarded
+	// (already migrated) or recycled block means the plan went stale between
+	// planning and locking.
+	reads := make([]chainRead, len(live))
 	for i, c := range live {
-		apps[i] = c.mv.App
+		reads[i].head = c.mv.Old
 	}
-	indexed, found := e.lookupVertices(me, apps)
+	e.readChains(me, reads, isVertexHead)
 	for i, c := range live {
+		c.old, c.ok = reads[i], reads[i].buf != nil
 		if !c.ok {
-			continue
+			e.skipMove(me, c)
 		}
-		v, err := holder.DecodeVertex(c.buf)
-		if err != nil || v.AppID != c.mv.App {
-			skip(c)
-			continue
-		}
-		if !found[i] || indexed[i] != c.mv.Old {
-			skip(c) // the index no longer names this placement
-			continue
-		}
-		if len(v.Replicas) > 0 || v.IsReplica {
-			// Replicated vertices are pinned in place: moving the primary
-			// would strand every follower's lockstep version and directory
-			// key. Rebalancing one means dropping its replicas first (a
-			// commit-path reshape does that; a later seeding round restores
-			// k elsewhere). The write lock is already queued on the release
-			// train, whose bump without a content change is fanned to the
-			// followers after the train so they stay in lockstep.
-			c.v = v
-			replSkip = append(replSkip, c)
-			skip(c)
-			continue
-		}
-		c.v = v
-		for _, h := range v.Homes {
-			if h.Rank() == me {
-				c.dst = h // reuse the former home block: the ABA path
-				break
-			}
-		}
-		if c.dst.IsNull() {
-			dp, err := e.store.AcquireBlock(me, me)
-			if err != nil {
-				skip(c)
-				continue
-			}
-			c.dst, c.dstFresh = dp, true
-		}
-		words := []locks.Word{e.lockWordOf(c.dst)}
-		for _, h := range c.v.Homes {
-			if h != c.dst {
-				words = append(words, e.lockWordOf(h))
-			}
-		}
-		c.secWords = words
-		for _, w := range words {
-			secTrain = append(secTrain, locks.TrainLock{Word: w})
-		}
-	}
-	secVers, secHeld := locks.AcquireWriteTrainEach(me, secTrain, e.cfg.LockTries)
-	secAt := 0
-	for _, c := range live {
-		if !c.ok {
-			continue
-		}
-		lo := secAt
-		secAt += len(c.secWords)
-		all := true
-		for i := lo; i < secAt; i++ {
-			if !secHeld[i] {
-				all = false
-			}
-		}
-		if !all {
-			// Roll back the subset this candidate did get and skip it.
-			var got []locks.Word
-			var gotVers []uint64
-			for i := lo; i < secAt; i++ {
-				if secHeld[i] {
-					got = append(got, secTrain[i].Word)
-					gotVers = append(gotVers, secVers[i])
-				}
-			}
-			locks.ReleaseWriteTrain(me, got, gotVers)
-			c.secWords, c.secVers = nil, nil
-			skip(c)
-			continue
-		}
-		c.secVers = append(c.secVers, secVers[lo:secAt]...)
 	}
 
-	// Phase 4: re-encode with the updated home list and acquire the
-	// destination continuation blocks.
+	// Phase 3: decode, confirm identity, pick the destination, and lock the
+	// secondary words.
+	replSkip := e.lockMoveTargets(me, live)
+
+	// Phase 4: re-encode with the updated home list (the old primary joins
+	// it) and lay the stream out over the destination chain.
+	bs := e.cfg.BlockSize
 	for _, c := range live {
 		if !c.ok {
 			continue
 		}
-		homes := make([]fabric.DPtr, 0, len(c.v.Homes)+1)
-		for _, h := range c.v.Homes {
-			if h != c.dst {
-				homes = append(homes, h)
-			}
-		}
-		c.v.Homes = append(homes, c.mv.Old)
+		c.v.Homes = append(slices.DeleteFunc(c.v.Homes, func(h fabric.DPtr) bool { return h == c.dst }), c.mv.Old)
 		c.stream = holder.EncodeVertex(c.v, bs)
-		need := len(c.stream) / bs
-		c.newBlocks = append(c.newBlocks, c.dst)
-		fail := false
-		for len(c.newBlocks) < need {
-			dp, err := e.store.AcquireBlock(me, me)
-			if err != nil {
-				fail = true
-				break
-			}
-			c.newBlocks = append(c.newBlocks, dp)
-		}
-		if fail {
-			skip(c)
-			continue
-		}
-		for i := 1; i < need; i++ {
-			holder.SetTableEntry(c.stream, i-1, c.newBlocks[i])
+		var err error
+		if c.chain, _, err = e.layoutChain(me, me, c.stream, []fabric.DPtr{c.dst}, &c.fresh); err != nil {
+			e.skipMove(me, c)
 		}
 	}
 
-	// Phase 5: publish — the new chains plus every forwarding stub go out as
-	// one vectored PUT train per owner rank. The content lands before any
-	// pointer to it is readable: the destination words are still write-held,
-	// and the DHT swing below happens after the writes.
-	var wDps []fabric.DPtr
-	var wData [][]byte
+	// Phase 5: publish — the new chains plus a forwarding stub at every
+	// vacated block (Homes now lists them all) go out as one vectored PUT
+	// train per owner rank. The content lands before any pointer to it is
+	// readable: the destination words are still write-held, and the DHT
+	// swing below happens after the writes.
+	var w writeList
 	for _, c := range live {
 		if !c.ok {
 			continue
 		}
-		for i, dp := range c.newBlocks {
-			wDps = append(wDps, dp)
-			wData = append(wData, c.stream[i*bs:(i+1)*bs])
-		}
+		w.appendChainWrites(c.stream, c.chain, nil, bs)
 		// One stub buffer serves every vacated home: the batch only reads it.
 		stub := holder.EncodeMoved(c.mv.App, c.dst, bs)
-		wDps = append(wDps, c.mv.Old)
-		wData = append(wData, stub)
 		for _, h := range c.v.Homes {
-			if h != c.mv.Old { // the old primary's stub is queued above
-				wDps = append(wDps, h)
-				wData = append(wData, stub)
-			}
+			w.put(h, stub)
 		}
 	}
-	e.store.WriteBlocksBatch(me, wDps, wData)
+	e.store.WriteBlocksBatch(me, w.dps, w.data)
 
 	// Phase 6: swing the DHT entries and move the explicit-index postings.
-	migrated := 0
-	var fatal error
-	for _, c := range live {
-		if !c.ok {
-			continue
-		}
-		if fatal != nil {
-			c.ok = false // not swung; its vacated chain must not be freed
-			continue
-		}
-		if !e.index.Replace(me, c.mv.App, uint64(c.mv.Old), uint64(c.dst)) {
-			// Unreachable while we hold the vertex's exclusive lock (the
-			// index entry only changes under it); fail loudly if violated —
-			// after the release and block-retire phases below, so neither
-			// locks nor the already-migrated candidates' blocks leak.
-			fatal = fmt.Errorf("core: DHT entry of vertex %d changed under its migration lock", c.mv.App)
-			c.ok = false
-			continue
-		}
-		e.idxRemoveVertex(me, c.mv.Old, c.v.Labels)
-		e.local[me].addVertex(c.dst, c.v.AppID, c.v.Labels)
-		migrated++
-	}
+	migrated, fatal := e.swingMoves(me, live)
 
 	// Phase 7: release every lock (bumping versions — the invalidation
 	// broadcast), then retire the vacated continuation blocks. The old
@@ -400,13 +188,119 @@ func (e *Engine) MigrateVertices(me fabric.Rank, moves []MigrationMove) (int, er
 		if !c.ok { // skipped, or not swung on the fatal path
 			continue
 		}
-		for _, dp := range c.oldBlocks[1:] {
+		for _, dp := range c.old.blocks[1:] {
 			e.store.ReleaseBlock(me, dp)
 		}
 	}
 	e.fab.FlushAll(me)
 	e.migrations.Add(int64(migrated))
 	return migrated, fatal
+}
+
+// swingMoves is phase 6 of a migration train: it CAS-swings each published
+// move's DHT entry from the old primary to the new one and moves the
+// explicit-index postings. It returns how many vertices moved.
+func (e *Engine) swingMoves(me fabric.Rank, live []*migCand) (migrated int, fatal error) {
+	for _, c := range live {
+		if !c.ok {
+			continue
+		}
+		if fatal != nil {
+			c.ok = false // not swung; its vacated chain must not be freed
+			continue
+		}
+		if !e.index.Replace(me, c.mv.App, uint64(c.mv.Old), uint64(c.dst)) {
+			// Unreachable while we hold the vertex's exclusive lock (the
+			// index entry only changes under it); fail loudly if violated —
+			// after the caller's release and block-retire phases, so neither
+			// locks nor the already-migrated candidates' blocks leak.
+			fatal = fmt.Errorf("core: DHT entry of vertex %d changed under its migration lock", c.mv.App)
+			c.ok = false
+			continue
+		}
+		e.idxRemoveVertex(me, c.mv.Old, c.v.Labels)
+		e.local[me].addVertex(c.dst, c.v.AppID, c.v.Labels)
+		migrated++
+	}
+	return migrated, fatal
+}
+
+// lockMoveTargets is phase 3 of a migration train: it decodes each read
+// chain, confirms the vertex's identity against the chain and the index,
+// picks the destination primary (the former home on this rank if there is
+// one — the ABA path — else a fresh block), and write-locks the destination
+// word plus every other home's stub word with one best-effort train. A
+// candidate missing any of its secondary words is skipped. It returns the
+// replicated candidates it skipped, whose followers must track the release
+// bump of their primary.
+func (e *Engine) lockMoveTargets(me fabric.Rank, live []*migCand) (replSkip []*migCand) {
+	apps := make([]uint64, len(live))
+	for i, c := range live {
+		apps[i] = c.mv.App
+	}
+	indexed, found := e.lookupVertices(me, apps)
+	var secWords []locks.Word
+	for i, c := range live {
+		if !c.ok {
+			continue
+		}
+		v, err := holder.DecodeVertex(c.old.buf)
+		if err != nil || v.AppID != c.mv.App || !found[i] || indexed[i] != c.mv.Old {
+			e.skipMove(me, c) // not this vertex, or the index no longer names this placement
+			continue
+		}
+		c.v = v
+		if len(v.Replicas) > 0 || v.IsReplica {
+			// Replicated vertices are pinned in place: moving the primary
+			// would strand every follower's lockstep version and directory
+			// key. Rebalancing one means dropping its replicas first (a
+			// commit-path reshape does that; a later seeding round restores
+			// k elsewhere).
+			replSkip = append(replSkip, c)
+			e.skipMove(me, c)
+			continue
+		}
+		for _, h := range v.Homes {
+			if h.Rank() == me {
+				c.dst = h
+				break
+			}
+		}
+		if c.dst.IsNull() {
+			dp, err := e.store.AcquireBlock(me, me)
+			if err != nil {
+				e.skipMove(me, c)
+				continue
+			}
+			c.dst, c.fresh = dp, []fabric.DPtr{dp}
+		}
+		c.secWords = []locks.Word{e.lockWordOf(c.dst)}
+		for _, h := range v.Homes {
+			if h != c.dst {
+				c.secWords = append(c.secWords, e.lockWordOf(h))
+			}
+		}
+		secWords = append(secWords, c.secWords...)
+	}
+	secTrain := make([]locks.TrainLock, len(secWords))
+	for i, w := range secWords {
+		secTrain[i] = locks.TrainLock{Word: w}
+	}
+	secVers, secHeld := locks.AcquireWriteTrainEach(me, secTrain, e.cfg.LockTries)
+	at := 0
+	for _, c := range live {
+		if !c.ok {
+			continue
+		}
+		lo := at
+		at += len(c.secWords)
+		var all bool
+		c.secWords, c.secVers, all = splitHeld(secWords[lo:at], secVers[lo:at], secHeld[lo:at])
+		if !all {
+			e.skipMove(me, c) // releases the subset it did get
+		}
+	}
+	return replSkip
 }
 
 // RebalanceStats reports one Rebalance round from one rank's perspective.

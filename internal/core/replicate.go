@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"slices"
 	"sync"
 
 	"github.com/gdi-go/gdi/internal/fabric"
@@ -10,41 +11,30 @@ import (
 )
 
 // k-replica holder chains: read-scale replication with kill-a-rank failover.
+// A replicated vertex has one primary chain (the placement the internal
+// index names) plus up to k-1 follower chains, each on one other rank and
+// byte-identical to the primary's stream except for the replica flag and the
+// block table, which points at the follower's own blocks. Seeding
+// (replicateOne) and failover promotion (promoteOne) are users of the
+// chain mover (mover.go); commit fans same-shape rewrites out to the
+// followers (commit.go). ARCHITECTURE.md, "Life of a chain move", has the
+// steps; this comment keeps the invariants the code cannot show.
 //
-// A replicated vertex has one primary holder chain (the placement the
-// internal index names) plus up to k-1 follower chains, each a byte-identical
-// copy of the primary's stream — except the replica flag and the block table,
-// which points at the follower's own blocks — living entirely on one other
-// rank. The follower's head block's lock word is not a lock but a mirrored
-// version word kept in lockstep with the primary's: follower word free at
-// version v means the follower content equals the primary content at v
-// (package locks' mirror trains maintain this).
-//
-// The moving parts, all reusing machinery that already exists:
-//
-//   - Seeding (replicateOne) is a follower-side pull built from the migration
-//     train's primitives: best-effort write-lock of the primary, a batched
-//     chain read, re-encode with one more follower group, publish, enter the
-//     new word into lockstep. The puller records the copy in its rank-local
-//     replica directory (primary DPtr → local follower head).
-//   - Commit fan-out (commit.go) mirror-marks the follower words of every
-//     same-shape rewrite, lands the follower payload inside the same group
-//     committer train as the primary's blocks, and releases the words to the
-//     primary's new version — primary-then-follower order. Reshapes and
-//     deletions drop the groups instead (dropFollowerGroups).
-//   - Optimistic reads (tryReplicaRead) are served by the local follower with
-//     a seqlock read of its chain; the observed version is recorded against
-//     the *primary* DPtr, so the existing commit-time validation train checks
-//     it against the primary's word. A follower that fell out of lockstep
-//     therefore costs an optimistic abort, never a stale read — correctness
-//     does not depend on fan-out completeness.
-//   - Failover (PromoteDead): when the transport reports a rank dead, each
-//     surviving follower CASes the vertex's DHT entry from the dead primary
-//     to its own follower head. The winner re-encodes itself as primary
-//     (pruning the dead rank's placements), rewrites the surviving followers
-//     back into lockstep, and rekeys their directories; losers just rekey or
-//     self-drop. The DHT's word shards survive a data-plane death, which is
-//     what makes the CAS arbitration possible.
+//   - Lockstep: a follower head's lock word is not a lock but a mirrored
+//     version word. Follower word free at version v ⇔ the follower content
+//     equals the primary content at v. Reads served by a follower record the
+//     version against the primary DPtr, so commit validation checks it
+//     against the primary's word: a follower out of lockstep costs an
+//     optimistic abort, never a stale read.
+//   - Release order: every writer releases the primary first (v → v+1), then
+//     the follower words it marked, then enters a freshly seeded word at v+1;
+//     only after that does a directory make a new copy reachable.
+//   - Version monotonicity: every word only moves forward, which
+//     version-validated caches rely on, so a seed never stores a fresh
+//     follower word below the version the recycled block's word already has.
+//   - Promotion arbitrates through one DHT CAS (dead primary → follower
+//     head); the DHT's word shards survive a data-plane death, which is what
+//     makes the CAS possible. Exactly one follower wins per vertex.
 
 // replicaEntry is one follower copy hosted by this rank.
 type replicaEntry struct {
@@ -228,8 +218,7 @@ func (e *Engine) bumpMirrors(origin fabric.Rank, v *holder.Vertex, ver uint64) {
 		for i := range vers {
 			vers[i] = ver
 		}
-		w := words
-		runIsolated(func() { locks.BumpMirrorTrain(origin, w, vers) })
+		runIsolated(func() { locks.BumpMirrorTrain(origin, words, vers) })
 	}
 }
 
@@ -354,34 +343,15 @@ func (e *Engine) replicateOne(origin fabric.Rank, app uint64, primary fabric.DPt
 		return false
 	}
 
-	// Read the chain under the lock (content is stable).
-	buf := make([]byte, bs)
-	e.store.ReadBlock(origin, primary, buf)
-	nb := holder.NumBlocks(buf)
-	if nb < 1 || nb > e.store.BlocksPerRank() || holder.IsMoved(buf) || holder.IsEdgeHolder(buf) {
+	buf, chain := e.readChain(origin, primary, isVertexHead)
+	if buf == nil {
 		return bail()
 	}
-	chain := make([]fabric.DPtr, 1, nb)
-	chain[0] = primary
-	if nb > 1 {
-		full := make([]byte, nb*bs)
-		copy(full, buf)
-		buf = full
-		for i := 1; i < nb; i++ {
-			dp := holder.TableEntry(buf, i-1)
-			if !e.validPoolDPtr(dp) {
-				return bail()
-			}
-			e.store.ReadBlock(origin, dp, buf[i*bs:(i+1)*bs])
-			chain = append(chain, dp)
-		}
-	}
-	var err error
-	v, err = holder.DecodeVertex(buf)
-	if err != nil || v.AppID != app || v.IsReplica {
-		v = nil
+	dv, err := holder.DecodeVertex(buf)
+	if err != nil || dv.AppID != app || dv.IsReplica {
 		return bail()
 	}
+	v = dv
 	if len(v.Replicas) >= k-1 {
 		return bail()
 	}
@@ -397,97 +367,56 @@ func (e *Engine) replicateOne(origin fabric.Rank, app uint64, primary fabric.DPt
 	existing := len(v.Replicas)
 	v.Replicas = append(v.Replicas, nil)
 	need := holder.VertexBlocks(v, bs)
-	acquire := func(target fabric.Rank, dst []fabric.DPtr) ([]fabric.DPtr, bool) {
-		for len(dst) < need {
-			dp, aerr := e.store.AcquireBlock(origin, target)
-			if aerr != nil {
-				return dst, false
-			}
-			fresh = append(fresh, dp)
-			dst = append(dst, dp)
-		}
-		return dst, true
-	}
-	group, ok := acquire(origin, make([]fabric.DPtr, 0, need))
-	if !ok {
+	group, _, err := e.fitChain(origin, origin, nil, need, &fresh)
+	if err != nil {
 		return bail()
 	}
-	if chain, ok = acquire(primary.Rank(), chain); !ok {
+	if chain, _, err = e.fitChain(origin, primary.Rank(), chain, need, &fresh); err != nil {
 		return bail()
 	}
-	for gi := 0; gi < existing; gi++ {
-		if v.Replicas[gi], ok = acquire(v.Replicas[gi][0].Rank(), v.Replicas[gi]); !ok {
+	for gi, g := range v.Replicas[:existing] {
+		if v.Replicas[gi], _, err = e.fitChain(origin, g[0].Rank(), g, need, &fresh); err != nil {
 			return bail()
 		}
 	}
 	v.Replicas[existing] = group
+	stream := holder.EncodeVertex(v, bs)
+	setChainTable(stream, chain)
 
 	// Version monotonicity guard: the fresh follower word will be stored to
-	// pv+1, and version-validated caches rely on every word only moving
-	// forward. A recycled block whose word already sits at or above pv+1
-	// would rewind it — skip the vertex instead (rare: most block words sit
-	// far below a live vertex's version).
+	// pv+1. A recycled block whose word already sits above pv would rewind
+	// it — skip the vertex instead (rare: most block words sit far below a
+	// live vertex's version).
 	headWord := e.lockWordOf(group[0])
-	if locks.Version(headWord.Stamp(origin))+1 > pv+1 {
+	if locks.Version(headWord.Stamp(origin)) > pv {
 		return bail()
 	}
 
-	// Mirror-mark the existing groups: their streams must be rewritten too
-	// (the group region of the content changes with ours). A mark that fails
-	// means lockstep was already broken — abort the seed and leave the vertex
-	// as it was.
+	// Mirror-mark the existing groups: their streams are rewritten too (the
+	// group region changes with ours). A mark that fails means lockstep was
+	// already broken — abort the seed and leave the vertex as it was.
 	gWords := make([]locks.Word, existing)
 	gVers := make([]uint64, existing)
-	for gi := 0; gi < existing; gi++ {
+	for gi := range gWords {
 		gWords[gi] = e.lockWordOf(v.Replicas[gi][0])
 		gVers[gi] = pv
 	}
 	if existing > 0 {
-		heldG := locks.AcquireMirrorTrain(origin, gWords, gVers)
-		all := true
-		for _, h := range heldG {
-			all = all && h
-		}
+		marked, markedVers, all := splitHeld(gWords, gVers, locks.AcquireMirrorTrain(origin, gWords, gVers))
 		if !all {
-			var got []locks.Word
-			var gotV []uint64
-			for i, h := range heldG {
-				if h {
-					got = append(got, gWords[i])
-					gotV = append(gotV, gVers[i])
-				}
-			}
-			if len(got) > 0 {
-				locks.ReleaseMirrorTrain(origin, got, gotV) // to pv+1, matching bail's bump
-			}
+			locks.ReleaseMirrorTrain(origin, marked, markedVers) // to pv+1, matching bail's bump
 			return bail()
 		}
 	}
 
 	// Publish: the grown primary chain plus every follower stream, one
 	// vectored PUT train per rank.
-	stream := holder.EncodeVertex(v, bs)
-	for i := 1; i < need; i++ {
-		holder.SetTableEntry(stream, i-1, chain[i])
-	}
-	var wDps []fabric.DPtr
-	var wData [][]byte
-	for i := 0; i < need; i++ {
-		wDps = append(wDps, chain[i])
-		wData = append(wData, stream[i*bs:(i+1)*bs])
-	}
-	for gi := 0; gi <= existing; gi++ {
-		rep := holder.RewriteAsReplica(stream, v.Replicas[gi])
-		for i, dp := range v.Replicas[gi] {
-			wDps = append(wDps, dp)
-			wData = append(wData, rep[i*bs:(i+1)*bs])
-		}
-	}
-	e.store.WriteBlocksBatch(origin, wDps, wData)
+	var w writeList
+	w.appendChainWrites(stream, chain, v.Replicas, bs)
+	e.store.WriteBlocksBatch(origin, w.dps, w.data)
 
-	// Release in lockstep order: primary first (pv → pv+1), then the marked
-	// groups, then the fresh word enters at pv+1; only then does the
-	// directory make the copy reachable.
+	// Release in lockstep order; only then does the directory make the copy
+	// reachable.
 	locks.ReleaseWriteTrain(origin, []locks.Word{word}, []uint64{pv})
 	if existing > 0 {
 		locks.ReleaseMirrorTrain(origin, gWords, gVers)
@@ -577,8 +506,7 @@ func (e *Engine) PromoteDead(origin fabric.Rank) int {
 	won := 0
 	for _, it := range e.repl[origin].promotable(dead) {
 		promoted := false
-		item := it
-		runIsolated(func() { promoted = e.promoteOne(origin, item, dead) })
+		runIsolated(func() { promoted = e.promoteOne(origin, it, dead) })
 		if promoted {
 			won++
 		}
@@ -586,6 +514,8 @@ func (e *Engine) PromoteDead(origin fabric.Rank) int {
 	return won
 }
 
+// promoteOne races one dead primary's followers for the vertex through the
+// DHT CAS and, on a win, rewrites this follower's chain as the new primary.
 func (e *Engine) promoteOne(origin fabric.Rank, it promoteItem, dead map[fabric.Rank]bool) bool {
 	bs := e.cfg.BlockSize
 	headWord := e.lockWordOf(it.head)
@@ -606,54 +536,13 @@ func (e *Engine) promoteOne(origin fabric.Rank, it promoteItem, dead map[fabric.
 		return false
 	}
 	if !swapped && fabric.DPtr(cur) != it.head {
-		// Lost to another follower. If my word is free the winner mirror-marks
-		// and rewrites my copy, so the entry stays valid under the new
-		// primary; a stolen (dead-marked) word the winner cannot acquire —
-		// it pruned my group, so the copy is garbage: self-drop.
-		if stolen {
-			e.repl[origin].drop(it.primary)
-			e.replicaDrops.Add(1)
-			// The blocks are mine alone now (the winner pruned the group);
-			// read the chain to find and free them, best-effort.
-			buf := make([]byte, bs)
-			e.store.ReadBlock(origin, it.head, buf)
-			if nb := holder.NumBlocks(buf); nb >= 1 && nb <= e.store.BlocksPerRank() && holder.IsReplicaBlock(buf) {
-				locks.SeedMirrorWord(origin, headWord, fv) // clear the dead mark
-				if nb > 1 {
-					full := make([]byte, nb*bs)
-					copy(full, buf)
-					buf = full
-					for i := 1; i < nb; i++ {
-						dp := holder.TableEntry(buf, i-1)
-						if !e.validPoolDPtr(dp) || dp.Rank() != origin {
-							return false
-						}
-						e.store.ReadBlock(origin, dp, buf[i*bs:(i+1)*bs])
-					}
-				}
-				if v, err := holder.DecodeVertex(buf); err == nil && v.AppID == it.app {
-					for _, g := range v.Replicas {
-						if len(g) > 0 && g[0] == it.head {
-							for _, dp := range g {
-								e.store.ReleaseBlock(origin, dp)
-							}
-							break
-						}
-					}
-				}
-			}
-			return false
-		}
-		e.repl[origin].rekey(it.primary, fabric.DPtr(cur))
+		e.promoteLost(origin, it, fabric.DPtr(cur), headWord, stolen, fv)
 		return false
 	}
 
-	// Won (or resuming an earlier win that failed before finishing): take the
-	// head word exclusively. A stolen mark already is exclusive possession.
-	if !swapped && fabric.DPtr(cur) == it.head {
-		// A previous PromoteDead call swung the entry but died before the
-		// rewrite; fall through and finish the job.
-	}
+	// Won, or resuming an earlier win that swung the entry but died before
+	// the rewrite. Take the head word exclusively; a stolen mark already is
+	// exclusive possession.
 	if !stolen {
 		if err := headWord.TryAcquireWrite(origin, e.cfg.LockTries); err != nil {
 			return false // local contention; retry on the next PromoteDead
@@ -663,51 +552,35 @@ func (e *Engine) promoteOne(origin fabric.Rank, it promoteItem, dead map[fabric.
 	release := func() {
 		locks.ReleaseWriteTrain(origin, []locks.Word{headWord}, []uint64{fv})
 	}
+	// abandon gives up on an unusable copy: it releases my word and any
+	// sibling marks (content unchanged, so lockstep holds) and drops the
+	// directory entry.
+	var sWords []locks.Word
+	var sVers []uint64
+	abandon := func() bool {
+		release()
+		runIsolated(func() { locks.ReleaseMirrorTrain(origin, sWords, sVers) })
+		e.repl[origin].drop(it.primary)
+		return false
+	}
 
-	// Read my chain under the (held or stolen) word and decode. A torn
-	// half-fan-out copy fails decode or identity — the vertex's latest
-	// committed state is then unrecoverable from this rank; drop the entry so
-	// readers fail over to the DHT's (now swung) placement... which is this
-	// chain. That case means data loss was already inflicted by the dead rank
-	// mid-commit; nothing to preserve.
-	buf := make([]byte, bs)
-	e.store.ReadBlock(origin, it.head, buf)
-	nb := holder.NumBlocks(buf)
-	if nb < 1 || nb > e.store.BlocksPerRank() || !holder.IsReplicaBlock(buf) {
-		release()
-		e.repl[origin].drop(it.primary)
-		return false
+	// Read my chain under the (held or stolen) word. A torn half-fan-out copy
+	// fails the read, decode or identity check: the dead rank already lost
+	// the vertex's latest state mid-commit, and there is nothing to preserve.
+	buf, chain := e.readChain(origin, it.head, holder.IsReplicaBlock)
+	var v *holder.Vertex
+	err := ErrNotFound
+	if buf != nil {
+		v, err = holder.DecodeVertex(buf)
 	}
-	chain := make([]fabric.DPtr, 1, nb)
-	chain[0] = it.head
-	if nb > 1 {
-		full := make([]byte, nb*bs)
-		copy(full, buf)
-		buf = full
-		for i := 1; i < nb; i++ {
-			dp := holder.TableEntry(buf, i-1)
-			if !e.validPoolDPtr(dp) || dp.Rank() != origin {
-				release()
-				e.repl[origin].drop(it.primary)
-				return false
-			}
-			e.store.ReadBlock(origin, dp, buf[i*bs:(i+1)*bs])
-			chain = append(chain, dp)
-		}
-	}
-	v, err := holder.DecodeVertex(buf)
 	if err != nil || v.AppID != it.app {
-		release()
-		e.repl[origin].drop(it.primary)
-		return false
+		return abandon()
 	}
 
 	// Mirror-mark the surviving sibling followers (they are rewritten below
 	// into lockstep with the new primary); prune my own group, every group on
 	// a dead rank, and any sibling that fails the mark.
 	var survivors [][]fabric.DPtr
-	var sWords []locks.Word
-	var sVers []uint64
 	for _, g := range v.Replicas {
 		if len(g) == 0 || g[0] == it.head || dead[g[0].Rank()] || e.isDead(g[0].Rank()) {
 			continue
@@ -727,48 +600,28 @@ func (e *Engine) promoteOne(origin fabric.Rank, it promoteItem, dead map[fabric.
 	}
 
 	// Re-encode as primary: replica flag cleared, my group and the dead
-	// ranks' placements pruned. Content only shrinks, so the chains keep
-	// their block count or release a tail.
+	// ranks' placements pruned. Content only shrinks, so every chain keeps
+	// its block count or splits off a tail; anything else is a corrupt copy.
 	v.IsReplica = false
 	v.Replicas = survivors
-	homes := v.Homes[:0]
-	for _, h := range v.Homes {
-		if !dead[h.Rank()] && !e.isDead(h.Rank()) {
-			homes = append(homes, h)
-		}
+	v.Homes = slices.DeleteFunc(v.Homes, func(h fabric.DPtr) bool { return dead[h.Rank()] || e.isDead(h.Rank()) })
+	need := holder.VertexBlocks(v, bs)
+	if need > len(chain) {
+		return abandon()
 	}
-	v.Homes = homes
-	need := min(holder.VertexBlocks(v, bs), nb) // content only shrank; never grow past the copy
-	// Shrink every surviving group to the new block count before encoding
-	// (group length must equal the holder's block count exactly).
 	var freeTail []fabric.DPtr
 	for gi, g := range v.Replicas {
-		if len(g) > need {
-			freeTail = append(freeTail, g[need:]...)
-			v.Replicas[gi] = g[:need]
-		}
+		v.Replicas[gi], freeTail = g[:need], append(freeTail, g[need:]...)
 	}
 	stream := holder.EncodeVertex(v, bs)
-	for i := 1; i < need; i++ {
-		holder.SetTableEntry(stream, i-1, chain[i])
-	}
+	chain, tail := chain[:need], chain[need:]
+	setChainTable(stream, chain)
 
 	// Publish: my chain as the new primary, every survivor rewritten back
 	// into lockstep.
-	var wDps []fabric.DPtr
-	var wData [][]byte
-	for i := 0; i < need; i++ {
-		wDps = append(wDps, chain[i])
-		wData = append(wData, stream[i*bs:(i+1)*bs])
-	}
-	for _, g := range v.Replicas {
-		rep := holder.RewriteAsReplica(stream, g)
-		for i, dp := range g {
-			wDps = append(wDps, dp)
-			wData = append(wData, rep[i*bs:(i+1)*bs])
-		}
-	}
-	runIsolated(func() { e.store.WriteBlocksBatch(origin, wDps, wData) })
+	var wl writeList
+	wl.appendChainWrites(stream, chain, v.Replicas, bs)
+	runIsolated(func() { e.store.WriteBlocksBatch(origin, wl.dps, wl.data) })
 
 	// Explicit indexes: the vertex now lives here; the dead rank's shard (if
 	// its memory is still in this process, as under the simulator's kill) is
@@ -792,20 +645,43 @@ func (e *Engine) promoteOne(origin fabric.Rank, it promoteItem, dead map[fabric.
 	}
 	for _, g := range v.Replicas {
 		fr := g[0].Rank()
-		gr := g
 		runIsolated(func() { e.replDirRekey(origin, fr, it.primary, it.head) })
-		_ = gr
 	}
 	for _, dp := range freeTail {
-		dpc := dp
-		runIsolated(func() { e.store.ReleaseBlock(origin, dpc) })
+		runIsolated(func() { e.store.ReleaseBlock(origin, dp) })
 	}
-	for _, dp := range chain[need:] {
+	for _, dp := range tail {
 		e.store.ReleaseBlock(origin, dp)
 	}
 	e.repl[origin].drop(it.primary)
 	e.promotions.Add(1)
 	return true
+}
+
+// promoteLost handles a follower whose promotion CAS lost to winner. With a
+// free word it rekeys: the winner mirror-marks and rewrites this copy, so the
+// entry stays valid under the new primary. A stolen (dead-marked) word the
+// winner cannot mark, so it pruned this group and the copy is garbage: the
+// follower self-drops and, once the copy proves to be the vertex, clears the
+// mark and returns the chain, whose blocks are this rank's alone.
+func (e *Engine) promoteLost(origin fabric.Rank, it promoteItem, winner fabric.DPtr, headWord locks.Word, stolen bool, fv uint64) {
+	if !stolen {
+		e.repl[origin].rekey(it.primary, winner)
+		return
+	}
+	e.repl[origin].drop(it.primary)
+	e.replicaDrops.Add(1)
+	buf, chain := e.readChain(origin, it.head, holder.IsReplicaBlock)
+	if buf == nil {
+		return
+	}
+	if v, err := holder.DecodeVertex(buf); err != nil || v.AppID != it.app {
+		return
+	}
+	locks.SeedMirrorWord(origin, headWord, fv)
+	for _, dp := range chain {
+		e.store.ReleaseBlock(origin, dp)
+	}
 }
 
 // dropFollowerGroups retires a replicated vertex's follower groups at commit
@@ -822,9 +698,8 @@ func (e *Engine) dropFollowerGroups(origin fabric.Rank, primary fabric.DPtr, gro
 		}
 		fr := g[0].Rank()
 		if !e.isDead(fr) {
-			gr := g
 			runIsolated(func() {
-				for _, dp := range gr {
+				for _, dp := range g {
 					e.store.ReleaseBlock(origin, dp)
 				}
 				e.replDirDrop(origin, fr, primary)

@@ -5,7 +5,6 @@ import (
 
 	"github.com/gdi-go/gdi/internal/fabric"
 	"github.com/gdi-go/gdi/internal/holder"
-	"github.com/gdi-go/gdi/internal/locks"
 	"github.com/gdi-go/gdi/internal/lpg"
 	"github.com/gdi-go/gdi/internal/metadata"
 )
@@ -218,35 +217,6 @@ func (tx *Tx) TranslateVertexID(appID uint64) (fabric.DPtr, error) {
 	return fabric.DPtr(v), nil
 }
 
-// fetchBlocks reads a holder's full logical stream starting from its
-// primary block, exploiting the streaming invariant of package holder:
-// table entry i is always available before block i+1 is needed.
-func (tx *Tx) fetchBlocks(primary fabric.DPtr) ([]byte, []fabric.DPtr, error) {
-	bs := tx.eng.cfg.BlockSize
-	buf := make([]byte, bs)
-	tx.eng.store.ReadBlock(tx.rank, primary, buf)
-	nb := holder.NumBlocks(buf)
-	if nb < 1 {
-		return nil, nil, fmt.Errorf("%w: holder %v was deleted", ErrNotFound, primary)
-	}
-	blocks := make([]fabric.DPtr, 1, nb)
-	blocks[0] = primary
-	if nb > 1 {
-		full := make([]byte, nb*bs)
-		copy(full, buf)
-		buf = full
-		for i := 1; i < nb; i++ {
-			dp := holder.TableEntry(buf, i-1)
-			if dp.IsNull() {
-				return nil, nil, fmt.Errorf("%w: holder %v has a null continuation block", ErrNotFound, primary)
-			}
-			tx.eng.store.ReadBlock(tx.rank, dp, buf[i*bs:(i+1)*bs])
-			blocks = append(blocks, dp)
-		}
-	}
-	return buf, blocks, nil
-}
-
 // AssociateVertex creates (or returns the cached) process-local handle for
 // vertex dp (GDI_AssociateVertex). For locking transactions it acquires a
 // read lock; mutations upgrade it. O(b) block gets for a b-block holder,
@@ -261,17 +231,12 @@ func (tx *Tx) AssociateVertex(dp fabric.DPtr) (*VertexHandle, error) {
 	return tx.AssociateVertexAsync(dp).Wait()
 }
 
-func (tx *Tx) lockWord(dp fabric.DPtr) locks.Word {
-	win, target, idx := tx.eng.store.LockWord(dp)
-	return locks.Word{Win: win, Target: target, Idx: idx}
-}
-
 func (tx *Tx) unlockState(st *vertexState) {
 	switch st.lock {
 	case lockRead, lockUpgrade: // an upgrade not yet granted holds a read lock
-		tx.lockWord(st.primary).ReleaseRead(tx.rank)
+		tx.eng.lockWordOf(st.primary).ReleaseRead(tx.rank)
 	case lockWrite:
-		tx.lockWord(st.primary).ReleaseWrite(tx.rank)
+		tx.eng.lockWordOf(st.primary).ReleaseWrite(tx.rank)
 	}
 	st.lock = lockNone
 }
@@ -293,7 +258,7 @@ func (tx *Tx) ensureWrite(st *vertexState) error {
 		// Fresh vertices stay unlocked until the commit train: they are
 		// unpublished, so nothing can race them before then.
 		if !tx.skipLocks() && !st.isNew {
-			if err := tx.lockWord(st.primary).TryAcquireWrite(tx.rank, tx.eng.cfg.LockTries); err != nil {
+			if err := tx.eng.lockWordOf(st.primary).TryAcquireWrite(tx.rank, tx.eng.cfg.LockTries); err != nil {
 				return tx.fail(fmt.Errorf("write-locking %v: %w", st.primary, err))
 			}
 			st.lock = lockWrite
@@ -427,9 +392,11 @@ func (tx *Tx) fetchEdgeState(dp fabric.DPtr) (*edgeState, error) {
 	if es, ok := tx.edges[dp]; ok {
 		return es, nil
 	}
-	buf, blocks, err := tx.fetchBlocks(dp)
-	if err != nil {
-		return nil, err
+	// The lock-free optimistic routes reach here too, so the chain is read
+	// like any untrusted bytes: a reused block yields ErrNotFound, not a panic.
+	buf, blocks := tx.eng.readChain(tx.rank, dp, holder.IsEdgeHolder)
+	if buf == nil {
+		return nil, fmt.Errorf("%w: edge holder %v is gone (deleted, or its block reused)", ErrNotFound, dp)
 	}
 	e, err := holder.DecodeEdge(buf)
 	if err != nil {

@@ -57,8 +57,8 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/gdi-go/gdi/internal/fabric"
 	"github.com/gdi-go/gdi/internal/lpg"
-	"github.com/gdi-go/gdi/internal/rma"
 )
 
 // HeaderSize is the fixed holder header size in bytes.
@@ -104,7 +104,7 @@ func (d Direction) String() string {
 type EdgeRec struct {
 	// Neighbor is the other endpoint's vertex DPtr or, when Heavy, the DPtr
 	// of the dedicated edge holder.
-	Neighbor rma.DPtr
+	Neighbor fabric.DPtr
 	// Dir is the edge direction relative to the holding vertex.
 	Dir Direction
 	// Heavy marks a record that spills to an edge holder.
@@ -119,7 +119,7 @@ type EdgeRec struct {
 // (the paper's 12-byte edge UID, §5.4.2). The same physical edge has two
 // different UIDs, one per endpoint.
 type EdgeUID struct {
-	Vertex rma.DPtr
+	Vertex fabric.DPtr
 	Index  uint32
 }
 
@@ -135,7 +135,7 @@ type Vertex struct {
 	// records keep resolving; a migration back to a former rank reuses its
 	// home block, restoring the vertex's original DPtr there (the ABA case
 	// the version counters guard). Empty for never-migrated vertices.
-	Homes []rma.DPtr
+	Homes []fabric.DPtr
 	// Replicas lists the vertex's follower block groups (the primary chain is
 	// not listed). Each group has exactly NumBlocks(v) DPtrs — the follower's
 	// head block first, then its continuation blocks in stream order — and
@@ -145,7 +145,7 @@ type Vertex struct {
 	// in lockstep with the primary's (follower word free at version v ⇒
 	// follower content equals primary content at v). Empty for unreplicated
 	// vertices.
-	Replicas [][]rma.DPtr
+	Replicas [][]fabric.DPtr
 	// IsReplica reports that this stream was decoded from a follower copy
 	// rather than the primary chain (the flagReplica header bit). Follower
 	// streams are read-only views: every mutation path goes through the
@@ -162,7 +162,7 @@ type Vertex struct {
 // Edge is the decoded logical form of a heavy-edge holder.
 type Edge struct {
 	// Origin and Target are the endpoint vertex DPtrs.
-	Origin, Target rma.DPtr
+	Origin, Target fabric.DPtr
 	// Dir records whether the edge is directed.
 	Dir Direction
 	// Labels and Props carry the edge's rich data.
@@ -295,7 +295,7 @@ func forEachEdgeRun(buf []byte, numEdges int, fn func(EdgeRec) bool) (consumed i
 				nbr = uint64(int64(nbr) + delta)
 			}
 			if !fn(EdgeRec{
-				Neighbor: rma.DPtr(nbr),
+				Neighbor: fabric.DPtr(nbr),
 				Dir:      dir,
 				Heavy:    heavy,
 				Label:    lpg.LabelID(label),
@@ -452,8 +452,8 @@ func DecodeEdge(buf []byte) (*Edge, error) {
 	}
 	entryBytes := int(binary.LittleEndian.Uint32(buf[8:]))
 	e := &Edge{
-		Origin: rma.DPtr(binary.LittleEndian.Uint64(buf[16:])),
-		Target: rma.DPtr(binary.LittleEndian.Uint64(buf[24:])),
+		Origin: fabric.DPtr(binary.LittleEndian.Uint64(buf[16:])),
+		Target: fabric.DPtr(binary.LittleEndian.Uint64(buf[24:])),
 	}
 	off, err := fixedRegionsEnd(buf, numBlocks, 0, 0)
 	if err != nil {
@@ -523,7 +523,7 @@ func NumBlocks(primary []byte) int {
 // bit, the migrated vertex's application ID (diagnostics), and the DPtr of
 // the vertex's current primary. Readers that land on a stub chase target
 // instead of decoding (the stub is rejected by DecodeVertex/DecodeEdge).
-func EncodeMoved(appID uint64, target rma.DPtr, blockSize int) []byte {
+func EncodeMoved(appID uint64, target fabric.DPtr, blockSize int) []byte {
 	buf := make([]byte, blockSize)
 	binary.LittleEndian.PutUint32(buf[0:], 1)
 	binary.LittleEndian.PutUint32(buf[12:], flagMoved)
@@ -541,8 +541,8 @@ func IsMoved(primary []byte) bool {
 }
 
 // MovedTarget returns the current-primary DPtr a forwarding stub points at.
-func MovedTarget(primary []byte) rma.DPtr {
-	return rma.DPtr(binary.LittleEndian.Uint64(primary[16:]))
+func MovedTarget(primary []byte) fabric.DPtr {
+	return fabric.DPtr(binary.LittleEndian.Uint64(primary[16:]))
 }
 
 // MovedAppID returns the application ID recorded in a forwarding stub.
@@ -593,7 +593,7 @@ func NumReplicas(primary []byte) int {
 // content, homes, the full replica group list — is byte-identical, which is
 // what lets a promotion or repair reconstruct the vertex from any follower.
 // The input stream is not modified.
-func RewriteAsReplica(stream []byte, group []rma.DPtr) []byte {
+func RewriteAsReplica(stream []byte, group []fabric.DPtr) []byte {
 	nb := NumBlocks(stream)
 	if len(group) != nb {
 		panic(fmt.Sprintf("holder: replica group has %d blocks, holder has %d", len(group), nb))
@@ -608,12 +608,12 @@ func RewriteAsReplica(stream []byte, group []rma.DPtr) []byte {
 
 // TableEntry returns the DPtr of continuation block i (0-based: entry 0 is
 // the holder's second block) from the logical stream.
-func TableEntry(buf []byte, i int) rma.DPtr {
-	return rma.DPtr(binary.LittleEndian.Uint64(buf[HeaderSize+8*i:]))
+func TableEntry(buf []byte, i int) fabric.DPtr {
+	return fabric.DPtr(binary.LittleEndian.Uint64(buf[HeaderSize+8*i:]))
 }
 
 // SetTableEntry writes the DPtr of continuation block i into the stream.
-func SetTableEntry(buf []byte, i int, dp rma.DPtr) {
+func SetTableEntry(buf []byte, i int, dp fabric.DPtr) {
 	binary.LittleEndian.PutUint64(buf[HeaderSize+8*i:], uint64(dp))
 }
 

@@ -4,8 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"github.com/gdi-go/gdi/internal/fabric"
 	"github.com/gdi-go/gdi/internal/lpg"
-	"github.com/gdi-go/gdi/internal/rma"
 )
 
 // View is a zero-copy reader over an encoded vertex-holder stream: Reset
@@ -104,9 +104,9 @@ func (w *View) Entries() []byte { return w.buf[w.entOff : w.entOff+w.entryBytes]
 // HasHome reports whether dp is one of the vertex's former primary blocks
 // (Vertex.Homes) — with the current primary, the identities under which
 // edge records and edge holders may still name this vertex.
-func (w *View) HasHome(dp rma.DPtr) bool {
+func (w *View) HasHome(dp fabric.DPtr) bool {
 	for i := 0; i < w.numHomes; i++ {
-		if rma.DPtr(binary.LittleEndian.Uint64(w.buf[w.homesOff+8*i:])) == dp {
+		if fabric.DPtr(binary.LittleEndian.Uint64(w.buf[w.homesOff+8*i:])) == dp {
 			return true
 		}
 	}
@@ -131,7 +131,7 @@ func (w *View) ForEachEdge(fn func(EdgeRec) bool) {
 // lightweight record, skipping heavy records (whose Neighbor points at an
 // edge holder, not a vertex — resolving those takes a fetch the transaction
 // layer owns). fn returning false stops the walk.
-func (w *View) ForEachNeighbor(fn func(nbr rma.DPtr, dir Direction) bool) {
+func (w *View) ForEachNeighbor(fn func(nbr fabric.DPtr, dir Direction) bool) {
 	w.ForEachEdge(func(rec EdgeRec) bool {
 		if rec.Heavy {
 			return true
@@ -163,18 +163,18 @@ func (w *View) DecodeMeta() (*Vertex, error) {
 	v := &Vertex{AppID: w.appID, IsReplica: w.isReplica}
 	off := w.homesOff
 	if w.numHomes > 0 {
-		v.Homes = make([]rma.DPtr, 0, w.numHomes)
+		v.Homes = make([]fabric.DPtr, 0, w.numHomes)
 		for i := 0; i < w.numHomes; i++ {
-			v.Homes = append(v.Homes, rma.DPtr(binary.LittleEndian.Uint64(w.buf[off:])))
+			v.Homes = append(v.Homes, fabric.DPtr(binary.LittleEndian.Uint64(w.buf[off:])))
 			off += 8
 		}
 	}
 	if w.numReplicas > 0 {
-		v.Replicas = make([][]rma.DPtr, w.numReplicas)
+		v.Replicas = make([][]fabric.DPtr, w.numReplicas)
 		for g := range v.Replicas {
-			group := make([]rma.DPtr, w.numBlocks)
+			group := make([]fabric.DPtr, w.numBlocks)
 			for i := range group {
-				group[i] = rma.DPtr(binary.LittleEndian.Uint64(w.buf[off:]))
+				group[i] = fabric.DPtr(binary.LittleEndian.Uint64(w.buf[off:]))
 				off += 8
 			}
 			v.Replicas[g] = group
