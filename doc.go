@@ -136,10 +136,12 @@
 //
 // Application IDs resolve to internal DPtrs through the offloaded DHT. A
 // lookup is the bucket load plus one four-word atomic-load train per chain
-// hop — two round trips at chain length one — and nothing caches the result
-// across calls, because a cached DPtr goes stale on delete, migration and
-// promotion. Process.BulkLoadVertices and Process.BulkLoadEdges are
-// collective and translate in trains too: vertices are routed to their
+// hop — two round trips at chain length one. Transaction.TranslateVertexID
+// associates the vertex it translates, and each rank caches the answer with
+// its guard version: a hit costs 0 round trips beyond the association (see
+// ARCHITECTURE.md, "Life of a translation"). Process.BulkLoadVertices and
+// Process.BulkLoadEdges are collective and translate in trains too (they
+// never fill the cache): vertices are routed to their
 // owners with one all-to-all and their index entries to the keys' home ranks
 // with a second, where they are inserted locally; the edge loader resolves
 // each distinct endpoint once, with a batched level-synchronous lookup (one

@@ -38,7 +38,11 @@ type (
 	EdgeInfo = core.EdgeInfo
 	// Mode distinguishes read-only from read-write transactions.
 	Mode = core.Mode
-	// Transaction is a GDI transaction (local or collective).
+	// Transaction is a GDI transaction (local or collective). In a local
+	// transaction, TranslateVertexID also associates the vertex it
+	// translates, so the AssociateVertex that follows costs nothing, and a
+	// translation the process has confirmed before costs 0 round trips
+	// beyond that association.
 	Transaction = core.Tx
 	// VertexFuture is a pending non-blocking vertex association created by
 	// Transaction.AssociateVertexAsync; resolve it with Wait or poll with

@@ -103,6 +103,63 @@ func TestPointReadPathAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestTranslateHitAllocatesNothingExtra: a warm translation-cache hit is the
+// association the caller makes next anyway, made one call earlier, so a
+// read-only translate → associate → commit allocates no more objects than
+// associate → commit of the same vertex, local or remote.
+func TestTranslateHitAllocatesNothingExtra(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is not meaningful under the race detector")
+	}
+	e := NewEngine(rma.New(2), Config{
+		BlockSize:     256,
+		BlocksPerRank: 1 << 12,
+		LockTries:     256,
+		CacheCapacity: 512,
+	})
+	center := seedFanVertex(t, e, 8)
+	for name, origin := range map[string]rma.Rank{
+		"local":      center.Rank(),
+		"cached-hit": rma.Rank(1 - int(center.Rank())),
+	} {
+		t.Run(name, func(t *testing.T) {
+			read := func(translate bool) func() {
+				return func() {
+					tx := e.StartLocal(origin, ReadOnly)
+					dp := center
+					if translate {
+						var err error
+						if dp, err = tx.TranslateVertexID(1000); err != nil {
+							panic(err)
+						}
+					}
+					h, err := tx.AssociateVertex(dp)
+					if err != nil {
+						panic(err)
+					}
+					if d := h.Degree(); d != 8 {
+						panic(fmt.Sprintf("degree = %d, want 8", d))
+					}
+					if err := tx.Commit(); err != nil {
+						panic(err)
+					}
+				}
+			}
+			read(true)() // fills the translation and block caches
+			hits, _ := e.TranslationCacheStats()
+			translated := testing.AllocsPerRun(100, read(true))
+			if h, _ := e.TranslationCacheStats(); h <= hits {
+				t.Fatal("the warm translations were not cache hits")
+			}
+			associated := testing.AllocsPerRun(100, read(false))
+			if translated > associated {
+				t.Fatalf("translate → associate → commit allocates %.0f objects, associate → commit %.0f", translated, associated)
+			}
+			t.Logf("%.0f allocations with a translation hit, %.0f without", translated, associated)
+		})
+	}
+}
+
 // TestFrontierHopAllocsIndependentOfWidth is the same guard for the frontier
 // path: a frontier vertex costs no heap object. A warm-cache filter hop in a
 // transaction of its own — begin, ExpandFrontier with a predicate, commit —

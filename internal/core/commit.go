@@ -57,9 +57,9 @@ func (tx *Tx) Commit() error {
 	// Contention fails the whole train, which rolls its partial
 	// acquisitions back itself; the abort below then drops the still-held
 	// read locks.
+	var members []*vertexState // the train's vertices, whose versions it learns
 	if !tx.skipLocks() {
 		var train []locks.TrainLock
-		var members []*vertexState
 		for _, primary := range tx.dirtyList {
 			st := tx.verts[primary]
 			if st == nil {
@@ -461,6 +461,7 @@ func (tx *Tx) Commit() error {
 		w, v := mirWords[i], mirVers[i]
 		runIsolated(func() { locks.ReleaseMirrorTrain(tx.rank, w, v) })
 	}
+	tx.noteCommitted(members)
 	tx.close()
 	return nil
 }

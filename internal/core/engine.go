@@ -3,7 +3,8 @@
 //
 //   - sharded graph data over the BGDL block layer (packages block, holder);
 //   - the internal index translating application-level vertex IDs to DPtrs,
-//     backed by the fully-offloaded DHT (package dht);
+//     backed by the fully-offloaded DHT (package dht), with a per-rank,
+//     version-validated translation cache in front of it (xlate.go);
 //   - per-rank explicit indexes (vertex enumeration and label postings),
 //     maintained with eventual consistency at commit time;
 //   - replicated metadata registries (package metadata);
@@ -153,6 +154,7 @@ type Engine struct {
 	commits []groupCommitter // one write-back combiner per rank
 	heat    []*heatShard     // per-rank access-heat counters (rebalancing)
 	repl    []*replicaShard  // per-rank replica directories (read-scale replication)
+	xlate   []xlateCache     // per-rank translation caches (xlate.go)
 	cfg     Config
 	mp      bool // true when some rank lives in another OS process
 
@@ -185,6 +187,9 @@ type Engine struct {
 	reseeds      atomic.Int64 // follower copies seeded (initial + repair)
 	promotions   atomic.Int64 // followers promoted to primary after a rank death
 	replicaDrops atomic.Int64 // follower groups dropped (reshape, delete, lockstep loss)
+
+	xlateHits   atomic.Int64 // translations the rank caches served
+	xlateMisses atomic.Int64 // translations that went to the internal index
 }
 
 // localIndex is one rank's shard of the explicit indexes: the set of local
@@ -218,6 +223,7 @@ func NewEngine(f fabric.Transport, cfg Config) *Engine {
 		commits: make([]groupCommitter, f.Size()),
 		heat:    make([]*heatShard, f.Size()),
 		repl:    make([]*replicaShard, f.Size()),
+		xlate:   make([]xlateCache, f.Size()),
 		dead:    make(map[fabric.Rank]bool),
 		cfg:     cfg,
 	}
@@ -226,6 +232,7 @@ func NewEngine(f fabric.Transport, cfg Config) *Engine {
 		e.local[r] = newLocalIndex()
 		e.heat[r] = newHeatShard()
 		e.repl[r] = newReplicaShard()
+		e.xlate[r].size = xlateSlots(cfg.DHTEntriesPerRank)
 	}
 	f.NotifyPeerDeath(func(r fabric.Rank) {
 		e.deadMu.Lock()

@@ -28,7 +28,8 @@ type VertexFuture struct {
 	tx   *Tx
 	dp   fabric.DPtr
 	done bool
-	h    *VertexHandle
+	st   *vertexState
+	h    *VertexHandle // built from st by the first Wait
 	err  error
 }
 
@@ -50,6 +51,9 @@ func (f *VertexFuture) Wait() (*VertexHandle, error) {
 		// happen through misuse across goroutines); fail it rather than spin.
 		f.fail(fmt.Errorf("%w: future lost by its transaction", ErrTxCritical))
 	}
+	if f.h == nil && f.st != nil {
+		f.h = &VertexHandle{tx: f.tx, st: f.st}
+	}
 	return f.h, f.err
 }
 
@@ -66,7 +70,7 @@ func (f *VertexFuture) resolveState(st *vertexState) {
 		f.err = fmt.Errorf("%w: vertex %v deleted in this transaction", ErrNotFound, f.dp)
 		return
 	}
-	f.h = &VertexHandle{tx: f.tx, st: st}
+	f.st = st
 }
 
 // AssociateVertexAsync begins a non-blocking vertex association. The
@@ -188,6 +192,15 @@ type pendingFetch struct {
 func (tx *Tx) flushPending() {
 	pending := tx.pending
 	tx.pending = nil
+	tx.flush(pending, false, 0)
+}
+
+// flush completes the given associations (flushPending's protocol). A
+// speculative flush (spec) is a translation-cache hit being checked: its
+// holders must still carry guard version expect, free of writers, and a
+// primary vertex head, or their futures fail with errStaleTranslation — on
+// the guard word alone, before any block is read, when the version moved.
+func (tx *Tx) flush(pending []*VertexFuture, spec bool, expect uint64) {
 	if len(pending) == 0 {
 		return
 	}
@@ -224,6 +237,14 @@ func (tx *Tx) flushPending() {
 		// not make the follower rank look like the place the vertex lives.
 		if tx.optimistic() {
 			if st, ver, ok := tx.tryReplicaRead(dp); ok {
+				if spec && ver != expect {
+					for _, f := range futs {
+						f.fail(errStaleTranslation)
+					}
+					return
+				}
+				tx.eng.replicaReads.Add(1)
+				st.ver = ver
 				st.origLabel = append([]lpg.LabelID(nil), st.v.Labels...)
 				tx.verts[dp] = st
 				tx.optReads = append(tx.optReads, optRead{dp, ver})
@@ -299,9 +320,25 @@ func (tx *Tx) flushPending() {
 		// collective read-only transactions, §3.3, and for the optimistic
 		// tier, which validates instead of locking). A failed acquisition is
 		// transaction-critical and poisons the whole flush; the train
-		// releases its partial acquisitions itself before reporting it.
+		// releases its partial acquisitions itself before reporting it. A
+		// speculative fetch locks only at the version it expects and is
+		// stale, not critical, when the word is elsewhere or write-held.
 		locking := !tx.skipLocks() && !tx.optimistic()
-		if locking {
+		if locking && spec {
+			live := fetches[:0]
+			for _, pf := range fetches {
+				if tx.eng.lockWordOf(pf.dp).TryAcquireReadAt(tx.rank, expect, tx.eng.cfg.LockTries) {
+					live = append(live, pf)
+					continue
+				}
+				for _, f := range pf.futs {
+					f.fail(errStaleTranslation)
+				}
+			}
+			if fetches = live; len(fetches) == 0 {
+				return
+			}
+		} else if locking {
 			words := make([]locks.Word, len(fetches))
 			for i, pf := range fetches {
 				words[i] = tx.eng.lockWordOf(pf.dp)
@@ -331,7 +368,7 @@ func (tx *Tx) flushPending() {
 		// path.
 		remaining := fetches
 		for attempt := 0; len(remaining) > 0; attempt++ {
-			unstable := tx.fetchHolderStreams(remaining)
+			unstable := tx.fetchHolderStreams(remaining, spec, expect)
 			if len(unstable) == 0 {
 				break
 			}
@@ -386,6 +423,7 @@ func (tx *Tx) flushPending() {
 					pf.err = fmt.Errorf("%w: %v", ErrNotFound, err)
 				} else {
 					pf.st.v = v
+					pf.st.ver = pf.ver
 					pf.st.lazyEdges = st.view.NumEdges() > 0
 					pf.st.blocks = pf.blocks
 					pf.st.origLabel = append([]lpg.LabelID(nil), v.Labels...)
@@ -438,8 +476,9 @@ func (tx *Tx) addAlias(dp, next fabric.DPtr) {
 // holder still needing one, each round one vectored read train per owner
 // rank — and returns the subset whose optimistic reads came back unstable
 // (guard version moved or writer held across the fetch) for the caller to
-// retry. Holders that turn out deleted or corrupt have pf.err set and are
-// not returned.
+// retry. Holders that turn out deleted or corrupt, or fail a speculative
+// fetch's checks (spec, expect: see flush), have pf.err set and are not
+// returned.
 //
 // The guards are stamped once up front — one atomic-load train per owner
 // rank — and every round of every holder is served against those stamps:
@@ -449,13 +488,15 @@ func (tx *Tx) addAlias(dp, next fabric.DPtr) {
 // holders that actually touched the wire (a fully cache-served holder is a
 // consistent copy at its stamped version by construction); fetched blocks
 // of holders whose guard did not move are installed into the cache.
-func (tx *Tx) fetchHolderStreams(fetches []*pendingFetch) (unstable []*pendingFetch) {
+func (tx *Tx) fetchHolderStreams(fetches []*pendingFetch, spec bool, expect uint64) (unstable []*pendingFetch) {
 	bs := tx.eng.cfg.BlockSize
 	store := tx.eng.store
 	opt := tx.optimistic()
 
 	// Stamp every primary once; in optimistic mode a guard already held by
-	// a writer cannot validate, so its holder goes straight to retry.
+	// a writer cannot validate, so its holder goes straight to retry. A
+	// speculative fetch is stale instead, at another version or under a
+	// writer (whose release moves the version).
 	var trains block.Trains
 	live := make([]*pendingFetch, 0, len(fetches))
 	prims := make([]fabric.DPtr, len(fetches))
@@ -465,12 +506,17 @@ func (tx *Tx) fetchHolderStreams(fetches []*pendingFetch) (unstable []*pendingFe
 	words := make([]uint64, len(prims))
 	store.LockStampsInto(tx.rank, prims, words, &trains)
 	for i, pf := range fetches {
-		if opt && locks.WriteHeld(words[i]) {
+		w := words[i]
+		switch {
+		case spec && (locks.Version(w) != expect || locks.WriteHeld(w)):
+			tx.unlockState(pf.st)
+			pf.err = errStaleTranslation
+		case opt && locks.WriteHeld(w):
 			unstable = append(unstable, pf)
-			continue
+		default:
+			pf.stamp, pf.ver = w, locks.Version(w)
+			live = append(live, pf)
 		}
-		pf.stamp, pf.ver = words[i], locks.Version(words[i])
-		live = append(live, pf)
 	}
 
 	// readRound reads one block of every holder in roundPfs, reads[j] for
@@ -513,6 +559,13 @@ func (tx *Tx) fetchHolderStreams(fetches []*pendingFetch) (unstable []*pendingFe
 		nb := holder.NumBlocks(pf.buf)
 		if nb < 1 {
 			fail(pf, fmt.Errorf("%w: holder %v was deleted", ErrNotFound, pf.dp))
+			continue
+		}
+		if spec && (!isVertexHead(pf.buf) || holder.IsReplicaBlock(pf.buf)) {
+			// A cached translation names primary vertex heads only; the
+			// caller falls back to the index instead of chasing anything.
+			tx.unlockState(pf.st)
+			pf.err = errStaleTranslation
 			continue
 		}
 		if holder.IsMoved(pf.buf) {

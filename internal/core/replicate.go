@@ -433,7 +433,8 @@ func (e *Engine) replicateOne(origin fabric.Rank, app uint64, primary fabric.DPt
 // primary DPtr — the existing commit-time validation train then checks it
 // against the primary's word, so a stale follower costs an abort, never a
 // stale read. Returns false (and possibly drops the directory entry) on any
-// miss; the caller falls back to the remote fetch path.
+// miss; the caller falls back to the remote fetch path, and counts a read it
+// accepts.
 func (tx *Tx) tryReplicaRead(dp fabric.DPtr) (*vertexState, uint64, bool) {
 	e := tx.eng
 	ent, ok := e.repl[tx.rank].lookup(dp)
@@ -474,7 +475,6 @@ func (tx *Tx) tryReplicaRead(dp fabric.DPtr) (*vertexState, uint64, bool) {
 		e.repl[tx.rank].drop(dp)
 		return nil, 0, false
 	}
-	e.replicaReads.Add(1)
 	st := &vertexState{primary: dp, v: v}
 	return st, locks.Version(w1), true
 }

@@ -5,6 +5,7 @@ import (
 
 	"github.com/gdi-go/gdi/internal/fabric"
 	"github.com/gdi-go/gdi/internal/holder"
+	"github.com/gdi-go/gdi/internal/locks"
 	"github.com/gdi-go/gdi/internal/lpg"
 	"github.com/gdi-go/gdi/internal/metadata"
 )
@@ -45,6 +46,7 @@ type vertexState struct {
 	blocks    []fabric.DPtr // all blocks incl. primary; nil for fresh vertices
 	lock      lockState
 	lockVer   uint64 // lock-word version while write-held (from the commit train)
+	ver       uint64 // guard version the holder was fetched at
 	dirty     bool
 	isNew     bool
 	deleted   bool
@@ -194,27 +196,120 @@ func (tx *Tx) registry() *metadata.Registry { return tx.eng.regs[tx.rank] }
 func (tx *Tx) MetadataStale() bool { return tx.registry().Version() != tx.metaVer }
 
 // TranslateVertexID resolves an application-level vertex ID to the internal
-// DPtr via the internal index (GDI_TranslateVertexID). Vertices created by
-// this transaction are visible before commit (read-your-own-writes). One
-// DHT lookup: O(1) expected work and depth.
+// DPtr (GDI_TranslateVertexID) and associates the vertex, so the
+// AssociateVertex that normally follows is served by the transaction at no
+// cost. Vertices created by this transaction are visible before commit
+// (read-your-own-writes).
+//
+// A local transaction first asks its rank's translation cache. A hit is a
+// speculative association: the vertex is associated at the cached DPtr as
+// AssociateVertex would (a read lock, or an optimistic read-set entry), and
+// the translation is served only if the guard still carries the cached
+// version, the head block is a primary vertex head with the requested
+// application ID, and the owner rank is alive. A hit costs 0 round trips
+// beyond that association. Anything else — a miss, a moved version, a dead
+// rank — takes one DHT lookup (two round trips), associates its answer and
+// refreshes the cache; ErrNotFound comes back exactly when the index has no
+// entry. An index entry naming a holder that was deleted or reused since is
+// looked up again; one that keeps doing so past the lock retry budget fails
+// the transaction like lock contention. Collective transactions translate
+// through the index alone and associate nothing.
 func (tx *Tx) TranslateVertexID(appID uint64) (fabric.DPtr, error) {
 	if err := tx.check(); err != nil {
 		return fabric.NullDPtr, err
 	}
 	if dp, ok := tx.newByApp[appID]; ok {
 		if tx.verts[dp] != nil && tx.verts[dp].deleted {
-			return fabric.NullDPtr, fmt.Errorf("%w: vertex app ID %d", ErrNotFound, appID)
+			return fabric.NullDPtr, errNoVertex(appID)
 		}
 		return dp, nil
 	}
-	v, ok := tx.eng.index.Lookup(tx.rank, appID)
-	if !ok {
-		return fabric.NullDPtr, fmt.Errorf("%w: vertex app ID %d", ErrNotFound, appID)
+	if tx.collective {
+		v, ok := tx.eng.index.Lookup(tx.rank, appID)
+		if st := tx.verts[fabric.DPtr(v)]; !ok || st != nil && st.deleted {
+			return fabric.NullDPtr, errNoVertex(appID)
+		}
+		return fabric.DPtr(v), nil
 	}
-	if st := tx.verts[fabric.DPtr(v)]; st != nil && st.deleted {
-		return fabric.NullDPtr, fmt.Errorf("%w: vertex app ID %d", ErrNotFound, appID)
+	xc := &tx.eng.xlate[tx.rank]
+	if dp, ver, ok := xc.get(appID); ok && !tx.eng.isDead(dp.Rank()) {
+		// A fresh association passed the version and head checks in the
+		// flush; one the transaction already held is in its read set or
+		// locked, whatever the version.
+		st, fresh, err := tx.associateState(dp, true, ver)
+		switch {
+		case err == nil && st.v.AppID == appID:
+			tx.eng.xlateHits.Add(1)
+			if st.deleted {
+				return fabric.NullDPtr, errNoVertex(appID)
+			}
+			return st.primary, nil
+		case err == nil && fresh:
+			tx.forget(st)
+		}
 	}
-	return fabric.DPtr(v), nil
+	tx.eng.xlateMisses.Add(1)
+	// The index's answer is associated and checked like a hit. A holder that
+	// was deleted, or taken over by another vertex, between the lookup and
+	// the read sends the walk round again: the index soon drops or re-points
+	// the entry.
+	for range tx.eng.cfg.LockTries {
+		v, ok := tx.eng.index.Lookup(tx.rank, appID)
+		if !ok {
+			return fabric.NullDPtr, errNoVertex(appID)
+		}
+		dp := fabric.DPtr(v)
+		st, fresh, err := tx.associateState(dp, false, 0)
+		switch {
+		case tx.critical != nil:
+			// The association failed the transaction, which can no longer
+			// commit; the AssociateVertex that follows reports why.
+			return dp, nil
+		case err != nil:
+		case st.deleted:
+			return fabric.NullDPtr, errNoVertex(appID)
+		case st.v.AppID == appID:
+			xc.put(appID, st.primary, st.ver)
+			return st.primary, nil
+		case fresh:
+			tx.forget(st)
+		}
+	}
+	return fabric.NullDPtr, tx.fail(fmt.Errorf("translating vertex app ID %d: its index entry keeps naming a deleted or another vertex: %w",
+		appID, locks.ErrContended))
+}
+
+func errNoVertex(app uint64) error {
+	return fmt.Errorf("%w: vertex app ID %d", ErrNotFound, app)
+}
+
+// associateState associates dp like AssociateVertex, without building a
+// handle, and reports whether this call installed the state (fresh) rather
+// than finding it in the transaction. A speculative call (spec) expects dp's
+// guard at version expect and, before reading any block, fails with
+// errStaleTranslation when it is elsewhere.
+func (tx *Tx) associateState(dp fabric.DPtr, spec bool, expect uint64) (st *vertexState, fresh bool, err error) {
+	if st, ok := tx.verts[tx.chaseAlias(dp)]; ok {
+		return st, false, nil
+	}
+	n := len(tx.verts)
+	f := &VertexFuture{tx: tx, dp: dp}
+	tx.flush([]*VertexFuture{f}, spec, expect)
+	if f.err != nil {
+		return nil, false, f.err
+	}
+	return f.st, len(tx.verts) > n, nil
+}
+
+// forget undoes an association this transaction no longer wants, one that
+// named another vertex than the translation asked for: its read lock is
+// released and it leaves the transaction and the read set, as if never read.
+func (tx *Tx) forget(st *vertexState) {
+	tx.unlockState(st)
+	delete(tx.verts, st.primary)
+	if n := len(tx.optReads); n > 0 && tx.optReads[n-1].dp == st.primary {
+		tx.optReads = tx.optReads[:n-1]
+	}
 }
 
 // AssociateVertex creates (or returns the cached) process-local handle for

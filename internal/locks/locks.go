@@ -90,6 +90,27 @@ func (w Word) TryAcquireRead(origin fabric.Rank, tries int) error {
 	return ErrContended
 }
 
+// TryAcquireReadAt takes a shared lock only while the word carries version
+// ver with the write bit clear. Its first CAS guesses a free word without
+// readers, so an uncontended acquisition is one remote atomic; a failed CAS
+// reports the word, and the attempt gives up, holding nothing, as soon as the
+// word shows a writer or another version (a writer's release moves the
+// version anyway). Reader churn is retried at most tries rounds.
+func (w Word) TryAcquireReadAt(origin fabric.Rank, ver uint64, tries int) bool {
+	cur := ver << versionShift & versionMask
+	for i := 0; i < tries; i++ {
+		if cur&writeBit != 0 || Version(cur) != ver {
+			return false
+		}
+		prev, ok := w.Win.CAS(origin, w.Target, w.Idx, cur, cur+1)
+		if ok {
+			return true
+		}
+		cur = prev
+	}
+	return false
+}
+
 // ReleaseRead drops a shared lock.
 func (w Word) ReleaseRead(origin fabric.Rank) {
 	for {

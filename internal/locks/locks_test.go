@@ -59,6 +59,38 @@ func TestReadersExcludeWriter(t *testing.T) {
 	w.ReleaseRead(0)
 }
 
+// TestReadAtVersion: TryAcquireReadAt shares the word only at the version it
+// names — alongside other readers, never under a writer, never at another
+// version — and holds nothing when it refuses.
+func TestReadAtVersion(t *testing.T) {
+	w, _ := word(1)
+	if !w.TryAcquireReadAt(0, 0, DefaultTries) {
+		t.Fatal("free word at version 0 refused")
+	}
+	if !w.TryAcquireReadAt(0, 0, DefaultTries) {
+		t.Fatal("second reader at the same version refused")
+	}
+	w.ReleaseRead(0)
+	w.ReleaseRead(0)
+	if err := w.TryAcquireWrite(0, DefaultTries); err != nil {
+		t.Fatal(err)
+	}
+	if w.TryAcquireReadAt(0, 0, DefaultTries) {
+		t.Fatal("reader admitted under a writer")
+	}
+	w.ReleaseWrite(0) // version 1
+	if w.TryAcquireReadAt(0, 0, DefaultTries) {
+		t.Fatal("reader admitted at a version the word left")
+	}
+	if wr, rd := w.Peek(0); wr || rd != 0 {
+		t.Fatalf("refusals left the word at (%v, %d), want (false, 0)", wr, rd)
+	}
+	if !w.TryAcquireReadAt(0, 1, DefaultTries) {
+		t.Fatal("free word at version 1 refused")
+	}
+	w.ReleaseRead(0)
+}
+
 // upgrade converts our shared lock on w into the exclusive one: a write
 // train of one word marked FromRead, the form a commit upgrades its read
 // locks in.
