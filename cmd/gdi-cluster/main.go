@@ -14,7 +14,7 @@
 //	gdi-cluster -backend sim -ranks 4     single process, simulator backend
 //
 // The workload is fixed: load a Kronecker graph, run direction-optimizing
-// dense BFS and dense PageRank (the analytics lines), then an OLTP mix with
+// dense BFS, dense PageRank and LCC (the analytics lines), then an OLTP mix with
 // one worker per rank (the committed/failed line), then the one-sided
 // traffic report. Only rank 0 prints.
 package main
@@ -228,6 +228,14 @@ func runWorkload(rt *gdi.Runtime, mix workload.Mix, scale, ops, iters int, seed 
 			}
 			fmt.Printf("pagerank: i=%d df=0.85, total mass %.12f, rank0 mass %.12f over %d vertices\n",
 				iters, norm, local, len(masses))
+		}
+		avgLCC, err := analytics.LCC(p, g)
+		if err != nil {
+			fatalf("lcc: %v", err)
+		}
+		if me == 0 {
+			// %.17g round-trips a float64, so equal lines mean equal bits.
+			fmt.Printf("lcc: average %.17g\n", avgLCC)
 		}
 		p.Barrier()
 

@@ -272,10 +272,18 @@
 // every rank scans its own unvisited vertices for a frontier neighbor.
 // BFSDense reports the push/pull split per traversal.
 //
+// LCC counts triangles over a degree orientation — each edge points to the
+// endpoint higher in the global (degree, packed ID) order, so an out-set
+// holds at most √(2m) vertices — which meets the paper's O(n + m^{3/2})
+// bound in three exchange rounds (degrees, out-sets, corner credits) that
+// ship each out-set once per rank it touches, so its bytes grow with the
+// out-sets rather than with Σ deg².
+//
 // The kernels emit messages in exactly the order of their straightforward
 // map-based formulation (ascending dense index, holder record order within a
 // vertex, incoming chunks folded in source-rank order), which the tests keep
-// as an oracle: PageRank/CDLP/WCC/LCC results are bit-identical to it, and
+// as an oracle: PageRank/CDLP/WCC results are bit-identical to it (LCC's
+// too, since its per-vertex counts are integers), and
 // the dense arrays make PageRank run-to-run deterministic (no map-iteration
 // order in the sums). KHop, BI2 and the GNN layer are the OLSP side instead:
 // collective transactions that associate vertices through handles.

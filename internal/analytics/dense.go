@@ -3,6 +3,7 @@ package analytics
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	gdi "github.com/gdi-go/gdi"
@@ -20,7 +21,8 @@ import (
 // holder record order within a vertex, incoming chunks folded in
 // source-rank order), so floating-point kernels produce bit-identical
 // per-vertex results; the golden equivalence tests hold the kernels to the
-// map-based reference versions they keep as oracles.
+// map-based reference versions they keep as oracles. LCC is the exception:
+// its per-vertex values are integer triangle counts, equal in any order.
 
 // BFSStats reports how a direction-optimizing BFS traversed: how many
 // levels expanded top-down (push) versus bottom-up (pull).
@@ -404,11 +406,16 @@ func WCC(p *gdi.Process, g *Graph, maxIters int) (map[uint64]uint64, int, error)
 }
 
 // LCC computes the average local clustering coefficient — the kernel the
-// paper prices at O(n + m^{3/2}) — with exactly two exchange rounds for the
-// whole rank: a request round shipping each vertex's sorted deduplicated
-// neighbor set to every neighbor's owner, and a reply round carrying one
-// intersection count per request, instead of per-vertex remote holder
-// fetches.
+// paper prices at O(n + m^{3/2}) — by degree-oriented triangle counting (the
+// "forward" algorithm of Schank & Wagner and Latapy) in three exchange
+// rounds for the whole rank. Every edge points from its lower to its higher
+// endpoint in one global order, u ≺ w iff (degree, packed ID) of u is below
+// that of w, so a vertex's out-set N⁺(v) holds at most √(2m) neighbors and
+// each triangle v ≺ u ≺ w is found exactly once, at u's owner, as a common
+// member of N⁺(v) and N⁺(u). A degree round tells each rank the degrees of
+// its vertices' neighbors, a request round ships each N⁺(v) once to every
+// rank that owns a member of it, and a credit round returns each triangle's
+// remote corners to their owners as aggregated (index, count) records.
 func LCC(p *gdi.Process, g *Graph) (float64, error) {
 	tx := p.StartCollectiveTransaction(gdi.ReadOnly)
 	defer tx.Commit()
@@ -416,103 +423,14 @@ func LCC(p *gdi.Process, g *Graph) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	nv := c.nv()
-	n := c.nRanks
-	selfPacked := func(i int32) uint64 { return target{rank: c.me, idx: i}.packed() }
-	// mine[i]: v's distinct neighbors (self-loops excluded), sorted packed.
-	mineOff := make([]int32, nv+1)
-	var mineFlat []uint64
-	for i := 0; i < nv; i++ {
-		start := len(mineFlat)
-		self := selfPacked(int32(i))
-		for _, t := range c.all(int32(i)) {
-			if pk := t.packed(); pk != self {
-				mineFlat = append(mineFlat, pk)
-			}
-		}
-		seg := mineFlat[start:]
-		sort.Slice(seg, func(a, b int) bool { return seg[a] < seg[b] })
-		w := start
-		for k, pk := range seg {
-			if k == 0 || pk != mineFlat[w-1] {
-				mineFlat[w] = pk
-				w++
-			}
-		}
-		mineFlat = mineFlat[:w]
-		mineOff[i+1] = int32(w)
-	}
-	// Request round: one (neighborIndex, |mine|, mine...) record per
-	// (vertex, neighbor) pair, bucketed by the neighbor's owner.
-	x := xchg(p)
-	bufs := make([][]byte, n)
-	reqFrom := make([][]int32, n) // requesting vertex per record, in send order
-	for i := 0; i < nv; i++ {
-		mine := mineFlat[mineOff[i]:mineOff[i+1]]
-		if len(mine) < 2 {
-			continue
-		}
-		for _, pk := range mine {
-			d := int(pk >> 32)
-			b := appendU32(bufs[d], uint32(pk))
-			b = appendU32(b, uint32(len(mine)))
-			for _, m := range mine {
-				b = appendU64(b, m)
-			}
-			bufs[d] = b
-			reqFrom[d] = append(reqFrom[d], int32(i))
-		}
-	}
-	in := x.Round(p.Rank(), bufs)
-	// Answer round: for each request, count u's distinct neighbors
-	// (excluding u itself) that lie in the shipped set. u's own sorted
-	// deduplicated neighbor set is already in mineFlat.
-	reply := make([][]byte, n)
-	for s := 0; s < n; s++ {
-		msg := in[s]
-		var rb []byte
-		for o := 0; o < len(msg); {
-			uIdx := int32(getU32(msg, o))
-			m := int(getU32(msg, o+4))
-			mineBase := o + 8
-			o = mineBase + m*8
-			links := 0
-			for _, pk := range mineFlat[mineOff[uIdx]:mineOff[uIdx+1]] {
-				// Binary search the shipped sorted set directly in wire form.
-				lo, hi := 0, m
-				for lo < hi {
-					mid := (lo + hi) / 2
-					if getU64(msg, mineBase+mid*8) < pk {
-						lo = mid + 1
-					} else {
-						hi = mid
-					}
-				}
-				if lo < m && getU64(msg, mineBase+lo*8) == pk {
-					links++
-				}
-			}
-			rb = appendU32(rb, uint32(links))
-		}
-		reply[s] = rb
-	}
-	rin := x.Round(p.Rank(), reply)
-	acc := make([]int64, nv)
-	for d := 0; d < n; d++ {
-		if len(rin[d]) != len(reqFrom[d])*4 {
-			return 0, fmt.Errorf("analytics: rank %d answered %d bytes for %d LCC requests", d, len(rin[d]), len(reqFrom[d]))
-		}
-		for k, vi := range reqFrom[d] {
-			acc[vi] += int64(getU32(rin[d], k*4))
-		}
-	}
-	localSum, localCnt := 0.0, int64(nv)
-	for i := 0; i < nv; i++ {
-		deg := int(mineOff[i+1] - mineOff[i])
+	links, degs := lccLinks(p, c)
+	localSum, localCnt := 0.0, int64(c.nv())
+	for i, d := range degs {
+		deg := int(d)
 		if deg < 2 {
 			continue
 		}
-		localSum += float64(acc[i]) / float64(deg*(deg-1))
+		localSum += float64(links[i]) / float64(deg*(deg-1))
 	}
 	sum := p.AllreduceFloat64(localSum)
 	cnt := p.AllreduceInt64(localCnt)
@@ -520,4 +438,178 @@ func LCC(p *gdi.Process, g *Graph) (float64, error) {
 		return 0, nil
 	}
 	return sum / float64(cnt), nil
+}
+
+// lccLinks returns, per dense index, deg = |N(v)| and links = Σ_{u∈N(v)}
+// |N(u) ∩ N(v)|, which is twice the number of triangles through v; N(v) is
+// v's distinct neighbors over every direction, self-loops excluded.
+// Collective: the three exchange rounds LCC describes.
+func lccLinks(p *gdi.Process, c *csr) (links []int64, deg []int32) {
+	nv := c.nv()
+	n := c.nRanks
+	me := c.me
+	// N(v): sorted, deduplicated, self-loop-free packed neighbor sets.
+	off := make([]int32, nv+1)
+	flat := make([]uint64, 0, len(c.allTgt))
+	deg = make([]int32, nv)
+	for i := int32(0); int(i) < nv; i++ {
+		start := len(flat)
+		self := target{rank: me, idx: i}.packed()
+		for _, t := range c.all(i) {
+			if pk := t.packed(); pk != self {
+				flat = append(flat, pk)
+			}
+		}
+		seg := flat[start:]
+		slices.Sort(seg)
+		flat = flat[:start+len(slices.Compact(seg))]
+		off[i+1] = int32(len(flat))
+		deg[i] = off[i+1] - off[i]
+	}
+
+	// Degree round: (v, |N(v)|) once to every other rank owning a neighbor
+	// of v; a sorted N(v) lists each rank's neighbors as one run.
+	x := xchg(p)
+	bufs := make([][]byte, n)
+	for i := 0; i < nv; i++ {
+		prev := int32(-1)
+		for _, pk := range flat[off[i]:off[i+1]] {
+			if r := int32(pk >> 32); r != prev {
+				prev = r
+				if r != me {
+					bufs[r] = appendU32(appendU32(bufs[r], uint32(i)), uint32(deg[i]))
+				}
+			}
+		}
+	}
+	in := x.Round(p.Rank(), bufs)
+	degOf := make([][]int32, n) // by (rank, dense index); filled for neighbors only
+	for s, msg := range in {
+		if s == int(me) {
+			degOf[s] = deg
+			continue
+		}
+		degOf[s] = make([]int32, c.counts[s])
+		for o := 0; o+8 <= len(msg); o += 8 {
+			degOf[s][getU32(msg, o)] = int32(getU32(msg, o+4))
+		}
+	}
+
+	// Orientation: N⁺(v) = {u ∈ N(v) : v ≺ u} overwrites N(v) in place,
+	// still sorted by packed ID, as flat[plus[v]:plus[v+1]].
+	plus := make([]int32, nv+1)
+	w := int32(0)
+	for i := int32(0); int(i) < nv; i++ {
+		v, dv := target{rank: me, idx: i}.packed(), deg[i]
+		for _, u := range flat[off[i]:off[i+1]] {
+			if du := degOf[u>>32][uint32(u)]; du > dv || du == dv && u > v {
+				flat[w] = u
+				w++
+			}
+		}
+		plus[i+1] = w
+	}
+
+	// A triangle adds 2 at each corner: local corners in place, remote ones
+	// into per-rank arrays the credit round ships.
+	links = make([]int64, nv)
+	credit := make([][]int64, n)
+	corner := func(pk uint64, add int64) {
+		r, ix := int32(pk>>32), uint32(pk)
+		if r == me {
+			links[ix] += add
+			return
+		}
+		if credit[r] == nil {
+			credit[r] = make([]int64, c.counts[r])
+		}
+		credit[r][ix] += add
+	}
+	// closeTriangles credits every triangle v ≺ u ≺ w of a local u: the w are
+	// the members common to N⁺(v) (vp) and N⁺(u), found by a linear merge.
+	closeTriangles := func(v, u uint64, vp []uint64) {
+		up := flat[plus[uint32(u)]:plus[uint32(u)+1]]
+		t := int64(0)
+		for j, k := 0, 0; j < len(vp) && k < len(up); {
+			switch {
+			case vp[j] < up[k]:
+				j++
+			case vp[j] > up[k]:
+				k++
+			default:
+				corner(vp[j], 2)
+				t++
+				j++
+				k++
+			}
+		}
+		if t > 0 {
+			corner(v, 2*t)
+			corner(u, 2*t)
+		}
+	}
+
+	// Request round: (v, |N⁺(v)|, N⁺(v)...) once to every other rank owning
+	// a member of N⁺(v) — the receiver's own members are its u's. Members on
+	// this rank are merged in place. A triangle needs |N⁺(v)| ≥ 2.
+	for d := range bufs {
+		bufs[d] = bufs[d][:0]
+	}
+	for i := int32(0); int(i) < nv; i++ {
+		vp := flat[plus[i]:plus[i+1]]
+		if len(vp) < 2 {
+			continue
+		}
+		v := target{rank: me, idx: i}.packed()
+		prev := int32(-1)
+		for _, u := range vp {
+			r := int32(u >> 32)
+			if r == me {
+				closeTriangles(v, u, vp)
+			} else if r != prev {
+				prev = r
+				b := appendU32(appendU32(bufs[r], uint32(i)), uint32(len(vp)))
+				for _, m := range vp {
+					b = appendU64(b, m)
+				}
+				bufs[r] = b
+			}
+		}
+	}
+	in = x.Round(p.Rank(), bufs)
+	var vp []uint64
+	for s, msg := range in {
+		for o := 0; o < len(msg); {
+			v := target{rank: int32(s), idx: int32(getU32(msg, o))}.packed()
+			m := int(getU32(msg, o+4))
+			o += 8
+			vp = vp[:0]
+			for k := 0; k < m; k++ {
+				vp = append(vp, getU64(msg, o+8*k))
+			}
+			o += 8 * m
+			for _, u := range vp {
+				if int32(u>>32) == me {
+					closeTriangles(v, u, vp)
+				}
+			}
+		}
+	}
+
+	// Credit round: one (index, count) record per remote corner vertex.
+	for d := range bufs {
+		bufs[d] = bufs[d][:0]
+		for ix, add := range credit[d] {
+			if add != 0 {
+				bufs[d] = appendU32U64(bufs[d], uint32(ix), uint64(add))
+			}
+		}
+	}
+	in = x.Round(p.Rank(), bufs)
+	for _, msg := range in {
+		for o := 0; o+12 <= len(msg); o += 12 {
+			links[getU32(msg, o)] += int64(getU64(msg, o+4))
+		}
+	}
+	return links, deg
 }

@@ -4,11 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 	"sync"
 	"testing"
 
 	gdi "github.com/gdi-go/gdi"
+	"github.com/gdi-go/gdi/internal/fabric"
 	"github.com/gdi-go/gdi/internal/kron"
 )
 
@@ -325,5 +327,188 @@ func TestDensePageRankDeterministic(t *testing.T) {
 	}
 	if a, b := dump(), dump(); a != b {
 		t.Fatalf("two dense PageRank runs at the same seed differ:\n--- run 1 ---\n%s--- run 2 ---\n%s", a, b)
+	}
+}
+
+// bruteLinks computes, per application ID, |N(v)| and Σ_{u∈N(v)}
+// |N(u) ∩ N(v)| straight from an edge list, where N(v) is v's distinct
+// neighbors over both directions with self-loops excluded.
+func bruteLinks(nVerts uint64, edges []gdi.EdgeSpec) (links []int64, deg []int) {
+	nbr := make([]map[uint64]bool, nVerts)
+	for v := range nbr {
+		nbr[v] = make(map[uint64]bool)
+	}
+	for _, e := range edges {
+		if e.OriginApp != e.TargetApp {
+			nbr[e.OriginApp][e.TargetApp] = true
+			nbr[e.TargetApp][e.OriginApp] = true
+		}
+	}
+	links = make([]int64, nVerts)
+	deg = make([]int, nVerts)
+	for v := range nbr {
+		deg[v] = len(nbr[v])
+		for u := range nbr[v] {
+			for w := range nbr[u] {
+				if nbr[v][w] {
+					links[v]++
+				}
+			}
+		}
+	}
+	return links, deg
+}
+
+// TestLCCCountsMatchBruteForce holds LCC's per-vertex integers — the
+// degree and the link count 2·T(v) — exactly to a brute-force count, at
+// every rank count from 1 to 4, on graphs that stress the orientation: a
+// clique, a star whose leaves tie in degree (only the packed-ID tie-break
+// orders them), a multigraph with duplicate, reciprocal, undirected and
+// self-loop edges, isolated and degree-1 vertices, and a Kronecker graph.
+func TestLCCCountsMatchBruteForce(t *testing.T) {
+	type input struct {
+		name   string
+		nVerts uint64
+		edges  []gdi.EdgeSpec
+	}
+	edge := func(a, b uint64, dir gdi.Direction) gdi.EdgeSpec {
+		return gdi.EdgeSpec{OriginApp: a, TargetApp: b, Dir: dir}
+	}
+	var clique, star, multi, sparse []gdi.EdgeSpec
+	for a := uint64(0); a < 8; a++ {
+		for b := a + 1; b < 8; b++ {
+			clique = append(clique, edge(a, b, gdi.DirOut))
+		}
+	}
+	const leaves = 300
+	for leaf := uint64(1); leaf <= leaves; leaf++ {
+		star = append(star, edge(0, leaf, gdi.DirOut))
+		if leaf < leaves {
+			star = append(star, edge(leaf, leaf+1, gdi.DirOut))
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for k := 0; k < 120; k++ {
+		a, b := uint64(rng.Intn(24)), uint64(rng.Intn(24))
+		multi = append(multi, edge(a, b, gdi.DirOut))
+		if k%3 == 0 {
+			multi = append(multi, edge(a, b, gdi.DirOut))
+		}
+		if k%4 == 0 {
+			multi = append(multi, edge(b, a, gdi.DirOut))
+		}
+		if k%5 == 0 {
+			multi = append(multi, edge(a, a, gdi.DirOut))
+		}
+		if k%7 == 0 {
+			multi = append(multi, edge(a, b, gdi.DirUndirected))
+		}
+	}
+	// A triangle with a pendant path, a lone edge, a vertex with only a
+	// self-loop, and isolated vertices 8..15.
+	sparse = []gdi.EdgeSpec{
+		edge(0, 1, gdi.DirOut), edge(1, 2, gdi.DirOut), edge(2, 0, gdi.DirOut),
+		edge(3, 0, gdi.DirOut), edge(4, 3, gdi.DirOut),
+		edge(5, 6, gdi.DirOut),
+		edge(7, 7, gdi.DirOut),
+	}
+	kcfg := kron.Config{Scale: 6, EdgeFactor: 6, Seed: 9, NumLabels: 3, NumProps: 2}.WithDefaults()
+	inputs := []input{
+		{"clique8", 8, clique},
+		{"star300-path", leaves + 1, star},
+		{"multigraph", 24, multi},
+		{"isolated-degree1", 16, sparse},
+		{"kronecker6", kcfg.NumVertices(), kron.EdgesFor(kcfg, kron.Schema{}, 0, 1)},
+	}
+	for _, in := range inputs {
+		wantLinks, wantDeg := bruteLinks(in.nVerts, in.edges)
+		for ranks := 1; ranks <= 4; ranks++ {
+			t.Run(fmt.Sprintf("%s/ranks=%d", in.name, ranks), func(t *testing.T) {
+				rt, g := customGraph(t, ranks, in.nVerts, in.edges)
+				gotLinks := make(map[uint64]int64)
+				gotDeg := make(map[uint64]int)
+				var mu sync.Mutex
+				rt.Run(g.DB, func(p *gdi.Process) {
+					tx := p.StartCollectiveTransaction(gdi.ReadOnly)
+					defer tx.Commit()
+					c, err := buildCSR(p, tx)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					links, deg := lccLinks(p, c)
+					mu.Lock()
+					defer mu.Unlock()
+					for i, app := range c.app {
+						gotLinks[app], gotDeg[app] = links[i], int(deg[i])
+					}
+				})
+				if len(gotLinks) != int(in.nVerts) {
+					t.Fatalf("counted %d of %d vertices", len(gotLinks), in.nVerts)
+				}
+				for app := uint64(0); app < in.nVerts; app++ {
+					if gotLinks[app] != wantLinks[app] || gotDeg[app] != wantDeg[app] {
+						t.Fatalf("vertex %d: links %d over degree %d, brute force %d over %d",
+							app, gotLinks[app], gotDeg[app], wantLinks[app], wantDeg[app])
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestLCCTrafficIsLinearOnAStar pins LCC's traffic on a hub, on the
+// simulator's deterministic counters. A star with its centre on rank 0 and
+// every leaf on rank 1 is the worst case for shipping neighbor sets: the
+// centre's set is as large as the graph. Net of a bare CSR build, LCC's bytes
+// put must grow linearly with the leaves (at most 5× for 4× the leaves;
+// shipping the centre's set once per leaf grows 16×), and its PUT trains
+// must stay within three exchange rounds' worth per destination rank.
+func TestLCCTrafficIsLinearOnAStar(t *testing.T) {
+	const ranks, rounds = 2, 3
+	measure := func(leaves int) (bytes, trains int64) {
+		// OwnerOf is appID mod ranks: the centre 0 lives on rank 0, the odd
+		// leaves on rank 1, and the even IDs stay isolated on rank 0.
+		var edges []gdi.EdgeSpec
+		for k := 0; k < leaves; k++ {
+			edges = append(edges, gdi.EdgeSpec{OriginApp: 0, TargetApp: uint64(2*k + 1), Dir: gdi.DirOut})
+		}
+		rt, g := customGraph(t, ranks, uint64(2*leaves), edges)
+		fab := g.DB.Engine().Fabric()
+		run := func(kernel func(p *gdi.Process) error) fabric.Snapshot {
+			before := fab.TotalSnapshot()
+			rt.Run(g.DB, func(p *gdi.Process) {
+				if err := kernel(p); err != nil {
+					t.Error(err)
+				}
+			})
+			after := fab.TotalSnapshot()
+			after.BytesPut -= before.BytesPut
+			after.PutBatches -= before.PutBatches
+			return after
+		}
+		csr := run(func(p *gdi.Process) error {
+			tx := p.StartCollectiveTransaction(gdi.ReadOnly)
+			defer tx.Commit()
+			_, err := buildCSR(p, tx)
+			return err
+		})
+		lcc := run(func(p *gdi.Process) error {
+			avg, err := LCC(p, g)
+			if err == nil && avg != 0 {
+				err = fmt.Errorf("star LCC = %v, want 0", avg)
+			}
+			return err
+		})
+		return lcc.BytesPut - csr.BytesPut, lcc.PutBatches - csr.PutBatches
+	}
+	small, _ := measure(256)
+	large, trains := measure(1024)
+	t.Logf("LCC net of the CSR build: %d B at 256 leaves, %d B and %d PUT trains at 1024", small, large, trains)
+	if small <= 0 || large > 5*small {
+		t.Fatalf("LCC put %d B at 256 leaves and %d B at 1024: not linear in the leaves", small, large)
+	}
+	if max := int64(rounds * ranks * (ranks - 1)); trains > max {
+		t.Fatalf("LCC issued %d PUT trains beyond the CSR build, want at most %d", trains, max)
 	}
 }
