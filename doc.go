@@ -241,14 +241,15 @@
 // # Analytics kernels
 //
 // The iterative OLAP kernels (BFS, PageRank, CDLP, WCC, LCC) compact each
-// rank's shard once per query into a CSR snapshot: a collective
-// index-exchange pass assigns every local vertex a dense int32 index
-// (ascending VertexID order) and resolves every neighbor — each distinct
-// remote neighbor is looked up on its owner exactly once — to a pre-resolved
-// (rank, remoteIndex) pair. Adjacency then lives in flat offset+target arrays
-// (the CSR layout of the high-performance graph literature) and iteration
-// values in dense []float64/[]uint64 arrays, so the kernels run with zero
-// map lookups and zero per-edge allocations.
+// rank's shard into a CSR snapshot, which the caller's analytics.Graph keeps
+// until the store epoch moves (ARCHITECTURE.md, "Life of an analytics
+// snapshot"). A collective index-exchange pass assigns every local vertex a
+// dense int32 index (ascending VertexID order) and resolves every neighbor —
+// each distinct remote neighbor is looked up on its owner exactly once — to a
+// pre-resolved (rank, remoteIndex) pair. Adjacency then lives in flat
+// offset+target arrays (the CSR layout of the high-performance graph
+// literature) and iteration values in dense []float64/[]uint64 arrays, so the
+// kernels run with zero map lookups and zero per-edge allocations.
 //
 // Iteration traffic moves through a one-sided exchange
 // (alltoallv) built on per-rank RMA inboxes: each rank's inbox segment is
@@ -279,11 +280,12 @@
 // ship each out-set once per rank it touches, so its bytes grow with the
 // out-sets rather than with Σ deg².
 //
-// The kernels emit messages in exactly the order of their straightforward
+// PageRank emits messages in exactly the order of its straightforward
 // map-based formulation (ascending dense index, holder record order within a
-// vertex, incoming chunks folded in source-rank order), which the tests keep
-// as an oracle: PageRank/CDLP/WCC results are bit-identical to it (LCC's
-// too, since its per-vertex counts are integers), and
+// vertex, incoming chunks folded in source-rank order); the other kernels'
+// results do not depend on message order. The tests keep the map-based
+// kernels as an oracle: PageRank/CDLP/WCC results are bit-identical to it
+// (LCC's too, since its per-vertex counts are integers), and
 // the dense arrays make PageRank run-to-run deterministic (no map-iteration
 // order in the sums). KHop, BI2 and the GNN layer are the OLSP side instead:
 // collective transactions that associate vertices through handles.

@@ -3,6 +3,7 @@ package gdi_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -410,6 +411,119 @@ func TestHTAPFoldBitIdenticalToRebuild(t *testing.T) {
 	samePageRank(t, "folded session vs full rebuild", foldPR, fullPR)
 	if got := db.Engine().Snapshots().ArenaBytes(); got != 0 {
 		t.Fatalf("arena holds %d bytes after both sessions closed", got)
+	}
+}
+
+// TestHTAPKernelsMatchLiveKernels holds the session's WCC, CDLP and LCC to
+// the live kernels on a quiesced database, bit for bit: over the opening cut,
+// and again after a batch of commits folded in by Refresh. The session and
+// the live kernels share the kernel bodies; only the CSR's source differs.
+func TestHTAPKernelsMatchLiveKernels(t *testing.T) {
+	const ranks = 4
+	cfg := kron.Config{Scale: 7, EdgeFactor: 8, Seed: 13}
+	rt, db, g := htapGraph(t, ranks, cfg)
+	defer rt.Finalize()
+
+	type results struct {
+		wcc, cdlp map[uint64]uint64
+		wccIts    int
+		lcc       float64
+	}
+	newResults := func() *results {
+		return &results{wcc: make(map[uint64]uint64), cdlp: make(map[uint64]uint64)}
+	}
+	var (
+		mu       sync.Mutex
+		firstErr error
+		session  = [2]*results{newResults(), newResults()} // opening cut, after the fold
+		live     = [2]*results{newResults(), newResults()}
+	)
+	report := func(err error) {
+		mu.Lock()
+		if firstErr == nil {
+			firstErr = err
+		}
+		mu.Unlock()
+	}
+	merge := func(dst *results, wcc, cdlp map[uint64]uint64, its int, lcc float64) {
+		mu.Lock()
+		defer mu.Unlock()
+		for k, v := range wcc {
+			dst.wcc[k] = v
+		}
+		for k, v := range cdlp {
+			dst.cdlp[k] = v
+		}
+		dst.wccIts, dst.lcc = its, lcc
+	}
+	rt.Run(db, func(p *gdi.Process) {
+		s, err := analytics.OpenHTAP(p, g)
+		if err != nil {
+			report(err)
+			return
+		}
+		defer s.Close()
+		for round := range session {
+			if round == 1 {
+				p.Barrier()
+				if p.Rank() == 0 {
+					if c, _ := htapWriter(db, 0, 29, 24, uint64(1)<<36, 1<<7, report); c == 0 {
+						report(errors.New("no writer commit landed"))
+					}
+				}
+				p.Barrier()
+				if err := s.Refresh(); err != nil {
+					report(err)
+					return
+				}
+			}
+			wcc, its := s.WCC(100)
+			merge(session[round], wcc, s.CDLP(5), its, s.LCC())
+
+			wcc, its, err := analytics.WCC(p, g, 100)
+			var cdlp map[uint64]uint64
+			if err == nil {
+				cdlp, err = analytics.CDLP(p, g, 5)
+			}
+			var lcc float64
+			if err == nil {
+				lcc, err = analytics.LCC(p, g)
+			}
+			if err != nil {
+				report(err)
+				return
+			}
+			merge(live[round], wcc, cdlp, its, lcc)
+		}
+	})
+	if firstErr != nil {
+		t.Fatal(firstErr)
+	}
+	for round, name := range []string{"opening cut", "after the fold"} {
+		got, want := session[round], live[round]
+		if len(got.wcc) != len(want.wcc) || len(got.cdlp) != len(want.cdlp) {
+			t.Fatalf("%s: session covers %d/%d vertices, live kernels %d/%d",
+				name, len(got.wcc), len(got.cdlp), len(want.wcc), len(want.cdlp))
+		}
+		for k, w := range want.wcc {
+			if got.wcc[k] != w {
+				t.Fatalf("%s: WCC[%d] = %d over the cut, %d live", name, k, got.wcc[k], w)
+			}
+		}
+		for k, w := range want.cdlp {
+			if got.cdlp[k] != w {
+				t.Fatalf("%s: CDLP[%d] = %d over the cut, %d live", name, k, got.cdlp[k], w)
+			}
+		}
+		if got.wccIts != want.wccIts {
+			t.Fatalf("%s: WCC converged in %d iterations over the cut, %d live", name, got.wccIts, want.wccIts)
+		}
+		if math.Float64bits(got.lcc) != math.Float64bits(want.lcc) {
+			t.Fatalf("%s: LCC %v over the cut, %v live (not bit-identical)", name, got.lcc, want.lcc)
+		}
+	}
+	if len(session[1].wcc) == len(session[0].wcc) {
+		t.Fatal("the write batch created no vertex; the fold tested nothing")
 	}
 }
 

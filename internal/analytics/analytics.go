@@ -14,25 +14,32 @@
 // The iterative kernels (BFS, PageRank, CDLP, WCC, LCC) run over dense CSR
 // snapshots of the local shard (csr.go, dense.go): index-compacted
 // adjacency, bitmap frontiers with direction-optimizing BFS, and all
-// iteration traffic routed through the one-sided exchange. KHop, BI2 and the
-// GNN layer are the paper's OLSP path instead: collective transactions that
-// associate vertices through handles and move messages with the collective
-// layer's all-to-all (exchange below).
+// iteration traffic routed through the one-sided exchange. A Graph keeps
+// each rank's snapshot and reuses it until some rank's store epoch moves.
+// KHop, BI2 and the GNN layer are the paper's OLSP path instead: collective
+// transactions that associate vertices through handles and move messages
+// with the collective layer's all-to-all (exchange below).
 package analytics
 
 import (
 	"errors"
 	"math"
+	"sync"
 
 	gdi "github.com/gdi-go/gdi"
 	"github.com/gdi-go/gdi/internal/collective"
 	"github.com/gdi-go/gdi/internal/kron"
 )
 
-// Graph bundles a loaded database with its generator schema.
+// Graph bundles a loaded database with its generator schema. It also holds
+// each rank's CSR snapshot for the dense kernels, which reuse it until some
+// rank's store epoch moves (csr.go); dropping the Graph frees them.
 type Graph struct {
 	DB     *gdi.Database
 	Schema kron.Schema
+
+	mu    sync.Mutex
+	built []builtCSR // by rank
 }
 
 // exchange routes messages to the rank owning each target vertex with one

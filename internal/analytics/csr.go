@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	gdi "github.com/gdi-go/gdi"
 	"github.com/gdi-go/gdi/internal/collective"
@@ -26,32 +26,82 @@ type target struct {
 func (t target) packed() uint64 { return uint64(uint32(t.rank))<<32 | uint64(uint32(t.idx)) }
 
 // csr is one rank's index-compacted snapshot of its shard: local vertices in
-// ascending VertexID order (the dense index space), their appIDs, and out-
-// and all-neighbor lists as flat offset+target arrays — the CSR layout
+// ascending VertexID order (the dense index space), their appIDs, and their
+// neighbor lists as one flat offset+target array — the CSR layout
 // "Demystifying Graph Databases" identifies as the canonical
-// high-performance adjacency organization. Edge targets preserve holder
-// record order, so the kernels emit messages in exactly the order of their
+// high-performance adjacency organization. A vertex's list holds its
+// out/undirected records first, then its in-only records, each part in holder
+// record order, so the out-list is a prefix of the all-list. PageRank, the
+// only kernel sensitive to message order, emits exactly the order of its
 // map-based reference formulation (bit-identical floating-point results).
 type csr struct {
 	me     int32
 	nRanks int
-	ids    []gdi.VertexID         // dense index -> vertex, ascending
-	app    []uint64               // dense index -> application ID
-	idx    map[gdi.VertexID]int32 // local vertex -> dense index (root seeding only)
-	counts []int32                // per-rank shard sizes (sizes remote frontier bitmaps)
-	outOff []int32                // CSR offsets, len(ids)+1
-	outTgt []target               // out/undirected neighbors
-	allOff []int32
-	allTgt []target // neighbors over every direction
+	ids    []gdi.VertexID // dense index -> vertex, ascending
+	app    []uint64       // dense index -> application ID
+	counts []int32        // per-rank shard sizes (sizes remote frontier bitmaps)
+	allOff []int32        // CSR offsets, len(ids)+1
+	outEnd []int32        // end of vertex i's out/undirected prefix of allTgt
+	allTgt []target       // neighbors over every direction
 }
 
 func (c *csr) nv() int { return len(c.ids) }
 
-func (c *csr) out(i int32) []target { return c.outTgt[c.outOff[i]:c.outOff[i+1]] }
+func (c *csr) out(i int32) []target { return c.allTgt[c.allOff[i]:c.outEnd[i]] }
 func (c *csr) all(i int32) []target { return c.allTgt[c.allOff[i]:c.allOff[i+1]] }
 
 // xchg returns the engine's one-sided exchange for this graph.
 func xchg(p *gdi.Process) *exch.Exchange { return p.Database().Engine().Exchange() }
+
+// builtCSR is one rank's cached snapshot and the store epoch sampled before
+// it was built.
+type builtCSR struct {
+	c     *csr
+	epoch uint64
+}
+
+// csrOf returns this rank's CSR of g for a dense kernel running in the
+// collective read-only transaction tx: the one built by an earlier kernel on
+// g while no rank's store epoch has moved since, else a fresh build.
+// Collective.
+func (g *Graph) csrOf(p *gdi.Process, tx *gdi.Transaction) (*csr, error) {
+	return g.reuseOrBuild(p, tx, buildCSR)
+}
+
+// reuseOrBuild is csrOf with the builder as a parameter (tests land a commit
+// inside it). One OR-reduction of "my epoch moved, or I hold no CSR" decides
+// for every rank at once, so either all ranks reuse or all rebuild and no two
+// ranks disagree about the dense index space.
+//
+// Correctness rests on one order. Each rank samples its epoch before the
+// vote, and the vote synchronizes like a barrier, so every sample precedes
+// every rank's build. A write or shard change bumps its epoch only after it
+// has landed. If the bump precedes a rank's sample, the change landed before
+// any build read anything, so every build saw it. If it follows, that rank's
+// recorded epoch is stale and it votes "moved" on the next call. A build
+// that fails is not cached.
+func (g *Graph) reuseOrBuild(p *gdi.Process, tx *gdi.Transaction, build func(*gdi.Process, *gdi.Transaction) (*csr, error)) (*csr, error) {
+	me := p.Rank()
+	epoch := p.Database().Engine().StoreEpoch(me)
+	g.mu.Lock()
+	if g.built == nil {
+		g.built = make([]builtCSR, p.Size())
+	}
+	last := g.built[me]
+	g.mu.Unlock()
+	if !collective.OrReduce(p.Comm(), me, last.c == nil || last.epoch != epoch) {
+		return last.c, nil
+	}
+	c, err := build(p, tx)
+	next := builtCSR{c: c, epoch: epoch}
+	if err != nil {
+		next = builtCSR{}
+	}
+	g.mu.Lock()
+	g.built[me] = next
+	g.mu.Unlock()
+	return c, err
+}
 
 // buildCSR snapshots the rank's shard into dense CSR form. Collective: one
 // batched association of the local shard, then a single index-exchange pass
@@ -59,70 +109,88 @@ func xchg(p *gdi.Process) *exch.Exchange { return p.Database().Engine().Exchange
 // on its owner exactly once (query round, reply round) and stored as a
 // (rank, remoteIndex) pair.
 func buildCSR(p *gdi.Process, tx *gdi.Transaction) (*csr, error) {
-	n := p.Size()
-	me := int32(p.Rank())
-	c := &csr{me: me, nRanks: n}
-	c.ids = p.LocalVertices()
-	sort.Slice(c.ids, func(i, j int) bool { return c.ids[i] < c.ids[j] })
-	c.idx = make(map[gdi.VertexID]int32, len(c.ids))
-	for i, v := range c.ids {
-		c.idx[v] = int32(i)
-	}
-	handles, err := tx.AssociateVertices(c.ids)
+	b := newCSRBuilder(p, p.LocalVertices())
+	handles, err := tx.AssociateVertices(b.c.ids)
 	if err != nil {
 		return nil, err
 	}
-	c.app = make([]uint64, len(c.ids))
-	c.outOff = make([]int32, len(c.ids)+1)
-	c.allOff = make([]int32, len(c.ids)+1)
 	// Degree is a header read (no edge-region walk on lazy holders), so one
-	// cheap pass sizes the adjacency arrays exactly and the gather loop below
-	// never reallocates them.
+	// cheap pass sizes the adjacency array exactly and the gather loop below
+	// never reallocates it.
 	totalDeg := 0
-	for i, v := range c.ids {
+	for i, v := range b.c.ids {
 		if handles[i] == nil {
 			return nil, fmt.Errorf("analytics: local vertex %v disappeared", v)
 		}
 		totalDeg += handles[i].Degree()
 	}
-	allNbr := make([]gdi.VertexID, 0, totalDeg)
-	isOut := make([]bool, 0, totalDeg) // parallel to allNbr: record also feeds the out list
-	nOut := 0
-	for i, v := range c.ids {
-		h := handles[i]
-		if h == nil {
-			return nil, fmt.Errorf("analytics: local vertex %v disappeared", v)
-		}
-		c.app[i] = h.AppID()
-		if err := h.ForEachEdge(gdi.MaskAll, func(nb gdi.VertexID, dir gdi.Direction) {
-			allNbr = append(allNbr, nb)
-			out := dir == gdi.DirOut || dir == gdi.DirUndirected
-			isOut = append(isOut, out)
-			if out {
-				nOut++
-			}
-		}); err != nil {
+	b.nbrs = make([]gdi.VertexID, 0, totalDeg)
+	for i, h := range handles {
+		if err := h.ForEachEdge(gdi.MaskAll, b.add); err != nil {
 			return nil, err
 		}
-		c.outOff[i+1] = int32(nOut)
-		c.allOff[i+1] = int32(len(allNbr))
+		b.end(i, h.AppID())
 	}
-
-	return c, c.finish(p, allNbr, isOut, nOut)
+	return b.finish(p)
 }
 
-// finish turns a csr whose ids/app/offset arrays are filled into a complete
-// snapshot: it resolves every neighbor reference into dense (rank, index)
-// targets with one index-exchange pass and allgathers the shard sizes. Both
-// the live build (buildCSR) and the cut-sourced HTAP build (htap.go) end
-// here, which is what makes their outputs comparable bit for bit.
+// csrBuilder lays a shard out in csr form, for the live build and the
+// cut-sourced HTAP build (htap.go) alike.
+type csrBuilder struct {
+	c    *csr
+	nbrs []gdi.VertexID // every closed vertex's neighbor list, concatenated
+	in   []gdi.VertexID // the open vertex's in-only records
+}
+
+// newCSRBuilder starts a snapshot of this rank's vertices ids, which it sorts
+// in place into the dense index order.
+func newCSRBuilder(p *gdi.Process, ids []gdi.VertexID) *csrBuilder {
+	slices.Sort(ids)
+	return &csrBuilder{c: &csr{
+		me:     int32(p.Rank()),
+		nRanks: p.Size(),
+		ids:    ids,
+		app:    make([]uint64, len(ids)),
+		allOff: make([]int32, len(ids)+1),
+		outEnd: make([]int32, len(ids)),
+	}}
+}
+
+// add records one edge of the open vertex; vertices open in dense index
+// order.
+func (b *csrBuilder) add(nb gdi.VertexID, dir gdi.Direction) {
+	if dir == gdi.DirOut || dir == gdi.DirUndirected {
+		b.nbrs = append(b.nbrs, nb)
+	} else {
+		b.in = append(b.in, nb)
+	}
+}
+
+// end closes dense vertex i: its in-only records follow its out-list.
+func (b *csrBuilder) end(i int, app uint64) {
+	b.c.app[i] = app
+	b.c.outEnd[i] = int32(len(b.nbrs))
+	b.nbrs = append(b.nbrs, b.in...)
+	b.in = b.in[:0]
+	b.c.allOff[i+1] = int32(len(b.nbrs))
+}
+
+// finish turns the laid-out lists into a complete snapshot: it resolves
+// every neighbor reference into dense (rank, index) targets with one
+// index-exchange pass and allgathers the shard sizes. Both builds end here,
+// which is what makes their outputs comparable bit for bit.
 //
 // Index exchange: one query per distinct remote neighbor, bucketed by
 // owner, shipped as one PUT train per owner rank; owners answer from
 // their own dense index, again one train per requester.
-func (c *csr) finish(p *gdi.Process, allNbr []gdi.VertexID, isOut []bool, nOut int) error {
+func (b *csrBuilder) finish(p *gdi.Process) (*csr, error) {
+	c, allNbr := b.c, b.nbrs
 	n := c.nRanks
 	me := c.me
+	idx := make(map[gdi.VertexID]int32, len(c.ids)) // local vertex -> dense index
+	for i, v := range c.ids {
+		idx[v] = int32(i)
+	}
 	queries := make([][]gdi.VertexID, n)
 	resolve := make(map[gdi.VertexID]int32)
 	for _, nb := range allNbr {
@@ -142,7 +210,7 @@ func (c *csr) finish(p *gdi.Process, allNbr []gdi.VertexID, isOut []bool, nOut i
 		if d == int(me) || len(q) == 0 {
 			continue
 		}
-		sort.Slice(q, func(i, j int) bool { return q[i] < q[j] })
+		slices.Sort(q)
 		buf := make([]byte, 0, len(q)*8)
 		for _, nb := range q {
 			buf = appendU64(buf, uint64(nb))
@@ -158,7 +226,7 @@ func (c *csr) finish(p *gdi.Process, allNbr []gdi.VertexID, isOut []bool, nOut i
 		nq := len(in[s]) / 8
 		rb := make([]byte, 0, nq*4)
 		for k := 0; k < nq; k++ {
-			ix, ok := c.idx[gdi.VertexID(getU64(in[s], k*8))]
+			ix, ok := idx[gdi.VertexID(getU64(in[s], k*8))]
 			if !ok {
 				ix = -1
 			}
@@ -173,38 +241,30 @@ func (c *csr) finish(p *gdi.Process, allNbr []gdi.VertexID, isOut []bool, nOut i
 		}
 		q := queries[d]
 		if len(rin[d]) != len(q)*4 {
-			return fmt.Errorf("analytics: rank %d answered %d bytes for %d index queries", d, len(rin[d]), len(q))
+			return nil, fmt.Errorf("analytics: rank %d answered %d bytes for %d index queries", d, len(rin[d]), len(q))
 		}
 		for k, nb := range q {
 			ix := int32(getU32(rin[d], k*4))
 			if ix < 0 {
-				return fmt.Errorf("analytics: neighbor %v disappeared", nb)
+				return nil, fmt.Errorf("analytics: neighbor %v disappeared", nb)
 			}
 			resolve[nb] = ix
 		}
 	}
-	// One resolution per record fills both target arrays (the out list is a
-	// record-order subset of the all list).
 	c.allTgt = make([]target, len(allNbr))
-	c.outTgt = make([]target, 0, nOut)
 	for i, nb := range allNbr {
-		var t target
-		if int32(nb.Rank()) == me {
-			ix, ok := c.idx[nb]
-			if !ok {
-				return fmt.Errorf("analytics: neighbor %v disappeared", nb)
-			}
-			t = target{rank: me, idx: ix}
-		} else {
-			t = target{rank: int32(nb.Rank()), idx: resolve[nb]}
+		if int32(nb.Rank()) != me {
+			c.allTgt[i] = target{rank: int32(nb.Rank()), idx: resolve[nb]}
+			continue
 		}
-		c.allTgt[i] = t
-		if isOut[i] {
-			c.outTgt = append(c.outTgt, t)
+		ix, ok := idx[nb]
+		if !ok {
+			return nil, fmt.Errorf("analytics: neighbor %v disappeared", nb)
 		}
+		c.allTgt[i] = target{rank: me, idx: ix}
 	}
 	c.counts = collective.Allgather(p.Comm(), p.Rank(), int32(len(c.ids)))
-	return nil
+	return c, nil
 }
 
 // Wire-format helpers: all dense-engine messages are little-endian records

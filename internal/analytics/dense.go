@@ -16,13 +16,19 @@ import (
 // and round through the one-sided exchange — no map lookups and no per-edge
 // allocations anywhere on the iteration path.
 //
-// Message emission order deliberately mirrors the straightforward map-based
-// formulation of each kernel (ascending dense index = ascending VertexID,
-// holder record order within a vertex, incoming chunks folded in
-// source-rank order), so floating-point kernels produce bit-identical
-// per-vertex results; the golden equivalence tests hold the kernels to the
-// map-based reference versions they keep as oracles. LCC is the exception:
-// its per-vertex values are integer triangle counts, equal in any order.
+// PageRank's message emission order deliberately mirrors its straightforward
+// map-based formulation (ascending dense index = ascending VertexID, holder
+// record order within a vertex's out-list, incoming chunks folded in
+// source-rank order), so its floating-point per-vertex results are
+// bit-identical; the golden equivalence tests hold the kernels to the
+// map-based reference versions they keep as oracles. The other kernels'
+// results do not depend on message order: BFS and WCC take minima or set
+// bits, CDLP sorts each vertex's incoming labels, and LCC counts integer
+// triangles.
+//
+// Every kernel is a public function that gets g's CSR snapshot and calls an
+// …OverCSR body; the HTAP session calls the same bodies on its cut-sourced
+// CSR.
 
 // BFSStats reports how a direction-optimizing BFS traversed: how many
 // levels expanded top-down (push) versus bottom-up (pull).
@@ -56,11 +62,12 @@ func BFS(p *gdi.Process, g *Graph, rootApp uint64) (visited int64, depth int, er
 // the dense index space. Push levels route frontier segments (dense indices,
 // deduplicated per destination with a bitmap) through the exchange; pull
 // levels broadcast the claimed-frontier bitmap and let every rank scan its
-// own unvisited vertices for a frontier neighbor.
+// own unvisited vertices for a frontier neighbor. Like every dense kernel it
+// reuses g's CSR snapshot while the store epoch holds.
 func BFSDense(p *gdi.Process, g *Graph, rootApp uint64) (int64, int, BFSStats, error) {
 	tx := p.StartCollectiveTransaction(gdi.ReadOnly)
 	defer tx.Commit()
-	c, err := buildCSR(p, tx)
+	c, err := g.csrOf(p, tx)
 	if err != nil {
 		return 0, 0, BFSStats{}, err
 	}
@@ -72,8 +79,8 @@ func BFSDense(p *gdi.Process, g *Graph, rootApp uint64) (int64, int, BFSStats, e
 			// Record the error but keep running the collective loop; an
 			// empty frontier terminates it immediately.
 			firstErr = terr
-		} else if ix, ok := c.idx[root]; ok {
-			rootIdx = ix
+		} else if ix, ok := slices.BinarySearch(c.ids, root); ok {
+			rootIdx = int32(ix)
 		}
 	}
 	return bfsOverCSR(p, c, rootIdx, firstErr)
@@ -207,11 +214,12 @@ func bfsOverCSR(p *gdi.Process, c *csr, rootIdx int32, firstErr error) (int64, i
 // (df = damping factor, the paper uses 0.85 and i=10). It returns the local
 // rank mass by appID and the global L1 norm (≈1). Dense []float64 mass
 // arrays, rank-mass messages as (index, share) records, one PUT train per
-// owner rank and iteration.
+// owner rank and iteration. The CSR is g's snapshot, reused while the store
+// epoch holds.
 func PageRank(p *gdi.Process, g *Graph, iters int, df float64) (map[uint64]float64, float64, error) {
 	tx := p.StartCollectiveTransaction(gdi.ReadOnly)
 	defer tx.Commit()
-	c, err := buildCSR(p, tx)
+	c, err := g.csrOf(p, tx)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -277,14 +285,21 @@ func pageRankOverCSR(p *gdi.Process, c *csr, iters int, df float64) (map[uint64]
 // neighbor label; labels start as appIDs). Returns local appID → community.
 // Incoming labels are grouped per destination index with a counting sort
 // into reusable flat arrays, each group sorted ascending, and the smallest
-// most-frequent label adopted — without per-vertex frequency maps.
+// most-frequent label adopted — without per-vertex frequency maps. The CSR
+// is g's snapshot, reused while the store epoch holds.
 func CDLP(p *gdi.Process, g *Graph, iters int) (map[uint64]uint64, error) {
 	tx := p.StartCollectiveTransaction(gdi.ReadOnly)
 	defer tx.Commit()
-	c, err := buildCSR(p, tx)
+	c, err := g.csrOf(p, tx)
 	if err != nil {
 		return nil, err
 	}
+	return cdlpOverCSR(p, c, iters), nil
+}
+
+// cdlpOverCSR runs CDLP over an already-built CSR snapshot (live or
+// cut-sourced).
+func cdlpOverCSR(p *gdi.Process, c *csr, iters int) map[uint64]uint64 {
 	nv := c.nv()
 	label := append([]uint64(nil), c.app...)
 	x := xchg(p)
@@ -354,20 +369,28 @@ func CDLP(p *gdi.Process, g *Graph, iters int) (map[uint64]uint64, error) {
 	for i := 0; i < nv; i++ {
 		out[c.app[i]] = label[i]
 	}
-	return out, nil
+	return out
 }
 
 // WCC computes weakly connected components by iterative minimum-appID
 // propagation until global convergence (bounded by maxIters; the paper
 // reports i=5 rounds on Kronecker graphs). Returns local appID → component
-// and the number of iterations executed.
+// and the number of iterations executed. The CSR is g's snapshot, reused
+// while the store epoch holds.
 func WCC(p *gdi.Process, g *Graph, maxIters int) (map[uint64]uint64, int, error) {
 	tx := p.StartCollectiveTransaction(gdi.ReadOnly)
 	defer tx.Commit()
-	c, err := buildCSR(p, tx)
+	c, err := g.csrOf(p, tx)
 	if err != nil {
 		return nil, 0, err
 	}
+	comp, it := wccOverCSR(p, c, maxIters)
+	return comp, it, nil
+}
+
+// wccOverCSR runs WCC over an already-built CSR snapshot (live or
+// cut-sourced).
+func wccOverCSR(p *gdi.Process, c *csr, maxIters int) (map[uint64]uint64, int) {
 	nv := c.nv()
 	comp := append([]uint64(nil), c.app...)
 	x := xchg(p)
@@ -402,7 +425,7 @@ func WCC(p *gdi.Process, g *Graph, maxIters int) (map[uint64]uint64, int, error)
 	for i := 0; i < nv; i++ {
 		out[c.app[i]] = comp[i]
 	}
-	return out, it, nil
+	return out, it
 }
 
 // LCC computes the average local clustering coefficient — the kernel the
@@ -415,14 +438,21 @@ func WCC(p *gdi.Process, g *Graph, maxIters int) (map[uint64]uint64, int, error)
 // member of N⁺(v) and N⁺(u). A degree round tells each rank the degrees of
 // its vertices' neighbors, a request round ships each N⁺(v) once to every
 // rank that owns a member of it, and a credit round returns each triangle's
-// remote corners to their owners as aggregated (index, count) records.
+// remote corners to their owners as aggregated (index, count) records. The
+// CSR is g's snapshot, reused while the store epoch holds.
 func LCC(p *gdi.Process, g *Graph) (float64, error) {
 	tx := p.StartCollectiveTransaction(gdi.ReadOnly)
 	defer tx.Commit()
-	c, err := buildCSR(p, tx)
+	c, err := g.csrOf(p, tx)
 	if err != nil {
 		return 0, err
 	}
+	return lccOverCSR(p, c), nil
+}
+
+// lccOverCSR computes the average LCC over an already-built CSR snapshot
+// (live or cut-sourced).
+func lccOverCSR(p *gdi.Process, c *csr) float64 {
 	links, degs := lccLinks(p, c)
 	localSum, localCnt := 0.0, int64(c.nv())
 	for i, d := range degs {
@@ -435,9 +465,9 @@ func LCC(p *gdi.Process, g *Graph) (float64, error) {
 	sum := p.AllreduceFloat64(localSum)
 	cnt := p.AllreduceInt64(localCnt)
 	if cnt == 0 {
-		return 0, nil
+		return 0
 	}
-	return sum / float64(cnt), nil
+	return sum / float64(cnt)
 }
 
 // lccLinks returns, per dense index, deg = |N(v)| and links = Σ_{u∈N(v)}

@@ -2,7 +2,6 @@ package analytics
 
 import (
 	"fmt"
-	"sort"
 
 	gdi "github.com/gdi-go/gdi"
 	"github.com/gdi-go/gdi/internal/collective"
@@ -13,8 +12,8 @@ import (
 )
 
 // This file is the HTAP analytics path: iterative kernels over a pinned
-// snapshot cut (package snapshot) instead of a read-only transaction, so
-// PageRank and BFS run while OLTP commit trains keep landing. A session owns
+// snapshot cut (package snapshot) instead of a read-only transaction, so the
+// dense kernels run while OLTP commit trains keep landing. A session owns
 // one cut and a per-rank shard mirror — the decoded committed state of this
 // rank's vertices as of the cut. The CSR the kernels iterate is built from
 // the mirror, and Refresh advances the session to a fresh cut by folding the
@@ -83,30 +82,17 @@ func (s *HTAPSession) buildMirror(cut *snapshot.Cut) (map[fabric.DPtr]*mirrorVer
 
 // buildCSRFromMirror converts the shard mirror into the dense CSR the
 // kernels iterate. Heavy edge records resolve their holder through the cut,
-// exactly like a live holder walk; everything after the local arrays — the
-// index exchange and the shard-size allgather — is the same finish step the
-// live build uses.
+// exactly like a live holder walk; the layout, the index exchange and the
+// shard-size allgather are the live build's own (csrBuilder).
 func (s *HTAPSession) buildCSRFromMirror(cut *snapshot.Cut) (*csr, error) {
 	me := s.p.Rank()
-	c := &csr{me: int32(me), nRanks: s.p.Size()}
-	c.ids = make([]gdi.VertexID, 0, len(s.mirror))
+	ids := make([]gdi.VertexID, 0, len(s.mirror))
 	for dp := range s.mirror {
-		c.ids = append(c.ids, dp)
+		ids = append(ids, dp)
 	}
-	sort.Slice(c.ids, func(i, j int) bool { return c.ids[i] < c.ids[j] })
-	c.idx = make(map[gdi.VertexID]int32, len(c.ids))
-	for i, v := range c.ids {
-		c.idx[v] = int32(i)
-	}
-	c.app = make([]uint64, len(c.ids))
-	c.outOff = make([]int32, len(c.ids)+1)
-	c.allOff = make([]int32, len(c.ids)+1)
-	var allNbr []gdi.VertexID
-	var isOut []bool
-	nOut := 0
-	for i, dp := range c.ids {
+	b := newCSRBuilder(s.p, ids)
+	for i, dp := range b.c.ids {
 		mv := s.mirror[dp]
-		c.app[i] = mv.app
 		for _, rec := range mv.edges {
 			nb := rec.Neighbor
 			if rec.Heavy {
@@ -119,17 +105,11 @@ func (s *HTAPSession) buildCSRFromMirror(cut *snapshot.Cut) (*csr, error) {
 					nb = e.Origin
 				}
 			}
-			allNbr = append(allNbr, nb)
-			out := rec.Dir == gdi.DirOut || rec.Dir == gdi.DirUndirected
-			isOut = append(isOut, out)
-			if out {
-				nOut++
-			}
+			b.add(nb, rec.Dir)
 		}
-		c.outOff[i+1] = int32(nOut)
-		c.allOff[i+1] = int32(len(allNbr))
+		b.end(i, mv.app)
 	}
-	return c, c.finish(s.p, allNbr, isOut, nOut)
+	return b.finish(s.p)
 }
 
 // mirrorIsHome reports whether dp is one of the vertex's former primaries
@@ -226,6 +206,20 @@ func (s *HTAPSession) Cut() *snapshot.Cut { return s.cut }
 func (s *HTAPSession) PageRank(iters int, df float64) (map[uint64]float64, float64, error) {
 	return pageRankOverCSR(s.p, s.c, iters, df)
 }
+
+// CDLP runs label propagation over the session's cut-sourced CSR.
+// Collective; equal to CDLP on a quiesced database.
+func (s *HTAPSession) CDLP(iters int) map[uint64]uint64 { return cdlpOverCSR(s.p, s.c, iters) }
+
+// WCC runs weakly connected components over the session's cut-sourced CSR.
+// Collective; equal to WCC on a quiesced database.
+func (s *HTAPSession) WCC(maxIters int) (map[uint64]uint64, int) {
+	return wccOverCSR(s.p, s.c, maxIters)
+}
+
+// LCC computes the average local clustering coefficient over the session's
+// cut-sourced CSR. Collective; bit-identical to LCC on a quiesced database.
+func (s *HTAPSession) LCC() float64 { return lccOverCSR(s.p, s.c) }
 
 // BFS runs direction-optimizing BFS from rootApp over the session's
 // cut-sourced CSR. Collective. A root that did not exist at cut time reports

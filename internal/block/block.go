@@ -54,7 +54,18 @@ type Store struct {
 	caches []*blockCache // per-rank version-validated block caches; nil when disabled
 
 	retirer atomic.Pointer[Retirer] // pre-write hook of the snapshot layer; nil when disabled
+
+	// epoch counts the block-data write calls this process has issued, to
+	// any rank; see Epoch.
+	epoch atomic.Uint64
 }
+
+// Epoch is the number of WriteBlock and WriteBlocksBatch calls this process
+// has issued, remote targets included. Each call bumps it once, after its
+// PUTs have landed (or panicked part-way), so a reader that samples the epoch
+// and then reads block bytes either sees a write's bytes or, on its next
+// sample, a larger epoch. Nothing else writes the data window.
+func (s *Store) Epoch() uint64 { return s.epoch.Load() }
 
 // Retirer receives a notification for every block whose payload is about to
 // be overwritten, before the first byte of the new value lands. The HTAP
@@ -214,6 +225,7 @@ func (s *Store) WriteBlock(origin fabric.Rank, dp fabric.DPtr, payload []byte) {
 	}
 	s.invalidateCached(origin, dp)
 	s.beforeWrite(dp)
+	defer s.epoch.Add(1)
 	s.data.Put(origin, dp.Rank(), int(dp.Off())*s.blockSize, payload)
 }
 
@@ -285,6 +297,7 @@ func (s *Store) WriteBlocksBatch(origin fabric.Rank, dps []fabric.DPtr, payloads
 		t := dp.Rank()
 		byTarget[t] = append(byTarget[t], fabric.PutOp{Off: int(dp.Off()) * s.blockSize, Data: payloads[i]})
 	}
+	defer s.epoch.Add(1)
 	for t, ops := range byTarget {
 		s.data.PutBatch(origin, t, ops)
 	}

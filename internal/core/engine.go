@@ -201,6 +201,7 @@ type localIndex struct {
 	mu      sync.Mutex
 	verts   map[fabric.DPtr]uint64 // local vertex -> appID
 	byLabel map[lpg.LabelID]map[fabric.DPtr]struct{}
+	changes uint64 // addVertex and removeVertex calls: the shard's half of StoreEpoch
 }
 
 func newLocalIndex() *localIndex {
@@ -407,6 +408,27 @@ func (e *Engine) LocalVerticesWithLabel(r fabric.Rank, l lpg.LabelID) []fabric.D
 	return out
 }
 
+// StoreEpoch is rank r's store epoch: a counter that moves after every change
+// to what a scan of r's shard reads — r's vertex set (LocalVertices) and the
+// holder bytes behind it. It sums the block store's write count (Store.Epoch:
+// every block-data write call this process issues, to any rank) and r's
+// vertex-set changes, each bumped after the write or the change has landed.
+// So a reader that samples the epoch before it reads the shard either sees a
+// concurrent change or samples a larger epoch afterwards. A commit publishes
+// a new vertex after its blocks land, which is why the vertex-set half is
+// needed beside the store half.
+//
+// On a wire transport the epoch covers the writes this process issues and
+// the shard changes served here: a write into a remote rank's holder moves
+// the writer's epoch, not the owner's. Analytics compare epochs across ranks
+// with one OR-reduction, so the writer's vote covers the owner.
+func (e *Engine) StoreEpoch(r fabric.Rank) uint64 {
+	li := e.local[r]
+	li.mu.Lock()
+	defer li.mu.Unlock()
+	return e.store.Epoch() + li.changes
+}
+
 func (li *localIndex) addVertex(dp fabric.DPtr, appID uint64, labels []lpg.LabelID) {
 	li.mu.Lock()
 	defer li.mu.Unlock()
@@ -419,6 +441,7 @@ func (li *localIndex) addVertex(dp fabric.DPtr, appID uint64, labels []lpg.Label
 		}
 		set[dp] = struct{}{}
 	}
+	li.changes++
 }
 
 func (li *localIndex) removeVertex(dp fabric.DPtr, labels []lpg.LabelID) {
@@ -430,6 +453,7 @@ func (li *localIndex) removeVertex(dp fabric.DPtr, labels []lpg.LabelID) {
 			delete(set, dp)
 		}
 	}
+	li.changes++
 }
 
 func (li *localIndex) updateLabels(dp fabric.DPtr, old, new []lpg.LabelID) {
