@@ -109,8 +109,10 @@
 //
 //  1. Lock train (prepare). Every deferred upgrade and fresh-vertex lock is
 //     resolved as one vectored CAS train per owner rank, in globally sorted
-//     (deadlock-free) order. Contention rolls the train back and aborts the
-//     transaction with ErrTransactionCritical.
+//     (deadlock-free) order, seeded with the version each read lock was
+//     granted at, so an uncontended upgrade takes one round per rank.
+//     Contention rolls the train back and aborts the transaction with
+//     ErrTransactionCritical.
 //  2. Write-back train (apply). All dirty holder blocks and deletion
 //     poisons are flushed as one vectored PUT train per owner rank, instead
 //     of one blocking PUT per block. Concurrent transactions committing
@@ -120,7 +122,8 @@
 //     never overlap, because each committer holds exclusive locks on its
 //     holders.
 //  3. Release train. All locks still held at the end of commit are dropped
-//     as one train per owner rank.
+//     as one train per owner rank, again seeded with the versions they are
+//     held at.
 //
 // A transaction's effects become visible only between its write-back
 // landing and its locks releasing, so readers never observe partial
@@ -182,7 +185,8 @@
 //     that instant; if any moved, it fails with ErrTransactionCritical —
 //     the optimistic abort of §3.8 — and the caller retries, exactly as
 //     with lock contention. Read-write transactions take read locks in
-//     trains (which make cached fetches trivially stable), and collective
+//     trains (which make cached fetches trivially stable, and whose CAS
+//     results stand in for the guard stamps), and collective
 //     read-only transactions keep their §3.3 lock-free epoch; both still
 //     ride the cache.
 //

@@ -55,20 +55,13 @@ func main() {
 		p.Barrier() // everyone committed their vertex
 
 		// Second transaction: befriend the next person (a remote vertex).
-		// Neighboring processes write the same vertices concurrently, so a
-		// transaction may fail with ErrTransactionCritical — GDI offers no
-		// in-place retry (§3.3); the caller starts a new transaction.
+		// Neighboring processes write the same vertices concurrently, so any
+		// step — the translations read-lock too — may fail with
+		// ErrTransactionCritical. GDI offers no in-place retry (§3.3); the
+		// caller aborts and starts a new transaction.
 		for {
 			tx = p.StartTransaction(gdi.ReadWrite)
-			a, err := tx.TranslateVertexID(me)
-			if err != nil {
-				log.Fatal(err)
-			}
-			b, err := tx.TranslateVertexID((me + 1) % uint64(p.Size()))
-			if err != nil {
-				log.Fatal(err)
-			}
-			_, err = tx.CreateEdge(a, b, gdi.DirOut, knows)
+			err := befriend(tx, me, (me+1)%uint64(p.Size()), knows)
 			if err == nil {
 				err = tx.Commit()
 			} else {
@@ -117,4 +110,18 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("database holds %d vertices across %d processes\n", db.TotalVertices(), rt.Size())
+}
+
+// befriend links person a to person b with a KNOWS edge inside tx.
+func befriend(tx *gdi.Transaction, a, b uint64, knows gdi.LabelID) error {
+	from, err := tx.TranslateVertexID(a)
+	if err != nil {
+		return err
+	}
+	to, err := tx.TranslateVertexID(b)
+	if err != nil {
+		return err
+	}
+	_, err = tx.CreateEdge(from, to, gdi.DirOut, knows)
+	return err
 }

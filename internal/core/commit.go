@@ -56,7 +56,9 @@ func (tx *Tx) Commit() error {
 	// CAS train per owner rank, in globally sorted (deadlock-free) order.
 	// Contention fails the whole train, which rolls its partial
 	// acquisitions back itself; the abort below then drops the still-held
-	// read locks.
+	// read locks. Each upgrade is seeded with the version its read lock was
+	// granted at, which cannot have moved since, so an uncontended train
+	// takes one round per owner rank.
 	var members []*vertexState // the train's vertices, whose versions it learns
 	if !tx.skipLocks() {
 		var train []locks.TrainLock
@@ -67,7 +69,7 @@ func (tx *Tx) Commit() error {
 			}
 			switch {
 			case st.lock == lockUpgrade:
-				train = append(train, locks.TrainLock{Word: tx.eng.lockWordOf(primary), FromRead: true})
+				train = append(train, locks.TrainLock{Word: tx.eng.lockWordOf(primary), FromRead: true, Ver: st.ver})
 				members = append(members, st)
 			case st.lock == lockNone && st.isNew:
 				train = append(train, locks.TrainLock{Word: tx.eng.lockWordOf(primary)})
@@ -434,9 +436,10 @@ func (tx *Tx) Commit() error {
 	tx.eng.fab.FlushAll(tx.rank)
 
 	// Release every remaining lock: the held words, partitioned by kind,
-	// drop as one train per owner rank and kind.
+	// drop as one train per owner rank and kind, each seeded with the
+	// version the word is held at.
 	var wWords, rWords []locks.Word
-	var wVers []uint64
+	var wVers, rVers []uint64
 	for _, st := range tx.verts {
 		switch st.lock {
 		case lockWrite:
@@ -444,13 +447,14 @@ func (tx *Tx) Commit() error {
 			wVers = append(wVers, st.lockVer)
 		case lockRead, lockUpgrade:
 			rWords = append(rWords, tx.eng.lockWordOf(st.primary))
+			rVers = append(rVers, st.ver)
 		default:
 			continue
 		}
 		st.lock = lockNone
 	}
 	locks.ReleaseWriteTrain(tx.rank, wWords, wVers)
-	locks.ReleaseReadTrain(tx.rank, rWords)
+	locks.ReleaseReadTrainAt(tx.rank, rWords, rVers)
 
 	// Replica fan-out, release: the marked follower words move to the
 	// version the primaries' release train just published — one CAS train
@@ -566,13 +570,9 @@ func (tx *Tx) abortLocked() {
 		// changing content; lockstep followers track the bump so they keep
 		// serving reads (read releases don't bump, so lockUpgrade is exempt).
 		bump := st.lock == lockWrite && !st.isNew && st.v != nil && len(st.v.Replicas) > 0
-		var mver uint64
-		if bump {
-			mver = locks.Version(tx.eng.lockWordOf(st.primary).Stamp(tx.rank))
-		}
 		tx.unlockState(st)
 		if bump {
-			tx.eng.bumpMirrors(tx.rank, st.v, mver)
+			tx.eng.bumpMirrors(tx.rank, st.v, st.lockVer)
 		}
 		if st.isNew {
 			tx.eng.store.ReleaseBlock(tx.rank, st.primary)

@@ -323,11 +323,14 @@ func (tx *Tx) flush(pending []*VertexFuture, spec bool, expect uint64) {
 		// releases its partial acquisitions itself before reporting it. A
 		// speculative fetch locks only at the version it expects and is
 		// stale, not critical, when the word is elsewhere or write-held.
-		locking := !tx.skipLocks() && !tx.optimistic()
+		// A read-held word cannot change version, so the word each lock
+		// CAS left is the stamp the fetch rounds are served against.
+		locking := tx.locking()
 		if locking && spec {
 			live := fetches[:0]
 			for _, pf := range fetches {
-				if tx.eng.lockWordOf(pf.dp).TryAcquireReadAt(tx.rank, expect, tx.eng.cfg.LockTries) {
+				if stamp, ok := tx.eng.lockWordOf(pf.dp).TryAcquireReadAt(tx.rank, expect, tx.eng.cfg.LockTries); ok {
+					pf.stamp = stamp
 					live = append(live, pf)
 					continue
 				}
@@ -343,7 +346,8 @@ func (tx *Tx) flush(pending []*VertexFuture, spec bool, expect uint64) {
 			for i, pf := range fetches {
 				words[i] = tx.eng.lockWordOf(pf.dp)
 			}
-			if err := locks.AcquireReadTrain(tx.rank, words, tx.eng.cfg.LockTries); err != nil {
+			stamps, err := locks.AcquireReadTrainAt(tx.rank, words, nil, tx.eng.cfg.LockTries)
+			if err != nil {
 				crit := tx.fail(fmt.Errorf("read-locking a %d-vertex association batch: %w", len(fetches), err))
 				for _, pf := range fetches {
 					for _, f := range pf.futs {
@@ -352,11 +356,15 @@ func (tx *Tx) flush(pending []*VertexFuture, spec bool, expect uint64) {
 				}
 				return
 			}
+			for i, pf := range fetches {
+				pf.stamp = stamps[i]
+			}
 		}
 		for _, pf := range fetches {
 			st := &vertexState{primary: pf.dp}
 			if locking {
-				st.lock = lockRead
+				pf.ver = locks.Version(pf.stamp)
+				st.lock, st.ver = lockRead, pf.ver
 			}
 			pf.st = st
 		}
@@ -480,42 +488,46 @@ func (tx *Tx) addAlias(dp, next fabric.DPtr) {
 // fetch's checks (spec, expect: see flush), have pf.err set and are not
 // returned.
 //
-// The guards are stamped once up front — one atomic-load train per owner
-// rank — and every round of every holder is served against those stamps:
+// Every round of every holder is served against one stamp of its guard:
 // cache hits valid at the stamp cost no traffic at all, and misses come off
-// the wire one GET train per rank per round. The optimistic tier then
-// establishes stability with a single post-stamp train covering only the
-// holders that actually touched the wire (a fully cache-served holder is a
-// consistent copy at its stamped version by construction); fetched blocks
-// of holders whose guard did not move are installed into the cache.
+// the wire one GET train per rank per round. On the locking tier the stamp
+// is the word the read lock's CAS left (flush sets it); the other tiers
+// stamp the guards up front, one atomic-load train per owner rank. The
+// optimistic tier then establishes stability with a single post-stamp train
+// covering only the holders that actually touched the wire (a fully
+// cache-served holder is a consistent copy at its stamped version by
+// construction); fetched blocks of holders whose guard did not move are
+// installed into the cache.
 func (tx *Tx) fetchHolderStreams(fetches []*pendingFetch, spec bool, expect uint64) (unstable []*pendingFetch) {
 	bs := tx.eng.cfg.BlockSize
 	store := tx.eng.store
 	opt := tx.optimistic()
 
-	// Stamp every primary once; in optimistic mode a guard already held by
-	// a writer cannot validate, so its holder goes straight to retry. A
-	// speculative fetch is stale instead, at another version or under a
-	// writer (whose release moves the version).
+	// Stamp every primary once, unless its read lock did; in optimistic mode
+	// a guard already held by a writer cannot validate, so its holder goes
+	// straight to retry. A speculative fetch is stale instead, at another
+	// version or under a writer (whose release moves the version).
 	var trains block.Trains
-	live := make([]*pendingFetch, 0, len(fetches))
-	prims := make([]fabric.DPtr, len(fetches))
-	for i, pf := range fetches {
-		prims[i] = pf.dp
-	}
-	words := make([]uint64, len(prims))
-	store.LockStampsInto(tx.rank, prims, words, &trains)
-	for i, pf := range fetches {
-		w := words[i]
-		switch {
-		case spec && (locks.Version(w) != expect || locks.WriteHeld(w)):
-			tx.unlockState(pf.st)
-			pf.err = errStaleTranslation
-		case opt && locks.WriteHeld(w):
-			unstable = append(unstable, pf)
-		default:
-			pf.stamp, pf.ver = w, locks.Version(w)
-			live = append(live, pf)
+	live := fetches
+	if !tx.locking() {
+		live = make([]*pendingFetch, 0, len(fetches))
+		prims := make([]fabric.DPtr, len(fetches))
+		for i, pf := range fetches {
+			prims[i] = pf.dp
+		}
+		words := make([]uint64, len(prims))
+		store.LockStampsInto(tx.rank, prims, words, &trains)
+		for i, pf := range fetches {
+			w := words[i]
+			switch {
+			case spec && (locks.Version(w) != expect || locks.WriteHeld(w)):
+				pf.err = errStaleTranslation
+			case opt && locks.WriteHeld(w):
+				unstable = append(unstable, pf)
+			default:
+				pf.stamp, pf.ver = w, locks.Version(w)
+				live = append(live, pf)
+			}
 		}
 	}
 

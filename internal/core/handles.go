@@ -427,11 +427,8 @@ func (tx *Tx) CreateEdge(origin, target fabric.DPtr, dir holder.Direction, label
 	if dir == holder.DirIn {
 		return holder.EdgeUID{}, fmt.Errorf("%w: create edges as DirOut or DirUndirected from the origin", ErrBadArgument)
 	}
-	oh, err := tx.AssociateVertex(origin)
+	oh, tf, err := tx.associateEndpoints(origin, target)
 	if err != nil {
-		return holder.EdgeUID{}, err
-	}
-	if err := tx.ensureWrite(oh.st); err != nil {
 		return holder.EdgeUID{}, err
 	}
 	uid := holder.EdgeUID{Vertex: origin, Index: uint32(len(oh.st.v.Edges))}
@@ -442,11 +439,8 @@ func (tx *Tx) CreateEdge(origin, target fabric.DPtr, dir holder.Direction, label
 		}
 		return uid, nil
 	}
-	th, err := tx.AssociateVertex(target)
+	th, err := tx.writableEndpoint(tf)
 	if err != nil {
-		return holder.EdgeUID{}, err
-	}
-	if err := tx.ensureWrite(th.st); err != nil {
 		return holder.EdgeUID{}, err
 	}
 	oh.st.v.Edges = append(oh.st.v.Edges, holder.EdgeRec{Neighbor: target, Dir: dir, Label: label})
@@ -475,11 +469,8 @@ func (tx *Tx) CreateRichEdge(origin, target fabric.DPtr, dir holder.Direction, l
 			return holder.EdgeUID{}, err
 		}
 	}
-	oh, err := tx.AssociateVertex(origin)
+	oh, tf, err := tx.associateEndpoints(origin, target)
 	if err != nil {
-		return holder.EdgeUID{}, err
-	}
-	if err := tx.ensureWrite(oh.st); err != nil {
 		return holder.EdgeUID{}, err
 	}
 	// The edge holder lives on the origin's rank.
@@ -501,11 +492,8 @@ func (tx *Tx) CreateRichEdge(origin, target fabric.DPtr, dir holder.Direction, l
 	uid := holder.EdgeUID{Vertex: origin, Index: uint32(len(oh.st.v.Edges))}
 	oh.st.v.Edges = append(oh.st.v.Edges, holder.EdgeRec{Neighbor: hp, Dir: dir, Heavy: true})
 	if origin != target {
-		th, err := tx.AssociateVertex(target)
+		th, err := tx.writableEndpoint(tf)
 		if err != nil {
-			return holder.EdgeUID{}, err
-		}
-		if err := tx.ensureWrite(th.st); err != nil {
 			return holder.EdgeUID{}, err
 		}
 		back := holder.DirIn
@@ -515,6 +503,28 @@ func (tx *Tx) CreateRichEdge(origin, target fabric.DPtr, dir holder.Direction, l
 		th.st.v.Edges = append(th.st.v.Edges, holder.EdgeRec{Neighbor: hp, Dir: back, Heavy: true})
 	}
 	return uid, nil
+}
+
+// associateEndpoints associates both endpoints of a new edge in one flush —
+// two cold endpoints share one lock train and one GET train per owner rank —
+// and makes the origin writable. The target's future is left for
+// writableEndpoint, so an origin error still comes first.
+func (tx *Tx) associateEndpoints(origin, target fabric.DPtr) (*VertexHandle, *VertexFuture, error) {
+	of, tf := tx.AssociateVertexAsync(origin), tx.AssociateVertexAsync(target)
+	oh, err := tx.writableEndpoint(of)
+	return oh, tf, err
+}
+
+// writableEndpoint waits for an endpoint's association and makes it writable.
+func (tx *Tx) writableEndpoint(f *VertexFuture) (*VertexHandle, error) {
+	h, err := f.Wait()
+	if err != nil {
+		return nil, err
+	}
+	if err := tx.ensureWrite(h.st); err != nil {
+		return nil, err
+	}
+	return h, nil
 }
 
 func clonedProps(props []lpg.Property) []lpg.Property {

@@ -45,8 +45,8 @@ type vertexState struct {
 	v         *holder.Vertex
 	blocks    []fabric.DPtr // all blocks incl. primary; nil for fresh vertices
 	lock      lockState
-	lockVer   uint64 // lock-word version while write-held (from the commit train)
-	ver       uint64 // guard version the holder was fetched at
+	lockVer   uint64 // lock-word version while write-held
+	ver       uint64 // guard version the holder was fetched (and read-locked) at
 	dirty     bool
 	isNew     bool
 	deleted   bool
@@ -187,6 +187,9 @@ func (tx *Tx) skipLocks() bool { return tx.collective && tx.mode == ReadOnly }
 // path (§3.3 lets them assume no concurrent writers, so they need neither
 // locks nor validation); read-write transactions take per-vertex locks.
 func (tx *Tx) optimistic() bool { return tx.mode == ReadOnly && !tx.collective }
+
+// locking reports whether this transaction read-locks what it associates.
+func (tx *Tx) locking() bool { return !tx.skipLocks() && !tx.optimistic() }
 
 // registry returns the rank-local metadata replica.
 func (tx *Tx) registry() *metadata.Registry { return tx.eng.regs[tx.rank] }
@@ -329,9 +332,9 @@ func (tx *Tx) AssociateVertex(dp fabric.DPtr) (*VertexHandle, error) {
 func (tx *Tx) unlockState(st *vertexState) {
 	switch st.lock {
 	case lockRead, lockUpgrade: // an upgrade not yet granted holds a read lock
-		tx.eng.lockWordOf(st.primary).ReleaseRead(tx.rank)
+		locks.ReleaseReadTrainAt(tx.rank, []locks.Word{tx.eng.lockWordOf(st.primary)}, []uint64{st.ver})
 	case lockWrite:
-		tx.eng.lockWordOf(st.primary).ReleaseWrite(tx.rank)
+		locks.ReleaseWriteTrain(tx.rank, []locks.Word{tx.eng.lockWordOf(st.primary)}, []uint64{st.lockVer})
 	}
 	st.lock = lockNone
 }
@@ -340,7 +343,7 @@ func (tx *Tx) unlockState(st *vertexState) {
 // upgrade CAS of a read-held vertex is deferred: the state moves to
 // lockUpgrade and the commit-time lock train resolves every deferred word
 // with one vectored CAS train per owner rank. A state without a lock to
-// build on is write-locked here, one remote atomic per call.
+// build on is write-locked here, a one-word train seeded with its version.
 func (tx *Tx) ensureWrite(st *vertexState) error {
 	if tx.mode == ReadOnly {
 		return ErrReadOnly
@@ -353,10 +356,11 @@ func (tx *Tx) ensureWrite(st *vertexState) error {
 		// Fresh vertices stay unlocked until the commit train: they are
 		// unpublished, so nothing can race them before then.
 		if !tx.skipLocks() && !st.isNew {
-			if err := tx.eng.lockWordOf(st.primary).TryAcquireWrite(tx.rank, tx.eng.cfg.LockTries); err != nil {
+			vers, err := locks.AcquireWriteTrain(tx.rank, []locks.TrainLock{{Word: tx.eng.lockWordOf(st.primary), Ver: st.ver}}, tx.eng.cfg.LockTries)
+			if err != nil {
 				return tx.fail(fmt.Errorf("write-locking %v: %w", st.primary, err))
 			}
-			st.lock = lockWrite
+			st.lock, st.lockVer = lockWrite, vers[0]
 		}
 	}
 	// Mutations (and the commit re-encode they lead to) work on the
@@ -424,7 +428,10 @@ func (tx *Tx) CreateVertex(appID uint64) (fabric.DPtr, error) {
 
 // DeleteVertex removes a vertex and all of its edges. Every neighbor's
 // holder is updated, so the operation write-locks the neighborhood — the
-// "demanding vertex deletions" of §6.4. O(deg(v)) holder updates.
+// "demanding vertex deletions" of §6.4. O(deg(v)) holder updates; the light
+// neighbors are associated in one flush, so the neighborhood costs one
+// read-lock train and one GET train per owner rank and round, whatever the
+// degree. The walk then runs in edge order and returns its first error.
 func (tx *Tx) DeleteVertex(dp fabric.DPtr) error {
 	h, err := tx.AssociateVertex(dp)
 	if err != nil {
@@ -434,25 +441,30 @@ func (tx *Tx) DeleteVertex(dp fabric.DPtr) error {
 	if err := tx.ensureWrite(st); err != nil {
 		return err
 	}
+	futs := make([]*VertexFuture, len(st.v.Edges))
+	for i, rec := range st.v.Edges {
+		if !rec.Heavy && !st.isIdentity(rec.Neighbor) {
+			futs[i] = tx.AssociateVertexAsync(rec.Neighbor)
+		}
+	}
+	tx.flushPending()
 	// Remove the sibling record at every neighbor.
-	for _, rec := range st.v.Edges {
-		if rec.Heavy {
+	for i, rec := range st.v.Edges {
+		switch {
+		case rec.Heavy:
 			if err := tx.dropEdgeHolder(rec.Neighbor); err != nil {
 				return err
 			}
-			continue
+		case futs[i] != nil: // nil: a self-loop, both records live here
+			nh, err := futs[i].Wait()
+			if err != nil {
+				return err
+			}
+			if err := tx.ensureWrite(nh.st); err != nil {
+				return err
+			}
+			nh.st.v.Edges = removeSiblings(nh.st.v.Edges, st)
 		}
-		if st.isIdentity(rec.Neighbor) {
-			continue // self-loop: both records live here
-		}
-		nh, err := tx.AssociateVertex(rec.Neighbor)
-		if err != nil {
-			return err
-		}
-		if err := tx.ensureWrite(nh.st); err != nil {
-			return err
-		}
-		nh.st.v.Edges = removeSiblings(nh.st.v.Edges, st)
 	}
 	st.v.Edges = nil
 	st.deleted = true

@@ -198,9 +198,14 @@ func readVertex(t *testing.T, e *Engine, origin rma.Rank, mode Mode, app uint64,
 // TestTranslateHitTrafficContract: once rank 0 has translated a remote vertex,
 // translating it again costs nothing on the wire. translate → associate →
 // commit of the unchanged vertex issues exactly the traffic of associate →
-// commit alone, with no DHT access. On the locking tier it issues one remote
-// atomic less: the speculative read lock knows the word it expects, so its
-// single CAS needs no load first.
+// commit alone, with no DHT access. On the locking tier it costs one round
+// trip less (round trips are scalar remote atomics plus trains). Both read
+// locks stamp the guard with their own CAS, and both commits release the
+// lock in one seeded train. The difference is the lock itself: the
+// speculative one is a single scalar CAS at the cached version, while a
+// plain association knows no version, so its read-lock train guesses 0 and
+// needs a second round, at the version the first CAS reported. That is
+// 2 round trips against 3.
 func TestTranslateHitTrafficContract(t *testing.T) {
 	for _, mode := range []Mode{ReadOnly, ReadWrite} {
 		t.Run(fmt.Sprintf("mode=%d", mode), func(t *testing.T) {
@@ -224,7 +229,8 @@ func TestTranslateHitTrafficContract(t *testing.T) {
 			plain := measure(e, func() { readVertex(t, e, 0, mode, app, dp) })
 			want := plain
 			if mode == ReadWrite {
-				want.atoms--
+				want.atoms--         // one scalar CAS for two train CAS,
+				want.atomTrains -= 2 // and no lock train
 			}
 			if hit != want {
 				t.Fatalf("translate → associate → commit: %+v; associate → commit: %+v; want %+v", hit, plain, want)
@@ -249,10 +255,12 @@ func TestOwnCommitRefreshesTranslation(t *testing.T) {
 }
 
 // TestStaleTranslationCostsOneStamp: after another rank deletes and re-creates
-// the vertex, a cached translation is refused on its guard version alone —
-// one stamp on the optimistic tier, one failed CAS on the locking tier, no
-// block read — and the translation then costs exactly what a translation
-// with no cache entry costs.
+// the vertex, a cached translation is refused on its guard version alone,
+// in one round trip and with no block read: a one-word stamp train on the
+// optimistic tier, one failed scalar CAS on the locking tier. The
+// translation then costs exactly what a translation with no cache entry
+// costs. On the locking tier that includes a two-round read-lock train, since
+// the index names no version; its first CAS is also the stamp.
 func TestStaleTranslationCostsOneStamp(t *testing.T) {
 	for _, mode := range []Mode{ReadOnly, ReadWrite} {
 		t.Run(fmt.Sprintf("mode=%d", mode), func(t *testing.T) {

@@ -5,8 +5,12 @@
 //	bits 32..62  version counter, bumped by every write-unlock
 //	bits  0..31  reader count
 //
-// All acquisition is performed with remote CAS on the word, so a lock
-// operation costs one or two network atomics on the fast path.
+// All acquisition and release is performed with remote CAS on the word,
+// batched into one vectored train per owner rank. Every train is seeded with
+// the version its caller last saw each word at, so an uncontended lock,
+// upgrade or release costs one round per owner rank when the seed is right
+// and two when it is not: the failed CAS reports the word, and the second
+// round uses it.
 //
 // The version counter is the foundation of the optimistic read tier (§3.8,
 // §5.2): holder content only changes while the write bit is set, and every
@@ -76,83 +80,55 @@ type Word struct {
 	Idx    int
 }
 
+// freeAt is the word of a lock free at version ver, with no readers: the
+// value a seeded train's first CAS assumes.
+func freeAt(ver uint64) uint64 { return ver << versionShift & versionMask }
+
+// The scalar lock operations are one-word trains: every lock kind has one
+// body, the train's, and a scalar caller pays what a one-word train pays.
+
 // TryAcquireRead takes a shared lock, retrying at most tries rounds.
 func (w Word) TryAcquireRead(origin fabric.Rank, tries int) error {
-	for i := 0; i < tries; i++ {
-		cur := w.Win.Load(origin, w.Target, w.Idx)
-		if cur&writeBit != 0 {
-			continue // a writer holds the lock
-		}
-		if _, ok := w.Win.CAS(origin, w.Target, w.Idx, cur, cur+1); ok {
-			return nil
-		}
-	}
-	return ErrContended
+	return AcquireReadTrain(origin, []Word{w}, tries)
 }
+
+// ReleaseRead drops a shared lock.
+func (w Word) ReleaseRead(origin fabric.Rank) { ReleaseReadTrain(origin, []Word{w}) }
+
+// TryAcquireWrite takes the exclusive lock: it succeeds only when no reader
+// and no writer holds the word. The version field is preserved across
+// acquisition (it only moves on release).
+func (w Word) TryAcquireWrite(origin fabric.Rank, tries int) error {
+	_, err := AcquireWriteTrain(origin, []TrainLock{{Word: w}}, tries)
+	return err
+}
+
+// ReleaseWrite drops the exclusive lock and bumps the version counter — the
+// signal that tells version-validated readers their cached copies of the
+// guarded holder are stale.
+func (w Word) ReleaseWrite(origin fabric.Rank) { ReleaseWriteTrain(origin, []Word{w}, nil) }
 
 // TryAcquireReadAt takes a shared lock only while the word carries version
 // ver with the write bit clear. Its first CAS guesses a free word without
 // readers, so an uncontended acquisition is one remote atomic; a failed CAS
 // reports the word, and the attempt gives up, holding nothing, as soon as the
 // word shows a writer or another version (a writer's release moves the
-// version anyway). Reader churn is retried at most tries rounds.
-func (w Word) TryAcquireReadAt(origin fabric.Rank, ver uint64, tries int) bool {
-	cur := ver << versionShift & versionMask
+// version anyway). Reader churn is retried at most tries rounds. On success
+// it returns the word as its CAS left it: a stamp at version ver that stays
+// valid while the lock is held.
+func (w Word) TryAcquireReadAt(origin fabric.Rank, ver uint64, tries int) (stamp uint64, ok bool) {
+	cur := freeAt(ver)
 	for i := 0; i < tries; i++ {
 		if cur&writeBit != 0 || Version(cur) != ver {
-			return false
+			return 0, false
 		}
 		prev, ok := w.Win.CAS(origin, w.Target, w.Idx, cur, cur+1)
 		if ok {
-			return true
+			return cur + 1, true
 		}
 		cur = prev
 	}
-	return false
-}
-
-// ReleaseRead drops a shared lock.
-func (w Word) ReleaseRead(origin fabric.Rank) {
-	for {
-		cur := w.Win.Load(origin, w.Target, w.Idx)
-		if cur&readerMask == 0 {
-			panic("locks: ReleaseRead with zero reader count")
-		}
-		if _, ok := w.Win.CAS(origin, w.Target, w.Idx, cur, cur-1); ok {
-			return
-		}
-	}
-}
-
-// TryAcquireWrite takes the exclusive lock: it succeeds only when no reader
-// and no writer holds the word. The version field is preserved across
-// acquisition (it only moves on release).
-func (w Word) TryAcquireWrite(origin fabric.Rank, tries int) error {
-	for i := 0; i < tries; i++ {
-		cur := w.Win.Load(origin, w.Target, w.Idx)
-		if cur&(writeBit|readerMask) != 0 {
-			continue // a writer or readers hold the lock
-		}
-		if _, ok := w.Win.CAS(origin, w.Target, w.Idx, cur, cur|writeBit); ok {
-			return nil
-		}
-	}
-	return ErrContended
-}
-
-// ReleaseWrite drops the exclusive lock and bumps the version counter — the
-// signal that tells version-validated readers their cached copies of the
-// guarded holder are stale. A write-held word is stable (readers cannot
-// enter and probes are value-preserving), so one load plus one CAS suffice.
-func (w Word) ReleaseWrite(origin fabric.Rank) {
-	runReleaseHook(w.Win, w.Target, w.Idx)
-	cur := w.Win.Load(origin, w.Target, w.Idx)
-	if cur&writeBit == 0 {
-		panic("locks: ReleaseWrite without holding the write lock")
-	}
-	if _, ok := w.Win.CAS(origin, w.Target, w.Idx, cur, bumpVersion(cur&^writeBit)); !ok {
-		panic("locks: write-held lock word changed underfoot")
-	}
+	return 0, false
 }
 
 // Peek returns the raw lock word (diagnostics and tests).
@@ -178,6 +154,14 @@ func (w Word) Stamp(origin fabric.Rank) uint64 {
 // latency once per rank per round instead of once per word. All words of a
 // train must address the same window (in GDA they all live in the block
 // store's system window).
+//
+// Lock words carry versions, so a train cannot know a word's value; it
+// learns it from failed CAS results. Every train is therefore seeded with
+// the version its caller last saw each word at (0 when it saw none): a
+// correct seed takes the word in the first round, one round per owner rank,
+// and a wrong one costs exactly the round whose CAS result corrects it. The
+// seeded round stands in for the load a scalar acquisition starts with, so
+// an acquisition's budget of tries counts the rounds after it.
 
 // TrainLock is one element of a write-lock train.
 type TrainLock struct {
@@ -186,6 +170,9 @@ type TrainLock struct {
 	// upgrades it (sole reader → writer, CAS 1→writeBit) instead of
 	// acquiring it from free (CAS 0→writeBit).
 	FromRead bool
+	// Ver seeds the train: the version the caller saw the word at (for an
+	// upgrade, the version its read lock was granted at).
+	Ver uint64
 }
 
 // checkTrainWin verifies the single-window invariant of lock trains.
@@ -204,21 +191,29 @@ func trainOldReaders(l TrainLock) uint64 {
 	return 0
 }
 
-// sortTrain globally orders ls (rank, then index — the shared total order
-// that makes concurrent trains deadlock-free) and returns the sorted train
-// plus the mapping sorted position -> index in ls.
-func sortTrain(ls []TrainLock) (train []TrainLock, order []int) {
-	order = make([]int, len(ls))
+// trainOrder returns the positions 0..n-1 of a train's words in the global
+// order (rank, then index — the shared total order that makes concurrent
+// trains deadlock-free), checking that they all address one window.
+func trainOrder(n int, word func(int) Word) []int {
+	order := make([]int, n)
 	for i := range order {
 		order[i] = i
+		checkTrainWin(word(0).Win, word(i))
 	}
 	sort.Slice(order, func(i, j int) bool {
-		a, b := ls[order[i]].Word, ls[order[j]].Word
+		a, b := word(order[i]), word(order[j])
 		if a.Target != b.Target {
 			return a.Target < b.Target
 		}
 		return a.Idx < b.Idx
 	})
+	return order
+}
+
+// sortTrain globally orders ls and returns the sorted train plus the mapping
+// sorted position -> index in ls.
+func sortTrain(ls []TrainLock) (train []TrainLock, order []int) {
+	order = trainOrder(len(ls), func(i int) Word { return ls[i].Word })
 	train = make([]TrainLock, len(ls))
 	for i, src := range order {
 		train[i] = ls[src]
@@ -226,22 +221,29 @@ func sortTrain(ls []TrainLock) (train []TrainLock, order []int) {
 	return train, order
 }
 
+// checkVers verifies that a seeded train carries one version per word.
+func checkVers(kind string, words int, vers []uint64) {
+	if vers != nil && len(vers) != words {
+		panic(fmt.Sprintf("locks: %s train of %d words with %d versions", kind, words, len(vers)))
+	}
+}
+
 // acquireWriteRounds is the acquisition core shared by the all-or-nothing
 // and best-effort write trains: up to tries vectored CAS rounds over the
-// sorted train, one train per owner rank per round. Because lock words carry
-// version counters, it cannot guess current word values; it learns them from
-// failed CAS results (a word observed in an unacquirable state is probed
-// with a value-preserving CAS). It returns the per-word held flags and, for
-// held words, the value installed (write bit + the word's version).
+// sorted train, one train per owner rank per round. The first round assumes
+// each word free (or, for an upgrade, held by our one reader) at its seeded
+// version; a word observed in another state is learned from the CAS result,
+// and one observed in an unacquirable state is probed with a
+// value-preserving CAS. It returns the per-word held flags and, for held
+// words, the value installed (write bit + the word's version).
 func acquireWriteRounds(origin fabric.Rank, train []TrainLock, tries int) (held []bool, expected []uint64, nHeld int) {
 	win := train[0].Word.Win
 	held = make([]bool, len(train))
 	expected = make([]uint64, len(train)) // last observed word value, or held value
 	for i, l := range train {
-		checkTrainWin(win, l.Word)
-		expected[i] = trainOldReaders(l) // version-0 guess; corrected by CAS results
+		expected[i] = freeAt(l.Ver) + trainOldReaders(l)
 	}
-	for round := 0; round < tries && nHeld < len(train); round++ {
+	for round := 0; round <= tries && nHeld < len(train); round++ {
 		forEachRank(len(train), func(i int) fabric.Rank { return train[i].Word.Target }, func(lo, hi int) {
 			ops := make([]fabric.CASOp, 0, hi-lo)
 			opIdx := make([]int, 0, hi-lo)
@@ -321,33 +323,18 @@ func AcquireWriteTrain(origin fabric.Rank, ls []TrainLock, tries int) ([]uint64,
 
 // ReleaseWriteTrain drops exclusively held locks and bumps their version
 // counters, one vectored CAS train per owner rank per round. Every word must
-// be write-held by the caller. vers, when non-nil, carries the held words'
-// versions (aligned with words, as returned by AcquireWriteTrain): a held
-// word's value is stable, so correct versions make the train converge in a
-// single round per rank. With vers nil the first round guesses version 0
-// and any word whose guess was wrong is released on the second round.
+// be write-held by the caller. vers, when non-nil, seeds the train with the
+// held words' versions (aligned with words, as returned by
+// AcquireWriteTrain): a held word's value is stable, so correct versions
+// make the train converge in a single round per rank. With vers nil the
+// first round guesses version 0 and any word whose guess was wrong is
+// released on the second round.
 func ReleaseWriteTrain(origin fabric.Rank, words []Word, vers []uint64) {
-	if vers != nil && len(vers) != len(words) {
-		panic(fmt.Sprintf("locks: release train of %d words with %d versions", len(words), len(vers)))
-	}
-	switch len(words) {
-	case 0:
-		return
-	case 1:
-		words[0].ReleaseWrite(origin)
+	checkVers("release", len(words), vers)
+	if len(words) == 0 {
 		return
 	}
-	order := make([]int, len(words))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := words[order[i]], words[order[j]]
-		if a.Target != b.Target {
-			return a.Target < b.Target
-		}
-		return a.Idx < b.Idx
-	})
+	order := trainOrder(len(words), func(i int) Word { return words[i] })
 	train := make([]Word, len(words))
 	for i, src := range order {
 		train[i] = words[src]
@@ -356,13 +343,12 @@ func ReleaseWriteTrain(origin fabric.Rank, words []Word, vers []uint64) {
 	done := make([]bool, len(train))
 	expected := make([]uint64, len(train))
 	for i, src := range order {
-		checkTrainWin(win, train[i])
 		// The hook must see every word still write-held at its pre-bump
 		// version, so fire it for the whole train before any CAS round.
 		runReleaseHook(win, train[i].Target, train[i].Idx)
-		expected[i] = writeBit // version-0 guess; corrected by CAS results
+		expected[i] = writeBit
 		if vers != nil {
-			expected[i] = vers[src]<<versionShift | writeBit
+			expected[i] |= freeAt(vers[src])
 		}
 	}
 	nDone := 0
@@ -439,40 +425,33 @@ func AcquireWriteTrainEach(origin fabric.Rank, ls []TrainLock, tries int) (vers 
 // from the fan-out instead of waiting. Returns the per-word marked flags,
 // aligned with words.
 func AcquireMirrorTrain(origin fabric.Rank, words []Word, vers []uint64) []bool {
-	held := make([]bool, len(words))
+	return mirrorTrain(origin, words, vers, func(free uint64) (uint64, uint64) { return free, free | writeBit })
+}
+
+// mirrorTrain issues one CAS per follower word, one vectored train per owner
+// rank and one round, each CAS computed by cas from the word's expected free
+// value; it returns the per-word swapped flags, aligned with words.
+func mirrorTrain(origin fabric.Rank, words []Word, vers []uint64, cas func(free uint64) (old, new uint64)) []bool {
+	swapped := make([]bool, len(words))
 	if len(words) == 0 {
-		return held
+		return swapped
 	}
 	if len(vers) != len(words) {
 		panic(fmt.Sprintf("locks: mirror train of %d words with %d versions", len(words), len(vers)))
 	}
-	order := make([]int, len(words))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := words[order[i]], words[order[j]]
-		if a.Target != b.Target {
-			return a.Target < b.Target
-		}
-		return a.Idx < b.Idx
-	})
+	order := trainOrder(len(words), func(i int) Word { return words[i] })
 	win := words[0].Win
 	forEachRank(len(order), func(i int) fabric.Rank { return words[order[i]].Target }, func(lo, hi int) {
 		ops := make([]fabric.CASOp, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			w := words[order[i]]
-			checkTrainWin(win, w)
-			free := vers[order[i]] << versionShift
-			ops = append(ops, fabric.CASOp{Idx: w.Idx, Old: free, New: free | writeBit})
+		for _, i := range order[lo:hi] {
+			old, new := cas(freeAt(vers[i]))
+			ops = append(ops, fabric.CASOp{Idx: words[i].Idx, Old: old, New: new})
 		}
 		for j, r := range win.CASBatch(origin, words[order[lo]].Target, ops) {
-			if r.Swapped {
-				held[order[lo+j]] = true
-			}
+			swapped[order[lo+j]] = r.Swapped
 		}
 	})
-	return held
+	return swapped
 }
 
 // ReleaseMirrorTrain completes the fan-out on follower words AcquireMirrorTrain
@@ -485,34 +464,7 @@ func AcquireMirrorTrain(origin fabric.Rank, words []Word, vers []uint64) []bool 
 // its new owner. No release hook fires: snapshot cuts pin primaries, so
 // follower blocks never carry retirement obligations.
 func ReleaseMirrorTrain(origin fabric.Rank, words []Word, vers []uint64) {
-	if len(words) == 0 {
-		return
-	}
-	if len(vers) != len(words) {
-		panic(fmt.Sprintf("locks: mirror train of %d words with %d versions", len(words), len(vers)))
-	}
-	order := make([]int, len(words))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := words[order[i]], words[order[j]]
-		if a.Target != b.Target {
-			return a.Target < b.Target
-		}
-		return a.Idx < b.Idx
-	})
-	win := words[0].Win
-	forEachRank(len(order), func(i int) fabric.Rank { return words[order[i]].Target }, func(lo, hi int) {
-		ops := make([]fabric.CASOp, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			w := words[order[i]]
-			checkTrainWin(win, w)
-			marked := vers[order[i]]<<versionShift | writeBit
-			ops = append(ops, fabric.CASOp{Idx: w.Idx, Old: marked, New: bumpVersion(marked &^ writeBit)})
-		}
-		win.CASBatch(origin, words[order[lo]].Target, ops)
-	})
+	mirrorTrain(origin, words, vers, func(free uint64) (uint64, uint64) { return free | writeBit, bumpVersion(free) })
 }
 
 // SeedMirrorWord initializes a follower copy's version word. Seeding runs
@@ -536,156 +488,132 @@ func SeedMirrorWord(origin fabric.Rank, w Word, primaryVer uint64) {
 // (or is mid-mark by a racing committer) and is left alone: its next replica
 // read simply fails version validation and falls back.
 func BumpMirrorTrain(origin fabric.Rank, words []Word, vers []uint64) {
-	if len(words) == 0 {
-		return
-	}
-	if len(vers) != len(words) {
-		panic(fmt.Sprintf("locks: mirror train of %d words with %d versions", len(words), len(vers)))
-	}
-	order := make([]int, len(words))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := words[order[i]], words[order[j]]
-		if a.Target != b.Target {
-			return a.Target < b.Target
-		}
-		return a.Idx < b.Idx
-	})
-	win := words[0].Win
-	forEachRank(len(order), func(i int) fabric.Rank { return words[order[i]].Target }, func(lo, hi int) {
-		ops := make([]fabric.CASOp, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			w := words[order[i]]
-			checkTrainWin(win, w)
-			free := vers[order[i]] << versionShift
-			ops = append(ops, fabric.CASOp{Idx: w.Idx, Old: free, New: bumpVersion(free)})
-		}
-		win.CASBatch(origin, words[order[lo]].Target, ops)
-	})
+	mirrorTrain(origin, words, vers, func(free uint64) (uint64, uint64) { return free, bumpVersion(free) })
 }
 
-// AcquireReadTrain takes shared locks on every word, one vectored CAS train
-// per owner rank per round. Words observed under a writer are probed with a
+// AcquireReadTrain is AcquireReadTrainAt seeded with version 0, for callers
+// that have seen none of the words.
+func AcquireReadTrain(origin fabric.Rank, words []Word, tries int) error {
+	_, err := AcquireReadTrainAt(origin, words, nil, tries)
+	return err
+}
+
+// AcquireReadTrainAt takes shared locks on every word, one vectored CAS
+// train per owner rank per round, seeded with vers (aligned with words; nil
+// seeds version 0). Words observed under a writer are probed with a
 // value-preserving CAS until the writer leaves or the budget runs out. All
 // or nothing: on ErrContended every read lock the train took is released.
-func AcquireReadTrain(origin fabric.Rank, words []Word, tries int) error {
-	switch len(words) {
-	case 0:
-		return nil
-	case 1:
-		return words[0].TryAcquireRead(origin, tries)
+// On success it returns, aligned with words, each word as the train's CAS
+// left it. A read-held word cannot change version, so that is the word's
+// stamp for as long as the lock is held.
+func AcquireReadTrainAt(origin fabric.Rank, words []Word, vers []uint64, tries int) ([]uint64, error) {
+	checkVers("read", len(words), vers)
+	if len(words) == 0 {
+		return nil, nil
 	}
-	train := sortedWords(words)
-	win := train[0].Win
-	held := make([]bool, len(train))
-	expected := make([]uint64, len(train)) // last observed word value
+	order := trainOrder(len(words), func(i int) Word { return words[i] })
+	win := words[0].Win
+	held := make([]bool, len(words))
+	expected := make([]uint64, len(words)) // by train position: last observed word value, or held value
+	if vers != nil {
+		for k, i := range order {
+			expected[k] = freeAt(vers[i])
+		}
+	}
 	nHeld := 0
-	for round := 0; round < tries && nHeld < len(train); round++ {
-		forEachRank(len(train), func(i int) fabric.Rank { return train[i].Target }, func(lo, hi int) {
+	for round := 0; round <= tries && nHeld < len(words); round++ {
+		forEachRank(len(order), func(k int) fabric.Rank { return words[order[k]].Target }, func(lo, hi int) {
 			ops := make([]fabric.CASOp, 0, hi-lo)
 			opIdx := make([]int, 0, hi-lo)
-			for i := lo; i < hi; i++ {
-				if held[i] {
+			for k := lo; k < hi; k++ {
+				if held[k] {
 					continue
 				}
-				checkTrainWin(win, train[i])
-				op := fabric.CASOp{Idx: train[i].Idx, Old: expected[i], New: expected[i] + 1}
-				if expected[i]&writeBit != 0 {
+				op := fabric.CASOp{Idx: words[order[k]].Idx, Old: expected[k], New: expected[k] + 1}
+				if expected[k]&writeBit != 0 {
 					op.New = op.Old // probe: a writer holds the word
 				}
 				ops = append(ops, op)
-				opIdx = append(opIdx, i)
+				opIdx = append(opIdx, k)
 			}
-			for j, r := range win.CASBatch(origin, train[lo].Target, ops) {
-				i := opIdx[j]
+			for j, r := range win.CASBatch(origin, words[order[lo]].Target, ops) {
+				k := opIdx[j]
 				switch {
 				case r.Swapped && ops[j].New != ops[j].Old:
-					held[i] = true
+					held[k] = true
+					expected[k] = ops[j].New
 					nHeld++
 				case r.Swapped: // probe confirmed the writer is still there
 				default:
-					expected[i] = r.Prev
+					expected[k] = r.Prev
 				}
 			}
 		})
 	}
-	if nHeld == len(train) {
-		return nil
-	}
+	stamps := make([]uint64, len(words))
 	var taken []Word
-	for i, h := range held {
-		if h {
-			taken = append(taken, train[i])
+	var takenVers []uint64
+	for k, i := range order {
+		stamps[i] = expected[k]
+		if held[k] {
+			taken = append(taken, words[i])
+			takenVers = append(takenVers, Version(expected[k]))
 		}
 	}
-	ReleaseReadTrain(origin, taken)
-	return ErrContended
+	if nHeld == len(words) {
+		return stamps, nil
+	}
+	ReleaseReadTrainAt(origin, taken, takenVers)
+	return nil, ErrContended
 }
 
-// ReleaseReadTrain drops shared locks, one vectored CAS train per owner rank
-// per round; words still contended after a few optimistic rounds fall back
-// to the scalar release loop.
-func ReleaseReadTrain(origin fabric.Rank, words []Word) {
-	switch len(words) {
-	case 0:
-		return
-	case 1:
-		words[0].ReleaseRead(origin)
+// ReleaseReadTrain is ReleaseReadTrainAt seeded with version 0.
+func ReleaseReadTrain(origin fabric.Rank, words []Word) { ReleaseReadTrainAt(origin, words, nil) }
+
+// ReleaseReadTrainAt drops shared locks, one vectored CAS train per owner
+// rank per round, seeded with the versions the locks were granted at
+// (aligned with words; nil seeds version 0). The first round assumes the
+// caller is each word's only reader; reader churn is learned from the CAS
+// results and retried until every lock is dropped.
+func ReleaseReadTrainAt(origin fabric.Rank, words []Word, vers []uint64) {
+	checkVers("read release", len(words), vers)
+	if len(words) == 0 {
 		return
 	}
-	const optimisticRounds = 8
-	train := sortedWords(words)
-	win := train[0].Win
-	done := make([]bool, len(train))
-	expected := make([]uint64, len(train))
-	for i := range expected {
-		expected[i] = 1 // uncontended case: we are the only reader
+	order := trainOrder(len(words), func(i int) Word { return words[i] })
+	win := words[0].Win
+	done := make([]bool, len(words))
+	expected := make([]uint64, len(words))
+	for k, i := range order {
+		expected[k] = 1 // we are the only reader
+		if vers != nil {
+			expected[k] |= freeAt(vers[i])
+		}
 	}
-	nDone := 0
-	for round := 0; round < optimisticRounds && nDone < len(train); round++ {
-		forEachRank(len(train), func(i int) fabric.Rank { return train[i].Target }, func(lo, hi int) {
+	for nDone := 0; nDone < len(words); {
+		forEachRank(len(order), func(k int) fabric.Rank { return words[order[k]].Target }, func(lo, hi int) {
 			ops := make([]fabric.CASOp, 0, hi-lo)
 			opIdx := make([]int, 0, hi-lo)
-			for i := lo; i < hi; i++ {
-				if done[i] {
-					continue
+			for k := lo; k < hi; k++ {
+				if !done[k] {
+					ops = append(ops, fabric.CASOp{Idx: words[order[k]].Idx, Old: expected[k], New: expected[k] - 1})
+					opIdx = append(opIdx, k)
 				}
-				checkTrainWin(win, train[i])
-				if expected[i]&readerMask == 0 {
-					panic("locks: ReleaseReadTrain with zero reader count")
-				}
-				ops = append(ops, fabric.CASOp{Idx: train[i].Idx, Old: expected[i], New: expected[i] - 1})
-				opIdx = append(opIdx, i)
 			}
-			for j, r := range win.CASBatch(origin, train[lo].Target, ops) {
-				if r.Swapped {
-					done[opIdx[j]] = true
+			for j, r := range win.CASBatch(origin, words[order[lo]].Target, ops) {
+				k := opIdx[j]
+				switch {
+				case r.Swapped:
+					done[k] = true
 					nDone++
-				} else {
-					expected[opIdx[j]] = r.Prev
+				case r.Prev&readerMask == 0:
+					panic("locks: ReleaseReadTrain with zero reader count")
+				default:
+					expected[k] = r.Prev
 				}
 			}
 		})
 	}
-	for i, d := range done {
-		if !d {
-			train[i].ReleaseRead(origin)
-		}
-	}
-}
-
-// sortedWords copies and globally orders a word list (rank, then index).
-func sortedWords(words []Word) []Word {
-	train := append([]Word(nil), words...)
-	sort.Slice(train, func(i, j int) bool {
-		if train[i].Target != train[j].Target {
-			return train[i].Target < train[j].Target
-		}
-		return train[i].Idx < train[j].Idx
-	})
-	return train
 }
 
 // forEachRank walks the maximal runs of equal-target elements of a sorted

@@ -61,13 +61,20 @@ func TestReadersExcludeWriter(t *testing.T) {
 
 // TestReadAtVersion: TryAcquireReadAt shares the word only at the version it
 // names — alongside other readers, never under a writer, never at another
-// version — and holds nothing when it refuses.
+// version — holds nothing when it refuses, and returns the word its CAS left.
 func TestReadAtVersion(t *testing.T) {
 	w, _ := word(1)
-	if !w.TryAcquireReadAt(0, 0, DefaultTries) {
+	readAt := func(ver uint64) bool {
+		stamp, ok := w.TryAcquireReadAt(0, ver, DefaultTries)
+		if ok && stamp != raw(w) {
+			t.Fatalf("stamp %#x, word after acquisition %#x", stamp, raw(w))
+		}
+		return ok
+	}
+	if !readAt(0) {
 		t.Fatal("free word at version 0 refused")
 	}
-	if !w.TryAcquireReadAt(0, 0, DefaultTries) {
+	if !readAt(0) {
 		t.Fatal("second reader at the same version refused")
 	}
 	w.ReleaseRead(0)
@@ -75,17 +82,17 @@ func TestReadAtVersion(t *testing.T) {
 	if err := w.TryAcquireWrite(0, DefaultTries); err != nil {
 		t.Fatal(err)
 	}
-	if w.TryAcquireReadAt(0, 0, DefaultTries) {
+	if readAt(0) {
 		t.Fatal("reader admitted under a writer")
 	}
 	w.ReleaseWrite(0) // version 1
-	if w.TryAcquireReadAt(0, 0, DefaultTries) {
+	if readAt(0) {
 		t.Fatal("reader admitted at a version the word left")
 	}
 	if wr, rd := w.Peek(0); wr || rd != 0 {
 		t.Fatalf("refusals left the word at (%v, %d), want (false, 0)", wr, rd)
 	}
-	if !w.TryAcquireReadAt(0, 1, DefaultTries) {
+	if !readAt(1) {
 		t.Fatal("free word at version 1 refused")
 	}
 	w.ReleaseRead(0)

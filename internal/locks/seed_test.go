@@ -1,0 +1,164 @@
+package locks
+
+import (
+	"testing"
+
+	"github.com/gdi-go/gdi/internal/rma"
+)
+
+// seededWords returns a train of 2 words on each of 3 ranks, every word
+// at a different nonzero version, so a version-0 guess is wrong for all of
+// them, plus those versions. Trains are issued from rank 1, so ranks 0 and 2
+// are remote and AtomicBatches counts rounds × 2.
+func seededWords(t *testing.T) ([]Word, []uint64, *rma.Fabric) {
+	t.Helper()
+	ws, f := trainWords(3, 2)
+	vers := make([]uint64, len(ws))
+	for i, w := range ws {
+		for n := 0; n <= i; n++ {
+			if err := w.TryAcquireWrite(0, DefaultTries); err != nil {
+				t.Fatal(err)
+			}
+			w.ReleaseWrite(0)
+		}
+		vers[i] = uint64(i + 1)
+	}
+	return ws, vers, f
+}
+
+// trains runs fn from rank 1 and returns the atomic trains and remote
+// atomics it issued.
+func trains(f *rma.Fabric, fn func()) (batches, atoms int64) {
+	f.ResetCounters()
+	fn()
+	s := f.CounterSnapshot(1)
+	return s.AtomicBatches, s.RemoteAtoms
+}
+
+// TestSeededTrainsConvergeInOneRoundPerRank: read lock, upgrade, write
+// release and read release, each seeded with the words' versions, take one
+// CAS round per owner rank. The read train's stamps are the words as they
+// stand after the acquisition.
+func TestSeededTrainsConvergeInOneRoundPerRank(t *testing.T) {
+	ws, vers, f := seededWords(t)
+	const oneRound = 2 // remote owner ranks
+	var stamps []uint64
+	if n, _ := trains(f, func() {
+		var err error
+		if stamps, err = AcquireReadTrainAt(1, ws, vers, DefaultTries); err != nil {
+			t.Fatal(err)
+		}
+	}); n != oneRound {
+		t.Errorf("seeded read train: %d trains, want %d", n, oneRound)
+	}
+	for i, w := range ws {
+		if stamps[i] != raw(w) || Version(stamps[i]) != vers[i] || Readers(stamps[i]) != 1 {
+			t.Errorf("word %d: stamp %#x, word after acquisition %#x (version %d)", i, stamps[i], raw(w), vers[i])
+		}
+	}
+	ls := make([]TrainLock, len(ws))
+	for i, w := range ws {
+		ls[i] = TrainLock{Word: w, FromRead: true, Ver: vers[i]}
+	}
+	var held []uint64
+	if n, _ := trains(f, func() {
+		var err error
+		if held, err = AcquireWriteTrain(1, ls, DefaultTries); err != nil {
+			t.Fatal(err)
+		}
+	}); n != oneRound {
+		t.Errorf("seeded upgrade train: %d trains, want %d", n, oneRound)
+	}
+	if n, _ := trains(f, func() { ReleaseWriteTrain(1, ws, held) }); n != oneRound {
+		t.Errorf("seeded write release: %d trains, want %d", n, oneRound)
+	}
+	for i := range vers {
+		vers[i]++ // the release bumped every word
+	}
+	if _, err := AcquireReadTrainAt(1, ws, vers, DefaultTries); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := trains(f, func() { ReleaseReadTrainAt(1, ws, vers) }); n != oneRound {
+		t.Errorf("seeded read release: %d trains, want %d", n, oneRound)
+	}
+	for i, w := range ws {
+		if wr, rd := w.Peek(0); wr || rd != 0 || Version(raw(w)) != vers[i] {
+			t.Fatalf("word %d after the trains: (%v, %d) at version %d, want free at %d", i, wr, rd, Version(raw(w)), vers[i])
+		}
+	}
+}
+
+// TestWrongSeedsStillConverge: seeds one version behind cost each train
+// exactly the round whose CAS results correct them, and leave the words as
+// correct seeds would.
+func TestWrongSeedsStillConverge(t *testing.T) {
+	ws, vers, f := seededWords(t)
+	const twoRounds = 4
+	stale := make([]uint64, len(vers))
+	for i, v := range vers {
+		stale[i] = v - 1
+	}
+	var stamps []uint64
+	if n, _ := trains(f, func() {
+		var err error
+		if stamps, err = AcquireReadTrainAt(1, ws, stale, DefaultTries); err != nil {
+			t.Fatal(err)
+		}
+	}); n != twoRounds {
+		t.Errorf("wrongly seeded read train: %d trains, want %d", n, twoRounds)
+	}
+	for i, w := range ws {
+		if stamps[i] != raw(w) {
+			t.Errorf("word %d: stamp %#x, word after acquisition %#x", i, stamps[i], raw(w))
+		}
+	}
+	ls := make([]TrainLock, len(ws))
+	for i, w := range ws {
+		ls[i] = TrainLock{Word: w, FromRead: true, Ver: stale[i]}
+	}
+	var held []uint64
+	if n, _ := trains(f, func() {
+		var err error
+		if held, err = AcquireWriteTrain(1, ls, DefaultTries); err != nil {
+			t.Fatal(err)
+		}
+	}); n != twoRounds {
+		t.Errorf("wrongly seeded upgrade train: %d trains, want %d", n, twoRounds)
+	}
+	for i := range held {
+		if held[i] != vers[i] {
+			t.Fatalf("word %d: upgrade reported version %d, want %d", i, held[i], vers[i])
+		}
+	}
+	if n, _ := trains(f, func() { ReleaseWriteTrain(1, ws, stale) }); n != twoRounds {
+		t.Errorf("wrongly seeded write release: %d trains, want %d", n, twoRounds)
+	}
+	if _, err := AcquireReadTrainAt(1, ws, nil, DefaultTries); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := trains(f, func() { ReleaseReadTrainAt(1, ws, stale) }); n != twoRounds {
+		t.Errorf("wrongly seeded read release: %d trains, want %d", n, twoRounds)
+	}
+	for i, w := range ws {
+		if wr, rd := w.Peek(0); wr || rd != 0 || Version(raw(w)) != vers[i]+1 {
+			t.Fatalf("word %d after the trains: (%v, %d) at version %d, want free at %d", i, wr, rd, Version(raw(w)), vers[i]+1)
+		}
+	}
+}
+
+// TestOneWordWriteReleaseWithVersIsOneCAS: releasing a single remote word
+// with its version is one CAS in one round trip, with no load first.
+func TestOneWordWriteReleaseWithVersIsOneCAS(t *testing.T) {
+	ws, vers, f := seededWords(t)
+	w := ws[0] // on rank 0, remote from rank 1
+	held, err := AcquireWriteTrain(1, []TrainLock{{Word: w, Ver: vers[0]}}, DefaultTries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, atoms := trains(f, func() { ReleaseWriteTrain(1, []Word{w}, held) }); n != 1 || atoms != 1 {
+		t.Errorf("one-word release: %d remote atomics in %d trains, want 1 in 1", atoms, n)
+	}
+	if wr, _ := w.Peek(0); wr || Version(raw(w)) != vers[0]+1 {
+		t.Fatalf("word after release: held %v at version %d, want free at %d", wr, Version(raw(w)), vers[0]+1)
+	}
+}
