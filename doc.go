@@ -190,8 +190,10 @@
 //     read-only transactions keep their §3.3 lock-free epoch; both still
 //     ride the cache.
 //
-// Cache hit/miss counters surface in the fabric snapshots and in the
-// gdi-oltp report alongside the train counters.
+// Every tier reads a holder's chain through one batched reader, which also
+// rejects a block whose count or table names no real chain (ARCHITECTURE.md,
+// "Life of a holder read"). Cache hit/miss counters surface in the fabric
+// snapshots and in the gdi-oltp report alongside the train counters.
 //
 // # Query layer
 //
@@ -395,7 +397,7 @@
 //     fits its head block skips the chain walk entirely on the read path.
 //
 // The read path is allocation-free in steady state: point reads run through
-// a per-transaction ReadArena whose view decodes varints in place from the
+// a per-worker ReadArena whose view decodes varints in place from the
 // fetched blocks — no materialized edge slices — and a CI allocation guard
 // asserts 0 allocs/op on the cached optimistic point-read and
 // ForEachNeighbor paths (outside -race builds, whose shadow allocations

@@ -513,16 +513,16 @@ func (tx *Tx) validateOptimistic() error {
 	}
 	// A transaction that expanded frontiers validates out of the arena it
 	// already holds; a point read's one-entry read set is not worth one.
-	var local stamper
-	st := &local
+	var local chainReader
+	cr := &local
 	if tx.frontier != nil {
-		st = &tx.frontier.stamper
+		cr = &tx.frontier.chainReader
 	}
-	st.dps = st.dps[:0]
+	cr.dps = cr.dps[:0]
 	for _, r := range tx.optReads {
-		st.dps = append(st.dps, r.dp)
+		cr.dps = append(cr.dps, r.dp)
 	}
-	words := st.load(tx)
+	words := cr.load(tx.eng, tx.rank)
 	for i, r := range tx.optReads {
 		if got := locks.Version(words[i]); got != r.ver {
 			tx.eng.optAborts.Add(1)

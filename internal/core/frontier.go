@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"github.com/gdi-go/gdi/internal/block"
 	"github.com/gdi-go/gdi/internal/constraint"
 	"github.com/gdi-go/gdi/internal/fabric"
 	"github.com/gdi-go/gdi/internal/holder"
@@ -27,19 +26,16 @@ func (h *VertexHandle) Matches(cons *constraint.Constraint) bool {
 // traversal's final hop wants). A frontier vertex that no longer exists — the
 // read set is stale — fails the expansion with ErrNotFound.
 //
-// A frontier vertex costs its label/property bytes and no heap object. The
-// optimistic read tier never materializes it: the hop stamps the guards of
-// the deduped frontier (one atomic-load train per owner rank), serves each
-// holder's blocks from the validated cache or one GET train per owner rank
-// per round into the transaction's frontier arena (reused from hop to hop,
-// garbage when the transaction closes), double-checks the stamps
-// of whatever came off the wire, evaluates cons in place on the encoded
-// entry region, harvests neighbors straight off the view, and appends a
-// (vertex, version) pair to the read set Commit revalidates. A filter-only
-// hop fetches only the blocks that reach the end of the entry region — the
-// primary block for all but mega-hubs — not the chain.
-// What that route cannot serve goes through AssociateVertices in one batch
-// and is filtered and harvested through its handles: forwarding stubs,
+// A frontier vertex costs its label/property bytes and no heap object. On the
+// optimistic tier the hop reads the deduped frontier in one seqlock batch of
+// the chain reader ("Life of a holder read" in ARCHITECTURE.md) into the
+// transaction's frontier arena, reused from hop to hop. A filter-only hop
+// reads only the blocks that reach the end of the entry region — the primary
+// block for all but mega-hubs — not the chain. The hop evaluates cons in place
+// on the encoded entry region, harvests neighbors straight off the view, and
+// appends a (vertex, version) pair to the read set Commit revalidates.
+// Whatever the batch did not read OK goes through AssociateVertices in one
+// batch and is filtered and harvested through its handles: forwarding stubs,
 // vertices a local follower copy serves, holders that were being written or
 // look deleted, and every frontier of a locking transaction.
 func (tx *Tx) ExpandFrontier(frontier []fabric.DPtr, mask DirMask, cons *constraint.Constraint) (matched, next []fabric.DPtr, err error) {
@@ -60,45 +56,16 @@ func (tx *Tx) ExpandFrontier(frontier []fabric.DPtr, mask DirMask, cons *constra
 		return nil, nil, err
 	}
 	if tx.optimistic() {
-		tx.fetchFrontier(sc, mask == 0)
+		tx.readFrontier(sc, mask == 0)
 	} else {
 		for i := range sc.items {
-			sc.items[i].handled = true
+			sc.items[i].verdict = readRefused
 		}
 	}
 	if err := tx.associateHandled(sc); err != nil {
 		return nil, nil, err
 	}
 	return tx.evalFrontier(sc, mask, cons)
-}
-
-// frontierItem is one distinct vertex of the frontier being expanded.
-type frontierItem struct {
-	dp    fabric.DPtr // as the frontier names it
-	stamp uint64      // its guard word, loaded before the first read
-	buf   []byte      // the holder stream, as far as this hop needs it (arena-backed)
-	need  int         // blocks of the chain this hop reads
-	wire  bool        // a block came off the wire or out of the pool: needs the post-stamp check
-	// handled routes the vertex through AssociateVertices; h is its handle.
-	handled bool
-	h       *VertexHandle
-	dup     bool // resolved to a vertex an earlier item already stands for
-}
-
-// stamper is the scratch of one guard-stamp train: the primaries to stamp,
-// the lock words loaded, and the by-rank grouping buffers.
-type stamper struct {
-	dps    []fabric.DPtr
-	words  []uint64
-	trains block.Trains
-}
-
-// load stamps st.dps — one atomic-load train per owner rank — and returns
-// the words aligned with it.
-func (st *stamper) load(tx *Tx) []uint64 {
-	st.words = slices.Grow(st.words[:0], len(st.dps))[:len(st.dps)]
-	tx.eng.store.LockStampsInto(tx.rank, st.dps, st.words, &st.trains)
-	return st.words
 }
 
 // frontierScratch is the arena of Tx.ExpandFrontier: everything a hop needs
@@ -109,179 +76,57 @@ func (st *stamper) load(tx *Tx) []uint64 {
 // belongs to one transaction and is garbage once that closes: nothing of a
 // hop outlives the transaction that ran it.
 type frontierScratch struct {
-	items []frontierItem
-	index dptrTable[int32]    // distinct frontier vertex → its item
-	seen  dptrTable[struct{}] // neighbors already harvested this hop
-	bytes byteArena           // the holder streams
-	stamper
+	chainReader                     // items[i] reads distinct frontier vertex i
+	verts       []frontierVertex    // aligned with items
+	index       dptrTable[int32]    // distinct frontier vertex → its item
+	seen        dptrTable[struct{}] // neighbors already harvested this hop
+	view        holder.View
+}
 
-	reads    []block.StampedRead // the round being read…
-	readItem []int32             // …and the item each read belongs to
-	multi    []int32             // items whose chain continues past the block just read
-	fetched  []block.StampedRead // remote blocks off the wire, cacheable once their holder validates
-	fetchOf  []int32             // the item each belongs to
-
-	view holder.View
+// frontierVertex is what a hop knows of a frontier vertex beyond its read.
+type frontierVertex struct {
+	h   *VertexHandle // its handle, when the batch did not read it OK
+	dup bool          // resolved to a vertex an earlier item already stands for
 }
 
 // reset starts a hop: it dedups frontier into sc.items (first occurrence
 // wins) and recycles the arena of the previous hop, whose views are dead.
 func (sc *frontierScratch) reset(frontier []fabric.DPtr) error {
 	n := len(frontier)
-	sc.items = slices.Grow(sc.items[:0], n)
+	sc.chainReader.reset(n)
+	sc.verts = slices.Grow(sc.verts[:0], n)
 	sc.index.reset(n)
-	sc.bytes.reset()
 	for _, dp := range frontier {
 		if dp.IsNull() {
 			return fmt.Errorf("%w: NULL vertex ID in a frontier", ErrBadArgument)
 		}
 		if _, dup := sc.index.getOrPut(dp, int32(len(sc.items))); !dup {
-			sc.items = append(sc.items, frontierItem{dp: dp})
+			sc.items = append(sc.items, chainItem{head: dp})
+			sc.verts = append(sc.verts, frontierVertex{})
 		}
 	}
 	return nil
 }
 
-// fetchFrontier is the optimistic tier's read of a whole frontier: after it,
-// every item either holds a validated stream prefix in the arena — reaching
-// the end of the entry region when entriesOnly, the whole chain otherwise —
-// with its (vertex, version) pair in the read set, or is marked handled for
-// the flush to sort out (with its retries, stub chases and replica reads).
-func (tx *Tx) fetchFrontier(sc *frontierScratch, entriesOnly bool) {
-	e, store, bs := tx.eng, tx.eng.store, tx.eng.cfg.BlockSize
-	items := sc.items
-	n := len(items)
-	followers := e.repl[tx.rank].size() > 0
-
-	sc.dps = slices.Grow(sc.dps[:0], n)
-	for i := range items {
-		sc.dps = append(sc.dps, items[i].dp)
-	}
-	words := sc.load(tx)
-
-	// Round 0: every primary block. A guard a writer holds cannot validate,
-	// and a vertex this rank follows is read from the local copy.
-	sc.reads, sc.readItem = slices.Grow(sc.reads[:0], n), slices.Grow(sc.readItem[:0], n)
-	sc.fetched, sc.fetchOf = sc.fetched[:0], sc.fetchOf[:0]
-	sc.bytes.reserve(n * bs)
-	for i := range items {
-		it := &items[i]
-		it.stamp = words[i]
-		if locks.WriteHeld(it.stamp) {
-			it.handled = true
-			continue
-		}
-		if followers {
-			if _, ok := e.repl[tx.rank].lookup(it.dp); ok {
-				it.handled = true
-				continue
-			}
-		}
-		it.buf = sc.bytes.alloc(bs)
-		sc.reads = append(sc.reads, block.StampedRead{DP: it.dp, Buf: it.buf, Guard: it.dp, Stamp: it.stamp})
-		sc.readItem = append(sc.readItem, int32(i))
-	}
-	tx.readFrontierRound(sc)
-	sc.multi = slices.Grow(sc.multi[:0], len(sc.readItem))
-	chains := 0 // bytes of the streams that continue past their primary block
-	for _, i := range sc.readItem {
-		it := &items[i]
-		nb := holder.NumBlocks(it.buf)
-		if nb < 1 || nb > store.BlocksPerRank() || holder.IsMoved(it.buf) {
-			it.handled = true // deleted, implausible, or migrated away
-			continue
-		}
-		it.need = nb
-		if entriesOnly {
-			it.need = holder.EntryBlocks(it.buf, bs)
-		}
-		if it.need > 1 {
-			sc.multi = append(sc.multi, i)
-			chains += it.need * bs
-		}
-	}
-	sc.bytes.reserve(chains)
-	for _, i := range sc.multi {
-		it := &items[i]
-		full := sc.bytes.alloc(it.need * bs)
-		copy(full, it.buf)
-		it.buf = full
-	}
-
-	// Continuation rounds: block `round` of every chain that reaches it,
-	// located by the table entry the previous rounds already brought in.
-	for round := 1; len(sc.multi) > 0; round++ {
-		sc.reads, sc.readItem = sc.reads[:0], sc.readItem[:0]
-		more := sc.multi[:0]
-		for _, i := range sc.multi {
-			it := &items[i]
-			dp := holder.TableEntry(it.buf, round-1)
-			if !e.validPoolDPtr(dp) {
-				it.handled = true
-				continue
-			}
-			sc.reads = append(sc.reads, block.StampedRead{DP: dp, Buf: it.buf[round*bs : (round+1)*bs], Guard: it.dp, Stamp: it.stamp})
-			sc.readItem = append(sc.readItem, i)
-			if it.need > round+1 {
-				more = append(more, i)
-			}
-		}
-		sc.multi = more
-		tx.readFrontierRound(sc)
-	}
-
-	// The seqlock double-check: one more stamp train over the holders that
-	// read anything but validated cache copies. An unmoved guard proves the
-	// read stable; a moved one hands the vertex to the flush.
-	sc.dps, sc.readItem = sc.dps[:0], sc.readItem[:0]
-	for i := range items {
-		if it := &items[i]; it.wire && !it.handled {
-			sc.dps = append(sc.dps, it.dp)
-			sc.readItem = append(sc.readItem, int32(i))
-		}
-	}
-	for k, w := range sc.load(tx) {
-		if it := &items[sc.readItem[k]]; locks.Version(w) != locks.Version(it.stamp) || locks.WriteHeld(w) {
-			it.handled = true
-		}
-	}
-	accepted := sc.fetched[:0]
-	for k := range sc.fetched {
-		if !items[sc.fetchOf[k]].handled {
-			accepted = append(accepted, sc.fetched[k])
-		}
-	}
-	store.InstallStamped(tx.rank, accepted)
-
-	tx.optReads = slices.Grow(tx.optReads, n)
-	for i := range items {
-		if it := &items[i]; !it.handled {
-			tx.optReads = append(tx.optReads, optRead{it.dp, locks.Version(it.stamp)})
-		}
-	}
-}
-
-// readFrontierRound issues sc.reads — one GET train per owner rank for what
-// the cache cannot serve — and notes what came off the wire.
-func (tx *Tx) readFrontierRound(sc *frontierScratch) {
-	tx.eng.store.ReadBlocksStamped(tx.rank, sc.reads, false, &sc.trains)
-	cacheable := 0
-	for j := range sc.reads {
-		if r := &sc.reads[j]; r.Fetched {
-			sc.items[sc.readItem[j]].wire = true
-			if r.DP.Rank() != tx.rank {
-				cacheable++
+// readFrontier is the optimistic tier's read of a whole frontier: one seqlock
+// batch, reaching the end of the entry region when entriesOnly and the whole
+// chain otherwise. A vertex this rank follows is left to the flush, which
+// reads the local copy. Each item read OK joins the read set.
+func (tx *Tx) readFrontier(sc *frontierScratch, entriesOnly bool) {
+	e := tx.eng
+	if e.repl[tx.rank].size() > 0 {
+		for i := range sc.items {
+			if _, ok := e.repl[tx.rank].lookup(sc.items[i].head); ok {
+				sc.items[i].verdict = readRefused
 			}
 		}
 	}
-	if cacheable == 0 {
-		return
-	}
-	sc.fetched, sc.fetchOf = slices.Grow(sc.fetched, cacheable), slices.Grow(sc.fetchOf, cacheable)
-	for j := range sc.reads {
-		if r := &sc.reads[j]; r.Fetched && r.DP.Rank() != tx.rank {
-			sc.fetched = append(sc.fetched, *r)
-			sc.fetchOf = append(sc.fetchOf, sc.readItem[j])
+	sc.stamp(e, tx.rank)
+	sc.read(e, tx.rank, readSeqlock, entriesOnly, false)
+	tx.optReads = slices.Grow(tx.optReads, len(sc.items))
+	for i := range sc.items {
+		if it := &sc.items[i]; it.verdict == readOK {
+			tx.optReads = append(tx.optReads, optRead{it.head, locks.Version(it.stamp)})
 		}
 	}
 }
@@ -291,8 +136,8 @@ func (tx *Tx) readFrontierRound(sc *frontierScratch) {
 func (tx *Tx) associateHandled(sc *frontierScratch) error {
 	sc.dps = sc.dps[:0]
 	for i := range sc.items {
-		if sc.items[i].handled {
-			sc.dps = append(sc.dps, sc.items[i].dp)
+		if sc.items[i].verdict != readOK {
+			sc.dps = append(sc.dps, sc.items[i].head)
 		}
 	}
 	if len(sc.dps) == 0 {
@@ -304,25 +149,26 @@ func (tx *Tx) associateHandled(sc *frontierScratch) error {
 	}
 	k := 0
 	for i := range sc.items {
-		it := &sc.items[i]
-		if !it.handled {
+		dp := sc.items[i].head
+		if sc.items[i].verdict == readOK {
 			continue
 		}
-		if it.h = hs[k]; it.h == nil {
-			return fmt.Errorf("%w: frontier vertex %v no longer exists", ErrNotFound, it.dp)
+		h := hs[k]
+		if sc.verts[i].h = h; h == nil {
+			return fmt.Errorf("%w: frontier vertex %v no longer exists", ErrNotFound, dp)
 		}
 		k++
 		// A forwarding stub resolves to the vertex's current ID, under which
 		// the frontier may name it a second time: the first occurrence stands
 		// for both.
-		if id := it.h.ID(); id != it.dp {
+		if id := h.ID(); id != dp {
 			j, named := sc.index.getOrPut(id, int32(i))
 			if named && int(j) < i {
-				it.dup = true
+				sc.verts[i].dup = true
 				continue
 			}
 			if named {
-				sc.items[j].dup = true
+				sc.verts[j].dup = true
 				sc.index.put(id, int32(i))
 			}
 		}
@@ -369,16 +215,16 @@ func (tx *Tx) evalFrontier(sc *frontierScratch, mask DirMask, cons *constraint.C
 	}
 	for i := range sc.items {
 		it := &sc.items[i]
-		if it.dup {
+		if sc.verts[i].dup {
 			continue
 		}
-		if it.h != nil {
-			if !it.h.Matches(cons) {
+		if h := sc.verts[i].h; h != nil {
+			if !h.Matches(cons) {
 				continue
 			}
-			matched = append(matched, it.h.ID())
+			matched = append(matched, h.ID())
 			if mask != 0 {
-				if err := it.h.ForEachNeighbor(mask, add); err != nil {
+				if err := h.ForEachNeighbor(mask, add); err != nil {
 					return nil, nil, err
 				}
 			}
@@ -390,23 +236,23 @@ func (tx *Tx) evalFrontier(sc *frontierScratch, mask DirMask, cons *constraint.C
 			ok, err = cons.EvalEntries(view.Entries())
 		}
 		if err != nil {
-			return nil, nil, fmt.Errorf("%w: holder %v: %v", ErrNotFound, it.dp, err)
+			return nil, nil, fmt.Errorf("%w: holder %v: %v", ErrNotFound, it.head, err)
 		}
-		tx.eng.recordHeat(tx.rank, view.AppID(), it.dp.Rank())
+		tx.eng.recordHeat(tx.rank, view.AppID(), it.head.Rank())
 		if !ok {
 			continue
 		}
-		matched = append(matched, it.dp)
+		matched = append(matched, it.head)
 		if mask == 0 {
 			continue
 		}
-		cur = it.dp
+		cur = it.head
 		view.ForEachEdge(visit)
 		if walkErr != nil {
 			return nil, nil, walkErr
 		}
 		if err := view.Err(); err != nil {
-			return nil, nil, fmt.Errorf("%w: holder %v: %v", ErrNotFound, it.dp, err)
+			return nil, nil, fmt.Errorf("%w: holder %v: %v", ErrNotFound, it.head, err)
 		}
 	}
 	return matched, next, nil
@@ -474,29 +320,3 @@ func (t *dptrTable[V]) getOrPut(key fabric.DPtr, val V) (got V, dup bool) {
 
 // put overwrites the value of a key the table already holds.
 func (t *dptrTable[V]) put(key fabric.DPtr, val V) { t.slot(key).val = val }
-
-// byteArena carves the holder streams of a hop out of one buffer that the
-// next hop reuses.
-type byteArena struct {
-	buf []byte
-	off int // bytes of buf handed out
-}
-
-// reserve makes sure the next n bytes come out of one buffer: the current
-// one if it has the room, a fresh one of exactly that size otherwise (what
-// was carved from the old one stays valid; the old buffer is just not reused).
-func (a *byteArena) reserve(n int) {
-	if len(a.buf)-a.off < n {
-		a.buf, a.off = make([]byte, n), 0
-	}
-}
-
-// alloc returns n bytes, not zeroed, valid until the next reset.
-func (a *byteArena) alloc(n int) []byte {
-	a.reserve(n)
-	a.off += n
-	return a.buf[a.off-n : a.off : a.off]
-}
-
-// reset makes every byte of the current buffer available again.
-func (a *byteArena) reset() { a.off = 0 }

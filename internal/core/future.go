@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/gdi-go/gdi/internal/block"
 	"github.com/gdi-go/gdi/internal/fabric"
 	"github.com/gdi-go/gdi/internal/holder"
 	"github.com/gdi-go/gdi/internal/locks"
@@ -144,51 +143,25 @@ func (tx *Tx) AssociateVertices(dps []fabric.DPtr) ([]*VertexHandle, error) {
 // the vertex is migrating faster than we can follow — contention).
 const maxForwardHops = 8
 
-// pendingFetch tracks one unique vertex being materialized by a flush: its
-// lock state, the growing logical stream, the guard version the stream was
-// validated against (optimistic tier), and every future awaiting it.
-type pendingFetch struct {
+// assoc is one distinct vertex of a flush generation and the futures
+// awaiting it. Reading it settles it: st installed, a forwarding stub to chase
+// at fwd, or err.
+type assoc struct {
 	dp     fabric.DPtr
-	st     *vertexState
 	futs   []*VertexFuture
-	buf    []byte
-	blocks []fabric.DPtr
-	nb     int
-	stamp  uint64      // the guard word every round of this fetch is served against
-	ver    uint64      // its version
-	fwd    fabric.DPtr // set when dp held a migration stub: chase here
+	st     *vertexState
+	follow replicaEntry // the local follower copy the read goes to; a null head when none
+	fwd    fabric.DPtr
 	err    error
-	// Optimistic-tier bookkeeping: the reads that came off the wire (their
-	// stability is only established by the post-stamp check, after which
-	// they are installed into the cache) and a provisional deleted/corrupt
-	// verdict awaiting that check.
-	fetched []block.StampedRead
-	suspect error
 }
 
 // flushPending completes every queued association (the Flush of the op
-// queue). The protocol is lock, fetch, decode, install, with the fetch
-// rounds performed as vectored reads:
-//
-//  1. Per-vertex read locks are acquired as one vectored CAS train per
-//     owner rank. Lock contention is transaction-critical and poisons the
-//     whole flush. Locking is elided entirely for collective read-only
-//     transactions (§3.3) and for the optimistic tier, which instead
-//     validates every fetch against the guard words' version stamps and
-//     records the (vertex, version) pairs for revalidation at commit.
-//  2. Round 0 reads every primary block, one vectored GET train per owner
-//     rank. The holder streaming invariant (table entry i precedes block
-//     i+1) then lets round i fetch block i of every multi-block holder,
-//     again batched by rank, so a flush over b-block holders needs b
-//     batched rounds, not Σb scalar reads. The reads go through
-//     Store.ReadBlocksStamped against guard words stamped once per flush
-//     attempt: blocks whose cached copy still carries the guard's current
-//     version are served locally with no GET traffic at all. Optimistic
-//     holders whose guard version moved mid-fetch (a writer committed
-//     between rounds) are torn; they are re-fetched from scratch, up to the
-//     transaction's retry budget.
-//  3. Each holder is decoded and installed into the per-transaction cache;
-//     its futures resolve to handles over the shared state.
+// queue). Each generation of the flush read-locks its vertices on the locking
+// tier (one CAS train per owner rank; contention is transaction-critical and
+// poisons the whole flush), reads them in one batch of the chain reader
+// ("Life of a holder read" in ARCHITECTURE.md), decodes and installs each
+// holder into the per-transaction cache, and re-queues the vertices that
+// turned out to be forwarding stubs at their current primary.
 func (tx *Tx) flushPending() {
 	pending := tx.pending
 	tx.pending = nil
@@ -219,9 +192,9 @@ func (tx *Tx) flush(pending []*VertexFuture, spec bool, expect uint64) {
 	// here through chaseAlias + the installed state — no fresh chase
 	// generation, no second ForwardedReads count, no traffic
 	// (TestMultiHopRevisitOfMigratedVertexUsesAliasMap).
-	var fetches []*pendingFetch
-	var uniq map[fabric.DPtr]*pendingFetch
-	enqueue := func(dp fabric.DPtr, futs []*VertexFuture) {
+	var gen []assoc
+	var uniq map[fabric.DPtr]int
+	enqueue := func(dp fabric.DPtr, futs ...*VertexFuture) {
 		dp = tx.chaseAlias(dp)
 		if st, ok := tx.verts[dp]; ok {
 			for _, f := range futs {
@@ -229,232 +202,242 @@ func (tx *Tx) flush(pending []*VertexFuture, spec bool, expect uint64) {
 			}
 			return
 		}
-		// Optimistic fetches are served by a local follower copy when this
-		// rank holds one: zero remote traffic, and the follower-observed
-		// version is recorded against the primary DPtr so the commit-time
-		// validation train still proves freshness against the primary's word.
-		// Heat stays attributed to the primary's owner — a replica read must
-		// not make the follower rank look like the place the vertex lives.
-		if tx.optimistic() {
-			if st, ver, ok := tx.tryReplicaRead(dp); ok {
-				if spec && ver != expect {
-					for _, f := range futs {
-						f.fail(errStaleTranslation)
-					}
-					return
-				}
-				tx.eng.replicaReads.Add(1)
-				st.ver = ver
-				st.origLabel = append([]lpg.LabelID(nil), st.v.Labels...)
-				tx.verts[dp] = st
-				tx.optReads = append(tx.optReads, optRead{dp, ver})
-				tx.eng.recordHeat(tx.rank, st.v.AppID, dp.Rank())
-				for _, f := range futs {
-					f.resolveState(st)
-				}
-				return
+		if uniq == nil && len(gen) > 0 {
+			uniq = make(map[fabric.DPtr]int, len(pending))
+			for i := range gen {
+				uniq[gen[i].dp] = i
 			}
 		}
-		if uniq == nil && len(fetches) > 0 {
-			uniq = make(map[fabric.DPtr]*pendingFetch, len(pending))
-			for _, q := range fetches {
-				uniq[q.dp] = q
-			}
-		}
-		var pf *pendingFetch
-		if uniq != nil {
-			pf = uniq[dp]
-		}
-		if pf == nil {
-			pf = &pendingFetch{dp: dp}
+		i, ok := uniq[dp]
+		if !ok {
+			i = len(gen)
+			gen = append(gen, assoc{dp: dp})
 			if uniq != nil {
-				uniq[dp] = pf
+				uniq[dp] = i
 			}
-			fetches = append(fetches, pf)
 		}
-		pf.futs = append(pf.futs, futs...)
+		gen[i].futs = append(gen[i].futs, futs...)
 	}
 	for _, f := range pending {
 		if !f.done {
-			enqueue(f.dp, []*VertexFuture{f})
+			enqueue(f.dp, f)
 		}
 	}
 
-	// Each generation fetches one hop of the (normally trivial) forwarding
-	// graph: fetches that land on a migration stub re-queue at the vertex's
-	// current primary and go around again, bounded by maxForwardHops.
-	for hop := 0; len(fetches) > 0; hop++ {
-		// Scrub the generation against states installed since it was
-		// queued: a chase re-queued at the vertex's current primary may
-		// race a direct fetch of that same primary resolving later in the
-		// previous generation — fetching it again would double-lock the
-		// word and fork the per-transaction state.
-		if hop > 0 {
-			live := fetches[:0]
-			for _, pf := range fetches {
-				if st, ok := tx.verts[pf.dp]; ok {
-					for _, f := range pf.futs {
-						f.resolveState(st)
-					}
-					continue
-				}
-				live = append(live, pf)
-			}
-			fetches = live
-			if len(fetches) == 0 {
-				return
-			}
-		}
+	// Each generation reads one hop of the (normally trivial) forwarding
+	// graph: vertices that land on a migration stub re-queue at their current
+	// primary and go around again, bounded by maxForwardHops. A generation
+	// installs its states before the next is queued, so a chase that arrives
+	// at a vertex this flush already read resolves to its state.
+	var r chainReader // the installed states' views alias its bytes
+	for hop := 0; len(gen) > 0; hop++ {
 		if hop > maxForwardHops {
 			crit := tx.fail(fmt.Errorf("associating %d vertices: migration forwarding chain exceeded %d hops: %w",
-				len(fetches), maxForwardHops, locks.ErrContended))
-			for _, pf := range fetches {
-				for _, f := range pf.futs {
+				len(gen), maxForwardHops, locks.ErrContended))
+			for i := range gen {
+				for _, f := range gen[i].futs {
 					f.fail(crit)
 				}
 			}
 			return
 		}
-
-		// Phase 1: locks, one vectored CAS train per owner rank (elided for
-		// collective read-only transactions, §3.3, and for the optimistic
-		// tier, which validates instead of locking). A failed acquisition is
-		// transaction-critical and poisons the whole flush; the train
-		// releases its partial acquisitions itself before reporting it. A
-		// speculative fetch locks only at the version it expects and is
-		// stale, not critical, when the word is elsewhere or write-held.
-		// A read-held word cannot change version, so the word each lock
-		// CAS left is the stamp the fetch rounds are served against.
-		locking := tx.locking()
-		if locking && spec {
-			live := fetches[:0]
-			for _, pf := range fetches {
-				if stamp, ok := tx.eng.lockWordOf(pf.dp).TryAcquireReadAt(tx.rank, expect, tx.eng.cfg.LockTries); ok {
-					pf.stamp = stamp
-					live = append(live, pf)
-					continue
-				}
-				for _, f := range pf.futs {
-					f.fail(errStaleTranslation)
-				}
-			}
-			if fetches = live; len(fetches) == 0 {
-				return
-			}
-		} else if locking {
-			words := make([]locks.Word, len(fetches))
-			for i, pf := range fetches {
-				words[i] = tx.eng.lockWordOf(pf.dp)
-			}
-			stamps, err := locks.AcquireReadTrainAt(tx.rank, words, nil, tx.eng.cfg.LockTries)
-			if err != nil {
-				crit := tx.fail(fmt.Errorf("read-locking a %d-vertex association batch: %w", len(fetches), err))
-				for _, pf := range fetches {
-					for _, f := range pf.futs {
-						f.fail(crit)
-					}
-				}
-				return
-			}
-			for i, pf := range fetches {
-				pf.stamp = stamps[i]
-			}
+		if !tx.readGeneration(&r, gen, spec, expect) {
+			return
 		}
-		for _, pf := range fetches {
-			st := &vertexState{primary: pf.dp}
-			if locking {
-				pf.ver = locks.Version(pf.stamp)
-				st.lock, st.ver = lockRead, pf.ver
-			}
-			pf.st = st
-		}
-
-		// Phase 2: fetch rounds. Optimistic holders whose guard version
-		// moved mid-stream come back torn and are re-fetched from scratch; a
-		// holder still unstable after the retry budget fails the
-		// transaction, exactly as exhausted lock retries do on the locking
-		// path.
-		remaining := fetches
-		for attempt := 0; len(remaining) > 0; attempt++ {
-			unstable := tx.fetchHolderStreams(remaining, spec, expect)
-			if len(unstable) == 0 {
-				break
-			}
-			if attempt+1 >= tx.eng.cfg.LockTries {
-				// An optimistic abort like the commit-time one, surfaced at
-				// fetch time: count it so the abort reports stay
-				// self-describing.
-				tx.eng.optAborts.Add(1)
-				crit := tx.fail(fmt.Errorf("optimistic fetch of %d vertices still torn after %d attempts: %w",
-					len(unstable), attempt+1, locks.ErrContended))
-				for _, pf := range unstable {
-					pf.err = crit
+		cur := gen
+		gen, uniq = nil, nil
+		for i := range cur {
+			a := &cur[i]
+			switch {
+			case a.err != nil:
+				for _, f := range a.futs {
+					f.fail(a.err)
 				}
-				break
-			}
-			for _, pf := range unstable {
-				pf.buf, pf.blocks, pf.nb, pf.fwd = nil, nil, 0, 0
-				pf.fetched, pf.suspect = nil, nil
-			}
-			remaining = unstable
-		}
-
-		// Phase 3: decode, install, resolve — or re-queue fetches that found
-		// a forwarding stub where the holder used to be. The optimistic tier
-		// records the version each holder was validated at; Commit
-		// revalidates the whole read set in one train per owner rank.
-		gen := fetches
-		fetches = nil
-		uniq = nil
-		for _, pf := range gen {
-			if pf.err == nil && !pf.fwd.IsNull() {
+			case !a.fwd.IsNull():
 				tx.eng.forwards.Add(1)
-				tx.addAlias(pf.dp, pf.fwd)
-				enqueue(pf.fwd, pf.futs)
-				continue
-			}
-			if pf.err == nil {
-				// Lazy decode: validate the stream and materialize everything
-				// except the edge records, which stay varint/fixed-encoded in
-				// pf.buf behind the state's view until a mutation (or an
-				// index-addressed read) needs a mutable slice. Point reads and
-				// CSR passes iterate the view in place and allocate nothing
-				// per edge.
-				st := pf.st
-				err := st.view.Reset(pf.buf)
-				var v *holder.Vertex
-				if err == nil {
-					v, err = st.view.DecodeMeta()
-				}
-				if err != nil {
-					tx.unlockState(pf.st)
-					pf.err = fmt.Errorf("%w: %v", ErrNotFound, err)
-				} else {
-					pf.st.v = v
-					pf.st.ver = pf.ver
-					pf.st.lazyEdges = st.view.NumEdges() > 0
-					pf.st.blocks = pf.blocks
-					pf.st.origLabel = append([]lpg.LabelID(nil), v.Labels...)
-					tx.verts[pf.dp] = pf.st
-					// pf.dp is the block the holder actually decoded from —
-					// the post-chase primary when the fetch went through a
-					// forwarding stub — so heat lands against the vertex's
-					// current owner, not the vacated one.
-					tx.eng.recordHeat(tx.rank, v.AppID, pf.dp.Rank())
-					if tx.optimistic() {
-						tx.optReads = append(tx.optReads, optRead{pf.dp, pf.ver})
-					}
-				}
-			}
-			for _, f := range pf.futs {
-				if pf.err != nil {
-					f.fail(pf.err)
-				} else {
-					f.resolveState(pf.st)
+				tx.addAlias(a.dp, a.fwd)
+				enqueue(a.fwd, a.futs...)
+			default:
+				for _, f := range a.futs {
+					f.resolveState(a.st)
 				}
 			}
 		}
 	}
+}
+
+// readGeneration reads and settles every vertex of gen. On the optimistic
+// tier a vertex this rank holds a follower copy of is read from that copy,
+// an item of the same batch guarded by its own word, and recorded in the
+// read set against the primary; a copy that cannot serve is dropped from the
+// directory (unless it was merely busy) and the primary is read instead.
+// Seqlock items that were torn or write-held are read again, up to the
+// transaction's retry budget. It returns false when the read-lock train
+// failed the transaction, and every future of gen with it.
+func (tx *Tx) readGeneration(r *chainReader, gen []assoc, spec bool, expect uint64) bool {
+	e := tx.eng
+	locking := tx.locking()
+	var want func([]byte) bool
+	if spec {
+		want = isPrimaryHead
+	}
+	followers := tx.optimistic() && e.repl[tx.rank].size() > 0
+	r.items = r.items[:0]
+	for i := range gen {
+		a := &gen[i]
+		a.st = &vertexState{primary: a.dp}
+		it := chainItem{head: a.dp, want: want}
+		if followers {
+			if ent, ok := e.repl[tx.rank].lookup(a.dp); ok {
+				a.follow = ent
+				it.head, it.want = ent.head, holder.IsReplicaBlock
+			}
+		}
+		r.items = append(r.items, it)
+	}
+	mode := readStable
+	if tx.optimistic() {
+		mode = readSeqlock
+	}
+	if locking && !tx.lockGeneration(r, gen, spec, expect) {
+		return false
+	}
+	for attempts := 0; ; {
+		if !locking {
+			r.stamp(e, tx.rank)
+			for i := range r.items {
+				// A speculative read wants the version it cached; a busy
+				// follower copy is left to fall back to the primary.
+				if it := &r.items[i]; spec && it.verdict == unread && (locks.Version(it.stamp) != expect ||
+					locks.WriteHeld(it.stamp) && gen[i].follow.head.IsNull()) {
+					it.verdict, gen[i].err = readRefused, errStaleTranslation
+				}
+			}
+		}
+		r.read(e, tx.rank, mode, false, true)
+		torn, again := false, false
+		for _, i := range r.batch {
+			a, it := &gen[i], &r.items[i]
+			busy := it.verdict == readHeld || it.verdict == readTorn
+			switch {
+			case it.verdict == readOK && tx.install(a, it):
+				continue
+			case !a.follow.head.IsNull():
+				// The copy cannot serve: drop it unless it was merely busy,
+				// and read the primary.
+				if !busy {
+					e.repl[tx.rank].drop(a.dp)
+				}
+				a.follow = replicaEntry{}
+				it.head, it.want, it.verdict, again = a.dp, want, unread, true
+			case busy:
+				it.verdict, torn, again = unread, true, true
+			case it.verdict == readStub:
+				a.fwd = holder.MovedTarget(it.buf)
+			case it.verdict == readRefused:
+				a.err = errStaleTranslation
+			default:
+				a.err = fmt.Errorf("%w: holder %v is deleted, reused or corrupt", ErrNotFound, a.dp)
+			}
+			if it.verdict != unread {
+				tx.unlockState(a.st)
+			}
+		}
+		if !again {
+			return true
+		}
+		if torn {
+			if attempts++; attempts >= e.cfg.LockTries {
+				// An optimistic abort like the commit-time one, surfaced at
+				// read time: count it so the abort reports stay
+				// self-describing.
+				e.optAborts.Add(1)
+				crit := tx.fail(fmt.Errorf("optimistic read of a vertex still torn after %d attempts: %w", attempts, locks.ErrContended))
+				for i := range r.items {
+					if r.items[i].verdict == unread {
+						gen[i].err = crit
+					}
+				}
+				return true
+			}
+		}
+	}
+}
+
+// lockGeneration read-locks every vertex of gen, one CAS train per owner
+// rank, and takes each word a lock CAS left as the item's stamp: a read-held
+// word cannot change version. A speculative generation locks each vertex only
+// at the version it expects; one that is elsewhere or write-held is stale,
+// not critical.
+func (tx *Tx) lockGeneration(r *chainReader, gen []assoc, spec bool, expect uint64) bool {
+	e := tx.eng
+	if spec {
+		for i := range gen {
+			it := &r.items[i]
+			var ok bool
+			if it.stamp, ok = e.lockWordOf(gen[i].dp).TryAcquireReadAt(tx.rank, expect, e.cfg.LockTries); !ok {
+				it.verdict, gen[i].err = readRefused, errStaleTranslation
+			}
+		}
+	} else {
+		words := make([]locks.Word, len(gen))
+		for i := range gen {
+			words[i] = e.lockWordOf(gen[i].dp)
+		}
+		stamps, err := locks.AcquireReadTrainAt(tx.rank, words, nil, e.cfg.LockTries)
+		if err != nil {
+			crit := tx.fail(fmt.Errorf("read-locking a %d-vertex association batch: %w", len(gen), err))
+			for i := range gen {
+				for _, f := range gen[i].futs {
+					f.fail(crit)
+				}
+			}
+			return false
+		}
+		for i, w := range stamps {
+			r.items[i].stamp = w
+		}
+	}
+	for i := range gen {
+		if r.items[i].verdict == unread {
+			gen[i].st.lock, gen[i].st.ver = lockRead, locks.Version(r.items[i].stamp)
+		}
+	}
+	return true
+}
+
+// install decodes an item read OK into a's state and makes it the
+// transaction's: the edge records stay encoded behind the state's view until
+// a mutation (or an index-addressed read) needs a mutable slice, so point
+// reads and CSR passes iterate in place. It returns false for a stream that
+// does not decode, or a follower copy that is not this vertex's.
+func (tx *Tx) install(a *assoc, it *chainItem) bool {
+	st := a.st
+	err := st.view.Reset(it.buf)
+	var v *holder.Vertex
+	if err == nil {
+		v, err = st.view.DecodeMeta()
+	}
+	switch {
+	case err != nil || !a.follow.head.IsNull() && (!v.IsReplica || v.AppID != a.follow.app):
+		return false
+	case a.follow.head.IsNull():
+		st.blocks = it.chain()
+	default:
+		tx.eng.replicaReads.Add(1)
+	}
+	st.v, st.ver = v, locks.Version(it.stamp)
+	st.lazyEdges = st.view.NumEdges() > 0
+	st.origLabel = append([]lpg.LabelID(nil), v.Labels...)
+	tx.verts[a.dp] = st
+	// a.dp is the vertex's primary — the post-chase one when the read went
+	// through a forwarding stub, the primary a follower copy stands for — so
+	// heat lands against its current owner, not a vacated or follower rank.
+	tx.eng.recordHeat(tx.rank, v.AppID, a.dp.Rank())
+	if tx.optimistic() {
+		tx.optReads = append(tx.optReads, optRead{a.dp, st.ver})
+	}
+	return true
 }
 
 // chaseAlias resolves dp through the migration aliases this transaction has
@@ -477,187 +460,4 @@ func (tx *Tx) addAlias(dp, next fabric.DPtr) {
 		tx.moved = make(map[fabric.DPtr]fabric.DPtr)
 	}
 	tx.moved[dp] = next
-}
-
-// fetchHolderStreams materializes the logical streams of the given fetches —
-// round 0 reads every primary, round i the i-th continuation block of every
-// holder still needing one, each round one vectored read train per owner
-// rank — and returns the subset whose optimistic reads came back unstable
-// (guard version moved or writer held across the fetch) for the caller to
-// retry. Holders that turn out deleted or corrupt, or fail a speculative
-// fetch's checks (spec, expect: see flush), have pf.err set and are not
-// returned.
-//
-// Every round of every holder is served against one stamp of its guard:
-// cache hits valid at the stamp cost no traffic at all, and misses come off
-// the wire one GET train per rank per round. On the locking tier the stamp
-// is the word the read lock's CAS left (flush sets it); the other tiers
-// stamp the guards up front, one atomic-load train per owner rank. The
-// optimistic tier then establishes stability with a single post-stamp train
-// covering only the holders that actually touched the wire (a fully
-// cache-served holder is a consistent copy at its stamped version by
-// construction); fetched blocks of holders whose guard did not move are
-// installed into the cache.
-func (tx *Tx) fetchHolderStreams(fetches []*pendingFetch, spec bool, expect uint64) (unstable []*pendingFetch) {
-	bs := tx.eng.cfg.BlockSize
-	store := tx.eng.store
-	opt := tx.optimistic()
-
-	// Stamp every primary once, unless its read lock did; in optimistic mode
-	// a guard already held by a writer cannot validate, so its holder goes
-	// straight to retry. A speculative fetch is stale instead, at another
-	// version or under a writer (whose release moves the version).
-	var trains block.Trains
-	live := fetches
-	if !tx.locking() {
-		live = make([]*pendingFetch, 0, len(fetches))
-		prims := make([]fabric.DPtr, len(fetches))
-		for i, pf := range fetches {
-			prims[i] = pf.dp
-		}
-		words := make([]uint64, len(prims))
-		store.LockStampsInto(tx.rank, prims, words, &trains)
-		for i, pf := range fetches {
-			w := words[i]
-			switch {
-			case spec && (locks.Version(w) != expect || locks.WriteHeld(w)):
-				pf.err = errStaleTranslation
-			case opt && locks.WriteHeld(w):
-				unstable = append(unstable, pf)
-			default:
-				pf.stamp, pf.ver = w, locks.Version(w)
-				live = append(live, pf)
-			}
-		}
-	}
-
-	// readRound reads one block of every holder in roundPfs, reads[j] for
-	// roundPfs[j].
-	reads := make([]block.StampedRead, 0, len(live))
-	roundPfs := make([]*pendingFetch, 0, len(live))
-	readRound := func() {
-		store.ReadBlocksStamped(tx.rank, reads, !opt, &trains)
-		if opt {
-			for j, pf := range roundPfs {
-				if reads[j].Fetched {
-					pf.fetched = append(pf.fetched, reads[j])
-				}
-			}
-		}
-	}
-	// fail marks a holder deleted/corrupt. On the optimistic tier the
-	// verdict is provisional — the poison itself may be a torn read — and
-	// is confirmed or discarded by the post-stamp check.
-	var toCheck []*pendingFetch
-	fail := func(pf *pendingFetch, err error) {
-		if opt {
-			pf.suspect = err
-			toCheck = append(toCheck, pf)
-			return
-		}
-		tx.unlockState(pf.st)
-		pf.err = err
-	}
-
-	// Round 0: every primary block, guarded by its own lock word.
-	for _, pf := range live {
-		pf.buf = make([]byte, bs)
-		reads = append(reads, block.StampedRead{DP: pf.dp, Buf: pf.buf, Guard: pf.dp, Stamp: pf.stamp})
-		roundPfs = append(roundPfs, pf)
-	}
-	readRound()
-	cur := make([]*pendingFetch, 0, len(live))
-	for _, pf := range live {
-		nb := holder.NumBlocks(pf.buf)
-		if nb < 1 {
-			fail(pf, fmt.Errorf("%w: holder %v was deleted", ErrNotFound, pf.dp))
-			continue
-		}
-		if spec && (!isVertexHead(pf.buf) || holder.IsReplicaBlock(pf.buf)) {
-			// A cached translation names primary vertex heads only; the
-			// caller falls back to the index instead of chasing anything.
-			tx.unlockState(pf.st)
-			pf.err = errStaleTranslation
-			continue
-		}
-		if holder.IsMoved(pf.buf) {
-			// The vertex migrated away and left a forwarding stub: record
-			// the chase target and drop any read lock on the vacated block —
-			// the flush re-queues the fetch at the current primary. On the
-			// optimistic tier the stub read still goes through the
-			// post-stamp check below before the target is trusted.
-			pf.fwd = holder.MovedTarget(pf.buf)
-			tx.unlockState(pf.st)
-			continue
-		}
-		pf.nb = nb
-		pf.blocks = make([]fabric.DPtr, 1, nb)
-		pf.blocks[0] = pf.dp
-		if nb > 1 {
-			full := make([]byte, nb*bs)
-			copy(full, pf.buf)
-			pf.buf = full
-		}
-		cur = append(cur, pf)
-	}
-
-	// Continuation rounds: block `round` of every holder still needing one,
-	// guarded by the holder's primary.
-	for round := 1; len(cur) > 0; round++ {
-		reads, roundPfs = reads[:0], roundPfs[:0]
-		next := cur[:0]
-		for _, pf := range cur {
-			if pf.nb <= round {
-				continue
-			}
-			dp := holder.TableEntry(pf.buf, round-1)
-			if dp.IsNull() {
-				fail(pf, fmt.Errorf("%w: holder %v has a null continuation block", ErrNotFound, pf.dp))
-				continue
-			}
-			pf.blocks = append(pf.blocks, dp)
-			reads = append(reads, block.StampedRead{DP: dp, Buf: pf.buf[round*bs : (round+1)*bs], Guard: pf.dp, Stamp: pf.stamp})
-			roundPfs = append(roundPfs, pf)
-			next = append(next, pf)
-		}
-		if len(reads) == 0 {
-			break
-		}
-		readRound()
-		cur = next
-	}
-
-	// Optimistic post-validation: one stamp train over the holders that
-	// fetched anything (or look deleted); an unmoved guard proves every one
-	// of their wire reads was stable.
-	if opt {
-		for _, pf := range fetches {
-			if pf.err == nil && pf.suspect == nil && len(pf.fetched) > 0 {
-				toCheck = append(toCheck, pf)
-			}
-		}
-		if len(toCheck) == 0 {
-			return unstable
-		}
-		prims := make([]fabric.DPtr, len(toCheck))
-		for i, pf := range toCheck {
-			prims[i] = pf.dp
-		}
-		post := make([]uint64, len(prims))
-		store.LockStampsInto(tx.rank, prims, post, &trains)
-		for i, pf := range toCheck {
-			if w := post[i]; locks.Version(w) != pf.ver || locks.WriteHeld(w) {
-				pf.suspect = nil
-				unstable = append(unstable, pf)
-				continue
-			}
-			if pf.suspect != nil {
-				pf.err = pf.suspect
-				pf.suspect = nil
-				continue
-			}
-			store.InstallStamped(tx.rank, pf.fetched)
-		}
-	}
-	return unstable
 }

@@ -35,7 +35,7 @@ type migCand struct {
 	mv       MigrationMove
 	word     locks.Word // old primary's lock word
 	ver      uint64     // its version while held
-	old      chainRead  // the old chain, read under the lock
+	old      chainItem  // the old chain, read under the lock
 	v        *holder.Vertex
 	dst      fabric.DPtr   // new primary on the destination rank
 	fresh    []fabric.DPtr // destination blocks acquired for the move (rollback list)
@@ -120,13 +120,13 @@ func (e *Engine) MigrateVertices(me fabric.Rank, moves []MigrationMove) (int, er
 	// Phase 2: read the old chains, batched. A poisoned (deleted), forwarded
 	// (already migrated) or recycled block means the plan went stale between
 	// planning and locking.
-	reads := make([]chainRead, len(live))
+	heads := make([]fabric.DPtr, len(live))
 	for i, c := range live {
-		reads[i].head = c.mv.Old
+		heads[i] = c.mv.Old
 	}
-	e.readChains(me, reads, isVertexHead)
-	for i, c := range live {
-		c.old, c.ok = reads[i], reads[i].buf != nil
+	for i, it := range e.readChains(me, heads, isVertexHead) {
+		c := live[i]
+		c.old, c.ok = it, it.verdict == readOK
 		if !c.ok {
 			e.skipMove(me, c)
 		}
@@ -188,7 +188,7 @@ func (e *Engine) MigrateVertices(me fabric.Rank, moves []MigrationMove) (int, er
 		if !c.ok { // skipped, or not swung on the fatal path
 			continue
 		}
-		for _, dp := range c.old.blocks[1:] {
+		for _, dp := range c.old.chain()[1:] {
 			e.store.ReleaseBlock(me, dp)
 		}
 	}

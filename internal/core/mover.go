@@ -10,9 +10,10 @@ import (
 
 // The chain mover: the steps every writer that moves or rewrites a holder
 // chain shares. Migration, replica seeding and failover promotion run all of
-// them — lock, read the chain (readChains), transform the decoded vertex,
-// lay the new stream out over blocks (layoutChain), queue the chain plus its
-// follower copies on one write train (appendChainWrites), publish, release.
+// them — lock, read the chain (readChains, in read.go), transform the
+// decoded vertex, lay the new stream out over blocks (layoutChain), queue the
+// chain plus its follower copies on one write train (appendChainWrites),
+// publish, release.
 // Commit write-back and the bulk loaders use the layout and write steps.
 // ARCHITECTURE.md, "Life of a chain move", walks through them and lists what
 // each caller supplies.
@@ -35,77 +36,9 @@ func (e *Engine) validPoolDPtr(dp fabric.DPtr) bool {
 // forwarding stub, not a heavy-edge holder.
 func isVertexHead(head []byte) bool { return !holder.IsMoved(head) && !holder.IsEdgeHolder(head) }
 
-// chainRead is one holder chain of a batched read. The caller sets head;
-// readChains sets buf to the holder's full logical stream and blocks to its
-// chain (head first), or leaves buf nil when it rejects the entry.
-type chainRead struct {
-	head   fabric.DPtr
-	buf    []byte
-	blocks []fabric.DPtr
-}
-
-// readChains reads the whole chain of every entry: one batched GET round for
-// the heads, then one per continuation depth. The caller holds whatever keeps
-// the content stable (the write lock, or a mark it owns). The bytes may still
-// come from a block recycled since the caller chose it, so none of them is
-// trusted before the caller's identity check: an entry is rejected, alone,
-// when its block count is outside [1, BlocksPerRank], when want (if non-nil)
-// refuses its head block, or when a table entry names a block outside the
-// pool or off the head's rank (a chain lives on one rank).
-func (e *Engine) readChains(origin fabric.Rank, reads []chainRead, want func(head []byte) bool) {
-	bs := e.cfg.BlockSize
-	dps := make([]fabric.DPtr, 0, len(reads))
-	bufs := make([][]byte, 0, len(reads))
-	for i := range reads {
-		reads[i].buf = make([]byte, bs)
-		dps = append(dps, reads[i].head)
-		bufs = append(bufs, reads[i].buf)
-	}
-	e.store.ReadBlocksBatch(origin, dps, bufs)
-	for i := range reads {
-		r := &reads[i]
-		nb := holder.NumBlocks(r.buf)
-		if nb < 1 || nb > e.store.BlocksPerRank() || (want != nil && !want(r.buf)) {
-			r.buf = nil
-			continue
-		}
-		r.blocks = make([]fabric.DPtr, 1, nb)
-		r.blocks[0] = r.head
-		if nb > 1 {
-			full := make([]byte, nb*bs)
-			copy(full, r.buf)
-			r.buf = full
-		}
-	}
-	for round := 1; ; round++ {
-		dps, bufs = dps[:0], bufs[:0]
-		for i := range reads {
-			r := &reads[i]
-			if len(r.buf) <= round*bs {
-				continue
-			}
-			dp := holder.TableEntry(r.buf, round-1)
-			if !e.validPoolDPtr(dp) || dp.Rank() != r.head.Rank() {
-				r.buf, r.blocks = nil, nil
-				continue
-			}
-			r.blocks = append(r.blocks, dp)
-			dps = append(dps, dp)
-			bufs = append(bufs, r.buf[round*bs:(round+1)*bs])
-		}
-		if len(dps) == 0 {
-			return
-		}
-		e.store.ReadBlocksBatch(origin, dps, bufs)
-	}
-}
-
-// readChain is readChains for one holder; buf is nil when it was rejected.
-func (e *Engine) readChain(origin fabric.Rank, head fabric.DPtr, want func(head []byte) bool) (buf []byte, blocks []fabric.DPtr) {
-	r := []chainRead{{head: head}}
-	e.readChains(origin, r, want)
-	return r[0].buf, r[0].blocks
-}
+// isPrimaryHead accepts the head block of a live vertex holder's primary
+// chain, the only block a cached translation may name.
+func isPrimaryHead(head []byte) bool { return isVertexHead(head) && !holder.IsReplicaBlock(head) }
 
 // fitChain resizes blocks to need entries. Missing blocks are acquired on
 // rank on and, when fresh is non-nil, also appended to *fresh, the caller's

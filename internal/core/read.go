@@ -1,0 +1,346 @@
+package core
+
+import (
+	"cmp"
+	"slices"
+
+	"github.com/gdi-go/gdi/internal/block"
+	"github.com/gdi-go/gdi/internal/fabric"
+	"github.com/gdi-go/gdi/internal/holder"
+	"github.com/gdi-go/gdi/internal/locks"
+)
+
+// The one holder-chain reader. Every read of a holder's block chain in this
+// package queues items on a chainReader and walks them here: the association
+// flush, ExpandFrontier's lean route, OptimisticPointRead, follower-served
+// reads (items of the flush's batch) and the chain mover. ARCHITECTURE.md,
+// "Life of a holder read", has the protocol per tier.
+//
+// Nothing read is trusted: a head may be a block recycled since the caller
+// chose it. So a block count outside [1, BlocksPerRank], and a table entry off
+// the pool or off the head's rank (a chain lives on one rank), end an item's
+// walk as readImplausible before any buffer is sized or rank addressed from
+// them.
+
+// readMode says where a batch's stamps come from and what keeps its reads
+// stable.
+type readMode uint8
+
+const (
+	// readSeqlock: stamp loads the guards; the reads count only if a
+	// post-stamp finds each guard at the same version with the write bit
+	// clear, and only then are the fetched blocks cached (the optimistic
+	// tier).
+	readSeqlock readMode = iota
+	// readStable: the stamps are read-lock CAS results, or were loaded in a
+	// collective read epoch. Nothing moves them, so fetched blocks are cached
+	// at once.
+	readStable
+	// readUnderLock: the caller holds each head's write lock or mark. Blocks
+	// come straight from the pool, neither stamped nor cached.
+	readUnderLock
+)
+
+// verdict is what a read concluded about one item.
+type verdict uint8
+
+const (
+	unread          verdict = iota // queued for the next read
+	readOK                         // buf holds the chain, or the prefix asked for
+	readGone                       // block count 0: the holder was deleted or its block freed
+	readImplausible                // a block count or table entry no holder has: a reused block
+	readStub                       // a forwarding stub: holder.MovedTarget(buf) is where the vertex went
+	readHeld                       // the seqlock stamp showed a writer, so nothing was read
+	readRefused                    // refused by the caller, by its head test or before the read
+	readTorn                       // the post-stamp moved: the blocks read are not one version
+)
+
+// chainItem is one holder chain of a batch.
+type chainItem struct {
+	head    fabric.DPtr            // the chain's first block, whose lock word guards all of it
+	want    func(head []byte) bool // the caller's head test; nil accepts any holder head
+	stamp   uint64                 // that word before the first read (stamped modes)
+	buf     []byte                 // the stream, as far as it was read
+	need    int                    // blocks read: the chain, or its entry prefix
+	verdict verdict
+	// wire: a block came off the wire or the pool, not out of the validated
+	// cache; after the post-stamp, whether it covered the item.
+	wire bool
+}
+
+// fetchedRead is a block a seqlock read took off the wire, and its item.
+type fetchedRead struct {
+	item int32
+	block.StampedRead
+}
+
+// chain returns the blocks of an item read whole, head first.
+func (it *chainItem) chain() []fabric.DPtr {
+	blocks := make([]fabric.DPtr, it.need)
+	blocks[0] = it.head
+	for i := 1; i < it.need; i++ {
+		blocks[i] = holder.TableEntry(it.buf, i-1)
+	}
+	return blocks
+}
+
+// chainReader reads batches of holder chains. Its slices grow in one step per
+// batch and serve the next, so a reader kept across batches — a frontier's,
+// hop to hop, or a point read's arena — allocates nothing once warm. Streams
+// are carved out of bytes; a caller that resets it recycles them, and one that
+// does not (the flush) leaves them to the views that alias them.
+type chainReader struct {
+	items  []chainItem
+	bytes  byteArena
+	trains block.Trains
+	point  bool // stamps of a one-item batch are scalar loads: no train, no allocation
+
+	batch   []int32             // the items the last read walked
+	reads   []block.StampedRead // the round being read…
+	readOf  []int32             // …and the item each read belongs to
+	walking []int32             // items whose chain continues past the round just read
+	fetched []fetchedRead       // seqlock reads off the wire, cached once their item validates
+	dps     []fabric.DPtr       // guards to stamp, or an unstamped round's blocks (scratch)
+	bufs    [][]byte
+	words   []uint64
+}
+
+// reset starts a batch of up to n items and recycles the bytes of the last.
+func (r *chainReader) reset(n int) {
+	r.items = slices.Grow(r.items[:0], n)
+	r.bytes.reset()
+}
+
+// stamp loads the guard word of every unread item into its stamp.
+func (r *chainReader) stamp(e *Engine, origin fabric.Rank) {
+	r.dps, r.readOf = slices.Grow(r.dps[:0], len(r.items)), slices.Grow(r.readOf[:0], len(r.items))
+	for i := range r.items {
+		if r.items[i].verdict == unread {
+			r.dps = append(r.dps, r.items[i].head)
+			r.readOf = append(r.readOf, int32(i))
+		}
+	}
+	for k, w := range r.load(e, origin) {
+		r.items[r.readOf[k]].stamp = w
+	}
+}
+
+// load returns the lock words of r.dps, one load train per owner rank.
+func (r *chainReader) load(e *Engine, origin fabric.Rank) []uint64 {
+	if r.point && len(r.dps) == 1 {
+		r.words = append(r.words[:0], e.store.LockStamp(origin, r.dps[0]))
+		return r.words
+	}
+	r.words = slices.Grow(r.words[:0], len(r.dps))[:len(r.dps)]
+	e.store.LockStampsInto(origin, r.dps, r.words, &r.trains)
+	return r.words
+}
+
+// read walks the chain of every unread item and gives each a verdict: a head
+// round, then one round per continuation depth up to each item's need — the
+// whole chain, or with prefix the blocks through the end of the entry region.
+// A round is one GET train per owner rank for what the validated cache cannot
+// serve. On readSeqlock the post-stamp follows (validate); confirm extends it
+// to the gone, implausible and stub verdicts, for a caller that acts on them.
+func (r *chainReader) read(e *Engine, origin fabric.Rank, mode readMode, prefix, confirm bool) {
+	bs := e.cfg.BlockSize
+	r.batch = slices.Grow(r.batch[:0], len(r.items))
+	for i := range r.items {
+		if r.items[i].verdict == unread {
+			r.batch = append(r.batch, int32(i))
+		}
+	}
+	r.fetched = r.fetched[:0]
+	r.reads, r.readOf = slices.Grow(r.reads[:0], len(r.batch)), slices.Grow(r.readOf[:0], len(r.batch))
+	r.bytes.reserve(len(r.batch) * bs)
+	for _, i := range r.batch {
+		it := &r.items[i]
+		if mode == readSeqlock && locks.WriteHeld(it.stamp) {
+			it.verdict = readHeld
+			continue
+		}
+		it.buf, it.wire = r.bytes.alloc(bs), false
+		r.queue(i, it.head, it.buf)
+	}
+	r.round(e, origin, mode)
+
+	r.walking = slices.Grow(r.walking[:0], len(r.readOf))
+	chains := 0 // bytes of the streams that continue past their head
+	for _, i := range r.readOf {
+		it := &r.items[i]
+		nb := holder.NumBlocks(it.buf)
+		switch {
+		case nb < 1:
+			it.verdict = readGone
+		case nb > e.store.BlocksPerRank():
+			it.verdict = readImplausible
+		case it.want != nil && !it.want(it.buf):
+			it.verdict = readRefused
+		case holder.IsMoved(it.buf):
+			it.verdict = readStub
+		default:
+			it.verdict, it.need = readOK, nb
+			if prefix {
+				it.need = holder.EntryBlocks(it.buf, bs)
+			}
+			if it.need > 1 {
+				r.walking = append(r.walking, i)
+				chains += it.need * bs
+			}
+		}
+	}
+	r.bytes.reserve(chains)
+	for _, i := range r.walking {
+		it := &r.items[i]
+		full := r.bytes.alloc(it.need * bs)
+		copy(full, it.buf)
+		it.buf = full
+	}
+
+	// Continuation rounds: block `round` of every chain that reaches it,
+	// located by the table entry the rounds before brought in.
+	for round := 1; len(r.walking) > 0; round++ {
+		r.reads, r.readOf = r.reads[:0], r.readOf[:0]
+		more := r.walking[:0]
+		for _, i := range r.walking {
+			it := &r.items[i]
+			dp := holder.TableEntry(it.buf, round-1)
+			if !e.validPoolDPtr(dp) || dp.Rank() != it.head.Rank() {
+				it.verdict = readImplausible
+				continue
+			}
+			r.queue(i, dp, it.buf[round*bs:(round+1)*bs])
+			if it.need > round+1 {
+				more = append(more, i)
+			}
+		}
+		r.walking = more
+		r.round(e, origin, mode)
+	}
+	if mode == readSeqlock {
+		r.validate(e, origin, confirm)
+	}
+}
+
+// queue adds block dp of item i, into buf, to the round being built.
+func (r *chainReader) queue(i int32, dp fabric.DPtr, buf []byte) {
+	it := &r.items[i]
+	r.reads = append(r.reads, block.StampedRead{DP: dp, Buf: buf, Guard: it.head, Stamp: it.stamp})
+	r.readOf = append(r.readOf, i)
+}
+
+// round reads the queued blocks and, on readSeqlock, notes what came off the
+// wire.
+func (r *chainReader) round(e *Engine, origin fabric.Rank, mode readMode) {
+	if mode == readUnderLock {
+		r.dps, r.bufs = r.dps[:0], r.bufs[:0]
+		for j := range r.reads {
+			r.dps, r.bufs = append(r.dps, r.reads[j].DP), append(r.bufs, r.reads[j].Buf)
+		}
+		e.store.ReadBlocksBatch(origin, r.dps, r.bufs)
+		return
+	}
+	e.store.ReadBlocksStamped(origin, r.reads, mode == readStable, &r.trains)
+	if mode != readSeqlock {
+		return
+	}
+	for j := range r.reads {
+		if rd := &r.reads[j]; rd.Fetched {
+			r.items[r.readOf[j]].wire = true
+			if rd.DP.Rank() != origin {
+				r.fetched = append(r.fetched, fetchedRead{r.readOf[j], *rd})
+			}
+		}
+	}
+}
+
+// validate is the seqlock double-check: one more stamp train, over the items
+// whose verdict rests on blocks off the wire (or, with confirm, on a gone or
+// implausible head wherever it came from). A guard that moved makes the item
+// readTorn; the fetched blocks of the OK and stub items that held are cached.
+func (r *chainReader) validate(e *Engine, origin fabric.Rank, confirm bool) {
+	r.dps, r.readOf = r.dps[:0], r.readOf[:0]
+	for _, i := range r.batch {
+		it := &r.items[i]
+		ok, stub := it.verdict == readOK, it.verdict == readStub
+		it.wire = it.wire && (ok || stub && confirm) || confirm && (it.verdict == readGone || it.verdict == readImplausible)
+		if it.wire {
+			r.dps = append(r.dps, it.head)
+			r.readOf = append(r.readOf, i)
+		}
+	}
+	if len(r.dps) == 0 {
+		return // a batch served from the validated cache needs no second look
+	}
+	for k, w := range r.load(e, origin) {
+		if it := &r.items[r.readOf[k]]; locks.Version(w) != locks.Version(it.stamp) || locks.WriteHeld(w) {
+			it.verdict = readTorn
+		}
+	}
+	// Cache what held holder by holder, each in chain order: a cache smaller
+	// than the batch keeps whole holders.
+	slices.SortStableFunc(r.fetched, func(a, b fetchedRead) int { return cmp.Compare(a.item, b.item) })
+	r.reads = r.reads[:0]
+	for _, f := range r.fetched {
+		if it := &r.items[f.item]; it.wire && (it.verdict == readOK || it.verdict == readStub) {
+			r.reads = append(r.reads, f.StampedRead)
+		}
+	}
+	e.store.InstallStamped(origin, r.reads)
+}
+
+// readChains reads the whole chain of every head under the caller's write
+// locks or marks, refusing heads want refuses; an item not readOK was
+// rejected.
+func (e *Engine) readChains(origin fabric.Rank, heads []fabric.DPtr, want func(head []byte) bool) []chainItem {
+	var r chainReader
+	r.reset(len(heads))
+	for _, h := range heads {
+		r.items = append(r.items, chainItem{head: h, want: want})
+	}
+	r.read(e, origin, readUnderLock, false, false)
+	return r.items
+}
+
+// readChain is readChains for one holder: buf is nil when it was rejected.
+func (e *Engine) readChain(origin fabric.Rank, head fabric.DPtr, want func(head []byte) bool) (buf []byte, blocks []fabric.DPtr) {
+	it := &e.readChains(origin, []fabric.DPtr{head}, want)[0]
+	if it.verdict != readOK {
+		return nil, nil
+	}
+	return it.buf, it.chain()
+}
+
+// byteArena carves holder streams out of one buffer.
+type byteArena struct {
+	buf  []byte
+	off  int // bytes of buf handed out
+	used int // bytes handed out since the last reset, over every buffer
+}
+
+// reserve makes sure the next n bytes come out of one buffer: the current
+// one if it has the room, a fresh one of exactly that size otherwise (what
+// was carved from the old one stays valid; the old buffer is just not reused).
+func (a *byteArena) reserve(n int) {
+	if len(a.buf)-a.off < n {
+		a.buf, a.off = make([]byte, n), 0
+	}
+}
+
+// alloc returns n bytes, not zeroed, valid until the next reset.
+func (a *byteArena) alloc(n int) []byte {
+	a.reserve(n)
+	a.off += n
+	a.used += n
+	return a.buf[a.off-n : a.off : a.off]
+}
+
+// reset makes the arena's memory available again, in one buffer that holds
+// as much as was handed out since the last reset: a batch of the same shape
+// then carves everything out of it.
+func (a *byteArena) reset() {
+	if len(a.buf) < a.used {
+		a.buf = make([]byte, a.used)
+	}
+	a.off, a.used = 0, 0
+}

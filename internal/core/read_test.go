@@ -4,25 +4,34 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/gdi-go/gdi/internal/fabric"
 	"github.com/gdi-go/gdi/internal/holder"
+	"github.com/gdi-go/gdi/internal/locks"
+	"github.com/gdi-go/gdi/internal/lpg"
 	"github.com/gdi-go/gdi/internal/rma"
 )
 
 // TestReadersRejectReusedHeadBlock: a committed vertex's head block is
 // overwritten the way a recycled block can look to a reader that still names
-// it — a block count of 3 whose first table entry names rank 255, and a block
-// count of 0x00fffff0 — and every reader of holder chains must turn it away
-// without panicking, sizing a buffer on the count or addressing the rank:
-// associations on both local tiers fail with ErrNotFound, so does a frontier
-// expansion, a warm translation fails, and the point read declines.
+// it — a block count of 3 whose first table entry names rank 255, or whose
+// entries name real blocks on the other rank (a chain lives on one rank), and
+// a block count of 0x00fffff0 — and every reader of holder chains must turn
+// it away without panicking, sizing a buffer on the count or addressing the
+// rank: associations on both local tiers fail with ErrNotFound, so does a
+// frontier expansion, a warm translation fails, the point read declines, and
+// a read under lock calls the chain implausible.
 func TestReadersRejectReusedHeadBlock(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		nb   uint32
-	}{{"garbage-table-entry", 3}, {"absurd-block-count", 0x00fffff0}} {
+		name    string
+		nb      uint32
+		offRank bool // the table entries name blocks on the other rank, not rank 255
+	}{{"garbage-table-entry", 3, false}, {"off-rank-table-entry", 3, true}, {"absurd-block-count", 0x00fffff0, false}} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := NewEngine(rma.New(2), Config{BlockSize: 64, BlocksPerRank: 1 << 12, LockTries: 16})
 			const app = 7
@@ -49,10 +58,19 @@ func TestReadersRejectReusedHeadBlock(t *testing.T) {
 
 			garbage := make([]byte, 64)
 			binary.LittleEndian.PutUint32(garbage[0:], tc.nb)
-			binary.LittleEndian.PutUint64(garbage[holder.TableEntryOffset(0):], uint64(rma.MakeDPtr(255, 5)))
+			entries := []fabric.DPtr{rma.MakeDPtr(255, 5)}
+			if tc.offRank {
+				entries = []fabric.DPtr{rma.MakeDPtr(1-dp.Rank(), 5), rma.MakeDPtr(1-dp.Rank(), 6)}
+			}
+			for i, entry := range entries {
+				binary.LittleEndian.PutUint64(garbage[holder.TableEntryOffset(i):], uint64(entry))
+			}
 			for r := range 2 { // a write drops the writer's cached copy only
 				e.Store().WriteBlock(fabric.Rank(r), dp, garbage)
 			}
+			var mem runtime.MemStats
+			runtime.ReadMemStats(&mem)
+			allocated := mem.TotalAlloc
 
 			for r := range 2 {
 				origin := fabric.Rank(r)
@@ -79,7 +97,426 @@ func TestReadersRejectReusedHeadBlock(t *testing.T) {
 				if e.OptimisticPointRead(origin, dp, &ReadArena{}, func(*holder.View) {}) {
 					t.Errorf("rank %d: OptimisticPointRead accepted the block", r)
 				}
+				if v := e.readChains(origin, []fabric.DPtr{dp}, nil)[0].verdict; v != readImplausible {
+					t.Errorf("rank %d: a read under lock gave verdict %d, want readImplausible", r, v)
+				}
+			}
+			runtime.ReadMemStats(&mem)
+			if n := mem.TotalAlloc - allocated; n > 16<<20 {
+				t.Errorf("the readers allocated %d bytes over a one-block holder", n)
 			}
 		})
+	}
+}
+
+// assocFixture is the store the association golden cases read from rank 0,
+// and what they read.
+type assocFixture struct {
+	batch []fabric.DPtr // one AssociateVertices batch
+	spec  []uint64      // application IDs whose cached translations are checked speculatively
+}
+
+// buildAssocFixture commits a four-rank graph and then disturbs it. The batch
+// names, in order: a hub with a long name and four edges to every other
+// vertex, whose holder is a chain at 64-byte blocks and at 256; light
+// vertices on every rank, rank 0's own among them; a duplicate; the three
+// DPtrs of a vertex migrated twice (two forwarding stubs and its current
+// primary); two vertices rank 0 follows, one of whose followers lags its
+// primary; a deleted vertex; and the hub again. The speculative cases are
+// a local and a remote vertex whose cached translations still hold, the
+// followed and lagging vertices, the vertex migrated twice (translated after
+// its moves), a vertex rewritten after its translation was cached, and one
+// migrated after it.
+func buildAssocFixture(t *testing.T, e *Engine) assocFixture {
+	t.Helper()
+	const ranks = 4
+	person, knows, age, name := seedPersonSchema(t, e)
+	run := func(r fabric.Rank, fn func(tx *Tx) error) {
+		t.Helper()
+		tx := e.StartLocal(r, ReadWrite)
+		if err := fn(tx); err != nil {
+			tx.Abort()
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// vertex k on rank r has application ID r + k·ranks.
+	app := func(r, k int) uint64 { return uint64(r + k*ranks) }
+	dps := make(map[uint64]fabric.DPtr)
+	run(0, func(tx *Tx) error {
+		for r := 0; r < ranks; r++ {
+			for k := 0; k < 5; k++ {
+				dp, err := tx.CreateVertex(app(r, k))
+				if err != nil {
+					return err
+				}
+				dps[app(r, k)] = dp
+				h, err := tx.AssociateVertex(dp)
+				if err != nil {
+					return err
+				}
+				if err := h.AddLabel(person); err != nil {
+					return err
+				}
+				if err := h.AddProperty(age, lpg.EncodeUint64(uint64(20+r+k))); err != nil {
+					return err
+				}
+				if err := h.AddProperty(name, []byte(fmt.Sprintf("vertex %d of rank %d", k, r))); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	v := func(r, k int) fabric.DPtr { return dps[app(r, k)] }
+	hub := v(1, 0)
+	run(0, func(tx *Tx) error {
+		h, err := tx.AssociateVertex(hub)
+		if err != nil {
+			return err
+		}
+		if err := h.SetProperty(name, []byte(strings.Repeat("the hub ", 40))); err != nil {
+			return err
+		}
+		for r := 0; r < ranks; r++ {
+			for k := 0; k < 5; k++ {
+				for range 4 {
+					if v(r, k) == hub {
+						continue
+					}
+					if _, err := tx.CreateEdge(hub, v(r, k), holder.DirOut, knows); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		return nil
+	})
+	migrant := app(2, 3)
+	mid := mustMigrate(t, e, migrant, 3)
+	final := mustMigrate(t, e, migrant, 1)
+	followed, lagging := app(2, 1), app(3, 1)
+	if n := e.replicateAll(0, []uint64{followed, lagging}, 2); n != 2 {
+		t.Fatalf("seeded %d follower copies on rank 0, want 2", n)
+	}
+	gone := v(3, 2)
+	run(1, func(tx *Tx) error { return tx.DeleteVertex(gone) })
+
+	rewritten, moved := app(2, 2), app(1, 3)
+	spec := []uint64{app(0, 1), app(3, 0), followed, lagging, migrant, rewritten, moved}
+	for _, a := range spec {
+		tx := e.StartLocal(0, ReadOnly)
+		if _, err := tx.TranslateVertexID(a); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(1, func(tx *Tx) error {
+		h, err := tx.AssociateVertex(dps[rewritten])
+		if err != nil {
+			return err
+		}
+		return h.SetProperty(age, lpg.EncodeUint64(99))
+	})
+	mustMigrate(t, e, moved, 2)
+	// Lag a follower: bump its primary's version word without a fan-out.
+	w := e.lockWordOf(dps[lagging])
+	vers, held := locks.AcquireWriteTrainEach(1, []locks.TrainLock{{Word: w}}, 16)
+	if !held[0] {
+		t.Fatal("could not write-lock the lagging vertex's primary")
+	}
+	locks.ReleaseWriteTrain(1, []locks.Word{w}, vers)
+
+	batch := []fabric.DPtr{hub, v(2, 0), v(3, 0), v(0, 1), v(2, 0), dps[migrant], mid, final,
+		dps[followed], dps[lagging], gone, v(1, 2), hub}
+	return assocFixture{batch: batch, spec: spec}
+}
+
+// referenceAssociateVertices is AssociateVertices over referenceFlush.
+func referenceAssociateVertices(tx *Tx, dps []fabric.DPtr) ([]*VertexHandle, error) {
+	if err := tx.check(); err != nil {
+		return nil, err
+	}
+	futs := make([]*VertexFuture, len(dps))
+	for i, dp := range dps {
+		futs[i] = tx.AssociateVertexAsync(dp)
+	}
+	pending := tx.pending
+	tx.pending = nil
+	referenceFlush(tx, pending, false, 0)
+	out := make([]*VertexHandle, len(dps))
+	for i, f := range futs {
+		h, err := f.Wait()
+		switch {
+		case err == nil:
+			out[i] = h
+		case !errors.Is(err, ErrNotFound):
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// stateString renders what an association left in a vertex state: its
+// identity, lock, version and blocks, and the decoded vertex with its edge
+// list materialized, whether the state holds it decoded or behind its view.
+func stateString(st *vertexState) string {
+	if st == nil {
+		return "<nil>"
+	}
+	v := *st.v
+	if st.lazyEdges {
+		v.Edges = st.view.AppendEdges(nil)
+	}
+	return fmt.Sprintf("%v lock=%d ver=%d blocks=%v %+v", st.primary, st.lock, st.ver, st.blocks, v)
+}
+
+// errClass names the kind of an association error.
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, errStaleTranslation):
+		return "stale"
+	case errors.Is(err, ErrNotFound):
+		return "not found"
+	case errors.Is(err, ErrTxCritical):
+		return "critical"
+	}
+	return err.Error()
+}
+
+// assocOutcome is everything a golden case compares.
+type assocOutcome struct {
+	Results  []string   // per batch position (cold, then warm), then per speculative check
+	ReadSets [][]string // the optimistic read set of each transaction, sorted
+	Moved    []string   // the migration aliases each transaction chased
+	Traffic  []string   // remote GETs, GET trains, remote atomics, atomic trains per step
+	Words    [][]uint64 // every word window after each step: lock words, free lists, index
+	Counters string     // forwarded, replica-served and optimistic-aborted reads
+}
+
+// TestAssociateMatchesReference is the golden test of the chain reader under
+// the association flush. On twin engines with the same history, one reads
+// through AssociateVertices and the speculative flush, the other through
+// referenceFlush, the parent's flush. Each case reads the fixture's batch
+// cold, then warm, then checks each cached translation speculatively in a
+// transaction of its own, and compares: the decoded vertices, lock states and
+// versions; the read sets and chased aliases; the remote GETs, GET trains,
+// remote atomics and atomic trains of every step; every word window after
+// every step; and the engine's read counters. It runs on the locking,
+// optimistic and collective tiers, at 64- and 256-byte blocks, with a
+// 512-block and a one-block cache.
+func TestAssociateMatchesReference(t *testing.T) {
+	tiers := []struct {
+		name       string
+		mode       Mode
+		collective bool
+	}{{"locking", ReadWrite, false}, {"optimistic", ReadOnly, false}, {"collective", ReadOnly, true}}
+	for _, tier := range tiers {
+		for _, bs := range []int{64, 256} {
+			for _, cache := range []int{512, 1} {
+				t.Run(fmt.Sprintf("%s/block=%d/cache=%d", tier.name, bs, cache), func(t *testing.T) {
+					var spec []uint64 // the fixture's speculative cases
+					run := func(associate func(*Tx, []fabric.DPtr) ([]*VertexHandle, error),
+						flush func(*Tx, []*VertexFuture, bool, uint64)) assocOutcome {
+						log := &windowLog{Transport: rma.New(4)}
+						e := NewEngine(log, Config{BlockSize: bs, BlocksPerRank: 1 << 10, LockTries: 16, CacheCapacity: cache})
+						fx := buildAssocFixture(t, e)
+						spec = fx.spec
+						head := make([]byte, bs)
+						e.Store().ReadBlock(0, fx.batch[0], head)
+						if holder.NumBlocks(head) < 2 {
+							t.Fatal("the hub's holder is not a chain")
+						}
+						forwards, replicaReads := e.ForwardedReads(), e.ReplicaReads()
+						var out assocOutcome
+						step := func(tx *Tx, do func()) {
+							before := log.TotalSnapshot()
+							do()
+							a := log.TotalSnapshot()
+							out.Traffic = append(out.Traffic, fmt.Sprint(a.RemoteGets-before.RemoteGets, a.GetBatches-before.GetBatches,
+								a.RemoteAtoms-before.RemoteAtoms, a.AtomicBatches-before.AtomicBatches))
+							_, words := log.dump()
+							out.Words = append(out.Words, slices.Concat(words...))
+							var reads []string
+							for _, r := range tx.optReads {
+								reads = append(reads, fmt.Sprint(r))
+							}
+							slices.Sort(reads)
+							out.ReadSets = append(out.ReadSets, reads)
+							out.Moved = append(out.Moved, fmt.Sprint(tx.moved))
+						}
+						start := func() *Tx {
+							tx := e.StartLocal(0, tier.mode)
+							tx.collective = tier.collective // no barrier: rank 0 reads alone
+							return tx
+						}
+						for range 2 { // cold, then warm
+							tx := start()
+							step(tx, func() {
+								hs, err := associate(tx, fx.batch)
+								out.Results = append(out.Results, errClass(err))
+								for _, h := range hs {
+									var st *vertexState
+									if h != nil {
+										st = h.st
+									}
+									out.Results = append(out.Results, stateString(st))
+								}
+							})
+							tx.collective = false
+							tx.Abort()
+						}
+						if !tier.collective {
+							for _, a := range fx.spec {
+								tx := start()
+								dp, ver, ok := e.xlate[0].get(a)
+								if !ok {
+									t.Fatalf("no cached translation of %d", a)
+								}
+								step(tx, func() {
+									f := &VertexFuture{tx: tx, dp: dp}
+									flush(tx, []*VertexFuture{f}, true, ver)
+									out.Results = append(out.Results, fmt.Sprint(a, " ", errClass(f.err), " ", stateString(f.st)))
+								})
+								tx.Abort()
+							}
+						}
+						if e.ForwardedReads() == forwards {
+							t.Error("no read chased a forwarding stub")
+						}
+						if optimistic := !tier.collective && tier.mode == ReadOnly; optimistic != (e.ReplicaReads() > replicaReads) {
+							t.Errorf("follower-served reads: %d, on the optimistic tier only", e.ReplicaReads()-replicaReads)
+						}
+						out.Counters = fmt.Sprint(e.ForwardedReads(), e.ReplicaReads(), e.OptimisticAborts())
+						return out
+					}
+					got := run((*Tx).AssociateVertices, (*Tx).flush)
+					want := run(referenceAssociateVertices, referenceFlush)
+					compare := func(what string, got, want any) {
+						t.Helper()
+						if !reflect.DeepEqual(got, want) {
+							t.Errorf("%s differ from the reference:\n got %v\nwant %v", what, got, want)
+						}
+					}
+					if !tier.collective {
+						// The lagging follower's cached version still holds on
+						// the optimistic tier, which reads the follower; the
+						// locking tier reads the primary, which moved.
+						classes := []string{"ok", "ok", "ok", "ok", "ok", "stale", "stale"}
+						if tier.mode == ReadWrite {
+							classes[3] = "stale"
+						}
+						for i, c := range classes {
+							if r := want.Results[len(want.Results)-len(classes)+i]; !strings.HasPrefix(r, fmt.Sprint(spec[i], " ", c, " ")) {
+								t.Errorf("speculative case %d: %s, want %s", i, r, c)
+							}
+						}
+					}
+					compare("results", got.Results, want.Results)
+					compare("read sets", got.ReadSets, want.ReadSets)
+					compare("aliases", got.Moved, want.Moved)
+					compare("remote traffic", got.Traffic, want.Traffic)
+					compare("counters", got.Counters, want.Counters)
+					if !reflect.DeepEqual(got.Words, want.Words) {
+						t.Error("word windows (lock words, free lists, index) differ from the reference's")
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestFollowerThatCannotServeFallsBack: a follower copy whose head no longer
+// reads as one is dropped from the directory and the primary is read in its
+// place, in the same association; a follower that is merely busy (its word
+// write-marked by a fan-out) is read around but kept.
+func TestFollowerThatCannotServeFallsBack(t *testing.T) {
+	for _, busy := range []bool{false, true} {
+		t.Run(fmt.Sprintf("busy=%v", busy), func(t *testing.T) {
+			_, e := newReplicaEngine(t, 2)
+			_, _, age, _ := seedPersonSchema(t, e)
+			seed := e.StartLocal(1, ReadWrite)
+			const app = 1 // placed on rank 1
+			dp, err := seed.CreateVertex(app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, _ := seed.AssociateVertex(dp)
+			if err := h.AddProperty(age, lpg.EncodeUint64(41)); err != nil {
+				t.Fatal(err)
+			}
+			if err := seed.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if n := e.ReplicateFromRank(0, 1, 2); n != 1 {
+				t.Fatalf("seeded %d follower copies, want 1", n)
+			}
+			ent, _ := e.repl[0].lookup(dp)
+			if busy {
+				w := e.lockWordOf(ent.head)
+				if !locks.AcquireMirrorTrain(0, []locks.Word{w}, []uint64{locks.Version(w.Stamp(0))})[0] {
+					t.Fatal("could not mark the follower word")
+				}
+			} else {
+				e.Store().WriteBlock(0, ent.head, make([]byte, 64))
+			}
+
+			served := e.ReplicaReads()
+			tx := e.StartLocal(0, ReadOnly)
+			h, err = tx.AssociateVertex(dp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p, ok := h.Property(age); !ok || lpg.DecodeUint64(p) != 41 {
+				t.Fatalf("age = %v, %v; want the primary's 41", p, ok)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if e.ReplicaReads() != served {
+				t.Error("the follower copy served the read")
+			}
+			if _, kept := e.repl[0].lookup(dp); kept != busy {
+				t.Errorf("directory entry kept = %v, want %v", kept, busy)
+			}
+		})
+	}
+}
+
+// TestWriteHeldStampReadsNothing: on the seqlock tier a guard a writer holds
+// cannot validate, so the reader reads none of its blocks — the point read
+// declines and an association retries on stamps alone until its budget runs
+// out — and issues no remote GET.
+func TestWriteHeldStampReadsNothing(t *testing.T) {
+	e := NewEngine(rma.New(2), Config{BlockSize: 64, BlocksPerRank: 1 << 10, LockTries: 4})
+	seed := e.StartLocal(1, ReadWrite)
+	dp, err := seed.CreateVertex(1) // placed on rank 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	w := e.lockWordOf(dp)
+	if _, err := locks.AcquireWriteTrain(1, []locks.TrainLock{{Word: w}}, 4); err != nil {
+		t.Fatal(err)
+	}
+	before := e.Fabric().TotalSnapshot()
+	if e.OptimisticPointRead(0, dp, &ReadArena{}, func(*holder.View) {}) {
+		t.Error("the point read accepted a write-held holder")
+	}
+	tx := e.StartLocal(0, ReadOnly)
+	if _, err := tx.AssociateVertex(dp); !errors.Is(err, ErrTxCritical) {
+		t.Errorf("AssociateVertex under a writer: err = %v, want a transaction-critical one", err)
+	}
+	tx.Abort()
+	if n := e.Fabric().TotalSnapshot().RemoteGets - before.RemoteGets; n != 0 {
+		t.Errorf("%d remote GETs of a write-held holder, want 0", n)
 	}
 }

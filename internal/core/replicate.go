@@ -427,58 +427,6 @@ func (e *Engine) replicateOne(origin fabric.Rank, app uint64, primary fabric.DPt
 	return true
 }
 
-// tryReplicaRead serves an optimistic fetch from a local follower copy: a
-// seqlock read of the follower chain (stamp, read, re-stamp), decoded and
-// validated, with the observed version recorded by the caller against the
-// primary DPtr — the existing commit-time validation train then checks it
-// against the primary's word, so a stale follower costs an abort, never a
-// stale read. Returns false (and possibly drops the directory entry) on any
-// miss; the caller falls back to the remote fetch path, and counts a read it
-// accepts.
-func (tx *Tx) tryReplicaRead(dp fabric.DPtr) (*vertexState, uint64, bool) {
-	e := tx.eng
-	ent, ok := e.repl[tx.rank].lookup(dp)
-	if !ok {
-		return nil, 0, false
-	}
-	bs := e.cfg.BlockSize
-	word := e.lockWordOf(ent.head)
-	w1 := word.Stamp(tx.rank)
-	if locks.WriteHeld(w1) {
-		return nil, 0, false // fan-out or reseed in flight
-	}
-	buf := make([]byte, bs)
-	e.store.ReadBlock(tx.rank, ent.head, buf)
-	nb := holder.NumBlocks(buf)
-	if nb < 1 || nb > e.store.BlocksPerRank() || !holder.IsReplicaBlock(buf) || holder.IsMoved(buf) {
-		e.repl[tx.rank].drop(dp)
-		return nil, 0, false
-	}
-	if nb > 1 {
-		full := make([]byte, nb*bs)
-		copy(full, buf)
-		buf = full
-		for i := 1; i < nb; i++ {
-			bdp := holder.TableEntry(buf, i-1)
-			if !e.validPoolDPtr(bdp) || bdp.Rank() != tx.rank {
-				e.repl[tx.rank].drop(dp)
-				return nil, 0, false
-			}
-			e.store.ReadBlock(tx.rank, bdp, buf[i*bs:(i+1)*bs])
-		}
-	}
-	if word.Stamp(tx.rank) != w1 {
-		return nil, 0, false // torn: a fan-out landed mid-read
-	}
-	v, err := holder.DecodeVertex(buf)
-	if err != nil || !v.IsReplica || v.AppID != ent.app {
-		e.repl[tx.rank].drop(dp)
-		return nil, 0, false
-	}
-	st := &vertexState{primary: dp, v: v}
-	return st, locks.Version(w1), true
-}
-
 // PromoteDead promotes this rank's follower copies of every vertex whose
 // primary lives on a rank the transport has reported dead. Each entry races
 // the vertex's other surviving followers through one DHT CAS
