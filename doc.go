@@ -233,10 +233,16 @@
 // next to the point-read guard), and the arena is garbage once the
 // transaction closes: nothing of a hop counts against the live heap.
 // LIMIT is a bounded top-k on the canonical order over IDs, and only the
-// rows it keeps are associated as handles, for the projection. Forwarding
-// stubs, follower-served vertices, holders caught mid-write, and all
-// frontiers of locking transactions fall back to one AssociateVertices
-// batch; a frontier vertex that no longer exists is ErrNotFound.
+// rows it keeps are associated as handles, for the projection. On the
+// optimistic tier it also stops the last hop early
+// (Transaction.FilterFrontier): the lock word's stub bit tells which
+// frontier DPtrs are forwarding stubs, every other DPtr is its vertex's ID,
+// so the hop reads the frontier in ascending DPtr order, in chunks, until
+// LIMIT matches sort below everything unread, whose stamped versions Commit
+// validates. Forwarding stubs, follower-served vertices, holders caught
+// mid-write, and all frontiers of locking transactions fall back to one
+// AssociateVertices batch; a frontier vertex that no longer exists is
+// ErrNotFound.
 //
 // The cmd/gdi-ldbc driver exercises the layer end to end with an
 // LDBC-SNB-interactive-flavored mix — IS-style point reads, IC-style 2-hop
@@ -304,7 +310,8 @@
 // each destination runs migration trains that copy holder chains under
 // best-effort write locks, leave one-hop forwarding stubs at the vacated
 // blocks, swing the DHT entries and release with a version bump, which is
-// the whole invalidation broadcast. ARCHITECTURE.md, "Life of a chain move",
+// the whole invalidation broadcast; the release also sets each stub's lock
+// word stub bit, so a reader's stamp knows a stub before it fetches one. ARCHITECTURE.md, "Life of a chain move",
 // describes the train; TestMigrationCoherenceStress and the
 // RebalanceAblation benchmark test it.
 //

@@ -427,8 +427,13 @@ func (tx *Tx) Commit() error {
 		es.blocks = nil
 	}
 	// Retire the deleted vertices' forwarding stubs: unlock (the poison
-	// above was written under these locks), then return the blocks.
-	locks.ReleaseWriteTrain(tx.rank, stubWords, stubVers)
+	// above was written under these locks) with the stub bit cleared, so a
+	// recycler of the block finds a plain word, then return the blocks.
+	retired := make([]locks.StubMark, len(stubWords))
+	for i := range retired {
+		retired[i] = locks.StubClear
+	}
+	locks.ReleaseWriteTrainMarked(tx.rank, stubWords, stubVers, retired)
 	for _, h := range stubBlocks {
 		tx.eng.store.ReleaseBlock(tx.rank, h)
 	}

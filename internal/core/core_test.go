@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/gdi-go/gdi/internal/constraint"
@@ -148,6 +149,44 @@ func TestReadOnlyRejectsMutations(t *testing.T) {
 		t.Fatalf("SetProperty in RO tx: %v", err)
 	}
 	tx.Commit()
+}
+
+// TestRemovePropertiesOnReadOnlyLeavesHandle: RemoveProperties on a read-only
+// transaction fails with ErrReadOnly and leaves the handle's properties as
+// they were, in order, none lost and none doubled.
+func TestRemovePropertiesOnReadOnlyLeavesHandle(t *testing.T) {
+	e := newEngine(t, 1)
+	_, _, age, name := seedPersonSchema(t, e)
+	setup := e.StartLocal(0, ReadWrite)
+	dp, _ := setup.CreateVertex(1)
+	h, err := setup.AssociateVertex(dp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.SetProperty(age, lpg.EncodeUint64(33)); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.SetProperty(name, lpg.EncodeString("alice")); err != nil {
+		t.Fatal(err)
+	}
+	if err := setup.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	tx := e.StartLocal(0, ReadOnly)
+	defer tx.Abort()
+	if h, err = tx.AssociateVertex(dp); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := h.RemoveProperties(age); !errors.Is(err, ErrReadOnly) || n != 0 {
+		t.Fatalf("RemoveProperties in RO tx = %d, %v; want 0, ErrReadOnly", n, err)
+	}
+	if got := h.PTypes(); !slices.Equal(got, []lpg.PTypeID{age, name}) {
+		t.Fatalf("properties after the refused removal: %v, want [%v %v]", got, age, name)
+	}
+	if v, ok := h.Property(age); !ok || lpg.DecodeUint64(v) != 33 {
+		t.Fatalf("age after the refused removal = %v, %v", v, ok)
+	}
 }
 
 func TestEdgesLifecycle(t *testing.T) {

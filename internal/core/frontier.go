@@ -23,53 +23,173 @@ func (h *VertexHandle) Matches(cons *constraint.Constraint) bool {
 // matched holds the IDs of the frontier vertices that satisfy cons, deduped,
 // in frontier order; next holds the union of their neighbors in
 // first-encounter order (mask 0 skips the harvest: filter only, the shape a
-// traversal's final hop wants). A frontier vertex that no longer exists — the
-// read set is stale — fails the expansion with ErrNotFound.
+// traversal's final hop wants, which is FilterFrontier without a limit). A
+// frontier vertex that no longer exists — the read set is stale — fails the
+// expansion with ErrNotFound.
 //
 // A frontier vertex costs its label/property bytes and no heap object. On the
-// optimistic tier the hop reads the deduped frontier in one seqlock batch of
-// the chain reader ("Life of a holder read" in ARCHITECTURE.md) into the
-// transaction's frontier arena, reused from hop to hop. A filter-only hop
-// reads only the blocks that reach the end of the entry region — the primary
-// block for all but mega-hubs — not the chain. The hop evaluates cons in place
-// on the encoded entry region, harvests neighbors straight off the view, and
-// appends a (vertex, version) pair to the read set Commit revalidates.
-// Whatever the batch did not read OK goes through AssociateVertices in one
-// batch and is filtered and harvested through its handles: forwarding stubs,
-// vertices a local follower copy serves, holders that were being written or
-// look deleted, and every frontier of a locking transaction.
+// optimistic tier the hop stamps the deduped frontier in one load train per
+// owner rank (stampFrontier) and reads what the stamps vouch for in one
+// seqlock batch of the chain reader ("Life of a holder read" in
+// ARCHITECTURE.md) into the transaction's frontier arena, reused from hop to
+// hop. It evaluates cons in place on the encoded entry region, harvests
+// neighbors straight off the view, and appends a (vertex, version) pair to the
+// read set Commit revalidates. Whatever the batch did not read OK goes through
+// AssociateVertices in one batch and is filtered and harvested through its
+// handles: forwarding stubs, vertices a local follower copy serves, holders
+// that were being written or look deleted, and every frontier of a locking
+// transaction.
 func (tx *Tx) ExpandFrontier(frontier []fabric.DPtr, mask DirMask, cons *constraint.Constraint) (matched, next []fabric.DPtr, err error) {
-	if len(frontier) == 0 {
-		return nil, nil, nil
+	if mask == 0 {
+		matched, err = tx.FilterFrontier(frontier, cons, 0)
+		return matched, nil, err
 	}
-	if err := tx.check(); err != nil {
+	sc, err := tx.startHop(frontier, cons)
+	if sc == nil {
 		return nil, nil, err
 	}
-	if cons != nil && cons.Stale(tx.registry()) {
-		return nil, nil, fmt.Errorf("%w: stale constraint", ErrTxCritical)
-	}
-	if tx.frontier == nil {
-		tx.frontier = new(frontierScratch)
-	}
-	sc := tx.frontier
-	if err := sc.reset(frontier); err != nil {
-		return nil, nil, err
-	}
-	if tx.optimistic() {
-		tx.readFrontier(sc, mask == 0)
-	} else {
-		for i := range sc.items {
-			sc.items[i].verdict = readRefused
-		}
-	}
+	tx.stampFrontier(sc)
+	tx.readPicked(sc, sc.stamped(), false)
 	if err := tx.associateHandled(sc); err != nil {
 		return nil, nil, err
 	}
 	return tx.evalFrontier(sc, mask, cons)
 }
 
-// frontierScratch is the arena of Tx.ExpandFrontier: everything a hop needs
-// per frontier vertex lives in slices that are sized once from the frontier's
+// FilterFrontier is the filter-only hop: the IDs of the frontier vertices
+// that satisfy cons, deduped. With limit 0 it is ExpandFrontier with mask 0:
+// every match, in frontier order. A filter-only hop reads each holder only up
+// to the end of its label/property entries (holder.EntryBlocks: the primary
+// block for all but mega-hubs), not its chain.
+//
+// A limit > 0 is a LIMIT the caller applies to the canonically sorted IDs,
+// and lets the optimistic tier stop early: the result then holds the limit
+// smallest matched IDs — every match when there are fewer — plus whatever
+// else it met, in no particular order. The hop first resolves what the
+// stamps cannot vouch for through AssociateVertices (a stub's current ID
+// sorts anywhere), then reads the rest in ascending DPtr order, in chunks:
+// the first of 2×limit vertices, each later one sized from the match rate so
+// far. A vertex whose stamp shows neither a stub nor a writer is known by its
+// DPtr before it is read, so the hop stops once limit distinct matched IDs lie
+// below the smallest unread DPtr. Each unread vertex joins the read set at
+// its stamped version: a migration or a write that lands on it after the
+// stamp fails Commit. The locking and collective tiers read every vertex.
+func (tx *Tx) FilterFrontier(frontier []fabric.DPtr, cons *constraint.Constraint, limit int) ([]fabric.DPtr, error) {
+	sc, err := tx.startHop(frontier, cons)
+	if sc == nil {
+		return nil, err
+	}
+	tx.stampFrontier(sc)
+	if err := tx.associateHandled(sc); err != nil {
+		return nil, err
+	}
+	if limit <= 0 || !tx.optimistic() {
+		tx.readPicked(sc, sc.stamped(), true)
+		if err := tx.associateHandled(sc); err != nil {
+			return nil, err
+		}
+		matched, _, err := tx.evalFrontier(sc, 0, cons)
+		return matched, err
+	}
+
+	// The early-stopping hop: matched is a set, since a vertex resolved late
+	// may turn out to be one an earlier chunk already counted.
+	var matched []fabric.DPtr
+	sc.seen.reset(0)
+	match := func(i int) error {
+		id, ok, err := tx.evalItem(sc, i, cons)
+		if ok {
+			if _, dup := sc.seen.getOrPut(id, struct{}{}); !dup {
+				matched = append(matched, id)
+			}
+		}
+		return err
+	}
+	for i := range sc.items {
+		if sc.verts[i].h != nil && !sc.verts[i].dup {
+			if err := match(i); err != nil {
+				return nil, err
+			}
+		}
+	}
+	rest := sc.stamped()
+	read, hits := 0, 0
+	for len(rest) > 0 {
+		bound := sc.items[rest[0]].head
+		for _, i := range rest[1:] {
+			bound = min(bound, sc.items[i].head)
+		}
+		below := 0
+		for _, id := range matched {
+			if id < bound {
+				below++
+			}
+		}
+		need := limit - below
+		if need <= 0 {
+			break
+		}
+		size := 2 * limit
+		if read > 0 {
+			size = max(need, 2*need*read/max(hits, 1))
+		}
+		if size < len(rest) {
+			sc.selectSmallest(rest, size)
+		}
+		size = min(size, len(rest))
+		chunk := rest[:size]
+		tx.readPicked(sc, chunk, true)
+		if err := tx.associateHandled(sc); err != nil {
+			return nil, err
+		}
+		for _, i := range chunk {
+			if sc.verts[i].dup {
+				continue
+			}
+			n := len(matched)
+			if err := match(int(i)); err != nil {
+				return nil, err
+			}
+			read++
+			if len(matched) > n {
+				hits++
+			}
+		}
+		// A vertex resolved in this chunk may be one the frontier names again
+		// further on; the resolution stands for it.
+		rest = slices.DeleteFunc(rest[size:], func(i int32) bool { return sc.verts[i].dup })
+	}
+	for _, i := range rest {
+		it := &sc.items[i]
+		tx.optReads = append(tx.optReads, optRead{it.head, locks.Version(it.stamp)})
+	}
+	return matched, nil
+}
+
+// startHop checks the transaction and cons, and dedups frontier into the
+// transaction's frontier arena. A nil arena means there is nothing to do: an
+// empty frontier, or the error.
+func (tx *Tx) startHop(frontier []fabric.DPtr, cons *constraint.Constraint) (*frontierScratch, error) {
+	if len(frontier) == 0 {
+		return nil, nil
+	}
+	if err := tx.check(); err != nil {
+		return nil, err
+	}
+	if cons != nil && cons.Stale(tx.registry()) {
+		return nil, fmt.Errorf("%w: stale constraint", ErrTxCritical)
+	}
+	if tx.frontier == nil {
+		tx.frontier = new(frontierScratch)
+	}
+	if err := tx.frontier.reset(frontier); err != nil {
+		return nil, err
+	}
+	return tx.frontier, nil
+}
+
+// frontierScratch is the arena of a frontier hop: everything a hop needs per
+// frontier vertex lives in slices that are sized once from the frontier's
 // width and reused from hop to hop, so the allocations of a hop are a small
 // constant — the result slices, the fabric's own word slices, and whatever of
 // the arena has to grow, each grown in one step — whatever the width. It
@@ -79,8 +199,10 @@ type frontierScratch struct {
 	chainReader                     // items[i] reads distinct frontier vertex i
 	verts       []frontierVertex    // aligned with items
 	index       dptrTable[int32]    // distinct frontier vertex → its item
-	seen        dptrTable[struct{}] // neighbors already harvested this hop
+	seen        dptrTable[struct{}] // neighbors harvested, or IDs matched, this hop
 	view        holder.View
+	pick        []int32 // items to read
+	resolving   []int32 // items in the AssociateVertices batch
 }
 
 // frontierVertex is what a hop knows of a frontier vertex beyond its read.
@@ -108,12 +230,21 @@ func (sc *frontierScratch) reset(frontier []fabric.DPtr) error {
 	return nil
 }
 
-// readFrontier is the optimistic tier's read of a whole frontier: one seqlock
-// batch, reaching the end of the entry region when entriesOnly and the whole
-// chain otherwise. A vertex this rank follows is left to the flush, which
-// reads the local copy. Each item read OK joins the read set.
-func (tx *Tx) readFrontier(sc *frontierScratch, entriesOnly bool) {
+// stampFrontier is a hop's first look at its frontier. On the optimistic tier
+// it loads every guard word, one load train per owner rank, and marks the
+// items the stamp vouches for readStamped: their word shows neither a stub
+// nor a writer, so each is a vertex known by its DPtr. It refuses the others,
+// and a vertex this rank follows, whose local copy the flush reads. The
+// other tiers refuse every item: their frontiers go to AssociateVertices
+// whole.
+func (tx *Tx) stampFrontier(sc *frontierScratch) {
 	e := tx.eng
+	if !tx.optimistic() {
+		for i := range sc.items {
+			sc.items[i].verdict = readRefused
+		}
+		return
+	}
 	if e.repl[tx.rank].size() > 0 {
 		for i := range sc.items {
 			if _, ok := e.repl[tx.rank].lookup(sc.items[i].head); ok {
@@ -122,22 +253,89 @@ func (tx *Tx) readFrontier(sc *frontierScratch, entriesOnly bool) {
 		}
 	}
 	sc.stamp(e, tx.rank)
-	sc.read(e, tx.rank, readSeqlock, entriesOnly, false)
-	tx.optReads = slices.Grow(tx.optReads, len(sc.items))
 	for i := range sc.items {
+		if it := &sc.items[i]; it.verdict == unread {
+			it.verdict = readStamped
+			if locks.Stub(it.stamp) || locks.WriteHeld(it.stamp) {
+				it.verdict = readRefused
+			}
+		}
+	}
+}
+
+// stamped lists the stamped items no earlier resolution stands for, in
+// frontier order, in sc.pick.
+func (sc *frontierScratch) stamped() []int32 {
+	sc.pick = slices.Grow(sc.pick[:0], len(sc.items))
+	for i := range sc.items {
+		if sc.items[i].verdict == readStamped && !sc.verts[i].dup {
+			sc.pick = append(sc.pick, int32(i))
+		}
+	}
+	return sc.pick
+}
+
+// readPicked reads the stamped items pick lists in one seqlock batch,
+// reaching the end of the entry region when entriesOnly and the whole chain
+// otherwise. Each item read OK joins the read set.
+func (tx *Tx) readPicked(sc *frontierScratch, pick []int32, entriesOnly bool) {
+	if len(pick) == 0 {
+		return
+	}
+	for _, i := range pick {
+		sc.items[i].verdict = unread
+	}
+	sc.read(tx.eng, tx.rank, readSeqlock, entriesOnly, false)
+	tx.optReads = slices.Grow(tx.optReads, len(pick))
+	for _, i := range pick {
 		if it := &sc.items[i]; it.verdict == readOK {
 			tx.optReads = append(tx.optReads, optRead{it.head, locks.Version(it.stamp)})
 		}
 	}
 }
 
-// associateHandled resolves the items the lean route left to the flush, all
-// in one AssociateVertices batch.
+// selectSmallest reorders pick so that its first k items are the k with the
+// smallest DPtrs (0 < k < len(pick)), by quickselect: linear in len(pick),
+// where sorting the frontier would cost O(n log n).
+func (sc *frontierScratch) selectSmallest(pick []int32, k int) {
+	head := func(j int) fabric.DPtr { return sc.items[pick[j]].head }
+	for lo, hi := 0, len(pick); hi-lo > 1; {
+		// Partition [lo, hi) around its middle head: [lo, lt) below it,
+		// [lt, gt) the pivot (heads are distinct), [gt, hi) above.
+		pivot := head(lo + (hi-lo)/2)
+		lt, gt := lo, hi
+		for j := lo; j < gt; {
+			switch h := head(j); {
+			case h < pivot:
+				pick[lt], pick[j] = pick[j], pick[lt]
+				lt++
+				j++
+			case h > pivot:
+				gt--
+				pick[j], pick[gt] = pick[gt], pick[j]
+			default:
+				j++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k > gt:
+			lo = gt
+		default:
+			return
+		}
+	}
+}
+
+// associateHandled resolves every item the hop has neither read OK nor still
+// to read — refused by the stamp, or not read OK — in one AssociateVertices
+// batch.
 func (tx *Tx) associateHandled(sc *frontierScratch) error {
-	sc.dps = sc.dps[:0]
+	sc.resolving, sc.dps = sc.resolving[:0], sc.dps[:0]
 	for i := range sc.items {
-		if sc.items[i].verdict != readOK {
-			sc.dps = append(sc.dps, sc.items[i].head)
+		if v := sc.items[i].verdict; v != readOK && v != readStamped && sc.verts[i].h == nil && !sc.verts[i].dup {
+			sc.resolving, sc.dps = append(sc.resolving, int32(i)), append(sc.dps, sc.items[i].head)
 		}
 	}
 	if len(sc.dps) == 0 {
@@ -147,38 +345,53 @@ func (tx *Tx) associateHandled(sc *frontierScratch) error {
 	if err != nil {
 		return err
 	}
-	k := 0
-	for i := range sc.items {
+	for k, i := range sc.resolving {
 		dp := sc.items[i].head
-		if sc.items[i].verdict == readOK {
-			continue
-		}
 		h := hs[k]
 		if sc.verts[i].h = h; h == nil {
 			return fmt.Errorf("%w: frontier vertex %v no longer exists", ErrNotFound, dp)
 		}
-		k++
 		// A forwarding stub resolves to the vertex's current ID, under which
 		// the frontier may name it a second time: the first occurrence stands
 		// for both.
 		if id := h.ID(); id != dp {
-			j, named := sc.index.getOrPut(id, int32(i))
-			if named && int(j) < i {
+			j, named := sc.index.getOrPut(id, i)
+			if named && j < i {
 				sc.verts[i].dup = true
 				continue
 			}
 			if named {
 				sc.verts[j].dup = true
-				sc.index.put(id, int32(i))
+				sc.index.put(id, i)
 			}
 		}
 	}
 	return nil
 }
 
-// evalFrontier filters the resolved frontier by cons and, when mask is
-// non-zero, harvests the matched vertices' neighbors — on the encoded stream
-// for the items the lean route read, through the handle for the others.
+// evalItem filters item i by cons — through its handle, or in place on the
+// entries the lean route read, leaving sc.view on its stream — and returns
+// the vertex's ID.
+func (tx *Tx) evalItem(sc *frontierScratch, i int, cons *constraint.Constraint) (id fabric.DPtr, ok bool, err error) {
+	if h := sc.verts[i].h; h != nil {
+		return h.ID(), h.Matches(cons), nil
+	}
+	it := &sc.items[i]
+	err = sc.view.Reset(it.buf)
+	if err == nil {
+		ok, err = cons.EvalEntries(sc.view.Entries())
+	}
+	if err != nil {
+		return it.head, false, fmt.Errorf("%w: holder %v: %v", ErrNotFound, it.head, err)
+	}
+	tx.eng.recordHeat(tx.rank, sc.view.AppID(), it.head.Rank())
+	return it.head, ok, nil
+}
+
+// evalFrontier filters the resolved frontier by cons, in frontier order, and,
+// when mask is non-zero, harvests the matched vertices' neighbors — on the
+// encoded stream for the items the lean route read, through the handle for
+// the others.
 func (tx *Tx) evalFrontier(sc *frontierScratch, mask DirMask, cons *constraint.Constraint) (matched, next []fabric.DPtr, err error) {
 	matched = make([]fabric.DPtr, 0, len(sc.items))
 	sc.seen.reset(0)
@@ -214,45 +427,32 @@ func (tx *Tx) evalFrontier(sc *frontierScratch, mask DirMask, cons *constraint.C
 		return true
 	}
 	for i := range sc.items {
-		it := &sc.items[i]
 		if sc.verts[i].dup {
 			continue
 		}
-		if h := sc.verts[i].h; h != nil {
-			if !h.Matches(cons) {
-				continue
-			}
-			matched = append(matched, h.ID())
-			if mask != 0 {
-				if err := h.ForEachNeighbor(mask, add); err != nil {
-					return nil, nil, err
-				}
-			}
-			continue
-		}
-		err := view.Reset(it.buf)
-		var ok bool
-		if err == nil {
-			ok, err = cons.EvalEntries(view.Entries())
-		}
+		id, ok, err := tx.evalItem(sc, i, cons)
 		if err != nil {
-			return nil, nil, fmt.Errorf("%w: holder %v: %v", ErrNotFound, it.head, err)
+			return nil, nil, err
 		}
-		tx.eng.recordHeat(tx.rank, view.AppID(), it.head.Rank())
 		if !ok {
 			continue
 		}
-		matched = append(matched, it.head)
-		if mask == 0 {
-			continue
-		}
-		cur = it.head
-		view.ForEachEdge(visit)
-		if walkErr != nil {
-			return nil, nil, walkErr
-		}
-		if err := view.Err(); err != nil {
-			return nil, nil, fmt.Errorf("%w: holder %v: %v", ErrNotFound, it.head, err)
+		matched = append(matched, id)
+		switch h := sc.verts[i].h; {
+		case mask == 0:
+		case h != nil:
+			if err := h.ForEachNeighbor(mask, add); err != nil {
+				return nil, nil, err
+			}
+		default:
+			cur = id
+			view.ForEachEdge(visit)
+			if walkErr != nil {
+				return nil, nil, walkErr
+			}
+			if err := view.Err(); err != nil {
+				return nil, nil, fmt.Errorf("%w: holder %v: %v", ErrNotFound, id, err)
+			}
 		}
 	}
 	return matched, next, nil

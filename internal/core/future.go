@@ -172,7 +172,8 @@ func (tx *Tx) flushPending() {
 // speculative flush (spec) is a translation-cache hit being checked: its
 // holders must still carry guard version expect, free of writers, and a
 // primary vertex head, or their futures fail with errStaleTranslation — on
-// the guard word alone, before any block is read, when the version moved.
+// the guard word alone, before any block is read, when the version moved or
+// the word marks a forwarding stub.
 func (tx *Tx) flush(pending []*VertexFuture, spec bool, expect uint64) {
 	if len(pending) == 0 {
 		return
@@ -306,9 +307,10 @@ func (tx *Tx) readGeneration(r *chainReader, gen []assoc, spec bool, expect uint
 		if !locking {
 			r.stamp(e, tx.rank)
 			for i := range r.items {
-				// A speculative read wants the version it cached; a busy
-				// follower copy is left to fall back to the primary.
-				if it := &r.items[i]; spec && it.verdict == unread && (locks.Version(it.stamp) != expect ||
+				// A speculative read wants the version it cached, and a vertex
+				// where a stub bit says the block is a stub; a busy follower
+				// copy is left to fall back to the primary.
+				if it := &r.items[i]; spec && it.verdict == unread && (locks.Version(it.stamp) != expect || locks.Stub(it.stamp) ||
 					locks.WriteHeld(it.stamp) && gen[i].follow.head.IsNull()) {
 					it.verdict, gen[i].err = readRefused, errStaleTranslation
 				}
@@ -367,8 +369,8 @@ func (tx *Tx) readGeneration(r *chainReader, gen []assoc, spec bool, expect uint
 // lockGeneration read-locks every vertex of gen, one CAS train per owner
 // rank, and takes each word a lock CAS left as the item's stamp: a read-held
 // word cannot change version. A speculative generation locks each vertex only
-// at the version it expects; one that is elsewhere or write-held is stale,
-// not critical.
+// at the version it expects; one that is elsewhere, write-held or marked a
+// stub is stale, not critical, and refused on that CAS result alone.
 func (tx *Tx) lockGeneration(r *chainReader, gen []assoc, spec bool, expect uint64) bool {
 	e := tx.eng
 	if spec {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/gdi-go/gdi/internal/constraint"
 	"github.com/gdi-go/gdi/internal/fabric"
@@ -176,21 +177,20 @@ func (h *VertexHandle) RemoveProperties(pt lpg.PTypeID) (int, error) {
 		return 0, err
 	}
 	n := 0
-	kept := h.st.v.Props[:0]
 	for _, p := range h.st.v.Props {
 		if p.PType == pt {
 			n++
-			continue
 		}
-		kept = append(kept, p)
 	}
 	if n == 0 {
 		return 0, nil
 	}
+	// Compact only once the write is granted: a refused one leaves the
+	// handle as it was.
 	if err := h.tx.ensureWrite(h.st); err != nil {
 		return 0, err
 	}
-	h.st.v.Props = kept
+	h.st.v.Props = slices.DeleteFunc(h.st.v.Props, func(p lpg.Property) bool { return p.PType == pt })
 	return n, nil
 }
 

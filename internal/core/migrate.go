@@ -38,6 +38,7 @@ type migCand struct {
 	old      chainItem  // the old chain, read under the lock
 	v        *holder.Vertex
 	dst      fabric.DPtr   // new primary on the destination rank
+	homeDst  bool          // dst is a former home: the move overwrites its stub
 	fresh    []fabric.DPtr // destination blocks acquired for the move (rollback list)
 	secWords []locks.Word  // dst word + stub words of the other homes
 	secVers  []uint64
@@ -155,8 +156,11 @@ func (e *Engine) MigrateVertices(me fabric.Rank, moves []MigrationMove) (int, er
 	// vacated block (Homes now lists them all) go out as one vectored PUT
 	// train per owner rank. The content lands before any pointer to it is
 	// readable: the destination words are still write-held, and the DHT
-	// swing below happens after the writes.
+	// swing below happens after the writes. The release marks every word
+	// whose block now holds a stub, and clears the mark of a former home the
+	// vertex moves back into; a skipped move's words keep theirs.
 	var w writeList
+	marks := make(map[locks.Word]locks.StubMark)
 	for _, c := range live {
 		if !c.ok {
 			continue
@@ -166,6 +170,10 @@ func (e *Engine) MigrateVertices(me fabric.Rank, moves []MigrationMove) (int, er
 		stub := holder.EncodeMoved(c.mv.App, c.dst, bs)
 		for _, h := range c.v.Homes {
 			w.put(h, stub)
+			marks[e.lockWordOf(h)] = locks.StubSet
+		}
+		if c.homeDst {
+			marks[e.lockWordOf(c.dst)] = locks.StubClear
 		}
 	}
 	e.store.WriteBlocksBatch(me, w.dps, w.data)
@@ -180,7 +188,11 @@ func (e *Engine) MigrateVertices(me fabric.Rank, moves []MigrationMove) (int, er
 		relWords = append(relWords, c.secWords...)
 		relVers = append(relVers, c.secVers...)
 	}
-	locks.ReleaseWriteTrain(me, relWords, relVers)
+	relMarks := make([]locks.StubMark, len(relWords))
+	for i, w := range relWords {
+		relMarks[i] = marks[w]
+	}
+	locks.ReleaseWriteTrainMarked(me, relWords, relVers, relMarks)
 	for _, c := range replSkip {
 		e.bumpMirrors(me, c.v, c.ver)
 	}
@@ -262,7 +274,7 @@ func (e *Engine) lockMoveTargets(me fabric.Rank, live []*migCand) (replSkip []*m
 		}
 		for _, h := range v.Homes {
 			if h.Rank() == me {
-				c.dst = h
+				c.dst, c.homeDst = h, true
 				break
 			}
 		}

@@ -24,7 +24,9 @@ import (
 //   - no lost updates: after quiescing, the per-vertex sequence numbers sum
 //     to exactly the number of committed writes;
 //   - golden bit-stability: a vertex nobody writes returns bit-identical
-//     bytes before, during, and after every migration.
+//     bytes before, during, and after every migration;
+//   - the stub bit: after quiescing, a lock word marks its block a stub
+//     exactly when the block holds a forwarding stub.
 //
 // It runs over a cache that holds every holder and over a one-block cache,
 // where nearly every read comes off the wire.
@@ -330,5 +332,8 @@ func migrationCoherenceStress(t *testing.T, cacheBlocks int) {
 	}
 	if total != uint64(writeCommits) {
 		t.Fatalf("sequence numbers sum to %d, want one increment per committed write (%d): lost or duplicated updates", total, writeCommits)
+	}
+	if checkStubBits(t, e) == 0 {
+		t.Fatal("no forwarding stub after the stress: the stub-bit check measured nothing")
 	}
 }

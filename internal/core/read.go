@@ -53,6 +53,9 @@ const (
 	readHeld                       // the seqlock stamp showed a writer, so nothing was read
 	readRefused                    // refused by the caller, by its head test or before the read
 	readTorn                       // the post-stamp moved: the blocks read are not one version
+	// readStamped is the frontier hop's: stamped, and vouched for by the
+	// stamp, but not read yet. The reader leaves it alone.
+	readStamped
 )
 
 // chainItem is one holder chain of a batch.

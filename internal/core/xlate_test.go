@@ -260,62 +260,85 @@ func TestOwnCommitRefreshesTranslation(t *testing.T) {
 // optimistic tier, one failed scalar CAS on the locking tier. The
 // translation then costs exactly what a translation with no cache entry
 // costs. On the locking tier that includes a two-round read-lock train, since
-// the index names no version; its first CAS is also the stamp.
+// the index names no version; its first CAS is also the stamp. An entry that
+// names the forwarding stub a migration left, at the stub's current version,
+// is refused the same way, on the stub bit of the same word: no GET of the
+// stub block.
 func TestStaleTranslationCostsOneStamp(t *testing.T) {
-	for _, mode := range []Mode{ReadOnly, ReadWrite} {
-		t.Run(fmt.Sprintf("mode=%d", mode), func(t *testing.T) {
-			// build gives two engines the same history: rank 0 translates
-			// the vertex, then rank 1 deletes and re-creates it.
-			build := func() (*Engine, uint64, fabric.DPtr) {
-				e := NewEngine(rma.New(2), Config{BlockSize: 256, BlocksPerRank: 1 << 10, LockTries: 16})
-				app := remoteApp(e)
-				tx := e.StartLocal(1, ReadWrite)
-				dp, err := tx.CreateVertex(app)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := tx.Commit(); err != nil {
-					t.Fatal(err)
-				}
-				readVertex(t, e, 0, mode, app, fabric.NullDPtr)
-				del := e.StartLocal(1, ReadWrite)
-				if err := del.DeleteVertex(dp); err != nil {
-					t.Fatal(err)
-				}
-				if err := del.Commit(); err != nil {
-					t.Fatal(err)
-				}
-				re := e.StartLocal(1, ReadWrite)
-				if dp, err = re.CreateVertex(app); err != nil {
-					t.Fatal(err)
-				}
-				if err := re.Commit(); err != nil {
-					t.Fatal(err)
-				}
-				return e, app, dp
+	// Each history gives two engines the same past, in which rank 0's cache
+	// entry for the vertex went stale; it returns the entry's app and the
+	// vertex's current primary. The subtests keep the names they had when
+	// re-creation was the only history.
+	histories := map[string]func(t *testing.T, e *Engine, mode Mode) (uint64, fabric.DPtr){
+		// Rank 0 translates the vertex, then rank 1 deletes and re-creates it.
+		"": func(t *testing.T, e *Engine, mode Mode) (uint64, fabric.DPtr) {
+			app := remoteApp(e)
+			tx := e.StartLocal(1, ReadWrite)
+			dp, err := tx.CreateVertex(app)
+			if err != nil {
+				t.Fatal(err)
 			}
-			stale, app, dp := build()
-			cold, _, _ := build()
-			cold.xlate[0] = xlateCache{size: cold.xlate[0].size}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			readVertex(t, e, 0, mode, app, fabric.NullDPtr)
+			del := e.StartLocal(1, ReadWrite)
+			if err := del.DeleteVertex(dp); err != nil {
+				t.Fatal(err)
+			}
+			if err := del.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			re := e.StartLocal(1, ReadWrite)
+			if dp, err = re.CreateVertex(app); err != nil {
+				t.Fatal(err)
+			}
+			if err := re.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			return app, dp
+		},
+		// The vertex moves from rank 1 to rank 0, and rank 0's entry names
+		// the stub at rank 1 at the stub's version.
+		"migrated/": func(t *testing.T, e *Engine, _ Mode) (uint64, fabric.DPtr) {
+			app := remoteApp(e)
+			stub := seedPayloadVertex(t, e, app, payloadPType(t, e), 4)
+			dp := mustMigrate(t, e, app, 0)
+			e.xlate[0].put(app, stub, versionAt(e, 0, stub))
+			return app, dp
+		},
+	}
+	for name, history := range histories {
+		for _, mode := range []Mode{ReadOnly, ReadWrite} {
+			t.Run(fmt.Sprintf("%smode=%d", name, mode), func(t *testing.T) {
+				build := func() (*Engine, uint64, fabric.DPtr) {
+					e := NewEngine(rma.New(2), Config{BlockSize: 256, BlocksPerRank: 1 << 10, LockTries: 16})
+					app, dp := history(t, e, mode)
+					return e, app, dp
+				}
+				stale, app, dp := build()
+				cold, _, _ := build()
+				cold.xlate[0] = xlateCache{size: cold.xlate[0].size}
 
-			var got fabric.DPtr
-			staleCost := measure(stale, func() { got = readVertex(t, stale, 0, mode, app, fabric.NullDPtr) })
-			if got != dp {
-				t.Fatalf("stale entry translated to %v, want the re-created vertex %v", got, dp)
-			}
-			if hits, _ := stale.TranslationCacheStats(); hits != 0 {
-				t.Fatalf("%d translations served from a stale entry", hits)
-			}
-			coldCost := measure(cold, func() { readVertex(t, cold, 0, mode, app, fabric.NullDPtr) })
-			want := coldCost
-			want.atoms++
-			if mode == ReadOnly {
-				want.atomTrains++ // the stamp is a one-word load train
-			}
-			if staleCost != want {
-				t.Fatalf("stale entry: %+v; no entry: %+v; want %+v", staleCost, coldCost, want)
-			}
-		})
+				var got fabric.DPtr
+				staleCost := measure(stale, func() { got = readVertex(t, stale, 0, mode, app, fabric.NullDPtr) })
+				if got != dp {
+					t.Fatalf("stale entry translated to %v, want the vertex's primary %v", got, dp)
+				}
+				if hits, _ := stale.TranslationCacheStats(); hits != 0 {
+					t.Fatalf("%d translations served from a stale entry", hits)
+				}
+				coldCost := measure(cold, func() { readVertex(t, cold, 0, mode, app, fabric.NullDPtr) })
+				want := coldCost
+				want.atoms++
+				if mode == ReadOnly {
+					want.atomTrains++ // the stamp is a one-word load train
+				}
+				if staleCost != want {
+					t.Fatalf("stale entry: %+v; no entry: %+v; want %+v", staleCost, coldCost, want)
+				}
+			})
+		}
 	}
 }
 

@@ -3,7 +3,8 @@
 //
 //	bit  63      write bit (exclusively held)
 //	bits 32..62  version counter, bumped by every write-unlock
-//	bits  0..31  reader count
+//	bit  31      stub bit: the guarded block is a migration forwarding stub
+//	bits  0..30  reader count
 //
 // All acquisition and release is performed with remote CAS on the word,
 // batched into one vectored train per owner rank. Every train is seeded with
@@ -20,6 +21,19 @@
 // still carries v. Versions are per word and strictly monotonic (releases
 // only increment; the 31-bit counter wraps after 2^31 writes per vertex,
 // far beyond any transaction lifetime this simulation runs).
+//
+// The stub bit says what the guarded block is, so a reader that loads the
+// word before fetching knows whether the block is a forwarding stub (§5.6's
+// stamp train doubles as a type probe). Only a write release changes it
+// (StubMark), and only the two owners of forwarding stubs ask it to: live
+// migration publishes a stub at each vacated home and clears the bit of a
+// home its vertex moves back into, and the deletion that retires a stub
+// clears it before the block is freed. Every other lock operation computes
+// its new word from the observed one and carries the bit through. A free
+// word therefore has the bit exactly when its block holds a stub. The
+// seeded trains guess the bit clear, so on a stub word their first round
+// learns it and a second takes it; on every other word they still converge
+// in one.
 //
 // Acquisition is bounded: after maxTries failed CAS/recheck rounds the
 // attempt fails and the caller (the transaction layer) must abort the
@@ -40,8 +54,11 @@ import (
 // writeBit marks an exclusively held word.
 const writeBit uint64 = 1 << 63
 
+// stubBit marks a word whose block is a forwarding stub.
+const stubBit uint64 = 1 << 31
+
 // readerMask extracts the reader count.
-const readerMask uint64 = 1<<32 - 1
+const readerMask uint64 = stubBit - 1
 
 // The version counter occupies bits 32..62.
 const (
@@ -59,6 +76,33 @@ func WriteHeld(word uint64) bool { return word&writeBit != 0 }
 
 // Readers extracts the reader count from a raw lock word.
 func Readers(word uint64) uint32 { return uint32(word & readerMask) }
+
+// Stub reports whether a raw lock word marks its block as a forwarding stub.
+func Stub(word uint64) bool { return word&stubBit != 0 }
+
+// StubMark is a write release's choice for a word's stub bit.
+type StubMark uint8
+
+const (
+	// StubKeep leaves the bit as the word carries it.
+	StubKeep StubMark = iota
+	// StubSet publishes the block as a forwarding stub.
+	StubSet
+	// StubClear publishes the block as no stub: a retired stub, or a former
+	// home a vertex moved back into.
+	StubClear
+)
+
+// apply returns word with its stub bit as m asks.
+func (m StubMark) apply(word uint64) uint64 {
+	switch m {
+	case StubSet:
+		return word | stubBit
+	case StubClear:
+		return word &^ stubBit
+	}
+	return word
+}
 
 // bumpVersion increments the version field of word, wrapping inside the
 // field so an overflow cannot spill into the write bit.
@@ -109,17 +153,19 @@ func (w Word) TryAcquireWrite(origin fabric.Rank, tries int) error {
 func (w Word) ReleaseWrite(origin fabric.Rank) { ReleaseWriteTrain(origin, []Word{w}, nil) }
 
 // TryAcquireReadAt takes a shared lock only while the word carries version
-// ver with the write bit clear. Its first CAS guesses a free word without
-// readers, so an uncontended acquisition is one remote atomic; a failed CAS
-// reports the word, and the attempt gives up, holding nothing, as soon as the
-// word shows a writer or another version (a writer's release moves the
-// version anyway). Reader churn is retried at most tries rounds. On success
-// it returns the word as its CAS left it: a stamp at version ver that stays
-// valid while the lock is held.
+// ver with the write bit and the stub bit clear: it is the speculative read
+// lock of a vertex the caller expects at ver, and a stub is never a vertex.
+// Its first CAS guesses a free word without readers, so an uncontended
+// acquisition is one remote atomic; a failed CAS reports the word, and the
+// attempt gives up, holding nothing, as soon as the word shows a writer, a
+// stub or another version (a writer's release moves the version anyway).
+// Reader churn is retried at most tries rounds. On success it returns the
+// word as its CAS left it: a stamp at version ver that stays valid while the
+// lock is held.
 func (w Word) TryAcquireReadAt(origin fabric.Rank, ver uint64, tries int) (stamp uint64, ok bool) {
 	cur := freeAt(ver)
 	for i := 0; i < tries; i++ {
-		if cur&writeBit != 0 || Version(cur) != ver {
+		if cur&(writeBit|stubBit) != 0 || Version(cur) != ver {
 			return 0, false
 		}
 		prev, ok := w.Win.CAS(origin, w.Target, w.Idx, cur, cur+1)
@@ -328,11 +374,28 @@ func AcquireWriteTrain(origin fabric.Rank, ls []TrainLock, tries int) ([]uint64,
 // AcquireWriteTrain): a held word's value is stable, so correct versions
 // make the train converge in a single round per rank. With vers nil the
 // first round guesses version 0 and any word whose guess was wrong is
-// released on the second round.
+// released on the second round. Stub bits are kept.
 func ReleaseWriteTrain(origin fabric.Rank, words []Word, vers []uint64) {
+	ReleaseWriteTrainMarked(origin, words, vers, nil)
+}
+
+// ReleaseWriteTrainMarked is ReleaseWriteTrain that also publishes each
+// word's stub bit as marks asks (aligned with words; nil keeps every bit).
+// The first round guesses the bit set on a word marked StubClear — the
+// stubs a caller retires or reclaims — and clear on the others.
+func ReleaseWriteTrainMarked(origin fabric.Rank, words []Word, vers []uint64, marks []StubMark) {
 	checkVers("release", len(words), vers)
+	if marks != nil && len(marks) != len(words) {
+		panic(fmt.Sprintf("locks: release train of %d words with %d stub marks", len(words), len(marks)))
+	}
 	if len(words) == 0 {
 		return
+	}
+	mark := func(i int) StubMark {
+		if marks == nil {
+			return StubKeep
+		}
+		return marks[i]
 	}
 	order := trainOrder(len(words), func(i int) Word { return words[i] })
 	train := make([]Word, len(words))
@@ -350,6 +413,9 @@ func ReleaseWriteTrain(origin fabric.Rank, words []Word, vers []uint64) {
 		if vers != nil {
 			expected[i] |= freeAt(vers[src])
 		}
+		if mark(src) == StubClear {
+			expected[i] |= stubBit
+		}
 	}
 	nDone := 0
 	for nDone < len(train) {
@@ -360,7 +426,7 @@ func ReleaseWriteTrain(origin fabric.Rank, words []Word, vers []uint64) {
 				if done[i] {
 					continue
 				}
-				ops = append(ops, fabric.CASOp{Idx: train[i].Idx, Old: expected[i], New: bumpVersion(expected[i] &^ writeBit)})
+				ops = append(ops, fabric.CASOp{Idx: train[i].Idx, Old: expected[i], New: mark(order[i]).apply(bumpVersion(expected[i] &^ writeBit))})
 				opIdx = append(opIdx, i)
 			}
 			for j, r := range win.CASBatch(origin, train[lo].Target, ops) {

@@ -162,3 +162,112 @@ func TestOneWordWriteReleaseWithVersIsOneCAS(t *testing.T) {
 		t.Fatalf("word after release: held %v at version %d, want free at %d", wr, Version(raw(w)), vers[0]+1)
 	}
 }
+
+// TestStubBitRidesEveryLockOperation: a marked write release sets and clears
+// the stub bit, a release without a mark keeps it, and every other lock
+// operation — read and write trains, upgrades, rollbacks, read releases —
+// carries it through unchanged while the version moves as before. A stub
+// word costs a seeded train the one round that learns the bit; a release
+// marked StubClear guesses it and converges in one. TryAcquireReadAt refuses
+// a stub word on its one failed CAS, holding nothing.
+func TestStubBitRidesEveryLockOperation(t *testing.T) {
+	ws, vers, f := seededWords(t)
+	const oneRound, twoRounds = 2, 4
+	set := make([]StubMark, len(ws))
+	for i := range set {
+		set[i] = StubSet
+	}
+	held, err := AcquireWriteTrain(1, seededLocks(ws, vers, false), DefaultTries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := trains(f, func() { ReleaseWriteTrainMarked(1, ws, held, set) }); n != oneRound {
+		t.Errorf("release publishing stubs: %d trains, want %d", n, oneRound)
+	}
+	bump(vers)
+	checkWords(t, ws, vers, true)
+
+	// A stub word is one round more for a train seeded without the bit, and
+	// keeps its bit through read locks, upgrades and a plain release.
+	if n, _ := trains(f, func() {
+		if _, err := AcquireReadTrainAt(1, ws, vers, DefaultTries); err != nil {
+			t.Fatal(err)
+		}
+	}); n != twoRounds {
+		t.Errorf("read train over stub words: %d trains, want %d", n, twoRounds)
+	}
+	if held, err = AcquireWriteTrain(1, seededLocks(ws, vers, true), DefaultTries); err != nil {
+		t.Fatal(err)
+	}
+	ReleaseWriteTrain(1, ws, held)
+	bump(vers)
+	checkWords(t, ws, vers, true)
+	if _, err := AcquireReadTrainAt(1, ws, vers, DefaultTries); err != nil {
+		t.Fatal(err)
+	}
+	ReleaseReadTrainAt(1, ws, vers)
+	checkWords(t, ws, vers, true)
+
+	// A rolled-back train leaves the bit where it was.
+	if err := ws[0].TryAcquireRead(0, DefaultTries); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AcquireWriteTrain(1, seededLocks(ws, vers, false), 2); err == nil {
+		t.Fatal("write train took a read-held word")
+	}
+	ws[0].ReleaseRead(0)
+	checkWords(t, ws, vers, true)
+
+	// The speculative read lock refuses a stub at its version.
+	f.ResetCounters()
+	if _, ok := ws[0].TryAcquireReadAt(1, vers[0], DefaultTries); ok {
+		t.Fatal("TryAcquireReadAt took a stub word")
+	}
+	if s := f.CounterSnapshot(1); s.RemoteAtoms != 1 {
+		t.Errorf("refusing a stub took %d remote atomics, want 1", s.RemoteAtoms)
+	}
+	checkWords(t, ws, vers, true)
+
+	clearing := make([]StubMark, len(ws))
+	for i := range clearing {
+		clearing[i] = StubClear
+	}
+	if held, err = AcquireWriteTrain(1, seededLocks(ws, vers, false), DefaultTries); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := trains(f, func() { ReleaseWriteTrainMarked(1, ws, held, clearing) }); n != oneRound {
+		t.Errorf("release retiring stubs: %d trains, want %d", n, oneRound)
+	}
+	bump(vers)
+	checkWords(t, ws, vers, false)
+	if _, ok := ws[0].TryAcquireReadAt(1, vers[0], DefaultTries); !ok {
+		t.Fatal("TryAcquireReadAt refused a word that is no stub any more")
+	}
+	ws[0].ReleaseRead(1)
+}
+
+// seededLocks is a write train over ws seeded with vers.
+func seededLocks(ws []Word, vers []uint64, fromRead bool) []TrainLock {
+	ls := make([]TrainLock, len(ws))
+	for i, w := range ws {
+		ls[i] = TrainLock{Word: w, FromRead: fromRead, Ver: vers[i]}
+	}
+	return ls
+}
+
+func bump(vers []uint64) {
+	for i := range vers {
+		vers[i]++
+	}
+}
+
+// checkWords fails unless every word is free at its version, with the stub
+// bit as stub says.
+func checkWords(t *testing.T, ws []Word, vers []uint64, stub bool) {
+	t.Helper()
+	for i, w := range ws {
+		if got := raw(w); WriteHeld(got) || Readers(got) != 0 || Version(got) != vers[i] || Stub(got) != stub {
+			t.Fatalf("word %d = %#x, want free at version %d with stub bit %v", i, got, vers[i], stub)
+		}
+	}
+}

@@ -13,19 +13,23 @@
 // label/property entries, harvests the next frontier straight off the edge
 // runs, and records one (vertex, version) pair per vertex for commit-time
 // validation. A hop materializes no handle and allocates nothing per vertex;
-// only vertex IDs travel between hops. The last hop of a k-hop only filters,
-// so it fetches each holder just up to the end of its entries — the primary
-// block for all but mega-hubs — not its edge chain. Forwarding stubs,
-// follower-served vertices and locking transactions fall back to one
-// AssociateVertices batch inside the same call. A k-hop pattern therefore
-// costs k+1 rounds regardless of frontier width, where the naive reference
-// (RunNaive) pays one scalar AssociateVertex round-trip per frontier vertex.
+// only vertex IDs travel between hops. The last hop of a k-hop only filters
+// (core.Tx.FilterFrontier), so it fetches each holder just up to the end of
+// its entries — the primary block for all but mega-hubs — not its edge
+// chain. Forwarding stubs, follower-served vertices and locking transactions
+// fall back to one AssociateVertices batch inside the same call. A k-hop
+// pattern therefore costs k+1 rounds regardless of frontier width, where the
+// naive reference (RunNaive) pays one scalar AssociateVertex round-trip per
+// frontier vertex.
 //
 // LIMIT is applied as a bounded top-k over the matched IDs in canonical
 // order, and only the rows it keeps are built and — under projection —
-// associated as handles. It does not stop the last hop early: a frontier
-// DPtr may be a forwarding stub whose resolved ID sorts anywhere, so no
-// prefix of the frontier is known to hold the first rows.
+// associated as handles. On an optimistic transaction it also stops the
+// last hop early. The stamp train tells which frontier DPtrs are forwarding
+// stubs, so those are resolved first; every other DPtr is its vertex's ID.
+// The hop then reads the frontier in ascending DPtr order, in chunks, and
+// stops once LIMIT matched IDs sort below every DPtr it has not read. The
+// vertices it did not read join the read set at their stamped versions.
 //
 // Both executors return canonically sorted rows, so their results are
 // bit-identical — the golden-equivalence contract the tests pin across
@@ -155,6 +159,11 @@ type executor struct {
 	// expand filters frontier by cons and harvests the matched vertices'
 	// distinct neighbors under mask (core.Tx.ExpandFrontier's contract).
 	expand func(frontier []fabric.DPtr, mask core.DirMask, cons *constraint.Constraint) (matched, next []fabric.DPtr, err error)
+	// filter, when set, is a k-hop's final round: the matched IDs of
+	// frontier, of which a LIMIT keeps the limit smallest
+	// (core.Tx.FilterFrontier's contract). Without it the round is expand
+	// with mask 0.
+	filter func(frontier []fabric.DPtr, cons *constraint.Constraint, limit int) ([]fabric.DPtr, error)
 	// associate returns a handle per vertex, aligned with dps; a vertex that
 	// no longer exists is an ErrNotFound.
 	associate func(dps []fabric.DPtr) ([]*core.VertexHandle, error)
@@ -165,6 +174,7 @@ type executor struct {
 func Run(tx *core.Tx, src fabric.DPtr, p *Pattern) (*Result, error) {
 	return run(tx, src, p, executor{
 		expand:    tx.ExpandFrontier,
+		filter:    tx.FilterFrontier,
 		associate: func(dps []fabric.DPtr) ([]*core.VertexHandle, error) { return associateAll(tx, dps) },
 	})
 }
@@ -241,27 +251,30 @@ func (t tuples) at(i int) []fabric.DPtr { return t.v[i*t.w : (i+1)*t.w] }
 
 // runKHop is BFS layering: round i expands the layer-i frontier (one train
 // per rank under the compiled executor), filtering it by the predicate of the
-// hop that reached it and harvesting the next layer under hop i's mask.
-// Visited vertices never re-enter a frontier, so a k-hop costs exactly k+1
-// rounds. Only IDs travel between the rounds.
+// hop that reached it and harvesting the next layer under hop i's mask. The
+// final round only filters, under the pattern's LIMIT. Visited vertices never
+// re-enter a frontier, so a k-hop costs exactly k+1 rounds. Only IDs travel
+// between the rounds.
 func runKHop(src fabric.DPtr, p *Pattern, ex executor) (tuples, error) {
 	frontier := []fabric.DPtr{src}
 	visited := map[fabric.DPtr]struct{}{src: {}}
-	var last []fabric.DPtr
-	for i := 0; i <= len(p.Hops); i++ {
+	for i := 0; ; i++ {
 		var cons *constraint.Constraint
 		if i > 0 {
 			cons = p.Hops[i-1].Cons
 		}
-		mask := core.DirMask(0) // final round: filter only
-		if i < len(p.Hops) {
-			mask = p.Hops[i].Mask
+		if i == len(p.Hops) {
+			if ex.filter == nil {
+				last, _, err := ex.expand(frontier, 0, cons)
+				return tuples{w: 1, v: last}, err
+			}
+			last, err := ex.filter(frontier, cons, p.Limit)
+			return tuples{w: 1, v: last}, err
 		}
-		matched, next, err := ex.expand(frontier, mask, cons)
+		_, next, err := ex.expand(frontier, p.Hops[i].Mask, cons)
 		if err != nil {
 			return tuples{}, err
 		}
-		last = matched
 		frontier = frontier[:0]
 		// The final layer is never consulted as "visited": next is already
 		// distinct, so it only has to be told from the layers before it.
@@ -275,7 +288,6 @@ func runKHop(src fabric.DPtr, p *Pattern, ex executor) (tuples, error) {
 			}
 		}
 	}
-	return tuples{w: 1, v: last}, nil
 }
 
 // filterHandles is expand's filter step for the shapes that go on to walk

@@ -203,7 +203,8 @@ func MaskOut(m core.DirMask) Hop { return Hop{Mask: m} }
 // hub of four or more blocks that 2-hop patterns meet in their last
 // frontier, and the last pass runs after a last-hop vertex has migrated from
 // the highest rank to rank 0: the edge records still hold its old DPtr, and
-// its new ID sorts ahead of every other row.
+// its new ID sorts ahead of every other row. The early-stop case runs LIMIT
+// over a last frontier of forwarding stubs (goldenEarlyStop).
 func TestGoldenEquivalence(t *testing.T) {
 	const ranks = 4
 	twoHop := []Hop{MaskOut(core.MaskAll), MaskOut(core.MaskAll)}
@@ -254,6 +255,7 @@ func TestGoldenEquivalence(t *testing.T) {
 			})
 		}
 	}
+	t.Run("early-stop", func(t *testing.T) { goldenEarlyStop(t, ranks) })
 }
 
 // goldenPasses is one TestGoldenEquivalence configuration: the sweep and the
