@@ -11,19 +11,12 @@ package gdi_test
 //   - Collective vs. pointwise transactions for global reads (§3.3): the
 //     cost of the per-vertex version validation that collective read
 //     transactions elide.
-//
-// The remaining benchmarks measure features against running without them:
-// workload-aware rebalancing, k-replica holder chains, and HTAP snapshots.
 
 import (
 	"fmt"
-	"math/rand"
-	"runtime"
 	"testing"
-	"time"
 
 	gdi "github.com/gdi-go/gdi"
-	"github.com/gdi-go/gdi/internal/analytics"
 	"github.com/gdi-go/gdi/internal/kron"
 	"github.com/gdi-go/gdi/internal/workload"
 )
@@ -129,265 +122,6 @@ func BenchmarkAblation_EdgeWeight(b *testing.B) {
 	}
 }
 
-// BenchmarkRebalanceAblation measures what workload-aware rebalancing buys
-// under skewed OLTP traffic: Zipf-distributed point reads/writes where every
-// rank has its own hot set (worker-affine skew, the shape real multi-tenant
-// traffic takes) whose members land on *other* ranks under static hashed
-// placement. Clients cache appID→DPtr translations and refresh them when a
-// read chases a migration forwarding stub, exactly like a session that keeps
-// a handle. The static variant keeps the seed placement; the rebalanced
-// variant runs one Rebalance collective after a warmup round, live-migrating
-// each hot vertex onto its dominant accessor — after which the Zipf head
-// mass (~90% at s=1.2 with per-rank top-K coverage) is served with zero
-// remote latency. With RemoteLatencyNs = 1000 at 8 ranks the rebalanced run
-// must deliver at least 1.5x the static throughput.
-func BenchmarkRebalanceAblation(b *testing.B) {
-	const (
-		ranks        = 8
-		numVertices  = 4096
-		warmupOps    = 2000
-		opsPerRank   = 400
-		payloadBytes = 64
-		zipfS        = 1.2
-	)
-	run := func(b *testing.B, rebalanced bool) {
-		rt := gdi.Init(ranks, gdi.RuntimeOptions{RemoteLatencyNs: 1000})
-		db := rt.CreateDatabase(gdi.DatabaseParams{
-			BlockSize:             512,
-			BlocksPerRank:         1 << 13,
-			LockTries:             512,
-			RebalanceHeatTracking: true, // both variants pay for tracking
-			RebalanceTopK:         1024,
-			RebalanceMinHeat:      2,
-			RebalanceMaxMoves:     4096,
-		})
-		payload, err := db.DefinePType("payload", gdi.PTypeSpec{Datatype: gdi.TypeBytes})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var loadErr error
-		rt.Run(db, func(p *gdi.Process) {
-			var specs []gdi.VertexSpec
-			if p.Rank() == 0 {
-				for app := uint64(0); app < numVertices; app++ {
-					specs = append(specs, gdi.VertexSpec{
-						AppID: app,
-						Props: []gdi.Property{{PType: payload, Value: make([]byte, payloadBytes)}},
-					})
-				}
-			}
-			if err := p.BulkLoadVertices(specs); err != nil {
-				loadErr = err
-			}
-		})
-		if loadErr != nil {
-			b.Fatal(loadErr)
-		}
-		zipf := workload.NewZipf(numVertices, zipfS)
-		// Per-rank translation caches, refreshed when a fetch resolves to a
-		// migrated primary (h.ID() differs from the cached DPtr).
-		caches := make([]map[uint64]gdi.VertexID, ranks)
-		for r := range caches {
-			caches[r] = make(map[uint64]gdi.VertexID, numVertices)
-		}
-		opRound := func(p *gdi.Process, seed int64, ops int) {
-			rng := rand.New(rand.NewSource(seed))
-			cache := caches[p.Rank()]
-			for i := 0; i < ops; i++ {
-				app := workload.WorkerKey(zipf.Sample(rng), int(p.Rank()), ranks, numVertices)
-				write := rng.Intn(10) == 0
-				mode := gdi.ReadOnly
-				if write {
-					mode = gdi.ReadWrite
-				}
-				tx := p.StartTransaction(mode)
-				dp, cached := cache[app]
-				if !cached {
-					var err error
-					if dp, err = tx.TranslateVertexID(app); err != nil {
-						b.Error(err)
-						tx.Abort()
-						return
-					}
-				}
-				h, err := tx.AssociateVertex(dp)
-				if err != nil {
-					tx.Abort()
-					continue // contention with a concurrent migration train
-				}
-				cache[app] = h.ID()
-				if write {
-					if err := h.SetProperty(payload, []byte{byte(i)}); err != nil {
-						b.Error(err)
-						tx.Abort()
-						return
-					}
-				} else {
-					h.Property(payload)
-				}
-				if err := tx.Commit(); err != nil {
-					continue
-				}
-			}
-		}
-		// Warmup records per-rank heat (and fills the translation caches).
-		rt.Run(db, func(p *gdi.Process) { opRound(p, int64(p.Rank())*131+1, warmupOps) })
-		if rebalanced {
-			rebErrs := make([]error, ranks)
-			rt.Run(db, func(p *gdi.Process) {
-				_, rebErrs[p.Rank()] = p.Rebalance()
-			})
-			for _, err := range rebErrs {
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		start := time.Now()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rt.Run(db, func(p *gdi.Process) {
-				opRound(p, int64(i)*7919+int64(p.Rank())*131+2, opsPerRank)
-			})
-		}
-		b.StopTimer()
-		qps := float64(b.N) * ranks * opsPerRank / time.Since(start).Seconds()
-		b.ReportMetric(qps, "queries/s")
-		if rebalanced {
-			b.ReportMetric(float64(db.Engine().Migrations()), "migrations")
-			b.ReportMetric(float64(db.Engine().ForwardedReads()), "forwards")
-		}
-	}
-	b.Run("static", func(b *testing.B) { run(b, false) })
-	b.Run("rebalanced", func(b *testing.B) { run(b, true) })
-}
-
-// BenchmarkReplicationAblation measures what k-replica holder chains buy on
-// read-dominated skewed traffic: the same worker-affine Zipf shape as the
-// rebalance ablation, but with ~1/16 writes and every rank seeding follower
-// chains of its hottest remotely-owned vertices after the warmup round
-// (ReplicateHot, k=3). An optimistic read of a replicated vertex is then
-// served from the local follower chain — no remote GET train at all — and
-// only the commit-time validation train still touches the primary. Writes
-// keep a fixed payload size so the fan-out path (same holder shape) keeps
-// the followers in lockstep instead of dropping them on reshape. With
-// RemoteLatencyNs = 1000 at 8 ranks the k=3 run must deliver at least 1.5x
-// the unreplicated throughput.
-func BenchmarkReplicationAblation(b *testing.B) {
-	const (
-		ranks        = 8
-		numVertices  = 4096
-		warmupOps    = 2000
-		opsPerRank   = 400
-		payloadBytes = 64
-		zipfS        = 1.2
-		replicaK     = 3
-		replicaTopM  = 1024
-	)
-	run := func(b *testing.B, replicated bool) {
-		rt := gdi.Init(ranks, gdi.RuntimeOptions{RemoteLatencyNs: 1000})
-		db := rt.CreateDatabase(gdi.DatabaseParams{
-			BlockSize:             512,
-			BlocksPerRank:         1 << 13,
-			LockTries:             512,
-			RebalanceHeatTracking: true, // both variants pay for tracking
-			RebalanceTopK:         1024,
-		})
-		payload, err := db.DefinePType("payload", gdi.PTypeSpec{Datatype: gdi.TypeBytes})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var loadErr error
-		rt.Run(db, func(p *gdi.Process) {
-			var specs []gdi.VertexSpec
-			if p.Rank() == 0 {
-				for app := uint64(0); app < numVertices; app++ {
-					specs = append(specs, gdi.VertexSpec{
-						AppID: app,
-						Props: []gdi.Property{{PType: payload, Value: make([]byte, payloadBytes)}},
-					})
-				}
-			}
-			if err := p.BulkLoadVertices(specs); err != nil {
-				loadErr = err
-			}
-		})
-		if loadErr != nil {
-			b.Fatal(loadErr)
-		}
-		zipf := workload.NewZipf(numVertices, zipfS)
-		caches := make([]map[uint64]gdi.VertexID, ranks)
-		for r := range caches {
-			caches[r] = make(map[uint64]gdi.VertexID, numVertices)
-		}
-		opRound := func(p *gdi.Process, seed int64, ops int) {
-			rng := rand.New(rand.NewSource(seed))
-			cache := caches[p.Rank()]
-			wp := make([]byte, payloadBytes)
-			for i := 0; i < ops; i++ {
-				app := workload.WorkerKey(zipf.Sample(rng), int(p.Rank()), ranks, numVertices)
-				write := rng.Intn(16) == 0
-				mode := gdi.ReadOnly
-				if write {
-					mode = gdi.ReadWrite
-				}
-				tx := p.StartTransaction(mode)
-				dp, cached := cache[app]
-				if !cached {
-					var err error
-					if dp, err = tx.TranslateVertexID(app); err != nil {
-						b.Error(err)
-						tx.Abort()
-						return
-					}
-				}
-				h, err := tx.AssociateVertex(dp)
-				if err != nil {
-					tx.Abort()
-					continue
-				}
-				cache[app] = h.ID()
-				if write {
-					wp[0] = byte(i) // fixed size: same shape, fan-out keeps replicas
-					if err := h.SetProperty(payload, wp); err != nil {
-						b.Error(err)
-						tx.Abort()
-						return
-					}
-				} else {
-					h.Property(payload)
-				}
-				if err := tx.Commit(); err != nil {
-					continue // optimistic abort: retry is the client's business
-				}
-			}
-		}
-		// Warmup records per-rank heat and fills the translation caches.
-		rt.Run(db, func(p *gdi.Process) { opRound(p, int64(p.Rank())*131+1, warmupOps) })
-		if replicated {
-			rt.Run(db, func(p *gdi.Process) { p.ReplicateHot(replicaK, replicaTopM) })
-		}
-		start := time.Now()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rt.Run(db, func(p *gdi.Process) {
-				opRound(p, int64(i)*7919+int64(p.Rank())*131+2, opsPerRank)
-			})
-		}
-		b.StopTimer()
-		qps := float64(b.N) * ranks * opsPerRank / time.Since(start).Seconds()
-		b.ReportMetric(qps, "queries/s")
-		if replicated {
-			st := db.ReplicaStats()
-			b.ReportMetric(float64(st.Reads), "replreads")
-			b.ReportMetric(float64(st.Reseeds), "reseeds")
-			b.ReportMetric(float64(st.Drops), "repldrops")
-		}
-	}
-	b.Run("unreplicated", func(b *testing.B) { run(b, false) })
-	b.Run("replicated-k3", func(b *testing.B) { run(b, true) })
-}
-
 // BenchmarkAblation_CollectiveVsLocalScan compares reading every vertex
 // through one collective read transaction (no validation, §3.3) against
 // pointwise local read transactions (one stamp and one validation train per
@@ -441,107 +175,4 @@ func BenchmarkAblation_CollectiveVsLocalScan(b *testing.B) {
 			})
 		}
 	})
-}
-
-// BenchmarkHTAPAblation measures what the snapshot subsystem buys: analytics
-// over a pinned cut running concurrently with live OLTP, against (a) the same
-// OLTP load with no analytics at all and (b) the stop-the-world alternative
-// of running the load and the PageRank back to back. The OLTP side is
-// open-loop (workload.RunConfig.ThinkNs): each worker offers a fixed arrival
-// rate, the standard HTAP methodology — with the default closed-loop
-// saturation there is no idle for analytics to hide in, and on a single-core
-// runner the sub-50us simulated latencies busy-spin, so a saturating load
-// would serialize against the analytics no matter how the snapshot path is
-// built. Under a fixed offered load the two gates are real measurements:
-// served OLTP QPS under concurrent analytics must stay >= 0.6x the
-// analytics-free baseline, and the concurrent makespan (both jobs done) must
-// beat stop-the-world by >= 1.3x, i.e. the cut must actually let the
-// PageRank overlap the think-time gaps instead of waiting for the load to
-// drain.
-func BenchmarkHTAPAblation(b *testing.B) {
-	cfg := kron.Config{Scale: 12, EdgeFactor: 16, Seed: 7, NumLabels: 4, NumProps: 3}.WithDefaults()
-	const (
-		ranks   = 8
-		iters   = 120
-		opsEach = 150
-		thinkNs = 1_000_000 // 1ms between ops: ~0.15s of offered load per phase
-	)
-	rt := gdi.Init(ranks, gdi.RuntimeOptions{RemoteLatencyNs: 1000})
-	db := rt.CreateDatabase(gdi.DatabaseParams{
-		BlockSize:     512,
-		BlocksPerRank: int((cfg.NumVertices()*12+cfg.NumEdges()*2)/ranks) + (1 << 14),
-		HTAPSnapshots: true,
-	})
-	sch, err := kron.DefineSchema(db.Engine(), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := workload.LoadGDA(rt, db, cfg, sch); err != nil {
-		b.Fatal(err)
-	}
-	g := &analytics.Graph{DB: db, Schema: sch}
-	sys := &workload.GDASystem{DB: db, Schema: sch}
-	oltp := func(seed int64, base uint64) (workload.Result, error) {
-		return workload.Run(sys, workload.RunConfig{
-			Mix: workload.LinkBench, Workers: ranks, OpsPerWorker: opsEach,
-			KeySpace: cfg.NumVertices(), Seed: seed, InsertBase: base,
-			ThinkNs: thinkNs,
-		})
-	}
-	pagerank := func(p *gdi.Process) {
-		if _, _, err := analytics.PageRank(p, g, iters, 0.85); err != nil {
-			b.Error(err)
-		}
-	}
-	// Each phase's inserts draw from a disjoint appID chunk.
-	const chunk = uint64(ranks*opsEach + ranks)
-	var qpsBase, qpsConc, makespan float64
-	runtime.GC()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		base := uint64(i) * 3 * chunk
-		// Phase 1: the offered load with no analytics.
-		res, err := oltp(int64(3*i+1), base)
-		if err != nil {
-			b.Fatal(err)
-		}
-		qpsBase = res.QPS()
-		// Phase 2: stop-the-world — drain the load, then run the PageRank.
-		t0 := time.Now()
-		if _, err := oltp(int64(3*i+2), base+chunk); err != nil {
-			b.Fatal(err)
-		}
-		rt.Run(db, pagerank)
-		stw := time.Since(t0)
-		// Phase 3: the same load with the PageRank concurrent over a cut.
-		t0 = time.Now()
-		done := make(chan error, 1)
-		var cres workload.Result
-		go func() {
-			r, err := oltp(int64(3*i+3), base+2*chunk)
-			cres = r
-			done <- err
-		}()
-		rt.Run(db, func(p *gdi.Process) {
-			s, err := analytics.OpenHTAP(p, g)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			defer s.Close()
-			if _, _, err := s.PageRank(iters, 0.85); err != nil {
-				b.Error(err)
-			}
-		})
-		if err := <-done; err != nil {
-			b.Fatal(err)
-		}
-		htap := time.Since(t0)
-		qpsConc = cres.QPS()
-		makespan = stw.Seconds() / htap.Seconds()
-	}
-	b.ReportMetric(qpsBase, "oltp-qps")
-	b.ReportMetric(qpsConc, "htap-qps")
-	b.ReportMetric(qpsConc/qpsBase, "qps-ratio")
-	b.ReportMetric(makespan, "makespan-x")
 }

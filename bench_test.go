@@ -482,40 +482,3 @@ func BenchmarkSec67_DegreeShape(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkBulkLoad — the BULK ingestion path (Table 2's bulk-load
-// collectives): vertices+edges per second, and the remote atomics the load
-// issued per edge. The loader resolves each distinct endpoint once, in
-// trains, so the second figure falls as the edge factor grows (1.13 at this
-// profile); the per-edge lookup loop it replaced measured 8.38.
-func BenchmarkBulkLoad(b *testing.B) {
-	const ranks = 4
-	cfg := kron.Config{
-		Scale: benchProfile.BaseScale, EdgeFactor: benchProfile.EdgeFactor,
-		Seed: benchProfile.Seed, NumLabels: 20, NumProps: 13,
-	}.WithDefaults()
-	idxBuckets, idxEntries := workload.IndexSizing(cfg, ranks)
-	var atomics int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		rt := gdi.Init(ranks)
-		db := rt.CreateDatabase(gdi.DatabaseParams{
-			BlockSize:           512,
-			BlocksPerRank:       int((cfg.NumVertices()*10+cfg.NumEdges()*2)/ranks) + (1 << 13),
-			IndexBucketsPerRank: idxBuckets,
-			IndexEntriesPerRank: idxEntries,
-		})
-		sch, err := kron.DefineSchema(db.Engine(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if err := workload.LoadGDA(rt, db, cfg, sch); err != nil {
-			b.Fatal(err)
-		}
-		atomics += db.Engine().Fabric().TotalSnapshot().RemoteAtoms
-	}
-	b.ReportMetric(float64(cfg.NumVertices()+cfg.NumEdges()), "elements/op")
-	b.ReportMetric(float64(atomics)/float64(b.N)/float64(cfg.NumEdges()), "remote-atomics/edge")
-}

@@ -209,9 +209,9 @@
 // (query.RunNaive) keeps the same contract on handles, one scalar
 // AssociateVertex round trip per vertex; the two are golden-tested
 // equivalent across replicated engines, migrated vertices, and optimistic
-// and locking transactions, and the QueryAblation benchmark
-// gates compiled ≥2x over naive at 8 ranks under 1µs injected latency, with
-// counter assertions pinning the one-train-per-owner-rank-per-hop contract.
+// and locking transactions, and TestCompiledExpansionBatchesTrains pins the
+// count: the compiled plan rides at most one GET train per owner rank per
+// hop, the naive walk none, with identical rows.
 // Patterns also carry a versioned wire codec (Encode/Decode, fuzzed in CI) so
 // a driver can ship a plan to a server rank as bytes. Results are canonically
 // ordered, so runs are reproducible under any association interleaving.
@@ -312,8 +312,9 @@
 // blocks, swing the DHT entries and release with a version bump, which is
 // the whole invalidation broadcast; the release also sets each stub's lock
 // word stub bit, so a reader's stamp knows a stub before it fetches one. ARCHITECTURE.md, "Life of a chain move",
-// describes the train; TestMigrationCoherenceStress and the
-// RebalanceAblation benchmark test it.
+// describes the train; TestMigrationCoherenceStress and
+// TestRebalanceMovesHotVerticesToAccessor test it, the latter counting a hot
+// read round's remote operations: some before the round, none after it.
 //
 // # Replication
 //
@@ -325,7 +326,9 @@
 // vertices over to one surviving follower each through a single DHT
 // compare-and-swap. ARCHITECTURE.md, "Life of a replicated commit" and "Life
 // of a chain move", describe the protocol; TestKillARankFailoverStress,
-// gdi-cluster -kill and the ReplicationAblation benchmark test it.
+// gdi-cluster -kill and TestReplicateSeedsFollowerAndServesReads test it,
+// the latter counting a warm follower-served read: no GET, and one
+// validation load at the primary.
 //
 // # HTAP snapshots
 //
@@ -371,13 +374,11 @@
 //     carries no log at all.
 //
 // Knobs and counters: DatabaseParams.HTAPSnapshots enables the subsystem
-// (commits skip all of it when off), HTAPCutRetries bounds the
-// arena/live-read validation loop; Engine.SnapshotCuts, RetiredBlocks,
+// (commits skip all of it when off); Engine.SnapshotCuts, RetiredBlocks,
 // ArenaBytes, and DeltaFolds expose cut, copy-on-write, and fold activity.
-// The HTAPAblation benchmark gates the tier against stop-the-world: under a
-// fixed offered OLTP load, concurrent cut analytics must hold served QPS at
-// ≥0.6x the analytics-free baseline while finishing both jobs ≥1.3x sooner
-// than running them back to back. TestHTAPCoherenceStress runs writers,
+// TestHTAPCutStableUnderWrites pins a cut while commits land and retire block
+// versions, and requires the cut's PageRank to be bit-identical to the
+// quiesced run. TestHTAPCoherenceStress runs writers,
 // optimistic readers, and repeated cut PageRank + Refresh rounds under the
 // race detector in CI; gdi-olap -htap reports cut-analytics wall time next
 // to the served QPS of a live LinkBench load.
@@ -424,8 +425,8 @@
 //
 //   - The in-process simulator (internal/rma), built by Init: all ranks are
 //     goroutines in one address space, windows are shared slices, and the
-//     fabric carries the injectable latency model and per-op counters the
-//     ablation benchmarks gate on.
+//     fabric carries the injectable latency model and the per-op counters
+//     the traffic-contract tests count.
 //
 //   - The TCP wire transport (internal/fabric/tcp), passed to
 //     InitWithTransport: one OS process per rank in a full connection mesh,

@@ -234,35 +234,17 @@ type DatabaseParams struct {
 	// rank) and skip the remote GET traffic entirely on a hit. Cache hit/miss
 	// counters are reported through the fabric's counter snapshots.
 	CacheCapacity int
-	// ExchangeBytesPerRank sizes the one-sided exchange inbox per process
-	// (default 2 MiB); larger analytics rounds stream in sub-rounds.
-	ExchangeBytesPerRank int
 	// RebalanceHeatTracking enables the per-process access-heat counters the
 	// workload-aware rebalancer consumes: every vertex-holder fetch records
 	// one access for (accessing process, vertex). Off by default, in which
 	// case the hot path pays nothing and Rebalance plans no moves.
 	RebalanceHeatTracking bool
-	// RebalanceTopK is how many of its hottest vertices each process
-	// contributes to a Rebalance round's global plan (default 64).
-	RebalanceTopK int
-	// RebalanceMinHeat is the minimum observed access count before the
-	// rebalancer considers moving a vertex (default 8).
-	RebalanceMinHeat int
-	// RebalanceMaxMoves caps the vertices migrated into any one process per
-	// Rebalance round — the imbalance guard (default 256).
-	RebalanceMaxMoves int
-	// RebalanceBatch is the migration-train size: vertices moved under one
-	// batched lock/read/write train (default 32).
-	RebalanceBatch int
 	// HTAPSnapshots enables the MVCC-lite snapshot subsystem: collective
 	// AcquireCut pins transaction-consistent cuts of the block store while
 	// OLTP commits keep landing, writers retire overwritten block versions
 	// into per-process arenas, and committed vertex deltas feed the
 	// incremental CSR fold of the HTAP analytics sessions.
 	HTAPSnapshots bool
-	// HTAPCutRetries bounds the validated-read loop of snapshot block reads
-	// (default 64); only meaningful with HTAPSnapshots.
-	HTAPCutRetries int
 }
 
 // Database is one distributed graph database. Multiple databases may
@@ -281,14 +263,8 @@ func (rt *Runtime) CreateDatabase(p DatabaseParams) *Database {
 		DHTEntriesPerRank:     p.IndexEntriesPerRank,
 		LockTries:             p.LockTries,
 		CacheCapacity:         p.CacheCapacity,
-		ExchangeBytesPerRank:  p.ExchangeBytesPerRank,
 		RebalanceHeatTracking: p.RebalanceHeatTracking,
-		RebalanceTopK:         p.RebalanceTopK,
-		RebalanceMinHeat:      p.RebalanceMinHeat,
-		RebalanceMaxMoves:     p.RebalanceMaxMoves,
-		RebalanceBatch:        p.RebalanceBatch,
 		HTAPSnapshots:         p.HTAPSnapshots,
-		HTAPCutRetries:        p.HTAPCutRetries,
 	})
 	return &Database{rt: rt, eng: eng}
 }

@@ -72,26 +72,11 @@ type Config struct {
 	// per-block lock words (one atomic-load train per owner rank) and skip
 	// the GET traffic on a hit.
 	CacheCapacity int
-	// ExchangeBytesPerRank sizes the one-sided exchange's per-rank inbox
-	// (default 2 MiB); oversized rounds stream in sub-rounds automatically.
-	ExchangeBytesPerRank int
 	// RebalanceHeatTracking enables the per-rank access-heat counters the
 	// workload-aware rebalancer consumes: every vertex-holder fetch records
 	// one access for (accessing rank, appID) in a rank-local shard. Off by
 	// default — the hot path then pays nothing.
 	RebalanceHeatTracking bool
-	// RebalanceTopK is how many of its hottest vertices each rank proposes
-	// per Rebalance round (default 64).
-	RebalanceTopK int
-	// RebalanceMinHeat is the minimum access count a vertex needs before the
-	// rebalancer considers moving it (default 8).
-	RebalanceMinHeat int
-	// RebalanceMaxMoves caps the migrations planned into any one destination
-	// rank per Rebalance round (default 256).
-	RebalanceMaxMoves int
-	// RebalanceBatch is the migration-train size: how many vertices one rank
-	// migrates under a single batched lock/read/write train (default 32).
-	RebalanceBatch int
 	// HTAPSnapshots enables the MVCC-lite snapshot subsystem (package
 	// snapshot): collective AcquireCut pins transaction-consistent cuts of
 	// the block store while commits keep landing, writers retire overwritten
@@ -99,9 +84,6 @@ type Config struct {
 	// logged for the incremental CSR fold. Off by default — the commit path
 	// then pays only an uncontended RWMutex and one atomic load per write.
 	HTAPSnapshots bool
-	// HTAPCutRetries bounds the validated-read loop of cut block reads
-	// (default snapshot.DefaultCutRetries).
-	HTAPCutRetries int
 }
 
 // withDefaults fills zero fields with workable defaults.
@@ -123,21 +105,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheCapacity == 0 {
 		c.CacheCapacity = 1 << 13
-	}
-	if c.ExchangeBytesPerRank == 0 {
-		c.ExchangeBytesPerRank = 1 << 21
-	}
-	if c.RebalanceTopK == 0 {
-		c.RebalanceTopK = 64
-	}
-	if c.RebalanceMinHeat == 0 {
-		c.RebalanceMinHeat = 8
-	}
-	if c.RebalanceMaxMoves == 0 {
-		c.RebalanceMaxMoves = 256
-	}
-	if c.RebalanceBatch == 0 {
-		c.RebalanceBatch = 32
 	}
 	return c
 }
@@ -250,7 +217,7 @@ func NewEngine(f fabric.Transport, cfg Config) *Engine {
 		e.registerServices()
 	}
 	if cfg.HTAPSnapshots {
-		e.snap = snapshot.NewManager(e.store, cfg.HTAPCutRetries)
+		e.snap = snapshot.NewManager(e.store)
 		// Byte-changing writers retire through the store's pre-write hook;
 		// bump-without-write releases (aborts after upgrade, no-op updates,
 		// migration secondary words) retire through the lock layer's
@@ -273,12 +240,16 @@ func (e *Engine) Fabric() fabric.Transport { return e.fab }
 // Comm returns the engine's communicator for user-level collectives.
 func (e *Engine) Comm() *collective.Comm { return e.comm }
 
+// exchangeBytesPerRank sizes the one-sided exchange's per-rank inbox;
+// oversized rounds stream in sub-rounds.
+const exchangeBytesPerRank = 1 << 21
+
 // Exchange returns the engine's one-sided alltoallv context, allocating its
 // inbox windows on first use (so OLTP-only databases never pay for them).
 // The first calls may race across ranks; allocation is serialized.
 func (e *Engine) Exchange() *exchange.Exchange {
 	e.xchgOnce.Do(func() {
-		e.xchg = exchange.New(e.fab, e.comm, e.cfg.ExchangeBytesPerRank)
+		e.xchg = exchange.New(e.fab, e.comm, exchangeBytesPerRank)
 	})
 	return e.xchg
 }

@@ -315,6 +315,14 @@ func (e *Engine) lockMoveTargets(me fabric.Rank, live []*migCand) (replSkip []*m
 	return replSkip
 }
 
+// Rebalance's sizing.
+const (
+	rebalanceTopK     = 64  // hottest vertices each rank proposes per round
+	rebalanceMinHeat  = 8   // access count below which a vertex is not moved
+	rebalanceMaxMoves = 256 // migrations planned into one destination per round
+	rebalanceBatch    = 32  // vertices one rank migrates under one train
+)
+
 // RebalanceStats reports one Rebalance round from one rank's perspective.
 type RebalanceStats struct {
 	// Planned is the global plan size (identical on every rank).
@@ -328,18 +336,18 @@ type RebalanceStats struct {
 
 // Rebalance is the workload-aware rebalancing collective: every rank must
 // call it. The ranks fold their access-heat shards through the collective
-// layer (each contributes its RebalanceTopK hottest vertices), rank 0
+// layer (each contributes its rebalanceTopK hottest vertices), rank 0
 // computes a greedy Schism-style plan — hottest vertices first, each moved
 // to its dominant accessor when that beats the current placement, capped per
 // destination — and broadcasts it in the migration-plan wire format; each
 // rank then executes the moves it is the destination of, in migration trains
-// of RebalanceBatch vertices. Heat shards reset afterwards so the next round
+// of rebalanceBatch vertices. Heat shards reset afterwards so the next round
 // reacts to fresh traffic. OLTP traffic may keep running concurrently; the
 // per-vertex locks and version stamps keep it coherent.
 func (e *Engine) Rebalance(rank fabric.Rank) (RebalanceStats, error) {
 	var stats RebalanceStats
 	e.comm.Barrier(rank)
-	tops := collective.Allgather(e.comm, rank, e.topHeat(rank, e.cfg.RebalanceTopK))
+	tops := collective.Allgather(e.comm, rank, e.topHeat(rank, rebalanceTopK))
 	var planBytes []byte
 	if rank == 0 {
 		planBytes = EncodeMigrationPlan(e.planRebalance(tops))
@@ -357,8 +365,8 @@ func (e *Engine) Rebalance(rank fabric.Rank) (RebalanceStats, error) {
 			mine = append(mine, mv)
 		}
 	}
-	for lo := 0; lo < len(mine); lo += e.cfg.RebalanceBatch {
-		batch := mine[lo:min(lo+e.cfg.RebalanceBatch, len(mine))]
+	for lo := 0; lo < len(mine); lo += rebalanceBatch {
+		batch := mine[lo:min(lo+rebalanceBatch, len(mine))]
 		n, err := e.MigrateVertices(rank, batch)
 		stats.Migrated += n
 		stats.Skipped += len(batch) - n
@@ -376,7 +384,7 @@ func (e *Engine) Rebalance(rank fabric.Rank) (RebalanceStats, error) {
 // samples (rank 0 only). Greedy, Schism-style: sort candidates by total heat
 // descending, move each to the rank that accesses it most — but only when
 // that rank's observed heat beats the current owner's (a real locality gain)
-// and the destination has headroom under RebalanceMaxMoves (the imbalance
+// and the destination has headroom under rebalanceMaxMoves (the imbalance
 // guard: no rank absorbs the whole hot set).
 func (e *Engine) planRebalance(tops [][]HeatSample) []MigrationMove {
 	n := e.fab.Size()
@@ -414,7 +422,7 @@ func (e *Engine) planRebalance(tops [][]HeatSample) []MigrationMove {
 	})
 	// Sorted descending (raw totals bound filtered ones): nothing hot enough
 	// follows the first candidate below the threshold.
-	hot := sort.Search(len(cands), func(i int) bool { return cands[i].total < uint64(e.cfg.RebalanceMinHeat) })
+	hot := sort.Search(len(cands), func(i int) bool { return cands[i].total < rebalanceMinHeat })
 	cands = cands[:hot]
 	apps := make([]uint64, len(cands))
 	for i, c := range cands {
@@ -442,7 +450,7 @@ func (e *Engine) planRebalance(tops [][]HeatSample) []MigrationMove {
 				total += heat[r]
 			}
 		}
-		if total < uint64(e.cfg.RebalanceMinHeat) {
+		if total < rebalanceMinHeat {
 			continue
 		}
 		best := fabric.Rank(0)
@@ -454,7 +462,7 @@ func (e *Engine) planRebalance(tops [][]HeatSample) []MigrationMove {
 		if best == owner || heat[best] <= heat[owner] {
 			continue // already placed with (or tied with) its dominant accessor
 		}
-		if movesPerDest[best] >= e.cfg.RebalanceMaxMoves {
+		if movesPerDest[best] >= rebalanceMaxMoves {
 			continue
 		}
 		movesPerDest[best]++

@@ -301,12 +301,14 @@ func TestMigrateStalePlanSkips(t *testing.T) {
 }
 
 // TestRebalanceMovesHotVerticesToAccessor: the collective folds heat, plans
-// greedily, and migrates each hot vertex onto its dominant accessor.
+// greedily, and migrates each hot vertex onto its dominant accessor. Rank 3's
+// read round over its two hot vertices costs remote operations before the
+// round and none after it, read by the vertices' new DPtrs.
 func TestRebalanceMovesHotVerticesToAccessor(t *testing.T) {
 	const ranks = 4
 	e := NewEngine(rma.New(ranks), Config{
 		BlockSize: 64, BlocksPerRank: 1 << 12, LockTries: 256,
-		RebalanceHeatTracking: true, RebalanceMinHeat: 2, RebalanceTopK: 16,
+		RebalanceHeatTracking: true,
 	})
 	pt := payloadPType(t, e)
 	// Vertices 0..7 land round-robin (OwnerOf = app % ranks).
@@ -314,16 +316,29 @@ func TestRebalanceMovesHotVerticesToAccessor(t *testing.T) {
 	for app := uint64(0); app < 8; app++ {
 		dps = append(dps, seedPayloadVertex(t, e, app, pt, 4))
 	}
-	// Rank 3 hammers vertices 0 and 1 (owned by ranks 0 and 1); everything
-	// else sees one cold read from its owner.
-	for i := 0; i < 8; i++ {
+	// readHot is rank 3's read round over hot, committed; it returns the
+	// remote GETs and atomics the round issued.
+	readHot := func(hot []rma.DPtr) int64 {
+		t.Helper()
+		before := e.fab.TotalSnapshot()
 		tx := e.StartLocal(3, ReadOnly)
-		for _, dp := range dps[:2] {
+		for _, dp := range hot {
 			if _, err := tx.AssociateVertex(dp); err != nil {
 				t.Fatal(err)
 			}
 		}
-		tx.Abort()
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		after := e.fab.TotalSnapshot()
+		return after.RemoteGets - before.RemoteGets + after.RemoteAtoms - before.RemoteAtoms
+	}
+	// Rank 3 hammers vertices 0 and 1 (owned by ranks 0 and 1); everything
+	// else sees one cold read from its owner.
+	for i := 0; i < 8; i++ {
+		if ops := readHot(dps[:2]); ops == 0 {
+			t.Fatalf("read round %d of two vertices on ranks 0 and 1 issued no remote operation", i)
+		}
 	}
 	var firstErr error
 	stats := make([]RebalanceStats, ranks)
@@ -340,6 +355,7 @@ func TestRebalanceMovesHotVerticesToAccessor(t *testing.T) {
 	if stats[0].Planned == 0 {
 		t.Fatal("rebalance planned nothing")
 	}
+	moved := make([]rma.DPtr, 2)
 	for app := uint64(0); app < 2; app++ {
 		val, ok := e.index.Lookup(0, app)
 		if !ok {
@@ -348,6 +364,7 @@ func TestRebalanceMovesHotVerticesToAccessor(t *testing.T) {
 		if got := rma.DPtr(val).Rank(); got != 3 {
 			t.Fatalf("hot vertex %d on rank %d after rebalance, want 3", app, got)
 		}
+		moved[app] = rma.DPtr(val)
 	}
 	// Heat reset: a second round with no new traffic plans nothing.
 	e.fab.Run(func(r rma.Rank) {
@@ -361,6 +378,9 @@ func TestRebalanceMovesHotVerticesToAccessor(t *testing.T) {
 	})
 	if firstErr != nil {
 		t.Fatal(firstErr)
+	}
+	if ops := readHot(moved); ops != 0 {
+		t.Fatalf("read round of the two migrated vertices issued %d remote operations, want 0", ops)
 	}
 }
 

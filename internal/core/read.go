@@ -175,7 +175,7 @@ func (r *chainReader) read(e *Engine, origin fabric.Rank, mode readMode, prefix,
 		switch {
 		case nb < 1:
 			it.verdict = readGone
-		case nb > e.store.BlocksPerRank():
+		case !e.plausibleBlock(it.head, it.buf, 0):
 			it.verdict = readImplausible
 		case it.want != nil && !it.want(it.buf):
 			it.verdict = readRefused
@@ -207,12 +207,11 @@ func (r *chainReader) read(e *Engine, origin fabric.Rank, mode readMode, prefix,
 		more := r.walking[:0]
 		for _, i := range r.walking {
 			it := &r.items[i]
-			dp := holder.TableEntry(it.buf, round-1)
-			if !e.validPoolDPtr(dp) || dp.Rank() != it.head.Rank() {
+			if !e.plausibleBlock(it.head, it.buf, round) {
 				it.verdict = readImplausible
 				continue
 			}
-			r.queue(i, dp, it.buf[round*bs:(round+1)*bs])
+			r.queue(i, holder.TableEntry(it.buf, round-1), it.buf[round*bs:(round+1)*bs])
 			if it.need > round+1 {
 				more = append(more, i)
 			}
@@ -223,6 +222,20 @@ func (r *chainReader) read(e *Engine, origin fabric.Rank, mode readMode, prefix,
 	if mode == readSeqlock {
 		r.validate(e, origin, confirm)
 	}
+}
+
+// plausibleBlock applies the reader's two rules to block i of the chain
+// read from head, whose blocks before i are in buf. For the head block
+// (i = 0): a block count no greater than BlocksPerRank, checked before any
+// buffer is sized from it. For a continuation: table entry i-1 is a pool
+// block on the head's rank (a chain lives on one rank), checked before any
+// rank is addressed from it. A chain failing either is no holder's.
+func (e *Engine) plausibleBlock(head fabric.DPtr, buf []byte, i int) bool {
+	if i == 0 {
+		return holder.NumBlocks(buf) <= e.store.BlocksPerRank()
+	}
+	dp := holder.TableEntry(buf, i-1)
+	return e.validPoolDPtr(dp) && dp.Rank() == head.Rank()
 }
 
 // queue adds block dp of item i, into buf, to the round being built.

@@ -15,6 +15,7 @@ import (
 	"github.com/gdi-go/gdi/internal/locks"
 	"github.com/gdi-go/gdi/internal/lpg"
 	"github.com/gdi-go/gdi/internal/rma"
+	"github.com/gdi-go/gdi/internal/snapshot"
 )
 
 // TestReadersRejectReusedHeadBlock: a committed vertex's head block is
@@ -24,8 +25,9 @@ import (
 // a block count of 0x00fffff0 — and every reader of holder chains must turn
 // it away without panicking, sizing a buffer on the count or addressing the
 // rank: associations on both local tiers fail with ErrNotFound, so does a
-// frontier expansion, a warm translation fails, the point read declines, and
-// a read under lock calls the chain implausible.
+// frontier expansion and a read through a cut pinned after the overwrite, a
+// warm translation fails, the point read declines, and a read under lock
+// calls the chain implausible.
 func TestReadersRejectReusedHeadBlock(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -33,7 +35,7 @@ func TestReadersRejectReusedHeadBlock(t *testing.T) {
 		offRank bool // the table entries name blocks on the other rank, not rank 255
 	}{{"garbage-table-entry", 3, false}, {"off-rank-table-entry", 3, true}, {"absurd-block-count", 0x00fffff0, false}} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := NewEngine(rma.New(2), Config{BlockSize: 64, BlocksPerRank: 1 << 12, LockTries: 16})
+			e := NewEngine(rma.New(2), Config{BlockSize: 64, BlocksPerRank: 1 << 12, LockTries: 16, HTAPSnapshots: true})
 			const app = 7
 			seed := e.StartLocal(0, ReadWrite)
 			dp, err := seed.CreateVertex(app)
@@ -68,6 +70,20 @@ func TestReadersRejectReusedHeadBlock(t *testing.T) {
 			for r := range 2 { // a write drops the writer's cached copy only
 				e.Store().WriteBlock(fabric.Rank(r), dp, garbage)
 			}
+			var cut *snapshot.Cut
+			e.fab.Run(func(r fabric.Rank) {
+				c, err := e.AcquireCut(r)
+				if err != nil {
+					t.Error(err)
+				}
+				if r == 0 {
+					cut = c
+				}
+			})
+			if cut == nil {
+				t.FailNow()
+			}
+			defer cut.Release()
 			var mem runtime.MemStats
 			runtime.ReadMemStats(&mem)
 			allocated := mem.TotalAlloc
@@ -99,6 +115,9 @@ func TestReadersRejectReusedHeadBlock(t *testing.T) {
 				}
 				if v := e.readChains(origin, []fabric.DPtr{dp}, nil)[0].verdict; v != readImplausible {
 					t.Errorf("rank %d: a read under lock gave verdict %d, want readImplausible", r, v)
+				}
+				if _, err := e.CutVertex(origin, cut, dp); !errors.Is(err, ErrNotFound) {
+					t.Errorf("rank %d: CutVertex: err = %v, want ErrNotFound", r, err)
 				}
 			}
 			runtime.ReadMemStats(&mem)

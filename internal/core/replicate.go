@@ -288,8 +288,7 @@ func (e *Engine) ReplicateUniform(origin fabric.Rank, k int) int {
 
 // ReplicateHot seeds follower copies of origin's hottest remote vertices —
 // the topM entries of its own access-heat shard whose primary lives
-// elsewhere. This is the workload-aware placement the read-scale ablation
-// uses: each rank replicates exactly what it reads most. Requires
+// elsewhere: each rank replicates exactly what it reads most. Requires
 // Config.RebalanceHeatTracking. Returns the seed count.
 func (e *Engine) ReplicateHot(origin fabric.Rank, k, topM int) int {
 	var apps []uint64

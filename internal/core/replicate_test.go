@@ -76,7 +76,9 @@ func writeSeq(t *testing.T, e *Engine, r rma.Rank, app, seq uint64, pt lpg.PType
 
 // TestReplicateSeedsFollowerAndServesReads: seeding installs one follower
 // copy, and an optimistic read from the follower rank is served locally —
-// the replica-read counter moves — while still validating at commit.
+// the replica-read counter moves — while still validating at commit. Warm,
+// that read → commit issues no remote GET: only the validation load reaches
+// the primary.
 func TestReplicateSeedsFollowerAndServesReads(t *testing.T) {
 	_, e := newReplicaEngine(t, 2)
 	pt := payloadPType(t, e)
@@ -99,6 +101,17 @@ func TestReplicateSeedsFollowerAndServesReads(t *testing.T) {
 	}
 	if got := e.ReplicaReads(); got != base+1 {
 		t.Fatalf("ReplicaReads = %d after a follower-rank read, want %d", got, base+1)
+	}
+	// Warm, the read costs the primary one word: commit's validation load.
+	// The blocks come from the follower copy, with no GET at all.
+	before := e.fab.TotalSnapshot()
+	readSeq(t, e, fr, 1, pt)
+	after := e.fab.TotalSnapshot()
+	if gets, trains := after.RemoteGets-before.RemoteGets, after.GetBatches-before.GetBatches; gets != 0 || trains != 0 {
+		t.Errorf("a warm follower-rank read issued %d remote GETs in %d trains, want 0", gets, trains)
+	}
+	if atoms, puts := after.RemoteAtoms-before.RemoteAtoms, after.RemotePuts-before.RemotePuts; atoms != 1 || puts != 0 {
+		t.Errorf("a warm follower-rank read issued %d remote atomics and %d PUTs, want 1 (the validation load) and 0", atoms, puts)
 	}
 	// Re-seeding the same vertex from the same rank is a no-op.
 	if n := e.ReplicateFromRank(fr, dp.Rank(), 2); n != 0 {

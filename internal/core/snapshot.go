@@ -125,12 +125,18 @@ func (e *Engine) cutChain(origin fabric.Rank, cut *snapshot.Cut, dp fabric.DPtr)
 	if nb < 1 {
 		return nil, fmt.Errorf("%w: cut read of %v found a freed block", ErrNotFound, dp)
 	}
+	if !e.plausibleBlock(dp, buf, 0) {
+		return nil, fmt.Errorf("%w: cut read of %v found a block count no holder has", ErrNotFound, dp)
+	}
 	if nb == 1 {
 		return buf, nil
 	}
 	full := make([]byte, nb*bs)
 	copy(full, buf)
 	for i := 1; i < nb; i++ {
+		if !e.plausibleBlock(dp, full, i) {
+			return nil, fmt.Errorf("%w: cut read of %v found a table entry no holder has", ErrNotFound, dp)
+		}
 		cont := holder.TableEntry(full, i-1)
 		if err := e.snap.ReadBlock(origin, cut, cont, full[i*bs:(i+1)*bs]); err != nil {
 			return nil, err

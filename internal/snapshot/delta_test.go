@@ -69,7 +69,7 @@ func newTestManager(t *testing.T) *Manager {
 	t.Helper()
 	f := rma.New(2)
 	st := block.NewStore(f, block.Config{BlockSize: 64, BlocksPerRank: 8})
-	return NewManager(st, 0)
+	return NewManager(st)
 }
 
 func TestDeltaLogWindowAndTrim(t *testing.T) {

@@ -37,8 +37,8 @@ import (
 	"github.com/gdi-go/gdi/internal/locks"
 )
 
-// DefaultCutRetries bounds the arena/live-read alternation of ReadBlock.
-const DefaultCutRetries = 64
+// cutRetries bounds the arena/live-read alternation of ReadBlock.
+const cutRetries = 64
 
 // VertexRef is one entry of a cut's per-rank vertex listing: the primary
 // block and application ID of a vertex that existed when the cut was pinned.
@@ -86,7 +86,6 @@ type Manager struct {
 	nRanks  int
 	perRank int
 	bs      int
-	retries int
 
 	ranks []rankShard
 
@@ -97,19 +96,14 @@ type Manager struct {
 }
 
 // NewManager creates the snapshot manager over the given block store.
-// retries bounds ReadBlock's validation loop (<=0 uses DefaultCutRetries).
-func NewManager(store *block.Store, retries int) *Manager {
+func NewManager(store *block.Store) *Manager {
 	sys, _, _ := store.LockWord(fabric.MakeDPtr(0, 1))
-	if retries <= 0 {
-		retries = DefaultCutRetries
-	}
 	m := &Manager{
 		store:   store,
 		sys:     sys,
 		nRanks:  store.Fabric().Size(),
 		perRank: store.BlocksPerRank(),
 		bs:      store.BlockSize(),
-		retries: retries,
 		ranks:   make([]rankShard, store.Fabric().Size()),
 	}
 	for r := range m.ranks {
@@ -306,7 +300,7 @@ func (m *Manager) ReadBlock(origin fabric.Rank, c *Cut, dp fabric.DPtr, buf []by
 	if len(buf) != m.bs {
 		return fmt.Errorf("snapshot: cut reads are whole-block (%d bytes), got %d", m.bs, len(buf))
 	}
-	for try := 0; try < m.retries; try++ {
+	for try := 0; try < cutRetries; try++ {
 		if old := m.lookupArena(c, target, off); old != nil {
 			copy(buf, old)
 			return nil
@@ -323,7 +317,7 @@ func (m *Manager) ReadBlock(origin fabric.Rank, c *Cut, dp fabric.DPtr, buf []by
 			return nil
 		}
 	}
-	return fmt.Errorf("snapshot: block %v failed cut validation after %d attempts", dp, m.retries)
+	return fmt.Errorf("snapshot: block %v failed cut validation after %d attempts", dp, cutRetries)
 }
 
 // ArenaBytes returns the total payload bytes currently held in all version
