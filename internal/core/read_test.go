@@ -128,6 +128,43 @@ func TestReadersRejectReusedHeadBlock(t *testing.T) {
 	}
 }
 
+// TestPlausibleBlock: the one rule set every holder-chain reader applies
+// before it trusts a block. A head's block count may not exceed
+// BlocksPerRank; a continuation's table entry must be a pool block (not
+// null, not the reserved block 0, inside the pool, on an existing rank) on
+// the head's own rank.
+func TestPlausibleBlock(t *testing.T) {
+	const perRank = 1 << 8
+	e := NewEngine(rma.New(2), Config{BlockSize: 64, BlocksPerRank: perRank, LockTries: 16})
+	head := rma.MakeDPtr(1, 9)
+	for _, tc := range []struct {
+		name  string
+		nb    uint32      // the head's block count
+		entry fabric.DPtr // table entry 0, checked as block 1
+		block int         // the block checked
+		want  bool
+	}{
+		{"head-count-at-pool-size", perRank, 0, 0, true},
+		{"head-count-over-pool-size", perRank + 1, 0, 0, false},
+		{"entry-on-head-rank", 2, rma.MakeDPtr(1, 10), 1, true},
+		{"entry-on-other-rank", 2, rma.MakeDPtr(0, 10), 1, false},
+		{"entry-on-missing-rank", 2, rma.MakeDPtr(255, 10), 1, false},
+		{"entry-null", 2, fabric.NullDPtr, 1, false},
+		{"entry-reserved-block", 2, rma.MakeDPtr(1, 0), 1, false},
+		{"entry-past-pool", 2, rma.MakeDPtr(1, perRank), 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			buf := make([]byte, 64)
+			binary.LittleEndian.PutUint32(buf, tc.nb)
+			holder.SetTableEntry(buf, 0, tc.entry)
+			if got := e.plausibleBlock(head, buf, tc.block); got != tc.want {
+				t.Errorf("plausibleBlock(block %d, count %d, entry %v) = %v, want %v",
+					tc.block, tc.nb, tc.entry, got, tc.want)
+			}
+		})
+	}
+}
+
 // assocFixture is the store the association golden cases read from rank 0,
 // and what they read.
 type assocFixture struct {
