@@ -408,10 +408,13 @@
 // a per-worker ReadArena whose view decodes varints in place from the
 // fetched blocks — no materialized edge slices — and a CI allocation guard
 // asserts 0 allocs/op on the cached optimistic point-read and
-// ForEachNeighbor paths (outside -race builds, whose shadow allocations
-// would distort testing.AllocsPerRun). The varint run and whole-holder
-// round-trip codecs are fuzzed (FuzzVarintEdgeRun, FuzzHolderV2RoundTrip)
-// with checked-in corpora.
+// ForEachNeighbor paths, and one (the result) per read-only Edges call
+// (outside -race builds, whose shadow allocations would distort
+// testing.AllocsPerRun). The edge region has one decoder, the holder
+// package's EdgeCursor; ARCHITECTURE.md's "Life of a holder read" names its
+// callers. The cursor, its varint readers and the whole-holder round trip
+// are fuzzed (FuzzVarintEdgeRun against a reference decoder, FuzzUvarint,
+// FuzzHolderV2RoundTrip) with checked-in corpora.
 //
 // # Fabric backends
 //

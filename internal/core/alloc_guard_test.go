@@ -229,3 +229,71 @@ func TestFrontierHopAllocsIndependentOfWidth(t *testing.T) {
 		})
 	}
 }
+
+// TestEdgesAllocatesOnlyItsResult: a read-only Edges walks the fetched stream
+// in place and allocates one object, its result, sized once from the
+// degree — never a materialized record slice, never a regrown result. On a
+// warm handle each call costs exactly that one object, and a transaction
+// that reads a vertex's edges costs one object more than one that reads its
+// degree, at degree 8 (one block) as at degree 512 (a chain).
+func TestEdgesAllocatesOnlyItsResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is not meaningful under the race detector")
+	}
+	for _, degree := range []int{8, 512} {
+		t.Run(fmt.Sprintf("degree=%d", degree), func(t *testing.T) {
+			e := NewEngine(rma.New(2), Config{
+				BlockSize:     256,
+				BlocksPerRank: 1 << 12,
+				LockTries:     256,
+				CacheCapacity: 512,
+			})
+			center := seedFanVertex(t, e, degree)
+			edges := func(h *VertexHandle) {
+				if infos, err := h.Edges(MaskAll, nil); err != nil || len(infos) != degree {
+					panic(fmt.Sprintf("Edges = %d edges, %v; want %d", len(infos), err, degree))
+				}
+			}
+
+			tx := e.StartLocal(center.Rank(), ReadOnly)
+			h, err := tx.AssociateVertex(center)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edges(h)
+			if perCall := testing.AllocsPerRun(100, func() { edges(h) }); perCall != 1 {
+				t.Fatalf("a warm Edges allocates %.0f objects per call, want 1", perCall)
+			}
+			if !h.st.lazyEdges {
+				t.Fatal("a read-only Edges materialized the records")
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+
+			read := func(use func(*VertexHandle)) func() {
+				return func() {
+					tx := e.StartLocal(center.Rank(), ReadOnly)
+					h, err := tx.AssociateVertex(center)
+					if err != nil {
+						panic(err)
+					}
+					use(h)
+					if err := tx.Commit(); err != nil {
+						panic(err)
+					}
+				}
+			}
+			degreeOnly := func(h *VertexHandle) {
+				if d := h.Degree(); d != degree {
+					panic(fmt.Sprintf("degree = %d, want %d", d, degree))
+				}
+			}
+			withEdges := testing.AllocsPerRun(100, read(edges))
+			withDegree := testing.AllocsPerRun(100, read(degreeOnly))
+			if withEdges != withDegree+1 {
+				t.Fatalf("a transaction reading the edges allocates %.0f objects, one reading the degree %.0f: want exactly one more", withEdges, withDegree)
+			}
+		})
+	}
+}

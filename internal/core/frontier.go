@@ -401,31 +401,6 @@ func (tx *Tx) evalFrontier(sc *frontierScratch, mask DirMask, cons *constraint.C
 		}
 	}
 	view := &sc.view
-	var cur fabric.DPtr // the vertex whose records visit is walking
-	var walkErr error
-	visit := func(rec holder.EdgeRec) bool {
-		if !mask.matches(rec.Dir) {
-			return true
-		}
-		nb := rec.Neighbor
-		if rec.Heavy {
-			// The far end of a heavy edge is in its holder (handles.go's
-			// heavyNeighbor, on the view).
-			es, err := tx.fetchEdgeState(nb)
-			if err != nil {
-				walkErr = err
-				return false
-			}
-			if es.deleted {
-				return true
-			}
-			if nb = es.e.Target; nb == cur || view.HasHome(nb) {
-				nb = es.e.Origin
-			}
-		}
-		add(nb)
-		return true
-	}
 	for i := range sc.items {
 		if sc.verts[i].dup {
 			continue
@@ -445,10 +420,28 @@ func (tx *Tx) evalFrontier(sc *frontierScratch, mask DirMask, cons *constraint.C
 				return nil, nil, err
 			}
 		default:
-			cur = id
-			view.ForEachEdge(visit)
-			if walkErr != nil {
-				return nil, nil, walkErr
+			c := view.Edges()
+			for c.Next() {
+				rec := &c.Rec
+				if !mask.matches(rec.Dir) {
+					continue
+				}
+				nb := rec.Neighbor
+				if rec.Heavy {
+					// The far end of a heavy edge is in its holder
+					// (handles.go's heavyNeighbor, on the view).
+					es, err := tx.fetchEdgeState(nb)
+					if err != nil {
+						return nil, nil, err
+					}
+					if es.deleted {
+						continue
+					}
+					if nb = es.e.Target; nb == id || view.HasHome(nb) {
+						nb = es.e.Origin
+					}
+				}
+				add(nb)
 			}
 			if err := view.Err(); err != nil {
 				return nil, nil, fmt.Errorf("%w: holder %v: %v", ErrNotFound, id, err)

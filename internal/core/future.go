@@ -410,8 +410,7 @@ func (tx *Tx) lockGeneration(r *chainReader, gen []assoc, spec bool, expect uint
 
 // install decodes an item read OK into a's state and makes it the
 // transaction's: the edge records stay encoded behind the state's view until
-// a mutation (or an index-addressed read) needs a mutable slice, so point
-// reads and CSR passes iterate in place. It returns false for a stream that
+// a mutation needs a mutable slice, so every read iterates them in place. It returns false for a stream that
 // does not decode, or a follower copy that is not this vertex's.
 func (tx *Tx) install(a *assoc, it *chainItem) bool {
 	st := a.st

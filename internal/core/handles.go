@@ -219,43 +219,43 @@ func (m DirMask) matches(d holder.Direction) bool {
 	}
 }
 
-// EdgeInfo describes one edge incident to a vertex.
+// EdgeInfo describes one edge incident to a vertex. Its fields are ordered
+// widest first so that it packs into 40 bytes.
 type EdgeInfo struct {
 	// UID identifies the edge relative to the queried vertex.
 	UID holder.EdgeUID
 	// Neighbor is the other endpoint's vertex DPtr.
 	Neighbor fabric.DPtr
-	// Dir is the direction relative to the queried vertex.
-	Dir holder.Direction
+	// Holder is the DPtr of a heavy edge's dedicated holder.
+	Holder fabric.DPtr
 	// Label is the lightweight label (0 if none). For heavy edges it is the
 	// first label of the edge holder.
 	Label lpg.LabelID
-	// Heavy marks edges with a dedicated holder; Holder is its DPtr.
-	Heavy  bool
-	Holder fabric.DPtr
+	// Dir is the direction relative to the queried vertex.
+	Dir holder.Direction
+	// Heavy marks edges with a dedicated holder.
+	Heavy bool
 }
 
 // Edges lists the vertex's incident edges matching mask and, optionally, a
 // constraint over the edges' labels/properties (GDI_GetEdgesOfVertex).
 // Lightweight edges evaluate the constraint on their single label without
 // any communication; heavy edges fetch their holder. O(deg(v)) plus one
-// holder fetch per heavy edge.
+// holder fetch per heavy edge. A read-only call walks the fetched stream in
+// place and allocates its result once; it never materializes the records.
 func (h *VertexHandle) Edges(mask DirMask, cons *constraint.Constraint) ([]EdgeInfo, error) {
 	if err := h.tx.check(); err != nil {
 		return nil, err
 	}
-	// EdgeInfo carries record indices (EdgeUIDs), so this path works on the
-	// materialized slice; it allocates the result anyway.
-	if err := h.tx.materializeEdges(h.st); err != nil {
-		return nil, err
-	}
-	var out []EdgeInfo
-	for i, rec := range h.st.v.Edges {
+	out := make([]EdgeInfo, 0, h.Degree())
+	w := h.st.edges()
+	for w.next() {
+		rec := &w.rec
 		if !mask.matches(rec.Dir) {
 			continue
 		}
 		info := EdgeInfo{
-			UID:      holder.EdgeUID{Vertex: h.st.primary, Index: uint32(i)},
+			UID:      holder.EdgeUID{Vertex: h.st.primary, Index: uint32(w.pos)},
 			Neighbor: rec.Neighbor,
 			Dir:      rec.Dir,
 			Label:    rec.Label,
@@ -288,7 +288,60 @@ func (h *VertexHandle) Edges(mask DirMask, cons *constraint.Constraint) ([]EdgeI
 		}
 		out = append(out, info)
 	}
+	if err := w.err(); err != nil {
+		return nil, err
+	}
 	return out, nil
+}
+
+// edgeWalk iterates a vertex state's edge records in record order: through
+// the view's cursor while the state is lazy, over the materialized slice once
+// a mutation realized it. pos is the record's index in that slice either
+// way, so an EdgeUID built from it names the record DeleteEdge removes.
+type edgeWalk struct {
+	rec  holder.EdgeRec
+	pos  int
+	st   *vertexState
+	recs []holder.EdgeRec // the materialized records, as of the walk's start
+	c    holder.EdgeCursor
+	lazy bool
+}
+
+// edges starts a walk over st's records.
+func (st *vertexState) edges() edgeWalk {
+	w := edgeWalk{pos: -1, st: st, lazy: st.lazyEdges}
+	if w.lazy {
+		w.c = st.view.Edges()
+	} else {
+		w.recs = st.v.Edges
+	}
+	return w
+}
+
+// next advances to the next record: false at the end and at a corrupt one.
+func (w *edgeWalk) next() bool {
+	w.pos++
+	if w.lazy {
+		if !w.c.Next() {
+			return false
+		}
+		w.rec = w.c.Rec
+		return true
+	}
+	if w.pos >= len(w.recs) {
+		return false
+	}
+	w.rec = w.recs[w.pos]
+	return true
+}
+
+// err reports the corruption a lazy walk stopped at as the ErrNotFound a
+// corrupt holder has always been.
+func (w *edgeWalk) err() error {
+	if !w.lazy || w.st.view.Err() == nil {
+		return nil
+	}
+	return fmt.Errorf("%w: holder %v: %v", ErrNotFound, w.st.primary, w.st.view.Err())
 }
 
 // heavyNeighbor resolves the far endpoint of a heavy edge relative to the
@@ -322,43 +375,26 @@ func (h *VertexHandle) ForEachEdge(mask DirMask, fn func(nb fabric.DPtr, dir hol
 	if err := h.tx.check(); err != nil {
 		return err
 	}
-	visit := func(rec holder.EdgeRec) error {
+	w := h.st.edges()
+	for w.next() {
+		rec := &w.rec
 		if !mask.matches(rec.Dir) {
-			return nil
+			continue
 		}
+		nb := rec.Neighbor
 		if rec.Heavy {
-			es, err := h.tx.fetchEdgeState(rec.Neighbor)
+			es, err := h.tx.fetchEdgeState(nb)
 			if err != nil {
 				return err
 			}
 			if es.deleted {
-				return nil
+				continue
 			}
-			fn(heavyNeighbor(es.e, h.st), rec.Dir)
-			return nil
+			nb = heavyNeighbor(es.e, h.st)
 		}
-		fn(rec.Neighbor, rec.Dir)
-		return nil
+		fn(nb, rec.Dir)
 	}
-	// Lazily decoded holders iterate the encoded stream in place — no
-	// []EdgeRec is ever built for a read-only traversal.
-	if h.st.lazyEdges {
-		var ferr error
-		h.st.view.ForEachEdge(func(rec holder.EdgeRec) bool {
-			ferr = visit(rec)
-			return ferr == nil
-		})
-		if err := h.st.view.Err(); err != nil && ferr == nil {
-			ferr = fmt.Errorf("%w: holder %v: %v", ErrNotFound, h.st.primary, err)
-		}
-		return ferr
-	}
-	for _, rec := range h.st.v.Edges {
-		if err := visit(rec); err != nil {
-			return err
-		}
-	}
-	return nil
+	return w.err()
 }
 
 // CountEdges counts incident edges matching mask
@@ -367,21 +403,13 @@ func (h *VertexHandle) ForEachEdge(mask DirMask, fn func(nb fabric.DPtr, dir hol
 // return: over a corrupt edge region it counts the records ahead of the
 // damage, which every error-returning accessor then reports.
 func (h *VertexHandle) CountEdges(mask DirMask) int {
-	n := 0
-	if h.st.lazyEdges {
-		if mask == MaskAll {
-			return h.st.view.NumEdges() // header field; no edge-region walk
-		}
-		h.st.view.ForEachEdge(func(rec holder.EdgeRec) bool {
-			if mask.matches(rec.Dir) {
-				n++
-			}
-			return true
-		})
-		return n
+	if mask == MaskAll {
+		return h.Degree() // a header field on a lazy state; no edge-region walk
 	}
-	for _, rec := range h.st.v.Edges {
-		if mask.matches(rec.Dir) {
+	n := 0
+	w := h.st.edges()
+	for w.next() {
+		if mask.matches(w.rec.Dir) {
 			n++
 		}
 	}

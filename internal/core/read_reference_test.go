@@ -255,10 +255,9 @@ func referenceFlush(tx *Tx, pending []*VertexFuture, spec bool, expect uint64) {
 			if pf.err == nil {
 				// Lazy decode: validate the stream and materialize everything
 				// except the edge records, which stay varint/fixed-encoded in
-				// pf.buf behind the state's view until a mutation (or an
-				// index-addressed read) needs a mutable slice. Point reads and
-				// CSR passes iterate the view in place and allocate nothing
-				// per edge.
+				// pf.buf behind the state's view until a mutation needs a
+				// mutable slice. Every read iterates the view in place and
+				// allocates nothing per edge.
 				st := pf.st
 				err := st.view.Reset(pf.buf)
 				var v *holder.Vertex

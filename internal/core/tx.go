@@ -54,10 +54,10 @@ type vertexState struct {
 
 	// Lazy edge tier: a fetched holder's edge records stay encoded in the
 	// stream the flush materialized (view aliases it) until something needs
-	// a mutable []holder.EdgeRec. Read-only iteration — ForEachEdge,
-	// CountEdges, Degree, the CSR build — runs on the view and allocates
-	// nothing; the first mutation (or an index-addressed read) pays one
-	// AppendEdges through materializeEdges, which clears lazyEdges.
+	// a mutable []holder.EdgeRec. Every read — Edges, ForEachEdge,
+	// CountEdges, Degree, the CSR build — walks the view's cursor (edgeWalk)
+	// and builds no record slice; the first mutation, or a DeleteEdge, pays
+	// one AppendEdges through materializeEdges, which clears lazyEdges.
 	view      holder.View
 	lazyEdges bool
 }

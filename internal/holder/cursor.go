@@ -1,0 +1,134 @@
+package holder
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/bits"
+
+	"github.com/gdi-go/gdi/internal/fabric"
+	"github.com/gdi-go/gdi/internal/lpg"
+)
+
+// EdgeCursor is the one decoder of the edge region: a pull iterator over a
+// View's records in insertion order, parsing the stream in place.
+//
+//	c := w.Edges()
+//	for c.Next() {
+//		use(c.Rec)
+//	}
+//	if err := w.Err(); err != nil { ... }
+//
+// Next decodes exactly one record, so a caller that stops early has decoded
+// nothing past the last record it asked for. A cursor that meets corruption
+// stops there and records it on its View for Err; a cursor started on a view
+// whose Err is already set yields nothing. The cursor aliases the view and
+// its stream, and is valid as long as they are. Declare it before the loop,
+// as above: a cursor declared in a for clause is a per-iteration variable,
+// which the compiler copies on every iteration.
+type EdgeCursor struct {
+	// Rec is the record the last Next that returned true decoded.
+	Rec EdgeRec
+
+	w    *View
+	buf  []byte // the edge region through the end of the stream
+	off  int    // bytes of buf decoded so far
+	run  int    // records of the current run still to come
+	left int    // records of the region still to come, the current run's included
+}
+
+// Edges returns a cursor positioned before the view's first edge record.
+func (w *View) Edges() EdgeCursor {
+	c := EdgeCursor{w: w}
+	if w.err == nil {
+		c.buf, c.left = w.buf[w.edgesOff:], w.numEdges
+	}
+	return c
+}
+
+// Next advances to the next record and reports whether there was one: false
+// at the end of the region and at the first corruption (then View.Err).
+func (c *EdgeCursor) Next() bool {
+	if c.run > 0 {
+		delta, n := varint(c.buf[c.off:])
+		if n <= 0 {
+			return c.fail(fmt.Errorf("holder: malformed delta at offset %d", c.off))
+		}
+		c.off += n
+		c.Rec.Neighbor = fabric.DPtr(int64(c.Rec.Neighbor) + delta)
+		c.run--
+		c.left--
+		return true
+	}
+	if c.left == 0 {
+		return false
+	}
+	return c.nextRun()
+}
+
+// nextRun decodes a run header, its label and its first neighbor.
+func (c *EdgeCursor) nextRun() bool {
+	hdr, n := uvarint(c.buf[c.off:])
+	if n <= 0 {
+		return c.fail(fmt.Errorf("holder: malformed run header at offset %d", c.off))
+	}
+	c.off += n
+	count := hdr >> 3
+	if count == 0 || count > uint64(c.left) {
+		return c.fail(fmt.Errorf("holder: run of %d records, %d remaining", count, c.left))
+	}
+	dir := Direction(hdr & 0x3)
+	if dir > DirUndirected {
+		return c.fail(fmt.Errorf("holder: run with direction %d", dir))
+	}
+	label, n := uvarint(c.buf[c.off:])
+	if n <= 0 || label > math.MaxUint32 {
+		return c.fail(fmt.Errorf("holder: malformed run label at offset %d", c.off))
+	}
+	c.off += n
+	first, n := uvarint(c.buf[c.off:])
+	if n <= 0 {
+		return c.fail(fmt.Errorf("holder: malformed neighbor at offset %d", c.off))
+	}
+	c.off += n
+	c.Rec = EdgeRec{Neighbor: fabric.DPtr(first), Dir: dir, Heavy: hdr&(1<<2) != 0, Label: lpg.LabelID(label)}
+	c.run = int(count) - 1
+	c.left--
+	return true
+}
+
+// fail records err on the view and ends the walk.
+func (c *EdgeCursor) fail(err error) bool {
+	c.w.err = err
+	c.run, c.left = 0, 0
+	return false
+}
+
+// uvarint is binary.Uvarint — same value, same n, on any input — with a
+// branch-free decode of every encoding that ends within the next 8 bytes:
+// the terminating byte is the lowest one with its top bit clear, and the
+// 7-bit groups ahead of it fold together in three mask-and-shift steps.
+// Longer encodings (values of 2^56 and up), malformed ones and the last 7
+// bytes of buf take binary.Uvarint.
+func uvarint(buf []byte) (uint64, int) {
+	if len(buf) < 8 {
+		return binary.Uvarint(buf)
+	}
+	x := binary.LittleEndian.Uint64(buf)
+	stops := ^x & 0x8080808080808080
+	if stops == 0 {
+		return binary.Uvarint(buf)
+	}
+	x &= (stops&-stops)<<1 - 1 // the bytes through the first terminator
+	x &= 0x7f7f7f7f7f7f7f7f
+	x = x&0x007f007f007f007f | x&0x7f007f007f007f00>>1
+	x = x&0x00003fff00003fff | x&0x3fff00003fff0000>>2
+	x = x&0x000000000fffffff | x&0x0fffffff00000000>>4
+	return x, bits.TrailingZeros64(stops)>>3 + 1
+}
+
+// varint is binary.Varint over uvarint: the zig-zag decode of its result.
+func varint(buf []byte) (int64, int) {
+	ux, n := uvarint(buf)
+	return int64(ux>>1) ^ -int64(ux&1), n
+}

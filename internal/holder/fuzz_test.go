@@ -2,6 +2,8 @@ package holder
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"github.com/gdi-go/gdi/internal/lpg"
@@ -74,31 +76,22 @@ func vertexFromBytes(data []byte) *Vertex {
 }
 
 // FuzzVarintEdgeRun exercises the delta+varint edge-run codec at both
-// ends: arbitrary bytes through the run decoder must error — never panic —
-// and records derived from the input must survive encode→decode bit-exactly,
-// with the measured size matching the encoder's output.
+// ends. Arbitrary bytes through the EdgeCursor must error — never panic — and
+// agree with the forEachEdgeRun oracle: the same records, an error or not
+// alike, the same bytes decoded, walked in full and stopped early. Records
+// derived from the input must survive encode→decode bit-exactly, with the
+// measured size matching the encoder's output.
 func FuzzVarintEdgeRun(f *testing.F) {
 	f.Add([]byte{}, uint16(0))
 	f.Add([]byte{9, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, uint16(3))
 	f.Add([]byte{0x0b, 0x10, 0x64, 0x06, 0x04}, uint16(2)) // one well-formed run header
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, uint16(1))
 	f.Fuzz(func(t *testing.T, data []byte, n uint16) {
-		// Raw bytes into the decoder with a fuzzed record count: must never
-		// panic, and on success must have consumed no more than the buffer.
-		count := int(n) % 1024
-		var raw []EdgeRec
-		consumed, err := forEachEdgeRun(data, count, func(rec EdgeRec) bool {
-			raw = append(raw, rec)
-			return true
-		})
-		if err == nil {
-			if consumed > len(data) {
-				t.Fatalf("consumed %d of %d bytes", consumed, len(data))
-			}
-			if len(raw) != count {
-				t.Fatalf("decoded %d records, asked for %d", len(raw), count)
-			}
-		}
+		// Raw bytes with a fuzzed record count, and a fuzzed early stop
+		// from the count's spare bits.
+		count, stop := int(n)%1024, int(n>>10)+1
+		sameWalk(t, data, count, 0)
+		sameWalk(t, data, count, stop)
 
 		// Derived records: encode, check the size accounting, decode back.
 		recs := recordsFromBytes(data)
@@ -106,26 +99,55 @@ func FuzzVarintEdgeRun(f *testing.F) {
 		if len(enc) != edgeRunsSize(recs) {
 			t.Fatalf("encoded %d bytes, edgeRunsSize said %d", len(enc), edgeRunsSize(recs))
 		}
-		var got []EdgeRec
-		consumed, err = forEachEdgeRun(enc, len(recs), func(rec EdgeRec) bool {
-			got = append(got, rec)
-			return true
-		})
-		if err != nil {
+		w := regionView(enc, len(recs))
+		got, consumed := cursorWalk(w, 0)
+		if err := w.Err(); err != nil {
 			t.Fatalf("decode of freshly encoded runs: %v", err)
 		}
 		if consumed != len(enc) {
 			t.Fatalf("decode consumed %d of %d bytes", consumed, len(enc))
 		}
 		sameRecords(t, got, recs)
+		sameWalk(t, enc, len(recs), stop)
 
-		// An early stop returns at once: one callback, and the bytes of the
-		// records behind it stay undecoded.
+		// An early stop ends the walk: the bytes of the records behind the
+		// first stay undecoded.
 		if len(recs) > 1 {
-			calls := 0
-			stopped, err := forEachEdgeRun(enc, len(recs), func(EdgeRec) bool { calls++; return false })
-			if err != nil || calls != 1 || stopped >= len(enc) {
-				t.Fatalf("early-stop walk: %d callbacks, consumed %d of %d bytes (err %v)", calls, stopped, len(enc), err)
+			if got, stopped := cursorWalk(regionView(enc, len(recs)), 1); len(got) != 1 || stopped >= len(enc) {
+				t.Fatalf("early-stop walk: %d records, consumed %d of %d bytes", len(got), stopped, len(enc))
+			}
+		}
+	})
+}
+
+// FuzzUvarint: the branch-free varint readers are binary.Uvarint and
+// binary.Varint — the same value and the same n, 0 for a buffer too short
+// and negative for an overflow — on arbitrary bytes, at every offset.
+func FuzzUvarint(f *testing.F) {
+	for _, seed := range [][]byte{
+		{}, {0}, {0x7f}, {0x80}, {0x80, 0x01},
+		binary.AppendUvarint(nil, 1<<56-1),
+		binary.AppendUvarint(nil, 1<<56),
+		binary.AppendUvarint(nil, math.MaxUint64),
+		append(binary.AppendUvarint(nil, 300), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff),
+		{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00, 0x00},       // a non-minimal zero
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, // overflows in byte 10
+		bytes.Repeat([]byte{0xff}, 11),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for i := range len(data) + 1 {
+			b := data[i:]
+			u, n := uvarint(b)
+			wantU, wantN := binary.Uvarint(b)
+			if u != wantU || n != wantN {
+				t.Fatalf("uvarint(% x) = %d, %d; binary.Uvarint = %d, %d", b, u, n, wantU, wantN)
+			}
+			s, n := varint(b)
+			wantS, wantN := binary.Varint(b)
+			if s != wantS || n != wantN {
+				t.Fatalf("varint(% x) = %d, %d; binary.Varint = %d, %d", b, s, n, wantS, wantN)
 			}
 		}
 	})

@@ -55,7 +55,6 @@ package holder
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"github.com/gdi-go/gdi/internal/fabric"
 	"github.com/gdi-go/gdi/internal/lpg"
@@ -250,62 +249,6 @@ func appendEdgeRuns(dst []byte, recs []EdgeRec) []byte {
 		i = j
 	}
 	return dst
-}
-
-// forEachEdgeRun parses an edge region in place, calling fn for each of the
-// numEdges records in order until fn returns false, and returns how many
-// bytes of the region it decoded — the whole region after a full walk, only
-// the prefix an early stop needed. It never panics on corrupt input; records
-// ahead of the corruption have been yielded by the time it is found.
-func forEachEdgeRun(buf []byte, numEdges int, fn func(EdgeRec) bool) (consumed int, err error) {
-	off, decoded := 0, 0
-	for decoded < numEdges {
-		hdr, n := binary.Uvarint(buf[off:])
-		if n <= 0 {
-			return off, fmt.Errorf("holder: malformed run header at offset %d", off)
-		}
-		off += n
-		count := int(hdr >> 3)
-		if count <= 0 || count > numEdges-decoded {
-			return off, fmt.Errorf("holder: run of %d records, %d remaining", count, numEdges-decoded)
-		}
-		dir := Direction(hdr & 0x3)
-		if dir > DirUndirected {
-			return off, fmt.Errorf("holder: run with direction %d", dir)
-		}
-		heavy := hdr&(1<<2) != 0
-		label, n := binary.Uvarint(buf[off:])
-		if n <= 0 || label > math.MaxUint32 {
-			return off, fmt.Errorf("holder: malformed run label at offset %d", off)
-		}
-		off += n
-		first, n := binary.Uvarint(buf[off:])
-		if n <= 0 {
-			return off, fmt.Errorf("holder: malformed neighbor at offset %d", off)
-		}
-		off += n
-		nbr := first
-		for k := 0; k < count; k++ {
-			if k > 0 {
-				delta, n := binary.Varint(buf[off:])
-				if n <= 0 {
-					return off, fmt.Errorf("holder: malformed delta at offset %d", off)
-				}
-				off += n
-				nbr = uint64(int64(nbr) + delta)
-			}
-			if !fn(EdgeRec{
-				Neighbor: fabric.DPtr(nbr),
-				Dir:      dir,
-				Heavy:    heavy,
-				Label:    lpg.LabelID(label),
-			}) {
-				return off, nil
-			}
-		}
-		decoded += count
-	}
-	return off, nil
 }
 
 // contentSizeVertex returns the logical byte size of v excluding slack, with

@@ -191,12 +191,9 @@ func TestEdgeRecEncodingExhaustive(t *testing.T) {
 	for _, dir := range []Direction{DirOut, DirIn, DirUndirected} {
 		for _, heavy := range []bool{false, true} {
 			rec := EdgeRec{Neighbor: rma.MakeDPtr(9, 1234), Dir: dir, Heavy: heavy, Label: 77}
-			var got []EdgeRec
-			if _, err := forEachEdgeRun(appendEdgeRuns(nil, []EdgeRec{rec}), 1, func(r EdgeRec) bool {
-				got = append(got, r)
-				return true
-			}); err != nil || len(got) != 1 || got[0] != rec {
-				t.Fatalf("edge rec %+v decoded as %+v (%v)", rec, got, err)
+			w := regionView(appendEdgeRuns(nil, []EdgeRec{rec}), 1)
+			if got, _ := cursorWalk(w, 0); w.Err() != nil || len(got) != 1 || got[0] != rec {
+				t.Fatalf("edge rec %+v decoded as %+v (%v)", rec, got, w.Err())
 			}
 		}
 	}

@@ -1,0 +1,113 @@
+package holder
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"testing"
+
+	"github.com/gdi-go/gdi/internal/fabric"
+	"github.com/gdi-go/gdi/internal/lpg"
+)
+
+// forEachEdgeRun is the oracle EdgeCursor is checked against: a plain
+// callback decoder of the run format on binary.Uvarint/Varint. It parses an
+// edge region in place, calling fn for each of the numEdges records in order
+// until fn returns false, and returns how many bytes of the region it
+// decoded — the whole region after a full walk, only the prefix an early
+// stop needed. It never panics on corrupt input; records ahead of the
+// corruption have been yielded by the time it is found.
+func forEachEdgeRun(buf []byte, numEdges int, fn func(EdgeRec) bool) (consumed int, err error) {
+	off, decoded := 0, 0
+	for decoded < numEdges {
+		hdr, n := binary.Uvarint(buf[off:])
+		if n <= 0 {
+			return off, fmt.Errorf("holder: malformed run header at offset %d", off)
+		}
+		off += n
+		count := int(hdr >> 3)
+		if count <= 0 || count > numEdges-decoded {
+			return off, fmt.Errorf("holder: run of %d records, %d remaining", count, numEdges-decoded)
+		}
+		dir := Direction(hdr & 0x3)
+		if dir > DirUndirected {
+			return off, fmt.Errorf("holder: run with direction %d", dir)
+		}
+		heavy := hdr&(1<<2) != 0
+		label, n := binary.Uvarint(buf[off:])
+		if n <= 0 || label > math.MaxUint32 {
+			return off, fmt.Errorf("holder: malformed run label at offset %d", off)
+		}
+		off += n
+		first, n := binary.Uvarint(buf[off:])
+		if n <= 0 {
+			return off, fmt.Errorf("holder: malformed neighbor at offset %d", off)
+		}
+		off += n
+		nbr := first
+		for k := 0; k < count; k++ {
+			if k > 0 {
+				delta, n := binary.Varint(buf[off:])
+				if n <= 0 {
+					return off, fmt.Errorf("holder: malformed delta at offset %d", off)
+				}
+				off += n
+				nbr = uint64(int64(nbr) + delta)
+			}
+			if !fn(EdgeRec{
+				Neighbor: fabric.DPtr(nbr),
+				Dir:      dir,
+				Heavy:    heavy,
+				Label:    lpg.LabelID(label),
+			}) {
+				return off, nil
+			}
+		}
+		decoded += count
+	}
+	return off, nil
+}
+
+// regionView is a View over a bare edge region of n records: the cursor on
+// arbitrary bytes, with no holder around them.
+func regionView(region []byte, n int) *View {
+	return &View{buf: region, numEdges: n}
+}
+
+// cursorWalk decodes w's records through its cursor, stopping after stop of
+// them when stop > 0, and returns them with the bytes of the region decoded.
+func cursorWalk(w *View, stop int) ([]EdgeRec, int) {
+	var got []EdgeRec
+	c := w.Edges()
+	for (stop <= 0 || len(got) < stop) && c.Next() {
+		got = append(got, c.Rec)
+	}
+	return got, c.off
+}
+
+// oracleWalk is cursorWalk through forEachEdgeRun.
+func oracleWalk(region []byte, n, stop int) ([]EdgeRec, int, error) {
+	var got []EdgeRec
+	consumed, err := forEachEdgeRun(region, n, func(rec EdgeRec) bool {
+		got = append(got, rec)
+		return stop <= 0 || len(got) < stop
+	})
+	return got, consumed, err
+}
+
+// sameWalk checks the cursor against the oracle over one region: the same
+// records, an error from both or from neither, and — when neither failed —
+// the same bytes decoded.
+func sameWalk(t *testing.T, region []byte, n, stop int) {
+	t.Helper()
+	want, wantOff, wantErr := oracleWalk(region, n, stop)
+	w := regionView(region, n)
+	got, off := cursorWalk(w, stop)
+	sameRecords(t, got, want)
+	if (w.Err() == nil) != (wantErr == nil) {
+		t.Fatalf("%d records, stop %d: cursor error %v, oracle error %v", n, stop, w.Err(), wantErr)
+	}
+	if wantErr == nil && off != wantOff {
+		t.Fatalf("%d records, stop %d: cursor decoded %d bytes, oracle %d", n, stop, off, wantOff)
+	}
+}

@@ -15,9 +15,11 @@ import (
 // frontier-expansion and CSR index paths run entirely on Views, which is
 // what makes them allocation-free.
 //
-// The edge region has no length field, so it is validated by the walk that
-// reads it rather than at Reset: a walk that meets corruption stops, and the
-// view reports it through Err (the bufio.Scanner contract). Everything else
+// The edge region has one decoder, the EdgeCursor Edges returns; ForEachEdge,
+// ForEachNeighbor, AppendEdges and DecodeVertex are loops over it. The region
+// has no length field, so it is validated by the walk that reads it rather
+// than at Reset: a cursor that meets corruption stops, and the view reports
+// it through Err (the bufio.Scanner contract). Everything else
 // — header, fixed regions, the bounds of the entry region — is checked at
 // Reset, so a view over a stream whose tail is missing or damaged still
 // serves the vertex's labels and properties.
@@ -113,17 +115,13 @@ func (w *View) HasHome(dp fabric.DPtr) bool {
 	return false
 }
 
-// ForEachEdge calls fn for every inline edge record in insertion order,
-// parsing the stream in place. fn returning false stops the walk at once —
-// nothing past the record it declined is decoded. The records are yielded
-// exactly as DecodeVertex would materialize them; a walk that runs into
-// corruption stops there and records it for Err.
+// ForEachEdge calls fn for every inline edge record in insertion order, a
+// loop over Edges for callers that want a callback. fn returning false stops
+// the walk at once — nothing past the record it declined is decoded. A walk
+// that runs into corruption stops there and records it for Err.
 func (w *View) ForEachEdge(fn func(EdgeRec) bool) {
-	if w.numEdges == 0 || w.err != nil {
-		return
-	}
-	if _, err := forEachEdgeRun(w.buf[w.edgesOff:], w.numEdges, fn); err != nil {
-		w.err = err
+	c := w.Edges()
+	for c.Next() && fn(c.Rec) {
 	}
 }
 
@@ -132,33 +130,34 @@ func (w *View) ForEachEdge(fn func(EdgeRec) bool) {
 // edge holder, not a vertex — resolving those takes a fetch the transaction
 // layer owns). fn returning false stops the walk.
 func (w *View) ForEachNeighbor(fn func(nbr fabric.DPtr, dir Direction) bool) {
-	w.ForEachEdge(func(rec EdgeRec) bool {
-		if rec.Heavy {
-			return true
+	c := w.Edges()
+	for c.Next() {
+		if !c.Rec.Heavy && !fn(c.Rec.Neighbor, c.Rec.Dir) {
+			return
 		}
-		return fn(rec.Neighbor, rec.Dir)
-	})
+	}
 }
 
 // AppendEdges materializes the edge records into dst (usually dst[:0] of a
-// reusable slice) and returns it — the lazy-decode escape hatch for paths
-// that need a mutable []EdgeRec after all. Check Err afterwards: a corrupt
-// region yields a short slice.
+// reusable slice) and returns it: the mutable []EdgeRec a writer and
+// DecodeVertex need. Check Err afterwards: a corrupt region yields a short
+// slice.
 func (w *View) AppendEdges(dst []EdgeRec) []EdgeRec {
 	if cap(dst) < w.numEdges {
 		dst = make([]EdgeRec, 0, w.numEdges)
 	}
-	w.ForEachEdge(func(rec EdgeRec) bool {
-		dst = append(dst, rec)
-		return true
-	})
+	c := w.Edges()
+	for c.Next() {
+		dst = append(dst, c.Rec)
+	}
 	return dst
 }
 
 // DecodeMeta decodes everything except the edge records into a fresh Vertex
-// (Edges stays nil): the lazy form of DecodeVertex the fetch path uses so a
-// clean read-only vertex never materializes its edge list — iteration runs
-// on the view, and only a mutation pays for AppendEdges.
+// (Edges stays nil): the lazy form of DecodeVertex the fetch path uses. A
+// clean vertex never materializes its edge list — every read, Edges
+// included, walks the view's cursor — and only a mutation pays for
+// AppendEdges.
 func (w *View) DecodeMeta() (*Vertex, error) {
 	v := &Vertex{AppID: w.appID, IsReplica: w.isReplica}
 	off := w.homesOff

@@ -311,21 +311,20 @@ func TestEntryBlocksOfAHub(t *testing.T) {
 	}
 }
 
-// TestEarlyStopEndsTheWalk pins the early-exit contract on a hub: a callback
-// that declines the first record is the last thing the walk does. The bytes
-// decoded stop with it (forEachEdgeRun's count), and so does what the walk
-// can see — damage behind the stop goes unnoticed until a walk reaches it.
+// TestEarlyStopEndsTheWalk pins the early-exit contract on a hub: a caller
+// that stops after the first record is the last thing the cursor does. The
+// bytes decoded stop with it, and so does what the cursor can see — damage
+// behind the stop goes unnoticed until a walk reaches it.
 func TestEarlyStopEndsTheWalk(t *testing.T) {
 	const degree = 17000
 	v := hubVertex(degree)
 	region := appendEdgeRuns(nil, v.Edges)
-	calls := 0
-	consumed, err := forEachEdgeRun(region, degree, func(EdgeRec) bool { calls++; return false })
-	if err != nil || calls != 1 {
-		t.Fatalf("early stop: %d callbacks, err %v, want exactly one", calls, err)
+	c := regionView(region, degree).Edges()
+	if !c.Next() || c.Rec != v.Edges[0] {
+		t.Fatalf("first record %+v, want %+v", c.Rec, v.Edges[0])
 	}
-	if consumed > 3*binary.MaxVarintLen64 {
-		t.Fatalf("early stop decoded %d of %d bytes, want one run header and one neighbor", consumed, len(region))
+	if c.off > 3*binary.MaxVarintLen64 {
+		t.Fatalf("early stop decoded %d of %d bytes, want one run header and one neighbor", c.off, len(region))
 	}
 
 	stream := EncodeVertex(v, 512)
@@ -337,15 +336,24 @@ func TestEarlyStopEndsTheWalk(t *testing.T) {
 	if err := w.Reset(stream); err != nil {
 		t.Fatal(err)
 	}
-	calls = 0
-	w.ForEachNeighbor(func(rma.DPtr, Direction) bool { calls++; return calls < 3 })
-	if calls != 3 || w.Err() != nil {
-		t.Fatalf("early stop through the view: %d callbacks, Err %v, want 3 and nil", calls, w.Err())
+	c = w.Edges()
+	for i := range 3 {
+		if !c.Next() || c.Rec != v.Edges[i] {
+			t.Fatalf("record %d through the view: %+v, want %+v", i, c.Rec, v.Edges[i])
+		}
 	}
-	calls = 0
-	w.ForEachEdge(func(EdgeRec) bool { calls++; return true })
-	if w.Err() == nil || calls == 0 || calls >= degree {
-		t.Fatalf("full walk over the damaged tail: %d callbacks, Err %v, want a prefix and an error", calls, w.Err())
+	if w.Err() != nil {
+		t.Fatalf("early stop through the view: Err %v, want nil", w.Err())
+	}
+	n := 0
+	for c = w.Edges(); c.Next(); {
+		n++
+	}
+	if w.Err() == nil || n == 0 || n >= degree {
+		t.Fatalf("full walk over the damaged tail: %d records, Err %v, want a prefix and an error", n, w.Err())
+	}
+	if c.Next() {
+		t.Fatal("a cursor stopped by corruption moved on")
 	}
 }
 
