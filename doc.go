@@ -292,14 +292,17 @@
 // ship each out-set once per rank it touches, so its bytes grow with the
 // out-sets rather than with Σ deg².
 //
-// PageRank emits messages in exactly the order of its straightforward
-// map-based formulation (ascending dense index, holder record order within a
-// vertex, incoming chunks folded in source-rank order); the other kernels'
-// results do not depend on message order. The tests keep the map-based
-// kernels as an oracle: PageRank/CDLP/WCC results are bit-identical to it
-// (LCC's too, since its per-vertex counts are integers), and
-// the dense arrays make PageRank run-to-run deterministic (no map-iteration
-// order in the sums). KHop, BI2 and the GNN layer are the OLSP side instead:
+// PageRank, WCC and CDLP pull through a mirror plan built once per CSR
+// (Gemini's mirror/ghost scheme): each iteration sends one 8-byte value per
+// (vertex, other rank holding a neighbor of it), not one record per edge,
+// and each vertex gathers its in-neighbors' values through precomputed
+// slots. PageRank's slots follow the order of its straightforward map-based
+// formulation (source rank, ascending source ID, holder record order); the
+// other kernels' results do not depend on order. The tests keep the
+// map-based kernels as an oracle: PageRank/CDLP/WCC results are
+// bit-identical to it (LCC's too, since its per-vertex counts are integers),
+// also after live migration, and the dense arrays make PageRank run-to-run
+// deterministic (no map-iteration order in the sums). KHop, BI2 and the GNN layer are the OLSP side instead:
 // collective transactions that associate vertices through handles.
 //
 // # Live rebalancing

@@ -16,9 +16,17 @@ import (
 // testGraph loads a deterministic Kronecker LPG into a fresh database.
 func testGraph(t *testing.T, ranks int, cfg kron.Config) (*gdi.Runtime, *Graph) {
 	t.Helper()
+	return testGraphWith(t, ranks, cfg, gdi.DatabaseParams{})
+}
+
+// testGraphWith is testGraph on a database with params, whose block size
+// and count default to testGraph's.
+func testGraphWith(t *testing.T, ranks int, cfg kron.Config, params gdi.DatabaseParams) (*gdi.Runtime, *Graph) {
+	t.Helper()
 	cfg = cfg.WithDefaults()
 	rt := gdi.Init(ranks)
-	db := rt.CreateDatabase(gdi.DatabaseParams{BlockSize: 512, BlocksPerRank: 1 << 16})
+	params.BlockSize, params.BlocksPerRank = 512, 1<<16
+	db := rt.CreateDatabase(params)
 	sch, err := kron.DefineSchema(db.Engine(), cfg)
 	if err != nil {
 		t.Fatal(err)

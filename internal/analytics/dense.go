@@ -2,9 +2,9 @@ package analytics
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
-	"sort"
 
 	gdi "github.com/gdi-go/gdi"
 )
@@ -16,15 +16,16 @@ import (
 // and round through the one-sided exchange — no map lookups and no per-edge
 // allocations anywhere on the iteration path.
 //
-// PageRank's message emission order deliberately mirrors its straightforward
-// map-based formulation (ascending dense index = ascending VertexID, holder
-// record order within a vertex's out-list, incoming chunks folded in
-// source-rank order), so its floating-point per-vertex results are
-// bit-identical; the golden equivalence tests hold the kernels to the
-// map-based reference versions they keep as oracles. The other kernels'
-// results do not depend on message order: BFS and WCC take minima or set
-// bits, CDLP sorts each vertex's incoming labels, and LCC counts integer
-// triangles.
+// PageRank, WCC and CDLP are pull kernels over the csr's mirror plan: one
+// value per mirror and destination crosses the exchange, and each vertex
+// gathers its in-neighbors' values through its slots. PageRank's slots are
+// ordered as its straightforward map-based formulation adds its messages
+// (source rank, then ascending dense index = ascending VertexID, then holder
+// record order), so its floating-point per-vertex results are bit-identical;
+// the golden equivalence tests hold the kernels to the map-based reference
+// versions they keep as oracles. The other kernels' results do not depend on
+// order: BFS and WCC take minima or set bits, CDLP sorts each vertex's
+// gathered labels, and LCC counts integer triangles.
 //
 // Every kernel is a public function that gets g's CSR snapshot and calls an
 // …OverCSR body; the HTAP session calls the same bodies on its cut-sourced
@@ -71,16 +72,15 @@ func BFSDense(p *gdi.Process, g *Graph, rootApp uint64) (int64, int, BFSStats, e
 	if err != nil {
 		return 0, 0, BFSStats{}, err
 	}
-	rootIdx := int32(-1)
+	// The root starts on whichever rank holds it, which after a migration
+	// need not be its DHT owner; the owner reports a missing root.
+	rootIdx := int32(slices.Index(c.app, rootApp))
 	var firstErr error
 	if int(c.me) == int(p.Database().Engine().OwnerOf(rootApp)) {
-		root, terr := tx.TranslateVertexID(rootApp)
-		if terr != nil {
+		if _, terr := tx.TranslateVertexID(rootApp); terr != nil {
 			// Record the error but keep running the collective loop; an
 			// empty frontier terminates it immediately.
 			firstErr = terr
-		} else if ix, ok := slices.BinarySearch(c.ids, root); ok {
-			rootIdx = int32(ix)
 		}
 	}
 	return bfsOverCSR(p, c, rootIdx, firstErr)
@@ -213,8 +213,8 @@ func bfsOverCSR(p *gdi.Process, c *csr, rootIdx int32, firstErr error) (int64, i
 // PageRank runs iters iterations of damped PageRank over out-edges
 // (df = damping factor, the paper uses 0.85 and i=10). It returns the local
 // rank mass by appID and the global L1 norm (≈1). Dense []float64 mass
-// arrays, rank-mass messages as (index, share) records, one PUT train per
-// owner rank and iteration. The CSR is g's snapshot, reused while the store
+// arrays, one 8-byte share per mirror and destination rank, one PUT train per
+// rank pair and iteration. The CSR is g's snapshot, reused while the store
 // epoch holds.
 func PageRank(p *gdi.Process, g *Graph, iters int, df float64) (map[uint64]float64, float64, error) {
 	tx := p.StartCollectiveTransaction(gdi.ReadOnly)
@@ -227,7 +227,9 @@ func PageRank(p *gdi.Process, g *Graph, iters int, df float64) (map[uint64]float
 }
 
 // pageRankOverCSR runs PageRank over an already-built CSR snapshot (live or
-// cut-sourced).
+// cut-sourced). Each iteration sends every mirror's share once per
+// destination rank (pull) and sums each vertex's in-shares over its
+// out-sourced slots, in the oracle's order.
 func pageRankOverCSR(p *gdi.Process, c *csr, iters int, df float64) (map[uint64]float64, float64, error) {
 	nGlobal := float64(p.AllreduceInt64(int64(c.nv())))
 	if nGlobal == 0 {
@@ -235,41 +237,31 @@ func pageRankOverCSR(p *gdi.Process, c *csr, iters int, df float64) (map[uint64]
 	}
 	nv := c.nv()
 	rank := make([]float64, nv)
-	next := make([]float64, nv)
 	for i := range rank {
 		rank[i] = 1 / nGlobal
 	}
-	x := xchg(p)
+	share := c.values() // float64 bits: rank / out-degree, then the ghosts
 	bufs := make([][]byte, c.nRanks)
 	for it := 0; it < iters; it++ {
-		for d := range bufs {
-			bufs[d] = bufs[d][:0]
-		}
 		dangling := 0.0
 		for i := 0; i < nv; i++ {
-			outs := c.out(int32(i))
-			if len(outs) == 0 {
+			deg := c.outEnd[i] - c.allOff[i]
+			if deg == 0 {
 				dangling += rank[i]
 				continue
 			}
-			share := rank[i] / float64(len(outs))
-			for _, t := range outs {
-				bufs[t.rank] = appendU32F64(bufs[t.rank], uint32(t.idx), share)
-			}
+			share[i] = math.Float64bits(rank[i] / float64(deg))
 		}
-		in := x.Round(p.Rank(), bufs)
+		c.pull(p, share, bufs)
 		danglingAll := p.AllreduceFloat64(dangling)
 		base := (1-df)/nGlobal + df*danglingAll/nGlobal
-		for i := range next {
-			next[i] = base
-		}
-		for s := 0; s < c.nRanks; s++ {
-			msg := in[s]
-			for off := 0; off+12 <= len(msg); off += 12 {
-				next[getU32(msg, off)] += df * getF64(msg, off+4)
+		for i := range rank {
+			acc := base
+			for _, s := range c.outSlots(i) {
+				acc += df * math.Float64frombits(share[s])
 			}
+			rank[i] = acc
 		}
-		rank, next = next, rank
 	}
 	out := make(map[uint64]float64, nv)
 	local := 0.0
@@ -283,10 +275,10 @@ func pageRankOverCSR(p *gdi.Process, c *csr, iters int, df float64) (map[uint64]
 // CDLP runs iters rounds of synchronous community detection by label
 // propagation (Graphalytics semantics: adopt the smallest most-frequent
 // neighbor label; labels start as appIDs). Returns local appID → community.
-// Incoming labels are grouped per destination index with a counting sort
-// into reusable flat arrays, each group sorted ascending, and the smallest
-// most-frequent label adopted — without per-vertex frequency maps. The CSR
-// is g's snapshot, reused while the store epoch holds.
+// Each vertex gathers its neighbors' labels through the mirror plan into one
+// reusable array, sorts it, and adopts the smallest most-frequent label —
+// without per-vertex frequency maps. The CSR is g's snapshot, reused while
+// the store epoch holds.
 func CDLP(p *gdi.Process, g *Graph, iters int) (map[uint64]uint64, error) {
 	tx := p.StartCollectiveTransaction(gdi.ReadOnly)
 	defer tx.Commit()
@@ -298,59 +290,25 @@ func CDLP(p *gdi.Process, g *Graph, iters int) (map[uint64]uint64, error) {
 }
 
 // cdlpOverCSR runs CDLP over an already-built CSR snapshot (live or
-// cut-sourced).
+// cut-sourced). Every vertex reads the previous round's labels.
 func cdlpOverCSR(p *gdi.Process, c *csr, iters int) map[uint64]uint64 {
 	nv := c.nv()
 	label := append([]uint64(nil), c.app...)
-	x := xchg(p)
+	vals := c.values()
 	bufs := make([][]byte, c.nRanks)
-	off := make([]int32, nv+1)
-	pos := make([]int32, nv)
-	var flat []uint64
+	var group []uint64
 	for it := 0; it < iters; it++ {
-		for d := range bufs {
-			bufs[d] = bufs[d][:0]
-		}
+		copy(vals, label)
+		c.pull(p, vals, bufs)
 		for i := 0; i < nv; i++ {
-			for _, t := range c.all(int32(i)) {
-				bufs[t.rank] = appendU32U64(bufs[t.rank], uint32(t.idx), label[i])
+			group = group[:0]
+			for _, s := range c.allSlots(i) {
+				group = append(group, vals[s])
 			}
-		}
-		in := x.Round(p.Rank(), bufs)
-		// Counting sort of incoming labels by destination index.
-		for i := range off {
-			off[i] = 0
-		}
-		total := 0
-		for s := 0; s < c.nRanks; s++ {
-			msg := in[s]
-			for o := 0; o+12 <= len(msg); o += 12 {
-				off[getU32(msg, o)+1]++
-				total++
-			}
-		}
-		for i := 1; i <= nv; i++ {
-			off[i] += off[i-1]
-		}
-		copy(pos, off[:nv])
-		if cap(flat) < total {
-			flat = make([]uint64, total)
-		}
-		flat = flat[:total]
-		for s := 0; s < c.nRanks; s++ {
-			msg := in[s]
-			for o := 0; o+12 <= len(msg); o += 12 {
-				i := getU32(msg, o)
-				flat[pos[i]] = getU64(msg, o+4)
-				pos[i]++
-			}
-		}
-		for i := 0; i < nv; i++ {
-			group := flat[off[i]:off[i+1]]
 			if len(group) == 0 {
 				continue
 			}
-			sort.Slice(group, func(a, b int) bool { return group[a] < group[b] })
+			slices.Sort(group)
 			best, bestCount := label[i], 0
 			for a := 0; a < len(group); {
 				b := a + 1
@@ -389,31 +347,26 @@ func WCC(p *gdi.Process, g *Graph, maxIters int) (map[uint64]uint64, int, error)
 }
 
 // wccOverCSR runs WCC over an already-built CSR snapshot (live or
-// cut-sourced).
+// cut-sourced). Every vertex takes the minimum of its own component and its
+// neighbors' components of the previous iteration.
 func wccOverCSR(p *gdi.Process, c *csr, maxIters int) (map[uint64]uint64, int) {
 	nv := c.nv()
 	comp := append([]uint64(nil), c.app...)
-	x := xchg(p)
+	vals := c.values()
 	bufs := make([][]byte, c.nRanks)
 	it := 0
 	for ; it < maxIters; it++ {
-		for d := range bufs {
-			bufs[d] = bufs[d][:0]
-		}
-		for i := 0; i < nv; i++ {
-			for _, t := range c.all(int32(i)) {
-				bufs[t.rank] = appendU32U64(bufs[t.rank], uint32(t.idx), comp[i])
-			}
-		}
-		in := x.Round(p.Rank(), bufs)
+		copy(vals, comp)
+		c.pull(p, vals, bufs)
 		var changed int64
-		for s := 0; s < c.nRanks; s++ {
-			msg := in[s]
-			for o := 0; o+12 <= len(msg); o += 12 {
-				if i, v := getU32(msg, o), getU64(msg, o+4); v < comp[i] {
-					comp[i] = v
-					changed++
-				}
+		for i := range comp {
+			m := comp[i]
+			for _, s := range c.allSlots(i) {
+				m = min(m, vals[s])
+			}
+			if m < comp[i] {
+				comp[i] = m
+				changed++
 			}
 		}
 		if p.AllreduceInt64(changed) == 0 {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	gdi "github.com/gdi-go/gdi"
+	"github.com/gdi-go/gdi/internal/core"
 	"github.com/gdi-go/gdi/internal/fabric"
 	"github.com/gdi-go/gdi/internal/kron"
 )
@@ -65,8 +66,85 @@ func mergeMaps[K comparable, V any](mu *sync.Mutex, dst map[K]V, src map[K]V) {
 // TestDenseGoldenEquivalence holds the dense CSR kernels to bit-identical
 // results against the map-based oracles (oracle_test.go) on the same graph:
 // PageRank mass per vertex, CDLP labels, WCC components and iteration count,
-// the LCC average, and BFS visited count and depth.
+// the LCC average, and BFS visited count and depth. The Kronecker graph gets
+// a multi-edge, a self-loop and a heavy edge, where the order of PageRank's
+// sums matters, and from two ranks up it runs again after connected
+// vertices migrated (the BFS root among them, and one vertex twice), so
+// edge records name former homes.
 func TestDenseGoldenEquivalence(t *testing.T) {
+	for _, ranks := range []int{1, 2, 4} {
+		rt, g := testGraph(t, ranks, smallCfg)
+		addGoldenExtras(t, g)
+		t.Run(fmt.Sprintf("ranks=%d", ranks), func(t *testing.T) { checkGolden(t, rt, g) })
+		if ranks == 1 {
+			continue
+		}
+		for _, app := range []uint64{0, goldenMulti, goldenMultiTo, goldenLoop, goldenHeavy, goldenMulti} {
+			migrateApp(t, g, app, 1)
+		}
+		t.Run(fmt.Sprintf("ranks=%d/migrated", ranks), func(t *testing.T) { checkGolden(t, rt, g) })
+	}
+}
+
+// The application IDs of the golden graph's extra edges: a second
+// goldenMulti → goldenMultiTo edge, a self-loop on goldenLoop and a heavy
+// edge goldenHeavy → goldenHeavyTo. Owners are appID mod ranks, so each
+// edge but the loop crosses ranks at 2 and 4 ranks.
+const (
+	goldenMulti, goldenMultiTo = 5, 6
+	goldenLoop                 = 7
+	goldenHeavy, goldenHeavyTo = 9, 14
+)
+
+// addGoldenExtras commits the golden graph's extra edges.
+func addGoldenExtras(t *testing.T, g *Graph) {
+	t.Helper()
+	err := commitOn(g, 0, func(tx *gdi.Transaction) error {
+		v := make(map[uint64]gdi.VertexID)
+		for _, app := range []uint64{goldenMulti, goldenMultiTo, goldenLoop, goldenHeavy, goldenHeavyTo} {
+			dp, err := tx.TranslateVertexID(app)
+			if err != nil {
+				return err
+			}
+			v[app] = dp
+		}
+		for k := 0; k < 2; k++ {
+			if _, err := tx.CreateEdge(v[goldenMulti], v[goldenMultiTo], gdi.DirOut, 0); err != nil {
+				return err
+			}
+		}
+		if _, err := tx.CreateEdge(v[goldenLoop], v[goldenLoop], gdi.DirOut, 0); err != nil {
+			return err
+		}
+		_, err := tx.CreateRichEdge(v[goldenHeavy], v[goldenHeavyTo], gdi.DirOut, nil, nil)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// migrateApp moves the vertex with application ID app by step ranks (mod
+// the rank count) with one migration train.
+func migrateApp(t *testing.T, g *Graph, app uint64, step int) {
+	t.Helper()
+	tx := g.DB.Process(0).StartTransaction(gdi.ReadOnly)
+	old, err := tx.TranslateVertexID(app)
+	tx.Abort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranks := fabric.Rank(g.DB.Engine().Fabric().Size())
+	dest := (old.Rank() + fabric.Rank(step)) % ranks
+	move := []core.MigrationMove{{App: app, Old: old, Dest: dest}}
+	if n, err := g.DB.Engine().MigrateVertices(dest, move); n != 1 || err != nil {
+		t.Fatalf("migrating vertex %d to rank %d moved %d vertices: %v", app, dest, n, err)
+	}
+}
+
+// checkGolden runs every kernel through the oracle and the dense engine on
+// g and compares the results.
+func checkGolden(t *testing.T, rt *gdi.Runtime, g *Graph) {
 	type kernels struct {
 		pageRank func(*gdi.Process, *Graph, int, float64) (map[uint64]float64, float64, error)
 		cdlp     func(*gdi.Process, *Graph, int) (map[uint64]uint64, error)
@@ -78,95 +156,94 @@ func TestDenseGoldenEquivalence(t *testing.T) {
 		false: {pageRankMap, cdlpMap, wccMap, lccMap, bfsMap},
 		true:  {PageRank, CDLP, WCC, LCC, BFS},
 	}
-	for _, ranks := range []int{1, 4} {
-		type result struct {
-			pr      map[uint64]float64
-			prNorm  float64
-			cdlp    map[uint64]uint64
-			wcc     map[uint64]uint64
-			wccIts  int
-			lcc     float64
-			visited int64
-			depth   int
+	type result struct {
+		pr      map[uint64]float64
+		prNorm  float64
+		cdlp    map[uint64]uint64
+		wcc     map[uint64]uint64
+		wccIts  int
+		lcc     float64
+		visited int64
+		depth   int
+	}
+	results := make(map[bool]*result)
+	for _, dense := range []bool{false, true} {
+		k := engines[dense]
+		res := &result{
+			pr:   make(map[uint64]float64),
+			cdlp: make(map[uint64]uint64),
+			wcc:  make(map[uint64]uint64),
 		}
-		rt, g := testGraph(t, ranks, smallCfg)
-		results := make(map[bool]*result)
-		for _, dense := range []bool{false, true} {
-			k := engines[dense]
-			res := &result{
-				pr:   make(map[uint64]float64),
-				cdlp: make(map[uint64]uint64),
-				wcc:  make(map[uint64]uint64),
+		results[dense] = res
+		var mu sync.Mutex
+		rt.Run(g.DB, func(p *gdi.Process) {
+			pr, norm, err := k.pageRank(p, g, 5, 0.85)
+			if err != nil {
+				t.Error(err)
+				return
 			}
-			results[dense] = res
-			var mu sync.Mutex
-			rt.Run(g.DB, func(p *gdi.Process) {
-				pr, norm, err := k.pageRank(p, g, 5, 0.85)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				cd, err := k.cdlp(p, g, 5)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				wc, its, err := k.wcc(p, g, 1000)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				lcc, err := k.lcc(p, g)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				visited, depth, err := k.bfs(p, g, 0)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				mergeMaps(&mu, res.pr, pr)
-				mergeMaps(&mu, res.cdlp, cd)
-				mergeMaps(&mu, res.wcc, wc)
-				mu.Lock()
-				res.prNorm, res.wccIts, res.lcc = norm, its, lcc
-				res.visited, res.depth = visited, depth
-				mu.Unlock()
-			})
-		}
-		mapRes, denseRes := results[false], results[true]
-		if len(denseRes.pr) != len(mapRes.pr) {
-			t.Fatalf("ranks=%d: PageRank covered %d vs %d vertices", ranks, len(denseRes.pr), len(mapRes.pr))
-		}
-		for app, want := range mapRes.pr {
-			if got := denseRes.pr[app]; math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("ranks=%d: PageRank[%d] = %v (dense) vs %v (map): not bit-identical", ranks, app, got, want)
+			cd, err := k.cdlp(p, g, 5)
+			if err != nil {
+				t.Error(err)
+				return
 			}
-		}
-		if math.Abs(denseRes.prNorm-mapRes.prNorm) > 1e-9 {
-			t.Fatalf("ranks=%d: PageRank norm %v vs %v", ranks, denseRes.prNorm, mapRes.prNorm)
-		}
-		for app, want := range mapRes.cdlp {
-			if got := denseRes.cdlp[app]; got != want {
-				t.Fatalf("ranks=%d: CDLP[%d] = %d vs %d", ranks, app, got, want)
+			wc, its, err := k.wcc(p, g, 1000)
+			if err != nil {
+				t.Error(err)
+				return
 			}
-		}
-		if denseRes.wccIts != mapRes.wccIts {
-			t.Fatalf("ranks=%d: WCC converged in %d vs %d iterations", ranks, denseRes.wccIts, mapRes.wccIts)
-		}
-		for app, want := range mapRes.wcc {
-			if got := denseRes.wcc[app]; got != want {
-				t.Fatalf("ranks=%d: WCC[%d] = %d vs %d", ranks, app, got, want)
+			lcc, err := k.lcc(p, g)
+			if err != nil {
+				t.Error(err)
+				return
 			}
+			visited, depth, err := k.bfs(p, g, 0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			mergeMaps(&mu, res.pr, pr)
+			mergeMaps(&mu, res.cdlp, cd)
+			mergeMaps(&mu, res.wcc, wc)
+			mu.Lock()
+			res.prNorm, res.wccIts, res.lcc = norm, its, lcc
+			res.visited, res.depth = visited, depth
+			mu.Unlock()
+		})
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	mapRes, denseRes := results[false], results[true]
+	if len(denseRes.pr) != len(mapRes.pr) {
+		t.Fatalf("PageRank covered %d vs %d vertices", len(denseRes.pr), len(mapRes.pr))
+	}
+	for app, want := range mapRes.pr {
+		if got := denseRes.pr[app]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("PageRank[%d] = %v (dense) vs %v (map): not bit-identical", app, got, want)
 		}
-		if math.Float64bits(denseRes.lcc) != math.Float64bits(mapRes.lcc) {
-			t.Fatalf("ranks=%d: LCC %v (dense) vs %v (map): not bit-identical", ranks, denseRes.lcc, mapRes.lcc)
+	}
+	if math.Abs(denseRes.prNorm-mapRes.prNorm) > 1e-9 {
+		t.Fatalf("PageRank norm %v vs %v", denseRes.prNorm, mapRes.prNorm)
+	}
+	for app, want := range mapRes.cdlp {
+		if got := denseRes.cdlp[app]; got != want {
+			t.Fatalf("CDLP[%d] = %d vs %d", app, got, want)
 		}
-		if denseRes.visited != mapRes.visited || denseRes.depth != mapRes.depth {
-			t.Fatalf("ranks=%d: BFS (%d, %d) vs (%d, %d)", ranks,
-				denseRes.visited, denseRes.depth, mapRes.visited, mapRes.depth)
+	}
+	if denseRes.wccIts != mapRes.wccIts {
+		t.Fatalf("WCC converged in %d vs %d iterations", denseRes.wccIts, mapRes.wccIts)
+	}
+	for app, want := range mapRes.wcc {
+		if got := denseRes.wcc[app]; got != want {
+			t.Fatalf("WCC[%d] = %d vs %d", app, got, want)
 		}
+	}
+	if math.Float64bits(denseRes.lcc) != math.Float64bits(mapRes.lcc) {
+		t.Fatalf("LCC %v (dense) vs %v (map): not bit-identical", denseRes.lcc, mapRes.lcc)
+	}
+	if denseRes.visited != mapRes.visited || denseRes.depth != mapRes.depth {
+		t.Fatalf("BFS (%d, %d) vs (%d, %d)", denseRes.visited, denseRes.depth, mapRes.visited, mapRes.depth)
 	}
 }
 

@@ -107,7 +107,7 @@ func (s *HTAPSession) buildCSRFromMirror(cut *snapshot.Cut) (*csr, error) {
 			}
 			b.add(nb, rec.Dir)
 		}
-		b.end(i, mv.app)
+		b.end(i, mv.app, mv.homes)
 	}
 	return b.finish(s.p)
 }

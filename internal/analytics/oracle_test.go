@@ -8,11 +8,18 @@ import (
 )
 
 // The map-based formulation of the iterative kernels: maps keyed by vertex
-// ID, messages as structs through the collective layer's all-to-all. They
-// were the first implementation and stay here as the oracles the dense
-// kernels are held to bit for bit (TestDenseGoldenEquivalence): the dense
-// kernels emit their messages in the same order, so even the floating-point
-// sums agree.
+// ID, messages as structs through the collective layer's all-to-all, one
+// message per edge record. They were the first implementation and stay here
+// as the oracles the dense kernels are held to bit for bit
+// (TestDenseGoldenEquivalence). The dense PageRank pulls one share per
+// mirror through the csr's mirror plan instead, but sums each vertex's
+// shares in the order the oracle's messages arrive here (source rank, then
+// the source's vertices in ascending ID order, then record order), so even
+// the floating-point sums agree.
+//
+// Edge records of a migrated vertex's neighbors may still name one of its
+// former homes. The oracles map every neighbor to the vertex's current ID
+// (canonical) before using it as a key.
 
 // vmsg is a vertex-addressed message: the exchange unit of the frontier/
 // value-propagation phases.
@@ -26,6 +33,23 @@ type fmsg struct {
 	Val float64
 }
 
+// canonical maps vertex IDs as edge records hold them to the vertices'
+// current IDs: associating a former home follows its forwarding stub.
+func canonical(tx *gdi.Transaction, ids []gdi.VertexID) ([]gdi.VertexID, error) {
+	hs, err := tx.AssociateVertices(ids)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]gdi.VertexID, len(ids))
+	for i, h := range hs {
+		if h == nil {
+			return nil, fmt.Errorf("analytics: neighbor %v disappeared", ids[i])
+		}
+		out[i] = h.ID()
+	}
+	return out, nil
+}
+
 // bfsMap is the map-based BFS: a level-synchronous search whose frontier
 // is expanded through AssociateVertices and exchanged with the collective
 // layer's all-to-all.
@@ -35,15 +59,18 @@ func bfsMap(p *gdi.Process, g *Graph, rootApp uint64) (visited int64, depth int,
 
 	level := make(map[gdi.VertexID]int)
 	var frontier []gdi.VertexID
-	if int(p.Rank()) == int(p.Database().Engine().OwnerOf(rootApp)) {
-		root, terr := tx.TranslateVertexID(rootApp)
-		if terr != nil {
+	// Every rank translates the root; the rank it lives on starts from it,
+	// and only the root's DHT owner reports a missing one.
+	root, terr := tx.TranslateVertexID(rootApp)
+	switch {
+	case terr != nil:
+		if int(p.Rank()) == int(p.Database().Engine().OwnerOf(rootApp)) {
 			err = terr
-			// Fall through: the collective loop below must still run on all
-			// ranks; an empty frontier terminates it immediately.
-		} else {
-			frontier = []gdi.VertexID{root}
 		}
+		// Fall through: the collective loop below must still run on all
+		// ranks; an empty frontier terminates it immediately.
+	case root.Rank() == p.Rank():
+		frontier = []gdi.VertexID{root}
 	}
 	n := p.Size()
 	batch := make([]gdi.VertexID, 0, len(frontier))
@@ -61,16 +88,24 @@ func bfsMap(p *gdi.Process, g *Graph, rootApp uint64) (visited int64, depth int,
 		if aerr != nil {
 			err = aerr
 		}
-		buckets := bucketize[gdi.VertexID](n)
+		var nbrs []gdi.VertexID
 		for _, h := range handles {
 			if h == nil {
 				continue
 			}
 			if eerr := h.ForEachNeighbor(gdi.MaskAll, func(nb gdi.VertexID) {
-				buckets[int(nb.Rank())] = append(buckets[int(nb.Rank())], nb)
+				nbrs = append(nbrs, nb)
 			}); eerr != nil {
 				err = eerr
 			}
+		}
+		nbrs, cerr := canonical(tx, nbrs)
+		if cerr != nil {
+			err = cerr
+		}
+		buckets := bucketize[gdi.VertexID](n)
+		for _, nb := range nbrs {
+			buckets[int(nb.Rank())] = append(buckets[int(nb.Rank())], nb)
 		}
 		incoming := exchange(p, buckets)
 		frontier = frontier[:0]
@@ -122,10 +157,17 @@ func loadAdjacency(p *gdi.Process, tx *gdi.Transaction) (*adjacency, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, e := range edges {
-			a.all[v] = append(a.all[v], e.Neighbor)
+		nbrs := make([]gdi.VertexID, len(edges))
+		for k, e := range edges {
+			nbrs[k] = e.Neighbor
+		}
+		if nbrs, err = canonical(tx, nbrs); err != nil {
+			return nil, err
+		}
+		for k, e := range edges {
+			a.all[v] = append(a.all[v], nbrs[k])
 			if e.Dir == gdi.DirOut || e.Dir == gdi.DirUndirected {
-				a.out[v] = append(a.out[v], e.Neighbor)
+				a.out[v] = append(a.out[v], nbrs[k])
 			}
 		}
 	}
@@ -315,17 +357,22 @@ func lccMap(p *gdi.Process, g *Graph) (float64, error) {
 			if h == nil {
 				return 0, fmt.Errorf("analytics: neighbor %v disappeared", nb)
 			}
-			seen := make(map[gdi.VertexID]bool, h.Degree())
-			if err := h.ForEachNeighbor(gdi.MaskAll, func(x gdi.VertexID) {
+			xs, err := h.Neighbors(gdi.MaskAll, nil)
+			if err != nil {
+				return 0, err
+			}
+			if xs, err = canonical(tx, xs); err != nil {
+				return 0, err
+			}
+			seen := make(map[gdi.VertexID]bool, len(xs))
+			for _, x := range xs {
 				if x == nb || seen[x] {
-					return
+					continue
 				}
 				seen[x] = true
 				if mine[x] {
 					links++
 				}
-			}); err != nil {
-				return 0, err
 			}
 		}
 		localSum += float64(links) / float64(deg*(deg-1))

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	gdi "github.com/gdi-go/gdi"
-	"github.com/gdi-go/gdi/internal/core"
 	"github.com/gdi-go/gdi/internal/fabric"
 	"github.com/gdi-go/gdi/internal/fabric/tcp"
 	"github.com/gdi-go/gdi/internal/rma"
@@ -27,9 +27,16 @@ func kernelCSR(p *gdi.Process, g *Graph) (used, fresh *csr, err error) {
 	return used, fresh, err
 }
 
-// retainedBytes is what a cached CSR keeps live: its arrays.
+// retainedBytes is what a cached CSR keeps live: its arrays, the mirror
+// plan's included.
 func retainedBytes(c *csr) int {
-	return 8*cap(c.ids) + 8*cap(c.app) + 4*cap(c.counts) + 4*cap(c.allOff) + 4*cap(c.outEnd) + 8*cap(c.allTgt)
+	pl := &c.plan
+	n := 8*cap(c.ids) + 8*cap(c.app) + 4*cap(c.counts) + 4*cap(c.allOff) + 4*cap(c.outEnd) + 8*cap(c.allTgt) +
+		4*cap(pl.ghostOff) + 4*cap(pl.slotOff) + 4*cap(pl.slotOutEnd) + 4*cap(pl.slots)
+	for _, ms := range pl.mirrors {
+		n += 4 * cap(ms)
+	}
+	return n
 }
 
 // reuseChecker holds the CSR each rank's kernels used last.
@@ -93,13 +100,13 @@ func addEdge(g *Graph, a, b uint64) error {
 // each kind of store mutation, the CSR the next dense kernel iterates equals
 // a fresh build; with no mutation it is the same snapshot. The mutations are
 // a create, deletes of an isolated and of a connected vertex, an edge add
-// and delete, a property-only commit, a migration, a further bulk load, a
-// commit that lands while the CSR is being built, and a failover (KillRank,
-// then PromoteDead).
+// and delete, a property-only commit, the migration of a connected vertex, a
+// Rebalance round, a further bulk load, a commit that lands while the CSR is
+// being built, and a failover (KillRank, then PromoteDead).
 func TestCSRReuseMatchesFreshBuild(t *testing.T) {
 	for _, ranks := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("ranks=%d", ranks), func(t *testing.T) {
-			rt, g := testGraph(t, ranks, smallCfg)
+			rt, g := testGraphWith(t, ranks, smallCfg, gdi.DatabaseParams{RebalanceHeatTracking: true})
 			r := &reuseChecker{t: t, rt: rt, g: g, last: make([]*csr, ranks)}
 			r.check("first build", false)
 			r.check("no mutation", true)
@@ -112,12 +119,9 @@ func TestCSRReuseMatchesFreshBuild(t *testing.T) {
 				r.check(what, false)
 			}
 
-			const isolated, migrant = uint64(1) << 40, uint64(1)<<40 + 1
+			const isolated = uint64(1) << 40
 			mutate("create a vertex", func(tx *gdi.Transaction) error {
-				if _, err := tx.CreateVertex(isolated); err != nil {
-					return err
-				}
-				_, err := tx.CreateVertex(migrant)
+				_, err := tx.CreateVertex(isolated)
 				return err
 			})
 			mutate("delete an isolated vertex", func(tx *gdi.Transaction) error {
@@ -169,20 +173,13 @@ func TestCSRReuseMatchesFreshBuild(t *testing.T) {
 			})
 
 			if ranks > 1 {
-				// An isolated vertex: a migrated vertex's neighbors keep naming
-				// its old home, which the dense index exchange cannot resolve.
-				tx := g.DB.Process(0).StartTransaction(gdi.ReadOnly)
-				old, err := tx.TranslateVertexID(migrant)
-				tx.Abort()
-				if err != nil {
-					t.Fatal(err)
-				}
-				dest := (old.Rank() + 1) % fabric.Rank(ranks)
-				move := []core.MigrationMove{{App: migrant, Old: old, Dest: dest}}
-				if n, err := g.DB.Engine().MigrateVertices(dest, move); n != 1 || err != nil {
-					t.Fatalf("migration moved %d vertices: %v", n, err)
-				}
-				r.check("migrate a vertex", false)
+				// Connected vertices: their neighbors' edge records keep naming
+				// their old homes, which the alias round resolves.
+				hot := connectedApps(t, g, 0, 3)
+				migrateApp(t, g, hot[0], 1)
+				r.check("migrate a connected vertex", false)
+				rebalanceTo(t, rt, g, gdi.Rank(ranks-1), hot[1:])
+				r.check("Rebalance", false)
 			}
 
 			rt.Run(g.DB, func(p *gdi.Process) {
@@ -238,6 +235,66 @@ func TestCSRReuseMatchesFreshBuild(t *testing.T) {
 	}
 }
 
+// connectedApps returns the first k application IDs of vertices with an
+// edge that live on rank owner.
+func connectedApps(t *testing.T, g *Graph, owner gdi.Rank, k int) []uint64 {
+	t.Helper()
+	tx := g.DB.Process(owner).StartTransaction(gdi.ReadOnly)
+	defer tx.Abort()
+	var apps []uint64
+	for app := uint64(0); len(apps) < k; app++ {
+		if app > 1<<12 {
+			t.Fatalf("found %d of %d connected vertices on rank %d", len(apps), k, owner)
+		}
+		v, err := tx.TranslateVertexID(app)
+		if err != nil || v.Rank() != owner {
+			continue // deleted, or elsewhere
+		}
+		h, err := tx.AssociateVertex(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Degree() > 0 {
+			apps = append(apps, app)
+		}
+	}
+	return apps
+}
+
+// rebalanceTo makes rank reader the dominant accessor of apps with repeated
+// reads and runs one Rebalance round, which must move at least one vertex.
+func rebalanceTo(t *testing.T, rt *gdi.Runtime, g *Graph, reader gdi.Rank, apps []uint64) {
+	t.Helper()
+	// Each CSR build so far read every vertex once on its owner, which
+	// counts as heat there; 64 reads from reader outnumber those.
+	for round := 0; round < 64; round++ {
+		tx := g.DB.Process(reader).StartTransaction(gdi.ReadOnly)
+		for _, app := range apps {
+			v, err := tx.TranslateVertexID(app)
+			if err == nil {
+				_, err = tx.AssociateVertex(v)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var moved atomic.Int64
+	rt.Run(g.DB, func(p *gdi.Process) {
+		s, err := p.Rebalance()
+		if err != nil {
+			t.Error(err)
+		}
+		moved.Add(int64(s.Migrated))
+	})
+	if moved.Load() == 0 {
+		t.Fatalf("Rebalance moved none of %v to rank %d", apps, reader)
+	}
+}
+
 // testPromotedCSRMatchesFreshBuild kills the last rank after replicating
 // every vertex and promotes its followers on the survivors. The dead rank's
 // vertices are isolated: a survivor's edge to one would still name the dead
@@ -275,10 +332,11 @@ func testPromotedCSRMatchesFreshBuild(t *testing.T, ranks int) {
 }
 
 // TestDenseKernelReusesCSR pins the cache on the simulator's deterministic
-// counters. At two ranks, one PageRank iteration that builds its CSR puts 6
-// PUT trains (the index exchange's query and reply rounds, then the
-// iteration's round, each one train per rank pair); reusing it puts 2. The
-// shard is local, so neither issues a remote GET.
+// counters. At two ranks, one PageRank iteration that builds its CSR puts 8
+// PUT trains (the index exchange's query and reply rounds, the mirror plan's
+// transpose round, then the iteration's round, each one train per rank pair;
+// the alias round puts nothing while no vertex has moved); reusing it puts 2.
+// The shard is local, so neither issues a remote GET.
 func TestDenseKernelReusesCSR(t *testing.T) {
 	rt, g := testGraph(t, 2, smallCfg)
 	fab := g.DB.Engine().Fabric()
@@ -297,7 +355,7 @@ func TestDenseKernelReusesCSR(t *testing.T) {
 	for _, run := range []struct {
 		what   string
 		trains int64
-	}{{"build", 6}, {"reuse", 2}, {"reuse again", 2}} {
+	}{{"build", 8}, {"reuse", 2}, {"reuse again", 2}} {
 		s := pageRank()
 		if s.PutBatches != run.trains || s.RemoteGets != 0 {
 			t.Errorf("%s: PageRank put %d trains and got %d remote blocks, want %d and 0",
@@ -307,7 +365,74 @@ func TestDenseKernelReusesCSR(t *testing.T) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for r, b := range g.built {
-		t.Logf("rank %d retains %d B for %d vertices and %d edge records", r, retainedBytes(b.c), b.c.nv(), len(b.c.allTgt))
+		t.Logf("rank %d retains %d B for %d vertices, %d edge records and %d slots", r, retainedBytes(b.c), b.c.nv(), len(b.c.allTgt), len(b.c.plan.slots))
+	}
+}
+
+// TestValuePropagationPutsOneValuePerMirror pins the mirror plan on the
+// simulator's deterministic counters: one PageRank, WCC or CDLP iteration on
+// a reused CSR puts one PUT train per rank pair, and per rank 8 B for each
+// pair (local vertex, other rank holding one of its neighbors), however many
+// edge records join them. Each train also puts its 4-byte slot header, and
+// each drained slot is cleared with a 4-byte local put.
+func TestValuePropagationPutsOneValuePerMirror(t *testing.T) {
+	for _, ranks := range []int{2, 4} {
+		t.Run(fmt.Sprintf("ranks=%d", ranks), func(t *testing.T) {
+			rt, g := testGraph(t, ranks, smallCfg)
+			fab := g.DB.Engine().Fabric()
+			run := func(kernel func(p *gdi.Process) error) []fabric.Snapshot {
+				delta := make([]fabric.Snapshot, ranks)
+				for r := range delta {
+					delta[r] = fab.CounterSnapshot(gdi.Rank(r))
+				}
+				rt.Run(g.DB, func(p *gdi.Process) {
+					if err := kernel(p); err != nil {
+						t.Error(err)
+					}
+				})
+				for r := range delta {
+					after := fab.CounterSnapshot(gdi.Rank(r))
+					delta[r] = fabric.Snapshot{PutBatches: after.PutBatches - delta[r].PutBatches, BytesPut: after.BytesPut - delta[r].BytesPut}
+				}
+				return delta
+			}
+			run(func(p *gdi.Process) error { _, _, err := PageRank(p, g, 1, 0.85); return err })
+			built := make([]*csr, ranks)
+			pairs := make([]int64, ranks)
+			for r, b := range g.built {
+				built[r] = b.c
+				for i := int32(0); int(i) < b.c.nv(); i++ {
+					seen := make(map[int32]bool)
+					for _, tg := range b.c.all(i) {
+						if tg.rank != b.c.me && !seen[tg.rank] {
+							seen[tg.rank] = true
+							pairs[r]++
+						}
+					}
+				}
+			}
+			for _, k := range []struct {
+				name   string
+				kernel func(p *gdi.Process) error
+			}{
+				{"PageRank", func(p *gdi.Process) error { _, _, err := PageRank(p, g, 1, 0.85); return err }},
+				{"WCC", func(p *gdi.Process) error { _, _, err := WCC(p, g, 1); return err }},
+				{"CDLP", func(p *gdi.Process) error { _, err := CDLP(p, g, 1); return err }},
+			} {
+				delta := run(k.kernel)
+				for r, d := range delta {
+					if g.built[r].c != built[r] {
+						t.Fatalf("%s: rank %d rebuilt its CSR", k.name, r)
+					}
+					others := int64(ranks - 1)
+					if want := 8*pairs[r] + 8*others; d.PutBatches != others || d.BytesPut != want {
+						t.Errorf("%s: rank %d put %d trains and %d B, want %d and %d (8 B × %d mirror pairs + framing)",
+							k.name, r, d.PutBatches, d.BytesPut, others, want, pairs[r])
+					}
+				}
+			}
+			t.Logf("mirror pairs per rank %v; edge records on rank 0: %d", pairs, len(built[0].allTgt))
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"github.com/gdi-go/gdi/internal/constraint"
@@ -480,10 +481,18 @@ func (t *dptrTable[V]) reset(n int) {
 	t.used = 0
 }
 
+// home returns key's home slot: the top log2(len) bits of key·φ
+// (Fibonacci hashing). The rank bits sit at 48 and up, so lower product bits
+// would ignore them on a small table and give the same block offset on
+// every rank one home.
+func (t *dptrTable[V]) home(key fabric.DPtr) uint64 {
+	return uint64(key) * 0x9E3779B97F4A7C15 >> (64 - bits.TrailingZeros(uint(len(t.slots))))
+}
+
 // slot returns the slot holding key, or the empty one where it belongs.
 func (t *dptrTable[V]) slot(key fabric.DPtr) *dptrSlot[V] {
 	mask := uint64(len(t.slots) - 1)
-	for i := uint64(key) * 0x9E3779B97F4A7C15 >> 32 & mask; ; i = (i + 1) & mask {
+	for i := t.home(key); ; i = (i + 1) & mask {
 		if s := &t.slots[i]; s.key == key || s.key.IsNull() {
 			return s
 		}

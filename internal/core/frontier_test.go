@@ -556,3 +556,46 @@ func expandFrontierCoherenceStress(t *testing.T, cacheBlocks int) {
 		t.Fatal("no expansion validated: the stress measured nothing")
 	}
 }
+
+// TestDPtrTableSpreadsRanks holds the frontier's hash table to short probes
+// on keys that differ only in their rank bits: the same block offsets
+// 1..1024 on ranks 0..3, as a hop's frontier and neighbor sets hold them.
+// The mean linear-probe distance from a key's home slot to its slot must
+// stay at most 0.5; a home slot taken from product bits below the rank bits
+// files all four ranks' offset k under one home and averages above 1.5.
+func TestDPtrTableSpreadsRanks(t *testing.T) {
+	const ranks, offs = 4, 1024
+	var tab dptrTable[struct{}]
+	tab.reset(ranks * offs)
+	var keys []rma.DPtr
+	for r := 0; r < ranks; r++ {
+		for off := uint64(1); off <= offs; off++ {
+			keys = append(keys, rma.MakeDPtr(rma.Rank(r), off))
+		}
+	}
+	for _, k := range keys {
+		if _, dup := tab.getOrPut(k, struct{}{}); dup {
+			t.Fatalf("key %v reported as a duplicate", k)
+		}
+	}
+	pos := make(map[rma.DPtr]uint64, len(keys))
+	for i, s := range tab.slots {
+		if !s.key.IsNull() {
+			pos[s.key] = uint64(i)
+		}
+	}
+	mask := uint64(len(tab.slots) - 1)
+	steps := 0
+	for _, k := range keys {
+		at, ok := pos[k]
+		if !ok {
+			t.Fatalf("key %v lost", k)
+		}
+		steps += int((at - tab.home(k)) & mask)
+	}
+	mean := float64(steps) / float64(len(keys))
+	t.Logf("%d keys in %d slots: mean probe distance %.3f", len(keys), len(tab.slots), mean)
+	if mean > 0.5 {
+		t.Fatalf("mean probe distance %.3f over %d keys, want at most 0.5", mean, len(keys))
+	}
+}

@@ -26,6 +26,12 @@ func (h *VertexHandle) ID() fabric.DPtr { return h.st.primary }
 // AppID returns the application-level vertex ID.
 func (h *VertexHandle) AppID() uint64 { return h.st.v.AppID }
 
+// Homes returns the primary blocks the vertex occupied before live migration
+// moved it (holder.Vertex.Homes): edge records written before a move still
+// name the vertex by one of them. Empty for a vertex that never moved. The
+// slice is the handle's own; callers must not modify it.
+func (h *VertexHandle) Homes() []fabric.DPtr { return h.st.v.Homes }
+
 // Labels returns the vertex's labels (GDI_GetAllLabelsOfVertex). O(|labels|).
 func (h *VertexHandle) Labels() []lpg.LabelID {
 	return append([]lpg.LabelID(nil), h.st.v.Labels...)
