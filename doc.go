@@ -166,12 +166,11 @@
 //
 //   - Block cache (DatabaseParams.CacheCapacity blocks). Each process keeps
 //     an LRU cache of remote block copies stamped with the guard version
-//     they were read at. A fetch first loads the guard words — one vectored
-//     atomic-load train per owner rank, however many holders it covers —
-//     and any cached block whose stamp matches the current version (write
-//     bit clear) is served locally, with no GET traffic. Misses fall
-//     through to the usual vectored read trains and are installed for next
-//     time; a bumped version simply makes the stale copy miss. There are no
+//     they were read at. A fetch loads the guard words — one train per owner
+//     rank, however many holders it covers — and any cached block whose
+//     stamp matches the current version (write bit clear) is served
+//     locally, with no GET traffic. Misses are installed for next time; a
+//     bumped version simply makes the stale copy miss. There are no
 //     invalidation messages: writers invalidate by releasing their locks.
 //
 //   - Optimistic read transactions. Local read-only transactions take no
@@ -179,7 +178,11 @@
 //     same version with the write bit clear on both sides of the read
 //     (cached copies satisfy this by construction, so a fully cached fetch
 //     needs no second look), and the transaction records every (vertex,
-//     version) pair it read. Commit
+//     version) pair it read. The guard loads ride the fetch's own trains:
+//     a guarded GET train (fabric.ByteWin.GuardedGetBatch, one round trip)
+//     loads the word, GETs the block and loads the word again, so a cold
+//     one-block holder costs one round trip and a k-block chain k
+//     (ARCHITECTURE.md, "Life of a holder read"). Commit
 //     revalidates the whole read set with one atomic-load train per owner
 //     rank: if every version is unchanged the transaction serializes at
 //     that instant; if any moved, it fails with ErrTransactionCritical —

@@ -12,8 +12,8 @@ import (
 
 // The remote-block cache of the optimistic read tier (§3.8, §5.2): each rank
 // keeps version-stamped local copies of remote blocks it has fetched, and
-// revalidates them with a single vectored atomic-load train over the guard
-// lock words instead of re-fetching the payloads. A cached copy is current
+// revalidates them with a single train of loads of the guard lock words
+// instead of re-fetching the payloads. A cached copy is current
 // exactly while its guard word still carries the stamped version with the
 // write bit clear — writers bump the version at write-unlock, which is the
 // entire invalidation protocol: no invalidation messages, no coherence
@@ -151,8 +151,9 @@ type Trains struct {
 	order   []int32 // batch positions grouped by rank, groups in touched order
 	begin   int32   // where in order the next group to pop starts
 
-	idxs []int          // one train's word indices
-	ops  []fabric.GetOp // one train's GET ops
+	idxs []int                 // one train's word indices
+	ops  []fabric.GetOp        // one train's GET ops
+	gops []fabric.GuardedGetOp // one guarded train's ops
 }
 
 // group sorts the positions named in tr.target by owner rank — a counting
@@ -204,20 +205,11 @@ func (tr *Trains) pop(k int) (fabric.Rank, []int32) {
 	return fabric.Rank(r), pos
 }
 
-// LockStamps reads the lock words guarding the given blocks — one vectored
-// atomic-load train per distinct owner rank — and returns the raw words
-// aligned with dps. Interpret them with locks.Version and locks.WriteHeld.
-// This is the "CAS-free word train": revalidating any number of cached
-// holders on one rank costs a single remote round-trip.
-func (s *Store) LockStamps(origin fabric.Rank, dps []fabric.DPtr) []uint64 {
-	out := make([]uint64, len(dps))
-	s.LockStampsInto(origin, dps, out, &Trains{})
-	return out
-}
-
-// LockStampsInto is LockStamps into the first len(dps) words of out, grouping
-// the batch in the caller's scratch: beyond the word slices the fabric itself
-// returns (one per owner rank), it allocates nothing.
+// LockStampsInto reads the lock words guarding dps into the first len(dps)
+// words of out — one vectored atomic-load train per distinct owner rank;
+// interpret them with locks.Version and locks.WriteHeld — grouping the batch
+// in the caller's scratch: beyond the word slices the fabric itself returns
+// (one per owner rank), it allocates nothing.
 func (s *Store) LockStampsInto(origin fabric.Rank, dps []fabric.DPtr, out []uint64, tr *Trains) {
 	tr.target = slices.Grow(tr.target[:0], len(dps))
 	for _, dp := range dps {
@@ -238,63 +230,60 @@ func (s *Store) LockStampsInto(origin fabric.Rank, dps []fabric.DPtr, out []uint
 	}
 }
 
-// LockStamp loads the single lock word guarding dp — the scalar form of
-// LockStamps for the one-holder optimistic point read, whose steady-state
-// path must not allocate at all.
-func (s *Store) LockStamp(origin fabric.Rank, dp fabric.DPtr) uint64 {
-	s.checkDPtr(dp)
-	return s.sys.Load(origin, dp.Rank(), 1+int(dp.Off()))
-}
-
-// CachedBlock serves dp from origin's cache into dst when a copy guarded by
-// guard exists and is current under the caller's stamp (same version, write
-// bit clear) — the scalar, allocation-free form of the cache hit in
-// ReadBlocksStamped, including the hit/miss accounting. Returns false when
-// caching is off, dp is local, or the copy is missing or stale; the caller
-// then fetches and (after establishing stability) installs via
-// InstallStamped.
-func (s *Store) CachedBlock(origin fabric.Rank, dp, guard fabric.DPtr, stamp uint64, dst []byte) bool {
-	c := s.cacheOf(origin)
-	if c == nil || dp.Rank() == origin {
-		return false
-	}
-	if ver, found := c.lookup(dp, guard, dst); found && ver == locks.Version(stamp) && !locks.WriteHeld(stamp) {
-		s.f.AddCache(origin, 1, 0)
-		return true
-	}
-	s.f.AddCache(origin, 0, 1)
-	return false
-}
-
 // StampedRead is one block of a stamped read: the unit the read protocols
-// revalidate. The transaction layer stamps the guards of a whole fetch once
-// (LockStampsInto) and serves every streaming round of every holder against
-// those stamps, instead of paying a stamp train per round.
+// revalidate. The locking and collective tiers stamp the guards of a whole
+// fetch once and serve every streaming round of every holder against those
+// stamps; the seqlock tier has each round's train load the guard around the
+// blocks it reads (Load, Check).
 type StampedRead struct {
 	// DP is the block to read and Buf its destination.
 	DP  fabric.DPtr
 	Buf []byte
 	// Guard is the holder primary whose lock word protects the block, Stamp
-	// that word as the caller loaded it before the read.
+	// that word as loaded before the read: by the caller, or with Load by the
+	// read's own train.
 	Guard fabric.DPtr
 	Stamp uint64
+	// Post is the guard word loaded behind the block, with Check; a read
+	// served from the cache has none.
+	Post uint64
+	// Version, with Only, is the one guard version the caller accepts.
+	Version uint64
+	// Load asks the read to load the guard word into Stamp itself, ahead of
+	// the block in the same train — or, when a cached copy may serve,
+	// instead of the block. Check asks for the guard word again into Post,
+	// behind a block that comes off the wire. Both need the guard on the
+	// block's rank: a holder's chain lives on its primary's rank.
+	Load, Check bool
+	// Only, with Load, says the caller refuses a stamp at any version but
+	// Version (a speculative translation does): a cached copy at another
+	// version is fetched outright instead of waiting on the load, and a
+	// stale copy is not fetched under a stamp the caller refuses.
+	Only bool
 	// Fetched is set by ReadBlocksStamped: the block came off the wire (or,
 	// for a local block, out of the pool) rather than out of the cache, so
-	// its stability is only as good as the caller's locks or post-stamp check.
+	// its stability is only as good as the caller's locks or Post.
 	Fetched bool
 }
 
 // ReadBlocksStamped serves every read against its stamp: cached copies
 // carrying the stamped version with the write bit clear are copied out
-// locally with no GET traffic, and the rest come off the wire as one
-// vectored GET train per owner rank (a batch of one block goes scalar).
+// locally with no GET traffic, and the rest come off the wire, one train per
+// owner rank. A train that loads no guard is a vectored GET train (a batch
+// of one block goes scalar); one that does is a guarded GET train
+// (fabric.ByteWin.GuardedGetBatch), where each read's loads ride with its
+// block. A read with Load and a cached copy loads the guard alone; should
+// the copy turn out stale under that stamp, a second train per owner rank
+// fetches the block behind it — unless the stamp shows a writer (or, with
+// Only, another version), in which case nothing is fetched and Post repeats
+// the stamp.
 //
 // When install is true the caller guarantees content stability — it holds
 // read locks on the guards, or runs in a collective read epoch (§3.3) — so
 // fetched blocks are installed into the cache immediately at the stamped
-// version. When install is false (the optimistic tier) nothing is
-// installed: the caller must establish stability with a post-stamp train
-// and then hand the accepted reads to InstallStamped.
+// version. When install is false (the seqlock tier) nothing is installed:
+// the caller must establish stability from Stamp and Post and then hand the
+// accepted reads to InstallStamped.
 func (s *Store) ReadBlocksStamped(origin fabric.Rank, reads []StampedRead, install bool, tr *Trains) {
 	if len(reads) == 0 {
 		return
@@ -302,52 +291,142 @@ func (s *Store) ReadBlocksStamped(origin fabric.Rank, reads []StampedRead, insta
 	cache := s.cacheOf(origin)
 	tr.target = slices.Grow(tr.target[:0], len(reads))
 	var hits, misses int64
+	probes := false
 	for i := range reads {
 		r := &reads[i]
 		s.checkDPtr(r.DP)
 		if len(r.Buf) > s.blockSize {
 			panic(fmt.Sprintf("block: read of %d bytes exceeds block size %d", len(r.Buf), s.blockSize))
 		}
+		if r.Load || r.Check {
+			s.checkDPtr(r.Guard)
+			if r.Guard.Rank() != r.DP.Rank() {
+				panic(fmt.Sprintf("block: guard %v of block %v on another rank", r.Guard, r.DP))
+			}
+		}
 		r.Fetched = true
 		if cache != nil && r.DP.Rank() != origin {
-			if ver, found := cache.lookup(r.DP, r.Guard, r.Buf); found && ver == locks.Version(r.Stamp) && !locks.WriteHeld(r.Stamp) {
+			ver, found := cache.lookup(r.DP, r.Guard, r.Buf)
+			switch {
+			case found && r.Load && (!r.Only || ver == r.Version):
+				// A probe: the train loads the guard alone (readTrains
+				// knows it by Fetched), and the copy, at version Post
+				// until then, is judged after it.
+				r.Fetched, r.Post, probes = false, ver, true
+			case found && !r.Load && current(ver, r.Stamp):
 				hits++
 				r.Fetched = false
 				tr.target = append(tr.target, -1)
 				continue
+			default:
+				misses++
 			}
-			misses++
 		}
 		tr.target = append(tr.target, int32(r.DP.Rank()))
 	}
+	s.readTrains(origin, reads, false, tr)
+	if probes {
+		// Judge each copy against the stamp its load brought back; a stale
+		// one is fetched, behind that stamp, in a second round.
+		stale := false
+		for i := range reads {
+			r := &reads[i]
+			probe := tr.target[i] >= 0 && !r.Fetched
+			tr.target[i] = -1
+			switch {
+			case !probe:
+				continue
+			case current(r.Post, r.Stamp):
+				hits++
+				continue
+			case locks.WriteHeld(r.Stamp) || r.Only && locks.Version(r.Stamp) != r.Version:
+				r.Post = r.Stamp // refused whatever the block holds: not fetched
+			default:
+				tr.target[i], stale = int32(r.DP.Rank()), true
+			}
+			r.Fetched = true
+			misses++
+		}
+		if stale {
+			s.readTrains(origin, reads, true, tr)
+		}
+	}
 	if cache != nil {
 		s.f.AddCache(origin, hits, misses)
-	}
-	tr.group(s.f.Size())
-	tr.ops = slices.Grow(tr.ops[:0], len(tr.order))
-	for k := range tr.touched {
-		t, pos := tr.pop(k)
-		if len(tr.order) == 1 { // a batch of one is a scalar GET, as in ReadBlocksBatch
-			r := &reads[pos[0]]
-			s.data.Get(origin, t, int(r.DP.Off())*s.blockSize, r.Buf)
-			break
-		}
-		tr.ops = tr.ops[:0]
-		for _, i := range pos {
-			tr.ops = append(tr.ops, fabric.GetOp{Off: int(reads[i].DP.Off()) * s.blockSize, Buf: reads[i].Buf})
-		}
-		s.data.GetBatch(origin, t, tr.ops)
 	}
 	if install {
 		s.InstallStamped(origin, reads)
 	}
 }
 
+// current reports whether a cached copy at version ver is valid under stamp:
+// the same version, the write bit clear.
+func current(ver, stamp uint64) bool {
+	return ver == locks.Version(stamp) && !locks.WriteHeld(stamp)
+}
+
+// readTrains reads the positions tr.target names, one train per owner rank,
+// and hands each read the guard words its train loaded. A read loads its
+// guard ahead of its block with Load — unless this is the refetch round,
+// behind a stamp already loaded — and behind it with Check; a probe (a read
+// not Fetched) loads its guard alone. A train that loads nothing is a plain
+// GET train.
+func (s *Store) readTrains(origin fabric.Rank, reads []StampedRead, refetch bool, tr *Trains) {
+	tr.group(s.f.Size())
+	for k := range tr.touched {
+		t, pos := tr.pop(k)
+		guarded := false
+		for _, i := range pos {
+			guarded = guarded || reads[i].Load && !refetch || reads[i].Check
+		}
+		if !guarded {
+			s.getTrain(origin, t, reads, pos, tr)
+			continue
+		}
+		tr.gops = slices.Grow(tr.gops[:0], len(tr.order))
+		for _, i := range pos {
+			r := &reads[i]
+			op := fabric.GuardedGetOp{Guard: 1 + int(r.Guard.Off()), LoadBefore: r.Load && !refetch, LoadAfter: r.Check,
+				Off: int(r.DP.Off()) * s.blockSize, Buf: r.Buf}
+			if !r.Fetched {
+				op.Buf, op.LoadAfter = nil, false
+			}
+			tr.gops = append(tr.gops, op)
+		}
+		s.data.GuardedGetBatch(origin, t, s.sys, tr.gops)
+		for j, i := range pos {
+			op, r := &tr.gops[j], &reads[i]
+			if op.LoadBefore {
+				r.Stamp = op.Before
+			}
+			if op.LoadAfter {
+				r.Post = op.After
+			}
+		}
+	}
+}
+
+// getTrain fetches the blocks of pos from rank t as one vectored GET train,
+// or as a scalar GET when the whole batch is that one block (as in
+// ReadBlocksBatch).
+func (s *Store) getTrain(origin, t fabric.Rank, reads []StampedRead, pos []int32, tr *Trains) {
+	if len(tr.order) == 1 {
+		r := &reads[pos[0]]
+		s.data.Get(origin, t, int(r.DP.Off())*s.blockSize, r.Buf)
+		return
+	}
+	tr.ops = slices.Grow(tr.ops[:0], len(tr.order))
+	for _, i := range pos {
+		tr.ops = append(tr.ops, fabric.GetOp{Off: int(reads[i].DP.Off()) * s.blockSize, Buf: reads[i].Buf})
+	}
+	s.data.GetBatch(origin, t, tr.ops)
+}
+
 // InstallStamped installs validated copies of the reads that came off the
 // wire (Fetched, and remote), each under its guard at its stamp's version.
-// Callers on the optimistic tier invoke it, on the reads of the holders they
-// accepted, after their post-stamp train confirmed the guards did not move
-// across the fetch.
+// Callers on the seqlock tier invoke it, on the reads of the holders they
+// accepted, after the post-stamps confirmed the guards did not move across
+// the fetch.
 func (s *Store) InstallStamped(origin fabric.Rank, reads []StampedRead) {
 	cache := s.cacheOf(origin)
 	if cache == nil {
@@ -361,16 +440,15 @@ func (s *Store) InstallStamped(origin fabric.Rank, reads []StampedRead) {
 }
 
 // ReadBlocksCached is the self-contained, one-call form of the stamped read
-// protocol (the transaction layer uses the split LockStampsInto /
-// ReadBlocksStamped / InstallStamped primitives directly so one stamp set
-// can cover every streaming round of a flush): one stamp train over the
-// distinct guards, cache hits served locally, misses fetched, and — when
-// locked is false (no read locks held, the optimistic tier) — a post-stamp
-// train over the miss guards implementing the seqlock double-check: a fetch
-// is accepted and cached only if its guard shows the same version with the
-// write bit clear on both sides of the read. With locked true the caller
-// guarantees stability (read locks or a collective read epoch) and the
-// post-check is elided.
+// protocol (the transaction layer uses ReadBlocksStamped and InstallStamped
+// directly, so one stamp can cover every streaming round of a holder).
+// When locked is false (no read locks held, the seqlock tier) every read
+// loads its guard ahead of its block and again behind it, in one guarded
+// train per owner rank: a cached copy is served under the first load, and a
+// fetch is accepted and cached only if its guard shows the same version
+// with the write bit clear on both sides of it. With locked true the caller
+// guarantees stability (read locks or a collective read epoch): one stamp
+// train over the distinct guards, then the reads, with no post-check.
 //
 // It returns, aligned with dps: the guard version each accepted buffer
 // corresponds to, and whether the read was accepted. Rejected reads
@@ -388,33 +466,23 @@ func (s *Store) ReadBlocksCached(origin fabric.Rank, dps, guards []fabric.DPtr, 
 		return vers, ok
 	}
 	var tr Trains
-	stamps := s.guardStamps(origin, guards, &tr)
 	reads := make([]StampedRead, n)
 	for i := range reads {
-		reads[i] = StampedRead{DP: dps[i], Buf: bufs[i], Guard: guards[i], Stamp: stamps[guards[i]]}
+		reads[i] = StampedRead{DP: dps[i], Buf: bufs[i], Guard: guards[i], Load: !locked, Check: !locked}
+	}
+	if locked {
+		stamps := s.guardStamps(origin, guards, &tr)
+		for i := range reads {
+			reads[i].Stamp = stamps[guards[i]]
+		}
 	}
 	s.ReadBlocksStamped(origin, reads, locked, &tr)
-
-	var post map[fabric.DPtr]uint64
-	if !locked {
-		var missGuards []fabric.DPtr
-		for i := range reads {
-			if reads[i].Fetched {
-				missGuards = append(missGuards, guards[i])
-			}
-		}
-		if len(missGuards) > 0 {
-			post = s.guardStamps(origin, missGuards, &tr)
-		}
-	}
 	for i := range reads {
 		r := &reads[i]
 		// Cache hits were validated against the stamp at lookup time.
-		if r.Fetched && !locked {
-			if po := post[r.Guard]; locks.WriteHeld(r.Stamp) || locks.WriteHeld(po) || locks.Version(r.Stamp) != locks.Version(po) {
-				r.Fetched = false // torn or moving: rejected, not cached
-				continue
-			}
+		if r.Fetched && !locked && (locks.WriteHeld(r.Stamp) || !current(locks.Version(r.Stamp), r.Post)) {
+			r.Fetched = false // torn or moving: rejected, not cached
+			continue
 		}
 		vers[i], ok[i] = locks.Version(r.Stamp), true
 	}

@@ -273,8 +273,10 @@ func (tx *Tx) flush(pending []*VertexFuture, spec bool, expect uint64) {
 // read set against the primary; a copy that cannot serve is dropped from the
 // directory (unless it was merely busy) and the primary is read instead.
 // Seqlock items that were torn or write-held are read again, up to the
-// transaction's retry budget. It returns false when the read-lock train
-// failed the transaction, and every future of gen with it.
+// transaction's retry budget, each retry behind a stamp train: a guard still
+// write-held costs its load, not its blocks. A speculative batch is checked
+// on each item's stamp (chainReader.admit). It returns false when the
+// read-lock train failed the transaction, and every future of gen with it.
 func (tx *Tx) readGeneration(r *chainReader, gen []assoc, spec bool, expect uint64) bool {
 	e := tx.eng
 	locking := tx.locking()
@@ -291,7 +293,7 @@ func (tx *Tx) readGeneration(r *chainReader, gen []assoc, spec bool, expect uint
 		if followers {
 			if ent, ok := e.repl[tx.rank].lookup(a.dp); ok {
 				a.follow = ent
-				it.head, it.want = ent.head, holder.IsReplicaBlock
+				it.head, it.want, it.follower = ent.head, holder.IsReplicaBlock, true
 			}
 		}
 		r.items = append(r.items, it)
@@ -303,18 +305,11 @@ func (tx *Tx) readGeneration(r *chainReader, gen []assoc, spec bool, expect uint
 	if locking && !tx.lockGeneration(r, gen, spec, expect) {
 		return false
 	}
+	// The locking tier checked a speculative batch with its lock CAS.
+	r.spec, r.expect = spec && !locking, expect
 	for attempts := 0; ; {
-		if !locking {
+		if !locking && (mode == readStable || attempts > 0) {
 			r.stamp(e, tx.rank)
-			for i := range r.items {
-				// A speculative read wants the version it cached, and a vertex
-				// where a stub bit says the block is a stub; a busy follower
-				// copy is left to fall back to the primary.
-				if it := &r.items[i]; spec && it.verdict == unread && (locks.Version(it.stamp) != expect || locks.Stub(it.stamp) ||
-					locks.WriteHeld(it.stamp) && gen[i].follow.head.IsNull()) {
-					it.verdict, gen[i].err = readRefused, errStaleTranslation
-				}
-			}
 		}
 		r.read(e, tx.rank, mode, false, true)
 		torn, again := false, false
@@ -324,6 +319,9 @@ func (tx *Tx) readGeneration(r *chainReader, gen []assoc, spec bool, expect uint
 			switch {
 			case it.verdict == readOK && tx.install(a, it):
 				continue
+			case it.verdict == readStale:
+				// Stale whatever else could read it: a follower copy stays.
+				a.err = errStaleTranslation
 			case !a.follow.head.IsNull():
 				// The copy cannot serve: drop it unless it was merely busy,
 				// and read the primary.
@@ -331,9 +329,9 @@ func (tx *Tx) readGeneration(r *chainReader, gen []assoc, spec bool, expect uint
 					e.repl[tx.rank].drop(a.dp)
 				}
 				a.follow = replicaEntry{}
-				it.head, it.want, it.verdict, again = a.dp, want, unread, true
+				*it, again = chainItem{head: a.dp, want: want}, true
 			case busy:
-				it.verdict, torn, again = unread, true, true
+				it.verdict, it.stamped, torn, again = unread, false, true, true
 			case it.verdict == readStub:
 				a.fwd = holder.MovedTarget(it.buf)
 			case it.verdict == readRefused:
@@ -401,8 +399,9 @@ func (tx *Tx) lockGeneration(r *chainReader, gen []assoc, spec bool, expect uint
 		}
 	}
 	for i := range gen {
-		if r.items[i].verdict == unread {
-			gen[i].st.lock, gen[i].st.ver = lockRead, locks.Version(r.items[i].stamp)
+		if it := &r.items[i]; it.verdict == unread {
+			it.stamped = true
+			gen[i].st.lock, gen[i].st.ver = lockRead, locks.Version(it.stamp)
 		}
 	}
 	return true

@@ -26,7 +26,9 @@ type ReadArena struct {
 // The benchmark module's point-read probe calls it.
 //
 // The read is a one-item seqlock batch of the chain reader ("Life of a holder
-// read" in ARCHITECTURE.md), stamped with scalar loads. It returns false on
+// read" in ARCHITECTURE.md): a one-block holder on another rank costs one
+// guarded train, which loads the guard word, GETs the block (or, when the
+// validated cache holds it, does not) and loads the word again. It returns false on
 // any instability or anything but a vertex holder — a concurrent writer, a
 // migration stub, a deleted or reused block — and the caller falls back to a
 // transactional read; fn is only called on acceptance, and the view it
@@ -36,10 +38,8 @@ type ReadArena struct {
 // checks View.Err afterwards.
 func (e *Engine) OptimisticPointRead(origin fabric.Rank, primary fabric.DPtr, ar *ReadArena, fn func(*holder.View)) bool {
 	r := &ar.r
-	r.point = true
 	r.reset(1)
 	r.items = append(r.items, chainItem{head: primary})
-	r.stamp(e, origin)
 	r.read(e, origin, readSeqlock, false, false)
 	if it := &r.items[0]; it.verdict != readOK || ar.view.Reset(it.buf) != nil {
 		return false

@@ -27,10 +27,12 @@ import (
 type readMode uint8
 
 const (
-	// readSeqlock: stamp loads the guards; the reads count only if a
-	// post-stamp finds each guard at the same version with the write bit
-	// clear, and only then are the fetched blocks cached (the optimistic
-	// tier).
+	// readSeqlock: each round's trains load the guards around the blocks
+	// they read — the head round ahead of the heads of unstamped items, and
+	// every train behind each block off the wire. The reads count only if
+	// the last of those post-stamps finds the guard at the stamped version
+	// with the write bit clear, and only then are the fetched blocks cached
+	// (the optimistic tier).
 	readSeqlock readMode = iota
 	// readStable: the stamps are read-lock CAS results, or were loaded in a
 	// collective read epoch. Nothing moves them, so fetched blocks are cached
@@ -50,8 +52,9 @@ const (
 	readGone                       // block count 0: the holder was deleted or its block freed
 	readImplausible                // a block count or table entry no holder has: a reused block
 	readStub                       // a forwarding stub: holder.MovedTarget(buf) is where the vertex went
-	readHeld                       // the seqlock stamp showed a writer, so nothing was read
+	readHeld                       // the seqlock stamp showed a writer: what was read is dropped
 	readRefused                    // refused by the caller, by its head test or before the read
+	readStale                      // the stamp refused a speculative translation (chainReader.admit)
 	readTorn                       // the post-stamp moved: the blocks read are not one version
 	// readStamped is the frontier hop's: stamped, and vouched for by the
 	// stamp, but not read yet. The reader leaves it alone.
@@ -60,14 +63,21 @@ const (
 
 // chainItem is one holder chain of a batch.
 type chainItem struct {
-	head    fabric.DPtr            // the chain's first block, whose lock word guards all of it
-	want    func(head []byte) bool // the caller's head test; nil accepts any holder head
-	stamp   uint64                 // that word before the first read (stamped modes)
-	buf     []byte                 // the stream, as far as it was read
-	need    int                    // blocks read: the chain, or its entry prefix
-	verdict verdict
+	head  fabric.DPtr            // the chain's first block, whose lock word guards all of it
+	want  func(head []byte) bool // the caller's head test; nil accepts any holder head
+	stamp uint64                 // that word before the first read (stamped modes)
+	// stamped: stamp holds the word — the caller's, or the head round's. A
+	// seqlock item without one has the head round load it.
+	stamped bool
+	post    uint64 // readSeqlock: the word behind the last block off the wire
+	// follower: a follower copy, which a writer on its word makes busy, not
+	// stale, in a speculative batch.
+	follower bool
+	buf      []byte // the stream, as far as it was read
+	need     int    // blocks read: the chain, or its entry prefix
+	verdict  verdict
 	// wire: a block came off the wire or the pool, not out of the validated
-	// cache; after the post-stamp, whether it covered the item.
+	// cache; after validate, whether the post-stamp covered the item.
 	wire bool
 }
 
@@ -96,7 +106,10 @@ type chainReader struct {
 	items  []chainItem
 	bytes  byteArena
 	trains block.Trains
-	point  bool // stamps of a one-item batch are scalar loads: no train, no allocation
+	// spec: the batch checks a speculative translation, whose holders must
+	// carry guard version expect (admit).
+	spec   bool
+	expect uint64
 
 	batch   []int32             // the items the last read walked
 	reads   []block.StampedRead // the round being read…
@@ -114,39 +127,61 @@ func (r *chainReader) reset(n int) {
 	r.bytes.reset()
 }
 
-// stamp loads the guard word of every unread item into its stamp.
+// stamp loads the guard word of every unread item not stamped yet, one load
+// train per owner rank: ahead of the reads, for a caller that acts on the
+// stamps before it reads (a frontier hop, the collective tier), or that has
+// seen a writer (a seqlock retry).
 func (r *chainReader) stamp(e *Engine, origin fabric.Rank) {
 	r.dps, r.readOf = slices.Grow(r.dps[:0], len(r.items)), slices.Grow(r.readOf[:0], len(r.items))
 	for i := range r.items {
-		if r.items[i].verdict == unread {
+		if r.items[i].verdict == unread && !r.items[i].stamped {
 			r.dps = append(r.dps, r.items[i].head)
 			r.readOf = append(r.readOf, int32(i))
 		}
 	}
 	for k, w := range r.load(e, origin) {
-		r.items[r.readOf[k]].stamp = w
+		it := &r.items[r.readOf[k]]
+		it.stamp, it.stamped = w, true
 	}
 }
 
 // load returns the lock words of r.dps, one load train per owner rank.
 func (r *chainReader) load(e *Engine, origin fabric.Rank) []uint64 {
-	if r.point && len(r.dps) == 1 {
-		r.words = append(r.words[:0], e.store.LockStamp(origin, r.dps[0]))
-		return r.words
-	}
 	r.words = slices.Grow(r.words[:0], len(r.dps))[:len(r.dps)]
 	e.store.LockStampsInto(origin, r.dps, r.words, &r.trains)
 	return r.words
 }
 
+// admit judges an item by its stamp before anything read of it counts. A
+// speculative batch refuses a stamp at another version than it expects, with
+// the stub bit, or with a writer on anything but a follower copy (readStale);
+// on readSeqlock a writer otherwise makes the item readHeld.
+func (r *chainReader) admit(it *chainItem, seqlock bool) bool {
+	switch {
+	case r.spec && (locks.Version(it.stamp) != r.expect || locks.Stub(it.stamp) || locks.WriteHeld(it.stamp) && !it.follower):
+		it.verdict = readStale
+	case seqlock && locks.WriteHeld(it.stamp):
+		it.verdict = readHeld
+	default:
+		return true
+	}
+	return false
+}
+
 // read walks the chain of every unread item and gives each a verdict: a head
 // round, then one round per continuation depth up to each item's need — the
 // whole chain, or with prefix the blocks through the end of the entry region.
-// A round is one GET train per owner rank for what the validated cache cannot
-// serve. On readSeqlock the post-stamp follows (validate); confirm extends it
-// to the gone, implausible and stub verdicts, for a caller that acts on them.
+// A round is one train per owner rank for what the validated cache cannot
+// serve. On readSeqlock the trains carry the guard loads: the head round
+// loads the stamp of every unstamped item ahead of its head (a cached head
+// costs that load alone), so such an item is admitted only after the round
+// and what was read of a refused one is dropped; every block off the wire
+// has the guard loaded again behind it, and validate checks the last of
+// those post-stamps. confirm extends the check to the gone, implausible and
+// stub verdicts, for a caller that acts on them.
 func (r *chainReader) read(e *Engine, origin fabric.Rank, mode readMode, prefix, confirm bool) {
 	bs := e.cfg.BlockSize
+	seqlock := mode == readSeqlock
 	r.batch = slices.Grow(r.batch[:0], len(r.items))
 	for i := range r.items {
 		if r.items[i].verdict == unread {
@@ -158,19 +193,21 @@ func (r *chainReader) read(e *Engine, origin fabric.Rank, mode readMode, prefix,
 	r.bytes.reserve(len(r.batch) * bs)
 	for _, i := range r.batch {
 		it := &r.items[i]
-		if mode == readSeqlock && locks.WriteHeld(it.stamp) {
-			it.verdict = readHeld
+		if it.stamped && !r.admit(it, seqlock) {
 			continue
 		}
 		it.buf, it.wire = r.bytes.alloc(bs), false
-		r.queue(i, it.head, it.buf)
+		r.queue(i, it.head, it.buf, seqlock && !it.stamped, seqlock)
 	}
 	r.round(e, origin, mode)
 
 	r.walking = slices.Grow(r.walking[:0], len(r.readOf))
 	chains := 0 // bytes of the streams that continue past their head
-	for _, i := range r.readOf {
+	for j, i := range r.readOf {
 		it := &r.items[i]
+		if r.reads[j].Load && !r.admit(it, seqlock) {
+			continue
+		}
 		nb := holder.NumBlocks(it.buf)
 		switch {
 		case nb < 1:
@@ -211,7 +248,7 @@ func (r *chainReader) read(e *Engine, origin fabric.Rank, mode readMode, prefix,
 				it.verdict = readImplausible
 				continue
 			}
-			r.queue(i, holder.TableEntry(it.buf, round-1), it.buf[round*bs:(round+1)*bs])
+			r.queue(i, holder.TableEntry(it.buf, round-1), it.buf[round*bs:(round+1)*bs], false, seqlock)
 			if it.need > round+1 {
 				more = append(more, i)
 			}
@@ -219,7 +256,7 @@ func (r *chainReader) read(e *Engine, origin fabric.Rank, mode readMode, prefix,
 		r.walking = more
 		r.round(e, origin, mode)
 	}
-	if mode == readSeqlock {
+	if seqlock {
 		r.validate(e, origin, confirm)
 	}
 }
@@ -238,15 +275,17 @@ func (e *Engine) plausibleBlock(head fabric.DPtr, buf []byte, i int) bool {
 	return e.validPoolDPtr(dp) && dp.Rank() == head.Rank()
 }
 
-// queue adds block dp of item i, into buf, to the round being built.
-func (r *chainReader) queue(i int32, dp fabric.DPtr, buf []byte) {
+// queue adds block dp of item i, into buf, to the round being built, with
+// the guard loaded ahead of it (load) and behind it (check).
+func (r *chainReader) queue(i int32, dp fabric.DPtr, buf []byte, load, check bool) {
 	it := &r.items[i]
-	r.reads = append(r.reads, block.StampedRead{DP: dp, Buf: buf, Guard: it.head, Stamp: it.stamp})
+	r.reads = append(r.reads, block.StampedRead{DP: dp, Buf: buf, Guard: it.head, Stamp: it.stamp,
+		Load: load, Check: check, Only: load && r.spec, Version: r.expect})
 	r.readOf = append(r.readOf, i)
 }
 
-// round reads the queued blocks and, on readSeqlock, notes what came off the
-// wire.
+// round reads the queued blocks and, on readSeqlock, takes the stamps and
+// post-stamps its trains loaded and notes what came off the wire.
 func (r *chainReader) round(e *Engine, origin fabric.Rank, mode readMode) {
 	if mode == readUnderLock {
 		r.dps, r.bufs = r.dps[:0], r.bufs[:0]
@@ -261,8 +300,12 @@ func (r *chainReader) round(e *Engine, origin fabric.Rank, mode readMode) {
 		return
 	}
 	for j := range r.reads {
-		if rd := &r.reads[j]; rd.Fetched {
-			r.items[r.readOf[j]].wire = true
+		rd, it := &r.reads[j], &r.items[r.readOf[j]]
+		if rd.Load {
+			it.stamp, it.stamped = rd.Stamp, true
+		}
+		if rd.Fetched {
+			it.wire, it.post = true, rd.Post
 			if rd.DP.Rank() != origin {
 				r.fetched = append(r.fetched, fetchedRead{r.readOf[j], *rd})
 			}
@@ -270,28 +313,23 @@ func (r *chainReader) round(e *Engine, origin fabric.Rank, mode readMode) {
 	}
 }
 
-// validate is the seqlock double-check: one more stamp train, over the items
-// whose verdict rests on blocks off the wire (or, with confirm, on a gone or
-// implausible head wherever it came from). A guard that moved makes the item
-// readTorn; the fetched blocks of the OK and stub items that held are cached.
+// validate is the seqlock double-check, on the post-stamps the rounds
+// loaded: an item whose verdict rests on blocks off the wire (with confirm,
+// also a gone, implausible or stub one) is readTorn unless the word behind
+// its last such block shows the stamped version with the write bit clear.
+// The blocks served from the validated cache were vouched for by the stamp
+// itself. The fetched blocks of the OK and stub items that held are cached.
 func (r *chainReader) validate(e *Engine, origin fabric.Rank, confirm bool) {
-	r.dps, r.readOf = r.dps[:0], r.readOf[:0]
 	for _, i := range r.batch {
 		it := &r.items[i]
 		ok, stub := it.verdict == readOK, it.verdict == readStub
-		it.wire = it.wire && (ok || stub && confirm) || confirm && (it.verdict == readGone || it.verdict == readImplausible)
-		if it.wire {
-			r.dps = append(r.dps, it.head)
-			r.readOf = append(r.readOf, i)
-		}
-	}
-	if len(r.dps) == 0 {
-		return // a batch served from the validated cache needs no second look
-	}
-	for k, w := range r.load(e, origin) {
-		if it := &r.items[r.readOf[k]]; locks.Version(w) != locks.Version(it.stamp) || locks.WriteHeld(w) {
+		it.wire = it.wire && (ok || confirm && (stub || it.verdict == readGone || it.verdict == readImplausible))
+		if it.wire && (locks.Version(it.post) != locks.Version(it.stamp) || locks.WriteHeld(it.post)) {
 			it.verdict = readTorn
 		}
+	}
+	if len(r.fetched) == 0 {
+		return
 	}
 	// Cache what held holder by holder, each in chain order: a cache smaller
 	// than the batch keeps whole holders.

@@ -351,7 +351,7 @@ type assocOutcome struct {
 	Results  []string   // per batch position (cold, then warm), then per speculative check
 	ReadSets [][]string // the optimistic read set of each transaction, sorted
 	Moved    []string   // the migration aliases each transaction chased
-	Traffic  []string   // remote GETs, GET trains, remote atomics, atomic trains per step
+	Traffic  []string   // per step: remote GETs, GET trains, remote atomics, atomic trains; on the seqlock tier remote GETs and bytes got
 	Words    [][]uint64 // every word window after each step: lock words, free lists, index
 	Counters string     // forwarded, replica-served and optimistic-aborted reads
 }
@@ -363,10 +363,12 @@ type assocOutcome struct {
 // cold, then warm, then checks each cached translation speculatively in a
 // transaction of its own, and compares: the decoded vertices, lock states and
 // versions; the read sets and chased aliases; the remote GETs, GET trains,
-// remote atomics and atomic trains of every step; every word window after
-// every step; and the engine's read counters. It runs on the locking,
-// optimistic and collective tiers, at 64- and 256-byte blocks, with a
-// 512-block and a one-block cache.
+// remote atomics and atomic trains of every step (on the optimistic tier,
+// whose seqlock reads load the guard in their GET trains, the remote GETs and
+// the bytes got, but a stale speculative check may GET its head block);
+// every word window after every step; and the engine's read
+// counters. It runs on the locking, optimistic and collective tiers, at 64-
+// and 256-byte blocks, with a 512-block and a one-block cache.
 func TestAssociateMatchesReference(t *testing.T) {
 	tiers := []struct {
 		name       string
@@ -378,6 +380,7 @@ func TestAssociateMatchesReference(t *testing.T) {
 			for _, cache := range []int{512, 1} {
 				t.Run(fmt.Sprintf("%s/block=%d/cache=%d", tier.name, bs, cache), func(t *testing.T) {
 					var spec []uint64 // the fixture's speculative cases
+					optimistic := !tier.collective && tier.mode == ReadOnly
 					run := func(associate func(*Tx, []fabric.DPtr) ([]*VertexHandle, error),
 						flush func(*Tx, []*VertexFuture, bool, uint64)) assocOutcome {
 						log := &windowLog{Transport: rma.New(4)}
@@ -395,8 +398,14 @@ func TestAssociateMatchesReference(t *testing.T) {
 							before := log.TotalSnapshot()
 							do()
 							a := log.TotalSnapshot()
-							out.Traffic = append(out.Traffic, fmt.Sprint(a.RemoteGets-before.RemoteGets, a.GetBatches-before.GetBatches,
-								a.RemoteAtoms-before.RemoteAtoms, a.AtomicBatches-before.AtomicBatches))
+							if optimistic {
+								// The seqlock tier's trains are not the reference's
+								// (TestSeqlockReadRoundTrips pins them); its blocks are.
+								out.Traffic = append(out.Traffic, fmt.Sprint(a.RemoteGets-before.RemoteGets, a.BytesGot-before.BytesGot))
+							} else {
+								out.Traffic = append(out.Traffic, fmt.Sprint(a.RemoteGets-before.RemoteGets, a.GetBatches-before.GetBatches,
+									a.RemoteAtoms-before.RemoteAtoms, a.AtomicBatches-before.AtomicBatches))
+							}
 							_, words := log.dump()
 							out.Words = append(out.Words, slices.Concat(words...))
 							var reads []string
@@ -446,7 +455,7 @@ func TestAssociateMatchesReference(t *testing.T) {
 						if e.ForwardedReads() == forwards {
 							t.Error("no read chased a forwarding stub")
 						}
-						if optimistic := !tier.collective && tier.mode == ReadOnly; optimistic != (e.ReplicaReads() > replicaReads) {
+						if optimistic != (e.ReplicaReads() > replicaReads) {
 							t.Errorf("follower-served reads: %d, on the optimistic tier only", e.ReplicaReads()-replicaReads)
 						}
 						out.Counters = fmt.Sprint(e.ForwardedReads(), e.ReplicaReads(), e.OptimisticAborts())
@@ -471,6 +480,12 @@ func TestAssociateMatchesReference(t *testing.T) {
 						for i, c := range classes {
 							if r := want.Results[len(want.Results)-len(classes)+i]; !strings.HasPrefix(r, fmt.Sprint(spec[i], " ", c, " ")) {
 								t.Errorf("speculative case %d: %s, want %s", i, r, c)
+							}
+							// The seqlock tier refuses a stale translation after
+							// the head round, so it may have GET the head block,
+							// which the reference refused before reading.
+							if k := len(got.Traffic) - len(classes) + i; optimistic && c == "stale" && got.Traffic[k] == fmt.Sprint(1, bs) {
+								got.Traffic[k] = want.Traffic[k]
 							}
 						}
 					}
@@ -546,11 +561,15 @@ func TestFollowerThatCannotServeFallsBack(t *testing.T) {
 }
 
 // TestWriteHeldStampReadsNothing: on the seqlock tier a guard a writer holds
-// cannot validate, so the reader reads none of its blocks — the point read
-// declines and an association retries on stamps alone until its budget runs
-// out — and issues no remote GET.
+// cannot validate, so nothing read under it counts. The head round loads the
+// guard in the same train as the head block, so a read learns of the writer
+// only after its first GET: the point read declines after its one guarded
+// train, and an association after its first, then retries on stamp trains
+// alone — one guard load per attempt, no block — until its budget runs out.
+// Neither caches what it read.
 func TestWriteHeldStampReadsNothing(t *testing.T) {
-	e := NewEngine(rma.New(2), Config{BlockSize: 64, BlocksPerRank: 1 << 10, LockTries: 4})
+	const tries = 4
+	e := NewEngine(rma.New(2), Config{BlockSize: 64, BlocksPerRank: 1 << 10, LockTries: tries})
 	seed := e.StartLocal(1, ReadWrite)
 	dp, err := seed.CreateVertex(1) // placed on rank 1
 	if err != nil {
@@ -563,16 +582,129 @@ func TestWriteHeldStampReadsNothing(t *testing.T) {
 	if _, err := locks.AcquireWriteTrain(1, []locks.TrainLock{{Word: w}}, 4); err != nil {
 		t.Fatal(err)
 	}
-	before := e.Fabric().TotalSnapshot()
-	if e.OptimisticPointRead(0, dp, &ReadArena{}, func(*holder.View) {}) {
-		t.Error("the point read accepted a write-held holder")
+	point := measure(e, func() {
+		if e.OptimisticPointRead(0, dp, &ReadArena{}, func(*holder.View) {}) {
+			t.Error("the point read accepted a write-held holder")
+		}
+	})
+	if want := (traffic{atoms: 2, gets: 1, getTrains: 1, cacheMisses: 1}); point != want {
+		t.Errorf("point read of a write-held holder: %+v, want one guarded train %+v", point, want)
+	}
+	assoc := measure(e, func() {
+		tx := e.StartLocal(0, ReadOnly)
+		if _, err := tx.AssociateVertex(dp); !errors.Is(err, ErrTxCritical) {
+			t.Errorf("AssociateVertex under a writer: err = %v, want a transaction-critical one", err)
+		}
+		tx.Abort()
+	})
+	if want := (traffic{atoms: 2 + tries - 1, atomTrains: tries - 1, gets: 1, getTrains: 1, cacheMisses: 1}); assoc != want {
+		t.Errorf("association of a write-held holder: %+v, want one guarded train and %d stamp trains %+v", assoc, tries-1, want)
+	}
+	if n := e.Store().CacheLen(0); n != 0 {
+		t.Errorf("%d blocks of a write-held holder cached", n)
+	}
+}
+
+// TestSeqlockReadRoundTrips pins the round trips of the seqlock tier at two
+// ranks, read off the fabric counters. Every read below is a train: a guarded
+// GET train counts in GetBatches (its loads and GETs in RemoteAtoms and
+// RemoteGets), one that loads alone in AtomicBatches, and no scalar op is
+// issued, so the trains are the round trips. Before this protocol the guard
+// was stamped in a train of its own ahead of the GETs and post-stamped in
+// another behind them: 3 round trips for a one-block holder, k+2 for a
+// k-block chain, and 3 per owner rank for a frontier hop.
+func TestSeqlockReadRoundTrips(t *testing.T) {
+	e := NewEngine(rma.New(2), Config{BlockSize: 64, BlocksPerRank: 1 << 10, LockTries: 16})
+	pt := payloadPType(t, e)
+	create := func(app uint64, words int) fabric.DPtr {
+		t.Helper()
+		tx := e.StartLocal(1, ReadWrite)
+		dp, err := tx.CreateVertex(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if words > 0 {
+			h, err := tx.AssociateVertex(dp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h.SetProperty(pt, payloadPattern(0, words)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if dp.Rank() != 1 {
+			t.Fatalf("vertex %d placed on rank %d, want the remote rank 1", app, dp.Rank())
+		}
+		return dp
+	}
+	blocks := func(dp fabric.DPtr) int {
+		head := make([]byte, 64)
+		e.Store().ReadBlock(1, dp, head)
+		return holder.NumBlocks(head)
+	}
+	// associate measures one optimistic association from rank 0, up to
+	// Commit, and commits.
+	associate := func(dp fabric.DPtr) traffic {
+		t.Helper()
+		tx := e.StartLocal(0, ReadOnly)
+		cost := measure(e, func() {
+			if _, err := tx.AssociateVertex(dp); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		return cost
+	}
+
+	one, chain := create(1, 0), create(3, 8)
+	if n := blocks(one); n != 1 {
+		t.Fatalf("the small holder has %d blocks, want 1", n)
+	}
+	if n := blocks(chain); n != 2 {
+		t.Fatalf("the payload holder has %d blocks, want 2", n)
+	}
+	cases := []struct {
+		name string
+		dp   fabric.DPtr
+		want traffic
+	}{
+		// Load, GET, load: one train (3 before).
+		{"cold one-block", one, traffic{atoms: 2, gets: 1, getTrains: 1, cacheMisses: 1}},
+		// The head is in the validated cache: a train of one load (1 before).
+		{"cached one-block", one, traffic{atoms: 1, atomTrains: 1, cacheHits: 1}},
+		// Load, GET, load; then GET, load: two trains (4 before).
+		{"cold two-block chain", chain, traffic{atoms: 3, gets: 2, getTrains: 2, cacheMisses: 2}},
+	}
+	for _, c := range cases {
+		if got := associate(c.dp); got != c.want {
+			t.Errorf("%s association: %+v, want %+v", c.name, got, c.want)
+		}
+	}
+
+	// A frontier hop stamps its frontier in one load train per owner rank —
+	// the stub bit and a LIMIT's bound are read off those stamps — and reads
+	// it in one guarded train per owner rank, a GET and a load per vertex
+	// (3 trains per owner rank before).
+	const width = 8
+	frontier := make([]fabric.DPtr, width)
+	for i := range frontier {
+		frontier[i] = create(uint64(101+2*i), 0)
 	}
 	tx := e.StartLocal(0, ReadOnly)
-	if _, err := tx.AssociateVertex(dp); !errors.Is(err, ErrTxCritical) {
-		t.Errorf("AssociateVertex under a writer: err = %v, want a transaction-critical one", err)
+	hop := measure(e, func() {
+		if _, _, err := tx.ExpandFrontier(frontier, MaskAll, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
 	}
-	tx.Abort()
-	if n := e.Fabric().TotalSnapshot().RemoteGets - before.RemoteGets; n != 0 {
-		t.Errorf("%d remote GETs of a write-held holder, want 0", n)
+	if want := (traffic{atoms: 2 * width, atomTrains: 1, gets: width, getTrains: 1, cacheMisses: width}); hop != want {
+		t.Errorf("frontier hop over %d remote one-block holders: %+v, want %+v", width, hop, want)
 	}
 }

@@ -255,15 +255,19 @@ func TestOwnCommitRefreshesTranslation(t *testing.T) {
 }
 
 // TestStaleTranslationCostsOneStamp: after another rank deletes and re-creates
-// the vertex, a cached translation is refused on its guard version alone,
-// in one round trip and with no block read: a one-word stamp train on the
-// optimistic tier, one failed scalar CAS on the locking tier. The
-// translation then costs exactly what a translation with no cache entry
-// costs. On the locking tier that includes a two-round read-lock train, since
-// the index names no version; its first CAS is also the stamp. An entry that
-// names the forwarding stub a migration left, at the stub's current version,
-// is refused the same way, on the stub bit of the same word: no GET of the
-// stub block.
+// the vertex, a cached translation is refused on its guard version, in one
+// round trip and with no block read. On the optimistic tier that round trip
+// is the head round's guarded train: rank 0 still caches the block at the
+// entry's version, so the train loads the guard alone, and the cache lookup
+// the load refutes counts a miss. On the locking tier it is one failed
+// scalar CAS. The translation then costs exactly what a translation with no
+// cache entry costs. On the locking tier that includes a two-round read-lock
+// train, since the index names no version; its first CAS is also the stamp.
+// An entry that names the forwarding stub a migration left, at the stub's
+// current version, is refused in one round trip too, on the stub bit of the
+// same word: on the locking tier by the failed CAS, with no GET of the stub
+// block; on the optimistic tier by the guarded train that loads the word
+// around its GET of the stub block, which is then dropped.
 func TestStaleTranslationCostsOneStamp(t *testing.T) {
 	// Each history gives two engines the same past, in which rank 0's cache
 	// entry for the vertex went stale; it returns the entry's app and the
@@ -330,9 +334,20 @@ func TestStaleTranslationCostsOneStamp(t *testing.T) {
 				}
 				coldCost := measure(cold, func() { readVertex(t, cold, 0, mode, app, fabric.NullDPtr) })
 				want := coldCost
-				want.atoms++
-				if mode == ReadOnly {
-					want.atomTrains++ // the stamp is a one-word load train
+				switch {
+				case mode == ReadWrite:
+					want.atoms++ // the failed CAS
+				case name == "":
+					// A train of one guard load, which refutes the cached copy.
+					want.atoms++
+					want.atomTrains++
+					want.cacheMisses++
+				default:
+					// Load, GET of the stub block, load: one guarded train.
+					want.atoms += 2
+					want.gets++
+					want.getTrains++
+					want.cacheMisses++
 				}
 				if staleCost != want {
 					t.Fatalf("stale entry: %+v; no entry: %+v; want %+v", staleCost, coldCost, want)

@@ -17,16 +17,18 @@ type Counters struct {
 	BytesPut     atomic.Int64
 	BytesGot     atomic.Int64
 	Flushes      atomic.Int64
-	// GetBatches counts vectored GetBatch trains towards remote targets;
-	// each train pays the remote round-trip once however many constituent
-	// gets (counted above) it carries.
+	// GetBatches counts vectored GetBatch trains towards remote targets,
+	// and the guarded GET trains that carry a GET; each train pays the
+	// remote round-trip once however many constituent gets (counted above)
+	// it carries.
 	GetBatches atomic.Int64
 	// PutBatches counts vectored PutBatch trains towards remote targets
 	// (the commit write-back trains of §5.6).
 	PutBatches atomic.Int64
 	// AtomicBatches counts vectored CASBatch/LoadBatch trains towards remote
-	// targets (the lock trains of the batched commit path, the version
-	// revalidation trains of the block cache, and the DHT's entry fetches).
+	// targets (the lock trains of the batched commit path, the stamp trains
+	// of a frontier hop, and the DHT's entry fetches), and the guarded GET
+	// trains that carry loads alone (the block cache's revalidations).
 	// Scalar atomics are not trains: the round trips a rank paid for word
 	// traffic are its scalar remote atomics plus its trains.
 	AtomicBatches atomic.Int64
@@ -155,6 +157,28 @@ func (c *Counters) CountAtomicBatch(local bool) {
 	if !local {
 		c.AtomicBatches.Add(1)
 	}
+}
+
+// CountGuardedBatch accounts one guarded GET train: every load and every GET
+// its ops carry, and the train itself — a GET train when it carries a GET, an
+// atomic train when it loads alone. It reports whether the train GETs.
+func (c *Counters) CountGuardedBatch(local bool, ops []GuardedGetOp) (gets bool) {
+	for i := range ops {
+		op := &ops[i]
+		for range op.Loads() {
+			c.CountAtomic(local)
+		}
+		if len(op.Buf) > 0 {
+			c.CountGet(local, len(op.Buf))
+			gets = true
+		}
+	}
+	if gets {
+		c.CountGetBatch(local)
+	} else {
+		c.CountAtomicBatch(local)
+	}
+	return gets
 }
 
 // AddCache accounts block-cache lookups.

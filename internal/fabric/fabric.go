@@ -56,6 +56,25 @@ type ByteWin interface {
 	// PutBatch is the write-side counterpart of GetBatch. Ops within one
 	// train must not overlap; the window provides no ordering between them.
 	PutBatch(origin, target Rank, ops []PutOp)
+	// GuardedGetBatch issues every op towards target as one train — one
+	// round trip — where each op does up to three steps: an atomic load of
+	// guard word op.Guard of target's segment in the guard window into
+	// op.Before (when op.LoadBefore), a GET of len(op.Buf) bytes at op.Off
+	// (none when Buf is empty), and a second load of the guard into op.After
+	// (when op.LoadAfter). It is the seqlock reader's train: the guard word
+	// stamps the bytes on both sides of the copy, so a reader that finds the
+	// same version, free of writers, in Before and After knows the bytes are
+	// one version's.
+	//
+	// Ordering guarantee, LoadBatch's extended to bytes: the target applies
+	// the ops one after another in slice order and, within an op, the load
+	// before, the copy and the load after in that order, each load a
+	// sequentially consistent atomic load. So After is read no earlier than
+	// the last byte of Buf is copied, and Before no later than the first.
+	// guard must be a word window of the same transport. The train counts as
+	// a GET train when it carries a GET and as an atomic train otherwise;
+	// every load and every GET in it counts as well.
+	GuardedGetBatch(origin, target Rank, guard WordWin, ops []GuardedGetOp)
 }
 
 // WordWin is a 64-bit-word-granularity RMA window with atomic semantics: the
@@ -107,6 +126,30 @@ type GetOp struct {
 type PutOp struct {
 	Off  int
 	Data []byte
+}
+
+// GuardedGetOp is one element of a guarded GET train (see
+// ByteWin.GuardedGetBatch): optional loads of guard word Guard around an
+// optional GET of len(Buf) bytes at Off. Before and After are outputs, set
+// only when their load was asked for.
+type GuardedGetOp struct {
+	Guard                 int
+	LoadBefore, LoadAfter bool
+	Off                   int
+	Buf                   []byte
+	Before, After         uint64
+}
+
+// Loads returns how many guard loads op asks for.
+func (op *GuardedGetOp) Loads() int {
+	n := 0
+	if op.LoadBefore {
+		n++
+	}
+	if op.LoadAfter {
+		n++
+	}
+	return n
 }
 
 // CASOp is one element of a vectored compare-and-swap train.

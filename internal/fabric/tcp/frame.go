@@ -42,6 +42,12 @@ const (
 //	call       svc u8 | req bytes                         → resp bytes
 //	counters   empty                                      → 14×u64 snapshot
 //	reset      empty                                      → empty
+//	guardedGet win u32 | guard u32 | k u32 |              → per op, in order:
+//	           k×(flags u8, idx u64, off u64, n u64)        [before u64] | n bytes | [after u64]
+//
+// A guardedGet op's flags say which guard loads it asks for: bit 0 the load
+// of word idx of window guard before its n bytes at off are copied, bit 1
+// the load after them; the response carries exactly the loads asked for.
 const (
 	opGet = byte(iota + 1)
 	opPut
@@ -56,6 +62,13 @@ const (
 	opCall
 	opCounters
 	opReset
+	opGuardedGet
+)
+
+// Flags of one guardedGet op.
+const (
+	guardBefore = byte(1)
+	guardAfter  = byte(2)
 )
 
 // opName names an op code for PeerError diagnostics.
@@ -64,7 +77,7 @@ func opName(op byte) string {
 		opGet: "get", opPut: "put", opGetBatch: "get-batch", opPutBatch: "put-batch",
 		opLoad: "load", opStore: "store", opCAS: "cas", opLoadBatch: "load-batch",
 		opCASBatch: "cas-batch", opFetchAdd: "fetch-add", opCall: "call",
-		opCounters: "counters", opReset: "reset",
+		opCounters: "counters", opReset: "reset", opGuardedGet: "guarded-get",
 	}
 	if int(op) < len(names) && names[op] != "" {
 		return names[op]
@@ -77,6 +90,27 @@ func opName(op byte) string {
 // train the engine issues (the largest are full-inbox PutBatch deliveries).
 const maxFrame = 1 << 30
 
+// A request frame is built in one buffer: newReq lays out its header with
+// the op code, the caller appends the body, and Transport.request fills in
+// the length and the request id. A response frame is built the same way by
+// Transport.serve. Neither is copied again on its way to the connection.
+const (
+	reqHeader  = 4 + 1 + 8 + 1 // length, type, id, op
+	respHeader = 4 + 1 + 8     // length, type, id
+)
+
+// newReq starts a request frame for op with room for a body of size bytes.
+func newReq(op byte, size int) []byte {
+	frame := make([]byte, reqHeader, reqHeader+size)
+	frame[4], frame[reqHeader-1] = ftReq, op
+	return frame
+}
+
+// sealFrame writes the length field of a frame built in place.
+func sealFrame(frame []byte) {
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+}
+
 // appendFrame encodes one frame (header, type, body) into dst and returns
 // the extended slice.
 func appendFrame(dst []byte, ft byte, body []byte) []byte {
@@ -87,7 +121,9 @@ func appendFrame(dst []byte, ft byte, body []byte) []byte {
 
 // readFrame reads exactly one frame from r. It tolerates partial reads (the
 // header and body are filled with io.ReadFull) and rejects malformed length
-// fields without allocating for them.
+// fields without allocating for them. A connection's reader passes a
+// bufio.Reader, so a frame that has fully arrived costs one read(2), not one
+// for the header and one for the body.
 func readFrame(r io.Reader) (ft byte, body []byte, err error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

@@ -30,6 +30,7 @@
 package tcp
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"net"
@@ -116,10 +117,14 @@ type peerConn struct {
 }
 
 func (p *peerConn) writeFrame(ft byte, body []byte) error {
-	buf := appendFrame(make([]byte, 0, 5+len(body)), ft, body)
+	return p.write(appendFrame(make([]byte, 0, 5+len(body)), ft, body))
+}
+
+// write sends one encoded frame.
+func (p *peerConn) write(frame []byte) error {
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
-	_, err := p.c.Write(buf)
+	_, err := p.c.Write(frame)
 	return err
 }
 
@@ -231,10 +236,12 @@ func (t *Transport) acceptHigher() error {
 // readLoop demultiplexes one peer connection: responses complete pending
 // requests, requests are served by per-request goroutines (the transport's
 // stand-in for the NIC's DMA engine), messenger frames enqueue in
-// per-source FIFO order.
+// per-source FIFO order. It reads through one buffer per connection, so the
+// frames that have arrived cost one read(2) between them.
 func (t *Transport) readLoop(p *peerConn) {
+	r := bufio.NewReader(p.c)
 	for {
-		ft, body, err := readFrame(p.c)
+		ft, body, err := readFrame(r)
 		if err != nil {
 			// Our own Close surfaces as a read error on the closed
 			// connection; anything else — orderly EOF at the peer's
@@ -315,8 +322,10 @@ func (t *Transport) NotifyPeerDeath(fn func(fabric.Rank)) {
 }
 
 // request issues one operation towards target and blocks for its response —
-// the single round-trip every remote scalar op or train costs.
-func (t *Transport) request(target fabric.Rank, op byte, body []byte) []byte {
+// the single round-trip every remote scalar op or train costs. frame is a
+// request built by newReq, its body appended.
+func (t *Transport) request(target fabric.Rank, frame []byte) []byte {
+	op := frame[reqHeader-1]
 	p := t.peers[target]
 	if p == nil {
 		panic(fmt.Sprintf("tcp: rank %d request to unconnected rank %d", t.me, target))
@@ -330,11 +339,9 @@ func (t *Transport) request(target fabric.Rank, op byte, body []byte) []byte {
 		t.pending.Delete(id)
 		panic(&fabric.PeerError{Rank: target, Op: opName(op)})
 	}
-	buf := make([]byte, 0, 9+len(body))
-	buf = binary.LittleEndian.AppendUint64(buf, id)
-	buf = append(buf, op)
-	buf = append(buf, body...)
-	if err := p.writeFrame(ftReq, buf); err != nil {
+	binary.LittleEndian.PutUint64(frame[5:], id)
+	sealFrame(frame)
+	if err := p.write(frame); err != nil {
 		t.peerDied(p)
 		t.pending.Delete(id)
 		panic(&fabric.PeerError{Rank: target, Op: opName(op)})
@@ -350,26 +357,28 @@ func (t *Transport) request(target fabric.Rank, op byte, body []byte) []byte {
 // writes the response. It runs on a transport goroutine, never on the
 // application's.
 func (t *Transport) serve(p *peerConn, body []byte) {
-	id := binary.LittleEndian.Uint64(body)
-	op := body[8]
-	req := body[9:]
-	result := t.execute(p.rank, op, req)
-	resp := make([]byte, 0, 8+len(result))
-	resp = binary.LittleEndian.AppendUint64(resp, id)
-	resp = append(resp, result...)
+	resp := make([]byte, respHeader, respHeader+64)
+	resp[4] = ftResp
+	copy(resp[5:], body[:8]) // the request id
+	resp = t.execute(resp, p.rank, body[8], body[9:])
+	sealFrame(resp)
 	// An undeliverable response means the requester died mid-request; its
 	// process is gone, so there is no one left to answer.
-	if err := p.writeFrame(ftResp, resp); err != nil {
+	if err := p.write(resp); err != nil {
 		t.peerDied(p)
 	}
 }
 
-func (t *Transport) execute(from fabric.Rank, op byte, req []byte) []byte {
+// execute serves request op and appends its result to dst.
+func (t *Transport) execute(dst []byte, from fabric.Rank, op byte, req []byte) []byte {
 	switch op {
 	case opGet, opPut, opGetBatch, opPutBatch:
-		return t.byteWinAt(binary.LittleEndian.Uint32(req)).execute(op, req[4:])
+		return t.byteWinAt(binary.LittleEndian.Uint32(req)).execute(dst, op, req[4:])
+	case opGuardedGet:
+		guard := t.wordWinAt(binary.LittleEndian.Uint32(req[4:]))
+		return t.byteWinAt(binary.LittleEndian.Uint32(req)).executeGuarded(dst, guard, req[8:])
 	case opLoad, opStore, opCAS, opLoadBatch, opCASBatch, opFetchAdd:
-		return t.wordWinAt(binary.LittleEndian.Uint32(req)).execute(op, req[4:])
+		return t.wordWinAt(binary.LittleEndian.Uint32(req)).execute(dst, op, req[4:])
 	case opCall:
 		svc := fabric.ServiceID(req[0])
 		t.svcMu.RLock()
@@ -378,12 +387,12 @@ func (t *Transport) execute(from fabric.Rank, op byte, req []byte) []byte {
 		if h == nil {
 			panic(fmt.Sprintf("tcp: rank %d call to unregistered service %d", t.me, svc))
 		}
-		return h(from, req[1:])
+		return append(dst, h(from, req[1:])...)
 	case opCounters:
-		return appendSnapshot(nil, t.counters.Snapshot())
+		return appendSnapshot(dst, t.counters.Snapshot())
 	case opReset:
 		t.counters.Reset()
-		return nil
+		return dst
 	}
 	panic(fmt.Sprintf("tcp: rank %d unknown op %d", t.me, op))
 }
@@ -517,10 +526,8 @@ func (t *Transport) Call(origin, target fabric.Rank, svc fabric.ServiceID, req [
 		}
 		return h(origin, req)
 	}
-	body := make([]byte, 0, 1+len(req))
-	body = append(body, byte(svc))
-	body = append(body, req...)
-	return t.request(target, opCall, body)
+	frame := append(newReq(opCall, 1+len(req)), byte(svc))
+	return t.request(target, append(frame, req...))
 }
 
 // CounterSnapshot returns rank r's counters: the local structure for this
@@ -532,7 +539,7 @@ func (t *Transport) CounterSnapshot(r fabric.Rank) fabric.Snapshot {
 	if r < 0 || int(r) >= t.n {
 		panic(fmt.Sprintf("tcp: rank %d out of range [0, %d)", r, t.n))
 	}
-	return decodeSnapshot(t.request(r, opCounters, nil))
+	return decodeSnapshot(t.request(r, newReq(opCounters, 0)))
 }
 
 // TotalSnapshot sums the counters of every rank (n-1 RPCs).
@@ -550,7 +557,7 @@ func (t *Transport) ResetCounters() {
 	t.counters.Reset()
 	for r := 0; r < t.n; r++ {
 		if fabric.Rank(r) != t.me {
-			t.request(fabric.Rank(r), opReset, nil)
+			t.request(fabric.Rank(r), newReq(opReset, 0))
 		}
 	}
 }

@@ -3,6 +3,7 @@ package tcp
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -120,11 +121,10 @@ func (w *byteWin) Put(origin, target fabric.Rank, off int, data []byte) {
 		w.localPut(off, data)
 		return
 	}
-	body := make([]byte, 0, 12+len(data))
-	body = binary.LittleEndian.AppendUint32(body, w.id)
-	body = binary.LittleEndian.AppendUint64(body, uint64(off))
-	body = append(body, data...)
-	w.t.request(target, opPut, body)
+	frame := newReq(opPut, 12+len(data))
+	frame = binary.LittleEndian.AppendUint32(frame, w.id)
+	frame = binary.LittleEndian.AppendUint64(frame, uint64(off))
+	w.t.request(target, append(frame, data...))
 }
 
 func (w *byteWin) Get(origin, target fabric.Rank, off int, buf []byte) {
@@ -135,11 +135,11 @@ func (w *byteWin) Get(origin, target fabric.Rank, off int, buf []byte) {
 		w.localGet(off, buf)
 		return
 	}
-	var body [20]byte
-	binary.LittleEndian.PutUint32(body[0:], w.id)
-	binary.LittleEndian.PutUint64(body[4:], uint64(off))
-	binary.LittleEndian.PutUint64(body[12:], uint64(len(buf)))
-	copy(buf, w.t.request(target, opGet, body[:]))
+	frame := newReq(opGet, 20)
+	frame = binary.LittleEndian.AppendUint32(frame, w.id)
+	frame = binary.LittleEndian.AppendUint64(frame, uint64(off))
+	frame = binary.LittleEndian.AppendUint64(frame, uint64(len(buf)))
+	copy(buf, w.t.request(target, frame))
 }
 
 func (w *byteWin) GetBatch(origin, target fabric.Rank, ops []fabric.GetOp) {
@@ -160,14 +160,14 @@ func (w *byteWin) GetBatch(origin, target fabric.Rank, ops []fabric.GetOp) {
 		}
 		return
 	}
-	body := make([]byte, 0, 8+16*len(ops))
-	body = binary.LittleEndian.AppendUint32(body, w.id)
-	body = binary.LittleEndian.AppendUint32(body, uint32(len(ops)))
+	frame := newReq(opGetBatch, 8+16*len(ops))
+	frame = binary.LittleEndian.AppendUint32(frame, w.id)
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(ops)))
 	for _, op := range ops {
-		body = binary.LittleEndian.AppendUint64(body, uint64(op.Off))
-		body = binary.LittleEndian.AppendUint64(body, uint64(len(op.Buf)))
+		frame = binary.LittleEndian.AppendUint64(frame, uint64(op.Off))
+		frame = binary.LittleEndian.AppendUint64(frame, uint64(len(op.Buf)))
 	}
-	resp := w.t.request(target, opGetBatch, body)
+	resp := w.t.request(target, frame)
 	if len(resp) != total {
 		panic(fmt.Sprintf("tcp: get train returned %d bytes, want %d", len(resp), total))
 	}
@@ -194,46 +194,44 @@ func (w *byteWin) PutBatch(origin, target fabric.Rank, ops []fabric.PutOp) {
 		}
 		return
 	}
-	body := make([]byte, 0, size)
-	body = binary.LittleEndian.AppendUint32(body, w.id)
-	body = binary.LittleEndian.AppendUint32(body, uint32(len(ops)))
+	frame := newReq(opPutBatch, size)
+	frame = binary.LittleEndian.AppendUint32(frame, w.id)
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(ops)))
 	for _, op := range ops {
-		body = binary.LittleEndian.AppendUint64(body, uint64(op.Off))
-		body = binary.LittleEndian.AppendUint32(body, uint32(len(op.Data)))
-		body = append(body, op.Data...)
+		frame = binary.LittleEndian.AppendUint64(frame, uint64(op.Off))
+		frame = binary.LittleEndian.AppendUint32(frame, uint32(len(op.Data)))
+		frame = append(frame, op.Data...)
 	}
-	w.t.request(target, opPutBatch, body)
+	w.t.request(target, frame)
 }
 
-// execute serves one remote byte-window request against the local segment.
-func (w *byteWin) execute(op byte, req []byte) []byte {
+// appendGet appends n bytes of the local segment at off to dst.
+func (w *byteWin) appendGet(dst []byte, off, n int) []byte {
+	w.checkRange(off, n)
+	dst = slices.Grow(dst, n)
+	w.localGet(off, dst[len(dst):len(dst)+n])
+	return dst[:len(dst)+n]
+}
+
+// execute serves one remote byte-window request against the local segment
+// and appends its result to dst.
+func (w *byteWin) execute(dst []byte, op byte, req []byte) []byte {
 	switch op {
 	case opGet:
-		off := int(binary.LittleEndian.Uint64(req[0:]))
-		n := int(binary.LittleEndian.Uint64(req[8:]))
-		w.checkRange(off, n)
-		buf := make([]byte, n)
-		w.localGet(off, buf)
-		return buf
+		return w.appendGet(dst, int(binary.LittleEndian.Uint64(req[0:])), int(binary.LittleEndian.Uint64(req[8:])))
 	case opPut:
 		off := int(binary.LittleEndian.Uint64(req[0:]))
 		w.checkRange(off, len(req)-8)
 		w.localPut(off, req[8:])
-		return nil
+		return dst
 	case opGetBatch:
 		k := int(binary.LittleEndian.Uint32(req[0:]))
 		req = req[4:]
-		var out []byte
 		for i := 0; i < k; i++ {
-			off := int(binary.LittleEndian.Uint64(req[0:]))
-			n := int(binary.LittleEndian.Uint64(req[8:]))
+			dst = w.appendGet(dst, int(binary.LittleEndian.Uint64(req[0:])), int(binary.LittleEndian.Uint64(req[8:])))
 			req = req[16:]
-			w.checkRange(off, n)
-			buf := make([]byte, n)
-			w.localGet(off, buf)
-			out = append(out, buf...)
 		}
-		return out
+		return dst
 	case opPutBatch:
 		k := int(binary.LittleEndian.Uint32(req[0:]))
 		req = req[4:]
@@ -245,9 +243,102 @@ func (w *byteWin) execute(op byte, req []byte) []byte {
 			w.localPut(off, req[:n])
 			req = req[n:]
 		}
-		return nil
+		return dst
 	}
 	panic(fmt.Sprintf("tcp: byte window cannot serve op %d", op))
+}
+
+// GuardedGetBatch sends the whole train as one opGuardedGet frame. Both the
+// local fast path and the remote handler (executeGuarded) walk the ops front
+// to back — load before, copy, load after — which is the ordering guarantee
+// of fabric.ByteWin.GuardedGetBatch.
+func (w *byteWin) GuardedGetBatch(origin, target fabric.Rank, guard fabric.WordWin, ops []fabric.GuardedGetOp) {
+	if len(ops) == 0 {
+		return
+	}
+	gw := guard.(*wordWin)
+	local := target == w.t.me
+	size := 0
+	for i := range ops {
+		op := &ops[i]
+		if op.Loads() > 0 {
+			gw.checkIdx(op.Guard)
+		}
+		w.checkRange(op.Off, len(op.Buf))
+		size += 8*op.Loads() + len(op.Buf)
+	}
+	w.t.counters.CountGuardedBatch(local, ops)
+	if local {
+		for i := range ops {
+			op := &ops[i]
+			if op.LoadBefore {
+				op.Before = atomic.LoadUint64(&gw.seg[op.Guard])
+			}
+			w.localGet(op.Off, op.Buf)
+			if op.LoadAfter {
+				op.After = atomic.LoadUint64(&gw.seg[op.Guard])
+			}
+		}
+		return
+	}
+	frame := newReq(opGuardedGet, 12+25*len(ops))
+	frame = binary.LittleEndian.AppendUint32(frame, w.id)
+	frame = binary.LittleEndian.AppendUint32(frame, gw.id)
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(ops)))
+	for i := range ops {
+		op := &ops[i]
+		var flags byte
+		if op.LoadBefore {
+			flags |= guardBefore
+		}
+		if op.LoadAfter {
+			flags |= guardAfter
+		}
+		frame = append(frame, flags)
+		frame = binary.LittleEndian.AppendUint64(frame, uint64(op.Guard))
+		frame = binary.LittleEndian.AppendUint64(frame, uint64(op.Off))
+		frame = binary.LittleEndian.AppendUint64(frame, uint64(len(op.Buf)))
+	}
+	resp := w.t.request(target, frame)
+	if len(resp) != size {
+		panic(fmt.Sprintf("tcp: guarded get train returned %d bytes, want %d", len(resp), size))
+	}
+	for i := range ops {
+		op := &ops[i]
+		if op.LoadBefore {
+			op.Before, resp = binary.LittleEndian.Uint64(resp), resp[8:]
+		}
+		resp = resp[copy(op.Buf, resp):]
+		if op.LoadAfter {
+			op.After, resp = binary.LittleEndian.Uint64(resp), resp[8:]
+		}
+	}
+}
+
+// executeGuarded serves one guarded GET train against the local segments of
+// w and guard, op by op, and appends its result to dst. Each copy runs under
+// its pages' read locks, between the op's guard loads.
+func (w *byteWin) executeGuarded(dst []byte, guard *wordWin, req []byte) []byte {
+	k := int(binary.LittleEndian.Uint32(req))
+	req = req[4:]
+	for i := 0; i < k; i++ {
+		flags := req[0]
+		idx := int(binary.LittleEndian.Uint64(req[1:]))
+		off := int(binary.LittleEndian.Uint64(req[9:]))
+		n := int(binary.LittleEndian.Uint64(req[17:]))
+		req = req[25:]
+		if flags&(guardBefore|guardAfter) != 0 {
+			guard.checkIdx(idx)
+		}
+		if flags&guardBefore != 0 {
+			dst = binary.LittleEndian.AppendUint64(dst, atomic.LoadUint64(&guard.seg[idx]))
+		}
+		dst = w.appendGet(dst, off, n)
+		if flags&guardAfter != 0 {
+			dst = binary.LittleEndian.AppendUint64(dst, atomic.LoadUint64(&guard.seg[idx]))
+		}
+	}
+	return dst
 }
 
 // wordWin is the TCP backend's word window. Every access to the local
@@ -290,10 +381,10 @@ func (w *wordWin) Load(origin, target fabric.Rank, idx int) uint64 {
 	if local {
 		return atomic.LoadUint64(&w.seg[idx])
 	}
-	var body [12]byte
-	binary.LittleEndian.PutUint32(body[0:], w.id)
-	binary.LittleEndian.PutUint64(body[4:], uint64(idx))
-	return binary.LittleEndian.Uint64(w.t.request(target, opLoad, body[:]))
+	frame := newReq(opLoad, 12)
+	frame = binary.LittleEndian.AppendUint32(frame, w.id)
+	frame = binary.LittleEndian.AppendUint64(frame, uint64(idx))
+	return binary.LittleEndian.Uint64(w.t.request(target, frame))
 }
 
 func (w *wordWin) Store(origin, target fabric.Rank, idx int, val uint64) {
@@ -304,11 +395,11 @@ func (w *wordWin) Store(origin, target fabric.Rank, idx int, val uint64) {
 		atomic.StoreUint64(&w.seg[idx], val)
 		return
 	}
-	var body [20]byte
-	binary.LittleEndian.PutUint32(body[0:], w.id)
-	binary.LittleEndian.PutUint64(body[4:], uint64(idx))
-	binary.LittleEndian.PutUint64(body[12:], val)
-	w.t.request(target, opStore, body[:])
+	frame := newReq(opStore, 20)
+	frame = binary.LittleEndian.AppendUint32(frame, w.id)
+	frame = binary.LittleEndian.AppendUint64(frame, uint64(idx))
+	frame = binary.LittleEndian.AppendUint64(frame, val)
+	w.t.request(target, frame)
 }
 
 func (w *wordWin) CAS(origin, target fabric.Rank, idx int, old, new uint64) (uint64, bool) {
@@ -318,12 +409,12 @@ func (w *wordWin) CAS(origin, target fabric.Rank, idx int, old, new uint64) (uin
 	if local {
 		return w.localCAS(idx, old, new)
 	}
-	var body [28]byte
-	binary.LittleEndian.PutUint32(body[0:], w.id)
-	binary.LittleEndian.PutUint64(body[4:], uint64(idx))
-	binary.LittleEndian.PutUint64(body[12:], old)
-	binary.LittleEndian.PutUint64(body[20:], new)
-	resp := w.t.request(target, opCAS, body[:])
+	frame := newReq(opCAS, 28)
+	frame = binary.LittleEndian.AppendUint32(frame, w.id)
+	frame = binary.LittleEndian.AppendUint64(frame, uint64(idx))
+	frame = binary.LittleEndian.AppendUint64(frame, old)
+	frame = binary.LittleEndian.AppendUint64(frame, new)
+	resp := w.t.request(target, frame)
 	return binary.LittleEndian.Uint64(resp), resp[8] == 1
 }
 
@@ -348,13 +439,13 @@ func (w *wordWin) LoadBatch(origin, target fabric.Rank, idxs []int) []uint64 {
 		}
 		return out
 	}
-	body := make([]byte, 0, 8+8*len(idxs))
-	body = binary.LittleEndian.AppendUint32(body, w.id)
-	body = binary.LittleEndian.AppendUint32(body, uint32(len(idxs)))
+	frame := newReq(opLoadBatch, 8+8*len(idxs))
+	frame = binary.LittleEndian.AppendUint32(frame, w.id)
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(idxs)))
 	for _, idx := range idxs {
-		body = binary.LittleEndian.AppendUint64(body, uint64(idx))
+		frame = binary.LittleEndian.AppendUint64(frame, uint64(idx))
 	}
-	resp := w.t.request(target, opLoadBatch, body)
+	resp := w.t.request(target, frame)
 	for i := range out {
 		out[i] = binary.LittleEndian.Uint64(resp[8*i:])
 	}
@@ -378,15 +469,15 @@ func (w *wordWin) CASBatch(origin, target fabric.Rank, ops []fabric.CASOp) []fab
 		}
 		return out
 	}
-	body := make([]byte, 0, 8+24*len(ops))
-	body = binary.LittleEndian.AppendUint32(body, w.id)
-	body = binary.LittleEndian.AppendUint32(body, uint32(len(ops)))
+	frame := newReq(opCASBatch, 8+24*len(ops))
+	frame = binary.LittleEndian.AppendUint32(frame, w.id)
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(ops)))
 	for _, op := range ops {
-		body = binary.LittleEndian.AppendUint64(body, uint64(op.Idx))
-		body = binary.LittleEndian.AppendUint64(body, op.Old)
-		body = binary.LittleEndian.AppendUint64(body, op.New)
+		frame = binary.LittleEndian.AppendUint64(frame, uint64(op.Idx))
+		frame = binary.LittleEndian.AppendUint64(frame, op.Old)
+		frame = binary.LittleEndian.AppendUint64(frame, op.New)
 	}
-	resp := w.t.request(target, opCASBatch, body)
+	resp := w.t.request(target, frame)
 	for i := range out {
 		out[i].Prev = binary.LittleEndian.Uint64(resp[9*i:])
 		out[i].Swapped = resp[9*i+8] == 1
@@ -401,58 +492,57 @@ func (w *wordWin) FetchAdd(origin, target fabric.Rank, idx int, delta uint64) ui
 	if local {
 		return atomic.AddUint64(&w.seg[idx], delta) - delta
 	}
-	var body [20]byte
-	binary.LittleEndian.PutUint32(body[0:], w.id)
-	binary.LittleEndian.PutUint64(body[4:], uint64(idx))
-	binary.LittleEndian.PutUint64(body[12:], delta)
-	return binary.LittleEndian.Uint64(w.t.request(target, opFetchAdd, body[:]))
+	frame := newReq(opFetchAdd, 20)
+	frame = binary.LittleEndian.AppendUint32(frame, w.id)
+	frame = binary.LittleEndian.AppendUint64(frame, uint64(idx))
+	frame = binary.LittleEndian.AppendUint64(frame, delta)
+	return binary.LittleEndian.Uint64(w.t.request(target, frame))
 }
 
-// execute serves one remote word-window request against the local segment.
-func (w *wordWin) execute(op byte, req []byte) []byte {
+// execute serves one remote word-window request against the local segment
+// and appends its result to dst.
+func (w *wordWin) execute(dst []byte, op byte, req []byte) []byte {
 	switch op {
 	case opLoad:
 		idx := int(binary.LittleEndian.Uint64(req))
 		w.checkIdx(idx)
-		return binary.LittleEndian.AppendUint64(nil, atomic.LoadUint64(&w.seg[idx]))
+		return binary.LittleEndian.AppendUint64(dst, atomic.LoadUint64(&w.seg[idx]))
 	case opStore:
 		idx := int(binary.LittleEndian.Uint64(req[0:]))
 		w.checkIdx(idx)
 		atomic.StoreUint64(&w.seg[idx], binary.LittleEndian.Uint64(req[8:]))
-		return nil
+		return dst
 	case opCAS:
 		idx := int(binary.LittleEndian.Uint64(req[0:]))
 		w.checkIdx(idx)
 		prev, swapped := w.localCAS(idx, binary.LittleEndian.Uint64(req[8:]), binary.LittleEndian.Uint64(req[16:]))
-		out := binary.LittleEndian.AppendUint64(nil, prev)
-		return append(out, boolByte(swapped))
+		dst = binary.LittleEndian.AppendUint64(dst, prev)
+		return append(dst, boolByte(swapped))
 	case opLoadBatch:
 		// Applied in request order: callers rely on it (guard word last).
 		k := int(binary.LittleEndian.Uint32(req))
-		out := make([]byte, 0, 8*k)
 		for i := 0; i < k; i++ {
 			idx := int(binary.LittleEndian.Uint64(req[4+8*i:]))
 			w.checkIdx(idx)
-			out = binary.LittleEndian.AppendUint64(out, atomic.LoadUint64(&w.seg[idx]))
+			dst = binary.LittleEndian.AppendUint64(dst, atomic.LoadUint64(&w.seg[idx]))
 		}
-		return out
+		return dst
 	case opCASBatch:
 		k := int(binary.LittleEndian.Uint32(req))
-		out := make([]byte, 0, 9*k)
 		for i := 0; i < k; i++ {
 			e := req[4+24*i:]
 			idx := int(binary.LittleEndian.Uint64(e[0:]))
 			w.checkIdx(idx)
 			prev, swapped := w.localCAS(idx, binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:]))
-			out = binary.LittleEndian.AppendUint64(out, prev)
-			out = append(out, boolByte(swapped))
+			dst = binary.LittleEndian.AppendUint64(dst, prev)
+			dst = append(dst, boolByte(swapped))
 		}
-		return out
+		return dst
 	case opFetchAdd:
 		idx := int(binary.LittleEndian.Uint64(req[0:]))
 		w.checkIdx(idx)
 		delta := binary.LittleEndian.Uint64(req[8:])
-		return binary.LittleEndian.AppendUint64(nil, atomic.AddUint64(&w.seg[idx], delta)-delta)
+		return binary.LittleEndian.AppendUint64(dst, atomic.AddUint64(&w.seg[idx], delta)-delta)
 	}
 	panic(fmt.Sprintf("tcp: word window cannot serve op %d", op))
 }

@@ -28,6 +28,9 @@ type GetOp = fabric.GetOp
 // PutOp is one element of a vectored write.
 type PutOp = fabric.PutOp
 
+// GuardedGetOp is one element of a guarded GET train.
+type GuardedGetOp = fabric.GuardedGetOp
+
 // CASOp is one element of a vectored compare-and-swap train.
 type CASOp = fabric.CASOp
 

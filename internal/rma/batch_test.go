@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"github.com/gdi-go/gdi/internal/fabric/fabrictest"
 )
 
 func TestGetBatchMatchesScalarGets(t *testing.T) {
@@ -157,9 +159,12 @@ func TestPutBatchAccounting(t *testing.T) {
 	}
 }
 
+// TestPutBatchAmortizesRemoteLatency compares wall-clock times, so its
+// injected latency is large (5 ms a round trip) next to scheduler noise.
 func TestPutBatchAmortizesRemoteLatency(t *testing.T) {
 	const n = 10
-	f := New(2, Options{Latency: Latency{RemoteNs: 500_000}})
+	const latency = 5 * time.Millisecond
+	f := New(2, Options{Latency: Latency{RemoteNs: latency.Nanoseconds()}})
 	w := f.NewByteWin(4096)
 
 	ops := make([]PutOp, n)
@@ -176,8 +181,8 @@ func TestPutBatchAmortizesRemoteLatency(t *testing.T) {
 	w.PutBatch(0, 1, ops)
 	batched := time.Since(start)
 
-	if scalar < n*500*time.Microsecond {
-		t.Errorf("scalar loop finished in %v, below the injected %v", scalar, n*500*time.Microsecond)
+	if scalar < n*latency {
+		t.Errorf("scalar loop finished in %v, below the injected %v", scalar, n*latency)
 	}
 	if batched > scalar/2 {
 		t.Errorf("batched train took %v, not meaningfully below scalar %v", batched, scalar)
@@ -270,5 +275,55 @@ func TestCacheCounters(t *testing.T) {
 	f.ResetCounters()
 	if s := f.TotalSnapshot(); s.CacheHits != 0 || s.CacheMisses != 0 {
 		t.Errorf("cache counters survived reset: %+v", s)
+	}
+}
+
+// TestGuardedGetBatchSeqlock: a guarded train's loads bracket its copies,
+// so an op whose two loads show the same version with the write bit clear
+// holds exactly that version's block while a writer rewrites it.
+func TestGuardedGetBatchSeqlock(t *testing.T) {
+	const blocks = 4
+	f := New(2)
+	bw := f.NewByteWin(blocks * fabrictest.Block)
+	ww := f.NewWordWin(blocks)
+	fabrictest.Seqlock(t, bw, bw, ww, ww, 0, 1, blocks, 20000)
+}
+
+// TestGuardedGetBatchAccounting: a guarded train is one train — a GET train
+// when it carries a GET, an atomic train when it loads alone — plus every
+// load and every GET in it; a local one counts no train.
+func TestGuardedGetBatchAccounting(t *testing.T) {
+	const block = 512
+	f := New(2)
+	bw := f.NewByteWin(4 * block)
+	ww := f.NewWordWin(4)
+	bw.Put(0, 1, block, bytes.Repeat([]byte{7}, block))
+	ww.Store(0, 1, 1, 42)
+	f.ResetCounters()
+
+	ops := []GuardedGetOp{
+		{Guard: 1, LoadBefore: true, LoadAfter: true, Off: block, Buf: make([]byte, block)},
+		{Guard: 2, LoadBefore: true},
+		{Off: 2 * block, Buf: make([]byte, 16), LoadAfter: true, Guard: 3},
+	}
+	bw.GuardedGetBatch(0, 1, ww, ops)
+	if ops[0].Before != 42 || ops[0].After != 42 || !bytes.Equal(ops[0].Buf, bytes.Repeat([]byte{7}, block)) {
+		t.Errorf("op 0: before %d, after %d, block %v…", ops[0].Before, ops[0].After, ops[0].Buf[:4])
+	}
+	s := f.CounterSnapshot(0)
+	if s.RemoteAtoms != 4 || s.RemoteGets != 2 || s.BytesGot != block+16 || s.GetBatches != 1 || s.AtomicBatches != 0 {
+		t.Errorf("guarded train: %+v, want 4 atomics and 2 GETs of %d bytes in one GET train", s, block+16)
+	}
+
+	f.ResetCounters()
+	bw.GuardedGetBatch(0, 1, ww, []GuardedGetOp{{Guard: 1, LoadBefore: true}, {Guard: 2, LoadBefore: true}})
+	if s := f.CounterSnapshot(0); s.RemoteAtoms != 2 || s.RemoteGets != 0 || s.AtomicBatches != 1 || s.GetBatches != 0 {
+		t.Errorf("load-only guarded train: %+v, want 2 atomics in one atomic train", s)
+	}
+
+	f.ResetCounters()
+	bw.GuardedGetBatch(1, 1, ww, ops)
+	if s := f.CounterSnapshot(1); s.LocalAtomics != 4 || s.LocalGets != 2 || s.GetBatches != 0 || s.AtomicBatches != 0 || s.RemoteOps() != 0 {
+		t.Errorf("local guarded train: %+v", s)
 	}
 }

@@ -171,6 +171,45 @@ func (w *ByteWin) PutBatch(origin, target Rank, ops []PutOp) {
 	}
 }
 
+// GuardedGetBatch issues every op towards target as one train of guarded
+// GETs (fabric.ByteWin.GuardedGetBatch): per op, an optional atomic load of
+// its guard word, a GET, and an optional second load, applied in that order
+// and op after op. Each load and each GET is accounted individually, the
+// train once — as a GET train when it carries a GET, as an atomic train
+// otherwise — and injected remote latency is charged once for the train plus
+// the per-KiB cost of its bytes and words. guard must be a word window of
+// this fabric.
+func (w *ByteWin) GuardedGetBatch(origin, target Rank, guard fabric.WordWin, ops []GuardedGetOp) {
+	if len(ops) == 0 {
+		return
+	}
+	gw := guard.(*WordWin)
+	total := 0
+	for i := range ops {
+		op := &ops[i]
+		if op.Loads() > 0 {
+			gw.checkIdx(target, op.Guard)
+		}
+		w.checkRange(target, op.Off, len(op.Buf))
+		total += 8*op.Loads() + len(op.Buf)
+	}
+	if w.f.counters[origin].CountGuardedBatch(origin == target, ops) {
+		w.checkLive(origin, target, "guarded-get")
+	}
+	w.f.chargeOp(origin, target, total)
+	words := gw.words[target]
+	for i := range ops {
+		op := &ops[i]
+		if op.LoadBefore {
+			op.Before = atomic.LoadUint64(&words[op.Guard])
+		}
+		w.getStriped(target, op.Off, op.Buf)
+		if op.LoadAfter {
+			op.After = atomic.LoadUint64(&words[op.Guard])
+		}
+	}
+}
+
 // WordWin is a 64-bit-word-granularity RMA window with atomic semantics:
 // the system and usage windows of BGDL, lock words, and the offloaded DHT
 // all live in word windows. Word operations map to the network-accelerated
