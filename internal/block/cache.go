@@ -247,19 +247,12 @@ type StampedRead struct {
 	// Post is the guard word loaded behind the block, with Check; a read
 	// served from the cache has none.
 	Post uint64
-	// Version, with Only, is the one guard version the caller accepts.
-	Version uint64
 	// Load asks the read to load the guard word into Stamp itself, ahead of
 	// the block in the same train — or, when a cached copy may serve,
 	// instead of the block. Check asks for the guard word again into Post,
 	// behind a block that comes off the wire. Both need the guard on the
 	// block's rank: a holder's chain lives on its primary's rank.
 	Load, Check bool
-	// Only, with Load, says the caller refuses a stamp at any version but
-	// Version (a speculative translation does): a cached copy at another
-	// version is fetched outright instead of waiting on the load, and a
-	// stale copy is not fetched under a stamp the caller refuses.
-	Only bool
 	// Fetched is set by ReadBlocksStamped: the block came off the wire (or,
 	// for a local block, out of the pool) rather than out of the cache, so
 	// its stability is only as good as the caller's locks or Post.
@@ -274,9 +267,9 @@ type StampedRead struct {
 // (fabric.ByteWin.GuardedGetBatch), where each read's loads ride with its
 // block. A read with Load and a cached copy loads the guard alone; should
 // the copy turn out stale under that stamp, a second train per owner rank
-// fetches the block behind it — unless the stamp shows a writer (or, with
-// Only, another version), in which case nothing is fetched and Post repeats
-// the stamp.
+// fetches the block behind it — if refetch(i, stamp), the caller's verdict on
+// read i's stamp, admits it. A refused read is not fetched and its Post
+// repeats the stamp. refetch must be set when any read has Load.
 //
 // When install is true the caller guarantees content stability — it holds
 // read locks on the guards, or runs in a collective read epoch (§3.3) — so
@@ -284,7 +277,7 @@ type StampedRead struct {
 // version. When install is false (the seqlock tier) nothing is installed:
 // the caller must establish stability from Stamp and Post and then hand the
 // accepted reads to InstallStamped.
-func (s *Store) ReadBlocksStamped(origin fabric.Rank, reads []StampedRead, install bool, tr *Trains) {
+func (s *Store) ReadBlocksStamped(origin fabric.Rank, reads []StampedRead, install bool, tr *Trains, refetch func(i int, stamp uint64) bool) {
 	if len(reads) == 0 {
 		return
 	}
@@ -308,7 +301,7 @@ func (s *Store) ReadBlocksStamped(origin fabric.Rank, reads []StampedRead, insta
 		if cache != nil && r.DP.Rank() != origin {
 			ver, found := cache.lookup(r.DP, r.Guard, r.Buf)
 			switch {
-			case found && r.Load && (!r.Only || ver == r.Version):
+			case found && r.Load:
 				// A probe: the train loads the guard alone (readTrains
 				// knows it by Fetched), and the copy, at version Post
 				// until then, is judged after it.
@@ -339,7 +332,7 @@ func (s *Store) ReadBlocksStamped(origin fabric.Rank, reads []StampedRead, insta
 			case current(r.Post, r.Stamp):
 				hits++
 				continue
-			case locks.WriteHeld(r.Stamp) || r.Only && locks.Version(r.Stamp) != r.Version:
+			case !refetch(i, r.Stamp):
 				r.Post = r.Stamp // refused whatever the block holds: not fetched
 			default:
 				tr.target[i], stale = int32(r.DP.Rank()), true
@@ -476,7 +469,8 @@ func (s *Store) ReadBlocksCached(origin fabric.Rank, dps, guards []fabric.DPtr, 
 			reads[i].Stamp = stamps[guards[i]]
 		}
 	}
-	s.ReadBlocksStamped(origin, reads, locked, &tr)
+	// A stamp with a writer on it cannot validate the block read under it.
+	s.ReadBlocksStamped(origin, reads, locked, &tr, func(_ int, stamp uint64) bool { return !locks.WriteHeld(stamp) })
 	for i := range reads {
 		r := &reads[i]
 		// Cache hits were validated against the stamp at lookup time.

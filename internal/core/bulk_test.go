@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -49,23 +50,103 @@ func referenceLoadEdges(e *Engine, rank fabric.Rank, specs []EdgeSpec) error {
 
 // windowLog is a transport that remembers every window allocated through it,
 // so a test can compare two engines' entire one-sided state: block payloads,
-// free lists, lock words, and the DHT's table and heap.
+// free lists, lock words, and the DHT's table and heap. It also counts the
+// round trips issued through those windows: every remote operation, scalar
+// or train, is one.
 type windowLog struct {
 	fabric.Transport
 	bytes []fabric.ByteWin
 	words []fabric.WordWin
+	trips atomic.Int64
 }
 
 func (w *windowLog) NewByteWin(segSize int) fabric.ByteWin {
-	win := w.Transport.NewByteWin(segSize)
+	win := tripByteWin{w.Transport.NewByteWin(segSize), &w.trips}
 	w.bytes = append(w.bytes, win)
 	return win
 }
 
 func (w *windowLog) NewWordWin(nWords int) fabric.WordWin {
-	win := w.Transport.NewWordWin(nWords)
+	win := tripWordWin{w.Transport.NewWordWin(nWords), &w.trips}
 	w.words = append(w.words, win)
 	return win
+}
+
+// trip counts one round trip when an operation of n elements crosses ranks.
+func trip(trips *atomic.Int64, origin, target fabric.Rank, n int) {
+	if origin != target && n > 0 {
+		trips.Add(1)
+	}
+}
+
+// tripByteWin is a byte window that counts its round trips.
+type tripByteWin struct {
+	fabric.ByteWin
+	trips *atomic.Int64
+}
+
+func (w tripByteWin) Put(origin, target fabric.Rank, off int, data []byte) {
+	trip(w.trips, origin, target, 1)
+	w.ByteWin.Put(origin, target, off, data)
+}
+
+func (w tripByteWin) Get(origin, target fabric.Rank, off int, buf []byte) {
+	trip(w.trips, origin, target, 1)
+	w.ByteWin.Get(origin, target, off, buf)
+}
+
+func (w tripByteWin) GetBatch(origin, target fabric.Rank, ops []fabric.GetOp) {
+	trip(w.trips, origin, target, len(ops))
+	w.ByteWin.GetBatch(origin, target, ops)
+}
+
+func (w tripByteWin) PutBatch(origin, target fabric.Rank, ops []fabric.PutOp) {
+	trip(w.trips, origin, target, len(ops))
+	w.ByteWin.PutBatch(origin, target, ops)
+}
+
+func (w tripByteWin) GuardedGetBatch(origin, target fabric.Rank, guard fabric.WordWin, ops []fabric.GuardedGetOp) {
+	trip(w.trips, origin, target, len(ops))
+	if g, ok := guard.(tripWordWin); ok {
+		guard = g.WordWin
+	}
+	w.ByteWin.GuardedGetBatch(origin, target, guard, ops)
+}
+
+// tripWordWin is a word window that counts its round trips.
+type tripWordWin struct {
+	fabric.WordWin
+	trips *atomic.Int64
+}
+
+func (w tripWordWin) Load(origin, target fabric.Rank, idx int) uint64 {
+	trip(w.trips, origin, target, 1)
+	return w.WordWin.Load(origin, target, idx)
+}
+
+func (w tripWordWin) Store(origin, target fabric.Rank, idx int, val uint64) {
+	trip(w.trips, origin, target, 1)
+	w.WordWin.Store(origin, target, idx, val)
+}
+
+func (w tripWordWin) CAS(origin, target fabric.Rank, idx int, old, new uint64) (uint64, bool) {
+	trip(w.trips, origin, target, 1)
+	return w.WordWin.CAS(origin, target, idx, old, new)
+}
+
+func (w tripWordWin) LoadBatch(origin, target fabric.Rank, idxs []int) []uint64 {
+	trip(w.trips, origin, target, len(idxs))
+	return w.WordWin.LoadBatch(origin, target, idxs)
+}
+
+func (w tripWordWin) CASBatch(origin, target fabric.Rank, ops []fabric.CASOp) []fabric.CASResult {
+	trip(w.trips, origin, target, len(ops))
+	return w.WordWin.CASBatch(origin, target, ops)
+}
+
+func (w tripWordWin) FetchAdd(origin, target fabric.Rank, idx int, delta uint64) uint64 {
+	trip(w.trips, origin, target, 1)
+	return w.WordWin.FetchAdd(origin, target, idx, delta)
 }
 
 // dump reads every rank's segment of every window.

@@ -171,9 +171,11 @@ func (tx *Tx) flushPending() {
 // flush completes the given associations (flushPending's protocol). A
 // speculative flush (spec) is a translation-cache hit being checked: its
 // holders must still carry guard version expect, free of writers, and a
-// primary vertex head, or their futures fail with errStaleTranslation — on
-// the guard word alone, before any block is read, when the version moved or
-// the word marks a forwarding stub.
+// primary vertex head, or their futures fail with errStaleTranslation. When
+// the version moved or the word marks a forwarding stub, the locking tier
+// refuses on its CAS, before any block is read; the seqlock tier refuses
+// after the head round, whose train loaded the word, and drops what that
+// round read.
 func (tx *Tx) flush(pending []*VertexFuture, spec bool, expect uint64) {
 	if len(pending) == 0 {
 		return

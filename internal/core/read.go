@@ -152,20 +152,33 @@ func (r *chainReader) load(e *Engine, origin fabric.Rank) []uint64 {
 	return r.words
 }
 
-// admit judges an item by its stamp before anything read of it counts. A
-// speculative batch refuses a stamp at another version than it expects, with
-// the stub bit, or with a writer on anything but a follower copy (readStale);
-// on readSeqlock a writer otherwise makes the item readHeld.
+// admit judges an item by its stamp before anything read of it counts, and
+// reports whether the stamp admits it; if not, the item takes its refusal.
 func (r *chainReader) admit(it *chainItem, seqlock bool) bool {
+	it.verdict = r.refusal(it, it.stamp, seqlock)
+	return it.verdict == unread
+}
+
+// refusal is the one rule by which a stamp refuses an item: a speculative
+// batch refuses a stamp at another version than it expects, with the stub
+// bit, or with a writer on anything but a follower copy (readStale); on
+// readSeqlock a writer otherwise makes the item readHeld. An admitted item
+// stays unread.
+func (r *chainReader) refusal(it *chainItem, stamp uint64, seqlock bool) verdict {
 	switch {
-	case r.spec && (locks.Version(it.stamp) != r.expect || locks.Stub(it.stamp) || locks.WriteHeld(it.stamp) && !it.follower):
-		it.verdict = readStale
-	case seqlock && locks.WriteHeld(it.stamp):
-		it.verdict = readHeld
-	default:
-		return true
+	case r.spec && (locks.Version(stamp) != r.expect || locks.Stub(stamp) || locks.WriteHeld(stamp) && !it.follower):
+		return readStale
+	case seqlock && locks.WriteHeld(stamp):
+		return readHeld
 	}
-	return false
+	return unread
+}
+
+// refetch is ReadBlocksStamped's question for read j of a seqlock round, a
+// cached block its probe refuted: whether to fetch the block under stamp.
+// Only if the stamp admits its item.
+func (r *chainReader) refetch(j int, stamp uint64) bool {
+	return r.refusal(&r.items[r.readOf[j]], stamp, true) == unread
 }
 
 // read walks the chain of every unread item and gives each a verdict: a head
@@ -280,7 +293,7 @@ func (e *Engine) plausibleBlock(head fabric.DPtr, buf []byte, i int) bool {
 func (r *chainReader) queue(i int32, dp fabric.DPtr, buf []byte, load, check bool) {
 	it := &r.items[i]
 	r.reads = append(r.reads, block.StampedRead{DP: dp, Buf: buf, Guard: it.head, Stamp: it.stamp,
-		Load: load, Check: check, Only: load && r.spec, Version: r.expect})
+		Load: load, Check: check})
 	r.readOf = append(r.readOf, i)
 }
 
@@ -295,7 +308,7 @@ func (r *chainReader) round(e *Engine, origin fabric.Rank, mode readMode) {
 		e.store.ReadBlocksBatch(origin, r.dps, r.bufs)
 		return
 	}
-	e.store.ReadBlocksStamped(origin, r.reads, mode == readStable, &r.trains)
+	e.store.ReadBlocksStamped(origin, r.reads, mode == readStable, &r.trains, r.refetch)
 	if mode != readSeqlock {
 		return
 	}

@@ -352,7 +352,7 @@ func referenceFetchStreams(tx *Tx, fetches []*refFetch, spec bool, expect uint64
 	reads := make([]block.StampedRead, 0, len(live))
 	roundPfs := make([]*refFetch, 0, len(live))
 	readRound := func() {
-		store.ReadBlocksStamped(tx.rank, reads, !opt, &trains)
+		store.ReadBlocksStamped(tx.rank, reads, !opt, &trains, nil)
 		if opt {
 			for j, pf := range roundPfs {
 				if reads[j].Fetched {

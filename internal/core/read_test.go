@@ -351,7 +351,10 @@ type assocOutcome struct {
 	Results  []string   // per batch position (cold, then warm), then per speculative check
 	ReadSets [][]string // the optimistic read set of each transaction, sorted
 	Moved    []string   // the migration aliases each transaction chased
-	Traffic  []string   // per step: remote GETs, GET trains, remote atomics, atomic trains; on the seqlock tier remote GETs and bytes got
+	Traffic  []string   // per step: remote GETs, GET trains, remote atomics, atomic trains
+	Blocks   []string   // per step: remote GETs, bytes got
+	Trips    []int64    // per step: round trips, scalar operations and trains
+	Trains   []int64    // per step: GET and atomic trains
 	Words    [][]uint64 // every word window after each step: lock words, free lists, index
 	Counters string     // forwarded, replica-served and optimistic-aborted reads
 }
@@ -363,12 +366,14 @@ type assocOutcome struct {
 // cold, then warm, then checks each cached translation speculatively in a
 // transaction of its own, and compares: the decoded vertices, lock states and
 // versions; the read sets and chased aliases; the remote GETs, GET trains,
-// remote atomics and atomic trains of every step (on the optimistic tier,
-// whose seqlock reads load the guard in their GET trains, the remote GETs and
-// the bytes got, but a stale speculative check may GET its head block);
-// every word window after every step; and the engine's read
-// counters. It runs on the locking, optimistic and collective tiers, at 64-
-// and 256-byte blocks, with a 512-block and a one-block cache.
+// remote atomics, atomic trains and round trips of every step; every word
+// window after every step; and the engine's read counters. It runs on the
+// locking, optimistic and collective tiers, at 64- and 256-byte blocks, with
+// a 512-block and a one-block cache. The optimistic tier's seqlock reads load
+// the guard inside their GET trains, so its trains and atomics are not the
+// reference's: seqlockTraffic restates them, and compareSeqlockTraffic holds
+// its GETs and bytes to the reference's and its round trips to at most the
+// reference's.
 func TestAssociateMatchesReference(t *testing.T) {
 	tiers := []struct {
 		name       string
@@ -395,17 +400,14 @@ func TestAssociateMatchesReference(t *testing.T) {
 						forwards, replicaReads := e.ForwardedReads(), e.ReplicaReads()
 						var out assocOutcome
 						step := func(tx *Tx, do func()) {
-							before := log.TotalSnapshot()
+							before, trips := log.TotalSnapshot(), log.trips.Load()
 							do()
 							a := log.TotalSnapshot()
-							if optimistic {
-								// The seqlock tier's trains are not the reference's
-								// (TestSeqlockReadRoundTrips pins them); its blocks are.
-								out.Traffic = append(out.Traffic, fmt.Sprint(a.RemoteGets-before.RemoteGets, a.BytesGot-before.BytesGot))
-							} else {
-								out.Traffic = append(out.Traffic, fmt.Sprint(a.RemoteGets-before.RemoteGets, a.GetBatches-before.GetBatches,
-									a.RemoteAtoms-before.RemoteAtoms, a.AtomicBatches-before.AtomicBatches))
-							}
+							out.Traffic = append(out.Traffic, fmt.Sprint(a.RemoteGets-before.RemoteGets, a.GetBatches-before.GetBatches,
+								a.RemoteAtoms-before.RemoteAtoms, a.AtomicBatches-before.AtomicBatches))
+							out.Blocks = append(out.Blocks, fmt.Sprint(a.RemoteGets-before.RemoteGets, a.BytesGot-before.BytesGot))
+							out.Trips = append(out.Trips, log.trips.Load()-trips)
+							out.Trains = append(out.Trains, a.GetBatches-before.GetBatches+a.AtomicBatches-before.AtomicBatches)
 							_, words := log.dump()
 							out.Words = append(out.Words, slices.Concat(words...))
 							var reads []string
@@ -469,6 +471,12 @@ func TestAssociateMatchesReference(t *testing.T) {
 							t.Errorf("%s differ from the reference:\n got %v\nwant %v", what, got, want)
 						}
 					}
+					// The blocks the seqlock tier gets: the reference's, but for
+					// the head block of a refused translation that the one-block
+					// cache has lost, which its guarded train GETs before the
+					// stamp refuses it — the reference stamped first and read
+					// nothing.
+					blocks := slices.Clone(want.Blocks)
 					if !tier.collective {
 						// The lagging follower's cached version still holds on
 						// the optimistic tier, which reads the follower; the
@@ -481,24 +489,64 @@ func TestAssociateMatchesReference(t *testing.T) {
 							if r := want.Results[len(want.Results)-len(classes)+i]; !strings.HasPrefix(r, fmt.Sprint(spec[i], " ", c, " ")) {
 								t.Errorf("speculative case %d: %s, want %s", i, r, c)
 							}
-							// The seqlock tier refuses a stale translation after
-							// the head round, so it may have GET the head block,
-							// which the reference refused before reading.
-							if k := len(got.Traffic) - len(classes) + i; optimistic && c == "stale" && got.Traffic[k] == fmt.Sprint(1, bs) {
-								got.Traffic[k] = want.Traffic[k]
+							if optimistic && c == "stale" && cache == 1 {
+								blocks[len(blocks)-len(classes)+i] = fmt.Sprint(1, bs)
 							}
 						}
 					}
 					compare("results", got.Results, want.Results)
 					compare("read sets", got.ReadSets, want.ReadSets)
 					compare("aliases", got.Moved, want.Moved)
-					compare("remote traffic", got.Traffic, want.Traffic)
+					if optimistic {
+						compareSeqlockTraffic(t, fmt.Sprintf("block=%d/cache=%d", bs, cache), got, want, blocks)
+					} else {
+						compare("remote traffic", got.Traffic, want.Traffic)
+						compare("round trips", got.Trips, want.Trips)
+					}
 					compare("counters", got.Counters, want.Counters)
 					if !reflect.DeepEqual(got.Words, want.Words) {
 						t.Error("word windows (lock words, free lists, index) differ from the reference's")
 					}
 				})
 			}
+		}
+	}
+}
+
+// seqlockTraffic is what each step of TestAssociateMatchesReference costs on
+// the optimistic tier — remote GETs, GET trains, remote atomics, atomic
+// trains: the cold batch, the warm batch, then the seven speculative checks.
+// Its seqlock reads load the guard inside their GET trains, where the
+// reference stamped its holders in a load train ahead of its GETs and
+// post-stamped them in another behind. So the GETs are the reference's, and
+// every round trip is a train: one per owner rank and round that GETs, a load
+// train for a round the cache serves whole. The atomics are one load per
+// holder stamped in a head round plus one behind every block fetched, in
+// place of the reference's stamp and post-stamp per holder. The last two
+// checks are refused translations, which the one-block cache makes GET their
+// head block: 1 GET, 1 GET train, 2 loads, where the reference stamped once.
+var seqlockTraffic = map[string][]string{
+	"block=64/cache=512":  {"16 12 24 0", "1 1 9 2", "0 0 0 0", "0 0 1 1", "0 0 0 0", "0 0 0 0", "0 0 1 1", "0 0 1 1", "0 0 1 1"},
+	"block=64/cache=1":    {"20 13 28 0", "19 13 27 0", "0 0 0 0", "2 2 3 0", "0 0 0 0", "0 0 0 0", "2 2 3 0", "1 1 2 0", "1 1 2 0"},
+	"block=256/cache=512": {"7 4 15 0", "1 1 9 2", "0 0 0 0", "0 0 1 1", "0 0 0 0", "0 0 0 0", "0 0 1 1", "0 0 1 1", "0 0 1 1"},
+	"block=256/cache=1":   {"9 4 17 0", "8 4 16 0", "0 0 0 0", "1 1 2 0", "0 0 0 0", "0 0 0 0", "1 1 2 0", "1 1 2 0", "1 1 2 0"},
+}
+
+// compareSeqlockTraffic checks the optimistic tier's traffic in
+// TestAssociateMatchesReference, step by step: the counts seqlockTraffic
+// restates, the remote GETs and bytes got in blocks, and the round trips,
+// every one of them a train and never more than the reference's.
+func compareSeqlockTraffic(t *testing.T, config string, got, want assocOutcome, blocks []string) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Traffic, seqlockTraffic[config]) {
+		t.Errorf("remote traffic differs from the seqlock tier's:\n got %v\nwant %v", got.Traffic, seqlockTraffic[config])
+	}
+	if !reflect.DeepEqual(got.Blocks, blocks) {
+		t.Errorf("remote GETs and bytes got differ:\n got %v\nwant %v", got.Blocks, blocks)
+	}
+	for k, n := range got.Trips {
+		if n != got.Trains[k] || n > want.Trips[k] {
+			t.Errorf("step %d: %d round trips, want its %d trains and at most the reference's %d", k, n, got.Trains[k], want.Trips[k])
 		}
 	}
 }
@@ -560,14 +608,14 @@ func TestFollowerThatCannotServeFallsBack(t *testing.T) {
 	}
 }
 
-// TestWriteHeldStampReadsNothing: on the seqlock tier a guard a writer holds
-// cannot validate, so nothing read under it counts. The head round loads the
-// guard in the same train as the head block, so a read learns of the writer
-// only after its first GET: the point read declines after its one guarded
-// train, and an association after its first, then retries on stamp trains
-// alone — one guard load per attempt, no block — until its budget runs out.
-// Neither caches what it read.
-func TestWriteHeldStampReadsNothing(t *testing.T) {
+// TestWriteHeldStampCachesNothing: on the seqlock tier a guard a writer holds
+// cannot validate, so nothing read under it counts or is cached. The head
+// round loads the guard in the same train as the head block, so a read
+// learns of the writer only after its first GET: the point read declines
+// after its one guarded train, and an association after its first, then
+// retries on stamp trains alone — one guard load per attempt, no block —
+// until its budget runs out.
+func TestWriteHeldStampCachesNothing(t *testing.T) {
 	const tries = 4
 	e := NewEngine(rma.New(2), Config{BlockSize: 64, BlocksPerRank: 1 << 10, LockTries: tries})
 	seed := e.StartLocal(1, ReadWrite)

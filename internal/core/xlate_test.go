@@ -256,11 +256,10 @@ func TestOwnCommitRefreshesTranslation(t *testing.T) {
 
 // TestStaleTranslationCostsOneStamp: after another rank deletes and re-creates
 // the vertex, a cached translation is refused on its guard version, in one
-// round trip and with no block read. On the optimistic tier that round trip
-// is the head round's guarded train: rank 0 still caches the block at the
-// entry's version, so the train loads the guard alone, and the cache lookup
-// the load refutes counts a miss. On the locking tier it is one failed
-// scalar CAS. The translation then costs exactly what a translation with no
+// round trip and with no GET. On the locking tier that round trip is one
+// failed scalar CAS. On the optimistic tier it is the head round's guarded
+// train: rank 0 still caches the block at the entry's version, so the train
+// loads the guard alone, and the cache lookup the load refutes counts a miss. The translation then costs exactly what a translation with no
 // cache entry costs. On the locking tier that includes a two-round read-lock
 // train, since the index names no version; its first CAS is also the stamp.
 // An entry that names the forwarding stub a migration left, at the stub's
