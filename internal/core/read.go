@@ -174,9 +174,9 @@ func (r *chainReader) refusal(it *chainItem, stamp uint64, seqlock bool) verdict
 	return unread
 }
 
-// refetch is ReadBlocksStamped's question for read j of a seqlock round, a
-// cached block its probe refuted: whether to fetch the block under stamp.
-// Only if the stamp admits its item.
+// refetch answers ReadBlocksStamped for read j of a seqlock round, a cached
+// block its probe refuted: the block is fetched under stamp only if the
+// stamp admits the read's item.
 func (r *chainReader) refetch(j int, stamp uint64) bool {
 	return r.refusal(&r.items[r.readOf[j]], stamp, true) == unread
 }
