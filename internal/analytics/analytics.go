@@ -22,7 +22,6 @@
 package analytics
 
 import (
-	"errors"
 	"math"
 	"sync"
 
@@ -63,28 +62,12 @@ func exchange[T any](p *gdi.Process, buckets [][]T) []T {
 
 func bucketize[T any](n int) [][]T { return make([][]T, n) }
 
-// agreeOnError makes a rank-local failure inside a collective kernel
-// collective: one allgather of the error texts, after which every rank
-// returns the lowest failing rank's error (the error itself on that rank,
-// its text on the others), or nil when no rank failed. A kernel calls it
-// before the next collective step, so a failure never strands the other
-// ranks in a collective the failed rank has left.
-func agreeOnError(p *gdi.Process, err error) error {
-	msg := ""
-	if err != nil {
-		msg = err.Error()
-	}
-	for _, m := range collective.Allgather(p.Comm(), p.Rank(), msg) {
-		if m == "" {
-			continue
-		}
-		if m == msg {
-			return err
-		}
-		return errors.New(m)
-	}
-	return nil
-}
+// kernelErrs are the failures a collective kernel reports on every rank, in
+// the order collective.AgreeOnError ranks them; the last one stands for
+// anything else. A kernel agrees on its error before the next collective
+// step, so a failure never strands the other ranks in a collective the
+// failed rank has left.
+var kernelErrs = []error{gdi.ErrNotFound, gdi.ErrNoMemory, gdi.ErrTransactionCritical}
 
 // KHop counts the vertices within k hops of rootApp (the k-hop queries of
 // Figure 6e/6f). Like BFS, a missing root reaches nothing and only its owner
@@ -135,7 +118,7 @@ func KHop(p *gdi.Process, g *Graph, rootApp uint64, k int) (int64, error) {
 				buckets[int(nb.Rank())] = append(buckets[int(nb.Rank())], nb)
 			})
 		}
-		if err := agreeOnError(p, err); err != nil {
+		if err := collective.AgreeOnError(p.Comm(), p.Rank(), err, kernelErrs...); err != nil {
 			return 0, err
 		}
 		incoming := exchange(p, buckets)

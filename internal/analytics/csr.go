@@ -250,7 +250,7 @@ func (b *csrBuilder) end(i int, app uint64, homes []gdi.VertexID) {
 // what makes their outputs comparable bit for bit. Collective, failures
 // included: a rank that cannot resolve a neighbor fails every rank.
 func (b *csrBuilder) finish(p *gdi.Process) (*csr, error) {
-	if err := agreeOnError(p, b.resolve(p)); err != nil {
+	if err := collective.AgreeOnError(p.Comm(), p.Rank(), b.resolve(p), kernelErrs...); err != nil {
 		return nil, err
 	}
 	b.c.buildPlan(p)

@@ -23,6 +23,7 @@ package collective
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 
 	"github.com/gdi-go/gdi/internal/fabric"
@@ -275,4 +276,31 @@ func Exscan[T any](c *Comm, me fabric.Rank, val T, op func(T, T) T) T {
 		acc = op(acc, all[r])
 	}
 	return acc
+}
+
+// AgreeOnError makes the outcome of a collective routine collective: every
+// rank contributes its local error, and either all ranks return nil or all
+// return an error — the failing rank its own, every other rank one wrapping
+// the same sentinel. sentinels (at least one) ranks the failures, least
+// severe first; the ranks agree on the most severe one any error matches,
+// and an error that matches none counts as the last. No rank returns before every rank has
+// entered (one Allreduce), so it also closes the routine like a barrier.
+// Without it a rank that fails early leaves its peers blocked in the next
+// collective.
+func AgreeOnError(c *Comm, me fabric.Rank, err error, sentinels ...error) error {
+	code := 0
+	if err != nil {
+		code = len(sentinels)
+		for i, sentinel := range sentinels {
+			if errors.Is(err, sentinel) {
+				code = i + 1
+				break
+			}
+		}
+	}
+	worst := Allreduce(c, me, code, func(a, b int) int { return max(a, b) })
+	if err != nil || worst == 0 {
+		return err
+	}
+	return fmt.Errorf("%w: collective operation failed on another rank", sentinels[worst-1])
 }

@@ -1,6 +1,8 @@
 package collective
 
 import (
+	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -204,4 +206,40 @@ func TestRepeatedCollectivesInterleave(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestAgreeOnErrorOneFailingRank: when one rank fails, the failing rank gets
+// its own error back and every other rank an error wrapping the sentinel it
+// matched; an error matching no sentinel counts as the last one; with no
+// failure every rank gets nil.
+func TestAgreeOnErrorOneFailingRank(t *testing.T) {
+	errMinor, errMajor := errors.New("minor"), errors.New("major")
+	for _, n := range sizes {
+		for _, c := range []struct {
+			local, want, not error
+		}{
+			{fmt.Errorf("rank detail: %w", errMinor), errMinor, errMajor},
+			{errors.New("unranked"), errMajor, errMinor},
+			{nil, nil, nil},
+		} {
+			f := rma.New(n)
+			comm := New(f)
+			failing := rma.Rank(n - 1)
+			f.Run(func(r rma.Rank) {
+				var local error
+				if r == failing {
+					local = c.local
+				}
+				got := AgreeOnError(comm, r, local, errMinor, errMajor)
+				switch {
+				case c.local == nil && got != nil:
+					t.Errorf("n=%d rank=%d: no rank failed, got %v", n, r, got)
+				case r == failing && got != local:
+					t.Errorf("n=%d: the failing rank got %v, want its own %v", n, got, local)
+				case r != failing && c.want != nil && (!errors.Is(got, c.want) || errors.Is(got, c.not)):
+					t.Errorf("n=%d rank=%d: got %v, want an error wrapping %v only", n, r, got, c.want)
+				}
+			})
+		}
+	}
 }

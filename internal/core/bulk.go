@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -70,7 +69,7 @@ func (e *Engine) BulkLoadVertices(rank fabric.Rank, specs []VertexSpec) error {
 			}
 		}
 	}
-	return e.agreeOnError(rank, err)
+	return collective.AgreeOnError(e.comm, rank, err, bulkErrs...)
 }
 
 // buildVertices materializes the specs routed to this rank, in arrival order,
@@ -114,32 +113,8 @@ func (e *Engine) buildVertices(rank fabric.Rank, in [][]VertexSpec) (entries []i
 }
 
 // bulkErrs are the failures a bulk load can report, in the order
-// agreeOnError ranks them; the last one stands for anything else.
-var bulkErrs = [...]error{ErrNotFound, ErrNoMemory, ErrTxCritical}
-
-// agreeOnError makes the outcome of a collective routine collective: every
-// rank contributes its local error, and either all ranks return nil or all
-// return an error — the failing rank its own, the others one wrapping the same
-// sentinel. No rank returns before every rank has entered, so it also closes
-// the routine like a barrier. Without it a rank that fails early leaves its
-// peers blocked in the next collective.
-func (e *Engine) agreeOnError(rank fabric.Rank, err error) error {
-	code := 0
-	if err != nil {
-		code = len(bulkErrs)
-		for i, sentinel := range bulkErrs {
-			if errors.Is(err, sentinel) {
-				code = i + 1
-				break
-			}
-		}
-	}
-	worst := collective.Allreduce(e.comm, rank, code, func(a, b int) int { return max(a, b) })
-	if err != nil || worst == 0 {
-		return err
-	}
-	return fmt.Errorf("%w: collective operation failed on another rank", bulkErrs[worst-1])
-}
+// collective.AgreeOnError ranks them; the last one stands for anything else.
+var bulkErrs = []error{ErrNotFound, ErrNoMemory, ErrTxCritical}
 
 // recDelivery routes one edge record to the rank owning its vertex.
 type recDelivery struct {
@@ -163,10 +138,10 @@ type recDelivery struct {
 // + O(Σ touched holder blocks); depth: O(log P) exchange + local merge.
 func (e *Engine) BulkLoadEdges(rank fabric.Rank, specs []EdgeSpec) error {
 	out, err := e.routeEdges(rank, specs)
-	if err = e.agreeOnError(rank, err); err != nil {
+	if err = collective.AgreeOnError(e.comm, rank, err, bulkErrs...); err != nil {
 		return err
 	}
-	return e.agreeOnError(rank, e.mergeEdges(rank, collective.Alltoall(e.comm, rank, out)))
+	return collective.AgreeOnError(e.comm, rank, e.mergeEdges(rank, collective.Alltoall(e.comm, rank, out)), bulkErrs...)
 }
 
 // routeEdges resolves the endpoints of specs and builds the per-owner-rank

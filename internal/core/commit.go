@@ -10,6 +10,25 @@ import (
 	"github.com/gdi-go/gdi/internal/snapshot"
 )
 
+// writeEntry is one holder of a commit's write set: a vertex (vs), a
+// heavy-edge holder (es), or — both nil — a forwarding stub that a deleted,
+// migrated vertex retires. A rewrite lays stream over blocks, fans it out to
+// the kept follower groups and retires the dropped ones. A deletion has a
+// nil stream: it poisons its head (unless this transaction created the
+// holder, so nobody else can see it), retires every follower group and
+// frees its whole chain.
+type writeEntry struct {
+	vs     *vertexState
+	es     *edgeState
+	head   fabric.DPtr
+	stream []byte          // nil: a deletion
+	blocks []fabric.DPtr   // a rewrite's final chain
+	free   []fabric.DPtr   // freed after the release: a rewrite's excess blocks, a deletion's chain
+	fan    [][]fabric.DPtr // follower groups rewritten in lockstep
+	drop   [][]fabric.DPtr // follower groups this commit retires
+	poison bool            // a deletion others can see: its head is zeroed
+}
+
 // Commit makes the transaction's changes durable and visible
 // (GDI_CloseTransaction with commit semantics). The protocol preserves
 // atomicity by splitting into a prepare phase that can fail (taking the
@@ -17,12 +36,15 @@ import (
 // apply phase that cannot: either all dirty holders are written back or
 // none (§5.6).
 //
-// The remote traffic of a commit is organized into per-owner-rank trains
-// instead of per-word and per-block round-trips: deferred lock upgrades and
-// fresh-vertex locks resolve as one vectored CAS train per owner rank, dirty
-// holder blocks flush as one vectored PUT train per owner rank — coalesced
-// with concurrent committers of the same rank by the engine's group
-// committer — and the final lock release is again one train per rank.
+// Everything the commit writes is one write set: one entry per rewritten
+// or deleted holder, plus one per forwarding stub a deletion retires. Each
+// phase walks it once, and each phase's remote traffic is one train per
+// owner rank: the deferred upgrades, fresh-vertex locks and stub words
+// resolve as one vectored CAS train; every rewrite, poison and follower
+// copy flushes as one vectored PUT train — coalesced with concurrent
+// committers of the same rank by the engine's group committer; and the
+// release, shared with Abort, is one write train and one read train.
+// Blocks are freed only after the release.
 //
 // Work: O(Σ dirty holder blocks); depth: O(1) per holder after the
 // sequential prepare walk. Collective transactions add two O(log P)
@@ -51,128 +73,100 @@ func (tx *Tx) Commit() error {
 		return tx.critical
 	}
 
-	// Prepare, lock train: resolve every deferred exclusive lock — upgrades
-	// of read-held words and fresh locks of new vertices — as one vectored
-	// CAS train per owner rank, in globally sorted (deadlock-free) order.
-	// Contention fails the whole train, which rolls its partial
-	// acquisitions back itself; the abort below then drops the still-held
-	// read locks. Each upgrade is seeded with the version its read lock was
-	// granted at, which cannot have moved since, so an uncontended train
-	// takes one round per owner rank.
+	// The write set: rewrites first (vertices in write-back order, then edge
+	// holders), then deletions, then the stubs of deleted vertices that
+	// migrated in their lifetime. A deleted holder is dirty, so the dirty
+	// vector and the edge map name every holder the commit touches.
+	var ws, dels, stubs []writeEntry
+	for _, primary := range tx.dirtyList {
+		st := tx.verts[primary]
+		if !st.deleted {
+			ws = append(ws, writeEntry{vs: st, head: primary})
+			continue
+		}
+		dels = append(dels, writeEntry{vs: st, head: primary, free: chainOf(primary, st.blocks), drop: st.v.Replicas, poison: !st.isNew})
+		for _, h := range st.v.Homes {
+			stubs = append(stubs, writeEntry{head: h, free: []fabric.DPtr{h}, poison: true})
+		}
+	}
+	for _, es := range tx.edges {
+		switch {
+		case es.deleted:
+			dels = append(dels, writeEntry{es: es, head: es.primary, free: chainOf(es.primary, es.blocks), poison: !es.isNew})
+		case es.dirty:
+			ws = append(ws, writeEntry{es: es, head: es.primary})
+		}
+	}
+	rewrites := len(ws)
+	ws = append(append(ws, dels...), stubs...)
+
+	// Prepare, lock train: every deferred exclusive lock — upgrades of
+	// read-held words, fresh locks of new vertices, and the stub words of
+	// deleted vertices — resolves as one vectored CAS train per owner rank,
+	// in globally sorted (deadlock-free) order. A stub is locked so that its
+	// poison below bumps its version and every cached or optimistic reader of
+	// it revalidates. Contention fails the whole train, which rolls its
+	// partial acquisitions back itself; the abort below then drops the
+	// still-held read locks. Each upgrade is seeded with the version its read
+	// lock was granted at, which cannot have moved since, so an uncontended
+	// train takes one round per owner rank.
+	var train []locks.TrainLock
 	var members []*vertexState // the train's vertices, whose versions it learns
-	if !tx.skipLocks() {
-		var train []locks.TrainLock
-		for _, primary := range tx.dirtyList {
-			st := tx.verts[primary]
-			if st == nil {
-				continue
-			}
-			switch {
-			case st.lock == lockUpgrade:
-				train = append(train, locks.TrainLock{Word: tx.eng.lockWordOf(primary), FromRead: true, Ver: st.ver})
-				members = append(members, st)
-			case st.lock == lockNone && st.isNew:
-				train = append(train, locks.TrainLock{Word: tx.eng.lockWordOf(primary)})
-				members = append(members, st)
-			}
+	for _, w := range ws {
+		switch st := w.vs; {
+		case st == nil && w.es == nil:
+			train = append(train, locks.TrainLock{Word: tx.eng.lockWordOf(w.head)})
+		case st == nil:
+		case st.lock == lockUpgrade:
+			train = append(train, locks.TrainLock{Word: tx.eng.lockWordOf(st.primary), FromRead: true, Ver: st.ver})
+			members = append(members, st)
+		case st.lock == lockNone && st.isNew:
+			train = append(train, locks.TrainLock{Word: tx.eng.lockWordOf(st.primary)})
+			members = append(members, st)
 		}
-		vers, err := locks.AcquireWriteTrain(tx.rank, train, tx.eng.cfg.LockTries)
-		if err != nil {
-			tx.fail(fmt.Errorf("commit lock train over %d vertices: %w", len(train), err))
-			tx.abortLocked()
-			return tx.critical
-		}
-		// Remember each word's version: the release trains below seed their
-		// CAS with it and converge in one round per rank instead of
-		// re-learning values this train already observed.
-		for i, st := range members {
-			st.lock = lockWrite
-			st.lockVer = vers[i]
-		}
+	}
+	vers, err := locks.AcquireWriteTrain(tx.rank, train, tx.eng.cfg.LockTries)
+	if err != nil {
+		tx.fail(fmt.Errorf("commit lock train over %d words: %w", len(train), err))
+		tx.abortLocked()
+		return tx.critical
+	}
+	// Remember each word's version: the release train seeds its CAS with it
+	// and converges in one round per rank instead of re-learning values this
+	// train already observed. Stub words come last in the train.
+	for i, st := range members {
+		st.lock = lockWrite
+		st.lockVer = vers[i]
+	}
+	for i := len(members); i < len(train); i++ {
+		tx.stubWords = append(tx.stubWords, train[i].Word)
+		tx.stubVers = append(tx.stubVers, vers[i])
 	}
 
-	// Prepare, stub train: a deleted vertex that migrated in its lifetime
-	// still owns the forwarding stubs at its former homes. Deletion retires
-	// them with the same discipline as the holder itself: write-lock each
-	// stub word (so the poison below bumps its version and every cached or
-	// optimistic reader of the stub revalidates), poison in the apply phase,
-	// release, and free the blocks. Acquisition can fail, so it belongs to
-	// prepare.
-	var stubWords []locks.Word
-	var stubVers []uint64
-	var stubBlocks []fabric.DPtr
-	if !tx.skipLocks() {
-		var stubTrain []locks.TrainLock
-		for _, st := range tx.verts {
-			if !st.deleted || st.isNew || st.v == nil {
-				continue
-			}
-			for _, h := range st.v.Homes {
-				stubTrain = append(stubTrain, locks.TrainLock{Word: tx.eng.lockWordOf(h)})
-				stubBlocks = append(stubBlocks, h)
-			}
-		}
-		if len(stubTrain) > 0 {
-			vers, err := locks.AcquireWriteTrain(tx.rank, stubTrain, tx.eng.cfg.LockTries)
-			if err != nil {
-				tx.fail(fmt.Errorf("commit stub train over %d blocks: %w", len(stubTrain), err))
-				tx.abortLocked()
-				return tx.critical
-			}
-			stubVers = vers
-			for _, l := range stubTrain {
-				stubWords = append(stubWords, l.Word)
-			}
-		}
-	}
-
-	// Prepare: encode every dirty holder and acquire the extra blocks the
-	// new encodings need. Nothing is written yet, so failure aborts cleanly.
-	type plan struct {
-		vs      *vertexState
-		es      *edgeState
-		stream  []byte
-		blocks  []fabric.DPtr   // final block list
-		release []fabric.DPtr   // excess blocks to free after apply
-		fan     [][]fabric.DPtr // follower groups to rewrite in lockstep
-		drop    [][]fabric.DPtr // follower groups this commit retires
-	}
-	var plans []plan
+	// Prepare: encode every rewrite and acquire the extra blocks the new
+	// encodings need. Nothing is written yet, so failure aborts cleanly.
 	var acquired []fabric.DPtr // for rollback of a failed prepare
 	bs := tx.eng.cfg.BlockSize
-
 	fail := func(err error) error {
 		for _, dp := range acquired {
 			tx.eng.store.ReleaseBlock(tx.rank, dp)
 		}
-		locks.ReleaseWriteTrain(tx.rank, stubWords, stubVers)
 		tx.fail(err)
 		tx.abortLocked()
 		return tx.critical
 	}
-
-	for _, primary := range tx.dirtyList {
-		st := tx.verts[primary]
-		if st == nil || !st.dirty || st.deleted {
-			continue
+	for i := range ws[:rewrites] {
+		w := &ws[i]
+		var old []fabric.DPtr
+		if w.vs != nil {
+			w.stream, w.fan, w.drop = tx.encodeForCommit(w.vs, bs)
+			old = w.vs.blocks
+		} else {
+			w.stream, old = holder.EncodeEdge(w.es.e, bs), w.es.blocks
 		}
-		stream, fan, drop := tx.encodeForCommit(st, bs)
-		blocks, release, err := tx.eng.layoutChain(tx.rank, primary.Rank(), stream, chainOf(primary, st.blocks), &acquired)
-		if err != nil {
+		if w.blocks, w.free, err = tx.eng.layoutChain(tx.rank, w.head.Rank(), w.stream, chainOf(w.head, old), &acquired); err != nil {
 			return fail(err)
 		}
-		plans = append(plans, plan{vs: st, stream: stream, blocks: blocks, release: release, fan: fan, drop: drop})
-	}
-	for _, es := range tx.edges {
-		if !es.dirty || es.deleted {
-			continue
-		}
-		stream := holder.EncodeEdge(es.e, bs)
-		blocks, release, err := tx.eng.layoutChain(tx.rank, es.primary.Rank(), stream, chainOf(es.primary, es.blocks), &acquired)
-		if err != nil {
-			return fail(err)
-		}
-		plans = append(plans, plan{es: es, stream: stream, blocks: blocks, release: release})
 	}
 
 	// Prepare, index: reserve the internal-index entries of the new vertices.
@@ -182,17 +176,17 @@ func (tx *Tx) Commit() error {
 	// nobody could find. A reader that finds an entry early runs into the
 	// vertex's exclusive lock, held since the lock train above, exactly as it
 	// does between publish and release.
-	for pi, pl := range plans {
-		if pl.vs == nil || !pl.vs.isNew {
+	for i, w := range ws[:rewrites] {
+		if w.vs == nil || !w.vs.isNew {
 			continue
 		}
-		if !tx.eng.index.Insert(tx.rank, pl.vs.v.AppID, uint64(pl.vs.primary)) {
-			for _, done := range plans[:pi] {
+		if !tx.eng.index.Insert(tx.rank, w.vs.v.AppID, uint64(w.head)) {
+			for _, done := range ws[:i] {
 				if done.vs != nil && done.vs.isNew {
 					tx.eng.index.Delete(tx.rank, done.vs.v.AppID)
 				}
 			}
-			return fail(fmt.Errorf("%w: internal index full publishing vertex %d", ErrNoMemory, pl.vs.v.AppID))
+			return fail(fmt.Errorf("%w: internal index full publishing vertex %d", ErrNoMemory, w.vs.v.AppID))
 		}
 	}
 
@@ -219,116 +213,84 @@ func (tx *Tx) Commit() error {
 	// released to the primary's new version after the primary's own release:
 	// primary-then-follower order end to end.
 	type fanRef struct {
-		pl    int
-		g     int
+		w     int
 		group []fabric.DPtr
 	}
-	fanHeld := make(map[int][][]fabric.DPtr) // plan index → marked groups
+	fanHeld := make(map[int][][]fabric.DPtr) // write-set index → marked groups
 	var mirWords [][]locks.Word              // per follower rank, for release
 	var mirVers [][]uint64
-	if len(plans) > 0 {
-		byRank := make(map[fabric.Rank][]fanRef)
-		for pi := range plans {
-			for gi, g := range plans[pi].fan {
-				if len(g) == 0 {
-					continue
-				}
-				fr := g[0].Rank()
-				if tx.eng.isDead(fr) {
-					tx.eng.replicaDrops.Add(1)
-					continue
-				}
-				byRank[fr] = append(byRank[fr], fanRef{pl: pi, g: gi, group: g})
-			}
-		}
-		for fr, refs := range byRank {
-			words := make([]locks.Word, len(refs))
-			vers := make([]uint64, len(refs))
-			for i, ref := range refs {
-				words[i] = tx.eng.lockWordOf(ref.group[0])
-				vers[i] = plans[ref.pl].vs.lockVer
-			}
-			var held []bool
-			if !runIsolated(func() { held = locks.AcquireMirrorTrain(tx.rank, words, vers) }) {
-				tx.eng.replicaDrops.Add(int64(len(refs)))
+	byRank := make(map[fabric.Rank][]fanRef)
+	for i, w := range ws {
+		for _, g := range w.fan {
+			if len(g) == 0 {
 				continue
 			}
-			hw, hv, _ := splitHeld(words, vers, held)
-			for i, ref := range refs {
-				if held[i] {
-					fanHeld[ref.pl] = append(fanHeld[ref.pl], ref.group)
-				} else {
-					// Out of lockstep: retire the copy. Its stale listing in
-					// the primary's group table is harmless — every later
-					// fan-out fails the same CAS and drops it again.
-					pr := plans[ref.pl].vs.primary
-					runIsolated(func() { tx.eng.replDirDrop(tx.rank, fr, pr) })
-					tx.eng.replicaDrops.Add(1)
-				}
+			fr := g[0].Rank()
+			if tx.eng.isDead(fr) {
+				tx.eng.replicaDrops.Add(1)
+				continue
 			}
-			if len(hw) > 0 {
-				mirWords = append(mirWords, hw)
-				mirVers = append(mirVers, hv)
+			byRank[fr] = append(byRank[fr], fanRef{w: i, group: g})
+		}
+	}
+	for fr, refs := range byRank {
+		words := make([]locks.Word, len(refs))
+		vers := make([]uint64, len(refs))
+		for i, ref := range refs {
+			words[i] = tx.eng.lockWordOf(ref.group[0])
+			vers[i] = ws[ref.w].vs.lockVer
+		}
+		var held []bool
+		if !runIsolated(func() { held = locks.AcquireMirrorTrain(tx.rank, words, vers) }) {
+			tx.eng.replicaDrops.Add(int64(len(refs)))
+			continue
+		}
+		hw, hv, _ := splitHeld(words, vers, held)
+		for i, ref := range refs {
+			if held[i] {
+				fanHeld[ref.w] = append(fanHeld[ref.w], ref.group)
+			} else {
+				// Out of lockstep: retire the copy. Its stale listing in
+				// the primary's group table is harmless — every later
+				// fan-out fails the same CAS and drops it again.
+				pr := ws[ref.w].head
+				runIsolated(func() { tx.eng.replDirDrop(tx.rank, fr, pr) })
+				tx.eng.replicaDrops.Add(1)
 			}
+		}
+		if len(hw) > 0 {
+			mirWords = append(mirWords, hw)
+			mirVers = append(mirVers, hv)
 		}
 	}
 
-	// Apply, write-back: every holder block and every deletion poison (a
-	// zeroed primary header, so stale DPtrs fail cleanly). This phase
-	// cannot fail. The transaction's whole write set goes to the rank's
-	// group committer, which flushes it — merged with any concurrently
-	// committing transactions of this rank — as one vectored PUT train per
-	// owner rank.
+	// Apply, write-back: every rewrite with its follower fan-out, every
+	// deletion poison (a zeroed primary header, so stale DPtrs fail
+	// cleanly), and a poisoned head for every follower group a rewrite
+	// reshapes away or a deletion takes with it (a local replica read then
+	// fails the replica-flag check and falls back). This phase cannot fail.
+	// The transaction's whole write set goes to the rank's group committer,
+	// which flushes it — merged with any concurrently committing
+	// transactions of this rank — as one vectored PUT train per owner rank.
 	var wb writeList
-	for pi, pl := range plans {
-		// Follower fan-out: the marked groups receive the same stream as
-		// replicas, riding the same write-back train.
-		wb.appendChainWrites(pl.stream, pl.blocks, fanHeld[pi], bs)
-		// Reshaped-away groups are poisoned at the head (a local replica read
-		// then fails the replica-flag check and falls back) before their
-		// blocks are returned below.
-		for _, g := range pl.drop {
+	for i, w := range ws {
+		if w.stream != nil {
+			wb.appendChainWrites(w.stream, w.blocks, fanHeld[i], bs)
+		} else if w.poison {
+			wb.put(w.head, make([]byte, holder.HeaderSize))
+		}
+		for _, g := range w.drop {
 			if len(g) > 0 && !tx.eng.isDead(g[0].Rank()) {
 				wb.put(g[0], make([]byte, holder.HeaderSize))
 			}
 		}
 	}
-	// Deleted replicated vertices retire their follower groups the same way:
-	// poison the heads under the primary's lock, return the blocks after the
-	// train lands.
-	var delDrops []plan
-	for _, st := range tx.verts {
-		if st.deleted && !st.isNew {
-			wb.put(st.primary, make([]byte, holder.HeaderSize))
-			if st.v != nil && len(st.v.Replicas) > 0 {
-				for _, g := range st.v.Replicas {
-					if len(g) > 0 && !tx.eng.isDead(g[0].Rank()) {
-						wb.put(g[0], make([]byte, holder.HeaderSize))
-					}
-				}
-				delDrops = append(delDrops, plan{vs: st, drop: st.v.Replicas})
-			}
-		}
-	}
-	for _, es := range tx.edges {
-		if es.deleted && !es.isNew {
-			wb.put(es.primary, make([]byte, holder.HeaderSize))
-		}
-	}
-	for _, h := range stubBlocks {
-		wb.put(h, make([]byte, holder.HeaderSize))
-	}
 	tx.eng.groupWriteBack(tx.rank, wb.dps, wb.data)
 
 	// Retire dropped follower groups now that their poison has landed: return
 	// the blocks and clear the follower ranks' directory entries.
-	for pi := range plans {
-		if len(plans[pi].drop) > 0 {
-			tx.eng.dropFollowerGroups(tx.rank, plans[pi].vs.primary, plans[pi].drop)
-		}
-	}
-	for _, dd := range delDrops {
-		tx.eng.dropFollowerGroups(tx.rank, dd.vs.primary, dd.drop)
+	for _, w := range ws {
+		tx.eng.dropFollowerGroups(tx.rank, w.head, w.drop)
 	}
 
 	// Delta log: one record per created, rewritten, or deleted vertex,
@@ -339,136 +301,69 @@ func (tx *Tx) Commit() error {
 	// cut observes always agree.
 	if snap := tx.eng.snap; snap != nil {
 		byRank := make(map[fabric.Rank][]snapshot.Record)
-		for _, pl := range plans {
-			if pl.vs == nil {
+		for _, w := range ws {
+			st := w.vs
+			if st == nil || w.stream == nil && st.isNew {
 				continue
 			}
-			st := pl.vs
-			kind := snapshot.KindUpdate
-			if st.isNew {
-				kind = snapshot.KindCreate
+			rec := snapshot.Record{Kind: snapshot.KindUpdate, DP: st.primary, App: st.v.AppID, Edges: st.v.Edges}
+			switch {
+			case w.stream == nil:
+				rec.Kind, rec.Edges = snapshot.KindDelete, nil
+			case st.isNew:
+				rec.Kind = snapshot.KindCreate
 			}
-			r := st.primary.Rank()
-			byRank[r] = append(byRank[r], snapshot.Record{Kind: kind, DP: st.primary, App: st.v.AppID, Edges: st.v.Edges})
-		}
-		for _, st := range tx.verts {
-			if st.deleted && !st.isNew {
-				rec := snapshot.Record{Kind: snapshot.KindDelete, DP: st.primary}
-				if st.v != nil {
-					rec.App = st.v.AppID
-				}
-				r := st.primary.Rank()
-				byRank[r] = append(byRank[r], rec)
-			}
+			byRank[st.primary.Rank()] = append(byRank[st.primary.Rank()], rec)
 		}
 		for r, recs := range byRank {
 			snap.AppendDeltas(r, recs)
 		}
 	}
 
-	// Apply, publish: release excess blocks and maintain the explicit
-	// indexes. New vertices have been findable through the internal index
-	// since prepare, but their exclusive locks are still held, so no reader
-	// observes them before the write-back above has landed.
-	for _, pl := range plans {
-		for _, dp := range pl.release {
-			tx.eng.store.ReleaseBlock(tx.rank, dp)
-		}
-		if pl.vs != nil {
-			st := pl.vs
-			if st.isNew {
+	// Apply, index: publish new and relabeled vertices in the explicit
+	// indexes and retract deleted ones from both indexes — all under the
+	// vertices' exclusive locks, which is what lets migration assume the
+	// internal index changes a key only under its vertex's lock. New
+	// vertices have been findable through the internal index since prepare,
+	// but no reader gets past their locks before the release below.
+	for _, w := range ws {
+		if st := w.vs; st != nil {
+			switch {
+			case w.stream == nil && !st.isNew:
+				tx.eng.index.Delete(tx.rank, st.v.AppID)
+				tx.eng.idxRemoveVertex(tx.rank, st.primary, st.origLabel)
+			case w.stream == nil:
+			case st.isNew:
 				tx.eng.idxAddVertex(tx.rank, st.primary, st.v.AppID, st.v.Labels)
-			} else if !labelSetsEqual(st.origLabel, st.v.Labels) {
+			case !labelSetsEqual(st.origLabel, st.v.Labels):
 				tx.eng.idxUpdateLabels(tx.rank, st.primary, st.origLabel, st.v.Labels)
 			}
-			st.blocks = pl.blocks
-		} else {
-			pl.es.blocks = pl.blocks
+			st.blocks = w.blocks
+		} else if w.es != nil {
+			w.es.blocks = w.blocks
 		}
 	}
 
-	// Deletions: retract from indexes, unlock (the poison has already been
-	// written above, under the lock), then free the storage. Unlocking
-	// before the block release keeps a recycler of the freed primary from
-	// contending with our stale lock word. Every deleted vertex's exclusive
-	// lock drops as one train per owner rank — the paper's demanding
-	// deletions write-lock whole neighborhoods, so delete-heavy commits
-	// would otherwise pay one release round-trip per vertex.
-	var delWords []locks.Word
-	var delVers []uint64
-	for _, st := range tx.verts {
-		if st.deleted && st.lock == lockWrite {
-			delWords = append(delWords, tx.eng.lockWordOf(st.primary))
-			delVers = append(delVers, st.lockVer)
-			st.lock = lockNone
-		}
-	}
-	locks.ReleaseWriteTrain(tx.rank, delWords, delVers)
-	for _, st := range tx.verts {
-		if !st.deleted {
-			continue
-		}
-		if !st.isNew {
-			tx.eng.index.Delete(tx.rank, st.v.AppID)
-			tx.eng.idxRemoveVertex(tx.rank, st.primary, st.origLabel)
-		}
-		for _, dp := range chainOf(st.primary, st.blocks) {
-			tx.eng.store.ReleaseBlock(tx.rank, dp)
-		}
-		st.blocks = nil
-	}
-	for _, es := range tx.edges {
-		if !es.deleted {
-			continue
-		}
-		for _, dp := range chainOf(es.primary, es.blocks) {
-			tx.eng.store.ReleaseBlock(tx.rank, dp)
-		}
-		es.blocks = nil
-	}
-	// Retire the deleted vertices' forwarding stubs: unlock (the poison
-	// above was written under these locks) with the stub bit cleared, so a
-	// recycler of the block finds a plain word, then return the blocks.
-	retired := make([]locks.StubMark, len(stubWords))
-	for i := range retired {
-		retired[i] = locks.StubClear
-	}
-	locks.ReleaseWriteTrainMarked(tx.rank, stubWords, stubVers, retired)
-	for _, h := range stubBlocks {
-		tx.eng.store.ReleaseBlock(tx.rank, h)
-	}
-
+	// Release: every held lock drops (the retired stubs with their stub bit
+	// cleared, so a recycler of the block finds a plain word); then the
+	// marked follower words move to the version the primaries' release just
+	// published — one CAS train per follower rank, after every primary word
+	// is free. A follower rank that died mid-commit is absorbed: its words
+	// stay marked and promotion's steal path (or a reseed) reclaims them.
 	tx.eng.fab.FlushAll(tx.rank)
-
-	// Release every remaining lock: the held words, partitioned by kind,
-	// drop as one train per owner rank and kind, each seeded with the
-	// version the word is held at.
-	var wWords, rWords []locks.Word
-	var wVers, rVers []uint64
-	for _, st := range tx.verts {
-		switch st.lock {
-		case lockWrite:
-			wWords = append(wWords, tx.eng.lockWordOf(st.primary))
-			wVers = append(wVers, st.lockVer)
-		case lockRead, lockUpgrade:
-			rWords = append(rWords, tx.eng.lockWordOf(st.primary))
-			rVers = append(rVers, st.ver)
-		default:
-			continue
-		}
-		st.lock = lockNone
-	}
-	locks.ReleaseWriteTrain(tx.rank, wWords, wVers)
-	locks.ReleaseReadTrainAt(tx.rank, rWords, rVers)
-
-	// Replica fan-out, release: the marked follower words move to the
-	// version the primaries' release train just published — one CAS train
-	// per follower rank, after every primary word is free. A follower rank
-	// that died mid-commit is absorbed: its words stay marked and promotion's
-	// steal path (or a reseed) reclaims them.
+	tx.releaseLocks(locks.StubClear)
 	for i := range mirWords {
 		w, v := mirWords[i], mirVers[i]
 		runIsolated(func() { locks.ReleaseMirrorTrain(tx.rank, w, v) })
+	}
+
+	// Free: the excess blocks of reshaped chains and the whole chains of
+	// deleted holders go back to their pools only now, so a recycler of a
+	// freed primary never contends with this commit's lock words.
+	for _, w := range ws {
+		for _, dp := range w.free {
+			tx.eng.store.ReleaseBlock(tx.rank, dp)
+		}
 	}
 	tx.noteCommitted(members)
 	tx.close()
@@ -570,18 +465,24 @@ func (tx *Tx) Abort() {
 }
 
 func (tx *Tx) abortLocked() {
+	// An aborted write release bumps the primary's version without changing
+	// content; lockstep followers track the bump so they keep serving reads
+	// (read releases don't bump, so lockUpgrade is exempt).
+	var bump []*vertexState
+	var fresh []fabric.DPtr
 	for _, st := range tx.verts {
-		// An aborted write release bumps the primary's version without
-		// changing content; lockstep followers track the bump so they keep
-		// serving reads (read releases don't bump, so lockUpgrade is exempt).
-		bump := st.lock == lockWrite && !st.isNew && st.v != nil && len(st.v.Replicas) > 0
-		tx.unlockState(st)
-		if bump {
-			tx.eng.bumpMirrors(tx.rank, st.v, st.lockVer)
-		}
 		if st.isNew {
-			tx.eng.store.ReleaseBlock(tx.rank, st.primary)
+			fresh = append(fresh, st.primary)
+		} else if st.lock == lockWrite && len(st.v.Replicas) > 0 {
+			bump = append(bump, st)
 		}
+	}
+	tx.releaseLocks(locks.StubKeep)
+	for _, st := range bump {
+		tx.eng.bumpMirrors(tx.rank, st.v, st.lockVer)
+	}
+	for _, dp := range fresh {
+		tx.eng.store.ReleaseBlock(tx.rank, dp)
 	}
 	for _, es := range tx.edges {
 		if es.isNew {
@@ -589,6 +490,42 @@ func (tx *Tx) abortLocked() {
 		}
 	}
 	tx.close()
+}
+
+// releaseLocks is the one release path of Commit and Abort: every word the
+// transaction holds drops, the write-held ones — its vertices and the stubs
+// its deletions locked, whose stub bit is published as stub asks — as one
+// marked train per owner rank, then the read-held ones as one train per
+// owner rank. Each train is seeded with the versions the words are held at,
+// so it converges in one round per rank.
+func (tx *Tx) releaseLocks(stub locks.StubMark) {
+	var wWords, rWords []locks.Word
+	var wVers, rVers []uint64
+	for _, st := range tx.verts {
+		switch st.lock {
+		case lockWrite:
+			wWords = append(wWords, tx.eng.lockWordOf(st.primary))
+			wVers = append(wVers, st.lockVer)
+		case lockRead, lockUpgrade: // an upgrade not yet granted holds a read lock
+			rWords = append(rWords, tx.eng.lockWordOf(st.primary))
+			rVers = append(rVers, st.ver)
+		default:
+			continue
+		}
+		st.lock = lockNone
+	}
+	var marks []locks.StubMark // nil: every stub bit is kept
+	if len(tx.stubWords) > 0 {
+		marks = make([]locks.StubMark, len(wWords), len(wWords)+len(tx.stubWords))
+		for range tx.stubWords {
+			marks = append(marks, stub)
+		}
+		wWords = append(wWords, tx.stubWords...)
+		wVers = append(wVers, tx.stubVers...)
+		tx.stubWords, tx.stubVers = nil, nil
+	}
+	locks.ReleaseWriteTrainMarked(tx.rank, wWords, wVers, marks)
+	locks.ReleaseReadTrainAt(tx.rank, rWords, rVers)
 }
 
 // close marks the transaction finished and lets go of its frontier arena: a

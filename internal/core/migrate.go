@@ -27,8 +27,10 @@ import (
 //
 // The exclusive lock on P serializes migration against every writer and
 // locking reader of the vertex, and against DHT inserts and deletes of its
-// key, which only happen under the same lock. Optimistic readers need no
-// locks: their version validation rejects anything that raced the move.
+// key, which only happen under the same lock: a commit reserves a new
+// vertex's entry after its lock train and retracts a deleted vertex's before
+// its release. Optimistic readers need no locks: their version validation
+// rejects anything that raced the move.
 
 // migCand tracks one move through the phases of a migration train.
 type migCand struct {

@@ -106,6 +106,8 @@ type Tx struct {
 	optReads  []optRead                   // optimistic tier: the read set Commit revalidates
 	moved     map[fabric.DPtr]fabric.DPtr // migration aliases chased: old -> new primary
 	frontier  *frontierScratch            // ExpandFrontier's arena, from the first expansion until close
+	stubWords []locks.Word                // stubs a deletion retires, held from the commit lock train to the release
+	stubVers  []uint64                    // their versions
 	critical  error                       // sticky transaction-critical failure
 	closed    bool
 }
