@@ -208,60 +208,40 @@ func (tx *Tx) Commit() error {
 	// competing mirror train can race; a mark that fails means the follower
 	// fell out of lockstep (reseed raced, earlier fan-out died) and that
 	// group is skipped and its directory entry dropped — the commit itself
-	// never blocks on a follower. Marked groups get the new content through
-	// the same group-committer train as the primary blocks below and are
-	// released to the primary's new version after the primary's own release:
+	// never blocks on a follower. Its stale listing in the primary's group
+	// table is harmless: every later fan-out fails the same CAS and drops it
+	// again. Marked groups get the new content through the same
+	// group-committer train as the primary blocks below and are released to
+	// the primary's new version after the primary's own release:
 	// primary-then-follower order end to end.
-	type fanRef struct {
-		w     int
-		group []fabric.DPtr
-	}
-	fanHeld := make(map[int][][]fabric.DPtr) // write-set index → marked groups
-	var mirWords [][]locks.Word              // per follower rank, for release
-	var mirVers [][]uint64
-	byRank := make(map[fabric.Rank][]fanRef)
-	for i, w := range ws {
+	var fanWords []locks.Word
+	var fanVers []uint64
+	for _, w := range ws {
 		for _, g := range w.fan {
-			if len(g) == 0 {
-				continue
-			}
-			fr := g[0].Rank()
-			if tx.eng.isDead(fr) {
-				tx.eng.replicaDrops.Add(1)
-				continue
-			}
-			byRank[fr] = append(byRank[fr], fanRef{w: i, group: g})
+			fanWords, fanVers = append(fanWords, tx.eng.lockWordOf(g[0])), append(fanVers, w.vs.lockVer)
 		}
 	}
-	for fr, refs := range byRank {
-		words := make([]locks.Word, len(refs))
-		vers := make([]uint64, len(refs))
-		for i, ref := range refs {
-			words[i] = tx.eng.lockWordOf(ref.group[0])
-			vers[i] = ws[ref.w].vs.lockVer
-		}
-		var held []bool
-		if !runIsolated(func() { held = locks.AcquireMirrorTrain(tx.rank, words, vers) }) {
-			tx.eng.replicaDrops.Add(int64(len(refs)))
-			continue
-		}
-		hw, hv, _ := splitHeld(words, vers, held)
-		for i, ref := range refs {
-			if held[i] {
-				fanHeld[ref.w] = append(fanHeld[ref.w], ref.group)
+	marked := tx.eng.markFollowers(tx.rank, fanWords, fanVers)
+	var mirWords []locks.Word // the marked follower words, for the release
+	var mirVers []uint64
+	at := 0
+	for i := range ws {
+		w := &ws[i]
+		var kept [][]fabric.DPtr
+		for _, g := range w.fan {
+			if marked[at] {
+				kept = append(kept, g)
+				mirWords, mirVers = append(mirWords, fanWords[at]), append(mirVers, fanVers[at])
 			} else {
-				// Out of lockstep: retire the copy. Its stale listing in
-				// the primary's group table is harmless — every later
-				// fan-out fails the same CAS and drops it again.
-				pr := ws[ref.w].head
-				runIsolated(func() { tx.eng.replDirDrop(tx.rank, fr, pr) })
+				// Out of lockstep, or on a dead rank: retire the copy.
+				if fr, pr := g[0].Rank(), w.head; !tx.eng.isDead(fr) {
+					runIsolated(func() { tx.eng.replDirDrop(tx.rank, fr, pr) })
+				}
 				tx.eng.replicaDrops.Add(1)
 			}
+			at++
 		}
-		if len(hw) > 0 {
-			mirWords = append(mirWords, hw)
-			mirVers = append(mirVers, hv)
-		}
+		w.fan = kept
 	}
 
 	// Apply, write-back: every rewrite with its follower fan-out, every
@@ -273,9 +253,9 @@ func (tx *Tx) Commit() error {
 	// which flushes it — merged with any concurrently committing
 	// transactions of this rank — as one vectored PUT train per owner rank.
 	var wb writeList
-	for i, w := range ws {
+	for _, w := range ws {
 		if w.stream != nil {
-			wb.appendChainWrites(w.stream, w.blocks, fanHeld[i], bs)
+			wb.appendChainWrites(w.stream, w.blocks, w.fan, bs)
 		} else if w.poison {
 			wb.put(w.head, make([]byte, holder.HeaderSize))
 		}
@@ -352,10 +332,7 @@ func (tx *Tx) Commit() error {
 	// stay marked and promotion's steal path (or a reseed) reclaims them.
 	tx.eng.fab.FlushAll(tx.rank)
 	tx.releaseLocks(locks.StubClear)
-	for i := range mirWords {
-		w, v := mirWords[i], mirVers[i]
-		runIsolated(func() { locks.ReleaseMirrorTrain(tx.rank, w, v) })
-	}
+	tx.eng.releaseFollowers(tx.rank, mirWords, mirVers)
 
 	// Free: the excess blocks of reshaped chains and the whole chains of
 	// deleted holders go back to their pools only now, so a recycler of a

@@ -32,35 +32,6 @@ import (
 // its release. Optimistic readers need no locks: their version validation
 // rejects anything that raced the move.
 
-// migCand tracks one move through the phases of a migration train.
-type migCand struct {
-	mv       MigrationMove
-	word     locks.Word // old primary's lock word
-	ver      uint64     // its version while held
-	old      chainItem  // the old chain, read under the lock
-	v        *holder.Vertex
-	dst      fabric.DPtr   // new primary on the destination rank
-	homeDst  bool          // dst is a former home: the move overwrites its stub
-	fresh    []fabric.DPtr // destination blocks acquired for the move (rollback list)
-	secWords []locks.Word  // dst word + stub words of the other homes
-	secVers  []uint64
-	chain    []fabric.DPtr // the new chain, dst first
-	stream   []byte
-	ok       bool
-}
-
-// skipMove drops a candidate after its primary was locked. That lock is
-// already queued on the release train, so only the candidate's own state —
-// secondary locks, destination blocks — is rolled back.
-func (e *Engine) skipMove(me fabric.Rank, c *migCand) {
-	e.migSkips.Add(1)
-	locks.ReleaseWriteTrain(me, c.secWords, c.secVers)
-	for _, dp := range c.fresh {
-		e.store.ReleaseBlock(me, dp)
-	}
-	c.secWords, c.secVers, c.fresh, c.ok = nil, nil, nil, false
-}
-
 // MigrateVertices executes one batched migration train: every move must have
 // Dest == me. The train write-locks the old primaries with one best-effort
 // vectored CAS train (busy vertices are skipped, not retried forever), reads
@@ -70,251 +41,171 @@ func (e *Engine) skipMove(me fabric.Rank, c *migCand) {
 // locks as one train. It returns how many vertices actually moved; skipped
 // moves are counted on the engine (MigrationSkips).
 func (e *Engine) MigrateVertices(me fabric.Rank, moves []MigrationMove) (int, error) {
-	// Candidates: structurally valid moves targeting this rank.
-	cands := make([]*migCand, 0, len(moves))
+	// A vertex on a dead rank cannot be read: skip it before the lock train.
+	ms := make([]*chainMove, 0, len(moves))
 	for _, mv := range moves {
 		if mv.Dest != me {
 			return 0, fmt.Errorf("core: migration move of vertex %d targets rank %d, executed on %d",
 				mv.App, mv.Dest, me)
 		}
-		if !e.validPoolDPtr(mv.Old) || mv.Old.Rank() == me {
-			e.migSkips.Add(1)
-			continue
+		if e.validPoolDPtr(mv.Old) && mv.Old.Rank() != me && !e.isDead(mv.Old.Rank()) {
+			ms = append(ms, &chainMove{head: mv.Old, app: mv.App, word: e.lockWordOf(mv.Old)})
 		}
-		cands = append(cands, &migCand{mv: mv, word: e.lockWordOf(mv.Old)})
 	}
-	if len(cands) == 0 {
+	if len(ms) == 0 {
+		e.migSkips.Add(int64(len(moves)))
 		return 0, nil
 	}
 
-	// The whole train runs under the HTAP commit gate (read mode, like a
-	// commit's apply phase): a cut must never stamp shards while copies,
-	// stubs, and index swings have partially landed. Migration emits no
-	// delta records — it changes primary DPtrs, which the incremental fold
-	// detects as vertex-set drift and answers with a full rebuild. The body
-	// has no barriers, so gate holders never wait on other ranks.
+	// The HTAP commit gate, read mode: a cut never stamps shards mid-move.
+	// No delta records: the incremental fold sees the moved primaries as
+	// vertex-set drift and rebuilds. No barriers, so holders never wait.
 	if e.snap != nil {
 		e.htapGate.RLock()
 		defer e.htapGate.RUnlock()
 	}
 
-	// Phase 1: best-effort exclusive lock train over the old primaries.
-	// A contended vertex is skipped this round — migration is background
-	// work and must not stall behind a hot lock.
-	train := make([]locks.TrainLock, len(cands))
-	for i, c := range cands {
-		train[i] = locks.TrainLock{Word: c.word}
+	// Lock and read the old primaries. A poisoned, forwarded or recycled
+	// block, or an index entry naming another placement, means the plan
+	// went stale between planning and locking.
+	ms = e.lockMoves(me, ms)
+	apps := make([]uint64, len(ms))
+	for i, m := range ms {
+		apps[i] = m.app
 	}
-	vers, held := locks.AcquireWriteTrainEach(me, train, e.cfg.LockTries)
-	live := cands[:0]
-	relWords := make([]locks.Word, 0, len(cands)) // every held word, released at the end
-	relVers := make([]uint64, 0, len(cands))
-	for i, c := range cands {
-		if !held[i] {
-			e.migSkips.Add(1)
-			continue
-		}
-		c.ver = vers[i]
-		relWords = append(relWords, c.word)
-		relVers = append(relVers, c.ver)
-		live = append(live, c)
-	}
+	indexed, found := e.lookupVertices(me, apps)
+	e.readMoves(me, ms, isVertexHead, func(i int) bool { return found[i] && indexed[i] == ms[i].head })
+	e.lockMoveTargets(me, ms)
 
-	// Phase 2: read the old chains, batched. A poisoned (deleted), forwarded
-	// (already migrated) or recycled block means the plan went stale between
-	// planning and locking.
-	heads := make([]fabric.DPtr, len(live))
-	for i, c := range live {
-		heads[i] = c.mv.Old
-	}
-	for i, it := range e.readChains(me, heads, isVertexHead) {
-		c := live[i]
-		c.old, c.ok = it, it.verdict == readOK
-		if !c.ok {
-			e.skipMove(me, c)
-		}
-	}
-
-	// Phase 3: decode, confirm identity, pick the destination, and lock the
-	// secondary words.
-	replSkip := e.lockMoveTargets(me, live)
-
-	// Phase 4: re-encode with the updated home list (the old primary joins
-	// it) and lay the stream out over the destination chain.
-	bs := e.cfg.BlockSize
-	for _, c := range live {
-		if !c.ok {
-			continue
-		}
-		c.v.Homes = append(slices.DeleteFunc(c.v.Homes, func(h fabric.DPtr) bool { return h == c.dst }), c.mv.Old)
-		c.stream = holder.EncodeVertex(c.v, bs)
-		var err error
-		if c.chain, _, err = e.layoutChain(me, me, c.stream, []fabric.DPtr{c.dst}, &c.fresh); err != nil {
-			e.skipMove(me, c)
-		}
-	}
-
-	// Phase 5: publish — the new chains plus a forwarding stub at every
-	// vacated block (Homes now lists them all) go out as one vectored PUT
-	// train per owner rank. The content lands before any pointer to it is
-	// readable: the destination words are still write-held, and the DHT
-	// swing below happens after the writes. The release marks every word
-	// whose block now holds a stub, and clears the mark of a former home the
-	// vertex moves back into; a skipped move's words keep theirs.
+	// Transform and publish: the destination leaves the home list and the
+	// old primary joins it; the new chains plus a forwarding stub at every
+	// vacated block go out as one PUT train per owner rank, before the DHT
+	// swing makes them reachable. The release sets the stub bit of every
+	// word whose block now holds a stub and clears it on a home the vertex
+	// moves back into.
 	var w writeList
 	marks := make(map[locks.Word]locks.StubMark)
-	for _, c := range live {
-		if !c.ok {
+	for _, m := range ms {
+		if m.dropped {
 			continue
 		}
-		w.appendChainWrites(c.stream, c.chain, nil, bs)
+		dst := m.chain[0]
+		homeDst := slices.Contains(m.v.Homes, dst)
+		m.v.Homes = append(slices.DeleteFunc(m.v.Homes, func(h fabric.DPtr) bool { return h == dst }), m.head)
+		stream := holder.EncodeVertex(m.v, e.cfg.BlockSize)
+		var err error
+		if m.chain, _, err = e.layoutChain(me, me, stream, m.chain, &m.fresh); err != nil {
+			e.rollback(me, m)
+			continue
+		}
+		w.appendChainWrites(stream, m.chain, nil, e.cfg.BlockSize)
 		// One stub buffer serves every vacated home: the batch only reads it.
-		stub := holder.EncodeMoved(c.mv.App, c.dst, bs)
-		for _, h := range c.v.Homes {
+		stub := holder.EncodeMoved(m.app, dst, e.cfg.BlockSize)
+		for _, h := range m.v.Homes {
 			w.put(h, stub)
 			marks[e.lockWordOf(h)] = locks.StubSet
 		}
-		if c.homeDst {
-			marks[e.lockWordOf(c.dst)] = locks.StubClear
+		if homeDst {
+			marks[e.lockWordOf(dst)] = locks.StubClear
 		}
+		m.tail = m.old[1:] // the old primary and the other homes stay allocated as stubs
 	}
 	e.store.WriteBlocksBatch(me, w.dps, w.data)
 
-	// Phase 6: swing the DHT entries and move the explicit-index postings.
-	migrated, fatal := e.swingMoves(me, live)
-
-	// Phase 7: release every lock (bumping versions — the invalidation
-	// broadcast), then retire the vacated continuation blocks. The old
-	// primary and the other home blocks stay allocated as stubs.
-	for _, c := range live {
-		relWords = append(relWords, c.secWords...)
-		relVers = append(relVers, c.secVers...)
-	}
-	relMarks := make([]locks.StubMark, len(relWords))
-	for i, w := range relWords {
-		relMarks[i] = marks[w]
-	}
-	locks.ReleaseWriteTrainMarked(me, relWords, relVers, relMarks)
-	for _, c := range replSkip {
-		e.bumpMirrors(me, c.v, c.ver)
-	}
-	for _, c := range live {
-		if !c.ok { // skipped, or not swung on the fatal path
-			continue
-		}
-		for _, dp := range c.old.chain()[1:] {
-			e.store.ReleaseBlock(me, dp)
-		}
-	}
+	// Swing the index, release (the version bumps invalidate every copy).
+	migrated, fatal := e.swingMoves(me, ms)
+	e.releaseMoves(me, ms, marks)
 	e.fab.FlushAll(me)
 	e.migrations.Add(int64(migrated))
+	e.migSkips.Add(int64(len(moves) - migrated))
 	return migrated, fatal
 }
 
-// swingMoves is phase 6 of a migration train: it CAS-swings each published
-// move's DHT entry from the old primary to the new one and moves the
-// explicit-index postings. It returns how many vertices moved.
-func (e *Engine) swingMoves(me fabric.Rank, live []*migCand) (migrated int, fatal error) {
-	for _, c := range live {
-		if !c.ok {
+// swingMoves CAS-swings each published move's DHT entry from the old primary
+// to the new one and moves the explicit-index postings. It returns how many
+// vertices moved.
+func (e *Engine) swingMoves(me fabric.Rank, ms []*chainMove) (migrated int, fatal error) {
+	for _, m := range ms {
+		if m.dropped {
 			continue
 		}
-		if fatal != nil {
-			c.ok = false // not swung; its vacated chain must not be freed
-			continue
-		}
-		if !e.index.Replace(me, c.mv.App, uint64(c.mv.Old), uint64(c.dst)) {
+		if fatal == nil && !e.index.Replace(me, m.app, uint64(m.head), uint64(m.chain[0])) {
 			// Unreachable while we hold the vertex's exclusive lock (the
 			// index entry only changes under it); fail loudly if violated —
-			// after the caller's release and block-retire phases, so neither
-			// locks nor the already-migrated candidates' blocks leak.
-			fatal = fmt.Errorf("core: DHT entry of vertex %d changed under its migration lock", c.mv.App)
-			c.ok = false
+			// after the caller's release, so no lock leaks.
+			fatal = fmt.Errorf("core: DHT entry of vertex %d changed under its migration lock", m.app)
+		}
+		if fatal != nil {
+			m.dropped = true // not swung: its vacated chain must not be freed
 			continue
 		}
-		e.idxRemoveVertex(me, c.mv.Old, c.v.Labels)
-		e.local[me].addVertex(c.dst, c.v.AppID, c.v.Labels)
+		e.idxRemoveVertex(me, m.head, m.v.Labels)
+		e.local[me].addVertex(m.chain[0], m.app, m.v.Labels)
 		migrated++
 	}
 	return migrated, fatal
 }
 
-// lockMoveTargets is phase 3 of a migration train: it decodes each read
-// chain, confirms the vertex's identity against the chain and the index,
-// picks the destination primary (the former home on this rank if there is
-// one — the ABA path — else a fresh block), and write-locks the destination
-// word plus every other home's stub word with one best-effort train. A
-// candidate missing any of its secondary words is skipped. It returns the
-// replicated candidates it skipped, whose followers must track the release
-// bump of their primary.
-func (e *Engine) lockMoveTargets(me fabric.Rank, live []*migCand) (replSkip []*migCand) {
-	apps := make([]uint64, len(live))
-	for i, c := range live {
-		apps[i] = c.mv.App
-	}
-	indexed, found := e.lookupVertices(me, apps)
-	var secWords []locks.Word
-	for i, c := range live {
-		if !c.ok {
+// lockMoveTargets picks each identified move's destination primary — the
+// former home on this rank if there is one (the ABA path), else a fresh
+// block — and write-locks the destination word plus every other home's stub
+// word with one best-effort train. A home on a dead rank is pruned first: it
+// gets no lock and no stub. A replicated vertex, a dry pool, or a secondary
+// word not taken rolls the move back.
+func (e *Engine) lockMoveTargets(me fabric.Rank, ms []*chainMove) {
+	var words []locks.Word
+	for _, m := range ms {
+		if m.dropped {
 			continue
 		}
-		v, err := holder.DecodeVertex(c.old.buf)
-		if err != nil || v.AppID != c.mv.App || !found[i] || indexed[i] != c.mv.Old {
-			e.skipMove(me, c) // not this vertex, or the index no longer names this placement
-			continue
-		}
-		c.v = v
-		if len(v.Replicas) > 0 || v.IsReplica {
+		if len(m.v.Replicas) > 0 || m.v.IsReplica {
 			// Replicated vertices are pinned in place: moving the primary
 			// would strand every follower's lockstep version and directory
 			// key. Rebalancing one means dropping its replicas first (a
 			// commit-path reshape does that; a later seeding round restores
-			// k elsewhere).
-			replSkip = append(replSkip, c)
-			e.skipMove(me, c)
+			// k elsewhere). Its followers track the release's bump.
+			e.rollback(me, m)
 			continue
 		}
-		for _, h := range v.Homes {
-			if h.Rank() == me {
-				c.dst, c.homeDst = h, true
-				break
-			}
-		}
-		if c.dst.IsNull() {
+		m.v.Homes = e.pruneDead(m.v.Homes)
+		var dst fabric.DPtr
+		if i := slices.IndexFunc(m.v.Homes, func(h fabric.DPtr) bool { return h.Rank() == me }); i >= 0 {
+			dst = m.v.Homes[i]
+		} else {
 			dp, err := e.store.AcquireBlock(me, me)
 			if err != nil {
-				e.skipMove(me, c)
+				e.rollback(me, m)
 				continue
 			}
-			c.dst, c.fresh = dp, []fabric.DPtr{dp}
+			dst, m.fresh = dp, []fabric.DPtr{dp}
 		}
-		c.secWords = []locks.Word{e.lockWordOf(c.dst)}
-		for _, h := range v.Homes {
-			if h != c.dst {
-				c.secWords = append(c.secWords, e.lockWordOf(h))
+		m.chain = []fabric.DPtr{dst}
+		lo := len(words)
+		words = append(words, e.lockWordOf(dst))
+		for _, h := range m.v.Homes {
+			if h != dst {
+				words = append(words, e.lockWordOf(h))
 			}
 		}
-		secWords = append(secWords, c.secWords...)
+		m.sec = words[lo:len(words):len(words)] // wanted; the train below takes them
 	}
-	secTrain := make([]locks.TrainLock, len(secWords))
-	for i, w := range secWords {
-		secTrain[i] = locks.TrainLock{Word: w}
+	train := make([]locks.TrainLock, len(words))
+	for i, w := range words {
+		train[i] = locks.TrainLock{Word: w}
 	}
-	secVers, secHeld := locks.AcquireWriteTrainEach(me, secTrain, e.cfg.LockTries)
+	vers, held := locks.AcquireWriteTrainEach(me, train, e.cfg.LockTries)
 	at := 0
-	for _, c := range live {
-		if !c.ok {
+	for _, m := range ms {
+		if m.dropped {
 			continue
 		}
 		lo := at
-		at += len(c.secWords)
+		at += len(m.sec)
 		var all bool
-		c.secWords, c.secVers, all = splitHeld(secWords[lo:at], secVers[lo:at], secHeld[lo:at])
-		if !all {
-			e.skipMove(me, c) // releases the subset it did get
+		if m.sec, m.secVers, all = splitHeld(words[lo:at], vers[lo:at], held[lo:at]); !all {
+			e.rollback(me, m) // releases the subset it did get
 		}
 	}
-	return replSkip
 }
 
 // Rebalance's sizing.

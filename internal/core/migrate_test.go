@@ -539,3 +539,61 @@ func TestRebalanceIgnoresStaleOwnerHeat(t *testing.T) {
 		}
 	}
 }
+
+// TestMigrateAroundDeadRank: a migration never touches a dead rank's blocks.
+// A vertex whose primary is on a dead rank is skipped before the lock train,
+// so its lock word stays free; a former home on a dead rank is pruned from
+// the vertex's homes and gets no stub, and the move completes. In both cases
+// a later read-write transaction on the vertex commits.
+func TestMigrateAroundDeadRank(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// kill sets the vertex up, kills a rank and returns the rank a later
+		// transaction runs on.
+		kill  func(t *testing.T, f *rma.Fabric, e *Engine) rma.Rank
+		moved int
+	}{
+		{"dead-primary", func(t *testing.T, f *rma.Fabric, e *Engine) rma.Rank {
+			f.KillRank(1)
+			return 1 // a dead rank still reaches its own memory
+		}, 0},
+		{"dead-home", func(t *testing.T, f *rma.Fabric, e *Engine) rma.Rank {
+			mustMigrate(t, e, 1, 0) // the vertex's home on rank 1 is a stub now
+			f.KillRank(1)
+			return 0
+		}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := rma.New(3)
+			e := NewEngine(f, Config{BlockSize: 64, BlocksPerRank: 1 << 12, LockTries: 256})
+			pt := payloadPType(t, e)
+			seedPayloadVertex(t, e, 1, pt, 16) // several 64 B blocks on rank 1
+			writer := tc.kill(t, f, e)
+			skips := e.MigrationSkips()
+
+			var n int
+			var err error
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("migration panicked: %v", r)
+					}
+				}()
+				n, err = e.MigrateVertices(2, []MigrationMove{moveOf(t, e, 1, 2)})
+			}()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != tc.moved {
+				t.Fatalf("migrated %d vertices, want %d", n, tc.moved)
+			}
+			if got := e.MigrationSkips() - skips; got != int64(1-tc.moved) {
+				t.Fatalf("MigrationSkips moved by %d, want %d", got, 1-tc.moved)
+			}
+			writeSeq(t, e, writer, 1, 7, pt, 16)
+			if seq := readSeq(t, e, writer, 1, pt); seq != 7 {
+				t.Fatalf("read %d after the write, want 7", seq)
+			}
+		})
+	}
+}

@@ -8,15 +8,39 @@ import (
 	"github.com/gdi-go/gdi/internal/locks"
 )
 
-// The chain mover: the steps every writer that moves or rewrites a holder
+// The chain mover: the record and the steps every writer that moves a holder
 // chain shares. Migration, replica seeding and failover promotion run all of
-// them — lock, read the chain (readChains, in read.go), transform the
-// decoded vertex, lay the new stream out over blocks (layoutChain), queue the
-// chain plus its follower copies on one write train (appendChainWrites),
-// publish, release.
-// Commit write-back and the bulk loaders use the layout and write steps.
-// ARCHITECTURE.md, "Life of a chain move", walks through them and lists what
-// each caller supplies.
+// them — lock (lockMoves), read and identify (readMoves, over readChains in
+// read.go), transform the decoded vertex, lay the new stream out over blocks
+// (layoutChain), mark the followers (markFollowers), queue the chain plus its
+// follower copies on one write train (appendChainWrites), publish, release
+// in lockstep order (releaseMoves) — and give a move up with one rollback.
+// Commit write-back and the bulk loaders use the layout and write steps, and
+// Commit's fan-out the follower lockstep pair. ARCHITECTURE.md, "Life of a
+// chain move", walks through them and lists what each caller supplies.
+
+// chainMove is one holder chain on its way through the mover.
+type chainMove struct {
+	head fabric.DPtr // the chain's head block, whose word the move holds
+	app  uint64      // the vertex the caller expects there
+	word locks.Word  // the held word: a write lock, or a stolen mark
+	ver  uint64      // its version while held
+	// stolen: word carries the mark of a committer that died mid-fan-out,
+	// which the move owns without a lock train; the release stores it free.
+	stolen  bool
+	v       *holder.Vertex // the decoded vertex, once identified
+	old     []fabric.DPtr  // the chain as read, head first
+	chain   []fabric.DPtr  // the new chain, head first
+	fresh   []fabric.DPtr  // blocks acquired for the move: the rollback list
+	tail    []fabric.DPtr  // blocks freed once the move is released
+	sec     []locks.Word   // secondary words write-held, and their versions
+	secVers []uint64
+	mirrors []locks.Word // follower words marked at ver
+	seed    locks.Word   // a fresh follower word that enters lockstep (Win nil: none)
+	// dropped: the move was given up, so its content did not change (or, on
+	// migration's fatal path, its index did not swing) and its tail stays.
+	dropped bool
+}
 
 // lockWordOf addresses dp's per-block reader-writer lock word.
 func (e *Engine) lockWordOf(dp fabric.DPtr) locks.Word {
@@ -122,4 +146,199 @@ func splitHeld(words []locks.Word, vers []uint64, held []bool) (hw []locks.Word,
 		hv = append(hv, vers[i])
 	}
 	return hw, hv, all
+}
+
+// lockMoves takes the word of every move with one best-effort write-lock
+// train, seeded with the version the caller saw (m.ver), and returns the
+// moves it took, each with the version it was taken at. A busy word is not
+// waited for: background work skips the vertex and retries on a later round.
+func (e *Engine) lockMoves(origin fabric.Rank, ms []*chainMove) []*chainMove {
+	train := make([]locks.TrainLock, len(ms))
+	for i, m := range ms {
+		train[i] = locks.TrainLock{Word: m.word, Ver: m.ver}
+	}
+	vers, held := locks.AcquireWriteTrainEach(origin, train, e.cfg.LockTries)
+	taken := ms[:0]
+	for i, m := range ms {
+		if held[i] {
+			m.ver = vers[i]
+			taken = append(taken, m)
+		}
+	}
+	return taken
+}
+
+// readMoves reads the chain of every move under its held word with one
+// readChains batch and identifies it: the reader must accept the chain and
+// want its head, the stream must decode to vertex m.app, and placed, when
+// not nil, must confirm the caller's index names this chain. An identified
+// move records its vertex and chain; any other is rolled back.
+func (e *Engine) readMoves(origin fabric.Rank, ms []*chainMove, want func(head []byte) bool, placed func(i int) bool) {
+	heads := make([]fabric.DPtr, len(ms))
+	for i, m := range ms {
+		heads[i] = m.head
+	}
+	for i, it := range e.readChains(origin, heads, want) {
+		m := ms[i]
+		v, err := (*holder.Vertex)(nil), ErrNotFound
+		if it.verdict == readOK {
+			v, err = holder.DecodeVertex(it.buf)
+		}
+		if err != nil || v.AppID != m.app || placed != nil && !placed(i) {
+			e.rollback(origin, m)
+			continue
+		}
+		m.v, m.old = v, it.chain()
+	}
+}
+
+// rollback gives a move up before it publishes: the blocks it acquired go
+// back to the pool and its secondary words drop unchanged. Its held word and
+// its marks wait for releaseMoves, which also makes its other followers
+// track the held word's bump.
+func (e *Engine) rollback(origin fabric.Rank, m *chainMove) {
+	for _, dp := range m.fresh {
+		e.store.ReleaseBlock(origin, dp)
+	}
+	locks.ReleaseWriteTrain(origin, m.sec, m.secVers)
+	m.fresh, m.sec, m.secVers, m.tail, m.dropped = nil, nil, nil, nil, true
+}
+
+// releaseMoves ends moves in lockstep order. Every held word and every
+// secondary word drops as one train per owner rank, publishing the stub bit
+// marks asks for (nil keeps every bit); the marked follower words then move
+// to their primary's new version; then each stolen word and each fresh
+// follower word is stored free at it. A published move then frees its tail;
+// a dropped one changed no content, so its identified vertex's other
+// followers track the bump.
+func (e *Engine) releaseMoves(origin fabric.Rank, ms []*chainMove, marks map[locks.Word]locks.StubMark) {
+	var words, mirrors []locks.Word
+	var vers, mirVers []uint64
+	for _, m := range ms {
+		if !m.stolen {
+			words, vers = append(words, m.word), append(vers, m.ver)
+		}
+		words, vers = append(words, m.sec...), append(vers, m.secVers...)
+		for _, w := range m.mirrors {
+			mirrors, mirVers = append(mirrors, w), append(mirVers, m.ver)
+		}
+	}
+	stubs := make([]locks.StubMark, len(words))
+	for i, w := range words {
+		stubs[i] = marks[w]
+	}
+	locks.ReleaseWriteTrainMarked(origin, words, vers, stubs)
+	e.releaseFollowers(origin, mirrors, mirVers)
+	for _, m := range ms {
+		if m.stolen {
+			locks.SeedMirrorWord(origin, m.word, m.ver)
+		}
+		if m.seed.Win != nil {
+			locks.SeedMirrorWord(origin, m.seed, m.ver)
+		}
+		if m.dropped {
+			if m.v != nil {
+				e.bumpMirrors(origin, m.v, m.ver, m.mirrors...)
+			}
+			continue
+		}
+		for _, dp := range m.tail {
+			runIsolated(func() { e.store.ReleaseBlock(origin, dp) })
+		}
+	}
+}
+
+// pruneDead drops, in place, the placements that live on dead ranks: a dead
+// rank's blocks get no lock, no stub and no copy.
+func (e *Engine) pruneDead(dps []fabric.DPtr) []fabric.DPtr {
+	return slices.DeleteFunc(dps, func(dp fabric.DPtr) bool { return e.isDead(dp.Rank()) })
+}
+
+// Follower lockstep: a writer that rewrites a replicated chain marks the
+// follower words (markFollowers) and, once the primary is released, moves
+// them to its new version (releaseFollowers); a release that changed no
+// content makes them track the bump (bumpMirrors). Each runs one mirror
+// train per live follower rank under runIsolated, so a dead follower rank
+// costs only its own words.
+
+// markFollowers mirror-marks follower words, each expected free at the
+// version in vers, and reports which it marked, aligned with words. A word
+// not marked is out of lockstep, or its rank is dead.
+func (e *Engine) markFollowers(origin fabric.Rank, words []locks.Word, vers []uint64) []bool {
+	return e.followerTrains(origin, words, vers, locks.AcquireMirrorTrain)
+}
+
+// markGroups mirror-marks the head word of each follower group at m's
+// version, records the marks on m for its release, and returns the groups
+// it marked.
+func (e *Engine) markGroups(origin fabric.Rank, m *chainMove, groups [][]fabric.DPtr) (marked [][]fabric.DPtr) {
+	words := make([]locks.Word, len(groups))
+	vers := make([]uint64, len(groups))
+	for i, g := range groups {
+		words[i], vers[i] = e.lockWordOf(g[0]), m.ver
+	}
+	for i, ok := range e.markFollowers(origin, words, vers) {
+		if ok {
+			marked = append(marked, groups[i])
+			m.mirrors = append(m.mirrors, words[i])
+		}
+	}
+	return marked
+}
+
+// releaseFollowers moves follower words marked at vers to vers+1, after
+// their primaries' release.
+func (e *Engine) releaseFollowers(origin fabric.Rank, words []locks.Word, vers []uint64) {
+	e.followerTrains(origin, words, vers, func(origin fabric.Rank, words []locks.Word, vers []uint64) []bool {
+		locks.ReleaseMirrorTrain(origin, words, vers)
+		return nil
+	})
+}
+
+// bumpMirrors keeps followers in lockstep across a content-preserving write
+// release — an abort, a skipped migration, a bailed seed. The primary's
+// release bumped its version without changing content, so the head word of
+// every follower group of v but the marked ones (their mirror release moves
+// them) tracks the bump: free@ver → free@ver+1, best effort. Called after
+// the primary's release; a follower already out of lockstep is left alone.
+func (e *Engine) bumpMirrors(origin fabric.Rank, v *holder.Vertex, ver uint64, marked ...locks.Word) {
+	var words []locks.Word
+	var vers []uint64
+	for _, g := range v.Replicas {
+		if len(g) > 0 && !slices.Contains(marked, e.lockWordOf(g[0])) {
+			words, vers = append(words, e.lockWordOf(g[0])), append(vers, ver)
+		}
+	}
+	e.followerTrains(origin, words, vers, func(origin fabric.Rank, words []locks.Word, vers []uint64) []bool {
+		locks.BumpMirrorTrain(origin, words, vers)
+		return nil
+	})
+}
+
+// followerTrains runs train once per live follower rank over the words that
+// rank owns, under runIsolated, and reports, aligned with words, which of
+// them train swapped: none on a rank that is dead or died during its train,
+// all where train reports nothing.
+func (e *Engine) followerTrains(origin fabric.Rank, words []locks.Word, vers []uint64,
+	train func(origin fabric.Rank, words []locks.Word, vers []uint64) []bool) []bool {
+	if len(words) == 0 {
+		return nil
+	}
+	done := make([]bool, len(words))
+	byRank := make(map[fabric.Rank][]int)
+	for i, w := range words {
+		byRank[w.Target] = append(byRank[w.Target], i)
+	}
+	for fr, at := range byRank {
+		ws, vs := make([]locks.Word, len(at)), make([]uint64, len(at))
+		for j, i := range at {
+			ws[j], vs[j] = words[i], vers[i]
+		}
+		var swapped []bool
+		live := !e.isDead(fr) && runIsolated(func() { swapped = train(origin, ws, vs) })
+		for j, i := range at {
+			done[i] = live && (swapped == nil || swapped[j])
+		}
+	}
+	return done
 }

@@ -192,36 +192,6 @@ func (e *Engine) listVertices(origin, src fabric.Rank) []promoteItem {
 	return out
 }
 
-// bumpMirrors keeps followers in lockstep across a content-preserving write
-// release — an abort, a skipped migration, a bailed seed. The primary's
-// release bumped its version without changing content, so each follower word
-// just tracks the bump (free@ver → free@ver+1) with one best-effort CAS
-// train per follower rank. Called after the primary's release; a follower
-// already out of lockstep, or on a dead rank, is left alone.
-func (e *Engine) bumpMirrors(origin fabric.Rank, v *holder.Vertex, ver uint64) {
-	if v == nil || len(v.Replicas) == 0 {
-		return
-	}
-	byRank := make(map[fabric.Rank][]locks.Word)
-	for _, g := range v.Replicas {
-		if len(g) == 0 {
-			continue
-		}
-		fr := g[0].Rank()
-		if e.isDead(fr) {
-			continue
-		}
-		byRank[fr] = append(byRank[fr], e.lockWordOf(g[0]))
-	}
-	for _, words := range byRank {
-		vers := make([]uint64, len(words))
-		for i := range vers {
-			vers[i] = ver
-		}
-		runIsolated(func() { locks.BumpMirrorTrain(origin, words, vers) })
-	}
-}
-
 // ReplicateFromRank seeds follower copies on origin for every vertex of rank
 // src that has fewer than k-1 followers and none here yet. Best-effort: busy,
 // moved, already-replicated, or dead-rank vertices are skipped. Returns how
@@ -309,120 +279,81 @@ func (e *Engine) ReplicateHot(origin fabric.Rank, k, topM int) int {
 // with one vectored PUT train per rank, and the fresh follower word enters
 // lockstep at the version the primary's release bumps to.
 func (e *Engine) replicateOne(origin fabric.Rank, app uint64, primary fabric.DPtr, k int) bool {
-	if k < 2 {
-		return false
-	}
-	if primary.Rank() == origin || !e.validPoolDPtr(primary) || e.isDead(primary.Rank()) {
+	if k < 2 || primary.Rank() == origin || !e.validPoolDPtr(primary) || e.isDead(primary.Rank()) {
 		return false
 	}
 	if _, dup := e.repl[origin].lookup(primary); dup {
 		return false
 	}
-	bs := e.cfg.BlockSize
-
-	word := e.lockWordOf(primary)
-	vers, held := locks.AcquireWriteTrainEach(origin, []locks.TrainLock{{Word: word}}, e.cfg.LockTries)
-	if !held[0] {
+	ms := e.lockMoves(origin, []*chainMove{{head: primary, app: app, word: e.lockWordOf(primary)}})
+	if len(ms) == 0 {
 		return false
 	}
-	pv := vers[0]
-
-	var fresh []fabric.DPtr // rollback list for every block acquired here
-	var v *holder.Vertex
-	bail := func() bool {
-		for _, dp := range fresh {
-			e.store.ReleaseBlock(origin, dp)
-		}
-		locks.ReleaseWriteTrain(origin, []locks.Word{word}, []uint64{pv})
-		// The release bumped the primary's version without changing content;
-		// keep any existing followers in lockstep across it.
-		if v != nil {
-			e.bumpMirrors(origin, v, pv)
-		}
+	m := ms[0]
+	e.readMoves(origin, ms, isPrimaryHead, nil)
+	if !m.dropped && !e.addFollower(origin, m, k) {
+		e.rollback(origin, m)
+	}
+	e.releaseMoves(origin, ms, nil)
+	if m.dropped {
 		return false
 	}
+	// Only after the release does the directory make the copy reachable.
+	e.repl[origin].install(primary, replicaEntry{head: m.v.Replicas[len(m.v.Replicas)-1][0], app: app})
+	e.reseeds.Add(1)
+	return true
+}
 
-	buf, chain := e.readChain(origin, primary, isVertexHead)
-	if buf == nil {
-		return bail()
+// addFollower is seeding's transform and publish: it appends a follower group
+// on origin to m's vertex, grows the primary chain and every existing group
+// to the new block count, mirror-marks the existing groups and publishes
+// everything with one vectored PUT train per rank. It reports false, having
+// published nothing, when the vertex cannot take the copy.
+func (e *Engine) addFollower(origin fabric.Rank, m *chainMove, k int) bool {
+	bs, v := e.cfg.BlockSize, m.v
+	existing := len(v.Replicas)
+	if existing >= k-1 || slices.ContainsFunc(v.Replicas, func(g []fabric.DPtr) bool {
+		return len(g) == 0 || g[0].Rank() == origin || e.isDead(g[0].Rank()) // following here, corrupt, or dead
+	}) {
+		return false
 	}
-	dv, err := holder.DecodeVertex(buf)
-	if err != nil || dv.AppID != app || dv.IsReplica {
-		return bail()
-	}
-	v = dv
-	if len(v.Replicas) >= k-1 {
-		return bail()
-	}
-	for _, g := range v.Replicas {
-		if len(g) == 0 || g[0].Rank() == origin || e.isDead(g[0].Rank()) {
-			return bail() // already following here, corrupt group, or dead follower
-		}
-	}
-
 	// Fixed point with one more group, then allocate: the new group here,
 	// plus growth blocks for the primary chain and every existing group when
 	// the bigger group region pushed the holder over a block boundary.
-	existing := len(v.Replicas)
 	v.Replicas = append(v.Replicas, nil)
 	need := holder.VertexBlocks(v, bs)
-	group, _, err := e.fitChain(origin, origin, nil, need, &fresh)
+	group, _, err := e.fitChain(origin, origin, nil, need, &m.fresh)
+	if err == nil {
+		m.chain, _, err = e.fitChain(origin, m.head.Rank(), m.old, need, &m.fresh)
+	}
+	for gi := 0; err == nil && gi < existing; gi++ {
+		g := v.Replicas[gi]
+		v.Replicas[gi], _, err = e.fitChain(origin, g[0].Rank(), g, need, &m.fresh)
+	}
 	if err != nil {
-		return bail()
+		return false
 	}
-	if chain, _, err = e.fitChain(origin, primary.Rank(), chain, need, &fresh); err != nil {
-		return bail()
+	// Version monotonicity guard: the fresh follower word will be stored to
+	// ver+1. A recycled block whose word already sits above ver would rewind
+	// it — skip the vertex instead (rare: most block words sit far below a
+	// live vertex's version).
+	seed := e.lockWordOf(group[0])
+	if locks.Version(seed.Stamp(origin)) > m.ver {
+		return false
 	}
-	for gi, g := range v.Replicas[:existing] {
-		if v.Replicas[gi], _, err = e.fitChain(origin, g[0].Rank(), g, need, &fresh); err != nil {
-			return bail()
-		}
+	// Mirror-mark the existing groups: their streams are rewritten too (the
+	// group region changes with ours). A mark that fails means lockstep was
+	// already broken — leave the vertex as it was.
+	if len(e.markGroups(origin, m, v.Replicas[:existing])) < existing {
+		return false
 	}
 	v.Replicas[existing] = group
 	stream := holder.EncodeVertex(v, bs)
-	setChainTable(stream, chain)
-
-	// Version monotonicity guard: the fresh follower word will be stored to
-	// pv+1. A recycled block whose word already sits above pv would rewind
-	// it — skip the vertex instead (rare: most block words sit far below a
-	// live vertex's version).
-	headWord := e.lockWordOf(group[0])
-	if locks.Version(headWord.Stamp(origin)) > pv {
-		return bail()
-	}
-
-	// Mirror-mark the existing groups: their streams are rewritten too (the
-	// group region changes with ours). A mark that fails means lockstep was
-	// already broken — abort the seed and leave the vertex as it was.
-	gWords := make([]locks.Word, existing)
-	gVers := make([]uint64, existing)
-	for gi := range gWords {
-		gWords[gi] = e.lockWordOf(v.Replicas[gi][0])
-		gVers[gi] = pv
-	}
-	if existing > 0 {
-		marked, markedVers, all := splitHeld(gWords, gVers, locks.AcquireMirrorTrain(origin, gWords, gVers))
-		if !all {
-			locks.ReleaseMirrorTrain(origin, marked, markedVers) // to pv+1, matching bail's bump
-			return bail()
-		}
-	}
-
-	// Publish: the grown primary chain plus every follower stream, one
-	// vectored PUT train per rank.
+	setChainTable(stream, m.chain)
 	var w writeList
-	w.appendChainWrites(stream, chain, v.Replicas, bs)
+	w.appendChainWrites(stream, m.chain, v.Replicas, bs)
 	e.store.WriteBlocksBatch(origin, w.dps, w.data)
-
-	// Release in lockstep order; only then does the directory make the copy
-	// reachable.
-	locks.ReleaseWriteTrain(origin, []locks.Word{word}, []uint64{pv})
-	if existing > 0 {
-		locks.ReleaseMirrorTrain(origin, gWords, gVers)
-	}
-	locks.SeedMirrorWord(origin, headWord, pv)
-	e.repl[origin].install(primary, replicaEntry{head: group[0], app: app})
-	e.reseeds.Add(1)
+	m.seed = seed
 	return true
 }
 
@@ -453,7 +384,7 @@ func (e *Engine) PromoteDead(origin fabric.Rank) int {
 	won := 0
 	for _, it := range e.repl[origin].promotable(dead) {
 		promoted := false
-		runIsolated(func() { promoted = e.promoteOne(origin, it, dead) })
+		runIsolated(func() { promoted = e.promoteOne(origin, it) })
 		if promoted {
 			won++
 		}
@@ -463,17 +394,14 @@ func (e *Engine) PromoteDead(origin fabric.Rank) int {
 
 // promoteOne races one dead primary's followers for the vertex through the
 // DHT CAS and, on a win, rewrites this follower's chain as the new primary.
-func (e *Engine) promoteOne(origin fabric.Rank, it promoteItem, dead map[fabric.Rank]bool) bool {
-	bs := e.cfg.BlockSize
-	headWord := e.lockWordOf(it.head)
-
+func (e *Engine) promoteOne(origin fabric.Rank, it promoteItem) bool {
+	m := &chainMove{head: it.head, app: it.app, word: e.lockWordOf(it.head)}
 	// My follower word is normally free (the primary that mirror-marks it is
 	// dead). A committer that died mid-fan-out can have left it marked — and
 	// possibly the content torn — in which case the mark is stolen: nothing
 	// will ever complete that fan-out.
-	w := headWord.Stamp(origin)
-	stolen := locks.WriteHeld(w)
-	fv := locks.Version(w)
+	w := m.word.Stamp(origin)
+	m.stolen, m.ver = locks.WriteHeld(w), locks.Version(w)
 
 	cur, swapped, found := e.index.ReplaceFetch(origin, it.app, uint64(it.primary), uint64(it.head))
 	if !found {
@@ -483,126 +411,77 @@ func (e *Engine) promoteOne(origin fabric.Rank, it promoteItem, dead map[fabric.
 		return false
 	}
 	if !swapped && fabric.DPtr(cur) != it.head {
-		e.promoteLost(origin, it, fabric.DPtr(cur), headWord, stolen, fv)
+		e.promoteLost(origin, it, fabric.DPtr(cur), m.word, m.stolen, m.ver)
 		return false
 	}
 
 	// Won, or resuming an earlier win that swung the entry but died before
-	// the rewrite. Take the head word exclusively; a stolen mark already is
-	// exclusive possession.
-	if !stolen {
-		if err := headWord.TryAcquireWrite(origin, e.cfg.LockTries); err != nil {
-			return false // local contention; retry on the next PromoteDead
+	// the rewrite. Take the head word exclusively, seeded with the version
+	// just stamped; a stolen mark already is exclusive possession. Then read
+	// my chain under it. A torn half-fan-out copy fails the read, decode or
+	// identity check: the dead rank already lost the vertex's latest state
+	// mid-commit, and there is nothing to preserve.
+	ms := []*chainMove{m}
+	if !m.stolen && len(e.lockMoves(origin, ms)) == 0 {
+		return false // local contention; retry on the next PromoteDead
+	}
+	e.readMoves(origin, ms, holder.IsReplicaBlock, nil)
+	if v := m.v; v != nil {
+		// Mirror-mark the surviving sibling followers (they are rewritten
+		// below into lockstep with the new primary); prune my own group,
+		// every group on a dead rank, and any sibling that fails the mark.
+		live := slices.DeleteFunc(v.Replicas, func(g []fabric.DPtr) bool {
+			return len(g) == 0 || g[0] == it.head || e.isDead(g[0].Rank())
+		})
+		v.Replicas = e.markGroups(origin, m, live)
+		e.replicaDrops.Add(int64(len(live) - len(v.Replicas)))
+		// Re-encode as primary: replica flag cleared, the dead ranks' homes
+		// pruned. Content only shrinks, so every chain keeps its block count
+		// or splits off a tail; anything else is a corrupt copy.
+		v.IsReplica = false
+		v.Homes = e.pruneDead(v.Homes)
+		if need := holder.VertexBlocks(v, e.cfg.BlockSize); need > len(m.old) {
+			e.rollback(origin, m)
+		} else {
+			e.publishPromoted(origin, it, m, need)
 		}
-		fv = locks.Version(headWord.Stamp(origin))
 	}
-	release := func() {
-		locks.ReleaseWriteTrain(origin, []locks.Word{headWord}, []uint64{fv})
-	}
-	// abandon gives up on an unusable copy: it releases my word and any
-	// sibling marks (content unchanged, so lockstep holds) and drops the
-	// directory entry.
-	var sWords []locks.Word
-	var sVers []uint64
-	abandon := func() bool {
-		release()
-		runIsolated(func() { locks.ReleaseMirrorTrain(origin, sWords, sVers) })
-		e.repl[origin].drop(it.primary)
+	e.releaseMoves(origin, ms, nil)
+	e.repl[origin].drop(it.primary)
+	if m.dropped {
 		return false
 	}
+	for _, g := range m.v.Replicas {
+		runIsolated(func() { e.replDirRekey(origin, g[0].Rank(), it.primary, it.head) })
+	}
+	e.promotions.Add(1)
+	return true
+}
 
-	// Read my chain under the (held or stolen) word. A torn half-fan-out copy
-	// fails the read, decode or identity check: the dead rank already lost
-	// the vertex's latest state mid-commit, and there is nothing to preserve.
-	buf, chain := e.readChain(origin, it.head, holder.IsReplicaBlock)
-	var v *holder.Vertex
-	err := ErrNotFound
-	if buf != nil {
-		v, err = holder.DecodeVertex(buf)
-	}
-	if err != nil || v.AppID != it.app {
-		return abandon()
-	}
-
-	// Mirror-mark the surviving sibling followers (they are rewritten below
-	// into lockstep with the new primary); prune my own group, every group on
-	// a dead rank, and any sibling that fails the mark.
-	var survivors [][]fabric.DPtr
-	for _, g := range v.Replicas {
-		if len(g) == 0 || g[0] == it.head || dead[g[0].Rank()] || e.isDead(g[0].Rank()) {
-			continue
-		}
-		held := false
-		gw := e.lockWordOf(g[0])
-		runIsolated(func() {
-			held = locks.AcquireMirrorTrain(origin, []locks.Word{gw}, []uint64{fv})[0]
-		})
-		if !held {
-			e.replicaDrops.Add(1)
-			continue
-		}
-		survivors = append(survivors, g)
-		sWords = append(sWords, gw)
-		sVers = append(sVers, fv)
-	}
-
-	// Re-encode as primary: replica flag cleared, my group and the dead
-	// ranks' placements pruned. Content only shrinks, so every chain keeps
-	// its block count or splits off a tail; anything else is a corrupt copy.
-	v.IsReplica = false
-	v.Replicas = survivors
-	v.Homes = slices.DeleteFunc(v.Homes, func(h fabric.DPtr) bool { return dead[h.Rank()] || e.isDead(h.Rank()) })
-	need := holder.VertexBlocks(v, bs)
-	if need > len(chain) {
-		return abandon()
-	}
-	var freeTail []fabric.DPtr
+// publishPromoted lays m's vertex out over need blocks of my chain and of
+// every surviving sibling group, queuing the split-off tails for the
+// release, and publishes my chain as the new primary with every survivor
+// rewritten back into lockstep. The explicit indexes then name the vertex
+// here; the dead rank's shard (if its memory is still in this process, as
+// under the simulator's kill) is cleaned so collective scans stop listing
+// the stale placement.
+func (e *Engine) publishPromoted(origin fabric.Rank, it promoteItem, m *chainMove, need int) {
+	bs, v := e.cfg.BlockSize, m.v
 	for gi, g := range v.Replicas {
-		v.Replicas[gi], freeTail = g[:need], append(freeTail, g[need:]...)
+		var tail []fabric.DPtr
+		v.Replicas[gi], tail, _ = e.fitChain(origin, g[0].Rank(), g, need, nil)
+		m.tail = append(m.tail, tail...)
 	}
 	stream := holder.EncodeVertex(v, bs)
-	chain, tail := chain[:need], chain[need:]
-	setChainTable(stream, chain)
-
-	// Publish: my chain as the new primary, every survivor rewritten back
-	// into lockstep.
-	var wl writeList
-	wl.appendChainWrites(stream, chain, v.Replicas, bs)
-	runIsolated(func() { e.store.WriteBlocksBatch(origin, wl.dps, wl.data) })
-
-	// Explicit indexes: the vertex now lives here; the dead rank's shard (if
-	// its memory is still in this process, as under the simulator's kill) is
-	// cleaned so collective scans stop listing the stale placement.
+	chain, tail, _ := e.layoutChain(origin, origin, stream, m.old, nil)
+	m.chain, m.tail = chain, append(m.tail, tail...)
+	var w writeList
+	w.appendChainWrites(stream, m.chain, v.Replicas, bs)
+	runIsolated(func() { e.store.WriteBlocksBatch(origin, w.dps, w.data) })
 	e.idxAddVertex(origin, it.head, it.app, v.Labels)
 	if e.fab.Local(it.primary.Rank()) {
 		e.local[it.primary.Rank()].removeVertex(it.primary, v.Labels)
 	}
-
-	// Release primary-then-follower: my word bumps to fv+1, the survivors
-	// follow, and their directories rekey to the new primary.
-	if stolen {
-		// The word carries the dead committer's mark, not a train
-		// acquisition; an unconditional store completes the "release".
-		locks.SeedMirrorWord(origin, headWord, fv)
-	} else {
-		release()
-	}
-	if len(sWords) > 0 {
-		runIsolated(func() { locks.ReleaseMirrorTrain(origin, sWords, sVers) })
-	}
-	for _, g := range v.Replicas {
-		fr := g[0].Rank()
-		runIsolated(func() { e.replDirRekey(origin, fr, it.primary, it.head) })
-	}
-	for _, dp := range freeTail {
-		runIsolated(func() { e.store.ReleaseBlock(origin, dp) })
-	}
-	for _, dp := range tail {
-		e.store.ReleaseBlock(origin, dp)
-	}
-	e.repl[origin].drop(it.primary)
-	e.promotions.Add(1)
-	return true
 }
 
 // promoteLost handles a follower whose promotion CAS lost to winner. With a
@@ -618,26 +497,21 @@ func (e *Engine) promoteLost(origin fabric.Rank, it promoteItem, winner fabric.D
 	}
 	e.repl[origin].drop(it.primary)
 	e.replicaDrops.Add(1)
-	buf, chain := e.readChain(origin, it.head, holder.IsReplicaBlock)
-	if buf == nil {
-		return
-	}
-	if v, err := holder.DecodeVertex(buf); err != nil || v.AppID != it.app {
-		return
-	}
-	locks.SeedMirrorWord(origin, headWord, fv)
-	for _, dp := range chain {
-		e.store.ReleaseBlock(origin, dp)
+	ms := []*chainMove{{head: it.head, app: it.app, word: headWord, ver: fv, stolen: true}}
+	if e.readMoves(origin, ms, holder.IsReplicaBlock, nil); !ms[0].dropped {
+		ms[0].tail = ms[0].old
+		e.releaseMoves(origin, ms, nil)
 	}
 }
 
 // dropFollowerGroups retires a replicated vertex's follower groups at commit
-// time (reshape or deletion): each group's head is poisoned through the
-// commit's write-back train (put), its blocks are returned, and the follower
-// rank's directory entry is dropped — all best-effort against dead ranks. A
-// racing local replica read on the follower rank observes either the old
-// content (and fails version validation against the primary) or the poison
-// (and falls back); neither yields a stale read.
+// time (reshape or deletion), once the commit's write-back train has poisoned
+// each group's head (Commit queues that poison itself): the blocks are
+// returned and the follower rank's directory entry is dropped — all
+// best-effort against dead ranks. A racing local replica read on the
+// follower rank observes either the old content (and fails version
+// validation against the primary) or the poison (and falls back); neither
+// yields a stale read.
 func (e *Engine) dropFollowerGroups(origin fabric.Rank, primary fabric.DPtr, groups [][]fabric.DPtr) {
 	for _, g := range groups {
 		if len(g) == 0 {
