@@ -297,3 +297,58 @@ func TestEdgesAllocatesOnlyItsResult(t *testing.T) {
 		})
 	}
 }
+
+// TestUpdateCommitAllocs is the guard for the write path: a read-write
+// transaction that adds a label to an 8-edge vertex, or removes it, and
+// commits — association with its read lock, the upgrade train, the
+// write-back and the release train — allocates at most 50 objects when the
+// vertex is local and 53 when it is remote (2 simulated ranks).
+func TestUpdateCommitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is not meaningful under the race detector")
+	}
+	e := NewEngine(rma.New(2), Config{
+		BlockSize:     256,
+		BlocksPerRank: 1 << 12,
+		LockTries:     256,
+		CacheCapacity: 512,
+	})
+	center := seedFanVertex(t, e, 8)
+	label, err := e.DefineLabel("Tagged")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		origin rma.Rank
+		bound  float64
+	}{
+		{"local", center.Rank(), 50},
+		{"remote", rma.Rank(1 - int(center.Rank())), 53},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			update := func(add bool) {
+				tx := e.StartLocal(c.origin, ReadWrite)
+				h, err := tx.AssociateVertex(center)
+				if err == nil && add {
+					err = h.AddLabel(label)
+				} else if err == nil {
+					err = h.RemoveLabel(label)
+				}
+				if err == nil {
+					err = tx.Commit()
+				}
+				if err != nil {
+					panic(err)
+				}
+			}
+			update(true)
+			update(false)
+			perCommit := testing.AllocsPerRun(100, func() { update(true); update(false) }) / 2
+			if perCommit > c.bound {
+				t.Fatalf("an update commit allocates %.1f objects, want at most %.0f", perCommit, c.bound)
+			}
+			t.Logf("%.1f allocations per update commit", perCommit)
+		})
+	}
+}

@@ -118,8 +118,14 @@ func New(f fabric.Transport, cfg Config) *Map {
 		sys:         f.NewWordWin(1),
 		totalBucket: uint64(cfg.BucketsPerRank) * uint64(f.Size()),
 	}
+	// Each process threads the free lists of the ranks whose segments it
+	// hosts (every rank on the simulator, only its own on a wire transport,
+	// where the peers thread theirs), as block.NewStore does.
 	for r := 0; r < f.Size(); r++ {
 		rank := fabric.Rank(r)
+		if !f.Local(rank) {
+			continue
+		}
 		// Slot free list: 1-based indices, 0 = empty.
 		for i := 1; i < cfg.EntriesPerRank; i++ {
 			m.free.Store(rank, rank, i-1, uint64(i+1))

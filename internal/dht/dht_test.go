@@ -2,9 +2,12 @@ package dht
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"github.com/gdi-go/gdi/internal/fabric"
+	"github.com/gdi-go/gdi/internal/fabric/tcp"
 	"github.com/gdi-go/gdi/internal/rma"
 )
 
@@ -242,5 +245,44 @@ func TestRefEncoding(t *testing.T) {
 	}
 	if ref(0).isHeap() || !ref(0).isNull() {
 		t.Fatal("zero ref must be a null bucket ref")
+	}
+}
+
+// TestNewIssuesNoRemoteTraffic: over a wire transport each process threads
+// only the free lists of the ranks it hosts, so constructing a map issues no
+// remote atomic, and every rank can then fill its own heap with keys homed
+// on itself.
+func TestNewIssuesNoRemoteTraffic(t *testing.T) {
+	const entries = 256
+	ts, err := tcp.NewLoopbackCluster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for _, tr := range ts {
+		wg.Add(1)
+		go func(tr *tcp.Transport) {
+			defer wg.Done()
+			m := New(tr, Config{BucketsPerRank: 64, EntriesPerRank: entries})
+			tr.Run(func(me fabric.Rank) {
+				if n := tr.CounterSnapshot(me).RemoteAtoms; n != 0 {
+					t.Errorf("rank %d: New issued %d remote atomics, want 0", me, n)
+				}
+				for key, n := uint64(0), 0; n < entries; key++ {
+					if m.HomeRank(key) != me {
+						continue
+					}
+					if !m.Insert(me, key, key+1) {
+						t.Errorf("rank %d: insert %d of %d homed keys failed", me, n+1, entries)
+						return
+					}
+					n++
+				}
+			})
+		}(tr)
+	}
+	wg.Wait()
+	for _, tr := range ts {
+		tr.Close()
 	}
 }

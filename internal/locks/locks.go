@@ -11,7 +11,9 @@
 // the version its caller last saw each word at, so an uncontended lock,
 // upgrade or release costs one round per owner rank when the seed is right
 // and two when it is not: the failed CAS reports the word, and the second
-// round uses it.
+// round uses it. One train engine runs every lock operation, each a seed, a
+// step rule and a round budget: the "Life of a lock train" section of
+// ARCHITECTURE.md walks it through and tabulates the rules.
 //
 // The version counter is the foundation of the optimistic read tier (§3.8,
 // §5.2): holder content only changes while the write bit is set, and every
@@ -44,9 +46,11 @@
 package locks
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"github.com/gdi-go/gdi/internal/fabric"
 )
@@ -177,7 +181,8 @@ func (w Word) TryAcquireReadAt(origin fabric.Rank, ver uint64, tries int) (stamp
 	return 0, false
 }
 
-// Peek returns the raw lock word (diagnostics and tests).
+// Peek returns the word's writer flag and reader count (diagnostics and
+// tests).
 func (w Word) Peek(origin fabric.Rank) (writer bool, readers uint32) {
 	cur := w.Win.Load(origin, w.Target, w.Idx)
 	return cur&writeBit != 0, uint32(cur & readerMask)
@@ -221,13 +226,6 @@ type TrainLock struct {
 	Ver uint64
 }
 
-// checkTrainWin verifies the single-window invariant of lock trains.
-func checkTrainWin(win fabric.WordWin, w Word) {
-	if w.Win != win {
-		panic("locks: lock train spans multiple windows")
-	}
-}
-
 // trainOldReaders returns the reader count a train entry starts from: one
 // for an upgrade of our own shared lock, zero for a fresh acquisition.
 func trainOldReaders(l TrainLock) uint64 {
@@ -237,36 +235,6 @@ func trainOldReaders(l TrainLock) uint64 {
 	return 0
 }
 
-// trainOrder returns the positions 0..n-1 of a train's words in the global
-// order (rank, then index — the shared total order that makes concurrent
-// trains deadlock-free), checking that they all address one window.
-func trainOrder(n int, word func(int) Word) []int {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-		checkTrainWin(word(0).Win, word(i))
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := word(order[i]), word(order[j])
-		if a.Target != b.Target {
-			return a.Target < b.Target
-		}
-		return a.Idx < b.Idx
-	})
-	return order
-}
-
-// sortTrain globally orders ls and returns the sorted train plus the mapping
-// sorted position -> index in ls.
-func sortTrain(ls []TrainLock) (train []TrainLock, order []int) {
-	order = trainOrder(len(ls), func(i int) Word { return ls[i].Word })
-	train = make([]TrainLock, len(ls))
-	for i, src := range order {
-		train[i] = ls[src]
-	}
-	return train, order
-}
-
 // checkVers verifies that a seeded train carries one version per word.
 func checkVers(kind string, words int, vers []uint64) {
 	if vers != nil && len(vers) != words {
@@ -274,62 +242,117 @@ func checkVers(kind string, words int, vers []uint64) {
 	}
 }
 
-// acquireWriteRounds is the acquisition core shared by the all-or-nothing
-// and best-effort write trains: up to tries vectored CAS rounds over the
-// sorted train, one train per owner rank per round. The first round assumes
-// each word free (or, for an upgrade, held by our one reader) at its seeded
-// version; a word observed in another state is learned from the CAS result,
-// and one observed in an unacquirable state is probed with a
-// value-preserving CAS. It returns the per-word held flags and, for held
-// words, the value installed (write bit + the word's version).
-func acquireWriteRounds(origin fabric.Rank, train []TrainLock, tries int) (held []bool, expected []uint64, nHeld int) {
-	win := train[0].Word.Win
-	held = make([]bool, len(train))
-	expected = make([]uint64, len(train)) // last observed word value, or held value
-	for i, l := range train {
-		expected[i] = freeAt(l.Ver) + trainOldReaders(l)
+// seedAt is the free word at the version vers gives word i (0 when vers is
+// nil).
+func seedAt(vers []uint64, i int) uint64 {
+	if vers == nil {
+		return 0
 	}
-	for round := 0; round <= tries && nHeld < len(train); round++ {
-		forEachRank(len(train), func(i int) fabric.Rank { return train[i].Word.Target }, func(lo, hi int) {
-			ops := make([]fabric.CASOp, 0, hi-lo)
-			opIdx := make([]int, 0, hi-lo)
-			for i := lo; i < hi; i++ {
-				if held[i] {
-					continue
+	return freeAt(vers[i])
+}
+
+// untilDone is the round budget of a train that cannot give up.
+const untilDone = math.MaxInt
+
+// train is one lock operation's words in the global order, each with the
+// CAS its next round issues.
+type train []trainWord
+
+type trainWord struct {
+	Word
+	src  int          // the word's position in the caller's slice
+	op   fabric.CASOp // Old: the expected word, once done the word installed
+	done bool
+}
+
+// newTrain sorts n words into the global order, each expected at seed(i).
+func newTrain(n int, word func(i int) Word, seed func(i int) uint64) train {
+	t := make(train, n)
+	for i := range t {
+		w := word(i)
+		if w.Win != word(0).Win {
+			panic("locks: lock train spans multiple windows")
+		}
+		t[i] = trainWord{Word: w, src: i, op: fabric.CASOp{Idx: w.Idx, Old: seed(i)}}
+	}
+	slices.SortFunc(t, func(a, b trainWord) int {
+		return cmp.Or(cmp.Compare(a.Target, b.Target), cmp.Compare(a.Idx, b.Idx))
+	})
+	return t
+}
+
+// rounds issues up to max CAS rounds, one CASBatch per owner rank per round
+// over the words not done, and returns how many are still not done. Each
+// CAS expects the word's op.Old and installs step(i, op.Old), i the word's
+// position in the caller's slice. A swap that changes the word completes
+// it, a swap that does not is a probe, and a failed CAS learns the word it
+// reports. Steps are taken as soon as a word is learned, so a step that
+// panics does so right after the CAS that revealed the word.
+func (t train) rounds(origin fabric.Rank, max int, step func(i int, cur uint64) uint64) (left int) {
+	for k := range t {
+		if !t[k].done {
+			t[k].op.New = step(t[k].src, t[k].op.Old)
+			left++
+		}
+	}
+	batch := make([]fabric.CASOp, 0, len(t))
+	for round := 0; round < max && left > 0; round++ {
+		for lo, hi := 0, 0; lo < len(t); lo = hi {
+			batch = batch[:0]
+			for hi = lo; hi < len(t) && t[hi].Target == t[lo].Target; hi++ {
+				if !t[hi].done {
+					batch = append(batch, t[hi].op)
 				}
-				op := fabric.CASOp{Idx: train[i].Word.Idx, Old: expected[i]}
-				if expected[i]&writeBit == 0 && expected[i]&readerMask == trainOldReaders(train[i]) {
-					// Acquirable: drop our reader (upgrades) and set the bit.
-					op.New = (expected[i] - trainOldReaders(train[i])) | writeBit
-				} else {
-					op.New = op.Old // probe: foreign readers or a writer hold it
-				}
-				ops = append(ops, op)
-				opIdx = append(opIdx, i)
 			}
-			for j, r := range win.CASBatch(origin, train[lo].Word.Target, ops) {
-				i := opIdx[j]
+			if len(batch) == 0 {
+				continue
+			}
+			k := lo
+			for _, r := range t[lo].Win.CASBatch(origin, t[lo].Target, batch) {
+				for t[k].done { // done before this round: not in the batch
+					k++
+				}
+				w := &t[k]
 				switch {
-				case r.Swapped && ops[j].New != ops[j].Old:
-					held[i] = true
-					expected[i] = ops[j].New // the value we installed
-					nHeld++
-				case r.Swapped: // probe confirmed the blockers are still there
-				default:
-					expected[i] = r.Prev
+				case !r.Swapped:
+					w.op.Old, w.op.New = r.Prev, step(w.src, r.Prev)
+				case w.op.New != w.op.Old:
+					w.op.Old, w.done = w.op.New, true
+					left--
 				}
+				k++
 			}
-		})
+		}
 	}
-	return held, expected, nHeld
+	return left
+}
+
+// flip swaps done and not done: what an acquisition took is what its undo
+// must visit.
+func (t train) flip() {
+	for k := range t {
+		t[k].done = !t[k].done
+	}
+}
+
+// acquireWrite runs a write acquisition's tries+1 rounds over ls.
+func acquireWrite(origin fabric.Rank, ls []TrainLock, tries int) (t train, left int) {
+	t = newTrain(len(ls), func(i int) Word { return ls[i].Word },
+		func(i int) uint64 { return freeAt(ls[i].Ver) + trainOldReaders(ls[i]) })
+	return t, t.rounds(origin, tries+1, func(i int, cur uint64) uint64 {
+		if old := trainOldReaders(ls[i]); cur&writeBit == 0 && cur&readerMask == old {
+			return (cur - old) | writeBit // drop our reader (upgrades) and set the bit
+		}
+		return cur // probe: foreign readers or a writer hold it
+	})
 }
 
 // AcquireWriteTrain write-locks every word of the train, issuing one
-// vectored CAS train per owner rank per retry round (acquireWriteRounds).
-// Acquisition is all or nothing: if any word cannot be taken within the
-// retry budget, every lock the train did acquire is rolled back to its
-// pre-train state (upgrades return to one reader, versions untouched — a
-// rollback is not a write-unlock) and (nil, ErrContended) is returned.
+// vectored CAS train per owner rank per retry round. Acquisition is all or
+// nothing: if any word cannot be taken within the retry budget, every lock
+// the train did acquire is rolled back to its pre-train state (upgrades
+// return to one reader, versions untouched — a rollback is not a
+// write-unlock) and (nil, ErrContended) is returned.
 //
 // On success it returns the version of every held word, aligned with ls.
 // Passing those versions to ReleaseWriteTrain lets the release converge in
@@ -339,31 +362,19 @@ func AcquireWriteTrain(origin fabric.Rank, ls []TrainLock, tries int) ([]uint64,
 	if len(ls) == 0 {
 		return nil, nil
 	}
-	train, order := sortTrain(ls)
-	win := train[0].Word.Win
-	held, expected, nHeld := acquireWriteRounds(origin, train, tries)
-	if nHeld == len(train) {
+	t, left := acquireWrite(origin, ls, tries)
+	if left == 0 {
 		vers := make([]uint64, len(ls))
-		for i, src := range order {
-			vers[src] = Version(expected[i])
+		for _, w := range t {
+			vers[w.src] = Version(w.op.Old)
 		}
 		return vers, nil
 	}
-	// Roll back every word this train acquired, again one train per rank.
-	// Held words are stable, so the single CAS per word must succeed.
-	forEachRank(len(train), func(i int) fabric.Rank { return train[i].Word.Target }, func(lo, hi int) {
-		ops := make([]fabric.CASOp, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			if held[i] {
-				ops = append(ops, fabric.CASOp{Idx: train[i].Word.Idx, Old: expected[i], New: (expected[i] &^ writeBit) + trainOldReaders(train[i])})
-			}
-		}
-		for _, r := range win.CASBatch(origin, train[lo].Word.Target, ops) {
-			if !r.Swapped {
-				panic("locks: write-train rollback of a word not exclusively held")
-			}
-		}
-	})
+	// Held words are stable, so one round must roll every one of them back.
+	t.flip()
+	if t.rounds(origin, 1, func(i int, cur uint64) uint64 { return (cur &^ writeBit) + trainOldReaders(ls[i]) }) > 0 {
+		panic("locks: write-train rollback of a word not exclusively held")
+	}
 	return nil, ErrContended
 }
 
@@ -397,74 +408,44 @@ func ReleaseWriteTrainMarked(origin fabric.Rank, words []Word, vers []uint64, ma
 		}
 		return marks[i]
 	}
-	order := trainOrder(len(words), func(i int) Word { return words[i] })
-	train := make([]Word, len(words))
-	for i, src := range order {
-		train[i] = words[src]
-	}
-	win := train[0].Win
-	done := make([]bool, len(train))
-	expected := make([]uint64, len(train))
-	for i, src := range order {
-		// The hook must see every word still write-held at its pre-bump
-		// version, so fire it for the whole train before any CAS round.
-		runReleaseHook(win, train[i].Target, train[i].Idx)
-		expected[i] = writeBit
-		if vers != nil {
-			expected[i] |= freeAt(vers[src])
+	t := newTrain(len(words), func(i int) Word { return words[i] }, func(i int) uint64 {
+		if mark(i) == StubClear {
+			return writeBit | stubBit | seedAt(vers, i)
 		}
-		if mark(src) == StubClear {
-			expected[i] |= stubBit
+		return writeBit | seedAt(vers, i)
+	})
+	// The hook must see every word still write-held at its pre-bump
+	// version, so fire it for the whole train before any CAS round.
+	for _, w := range t {
+		runReleaseHook(w.Win, w.Target, w.Idx)
+	}
+	t.rounds(origin, untilDone, func(i int, cur uint64) uint64 {
+		if cur&writeBit == 0 {
+			panic("locks: ReleaseWriteTrain without holding the write lock")
 		}
-	}
-	nDone := 0
-	for nDone < len(train) {
-		forEachRank(len(train), func(i int) fabric.Rank { return train[i].Target }, func(lo, hi int) {
-			ops := make([]fabric.CASOp, 0, hi-lo)
-			opIdx := make([]int, 0, hi-lo)
-			for i := lo; i < hi; i++ {
-				if done[i] {
-					continue
-				}
-				ops = append(ops, fabric.CASOp{Idx: train[i].Idx, Old: expected[i], New: mark(order[i]).apply(bumpVersion(expected[i] &^ writeBit))})
-				opIdx = append(opIdx, i)
-			}
-			for j, r := range win.CASBatch(origin, train[lo].Target, ops) {
-				i := opIdx[j]
-				if r.Swapped {
-					done[i] = true
-					nDone++
-					continue
-				}
-				if r.Prev&writeBit == 0 {
-					panic("locks: ReleaseWriteTrain without holding the write lock")
-				}
-				expected[i] = r.Prev
-			}
-		})
-	}
+		return mark(i).apply(bumpVersion(cur &^ writeBit))
+	})
 }
 
 // AcquireWriteTrainEach is the best-effort sibling of AcquireWriteTrain for
-// background work (live vertex migration): same acquisition rounds
-// (acquireWriteRounds), but a word still contended when the budget runs out
-// is simply not taken — the words that were acquired stay held, nothing is
-// rolled back. It returns, aligned with ls, each word's held flag and (for
-// held words) its version; the caller releases the held words with
-// ReleaseWriteTrain when done. A migrator uses this to skip busy vertices
-// instead of aborting a whole migration batch on one hot lock.
+// background work (live vertex migration): same acquisition rounds, but a
+// word still contended when the budget runs out is simply not taken — the
+// words that were acquired stay held, nothing is rolled back. It returns,
+// aligned with ls, each word's held flag and (for held words) its version;
+// the caller releases the held words with ReleaseWriteTrain when done. A
+// migrator uses this to skip busy vertices instead of aborting a whole
+// migration batch on one hot lock.
 func AcquireWriteTrainEach(origin fabric.Rank, ls []TrainLock, tries int) (vers []uint64, heldOut []bool) {
 	vers = make([]uint64, len(ls))
 	heldOut = make([]bool, len(ls))
 	if len(ls) == 0 {
 		return vers, heldOut
 	}
-	train, order := sortTrain(ls)
-	held, expected, _ := acquireWriteRounds(origin, train, tries)
-	for i, src := range order {
-		if held[i] {
-			heldOut[src] = true
-			vers[src] = Version(expected[i])
+	t, _ := acquireWrite(origin, ls, tries)
+	for _, w := range t {
+		if w.done {
+			heldOut[w.src] = true
+			vers[w.src] = Version(w.op.Old)
 		}
 	}
 	return vers, heldOut
@@ -491,13 +472,13 @@ func AcquireWriteTrainEach(origin fabric.Rank, ls []TrainLock, tries int) (vers 
 // from the fan-out instead of waiting. Returns the per-word marked flags,
 // aligned with words.
 func AcquireMirrorTrain(origin fabric.Rank, words []Word, vers []uint64) []bool {
-	return mirrorTrain(origin, words, vers, func(free uint64) (uint64, uint64) { return free, free | writeBit })
+	return mirrorTrain(origin, words, vers, 0, func(_ int, cur uint64) uint64 { return cur | writeBit })
 }
 
-// mirrorTrain issues one CAS per follower word, one vectored train per owner
-// rank and one round, each CAS computed by cas from the word's expected free
-// value; it returns the per-word swapped flags, aligned with words.
-func mirrorTrain(origin fabric.Rank, words []Word, vers []uint64, cas func(free uint64) (old, new uint64)) []bool {
+// mirrorTrain runs one round over follower words, each expected at
+// freeAt(vers[i]) | held and moved by step; it returns the per-word swapped
+// flags, aligned with words.
+func mirrorTrain(origin fabric.Rank, words []Word, vers []uint64, held uint64, step func(i int, cur uint64) uint64) []bool {
 	swapped := make([]bool, len(words))
 	if len(words) == 0 {
 		return swapped
@@ -505,18 +486,11 @@ func mirrorTrain(origin fabric.Rank, words []Word, vers []uint64, cas func(free 
 	if len(vers) != len(words) {
 		panic(fmt.Sprintf("locks: mirror train of %d words with %d versions", len(words), len(vers)))
 	}
-	order := trainOrder(len(words), func(i int) Word { return words[i] })
-	win := words[0].Win
-	forEachRank(len(order), func(i int) fabric.Rank { return words[order[i]].Target }, func(lo, hi int) {
-		ops := make([]fabric.CASOp, 0, hi-lo)
-		for _, i := range order[lo:hi] {
-			old, new := cas(freeAt(vers[i]))
-			ops = append(ops, fabric.CASOp{Idx: words[i].Idx, Old: old, New: new})
-		}
-		for j, r := range win.CASBatch(origin, words[order[lo]].Target, ops) {
-			swapped[order[lo+j]] = r.Swapped
-		}
-	})
+	t := newTrain(len(words), func(i int) Word { return words[i] }, func(i int) uint64 { return freeAt(vers[i]) | held })
+	t.rounds(origin, 1, step)
+	for _, w := range t {
+		swapped[w.src] = w.done
+	}
 	return swapped
 }
 
@@ -530,7 +504,7 @@ func mirrorTrain(origin fabric.Rank, words []Word, vers []uint64, cas func(free 
 // its new owner. No release hook fires: snapshot cuts pin primaries, so
 // follower blocks never carry retirement obligations.
 func ReleaseMirrorTrain(origin fabric.Rank, words []Word, vers []uint64) {
-	mirrorTrain(origin, words, vers, func(free uint64) (uint64, uint64) { return free | writeBit, bumpVersion(free) })
+	mirrorTrain(origin, words, vers, writeBit, func(_ int, cur uint64) uint64 { return bumpVersion(cur &^ writeBit) })
 }
 
 // SeedMirrorWord initializes a follower copy's version word. Seeding runs
@@ -554,7 +528,7 @@ func SeedMirrorWord(origin fabric.Rank, w Word, primaryVer uint64) {
 // (or is mid-mark by a racing committer) and is left alone: its next replica
 // read simply fails version validation and falls back.
 func BumpMirrorTrain(origin fabric.Rank, words []Word, vers []uint64) {
-	mirrorTrain(origin, words, vers, func(free uint64) (uint64, uint64) { return free, bumpVersion(free) })
+	mirrorTrain(origin, words, vers, 0, func(_ int, cur uint64) uint64 { return bumpVersion(cur) })
 }
 
 // AcquireReadTrain is AcquireReadTrainAt seeded with version 0, for callers
@@ -577,59 +551,25 @@ func AcquireReadTrainAt(origin fabric.Rank, words []Word, vers []uint64, tries i
 	if len(words) == 0 {
 		return nil, nil
 	}
-	order := trainOrder(len(words), func(i int) Word { return words[i] })
-	win := words[0].Win
-	held := make([]bool, len(words))
-	expected := make([]uint64, len(words)) // by train position: last observed word value, or held value
-	if vers != nil {
-		for k, i := range order {
-			expected[k] = freeAt(vers[i])
+	t := newTrain(len(words), func(i int) Word { return words[i] }, func(i int) uint64 { return seedAt(vers, i) })
+	if t.rounds(origin, tries+1, func(_ int, cur uint64) uint64 {
+		if cur&writeBit != 0 {
+			return cur // probe: a writer holds the word
 		}
-	}
-	nHeld := 0
-	for round := 0; round <= tries && nHeld < len(words); round++ {
-		forEachRank(len(order), func(k int) fabric.Rank { return words[order[k]].Target }, func(lo, hi int) {
-			ops := make([]fabric.CASOp, 0, hi-lo)
-			opIdx := make([]int, 0, hi-lo)
-			for k := lo; k < hi; k++ {
-				if held[k] {
-					continue
-				}
-				op := fabric.CASOp{Idx: words[order[k]].Idx, Old: expected[k], New: expected[k] + 1}
-				if expected[k]&writeBit != 0 {
-					op.New = op.Old // probe: a writer holds the word
-				}
-				ops = append(ops, op)
-				opIdx = append(opIdx, k)
-			}
-			for j, r := range win.CASBatch(origin, words[order[lo]].Target, ops) {
-				k := opIdx[j]
-				switch {
-				case r.Swapped && ops[j].New != ops[j].Old:
-					held[k] = true
-					expected[k] = ops[j].New
-					nHeld++
-				case r.Swapped: // probe confirmed the writer is still there
-				default:
-					expected[k] = r.Prev
-				}
-			}
-		})
-	}
-	stamps := make([]uint64, len(words))
-	var taken []Word
-	var takenVers []uint64
-	for k, i := range order {
-		stamps[i] = expected[k]
-		if held[k] {
-			taken = append(taken, words[i])
-			takenVers = append(takenVers, Version(expected[k]))
+		return cur + 1
+	}) == 0 {
+		stamps := make([]uint64, len(words))
+		for _, w := range t {
+			stamps[w.src] = w.op.Old
 		}
-	}
-	if nHeld == len(words) {
 		return stamps, nil
 	}
-	ReleaseReadTrainAt(origin, taken, takenVers)
+	// Release what the train took, seeded as ReleaseReadTrainAt seeds it.
+	t.flip()
+	for k := range t {
+		t[k].op.Old = 1 | freeAt(Version(t[k].op.Old))
+	}
+	t.rounds(origin, untilDone, releaseRead)
 	return nil, ErrContended
 }
 
@@ -646,51 +586,14 @@ func ReleaseReadTrainAt(origin fabric.Rank, words []Word, vers []uint64) {
 	if len(words) == 0 {
 		return
 	}
-	order := trainOrder(len(words), func(i int) Word { return words[i] })
-	win := words[0].Win
-	done := make([]bool, len(words))
-	expected := make([]uint64, len(words))
-	for k, i := range order {
-		expected[k] = 1 // we are the only reader
-		if vers != nil {
-			expected[k] |= freeAt(vers[i])
-		}
-	}
-	for nDone := 0; nDone < len(words); {
-		forEachRank(len(order), func(k int) fabric.Rank { return words[order[k]].Target }, func(lo, hi int) {
-			ops := make([]fabric.CASOp, 0, hi-lo)
-			opIdx := make([]int, 0, hi-lo)
-			for k := lo; k < hi; k++ {
-				if !done[k] {
-					ops = append(ops, fabric.CASOp{Idx: words[order[k]].Idx, Old: expected[k], New: expected[k] - 1})
-					opIdx = append(opIdx, k)
-				}
-			}
-			for j, r := range win.CASBatch(origin, words[order[lo]].Target, ops) {
-				k := opIdx[j]
-				switch {
-				case r.Swapped:
-					done[k] = true
-					nDone++
-				case r.Prev&readerMask == 0:
-					panic("locks: ReleaseReadTrain with zero reader count")
-				default:
-					expected[k] = r.Prev
-				}
-			}
-		})
-	}
+	t := newTrain(len(words), func(i int) Word { return words[i] }, func(i int) uint64 { return 1 | seedAt(vers, i) })
+	t.rounds(origin, untilDone, releaseRead)
 }
 
-// forEachRank walks the maximal runs of equal-target elements of a sorted
-// train, calling visit with each half-open run [lo, hi).
-func forEachRank(n int, target func(int) fabric.Rank, visit func(lo, hi int)) {
-	for lo := 0; lo < n; {
-		hi := lo + 1
-		for hi < n && target(hi) == target(lo) {
-			hi++
-		}
-		visit(lo, hi)
-		lo = hi
+// releaseRead is the step of a read release: drop one reader.
+func releaseRead(_ int, cur uint64) uint64 {
+	if cur&readerMask == 0 {
+		panic("locks: ReleaseReadTrain with zero reader count")
 	}
+	return cur - 1
 }
