@@ -160,6 +160,104 @@ func TestTranslateHitAllocatesNothingExtra(t *testing.T) {
 	}
 }
 
+// TestReadOnlyTxAllocs is the guard of the transactional point read: a
+// read-only translate hit → associate → Degree → commit allocates at most 8
+// objects — the transaction, its state map, the vertex state, the stream's
+// bytes, the read set and the validation train's words — and the same
+// number for a one-block holder as for a chain, local and served from the
+// warm cache. Reading a property costs at most one object more (the copy of
+// its value), and reading the edges exactly one (the result).
+func TestReadOnlyTxAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is not meaningful under the race detector")
+	}
+	counts := map[string]float64{}
+	for _, degree := range []int{8, 512} {
+		e := NewEngine(rma.New(2), Config{
+			BlockSize:     256,
+			BlocksPerRank: 1 << 12,
+			LockTries:     256,
+			CacheCapacity: 512,
+		})
+		pt := payloadPType(t, e)
+		center := seedFanVertex(t, e, degree)
+		seed := e.StartLocal(center.Rank(), ReadWrite)
+		h, err := seed.AssociateVertex(center)
+		if err == nil {
+			err = h.SetProperty(pt, payloadPattern(7, 2))
+		}
+		if err == nil {
+			err = seed.Commit()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		primary := make([]byte, 256)
+		e.Store().ReadBlock(center.Rank(), center, primary)
+		if nb := holder.NumBlocks(primary); (nb == 1) != (degree == 8) {
+			t.Fatalf("degree %d: the center's holder spans %d blocks", degree, nb)
+		}
+		for name, origin := range map[string]rma.Rank{
+			"local":      center.Rank(),
+			"cached-hit": rma.Rank(1 - int(center.Rank())),
+		} {
+			read := func(use func(*VertexHandle)) func() {
+				return func() {
+					tx := e.StartLocal(origin, ReadOnly)
+					dp, err := tx.TranslateVertexID(1000)
+					if err != nil {
+						panic(err)
+					}
+					h, err := tx.AssociateVertex(dp)
+					if err != nil {
+						panic(err)
+					}
+					use(h)
+					if err := tx.Commit(); err != nil {
+						panic(err)
+					}
+				}
+			}
+			degreeOnly := func(h *VertexHandle) {
+				if d := h.Degree(); d != degree {
+					panic(fmt.Sprintf("degree = %d, want %d", d, degree))
+				}
+			}
+			property := func(h *VertexHandle) {
+				if p, ok := h.Property(pt); !ok || len(p) != 16 {
+					panic(fmt.Sprintf("property = %v, %v", p, ok))
+				}
+			}
+			edges := func(h *VertexHandle) {
+				if infos, err := h.Edges(MaskAll, nil); err != nil || len(infos) != degree {
+					panic(fmt.Sprintf("Edges = %d edges, %v; want %d", len(infos), err, degree))
+				}
+			}
+			read(degreeOnly)() // fills the translation and block caches
+			base := testing.AllocsPerRun(100, read(degreeOnly))
+			withProperty := testing.AllocsPerRun(100, read(property))
+			withEdges := testing.AllocsPerRun(100, read(edges))
+			c := fmt.Sprintf("degree=%d/%s", degree, name)
+			counts[c] = base
+			t.Logf("%s: %.0f allocations, %.0f with Property, %.0f with Edges", c, base, withProperty, withEdges)
+			if base > 8 {
+				t.Errorf("%s: a read-only point read allocates %.0f objects, want at most 8", c, base)
+			}
+			if withProperty > base+1 {
+				t.Errorf("%s: Property adds %.0f objects, want at most 1", c, withProperty-base)
+			}
+			if withEdges != base+1 {
+				t.Errorf("%s: Edges adds %.0f objects, want exactly 1", c, withEdges-base)
+			}
+		}
+	}
+	for c, n := range counts {
+		if n != counts["degree=8/local"] {
+			t.Errorf("%s allocates %.0f objects, a local one-block read %.0f: want the same", c, n, counts["degree=8/local"])
+		}
+	}
+}
+
 // TestFrontierHopAllocsIndependentOfWidth is the same guard for the frontier
 // path: a frontier vertex costs no heap object. A warm-cache filter hop in a
 // transaction of its own — begin, ExpandFrontier with a predicate, commit —
@@ -264,7 +362,7 @@ func TestEdgesAllocatesOnlyItsResult(t *testing.T) {
 			if perCall := testing.AllocsPerRun(100, func() { edges(h) }); perCall != 1 {
 				t.Fatalf("a warm Edges allocates %.0f objects per call, want 1", perCall)
 			}
-			if !h.st.lazyEdges {
+			if h.st.v != nil {
 				t.Fatal("a read-only Edges materialized the records")
 			}
 			if err := tx.Commit(); err != nil {

@@ -389,11 +389,14 @@ func (tx *Tx) validateOptimistic() error {
 		return nil
 	}
 	// A transaction that expanded frontiers validates out of the arena it
-	// already holds; a point read's one-entry read set is not worth one.
-	var local chainReader
-	cr := &local
+	// already holds; any other takes a pooled reader.
+	var cr *chainReader
 	if tx.frontier != nil {
 		cr = &tx.frontier.chainReader
+	} else {
+		fs := getReadScratch()
+		defer fs.release()
+		cr = &fs.chainReader
 	}
 	cr.dps = cr.dps[:0]
 	for _, r := range tx.optReads {

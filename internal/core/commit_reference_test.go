@@ -585,7 +585,7 @@ func buildCommitWorld(t *testing.T, e *Engine, ops commitOps) *commitWorld {
 	w.run(t, func(tx *Tx) error {
 		h, err := tx.AssociateVertex(w.hub)
 		if err == nil {
-			err = tx.materializeEdges(h.st)
+			err = h.st.materialize()
 		}
 		if err == nil {
 			w.heavy = h.st.v.Edges[w.heavyUID.Index].Neighbor

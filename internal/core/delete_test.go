@@ -12,8 +12,10 @@ import (
 )
 
 // referenceDeleteVertex is the DeleteVertex the one-flush neighbourhood
-// association replaced: one blocking AssociateVertex per light neighbour, in
-// edge order. It is the oracle the batched walk is checked against.
+// association replaced: one blocking AssociateVertex per neighbour, in edge
+// order — a light edge's neighbour, or the far endpoint of a heavy edge,
+// whose record of the edge holder goes with the holder. It is the oracle the
+// batched walk is checked against.
 func referenceDeleteVertex(tx *Tx, dp fabric.DPtr) error {
 	h, err := tx.AssociateVertex(dp)
 	if err != nil {
@@ -24,23 +26,37 @@ func referenceDeleteVertex(tx *Tx, dp fabric.DPtr) error {
 		return err
 	}
 	for _, rec := range st.v.Edges {
+		nb := rec.Neighbor
 		if rec.Heavy {
+			es, err := tx.fetchEdgeState(rec.Neighbor)
+			if err != nil {
+				return err
+			}
+			if es.deleted {
+				continue
+			}
+			if nb = es.e.Target; st.isIdentity(nb) {
+				nb = es.e.Origin
+			}
 			if err := tx.dropEdgeHolder(rec.Neighbor); err != nil {
 				return err
 			}
-			continue
 		}
-		if st.isIdentity(rec.Neighbor) {
+		if st.isIdentity(nb) {
 			continue // self-loop: both records live here
 		}
-		nh, err := tx.AssociateVertex(rec.Neighbor)
+		nh, err := tx.AssociateVertex(nb)
 		if err != nil {
 			return err
 		}
 		if err := tx.ensureWrite(nh.st); err != nil {
 			return err
 		}
-		nh.st.v.Edges = removeSiblings(nh.st.v.Edges, st)
+		if rec.Heavy {
+			nh.st.v.Edges = removeFirstMatch(nh.st.v.Edges, matchHeavySibling(rec.Neighbor))
+		} else {
+			nh.st.v.Edges = removeSiblings(nh.st.v.Edges, st)
+		}
 	}
 	st.v.Edges = nil
 	st.deleted = true
@@ -369,5 +385,55 @@ func TestCommitReleasesReadLocksInOneRound(t *testing.T) {
 	})
 	if want := (traffic{atoms: 2, atomTrains: 1}); commit != want {
 		t.Errorf("commit: %+v, want %+v", commit, want)
+	}
+}
+
+// TestDeleteVertexDropsHeavySibling: deleting one endpoint of a heavy edge
+// removes the edge holder and the surviving endpoint's record of it, on
+// either rank, so the survivor's degree and edges no longer name a holder
+// that is gone (and whose block a later holder may reuse).
+func TestDeleteVertexDropsHeavySibling(t *testing.T) {
+	for _, doomedFirst := range []bool{true, false} {
+		t.Run(fmt.Sprintf("delete-origin=%v", doomedFirst), func(t *testing.T) {
+			e := NewEngine(rma.New(2), Config{BlockSize: 256, BlocksPerRank: 1 << 10, LockTries: 64})
+			setup := e.StartLocal(0, ReadWrite)
+			a, err := setup.CreateVertex(0) // rank 0
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := setup.CreateVertex(1) // rank 1
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := setup.CreateRichEdge(a, b, holder.DirOut, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := setup.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			doomed, survivor := a, b
+			if !doomedFirst {
+				doomed, survivor = b, a
+			}
+			del := e.StartLocal(0, ReadWrite)
+			if err := del.DeleteVertex(doomed); err != nil {
+				t.Fatal(err)
+			}
+			if err := del.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			tx := e.StartLocal(1, ReadOnly)
+			defer tx.Abort()
+			h, err := tx.AssociateVertex(survivor)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := h.Degree(); d != 0 {
+				t.Errorf("the survivor's degree is %d, want 0", d)
+			}
+			if infos, err := h.Edges(MaskAll, nil); err != nil || len(infos) != 0 {
+				t.Errorf("the survivor's edges: %+v, %v; want none", infos, err)
+			}
+		})
 	}
 }

@@ -82,15 +82,24 @@ func TestEdgesLazyMatchesMaterialized(t *testing.T) {
 
 	tx := e.StartLocal(0, ReadWrite)
 	defer tx.Abort()
-	if err := tx.DeleteVertex(doomed); err != nil { // drops the heavy edge's holder, not the hub's record
+	// Delete the doomed edge's holder and leave the hub's record of it.
+	dh, err := tx.AssociateVertex(doomed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doomedEdges, err := dh.Edges(MaskAll, nil)
+	if err != nil || len(doomedEdges) != 1 || !doomedEdges[0].Heavy {
+		t.Fatalf("the doomed vertex has edges %+v, %v; want its one heavy edge", doomedEdges, err)
+	}
+	if err := tx.dropEdgeHolder(doomedEdges[0].Holder); err != nil {
 		t.Fatal(err)
 	}
 	h, err := tx.AssociateVertex(hub)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !h.st.lazyEdges || h.Degree() != degree {
-		t.Fatalf("hub read with lazy=%v and degree %d, want a lazy state of degree %d", h.st.lazyEdges, h.Degree(), degree)
+	if h.st.v != nil || h.Degree() != degree {
+		t.Fatalf("hub read with clean=%v and degree %d, want a clean state of degree %d", h.st.v == nil, h.Degree(), degree)
 	}
 	lazy := make(map[string][]EdgeInfo)
 	for mask := DirMask(0); mask <= MaskAll; mask++ {
@@ -102,7 +111,7 @@ func TestEdgesLazyMatchesMaterialized(t *testing.T) {
 			lazy[fmt.Sprint(mask, ci)] = infos
 		}
 	}
-	if !h.st.lazyEdges {
+	if h.st.v != nil {
 		t.Fatal("a read-only Edges materialized the records")
 	}
 	all := lazy[fmt.Sprint(MaskAll, 0)]
@@ -116,7 +125,7 @@ func TestEdgesLazyMatchesMaterialized(t *testing.T) {
 	if err := tx.ensureWrite(h.st); err != nil {
 		t.Fatal(err)
 	}
-	if h.st.lazyEdges {
+	if h.st.v == nil {
 		t.Fatal("ensureWrite left the records encoded")
 	}
 	for mask := DirMask(0); mask <= MaskAll; mask++ {
@@ -137,7 +146,7 @@ func TestEdgesLazyMatchesMaterialized(t *testing.T) {
 		tx := e.StartLocal(0, ReadWrite)
 		h, err := tx.AssociateVertex(hub)
 		if err == nil {
-			err = tx.materializeEdges(h.st)
+			err = h.st.materialize()
 		}
 		if err != nil {
 			t.Fatal(err)

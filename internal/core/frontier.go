@@ -14,7 +14,11 @@ import (
 // Matches evaluates cons against the vertex's labels and properties in
 // place — no copies, no communication (a nil constraint matches).
 func (h *VertexHandle) Matches(cons *constraint.Constraint) bool {
-	return cons.Eval(h.st.v.Labels, h.st.v.Props)
+	if h.st.v != nil {
+		return cons.Eval(h.st.v.Labels, h.st.v.Props)
+	}
+	ok, _ := cons.EvalEntries(h.st.view.Entries()) // install checked the region
+	return ok
 }
 
 // ExpandFrontier is the batch expansion entry point the query layer compiles

@@ -313,7 +313,7 @@ func TestFilterHopFetchesPropertyPrefixOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blocks += len(h.st.blocks)
+		blocks += h.st.view.NumBlocks()
 	}
 	look.Abort()
 	if blocks < 3*n {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/gdi-go/gdi/internal/fabric"
 	"github.com/gdi-go/gdi/internal/holder"
@@ -28,7 +29,6 @@ type VertexFuture struct {
 	dp   fabric.DPtr
 	done bool
 	st   *vertexState
-	h    *VertexHandle // built from st by the first Wait
 	err  error
 }
 
@@ -50,10 +50,10 @@ func (f *VertexFuture) Wait() (*VertexHandle, error) {
 		// happen through misuse across goroutines); fail it rather than spin.
 		f.fail(fmt.Errorf("%w: future lost by its transaction", ErrTxCritical))
 	}
-	if f.h == nil && f.st != nil {
-		f.h = &VertexHandle{tx: f.tx, st: f.st}
+	if f.st == nil {
+		return nil, f.err
 	}
-	return f.h, f.err
+	return &f.st.h, nil
 }
 
 func (f *VertexFuture) fail(err error) {
@@ -78,28 +78,37 @@ func (f *VertexFuture) resolveState(st *vertexState) {
 // flush. Queueing performs no communication.
 func (tx *Tx) AssociateVertexAsync(dp fabric.DPtr) *VertexFuture {
 	f := &VertexFuture{tx: tx, dp: dp}
+	if !tx.begin(f) {
+		tx.pending = append(tx.pending, f)
+	}
+	return f
+}
+
+// begin completes f at once where no read is needed — a closed or failed
+// transaction, a NULL ID, a vertex the transaction holds — and reports
+// whether it did.
+func (tx *Tx) begin(f *VertexFuture) bool {
 	if err := tx.check(); err != nil {
 		f.fail(err)
-		return f
-	}
-	if dp.IsNull() {
+	} else if f.dp.IsNull() {
 		f.fail(fmt.Errorf("%w: NULL vertex ID", ErrBadArgument))
-		return f
-	}
-	if st, ok := tx.verts[dp]; ok {
+	} else if st := tx.cached(f.dp); st != nil {
 		f.resolveState(st)
-		return f
 	}
-	// A stale DPtr of a vertex this transaction already chased through its
-	// forwarding stub resolves to the cached state without communication.
+	return f.done
+}
+
+// cached returns the state this transaction holds for dp, or nil: a stale
+// DPtr of a vertex this transaction already chased through its forwarding
+// stub resolves to the current primary's state without communication.
+func (tx *Tx) cached(dp fabric.DPtr) *vertexState {
+	if st, ok := tx.verts[dp]; ok {
+		return st
+	}
 	if a := tx.chaseAlias(dp); a != dp {
-		if st, ok := tx.verts[a]; ok {
-			f.resolveState(st)
-			return f
-		}
+		return tx.verts[a]
 	}
-	tx.pending = append(tx.pending, f)
-	return f
+	return nil
 }
 
 // AssociateVertices materializes handles for a whole set of vertices at once
@@ -144,24 +153,25 @@ func (tx *Tx) AssociateVertices(dps []fabric.DPtr) ([]*VertexHandle, error) {
 const maxForwardHops = 8
 
 // assoc is one distinct vertex of a flush generation and the futures
-// awaiting it. Reading it settles it: st installed, a forwarding stub to chase
-// at fwd, or err.
+// awaiting it: pending[first], then along the flush's links to
+// pending[last]. Reading it settles it: st installed, a forwarding stub to
+// chase at fwd, or err.
 type assoc struct {
-	dp     fabric.DPtr
-	futs   []*VertexFuture
-	st     *vertexState
-	follow replicaEntry // the local follower copy the read goes to; a null head when none
-	fwd    fabric.DPtr
-	err    error
+	dp          fabric.DPtr
+	first, last int32
+	st          *vertexState
+	follow      replicaEntry // the local follower copy the read goes to; a null head when none
+	fwd         fabric.DPtr
+	err         error
 }
 
 // flushPending completes every queued association (the Flush of the op
 // queue). Each generation of the flush read-locks its vertices on the locking
 // tier (one CAS train per owner rank; contention is transaction-critical and
 // poisons the whole flush), reads them in one batch of the chain reader
-// ("Life of a holder read" in ARCHITECTURE.md), decodes and installs each
-// holder into the per-transaction cache, and re-queues the vertices that
-// turned out to be forwarding stubs at their current primary.
+// ("Life of a holder read" in ARCHITECTURE.md), installs each holder into the
+// per-transaction cache, and re-queues the vertices that turned out to be
+// forwarding stubs at their current primary.
 func (tx *Tx) flushPending() {
 	pending := tx.pending
 	tx.pending = nil
@@ -175,7 +185,8 @@ func (tx *Tx) flushPending() {
 // the version moved or the word marks a forwarding stub, the locking tier
 // refuses on its CAS, before any block is read; the seqlock tier refuses
 // after the head round, whose train loaded the word, and drops what that
-// round read.
+// round read. Its scratch comes from readerPool, and it keeps no pointer to
+// a future past its return.
 func (tx *Tx) flush(pending []*VertexFuture, spec bool, expect uint64) {
 	if len(pending) == 0 {
 		return
@@ -186,6 +197,10 @@ func (tx *Tx) flush(pending []*VertexFuture, spec bool, expect uint64) {
 		}
 		return
 	}
+	fs := getReadScratch()
+	defer fs.release()
+	fs.link = slices.Grow(fs.link[:0], len(pending))[:len(pending)]
+	w := waiters{pending, fs.link}
 
 	// Deduplicate by DPtr (resolving migration aliases this transaction has
 	// already chased); cache hits resolve without communication. The dedup
@@ -195,14 +210,14 @@ func (tx *Tx) flush(pending []*VertexFuture, spec bool, expect uint64) {
 	// here through chaseAlias + the installed state — no fresh chase
 	// generation, no second ForwardedReads count, no traffic
 	// (TestMultiHopRevisitOfMigratedVertexUsesAliasMap).
-	var gen []assoc
+	gen, spare := fs.gen[:0], fs.next[:0]
 	var uniq map[fabric.DPtr]int
-	enqueue := func(dp fabric.DPtr, futs ...*VertexFuture) {
+	// enqueue adds the futures from pending[first] to pending[last] to the
+	// generation being built, at dp.
+	enqueue := func(dp fabric.DPtr, first, last int32) {
 		dp = tx.chaseAlias(dp)
 		if st, ok := tx.verts[dp]; ok {
-			for _, f := range futs {
-				f.resolveState(st)
-			}
+			w.resolve(first, st)
 			return
 		}
 		if uniq == nil && len(gen) > 0 {
@@ -211,19 +226,19 @@ func (tx *Tx) flush(pending []*VertexFuture, spec bool, expect uint64) {
 				uniq[gen[i].dp] = i
 			}
 		}
-		i, ok := uniq[dp]
-		if !ok {
-			i = len(gen)
-			gen = append(gen, assoc{dp: dp})
-			if uniq != nil {
-				uniq[dp] = i
-			}
+		if i, ok := uniq[dp]; ok {
+			w.link[gen[i].last], gen[i].last = first, last
+			return
 		}
-		gen[i].futs = append(gen[i].futs, futs...)
+		if uniq != nil {
+			uniq[dp] = len(gen)
+		}
+		gen = append(gen, assoc{dp: dp, first: first, last: last})
 	}
-	for _, f := range pending {
+	for i, f := range pending {
+		w.link[i] = -1
 		if !f.done {
-			enqueue(f.dp, f)
+			enqueue(f.dp, int32(i), int32(i))
 		}
 	}
 
@@ -232,40 +247,59 @@ func (tx *Tx) flush(pending []*VertexFuture, spec bool, expect uint64) {
 	// primary and go around again, bounded by maxForwardHops. A generation
 	// installs its states before the next is queued, so a chase that arrives
 	// at a vertex this flush already read resolves to its state.
-	var r chainReader // the installed states' views alias its bytes
+	defer func() { fs.gen, fs.next = gen, spare }()
 	for hop := 0; len(gen) > 0; hop++ {
 		if hop > maxForwardHops {
 			crit := tx.fail(fmt.Errorf("associating %d vertices: migration forwarding chain exceeded %d hops: %w",
 				len(gen), maxForwardHops, locks.ErrContended))
 			for i := range gen {
-				for _, f := range gen[i].futs {
-					f.fail(crit)
-				}
+				w.fail(gen[i].first, crit)
 			}
 			return
 		}
-		if !tx.readGeneration(&r, gen, spec, expect) {
+		if !tx.readGeneration(&fs.chainReader, gen, spec, expect) {
+			for i := range gen {
+				w.fail(gen[i].first, tx.critical)
+			}
 			return
 		}
 		cur := gen
-		gen, uniq = nil, nil
+		gen, uniq = spare[:0], nil
 		for i := range cur {
 			a := &cur[i]
 			switch {
 			case a.err != nil:
-				for _, f := range a.futs {
-					f.fail(a.err)
-				}
+				w.fail(a.first, a.err)
 			case !a.fwd.IsNull():
 				tx.eng.forwards.Add(1)
 				tx.addAlias(a.dp, a.fwd)
-				enqueue(a.fwd, a.futs...)
+				enqueue(a.fwd, a.first, a.last)
 			default:
-				for _, f := range a.futs {
-					f.resolveState(a.st)
-				}
+				w.resolve(a.first, a.st)
 			}
 		}
+		spare = cur
+	}
+}
+
+// waiters are the futures of a flush, each linked to the next one awaiting
+// the same vertex (-1 ends a list).
+type waiters struct {
+	pending []*VertexFuture
+	link    []int32
+}
+
+// fail fails the list that starts at pending[first].
+func (w waiters) fail(first int32, err error) {
+	for i := first; i >= 0; i = w.link[i] {
+		w.pending[i].fail(err)
+	}
+}
+
+// resolve completes the list that starts at pending[first] with st.
+func (w waiters) resolve(first int32, st *vertexState) {
+	for i := first; i >= 0; i = w.link[i] {
+		w.pending[i].resolveState(st)
 	}
 }
 
@@ -290,7 +324,7 @@ func (tx *Tx) readGeneration(r *chainReader, gen []assoc, spec bool, expect uint
 	r.items = r.items[:0]
 	for i := range gen {
 		a := &gen[i]
-		a.st = &vertexState{primary: a.dp}
+		a.st = tx.newState(a.dp)
 		it := chainItem{head: a.dp, want: want}
 		if followers {
 			if ent, ok := e.repl[tx.rank].lookup(a.dp); ok {
@@ -388,12 +422,7 @@ func (tx *Tx) lockGeneration(r *chainReader, gen []assoc, spec bool, expect uint
 		}
 		stamps, err := locks.AcquireReadTrainAt(tx.rank, words, nil, e.cfg.LockTries)
 		if err != nil {
-			crit := tx.fail(fmt.Errorf("read-locking a %d-vertex association batch: %w", len(gen), err))
-			for i := range gen {
-				for _, f := range gen[i].futs {
-					f.fail(crit)
-				}
-			}
+			tx.fail(fmt.Errorf("read-locking a %d-vertex association batch: %w", len(gen), err))
 			return false
 		}
 		for i, w := range stamps {
@@ -409,37 +438,49 @@ func (tx *Tx) lockGeneration(r *chainReader, gen []assoc, spec bool, expect uint
 	return true
 }
 
-// install decodes an item read OK into a's state and makes it the
-// transaction's: the edge records stay encoded behind the state's view until
-// a mutation needs a mutable slice, so every read iterates them in place. It returns false for a stream that
-// does not decode, or a follower copy that is not this vertex's.
+// install makes an item read OK a's state and the transaction's. The state
+// keeps the stream behind its view, which every read accessor is served
+// from; nothing is decoded to the heap until a mutation needs it
+// (materialize). The header, the fixed regions and the entry region are
+// checked here, so those reads cannot fail later; the edge region is checked
+// by the walk that reads it. It returns false for a stream that does not
+// check, or a follower copy that is not this vertex's.
 func (tx *Tx) install(a *assoc, it *chainItem) bool {
 	st := a.st
-	err := st.view.Reset(it.buf)
-	var v *holder.Vertex
-	if err == nil {
-		v, err = st.view.DecodeMeta()
-	}
-	switch {
-	case err != nil || !a.follow.head.IsNull() && (!v.IsReplica || v.AppID != a.follow.app):
+	if st.view.Reset(it.buf) != nil || !entriesValid(st.view.Entries()) {
 		return false
-	case a.follow.head.IsNull():
-		st.blocks = it.chain()
-	default:
+	}
+	if !a.follow.head.IsNull() {
+		if !st.view.IsReplica() || st.view.AppID() != a.follow.app {
+			return false
+		}
 		tx.eng.replicaReads.Add(1)
 	}
-	st.v, st.ver = v, locks.Version(it.stamp)
-	st.lazyEdges = st.view.NumEdges() > 0
-	st.origLabel = append([]lpg.LabelID(nil), v.Labels...)
+	st.stream, st.ver = it.buf, locks.Version(it.stamp)
 	tx.verts[a.dp] = st
 	// a.dp is the vertex's primary — the post-chase one when the read went
 	// through a forwarding stub, the primary a follower copy stands for — so
 	// heat lands against its current owner, not a vacated or follower rank.
-	tx.eng.recordHeat(tx.rank, v.AppID, a.dp.Rank())
+	tx.eng.recordHeat(tx.rank, st.view.AppID(), a.dp.Rank())
 	if tx.optimistic() {
 		tx.optReads = append(tx.optReads, optRead{a.dp, st.ver})
 	}
 	return true
+}
+
+// entriesValid reports whether a label/property entry region decodes: every
+// entry well formed, and every label entry's payload one exact uvarint.
+func entriesValid(region []byte) bool {
+	it := lpg.IterEntries(region)
+	for id, payload, ok := it.Next(); ok; id, payload, ok = it.Next() {
+		if id != lpg.IDLabel {
+			continue
+		}
+		if _, ok := lpg.EntryLabel(payload); !ok {
+			return false
+		}
+	}
+	return it.Err() == nil
 }
 
 // chaseAlias resolves dp through the migration aliases this transaction has

@@ -24,23 +24,35 @@ type VertexHandle struct {
 func (h *VertexHandle) ID() fabric.DPtr { return h.st.primary }
 
 // AppID returns the application-level vertex ID.
-func (h *VertexHandle) AppID() uint64 { return h.st.v.AppID }
+func (h *VertexHandle) AppID() uint64 { return h.st.appID() }
 
 // Homes returns the primary blocks the vertex occupied before live migration
 // moved it (holder.Vertex.Homes): edge records written before a move still
 // name the vertex by one of them. Empty for a vertex that never moved. The
 // slice is the handle's own; callers must not modify it.
-func (h *VertexHandle) Homes() []fabric.DPtr { return h.st.v.Homes }
+func (h *VertexHandle) Homes() []fabric.DPtr {
+	if h.st.v != nil {
+		return h.st.v.Homes
+	}
+	v, _ := h.st.view.DecodeMeta() // install checked every region it reads
+	return v.Homes
+}
 
 // Labels returns the vertex's labels (GDI_GetAllLabelsOfVertex). O(|labels|).
 func (h *VertexHandle) Labels() []lpg.LabelID {
-	return append([]lpg.LabelID(nil), h.st.v.Labels...)
+	var out []lpg.LabelID
+	for w := h.st.entries(); w.next(); {
+		if w.isLabel {
+			out = append(out, w.label)
+		}
+	}
+	return out
 }
 
 // HasLabel reports whether the vertex carries label l.
 func (h *VertexHandle) HasLabel(l lpg.LabelID) bool {
-	for _, x := range h.st.v.Labels {
-		if x == l {
+	for w := h.st.entries(); w.next(); {
+		if w.isLabel && w.label == l {
 			return true
 		}
 	}
@@ -70,25 +82,24 @@ func (h *VertexHandle) RemoveLabel(l lpg.LabelID) error {
 	if err := h.tx.check(); err != nil {
 		return err
 	}
-	for i, x := range h.st.v.Labels {
-		if x == l {
-			if err := h.tx.ensureWrite(h.st); err != nil {
-				return err
-			}
-			h.st.v.Labels = append(h.st.v.Labels[:i], h.st.v.Labels[i+1:]...)
-			return nil
-		}
+	if !h.HasLabel(l) {
+		return fmt.Errorf("%w: label %d on vertex %v", ErrNotFound, l, h.st.primary)
 	}
-	return fmt.Errorf("%w: label %d on vertex %v", ErrNotFound, l, h.st.primary)
+	if err := h.tx.ensureWrite(h.st); err != nil {
+		return err
+	}
+	i := slices.Index(h.st.v.Labels, l)
+	h.st.v.Labels = append(h.st.v.Labels[:i], h.st.v.Labels[i+1:]...)
+	return nil
 }
 
 // Properties returns the values of all entries of p-type pt
 // (GDI_GetPropertiesOfVertex). O(|props|).
 func (h *VertexHandle) Properties(pt lpg.PTypeID) [][]byte {
 	var out [][]byte
-	for _, p := range h.st.v.Props {
-		if p.PType == pt {
-			out = append(out, append([]byte(nil), p.Value...))
+	for w := h.st.entries(); w.next(); {
+		if !w.isLabel && w.prop.PType == pt {
+			out = append(out, append([]byte(nil), w.prop.Value...))
 		}
 	}
 	return out
@@ -96,26 +107,72 @@ func (h *VertexHandle) Properties(pt lpg.PTypeID) [][]byte {
 
 // Property returns the single value of p-type pt, or ok=false.
 func (h *VertexHandle) Property(pt lpg.PTypeID) ([]byte, bool) {
-	for _, p := range h.st.v.Props {
-		if p.PType == pt {
-			return append([]byte(nil), p.Value...), true
+	for w := h.st.entries(); w.next(); {
+		if !w.isLabel && w.prop.PType == pt {
+			return append([]byte(nil), w.prop.Value...), true
 		}
 	}
 	return nil, false
 }
 
 // PTypes lists the distinct property types present on the vertex
-// (GDI_GetAllPropertyTypesOfVertex).
+// (GDI_GetAllPropertyTypesOfVertex), in order of first appearance.
 func (h *VertexHandle) PTypes() []lpg.PTypeID {
-	seen := map[lpg.PTypeID]bool{}
 	var out []lpg.PTypeID
-	for _, p := range h.st.v.Props {
-		if !seen[p.PType] {
-			seen[p.PType] = true
-			out = append(out, p.PType)
+	for w := h.st.entries(); w.next(); {
+		if !w.isLabel && !slices.Contains(out, w.prop.PType) {
+			out = append(out, w.prop.PType)
 		}
 	}
 	return out
+}
+
+// entryWalk iterates a vertex state's labels and properties, each kind in
+// insertion order: in place on the view's entry region while the state is
+// clean, over the materialized vertex (labels, then properties) once a
+// mutation built it. A property's Value aliases the stream or the vertex.
+type entryWalk struct {
+	isLabel bool
+	label   lpg.LabelID  // the entry, when isLabel
+	prop    lpg.Property // the entry, otherwise
+	v       *holder.Vertex
+	i       int
+	it      lpg.EntryIter
+}
+
+// entries starts a walk over st's labels and properties.
+func (st *vertexState) entries() entryWalk {
+	if st.v != nil {
+		return entryWalk{v: st.v}
+	}
+	return entryWalk{it: lpg.IterEntries(st.view.Entries())}
+}
+
+// next advances to the next entry: false at the end. install checked the
+// region, so a clean state's walk meets no malformed entry.
+func (w *entryWalk) next() bool {
+	if w.v == nil {
+		id, payload, ok := w.it.Next()
+		if !ok {
+			return false
+		}
+		if w.isLabel = id == lpg.IDLabel; w.isLabel {
+			w.label, _ = lpg.EntryLabel(payload)
+		} else {
+			w.prop = lpg.Property{PType: lpg.PTypeID(id), Value: payload}
+		}
+		return true
+	}
+	labels, props := w.v.Labels, w.v.Props
+	switch w.i++; {
+	case w.i <= len(labels):
+		w.isLabel, w.label = true, labels[w.i-1]
+	case w.i <= len(labels)+len(props):
+		w.isLabel, w.prop = false, props[w.i-1-len(labels)]
+	default:
+		return false
+	}
+	return true
 }
 
 func (tx *Tx) validateProp(pt lpg.PTypeID, value []byte, entity lpg.EntityType) (*metadata.PType, error) {
@@ -183,8 +240,8 @@ func (h *VertexHandle) RemoveProperties(pt lpg.PTypeID) (int, error) {
 		return 0, err
 	}
 	n := 0
-	for _, p := range h.st.v.Props {
-		if p.PType == pt {
+	for w := h.st.entries(); w.next(); {
+		if !w.isLabel && w.prop.PType == pt {
 			n++
 		}
 	}
@@ -301,8 +358,8 @@ func (h *VertexHandle) Edges(mask DirMask, cons *constraint.Constraint) ([]EdgeI
 }
 
 // edgeWalk iterates a vertex state's edge records in record order: through
-// the view's cursor while the state is lazy, over the materialized slice once
-// a mutation realized it. pos is the record's index in that slice either
+// the view's cursor while the state is clean, over the materialized slice
+// once a mutation realized it. pos is the record's index in that slice either
 // way, so an EdgeUID built from it names the record DeleteEdge removes.
 type edgeWalk struct {
 	rec  holder.EdgeRec
@@ -315,7 +372,7 @@ type edgeWalk struct {
 
 // edges starts a walk over st's records.
 func (st *vertexState) edges() edgeWalk {
-	w := edgeWalk{pos: -1, st: st, lazy: st.lazyEdges}
+	w := edgeWalk{pos: -1, st: st, lazy: st.v == nil}
 	if w.lazy {
 		w.c = st.view.Edges()
 	} else {
@@ -410,7 +467,7 @@ func (h *VertexHandle) ForEachEdge(mask DirMask, fn func(nb fabric.DPtr, dir hol
 // damage, which every error-returning accessor then reports.
 func (h *VertexHandle) CountEdges(mask DirMask) int {
 	if mask == MaskAll {
-		return h.Degree() // a header field on a lazy state; no edge-region walk
+		return h.Degree() // a header field on a clean state; no edge-region walk
 	}
 	n := 0
 	w := h.st.edges()
@@ -441,10 +498,10 @@ func (h *VertexHandle) Neighbors(mask DirMask, cons *constraint.Constraint) ([]f
 	return out, nil
 }
 
-// Degree returns the total number of incident edge records. For lazily
-// decoded holders it is a header read — no edge region is touched.
+// Degree returns the total number of incident edge records. For a clean
+// state it is a header read — no edge region is touched.
 func (h *VertexHandle) Degree() int {
-	if h.st.lazyEdges {
+	if h.st.v == nil {
 		return h.st.view.NumEdges()
 	}
 	return len(h.st.v.Edges)
@@ -522,7 +579,7 @@ func (tx *Tx) CreateRichEdge(origin, target fabric.DPtr, dir holder.Direction, l
 		isNew: true,
 		dirty: true,
 	}
-	tx.edges[hp] = es
+	tx.addEdgeState(es)
 	uid := holder.EdgeUID{Vertex: origin, Index: uint32(len(oh.st.v.Edges))}
 	oh.st.v.Edges = append(oh.st.v.Edges, holder.EdgeRec{Neighbor: hp, Dir: dir, Heavy: true})
 	if origin != target {
@@ -577,7 +634,7 @@ func (tx *Tx) DeleteEdge(uid holder.EdgeUID) error {
 	if err != nil {
 		return err
 	}
-	if err := tx.materializeEdges(vh.st); err != nil { // the UID indexes the record slice
+	if err := vh.st.materialize(); err != nil { // the UID indexes the record slice
 		return err
 	}
 	if int(uid.Index) >= len(vh.st.v.Edges) {
@@ -598,12 +655,7 @@ func (tx *Tx) DeleteEdge(uid holder.EdgeUID) error {
 			other = es.e.Origin
 		}
 		if !vh.st.isIdentity(other) {
-			// Heavy sibling records point at the edge holder, which never
-			// migrates: match it exactly.
-			hp := rec.Neighbor
-			if err := tx.removeRecord(other, func(r holder.EdgeRec) bool {
-				return r.Heavy && r.Neighbor == hp
-			}); err != nil {
+			if err := tx.removeRecord(other, matchHeavySibling(rec.Neighbor)); err != nil {
 				return err
 			}
 		}
@@ -626,6 +678,13 @@ func matchLightSibling(st *vertexState) func(holder.EdgeRec) bool {
 	return func(r holder.EdgeRec) bool {
 		return !r.Heavy && st.isIdentity(r.Neighbor)
 	}
+}
+
+// matchHeavySibling matches the record of the heavy edge whose holder is
+// hp: heavy sibling records point at the edge holder, which never migrates,
+// so it is matched exactly.
+func matchHeavySibling(hp fabric.DPtr) func(holder.EdgeRec) bool {
+	return func(r holder.EdgeRec) bool { return r.Heavy && r.Neighbor == hp }
 }
 
 // removeRecord drops the first record at vertex `at` accepted by match.

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"slices"
+	"sync"
 
 	"github.com/gdi-go/gdi/internal/block"
 	"github.com/gdi-go/gdi/internal/fabric"
@@ -74,7 +75,8 @@ type chainItem struct {
 	// stale, in a speculative batch.
 	follower bool
 	buf      []byte // the stream, as far as it was read
-	need     int    // blocks read: the chain, or its entry prefix
+	need     int    // blocks to read: the chain, or its entry prefix
+	got      int    // blocks queued so far, head included
 	verdict  verdict
 	// wire: a block came off the wire or the pool, not out of the validated
 	// cache; after validate, whether the post-stamp covered the item.
@@ -99,12 +101,15 @@ func (it *chainItem) chain() []fabric.DPtr {
 
 // chainReader reads batches of holder chains. Its slices grow in one step per
 // batch and serve the next, so a reader kept across batches — a frontier's,
-// hop to hop, or a point read's arena — allocates nothing once warm. Streams
-// are carved out of bytes; a caller that resets it recycles them, and one that
-// does not (the flush) leaves them to the views that alias them.
+// hop to hop, a point read's arena, or one from readerPool — allocates nothing
+// once warm. Head blocks land in heads, which the next batch reuses; the
+// streams of the items read OK are carved out of bytes. A caller that resets
+// the reader recycles bytes, and one that does not (the flush) leaves them to
+// the views that alias them.
 type chainReader struct {
 	items  []chainItem
 	bytes  byteArena
+	heads  []byte // the head round's blocks
 	trains block.Trains
 	// spec: the batch checks a speculative translation, whose holders must
 	// carry guard version expect (admit).
@@ -119,6 +124,44 @@ type chainReader struct {
 	dps     []fabric.DPtr       // guards to stamp, or an unstamped round's blocks (scratch)
 	bufs    [][]byte
 	words   []uint64
+}
+
+// readerPool recycles the scratch of the flush and of commit validation
+// across transactions: a point read takes a warm reader instead of growing
+// a fresh one. The byte arena is never pooled — installed views alias it.
+var readerPool = sync.Pool{New: func() any { return new(readScratch) }}
+
+// readScratch is what readerPool holds: a chain reader and the flush's
+// generations of associations.
+type readScratch struct {
+	chainReader
+	gen, next []assoc
+	link      []int32 // per pending future: the next future awaiting the same vertex, or -1
+}
+
+// getReadScratch takes a reader from the pool.
+func getReadScratch() *readScratch { return readerPool.Get().(*readScratch) }
+
+// pooledBatch caps the batch a pooled scratch may have served: a larger one
+// is left to the collector, since a big batch amortizes its own allocations
+// and the pool would keep its buffers live.
+const pooledBatch = 256
+
+// release drops everything the scratch points into — streams, states,
+// futures' neighbours — and returns it to the pool.
+func (s *readScratch) release() {
+	r := &s.chainReader
+	if cap(r.items) > pooledBatch || cap(r.dps) > pooledBatch {
+		return
+	}
+	clear(r.items[:cap(r.items)])
+	clear(r.reads[:cap(r.reads)])
+	clear(r.fetched[:cap(r.fetched)])
+	clear(r.bufs[:cap(r.bufs)])
+	clear(s.gen[:cap(s.gen)])
+	clear(s.next[:cap(s.next)])
+	r.bytes = byteArena{}
+	readerPool.Put(s)
 }
 
 // reset starts a batch of up to n items and recycles the bytes of the last.
@@ -182,16 +225,20 @@ func (r *chainReader) refetch(j int, stamp uint64) bool {
 }
 
 // read walks the chain of every unread item and gives each a verdict: a head
-// round, then one round per continuation depth up to each item's need — the
-// whole chain, or with prefix the blocks through the end of the entry region.
-// A round is one train per owner rank for what the validated cache cannot
-// serve. On readSeqlock the trains carry the guard loads: the head round
-// loads the stamp of every unstamped item ahead of its head (a cached head
-// costs that load alone), so such an item is admitted only after the round
-// and what was read of a refused one is dropped; every block off the wire
-// has the guard loaded again behind it, and validate checks the last of
-// those post-stamps. confirm extends the check to the gone, implausible and
-// stub verdicts, for a caller that acts on them.
+// round, then continuation rounds up to each item's need — the whole chain,
+// or with prefix the blocks through the end of the entry region. A round is
+// one train per owner rank for what the validated cache cannot serve. Each
+// continuation round reads every block whose table entry lies in the blocks
+// already read: at 512-byte blocks the head names blocks 1–60, so a chain of
+// up to 61 blocks takes 2 rounds and one of up to 3 901 takes 3. On
+// readSeqlock the trains carry the guard loads: the head round loads the
+// stamp of every unstamped item ahead of its head (a cached head costs that
+// load alone), so such an item is admitted only after the round and what was
+// read of a refused one is dropped; every block off the wire has the guard
+// loaded again behind it, and validate checks the last of those post-stamps
+// (a train keeps an item's blocks in queue order, so its last block is last).
+// confirm extends the check to the gone, implausible and stub verdicts, for a
+// caller that acts on them.
 func (r *chainReader) read(e *Engine, origin fabric.Rank, mode readMode, prefix, confirm bool) {
 	bs := e.cfg.BlockSize
 	seqlock := mode == readSeqlock
@@ -203,19 +250,19 @@ func (r *chainReader) read(e *Engine, origin fabric.Rank, mode readMode, prefix,
 	}
 	r.fetched = r.fetched[:0]
 	r.reads, r.readOf = slices.Grow(r.reads[:0], len(r.batch)), slices.Grow(r.readOf[:0], len(r.batch))
-	r.bytes.reserve(len(r.batch) * bs)
-	for _, i := range r.batch {
+	r.heads = slices.Grow(r.heads[:0], len(r.batch)*bs)[:len(r.batch)*bs]
+	for k, i := range r.batch {
 		it := &r.items[i]
 		if it.stamped && !r.admit(it, seqlock) {
 			continue
 		}
-		it.buf, it.wire = r.bytes.alloc(bs), false
+		it.buf, it.wire, it.got = r.heads[k*bs:(k+1)*bs:(k+1)*bs], false, 1
 		r.queue(i, it.head, it.buf, seqlock && !it.stamped, seqlock)
 	}
 	r.round(e, origin, mode)
 
 	r.walking = slices.Grow(r.walking[:0], len(r.readOf))
-	chains := 0 // bytes of the streams that continue past their head
+	streams := 0 // bytes of the streams read OK
 	for j, i := range r.readOf {
 		it := &r.items[i]
 		if r.reads[j].Load && !r.admit(it, seqlock) {
@@ -236,33 +283,43 @@ func (r *chainReader) read(e *Engine, origin fabric.Rank, mode readMode, prefix,
 			if prefix {
 				it.need = holder.EntryBlocks(it.buf, bs)
 			}
+			streams += it.need * bs
+		}
+	}
+	// Move each stream read OK out of heads into bytes, in one buffer.
+	r.bytes.reserve(streams)
+	for _, i := range r.readOf {
+		if it := &r.items[i]; it.verdict == readOK {
+			full := r.bytes.alloc(it.need * bs)
+			copy(full, it.buf)
+			it.buf = full
 			if it.need > 1 {
 				r.walking = append(r.walking, i)
-				chains += it.need * bs
 			}
 		}
 	}
-	r.bytes.reserve(chains)
-	for _, i := range r.walking {
-		it := &r.items[i]
-		full := r.bytes.alloc(it.need * bs)
-		copy(full, it.buf)
-		it.buf = full
-	}
 
-	// Continuation rounds: block `round` of every chain that reaches it,
-	// located by the table entry the rounds before brought in.
-	for round := 1; len(r.walking) > 0; round++ {
+	// Continuation rounds: every block of a chain that the table entries in
+	// its blocks read so far locate, each entry checked before its block is
+	// queued.
+	for len(r.walking) > 0 {
 		r.reads, r.readOf = r.reads[:0], r.readOf[:0]
 		more := r.walking[:0]
 		for _, i := range r.walking {
 			it := &r.items[i]
-			if !e.plausibleBlock(it.head, it.buf, round) {
-				it.verdict = readImplausible
+			to := min(it.need, 1+(it.got*bs-holder.HeaderSize)/8)
+			for b := it.got; b < to && it.verdict == readOK; b++ {
+				if !e.plausibleBlock(it.head, it.buf, b) {
+					it.verdict = readImplausible
+				}
+			}
+			if it.verdict != readOK {
 				continue
 			}
-			r.queue(i, holder.TableEntry(it.buf, round-1), it.buf[round*bs:(round+1)*bs], false, seqlock)
-			if it.need > round+1 {
+			for ; it.got < to; it.got++ {
+				r.queue(i, holder.TableEntry(it.buf, it.got-1), it.buf[it.got*bs:(it.got+1)*bs], false, seqlock)
+			}
+			if it.need > it.got {
 				more = append(more, i)
 			}
 		}
@@ -358,15 +415,23 @@ func (r *chainReader) validate(e *Engine, origin fabric.Rank, confirm bool) {
 
 // readChains reads the whole chain of every head under the caller's write
 // locks or marks, refusing heads want refuses; an item not readOK was
-// rejected.
+// rejected, and has no buf.
 func (e *Engine) readChains(origin fabric.Rank, heads []fabric.DPtr, want func(head []byte) bool) []chainItem {
-	var r chainReader
-	r.reset(len(heads))
+	fs := getReadScratch()
+	defer fs.release()
+	r := &fs.chainReader
+	r.items = r.items[:0]
 	for _, h := range heads {
 		r.items = append(r.items, chainItem{head: h, want: want})
 	}
 	r.read(e, origin, readUnderLock, false, false)
-	return r.items
+	items := slices.Clone(r.items)
+	for i := range items {
+		if items[i].verdict != readOK {
+			items[i].buf = nil // it may be the pooled head scratch
+		}
+	}
+	return items
 }
 
 // readChain is readChains for one holder: buf is nil when it was rejected.

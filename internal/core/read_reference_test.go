@@ -200,7 +200,7 @@ func referenceFlush(tx *Tx, pending []*VertexFuture, spec bool, expect uint64) {
 			}
 		}
 		for _, pf := range fetches {
-			st := &vertexState{primary: pf.dp}
+			st := tx.newState(pf.dp)
 			if locking {
 				pf.ver = locks.Version(pf.stamp)
 				st.lock, st.ver = lockRead, pf.ver
@@ -253,16 +253,16 @@ func referenceFlush(tx *Tx, pending []*VertexFuture, spec bool, expect uint64) {
 				continue
 			}
 			if pf.err == nil {
-				// Lazy decode: validate the stream and materialize everything
-				// except the edge records, which stay varint/fixed-encoded in
-				// pf.buf behind the state's view until a mutation needs a
-				// mutable slice. Every read iterates the view in place and
-				// allocates nothing per edge.
+				// Decode: validate the stream and materialize everything but
+				// the edge records, which are appended from the view.
 				st := pf.st
 				err := st.view.Reset(pf.buf)
 				var v *holder.Vertex
 				if err == nil {
 					v, err = st.view.DecodeMeta()
+				}
+				if err == nil {
+					v.Edges = st.view.AppendEdges(nil)
 				}
 				if err != nil {
 					tx.unlockState(pf.st)
@@ -270,7 +270,6 @@ func referenceFlush(tx *Tx, pending []*VertexFuture, spec bool, expect uint64) {
 				} else {
 					pf.st.v = v
 					pf.st.ver = pf.ver
-					pf.st.lazyEdges = st.view.NumEdges() > 0
 					pf.st.blocks = pf.blocks
 					pf.st.origLabel = append([]lpg.LabelID(nil), v.Labels...)
 					tx.verts[pf.dp] = pf.st
@@ -526,6 +525,7 @@ func referenceReplicaRead(tx *Tx, dp fabric.DPtr) (*vertexState, uint64, bool) {
 		e.repl[tx.rank].drop(dp)
 		return nil, 0, false
 	}
-	st := &vertexState{primary: dp, v: v}
+	st := tx.newState(dp)
+	st.v = v
 	return st, locks.Version(w1), true
 }

@@ -324,11 +324,16 @@ func stateString(st *vertexState) string {
 	if st == nil {
 		return "<nil>"
 	}
-	v := *st.v
-	if st.lazyEdges {
-		v.Edges = st.view.AppendEdges(nil)
+	c := *st
+	if c.v == nil {
+		if err := c.materialize(); err != nil {
+			return err.Error()
+		}
+		if c.view.IsReplica() {
+			c.blocks = nil // a follower copy's blocks are not the vertex's
+		}
 	}
-	return fmt.Sprintf("%v lock=%d ver=%d blocks=%v %+v", st.primary, st.lock, st.ver, st.blocks, v)
+	return fmt.Sprintf("%v lock=%d ver=%d blocks=%v %+v", c.primary, c.lock, c.ver, c.blocks, *c.v)
 }
 
 // errClass names the kind of an association error.
@@ -373,7 +378,10 @@ type assocOutcome struct {
 // the guard inside their GET trains, so its trains and atomics are not the
 // reference's: seqlockTraffic restates them, and compareSeqlockTraffic holds
 // its GETs and bytes to the reference's and its round trips to at most the
-// reference's.
+// reference's. A chain's continuation rounds read every block its table
+// entries locate, where the reference read one block per round, so at 64-byte
+// blocks the other tiers' GET trains are restated too (stampedTraffic), with
+// their GETs and bytes the reference's and no more round trips.
 func TestAssociateMatchesReference(t *testing.T) {
 	tiers := []struct {
 		name       string
@@ -500,8 +508,7 @@ func TestAssociateMatchesReference(t *testing.T) {
 					if optimistic {
 						compareSeqlockTraffic(t, fmt.Sprintf("block=%d/cache=%d", bs, cache), got, want, blocks)
 					} else {
-						compare("remote traffic", got.Traffic, want.Traffic)
-						compare("round trips", got.Trips, want.Trips)
+						compareStampedTraffic(t, fmt.Sprintf("%s/block=%d/cache=%d", tier.name, bs, cache), got, want)
 					}
 					compare("counters", got.Counters, want.Counters)
 					if !reflect.DeepEqual(got.Words, want.Words) {
@@ -520,14 +527,16 @@ func TestAssociateMatchesReference(t *testing.T) {
 // reference stamped its holders in a load train ahead of its GETs and
 // post-stamped them in another behind. So the GETs are the reference's, and
 // every round trip is a train: one per owner rank and round that GETs, a load
-// train for a round the cache serves whole. The atomics are one load per
+// train for a round the cache serves whole. A round reads every block the
+// blocks before it locate, so the cold 64-byte batches take 6 and 7 GET
+// trains where one block per round took 12 and 13. The atomics are one load per
 // holder stamped in a head round plus one behind every block fetched, in
 // place of the reference's stamp and post-stamp per holder. The last two
 // checks are refused translations, which the one-block cache makes GET their
 // head block: 1 GET, 1 GET train, 2 loads, where the reference stamped once.
 var seqlockTraffic = map[string][]string{
-	"block=64/cache=512":  {"16 12 24 0", "1 1 9 2", "0 0 0 0", "0 0 1 1", "0 0 0 0", "0 0 0 0", "0 0 1 1", "0 0 1 1", "0 0 1 1"},
-	"block=64/cache=1":    {"20 13 28 0", "19 13 27 0", "0 0 0 0", "2 2 3 0", "0 0 0 0", "0 0 0 0", "2 2 3 0", "1 1 2 0", "1 1 2 0"},
+	"block=64/cache=512":  {"16 6 24 0", "1 1 9 2", "0 0 0 0", "0 0 1 1", "0 0 0 0", "0 0 0 0", "0 0 1 1", "0 0 1 1", "0 0 1 1"},
+	"block=64/cache=1":    {"20 7 28 0", "19 7 27 0", "0 0 0 0", "2 2 3 0", "0 0 0 0", "0 0 0 0", "2 2 3 0", "1 1 2 0", "1 1 2 0"},
 	"block=256/cache=512": {"7 4 15 0", "1 1 9 2", "0 0 0 0", "0 0 1 1", "0 0 0 0", "0 0 0 0", "0 0 1 1", "0 0 1 1", "0 0 1 1"},
 	"block=256/cache=1":   {"9 4 17 0", "8 4 16 0", "0 0 0 0", "1 1 2 0", "0 0 0 0", "0 0 0 0", "1 1 2 0", "1 1 2 0", "1 1 2 0"},
 }
@@ -547,6 +556,54 @@ func compareSeqlockTraffic(t *testing.T, config string, got, want assocOutcome, 
 	for k, n := range got.Trips {
 		if n != got.Trains[k] || n > want.Trips[k] {
 			t.Errorf("step %d: %d round trips, want its %d trains and at most the reference's %d", k, n, got.Trains[k], want.Trips[k])
+		}
+	}
+}
+
+// stampedTraffic restates the locking and collective tiers' traffic in
+// TestAssociateMatchesReference where it is not the reference's: remote
+// GETs, GET trains, remote atomics and atomic trains per step, then the
+// round trips per step. At 64-byte blocks the hub's chain is read in the
+// rounds its table entries allow — every block whose entry lies in the
+// blocks already read — where the reference read one block per round, so
+// its later blocks ride fewer, fuller trains. The GETs and bytes got are
+// the reference's, and the one GET train more is a lone block the reference
+// read with a scalar GET, which no train counts.
+var stampedTraffic = map[string]struct {
+	traffic []string
+	trips   []int64
+}{
+	"locking/block=64/cache=512": {[]string{"20 7 25 11", "0 0 25 11", "0 0 0 0", "0 0 1 0", "0 0 1 0", "0 0 1 0", "0 0 1 0", "0 0 1 0", "0 0 1 0"},
+		[]int64{18, 11, 0, 1, 1, 1, 1, 1, 1}},
+	"locking/block=64/cache=1": {[]string{"24 7 25 11", "24 7 25 11", "0 0 0 0", "2 0 1 0", "2 0 1 0", "0 0 1 0", "2 0 1 0", "0 0 1 0", "0 0 1 0"},
+		[]int64{18, 18, 0, 3, 3, 1, 3, 1, 1}},
+	"collective/block=64/cache=512": {[]string{"20 7 10 3", "0 0 10 3"}, []int64{10, 3}},
+	"collective/block=64/cache=1":   {[]string{"24 7 10 3", "24 7 10 3"}, []int64{10, 10}},
+}
+
+// compareStampedTraffic checks the locking and collective tiers' traffic in
+// TestAssociateMatchesReference, step by step: the counts and round trips
+// stampedTraffic restates, or else the reference's; the remote GETs and
+// bytes got, which are the reference's; and no round trips beyond the
+// reference's.
+func compareStampedTraffic(t *testing.T, config string, got, want assocOutcome) {
+	t.Helper()
+	traffic, trips := want.Traffic, want.Trips
+	if r, ok := stampedTraffic[config]; ok {
+		traffic, trips = r.traffic, r.trips
+	}
+	if !reflect.DeepEqual(got.Traffic, traffic) {
+		t.Errorf("remote traffic differs:\n got %v\nwant %v", got.Traffic, traffic)
+	}
+	if !reflect.DeepEqual(got.Trips, trips) {
+		t.Errorf("round trips differ:\n got %v\nwant %v", got.Trips, trips)
+	}
+	if !reflect.DeepEqual(got.Blocks, want.Blocks) {
+		t.Errorf("remote GETs and bytes got differ from the reference's:\n got %v\nwant %v", got.Blocks, want.Blocks)
+	}
+	for k, n := range got.Trips {
+		if n > want.Trips[k] {
+			t.Errorf("step %d: %d round trips, more than the reference's %d", k, n, want.Trips[k])
 		}
 	}
 }
@@ -660,9 +717,12 @@ func TestWriteHeldStampCachesNothing(t *testing.T) {
 // issued, so the trains are the round trips. Before this protocol the guard
 // was stamped in a train of its own ahead of the GETs and post-stamped in
 // another behind them: 3 round trips for a one-block holder, k+2 for a
-// k-block chain, and 3 per owner rank for a frontier hop.
+// k-block chain, and 3 per owner rank for a frontier hop. A chain takes one
+// round per step of its block table, not one per block, on every mode of
+// the chain reader.
 func TestSeqlockReadRoundTrips(t *testing.T) {
-	e := NewEngine(rma.New(2), Config{BlockSize: 64, BlocksPerRank: 1 << 10, LockTries: 16})
+	log := &windowLog{Transport: rma.New(2)}
+	e := NewEngine(log, Config{BlockSize: 64, BlocksPerRank: 1 << 10, LockTries: 16})
 	pt := payloadPType(t, e)
 	create := func(app uint64, words int) fabric.DPtr {
 		t.Helper()
@@ -731,6 +791,63 @@ func TestSeqlockReadRoundTrips(t *testing.T) {
 	for _, c := range cases {
 		if got := associate(c.dp); got != c.want {
 			t.Errorf("%s association: %+v, want %+v", c.name, got, c.want)
+		}
+	}
+
+	// Longer chains: each continuation round reads every block whose table
+	// entry lies in the blocks already read. At 64-byte blocks the head
+	// names blocks 1–4 and blocks 1–4 name blocks 5–36, so a cold chain of 5
+	// blocks costs 2 trains, 6 blocks 3, 37 blocks 3 and 38 blocks 4 (one
+	// train per block before), a GET per block and a load per block plus the
+	// stamp.
+	app := uint64(201)
+	longChain := func(k int64) fabric.DPtr {
+		t.Helper()
+		for words := 1; ; words++ {
+			v := &holder.Vertex{AppID: app, Props: []lpg.Property{{PType: pt, Value: payloadPattern(0, words)}}}
+			if n := holder.VertexBlocks(v, 64); n == int(k) {
+				dp := create(app, words)
+				app += 2
+				if n := blocks(dp); n != int(k) {
+					t.Fatalf("the payload holder has %d blocks, want %d", n, k)
+				}
+				return dp
+			} else if n > int(k) {
+				t.Fatalf("no payload makes a %d-block holder", k)
+			}
+		}
+	}
+	chains := []struct{ blocks, rounds int64 }{{5, 2}, {6, 3}, {37, 3}, {38, 4}}
+	for _, c := range chains {
+		dp := longChain(c.blocks)
+		want := traffic{atoms: c.blocks + 1, gets: c.blocks, getTrains: c.rounds, cacheMisses: c.blocks}
+		if got := associate(dp); got != want {
+			t.Errorf("cold %d-block chain association: %+v, want %+v", c.blocks, got, want)
+		}
+	}
+	// The same rounds on the chain reader's other modes, from rank 0 with a
+	// cold cache: a stamped read (the locking and collective tiers) after its
+	// stamp, and a read under lock (the chain mover). Each round is one GET
+	// train, or a scalar GET for the lone head block, so the round trips are
+	// the rounds.
+	for _, mode := range []readMode{readStable, readUnderLock} {
+		for _, c := range chains {
+			dp := longChain(c.blocks)
+			var r chainReader
+			r.reset(1)
+			r.items = append(r.items, chainItem{head: dp})
+			if mode == readStable {
+				r.stamp(e, 0)
+			}
+			trips := log.trips.Load()
+			got := measure(e, func() { r.read(e, 0, mode, false, false) })
+			if v := r.items[0].verdict; v != readOK {
+				t.Fatalf("mode %d, %d-block chain: verdict %d", mode, c.blocks, v)
+			}
+			if n := log.trips.Load() - trips; n != c.rounds || got.gets != c.blocks || got.atoms != 0 {
+				t.Errorf("mode %d, cold %d-block chain: %d round trips, %+v; want %d round trips and %d GETs",
+					mode, c.blocks, n, got, c.rounds, c.blocks)
+			}
 		}
 	}
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/gdi-go/gdi/internal/fabric"
 	"github.com/gdi-go/gdi/internal/holder"
@@ -36,14 +37,20 @@ const (
 	lockUpgrade
 )
 
-// vertexState is a transaction's cached view of one vertex holder: the
-// decoded logical form, the physical blocks it was fetched from, its lock,
-// and dirtiness bookkeeping (the paper's per-transaction hashmaps plus
-// dirty vector, §5.6).
+// vertexState is a transaction's cached copy of one vertex holder, its lock
+// and dirtiness bookkeeping (the paper's per-transaction hashmaps plus dirty
+// vector, §5.6), and the vertex's handle.
+//
+// A fetched state is clean until its first mutation: v is nil, and every
+// read — labels, properties, Degree, Edges, the CSR build — is served in
+// place from the fetched stream through view, with no decoded copy. The
+// first mutation (ensureWrite, or DeleteEdge) pays one materialize, which
+// builds v with its edge list, the block list and origLabel from the view.
+// A vertex this transaction created has v from the start.
 type vertexState struct {
 	primary   fabric.DPtr
-	v         *holder.Vertex
-	blocks    []fabric.DPtr // all blocks incl. primary; nil for fresh vertices
+	v         *holder.Vertex // the mutable form; nil while clean
+	blocks    []fabric.DPtr  // all blocks incl. primary; nil while clean and for fresh vertices
 	lock      lockState
 	lockVer   uint64 // lock-word version while write-held
 	ver       uint64 // guard version the holder was fetched (and read-locked) at
@@ -52,14 +59,24 @@ type vertexState struct {
 	deleted   bool
 	origLabel []lpg.LabelID // labels at fetch time, for index diffs
 
-	// Lazy edge tier: a fetched holder's edge records stay encoded in the
-	// stream the flush materialized (view aliases it) until something needs
-	// a mutable []holder.EdgeRec. Every read — Edges, ForEachEdge,
-	// CountEdges, Degree, the CSR build — walks the view's cursor (edgeWalk)
-	// and builds no record slice; the first mutation, or a DeleteEdge, pays
-	// one AppendEdges through materializeEdges, which clears lazyEdges.
-	view      holder.View
-	lazyEdges bool
+	view   holder.View // over stream
+	stream []byte      // the fetched holder stream, which view aliases
+	h      VertexHandle
+}
+
+// newState returns a state for the vertex at primary, with its handle.
+func (tx *Tx) newState(primary fabric.DPtr) *vertexState {
+	st := &vertexState{primary: primary}
+	st.h = VertexHandle{tx: tx, st: st}
+	return st
+}
+
+// appID returns the vertex's application-level ID.
+func (st *vertexState) appID() uint64 {
+	if st.v == nil {
+		return st.view.AppID()
+	}
+	return st.v.AppID
 }
 
 // isIdentity reports whether dp names this vertex: its current primary or
@@ -67,15 +84,13 @@ type vertexState struct {
 // pointing at the old primary, so sibling matching must accept every
 // identity the vertex has ever had).
 func (st *vertexState) isIdentity(dp fabric.DPtr) bool {
-	if dp == st.primary {
+	switch {
+	case dp == st.primary:
 		return true
+	case st.v == nil:
+		return st.view.HasHome(dp)
 	}
-	for _, h := range st.v.Homes {
-		if h == dp {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(st.v.Homes, dp)
 }
 
 // edgeState caches one heavy-edge holder.
@@ -99,7 +114,7 @@ type Tx struct {
 	metaVer    uint64
 
 	verts     map[fabric.DPtr]*vertexState
-	edges     map[fabric.DPtr]*edgeState
+	edges     map[fabric.DPtr]*edgeState  // made by the first heavy edge
 	newByApp  map[uint64]fabric.DPtr      // own uncommitted vertices, by app ID
 	dirtyList []fabric.DPtr               // commit write-back order (the paper's vector)
 	pending   []*VertexFuture             // queued non-blocking associations
@@ -128,7 +143,6 @@ func (e *Engine) StartLocal(rank fabric.Rank, mode Mode) *Tx {
 		eng: e, rank: rank, mode: mode,
 		metaVer: e.regs[rank].Version(),
 		verts:   make(map[fabric.DPtr]*vertexState),
-		edges:   make(map[fabric.DPtr]*edgeState),
 	}
 }
 
@@ -243,7 +257,7 @@ func (tx *Tx) TranslateVertexID(appID uint64) (fabric.DPtr, error) {
 		// locked, whatever the version.
 		st, fresh, err := tx.associateState(dp, true, ver)
 		switch {
-		case err == nil && st.v.AppID == appID:
+		case err == nil && st.appID() == appID:
 			tx.eng.xlateHits.Add(1)
 			if st.deleted {
 				return fabric.NullDPtr, errNoVertex(appID)
@@ -273,7 +287,7 @@ func (tx *Tx) TranslateVertexID(appID uint64) (fabric.DPtr, error) {
 		case err != nil:
 		case st.deleted:
 			return fabric.NullDPtr, errNoVertex(appID)
-		case st.v.AppID == appID:
+		case st.appID() == appID:
 			xc.put(appID, st.primary, st.ver)
 			return st.primary, nil
 		case fresh:
@@ -298,8 +312,8 @@ func (tx *Tx) associateState(dp fabric.DPtr, spec bool, expect uint64) (st *vert
 		return st, false, nil
 	}
 	n := len(tx.verts)
-	f := &VertexFuture{tx: tx, dp: dp}
-	tx.flush([]*VertexFuture{f}, spec, expect)
+	f := VertexFuture{tx: tx, dp: dp}
+	tx.flush([]*VertexFuture{&f}, spec, expect)
 	if f.err != nil {
 		return nil, false, f.err
 	}
@@ -328,7 +342,16 @@ func (tx *Tx) forget(st *vertexState) {
 // progress, exactly as in MPI). Latency-sensitive traversals should prefer
 // AssociateVertices or AssociateVertexAsync to amortize remote round-trips.
 func (tx *Tx) AssociateVertex(dp fabric.DPtr) (*VertexHandle, error) {
-	return tx.AssociateVertexAsync(dp).Wait()
+	if len(tx.pending) > 0 {
+		return tx.AssociateVertexAsync(dp).Wait()
+	}
+	// With nothing else queued, the future never leaves this call: a cached
+	// vertex, or a one-vertex flush, costs no heap future.
+	f := VertexFuture{tx: tx, dp: dp}
+	if !tx.begin(&f) {
+		tx.flush([]*VertexFuture{&f}, false, 0)
+	}
+	return f.Wait()
 }
 
 func (tx *Tx) unlockState(st *vertexState) {
@@ -346,9 +369,14 @@ func (tx *Tx) unlockState(st *vertexState) {
 // lockUpgrade and the commit-time lock train resolves every deferred word
 // with one vectored CAS train per owner rank. A state without a lock to
 // build on is write-locked here, a one-word train seeded with its version.
+// Mutations (and the commit re-encode they lead to) work on the
+// materialized vertex, which a clean state builds first.
 func (tx *Tx) ensureWrite(st *vertexState) error {
 	if tx.mode == ReadOnly {
 		return ErrReadOnly
+	}
+	if err := st.materialize(); err != nil {
+		return err
 	}
 	switch st.lock {
 	case lockWrite, lockUpgrade:
@@ -365,11 +393,6 @@ func (tx *Tx) ensureWrite(st *vertexState) error {
 			st.lock, st.lockVer = lockWrite, vers[0]
 		}
 	}
-	// Mutations (and the commit re-encode they lead to) work on the
-	// materialized edge list; lazily decoded holders realize it here.
-	if err := tx.materializeEdges(st); err != nil {
-		return err
-	}
 	if !st.dirty {
 		st.dirty = true
 		tx.dirtyList = append(tx.dirtyList, st.primary)
@@ -377,20 +400,30 @@ func (tx *Tx) ensureWrite(st *vertexState) error {
 	return nil
 }
 
-// materializeEdges realizes a lazily decoded holder's []EdgeRec from its
-// view. Idempotent and free for eager states. The walk is also the edge
-// region's validation (the fetch only vouched for the entries), so a corrupt
-// region surfaces here, as the ErrNotFound a corrupt holder has always been.
-func (tx *Tx) materializeEdges(st *vertexState) error {
-	if !st.lazyEdges {
+// materialize builds a clean state's mutable form from its view: the
+// decoded vertex with its edge list, the chain's blocks and the labels at
+// fetch time. Idempotent, and free for a materialized or fresh state. The
+// edge walk is also the edge region's validation (install only vouched for
+// the entries), so a corrupt region surfaces here, as the ErrNotFound a
+// corrupt holder has always been.
+func (st *vertexState) materialize() error {
+	if st.v != nil {
 		return nil
 	}
-	edges := st.view.AppendEdges(st.v.Edges[:0])
-	if err := st.view.Err(); err != nil {
+	v, err := st.view.DecodeMeta()
+	if err == nil {
+		v.Edges = st.view.AppendEdges(nil)
+		err = st.view.Err()
+	}
+	if err != nil {
 		return fmt.Errorf("%w: holder %v: %v", ErrNotFound, st.primary, err)
 	}
-	st.v.Edges = edges
-	st.lazyEdges = false
+	st.blocks = make([]fabric.DPtr, st.view.NumBlocks())
+	st.blocks[0] = st.primary
+	for i := 1; i < len(st.blocks); i++ {
+		st.blocks[i] = holder.TableEntry(st.stream, i-1)
+	}
+	st.v, st.origLabel = v, slices.Clone(v.Labels)
 	return nil
 }
 
@@ -410,11 +443,8 @@ func (tx *Tx) CreateVertex(appID uint64) (fabric.DPtr, error) {
 	if err != nil {
 		return fabric.NullDPtr, tx.fail(ErrNoMemory)
 	}
-	st := &vertexState{
-		primary: primary,
-		v:       &holder.Vertex{AppID: appID},
-		isNew:   true,
-	}
+	st := tx.newState(primary)
+	st.v, st.isNew = &holder.Vertex{AppID: appID}, true
 	// The exclusive lock on a fresh vertex is taken by the commit-time lock
 	// train (one CAS train per owner rank): the vertex is unpublished until
 	// commit, so nothing can touch it before then.
@@ -430,10 +460,12 @@ func (tx *Tx) CreateVertex(appID uint64) (fabric.DPtr, error) {
 
 // DeleteVertex removes a vertex and all of its edges. Every neighbor's
 // holder is updated, so the operation write-locks the neighborhood — the
-// "demanding vertex deletions" of §6.4. O(deg(v)) holder updates; the light
-// neighbors are associated in one flush, so the neighborhood costs one
-// read-lock train and one GET train per owner rank and round, whatever the
-// degree. The walk then runs in edge order and returns its first error.
+// "demanding vertex deletions" of §6.4. O(deg(v)) holder updates; the
+// neighbors — the light ones, and the far endpoint of every heavy edge,
+// which keeps a record of the edge holder — are associated in one flush, so
+// the neighborhood costs one read-lock train and one GET train per owner
+// rank and round, whatever the degree. The walk then runs in edge order and
+// returns its first error.
 func (tx *Tx) DeleteVertex(dp fabric.DPtr) error {
 	h, err := tx.AssociateVertex(dp)
 	if err != nil {
@@ -444,33 +476,59 @@ func (tx *Tx) DeleteVertex(dp fabric.DPtr) error {
 		return err
 	}
 	futs := make([]*VertexFuture, len(st.v.Edges))
+	errs := make([]error, len(st.v.Edges))
 	for i, rec := range st.v.Edges {
-		if !rec.Heavy && !st.isIdentity(rec.Neighbor) {
-			futs[i] = tx.AssociateVertexAsync(rec.Neighbor)
+		nb := rec.Neighbor
+		if rec.Heavy {
+			if nb, errs[i] = tx.heavySibling(st, rec.Neighbor); errs[i] != nil {
+				continue
+			}
+		}
+		if !nb.IsNull() && !st.isIdentity(nb) {
+			futs[i] = tx.AssociateVertexAsync(nb)
 		}
 	}
 	tx.flushPending()
 	// Remove the sibling record at every neighbor.
 	for i, rec := range st.v.Edges {
-		switch {
-		case rec.Heavy:
+		if errs[i] != nil {
+			return errs[i]
+		}
+		if rec.Heavy {
 			if err := tx.dropEdgeHolder(rec.Neighbor); err != nil {
 				return err
 			}
-		case futs[i] != nil: // nil: a self-loop, both records live here
-			nh, err := futs[i].Wait()
-			if err != nil {
-				return err
-			}
-			if err := tx.ensureWrite(nh.st); err != nil {
-				return err
-			}
+		}
+		if futs[i] == nil { // a self-loop: both records live here
+			continue
+		}
+		nh, err := futs[i].Wait()
+		if err != nil {
+			return err
+		}
+		if err := tx.ensureWrite(nh.st); err != nil {
+			return err
+		}
+		if rec.Heavy {
+			nh.st.v.Edges = removeFirstMatch(nh.st.v.Edges, matchHeavySibling(rec.Neighbor))
+		} else {
 			nh.st.v.Edges = removeSiblings(nh.st.v.Edges, st)
 		}
 	}
 	st.v.Edges = nil
 	st.deleted = true
 	return nil
+}
+
+// heavySibling returns the endpoint other than st of the heavy edge whose
+// holder is hp — st itself for a self-loop — or the null DPtr when this
+// transaction already deleted the holder.
+func (tx *Tx) heavySibling(st *vertexState, hp fabric.DPtr) (fabric.DPtr, error) {
+	es, err := tx.fetchEdgeState(hp)
+	if err != nil || es.deleted {
+		return fabric.NullDPtr, err
+	}
+	return heavyNeighbor(es.e, st), nil
 }
 
 // removeSiblings drops every record pointing at the deleted vertex, under
@@ -512,6 +570,14 @@ func (tx *Tx) fetchEdgeState(dp fabric.DPtr) (*edgeState, error) {
 		return nil, fmt.Errorf("%w: %v", ErrNotFound, err)
 	}
 	es := &edgeState{primary: dp, e: e, blocks: blocks}
-	tx.edges[dp] = es
+	tx.addEdgeState(es)
 	return es, nil
+}
+
+// addEdgeState makes es the transaction's.
+func (tx *Tx) addEdgeState(es *edgeState) {
+	if tx.edges == nil {
+		tx.edges = make(map[fabric.DPtr]*edgeState)
+	}
+	tx.edges[es.primary] = es
 }

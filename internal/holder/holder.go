@@ -40,8 +40,11 @@
 //
 // Every table entry i lands at logical offset 32+8i, which is always inside
 // the first i+1 blocks, so a reader can fetch the primary block and then
-// stream the continuation blocks in order without ever missing a table
-// entry it needs next — one round trip per block, fully one-sided.
+// stream the continuation blocks without ever missing a table entry it needs
+// next, fully one-sided. Each round can fetch every block whose entry lies in
+// the blocks already read: at 512-byte blocks the primary names blocks 1–60,
+// so a chain of up to 61 blocks takes 2 round trips and one of up to 3 901
+// takes 3.
 //
 // Lightweight edges (§5.4.2) are stored inline in the source vertex's
 // holder and carry at most one label. An edge with more labels or with

@@ -154,10 +154,9 @@ func (w *View) AppendEdges(dst []EdgeRec) []EdgeRec {
 }
 
 // DecodeMeta decodes everything except the edge records into a fresh Vertex
-// (Edges stays nil): the lazy form of DecodeVertex the fetch path uses. A
-// clean vertex never materializes its edge list — every read, Edges
-// included, walks the view's cursor — and only a mutation pays for
-// AppendEdges.
+// (Edges stays nil). The transaction layer never calls it on a read: a
+// clean vertex serves labels, properties and edges from the view in place,
+// and only its first mutation pays for DecodeMeta and AppendEdges.
 func (w *View) DecodeMeta() (*Vertex, error) {
 	v := &Vertex{AppID: w.appID, IsReplica: w.isReplica}
 	off := w.homesOff
