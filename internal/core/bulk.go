@@ -229,9 +229,7 @@ func (e *Engine) appendRecords(rank fabric.Rank, primary fabric.DPtr, recs []hol
 		}
 		return fmt.Errorf("%w: bulk merging %d edge records into %v", err, len(recs), primary)
 	}
-	for _, dp := range tail {
-		e.store.ReleaseBlock(rank, dp)
-	}
+	e.releaseBlocks(rank, tail)
 	for i, dp := range blocks {
 		e.store.WriteBlock(rank, dp, stream[i*bs:(i+1)*bs])
 	}

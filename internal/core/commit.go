@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/gdi-go/gdi/internal/fabric"
 	"github.com/gdi-go/gdi/internal/holder"
 	"github.com/gdi-go/gdi/internal/locks"
-	"github.com/gdi-go/gdi/internal/lpg"
 	"github.com/gdi-go/gdi/internal/snapshot"
 )
 
@@ -22,29 +22,56 @@ type writeEntry struct {
 	es     *edgeState
 	head   fabric.DPtr
 	stream []byte          // nil: a deletion
-	blocks []fabric.DPtr   // a rewrite's final chain
+	blocks []fabric.DPtr   // a rewrite's chain: its old one until layout fits it
 	free   []fabric.DPtr   // freed after the release: a rewrite's excess blocks, a deletion's chain
 	fan    [][]fabric.DPtr // follower groups rewritten in lockstep
 	drop   [][]fabric.DPtr // follower groups this commit retires
 	poison bool            // a deletion others can see: its head is zeroed
 }
 
+// commitRun is the record of one Commit: the write set, what its prepare
+// half took (the lock train's vertices, the blocks layout acquired, the
+// index entries reserved) and the follower words its apply half marked. It
+// is a field of the Tx, so the prepare loop's indirect calls move no record
+// to the heap.
+type commitRun struct {
+	*Tx
+	ws       []writeEntry
+	rewrites int            // ws[:rewrites] are rewrites
+	members  []*vertexState // the lock train's vertices, whose versions it learns
+	acquired []fabric.DPtr  // blocks layout took, returned by a failed prepare
+	reserved int            // the new vertices of ws[:reserved] hold index entries
+	mirWords []locks.Word   // the marked follower words, for the release
+	mirVers  []uint64
+}
+
+// prepare is Commit's prepare half, in order. Each phase may fail, and none
+// writes anything or changes what abortLocked reads, so a failure unwinds
+// through commitRun.unwind alone.
+var prepare = [...]func(*commitRun) error{
+	(*commitRun).validate,
+	(*commitRun).lock,
+	(*commitRun).layout,
+	(*commitRun).reserve,
+}
+
 // Commit makes the transaction's changes durable and visible
-// (GDI_CloseTransaction with commit semantics). The protocol preserves
-// atomicity by splitting into a prepare phase that can fail (taking the
-// exclusive locks and acquiring every block the write-back needs) and an
-// apply phase that cannot: either all dirty holders are written back or
-// none (§5.6).
+// (GDI_CloseTransaction with commit semantics). It has two halves (§5.6).
+// The prepare half may fail: it validates the transaction, takes every
+// exclusive lock the write set needs, encodes each rewrite and acquires its
+// blocks, and reserves the index entries of new vertices. A failure there
+// has written nothing and unwinds through one path, the abort's. The apply
+// half cannot fail: it writes every holder back, retires dropped follower
+// groups, logs deltas, updates the indexes, releases the locks and frees
+// the retired blocks. Either every dirty holder is written back or none is.
 //
 // Everything the commit writes is one write set: one entry per rewritten
 // or deleted holder, plus one per forwarding stub a deletion retires. Each
 // phase walks it once, and each phase's remote traffic is one train per
-// owner rank: the deferred upgrades, fresh-vertex locks and stub words
-// resolve as one vectored CAS train; every rewrite, poison and follower
-// copy flushes as one vectored PUT train — coalesced with concurrent
-// committers of the same rank by the engine's group committer; and the
-// release, shared with Abort, is one write train and one read train.
-// Blocks are freed only after the release.
+// owner rank: the lock train is one vectored CAS train, the write-back one
+// vectored PUT train coalesced with concurrent committers of the rank by
+// the engine's group committer, and the release, shared with Abort, one
+// write train and one read train.
 //
 // Work: O(Σ dirty holder blocks); depth: O(1) per holder after the
 // sequential prepare walk. Collective transactions add two O(log P)
@@ -57,31 +84,75 @@ func (tx *Tx) Commit() error {
 		tx.eng.comm.Barrier(tx.rank)
 		defer tx.eng.comm.Barrier(tx.rank)
 	}
-	if tx.critical != nil {
-		tx.abortLocked()
-		return tx.critical
+	r := &tx.run
+	r.Tx = tx
+	r.collect()
+	for _, phase := range prepare {
+		if err := phase(r); err != nil {
+			return r.unwind(err)
+		}
 	}
-	if tx.mode == ReadWrite && tx.hasWrites() && tx.MetadataStale() {
-		// Metadata is only eventually consistent; a write transaction that
-		// raced a metadata change must abort (§3.8).
-		tx.fail(fmt.Errorf("metadata changed during transaction"))
-		tx.abortLocked()
-		return tx.critical
+	// HTAP gate: the whole apply half — first write-back PUT through the
+	// final lock release, plus the delta-log append — runs under the commit
+	// gate in read mode. AcquireCut holds the gate exclusively while every
+	// rank stamps its shard, so a cut never observes a commit whose writes
+	// have partially landed or whose delta records straddle the cut's log
+	// position. Lock waits stay outside the gate: a prepared commit holds
+	// locks but has written nothing, which stamping tolerates.
+	if tx.eng.snap != nil {
+		tx.eng.htapGate.RLock()
+		defer tx.eng.htapGate.RUnlock()
 	}
-	if err := tx.validateOptimistic(); err != nil {
-		tx.abortLocked()
-		return tx.critical
-	}
+	r.mark()
+	r.writeBack()
+	r.dropFollowers()
+	r.logDeltas()
+	r.publish()
+	r.release()
+	r.free()
+	tx.noteCommitted(r.members)
+	tx.close()
+	return nil
+}
 
-	// The write set: rewrites first (vertices in write-back order, then edge
-	// holders), then deletions, then the stubs of deleted vertices that
-	// migrated in their lifetime. A deleted holder is dirty, so the dirty
-	// vector and the edge map name every holder the commit touches.
-	var ws, dels, stubs []writeEntry
-	for _, primary := range tx.dirtyList {
-		st := tx.verts[primary]
+// unwind ends a failed prepare: it returns the blocks layout acquired and
+// the index entries reserve took, fails the transaction with err and aborts
+// it, which releases every lock the transaction holds.
+func (r *commitRun) unwind(err error) error {
+	r.eng.releaseBlocks(r.rank, r.acquired)
+	for _, w := range r.ws[:r.reserved] {
+		if w.vs != nil && w.vs.isNew {
+			r.eng.index.Delete(r.rank, w.vs.v.AppID)
+		}
+	}
+	r.fail(err)
+	r.abortLocked()
+	return r.critical
+}
+
+// validate fails a transaction that is already critical, a write
+// transaction that raced a metadata change (metadata is only eventually
+// consistent, §3.8), and an optimistic one whose read set moved.
+func (r *commitRun) validate() error {
+	if r.critical != nil {
+		return r.critical
+	}
+	if r.mode == ReadWrite && len(r.ws) > 0 && r.MetadataStale() {
+		return fmt.Errorf("metadata changed during transaction")
+	}
+	return r.validateOptimistic()
+}
+
+// collect builds the write set: rewrites first (vertices in write-back
+// order, then edge holders), then deletions, then the stubs of deleted
+// vertices that migrated in their lifetime. A deleted holder is dirty, so
+// the dirty vector and the edge map name every holder the commit touches.
+func (r *commitRun) collect() {
+	var dels, stubs []writeEntry
+	for _, primary := range r.dirtyList {
+		st := r.verts[primary]
 		if !st.deleted {
-			ws = append(ws, writeEntry{vs: st, head: primary})
+			r.ws = append(r.ws, writeEntry{vs: st, head: primary, blocks: chainOf(primary, st.blocks)})
 			continue
 		}
 		dels = append(dels, writeEntry{vs: st, head: primary, free: chainOf(primary, st.blocks), drop: st.v.Replicas, poison: !st.isNew})
@@ -89,262 +160,240 @@ func (tx *Tx) Commit() error {
 			stubs = append(stubs, writeEntry{head: h, free: []fabric.DPtr{h}, poison: true})
 		}
 	}
-	for _, es := range tx.edges {
+	for _, es := range r.edges {
 		switch {
 		case es.deleted:
 			dels = append(dels, writeEntry{es: es, head: es.primary, free: chainOf(es.primary, es.blocks), poison: !es.isNew})
 		case es.dirty:
-			ws = append(ws, writeEntry{es: es, head: es.primary})
+			r.ws = append(r.ws, writeEntry{es: es, head: es.primary, blocks: chainOf(es.primary, es.blocks)})
 		}
 	}
-	rewrites := len(ws)
-	ws = append(append(ws, dels...), stubs...)
+	r.rewrites = len(r.ws)
+	r.ws = append(append(r.ws, dels...), stubs...)
+}
 
-	// Prepare, lock train: every deferred exclusive lock — upgrades of
-	// read-held words, fresh locks of new vertices, and the stub words of
-	// deleted vertices — resolves as one vectored CAS train per owner rank,
-	// in globally sorted (deadlock-free) order. A stub is locked so that its
-	// poison below bumps its version and every cached or optimistic reader of
-	// it revalidates. Contention fails the whole train, which rolls its
-	// partial acquisitions back itself; the abort below then drops the
-	// still-held read locks. Each upgrade is seeded with the version its read
-	// lock was granted at, which cannot have moved since, so an uncontended
-	// train takes one round per owner rank.
+// lock takes every deferred exclusive lock of the write set —
+// upgrades of read-held words, fresh locks of new vertices, and the stub
+// words of deleted vertices — as one vectored CAS train per owner rank, in
+// globally sorted (deadlock-free) order. A stub is locked so that its
+// poison bumps its version and every cached or optimistic reader of it
+// revalidates. Contention fails the whole train, which rolls its partial
+// acquisitions back itself. Each upgrade is seeded with the version its
+// read lock was granted at, which cannot have moved since, so an
+// uncontended train takes one round per owner rank; a fresh vertex, which
+// knows no version, is seeded at 0.
+func (r *commitRun) lock() error {
 	var train []locks.TrainLock
-	var members []*vertexState // the train's vertices, whose versions it learns
-	for _, w := range ws {
+	for _, w := range r.ws {
 		switch st := w.vs; {
 		case st == nil && w.es == nil:
-			train = append(train, locks.TrainLock{Word: tx.eng.lockWordOf(w.head)})
+			train = append(train, locks.TrainLock{Word: r.eng.lockWordOf(w.head)})
 		case st == nil:
-		case st.lock == lockUpgrade:
-			train = append(train, locks.TrainLock{Word: tx.eng.lockWordOf(st.primary), FromRead: true, Ver: st.ver})
-			members = append(members, st)
-		case st.lock == lockNone && st.isNew:
-			train = append(train, locks.TrainLock{Word: tx.eng.lockWordOf(st.primary)})
-			members = append(members, st)
+		case st.lock == lockUpgrade || st.lock == lockNone && st.isNew:
+			train = append(train, locks.TrainLock{Word: r.eng.lockWordOf(w.head), FromRead: st.lock == lockUpgrade, Ver: st.ver})
+			r.members = append(r.members, st)
 		}
 	}
-	vers, err := locks.AcquireWriteTrain(tx.rank, train, tx.eng.cfg.LockTries)
+	vers, err := locks.AcquireWriteTrain(r.rank, train, r.eng.cfg.LockTries)
 	if err != nil {
-		tx.fail(fmt.Errorf("commit lock train over %d words: %w", len(train), err))
-		tx.abortLocked()
-		return tx.critical
+		return fmt.Errorf("commit lock train over %d words: %w", len(train), err)
 	}
 	// Remember each word's version: the release train seeds its CAS with it
 	// and converges in one round per rank instead of re-learning values this
 	// train already observed. Stub words come last in the train.
-	for i, st := range members {
-		st.lock = lockWrite
-		st.lockVer = vers[i]
+	for i, st := range r.members {
+		st.lock, st.lockVer = lockWrite, vers[i]
 	}
-	for i := len(members); i < len(train); i++ {
-		tx.stubWords = append(tx.stubWords, train[i].Word)
-		tx.stubVers = append(tx.stubVers, vers[i])
+	for i := len(r.members); i < len(train); i++ {
+		r.stubWords = append(r.stubWords, train[i].Word)
+		r.stubVers = append(r.stubVers, vers[i])
 	}
+	return nil
+}
 
-	// Prepare: encode every rewrite and acquire the extra blocks the new
-	// encodings need. Nothing is written yet, so failure aborts cleanly.
-	var acquired []fabric.DPtr // for rollback of a failed prepare
-	bs := tx.eng.cfg.BlockSize
-	fail := func(err error) error {
-		for _, dp := range acquired {
-			tx.eng.store.ReleaseBlock(tx.rank, dp)
-		}
-		tx.fail(err)
-		tx.abortLocked()
-		return tx.critical
-	}
-	for i := range ws[:rewrites] {
-		w := &ws[i]
-		var old []fabric.DPtr
+// layout encodes every rewrite and acquires the extra blocks its new
+// encoding needs.
+func (r *commitRun) layout() (err error) {
+	bs := r.eng.cfg.BlockSize
+	for i := range r.ws[:r.rewrites] {
+		w := &r.ws[i]
 		if w.vs != nil {
-			w.stream, w.fan, w.drop = tx.encodeForCommit(w.vs, bs)
-			old = w.vs.blocks
+			w.stream, w.fan, w.drop = r.encodeForCommit(w.vs, bs)
 		} else {
-			w.stream, old = holder.EncodeEdge(w.es.e, bs), w.es.blocks
+			w.stream = holder.EncodeEdge(w.es.e, bs)
 		}
-		if w.blocks, w.free, err = tx.eng.layoutChain(tx.rank, w.head.Rank(), w.stream, chainOf(w.head, old), &acquired); err != nil {
-			return fail(err)
-		}
-	}
-
-	// Prepare, index: reserve the internal-index entries of the new vertices.
-	// It is the last step that can fail (the DHT heap is finite), so it sits
-	// here, where failure still aborts cleanly, and not in the publish step
-	// after the write-back, where a full index used to leave a stored vertex
-	// nobody could find. A reader that finds an entry early runs into the
-	// vertex's exclusive lock, held since the lock train above, exactly as it
-	// does between publish and release.
-	for i, w := range ws[:rewrites] {
-		if w.vs == nil || !w.vs.isNew {
-			continue
-		}
-		if !tx.eng.index.Insert(tx.rank, w.vs.v.AppID, uint64(w.head)) {
-			for _, done := range ws[:i] {
-				if done.vs != nil && done.vs.isNew {
-					tx.eng.index.Delete(tx.rank, done.vs.v.AppID)
-				}
-			}
-			return fail(fmt.Errorf("%w: internal index full publishing vertex %d", ErrNoMemory, w.vs.v.AppID))
+		if w.blocks, w.free, err = r.eng.layoutChain(r.rank, w.head.Rank(), w.stream, w.blocks, &r.acquired); err != nil {
+			return err
 		}
 	}
+	return nil
+}
 
-	// HTAP gate: the whole apply phase — first write-back PUT through the
-	// final lock release, plus the delta-log append — runs under the commit
-	// gate in read mode. AcquireCut holds the gate exclusively while every
-	// rank stamps its shard, so a cut never observes a commit whose writes
-	// have partially landed or whose delta records straddle the cut's log
-	// position. Lock waits above stay outside the gate: a prepare-stage
-	// commit holds locks but has written nothing, which stamping tolerates.
-	if tx.eng.snap != nil {
-		tx.eng.htapGate.RLock()
-		defer tx.eng.htapGate.RUnlock()
+// reserve reserves the internal-index entries of the new vertices. It is
+// the last step that can fail (the DHT heap is finite), so it sits here,
+// where failure still unwinds cleanly, and not in the publish step after
+// the write-back, where a full index used to leave a stored vertex nobody
+// could find. A reader that finds an entry early runs into the vertex's
+// exclusive lock, held since the lock train, exactly as it does between
+// publish and release.
+func (r *commitRun) reserve() error {
+	for i, w := range r.ws[:r.rewrites] {
+		if w.vs != nil && w.vs.isNew && !r.eng.index.Insert(r.rank, w.vs.v.AppID, uint64(w.head)) {
+			return fmt.Errorf("%w: internal index full publishing vertex %d", ErrNoMemory, w.vs.v.AppID)
+		}
+		r.reserved = i + 1
 	}
+	return nil
+}
 
-	// Replica fan-out, mark: mirror-mark the follower words of every kept
-	// follower group — one vectored CAS train per follower rank across the
-	// whole transaction. The primary write locks are already held, so no
-	// competing mirror train can race; a mark that fails means the follower
-	// fell out of lockstep (reseed raced, earlier fan-out died) and that
-	// group is skipped and its directory entry dropped — the commit itself
-	// never blocks on a follower. Its stale listing in the primary's group
-	// table is harmless: every later fan-out fails the same CAS and drops it
-	// again. Marked groups get the new content through the same
-	// group-committer train as the primary blocks below and are released to
-	// the primary's new version after the primary's own release:
-	// primary-then-follower order end to end.
-	var fanWords []locks.Word
-	var fanVers []uint64
-	for _, w := range ws {
+// mark mirror-marks the follower words of every kept follower group — one
+// vectored CAS train per follower rank across the whole transaction. The
+// primary write locks are already held, so no competing mirror train can
+// race; a mark that fails means the follower fell out of lockstep (reseed
+// raced, earlier fan-out died) and that group is skipped and its directory
+// entry dropped — the commit itself never blocks on a follower. Its stale
+// listing in the primary's group table is harmless: every later fan-out
+// fails the same CAS and drops it again. Marked groups get the new content
+// through the same group-committer train as the primary blocks and are
+// released to the primary's new version after the primary's own release:
+// primary-then-follower order end to end.
+func (r *commitRun) mark() {
+	for _, w := range r.ws {
 		for _, g := range w.fan {
-			fanWords, fanVers = append(fanWords, tx.eng.lockWordOf(g[0])), append(fanVers, w.vs.lockVer)
+			r.mirWords, r.mirVers = append(r.mirWords, r.eng.lockWordOf(g[0])), append(r.mirVers, w.vs.lockVer)
 		}
 	}
-	marked := tx.eng.markFollowers(tx.rank, fanWords, fanVers)
-	var mirWords []locks.Word // the marked follower words, for the release
-	var mirVers []uint64
-	at := 0
-	for i := range ws {
-		w := &ws[i]
+	marked := r.eng.markFollowers(r.rank, r.mirWords, r.mirVers)
+	r.mirWords, r.mirVers, _ = splitHeld(r.mirWords, r.mirVers, marked)
+	for i := range r.ws {
+		w := &r.ws[i]
 		var kept [][]fabric.DPtr
 		for _, g := range w.fan {
-			if marked[at] {
+			if marked[0] {
 				kept = append(kept, g)
-				mirWords, mirVers = append(mirWords, fanWords[at]), append(mirVers, fanVers[at])
 			} else {
 				// Out of lockstep, or on a dead rank: retire the copy.
-				if fr, pr := g[0].Rank(), w.head; !tx.eng.isDead(fr) {
-					runIsolated(func() { tx.eng.replDirDrop(tx.rank, fr, pr) })
+				if fr, pr := g[0].Rank(), w.head; !r.eng.isDead(fr) {
+					runIsolated(func() { r.eng.replDirDrop(r.rank, fr, pr) })
 				}
-				tx.eng.replicaDrops.Add(1)
+				r.eng.replicaDrops.Add(1)
 			}
-			at++
+			marked = marked[1:]
 		}
 		w.fan = kept
 	}
+}
 
-	// Apply, write-back: every rewrite with its follower fan-out, every
-	// deletion poison (a zeroed primary header, so stale DPtrs fail
-	// cleanly), and a poisoned head for every follower group a rewrite
-	// reshapes away or a deletion takes with it (a local replica read then
-	// fails the replica-flag check and falls back). This phase cannot fail.
-	// The transaction's whole write set goes to the rank's group committer,
-	// which flushes it — merged with any concurrently committing
-	// transactions of this rank — as one vectored PUT train per owner rank.
+// writeBack writes every rewrite with its follower fan-out, every deletion
+// poison (a zeroed primary header, so stale DPtrs fail cleanly), and a
+// poisoned head for every follower group a rewrite reshapes away or a
+// deletion takes with it (a local replica read then fails the replica-flag
+// check and falls back). The whole write set goes to the rank's group
+// committer, which flushes it — merged with any concurrently committing
+// transactions of this rank — as one vectored PUT train per owner rank.
+func (r *commitRun) writeBack() {
+	bs := r.eng.cfg.BlockSize
 	var wb writeList
-	for _, w := range ws {
+	for _, w := range r.ws {
 		if w.stream != nil {
 			wb.appendChainWrites(w.stream, w.blocks, w.fan, bs)
 		} else if w.poison {
 			wb.put(w.head, make([]byte, holder.HeaderSize))
 		}
 		for _, g := range w.drop {
-			if len(g) > 0 && !tx.eng.isDead(g[0].Rank()) {
+			if len(g) > 0 && !r.eng.isDead(g[0].Rank()) {
 				wb.put(g[0], make([]byte, holder.HeaderSize))
 			}
 		}
 	}
-	tx.eng.groupWriteBack(tx.rank, wb.dps, wb.data)
+	r.eng.groupWriteBack(r.rank, wb.dps, wb.data)
+}
 
-	// Retire dropped follower groups now that their poison has landed: return
-	// the blocks and clear the follower ranks' directory entries.
-	for _, w := range ws {
-		tx.eng.dropFollowerGroups(tx.rank, w.head, w.drop)
+// dropFollowers retires the dropped follower groups once their poison has
+// landed: it returns their blocks and clears the follower ranks' directory
+// entries.
+func (r *commitRun) dropFollowers() {
+	for _, w := range r.ws {
+		r.eng.dropFollowerGroups(r.rank, w.head, w.drop)
 	}
+}
 
-	// Delta log: one record per created, rewritten, or deleted vertex,
-	// routed to the rank owning its primary block. The record carries the
-	// committed holder's full inline edge list verbatim, so the incremental
-	// CSR fold replaces adjacency wholesale without diffing. Appended inside
-	// the gate, after the write-back, so the records and the block state a
-	// cut observes always agree.
-	if snap := tx.eng.snap; snap != nil {
-		byRank := make(map[fabric.Rank][]snapshot.Record)
-		for _, w := range ws {
-			st := w.vs
-			if st == nil || w.stream == nil && st.isNew {
-				continue
-			}
-			rec := snapshot.Record{Kind: snapshot.KindUpdate, DP: st.primary, App: st.v.AppID, Edges: st.v.Edges}
-			switch {
-			case w.stream == nil:
-				rec.Kind, rec.Edges = snapshot.KindDelete, nil
-			case st.isNew:
-				rec.Kind = snapshot.KindCreate
-			}
-			byRank[st.primary.Rank()] = append(byRank[st.primary.Rank()], rec)
-		}
-		for r, recs := range byRank {
-			snap.AppendDeltas(r, recs)
-		}
+// logDeltas appends one delta record per created, rewritten, or deleted
+// vertex to the log of the rank owning its primary block. The record
+// carries the committed holder's full inline edge list verbatim, so the
+// incremental CSR fold replaces adjacency wholesale without diffing. It
+// runs inside the gate, after the write-back, so the records and the block
+// state a cut observes always agree.
+func (r *commitRun) logDeltas() {
+	snap := r.eng.snap
+	if snap == nil {
+		return
 	}
+	byRank := make(map[fabric.Rank][]snapshot.Record)
+	for _, w := range r.ws {
+		st := w.vs
+		if st == nil || w.stream == nil && st.isNew {
+			continue
+		}
+		rec := snapshot.Record{Kind: snapshot.KindUpdate, DP: st.primary, App: st.v.AppID, Edges: st.v.Edges}
+		switch {
+		case w.stream == nil:
+			rec.Kind, rec.Edges = snapshot.KindDelete, nil
+		case st.isNew:
+			rec.Kind = snapshot.KindCreate
+		}
+		byRank[st.primary.Rank()] = append(byRank[st.primary.Rank()], rec)
+	}
+	for rank, recs := range byRank {
+		snap.AppendDeltas(rank, recs)
+	}
+}
 
-	// Apply, index: publish new and relabeled vertices in the explicit
-	// indexes and retract deleted ones from both indexes — all under the
-	// vertices' exclusive locks, which is what lets migration assume the
-	// internal index changes a key only under its vertex's lock. New
-	// vertices have been findable through the internal index since prepare,
-	// but no reader gets past their locks before the release below.
-	for _, w := range ws {
+// publish adds new and relabeled vertices to the explicit indexes and
+// retracts deleted ones from both indexes — all under the vertices'
+// exclusive locks, which is what lets migration assume the internal index
+// changes a key only under its vertex's lock. New vertices have been
+// findable through the internal index since prepare, but no reader gets
+// past their locks before the release.
+func (r *commitRun) publish() {
+	for _, w := range r.ws {
 		if st := w.vs; st != nil {
 			switch {
 			case w.stream == nil && !st.isNew:
-				tx.eng.index.Delete(tx.rank, st.v.AppID)
-				tx.eng.idxRemoveVertex(tx.rank, st.primary, st.origLabel)
+				r.eng.index.Delete(r.rank, st.v.AppID)
+				r.eng.idxRemoveVertex(r.rank, st.primary, st.origLabel)
 			case w.stream == nil:
 			case st.isNew:
-				tx.eng.idxAddVertex(tx.rank, st.primary, st.v.AppID, st.v.Labels)
-			case !labelSetsEqual(st.origLabel, st.v.Labels):
-				tx.eng.idxUpdateLabels(tx.rank, st.primary, st.origLabel, st.v.Labels)
+				r.eng.idxAddVertex(r.rank, st.primary, st.v.AppID, st.v.Labels)
+			case !slices.Equal(st.origLabel, st.v.Labels):
+				r.eng.idxUpdateLabels(r.rank, st.primary, st.origLabel, st.v.Labels)
 			}
 			st.blocks = w.blocks
 		} else if w.es != nil {
 			w.es.blocks = w.blocks
 		}
 	}
+}
 
-	// Release: every held lock drops (the retired stubs with their stub bit
-	// cleared, so a recycler of the block finds a plain word); then the
-	// marked follower words move to the version the primaries' release just
-	// published — one CAS train per follower rank, after every primary word
-	// is free. A follower rank that died mid-commit is absorbed: its words
-	// stay marked and promotion's steal path (or a reseed) reclaims them.
-	tx.eng.fab.FlushAll(tx.rank)
-	tx.releaseLocks(locks.StubClear)
-	tx.eng.releaseFollowers(tx.rank, mirWords, mirVers)
+// release drops every held lock (the retired stubs with their stub bit
+// cleared, so a recycler of the block finds a plain word); then the marked
+// follower words move to the version the primaries' release just published
+// — one CAS train per follower rank, after every primary word is free. A
+// follower rank that died mid-commit is absorbed: its words stay marked and
+// promotion's steal path (or a reseed) reclaims them.
+func (r *commitRun) release() {
+	r.eng.fab.FlushAll(r.rank)
+	r.releaseLocks(locks.StubClear)
+	r.eng.releaseFollowers(r.rank, r.mirWords, r.mirVers)
+}
 
-	// Free: the excess blocks of reshaped chains and the whole chains of
-	// deleted holders go back to their pools only now, so a recycler of a
-	// freed primary never contends with this commit's lock words.
-	for _, w := range ws {
-		for _, dp := range w.free {
-			tx.eng.store.ReleaseBlock(tx.rank, dp)
-		}
+// free returns the excess blocks of reshaped chains and the whole chains of
+// deleted holders to their pools only now, so a recycler of a freed primary
+// never contends with this commit's lock words.
+func (r *commitRun) free() {
+	for _, w := range r.ws {
+		r.eng.releaseBlocks(r.rank, w.free)
 	}
-	tx.noteCommitted(members)
-	tx.close()
-	return nil
 }
 
 // chainOf returns a holder's known chain, or just its primary block for a
@@ -361,17 +410,16 @@ func chainOf(primary fabric.DPtr, blocks []fabric.DPtr) []fabric.DPtr {
 // lock keeps them — the fan-out lands the new content on every follower
 // inside this commit. A reshape (block count changed) strips the groups
 // from the encoding and retires them instead of resizing remote chains on
-// the commit path; a later seeding round restores k.
+// the commit path; a later seeding round restores k. The stripped encoding
+// is made from a copy of the vertex: until the apply half runs, the groups
+// are still the vertex's, and an abort bumps every one of them.
 func (tx *Tx) encodeForCommit(st *vertexState, bs int) (stream []byte, fan, drop [][]fabric.DPtr) {
-	if len(st.v.Replicas) == 0 {
-		return holder.EncodeVertex(st.v, bs), nil, nil
-	}
-	if st.lock == lockWrite && st.blocks != nil && holder.VertexBlocks(st.v, bs) == len(st.blocks) {
+	if len(st.v.Replicas) == 0 || st.lock == lockWrite && st.blocks != nil && holder.VertexBlocks(st.v, bs) == len(st.blocks) {
 		return holder.EncodeVertex(st.v, bs), st.v.Replicas, nil
 	}
-	drop = st.v.Replicas
-	st.v.Replicas = nil
-	return holder.EncodeVertex(st.v, bs), nil, drop
+	bare := *st.v
+	bare.Replicas = nil
+	return holder.EncodeVertex(&bare, bs), nil, st.v.Replicas
 }
 
 // validateOptimistic is the commit-time check of the optimistic read tier:
@@ -413,23 +461,6 @@ func (tx *Tx) validateOptimistic() error {
 	return nil
 }
 
-func (tx *Tx) hasWrites() bool {
-	if len(tx.dirtyList) > 0 {
-		return true
-	}
-	for _, es := range tx.edges {
-		if es.dirty || es.deleted {
-			return true
-		}
-	}
-	for _, st := range tx.verts {
-		if st.deleted {
-			return true
-		}
-	}
-	return false
-}
-
 // Abort discards the transaction (GDI_CloseTransaction with abort
 // semantics): new holders' blocks are returned, all locks released, all
 // cached state dropped. O(|touched holders|).
@@ -449,11 +480,8 @@ func (tx *Tx) abortLocked() {
 	// content; lockstep followers track the bump so they keep serving reads
 	// (read releases don't bump, so lockUpgrade is exempt).
 	var bump []*vertexState
-	var fresh []fabric.DPtr
 	for _, st := range tx.verts {
-		if st.isNew {
-			fresh = append(fresh, st.primary)
-		} else if st.lock == lockWrite && len(st.v.Replicas) > 0 {
+		if st.lock == lockWrite && !st.isNew && len(st.v.Replicas) > 0 {
 			bump = append(bump, st)
 		}
 	}
@@ -461,8 +489,10 @@ func (tx *Tx) abortLocked() {
 	for _, st := range bump {
 		tx.eng.bumpMirrors(tx.rank, st.v, st.lockVer)
 	}
-	for _, dp := range fresh {
-		tx.eng.store.ReleaseBlock(tx.rank, dp)
+	for _, st := range tx.verts {
+		if st.isNew {
+			tx.eng.store.ReleaseBlock(tx.rank, st.primary)
+		}
 	}
 	for _, es := range tx.edges {
 		if es.isNew {
@@ -496,12 +526,8 @@ func (tx *Tx) releaseLocks(stub locks.StubMark) {
 	}
 	var marks []locks.StubMark // nil: every stub bit is kept
 	if len(tx.stubWords) > 0 {
-		marks = make([]locks.StubMark, len(wWords), len(wWords)+len(tx.stubWords))
-		for range tx.stubWords {
-			marks = append(marks, stub)
-		}
-		wWords = append(wWords, tx.stubWords...)
-		wVers = append(wVers, tx.stubVers...)
+		marks = append(make([]locks.StubMark, len(wWords)), slices.Repeat([]locks.StubMark{stub}, len(tx.stubWords))...)
+		wWords, wVers = append(wWords, tx.stubWords...), append(wVers, tx.stubVers...)
 		tx.stubWords, tx.stubVers = nil, nil
 	}
 	locks.ReleaseWriteTrainMarked(tx.rank, wWords, wVers, marks)
@@ -513,16 +539,4 @@ func (tx *Tx) releaseLocks(stub locks.StubMark) {
 func (tx *Tx) close() {
 	tx.closed = true
 	tx.frontier = nil
-}
-
-func labelSetsEqual(a, b []lpg.LabelID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

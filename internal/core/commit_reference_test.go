@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/gdi-go/gdi/internal/fabric"
@@ -71,7 +72,7 @@ func referenceCommit(tx *Tx) error {
 		}
 		vers, err := locks.AcquireWriteTrain(tx.rank, train, tx.eng.cfg.LockTries)
 		if err != nil {
-			tx.fail(fmt.Errorf("commit lock train over %d vertices: %w", len(train), err))
+			tx.fail(fmt.Errorf("commit lock train over %d words: %w", len(train), err))
 			referenceAbort(tx)
 			return tx.critical
 		}
@@ -371,7 +372,7 @@ func referenceCommit(tx *Tx) error {
 			st := pl.vs
 			if st.isNew {
 				tx.eng.idxAddVertex(tx.rank, st.primary, st.v.AppID, st.v.Labels)
-			} else if !labelSetsEqual(st.origLabel, st.v.Labels) {
+			} else if !slices.Equal(st.origLabel, st.v.Labels) {
 				tx.eng.idxUpdateLabels(tx.rank, st.primary, st.origLabel, st.v.Labels)
 			}
 			st.blocks = pl.blocks
@@ -493,6 +494,20 @@ func referenceAbort(tx *Tx) {
 	tx.close()
 }
 
+// hasWrites reports whether the transaction wrote anything: Commit asks
+// whether its write set is empty.
+func (tx *Tx) hasWrites() bool {
+	if len(tx.dirtyList) > 0 {
+		return true
+	}
+	for _, es := range tx.edges {
+		if es.dirty || es.deleted {
+			return true
+		}
+	}
+	return false
+}
+
 // commitOps is one implementation of a transaction's close: the engine's
 // Commit and Abort, or the reference pair.
 type commitOps struct {
@@ -544,6 +559,27 @@ func (w *commitWorld) setPayload(tx *Tx, dp fabric.DPtr, seq uint64, words int) 
 		return err
 	}
 	return h.SetProperty(w.pt, payloadPattern(seq, words))
+}
+
+// fillIndexHome fills the internal-index home of app, so a commit that
+// creates app fails reserving its entry.
+func (w *commitWorld) fillIndexHome(app uint64) {
+	home := w.e.index.HomeRank(app)
+	for key := uint64(1 << 40); ; key++ {
+		if w.e.index.HomeRank(key) == home && !w.e.index.Insert(0, key, 1) {
+			return
+		}
+	}
+}
+
+// reshapeReplicaAndCreate grows the replicated vertex into a reshape, which
+// drops its follower group from the encoding, and creates app 101.
+func reshapeReplicaAndCreate(tx *Tx, w *commitWorld) error {
+	if err := w.setPayload(tx, w.replica, 1, 40); err != nil {
+		return err
+	}
+	_, err := tx.CreateVertex(101)
+	return err
 }
 
 // drain empties rank r's block pool.
@@ -704,14 +740,7 @@ var commitCases = []commitCase{
 			return w.setPayload(tx, w.v(1, 3), 1, 40)
 		}},
 	{name: "fail-index", wantErr: ErrNoMemory,
-		prep: func(_ *testing.T, w *commitWorld) {
-			home := w.e.index.HomeRank(101)
-			for key := uint64(1 << 40); ; key++ {
-				if w.e.index.HomeRank(key) == home && !w.e.index.Insert(0, key, 1) {
-					return
-				}
-			}
-		},
+		prep: func(_ *testing.T, w *commitWorld) { w.fillIndexHome(101) },
 		run: func(tx *Tx, w *commitWorld) error {
 			if _, err := tx.CreateVertex(101); err != nil {
 				return err
@@ -721,6 +750,30 @@ var commitCases = []commitCase{
 			}
 			return w.setPayload(tx, w.v(3, 1), 1, 3)
 		}},
+	{name: "fail-lock", wantErr: locks.ErrContended,
+		// A reader on rank 2 holds the rank-1 vertex the measured
+		// transaction upgrades, so its lock train fails after taking the
+		// rank-3 upgrade and the fresh vertex's word, and rolls them back.
+		prep: func(t *testing.T, w *commitWorld) {
+			if _, err := w.e.StartLocal(2, ReadWrite).AssociateVertex(w.v(1, 2)); err != nil {
+				t.Fatal(err)
+			}
+		},
+		run: func(tx *Tx, w *commitWorld) error {
+			if _, err := tx.CreateVertex(102); err != nil {
+				return err
+			}
+			if err := w.setPayload(tx, w.v(1, 2), 1, 3); err != nil {
+				return err
+			}
+			return w.setPayload(tx, w.v(3, 1), 1, 3)
+		}},
+	{name: "replica-reshape-abort", wantErr: ErrNoMemory,
+		// The reshape leaves the follower group out of its encoding; the
+		// index reservation then fails, and the abort bumps that follower
+		// with its primary.
+		prep: func(_ *testing.T, w *commitWorld) { w.fillIndexHome(101) },
+		run:  reshapeReplicaAndCreate},
 	// The stubs on ranks 2 and 3 join the lock and release trains there.
 	{name: "htap", htap: true, saved: 4, run: func(tx *Tx, w *commitWorld) error {
 		dp, err := tx.CreateVertex(103)
@@ -884,5 +937,47 @@ func TestAbortReleasesOneTrainPerRank(t *testing.T) {
 			t.Errorf("k=%d: failed commit issued %d remote atomics in %d trains, want %d in %d (the reference: %d in %d, want %d)",
 				k, got.atoms, got.atomTrains, ref.atoms, 3*remotes, ref.atoms, ref.atomTrains, remotes+k)
 		}
+	}
+}
+
+// TestAbortedReshapeKeepsFollowerInLockstep: a commit that reshapes a
+// replicated vertex and then fails reserving an index entry releases the
+// primary's write lock with a version bump. The follower group the reshape
+// would have dropped is still the vertex's, so the abort bumps it too, and
+// read-only transactions on the follower's rank keep validating.
+func TestAbortedReshapeKeepsFollowerInLockstep(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		ops  commitOps
+	}{{"commit", liveOps}, {"reference", refOps}} {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine(rma.New(4), Config{BlockSize: 64, BlocksPerRank: 1 << 10, LockTries: 64, DHTEntriesPerRank: 256})
+			w := buildCommitWorld(t, e, c.ops)
+			w.fillIndexHome(101)
+			tx := e.StartLocal(0, ReadWrite)
+			if err := reshapeReplicaAndCreate(tx, w); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.ops.commit(tx); !errors.Is(err, ErrNoMemory) {
+				t.Fatalf("commit into a full index returned %v, want ErrNoMemory", err)
+			}
+			served := e.ReplicaReads()
+			for i := 0; i < 3; i++ {
+				ro := e.StartLocal(3, ReadOnly)
+				if _, err := ro.AssociateVertex(w.replica); err != nil {
+					t.Fatal(err)
+				}
+				if err := ro.Commit(); err != nil {
+					t.Fatalf("read-only commit %d on the follower's rank: %v", i, err)
+				}
+			}
+			if got := e.ReplicaReads() - served; got != 3 {
+				t.Errorf("the follower served %d of 3 reads", got)
+			}
+			head := followerHead(t, e, 3, w.replica)
+			if p, f := versionAt(e, 0, w.replica), versionAt(e, 0, head); f != p {
+				t.Errorf("follower word at version %d, its primary's at %d", f, p)
+			}
+		})
 	}
 }

@@ -104,6 +104,13 @@ func setChainTable(stream []byte, chain []fabric.DPtr) {
 	}
 }
 
+// releaseBlocks returns dps to their pools.
+func (e *Engine) releaseBlocks(origin fabric.Rank, dps []fabric.DPtr) {
+	for _, dp := range dps {
+		e.store.ReleaseBlock(origin, dp)
+	}
+}
+
 // writeList is a vectored write under construction: the block store flushes
 // it as one PUT train per owner rank.
 type writeList struct {
@@ -197,9 +204,7 @@ func (e *Engine) readMoves(origin fabric.Rank, ms []*chainMove, want func(head [
 // its marks wait for releaseMoves, which also makes its other followers
 // track the held word's bump.
 func (e *Engine) rollback(origin fabric.Rank, m *chainMove) {
-	for _, dp := range m.fresh {
-		e.store.ReleaseBlock(origin, dp)
-	}
+	e.releaseBlocks(origin, m.fresh)
 	locks.ReleaseWriteTrain(origin, m.sec, m.secVers)
 	m.fresh, m.sec, m.secVers, m.tail, m.dropped = nil, nil, nil, nil, true
 }

@@ -520,9 +520,7 @@ func (e *Engine) dropFollowerGroups(origin fabric.Rank, primary fabric.DPtr, gro
 		fr := g[0].Rank()
 		if !e.isDead(fr) {
 			runIsolated(func() {
-				for _, dp := range g {
-					e.store.ReleaseBlock(origin, dp)
-				}
+				e.releaseBlocks(origin, g)
 				e.replDirDrop(origin, fr, primary)
 			})
 		}

@@ -123,6 +123,7 @@ type Tx struct {
 	frontier  *frontierScratch            // ExpandFrontier's arena, from the first expansion until close
 	stubWords []locks.Word                // stubs a deletion retires, held from the commit lock train to the release
 	stubVers  []uint64                    // their versions
+	run       commitRun                   // Commit's record
 	critical  error                       // sticky transaction-critical failure
 	closed    bool
 }
