@@ -404,8 +404,14 @@
 //     between successors. Neighbors that land near each other — the common
 //     case under locality-aware placement, where co-resident DPtrs differ
 //     only in their offset bits — cost one or two bytes each instead of
-//     eight. Record order within the holder is insertion order, because edge
-//     UIDs index into it.
+//     eight.
+//
+//   - Edge UIDs index into the records, so nothing reorders stored records.
+//     A transaction's CreateEdge appends in insertion order; a bulk edge load
+//     appends each vertex's batch in canonical order — grouped by
+//     (direction, weight class, label), neighbors ascending — so a
+//     bulk-loaded holder has one run per group, mostly one-byte deltas, and
+//     the same bytes however the edge specs were dealt to the ranks.
 //
 //   - An inline flag marks single-block holders: a holder whose whole stream
 //     fits its head block skips the chain walk entirely on the read path.

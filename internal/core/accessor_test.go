@@ -25,8 +25,13 @@ import (
 // a hub whose holder is a chain, with two labels, a multi-valued property
 // and light and heavy edges in every direction; a vertex without labels,
 // properties or edges; a vertex migrated twice, named by its first DPtr; and
-// a vertex whose follower copy serves one rank's optimistic reads. A holder
-// with a corrupt entry region fails either association with ErrNotFound.
+// a vertex whose follower copy serves one rank's optimistic reads. The hub's
+// heavy record sits between light runs, so a run-at-a-time Edges meets every
+// kind of run, and every mask is asked with and without a constraint. A
+// holder with a corrupt entry region fails either association with
+// ErrNotFound; one whose edge region has a corrupt tail associates, serves
+// its labels, and fails every edge walk and materialization with
+// ErrNotFound.
 func TestAccessorsFromViewMatchMaterialized(t *testing.T) {
 	const ranks = 3
 	e := NewEngine(rma.New(ranks), Config{BlockSize: 64, BlocksPerRank: 1 << 12, LockTries: 256})
@@ -39,7 +44,7 @@ func TestAccessorsFromViewMatchMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const hubApp, plainApp, migrantApp, followedApp, corruptApp = 0, 1, 2, 4, 5
+	const hubApp, plainApp, migrantApp, followedApp, corruptApp, tornApp = 0, 1, 2, 4, 5, 6
 	dps := map[uint64]fabric.DPtr{}
 	setup := e.StartLocal(0, ReadWrite)
 	vertex := func(app uint64, labels []lpg.LabelID, props ...lpg.Property) fabric.DPtr {
@@ -76,6 +81,7 @@ func TestAccessorsFromViewMatchMaterialized(t *testing.T) {
 	migrant := vertex(migrantApp, []lpg.LabelID{person}, lpg.Property{PType: age, Value: lpg.EncodeUint64(25)})
 	followed := vertex(followedApp, []lpg.LabelID{tag}, lpg.Property{PType: nick, Value: []byte("copied")})
 	vertex(corruptApp, []lpg.LabelID{person})
+	torn := vertex(tornApp, []lpg.LabelID{tag})
 	leaves := make([]fabric.DPtr, 6)
 	for i := range leaves {
 		leaves[i] = vertex(uint64(10+i), nil)
@@ -90,6 +96,12 @@ func TestAccessorsFromViewMatchMaterialized(t *testing.T) {
 	if _, err := setup.CreateRichEdge(hub, leaves[5], holder.DirOut, []lpg.LabelID{tag}, nil); err != nil {
 		t.Fatal(err)
 	}
+	edge(hub, leaves[1], holder.DirOut, knows)
+	edge(hub, leaves[2], holder.DirOut, knows)
+	for _, l := range leaves[:4] {
+		edge(torn, l, holder.DirOut, knows)
+	}
+	edge(leaves[4], torn, holder.DirOut, 0)
 	if err := setup.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -198,6 +210,48 @@ func TestAccessorsFromViewMatchMaterialized(t *testing.T) {
 			tx := e.StartLocal(fabric.Rank(r), mode)
 			if _, err := tx.AssociateVertex(corrupt); !errors.Is(err, ErrNotFound) {
 				t.Errorf("rank %d, mode %d: associating a corrupt entry region: err = %v, want ErrNotFound", r, mode, err)
+			}
+			tx.Abort()
+		}
+	}
+
+	// A corrupt tail: the edge region ends the stream's content, so its last
+	// nonzero byte is the last run's, and 0xff from there on is a varint
+	// that overflows or runs off the stream.
+	stream, blocks := e.readChain(torn.Rank(), torn, nil)
+	end := len(stream) - 1
+	for stream[end] == 0 {
+		end--
+	}
+	for i := end; i < min(end+11, len(stream)); i++ {
+		stream[i] = 0xff
+	}
+	for i, dp := range blocks {
+		e.Store().WriteBlock(torn.Rank(), dp, stream[i*64:(i+1)*64])
+	}
+	for r := range ranks {
+		for _, mode := range []Mode{ReadOnly, ReadWrite} {
+			name := fmt.Sprintf("torn vertex from rank %d, mode %d", r, mode)
+			tx := e.StartLocal(fabric.Rank(r), mode)
+			h, err := tx.AssociateVertex(torn)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !h.HasLabel(tag) {
+				t.Errorf("%s: the label ahead of the damage is lost", name)
+			}
+			for mask := MaskOut; mask <= MaskAll; mask++ {
+				for _, c := range conses[:3] {
+					if edges, err := h.Edges(mask, c); !errors.Is(err, ErrNotFound) {
+						t.Errorf("%s: Edges(%d) = %v, %v; want ErrNotFound", name, mask, edges, err)
+					}
+				}
+				if err := h.ForEachEdge(mask, func(fabric.DPtr, holder.Direction) {}); !errors.Is(err, ErrNotFound) {
+					t.Errorf("%s: ForEachEdge(%d) = %v, want ErrNotFound", name, mask, err)
+				}
+			}
+			if err := h.st.materialize(); !errors.Is(err, ErrNotFound) {
+				t.Errorf("%s: materializing a corrupt tail: %v, want ErrNotFound", name, err)
 			}
 			tx.Abort()
 		}

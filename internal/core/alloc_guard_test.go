@@ -399,10 +399,11 @@ func TestEdgesAllocatesOnlyItsResult(t *testing.T) {
 // TestUpdateCommitAllocs is the guard for the write path: a read-write
 // transaction that adds a label to an 8-edge vertex, or removes it, and
 // commits — association with its read lock, the upgrade train, the
-// write-back and the release train — allocates at most 35 objects when the
-// vertex is local and 38 when it is remote (2 simulated ranks). The commit
+// write-back and the release train — allocates at most 28 objects when the
+// vertex is local and 31 when it is remote (2 simulated ranks). The commit
 // record is a field of the Tx, so the prepare loop's indirect calls move
-// nothing to the heap.
+// nothing to the heap; the lock trains' state comes from a pool, and the
+// group committer reuses its queue.
 func TestUpdateCommitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is not meaningful under the race detector")
@@ -423,8 +424,8 @@ func TestUpdateCommitAllocs(t *testing.T) {
 		origin rma.Rank
 		bound  float64
 	}{
-		{"local", center.Rank(), 35},
-		{"remote", rma.Rank(1 - int(center.Rank())), 38},
+		{"local", center.Rank(), 28},
+		{"remote", rma.Rank(1 - int(center.Rank())), 31},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			update := func(add bool) {

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/gdi-go/gdi/internal/collective"
 	"github.com/gdi-go/gdi/internal/fabric"
@@ -182,31 +183,116 @@ func (e *Engine) routeEdges(rank fabric.Rank, specs []EdgeSpec) ([][]recDelivery
 	return out, nil
 }
 
-// mergeEdges appends the delivered records to this rank's holders, grouped by
-// vertex so each holder is rewritten once, in ascending DPtr order.
+// mergeEdges appends the delivered records to this rank's holders, each
+// holder rewritten once, in ascending DPtr order, its batch appended in
+// canonical order: grouped by direction, then by weight class and label,
+// neighbors ascending within a group. A group is one run of the holder's
+// edge codec, and its sorted neighbors are the smallest deltas the run can
+// store. Equal records are interchangeable, so the holders a load builds
+// depend on the records delivered, not on the order they arrived in.
+//
+// Every bulk-loaded record passes through here, so the grouping is a
+// counting sort, not a comparator over records: a vertex's primary DPtr
+// names a block of this rank's pool, so (block, direction) indexes a dense
+// table of group bounds. Within a group only the neighbor keys are sorted,
+// unless the group mixes labels (sortGroup).
 func (e *Engine) mergeEdges(rank fabric.Rank, in [][]recDelivery) error {
-	byVertex := make(map[fabric.DPtr][]holder.EdgeRec)
+	const dirs = int(holder.DirUndirected) + 1
+	blocks := e.store.BlocksPerRank()
+	// bound[g+1] counts group g = off*dirs + dir; the prefix sum makes
+	// bound[g] its start, and placing the records moves it to its end.
+	bound := make([]int32, dirs*blocks+1)
+	n := 0
 	for _, batch := range in {
 		for _, d := range batch {
-			byVertex[d.V] = append(byVertex[d.V], d.Rec)
+			if d.V.Rank() != rank || !e.validPoolDPtr(d.V) {
+				return fmt.Errorf("%w: bulk edge endpoint %v", ErrNotFound, d.V)
+			}
+			if d.Rec.Dir > holder.DirUndirected {
+				return fmt.Errorf("%w: bulk edge direction %d", ErrBadArgument, d.Rec.Dir)
+			}
+			bound[int(d.V.Off())*dirs+int(d.Rec.Dir)+1]++
+			n++
 		}
 	}
-	order := make([]fabric.DPtr, 0, len(byVertex))
-	for dp := range byVertex {
-		order = append(order, dp)
+	for g := 1; g < len(bound); g++ {
+		bound[g] += bound[g-1]
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	recs := make([]holder.EdgeRec, n)
+	for _, batch := range in {
+		for _, d := range batch {
+			g := int(d.V.Off())*dirs + int(d.Rec.Dir)
+			recs[bound[g]] = d.Rec
+			bound[g]++
+		}
+	}
 
 	if e.snap != nil {
 		e.htapGate.RLock()
 		defer e.htapGate.RUnlock()
 	}
-	for _, dp := range order {
-		if err := e.appendRecords(rank, dp, byVertex[dp], e.cfg.BlockSize); err != nil {
+	var keys []fabric.DPtr
+	lo := 0
+	for off := range blocks {
+		first := lo
+		for dir := range dirs {
+			hi := int(bound[off*dirs+dir])
+			keys = sortGroup(recs[lo:hi], keys)
+			lo = hi
+		}
+		if lo == first {
+			continue
+		}
+		if err := e.appendRecords(rank, fabric.MakeDPtr(rank, uint64(off)), recs[first:lo], e.cfg.BlockSize); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// sortGroup sorts one vertex's delivered records of one direction into
+// canonical order and returns keys, the scratch it sorted the neighbors in.
+// Every bulk edge is light and most are unlabeled or of one label, so a
+// group almost always shares one weight class and label, and then only its
+// neighbor keys are sorted; a group that mixes them takes a comparator.
+func sortGroup(group []holder.EdgeRec, keys []fabric.DPtr) []fabric.DPtr {
+	if len(group) < 2 {
+		return keys
+	}
+	if !oneRunClass(group) {
+		slices.SortFunc(group, func(a, b holder.EdgeRec) int {
+			return cmp.Or(cmp.Compare(runClass(a), runClass(b)), cmp.Compare(a.Neighbor, b.Neighbor))
+		})
+		return keys
+	}
+	keys = keys[:0]
+	for _, r := range group {
+		keys = append(keys, r.Neighbor)
+	}
+	slices.Sort(keys)
+	for i := range group {
+		group[i].Neighbor = keys[i]
+	}
+	return keys
+}
+
+// oneRunClass reports whether recs share one weight class and label.
+func oneRunClass(recs []holder.EdgeRec) bool {
+	for _, r := range recs[1:] {
+		if runClass(r) != runClass(recs[0]) {
+			return false
+		}
+	}
+	return true
+}
+
+// runClass orders the records of one direction: light before heavy, then by
+// label.
+func runClass(r holder.EdgeRec) uint64 {
+	if r.Heavy {
+		return 1<<32 | uint64(r.Label)
+	}
+	return uint64(r.Label)
 }
 
 // appendRecords merges records into one locally-owned vertex holder.

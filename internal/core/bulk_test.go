@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -516,4 +518,217 @@ func TestCommitFullIndexFailsBeforePublish(t *testing.T) {
 	if got, stored := findable(t, e, 8), storedVertices(e); got != 6 || stored != 6 {
 		t.Errorf("%d findable, %d stored, want 6 and 6", got, stored)
 	}
+}
+
+// holderRecords reads the edge records of the vertex at dp from its owner.
+func holderRecords(t *testing.T, e *Engine, dp fabric.DPtr) []holder.EdgeRec {
+	t.Helper()
+	buf, _ := e.readChain(dp.Rank(), dp, nil)
+	v, err := holder.DecodeVertex(buf)
+	if err != nil {
+		t.Fatalf("holder %v: %v", dp, err)
+	}
+	return v.Edges
+}
+
+// sortedRecords is recs in canonical order, by a comparator over whole
+// records: direction, light before heavy, label, neighbor.
+func sortedRecords(recs []holder.EdgeRec) []holder.EdgeRec {
+	heavy := func(r holder.EdgeRec) int {
+		if r.Heavy {
+			return 1
+		}
+		return 0
+	}
+	return slices.SortedFunc(slices.Values(recs), func(a, b holder.EdgeRec) int {
+		return cmp.Or(cmp.Compare(a.Dir, b.Dir), cmp.Compare(heavy(a), heavy(b)),
+			cmp.Compare(a.Label, b.Label), cmp.Compare(a.Neighbor, b.Neighbor))
+	})
+}
+
+// TestBulkLoadCanonicalLayout is the contract of the bulk edge merge's record
+// order. Each vertex's delivered batch is appended in canonical order —
+// grouped by direction, then weight class and label, neighbors ascending —
+// so:
+//   - one edge set dealt to the ranks two ways yields byte-identical holders;
+//   - each holder holds exactly the multiset of records delivered to it, in
+//     canonical order;
+//   - a second load appends behind the records already there, so an EdgeUID
+//     taken before it still names the same record for DeleteEdge;
+//   - a bulk-loaded star of 4 096 leaves over 4 ranks stores its center in
+//     a chain of 9 blocks of 512 bytes, where appending each batch in
+//     delivery order took 55.
+func TestBulkLoadCanonicalLayout(t *testing.T) {
+	const ranks, vertices = 4, 200
+	newLoaded := func(es [][]EdgeSpec) (*Engine, *windowLog, []lpg.LabelID) {
+		log := &windowLog{Transport: rma.New(ranks)}
+		e := NewEngine(log, Config{BlockSize: 64, BlocksPerRank: 1 << 12})
+		a, _ := e.DefineLabel("A")
+		b, _ := e.DefineLabel("B")
+		labels := []lpg.LabelID{0, a, b}
+		if es == nil {
+			return e, log, labels
+		}
+		for _, err := range runCollective(t, e, func(r rma.Rank) error {
+			var vs []VertexSpec
+			for i := int(r); i < vertices; i += ranks {
+				vs = append(vs, VertexSpec{AppID: uint64(i)})
+			}
+			if err := e.BulkLoadVertices(r, vs); err != nil {
+				return err
+			}
+			return e.BulkLoadEdges(r, es[r])
+		}) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e, log, labels
+	}
+	// Every direction and label, hubs, duplicates and self-loops.
+	_, _, labels := newLoaded(nil)
+	rng := rand.New(rand.NewSource(5))
+	var specs []EdgeSpec
+	for i := range 2000 {
+		o, t := rng.Intn(vertices), rng.Intn(vertices)
+		if i%3 == 0 {
+			o = rng.Intn(3)
+		}
+		if i%101 == 0 {
+			t = o
+		}
+		sp := EdgeSpec{OriginApp: uint64(o), TargetApp: uint64(t), Dir: holder.Direction(rng.Intn(3)), Label: labels[rng.Intn(3)]}
+		specs = append(specs, sp)
+		if i%50 == 0 {
+			specs = append(specs, sp)
+		}
+	}
+	dealt := func(deal func(k int) int) [][]EdgeSpec {
+		es := make([][]EdgeSpec, ranks)
+		for k, sp := range specs {
+			es[deal(k)] = append(es[deal(k)], sp)
+		}
+		return es
+	}
+	perm := rng.Perm(len(specs))
+	e1, log1, _ := newLoaded(dealt(func(k int) int { return k % ranks }))
+	_, log2, _ := newLoaded(dealt(func(k int) int { return perm[k] * 7 / len(specs) % ranks }))
+	bytes1, _ := log1.dump()
+	bytes2, _ := log2.dump()
+	if !reflect.DeepEqual(bytes1, bytes2) {
+		t.Error("the same edge set dealt to the ranks two ways left different block payloads")
+	}
+
+	dps := make([]fabric.DPtr, vertices)
+	for i := range dps {
+		raw, ok := e1.index.Lookup(0, uint64(i))
+		if !ok {
+			t.Fatalf("vertex %d not indexed", i)
+		}
+		dps[i] = fabric.DPtr(raw)
+	}
+	delivered := make([][]holder.EdgeRec, vertices)
+	for _, sp := range specs {
+		back := holder.DirIn
+		if sp.Dir == holder.DirUndirected {
+			back = holder.DirUndirected
+		}
+		o, t := sp.OriginApp, sp.TargetApp
+		delivered[o] = append(delivered[o], holder.EdgeRec{Neighbor: dps[t], Dir: sp.Dir, Label: sp.Label})
+		if o != t || sp.Dir != holder.DirUndirected {
+			delivered[t] = append(delivered[t], holder.EdgeRec{Neighbor: dps[o], Dir: back, Label: sp.Label})
+		}
+	}
+	for i, dp := range dps {
+		got := holderRecords(t, e1, dp)
+		if want := sortedRecords(delivered[i]); !slices.Equal(got, want) {
+			t.Fatalf("vertex %d holds %d records, not the %d delivered to it in canonical order", i, len(got), len(want))
+		}
+	}
+
+	// A second load onto the hub: the records already there keep their
+	// indices, and an EdgeUID taken before it deletes the record it named.
+	hub := dps[0]
+	before := holderRecords(t, e1, hub)
+	tx := e1.StartLocal(0, ReadOnly)
+	h, err := tx.AssociateVertex(hub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	infos, err := h.Edges(MaskAll, nil)
+	if err != nil || len(infos) != len(before) {
+		t.Fatalf("Edges = %d edges, %v; want %d", len(infos), err, len(before))
+	}
+	taken := infos[len(infos)/2]
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	more := make([]EdgeSpec, 0, 64)
+	for i := range 64 {
+		more = append(more, EdgeSpec{OriginApp: 0, TargetApp: uint64(vertices - 1 - i), Dir: holder.Direction(i % 3)})
+	}
+	for _, err := range runCollective(t, e1, func(r rma.Rank) error {
+		if r == 0 {
+			return e1.BulkLoadEdges(r, more)
+		}
+		return e1.BulkLoadEdges(r, nil)
+	}) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := holderRecords(t, e1, hub)
+	if len(after) != len(before)+len(more) || !slices.Equal(after[:len(before)], before) {
+		t.Fatalf("a second load moved the records already in the hub's holder")
+	}
+	wtx := e1.StartLocal(0, ReadWrite)
+	if err := wtx.DeleteEdge(taken.UID); err != nil {
+		t.Fatal(err)
+	}
+	if err := wtx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Delete(slices.Clone(after), int(taken.UID.Index), int(taken.UID.Index)+1)
+	if got := holderRecords(t, e1, hub); !slices.Equal(got, want) {
+		t.Fatalf("DeleteEdge(%v) did not remove exactly the record the UID named before the second load", taken.UID)
+	}
+
+	// The block-count contract: a star whose leaves span all 4 ranks.
+	if nb := bulkStarBlocks(t, ranks, 4096); nb != 9 {
+		t.Errorf("the star's center spans %d blocks, want 9 (55 in delivery order)", nb)
+	}
+}
+
+// bulkStarBlocks bulk-loads a star over ranks ranks at 512-byte blocks and
+// returns the length of its center's chain. The center links to the even
+// leaves and the odd ones to it, so its holder stores out- and in-records,
+// and the edge specs are dealt to the ranks in a shuffled order.
+func bulkStarBlocks(t *testing.T, ranks, leaves int) int {
+	e := NewEngine(rma.New(ranks), Config{BlockSize: 512, BlocksPerRank: 1 << 12})
+	es := make([][]EdgeSpec, ranks)
+	for k, i := range rand.New(rand.NewSource(3)).Perm(leaves) {
+		sp := EdgeSpec{OriginApp: 0, TargetApp: uint64(i + 1), Dir: holder.DirOut}
+		if i%2 == 1 {
+			sp.OriginApp, sp.TargetApp = sp.TargetApp, 0
+		}
+		es[k%ranks] = append(es[k%ranks], sp)
+	}
+	for _, err := range runCollective(t, e, func(r rma.Rank) error {
+		var vs []VertexSpec
+		for i := int(r); i <= leaves; i += ranks {
+			vs = append(vs, VertexSpec{AppID: uint64(i)})
+		}
+		if err := e.BulkLoadVertices(r, vs); err != nil {
+			return err
+		}
+		return e.BulkLoadEdges(r, es[r])
+	}) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, _ := e.index.Lookup(0, 0)
+	head := make([]byte, 512)
+	e.Store().ReadBlock(0, fabric.DPtr(raw), head)
+	return holder.NumBlocks(head)
 }

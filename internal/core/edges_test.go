@@ -15,8 +15,9 @@ import (
 
 // TestEdgesLazyMatchesMaterialized is the golden test of Edges' two walks.
 // The hub has out, in and undirected runs under two labels, a live heavy
-// edge, a heavy edge whose holder this transaction deleted, and a neighbour
-// that migrated after its edge was made. Edges on the freshly read state —
+// edge, a heavy edge whose holder this transaction deleted, a neighbour
+// that migrated after its edge was made, and a run longer than the buffer
+// Edges decodes a light run into. Edges on the freshly read state —
 // the cursor over the fetched stream — must equal Edges on the same state
 // once ensureWrite has materialized its records, for every direction mask
 // with and without a label constraint; every UID it returns must make
@@ -67,10 +68,14 @@ func TestEdgesLazyMatchesMaterialized(t *testing.T) {
 	rich(doomed, hub, knows)
 	edge(hub, nb[1], holder.DirUndirected, 0)
 	edge(hub, nb[2], holder.DirOut, owns)
+	const long = 150
+	for i := range long {
+		edge(vertex(200+uint64(i)), hub, holder.DirOut, owns)
+	}
 	if err := setup.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	const degree = 13
+	const degree = 13 + long
 	moved := mustMigrate(t, e, migrantApp, (migrant.Rank()+1)%3)
 
 	labelled := func(l lpg.LabelID) *constraint.Constraint {

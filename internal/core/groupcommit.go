@@ -69,7 +69,11 @@ func (e *Engine) groupWriteBack(rank fabric.Rank, dps []fabric.DPtr, data [][]by
 		for _, b := range batch {
 			close(b.done)
 		}
+		clear(batch)
 		g.mu.Lock()
+		if g.pending == nil {
+			g.pending = batch[:0] // no train queued during the flush: recycle the array
+		}
 	}
 	g.flushing = false
 	g.mu.Unlock()

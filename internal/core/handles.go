@@ -311,50 +311,100 @@ func (h *VertexHandle) Edges(mask DirMask, cons *constraint.Constraint) ([]EdgeI
 		return nil, err
 	}
 	out := make([]EdgeInfo, 0, h.Degree())
+	if h.st.v == nil && cons == nil {
+		return h.viewEdges(out, mask)
+	}
+	var err error
 	w := h.st.edges()
 	for w.next() {
-		rec := &w.rec
-		if !mask.matches(rec.Dir) {
-			continue
+		if out, err = h.appendEdge(out, w.rec, w.pos, mask, cons); err != nil {
+			return nil, err
 		}
-		info := EdgeInfo{
-			UID:      holder.EdgeUID{Vertex: h.st.primary, Index: uint32(w.pos)},
-			Neighbor: rec.Neighbor,
-			Dir:      rec.Dir,
-			Label:    rec.Label,
-			Heavy:    rec.Heavy,
-		}
-		if rec.Heavy {
-			info.Holder = rec.Neighbor
-			es, err := h.tx.fetchEdgeState(rec.Neighbor)
-			if err != nil {
-				return nil, err
-			}
-			if es.deleted {
-				continue
-			}
-			info.Neighbor = heavyNeighbor(es.e, h.st)
-			if len(es.e.Labels) > 0 {
-				info.Label = es.e.Labels[0]
-			}
-			if cons != nil && !cons.Eval(es.e.Labels, es.e.Props) {
-				continue
-			}
-		} else if cons != nil {
-			var labels []lpg.LabelID
-			if rec.Label != 0 {
-				labels = []lpg.LabelID{rec.Label}
-			}
-			if !cons.Eval(labels, nil) {
-				continue
-			}
-		}
-		out = append(out, info)
 	}
 	if err := w.err(); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// viewEdges is Edges on a clean state without a constraint. It walks the
+// view a run at a time: a light run that mask selects is appended in one
+// loop over its decoded neighbors, and only heavy runs and the runs mask
+// drops go record by record.
+func (h *VertexHandle) viewEdges(out []EdgeInfo, mask DirMask) ([]EdgeInfo, error) {
+	var (
+		nbrs [64]fabric.DPtr
+		err  error
+	)
+	pos := uint32(0)
+	c := h.st.view.Edges()
+	for c.NextRun() {
+		if c.Rec.Heavy || !mask.matches(c.Rec.Dir) {
+			for ok := true; ok; ok = c.Step() {
+				if out, err = h.appendEdge(out, c.Rec, int(pos), mask, nil); err != nil {
+					return nil, err
+				}
+				pos++
+			}
+			continue
+		}
+		info := EdgeInfo{UID: holder.EdgeUID{Vertex: h.st.primary, Index: pos}, Neighbor: c.Rec.Neighbor, Dir: c.Rec.Dir, Label: c.Rec.Label}
+		out = append(out, info)
+		pos++
+		for n := c.StepRun(nbrs[:]); n > 0; n = c.StepRun(nbrs[:]) {
+			for _, nb := range nbrs[:n] {
+				info.UID.Index, info.Neighbor = pos, nb
+				out = append(out, info)
+				pos++
+			}
+		}
+	}
+	if err := h.st.viewErr(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// appendEdge appends to out the EdgeInfo of record rec, the record at index
+// pos, if the edge matches mask and cons. A heavy record fetches its edge
+// holder; a deleted heavy edge matches nothing.
+func (h *VertexHandle) appendEdge(out []EdgeInfo, rec holder.EdgeRec, pos int, mask DirMask, cons *constraint.Constraint) ([]EdgeInfo, error) {
+	if !mask.matches(rec.Dir) {
+		return out, nil
+	}
+	info := EdgeInfo{
+		UID:      holder.EdgeUID{Vertex: h.st.primary, Index: uint32(pos)},
+		Neighbor: rec.Neighbor,
+		Dir:      rec.Dir,
+		Label:    rec.Label,
+		Heavy:    rec.Heavy,
+	}
+	if rec.Heavy {
+		info.Holder = rec.Neighbor
+		es, err := h.tx.fetchEdgeState(rec.Neighbor)
+		if err != nil {
+			return nil, err
+		}
+		if es.deleted {
+			return out, nil
+		}
+		info.Neighbor = heavyNeighbor(es.e, h.st)
+		if len(es.e.Labels) > 0 {
+			info.Label = es.e.Labels[0]
+		}
+		if cons != nil && !cons.Eval(es.e.Labels, es.e.Props) {
+			return out, nil
+		}
+	} else if cons != nil {
+		var labels []lpg.LabelID
+		if rec.Label != 0 {
+			labels = []lpg.LabelID{rec.Label}
+		}
+		if !cons.Eval(labels, nil) {
+			return out, nil
+		}
+	}
+	return append(out, info), nil
 }
 
 // edgeWalk iterates a vertex state's edge records in record order: through
@@ -398,13 +448,21 @@ func (w *edgeWalk) next() bool {
 	return true
 }
 
-// err reports the corruption a lazy walk stopped at as the ErrNotFound a
-// corrupt holder has always been.
+// err reports the corruption a lazy walk stopped at (viewErr).
 func (w *edgeWalk) err() error {
-	if !w.lazy || w.st.view.Err() == nil {
+	if !w.lazy {
 		return nil
 	}
-	return fmt.Errorf("%w: holder %v: %v", ErrNotFound, w.st.primary, w.st.view.Err())
+	return w.st.viewErr()
+}
+
+// viewErr reports the corruption an edge walk over st's view met as the
+// ErrNotFound a corrupt holder has always been.
+func (st *vertexState) viewErr() error {
+	if st.view.Err() == nil {
+		return nil
+	}
+	return fmt.Errorf("%w: holder %v: %v", ErrNotFound, st.primary, st.view.Err())
 }
 
 // heavyNeighbor resolves the far endpoint of a heavy edge relative to the

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/gdi-go/gdi/internal/fabric"
@@ -17,11 +19,21 @@ import (
 // blocks and no injected latency. The degrees are the median, p90 and p95
 // request degrees of the oltp-rm workload and a small vertex; each is read
 // on its own rank (every block from the pool) and from another rank, with
-// every block in the validated cache.
+// every block in the validated cache. Every center is built through
+// CreateEdge, which keeps insertion order, so none has the sorted runs a
+// bulk load lays out. Those centers link to the leaf pool in creation
+// order, which places the leaves on the 4 ranks in turn: each delta crosses
+// a rank and takes 8 bytes. The shuffled center links to the same 11 192
+// leaves in a random order, so its deltas vary in length and a quarter stay
+// within a rank.
 //
 //	go test -run '^$' -bench BenchmarkReadOnlyTx -benchmem ./internal/core/
 func BenchmarkReadOnlyTx(b *testing.B) {
-	degrees := []int{8, 93, 3571, 11192}
+	type center struct {
+		degree   int
+		shuffled bool
+	}
+	centers := []center{{8, false}, {93, false}, {3571, false}, {11192, false}, {11192, true}}
 	e := NewEngine(rma.New(4), Config{
 		BlockSize:     512,
 		BlocksPerRank: 1 << 13,
@@ -34,7 +46,7 @@ func BenchmarkReadOnlyTx(b *testing.B) {
 	}
 	// One leaf pool serves every center; leaf i is a neighbour of every
 	// center of degree > i.
-	leaves := make([]fabric.DPtr, degrees[len(degrees)-1])
+	leaves := make([]fabric.DPtr, 11192)
 	seed := e.StartLocal(0, ReadWrite)
 	for i := range leaves {
 		if leaves[i], err = seed.CreateVertex(uint64(1000 + i)); err != nil {
@@ -44,18 +56,23 @@ func BenchmarkReadOnlyTx(b *testing.B) {
 	if err := seed.Commit(); err != nil {
 		b.Fatal(err)
 	}
-	centers := make([]fabric.DPtr, len(degrees))
-	for k, d := range degrees {
+	dps := make([]fabric.DPtr, len(centers))
+	for k, c := range centers {
+		linked := leaves[:c.degree]
+		if c.shuffled {
+			linked = slices.Clone(linked)
+			rand.New(rand.NewSource(1)).Shuffle(len(linked), func(i, j int) { linked[i], linked[j] = linked[j], linked[i] })
+		}
 		tx := e.StartLocal(0, ReadWrite)
-		if centers[k], err = tx.CreateVertex(uint64(k)); err == nil {
+		if dps[k], err = tx.CreateVertex(uint64(k)); err == nil {
 			var h *VertexHandle
-			if h, err = tx.AssociateVertex(centers[k]); err == nil {
+			if h, err = tx.AssociateVertex(dps[k]); err == nil {
 				err = h.SetProperty(pt, payloadPattern(uint64(k), 4))
 			}
 		}
-		for _, leaf := range leaves[:d] {
+		for _, leaf := range linked {
 			if err == nil {
-				_, err = tx.CreateEdge(centers[k], leaf, holder.DirOut, 0)
+				_, err = tx.CreateEdge(dps[k], leaf, holder.DirOut, 0)
 			}
 		}
 		if err == nil {
@@ -66,14 +83,18 @@ func BenchmarkReadOnlyTx(b *testing.B) {
 		}
 	}
 
-	for k, d := range degrees {
-		center := centers[k]
+	for k, c := range centers {
+		center, d := dps[k], c.degree
+		name := fmt.Sprint("degree=", d)
+		if c.shuffled {
+			name += "-shuffled"
+		}
 		for _, where := range []struct {
 			name   string
 			origin fabric.Rank
 		}{{"local", center.Rank()}, {"cached-remote", (center.Rank() + 1) % 4}} {
 			for _, read := range []string{"Property", "Edges"} {
-				b.Run(fmt.Sprintf("degree=%d/%s/%s", d, where.name, read), func(b *testing.B) {
+				b.Run(fmt.Sprintf("%s/%s/%s", name, where.name, read), func(b *testing.B) {
 					op := func() {
 						tx := e.StartLocal(where.origin, ReadOnly)
 						dp, err := tx.TranslateVertexID(uint64(k))

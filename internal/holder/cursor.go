@@ -11,7 +11,7 @@ import (
 )
 
 // EdgeCursor is the one decoder of the edge region: a pull iterator over a
-// View's records in insertion order, parsing the stream in place.
+// View's records in record order, parsing the stream in place.
 //
 //	c := w.Edges()
 //	for c.Next() {
@@ -19,22 +19,38 @@ import (
 //	}
 //	if err := w.Err(); err != nil { ... }
 //
-// Next decodes exactly one record, so a caller that stops early has decoded
-// nothing past the last record it asked for. A cursor that meets corruption
-// stops there and records it on its View for Err; a cursor started on a view
-// whose Err is already set yields nothing. The cursor aliases the view and
-// its stream, and is valid as long as they are. Declare it before the loop,
-// as above: a cursor declared in a for clause is a per-iteration variable,
-// which the compiler copies on every iteration.
+// It steps a run at a time. NextRun decodes a run's header, label and first
+// neighbor once; StepRun then decodes the run's following records into a
+// caller's buffer in one loop, which decodes a one-byte delta — what the
+// bulk loader's sorted runs mostly hold — in line. Step is StepRun for one
+// record, and Next is Step, then NextRun at a run's end. A caller that wants
+// whole runs loops
+//
+//	var nbrs [64]fabric.DPtr
+//	for c.NextRun() {
+//		use(c.Rec) // the run's first record: its Dir, Heavy and Label are the run's
+//		for n := c.StepRun(nbrs[:]); n > 0; n = c.StepRun(nbrs[:]) {
+//			useNeighbors(nbrs[:n])
+//		}
+//	}
+//
+// Every step decodes only the records it yields, so a caller that stops
+// early has decoded nothing past the last record it asked for. A cursor that
+// meets corruption stops there and records it on its View for Err; a cursor
+// started on a view whose Err is already set yields nothing. The cursor
+// aliases the view and its stream, and is valid as long as they are.
+// Declare it before the loop, as above: a cursor declared in a for clause is
+// a per-iteration variable, which the compiler copies on every iteration.
 type EdgeCursor struct {
-	// Rec is the record the last Next that returned true decoded.
+	// Rec is the record the last step that yielded one decoded: after a
+	// StepRun, the last record it stored.
 	Rec EdgeRec
 
 	w    *View
 	buf  []byte // the edge region through the end of the stream
 	off  int    // bytes of buf decoded so far
 	run  int    // records of the current run still to come
-	left int    // records of the region still to come, the current run's included
+	left int    // records of the region in runs not yet started
 }
 
 // Edges returns a cursor positioned before the view's first edge record.
@@ -49,25 +65,54 @@ func (w *View) Edges() EdgeCursor {
 // Next advances to the next record and reports whether there was one: false
 // at the end of the region and at the first corruption (then View.Err).
 func (c *EdgeCursor) Next() bool {
-	if c.run > 0 {
-		delta, n := varint(c.buf[c.off:])
-		if n <= 0 {
-			return c.fail(fmt.Errorf("holder: malformed delta at offset %d", c.off))
+	return c.Step() || c.NextRun()
+}
+
+// Step advances to the next record of the current run and reports whether
+// there was one: false at the end of the run, with Rec left as it was, and
+// at corruption.
+func (c *EdgeCursor) Step() bool {
+	var one [1]fabric.DPtr
+	return c.StepRun(one[:]) == 1
+}
+
+// StepRun advances over the next records of the current run, up to
+// len(nbrs) of them, stores their neighbors in nbrs and returns how many it
+// stored: 0 at the end of the run and, once the records ahead of it are
+// stored, at corruption. The records' other fields are the run's, in Rec.
+func (c *EdgeCursor) StepRun(nbrs []fabric.DPtr) int {
+	n := min(len(nbrs), c.run)
+	buf, off, nb := c.buf, c.off, c.Rec.Neighbor
+	for i := range n {
+		if off < len(buf) && buf[off] < 0x80 {
+			b := uint64(buf[off])
+			nb += fabric.DPtr(b>>1 ^ -(b & 1)) // the zig-zag decode of a one-byte varint
+			off++
+		} else {
+			delta, k := varint(buf[off:])
+			if k <= 0 {
+				c.off, c.Rec.Neighbor = off, nb
+				c.fail(fmt.Errorf("holder: malformed delta at offset %d", off))
+				return i
+			}
+			off += k
+			nb = fabric.DPtr(int64(nb) + delta)
 		}
-		c.off += n
-		c.Rec.Neighbor = fabric.DPtr(int64(c.Rec.Neighbor) + delta)
-		c.run--
-		c.left--
-		return true
+		nbrs[i] = nb
+	}
+	c.off, c.Rec.Neighbor, c.run = off, nb, c.run-n
+	return n
+}
+
+// NextRun advances to the first record of the next run and reports whether
+// there was one: false at the end of the region and at corruption. Records
+// of the current run not yet stepped over are decoded and skipped first.
+func (c *EdgeCursor) NextRun() bool {
+	for c.Step() {
 	}
 	if c.left == 0 {
 		return false
 	}
-	return c.nextRun()
-}
-
-// nextRun decodes a run header, its label and its first neighbor.
-func (c *EdgeCursor) nextRun() bool {
 	hdr, n := uvarint(c.buf[c.off:])
 	if n <= 0 {
 		return c.fail(fmt.Errorf("holder: malformed run header at offset %d", c.off))
@@ -93,7 +138,7 @@ func (c *EdgeCursor) nextRun() bool {
 	c.off += n
 	c.Rec = EdgeRec{Neighbor: fabric.DPtr(first), Dir: dir, Heavy: hdr&(1<<2) != 0, Label: lpg.LabelID(label)}
 	c.run = int(count) - 1
-	c.left--
+	c.left -= int(count)
 	return true
 }
 

@@ -78,9 +78,9 @@ func vertexFromBytes(data []byte) *Vertex {
 // FuzzVarintEdgeRun exercises the delta+varint edge-run codec at both
 // ends. Arbitrary bytes through the EdgeCursor must error — never panic — and
 // agree with the forEachEdgeRun oracle: the same records, an error or not
-// alike, the same bytes decoded, walked in full and stopped early. Records
-// derived from the input must survive encode→decode bit-exactly, with the
-// measured size matching the encoder's output.
+// alike, the same bytes decoded, walked in full, a run at a time and stopped
+// early. Records derived from the input must survive encode→decode
+// bit-exactly, with the measured size matching the encoder's output.
 func FuzzVarintEdgeRun(f *testing.F) {
 	f.Add([]byte{}, uint16(0))
 	f.Add([]byte{9, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, uint16(3))
@@ -160,7 +160,8 @@ func FuzzUvarint(f *testing.F) {
 // the table, an append-and-re-encode pass like the bulk-load merge path, and
 // arbitrary bytes through DecodeVertex and the View, which must reject
 // corruption with an error — at Reset, or through Err on the edge walk —
-// never a panic.
+// never a panic. Every edge region, fresh or arbitrary, is also walked a
+// run at a time and checked against the forEachEdgeRun oracle.
 func FuzzHolderV2RoundTrip(f *testing.F) {
 	f.Add([]byte{}, byte(0))
 	f.Add([]byte{9, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, byte(1))
@@ -180,6 +181,7 @@ func FuzzHolderV2RoundTrip(f *testing.F) {
 			_ = w.Entries()
 			w.ForEachEdge(func(EdgeRec) bool { return true })
 			w.HasHome(0)
+			sameWalk(t, data[w.edgesOff:], w.numEdges, 0)
 		}
 		if len(data) >= HeaderSize {
 			if pre := EntryBlocks(data, 64); pre < 1 || (NumBlocks(data) >= 1 && pre > NumBlocks(data)) {
@@ -237,6 +239,7 @@ func FuzzHolderV2RoundTrip(f *testing.F) {
 		if err := w.Err(); err != nil {
 			t.Fatalf("edge walk over a fresh stream: %v", err)
 		}
+		sameWalk(t, stream[w.edgesOff:], w.numEdges, 0)
 		// The entries sit ahead of the edge runs: the prefix EntryBlocks
 		// names is all a label/property reader needs.
 		if err := w.Reset(stream[:EntryBlocks(stream, blockSize)*blockSize]); err != nil {

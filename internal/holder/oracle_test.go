@@ -95,19 +95,78 @@ func oracleWalk(region []byte, n, stop int) ([]EdgeRec, int, error) {
 	return got, consumed, err
 }
 
+// runWalk decodes w's records a run at a time — NextRun, then StepRun into
+// a buffer of chunk neighbors until the run ends — and returns them, the
+// index of each run's first record, and the bytes of the region decoded.
+func runWalk(w *View, chunk int) (recs []EdgeRec, heads []int, off int) {
+	nbrs := make([]fabric.DPtr, chunk)
+	c := w.Edges()
+	for c.NextRun() {
+		heads = append(heads, len(recs))
+		recs = append(recs, c.Rec)
+		for n := c.StepRun(nbrs); n > 0; n = c.StepRun(nbrs) {
+			for _, nb := range nbrs[:n] {
+				rec := c.Rec
+				rec.Neighbor = nb
+				recs = append(recs, rec)
+			}
+		}
+	}
+	return recs, heads, c.off
+}
+
+// headWalk visits only the first record of each run, leaving NextRun to step
+// over the rest.
+func headWalk(w *View) (heads []EdgeRec, off int) {
+	c := w.Edges()
+	for c.NextRun() {
+		heads = append(heads, c.Rec)
+	}
+	return heads, c.off
+}
+
 // sameWalk checks the cursor against the oracle over one region: the same
 // records, an error from both or from neither, and — when neither failed —
-// the same bytes decoded.
+// the same bytes decoded. A full walk (stop ≤ 0) is also made a run at a
+// time at three buffer sizes, and over run heads alone, which must meet
+// the same corruption and yield the first record of every run the run
+// walk yields.
 func sameWalk(t *testing.T, region []byte, n, stop int) {
 	t.Helper()
 	want, wantOff, wantErr := oracleWalk(region, n, stop)
+	same := func(how string, w *View, got []EdgeRec, off int) {
+		t.Helper()
+		sameRecords(t, got, want)
+		if (w.Err() == nil) != (wantErr == nil) {
+			t.Fatalf("%d records, %s: cursor error %v, oracle error %v", n, how, w.Err(), wantErr)
+		}
+		if wantErr == nil && off != wantOff {
+			t.Fatalf("%d records, %s: cursor decoded %d bytes, oracle %d", n, how, off, wantOff)
+		}
+	}
 	w := regionView(region, n)
 	got, off := cursorWalk(w, stop)
-	sameRecords(t, got, want)
-	if (w.Err() == nil) != (wantErr == nil) {
-		t.Fatalf("%d records, stop %d: cursor error %v, oracle error %v", n, stop, w.Err(), wantErr)
+	same(fmt.Sprintf("stop %d", stop), w, got, off)
+	if stop > 0 {
+		return
 	}
-	if wantErr == nil && off != wantOff {
-		t.Fatalf("%d records, stop %d: cursor decoded %d bytes, oracle %d", n, stop, off, wantOff)
+	var heads []int
+	for _, chunk := range []int{1, 3, 64} {
+		w = regionView(region, n)
+		got, heads, off = runWalk(w, chunk)
+		same(fmt.Sprintf("runs in chunks of %d", chunk), w, got, off)
+	}
+	w = regionView(region, n)
+	gotHeads, off := headWalk(w)
+	if (w.Err() == nil) != (wantErr == nil) || (wantErr == nil && off != wantOff) {
+		t.Fatalf("%d records, run heads: error %v after %d bytes, oracle error %v after %d", n, w.Err(), off, wantErr, wantOff)
+	}
+	if len(gotHeads) != len(heads) {
+		t.Fatalf("%d records: %d run heads, the run walk met %d", n, len(gotHeads), len(heads))
+	}
+	for i, h := range gotHeads {
+		if h != got[heads[i]] {
+			t.Fatalf("run %d: head %+v, the run walk's %+v", i, h, got[heads[i]])
+		}
 	}
 }

@@ -115,7 +115,7 @@ func (w *View) HasHome(dp fabric.DPtr) bool {
 	return false
 }
 
-// ForEachEdge calls fn for every inline edge record in insertion order, a
+// ForEachEdge calls fn for every inline edge record in record order, a
 // loop over Edges for callers that want a callback. fn returning false stops
 // the walk at once — nothing past the record it declined is decoded. A walk
 // that runs into corruption stops there and records it for Err.

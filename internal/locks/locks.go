@@ -51,6 +51,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"github.com/gdi-go/gdi/internal/fabric"
 )
@@ -255,8 +256,13 @@ func seedAt(vers []uint64, i int) uint64 {
 const untilDone = math.MaxInt
 
 // train is one lock operation's words in the global order, each with the
-// CAS its next round issues.
-type train []trainWord
+// CAS its next round issues, and the buffer its rounds group a rank's CASes
+// in. Trains are pooled, as the read path pools its block.Trains: newTrain
+// takes one and free puts it back, so a lock operation allocates neither.
+type train struct {
+	words []trainWord
+	batch []fabric.CASOp
+}
 
 type trainWord struct {
 	Word
@@ -265,20 +271,30 @@ type trainWord struct {
 	done bool
 }
 
+var trainPool = sync.Pool{New: func() any { return new(train) }}
+
 // newTrain sorts n words into the global order, each expected at seed(i).
-func newTrain(n int, word func(i int) Word, seed func(i int) uint64) train {
-	t := make(train, n)
-	for i := range t {
+func newTrain(n int, word func(i int) Word, seed func(i int) uint64) *train {
+	t := trainPool.Get().(*train)
+	t.words = slices.Grow(t.words[:0], n)[:n]
+	for i := range t.words {
 		w := word(i)
 		if w.Win != word(0).Win {
+			t.free()
 			panic("locks: lock train spans multiple windows")
 		}
-		t[i] = trainWord{Word: w, src: i, op: fabric.CASOp{Idx: w.Idx, Old: seed(i)}}
+		t.words[i] = trainWord{Word: w, src: i, op: fabric.CASOp{Idx: w.Idx, Old: seed(i)}}
 	}
-	slices.SortFunc(t, func(a, b trainWord) int {
+	slices.SortFunc(t.words, func(a, b trainWord) int {
 		return cmp.Or(cmp.Compare(a.Target, b.Target), cmp.Compare(a.Idx, b.Idx))
 	})
 	return t
+}
+
+// free returns t to the pool; t must not be used afterwards.
+func (t *train) free() {
+	clear(t.words) // drop the windows the words name
+	trainPool.Put(t)
 }
 
 // rounds issues up to max CAS rounds, one CASBatch per owner rank per round
@@ -288,31 +304,32 @@ func newTrain(n int, word func(i int) Word, seed func(i int) uint64) train {
 // it, a swap that does not is a probe, and a failed CAS learns the word it
 // reports. Steps are taken as soon as a word is learned, so a step that
 // panics does so right after the CAS that revealed the word.
-func (t train) rounds(origin fabric.Rank, max int, step func(i int, cur uint64) uint64) (left int) {
-	for k := range t {
-		if !t[k].done {
-			t[k].op.New = step(t[k].src, t[k].op.Old)
+func (t *train) rounds(origin fabric.Rank, max int, step func(i int, cur uint64) uint64) (left int) {
+	ws := t.words
+	for k := range ws {
+		if !ws[k].done {
+			ws[k].op.New = step(ws[k].src, ws[k].op.Old)
 			left++
 		}
 	}
-	batch := make([]fabric.CASOp, 0, len(t))
 	for round := 0; round < max && left > 0; round++ {
-		for lo, hi := 0, 0; lo < len(t); lo = hi {
-			batch = batch[:0]
-			for hi = lo; hi < len(t) && t[hi].Target == t[lo].Target; hi++ {
-				if !t[hi].done {
-					batch = append(batch, t[hi].op)
+		for lo, hi := 0, 0; lo < len(ws); lo = hi {
+			batch := t.batch[:0]
+			for hi = lo; hi < len(ws) && ws[hi].Target == ws[lo].Target; hi++ {
+				if !ws[hi].done {
+					batch = append(batch, ws[hi].op)
 				}
 			}
+			t.batch = batch
 			if len(batch) == 0 {
 				continue
 			}
 			k := lo
-			for _, r := range t[lo].Win.CASBatch(origin, t[lo].Target, batch) {
-				for t[k].done { // done before this round: not in the batch
+			for _, r := range ws[lo].Win.CASBatch(origin, ws[lo].Target, batch) {
+				for ws[k].done { // done before this round: not in the batch
 					k++
 				}
-				w := &t[k]
+				w := &ws[k]
 				switch {
 				case !r.Swapped:
 					w.op.Old, w.op.New = r.Prev, step(w.src, r.Prev)
@@ -329,14 +346,14 @@ func (t train) rounds(origin fabric.Rank, max int, step func(i int, cur uint64) 
 
 // flip swaps done and not done: what an acquisition took is what its undo
 // must visit.
-func (t train) flip() {
-	for k := range t {
-		t[k].done = !t[k].done
+func (t *train) flip() {
+	for k := range t.words {
+		t.words[k].done = !t.words[k].done
 	}
 }
 
 // acquireWrite runs a write acquisition's tries+1 rounds over ls.
-func acquireWrite(origin fabric.Rank, ls []TrainLock, tries int) (t train, left int) {
+func acquireWrite(origin fabric.Rank, ls []TrainLock, tries int) (t *train, left int) {
 	t = newTrain(len(ls), func(i int) Word { return ls[i].Word },
 		func(i int) uint64 { return freeAt(ls[i].Ver) + trainOldReaders(ls[i]) })
 	return t, t.rounds(origin, tries+1, func(i int, cur uint64) uint64 {
@@ -363,9 +380,10 @@ func AcquireWriteTrain(origin fabric.Rank, ls []TrainLock, tries int) ([]uint64,
 		return nil, nil
 	}
 	t, left := acquireWrite(origin, ls, tries)
+	defer t.free()
 	if left == 0 {
 		vers := make([]uint64, len(ls))
-		for _, w := range t {
+		for _, w := range t.words {
 			vers[w.src] = Version(w.op.Old)
 		}
 		return vers, nil
@@ -414,9 +432,10 @@ func ReleaseWriteTrainMarked(origin fabric.Rank, words []Word, vers []uint64, ma
 		}
 		return writeBit | seedAt(vers, i)
 	})
+	defer t.free()
 	// The hook must see every word still write-held at its pre-bump
 	// version, so fire it for the whole train before any CAS round.
-	for _, w := range t {
+	for _, w := range t.words {
 		runReleaseHook(w.Win, w.Target, w.Idx)
 	}
 	t.rounds(origin, untilDone, func(i int, cur uint64) uint64 {
@@ -442,7 +461,8 @@ func AcquireWriteTrainEach(origin fabric.Rank, ls []TrainLock, tries int) (vers 
 		return vers, heldOut
 	}
 	t, _ := acquireWrite(origin, ls, tries)
-	for _, w := range t {
+	defer t.free()
+	for _, w := range t.words {
 		if w.done {
 			heldOut[w.src] = true
 			vers[w.src] = Version(w.op.Old)
@@ -487,8 +507,9 @@ func mirrorTrain(origin fabric.Rank, words []Word, vers []uint64, held uint64, s
 		panic(fmt.Sprintf("locks: mirror train of %d words with %d versions", len(words), len(vers)))
 	}
 	t := newTrain(len(words), func(i int) Word { return words[i] }, func(i int) uint64 { return freeAt(vers[i]) | held })
+	defer t.free()
 	t.rounds(origin, 1, step)
-	for _, w := range t {
+	for _, w := range t.words {
 		swapped[w.src] = w.done
 	}
 	return swapped
@@ -552,6 +573,7 @@ func AcquireReadTrainAt(origin fabric.Rank, words []Word, vers []uint64, tries i
 		return nil, nil
 	}
 	t := newTrain(len(words), func(i int) Word { return words[i] }, func(i int) uint64 { return seedAt(vers, i) })
+	defer t.free()
 	if t.rounds(origin, tries+1, func(_ int, cur uint64) uint64 {
 		if cur&writeBit != 0 {
 			return cur // probe: a writer holds the word
@@ -559,15 +581,15 @@ func AcquireReadTrainAt(origin fabric.Rank, words []Word, vers []uint64, tries i
 		return cur + 1
 	}) == 0 {
 		stamps := make([]uint64, len(words))
-		for _, w := range t {
+		for _, w := range t.words {
 			stamps[w.src] = w.op.Old
 		}
 		return stamps, nil
 	}
 	// Release what the train took, seeded as ReleaseReadTrainAt seeds it.
 	t.flip()
-	for k := range t {
-		t[k].op.Old = 1 | freeAt(Version(t[k].op.Old))
+	for k := range t.words {
+		t.words[k].op.Old = 1 | freeAt(Version(t.words[k].op.Old))
 	}
 	t.rounds(origin, untilDone, releaseRead)
 	return nil, ErrContended
@@ -587,6 +609,7 @@ func ReleaseReadTrainAt(origin fabric.Rank, words []Word, vers []uint64) {
 		return
 	}
 	t := newTrain(len(words), func(i int) Word { return words[i] }, func(i int) uint64 { return 1 | seedAt(vers, i) })
+	defer t.free()
 	t.rounds(origin, untilDone, releaseRead)
 }
 
