@@ -92,27 +92,30 @@
 // expansions, neighborhood materializations, multi-vertex lookups. Stay
 // with the blocking call when the next access depends on the previous
 // result (pointer chasing) or inside mutating code paths, where the
-// one-lock-then-fetch ordering reads most naturally. Both tiers share the
-// per-transaction cache and locking protocol, so they can be mixed freely;
+// fetch-then-mutate ordering reads most naturally. Both tiers share the
+// per-transaction cache and read protocol, so they can be mixed freely;
 // a blocking call implies a flush of everything queued, exactly as a
 // blocking MPI call implies progress.
 //
 // # Batched writes and group commit
 //
 // The write path mirrors the read tier's batching. During a read-write
-// transaction, mutations do not pay remote lock round-trips: a mutation on
-// a read-held vertex only marks the exclusive upgrade as deferred (the held
-// shared lock keeps every other writer out until commit, since upgrades are
-// granted only to the sole reader), and a freshly created vertex is not
-// locked at all (it is unpublished until commit, so nothing can reach it).
+// transaction, mutations do not pay remote lock round-trips: a transaction
+// reads optimistically (below), and a mutation only marks its holder dirty,
+// which defers the holder's exclusive lock to commit; a freshly created
+// vertex is unpublished until commit, so nothing can reach it before then.
 // Commit then organizes all remote write traffic into trains:
 //
-//  1. Lock train (prepare). Every deferred upgrade and fresh-vertex lock is
-//     resolved as one vectored CAS train per owner rank, in globally sorted
-//     (deadlock-free) order, seeded with the version each read lock was
-//     granted at, so an uncontended upgrade takes one round per rank.
-//     Contention rolls the train back and aborts the transaction with
-//     ErrTransactionCritical.
+//  1. Lock train and validation (prepare). Every dirty holder — rewritten,
+//     created or deleted vertices and heavy-edge holders — is locked as one
+//     vectored CAS train per owner rank, in globally sorted (deadlock-free)
+//     order, each word seeded with the version its holder was read at, so
+//     an uncontended train takes one round per rank. The read set is then
+//     validated: a word the lock train took passes when it carries the
+//     version read, and every other holder read is checked by one
+//     atomic-load train per owner rank, failing on a moved version or a
+//     word another writer holds. Contention or a moved version rolls back
+//     and aborts the transaction with ErrTransactionCritical.
 //  2. Write-back train (apply). All dirty holder blocks and deletion
 //     poisons are flushed as one vectored PUT train per owner rank, instead
 //     of one blocking PUT per block. Concurrent transactions committing
@@ -173,24 +176,23 @@
 //     bumped version simply makes the stale copy miss. There are no
 //     invalidation messages: writers invalidate by releasing their locks.
 //
-//   - Optimistic read transactions. Local read-only transactions take no
-//     read locks at all. A fetch is accepted only if its guard shows the
-//     same version with the write bit clear on both sides of the read
-//     (cached copies satisfy this by construction, so a fully cached fetch
-//     needs no second look), and the transaction records every (vertex,
-//     version) pair it read. The guard loads ride the fetch's own trains:
+//   - Optimistic reads. Every transaction but a collective read-only one
+//     takes no read locks at all. A fetch is accepted only if its guard
+//     shows the same version with the write bit clear on both sides of the
+//     read (cached copies satisfy this by construction, so a fully cached
+//     fetch needs no second look), and the transaction records every
+//     (holder, version) pair it read. The guard loads ride the fetch's own trains:
 //     a guarded GET train (fabric.ByteWin.GuardedGetBatch, one round trip)
 //     loads the word, GETs the block and loads the word again, so a cold
 //     one-block holder costs one round trip and a k-block chain k
 //     (ARCHITECTURE.md, "Life of a holder read"). Commit
-//     revalidates the whole read set with one atomic-load train per owner
-//     rank: if every version is unchanged the transaction serializes at
-//     that instant; if any moved, it fails with ErrTransactionCritical —
-//     the optimistic abort of §3.8 — and the caller retries, exactly as
-//     with lock contention. Read-write transactions take read locks in
-//     trains (which make cached fetches trivially stable, and whose CAS
-//     results stand in for the guard stamps), and collective
-//     read-only transactions keep their §3.3 lock-free epoch; both still
+//     validates the whole read set with one atomic-load train per owner
+//     rank (a read-write transaction after its lock train, which vouches
+//     for what it locked): if every version is unchanged the transaction
+//     serializes at that instant; if any moved, it fails with
+//     ErrTransactionCritical — the optimistic abort of §3.8 — and the
+//     caller retries, exactly as with lock contention. Collective
+//     read-only transactions keep their §3.3 lock-free epoch and still
 //     ride the cache.
 //
 // Every tier reads a holder's chain through one batched reader, which also
@@ -211,16 +213,16 @@
 // union becomes the next frontier. The naive reference executor
 // (query.RunNaive) keeps the same contract on handles, one scalar
 // AssociateVertex round trip per vertex; the two are golden-tested
-// equivalent across replicated engines, migrated vertices, and optimistic
-// and locking transactions, and TestCompiledExpansionBatchesTrains pins the
+// equivalent across replicated engines, migrated vertices, and read-only
+// and read-write transactions, and TestCompiledExpansionBatchesTrains pins the
 // count: the compiled plan rides at most one GET train per owner rank per
 // hop, the naive walk none, with identical rows.
 // Patterns also carry a versioned wire codec (Encode/Decode, fuzzed in CI) so
 // a driver can ship a plan to a server rank as bytes. Results are canonically
 // ordered, so runs are reproducible under any association interleaving.
 //
-// Traversal cost model. A hop does not materialize handles. In an optimistic
-// read-only transaction a frontier vertex costs one guard stamp, the blocks
+// Traversal cost model. A hop does not materialize handles. In a local
+// transaction a frontier vertex costs one guard stamp, the blocks
 // the hop needs of it, and the bytes of its labels and properties — no heap
 // object: holders are read into a per-transaction arena (cache hits copied,
 // misses in one GET train per rank per round), the constraint is evaluated
@@ -236,16 +238,17 @@
 // next to the point-read guard), and the arena is garbage once the
 // transaction closes: nothing of a hop counts against the live heap.
 // LIMIT is a bounded top-k on the canonical order over IDs, and only the
-// rows it keeps are associated as handles, for the projection. On the
-// optimistic tier it also stops the last hop early
+// rows it keeps are associated as handles, for the projection. In a local
+// transaction it also stops the last hop early
 // (Transaction.FilterFrontier): the lock word's stub bit tells which
 // frontier DPtrs are forwarding stubs, every other DPtr is its vertex's ID,
 // so the hop reads the frontier in ascending DPtr order, in chunks, until
 // LIMIT matches sort below everything unread, whose stamped versions Commit
 // validates. Forwarding stubs, follower-served vertices, holders caught
-// mid-write, and all frontiers of locking transactions fall back to one
-// AssociateVertices batch; a frontier vertex that no longer exists is
-// ErrNotFound.
+// mid-write, the vertices a writing transaction holds (so it sees its own
+// writes and deletions), and all frontiers of collective read-only
+// transactions fall back to one AssociateVertices batch; a frontier vertex
+// that no longer exists is ErrNotFound.
 //
 // The cmd/gdi-ldbc driver exercises the layer end to end with an
 // LDBC-SNB-interactive-flavored mix — IS-style point reads, IC-style 2-hop
@@ -462,15 +465,14 @@
 //
 // # Consistency (§3.8)
 //
-// Graph data is serializable: transactions use per-vertex reader-writer
-// locks with bounded acquisition; contended transactions fail with
+// Graph data is serializable: transactions read optimistically and validate
+// their reads at commit, and write-lock what they write at commit with
+// bounded acquisition; contended or invalidated transactions fail with
 // ErrTransactionCritical and must be restarted by the caller (this is what
-// the paper reports as the failed-transaction percentage). Local read-only
-// transactions replace read locks with commit-time version validation (see
-// above) and keep serializability.
+// the paper reports as the failed-transaction percentage).
 // Metadata and indexes are eventually consistent; write transactions that
 // race a metadata change detect staleness at commit and abort. Live
 // migration preserves all of this: a migration train holds the vertex's
-// exclusive lock, so it serializes against writers and locking readers,
-// and optimistic readers reject any snapshot that raced a move.
+// exclusive lock, so it serializes against writers, and readers reject any
+// snapshot that raced a move, at read time or at commit.
 package gdi

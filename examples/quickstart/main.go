@@ -56,8 +56,8 @@ func main() {
 
 		// Second transaction: befriend the next person (a remote vertex).
 		// Neighboring processes write the same vertices concurrently, so any
-		// step — the translations read-lock too — may fail with
-		// ErrTransactionCritical. GDI offers no in-place retry (§3.3); the
+		// step — the commit above all, which validates what was read — may
+		// fail with ErrTransactionCritical. GDI offers no in-place retry (§3.3); the
 		// caller aborts and starts a new transaction.
 		for {
 			tx = p.StartTransaction(gdi.ReadWrite)

@@ -19,9 +19,9 @@ import (
 // vertex, every read served from the fetched stream — and every accessor
 // (AppID, Homes, Labels, HasLabel, Properties, Property, PTypes, Matches,
 // Degree, CountEdges, Edges) must answer on it what it answers once the
-// state is materialized: by materialize on the optimistic tier, by
-// ensureWrite on the locking tier, where the answers must also equal the
-// optimistic tier's. The vertices, read from every rank at 64-byte blocks:
+// state is materialized: by materialize in a read-only transaction, by
+// ensureWrite in a read-write one, where the answers must also equal the
+// read-only transaction's. The vertices, read from every rank at 64-byte blocks:
 // a hub whose holder is a chain, with two labels, a multi-valued property
 // and light and heavy edges in every direction; a vertex without labels,
 // properties or edges; a vertex migrated twice, named by its first DPtr; and
@@ -181,7 +181,7 @@ func TestAccessorsFromViewMatchMaterialized(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			if got := render(h); got != clean {
-				t.Errorf("%s: the locking tier's accessors differ from the optimistic tier's:\n got %s\nwant %s", name, got, clean)
+				t.Errorf("%s: a read-write transaction's accessors differ from a read-only one's:\n got %s\nwant %s", name, got, clean)
 			}
 			if err := rw.ensureWrite(h.st); err != nil {
 				t.Fatalf("%s: %v", name, err)

@@ -398,9 +398,9 @@ func TestEdgesAllocatesOnlyItsResult(t *testing.T) {
 
 // TestUpdateCommitAllocs is the guard for the write path: a read-write
 // transaction that adds a label to an 8-edge vertex, or removes it, and
-// commits — association with its read lock, the upgrade train, the
-// write-back and the release train — allocates at most 28 objects when the
-// vertex is local and 31 when it is remote (2 simulated ranks). The commit
+// commits — the optimistic association, the lock train, the write-back and
+// the release train — allocates at most 24 objects when the vertex is local
+// and 27 when it is remote (2 simulated ranks). The commit
 // record is a field of the Tx, so the prepare loop's indirect calls move
 // nothing to the heap; the lock trains' state comes from a pool, and the
 // group committer reuses its queue.
@@ -424,8 +424,8 @@ func TestUpdateCommitAllocs(t *testing.T) {
 		origin rma.Rank
 		bound  float64
 	}{
-		{"local", center.Rank(), 28},
-		{"remote", rma.Rank(1 - int(center.Rank())), 31},
+		{"local", center.Rank(), 24},
+		{"remote", rma.Rank(1 - int(center.Rank())), 27},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			update := func(add bool) {

@@ -20,6 +20,7 @@ import (
 type writeEntry struct {
 	vs     *vertexState
 	es     *edgeState
+	g      *guard // the head's lock word: vs's, es's, or the stub's own
 	head   fabric.DPtr
 	stream []byte          // nil: a deletion
 	blocks []fabric.DPtr   // a rewrite's chain: its old one until layout fits it
@@ -30,37 +31,39 @@ type writeEntry struct {
 }
 
 // commitRun is the record of one Commit: the write set, what its prepare
-// half took (the lock train's vertices, the blocks layout acquired, the
-// index entries reserved) and the follower words its apply half marked. It
-// is a field of the Tx, so the prepare loop's indirect calls move no record
-// to the heap.
+// half took (the lock words the write set's guards record, the blocks layout
+// acquired, the index entries reserved) and the follower words its apply
+// half marked. It is a field of the Tx, so the prepare loop's indirect calls
+// move no record to the heap.
 type commitRun struct {
 	*Tx
 	ws       []writeEntry
-	rewrites int            // ws[:rewrites] are rewrites
-	members  []*vertexState // the lock train's vertices, whose versions it learns
-	acquired []fabric.DPtr  // blocks layout took, returned by a failed prepare
-	reserved int            // the new vertices of ws[:reserved] hold index entries
-	mirWords []locks.Word   // the marked follower words, for the release
+	rewrites int           // ws[:rewrites] are rewrites
+	acquired []fabric.DPtr // blocks layout took, returned by a failed prepare
+	reserved int           // the new vertices of ws[:reserved] hold index entries
+	mirWords []locks.Word  // the marked follower words, for the release
 	mirVers  []uint64
 }
 
 // prepare is Commit's prepare half, in order. Each phase may fail, and none
-// writes anything or changes what abortLocked reads, so a failure unwinds
-// through commitRun.unwind alone.
+// writes anything; of what abortLocked reads, only the lock train's holds
+// change, and the abort releases them, so a failure unwinds through
+// commitRun.unwind alone.
 var prepare = [...]func(*commitRun) error{
 	(*commitRun).validate,
 	(*commitRun).lock,
+	(*commitRun).validateReads,
 	(*commitRun).layout,
 	(*commitRun).reserve,
 }
 
 // Commit makes the transaction's changes durable and visible
 // (GDI_CloseTransaction with commit semantics). It has two halves (§5.6).
-// The prepare half may fail: it validates the transaction, takes every
-// exclusive lock the write set needs, encodes each rewrite and acquires its
-// blocks, and reserves the index entries of new vertices. A failure there
-// has written nothing and unwinds through one path, the abort's. The apply
+// The prepare half may fail: it checks the transaction, takes every
+// exclusive lock the write set needs, validates the read set, encodes each
+// rewrite and acquires its blocks, and reserves the index entries of new
+// vertices. A failure there has written nothing and unwinds through one
+// path, the abort's. The apply
 // half cannot fail: it writes every holder back, retires dropped follower
 // groups, logs deltas, updates the indexes, releases the locks and frees
 // the retired blocks. Either every dirty holder is written back or none is.
@@ -68,10 +71,11 @@ var prepare = [...]func(*commitRun) error{
 // Everything the commit writes is one write set: one entry per rewritten
 // or deleted holder, plus one per forwarding stub a deletion retires. Each
 // phase walks it once, and each phase's remote traffic is one train per
-// owner rank: the lock train is one vectored CAS train, the write-back one
-// vectored PUT train coalesced with concurrent committers of the rank by
-// the engine's group committer, and the release, shared with Abort, one
-// write train and one read train.
+// owner rank: the lock train is one vectored CAS train, the read-set
+// validation one load train for the words the lock train does not hold, the
+// write-back one vectored PUT train coalesced with concurrent committers of
+// the rank by the engine's group committer, and the release, shared with
+// Abort, one write train.
 //
 // Work: O(Σ dirty holder blocks); depth: O(1) per holder after the
 // sequential prepare walk. Collective transactions add two O(log P)
@@ -110,7 +114,7 @@ func (tx *Tx) Commit() error {
 	r.publish()
 	r.release()
 	r.free()
-	tx.noteCommitted(r.members)
+	tx.noteCommitted(r.ws)
 	tx.close()
 	return nil
 }
@@ -130,17 +134,17 @@ func (r *commitRun) unwind(err error) error {
 	return r.critical
 }
 
-// validate fails a transaction that is already critical, a write
+// validate fails a transaction that is already critical, and a write
 // transaction that raced a metadata change (metadata is only eventually
-// consistent, §3.8), and an optimistic one whose read set moved.
+// consistent, §3.8).
 func (r *commitRun) validate() error {
 	if r.critical != nil {
 		return r.critical
 	}
-	if r.mode == ReadWrite && len(r.ws) > 0 && r.MetadataStale() {
+	if len(r.ws) > 0 && r.MetadataStale() {
 		return fmt.Errorf("metadata changed during transaction")
 	}
-	return r.validateOptimistic()
+	return nil
 }
 
 // collect builds the write set: rewrites first (vertices in write-back
@@ -152,63 +156,123 @@ func (r *commitRun) collect() {
 	for _, primary := range r.dirtyList {
 		st := r.verts[primary]
 		if !st.deleted {
-			r.ws = append(r.ws, writeEntry{vs: st, head: primary, blocks: chainOf(primary, st.blocks)})
+			r.ws = append(r.ws, writeEntry{vs: st, g: &st.guard, head: primary, blocks: chainOf(primary, st.blocks)})
 			continue
 		}
-		dels = append(dels, writeEntry{vs: st, head: primary, free: chainOf(primary, st.blocks), drop: st.v.Replicas, poison: !st.isNew})
+		dels = append(dels, writeEntry{vs: st, g: &st.guard, head: primary, free: chainOf(primary, st.blocks), drop: st.v.Replicas, poison: !st.isNew})
 		for _, h := range st.v.Homes {
-			stubs = append(stubs, writeEntry{head: h, free: []fabric.DPtr{h}, poison: true})
+			stubs = append(stubs, writeEntry{g: new(guard), head: h, free: []fabric.DPtr{h}, poison: true})
 		}
 	}
 	for _, es := range r.edges {
 		switch {
 		case es.deleted:
-			dels = append(dels, writeEntry{es: es, head: es.primary, free: chainOf(es.primary, es.blocks), poison: !es.isNew})
+			dels = append(dels, writeEntry{es: es, g: &es.guard, head: es.primary, free: chainOf(es.primary, es.blocks), poison: !es.isNew})
 		case es.dirty:
-			r.ws = append(r.ws, writeEntry{es: es, head: es.primary, blocks: chainOf(es.primary, es.blocks)})
+			r.ws = append(r.ws, writeEntry{es: es, g: &es.guard, head: es.primary, blocks: chainOf(es.primary, es.blocks)})
 		}
 	}
 	r.rewrites = len(r.ws)
 	r.ws = append(append(r.ws, dels...), stubs...)
 }
 
-// lock takes every deferred exclusive lock of the write set —
-// upgrades of read-held words, fresh locks of new vertices, and the stub
-// words of deleted vertices — as one vectored CAS train per owner rank, in
-// globally sorted (deadlock-free) order. A stub is locked so that its
-// poison bumps its version and every cached or optimistic reader of it
+// lock write-locks the whole write set — every rewritten or deleted vertex
+// and heavy-edge holder, and the stub words of deleted vertices — as one
+// vectored CAS train per owner rank, in globally sorted (deadlock-free)
+// order. Each word is seeded with the version its holder was read at (a
+// holder this transaction created, and a stub, at 0), so an uncontended
+// train takes one round per owner rank. A stub is locked so that its poison
+// bumps its version and every cached or optimistic reader of it
 // revalidates. Contention fails the whole train, which rolls its partial
-// acquisitions back itself. Each upgrade is seeded with the version its
-// read lock was granted at, which cannot have moved since, so an
-// uncontended train takes one round per owner rank; a fresh vertex, which
-// knows no version, is seeded at 0.
+// acquisitions back itself. The train takes a word at whatever version it
+// finds; validateReads fails the commit when that is not the version read.
+// Each guard remembers the version it is held at: the release train seeds
+// its CAS with it and converges in one round per rank.
 func (r *commitRun) lock() error {
-	var train []locks.TrainLock
-	for _, w := range r.ws {
-		switch st := w.vs; {
-		case st == nil && w.es == nil:
-			train = append(train, locks.TrainLock{Word: r.eng.lockWordOf(w.head)})
-		case st == nil:
-		case st.lock == lockUpgrade || st.lock == lockNone && st.isNew:
-			train = append(train, locks.TrainLock{Word: r.eng.lockWordOf(w.head), FromRead: st.lock == lockUpgrade, Ver: st.ver})
-			r.members = append(r.members, st)
-		}
+	train := make([]locks.TrainLock, len(r.ws))
+	for i, w := range r.ws {
+		train[i] = locks.TrainLock{Word: r.eng.lockWordOf(w.head), Ver: w.g.ver}
 	}
 	vers, err := locks.AcquireWriteTrain(r.rank, train, r.eng.cfg.LockTries)
 	if err != nil {
 		return fmt.Errorf("commit lock train over %d words: %w", len(train), err)
 	}
-	// Remember each word's version: the release train seeds its CAS with it
-	// and converges in one round per rank instead of re-learning values this
-	// train already observed. Stub words come last in the train.
-	for i, st := range r.members {
-		st.lock, st.lockVer = lockWrite, vers[i]
-	}
-	for i := len(r.members); i < len(train); i++ {
-		r.stubWords = append(r.stubWords, train[i].Word)
-		r.stubVers = append(r.stubVers, vers[i])
+	for i, w := range r.ws {
+		w.g.held, w.g.lockVer = true, vers[i]
 	}
 	return nil
+}
+
+// validateReads validates the read set: the transaction serializes at this
+// instant iff every holder it read still carries the version it was read at.
+// A word the lock train holds passes when the train took it at that version;
+// every other word is loaded, one atomic-load train per owner rank. A
+// version that moved means a writer committed since the read — the
+// optimistic abort of §3.8. A word another transaction holds at the version
+// read fails a writing transaction, which could otherwise serialize both
+// before and after that writer; a read-only one passes, since the content it
+// read is still the latest committed state and it serializes before the
+// writer (torn reads were already rejected by the seqlock double-check).
+func (r *commitRun) validateReads() error {
+	reads := r.optReads
+	if len(r.ws) > 0 {
+		// Drop the entries the lock train vouches for (in place: the
+		// transaction ends with this commit).
+		reads = reads[:0]
+		for _, rd := range r.optReads {
+			g := r.heldGuard(rd.dp)
+			switch {
+			case g == nil:
+				reads = append(reads, rd)
+			case g.lockVer != rd.ver:
+				return r.readMoved(rd, g.lockVer)
+			}
+		}
+	}
+	if len(reads) == 0 {
+		return nil
+	}
+	// A transaction that expanded frontiers validates out of the arena it
+	// already holds; any other takes a pooled reader.
+	var cr *chainReader
+	if r.frontier != nil {
+		cr = &r.frontier.chainReader
+	} else {
+		fs := getReadScratch()
+		defer fs.release()
+		cr = &fs.chainReader
+	}
+	cr.dps = cr.dps[:0]
+	for _, rd := range reads {
+		cr.dps = append(cr.dps, rd.dp)
+	}
+	words := cr.load(r.eng, r.rank)
+	writes := len(r.ws) > 0
+	for i, rd := range reads {
+		if got := words[i]; locks.Version(got) != rd.ver || writes && locks.WriteHeld(got) {
+			return r.readMoved(rd, locks.Version(got))
+		}
+	}
+	return nil
+}
+
+// heldGuard returns the guard of the holder at dp when this commit's lock
+// train holds its word, and nil otherwise.
+func (r *commitRun) heldGuard(dp fabric.DPtr) *guard {
+	if st := r.verts[dp]; st != nil && st.held {
+		return &st.guard
+	}
+	if es := r.edges[dp]; es != nil && es.held {
+		return &es.guard
+	}
+	return nil
+}
+
+// readMoved fails the validation of read-set entry rd, whose word now
+// carries version got (or a foreign writer).
+func (r *commitRun) readMoved(rd optRead, got uint64) error {
+	r.eng.optAborts.Add(1)
+	return fmt.Errorf("validating the read of %v: version %d, read at %d: %w", rd.dp, got, rd.ver, locks.ErrContended)
 }
 
 // layout encodes every rewrite and acquires the extra blocks its new
@@ -406,59 +470,20 @@ func chainOf(primary fabric.DPtr, blocks []fabric.DPtr) []fabric.DPtr {
 }
 
 // encodeForCommit encodes a dirty vertex for write-back and decides the fate
-// of its follower groups. A same-shape rewrite under a train-acquired write
-// lock keeps them — the fan-out lands the new content on every follower
-// inside this commit. A reshape (block count changed) strips the groups
-// from the encoding and retires them instead of resizing remote chains on
-// the commit path; a later seeding round restores k. The stripped encoding
-// is made from a copy of the vertex: until the apply half runs, the groups
-// are still the vertex's, and an abort bumps every one of them.
+// of its follower groups. A same-shape rewrite keeps them — the fan-out
+// lands the new content on every follower inside this commit. A reshape
+// (block count changed) strips the groups from the encoding and retires
+// them instead of resizing remote chains on the commit path; a later
+// seeding round restores k. The stripped encoding is made from a copy of
+// the vertex: until the apply half runs, the groups are still the vertex's,
+// and an abort bumps every one of them.
 func (tx *Tx) encodeForCommit(st *vertexState, bs int) (stream []byte, fan, drop [][]fabric.DPtr) {
-	if len(st.v.Replicas) == 0 || st.lock == lockWrite && st.blocks != nil && holder.VertexBlocks(st.v, bs) == len(st.blocks) {
+	if len(st.v.Replicas) == 0 || st.blocks != nil && holder.VertexBlocks(st.v, bs) == len(st.blocks) {
 		return holder.EncodeVertex(st.v, bs), st.v.Replicas, nil
 	}
 	bare := *st.v
 	bare.Replicas = nil
 	return holder.EncodeVertex(&bare, bs), nil, st.v.Replicas
-}
-
-// validateOptimistic is the commit-time check of the optimistic read tier:
-// one atomic-load train per owner rank re-reads the guard word of every
-// vertex the transaction fetched, and the transaction serializes at this
-// instant iff every recorded version is unchanged. A version that moved
-// means a writer committed since the fetch — the optimistic abort of §3.8.
-// A guard currently write-held with an unchanged version still validates:
-// that writer has not released, so the content this transaction read is
-// still the latest committed state and the transaction serializes before
-// the writer (torn in-flight fetches were already rejected by the seqlock
-// double-check at read time).
-func (tx *Tx) validateOptimistic() error {
-	if !tx.optimistic() || len(tx.optReads) == 0 {
-		return nil
-	}
-	// A transaction that expanded frontiers validates out of the arena it
-	// already holds; any other takes a pooled reader.
-	var cr *chainReader
-	if tx.frontier != nil {
-		cr = &tx.frontier.chainReader
-	} else {
-		fs := getReadScratch()
-		defer fs.release()
-		cr = &fs.chainReader
-	}
-	cr.dps = cr.dps[:0]
-	for _, r := range tx.optReads {
-		cr.dps = append(cr.dps, r.dp)
-	}
-	words := cr.load(tx.eng, tx.rank)
-	for i, r := range tx.optReads {
-		if got := locks.Version(words[i]); got != r.ver {
-			tx.eng.optAborts.Add(1)
-			return tx.fail(fmt.Errorf("optimistic validation of %v: version %d, read at %d: %w",
-				r.dp, got, r.ver, locks.ErrContended))
-		}
-	}
-	return nil
 }
 
 // Abort discards the transaction (GDI_CloseTransaction with abort
@@ -477,11 +502,10 @@ func (tx *Tx) Abort() {
 
 func (tx *Tx) abortLocked() {
 	// An aborted write release bumps the primary's version without changing
-	// content; lockstep followers track the bump so they keep serving reads
-	// (read releases don't bump, so lockUpgrade is exempt).
+	// content; lockstep followers track the bump so they keep serving reads.
 	var bump []*vertexState
-	for _, st := range tx.verts {
-		if st.lock == lockWrite && !st.isNew && len(st.v.Replicas) > 0 {
+	for _, w := range tx.run.ws {
+		if st := w.vs; st != nil && w.g.held && !st.isNew && len(st.v.Replicas) > 0 {
 			bump = append(bump, st)
 		}
 	}
@@ -503,35 +527,29 @@ func (tx *Tx) abortLocked() {
 }
 
 // releaseLocks is the one release path of Commit and Abort: every word the
-// transaction holds drops, the write-held ones — its vertices and the stubs
-// its deletions locked, whose stub bit is published as stub asks — as one
-// marked train per owner rank, then the read-held ones as one train per
-// owner rank. Each train is seeded with the versions the words are held at,
-// so it converges in one round per rank.
+// commit's lock train holds — its holders' and the stubs its deletions
+// retire, whose stub bit is published as stub asks — drops as one train per
+// owner rank, with a version bump. The train is seeded with the versions
+// the words are held at, so it converges in one round per rank. A
+// transaction that never reached its lock train holds nothing.
 func (tx *Tx) releaseLocks(stub locks.StubMark) {
-	var wWords, rWords []locks.Word
-	var wVers, rVers []uint64
-	for _, st := range tx.verts {
-		switch st.lock {
-		case lockWrite:
-			wWords = append(wWords, tx.eng.lockWordOf(st.primary))
-			wVers = append(wVers, st.lockVer)
-		case lockRead, lockUpgrade: // an upgrade not yet granted holds a read lock
-			rWords = append(rWords, tx.eng.lockWordOf(st.primary))
-			rVers = append(rVers, st.ver)
-		default:
+	var words []locks.Word
+	var vers []uint64
+	var marks []locks.StubMark // nil: every stub bit is kept
+	for _, w := range tx.run.ws {
+		if !w.g.held {
 			continue
 		}
-		st.lock = lockNone
+		w.g.held = false
+		words, vers = append(words, tx.eng.lockWordOf(w.head)), append(vers, w.g.lockVer)
+		if w.vs == nil && w.es == nil { // a stub; stubs come last
+			if marks == nil {
+				marks = make([]locks.StubMark, len(words)-1, len(tx.run.ws))
+			}
+			marks = append(marks, stub)
+		}
 	}
-	var marks []locks.StubMark // nil: every stub bit is kept
-	if len(tx.stubWords) > 0 {
-		marks = append(make([]locks.StubMark, len(wWords)), slices.Repeat([]locks.StubMark{stub}, len(tx.stubWords))...)
-		wWords, wVers = append(wWords, tx.stubWords...), append(wVers, tx.stubVers...)
-		tx.stubWords, tx.stubVers = nil, nil
-	}
-	locks.ReleaseWriteTrainMarked(tx.rank, wWords, wVers, marks)
-	locks.ReleaseReadTrainAt(tx.rank, rWords, rVers)
+	locks.ReleaseWriteTrainMarked(tx.rank, words, vers, marks)
 }
 
 // close marks the transaction finished and lets go of its frontier arena: a

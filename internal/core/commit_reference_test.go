@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/gdi-go/gdi/internal/block"
 	"github.com/gdi-go/gdi/internal/fabric"
 	"github.com/gdi-go/gdi/internal/holder"
 	"github.com/gdi-go/gdi/internal/locks"
@@ -40,49 +41,39 @@ func referenceCommit(tx *Tx) error {
 		referenceAbort(tx)
 		return tx.critical
 	}
-	if err := tx.validateOptimistic(); err != nil {
+
+	// Prepare, lock train: lock every dirty holder — the rewritten and
+	// deleted vertices and heavy-edge holders, created ones included — as
+	// one vectored CAS train per owner rank, in globally sorted
+	// (deadlock-free) order, each word seeded with the version its holder
+	// was read at. Contention fails the whole train, which rolls its partial
+	// acquisitions back itself.
+	var written []writeEntry // the train's vertices, for the translation cache
+	var train []locks.TrainLock
+	var guards []*guard
+	for _, primary := range tx.dirtyList {
+		st := tx.verts[primary]
+		train = append(train, locks.TrainLock{Word: tx.eng.lockWordOf(primary), Ver: st.ver})
+		guards = append(guards, &st.guard)
+		written = append(written, writeEntry{vs: st})
+	}
+	for _, es := range tx.edges {
+		if es.dirty || es.deleted {
+			train = append(train, locks.TrainLock{Word: tx.eng.lockWordOf(es.primary), Ver: es.ver})
+			guards = append(guards, &es.guard)
+		}
+	}
+	vers, err := locks.AcquireWriteTrain(tx.rank, train, tx.eng.cfg.LockTries)
+	if err != nil {
+		tx.fail(fmt.Errorf("commit lock train over %d words: %w", len(train), err))
 		referenceAbort(tx)
 		return tx.critical
 	}
-
-	// Prepare, lock train: resolve every deferred exclusive lock — upgrades
-	// of read-held words and fresh locks of new vertices — as one vectored
-	// CAS train per owner rank, in globally sorted (deadlock-free) order.
-	// Contention fails the whole train, which rolls its partial
-	// acquisitions back itself; the abort below then drops the still-held
-	// read locks. Each upgrade is seeded with the version its read lock was
-	// granted at, which cannot have moved since, so an uncontended train
-	// takes one round per owner rank.
-	var members []*vertexState // the train's vertices, whose versions it learns
-	if !tx.skipLocks() {
-		var train []locks.TrainLock
-		for _, primary := range tx.dirtyList {
-			st := tx.verts[primary]
-			if st == nil {
-				continue
-			}
-			switch {
-			case st.lock == lockUpgrade:
-				train = append(train, locks.TrainLock{Word: tx.eng.lockWordOf(primary), FromRead: true, Ver: st.ver})
-				members = append(members, st)
-			case st.lock == lockNone && st.isNew:
-				train = append(train, locks.TrainLock{Word: tx.eng.lockWordOf(primary)})
-				members = append(members, st)
-			}
-		}
-		vers, err := locks.AcquireWriteTrain(tx.rank, train, tx.eng.cfg.LockTries)
-		if err != nil {
-			tx.fail(fmt.Errorf("commit lock train over %d words: %w", len(train), err))
-			referenceAbort(tx)
-			return tx.critical
-		}
-		// Remember each word's version: the release trains below seed their
-		// CAS with it and converge in one round per rank instead of
-		// re-learning values this train already observed.
-		for i, st := range members {
-			st.lock = lockWrite
-			st.lockVer = vers[i]
-		}
+	// Remember each word's version: the release trains below seed their
+	// CAS with it and converge in one round per rank instead of
+	// re-learning values this train already observed.
+	for i, g := range guards {
+		g.held, g.lockVer = true, vers[i]
 	}
 
 	// Prepare, stub train: a deleted vertex that migrated in its lifetime
@@ -95,27 +86,60 @@ func referenceCommit(tx *Tx) error {
 	var stubWords []locks.Word
 	var stubVers []uint64
 	var stubBlocks []fabric.DPtr
-	if !tx.skipLocks() {
-		var stubTrain []locks.TrainLock
-		for _, st := range tx.verts {
-			if !st.deleted || st.isNew || st.v == nil {
-				continue
-			}
-			for _, h := range st.v.Homes {
-				stubTrain = append(stubTrain, locks.TrainLock{Word: tx.eng.lockWordOf(h)})
-				stubBlocks = append(stubBlocks, h)
-			}
+	var stubTrain []locks.TrainLock
+	for _, st := range tx.verts {
+		if !st.deleted || st.isNew || st.v == nil {
+			continue
 		}
-		if len(stubTrain) > 0 {
-			vers, err := locks.AcquireWriteTrain(tx.rank, stubTrain, tx.eng.cfg.LockTries)
-			if err != nil {
-				tx.fail(fmt.Errorf("commit stub train over %d blocks: %w", len(stubTrain), err))
-				referenceAbort(tx)
-				return tx.critical
-			}
-			stubVers = vers
-			for _, l := range stubTrain {
-				stubWords = append(stubWords, l.Word)
+		for _, h := range st.v.Homes {
+			stubTrain = append(stubTrain, locks.TrainLock{Word: tx.eng.lockWordOf(h)})
+			stubBlocks = append(stubBlocks, h)
+		}
+	}
+	if len(stubTrain) > 0 {
+		vers, err := locks.AcquireWriteTrain(tx.rank, stubTrain, tx.eng.cfg.LockTries)
+		if err != nil {
+			tx.fail(fmt.Errorf("commit stub train over %d blocks: %w", len(stubTrain), err))
+			referenceAbort(tx)
+			return tx.critical
+		}
+		stubVers = vers
+		for _, l := range stubTrain {
+			stubWords = append(stubWords, l.Word)
+		}
+	}
+
+	// Prepare, validation: every holder read must still carry the version it
+	// was read at. A word the lock train holds is checked against the
+	// version the train took it at; the others are loaded, one load train
+	// per owner rank, and a writing transaction also fails on a word another
+	// writer holds.
+	var reads []optRead
+	for _, rd := range tx.optReads {
+		var g *guard
+		if st := tx.verts[rd.dp]; st != nil && st.held {
+			g = &st.guard
+		} else if es := tx.edges[rd.dp]; es != nil && es.held {
+			g = &es.guard
+		}
+		switch {
+		case g == nil:
+			reads = append(reads, rd)
+		case g.lockVer != rd.ver:
+			return referenceReadMoved(tx, rd, g.lockVer, stubWords, stubVers)
+		}
+	}
+	if len(reads) > 0 {
+		dps := make([]fabric.DPtr, len(reads))
+		for i, rd := range reads {
+			dps[i] = rd.dp
+		}
+		words := make([]uint64, len(reads))
+		var trains block.Trains
+		tx.eng.store.LockStampsInto(tx.rank, dps, words, &trains)
+		for i, rd := range reads {
+			if locks.Version(words[i]) != rd.ver || len(train) > 0 && locks.WriteHeld(words[i]) {
+				return referenceReadMoved(tx, rd, locks.Version(words[i]), stubWords, stubVers)
 			}
 		}
 	}
@@ -391,10 +415,10 @@ func referenceCommit(tx *Tx) error {
 	var delWords []locks.Word
 	var delVers []uint64
 	for _, st := range tx.verts {
-		if st.deleted && st.lock == lockWrite {
+		if st.deleted && st.held {
 			delWords = append(delWords, tx.eng.lockWordOf(st.primary))
 			delVers = append(delVers, st.lockVer)
-			st.lock = lockNone
+			st.held = false
 		}
 	}
 	locks.ReleaseWriteTrain(tx.rank, delWords, delVers)
@@ -434,26 +458,11 @@ func referenceCommit(tx *Tx) error {
 
 	tx.eng.fab.FlushAll(tx.rank)
 
-	// Release every remaining lock: the held words, partitioned by kind,
-	// drop as one train per owner rank and kind, each seeded with the
-	// version the word is held at.
-	var wWords, rWords []locks.Word
-	var wVers, rVers []uint64
-	for _, st := range tx.verts {
-		switch st.lock {
-		case lockWrite:
-			wWords = append(wWords, tx.eng.lockWordOf(st.primary))
-			wVers = append(wVers, st.lockVer)
-		case lockRead, lockUpgrade:
-			rWords = append(rWords, tx.eng.lockWordOf(st.primary))
-			rVers = append(rVers, st.ver)
-		default:
-			continue
-		}
-		st.lock = lockNone
-	}
+	// Release every remaining lock — the held vertices and heavy-edge
+	// holders — as one train per owner rank, each word seeded with the
+	// version it is held at.
+	wWords, wVers := referenceHeld(tx)
 	locks.ReleaseWriteTrain(tx.rank, wWords, wVers)
-	locks.ReleaseReadTrainAt(tx.rank, rWords, rVers)
 
 	// Replica fan-out, release: the marked follower words move to the
 	// version the primaries' release train just published — one CAS train
@@ -464,34 +473,70 @@ func referenceCommit(tx *Tx) error {
 		w, v := mirWords[i], mirVers[i]
 		runIsolated(func() { locks.ReleaseMirrorTrain(tx.rank, w, v) })
 	}
-	tx.noteCommitted(members)
+	tx.noteCommitted(written)
 	tx.close()
 	return nil
 }
 
-// referenceAbort is the abort the shared release path replaced: one read or
-// write release train per held vertex, each replicated write followed by its
+// referenceAbort is the abort the shared release path replaced: one write
+// release train per held holder, each replicated vertex's followed by its
 // mirror bump.
 func referenceAbort(tx *Tx) {
 	for _, st := range tx.verts {
-		// An aborted write release bumps the primary's version without
-		// changing content; lockstep followers track the bump so they keep
-		// serving reads (read releases don't bump, so lockUpgrade is exempt).
-		bump := st.lock == lockWrite && !st.isNew && st.v != nil && len(st.v.Replicas) > 0
-		tx.unlockState(st)
-		if bump {
-			tx.eng.bumpMirrors(tx.rank, st.v, st.lockVer)
+		if st.held {
+			// An aborted write release bumps the primary's version without
+			// changing content; lockstep followers track the bump so they
+			// keep serving reads.
+			locks.ReleaseWriteTrain(tx.rank, []locks.Word{tx.eng.lockWordOf(st.primary)}, []uint64{st.lockVer})
+			st.held = false
+			if !st.isNew && st.v != nil && len(st.v.Replicas) > 0 {
+				tx.eng.bumpMirrors(tx.rank, st.v, st.lockVer)
+			}
 		}
 		if st.isNew {
 			tx.eng.store.ReleaseBlock(tx.rank, st.primary)
 		}
 	}
 	for _, es := range tx.edges {
+		if es.held {
+			locks.ReleaseWriteTrain(tx.rank, []locks.Word{tx.eng.lockWordOf(es.primary)}, []uint64{es.lockVer})
+			es.held = false
+		}
 		if es.isNew {
 			tx.eng.store.ReleaseBlock(tx.rank, es.primary)
 		}
 	}
 	tx.close()
+}
+
+// referenceHeld returns the words of the vertices and heavy-edge holders
+// the transaction holds, with their versions, and marks them released.
+func referenceHeld(tx *Tx) ([]locks.Word, []uint64) {
+	var words []locks.Word
+	var vers []uint64
+	hold := func(dp fabric.DPtr, g *guard) {
+		if g.held {
+			words, vers = append(words, tx.eng.lockWordOf(dp)), append(vers, g.lockVer)
+			g.held = false
+		}
+	}
+	for _, st := range tx.verts {
+		hold(st.primary, &st.guard)
+	}
+	for _, es := range tx.edges {
+		hold(es.primary, &es.guard)
+	}
+	return words, vers
+}
+
+// referenceReadMoved fails a commit whose read-set entry rd moved to
+// version got: it releases the stubs the commit locked and aborts.
+func referenceReadMoved(tx *Tx, rd optRead, got uint64, stubWords []locks.Word, stubVers []uint64) error {
+	tx.eng.optAborts.Add(1)
+	locks.ReleaseWriteTrain(tx.rank, stubWords, stubVers)
+	tx.fail(fmt.Errorf("validating the read of %v: version %d, read at %d: %w", rd.dp, got, rd.ver, locks.ErrContended))
+	referenceAbort(tx)
+	return tx.critical
 }
 
 // hasWrites reports whether the transaction wrote anything: Commit asks
@@ -559,6 +604,17 @@ func (w *commitWorld) setPayload(tx *Tx, dp fabric.DPtr, seq uint64, words int) 
 		return err
 	}
 	return h.SetProperty(w.pt, payloadPattern(seq, words))
+}
+
+// rewriteFrom commits, from rank r, a payload rewrite of dp: the write a
+// concurrent transaction lands between another's read and its commit.
+func (w *commitWorld) rewriteFrom(r fabric.Rank, dp fabric.DPtr) error {
+	tx := w.e.StartLocal(r, ReadWrite)
+	if err := w.setPayload(tx, dp, 9, 3); err != nil {
+		w.ops.abort(tx)
+		return err
+	}
+	return w.ops.commit(tx)
 }
 
 // fillIndexHome fills the internal-index home of app, so a commit that
@@ -716,7 +772,7 @@ var commitCases = []commitCase{
 			}
 			return w.setPayload(tx, w.v(1, 3), 1, 40)
 		}},
-	{name: "abort-after-upgrades", abort: true, saved: 2, // five read locks on three ranks: one train per rank
+	{name: "abort-after-writes", abort: true, // nothing is locked before the commit lock train
 		run: func(tx *Tx, w *commitWorld) error {
 			for r := 1; r < 4; r++ {
 				if err := w.setPayload(tx, w.v(r, 2), 1, 3); err != nil {
@@ -751,14 +807,9 @@ var commitCases = []commitCase{
 			return w.setPayload(tx, w.v(3, 1), 1, 3)
 		}},
 	{name: "fail-lock", wantErr: locks.ErrContended,
-		// A reader on rank 2 holds the rank-1 vertex the measured
-		// transaction upgrades, so its lock train fails after taking the
-		// rank-3 upgrade and the fresh vertex's word, and rolls them back.
-		prep: func(t *testing.T, w *commitWorld) {
-			if _, err := w.e.StartLocal(2, ReadWrite).AssociateVertex(w.v(1, 2)); err != nil {
-				t.Fatal(err)
-			}
-		},
+		// A committer on rank 2 holds the rank-1 vertex the measured
+		// transaction wrote, so its lock train fails after taking the rank-3
+		// vertex's and the fresh vertex's words, and rolls them back.
 		run: func(tx *Tx, w *commitWorld) error {
 			if _, err := tx.CreateVertex(102); err != nil {
 				return err
@@ -766,7 +817,36 @@ var commitCases = []commitCase{
 			if err := w.setPayload(tx, w.v(1, 2), 1, 3); err != nil {
 				return err
 			}
-			return w.setPayload(tx, w.v(3, 1), 1, 3)
+			if err := w.setPayload(tx, w.v(3, 1), 1, 3); err != nil {
+				return err
+			}
+			return w.e.lockWordOf(w.v(1, 2)).TryAcquireWrite(2, 64)
+		}},
+	{name: "fail-validate-read", wantErr: locks.ErrContended,
+		// A vertex the measured transaction only read is rewritten by a
+		// commit on rank 1: the validation load train finds it moved, after
+		// the lock train took the written vertex's word.
+		run: func(tx *Tx, w *commitWorld) error {
+			if _, err := tx.AssociateVertex(w.v(2, 2)); err != nil {
+				return err
+			}
+			if err := w.setPayload(tx, w.v(3, 1), 1, 3); err != nil {
+				return err
+			}
+			return w.rewriteFrom(1, w.v(2, 2))
+		}},
+	{name: "fail-validate-written", wantErr: locks.ErrContended,
+		// A vertex the measured transaction wrote is rewritten first by a
+		// commit on rank 1: the lock train takes its word at the version
+		// that commit published, not the one read.
+		run: func(tx *Tx, w *commitWorld) error {
+			if err := w.setPayload(tx, w.v(3, 1), 1, 3); err != nil {
+				return err
+			}
+			if err := w.setPayload(tx, w.v(1, 2), 1, 3); err != nil {
+				return err
+			}
+			return w.rewriteFrom(1, w.v(3, 1))
 		}},
 	{name: "replica-reshape-abort", wantErr: ErrNoMemory,
 		// The reshape leaves the follower group out of its encoding; the
@@ -864,18 +944,17 @@ func TestCommitMatchesReference(t *testing.T) {
 }
 
 // TestAbortReleasesOneTrainPerRank is the release path's traffic contract.
-// Rank 0 read-locks k vertices spread over three remote ranks. Abort drops
-// them in one seeded read-release train per owner rank — 3 trains, k
-// atomics — where the reference pays one train per vertex. A commit that
-// upgrades half of them, creates a local vertex and then fails reserving
-// its index entry costs its lock train (one seeded round per rank) and two
-// release trains per rank, the write train and the read train, where the
-// reference pays its lock train and one release train per vertex. Both
-// issue the same atomics.
+// Rank 0 associates k vertices spread over three remote ranks. They hold no
+// lock, so Abort issues no atomic, nor does the reference's. A commit that
+// writes half of them, creates a local vertex and then fails reserving its
+// index entry costs its lock train (one seeded round per rank), the load
+// train that validates the half it only read, and one release train per
+// rank, where the reference pays its lock and load trains and one release
+// train per vertex. Both issue the same atomics.
 func TestAbortReleasesOneTrainPerRank(t *testing.T) {
 	const remotes = 3
-	// abort read-locks k vertices on ranks 1, 2 and 3 and closes the
-	// transaction with close. With fail set it upgrades half of them and
+	// abort associates k vertices on ranks 1, 2 and 3 and closes the
+	// transaction with close. With fail set it writes half of them and
 	// creates a vertex whose index entry cannot be reserved, then commits.
 	abort := func(k int, fail bool, ops commitOps) traffic {
 		e := NewEngine(rma.New(1+remotes), Config{BlockSize: 256, BlocksPerRank: 1 << 10, LockTries: 64, DHTEntriesPerRank: 256})
@@ -926,16 +1005,13 @@ func TestAbortReleasesOneTrainPerRank(t *testing.T) {
 	}
 	for _, k := range []int{6, 48} {
 		got, ref := abort(k, false, liveOps), abort(k, false, refOps)
-		if want := (traffic{atoms: int64(k), atomTrains: remotes}); got != want {
-			t.Errorf("k=%d: Abort %+v, want %+v", k, got, want)
-		}
-		if want := (traffic{atoms: int64(k), atomTrains: int64(k)}); ref != want {
-			t.Errorf("k=%d: reference abort %+v, want %+v", k, ref, want)
+		if got != (traffic{}) || ref != (traffic{}) {
+			t.Errorf("k=%d: Abort %+v, the reference %+v, want no traffic", k, got, ref)
 		}
 		got, ref = abort(k, true, liveOps), abort(k, true, refOps)
-		if got.atoms != ref.atoms || got.atomTrains != 3*remotes || ref.atomTrains != remotes+int64(k) {
+		if got.atoms != ref.atoms || got.atomTrains != 3*remotes || ref.atomTrains != 2*remotes+int64(k/2) {
 			t.Errorf("k=%d: failed commit issued %d remote atomics in %d trains, want %d in %d (the reference: %d in %d, want %d)",
-				k, got.atoms, got.atomTrains, ref.atoms, 3*remotes, ref.atoms, ref.atomTrains, remotes+k)
+				k, got.atoms, got.atomTrains, ref.atoms, 3*remotes, ref.atoms, ref.atomTrains, 2*remotes+k/2)
 		}
 	}
 }

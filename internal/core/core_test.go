@@ -517,7 +517,8 @@ func TestLockConflictFailsTransaction(t *testing.T) {
 	if err := word.TryAcquireWrite(0, 64); err != nil {
 		t.Fatal(err)
 	}
-	// ...so a locking reader must fail with a transaction-critical error.
+	// ...so a reader, still finding it write-held after its retries, must
+	// fail with a transaction-critical error.
 	r := e.StartLocal(0, ReadWrite)
 	if _, err := r.AssociateVertex(dp); !errors.Is(err, ErrTxCritical) {
 		t.Fatalf("read under write lock: %v", err)
@@ -543,11 +544,11 @@ func TestLockConflictFailsTransaction(t *testing.T) {
 }
 
 func TestDeferredUpgradeConflictSurfacesAtCommit(t *testing.T) {
-	// A mutation on a read-held vertex only marks the upgrade; the held
-	// shared lock keeps other writers out, and the exclusive CAS happens in
-	// the commit lock train. A concurrent locking reader therefore still
-	// associates freely, and the writer's commit fails while that reader is
-	// live.
+	// A mutation only marks the vertex dirty: its exclusive lock is taken by
+	// the commit lock train, and no transaction holds a read lock. A
+	// concurrent reader therefore associates freely and does not hold the
+	// writer back; the conflict surfaces at the reader's commit, whose read
+	// set no longer validates once the writer committed.
 	e := newEngine(t, 1)
 	_, _, age, _ := seedPersonSchema(t, e)
 	tx := e.StartLocal(0, ReadWrite)
@@ -562,23 +563,25 @@ func TestDeferredUpgradeConflictSurfacesAtCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := hw.SetProperty(age, lpg.EncodeUint64(30)); err != nil {
-		t.Fatal("mutation with deferred upgrade failed:", err)
+		t.Fatal("mutation with a deferred lock failed:", err)
 	}
-	if hw.st.lock != lockUpgrade {
-		t.Fatalf("lock state = %v, want deferred upgrade", hw.st.lock)
+	if hw.st.held {
+		t.Fatal("a mutation took its lock before the commit lock train")
 	}
 
-	// A reader can still join: the word holds shared locks only.
+	// A reader can still join: the word is free.
 	r := e.StartLocal(0, ReadWrite)
 	if _, err := r.AssociateVertex(dp); err != nil {
-		t.Fatal("reader blocked by a deferred upgrade:", err)
+		t.Fatal("reader blocked by a deferred lock:", err)
 	}
 
-	// The writer's commit train cannot upgrade past the live reader.
-	if err := w.Commit(); !errors.Is(err, ErrTxCritical) {
-		t.Fatalf("commit with live reader: %v, want ErrTxCritical", err)
+	// The writer commits past the live reader; the reader's commit fails.
+	if err := w.Commit(); err != nil {
+		t.Fatalf("commit with a live reader: %v", err)
 	}
-	r.Commit()
+	if err := r.Commit(); !errors.Is(err, ErrTxCritical) {
+		t.Fatalf("reader's commit after the writer's: %v, want ErrTxCritical", err)
+	}
 
 	// With the reader gone, a fresh writer commits and the value lands.
 	w2 := e.StartLocal(0, ReadWrite)
@@ -609,18 +612,31 @@ func TestUpgradeConflictAborts(t *testing.T) {
 	dp, _ := tx.CreateVertex(1)
 	tx.Commit()
 
+	label, err := e.DefineLabel("L")
+	if err != nil {
+		t.Fatal(err)
+	}
 	t1 := e.StartLocal(0, ReadWrite)
 	t2 := e.StartLocal(0, ReadWrite)
 	h1, _ := t1.AssociateVertex(dp)
-	if _, err := t2.AssociateVertex(dp); err != nil {
+	h2, err := t2.AssociateVertex(dp)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Two readers; t1 tries to upgrade and must fail (t2 still reads).
-	if err := h1.AddLabel(0); !errors.Is(err, ErrTxCritical) && !errors.Is(err, ErrNotFound) {
-		t.Fatalf("upgrade with concurrent reader: %v", err)
+	// Both read the vertex and both write it: the first to commit wins, and
+	// the second's read no longer validates.
+	if err := h1.AddLabel(label); err != nil {
+		t.Fatal(err)
 	}
-	t1.Abort()
-	t2.Commit()
+	if err := h2.AddLabel(label); err != nil {
+		t.Fatal(err)
+	}
+	if err := t1.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := t2.Commit(); !errors.Is(err, ErrTxCritical) {
+		t.Fatalf("second writer of one vertex committed: %v", err)
+	}
 }
 
 func TestTxUseAfterClose(t *testing.T) {

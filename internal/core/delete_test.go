@@ -237,13 +237,13 @@ func localApp(e *Engine) uint64 {
 
 // TestDeleteVertexAssociatesNeighbourhoodOnce is DeleteVertex's traffic
 // contract. Rank 0 deletes a local vertex whose neighbours sit on three
-// remote ranks. The delete read-locks the whole neighbourhood in one train
-// per owner rank and round: two rounds, because the train knows no version
-// and learns it from its first CAS. It then reads it in one GET train per
-// owner rank, and its lock CAS are its stamps, so it issues no stamp train.
-// The commit's upgrade and release trains are seeded with the version the
-// read lock saw, so each takes one round per rank. None of it depends on the
-// degree.
+// remote ranks. The delete reads the whole neighbourhood in one guarded GET
+// train per owner rank, which loads each guard ahead of its block and
+// behind it, and issues no atomic train at all. The commit's lock and
+// release trains are seeded with the version the read saw, so each takes
+// one round per rank, and since every vertex it read it also wrote, the
+// lock train vouches for the whole read set: no validation load train. None
+// of it depends on the degree.
 func TestDeleteVertexAssociatesNeighbourhoodOnce(t *testing.T) {
 	const remotes = 3
 	cost := func(deg int) (del, commit traffic) {
@@ -286,12 +286,12 @@ func TestDeleteVertexAssociatesNeighbourhoodOnce(t *testing.T) {
 		deg         int
 		del, commit traffic
 	}{{8, d8, c8}, {64, d64, c64}} {
-		want := traffic{atoms: 2 * int64(c.deg), atomTrains: 2 * remotes, gets: int64(c.deg), getTrains: remotes, cacheMisses: int64(c.deg)}
+		want := traffic{atoms: 2 * int64(c.deg), gets: int64(c.deg), getTrains: remotes, cacheMisses: int64(c.deg)}
 		if c.del != want {
-			t.Errorf("degree %d: DeleteVertex %+v, want %+v (two lock rounds, one GET round, no stamp train)", c.deg, c.del, want)
+			t.Errorf("degree %d: DeleteVertex %+v, want %+v (one guarded GET round, no atomic train)", c.deg, c.del, want)
 		}
 		if c.commit.atoms != 2*int64(c.deg) || c.commit.atomTrains != 2*remotes {
-			t.Errorf("degree %d: commit issued %d remote atomics in %d trains, want %d in %d (one seeded upgrade and one seeded release round per rank)",
+			t.Errorf("degree %d: commit issued %d remote atomics in %d trains, want %d in %d (one seeded lock and one seeded release round per rank)",
 				c.deg, c.commit.atoms, c.commit.atomTrains, 2*c.deg, 2*remotes)
 		}
 	}
@@ -301,9 +301,10 @@ func TestDeleteVertexAssociatesNeighbourhoodOnce(t *testing.T) {
 }
 
 // TestCreateEdgeAssociatesEndpointsOnce: two cold endpoints on one remote
-// rank share the edge's read-lock train (two rounds: version 0 guessed, then
-// learned) and one GET train, with no stamp train. The commit upgrades and
-// releases both in one seeded round each.
+// rank share one guarded GET train, which loads each guard ahead of its
+// block and behind it, and no atomic train. The commit locks and releases
+// both in one seeded round each; a rich edge's new holder, on the same
+// rank, rides both trains.
 func TestCreateEdgeAssociatesEndpointsOnce(t *testing.T) {
 	for _, rich := range []bool{false, true} {
 		t.Run(fmt.Sprintf("rich=%v", rich), func(t *testing.T) {
@@ -320,7 +321,7 @@ func TestCreateEdgeAssociatesEndpointsOnce(t *testing.T) {
 			if err := setup.Commit(); err != nil {
 				t.Fatal(err)
 			}
-			want := traffic{atoms: 4, atomTrains: 2, gets: 2, getTrains: 1, cacheMisses: 2}
+			want := traffic{atoms: 4, gets: 2, getTrains: 1, cacheMisses: 2}
 			if rich {
 				// The edge holder's block comes off the origin rank's pool.
 				var hp fabric.DPtr
@@ -350,17 +351,21 @@ func TestCreateEdgeAssociatesEndpointsOnce(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			if commit.atoms != 4 || commit.atomTrains != 2 {
-				t.Errorf("commit issued %d remote atomics in %d trains, want 4 in 2", commit.atoms, commit.atomTrains)
+			words := int64(2)
+			if rich {
+				words++
+			}
+			if commit.atoms != 2*words || commit.atomTrains != 2 {
+				t.Errorf("commit issued %d remote atomics in %d trains, want %d in 2", commit.atoms, commit.atomTrains, 2*words)
 			}
 		})
 	}
 }
 
-// TestCommitReleasesReadLocksInOneRound: a read-write transaction that only
-// reads two remote vertices releases both read locks at commit in one train,
-// seeded with the versions the locks were granted at.
-func TestCommitReleasesReadLocksInOneRound(t *testing.T) {
+// TestReadWriteCommitOfReadsValidatesInOneTrain: a read-write transaction
+// that only reads two remote vertices holds no lock; its commit validates
+// both reads in one load train and releases nothing.
+func TestReadWriteCommitOfReadsValidatesInOneTrain(t *testing.T) {
 	e := NewEngine(rma.New(2), Config{BlockSize: 256, BlocksPerRank: 1 << 10, LockTries: 64})
 	setup := e.StartLocal(1, ReadWrite)
 	var dps []fabric.DPtr

@@ -32,18 +32,19 @@ func (h *VertexHandle) Matches(cons *constraint.Constraint) bool {
 // frontier vertex that no longer exists — the read set is stale — fails the
 // expansion with ErrNotFound.
 //
-// A frontier vertex costs its label/property bytes and no heap object. On the
-// optimistic tier the hop stamps the deduped frontier in one load train per
-// owner rank (stampFrontier) and reads what the stamps vouch for in one
-// seqlock batch of the chain reader ("Life of a holder read" in
-// ARCHITECTURE.md) into the transaction's frontier arena, reused from hop to
-// hop. It evaluates cons in place on the encoded entry region, harvests
-// neighbors straight off the view, and appends a (vertex, version) pair to the
-// read set Commit revalidates. Whatever the batch did not read OK goes through
+// A frontier vertex costs its label/property bytes and no heap object. The
+// hop stamps the deduped frontier in one load train per owner rank
+// (stampFrontier) and reads what the stamps vouch for in one seqlock batch of
+// the chain reader ("Life of a holder read" in ARCHITECTURE.md) into the
+// transaction's frontier arena, reused from hop to hop. It evaluates cons in
+// place on the encoded entry region, harvests neighbors straight off the
+// view, and appends a (vertex, version) pair to the read set Commit
+// validates. Whatever the batch did not read OK goes through
 // AssociateVertices in one batch and is filtered and harvested through its
 // handles: forwarding stubs, vertices a local follower copy serves, holders
-// that were being written or look deleted, and every frontier of a locking
-// transaction.
+// that were being written or look deleted, the vertices a transaction that
+// wrote holds (so it sees its own writes and deletions), and every frontier
+// of a collective read-only transaction.
 func (tx *Tx) ExpandFrontier(frontier []fabric.DPtr, mask DirMask, cons *constraint.Constraint) (matched, next []fabric.DPtr, err error) {
 	if mask == 0 {
 		matched, err = tx.FilterFrontier(frontier, cons, 0)
@@ -78,7 +79,7 @@ func (tx *Tx) ExpandFrontier(frontier []fabric.DPtr, mask DirMask, cons *constra
 // DPtr before it is read, so the hop stops once limit distinct matched IDs lie
 // below the smallest unread DPtr. Each unread vertex joins the read set at
 // its stamped version: a migration or a write that lands on it after the
-// stamp fails Commit. The locking and collective tiers read every vertex.
+// stamp fails Commit. A collective read-only transaction reads every vertex.
 func (tx *Tx) FilterFrontier(frontier []fabric.DPtr, cons *constraint.Constraint, limit int) ([]fabric.DPtr, error) {
 	sc, err := tx.startHop(frontier, cons)
 	if sc == nil {
@@ -235,13 +236,14 @@ func (sc *frontierScratch) reset(frontier []fabric.DPtr) error {
 	return nil
 }
 
-// stampFrontier is a hop's first look at its frontier. On the optimistic tier
-// it loads every guard word, one load train per owner rank, and marks the
-// items the stamp vouches for readStamped: their word shows neither a stub
-// nor a writer, so each is a vertex known by its DPtr. It refuses the others,
-// and a vertex this rank follows, whose local copy the flush reads. The
-// other tiers refuse every item: their frontiers go to AssociateVertices
-// whole.
+// stampFrontier is a hop's first look at its frontier. It loads every guard
+// word, one load train per owner rank, and marks the items the stamp vouches
+// for readStamped: their word shows neither a stub nor a writer, so each is
+// a vertex known by its DPtr. It refuses the others, a vertex this rank
+// follows, whose local copy the flush reads, and, once the transaction has
+// written, every vertex it holds, whose state may differ from the stored
+// holder. A collective read-only transaction refuses every item: its
+// frontiers go to AssociateVertices whole.
 func (tx *Tx) stampFrontier(sc *frontierScratch) {
 	e := tx.eng
 	if !tx.optimistic() {
@@ -250,9 +252,15 @@ func (tx *Tx) stampFrontier(sc *frontierScratch) {
 		}
 		return
 	}
-	if e.repl[tx.rank].size() > 0 {
+	followers, wrote := tx.readsFollowers(), len(tx.dirtyList) > 0
+	if followers || wrote {
 		for i := range sc.items {
-			if _, ok := e.repl[tx.rank].lookup(sc.items[i].head); ok {
+			head := sc.items[i].head
+			refuse := wrote && tx.cached(head) != nil
+			if !refuse && followers {
+				_, refuse = e.repl[tx.rank].lookup(head)
+			}
+			if refuse {
 				sc.items[i].verdict = readRefused
 			}
 		}

@@ -258,7 +258,7 @@ func TestExpandFrontierReportsVanishedVertex(t *testing.T) {
 		t.Fatalf("commit of the stale read set: %v, want a validation abort", err)
 	}
 
-	// The locking tier reports its own deletions the same way.
+	// A read-write transaction reports its own deletions the same way.
 	rw := e.StartLocal(0, ReadWrite)
 	defer rw.Abort()
 	if err := rw.DeleteVertex(a); err != nil {

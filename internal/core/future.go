@@ -166,12 +166,10 @@ type assoc struct {
 }
 
 // flushPending completes every queued association (the Flush of the op
-// queue). Each generation of the flush read-locks its vertices on the locking
-// tier (one CAS train per owner rank; contention is transaction-critical and
-// poisons the whole flush), reads them in one batch of the chain reader
-// ("Life of a holder read" in ARCHITECTURE.md), installs each holder into the
-// per-transaction cache, and re-queues the vertices that turned out to be
-// forwarding stubs at their current primary.
+// queue). Each generation of the flush reads its vertices in one batch of
+// the chain reader ("Life of a holder read" in ARCHITECTURE.md), installs
+// each holder into the per-transaction cache, and re-queues the vertices
+// that turned out to be forwarding stubs at their current primary.
 func (tx *Tx) flushPending() {
 	pending := tx.pending
 	tx.pending = nil
@@ -181,9 +179,8 @@ func (tx *Tx) flushPending() {
 // flush completes the given associations (flushPending's protocol). A
 // speculative flush (spec) is a translation-cache hit being checked: its
 // holders must still carry guard version expect, free of writers, and a
-// primary vertex head, or their futures fail with errStaleTranslation. When
-// the version moved or the word marks a forwarding stub, the locking tier
-// refuses on its CAS, before any block is read; the seqlock tier refuses
+// primary vertex head, or their futures fail with errStaleTranslation: when
+// the version moved or the word marks a forwarding stub, the flush refuses
 // after the head round, whose train loaded the word, and drops what that
 // round read. Its scratch comes from readerPool, and it keeps no pointer to
 // a future past its return.
@@ -257,12 +254,7 @@ func (tx *Tx) flush(pending []*VertexFuture, spec bool, expect uint64) {
 			}
 			return
 		}
-		if !tx.readGeneration(&fs.chainReader, gen, spec, expect) {
-			for i := range gen {
-				w.fail(gen[i].first, tx.critical)
-			}
-			return
-		}
+		tx.readGeneration(&fs.chainReader, gen, spec, expect)
 		cur := gen
 		gen, uniq = spare[:0], nil
 		for i := range cur {
@@ -303,24 +295,24 @@ func (w waiters) resolve(first int32, st *vertexState) {
 	}
 }
 
-// readGeneration reads and settles every vertex of gen. On the optimistic
-// tier a vertex this rank holds a follower copy of is read from that copy,
-// an item of the same batch guarded by its own word, and recorded in the
-// read set against the primary; a copy that cannot serve is dropped from the
-// directory (unless it was merely busy) and the primary is read instead.
-// Seqlock items that were torn or write-held are read again, up to the
-// transaction's retry budget, each retry behind a stamp train: a guard still
-// write-held costs its load, not its blocks. A speculative batch is checked
-// on each item's stamp (chainReader.admit). It returns false when the
-// read-lock train failed the transaction, and every future of gen with it.
-func (tx *Tx) readGeneration(r *chainReader, gen []assoc, spec bool, expect uint64) bool {
+// readGeneration reads and settles every vertex of gen. In a local
+// read-only transaction a vertex this rank holds a follower copy of is read
+// from that copy, an item of the same batch guarded by its own word, and
+// recorded in the read set against the primary; a copy that cannot serve is
+// dropped from the directory (unless it was merely busy) and the primary is
+// read instead. A read-write transaction reads primaries only: a mutation
+// writes back into the chain its state was read from. Seqlock items that
+// were torn or write-held are read again, up to the transaction's retry
+// budget, each retry behind a stamp train: a guard still write-held costs
+// its load, not its blocks. A speculative batch is checked on each item's
+// stamp (chainReader.admit).
+func (tx *Tx) readGeneration(r *chainReader, gen []assoc, spec bool, expect uint64) {
 	e := tx.eng
-	locking := tx.locking()
 	var want func([]byte) bool
 	if spec {
 		want = isPrimaryHead
 	}
-	followers := tx.optimistic() && e.repl[tx.rank].size() > 0
+	followers := tx.readsFollowers()
 	r.items = r.items[:0]
 	for i := range gen {
 		a := &gen[i]
@@ -334,17 +326,10 @@ func (tx *Tx) readGeneration(r *chainReader, gen []assoc, spec bool, expect uint
 		}
 		r.items = append(r.items, it)
 	}
-	mode := readStable
-	if tx.optimistic() {
-		mode = readSeqlock
-	}
-	if locking && !tx.lockGeneration(r, gen, spec, expect) {
-		return false
-	}
-	// The locking tier checked a speculative batch with its lock CAS.
-	r.spec, r.expect = spec && !locking, expect
+	mode := tx.readMode()
+	r.spec, r.expect = spec, expect
 	for attempts := 0; ; {
-		if !locking && (mode == readStable || attempts > 0) {
+		if mode == readStable || attempts > 0 {
 			r.stamp(e, tx.rank)
 		}
 		r.read(e, tx.rank, mode, false, true)
@@ -354,7 +339,6 @@ func (tx *Tx) readGeneration(r *chainReader, gen []assoc, spec bool, expect uint
 			busy := it.verdict == readHeld || it.verdict == readTorn
 			switch {
 			case it.verdict == readOK && tx.install(a, it):
-				continue
 			case it.verdict == readStale:
 				// Stale whatever else could read it: a follower copy stays.
 				a.err = errStaleTranslation
@@ -375,12 +359,9 @@ func (tx *Tx) readGeneration(r *chainReader, gen []assoc, spec bool, expect uint
 			default:
 				a.err = fmt.Errorf("%w: holder %v is deleted, reused or corrupt", ErrNotFound, a.dp)
 			}
-			if it.verdict != unread {
-				tx.unlockState(a.st)
-			}
 		}
 		if !again {
-			return true
+			return
 		}
 		if torn {
 			if attempts++; attempts >= e.cfg.LockTries {
@@ -394,48 +375,17 @@ func (tx *Tx) readGeneration(r *chainReader, gen []assoc, spec bool, expect uint
 						gen[i].err = crit
 					}
 				}
-				return true
+				return
 			}
 		}
 	}
 }
 
-// lockGeneration read-locks every vertex of gen, one CAS train per owner
-// rank, and takes each word a lock CAS left as the item's stamp: a read-held
-// word cannot change version. A speculative generation locks each vertex only
-// at the version it expects; one that is elsewhere, write-held or marked a
-// stub is stale, not critical, and refused on that CAS result alone.
-func (tx *Tx) lockGeneration(r *chainReader, gen []assoc, spec bool, expect uint64) bool {
-	e := tx.eng
-	if spec {
-		for i := range gen {
-			it := &r.items[i]
-			var ok bool
-			if it.stamp, ok = e.lockWordOf(gen[i].dp).TryAcquireReadAt(tx.rank, expect, e.cfg.LockTries); !ok {
-				it.verdict, gen[i].err = readRefused, errStaleTranslation
-			}
-		}
-	} else {
-		words := make([]locks.Word, len(gen))
-		for i := range gen {
-			words[i] = e.lockWordOf(gen[i].dp)
-		}
-		stamps, err := locks.AcquireReadTrainAt(tx.rank, words, nil, e.cfg.LockTries)
-		if err != nil {
-			tx.fail(fmt.Errorf("read-locking a %d-vertex association batch: %w", len(gen), err))
-			return false
-		}
-		for i, w := range stamps {
-			r.items[i].stamp = w
-		}
-	}
-	for i := range gen {
-		if it := &r.items[i]; it.verdict == unread {
-			it.stamped = true
-			gen[i].st.lock, gen[i].st.ver = lockRead, locks.Version(it.stamp)
-		}
-	}
-	return true
+// readsFollowers reports whether the transaction's reads may be served by
+// this rank's follower copies: a local read-only one's, while the rank holds
+// any.
+func (tx *Tx) readsFollowers() bool {
+	return tx.mode == ReadOnly && !tx.collective && tx.eng.repl[tx.rank].size() > 0
 }
 
 // install makes an item read OK a's state and the transaction's. The state

@@ -249,8 +249,10 @@ func TestMigrateDeletedVertexFreesStubs(t *testing.T) {
 	}
 }
 
-// TestMigrateSkipsContendedVertex: a vertex pinned by a reader's lock is
-// skipped, not migrated and not an error.
+// TestMigrateSkipsContendedVertex: a vertex whose word a committer holds is
+// skipped, not migrated and not an error. A reader holds no lock, so it
+// does not pin the vertex: the move goes ahead, and the reader's commit
+// fails, since the version it read moved.
 func TestMigrateSkipsContendedVertex(t *testing.T) {
 	e := newMigrationEngine(t, 2)
 	pt := payloadPType(t, e)
@@ -260,21 +262,28 @@ func TestMigrateSkipsContendedVertex(t *testing.T) {
 	if _, err := reader.AssociateVertex(dp); err != nil {
 		t.Fatal(err)
 	}
-	n, err := e.MigrateVertices(0, []MigrationMove{moveOf(t, e, 1, 0)})
+	moved := mustMigrate(t, e, 1, 0)
+	if err := reader.Commit(); !errors.Is(err, ErrTxCritical) {
+		t.Fatalf("commit of a read the move invalidated: %v, want ErrTxCritical", err)
+	}
+
+	word := e.lockWordOf(moved)
+	if err := word.TryAcquireWrite(1, 64); err != nil {
+		t.Fatal(err)
+	}
+	n, err := e.MigrateVertices(1, []MigrationMove{moveOf(t, e, 1, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 0 {
-		t.Fatalf("migrated %d vertices under a held read lock, want 0", n)
+		t.Fatalf("migrated %d vertices under a held write lock, want 0", n)
 	}
 	if e.MigrationSkips() == 0 {
 		t.Fatal("skip not counted")
 	}
-	if err := reader.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	word.ReleaseWrite(1)
 	// With the lock gone the same move succeeds.
-	mustMigrate(t, e, 1, 0)
+	mustMigrate(t, e, 1, 1)
 }
 
 // TestMigrateStalePlanSkips: a plan whose Old pointer no longer matches the
@@ -387,8 +396,8 @@ func TestRebalanceMovesHotVerticesToAccessor(t *testing.T) {
 // TestStaleAndFreshDPtrInOneBatch: one association batch naming the same
 // migrated vertex under both its stale and current DPtr (stale first, so the
 // chase re-queues at a primary whose direct fetch resolves later in the same
-// generation) must converge on one shared state, hold exactly one read lock,
-// and leave the lock word clean after commit.
+// generation) must converge on one shared state, read once into the read
+// set, and leave the lock word clean after commit.
 func TestStaleAndFreshDPtrInOneBatch(t *testing.T) {
 	e := newMigrationEngine(t, 2)
 	pt := payloadPType(t, e)
@@ -409,17 +418,18 @@ func TestStaleAndFreshDPtrInOneBatch(t *testing.T) {
 	if hs[0].st != hs[1].st {
 		t.Fatal("stale and fresh DPtr forked the per-transaction state")
 	}
-	win, target, idx := e.Store().LockWord(fresh)
-	if readers := locks.Readers(win.Load(1, target, idx)); readers != 1 {
-		t.Fatalf("vertex holds %d read locks inside the transaction, want 1", readers)
+	if len(tx.optReads) != 1 || tx.optReads[0].dp != fresh {
+		t.Fatalf("read set %v, want the current primary %v once", tx.optReads, fresh)
 	}
+	win, target, idx := e.Store().LockWord(fresh)
+	before := win.Load(1, target, idx)
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if readers := locks.Readers(win.Load(1, target, idx)); readers != 0 {
-		t.Fatalf("lock word keeps %d phantom readers after commit", readers)
+	if after := win.Load(1, target, idx); after != before || locks.Readers(after) != 0 || locks.WriteHeld(after) {
+		t.Fatalf("lock word %#x after commit, %#x before: want it free and unchanged", after, before)
 	}
-	// The vertex is still writable (no leaked lock blocks the upgrade).
+	// The vertex is still writable (no leaked lock blocks the lock train).
 	w := e.StartLocal(0, ReadWrite)
 	wh, err := w.AssociateVertex(fresh)
 	if err != nil {
@@ -429,7 +439,7 @@ func TestStaleAndFreshDPtrInOneBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := w.Commit(); err != nil {
-		t.Fatalf("vertex permanently read-locked after the mixed batch: %v", err)
+		t.Fatalf("vertex permanently locked after the mixed batch: %v", err)
 	}
 }
 

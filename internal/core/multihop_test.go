@@ -78,8 +78,8 @@ func TestMultiHopRevisitOfMigratedVertexUsesAliasMap(t *testing.T) {
 		t.Fatalf("hop-1 frontier = %v, want [%v]", frontier, dpV)
 	}
 
-	// V migrates between hops. The reading tx only holds A's read lock, so
-	// the move proceeds and V's old primary becomes a forwarding stub.
+	// V migrates between hops. The reading tx holds no lock, so the move
+	// proceeds and V's old primary becomes a forwarding stub.
 	newDp := mustMigrate(t, e, 1, 0)
 	if newDp == dpV {
 		t.Fatal("migration did not change V's DPtr")

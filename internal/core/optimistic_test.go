@@ -350,8 +350,8 @@ func optimisticCoherenceStress(t *testing.T, cacheBlocks int) {
 				}
 				seq, torn := decodePattern(cur)
 				if torn {
-					// The writer holds a read lock here; a torn payload would
-					// mean the locking tier itself is broken.
+					// The writer's read passed the seqlock double-check; a torn
+					// payload would mean that check is broken.
 					report(fmt.Errorf("writer observed torn payload at seq %d", seq))
 					tx.Abort()
 					return

@@ -33,11 +33,10 @@ const (
 	// every train behind each block off the wire. The reads count only if
 	// the last of those post-stamps finds the guard at the stamped version
 	// with the write bit clear, and only then are the fetched blocks cached
-	// (the optimistic tier).
+	// (the optimistic reads of transactions).
 	readSeqlock readMode = iota
-	// readStable: the stamps are read-lock CAS results, or were loaded in a
-	// collective read epoch. Nothing moves them, so fetched blocks are cached
-	// at once.
+	// readStable: the stamps were loaded in a collective read epoch. Nothing
+	// moves them, so fetched blocks are cached at once.
 	readStable
 	// readUnderLock: the caller holds each head's write lock or mark. Blocks
 	// come straight from the pool, neither stamped nor cached.

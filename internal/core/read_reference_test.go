@@ -11,8 +11,8 @@ import (
 )
 
 // refFetch tracks one unique vertex being materialized by a flush: its
-// lock state, the growing logical stream, the guard version the stream was
-// validated against (optimistic tier), and every future awaiting it.
+// state, the growing logical stream, the guard version the stream was
+// validated against, and every future awaiting it.
 type refFetch struct {
 	dp     fabric.DPtr
 	st     *vertexState
@@ -74,7 +74,7 @@ func referenceFlush(tx *Tx, pending []*VertexFuture, spec bool, expect uint64) {
 		// validation train still proves freshness against the primary's word.
 		// Heat stays attributed to the primary's owner — a replica read must
 		// not make the follower rank look like the place the vertex lives.
-		if tx.optimistic() {
+		if tx.mode == ReadOnly && tx.optimistic() {
 			if st, ver, ok := referenceReplicaRead(tx, dp); ok {
 				if spec && ver != expect {
 					for _, f := range futs {
@@ -155,64 +155,13 @@ func referenceFlush(tx *Tx, pending []*VertexFuture, spec bool, expect uint64) {
 			return
 		}
 
-		// Phase 1: locks, one vectored CAS train per owner rank (elided for
-		// collective read-only transactions, §3.3, and for the optimistic
-		// tier, which validates instead of locking). A failed acquisition is
-		// transaction-critical and poisons the whole flush; the train
-		// releases its partial acquisitions itself before reporting it. A
-		// speculative fetch locks only at the version it expects and is
-		// stale, not critical, when the word is elsewhere or write-held.
-		// A read-held word cannot change version, so the word each lock
-		// CAS left is the stamp the fetch rounds are served against.
-		locking := tx.locking()
-		if locking && spec {
-			live := fetches[:0]
-			for _, pf := range fetches {
-				if stamp, ok := tx.eng.lockWordOf(pf.dp).TryAcquireReadAt(tx.rank, expect, tx.eng.cfg.LockTries); ok {
-					pf.stamp = stamp
-					live = append(live, pf)
-					continue
-				}
-				for _, f := range pf.futs {
-					f.fail(errStaleTranslation)
-				}
-			}
-			if fetches = live; len(fetches) == 0 {
-				return
-			}
-		} else if locking {
-			words := make([]locks.Word, len(fetches))
-			for i, pf := range fetches {
-				words[i] = tx.eng.lockWordOf(pf.dp)
-			}
-			stamps, err := locks.AcquireReadTrainAt(tx.rank, words, nil, tx.eng.cfg.LockTries)
-			if err != nil {
-				crit := tx.fail(fmt.Errorf("read-locking a %d-vertex association batch: %w", len(fetches), err))
-				for _, pf := range fetches {
-					for _, f := range pf.futs {
-						f.fail(crit)
-					}
-				}
-				return
-			}
-			for i, pf := range fetches {
-				pf.stamp = stamps[i]
-			}
-		}
 		for _, pf := range fetches {
-			st := tx.newState(pf.dp)
-			if locking {
-				pf.ver = locks.Version(pf.stamp)
-				st.lock, st.ver = lockRead, pf.ver
-			}
-			pf.st = st
+			pf.st = tx.newState(pf.dp)
 		}
 
-		// Phase 2: fetch rounds. Optimistic holders whose guard version
-		// moved mid-stream come back torn and are re-fetched from scratch; a
-		// holder still unstable after the retry budget fails the
-		// transaction, exactly as exhausted lock retries do on the locking
-		// path.
+		// Fetch rounds. Optimistic holders whose guard version moved
+		// mid-stream come back torn and are re-fetched from scratch; a holder
+		// still unstable after the retry budget fails the transaction.
 		remaining := fetches
 		for attempt := 0; len(remaining) > 0; attempt++ {
 			unstable := referenceFetchStreams(tx, remaining, spec, expect)
@@ -265,7 +214,6 @@ func referenceFlush(tx *Tx, pending []*VertexFuture, spec bool, expect uint64) {
 					v.Edges = st.view.AppendEdges(nil)
 				}
 				if err != nil {
-					tx.unlockState(pf.st)
 					pf.err = fmt.Errorf("%w: %v", ErrNotFound, err)
 				} else {
 					pf.st.v = v
@@ -305,9 +253,8 @@ func referenceFlush(tx *Tx, pending []*VertexFuture, spec bool, expect uint64) {
 //
 // Every round of every holder is served against one stamp of its guard:
 // cache hits valid at the stamp cost no traffic at all, and misses come off
-// the wire one GET train per rank per round. On the locking tier the stamp
-// is the word the read lock's CAS left (flush sets it); the other tiers
-// stamp the guards up front, one atomic-load train per owner rank. The
+// the wire one GET train per rank per round. The guards are stamped up
+// front, one atomic-load train per owner rank. The
 // optimistic tier then establishes stability with a single post-stamp train
 // covering only the holders that actually touched the wire (a fully
 // cache-served holder is a consistent copy at its stamped version by
@@ -318,31 +265,27 @@ func referenceFetchStreams(tx *Tx, fetches []*refFetch, spec bool, expect uint64
 	store := tx.eng.store
 	opt := tx.optimistic()
 
-	// Stamp every primary once, unless its read lock did; in optimistic mode
-	// a guard already held by a writer cannot validate, so its holder goes
-	// straight to retry. A speculative fetch is stale instead, at another
+	// Stamp every primary once; in optimistic mode a guard already held by a
+	// writer cannot validate, so its holder goes straight to retry. A speculative fetch is stale instead, at another
 	// version or under a writer (whose release moves the version).
 	var trains block.Trains
-	live := fetches
-	if !tx.locking() {
-		live = make([]*refFetch, 0, len(fetches))
-		prims := make([]fabric.DPtr, len(fetches))
-		for i, pf := range fetches {
-			prims[i] = pf.dp
-		}
-		words := make([]uint64, len(prims))
-		store.LockStampsInto(tx.rank, prims, words, &trains)
-		for i, pf := range fetches {
-			w := words[i]
-			switch {
-			case spec && (locks.Version(w) != expect || locks.WriteHeld(w)):
-				pf.err = errStaleTranslation
-			case opt && locks.WriteHeld(w):
-				unstable = append(unstable, pf)
-			default:
-				pf.stamp, pf.ver = w, locks.Version(w)
-				live = append(live, pf)
-			}
+	live := make([]*refFetch, 0, len(fetches))
+	prims := make([]fabric.DPtr, len(fetches))
+	for i, pf := range fetches {
+		prims[i] = pf.dp
+	}
+	words := make([]uint64, len(prims))
+	store.LockStampsInto(tx.rank, prims, words, &trains)
+	for i, pf := range fetches {
+		w := words[i]
+		switch {
+		case spec && (locks.Version(w) != expect || locks.WriteHeld(w)):
+			pf.err = errStaleTranslation
+		case opt && locks.WriteHeld(w):
+			unstable = append(unstable, pf)
+		default:
+			pf.stamp, pf.ver = w, locks.Version(w)
+			live = append(live, pf)
 		}
 	}
 
@@ -370,7 +313,6 @@ func referenceFetchStreams(tx *Tx, fetches []*refFetch, spec bool, expect uint64
 			toCheck = append(toCheck, pf)
 			return
 		}
-		tx.unlockState(pf.st)
 		pf.err = err
 	}
 
@@ -391,18 +333,16 @@ func referenceFetchStreams(tx *Tx, fetches []*refFetch, spec bool, expect uint64
 		if spec && (!isVertexHead(pf.buf) || holder.IsReplicaBlock(pf.buf)) {
 			// A cached translation names primary vertex heads only; the
 			// caller falls back to the index instead of chasing anything.
-			tx.unlockState(pf.st)
 			pf.err = errStaleTranslation
 			continue
 		}
 		if holder.IsMoved(pf.buf) {
 			// The vertex migrated away and left a forwarding stub: record
-			// the chase target and drop any read lock on the vacated block —
-			// the flush re-queues the fetch at the current primary. On the
+			// the chase target — the flush re-queues the fetch at the
+			// current primary. On the
 			// optimistic tier the stub read still goes through the
 			// post-stamp check below before the target is trusted.
 			pf.fwd = holder.MovedTarget(pf.buf)
-			tx.unlockState(pf.st)
 			continue
 		}
 		pf.nb = nb

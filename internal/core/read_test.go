@@ -318,7 +318,7 @@ func referenceAssociateVertices(tx *Tx, dps []fabric.DPtr) ([]*VertexHandle, err
 }
 
 // stateString renders what an association left in a vertex state: its
-// identity, lock, version and blocks, and the decoded vertex with its edge
+// identity, guard and blocks, and the decoded vertex with its edge
 // list materialized, whether the state holds it decoded or behind its view.
 func stateString(st *vertexState) string {
 	if st == nil {
@@ -333,7 +333,7 @@ func stateString(st *vertexState) string {
 			c.blocks = nil // a follower copy's blocks are not the vertex's
 		}
 	}
-	return fmt.Sprintf("%v lock=%d ver=%d blocks=%v %+v", c.primary, c.lock, c.ver, c.blocks, *c.v)
+	return fmt.Sprintf("%v guard=%+v blocks=%v %+v", c.primary, c.guard, c.blocks, *c.v)
 }
 
 // errClass names the kind of an association error.
@@ -369,31 +369,33 @@ type assocOutcome struct {
 // through AssociateVertices and the speculative flush, the other through
 // referenceFlush, the parent's flush. Each case reads the fixture's batch
 // cold, then warm, then checks each cached translation speculatively in a
-// transaction of its own, and compares: the decoded vertices, lock states and
-// versions; the read sets and chased aliases; the remote GETs, GET trains,
-// remote atomics, atomic trains and round trips of every step; every word
-// window after every step; and the engine's read counters. It runs on the
-// locking, optimistic and collective tiers, at 64- and 256-byte blocks, with
-// a 512-block and a one-block cache. The optimistic tier's seqlock reads load
-// the guard inside their GET trains, so its trains and atomics are not the
-// reference's: seqlockTraffic restates them, and compareSeqlockTraffic holds
-// its GETs and bytes to the reference's and its round trips to at most the
-// reference's. A chain's continuation rounds read every block its table
-// entries locate, where the reference read one block per round, so at 64-byte
-// blocks the other tiers' GET trains are restated too (stampedTraffic), with
-// their GETs and bytes the reference's and no more round trips.
+// transaction of its own, and compares: the decoded vertices, guards; the
+// read sets and chased aliases; the remote GETs, GET trains, remote atomics,
+// atomic trains and round trips of every step; every word window after
+// every step; and the engine's read counters. It runs in read-write, local
+// read-only (optimistic) and collective read-only transactions, at 64- and
+// 256-byte blocks, with a 512-block and a one-block cache. The seqlock reads
+// of the first two load the guard inside their GET trains, so their trains
+// and atomics are not the reference's: seqlockTraffic restates them, and
+// compareSeqlockTraffic holds their GETs and bytes to the reference's and
+// their round trips to at most the reference's. A chain's continuation
+// rounds read every block its table entries locate, where the reference
+// read one block per round, so at 64-byte blocks the collective tier's GET
+// trains are restated too (stampedTraffic), with its GETs and bytes the
+// reference's and no more round trips.
 func TestAssociateMatchesReference(t *testing.T) {
 	tiers := []struct {
 		name       string
 		mode       Mode
 		collective bool
-	}{{"locking", ReadWrite, false}, {"optimistic", ReadOnly, false}, {"collective", ReadOnly, true}}
+	}{{"read-write", ReadWrite, false}, {"optimistic", ReadOnly, false}, {"collective", ReadOnly, true}}
 	for _, tier := range tiers {
 		for _, bs := range []int{64, 256} {
 			for _, cache := range []int{512, 1} {
 				t.Run(fmt.Sprintf("%s/block=%d/cache=%d", tier.name, bs, cache), func(t *testing.T) {
 					var spec []uint64 // the fixture's speculative cases
-					optimistic := !tier.collective && tier.mode == ReadOnly
+					seqlock := !tier.collective
+					optimistic := seqlock && tier.mode == ReadOnly
 					run := func(associate func(*Tx, []fabric.DPtr) ([]*VertexHandle, error),
 						flush func(*Tx, []*VertexFuture, bool, uint64)) assocOutcome {
 						log := &windowLog{Transport: rma.New(4)}
@@ -479,7 +481,7 @@ func TestAssociateMatchesReference(t *testing.T) {
 							t.Errorf("%s differ from the reference:\n got %v\nwant %v", what, got, want)
 						}
 					}
-					// The blocks the seqlock tier gets: the reference's, but for
+					// The blocks the seqlock reads get: the reference's, but for
 					// the head block of a refused translation that the one-block
 					// cache has lost, which its guarded train GETs before the
 					// stamp refuses it — the reference stamped first and read
@@ -487,8 +489,8 @@ func TestAssociateMatchesReference(t *testing.T) {
 					blocks := slices.Clone(want.Blocks)
 					if !tier.collective {
 						// The lagging follower's cached version still holds on
-						// the optimistic tier, which reads the follower; the
-						// locking tier reads the primary, which moved.
+						// the optimistic tier, which reads the follower; a
+						// read-write transaction reads the primary, which moved.
 						classes := []string{"ok", "ok", "ok", "ok", "ok", "stale", "stale"}
 						if tier.mode == ReadWrite {
 							classes[3] = "stale"
@@ -497,7 +499,7 @@ func TestAssociateMatchesReference(t *testing.T) {
 							if r := want.Results[len(want.Results)-len(classes)+i]; !strings.HasPrefix(r, fmt.Sprint(spec[i], " ", c, " ")) {
 								t.Errorf("speculative case %d: %s, want %s", i, r, c)
 							}
-							if optimistic && c == "stale" && cache == 1 {
+							if c == "stale" && cache == 1 {
 								blocks[len(blocks)-len(classes)+i] = fmt.Sprint(1, bs)
 							}
 						}
@@ -505,8 +507,8 @@ func TestAssociateMatchesReference(t *testing.T) {
 					compare("results", got.Results, want.Results)
 					compare("read sets", got.ReadSets, want.ReadSets)
 					compare("aliases", got.Moved, want.Moved)
-					if optimistic {
-						compareSeqlockTraffic(t, fmt.Sprintf("block=%d/cache=%d", bs, cache), got, want, blocks)
+					if seqlock {
+						compareSeqlockTraffic(t, fmt.Sprintf("%s/block=%d/cache=%d", tier.name, bs, cache), got, want, blocks)
 					} else {
 						compareStampedTraffic(t, fmt.Sprintf("%s/block=%d/cache=%d", tier.name, bs, cache), got, want)
 					}
@@ -521,8 +523,11 @@ func TestAssociateMatchesReference(t *testing.T) {
 }
 
 // seqlockTraffic is what each step of TestAssociateMatchesReference costs on
-// the optimistic tier — remote GETs, GET trains, remote atomics, atomic
+// the seqlock tiers — remote GETs, GET trains, remote atomics, atomic
 // trains: the cold batch, the warm batch, then the seven speculative checks.
+// A read-write transaction reads as a read-only one does, but never from a
+// follower copy, so it GETs what the optimistic tier's follower serves
+// locally, and its fourth check is a refused translation too.
 // Its seqlock reads load the guard inside their GET trains, where the
 // reference stamped its holders in a load train ahead of its GETs and
 // post-stamped them in another behind. So the GETs are the reference's, and
@@ -535,13 +540,17 @@ func TestAssociateMatchesReference(t *testing.T) {
 // checks are refused translations, which the one-block cache makes GET their
 // head block: 1 GET, 1 GET train, 2 loads, where the reference stamped once.
 var seqlockTraffic = map[string][]string{
-	"block=64/cache=512":  {"16 6 24 0", "1 1 9 2", "0 0 0 0", "0 0 1 1", "0 0 0 0", "0 0 0 0", "0 0 1 1", "0 0 1 1", "0 0 1 1"},
-	"block=64/cache=1":    {"20 7 28 0", "19 7 27 0", "0 0 0 0", "2 2 3 0", "0 0 0 0", "0 0 0 0", "2 2 3 0", "1 1 2 0", "1 1 2 0"},
-	"block=256/cache=512": {"7 4 15 0", "1 1 9 2", "0 0 0 0", "0 0 1 1", "0 0 0 0", "0 0 0 0", "0 0 1 1", "0 0 1 1", "0 0 1 1"},
-	"block=256/cache=1":   {"9 4 17 0", "8 4 16 0", "0 0 0 0", "1 1 2 0", "0 0 0 0", "0 0 0 0", "1 1 2 0", "1 1 2 0", "1 1 2 0"},
+	"optimistic/block=64/cache=512":  {"16 6 24 0", "1 1 9 2", "0 0 0 0", "0 0 1 1", "0 0 0 0", "0 0 0 0", "0 0 1 1", "0 0 1 1", "0 0 1 1"},
+	"optimistic/block=64/cache=1":    {"20 7 28 0", "19 7 27 0", "0 0 0 0", "2 2 3 0", "0 0 0 0", "0 0 0 0", "2 2 3 0", "1 1 2 0", "1 1 2 0"},
+	"optimistic/block=256/cache=512": {"7 4 15 0", "1 1 9 2", "0 0 0 0", "0 0 1 1", "0 0 0 0", "0 0 0 0", "0 0 1 1", "0 0 1 1", "0 0 1 1"},
+	"optimistic/block=256/cache=1":   {"9 4 17 0", "8 4 16 0", "0 0 0 0", "1 1 2 0", "0 0 0 0", "0 0 0 0", "1 1 2 0", "1 1 2 0", "1 1 2 0"},
+	"read-write/block=64/cache=512":  {"20 7 30 0", "1 1 11 2", "0 0 0 0", "0 0 1 1", "0 0 1 1", "0 0 1 1", "0 0 1 1", "0 0 1 1", "0 0 1 1"},
+	"read-write/block=64/cache=1":    {"24 7 34 0", "23 7 33 0", "0 0 0 0", "2 2 3 0", "2 2 3 0", "1 1 2 0", "2 2 3 0", "1 1 2 0", "1 1 2 0"},
+	"read-write/block=256/cache=512": {"9 4 19 0", "1 1 11 2", "0 0 0 0", "0 0 1 1", "0 0 1 1", "0 0 1 1", "0 0 1 1", "0 0 1 1", "0 0 1 1"},
+	"read-write/block=256/cache=1":   {"11 4 21 0", "10 4 20 0", "0 0 0 0", "1 1 2 0", "1 1 2 0", "1 1 2 0", "1 1 2 0", "1 1 2 0", "1 1 2 0"},
 }
 
-// compareSeqlockTraffic checks the optimistic tier's traffic in
+// compareSeqlockTraffic checks the seqlock tiers' traffic in
 // TestAssociateMatchesReference, step by step: the counts seqlockTraffic
 // restates, the remote GETs and bytes got in blocks, and the round trips,
 // every one of them a train and never more than the reference's.
@@ -560,7 +569,7 @@ func compareSeqlockTraffic(t *testing.T, config string, got, want assocOutcome, 
 	}
 }
 
-// stampedTraffic restates the locking and collective tiers' traffic in
+// stampedTraffic restates the collective tier's traffic in
 // TestAssociateMatchesReference where it is not the reference's: remote
 // GETs, GET trains, remote atomics and atomic trains per step, then the
 // round trips per step. At 64-byte blocks the hub's chain is read in the
@@ -573,15 +582,11 @@ var stampedTraffic = map[string]struct {
 	traffic []string
 	trips   []int64
 }{
-	"locking/block=64/cache=512": {[]string{"20 7 25 11", "0 0 25 11", "0 0 0 0", "0 0 1 0", "0 0 1 0", "0 0 1 0", "0 0 1 0", "0 0 1 0", "0 0 1 0"},
-		[]int64{18, 11, 0, 1, 1, 1, 1, 1, 1}},
-	"locking/block=64/cache=1": {[]string{"24 7 25 11", "24 7 25 11", "0 0 0 0", "2 0 1 0", "2 0 1 0", "0 0 1 0", "2 0 1 0", "0 0 1 0", "0 0 1 0"},
-		[]int64{18, 18, 0, 3, 3, 1, 3, 1, 1}},
 	"collective/block=64/cache=512": {[]string{"20 7 10 3", "0 0 10 3"}, []int64{10, 3}},
 	"collective/block=64/cache=1":   {[]string{"24 7 10 3", "24 7 10 3"}, []int64{10, 10}},
 }
 
-// compareStampedTraffic checks the locking and collective tiers' traffic in
+// compareStampedTraffic checks the collective tier's traffic in
 // TestAssociateMatchesReference, step by step: the counts and round trips
 // stampedTraffic restates, or else the reference's; the remote GETs and
 // bytes got, which are the reference's; and no round trips beyond the

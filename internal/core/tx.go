@@ -22,20 +22,14 @@ const (
 	ReadWrite
 )
 
-// lockState tracks the lock a transaction holds on one vertex.
-type lockState uint8
-
-const (
-	lockNone lockState = iota
-	lockRead
-	lockWrite
-	// lockUpgrade marks a held shared lock whose exclusive upgrade is
-	// deferred to the commit-time lock train.
-	// Upgrades are only granted to the sole reader, so the held shared lock
-	// keeps every other writer out until the train runs: deferral batches
-	// the remote CAS without weakening isolation.
-	lockUpgrade
-)
+// guard is what a transaction knows of the lock word guarding one holder:
+// the version it read the holder at, and, once the commit's lock train holds
+// the word, the version the train took it at.
+type guard struct {
+	ver     uint64 // the version the holder was read at; 0 for a holder this transaction created
+	lockVer uint64 // the version the lock train took the word at, while held
+	held    bool
+}
 
 // vertexState is a transaction's cached copy of one vertex holder, its lock
 // and dirtiness bookkeeping (the paper's per-transaction hashmaps plus dirty
@@ -48,12 +42,10 @@ const (
 // builds v with its edge list, the block list and origLabel from the view.
 // A vertex this transaction created has v from the start.
 type vertexState struct {
-	primary   fabric.DPtr
-	v         *holder.Vertex // the mutable form; nil while clean
-	blocks    []fabric.DPtr  // all blocks incl. primary; nil while clean and for fresh vertices
-	lock      lockState
-	lockVer   uint64 // lock-word version while write-held
-	ver       uint64 // guard version the holder was fetched (and read-locked) at
+	primary fabric.DPtr
+	v       *holder.Vertex // the mutable form; nil while clean
+	blocks  []fabric.DPtr  // all blocks incl. primary; nil while clean and for fresh vertices
+	guard
 	dirty     bool
 	isNew     bool
 	deleted   bool
@@ -98,6 +90,7 @@ type edgeState struct {
 	primary fabric.DPtr
 	e       *holder.Edge
 	blocks  []fabric.DPtr
+	guard
 	dirty   bool
 	isNew   bool
 	deleted bool
@@ -118,20 +111,18 @@ type Tx struct {
 	newByApp  map[uint64]fabric.DPtr      // own uncommitted vertices, by app ID
 	dirtyList []fabric.DPtr               // commit write-back order (the paper's vector)
 	pending   []*VertexFuture             // queued non-blocking associations
-	optReads  []optRead                   // optimistic tier: the read set Commit revalidates
+	optReads  []optRead                   // the read set Commit validates
 	moved     map[fabric.DPtr]fabric.DPtr // migration aliases chased: old -> new primary
 	frontier  *frontierScratch            // ExpandFrontier's arena, from the first expansion until close
-	stubWords []locks.Word                // stubs a deletion retires, held from the commit lock train to the release
-	stubVers  []uint64                    // their versions
 	run       commitRun                   // Commit's record
 	critical  error                       // sticky transaction-critical failure
 	closed    bool
 }
 
-// optRead is one entry of the optimistic read set: a vertex (by primary
-// DPtr, also when a follower copy served the read) and the guard version its
-// content was validated at. A vertex read twice appears twice; both versions
-// must still hold at commit.
+// optRead is one entry of the read set: a holder (a vertex by primary DPtr,
+// also when a follower copy served the read, or a heavy-edge holder) and the
+// guard version its content was validated at. A holder read twice appears
+// twice; both versions must still hold at commit.
 type optRead struct {
 	dp  fabric.DPtr
 	ver uint64
@@ -191,22 +182,25 @@ func (tx *Tx) check() error {
 	return nil
 }
 
-// skipLocks reports whether this transaction runs without per-vertex locks.
-func (tx *Tx) skipLocks() bool { return tx.collective && tx.mode == ReadOnly }
+// optimistic reports whether this transaction reads optimistically (§3.8),
+// as every transaction but a collective read-only one does. It takes no
+// read locks: a holder read is accepted only when its guard word shows the
+// same version (write bit clear) on both sides of the read, the (holder,
+// version) pair joins the read set, and Commit validates the whole read set,
+// aborting with a transaction-critical error when any version moved. A write
+// defers its exclusive lock to the commit's lock train. Collective read-only
+// transactions keep their own lock-free path: §3.3 lets them assume no
+// concurrent writers, so they need neither locks nor validation.
+func (tx *Tx) optimistic() bool { return !tx.collective || tx.mode == ReadWrite }
 
-// optimistic reports whether this transaction runs the optimistic read tier
-// (§3.8): a local read-only transaction takes no read locks at all — every
-// holder fetch is accepted only when its guard word shows the same version
-// (write bit clear) on both sides of the read, the (vertex, version) pair is
-// recorded, and Commit revalidates the whole read set with one atomic-load
-// train per owner rank, aborting with a transaction-critical error when any
-// version moved. Collective read-only transactions keep their own lock-free
-// path (§3.3 lets them assume no concurrent writers, so they need neither
-// locks nor validation); read-write transactions take per-vertex locks.
-func (tx *Tx) optimistic() bool { return tx.mode == ReadOnly && !tx.collective }
-
-// locking reports whether this transaction read-locks what it associates.
-func (tx *Tx) locking() bool { return !tx.skipLocks() && !tx.optimistic() }
+// readMode is how the transaction reads holder chains: under the seqlock, or
+// stable in a collective read epoch.
+func (tx *Tx) readMode() readMode {
+	if tx.optimistic() {
+		return readSeqlock
+	}
+	return readStable
+}
 
 // registry returns the rank-local metadata replica.
 func (tx *Tx) registry() *metadata.Registry { return tx.eng.regs[tx.rank] }
@@ -223,10 +217,10 @@ func (tx *Tx) MetadataStale() bool { return tx.registry().Version() != tx.metaVe
 //
 // A local transaction first asks its rank's translation cache. A hit is a
 // speculative association: the vertex is associated at the cached DPtr as
-// AssociateVertex would (a read lock, or an optimistic read-set entry), and
-// the translation is served only if the guard still carries the cached
-// version, the head block is a primary vertex head with the requested
-// application ID, and the owner rank is alive. A hit costs 0 round trips
+// AssociateVertex would (a read-set entry), and the translation is served
+// only if the guard still carries the cached version, the head block is a
+// primary vertex head with the requested application ID, and the owner rank
+// is alive. A hit costs 0 round trips
 // beyond that association. Anything else — a miss, a moved version, a dead
 // rank — takes one DHT lookup (two round trips), associates its answer and
 // refreshes the cache; ErrNotFound comes back exactly when the index has no
@@ -254,8 +248,8 @@ func (tx *Tx) TranslateVertexID(appID uint64) (fabric.DPtr, error) {
 	xc := &tx.eng.xlate[tx.rank]
 	if dp, ver, ok := xc.get(appID); ok && !tx.eng.isDead(dp.Rank()) {
 		// A fresh association passed the version and head checks in the
-		// flush; one the transaction already held is in its read set or
-		// locked, whatever the version.
+		// flush; one the transaction already held is in its read set,
+		// whatever the version.
 		st, fresh, err := tx.associateState(dp, true, ver)
 		switch {
 		case err == nil && st.appID() == appID:
@@ -322,10 +316,9 @@ func (tx *Tx) associateState(dp fabric.DPtr, spec bool, expect uint64) (st *vert
 }
 
 // forget undoes an association this transaction no longer wants, one that
-// named another vertex than the translation asked for: its read lock is
-// released and it leaves the transaction and the read set, as if never read.
+// named another vertex than the translation asked for: it leaves the
+// transaction and the read set, as if never read.
 func (tx *Tx) forget(st *vertexState) {
-	tx.unlockState(st)
 	delete(tx.verts, st.primary)
 	if n := len(tx.optReads); n > 0 && tx.optReads[n-1].dp == st.primary {
 		tx.optReads = tx.optReads[:n-1]
@@ -333,9 +326,10 @@ func (tx *Tx) forget(st *vertexState) {
 }
 
 // AssociateVertex creates (or returns the cached) process-local handle for
-// vertex dp (GDI_AssociateVertex). For locking transactions it acquires a
-// read lock; mutations upgrade it. O(b) block gets for a b-block holder,
-// one remote atomic for the lock.
+// vertex dp (GDI_AssociateVertex). It reads the holder optimistically and
+// adds it to the read set Commit validates; a mutation defers the vertex's
+// exclusive lock to the commit's lock train. O(b) block gets for a b-block
+// holder, with the guard word loaded inside the same trains.
 //
 // It is a thin blocking wrapper over the non-blocking tier: the call queues
 // the fetch and immediately waits, which also flushes any other
@@ -355,44 +349,16 @@ func (tx *Tx) AssociateVertex(dp fabric.DPtr) (*VertexHandle, error) {
 	return f.Wait()
 }
 
-func (tx *Tx) unlockState(st *vertexState) {
-	switch st.lock {
-	case lockRead, lockUpgrade: // an upgrade not yet granted holds a read lock
-		locks.ReleaseReadTrainAt(tx.rank, []locks.Word{tx.eng.lockWordOf(st.primary)}, []uint64{st.ver})
-	case lockWrite:
-		locks.ReleaseWriteTrain(tx.rank, []locks.Word{tx.eng.lockWordOf(st.primary)}, []uint64{st.lockVer})
-	}
-	st.lock = lockNone
-}
-
-// ensureWrite makes st exclusively held and marks it dirty. The remote
-// upgrade CAS of a read-held vertex is deferred: the state moves to
-// lockUpgrade and the commit-time lock train resolves every deferred word
-// with one vectored CAS train per owner rank. A state without a lock to
-// build on is write-locked here, a one-word train seeded with its version.
-// Mutations (and the commit re-encode they lead to) work on the
-// materialized vertex, which a clean state builds first.
+// ensureWrite marks st dirty, which defers its exclusive lock to the
+// commit's lock train, seeded with the version st was read at. Mutations
+// (and the commit re-encode they lead to) work on the materialized vertex,
+// which a clean state builds first.
 func (tx *Tx) ensureWrite(st *vertexState) error {
 	if tx.mode == ReadOnly {
 		return ErrReadOnly
 	}
 	if err := st.materialize(); err != nil {
 		return err
-	}
-	switch st.lock {
-	case lockWrite, lockUpgrade:
-	case lockRead:
-		st.lock = lockUpgrade
-	case lockNone:
-		// Fresh vertices stay unlocked until the commit train: they are
-		// unpublished, so nothing can race them before then.
-		if !tx.skipLocks() && !st.isNew {
-			vers, err := locks.AcquireWriteTrain(tx.rank, []locks.TrainLock{{Word: tx.eng.lockWordOf(st.primary), Ver: st.ver}}, tx.eng.cfg.LockTries)
-			if err != nil {
-				return tx.fail(fmt.Errorf("write-locking %v: %w", st.primary, err))
-			}
-			st.lock, st.lockVer = lockWrite, vers[0]
-		}
 	}
 	if !st.dirty {
 		st.dirty = true
@@ -447,8 +413,8 @@ func (tx *Tx) CreateVertex(appID uint64) (fabric.DPtr, error) {
 	st := tx.newState(primary)
 	st.v, st.isNew = &holder.Vertex{AppID: appID}, true
 	// The exclusive lock on a fresh vertex is taken by the commit-time lock
-	// train (one CAS train per owner rank): the vertex is unpublished until
-	// commit, so nothing can touch it before then.
+	// train: the vertex is unpublished until commit, so nothing can touch it
+	// before then.
 	st.dirty = true
 	tx.dirtyList = append(tx.dirtyList, primary)
 	tx.verts[primary] = st
@@ -464,9 +430,9 @@ func (tx *Tx) CreateVertex(appID uint64) (fabric.DPtr, error) {
 // "demanding vertex deletions" of §6.4. O(deg(v)) holder updates; the
 // neighbors — the light ones, and the far endpoint of every heavy edge,
 // which keeps a record of the edge holder — are associated in one flush, so
-// the neighborhood costs one read-lock train and one GET train per owner
-// rank and round, whatever the degree. The walk then runs in edge order and
-// returns its first error.
+// the neighborhood costs one guarded GET train per owner rank and round,
+// whatever the degree. The walk then runs in edge order and returns its
+// first error.
 func (tx *Tx) DeleteVertex(dp fabric.DPtr) error {
 	h, err := tx.AssociateVertex(dp)
 	if err != nil {
@@ -556,22 +522,48 @@ func (tx *Tx) dropEdgeHolder(dp fabric.DPtr) error {
 	return nil
 }
 
+// fetchEdgeState returns the transaction's state of the heavy-edge holder at
+// dp. The first use reads the holder as an association reads a vertex: on
+// the seqlock tier, read again while torn or write-held, and added to the
+// read set; stable in a collective read-only transaction. The chain is read
+// like any untrusted bytes: a reused block yields ErrNotFound, not a panic.
 func (tx *Tx) fetchEdgeState(dp fabric.DPtr) (*edgeState, error) {
 	if es, ok := tx.edges[dp]; ok {
 		return es, nil
 	}
-	// The lock-free optimistic routes reach here too, so the chain is read
-	// like any untrusted bytes: a reused block yields ErrNotFound, not a panic.
-	buf, blocks := tx.eng.readChain(tx.rank, dp, holder.IsEdgeHolder)
-	if buf == nil {
+	fs := getReadScratch()
+	defer fs.release()
+	r := &fs.chainReader
+	r.items = append(r.items[:0], chainItem{head: dp, want: holder.IsEdgeHolder})
+	it := &r.items[0]
+	mode := tx.readMode()
+	for attempts := 1; ; attempts++ {
+		if mode == readStable || attempts > 1 {
+			r.stamp(tx.eng, tx.rank)
+		}
+		r.read(tx.eng, tx.rank, mode, false, true)
+		if it.verdict != readHeld && it.verdict != readTorn {
+			break
+		}
+		if attempts >= tx.eng.cfg.LockTries {
+			tx.eng.optAborts.Add(1)
+			return nil, tx.fail(fmt.Errorf("optimistic read of edge holder %v still torn after %d attempts: %w", dp, attempts, locks.ErrContended))
+		}
+		it.verdict, it.stamped = unread, false
+	}
+	if it.verdict != readOK {
 		return nil, fmt.Errorf("%w: edge holder %v is gone (deleted, or its block reused)", ErrNotFound, dp)
 	}
-	e, err := holder.DecodeEdge(buf)
+	e, err := holder.DecodeEdge(it.buf)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrNotFound, err)
 	}
-	es := &edgeState{primary: dp, e: e, blocks: blocks}
+	es := &edgeState{primary: dp, e: e, blocks: it.chain()}
+	es.ver = locks.Version(it.stamp)
 	tx.addEdgeState(es)
+	if tx.optimistic() {
+		tx.optReads = append(tx.optReads, optRead{dp, es.ver})
+	}
 	return es, nil
 }
 

@@ -97,17 +97,19 @@ func (e *Engine) TranslationCacheStats() (hits, misses int64) {
 }
 
 // noteCommitted refreshes the committing rank's translation cache from the
-// vertices a commit's lock train wrote: each is cached at the version its
+// vertices of a commit's write set: each is cached at the version its
 // release published, or forgotten when the commit deleted it.
-func (tx *Tx) noteCommitted(written []*vertexState) {
+func (tx *Tx) noteCommitted(ws []writeEntry) {
 	if tx.collective {
 		return
 	}
 	xc := &tx.eng.xlate[tx.rank]
-	for _, st := range written {
-		if st.deleted {
+	for _, w := range ws {
+		switch st := w.vs; {
+		case st == nil:
+		case st.deleted:
 			xc.drop(st.v.AppID, st.primary)
-		} else {
+		default:
 			xc.put(st.v.AppID, st.primary, st.lockVer+1)
 		}
 	}

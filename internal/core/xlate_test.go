@@ -18,9 +18,9 @@ import (
 // then another deletes it and a third creates app 9 in the freed block (same
 // owner rank, LIFO pool). Associating the translated DPtr must not hand the
 // first transaction vertex 9 in a commit that succeeds: translation and
-// association are one validated step, so the transaction either keeps the
-// vertex it translated and fails validation, or (locking) holds the vertex
-// against the delete.
+// association are one validated step, so the transaction keeps the vertex
+// it translated, and the delete, which no read holds back, lands and fails
+// its validation, in read-only and read-write transactions alike.
 func TestCommittedReadSeesTheTranslatedVertex(t *testing.T) {
 	for _, mode := range []Mode{ReadOnly, ReadWrite} {
 		t.Run(fmt.Sprintf("mode=%d", mode), func(t *testing.T) {
@@ -60,7 +60,7 @@ func TestCommittedReadSeesTheTranslatedVertex(t *testing.T) {
 			if err == nil && committed && h.AppID() != 5 {
 				t.Fatalf("a committed transaction translated vertex 5 and read vertex %d", h.AppID())
 			}
-			if mode == ReadOnly && (!deleted || committed) {
+			if !deleted || committed {
 				t.Fatalf("deleted = %v, reader committed = %v; want the delete to land and the reader to fail validation", deleted, committed)
 			}
 		})
@@ -198,14 +198,9 @@ func readVertex(t *testing.T, e *Engine, origin rma.Rank, mode Mode, app uint64,
 // TestTranslateHitTrafficContract: once rank 0 has translated a remote vertex,
 // translating it again costs nothing on the wire. translate → associate →
 // commit of the unchanged vertex issues exactly the traffic of associate →
-// commit alone, with no DHT access. On the locking tier it costs one round
-// trip less (round trips are scalar remote atomics plus trains). Both read
-// locks stamp the guard with their own CAS, and both commits release the
-// lock in one seeded train. The difference is the lock itself: the
-// speculative one is a single scalar CAS at the cached version, while a
-// plain association knows no version, so its read-lock train guesses 0 and
-// needs a second round, at the version the first CAS reported. That is
-// 2 round trips against 3.
+// commit alone, with no DHT access, in a read-only and in a read-write
+// transaction alike: the speculative association is checked on the stamp
+// its guarded read loads anyway.
 func TestTranslateHitTrafficContract(t *testing.T) {
 	for _, mode := range []Mode{ReadOnly, ReadWrite} {
 		t.Run(fmt.Sprintf("mode=%d", mode), func(t *testing.T) {
@@ -227,13 +222,8 @@ func TestTranslateHitTrafficContract(t *testing.T) {
 				t.Fatalf("the second translation was not a cache hit")
 			}
 			plain := measure(e, func() { readVertex(t, e, 0, mode, app, dp) })
-			want := plain
-			if mode == ReadWrite {
-				want.atoms--         // one scalar CAS for two train CAS,
-				want.atomTrains -= 2 // and no lock train
-			}
-			if hit != want {
-				t.Fatalf("translate → associate → commit: %+v; associate → commit: %+v; want %+v", hit, plain, want)
+			if hit != plain {
+				t.Fatalf("translate → associate → commit: %+v; associate → commit: %+v; want the same", hit, plain)
 			}
 			t.Logf("warm read of a remote vertex: %+v", hit)
 		})
@@ -256,17 +246,15 @@ func TestOwnCommitRefreshesTranslation(t *testing.T) {
 
 // TestStaleTranslationCostsOneStamp: after another rank deletes and re-creates
 // the vertex, a cached translation is refused on its guard version, in one
-// round trip and with no GET. On the locking tier that round trip is one
-// failed scalar CAS. On the optimistic tier it is the head round's guarded
-// train: rank 0 still caches the block at the entry's version, so the train
-// loads the guard alone, and the cache lookup the load refutes counts a miss. The translation then costs exactly what a translation with no
-// cache entry costs. On the locking tier that includes a two-round read-lock
-// train, since the index names no version; its first CAS is also the stamp.
-// An entry that names the forwarding stub a migration left, at the stub's
-// current version, is refused in one round trip too, on the stub bit of the
-// same word: on the locking tier by the failed CAS, with no GET of the stub
-// block; on the optimistic tier by the guarded train that loads the word
-// around its GET of the stub block, which is then dropped.
+// round trip and with no GET: the head round's guarded train, since rank 0
+// still caches the block at the entry's version, loads the guard alone, and
+// the cache lookup the load refutes counts a miss. The translation then
+// costs exactly what a translation with no cache entry costs. An entry that
+// names the forwarding stub a migration left, at the stub's current
+// version, is refused in one round trip too, on the stub bit of the same
+// word: by the guarded train that loads the word around its GET of the stub
+// block, which is then dropped. Read-only and read-write transactions pay
+// the same.
 func TestStaleTranslationCostsOneStamp(t *testing.T) {
 	// Each history gives two engines the same past, in which rank 0's cache
 	// entry for the vertex went stale; it returns the entry's app and the
@@ -334,8 +322,6 @@ func TestStaleTranslationCostsOneStamp(t *testing.T) {
 				coldCost := measure(cold, func() { readVertex(t, cold, 0, mode, app, fabric.NullDPtr) })
 				want := coldCost
 				switch {
-				case mode == ReadWrite:
-					want.atoms++ // the failed CAS
 				case name == "":
 					// A train of one guard load, which refutes the cached copy.
 					want.atoms++
@@ -356,8 +342,8 @@ func TestStaleTranslationCostsOneStamp(t *testing.T) {
 	}
 }
 
-// TestTranslationChurnStress: readers translate and associate in a loop — on
-// the optimistic and the locking tier — while a churner deletes vertices and
+// TestTranslationChurnStress: readers translate and associate in a loop — in
+// read-only and in read-write transactions — while a churner deletes vertices and
 // re-creates them, under the same application ID or under a twin one, in the
 // block the delete freed, a migrator moves them between ranks, and finally a
 // rank dies and the survivors promote the followers of its replicated
@@ -522,10 +508,10 @@ func TestTranslationChurnStress(t *testing.T) {
 			}
 			del.Abort()
 			if err != nil {
-				continue // a reader holds it, or the migrator moved it mid-way
+				continue // a committer holds it, or the migrator moved it mid-way
 			}
-			// A reader that looked the deleted vertex up just before can
-			// still hold a read lock on the freed block: retry.
+			// A committer that looked the deleted vertex up just before can
+			// still hold the freed block's word: retry.
 			next := churn[k] + twin*uint64(rng.Intn(2))
 			var ndp fabric.DPtr
 			for try := 0; try < 64; try++ {

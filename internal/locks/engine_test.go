@@ -58,7 +58,7 @@ func (tw lockTwin) state() (counters []fabric.Snapshot, words []uint64) {
 
 // TestLockTrainsMatchReference runs one seeded random script of lock
 // trains on twin 3-rank fabrics, the engine on one and the reference loops
-// on the other: write acquisitions (fresh, upgrades, best effort), marked
+// on the other: write acquisitions (all or nothing, best effort), marked
 // write releases, read acquisitions and releases, and mirror marks,
 // releases and bumps, seeded right and wrong, over words a third party
 // holds shared or exclusively and words marked as stubs, so trains probe,
@@ -167,19 +167,19 @@ func TestLockTrainsMatchReference(t *testing.T) {
 			took func(out []any) // updates the script's view on success
 		)
 		switch kind := rng.Intn(8); kind {
-		case 0, 1: // write acquisition: fresh, upgrade, best effort
+		case 0, 1: // write acquisition: all or nothing, or best effort
 			ks := pick(all())
 			ls := make([]TrainLock, len(ks))
 			vs := vers(ks, false)
-			for i, k := range ks {
-				ls[i] = TrainLock{FromRead: readHeld[k] > 0 || rng.Intn(10) == 0, Ver: vs[i]}
+			for i := range ks {
+				ls[i] = TrainLock{Ver: vs[i]}
 			}
 			each := kind == 1
 			desc = fmt.Sprintf("write acquire (each %v) %v %+v tries %d", each, ks, ls, tries)
 			op = func(api trainAPI, ws []Word) []any {
 				train := make([]TrainLock, len(ls))
 				for i, l := range ls {
-					train[i] = TrainLock{Word: ws[ks[i]], FromRead: l.FromRead, Ver: l.Ver}
+					train[i] = TrainLock{Word: ws[ks[i]], Ver: l.Ver}
 				}
 				if each {
 					vers, held := api.acquireWriteEach(origin, train, tries)
@@ -194,9 +194,6 @@ func TestLockTrainsMatchReference(t *testing.T) {
 						continue
 					}
 					writeHeld[k] = true
-					if ls[i].FromRead && readHeld[k] > 0 {
-						readHeld[k]--
-					}
 				}
 			}
 		case 2: // marked write release

@@ -8,8 +8,8 @@ import (
 )
 
 // Write-unlock retirement hook. Every write-unlock bumps the guarded word's
-// version counter even when the release wrote no byte (an abort after
-// lock-upgrade, a no-op update, a migration's secondary words): the bump
+// version counter even when the release wrote no byte (an abort after the
+// commit lock train, a no-op update, a migration's secondary words): the bump
 // alone invalidates version-stamped copies, so an HTAP cut pinned at the
 // pre-bump version would lose its last way to read the block's unchanged
 // bytes. The hook lets the snapshot layer retire those bytes into its

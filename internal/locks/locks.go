@@ -8,15 +8,19 @@
 //
 // All acquisition and release is performed with remote CAS on the word,
 // batched into one vectored train per owner rank. Every train is seeded with
-// the version its caller last saw each word at, so an uncontended lock,
-// upgrade or release costs one round per owner rank when the seed is right
+// the version its caller last saw each word at, so an uncontended lock or
+// release costs one round per owner rank when the seed is right
 // and two when it is not: the failed CAS reports the word, and the second
 // round uses it. One train engine runs every lock operation, each a seed, a
 // step rule and a round budget: the "Life of a lock train" section of
 // ARCHITECTURE.md walks it through and tabulates the rules.
 //
-// The version counter is the foundation of the optimistic read tier (§3.8,
-// §5.2): holder content only changes while the write bit is set, and every
+// Transactions take no shared locks: they read under the version counter
+// and write-lock at commit. The reader count and the read trains remain for
+// the benchmark module's lock probes, which time them.
+//
+// The version counter is the foundation of the optimistic read protocol
+// (§3.8, §5.2): holder content only changes while the write bit is set, and every
 // write-unlock bumps the version, so a reader that observes the same version
 // with the write bit clear before and after a fetch holds an untorn copy,
 // and a cached copy stamped with version v is current exactly while the word
@@ -157,31 +161,6 @@ func (w Word) TryAcquireWrite(origin fabric.Rank, tries int) error {
 // guarded holder are stale.
 func (w Word) ReleaseWrite(origin fabric.Rank) { ReleaseWriteTrain(origin, []Word{w}, nil) }
 
-// TryAcquireReadAt takes a shared lock only while the word carries version
-// ver with the write bit and the stub bit clear: it is the speculative read
-// lock of a vertex the caller expects at ver, and a stub is never a vertex.
-// Its first CAS guesses a free word without readers, so an uncontended
-// acquisition is one remote atomic; a failed CAS reports the word, and the
-// attempt gives up, holding nothing, as soon as the word shows a writer, a
-// stub or another version (a writer's release moves the version anyway).
-// Reader churn is retried at most tries rounds. On success it returns the
-// word as its CAS left it: a stamp at version ver that stays valid while the
-// lock is held.
-func (w Word) TryAcquireReadAt(origin fabric.Rank, ver uint64, tries int) (stamp uint64, ok bool) {
-	cur := freeAt(ver)
-	for i := 0; i < tries; i++ {
-		if cur&(writeBit|stubBit) != 0 || Version(cur) != ver {
-			return 0, false
-		}
-		prev, ok := w.Win.CAS(origin, w.Target, w.Idx, cur, cur+1)
-		if ok {
-			return cur + 1, true
-		}
-		cur = prev
-	}
-	return 0, false
-}
-
 // Peek returns the word's writer flag and reader count (diagnostics and
 // tests).
 func (w Word) Peek(origin fabric.Rank) (writer bool, readers uint32) {
@@ -218,22 +197,8 @@ func (w Word) Stamp(origin fabric.Rank) uint64 {
 // TrainLock is one element of a write-lock train.
 type TrainLock struct {
 	Word Word
-	// FromRead marks a word the caller already holds shared: the train
-	// upgrades it (sole reader → writer, CAS 1→writeBit) instead of
-	// acquiring it from free (CAS 0→writeBit).
-	FromRead bool
-	// Ver seeds the train: the version the caller saw the word at (for an
-	// upgrade, the version its read lock was granted at).
+	// Ver seeds the train: the version the caller saw the word at.
 	Ver uint64
-}
-
-// trainOldReaders returns the reader count a train entry starts from: one
-// for an upgrade of our own shared lock, zero for a fresh acquisition.
-func trainOldReaders(l TrainLock) uint64 {
-	if l.FromRead {
-		return 1
-	}
-	return 0
 }
 
 // checkVers verifies that a seeded train carries one version per word.
@@ -354,22 +319,21 @@ func (t *train) flip() {
 
 // acquireWrite runs a write acquisition's tries+1 rounds over ls.
 func acquireWrite(origin fabric.Rank, ls []TrainLock, tries int) (t *train, left int) {
-	t = newTrain(len(ls), func(i int) Word { return ls[i].Word },
-		func(i int) uint64 { return freeAt(ls[i].Ver) + trainOldReaders(ls[i]) })
-	return t, t.rounds(origin, tries+1, func(i int, cur uint64) uint64 {
-		if old := trainOldReaders(ls[i]); cur&writeBit == 0 && cur&readerMask == old {
-			return (cur - old) | writeBit // drop our reader (upgrades) and set the bit
+	t = newTrain(len(ls), func(i int) Word { return ls[i].Word }, func(i int) uint64 { return freeAt(ls[i].Ver) })
+	return t, t.rounds(origin, tries+1, func(_ int, cur uint64) uint64 {
+		if cur&(writeBit|readerMask) == 0 {
+			return cur | writeBit
 		}
-		return cur // probe: foreign readers or a writer hold it
+		return cur // probe: readers or a writer hold it
 	})
 }
 
 // AcquireWriteTrain write-locks every word of the train, issuing one
 // vectored CAS train per owner rank per retry round. Acquisition is all or
 // nothing: if any word cannot be taken within the retry budget, every lock
-// the train did acquire is rolled back to its pre-train state (upgrades
-// return to one reader, versions untouched — a rollback is not a
-// write-unlock) and (nil, ErrContended) is returned.
+// the train did acquire is rolled back to its pre-train state (versions
+// untouched — a rollback is not a write-unlock) and (nil, ErrContended) is
+// returned.
 //
 // On success it returns the version of every held word, aligned with ls.
 // Passing those versions to ReleaseWriteTrain lets the release converge in
@@ -390,7 +354,7 @@ func AcquireWriteTrain(origin fabric.Rank, ls []TrainLock, tries int) ([]uint64,
 	}
 	// Held words are stable, so one round must roll every one of them back.
 	t.flip()
-	if t.rounds(origin, 1, func(i int, cur uint64) uint64 { return (cur &^ writeBit) + trainOldReaders(ls[i]) }) > 0 {
+	if t.rounds(origin, 1, func(_ int, cur uint64) uint64 { return cur &^ writeBit }) > 0 {
 		panic("locks: write-train rollback of a word not exclusively held")
 	}
 	return nil, ErrContended

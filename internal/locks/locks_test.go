@@ -59,83 +59,6 @@ func TestReadersExcludeWriter(t *testing.T) {
 	w.ReleaseRead(0)
 }
 
-// TestReadAtVersion: TryAcquireReadAt shares the word only at the version it
-// names — alongside other readers, never under a writer, never at another
-// version — holds nothing when it refuses, and returns the word its CAS left.
-func TestReadAtVersion(t *testing.T) {
-	w, _ := word(1)
-	readAt := func(ver uint64) bool {
-		stamp, ok := w.TryAcquireReadAt(0, ver, DefaultTries)
-		if ok && stamp != raw(w) {
-			t.Fatalf("stamp %#x, word after acquisition %#x", stamp, raw(w))
-		}
-		return ok
-	}
-	if !readAt(0) {
-		t.Fatal("free word at version 0 refused")
-	}
-	if !readAt(0) {
-		t.Fatal("second reader at the same version refused")
-	}
-	w.ReleaseRead(0)
-	w.ReleaseRead(0)
-	if err := w.TryAcquireWrite(0, DefaultTries); err != nil {
-		t.Fatal(err)
-	}
-	if readAt(0) {
-		t.Fatal("reader admitted under a writer")
-	}
-	w.ReleaseWrite(0) // version 1
-	if readAt(0) {
-		t.Fatal("reader admitted at a version the word left")
-	}
-	if wr, rd := w.Peek(0); wr || rd != 0 {
-		t.Fatalf("refusals left the word at (%v, %d), want (false, 0)", wr, rd)
-	}
-	if !readAt(1) {
-		t.Fatal("free word at version 1 refused")
-	}
-	w.ReleaseRead(0)
-}
-
-// upgrade converts our shared lock on w into the exclusive one: a write
-// train of one word marked FromRead, the form a commit upgrades its read
-// locks in.
-func upgrade(w Word, tries int) ([]uint64, error) {
-	return AcquireWriteTrain(0, []TrainLock{{Word: w, FromRead: true}}, tries)
-}
-
-func TestUpgradeSoleReader(t *testing.T) {
-	w, _ := word(1)
-	if err := w.TryAcquireRead(0, DefaultTries); err != nil {
-		t.Fatal(err)
-	}
-	vers, err := upgrade(w, DefaultTries)
-	if err != nil {
-		t.Fatal("upgrade as sole reader failed:", err)
-	}
-	if wr, rd := w.Peek(0); !wr || rd != 0 {
-		t.Fatalf("after upgrade Peek = (%v, %d), want (true, 0)", wr, rd)
-	}
-	ReleaseWriteTrain(0, []Word{w}, vers)
-	if wr, rd := w.Peek(0); wr || rd != 0 {
-		t.Fatalf("after release Peek = (%v, %d), want (false, 0)", wr, rd)
-	}
-}
-
-func TestUpgradeFailsWithOtherReaders(t *testing.T) {
-	w, _ := word(1)
-	_ = w.TryAcquireRead(0, DefaultTries)
-	_ = w.TryAcquireRead(0, DefaultTries)
-	if _, err := upgrade(w, 4); err != ErrContended {
-		t.Fatalf("upgrade with 2 readers: err = %v, want ErrContended", err)
-	}
-	// The failed upgrade must not have dropped our shared lock.
-	if wr, rd := w.Peek(0); wr || rd != 2 {
-		t.Fatalf("after failed upgrade Peek = (%v, %d), want (false, 2)", wr, rd)
-	}
-}
-
 func TestReleasePanics(t *testing.T) {
 	w, _ := word(1)
 	for name, fn := range map[string]func(){
@@ -192,18 +115,11 @@ func trainWords(n, width int) ([]Word, *rma.Fabric) {
 	return ws, f
 }
 
-func TestAcquireWriteTrainFreshAndUpgrade(t *testing.T) {
+func TestAcquireWriteTrainFresh(t *testing.T) {
 	ws, _ := trainWords(4, 2)
-	// Hold a read lock on half of the words; the train must upgrade those
-	// and fresh-acquire the rest.
 	ls := make([]TrainLock, len(ws))
 	for i, w := range ws {
-		ls[i] = TrainLock{Word: w, FromRead: i%2 == 0}
-		if ls[i].FromRead {
-			if err := w.TryAcquireRead(0, DefaultTries); err != nil {
-				t.Fatal(err)
-			}
-		}
+		ls[i] = TrainLock{Word: w}
 	}
 	vers, err := AcquireWriteTrain(0, ls, DefaultTries)
 	if err != nil {
@@ -224,19 +140,11 @@ func TestAcquireWriteTrainFreshAndUpgrade(t *testing.T) {
 
 func TestAcquireWriteTrainRollsBackOnContention(t *testing.T) {
 	ws, _ := trainWords(3, 1)
-	// A foreign reader on the middle word makes its fresh acquisition fail.
+	// A reader on the middle word makes its acquisition fail.
 	if err := ws[1].TryAcquireRead(0, DefaultTries); err != nil {
 		t.Fatal(err)
 	}
-	// Our own read lock on the last word marks it as an upgrade.
-	if err := ws[2].TryAcquireRead(0, DefaultTries); err != nil {
-		t.Fatal(err)
-	}
-	ls := []TrainLock{
-		{Word: ws[0]},
-		{Word: ws[1]},
-		{Word: ws[2], FromRead: true},
-	}
+	ls := []TrainLock{{Word: ws[0]}, {Word: ws[1]}, {Word: ws[2]}}
 	if _, err := AcquireWriteTrain(0, ls, 4); err != ErrContended {
 		t.Fatalf("train over a held word: err = %v, want ErrContended", err)
 	}
@@ -246,8 +154,8 @@ func TestAcquireWriteTrainRollsBackOnContention(t *testing.T) {
 	if wr, rd := ws[1].Peek(0); wr || rd != 1 {
 		t.Fatalf("word 1 disturbed: (%v, %d), want the foreign reader intact", wr, rd)
 	}
-	if wr, rd := ws[2].Peek(0); wr || rd != 1 {
-		t.Fatalf("word 2 not rolled back to our reader: (%v, %d)", wr, rd)
+	if wr, rd := ws[2].Peek(0); wr || rd != 0 {
+		t.Fatalf("word 2 not rolled back to free: (%v, %d)", wr, rd)
 	}
 }
 
@@ -403,20 +311,6 @@ func TestWriteUnlockBumpsVersion(t *testing.T) {
 	if v := Version(raw(w)); v != 3 {
 		t.Fatalf("read cycle moved version to %d", v)
 	}
-	// Upgrade from a shared lock preserves the version until release.
-	if err := w.TryAcquireRead(0, DefaultTries); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := AcquireWriteTrain(0, []TrainLock{{Word: w, FromRead: true}}, DefaultTries); err != nil {
-		t.Fatal(err)
-	}
-	if v := Version(raw(w)); v != 3 {
-		t.Fatalf("upgrade moved version to %d", v)
-	}
-	w.ReleaseWrite(0)
-	if v := Version(raw(w)); v != 4 {
-		t.Fatalf("post-upgrade release version = %d, want 4", v)
-	}
 }
 
 func TestScalarLockingWorksAtNonzeroVersions(t *testing.T) {
@@ -473,15 +367,10 @@ func TestTrainsLearnNonzeroVersions(t *testing.T) {
 			t.Fatalf("word %d: read train moved version %d -> %d", i, before[i], got)
 		}
 	}
-	// Write train with mixed upgrades; release bumps every word once.
+	// Write train; release bumps every word once.
 	ls := make([]TrainLock, len(ws))
 	for i, w := range ws {
-		ls[i] = TrainLock{Word: w, FromRead: i%2 == 0}
-		if ls[i].FromRead {
-			if err := w.TryAcquireRead(0, DefaultTries); err != nil {
-				t.Fatal(err)
-			}
-		}
+		ls[i] = TrainLock{Word: w}
 	}
 	vers, err := AcquireWriteTrain(0, ls, DefaultTries)
 	if err != nil {
@@ -516,22 +405,19 @@ func TestWriteTrainRollbackPreservesVersion(t *testing.T) {
 	if err := ws[1].TryAcquireRead(0, DefaultTries); err != nil {
 		t.Fatal(err)
 	}
-	if err := ws[2].TryAcquireRead(0, DefaultTries); err != nil {
-		t.Fatal(err)
-	}
-	ls := []TrainLock{{Word: ws[0]}, {Word: ws[1]}, {Word: ws[2], FromRead: true}}
+	ls := []TrainLock{{Word: ws[0]}, {Word: ws[1]}, {Word: ws[2]}}
 	if _, err := AcquireWriteTrain(0, ls, 4); err != ErrContended {
 		t.Fatalf("train over a held word: err = %v, want ErrContended", err)
 	}
-	// Rollback is not a write-unlock: versions unchanged, reader restored.
+	// Rollback is not a write-unlock: versions unchanged, words free.
 	if v := Version(raw(ws[0])); v != 1 {
 		t.Fatalf("word 0 version after rollback = %d, want 1", v)
 	}
 	if v := Version(raw(ws[2])); v != 0 {
 		t.Fatalf("word 2 version after rollback = %d, want 0", v)
 	}
-	if wr, rd := ws[2].Peek(0); wr || rd != 1 {
-		t.Fatalf("word 2 not rolled back to our reader: (%v, %d)", wr, rd)
+	if wr, rd := ws[2].Peek(0); wr || rd != 0 {
+		t.Fatalf("word 2 not rolled back to free: (%v, %d)", wr, rd)
 	}
 }
 

@@ -53,8 +53,7 @@ func refSortTrain(ls []TrainLock) (train []TrainLock, order []int) {
 // refAcquireWriteRounds is the acquisition core shared by the all-or-nothing
 // and best-effort write trains: up to tries vectored CAS rounds over the
 // sorted train, one train per owner rank per round. The first round assumes
-// each word free (or, for an upgrade, held by our one reader) at its seeded
-// version; a word observed in another state is learned from the CAS result,
+// each word free at its seeded version; a word observed in another state is learned from the CAS result,
 // and one observed in an unacquirable state is probed with a
 // value-preserving CAS. It returns the per-word held flags and, for held
 // words, the value installed (write bit + the word's version).
@@ -63,7 +62,7 @@ func refAcquireWriteRounds(origin fabric.Rank, train []TrainLock, tries int) (he
 	held = make([]bool, len(train))
 	expected = make([]uint64, len(train)) // last observed word value, or held value
 	for i, l := range train {
-		expected[i] = freeAt(l.Ver) + trainOldReaders(l)
+		expected[i] = freeAt(l.Ver)
 	}
 	for round := 0; round <= tries && nHeld < len(train); round++ {
 		refForEachRank(len(train), func(i int) fabric.Rank { return train[i].Word.Target }, func(lo, hi int) {
@@ -74,11 +73,10 @@ func refAcquireWriteRounds(origin fabric.Rank, train []TrainLock, tries int) (he
 					continue
 				}
 				op := fabric.CASOp{Idx: train[i].Word.Idx, Old: expected[i]}
-				if expected[i]&writeBit == 0 && expected[i]&readerMask == trainOldReaders(train[i]) {
-					// Acquirable: drop our reader (upgrades) and set the bit.
-					op.New = (expected[i] - trainOldReaders(train[i])) | writeBit
+				if expected[i]&(writeBit|readerMask) == 0 {
+					op.New = expected[i] | writeBit // acquirable: set the bit
 				} else {
-					op.New = op.Old // probe: foreign readers or a writer hold it
+					op.New = op.Old // probe: readers or a writer hold it
 				}
 				ops = append(ops, op)
 				opIdx = append(opIdx, i)
@@ -104,8 +102,8 @@ func refAcquireWriteRounds(origin fabric.Rank, train []TrainLock, tries int) (he
 // vectored CAS train per owner rank per retry round (refAcquireWriteRounds).
 // Acquisition is all or nothing: if any word cannot be taken within the
 // retry budget, every lock the train did acquire is rolled back to its
-// pre-train state (upgrades return to one reader, versions untouched — a
-// rollback is not a write-unlock) and (nil, ErrContended) is returned.
+// pre-train state (versions untouched — a rollback is not a write-unlock)
+// and (nil, ErrContended) is returned.
 //
 // On success it returns the version of every held word, aligned with ls.
 // Passing those versions to ReleaseWriteTrain lets the release converge in
@@ -131,7 +129,7 @@ func refAcquireWriteTrain(origin fabric.Rank, ls []TrainLock, tries int) ([]uint
 		ops := make([]fabric.CASOp, 0, hi-lo)
 		for i := lo; i < hi; i++ {
 			if held[i] {
-				ops = append(ops, fabric.CASOp{Idx: train[i].Word.Idx, Old: expected[i], New: (expected[i] &^ writeBit) + trainOldReaders(train[i])})
+				ops = append(ops, fabric.CASOp{Idx: train[i].Word.Idx, Old: expected[i], New: expected[i] &^ writeBit})
 			}
 		}
 		for _, r := range win.CASBatch(origin, train[lo].Word.Target, ops) {

@@ -35,8 +35,8 @@ func trains(f *rma.Fabric, fn func()) (batches, atoms int64) {
 	return s.AtomicBatches, s.RemoteAtoms
 }
 
-// TestSeededTrainsConvergeInOneRoundPerRank: read lock, upgrade, write
-// release and read release, each seeded with the words' versions, take one
+// TestSeededTrainsConvergeInOneRoundPerRank: read lock, read release, write
+// lock and write release, each seeded with the words' versions, take one
 // CAS round per owner rank. The read train's stamps are the words as they
 // stand after the acquisition.
 func TestSeededTrainsConvergeInOneRoundPerRank(t *testing.T) {
@@ -56,36 +56,23 @@ func TestSeededTrainsConvergeInOneRoundPerRank(t *testing.T) {
 			t.Errorf("word %d: stamp %#x, word after acquisition %#x (version %d)", i, stamps[i], raw(w), vers[i])
 		}
 	}
-	ls := make([]TrainLock, len(ws))
-	for i, w := range ws {
-		ls[i] = TrainLock{Word: w, FromRead: true, Ver: vers[i]}
+	if n, _ := trains(f, func() { ReleaseReadTrainAt(1, ws, vers) }); n != oneRound {
+		t.Errorf("seeded read release: %d trains, want %d", n, oneRound)
 	}
 	var held []uint64
 	if n, _ := trains(f, func() {
 		var err error
-		if held, err = AcquireWriteTrain(1, ls, DefaultTries); err != nil {
+		if held, err = AcquireWriteTrain(1, seededLocks(ws, vers), DefaultTries); err != nil {
 			t.Fatal(err)
 		}
 	}); n != oneRound {
-		t.Errorf("seeded upgrade train: %d trains, want %d", n, oneRound)
+		t.Errorf("seeded write train: %d trains, want %d", n, oneRound)
 	}
 	if n, _ := trains(f, func() { ReleaseWriteTrain(1, ws, held) }); n != oneRound {
 		t.Errorf("seeded write release: %d trains, want %d", n, oneRound)
 	}
-	for i := range vers {
-		vers[i]++ // the release bumped every word
-	}
-	if _, err := AcquireReadTrainAt(1, ws, vers, DefaultTries); err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := trains(f, func() { ReleaseReadTrainAt(1, ws, vers) }); n != oneRound {
-		t.Errorf("seeded read release: %d trains, want %d", n, oneRound)
-	}
-	for i, w := range ws {
-		if wr, rd := w.Peek(0); wr || rd != 0 || Version(raw(w)) != vers[i] {
-			t.Fatalf("word %d after the trains: (%v, %d) at version %d, want free at %d", i, wr, rd, Version(raw(w)), vers[i])
-		}
-	}
+	bump(vers)
+	checkWords(t, ws, vers, false)
 }
 
 // TestWrongSeedsStillConverge: seeds one version behind cost each train
@@ -112,38 +99,28 @@ func TestWrongSeedsStillConverge(t *testing.T) {
 			t.Errorf("word %d: stamp %#x, word after acquisition %#x", i, stamps[i], raw(w))
 		}
 	}
-	ls := make([]TrainLock, len(ws))
-	for i, w := range ws {
-		ls[i] = TrainLock{Word: w, FromRead: true, Ver: stale[i]}
+	if n, _ := trains(f, func() { ReleaseReadTrainAt(1, ws, stale) }); n != twoRounds {
+		t.Errorf("wrongly seeded read release: %d trains, want %d", n, twoRounds)
 	}
 	var held []uint64
 	if n, _ := trains(f, func() {
 		var err error
-		if held, err = AcquireWriteTrain(1, ls, DefaultTries); err != nil {
+		if held, err = AcquireWriteTrain(1, seededLocks(ws, stale), DefaultTries); err != nil {
 			t.Fatal(err)
 		}
 	}); n != twoRounds {
-		t.Errorf("wrongly seeded upgrade train: %d trains, want %d", n, twoRounds)
+		t.Errorf("wrongly seeded write train: %d trains, want %d", n, twoRounds)
 	}
 	for i := range held {
 		if held[i] != vers[i] {
-			t.Fatalf("word %d: upgrade reported version %d, want %d", i, held[i], vers[i])
+			t.Fatalf("word %d: write train reported version %d, want %d", i, held[i], vers[i])
 		}
 	}
 	if n, _ := trains(f, func() { ReleaseWriteTrain(1, ws, stale) }); n != twoRounds {
 		t.Errorf("wrongly seeded write release: %d trains, want %d", n, twoRounds)
 	}
-	if _, err := AcquireReadTrainAt(1, ws, nil, DefaultTries); err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := trains(f, func() { ReleaseReadTrainAt(1, ws, stale) }); n != twoRounds {
-		t.Errorf("wrongly seeded read release: %d trains, want %d", n, twoRounds)
-	}
-	for i, w := range ws {
-		if wr, rd := w.Peek(0); wr || rd != 0 || Version(raw(w)) != vers[i]+1 {
-			t.Fatalf("word %d after the trains: (%v, %d) at version %d, want free at %d", i, wr, rd, Version(raw(w)), vers[i]+1)
-		}
-	}
+	bump(vers)
+	checkWords(t, ws, vers, false)
 }
 
 // TestOneWordWriteReleaseWithVersIsOneCAS: releasing a single remote word
@@ -165,11 +142,10 @@ func TestOneWordWriteReleaseWithVersIsOneCAS(t *testing.T) {
 
 // TestStubBitRidesEveryLockOperation: a marked write release sets and clears
 // the stub bit, a release without a mark keeps it, and every other lock
-// operation — read and write trains, upgrades, rollbacks, read releases —
+// operation — read and write trains, rollbacks, read releases —
 // carries it through unchanged while the version moves as before. A stub
 // word costs a seeded train the one round that learns the bit; a release
-// marked StubClear guesses it and converges in one. TryAcquireReadAt refuses
-// a stub word on its one failed CAS, holding nothing.
+// marked StubClear guesses it and converges in one.
 func TestStubBitRidesEveryLockOperation(t *testing.T) {
 	ws, vers, f := seededWords(t)
 	const oneRound, twoRounds = 2, 4
@@ -177,7 +153,7 @@ func TestStubBitRidesEveryLockOperation(t *testing.T) {
 	for i := range set {
 		set[i] = StubSet
 	}
-	held, err := AcquireWriteTrain(1, seededLocks(ws, vers, false), DefaultTries)
+	held, err := AcquireWriteTrain(1, seededLocks(ws, vers), DefaultTries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +164,7 @@ func TestStubBitRidesEveryLockOperation(t *testing.T) {
 	checkWords(t, ws, vers, true)
 
 	// A stub word is one round more for a train seeded without the bit, and
-	// keeps its bit through read locks, upgrades and a plain release.
+	// keeps its bit through read locks, a write lock and a plain release.
 	if n, _ := trains(f, func() {
 		if _, err := AcquireReadTrainAt(1, ws, vers, DefaultTries); err != nil {
 			t.Fatal(err)
@@ -196,7 +172,9 @@ func TestStubBitRidesEveryLockOperation(t *testing.T) {
 	}); n != twoRounds {
 		t.Errorf("read train over stub words: %d trains, want %d", n, twoRounds)
 	}
-	if held, err = AcquireWriteTrain(1, seededLocks(ws, vers, true), DefaultTries); err != nil {
+	ReleaseReadTrainAt(1, ws, vers)
+	checkWords(t, ws, vers, true)
+	if held, err = AcquireWriteTrain(1, seededLocks(ws, vers), DefaultTries); err != nil {
 		t.Fatal(err)
 	}
 	ReleaseWriteTrain(1, ws, held)
@@ -212,27 +190,17 @@ func TestStubBitRidesEveryLockOperation(t *testing.T) {
 	if err := ws[0].TryAcquireRead(0, DefaultTries); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AcquireWriteTrain(1, seededLocks(ws, vers, false), 2); err == nil {
+	if _, err := AcquireWriteTrain(1, seededLocks(ws, vers), 2); err == nil {
 		t.Fatal("write train took a read-held word")
 	}
 	ws[0].ReleaseRead(0)
-	checkWords(t, ws, vers, true)
-
-	// The speculative read lock refuses a stub at its version.
-	f.ResetCounters()
-	if _, ok := ws[0].TryAcquireReadAt(1, vers[0], DefaultTries); ok {
-		t.Fatal("TryAcquireReadAt took a stub word")
-	}
-	if s := f.CounterSnapshot(1); s.RemoteAtoms != 1 {
-		t.Errorf("refusing a stub took %d remote atomics, want 1", s.RemoteAtoms)
-	}
 	checkWords(t, ws, vers, true)
 
 	clearing := make([]StubMark, len(ws))
 	for i := range clearing {
 		clearing[i] = StubClear
 	}
-	if held, err = AcquireWriteTrain(1, seededLocks(ws, vers, false), DefaultTries); err != nil {
+	if held, err = AcquireWriteTrain(1, seededLocks(ws, vers), DefaultTries); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := trains(f, func() { ReleaseWriteTrainMarked(1, ws, held, clearing) }); n != oneRound {
@@ -240,17 +208,13 @@ func TestStubBitRidesEveryLockOperation(t *testing.T) {
 	}
 	bump(vers)
 	checkWords(t, ws, vers, false)
-	if _, ok := ws[0].TryAcquireReadAt(1, vers[0], DefaultTries); !ok {
-		t.Fatal("TryAcquireReadAt refused a word that is no stub any more")
-	}
-	ws[0].ReleaseRead(1)
 }
 
 // seededLocks is a write train over ws seeded with vers.
-func seededLocks(ws []Word, vers []uint64, fromRead bool) []TrainLock {
+func seededLocks(ws []Word, vers []uint64) []TrainLock {
 	ls := make([]TrainLock, len(ws))
 	for i, w := range ws {
-		ls[i] = TrainLock{Word: w, FromRead: fromRead, Ver: vers[i]}
+		ls[i] = TrainLock{Word: w, Ver: vers[i]}
 	}
 	return ls
 }

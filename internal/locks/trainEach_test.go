@@ -73,37 +73,3 @@ func TestAcquireWriteTrainEachPartial(t *testing.T) {
 		t.Fatalf("(1,3) version = %d after two release cycles, want 3", got)
 	}
 }
-
-// TestAcquireWriteTrainEachUpgrade: FromRead entries upgrade held shared
-// locks best-effort, leaving contended ones as plain read locks.
-func TestAcquireWriteTrainEachUpgrade(t *testing.T) {
-	f := rma.New(1)
-	win := f.NewWordWin(4)
-	a := Word{Win: win, Target: 0, Idx: 0}
-	b := Word{Win: win, Target: 0, Idx: 1}
-	if err := a.TryAcquireRead(0, 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.TryAcquireRead(0, 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.TryAcquireRead(0, 4); err != nil { // second reader blocks the upgrade
-		t.Fatal(err)
-	}
-	vers, held := AcquireWriteTrainEach(0, []TrainLock{
-		{Word: a, FromRead: true},
-		{Word: b, FromRead: true},
-	}, 8)
-	if !held[0] || held[1] {
-		t.Fatalf("held = %v, want [true false]", held)
-	}
-	if w, r := a.Peek(0); !w || r != 0 {
-		t.Fatalf("a not upgraded: writer=%v readers=%d", w, r)
-	}
-	if w, r := b.Peek(0); w || r != 2 {
-		t.Fatalf("b disturbed: writer=%v readers=%d", w, r)
-	}
-	ReleaseWriteTrain(0, []Word{a}, []uint64{vers[0]})
-	b.ReleaseRead(0)
-	b.ReleaseRead(0)
-}
