@@ -423,9 +423,11 @@
 // a per-worker ReadArena whose view decodes varints in place from the
 // fetched blocks — no materialized edge slices — and a CI allocation guard
 // asserts 0 allocs/op on the cached optimistic point-read and
-// ForEachNeighbor paths, and one (the result) per read-only Edges call
-// (outside -race builds, whose shadow allocations would distort
-// testing.AllocsPerRun). The edge region has one decoder, the holder
+// ForEachNeighbor paths, and at most two per read-only Edges call (outside
+// -race builds, whose shadow allocations would distort
+// testing.AllocsPerRun): its result, an EdgeList, is the neighbor array
+// GDI_GetEdgesOfVertex fills, 8 bytes an edge, into which each light run is
+// decoded in place, plus a table of the runs the edges came from. The edge region has one decoder, the holder
 // package's EdgeCursor; ARCHITECTURE.md's "Life of a holder read" names its
 // callers. The cursor, its varint readers and the whole-holder round trip
 // are fuzzed (FuzzVarintEdgeRun against a reference decoder, FuzzUvarint,

@@ -85,7 +85,8 @@ func main() {
 	// Issue one non-blocking association per friend, then wait: the fetches
 	// are flushed together as batched one-sided reads on the first Wait.
 	var futures []*gdi.VertexFuture
-	for _, e := range edges {
+	for i := range edges.Len() {
+		e := edges.At(i)
 		if e.Label != friendOf {
 			continue // not a friendship edge
 		}

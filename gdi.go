@@ -34,7 +34,11 @@ type (
 	Direction = holder.Direction
 	// DirMask selects directions in edge queries.
 	DirMask = core.DirMask
-	// EdgeInfo describes one incident edge.
+	// EdgeList is what VertexHandle.Edges returns (GDI_GetEdgesOfVertex):
+	// the incident edges as one array of neighbors, 8 bytes an edge, and a
+	// table of the runs they came from. Len, At and Neighbors read it.
+	EdgeList = core.EdgeList
+	// EdgeInfo describes one incident edge: what EdgeList.At returns.
 	EdgeInfo = core.EdgeInfo
 	// Mode distinguishes read-only from read-write transactions.
 	Mode = core.Mode

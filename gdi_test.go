@@ -110,7 +110,7 @@ func TestPublicEdgeTraversal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(edges) != 1 || edges[0].Neighbor != b {
+	if edges.Len() != 1 || edges.At(0).Neighbor != b {
 		t.Fatalf("constrained edges = %+v", edges)
 	}
 	all, _ := h.Neighbors(gdi.MaskAll, nil)

@@ -94,8 +94,8 @@ func GNNForward(p *gdi.Process, g *Graph, cfg GNNConfig, feat, featNext gdi.PTyp
 				tx.Abort()
 				return 0, err
 			}
-			for _, e := range edges {
-				nh, err := tx.AssociateVertex(e.Neighbor)
+			for _, nb := range edges.Neighbors() {
+				nh, err := tx.AssociateVertex(nb)
 				if err != nil {
 					tx.Abort()
 					return 0, err

@@ -157,16 +157,13 @@ func loadAdjacency(p *gdi.Process, tx *gdi.Transaction) (*adjacency, error) {
 		if err != nil {
 			return nil, err
 		}
-		nbrs := make([]gdi.VertexID, len(edges))
-		for k, e := range edges {
-			nbrs[k] = e.Neighbor
-		}
-		if nbrs, err = canonical(tx, nbrs); err != nil {
+		nbrs, err := canonical(tx, edges.Neighbors())
+		if err != nil {
 			return nil, err
 		}
-		for k, e := range edges {
+		for k := range edges.Len() {
 			a.all[v] = append(a.all[v], nbrs[k])
-			if e.Dir == gdi.DirOut || e.Dir == gdi.DirUndirected {
+			if dir := edges.At(k).Dir; dir == gdi.DirOut || dir == gdi.DirUndirected {
 				a.out[v] = append(a.out[v], nbrs[k])
 			}
 		}

@@ -2,6 +2,7 @@ package block
 
 import (
 	"container/list"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sync"
@@ -26,11 +27,15 @@ import (
 // mutated under their *endpoints'* locks and therefore bypass the cache.
 // Local blocks are never cached (a local read costs no remote latency).
 
-// cacheEntry is one version-stamped block copy.
+// cacheEntry is one version-stamped block copy. It keeps the copy up to
+// its last nonzero byte: a holder's stream ends in zero padding, which is
+// most of a small vertex's only block. size is the length of the whole copy,
+// which reads as payload followed by zeros.
 type cacheEntry struct {
 	dp      fabric.DPtr
 	guard   fabric.DPtr // holder primary whose lock word stamps this copy
 	ver     uint64      // guard version the payload corresponds to
+	size    int
 	payload []byte
 }
 
@@ -47,7 +52,7 @@ type blockCache struct {
 func newBlockCache(capacity int) *blockCache {
 	return &blockCache{
 		cap: capacity,
-		m:   make(map[fabric.DPtr]*list.Element, capacity),
+		m:   make(map[fabric.DPtr]*list.Element),
 		lru: list.New(),
 	}
 }
@@ -63,22 +68,24 @@ func (c *blockCache) lookup(dp, guard fabric.DPtr, dst []byte) (ver uint64, ok b
 		return 0, false
 	}
 	e := el.Value.(*cacheEntry)
-	if e.guard != guard || len(e.payload) < len(dst) {
+	if e.guard != guard || e.size < len(dst) {
 		return 0, false
 	}
 	c.lru.MoveToFront(el)
-	copy(dst, e.payload)
+	clear(dst[copy(dst, e.payload):])
 	return e.ver, true
 }
 
 // install stores a validated copy, evicting from the LRU tail under capacity
 // pressure. An existing entry for dp is replaced.
 func (c *blockCache) install(dp, guard fabric.DPtr, ver uint64, payload []byte) {
+	size := len(payload)
+	payload = trimZeros(payload)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, found := c.m[dp]; found {
 		e := el.Value.(*cacheEntry)
-		e.guard, e.ver = guard, ver
+		e.guard, e.ver, e.size = guard, ver, size
 		e.payload = append(e.payload[:0], payload...)
 		c.lru.MoveToFront(el)
 		return
@@ -88,8 +95,19 @@ func (c *blockCache) install(dp, guard fabric.DPtr, ver uint64, payload []byte) 
 		c.lru.Remove(tail)
 		delete(c.m, tail.Value.(*cacheEntry).dp)
 	}
-	e := &cacheEntry{dp: dp, guard: guard, ver: ver, payload: append([]byte(nil), payload...)}
+	e := &cacheEntry{dp: dp, guard: guard, ver: ver, size: size, payload: append([]byte(nil), payload...)}
 	c.m[dp] = c.lru.PushFront(e)
+}
+
+// trimZeros returns b without its trailing zero bytes, a word at a time.
+func trimZeros(b []byte) []byte {
+	for len(b) >= 8 && binary.LittleEndian.Uint64(b[len(b)-8:]) == 0 {
+		b = b[:len(b)-8]
+	}
+	for len(b) > 0 && b[len(b)-1] == 0 {
+		b = b[:len(b)-1]
+	}
+	return b
 }
 
 // invalidate drops dp's entry, if any.

@@ -82,6 +82,38 @@ func TestCachedReadHitAndMiss(t *testing.T) {
 	}
 }
 
+// TestCachedZeroTailReadsBack: an entry keeps its block up to the last
+// nonzero byte, and a hit fills the rest of the reader's buffer with zeros,
+// whatever the buffer held — for a block with a zero tail, an all-zero
+// block, and one whose zeros are all inside.
+func TestCachedZeroTailReadsBack(t *testing.T) {
+	s, f := cacheFixture(t, 8)
+	tail := make([]byte, 64)
+	copy(tail, "ten bytes!")
+	inside := payloadFor(0) // payloadFor(0)[0] is the one zero
+	for _, block := range [][]byte{tail, make([]byte, 64), inside} {
+		dp, err := s.AcquireBlock(1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.WriteBlock(1, dp, block)
+		for read := range 2 {
+			buf := bytes.Repeat([]byte{0xff}, 64)
+			vers, ok := s.ReadBlocksCached(0, []rma.DPtr{dp}, []rma.DPtr{dp}, [][]byte{buf}, false)
+			if !ok[0] || vers[0] != 0 || !bytes.Equal(buf, block) {
+				t.Fatalf("read %d of % x...: ok=%v, got % x...", read, block[:12], ok[0], buf[:12])
+			}
+		}
+		kept := len(bytes.TrimRight(block, "\x00"))
+		if e := s.cacheOf(0).m[dp].Value.(*cacheEntry); len(e.payload) != kept || e.size != 64 {
+			t.Fatalf("entry of % x... keeps %d of %d bytes, want %d of 64", block[:12], len(e.payload), e.size, kept)
+		}
+	}
+	if snap := f.CounterSnapshot(0); snap.CacheHits != 3 || snap.CacheMisses != 3 {
+		t.Fatalf("hits=%d misses=%d, want 3 and 3", snap.CacheHits, snap.CacheMisses)
+	}
+}
+
 func TestLocalBlocksBypassTheCache(t *testing.T) {
 	s, f := cacheFixture(t, 8)
 	dp, err := s.AcquireBlock(0, 0)

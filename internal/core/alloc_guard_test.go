@@ -166,7 +166,8 @@ func TestTranslateHitAllocatesNothingExtra(t *testing.T) {
 // bytes, the read set and the validation train's words — and the same
 // number for a one-block holder as for a chain, local and served from the
 // warm cache. Reading a property costs at most one object more (the copy of
-// its value), and reading the edges exactly one (the result).
+// its value), and reading the edges at most two (the neighbor array and the
+// run table).
 func TestReadOnlyTxAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is not meaningful under the race detector")
@@ -229,8 +230,8 @@ func TestReadOnlyTxAllocs(t *testing.T) {
 				}
 			}
 			edges := func(h *VertexHandle) {
-				if infos, err := h.Edges(MaskAll, nil); err != nil || len(infos) != degree {
-					panic(fmt.Sprintf("Edges = %d edges, %v; want %d", len(infos), err, degree))
+				if infos, err := h.Edges(MaskAll, nil); err != nil || infos.Len() != degree {
+					panic(fmt.Sprintf("Edges = %d edges, %v; want %d", infos.Len(), err, degree))
 				}
 			}
 			read(degreeOnly)() // fills the translation and block caches
@@ -246,8 +247,8 @@ func TestReadOnlyTxAllocs(t *testing.T) {
 			if withProperty > base+1 {
 				t.Errorf("%s: Property adds %.0f objects, want at most 1", c, withProperty-base)
 			}
-			if withEdges != base+1 {
-				t.Errorf("%s: Edges adds %.0f objects, want exactly 1", c, withEdges-base)
+			if withEdges > base+2 {
+				t.Errorf("%s: Edges adds %.0f objects, want at most 2 (the neighbor array and the run table)", c, withEdges-base)
 			}
 		}
 	}
@@ -329,11 +330,12 @@ func TestFrontierHopAllocsIndependentOfWidth(t *testing.T) {
 }
 
 // TestEdgesAllocatesOnlyItsResult: a read-only Edges walks the fetched stream
-// in place and allocates one object, its result, sized once from the
-// degree — never a materialized record slice, never a regrown result. On a
-// warm handle each call costs exactly that one object, and a transaction
-// that reads a vertex's edges costs one object more than one that reads its
-// degree, at degree 8 (one block) as at degree 512 (a chain).
+// in place and allocates its result only — the neighbor array, sized once
+// from the degree, and the run table — never a materialized record slice,
+// never a regrown array. On a warm handle each call costs at most those two
+// objects, and a transaction that reads a vertex's edges costs at most two
+// objects more than one that reads its degree, at degree 8 (one block) as at
+// degree 512 (a chain).
 func TestEdgesAllocatesOnlyItsResult(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is not meaningful under the race detector")
@@ -348,8 +350,8 @@ func TestEdgesAllocatesOnlyItsResult(t *testing.T) {
 			})
 			center := seedFanVertex(t, e, degree)
 			edges := func(h *VertexHandle) {
-				if infos, err := h.Edges(MaskAll, nil); err != nil || len(infos) != degree {
-					panic(fmt.Sprintf("Edges = %d edges, %v; want %d", len(infos), err, degree))
+				if infos, err := h.Edges(MaskAll, nil); err != nil || infos.Len() != degree {
+					panic(fmt.Sprintf("Edges = %d edges, %v; want %d", infos.Len(), err, degree))
 				}
 			}
 
@@ -359,8 +361,8 @@ func TestEdgesAllocatesOnlyItsResult(t *testing.T) {
 				t.Fatal(err)
 			}
 			edges(h)
-			if perCall := testing.AllocsPerRun(100, func() { edges(h) }); perCall != 1 {
-				t.Fatalf("a warm Edges allocates %.0f objects per call, want 1", perCall)
+			if perCall := testing.AllocsPerRun(100, func() { edges(h) }); perCall > 2 {
+				t.Fatalf("a warm Edges allocates %.0f objects per call, want at most 2 (the neighbor array and the run table)", perCall)
 			}
 			if h.st.v != nil {
 				t.Fatal("a read-only Edges materialized the records")
@@ -389,8 +391,8 @@ func TestEdgesAllocatesOnlyItsResult(t *testing.T) {
 			}
 			withEdges := testing.AllocsPerRun(100, read(edges))
 			withDegree := testing.AllocsPerRun(100, read(degreeOnly))
-			if withEdges != withDegree+1 {
-				t.Fatalf("a transaction reading the edges allocates %.0f objects, one reading the degree %.0f: want exactly one more", withEdges, withDegree)
+			if withEdges > withDegree+2 {
+				t.Fatalf("a transaction reading the edges allocates %.0f objects, one reading the degree %.0f: want at most two more", withEdges, withDegree)
 			}
 		})
 	}

@@ -656,10 +656,10 @@ func TestBulkLoadCanonicalLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	infos, err := h.Edges(MaskAll, nil)
-	if err != nil || len(infos) != len(before) {
-		t.Fatalf("Edges = %d edges, %v; want %d", len(infos), err, len(before))
+	if err != nil || infos.Len() != len(before) {
+		t.Fatalf("Edges = %d edges, %v; want %d", infos.Len(), err, len(before))
 	}
-	taken := infos[len(infos)/2]
+	taken := infos.At(infos.Len() / 2)
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}

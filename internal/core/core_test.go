@@ -212,7 +212,7 @@ func TestEdgesLifecycle(t *testing.T) {
 	if hb.CountEdges(MaskIn) != 1 || hb.CountEdges(MaskOut) != 0 {
 		t.Fatalf("target edge counts: in=%d out=%d", hb.CountEdges(MaskIn), hb.CountEdges(MaskOut))
 	}
-	infos, err := ha.Edges(MaskAll, nil)
+	infos, err := checkEdges(t, ha, MaskAll, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestHeavyEdgeRoundTrip(t *testing.T) {
 
 	tx2 := e.StartLocal(1, ReadOnly)
 	ha, _ := tx2.AssociateVertex(a)
-	infos, err := ha.Edges(MaskOut, nil)
+	infos, err := checkEdges(t, ha, MaskOut, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestHeavyEdgeRoundTrip(t *testing.T) {
 	}
 	// The target also resolves the true neighbor through the holder.
 	hb, _ := tx2.AssociateVertex(b)
-	binfos, _ := hb.Edges(MaskIn, nil)
+	binfos, _ := checkEdges(t, hb, MaskIn, nil)
 	if len(binfos) != 1 || binfos[0].Neighbor != a {
 		t.Fatalf("target-side heavy edge = %+v", binfos)
 	}
@@ -359,7 +359,7 @@ func TestConstraintFilteredEdges(t *testing.T) {
 	cons := &constraint.Constraint{}
 	i := cons.AddSubconstraint(constraint.Subconstraint{})
 	cons.AddLabelCond(i, constraint.LabelCond{Label: owns})
-	infos, err := h.Edges(MaskOut, cons)
+	infos, err := checkEdges(t, h, MaskOut, cons)
 	if err != nil {
 		t.Fatal(err)
 	}

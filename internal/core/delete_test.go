@@ -436,7 +436,7 @@ func TestDeleteVertexDropsHeavySibling(t *testing.T) {
 			if d := h.Degree(); d != 0 {
 				t.Errorf("the survivor's degree is %d, want 0", d)
 			}
-			if infos, err := h.Edges(MaskAll, nil); err != nil || len(infos) != 0 {
+			if infos, err := h.Edges(MaskAll, nil); err != nil || infos.Len() != 0 {
 				t.Errorf("the survivor's edges: %+v, %v; want none", infos, err)
 			}
 		})

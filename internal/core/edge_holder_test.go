@@ -33,10 +33,10 @@ func TestAssociateEdgeHolderV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(infos) != 1 || !infos[0].Heavy {
+	if infos.Len() != 1 || !infos.At(0).Heavy {
 		t.Fatalf("heavy edge infos = %+v", infos)
 	}
-	eh, err := tx2.AssociateEdgeHolder(infos[0].Holder)
+	eh, err := tx2.AssociateEdgeHolder(infos.At(0).Holder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestAssociateEdgeHolderRejectsReusedBlock(t *testing.T) {
 				t.Fatal(err)
 			}
 			infos, err := ha.Edges(MaskOut, nil)
-			if err != nil || len(infos) != 1 {
+			if err != nil || infos.Len() != 1 {
 				t.Fatalf("heavy edge infos = %+v, %v", infos, err)
 			}
 			probe.Abort()
@@ -121,11 +121,11 @@ func TestAssociateEdgeHolderRejectsReusedBlock(t *testing.T) {
 			binary.LittleEndian.PutUint32(garbage[0:], tc.nb)
 			binary.LittleEndian.PutUint32(garbage[12:], 1) // the edge-holder flag bit
 			binary.LittleEndian.PutUint64(garbage[holder.TableEntryOffset(0):], uint64(rma.MakeDPtr(255, 5)))
-			e.Store().WriteBlock(0, infos[0].Holder, garbage)
+			e.Store().WriteBlock(0, infos.At(0).Holder, garbage)
 
 			ro := e.StartLocal(1, ReadOnly)
 			defer ro.Abort()
-			if _, err := ro.AssociateEdgeHolder(infos[0].Holder); !errors.Is(err, ErrNotFound) {
+			if _, err := ro.AssociateEdgeHolder(infos.At(0).Holder); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("AssociateEdgeHolder over a reused block: err = %v, want ErrNotFound", err)
 			}
 		})

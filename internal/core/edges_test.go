@@ -92,7 +92,7 @@ func TestEdgesLazyMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doomedEdges, err := dh.Edges(MaskAll, nil)
+	doomedEdges, err := checkEdges(t, dh, MaskAll, nil)
 	if err != nil || len(doomedEdges) != 1 || !doomedEdges[0].Heavy {
 		t.Fatalf("the doomed vertex has edges %+v, %v; want its one heavy edge", doomedEdges, err)
 	}
@@ -109,7 +109,7 @@ func TestEdgesLazyMatchesMaterialized(t *testing.T) {
 	lazy := make(map[string][]EdgeInfo)
 	for mask := DirMask(0); mask <= MaskAll; mask++ {
 		for ci, cons := range conses {
-			infos, err := h.Edges(mask, cons)
+			infos, err := checkEdges(t, h, mask, cons)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +135,7 @@ func TestEdgesLazyMatchesMaterialized(t *testing.T) {
 	}
 	for mask := DirMask(0); mask <= MaskAll; mask++ {
 		for ci, cons := range conses {
-			got, err := h.Edges(mask, cons)
+			got, err := checkEdges(t, h, mask, cons)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,8 +182,8 @@ func TestEdgesLazyMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if infos, err := h.Edges(MaskAll, nil); !errors.Is(err, ErrNotFound) || infos != nil {
-		t.Fatalf("Edges over a corrupt edge region = %d edges, %v; want nil and ErrNotFound", len(infos), err)
+	if infos, err := checkEdges(t, h, MaskAll, nil); !errors.Is(err, ErrNotFound) || len(infos) != 0 {
+		t.Fatalf("Edges over a corrupt edge region = %d edges, %v; want none and ErrNotFound", len(infos), err)
 	}
 	if err := h.ForEachEdge(MaskAll, func(rma.DPtr, holder.Direction) {}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("ForEachEdge over a corrupt edge region: %v, want ErrNotFound", err)

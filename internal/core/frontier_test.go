@@ -464,6 +464,8 @@ func expandFrontierCoherenceStress(t *testing.T, cacheBlocks int) {
 		writers = 2
 		readers = 2
 		rounds  = 150
+		// maxRounds caps a writer's rounds while it waits for the readers.
+		maxRounds = 100 * rounds
 	)
 
 	e := NewEngine(rma.New(ranks), Config{BlockSize: 64, BlocksPerRank: 1 << 12, LockTries: 256, CacheCapacity: cacheBlocks})
@@ -494,14 +496,26 @@ func expandFrontierCoherenceStress(t *testing.T, cacheBlocks int) {
 		differ.AddPropCond(i, constraint.PropCond{PType: tail, Datatype: lpg.TypeUint64, Op: constraint.OpEq, Operand: lpg.EncodeUint64(1 - bit)})
 	}
 
-	var wg sync.WaitGroup
-	var validated atomic.Int64
+	// Writers flip at least rounds times and then on until every reader has
+	// validated an expansion while they were still writing; readers read for
+	// as long as any writer writes. A writer that reaches maxRounds gives up,
+	// and the test fails: the readers starved.
+	var (
+		wg        sync.WaitGroup
+		writing   atomic.Int32 // writers still flipping
+		satisfied atomic.Int32 // readers that validated an expansion mid-write
+	)
+	writing.Store(writers)
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer writing.Add(-1)
 			rng := rand.New(rand.NewSource(int64(w) + 3))
-			for i := 0; i < rounds; i++ {
+			for i := 0; i < rounds || satisfied.Load() < readers; i++ {
+				if i == maxRounds {
+					return
+				}
 				tx := e.StartLocal(rma.Rank(w%ranks), ReadWrite)
 				h, err := tx.AssociateVertex(dps[rng.Intn(keys)])
 				if err == nil {
@@ -526,7 +540,8 @@ func expandFrontierCoherenceStress(t *testing.T, cacheBlocks int) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			for i := 0; i < rounds; i++ {
+			counted := false
+			for i := 0; writing.Load() > 0; i++ {
 				tx := e.StartLocal(rma.Rank(r%ranks), ReadOnly)
 				torn, _, err := tx.ExpandFrontier(dps, DirMask(i%2)*MaskAll, differ)
 				var all []rma.DPtr
@@ -545,15 +560,18 @@ func expandFrontierCoherenceStress(t *testing.T, cacheBlocks int) {
 				case len(torn) != 0 || len(all) != keys:
 					t.Errorf("validated expansion saw %d torn vertices and %d of %d vertices", len(torn), len(all), keys)
 					return
-				default:
-					validated.Add(1)
+				case !counted && writing.Load() == writers:
+					// No writer can stop before this reader is counted, so
+					// every writer was still writing when it validated.
+					counted = true
+					satisfied.Add(1)
 				}
 			}
 		}(r)
 	}
 	wg.Wait()
-	if validated.Load() == 0 {
-		t.Fatal("no expansion validated: the stress measured nothing")
+	if n := satisfied.Load(); n < readers {
+		t.Fatalf("%d of %d readers validated an expansion while the writers wrote, in %d rounds a writer: the readers starved", n, readers, maxRounds)
 	}
 }
 

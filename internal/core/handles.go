@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sort"
 
 	"github.com/gdi-go/gdi/internal/constraint"
 	"github.com/gdi-go/gdi/internal/fabric"
@@ -282,8 +283,9 @@ func (m DirMask) matches(d holder.Direction) bool {
 	}
 }
 
-// EdgeInfo describes one edge incident to a vertex. Its fields are ordered
-// widest first so that it packs into 40 bytes.
+// EdgeInfo describes one edge incident to a vertex: what EdgeList.At
+// returns. Its fields are ordered widest first so that it packs into 40
+// bytes.
 type EdgeInfo struct {
 	// UID identifies the edge relative to the queried vertex.
 	UID holder.EdgeUID
@@ -300,111 +302,168 @@ type EdgeInfo struct {
 	Heavy bool
 }
 
+// EdgeList is what Edges returns: a vertex's incident edges in record
+// order, held the way GDI_GetEdgesOfVertex hands them out — one neighbor
+// per edge in a flat array, 8 bytes an edge, plus a table with one entry per
+// run of edges that share a direction, a label and consecutive record
+// indices. A heavy edge is a run of its own and carries its holder. At
+// rebuilds an edge's EdgeInfo from the two. An EdgeList is complete when
+// Edges returns and does not alias the transaction's holder. The zero
+// EdgeList is empty.
+type EdgeList struct {
+	vertex fabric.DPtr
+	nbrs   []fabric.DPtr
+	runs   []edgeRun
+}
+
+// edgeRun describes the edges nbrs[at : at+count]: records first through
+// first+count-1 of the vertex, all of direction dir and label label.
+type edgeRun struct {
+	holder fabric.DPtr // a heavy edge's holder
+	at     uint32
+	first  uint32
+	count  uint32
+	label  lpg.LabelID
+	dir    holder.Direction
+	heavy  bool
+}
+
+// Len returns the number of edges in the list.
+func (l EdgeList) Len() int { return len(l.nbrs) }
+
+// Neighbors returns each edge's neighbor in list order, duplicates
+// included. The slice is the list's own; callers must not modify it.
+func (l EdgeList) Neighbors() []fabric.DPtr { return l.nbrs }
+
+// At returns the i-th edge, 0 <= i < Len. O(log runs).
+func (l EdgeList) At(i int) EdgeInfo {
+	r := &l.runs[sort.Search(len(l.runs), func(k int) bool { return int(l.runs[k].at+l.runs[k].count) > i })]
+	return EdgeInfo{
+		UID:      holder.EdgeUID{Vertex: l.vertex, Index: r.first + uint32(i) - r.at},
+		Neighbor: l.nbrs[i],
+		Holder:   r.holder,
+		Label:    r.label,
+		Dir:      r.dir,
+		Heavy:    r.heavy,
+	}
+}
+
+// add appends the edge of record pos: a continuation of the last run when
+// both are light, share direction and label and pos follows the run's last
+// record, a run of its own otherwise.
+func (l *EdgeList) add(pos uint32, nb fabric.DPtr, dir holder.Direction, label lpg.LabelID, heavyHolder fabric.DPtr, heavy bool) {
+	if k := len(l.runs) - 1; k >= 0 && !heavy {
+		if r := &l.runs[k]; !r.heavy && r.dir == dir && r.label == label && r.first+r.count == pos {
+			r.count++
+			l.nbrs = append(l.nbrs, nb)
+			return
+		}
+	}
+	l.runs = append(l.runs, edgeRun{holder: heavyHolder, at: uint32(len(l.nbrs)), first: pos, count: 1, label: label, dir: dir, heavy: heavy})
+	l.nbrs = append(l.nbrs, nb)
+}
+
 // Edges lists the vertex's incident edges matching mask and, optionally, a
 // constraint over the edges' labels/properties (GDI_GetEdgesOfVertex).
 // Lightweight edges evaluate the constraint on their single label without
 // any communication; heavy edges fetch their holder. O(deg(v)) plus one
 // holder fetch per heavy edge. A read-only call walks the fetched stream in
-// place and allocates its result once; it never materializes the records.
-func (h *VertexHandle) Edges(mask DirMask, cons *constraint.Constraint) ([]EdgeInfo, error) {
+// place, decodes each neighbor straight into the list and allocates two
+// objects, the neighbor array and the run table; it never materializes the
+// records.
+func (h *VertexHandle) Edges(mask DirMask, cons *constraint.Constraint) (EdgeList, error) {
 	if err := h.tx.check(); err != nil {
-		return nil, err
+		return EdgeList{}, err
 	}
-	out := make([]EdgeInfo, 0, h.Degree())
+	deg := h.Degree()
+	if h.st.v == nil {
+		deg = h.st.view.EdgeCap() // a corrupt header's count must not size the array
+	}
+	l := EdgeList{vertex: h.st.primary, nbrs: make([]fabric.DPtr, 0, deg), runs: make([]edgeRun, 0, min(deg, 4))}
 	if h.st.v == nil && cons == nil {
-		return h.viewEdges(out, mask)
+		return h.viewEdges(l, mask)
 	}
-	var err error
 	w := h.st.edges()
 	for w.next() {
-		if out, err = h.appendEdge(out, w.rec, w.pos, mask, cons); err != nil {
-			return nil, err
+		if err := h.appendEdge(&l, w.rec, uint32(w.pos), mask, cons); err != nil {
+			return EdgeList{}, err
 		}
 	}
 	if err := w.err(); err != nil {
-		return nil, err
+		return EdgeList{}, err
 	}
-	return out, nil
+	return l, nil
 }
 
 // viewEdges is Edges on a clean state without a constraint. It walks the
-// view a run at a time: a light run that mask selects is appended in one
-// loop over its decoded neighbors, and only heavy runs and the runs mask
-// drops go record by record.
-func (h *VertexHandle) viewEdges(out []EdgeInfo, mask DirMask) ([]EdgeInfo, error) {
-	var (
-		nbrs [64]fabric.DPtr
-		err  error
-	)
+// view a run at a time: a light run that mask selects is decoded by StepRun
+// straight into the tail of the neighbor array, and only heavy runs and the
+// runs mask drops go record by record.
+func (h *VertexHandle) viewEdges(l EdgeList, mask DirMask) (EdgeList, error) {
 	pos := uint32(0)
 	c := h.st.view.Edges()
 	for c.NextRun() {
 		if c.Rec.Heavy || !mask.matches(c.Rec.Dir) {
 			for ok := true; ok; ok = c.Step() {
-				if out, err = h.appendEdge(out, c.Rec, int(pos), mask, nil); err != nil {
-					return nil, err
+				if err := h.appendEdge(&l, c.Rec, pos, mask, nil); err != nil {
+					return EdgeList{}, err
 				}
 				pos++
 			}
 			continue
 		}
-		info := EdgeInfo{UID: holder.EdgeUID{Vertex: h.st.primary, Index: pos}, Neighbor: c.Rec.Neighbor, Dir: c.Rec.Dir, Label: c.Rec.Label}
-		out = append(out, info)
-		pos++
-		for n := c.StepRun(nbrs[:]); n > 0; n = c.StepRun(nbrs[:]) {
-			for _, nb := range nbrs[:n] {
-				info.UID.Index, info.Neighbor = pos, nb
-				out = append(out, info)
-				pos++
-			}
+		l.add(pos, c.Rec.Neighbor, c.Rec.Dir, c.Rec.Label, 0, false)
+		// The array's capacity bounds the records the cursor yields
+		// (EdgeCap), so the tail has room for the rest of the run.
+		r := &l.runs[len(l.runs)-1]
+		for n := c.StepRun(l.nbrs[len(l.nbrs):cap(l.nbrs)]); n > 0; n = c.StepRun(l.nbrs[len(l.nbrs):cap(l.nbrs)]) {
+			l.nbrs = l.nbrs[:len(l.nbrs)+n]
+			r.count += uint32(n)
 		}
+		pos = r.first + r.count
 	}
 	if err := h.st.viewErr(); err != nil {
-		return nil, err
+		return EdgeList{}, err
 	}
-	return out, nil
+	return l, nil
 }
 
-// appendEdge appends to out the EdgeInfo of record rec, the record at index
-// pos, if the edge matches mask and cons. A heavy record fetches its edge
-// holder; a deleted heavy edge matches nothing.
-func (h *VertexHandle) appendEdge(out []EdgeInfo, rec holder.EdgeRec, pos int, mask DirMask, cons *constraint.Constraint) ([]EdgeInfo, error) {
+// appendEdge adds to l the edge of record rec, the record at index pos, if
+// the edge matches mask and cons. A heavy record fetches its edge holder; a
+// deleted heavy edge matches nothing.
+func (h *VertexHandle) appendEdge(l *EdgeList, rec holder.EdgeRec, pos uint32, mask DirMask, cons *constraint.Constraint) error {
 	if !mask.matches(rec.Dir) {
-		return out, nil
+		return nil
 	}
-	info := EdgeInfo{
-		UID:      holder.EdgeUID{Vertex: h.st.primary, Index: uint32(pos)},
-		Neighbor: rec.Neighbor,
-		Dir:      rec.Dir,
-		Label:    rec.Label,
-		Heavy:    rec.Heavy,
+	if !rec.Heavy {
+		if cons != nil {
+			var labels []lpg.LabelID
+			if rec.Label != 0 {
+				labels = []lpg.LabelID{rec.Label}
+			}
+			if !cons.Eval(labels, nil) {
+				return nil
+			}
+		}
+		l.add(pos, rec.Neighbor, rec.Dir, rec.Label, 0, false)
+		return nil
 	}
-	if rec.Heavy {
-		info.Holder = rec.Neighbor
-		es, err := h.tx.fetchEdgeState(rec.Neighbor)
-		if err != nil {
-			return nil, err
-		}
-		if es.deleted {
-			return out, nil
-		}
-		info.Neighbor = heavyNeighbor(es.e, h.st)
-		if len(es.e.Labels) > 0 {
-			info.Label = es.e.Labels[0]
-		}
-		if cons != nil && !cons.Eval(es.e.Labels, es.e.Props) {
-			return out, nil
-		}
-	} else if cons != nil {
-		var labels []lpg.LabelID
-		if rec.Label != 0 {
-			labels = []lpg.LabelID{rec.Label}
-		}
-		if !cons.Eval(labels, nil) {
-			return out, nil
-		}
+	es, err := h.tx.fetchEdgeState(rec.Neighbor)
+	if err != nil {
+		return err
 	}
-	return append(out, info), nil
+	if es.deleted {
+		return nil
+	}
+	label := rec.Label
+	if len(es.e.Labels) > 0 {
+		label = es.e.Labels[0]
+	}
+	if cons != nil && !cons.Eval(es.e.Labels, es.e.Props) {
+		return nil
+	}
+	l.add(pos, heavyNeighbor(es.e, h.st), rec.Dir, label, rec.Neighbor, true)
+	return nil
 }
 
 // edgeWalk iterates a vertex state's edge records in record order: through
@@ -490,32 +549,65 @@ func (h *VertexHandle) ForEachNeighbor(mask DirMask, fn func(fabric.DPtr)) error
 // ForEachEdge streams (neighbor, direction) for every incident edge record
 // matching mask, in record order and without materializing EdgeInfo values —
 // the snapshot path analytics uses to build CSR adjacency without per-vertex
-// slice allocations. Heavy-edge records resolve their holder exactly as
-// Edges does; deleted heavy edges are skipped.
+// slice allocations. On a clean state it walks the view a run at a time, as
+// Edges does. Heavy-edge records resolve their holder exactly as Edges
+// does; deleted heavy edges are skipped.
 func (h *VertexHandle) ForEachEdge(mask DirMask, fn func(nb fabric.DPtr, dir holder.Direction)) error {
 	if err := h.tx.check(); err != nil {
 		return err
 	}
-	w := h.st.edges()
-	for w.next() {
-		rec := &w.rec
-		if !mask.matches(rec.Dir) {
-			continue
-		}
-		nb := rec.Neighbor
-		if rec.Heavy {
-			es, err := h.tx.fetchEdgeState(nb)
-			if err != nil {
+	if h.st.v != nil {
+		for _, rec := range h.st.v.Edges {
+			if err := h.visitEdge(rec, mask, fn); err != nil {
 				return err
 			}
-			if es.deleted {
-				continue
-			}
-			nb = heavyNeighbor(es.e, h.st)
 		}
-		fn(nb, rec.Dir)
+		return nil
 	}
-	return w.err()
+	var nbrs [64]fabric.DPtr
+	c := h.st.view.Edges()
+	for c.NextRun() {
+		if !mask.matches(c.Rec.Dir) {
+			continue // NextRun skips the rest of the run
+		}
+		if c.Rec.Heavy {
+			for ok := true; ok; ok = c.Step() {
+				if err := h.visitEdge(c.Rec, mask, fn); err != nil {
+					return err
+				}
+			}
+			continue
+		}
+		dir := c.Rec.Dir
+		fn(c.Rec.Neighbor, dir)
+		for n := c.StepRun(nbrs[:]); n > 0; n = c.StepRun(nbrs[:]) {
+			for _, nb := range nbrs[:n] {
+				fn(nb, dir)
+			}
+		}
+	}
+	return h.st.viewErr()
+}
+
+// visitEdge passes record rec to fn if it matches mask, resolving a heavy
+// record's neighbor through its holder; a deleted heavy edge is skipped.
+func (h *VertexHandle) visitEdge(rec holder.EdgeRec, mask DirMask, fn func(nb fabric.DPtr, dir holder.Direction)) error {
+	if !mask.matches(rec.Dir) {
+		return nil
+	}
+	nb := rec.Neighbor
+	if rec.Heavy {
+		es, err := h.tx.fetchEdgeState(nb)
+		if err != nil {
+			return err
+		}
+		if es.deleted {
+			return nil
+		}
+		nb = heavyNeighbor(es.e, h.st)
+	}
+	fn(nb, rec.Dir)
+	return nil
 }
 
 // CountEdges counts incident edges matching mask
@@ -538,20 +630,26 @@ func (h *VertexHandle) CountEdges(mask DirMask) int {
 }
 
 // Neighbors returns the distinct neighbor vertex IDs reachable over edges
-// matching mask and constraint (GDI_GetNeighborVerticesOfVertex).
+// matching mask and constraint (GDI_GetNeighborVerticesOfVertex), in order
+// of first occurrence. It dedups the neighbor array of Edges' list in place.
 func (h *VertexHandle) Neighbors(mask DirMask, cons *constraint.Constraint) ([]fabric.DPtr, error) {
-	infos, err := h.Edges(mask, cons)
+	l, err := h.Edges(mask, cons)
 	if err != nil {
 		return nil, err
 	}
-	seen := make(map[fabric.DPtr]struct{}, len(infos))
-	out := make([]fabric.DPtr, 0, len(infos))
-	for _, e := range infos {
-		if _, dup := seen[e.Neighbor]; dup {
+	var seen dptrTable[struct{}]
+	seen.reset(len(l.nbrs))
+	out, null := l.nbrs[:0], false // NullDPtr is the table's empty slot, so it is counted apart
+	for _, nb := range l.nbrs {
+		if nb.IsNull() {
+			if null {
+				continue
+			}
+			null = true
+		} else if _, dup := seen.getOrPut(nb, struct{}{}); dup {
 			continue
 		}
-		seen[e.Neighbor] = struct{}{}
-		out = append(out, e.Neighbor)
+		out = append(out, nb)
 	}
 	return out, nil
 }

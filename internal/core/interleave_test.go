@@ -293,10 +293,10 @@ func TestHeavyEdgeConcurrentIncrementsCommitOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	infos, err := h.Edges(MaskAll, nil)
-	if err != nil || len(infos) != 1 || !infos[0].Heavy {
+	if err != nil || infos.Len() != 1 || !infos.At(0).Heavy {
 		t.Fatalf("the seeded edge: %+v, %v", infos, err)
 	}
-	hp := infos[0].Holder
+	hp := infos.At(0).Holder
 	w.commits("the lookup", look, true)
 	before := versionAt(w.e, 0, hp)
 

@@ -109,8 +109,8 @@ func BenchmarkReadOnlyTx(b *testing.B) {
 							if _, ok := h.Property(pt); !ok {
 								b.Fatal("no property")
 							}
-						} else if infos, err := h.Edges(MaskAll, nil); err != nil || len(infos) != d {
-							b.Fatalf("Edges = %d edges, %v; want %d", len(infos), err, d)
+						} else if infos, err := h.Edges(MaskAll, nil); err != nil || infos.Len() != d {
+							b.Fatalf("Edges = %d edges, %v; want %d", infos.Len(), err, d)
 						}
 						if err := tx.Commit(); err != nil {
 							b.Fatal(err)

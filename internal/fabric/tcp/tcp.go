@@ -186,11 +186,17 @@ func New(cfg Config) (*Transport, error) {
 	return t, nil
 }
 
+// dialPollMax caps the back-off between refused dials of a lower rank.
+const dialPollMax = 50 * time.Millisecond
+
 func (t *Transport) dialLower(peers []string, timeout time.Duration) error {
 	for r := 0; r < int(t.me); r++ {
 		deadline := time.Now().Add(timeout)
 		var c net.Conn
-		for {
+		// A refused dial backs off from 1 ms, doubling up to 50 ms: a lower
+		// rank usually starts listening within a few ms of our first dial,
+		// and a fixed 50 ms poll would add most of a poll to every set-up.
+		for wait := time.Millisecond; ; wait = min(2*wait, dialPollMax) {
 			var err error
 			c, err = net.Dial("tcp", peers[r])
 			if err == nil {
@@ -199,7 +205,7 @@ func (t *Transport) dialLower(peers []string, timeout time.Duration) error {
 			if time.Now().After(deadline) {
 				return fmt.Errorf("tcp: rank %d dialing rank %d at %s: %w", t.me, r, peers[r], err)
 			}
-			time.Sleep(50 * time.Millisecond)
+			time.Sleep(wait)
 		}
 		var hello [2]byte
 		binary.LittleEndian.PutUint16(hello[:], uint16(t.me))

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -374,4 +375,53 @@ func pick[T any](cond bool, a, b T) T {
 		return a
 	}
 	return b
+}
+
+// TestDialRetriesPromptly: the higher rank's first dial is refused, because
+// the lower rank starts listening a few ms later, and New must still return
+// well before a fixed 50 ms poll could have retried — a refused dial backs
+// off from 1 ms.
+func TestDialRetriesPromptly(t *testing.T) {
+	const listenAfter = 5 * time.Millisecond
+	reserve, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr0 := reserve.Addr().String()
+	reserve.Close() // rank 0's port refuses dials until it listens again
+	lis1, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers := []string{addr0, lis1.Addr().String()}
+
+	type result struct {
+		tr  *Transport
+		err error
+		in  time.Duration
+	}
+	rank1 := make(chan result, 1)
+	start := time.Now()
+	go func() {
+		tr, err := New(Config{Rank: 1, Peers: peers, Listener: lis1, DialTimeout: 10 * time.Second})
+		rank1 <- result{tr, err, time.Since(start)}
+	}()
+	time.Sleep(listenAfter)
+	lis0, err := net.Listen("tcp", addr0)
+	if err != nil {
+		t.Fatalf("listening again on rank 0's port: %v", err)
+	}
+	tr0, err := New(Config{Rank: 0, Peers: peers, Listener: lis0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr0.Close()
+	r := <-rank1
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	defer r.tr.Close()
+	if r.in >= dialPollMax {
+		t.Fatalf("rank 1's New took %v with rank 0 listening after %v: want under the %v poll", r.in, listenAfter, dialPollMax)
+	}
 }

@@ -93,6 +93,13 @@ func (w *View) NumBlocks() int { return w.numBlocks }
 // region.
 func (w *View) NumEdges() int { return w.numEdges }
 
+// EdgeCap bounds the records an edge walk over the view can yield:
+// NumEdges, capped by the bytes the stream holds from the edge region on,
+// since every record takes at least one. Unlike NumEdges it cannot exceed
+// the stream, whatever a corrupt header claims, so it sizes a buffer for a
+// walk's records safely.
+func (w *View) EdgeCap() int { return min(w.numEdges, len(w.buf)-w.edgesOff) }
+
 // AppID returns the application-level vertex ID.
 func (w *View) AppID() uint64 { return w.appID }
 
@@ -143,8 +150,8 @@ func (w *View) ForEachNeighbor(fn func(nbr fabric.DPtr, dir Direction) bool) {
 // DecodeVertex need. Check Err afterwards: a corrupt region yields a short
 // slice.
 func (w *View) AppendEdges(dst []EdgeRec) []EdgeRec {
-	if cap(dst) < w.numEdges {
-		dst = make([]EdgeRec, 0, w.numEdges)
+	if cap(dst) < w.EdgeCap() {
+		dst = make([]EdgeRec, 0, w.EdgeCap())
 	}
 	c := w.Edges()
 	for c.Next() {

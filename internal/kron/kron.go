@@ -8,7 +8,9 @@
 // The generator is deterministic for a given Config (including the rank
 // decomposition: every rank generates its own slice of vertices and edges
 // with per-element seeded RNGs), so experiments are reproducible and
-// baselines can be fed the identical graph.
+// baselines can be fed the identical graph. The RNG is math/rand's, seeded
+// lazily (rng.go), so reseeding it per element costs what the element
+// draws.
 package kron
 
 import (
@@ -155,7 +157,16 @@ func VerticesFor(cfg Config, s Schema, rank, nranks int) []core.VertexSpec {
 
 // VertexSpec builds the deterministic vertex spec for one appID.
 func VertexSpec(cfg Config, s Schema, app uint64) core.VertexSpec {
-	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(app*0x9e3779b9+1)))
+	rng := seeded(vertexSeed(cfg, app))
+	defer rands.Put(rng)
+	return vertexSpec(cfg, s, app, rng)
+}
+
+// vertexSeed seeds the generator VertexSpec draws appID app from.
+func vertexSeed(cfg Config, app uint64) int64 { return cfg.Seed ^ int64(app*0x9e3779b9+1) }
+
+// vertexSpec draws appID app's spec from rng, seeded with vertexSeed.
+func vertexSpec(cfg Config, s Schema, app uint64, rng *rand.Rand) core.VertexSpec {
 	sp := core.VertexSpec{AppID: app}
 	if len(s.Labels) > 0 {
 		sp.Labels = []lpg.LabelID{s.Labels[app%uint64(len(s.Labels))]}
@@ -199,14 +210,18 @@ func EdgesFor(cfg Config, s Schema, rank, nranks int) []core.EdgeSpec {
 
 // EdgeSpec samples the k-th edge.
 func EdgeSpec(cfg Config, s Schema, k uint64) core.EdgeSpec {
-	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(k*0x85ebca6b+7)))
+	rng := seeded(edgeSeed(cfg, k))
 	u, v := sampleEndpoints(cfg, rng)
+	rands.Put(rng)
 	sp := core.EdgeSpec{OriginApp: u, TargetApp: v, Dir: holder.DirOut}
 	if cfg.EdgeLabel && len(s.Labels) > 0 {
 		sp.Label = s.Labels[k%uint64(len(s.Labels))]
 	}
 	return sp
 }
+
+// edgeSeed seeds the generator the k-th edge is sampled from.
+func edgeSeed(cfg Config, k uint64) int64 { return cfg.Seed ^ int64(k*0x85ebca6b+7) }
 
 // sampleEndpoints draws one edge: R-MAT recursive quadrant descent, or
 // uniform endpoints when cfg.Uniform is set.
@@ -252,8 +267,10 @@ func BuildCSR(cfg Config) *CSR {
 	deg := make([]uint32, n)
 	type pair struct{ u, v uint64 }
 	edges := make([]pair, 0, m)
+	rng := rands.Get().(*rand.Rand)
+	defer rands.Put(rng)
 	for k := uint64(0); k < m; k++ {
-		rng := rand.New(rand.NewSource(cfg.Seed ^ int64(k*0x85ebca6b+7)))
+		rng.Seed(edgeSeed(cfg, k))
 		u, v := sampleEndpoints(cfg, rng)
 		edges = append(edges, pair{u, v})
 		deg[u]++
