@@ -163,9 +163,11 @@
 // # Caching and optimistic reads
 //
 // The third read-path tier avoids remote traffic entirely. Every per-vertex
-// lock word carries a version counter that each write-unlock bumps; holder
-// content only changes while the write bit is set. That one word is a full
-// coherence protocol:
+// lock word carries a version counter that a release bumps iff its hold
+// wrote the block; holder content only changes while the write bit is set,
+// and a hold that wrote nothing (a failed commit, a migration given up)
+// drops the word at its version. That one word is a full coherence
+// protocol:
 //
 //   - Block cache (DatabaseParams.CacheCapacity blocks). Each process keeps
 //     an LRU cache of remote block copies stamped with the guard version
@@ -359,8 +361,9 @@
 //   - Version retirement: after the cut is live, a writer about to
 //     overwrite or free a block whose stamped version some active cut pinned
 //     first copies the old bytes into its rank's version arena (the
-//     copy-on-write step, hooked into the block store's pre-write path and
-//     the lock-release hook). A cut reader that loses the race — the block's
+//     copy-on-write step, hooked into the block store's pre-write path; a
+//     release that wrote nothing moves no version, so nothing else needs a
+//     hook). A cut reader that loses the race — the block's
 //     version no longer matches its stamp — finds the retired bytes in the
 //     arena instead; the read protocol re-checks the arena after the live
 //     read so the handoff has no window. Arena entries are reference-counted

@@ -591,9 +591,10 @@ func TestHTAPArenaLeakOnDrop(t *testing.T) {
 // fans the new content to the follower chains through the same write-back
 // train, and bumps the mirror words — and the invariants are:
 //
-//   - the mirror fan-out must NOT retire follower blocks into the cut (the
-//     mirror trains fire no release hook; only the primary's release does),
-//     so the arena drains to exactly zero when the session closes;
+//   - every block version the pinned cut retired is released with it, so
+//     the arena drains to exactly zero when the session closes (the mirror
+//     trains retire nothing themselves: retirement is the block store's
+//     pre-write hook alone);
 //   - follower chains are invisible to analytics (they live in the replica
 //     directory, not the local vertex index), so PageRank over the pinned
 //     cut stays bit-identical to the pre-write answer and a post-Refresh

@@ -16,8 +16,8 @@ import (
 // revalidates them with a single train of loads of the guard lock words
 // instead of re-fetching the payloads. A cached copy is current
 // exactly while its guard word still carries the stamped version with the
-// write bit clear — writers bump the version at write-unlock, which is the
-// entire invalidation protocol: no invalidation messages, no coherence
+// write bit clear — a writer's release bumps the version iff it wrote the
+// block, which is the entire invalidation protocol: no invalidation messages, no coherence
 // directory, just the lock word every transaction already touches.
 //
 // Entries are keyed by block DPtr and tagged with the guard block (the

@@ -181,11 +181,12 @@ func (r *commitRun) collect() {
 // vectored CAS train per owner rank, in globally sorted (deadlock-free)
 // order. Each word is seeded with the version its holder was read at (a
 // holder this transaction created, and a stub, at 0), so an uncontended
-// train takes one round per owner rank. A stub is locked so that its poison
-// bumps its version and every cached or optimistic reader of it
-// revalidates. Contention fails the whole train, which rolls its partial
-// acquisitions back itself. The train takes a word at whatever version it
-// finds; validateReads fails the commit when that is not the version read.
+// train takes one round per owner rank. A stub is locked so that the
+// release of its poison bumps its version and every cached or optimistic
+// reader of it revalidates. Contention fails the whole train, which rolls
+// its partial acquisitions back itself. The train takes a word at whatever
+// version it finds; validateReads fails the commit when that is not the
+// version read.
 // Each guard remembers the version it is held at: the release train seeds
 // its CAS with it and converges in one round per rank.
 func (r *commitRun) lock() error {
@@ -439,16 +440,17 @@ func (r *commitRun) publish() {
 	}
 }
 
-// release drops every held lock (the retired stubs with their stub bit
-// cleared, so a recycler of the block finds a plain word); then the marked
-// follower words move to the version the primaries' release just published
-// — one CAS train per follower rank, after every primary word is free. A
-// follower rank that died mid-commit is absorbed: its words stay marked and
-// promotion's steal path (or a reseed) reclaims them.
+// release drops every held lock, bumping each word whose block the
+// write-back wrote (the retired stubs with their stub bit cleared, so a
+// recycler of the block finds a plain word); then the marked follower words
+// move to the version the primaries' release just published — one CAS train
+// per follower rank, after every primary word is free. A follower rank that
+// died mid-commit is absorbed: its words stay marked and promotion's steal
+// path (or a reseed) reclaims them.
 func (r *commitRun) release() {
 	r.eng.fab.FlushAll(r.rank)
-	r.releaseLocks(locks.StubClear)
-	r.eng.releaseFollowers(r.rank, r.mirWords, r.mirVers)
+	r.releaseLocks(true)
+	r.eng.releaseFollowers(r.rank, r.mirWords, r.mirVers, nil)
 }
 
 // free returns the excess blocks of reshaped chains and the whole chains of
@@ -476,7 +478,7 @@ func chainOf(primary fabric.DPtr, blocks []fabric.DPtr) []fabric.DPtr {
 // them instead of resizing remote chains on the commit path; a later
 // seeding round restores k. The stripped encoding is made from a copy of
 // the vertex: until the apply half runs, the groups are still the vertex's,
-// and an abort bumps every one of them.
+// and an abort leaves them in lockstep with the primary it did not write.
 func (tx *Tx) encodeForCommit(st *vertexState, bs int) (stream []byte, fan, drop [][]fabric.DPtr) {
 	if len(st.v.Replicas) == 0 || st.blocks != nil && holder.VertexBlocks(st.v, bs) == len(st.blocks) {
 		return holder.EncodeVertex(st.v, bs), st.v.Replicas, nil
@@ -501,18 +503,7 @@ func (tx *Tx) Abort() {
 }
 
 func (tx *Tx) abortLocked() {
-	// An aborted write release bumps the primary's version without changing
-	// content; lockstep followers track the bump so they keep serving reads.
-	var bump []*vertexState
-	for _, w := range tx.run.ws {
-		if st := w.vs; st != nil && w.g.held && !st.isNew && len(st.v.Replicas) > 0 {
-			bump = append(bump, st)
-		}
-	}
-	tx.releaseLocks(locks.StubKeep)
-	for _, st := range bump {
-		tx.eng.bumpMirrors(tx.rank, st.v, st.lockVer)
-	}
+	tx.releaseLocks(false)
 	for _, st := range tx.verts {
 		if st.isNew {
 			tx.eng.store.ReleaseBlock(tx.rank, st.primary)
@@ -528,25 +519,37 @@ func (tx *Tx) abortLocked() {
 
 // releaseLocks is the one release path of Commit and Abort: every word the
 // commit's lock train holds — its holders' and the stubs its deletions
-// retire, whose stub bit is published as stub asks — drops as one train per
-// owner rank, with a version bump. The train is seeded with the versions
-// the words are held at, so it converges in one round per rank. A
-// transaction that never reached its lock train holds nothing.
-func (tx *Tx) releaseLocks(stub locks.StubMark) {
+// retire — drops as one train per owner rank. A word bumps iff applied
+// wrote its block: a stream or a poison (a retired stub's word also clears
+// its stub bit). A failed prepare wrote nothing, and neither did the
+// deletion of a holder created in the same transaction, so their words drop
+// at the version they were taken at and no reader of them revalidates. The
+// train is seeded with the versions the words are held at, so it converges
+// in one round per rank. A transaction that never reached its lock train
+// holds nothing.
+func (tx *Tx) releaseLocks(applied bool) {
 	var words []locks.Word
 	var vers []uint64
-	var marks []locks.StubMark // nil: every stub bit is kept
+	var marks []locks.ReleaseMark // nil: every word Written
 	for _, w := range tx.run.ws {
 		if !w.g.held {
 			continue
 		}
 		w.g.held = false
 		words, vers = append(words, tx.eng.lockWordOf(w.head)), append(vers, w.g.lockVer)
-		if w.vs == nil && w.es == nil { // a stub; stubs come last
-			if marks == nil {
-				marks = make([]locks.StubMark, len(words)-1, len(tx.run.ws))
-			}
-			marks = append(marks, stub)
+		mark := locks.Unwritten
+		switch {
+		case !applied:
+		case w.vs == nil && w.es == nil:
+			mark = locks.StubClear
+		case w.stream != nil || w.poison:
+			mark = locks.Written
+		}
+		if mark != locks.Written && marks == nil {
+			marks = make([]locks.ReleaseMark, len(words)-1, len(tx.run.ws))
+		}
+		if marks != nil {
+			marks = append(marks, mark)
 		}
 	}
 	locks.ReleaseWriteTrainMarked(tx.rank, words, vers, marks)

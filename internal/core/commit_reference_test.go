@@ -21,7 +21,9 @@ import (
 // transaction's maps for poisons, follower drops, delta records and frees,
 // and four write-release trains — and the index retract runs after the
 // release. It is the oracle TestCommitMatchesReference checks Commit
-// against; its failure paths abort through referenceAbort.
+// against; its failure paths abort through referenceAbort. Its releases
+// follow the version rule Commit follows: a word bumps iff its block was
+// written.
 func referenceCommit(tx *Tx) error {
 	if tx.closed {
 		return ErrTxClosed
@@ -163,7 +165,7 @@ func referenceCommit(tx *Tx) error {
 		for _, dp := range acquired {
 			tx.eng.store.ReleaseBlock(tx.rank, dp)
 		}
-		locks.ReleaseWriteTrain(tx.rank, stubWords, stubVers)
+		locks.ReleaseWriteTrainMarked(tx.rank, stubWords, stubVers, unwritten(len(stubWords)))
 		tx.fail(err)
 		referenceAbort(tx)
 		return tx.critical
@@ -412,16 +414,20 @@ func referenceCommit(tx *Tx) error {
 	// lock drops as one train per owner rank — the paper's demanding
 	// deletions write-lock whole neighborhoods, so delete-heavy commits
 	// would otherwise pay one release round-trip per vertex.
+	// A vertex created and deleted here was never written: its word drops
+	// at the version it was taken at.
 	var delWords []locks.Word
 	var delVers []uint64
+	var delMarks []locks.ReleaseMark
 	for _, st := range tx.verts {
 		if st.deleted && st.held {
 			delWords = append(delWords, tx.eng.lockWordOf(st.primary))
 			delVers = append(delVers, st.lockVer)
+			delMarks = append(delMarks, writtenIf(!st.isNew))
 			st.held = false
 		}
 	}
-	locks.ReleaseWriteTrain(tx.rank, delWords, delVers)
+	locks.ReleaseWriteTrainMarked(tx.rank, delWords, delVers, delMarks)
 	for _, st := range tx.verts {
 		if !st.deleted {
 			continue
@@ -447,7 +453,7 @@ func referenceCommit(tx *Tx) error {
 	// Retire the deleted vertices' forwarding stubs: unlock (the poison
 	// above was written under these locks) with the stub bit cleared, so a
 	// recycler of the block finds a plain word, then return the blocks.
-	retired := make([]locks.StubMark, len(stubWords))
+	retired := make([]locks.ReleaseMark, len(stubWords))
 	for i := range retired {
 		retired[i] = locks.StubClear
 	}
@@ -460,9 +466,10 @@ func referenceCommit(tx *Tx) error {
 
 	// Release every remaining lock — the held vertices and heavy-edge
 	// holders — as one train per owner rank, each word seeded with the
-	// version it is held at.
-	wWords, wVers := referenceHeld(tx)
-	locks.ReleaseWriteTrain(tx.rank, wWords, wVers)
+	// version it is held at; a heavy-edge holder created and deleted here
+	// was never written.
+	wWords, wVers, wMarks := referenceHeld(tx)
+	locks.ReleaseWriteTrainMarked(tx.rank, wWords, wVers, wMarks)
 
 	// Replica fan-out, release: the marked follower words move to the
 	// version the primaries' release train just published — one CAS train
@@ -471,7 +478,7 @@ func referenceCommit(tx *Tx) error {
 	// steal path (or a reseed) reclaims them.
 	for i := range mirWords {
 		w, v := mirWords[i], mirVers[i]
-		runIsolated(func() { locks.ReleaseMirrorTrain(tx.rank, w, v) })
+		runIsolated(func() { locks.ReleaseMirrorTrain(tx.rank, w, v, nil) })
 	}
 	tx.noteCommitted(written)
 	tx.close()
@@ -479,19 +486,13 @@ func referenceCommit(tx *Tx) error {
 }
 
 // referenceAbort is the abort the shared release path replaced: one write
-// release train per held holder, each replicated vertex's followed by its
-// mirror bump.
+// release train per held holder. An abort wrote nothing, so every word drops
+// at the version it was taken at and followers in lockstep stay there.
 func referenceAbort(tx *Tx) {
 	for _, st := range tx.verts {
 		if st.held {
-			// An aborted write release bumps the primary's version without
-			// changing content; lockstep followers track the bump so they
-			// keep serving reads.
-			locks.ReleaseWriteTrain(tx.rank, []locks.Word{tx.eng.lockWordOf(st.primary)}, []uint64{st.lockVer})
+			locks.ReleaseWriteTrainMarked(tx.rank, []locks.Word{tx.eng.lockWordOf(st.primary)}, []uint64{st.lockVer}, unwritten(1))
 			st.held = false
-			if !st.isNew && st.v != nil && len(st.v.Replicas) > 0 {
-				tx.eng.bumpMirrors(tx.rank, st.v, st.lockVer)
-			}
 		}
 		if st.isNew {
 			tx.eng.store.ReleaseBlock(tx.rank, st.primary)
@@ -499,7 +500,7 @@ func referenceAbort(tx *Tx) {
 	}
 	for _, es := range tx.edges {
 		if es.held {
-			locks.ReleaseWriteTrain(tx.rank, []locks.Word{tx.eng.lockWordOf(es.primary)}, []uint64{es.lockVer})
+			locks.ReleaseWriteTrainMarked(tx.rank, []locks.Word{tx.eng.lockWordOf(es.primary)}, []uint64{es.lockVer}, unwritten(1))
 			es.held = false
 		}
 		if es.isNew {
@@ -509,31 +510,52 @@ func referenceAbort(tx *Tx) {
 	tx.close()
 }
 
-// referenceHeld returns the words of the vertices and heavy-edge holders
-// the transaction holds, with their versions, and marks them released.
-func referenceHeld(tx *Tx) ([]locks.Word, []uint64) {
+// referenceHeld returns the words of the vertices and heavy-edge holders a
+// committing transaction holds, with their versions and release marks, and
+// marks them released. A holder created and deleted here was never written.
+func referenceHeld(tx *Tx) ([]locks.Word, []uint64, []locks.ReleaseMark) {
 	var words []locks.Word
 	var vers []uint64
-	hold := func(dp fabric.DPtr, g *guard) {
+	var marks []locks.ReleaseMark
+	hold := func(dp fabric.DPtr, g *guard, gone bool) {
 		if g.held {
 			words, vers = append(words, tx.eng.lockWordOf(dp)), append(vers, g.lockVer)
+			marks = append(marks, writtenIf(!gone))
 			g.held = false
 		}
 	}
 	for _, st := range tx.verts {
-		hold(st.primary, &st.guard)
+		hold(st.primary, &st.guard, st.deleted && st.isNew)
 	}
 	for _, es := range tx.edges {
-		hold(es.primary, &es.guard)
+		hold(es.primary, &es.guard, es.deleted && es.isNew)
 	}
-	return words, vers
+	return words, vers, marks
+}
+
+// writtenIf is the release mark of a word whose block was written iff
+// written.
+func writtenIf(written bool) locks.ReleaseMark {
+	if written {
+		return locks.Written
+	}
+	return locks.Unwritten
+}
+
+// unwritten marks n words Unwritten.
+func unwritten(n int) []locks.ReleaseMark {
+	marks := make([]locks.ReleaseMark, n)
+	for i := range marks {
+		marks[i] = locks.Unwritten
+	}
+	return marks
 }
 
 // referenceReadMoved fails a commit whose read-set entry rd moved to
 // version got: it releases the stubs the commit locked and aborts.
 func referenceReadMoved(tx *Tx, rd optRead, got uint64, stubWords []locks.Word, stubVers []uint64) error {
 	tx.eng.optAborts.Add(1)
-	locks.ReleaseWriteTrain(tx.rank, stubWords, stubVers)
+	locks.ReleaseWriteTrainMarked(tx.rank, stubWords, stubVers, unwritten(len(stubWords)))
 	tx.fail(fmt.Errorf("validating the read of %v: version %d, read at %d: %w", rd.dp, got, rd.ver, locks.ErrContended))
 	referenceAbort(tx)
 	return tx.critical
@@ -764,7 +786,7 @@ var commitCases = []commitCase{
 	{name: "replica-abort", wantErr: ErrNoMemory,
 		// The replicated vertex's lock is taken by the train; growing a
 		// vertex into an empty pool then fails the commit, whose abort
-		// releases that write lock and bumps the follower.
+		// releases that write lock unwritten, the follower's word untouched.
 		prep: func(_ *testing.T, w *commitWorld) { w.drain(1) },
 		run: func(tx *Tx, w *commitWorld) error {
 			if err := w.setPayload(tx, w.replica, 1, 3); err != nil {
@@ -850,8 +872,8 @@ var commitCases = []commitCase{
 		}},
 	{name: "replica-reshape-abort", wantErr: ErrNoMemory,
 		// The reshape leaves the follower group out of its encoding; the
-		// index reservation then fails, and the abort bumps that follower
-		// with its primary.
+		// index reservation then fails, and the abort leaves that follower
+		// and its primary at the version they were read at.
 		prep: func(_ *testing.T, w *commitWorld) { w.fillIndexHome(101) },
 		run:  reshapeReplicaAndCreate},
 	// The stubs on ranks 2 and 3 join the lock and release trains there.
@@ -950,7 +972,10 @@ func TestCommitMatchesReference(t *testing.T) {
 // index entry costs its lock train (one seeded round per rank), the load
 // train that validates the half it only read, and one release train per
 // rank, where the reference pays its lock and load trains and one release
-// train per vertex. Both issue the same atomics.
+// train per vertex. Both issue the same atomics. Both also keep the version
+// contract: the failed commit wrote nothing, so every word it held is free
+// at the version it was read at, and a commit that then writes the same
+// half moves each of those words exactly one version up and no other.
 func TestAbortReleasesOneTrainPerRank(t *testing.T) {
 	const remotes = 3
 	// abort associates k vertices on ranks 1, 2 and 3 and closes the
@@ -996,11 +1021,44 @@ func TestAbortReleasesOneTrainPerRank(t *testing.T) {
 		if _, err := tx.CreateVertex(app); err != nil {
 			t.Fatal(err)
 		}
+		read := make([]uint64, k)
+		for i, dp := range dps {
+			read[i] = versionAt(e, 0, dp)
+		}
+		// checkWords holds every word free at its read version, plus one for
+		// the first written of them.
+		checkWords := func(when string, written int) {
+			t.Helper()
+			for i, dp := range dps {
+				want := read[i]
+				if i < written {
+					want++
+				}
+				if w := wordAt(e, dp).Stamp(0); locks.WriteHeld(w) || locks.Version(w) != want {
+					t.Fatalf("k=%d: word of vertex %d is %#x after %s, want free at version %d", k, i, w, when, want)
+				}
+			}
+		}
 		var cerr error
 		tr := measure(e, func() { cerr = ops.commit(tx) })
 		if !errors.Is(cerr, ErrNoMemory) {
 			t.Fatalf("k=%d: commit into a full index returned %v, want ErrNoMemory", k, cerr)
 		}
+		checkWords("the failed commit", 0)
+		redo := e.StartLocal(0, ReadWrite)
+		hs, err = redo.AssociateVertices(dps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range hs[:k/2] {
+			if err := h.AddLabel(label); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ops.commit(redo); err != nil {
+			t.Fatalf("k=%d: committing the written half: %v", k, err)
+		}
+		checkWords("a commit writing the first half", k/2)
 		return tr
 	}
 	for _, k := range []int{6, 48} {
@@ -1018,9 +1076,10 @@ func TestAbortReleasesOneTrainPerRank(t *testing.T) {
 
 // TestAbortedReshapeKeepsFollowerInLockstep: a commit that reshapes a
 // replicated vertex and then fails reserving an index entry releases the
-// primary's write lock with a version bump. The follower group the reshape
-// would have dropped is still the vertex's, so the abort bumps it too, and
-// read-only transactions on the follower's rank keep validating.
+// primary's write lock without a version bump, having written nothing. The
+// follower group the reshape would have dropped is still the vertex's and
+// still at the primary's version, so read-only transactions on the
+// follower's rank keep validating.
 func TestAbortedReshapeKeepsFollowerInLockstep(t *testing.T) {
 	for _, c := range []struct {
 		name string

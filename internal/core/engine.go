@@ -28,7 +28,6 @@ import (
 	"github.com/gdi-go/gdi/internal/exchange"
 	"github.com/gdi-go/gdi/internal/fabric"
 	"github.com/gdi-go/gdi/internal/holder"
-	"github.com/gdi-go/gdi/internal/locks"
 	"github.com/gdi-go/gdi/internal/lpg"
 	"github.com/gdi-go/gdi/internal/metadata"
 	"github.com/gdi-go/gdi/internal/snapshot"
@@ -218,18 +217,10 @@ func NewEngine(f fabric.Transport, cfg Config) *Engine {
 	}
 	if cfg.HTAPSnapshots {
 		e.snap = snapshot.NewManager(e.store)
-		// Byte-changing writers retire through the store's pre-write hook;
-		// bump-without-write releases (aborts after upgrade, no-op updates,
-		// migration secondary words) retire through the lock layer's
-		// write-unlock hook. Lock word 1+off guards block off; word 0 is the
-		// free-list head and never carries a version to preserve.
+		// Writers retire the bytes a cut pins through the store's pre-write
+		// hook. A version moves only when its block was written, so no
+		// release can strand a cut's stamp without that hook firing first.
 		e.store.SetRetirer(e.snap)
-		sys, _, _ := e.store.LockWord(fabric.MakeDPtr(0, 1))
-		locks.SetReleaseHook(sys, func(target fabric.Rank, idx int) {
-			if idx >= 1 {
-				e.snap.Retire(target, uint64(idx-1))
-			}
-		})
 	}
 	return e
 }

@@ -376,9 +376,6 @@ func (h *VertexHandle) Edges(mask DirMask, cons *constraint.Constraint) (EdgeLis
 		return EdgeList{}, err
 	}
 	deg := h.Degree()
-	if h.st.v == nil {
-		deg = h.st.view.EdgeCap() // a corrupt header's count must not size the array
-	}
 	l := EdgeList{vertex: h.st.primary, nbrs: make([]fabric.DPtr, 0, deg), runs: make([]edgeRun, 0, min(deg, 4))}
 	if h.st.v == nil && cons == nil {
 		return h.viewEdges(l, mask)
@@ -655,10 +652,12 @@ func (h *VertexHandle) Neighbors(mask DirMask, cons *constraint.Constraint) ([]f
 }
 
 // Degree returns the total number of incident edge records. For a clean
-// state it is a header read — no edge region is touched.
+// state it is a header read — no edge region is touched — bounded by the
+// bytes the edge region has (holder.View.EdgeCap), so a corrupt header's
+// count cannot size a caller's buffer beyond the stream.
 func (h *VertexHandle) Degree() int {
 	if h.st.v == nil {
-		return h.st.view.NumEdges()
+		return h.st.view.EdgeCap()
 	}
 	return len(h.st.v.Edges)
 }

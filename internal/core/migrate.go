@@ -84,7 +84,7 @@ func (e *Engine) MigrateVertices(me fabric.Rank, moves []MigrationMove) (int, er
 	// word whose block now holds a stub and clears it on a home the vertex
 	// moves back into.
 	var w writeList
-	marks := make(map[locks.Word]locks.StubMark)
+	marks := make(map[locks.Word]locks.ReleaseMark)
 	for _, m := range ms {
 		if m.dropped {
 			continue
@@ -136,7 +136,7 @@ func (e *Engine) swingMoves(me fabric.Rank, ms []*chainMove) (migrated int, fata
 			fatal = fmt.Errorf("core: DHT entry of vertex %d changed under its migration lock", m.app)
 		}
 		if fatal != nil {
-			m.dropped = true // not swung: its vacated chain must not be freed
+			m.tail = nil // written but not swung: its vacated chain must not be freed
 			continue
 		}
 		e.idxRemoveVertex(me, m.head, m.v.Labels)
@@ -151,7 +151,8 @@ func (e *Engine) swingMoves(me fabric.Rank, ms []*chainMove) (migrated int, fata
 // block — and write-locks the destination word plus every other home's stub
 // word with one best-effort train. A home on a dead rank is pruned first: it
 // gets no lock and no stub. A replicated vertex, a dry pool, or a secondary
-// word not taken rolls the move back.
+// word not taken rolls the move back; the release drops the words it did
+// take.
 func (e *Engine) lockMoveTargets(me fabric.Rank, ms []*chainMove) {
 	var words []locks.Word
 	for _, m := range ms {
@@ -163,7 +164,7 @@ func (e *Engine) lockMoveTargets(me fabric.Rank, ms []*chainMove) {
 			// would strand every follower's lockstep version and directory
 			// key. Rebalancing one means dropping its replicas first (a
 			// commit-path reshape does that; a later seeding round restores
-			// k elsewhere). Its followers track the release's bump.
+			// k elsewhere).
 			e.rollback(me, m)
 			continue
 		}
@@ -203,7 +204,7 @@ func (e *Engine) lockMoveTargets(me fabric.Rank, ms []*chainMove) {
 		at += len(m.sec)
 		var all bool
 		if m.sec, m.secVers, all = splitHeld(words[lo:at], vers[lo:at], held[lo:at]); !all {
-			e.rollback(me, m) // releases the subset it did get
+			e.rollback(me, m) // the release drops the subset it did get
 		}
 	}
 }

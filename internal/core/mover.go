@@ -37,8 +37,8 @@ type chainMove struct {
 	secVers []uint64
 	mirrors []locks.Word // follower words marked at ver
 	seed    locks.Word   // a fresh follower word that enters lockstep (Win nil: none)
-	// dropped: the move was given up, so its content did not change (or, on
-	// migration's fatal path, its index did not swing) and its tail stays.
+	// dropped: the move was given up before it wrote anything, so its words
+	// and marks drop at the versions they were taken at.
 	dropped bool
 }
 
@@ -199,53 +199,50 @@ func (e *Engine) readMoves(origin fabric.Rank, ms []*chainMove, want func(head [
 	}
 }
 
-// rollback gives a move up before it publishes: the blocks it acquired go
-// back to the pool and its secondary words drop unchanged. Its held word and
-// its marks wait for releaseMoves, which also makes its other followers
-// track the held word's bump.
+// rollback gives a move up before it writes anything: the blocks it
+// acquired go back to the pool. Its held word, its secondary words and its
+// marks wait for releaseMoves, which drops them unchanged.
 func (e *Engine) rollback(origin fabric.Rank, m *chainMove) {
 	e.releaseBlocks(origin, m.fresh)
-	locks.ReleaseWriteTrain(origin, m.sec, m.secVers)
-	m.fresh, m.sec, m.secVers, m.tail, m.dropped = nil, nil, nil, nil, true
+	m.fresh, m.tail, m.dropped = nil, nil, true
 }
 
 // releaseMoves ends moves in lockstep order. Every held word and every
-// secondary word drops as one train per owner rank, publishing the stub bit
-// marks asks for (nil keeps every bit); the marked follower words then move
-// to their primary's new version; then each stolen word and each fresh
-// follower word is stored free at it. A published move then frees its tail;
-// a dropped one changed no content, so its identified vertex's other
-// followers track the bump.
-func (e *Engine) releaseMoves(origin fabric.Rank, ms []*chainMove, marks map[locks.Word]locks.StubMark) {
+// secondary word drops as one train per owner rank: a published move's
+// words bump and publish the stub bit stubs asks for (absent: kept), a
+// dropped move's drop unchanged. The marked follower words then follow
+// their primary, and each stolen word and each fresh follower word is
+// stored free at the primary's new version. A stolen word always moves up:
+// its content may be torn. Last, each move frees its tail.
+func (e *Engine) releaseMoves(origin fabric.Rank, ms []*chainMove, stubs map[locks.Word]locks.ReleaseMark) {
 	var words, mirrors []locks.Word
 	var vers, mirVers []uint64
+	var marks, mirMarks []locks.ReleaseMark
 	for _, m := range ms {
+		mark := func(w locks.Word) locks.ReleaseMark {
+			if m.dropped {
+				return locks.Unwritten
+			}
+			return stubs[w]
+		}
 		if !m.stolen {
-			words, vers = append(words, m.word), append(vers, m.ver)
+			words, vers, marks = append(words, m.word), append(vers, m.ver), append(marks, mark(m.word))
 		}
-		words, vers = append(words, m.sec...), append(vers, m.secVers...)
+		for i, w := range m.sec {
+			words, vers, marks = append(words, w), append(vers, m.secVers[i]), append(marks, mark(w))
+		}
 		for _, w := range m.mirrors {
-			mirrors, mirVers = append(mirrors, w), append(mirVers, m.ver)
+			mirrors, mirVers, mirMarks = append(mirrors, w), append(mirVers, m.ver), append(mirMarks, mark(w))
 		}
 	}
-	stubs := make([]locks.StubMark, len(words))
-	for i, w := range words {
-		stubs[i] = marks[w]
-	}
-	locks.ReleaseWriteTrainMarked(origin, words, vers, stubs)
-	e.releaseFollowers(origin, mirrors, mirVers)
+	locks.ReleaseWriteTrainMarked(origin, words, vers, marks)
+	e.releaseFollowers(origin, mirrors, mirVers, mirMarks)
 	for _, m := range ms {
 		if m.stolen {
 			locks.SeedMirrorWord(origin, m.word, m.ver)
 		}
 		if m.seed.Win != nil {
 			locks.SeedMirrorWord(origin, m.seed, m.ver)
-		}
-		if m.dropped {
-			if m.v != nil {
-				e.bumpMirrors(origin, m.v, m.ver, m.mirrors...)
-			}
-			continue
 		}
 		for _, dp := range m.tail {
 			runIsolated(func() { e.store.ReleaseBlock(origin, dp) })
@@ -261,16 +258,18 @@ func (e *Engine) pruneDead(dps []fabric.DPtr) []fabric.DPtr {
 
 // Follower lockstep: a writer that rewrites a replicated chain marks the
 // follower words (markFollowers) and, once the primary is released, moves
-// them to its new version (releaseFollowers); a release that changed no
-// content makes them track the bump (bumpMirrors). Each runs one mirror
-// train per live follower rank under runIsolated, so a dead follower rank
-// costs only its own words.
+// them as the primary moved (releaseFollowers): one version up when it
+// wrote them, back to where they were when it gave up first. Each runs one
+// mirror train per live follower rank under runIsolated, so a dead follower
+// rank costs only its own words.
 
 // markFollowers mirror-marks follower words, each expected free at the
 // version in vers, and reports which it marked, aligned with words. A word
 // not marked is out of lockstep, or its rank is dead.
 func (e *Engine) markFollowers(origin fabric.Rank, words []locks.Word, vers []uint64) []bool {
-	return e.followerTrains(origin, words, vers, locks.AcquireMirrorTrain)
+	return e.followerTrains(words, func(at []int) []bool {
+		return locks.AcquireMirrorTrain(origin, pick(words, at), pick(vers, at))
+	})
 }
 
 // markGroups mirror-marks the head word of each follower group at m's
@@ -291,41 +290,21 @@ func (e *Engine) markGroups(origin fabric.Rank, m *chainMove, groups [][]fabric.
 	return marked
 }
 
-// releaseFollowers moves follower words marked at vers to vers+1, after
-// their primaries' release.
-func (e *Engine) releaseFollowers(origin fabric.Rank, words []locks.Word, vers []uint64) {
-	e.followerTrains(origin, words, vers, func(origin fabric.Rank, words []locks.Word, vers []uint64) []bool {
-		locks.ReleaseMirrorTrain(origin, words, vers)
+// releaseFollowers releases follower words marked at vers after their
+// primaries' release, each as marks says (nil: every word Written, to
+// vers+1).
+func (e *Engine) releaseFollowers(origin fabric.Rank, words []locks.Word, vers []uint64, marks []locks.ReleaseMark) {
+	e.followerTrains(words, func(at []int) []bool {
+		locks.ReleaseMirrorTrain(origin, pick(words, at), pick(vers, at), pick(marks, at))
 		return nil
 	})
 }
 
-// bumpMirrors keeps followers in lockstep across a content-preserving write
-// release — an abort, a skipped migration, a bailed seed. The primary's
-// release bumped its version without changing content, so the head word of
-// every follower group of v but the marked ones (their mirror release moves
-// them) tracks the bump: free@ver → free@ver+1, best effort. Called after
-// the primary's release; a follower already out of lockstep is left alone.
-func (e *Engine) bumpMirrors(origin fabric.Rank, v *holder.Vertex, ver uint64, marked ...locks.Word) {
-	var words []locks.Word
-	var vers []uint64
-	for _, g := range v.Replicas {
-		if len(g) > 0 && !slices.Contains(marked, e.lockWordOf(g[0])) {
-			words, vers = append(words, e.lockWordOf(g[0])), append(vers, ver)
-		}
-	}
-	e.followerTrains(origin, words, vers, func(origin fabric.Rank, words []locks.Word, vers []uint64) []bool {
-		locks.BumpMirrorTrain(origin, words, vers)
-		return nil
-	})
-}
-
-// followerTrains runs train once per live follower rank over the words that
-// rank owns, under runIsolated, and reports, aligned with words, which of
-// them train swapped: none on a rank that is dead or died during its train,
-// all where train reports nothing.
-func (e *Engine) followerTrains(origin fabric.Rank, words []locks.Word, vers []uint64,
-	train func(origin fabric.Rank, words []locks.Word, vers []uint64) []bool) []bool {
+// followerTrains runs train once per live follower rank over the positions
+// of the words that rank owns, under runIsolated, and reports, aligned with
+// words, which of them train swapped: none on a rank that is dead or died
+// during its train, all where train reports nothing.
+func (e *Engine) followerTrains(words []locks.Word, train func(at []int) []bool) []bool {
 	if len(words) == 0 {
 		return nil
 	}
@@ -335,15 +314,23 @@ func (e *Engine) followerTrains(origin fabric.Rank, words []locks.Word, vers []u
 		byRank[w.Target] = append(byRank[w.Target], i)
 	}
 	for fr, at := range byRank {
-		ws, vs := make([]locks.Word, len(at)), make([]uint64, len(at))
-		for j, i := range at {
-			ws[j], vs[j] = words[i], vers[i]
-		}
 		var swapped []bool
-		live := !e.isDead(fr) && runIsolated(func() { swapped = train(origin, ws, vs) })
+		live := !e.isDead(fr) && runIsolated(func() { swapped = train(at) })
 		for j, i := range at {
 			done[i] = live && (swapped == nil || swapped[j])
 		}
 	}
 	return done
+}
+
+// pick returns s's elements at the positions at, or nil when s is nil.
+func pick[T any](s []T, at []int) []T {
+	if s == nil {
+		return nil
+	}
+	out := make([]T, len(at))
+	for j, i := range at {
+		out[j] = s[i]
+	}
+	return out
 }

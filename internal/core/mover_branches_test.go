@@ -60,16 +60,18 @@ func mustReplicaRead(t *testing.T, e *Engine, r rma.Rank, app uint64, pt lpg.PTy
 }
 
 // checkSeedBail asserts the outcome every bailed seed must leave: no block
-// leaked or lost on any rank, the primary's version bumped exactly once (the
-// release of its write lock), and the existing follower on rank fr still in
-// lockstep.
+// leaked or lost on any rank, the primary and the existing follower on rank
+// fr free at the pre-seed version ver (a seed that wrote nothing moves no
+// version), and that follower still serving reads in lockstep.
 func checkSeedBail(t *testing.T, e *Engine, primary rma.DPtr, free []int, ver uint64, fr rma.Rank, pt lpg.PTypeID) {
 	t.Helper()
 	if got := freeBlocks(e); !equalInts(got, free) {
 		t.Fatalf("free blocks %v after a bailed seed, want %v", got, free)
 	}
-	if got := versionAt(e, 0, primary); got != ver+1 {
-		t.Fatalf("primary version %d after a bailed seed, want %d", got, ver+1)
+	for name, dp := range map[string]rma.DPtr{"primary": primary, "follower": followerHead(t, e, fr, primary)} {
+		if w := wordAt(e, dp).Stamp(0); locks.Version(w) != ver || locks.WriteHeld(w) {
+			t.Fatalf("%s word %#x after a bailed seed, want free at version %d", name, w, ver)
+		}
 	}
 	if seq := mustReplicaRead(t, e, fr, 0, pt); seq != 0 {
 		t.Fatalf("follower read %d, want 0", seq)
@@ -91,7 +93,7 @@ func equalInts(a, b []int) bool {
 // TestSeedBailReturnsGrownBlocks: seeding a third copy of a multi-block,
 // already-replicated holder onto a rank with one free block acquires that
 // block for the new group, runs out, and bails. The bail must return the
-// block, bump the primary once, and keep the existing follower in lockstep.
+// block and leave the primary and the existing follower where they were.
 // (Dropping the ReleaseBlock loop of the seed's rollback fails it.)
 func TestSeedBailReturnsGrownBlocks(t *testing.T) {
 	_, e := newReplicaEngine(t, 3)
@@ -119,8 +121,8 @@ func TestSeedBailReturnsGrownBlocks(t *testing.T) {
 // TestSeedBailReleasesMarkedSubset: a seed must mirror-mark every existing
 // follower; when one follower word is write-held the mark train is only
 // partly taken, and the seed bails. The marked follower must be released
-// (to the primary's bumped version), or it stays marked and stops serving
-// reads. (Dropping the release of the marked subset fails it.)
+// (back to the primary's unchanged version), or it stays marked and stops
+// serving reads. (Dropping the release of the marked subset fails it.)
 func TestSeedBailReleasesMarkedSubset(t *testing.T) {
 	_, e := newReplicaEngine(t, 4)
 	pt := payloadPType(t, e)

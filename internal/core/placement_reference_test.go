@@ -18,7 +18,9 @@ import (
 // promoteOne against. Each writer keeps its own rollback (referenceSkipMove,
 // the bail and abandon closures), its own follower marks and its own release
 // order; migration does not prune homes on dead ranks. The bodies are the
-// engine's methods of before, with the receiver made a parameter.
+// engine's methods of before, with the receiver made a parameter and the
+// version rule the engine follows: a release bumps a word iff the writer
+// wrote its block, so what a writer gives up drops unchanged.
 
 // refMigCand tracks one move through the phases of a migration train.
 type refMigCand struct {
@@ -35,18 +37,18 @@ type refMigCand struct {
 	chain    []fabric.DPtr // the new chain, dst first
 	stream   []byte
 	ok       bool
+	written  bool // its copy and stubs were published
 }
 
-// referenceSkipMove drops a candidate after its primary was locked. That lock is
-// already queued on the release train, so only the candidate's own state —
-// secondary locks, destination blocks — is rolled back.
+// referenceSkipMove drops a candidate after its primary was locked. Its
+// primary and the secondary words it took wait for the release train, which
+// drops them unchanged, so only its destination blocks are rolled back.
 func referenceSkipMove(e *Engine, me fabric.Rank, c *refMigCand) {
 	e.migSkips.Add(1)
-	locks.ReleaseWriteTrain(me, c.secWords, c.secVers)
 	for _, dp := range c.fresh {
 		e.store.ReleaseBlock(me, dp)
 	}
-	c.secWords, c.secVers, c.fresh, c.ok = nil, nil, nil, false
+	c.fresh, c.ok = nil, false
 }
 
 // referenceMigrateVertices executes one batched migration train: every move must have
@@ -95,16 +97,12 @@ func referenceMigrateVertices(e *Engine, me fabric.Rank, moves []MigrationMove) 
 	}
 	vers, held := locks.AcquireWriteTrainEach(me, train, e.cfg.LockTries)
 	live := cands[:0]
-	relWords := make([]locks.Word, 0, len(cands)) // every held word, released at the end
-	relVers := make([]uint64, 0, len(cands))
 	for i, c := range cands {
 		if !held[i] {
 			e.migSkips.Add(1)
 			continue
 		}
 		c.ver = vers[i]
-		relWords = append(relWords, c.word)
-		relVers = append(relVers, c.ver)
 		live = append(live, c)
 	}
 
@@ -125,7 +123,7 @@ func referenceMigrateVertices(e *Engine, me fabric.Rank, moves []MigrationMove) 
 
 	// Phase 3: decode, confirm identity, pick the destination, and lock the
 	// secondary words.
-	replSkip := referenceLockMoveTargets(e, me, live)
+	referenceLockMoveTargets(e, me, live)
 
 	// Phase 4: re-encode with the updated home list (the old primary joins
 	// it) and lay the stream out over the destination chain.
@@ -150,11 +148,12 @@ func referenceMigrateVertices(e *Engine, me fabric.Rank, moves []MigrationMove) 
 	// whose block now holds a stub, and clears the mark of a former home the
 	// vertex moves back into; a skipped move's words keep theirs.
 	var w writeList
-	marks := make(map[locks.Word]locks.StubMark)
+	marks := make(map[locks.Word]locks.ReleaseMark)
 	for _, c := range live {
 		if !c.ok {
 			continue
 		}
+		c.written = true
 		w.appendChainWrites(c.stream, c.chain, nil, bs)
 		// One stub buffer serves every vacated home: the batch only reads it.
 		stub := holder.EncodeMoved(c.mv.App, c.dst, bs)
@@ -171,21 +170,25 @@ func referenceMigrateVertices(e *Engine, me fabric.Rank, moves []MigrationMove) 
 	// Phase 6: swing the DHT entries and move the explicit-index postings.
 	migrated, fatal := referenceSwingMoves(e, me, live)
 
-	// Phase 7: release every lock (bumping versions — the invalidation
-	// broadcast), then retire the vacated continuation blocks. The old
+	// Phase 7: release every lock (bumping the versions of the published
+	// moves' words — the invalidation broadcast — and dropping the skipped
+	// ones' unchanged), then retire the vacated continuation blocks. The old
 	// primary and the other home blocks stay allocated as stubs.
+	var relWords []locks.Word
+	var relVers []uint64
+	var relMarks []locks.ReleaseMark
 	for _, c := range live {
-		relWords = append(relWords, c.secWords...)
-		relVers = append(relVers, c.secVers...)
-	}
-	relMarks := make([]locks.StubMark, len(relWords))
-	for i, w := range relWords {
-		relMarks[i] = marks[w]
+		relWords = append(append(relWords, c.word), c.secWords...)
+		relVers = append(append(relVers, c.ver), c.secVers...)
+		for _, w := range relWords[len(relMarks):] {
+			if c.written {
+				relMarks = append(relMarks, marks[w])
+			} else {
+				relMarks = append(relMarks, locks.Unwritten)
+			}
+		}
 	}
 	locks.ReleaseWriteTrainMarked(me, relWords, relVers, relMarks)
-	for _, c := range replSkip {
-		e.bumpMirrors(me, c.v, c.ver)
-	}
 	for _, c := range live {
 		if !c.ok { // skipped, or not swung on the fatal path
 			continue
@@ -208,7 +211,7 @@ func referenceSwingMoves(e *Engine, me fabric.Rank, live []*refMigCand) (migrate
 			continue
 		}
 		if fatal != nil {
-			c.ok = false // not swung; its vacated chain must not be freed
+			c.ok = false // written but not swung; its vacated chain must not be freed
 			continue
 		}
 		if !e.index.Replace(me, c.mv.App, uint64(c.mv.Old), uint64(c.dst)) {
@@ -232,10 +235,8 @@ func referenceSwingMoves(e *Engine, me fabric.Rank, live []*refMigCand) (migrate
 // picks the destination primary (the former home on this rank if there is
 // one — the ABA path — else a fresh block), and write-locks the destination
 // word plus every other home's stub word with one best-effort train. A
-// candidate missing any of its secondary words is skipped. It returns the
-// replicated candidates it skipped, whose followers must track the release
-// bump of their primary.
-func referenceLockMoveTargets(e *Engine, me fabric.Rank, live []*refMigCand) (replSkip []*refMigCand) {
+// candidate missing any of its secondary words is skipped.
+func referenceLockMoveTargets(e *Engine, me fabric.Rank, live []*refMigCand) {
 	apps := make([]uint64, len(live))
 	for i, c := range live {
 		apps[i] = c.mv.App
@@ -258,7 +259,6 @@ func referenceLockMoveTargets(e *Engine, me fabric.Rank, live []*refMigCand) (re
 			// key. Rebalancing one means dropping its replicas first (a
 			// commit-path reshape does that; a later seeding round restores
 			// k elsewhere).
-			replSkip = append(replSkip, c)
 			referenceSkipMove(e, me, c)
 			continue
 		}
@@ -299,10 +299,9 @@ func referenceLockMoveTargets(e *Engine, me fabric.Rank, live []*refMigCand) (re
 		var all bool
 		c.secWords, c.secVers, all = splitHeld(secWords[lo:at], secVers[lo:at], secHeld[lo:at])
 		if !all {
-			referenceSkipMove(e, me, c) // releases the subset it did get
+			referenceSkipMove(e, me, c) // the release drops the subset it did get
 		}
 	}
-	return replSkip
 }
 
 // referenceReplicateOne pulls one follower copy of vertex app onto origin, leaving the
@@ -333,17 +332,13 @@ func referenceReplicateOne(e *Engine, origin fabric.Rank, app uint64, primary fa
 	pv := vers[0]
 
 	var fresh []fabric.DPtr // rollback list for every block acquired here
-	var v *holder.Vertex
 	bail := func() bool {
 		for _, dp := range fresh {
 			e.store.ReleaseBlock(origin, dp)
 		}
-		locks.ReleaseWriteTrain(origin, []locks.Word{word}, []uint64{pv})
-		// The release bumped the primary's version without changing content;
-		// keep any existing followers in lockstep across it.
-		if v != nil {
-			e.bumpMirrors(origin, v, pv)
-		}
+		// Nothing was written: the primary drops at pv, and every existing
+		// follower stays in lockstep with it.
+		locks.ReleaseWriteTrainMarked(origin, []locks.Word{word}, []uint64{pv}, unwritten(1))
 		return false
 	}
 
@@ -351,11 +346,10 @@ func referenceReplicateOne(e *Engine, origin fabric.Rank, app uint64, primary fa
 	if buf == nil {
 		return bail()
 	}
-	dv, err := holder.DecodeVertex(buf)
-	if err != nil || dv.AppID != app || dv.IsReplica {
+	v, err := holder.DecodeVertex(buf)
+	if err != nil || v.AppID != app || v.IsReplica {
 		return bail()
 	}
-	v = dv
 	if len(v.Replicas) >= k-1 {
 		return bail()
 	}
@@ -408,7 +402,7 @@ func referenceReplicateOne(e *Engine, origin fabric.Rank, app uint64, primary fa
 	if existing > 0 {
 		marked, markedVers, all := splitHeld(gWords, gVers, locks.AcquireMirrorTrain(origin, gWords, gVers))
 		if !all {
-			locks.ReleaseMirrorTrain(origin, marked, markedVers) // to pv+1, matching bail's bump
+			locks.ReleaseMirrorTrain(origin, marked, markedVers, unwritten(len(marked))) // back to pv, where bail leaves the primary
 			return bail()
 		}
 	}
@@ -423,7 +417,7 @@ func referenceReplicateOne(e *Engine, origin fabric.Rank, app uint64, primary fa
 	// reachable.
 	locks.ReleaseWriteTrain(origin, []locks.Word{word}, []uint64{pv})
 	if existing > 0 {
-		locks.ReleaseMirrorTrain(origin, gWords, gVers)
+		locks.ReleaseMirrorTrain(origin, gWords, gVers, nil)
 	}
 	locks.SeedMirrorWord(origin, headWord, pv)
 	e.repl[origin].install(primary, replicaEntry{head: group[0], app: app})
@@ -466,17 +460,18 @@ func referencePromoteOne(e *Engine, origin fabric.Rank, it promoteItem, dead map
 		}
 		fv = locks.Version(headWord.Stamp(origin))
 	}
-	release := func() {
-		locks.ReleaseWriteTrain(origin, []locks.Word{headWord}, []uint64{fv})
+	release := func(mark locks.ReleaseMark) {
+		locks.ReleaseWriteTrainMarked(origin, []locks.Word{headWord}, []uint64{fv}, []locks.ReleaseMark{mark})
 	}
 	// abandon gives up on an unusable copy: it releases my word and any
-	// sibling marks (content unchanged, so lockstep holds) and drops the
-	// directory entry.
+	// sibling marks (content unchanged, so lockstep holds: only a stolen
+	// word, whose content may be torn, moves up) and drops the directory
+	// entry.
 	var sWords []locks.Word
 	var sVers []uint64
 	abandon := func() bool {
-		release()
-		runIsolated(func() { locks.ReleaseMirrorTrain(origin, sWords, sVers) })
+		release(writtenIf(stolen))
+		runIsolated(func() { locks.ReleaseMirrorTrain(origin, sWords, sVers, unwritten(len(sWords))) })
 		e.repl[origin].drop(it.primary)
 		return false
 	}
@@ -555,10 +550,10 @@ func referencePromoteOne(e *Engine, origin fabric.Rank, it promoteItem, dead map
 		// acquisition; an unconditional store completes the "release".
 		locks.SeedMirrorWord(origin, headWord, fv)
 	} else {
-		release()
+		release(locks.Written)
 	}
 	if len(sWords) > 0 {
-		runIsolated(func() { locks.ReleaseMirrorTrain(origin, sWords, sVers) })
+		runIsolated(func() { locks.ReleaseMirrorTrain(origin, sWords, sVers, nil) })
 	}
 	for _, g := range v.Replicas {
 		fr := g[0].Rank()

@@ -182,8 +182,8 @@ func TestReshapeDropsFollowers(t *testing.T) {
 }
 
 // TestAbortedWriteKeepsLockstep: an abort after the commit lock train
-// releases a held write lock, bumping the primary's version without changing
-// content; the follower must track the bump or every later replica read
+// releases a held write lock without changing content, so the primary's
+// version must stay where the follower's is, or every later replica read
 // would fail validation. The commit rewrites the replicated vertex in place
 // and grows a second one on a rank whose pool is empty, so prepare fails
 // after the train has write-locked both.
@@ -351,8 +351,8 @@ func TestPromoteDeadFailsOver(t *testing.T) {
 }
 
 // TestReplicatedVertexPinnedDuringMigration: MigrateVertices refuses to move
-// a replicated vertex, and the skip (which bumps the primary's version under
-// a held lock) leaves the followers in lockstep.
+// a replicated vertex, and the skip (which releases the primary's lock
+// without writing it) leaves the followers in lockstep.
 func TestReplicatedVertexPinnedDuringMigration(t *testing.T) {
 	_, e := newReplicaEngine(t, 2)
 	pt := payloadPType(t, e)

@@ -232,8 +232,8 @@ func FuzzHolderV2RoundTrip(f *testing.F) {
 		if err := w.Reset(stream); err != nil {
 			t.Fatalf("view reset on a fresh stream: %v", err)
 		}
-		if w.NumEdges() != len(v.Edges) || w.AppID() != v.AppID {
-			t.Fatalf("view header %d/%d, want %d/%d", w.NumEdges(), w.AppID(), len(v.Edges), v.AppID)
+		if w.EdgeCap() != len(v.Edges) || w.AppID() != v.AppID {
+			t.Fatalf("view header %d/%d, want %d/%d", w.EdgeCap(), w.AppID(), len(v.Edges), v.AppID)
 		}
 		sameRecords(t, w.AppendEdges(nil), v.Edges)
 		if err := w.Err(); err != nil {

@@ -88,16 +88,12 @@ func (w *View) Err() error { return w.err }
 // NumBlocks returns the holder's block count.
 func (w *View) NumBlocks() int { return w.numBlocks }
 
-// NumEdges returns the number of inline edge records — the vertex degree
-// over all directions — straight from the header, without touching the edge
-// region.
-func (w *View) NumEdges() int { return w.numEdges }
-
-// EdgeCap bounds the records an edge walk over the view can yield:
-// NumEdges, capped by the bytes the stream holds from the edge region on,
-// since every record takes at least one. Unlike NumEdges it cannot exceed
-// the stream, whatever a corrupt header claims, so it sizes a buffer for a
-// walk's records safely.
+// EdgeCap bounds the records an edge walk over the view can yield: the
+// header's record count (the vertex degree over all directions, read without
+// touching the edge region), capped by the bytes the stream holds from the
+// edge region on, since every record takes at least one. On a valid holder
+// it is the degree; whatever a corrupt header claims, it cannot exceed the
+// stream, so it sizes a buffer for a walk's records safely.
 func (w *View) EdgeCap() int { return min(w.numEdges, len(w.buf)-w.edgesOff) }
 
 // AppID returns the application-level vertex ID.

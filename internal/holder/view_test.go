@@ -196,8 +196,8 @@ func TestViewMatchesDecode(t *testing.T) {
 	if err := w.Reset(stream); err != nil {
 		t.Fatalf("reset: %v", err)
 	}
-	if w.AppID() != v.AppID || w.NumEdges() != len(v.Edges) {
-		t.Fatalf("view header %d/%d", w.AppID(), w.NumEdges())
+	if w.AppID() != v.AppID || w.EdgeCap() != len(v.Edges) {
+		t.Fatalf("view header %d/%d", w.AppID(), w.EdgeCap())
 	}
 	var got []EdgeRec
 	w.ForEachEdge(func(rec EdgeRec) bool { got = append(got, rec); return true })

@@ -15,19 +15,18 @@ import (
 type trainAPI struct {
 	acquireWrite     func(fabric.Rank, []TrainLock, int) ([]uint64, error)
 	acquireWriteEach func(fabric.Rank, []TrainLock, int) ([]uint64, []bool)
-	releaseWrite     func(fabric.Rank, []Word, []uint64, []StubMark)
+	releaseWrite     func(fabric.Rank, []Word, []uint64, []ReleaseMark)
 	acquireRead      func(fabric.Rank, []Word, []uint64, int) ([]uint64, error)
 	releaseRead      func(fabric.Rank, []Word, []uint64)
 	mirrorMark       func(fabric.Rank, []Word, []uint64) []bool
-	mirrorRelease    func(fabric.Rank, []Word, []uint64)
-	mirrorBump       func(fabric.Rank, []Word, []uint64)
+	mirrorRelease    func(fabric.Rank, []Word, []uint64, []ReleaseMark)
 }
 
 var (
 	engineAPI = trainAPI{AcquireWriteTrain, AcquireWriteTrainEach, ReleaseWriteTrainMarked,
-		AcquireReadTrainAt, ReleaseReadTrainAt, AcquireMirrorTrain, ReleaseMirrorTrain, BumpMirrorTrain}
+		AcquireReadTrainAt, ReleaseReadTrainAt, AcquireMirrorTrain, ReleaseMirrorTrain}
 	referenceAPI = trainAPI{refAcquireWriteTrain, refAcquireWriteTrainEach, refReleaseWriteTrainMarked,
-		refAcquireReadTrainAt, refReleaseReadTrainAt, refAcquireMirrorTrain, refReleaseMirrorTrain, refBumpMirrorTrain}
+		refAcquireReadTrainAt, refReleaseReadTrainAt, refAcquireMirrorTrain, refReleaseMirrorTrain}
 )
 
 // lockTwin is one of the two fabrics the reference script runs on.
@@ -58,9 +57,10 @@ func (tw lockTwin) state() (counters []fabric.Snapshot, words []uint64) {
 
 // TestLockTrainsMatchReference runs one seeded random script of lock
 // trains on twin 3-rank fabrics, the engine on one and the reference loops
-// on the other: write acquisitions (all or nothing, best effort), marked
-// write releases, read acquisitions and releases, and mirror marks,
-// releases and bumps, seeded right and wrong, over words a third party
+// on the other: write acquisitions (all or nothing, best effort), write
+// releases marked written (stub bit kept, set or cleared) or unwritten, read
+// acquisitions and releases, and mirror marks and marked mirror releases,
+// seeded right and wrong, over words a third party
 // holds shared or exclusively and words marked as stubs, so trains probe,
 // run out of tries, roll back and panic. After every operation the return
 // values or the panic, every word and every rank's counters must be equal.
@@ -146,6 +146,18 @@ func TestLockTrainsMatchReference(t *testing.T) {
 		}
 		return vs
 	}
+	// randomMarks marks n words at random, or returns nil (every word
+	// Written).
+	randomMarks := func(n int) []ReleaseMark {
+		if rng.Intn(3) == 0 {
+			return nil
+		}
+		marks := make([]ReleaseMark, n)
+		for i := range marks {
+			marks[i] = ReleaseMark(rng.Intn(4))
+		}
+		return marks
+	}
 	words := func(ws []Word, ks []int) []Word {
 		out := make([]Word, len(ks))
 		for i, k := range ks {
@@ -199,13 +211,7 @@ func TestLockTrainsMatchReference(t *testing.T) {
 		case 2: // marked write release
 			ks := pick(keys(func(k int) bool { return writeHeld[k] }))
 			vs := vers(ks, true)
-			var marks []StubMark
-			if rng.Intn(2) == 0 {
-				marks = make([]StubMark, len(ks))
-				for i := range marks {
-					marks[i] = StubMark(rng.Intn(3))
-				}
-			}
+			marks := randomMarks(len(ks))
 			desc = fmt.Sprintf("write release %v vers %v marks %v", ks, vs, marks)
 			op = func(api trainAPI, ws []Word) []any {
 				api.releaseWrite(origin, words(ws, ks), vs, marks)
@@ -244,21 +250,16 @@ func TestLockTrainsMatchReference(t *testing.T) {
 					readHeld[k]--
 				}
 			}
-		case 6: // mirror mark or bump
+		case 6: // mirror mark
 			ks := pick(all())
 			vs := vers(ks, false)
-			bump := rng.Intn(2) == 0
-			desc = fmt.Sprintf("mirror mark (bump %v) %v vers %v", bump, ks, vs)
+			desc = fmt.Sprintf("mirror mark %v vers %v", ks, vs)
 			op = func(api trainAPI, ws []Word) []any {
-				if bump {
-					api.mirrorBump(origin, words(ws, ks), vs)
-					return nil
-				}
 				return []any{api.mirrorMark(origin, words(ws, ks), vs)}
 			}
 			took = func(out []any) {
 				for i, k := range ks {
-					if !bump && out[0].([]bool)[i] {
+					if out[0].([]bool)[i] {
 						mirrorHeld[k] = vs[i]
 					}
 				}
@@ -272,9 +273,10 @@ func TestLockTrainsMatchReference(t *testing.T) {
 					vs[i]++
 				}
 			}
-			desc = fmt.Sprintf("mirror release %v vers %v", ks, vs)
+			marks := randomMarks(len(ks))
+			desc = fmt.Sprintf("mirror release %v vers %v marks %v", ks, vs, marks)
 			op = func(api trainAPI, ws []Word) []any {
-				api.mirrorRelease(origin, words(ws, ks), vs)
+				api.mirrorRelease(origin, words(ws, ks), vs, marks)
 				return nil
 			}
 			took = func([]any) {

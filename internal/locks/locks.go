@@ -2,7 +2,7 @@
 // GDI-RMA (§5.6 of the paper). One 64-bit lock word guards each vertex:
 //
 //	bit  63      write bit (exclusively held)
-//	bits 32..62  version counter, bumped by every write-unlock
+//	bits 32..62  version counter, bumped by every release that wrote the block
 //	bit  31      stub bit: the guarded block is a migration forwarding stub
 //	bits  0..30  reader count
 //
@@ -20,18 +20,21 @@
 // the benchmark module's lock probes, which time them.
 //
 // The version counter is the foundation of the optimistic read protocol
-// (§3.8, §5.2): holder content only changes while the write bit is set, and every
-// write-unlock bumps the version, so a reader that observes the same version
-// with the write bit clear before and after a fetch holds an untorn copy,
-// and a cached copy stamped with version v is current exactly while the word
-// still carries v. Versions are per word and strictly monotonic (releases
-// only increment; the 31-bit counter wraps after 2^31 writes per vertex,
-// far beyond any transaction lifetime this simulation runs).
+// (§3.8, §5.2). One rule moves it: a release bumps a word's version iff the
+// hold wrote the block the word guards. Holder content only changes while
+// the write bit is set, so a reader that observes the same version with the
+// write bit clear before and after a fetch holds an untorn copy, and a
+// cached copy stamped with version v is current exactly while the word
+// still carries v. A hold that wrote nothing (a failed commit, a move given
+// up) drops the word at the version it took it at, which every such copy
+// still names. Versions are per word and never decrease (the 31-bit counter
+// wraps after 2^31 writes per vertex, far beyond any transaction lifetime
+// this simulation runs).
 //
 // The stub bit says what the guarded block is, so a reader that loads the
 // word before fetching knows whether the block is a forwarding stub (§5.6's
 // stamp train doubles as a type probe). Only a write release changes it
-// (StubMark), and only the two owners of forwarding stubs ask it to: live
+// (ReleaseMark), and only the two owners of forwarding stubs ask it to: live
 // migration publishes a stub at each vacated home and clears the bit of a
 // home its vertex moves back into, and the deletion that retires a stub
 // clears it before the block is freed. Every other lock operation computes
@@ -89,28 +92,51 @@ func Readers(word uint64) uint32 { return uint32(word & readerMask) }
 // Stub reports whether a raw lock word marks its block as a forwarding stub.
 func Stub(word uint64) bool { return word&stubBit != 0 }
 
-// StubMark is a write release's choice for a word's stub bit.
-type StubMark uint8
+// ReleaseMark is a write release's account of one word: whether the hold
+// wrote the guarded block and, when it did, what the word's stub bit becomes.
+type ReleaseMark uint8
 
 const (
-	// StubKeep leaves the bit as the word carries it.
-	StubKeep StubMark = iota
-	// StubSet publishes the block as a forwarding stub.
+	// Written: the hold wrote the block; the stub bit is kept.
+	Written ReleaseMark = iota
+	// StubSet: the hold wrote the block as a forwarding stub.
 	StubSet
-	// StubClear publishes the block as no stub: a retired stub, or a former
-	// home a vertex moved back into.
+	// StubClear: the hold wrote the block as no stub: a retired stub, or a
+	// former home a vertex moved back into.
 	StubClear
+	// Unwritten: the hold wrote nothing. The word drops at the version it
+	// was taken at, stub bit kept, so every copy stamped with it stays
+	// current.
+	Unwritten
 )
 
-// apply returns word with its stub bit as m asks.
-func (m StubMark) apply(word uint64) uint64 {
+// release is the word a release installs over the held word cur.
+func (m ReleaseMark) release(cur uint64) uint64 {
+	cur &^= writeBit
 	switch m {
+	case Unwritten:
+		return cur
 	case StubSet:
-		return word | stubBit
+		cur |= stubBit
 	case StubClear:
-		return word &^ stubBit
+		cur &^= stubBit
 	}
-	return word
+	return bumpVersion(cur)
+}
+
+// markOf is word i's mark: marks[i], or Written when marks is nil.
+func markOf(marks []ReleaseMark, i int) ReleaseMark {
+	if marks == nil {
+		return Written
+	}
+	return marks[i]
+}
+
+// checkMarks verifies that a marked release carries one mark per word.
+func checkMarks(kind string, words int, marks []ReleaseMark) {
+	if marks != nil && len(marks) != words {
+		panic(fmt.Sprintf("locks: %s train of %d words with %d marks", kind, words, len(marks)))
+	}
 }
 
 // bumpVersion increments the version field of word, wrapping inside the
@@ -156,9 +182,9 @@ func (w Word) TryAcquireWrite(origin fabric.Rank, tries int) error {
 	return err
 }
 
-// ReleaseWrite drops the exclusive lock and bumps the version counter — the
-// signal that tells version-validated readers their cached copies of the
-// guarded holder are stale.
+// ReleaseWrite drops the exclusive lock of a hold that wrote the block and
+// bumps the version counter — the signal that tells version-validated
+// readers their cached copies of the guarded holder are stale.
 func (w Word) ReleaseWrite(origin fabric.Rank) { ReleaseWriteTrain(origin, []Word{w}, nil) }
 
 // Peek returns the word's writer flag and reader count (diagnostics and
@@ -331,8 +357,8 @@ func acquireWrite(origin fabric.Rank, ls []TrainLock, tries int) (t *train, left
 // AcquireWriteTrain write-locks every word of the train, issuing one
 // vectored CAS train per owner rank per retry round. Acquisition is all or
 // nothing: if any word cannot be taken within the retry budget, every lock
-// the train did acquire is rolled back to its pre-train state (versions
-// untouched — a rollback is not a write-unlock) and (nil, ErrContended) is
+// the train did acquire is rolled back to its pre-train state (an
+// Unwritten release: versions untouched) and (nil, ErrContended) is
 // returned.
 //
 // On success it returns the version of every held word, aligned with ls.
@@ -354,59 +380,48 @@ func AcquireWriteTrain(origin fabric.Rank, ls []TrainLock, tries int) ([]uint64,
 	}
 	// Held words are stable, so one round must roll every one of them back.
 	t.flip()
-	if t.rounds(origin, 1, func(_ int, cur uint64) uint64 { return cur &^ writeBit }) > 0 {
+	if t.rounds(origin, 1, func(_ int, cur uint64) uint64 { return Unwritten.release(cur) }) > 0 {
 		panic("locks: write-train rollback of a word not exclusively held")
 	}
 	return nil, ErrContended
 }
 
-// ReleaseWriteTrain drops exclusively held locks and bumps their version
-// counters, one vectored CAS train per owner rank per round. Every word must
-// be write-held by the caller. vers, when non-nil, seeds the train with the
-// held words' versions (aligned with words, as returned by
-// AcquireWriteTrain): a held word's value is stable, so correct versions
-// make the train converge in a single round per rank. With vers nil the
-// first round guesses version 0 and any word whose guess was wrong is
-// released on the second round. Stub bits are kept.
+// ReleaseWriteTrain drops exclusively held locks whose holds wrote their
+// blocks and bumps their version counters, one vectored CAS train per owner
+// rank per round. Every word must be write-held by the caller. vers, when
+// non-nil, seeds the train with the held words' versions (aligned with
+// words, as returned by AcquireWriteTrain): a held word's value is stable,
+// so correct versions make the train converge in a single round per rank.
+// With vers nil the first round guesses version 0 and any word whose guess
+// was wrong is released on the second round. Stub bits are kept.
 func ReleaseWriteTrain(origin fabric.Rank, words []Word, vers []uint64) {
 	ReleaseWriteTrainMarked(origin, words, vers, nil)
 }
 
-// ReleaseWriteTrainMarked is ReleaseWriteTrain that also publishes each
-// word's stub bit as marks asks (aligned with words; nil keeps every bit).
-// The first round guesses the bit set on a word marked StubClear — the
-// stubs a caller retires or reclaims — and clear on the others.
-func ReleaseWriteTrainMarked(origin fabric.Rank, words []Word, vers []uint64, marks []StubMark) {
+// ReleaseWriteTrainMarked is ReleaseWriteTrain with one mark per word
+// (aligned with words; nil marks every word Written): a word marked
+// Unwritten drops at its version, every other word bumps and publishes its
+// stub bit as marked. The first round guesses the bit set on a word marked
+// StubClear — the stubs a caller retires or reclaims — and clear on the
+// others.
+func ReleaseWriteTrainMarked(origin fabric.Rank, words []Word, vers []uint64, marks []ReleaseMark) {
 	checkVers("release", len(words), vers)
-	if marks != nil && len(marks) != len(words) {
-		panic(fmt.Sprintf("locks: release train of %d words with %d stub marks", len(words), len(marks)))
-	}
+	checkMarks("release", len(words), marks)
 	if len(words) == 0 {
 		return
 	}
-	mark := func(i int) StubMark {
-		if marks == nil {
-			return StubKeep
-		}
-		return marks[i]
-	}
 	t := newTrain(len(words), func(i int) Word { return words[i] }, func(i int) uint64 {
-		if mark(i) == StubClear {
+		if markOf(marks, i) == StubClear {
 			return writeBit | stubBit | seedAt(vers, i)
 		}
 		return writeBit | seedAt(vers, i)
 	})
 	defer t.free()
-	// The hook must see every word still write-held at its pre-bump
-	// version, so fire it for the whole train before any CAS round.
-	for _, w := range t.words {
-		runReleaseHook(w.Win, w.Target, w.Idx)
-	}
 	t.rounds(origin, untilDone, func(i int, cur uint64) uint64 {
 		if cur&writeBit == 0 {
 			panic("locks: ReleaseWriteTrain without holding the write lock")
 		}
-		return mark(i).apply(bumpVersion(cur &^ writeBit))
+		return markOf(marks, i).release(cur)
 	})
 }
 
@@ -444,7 +459,9 @@ func AcquireWriteTrainEach(origin fabric.Rank, ls []TrainLock, tries int) (vers 
 // payload, releases the primary (bumping it to v+1), and only then releases
 // the follower words to v+1 — primary-then-follower order, so a reader that
 // validates against either word never accepts a follower payload newer than
-// the primary version it proved.
+// the primary version it proved. A writer that gives up before writing
+// releases both words at v: follower and primary stay in lockstep because
+// neither moves.
 
 // AcquireMirrorTrain write-marks follower version words, one vectored CAS
 // train per owner rank, one round. vers carries each word's expected current
@@ -480,16 +497,17 @@ func mirrorTrain(origin fabric.Rank, words []Word, vers []uint64, held uint64, s
 }
 
 // ReleaseMirrorTrain completes the fan-out on follower words AcquireMirrorTrain
-// marked: each word moves from write-marked at version v to free at v+1, the
-// same bump the primary's release already performed. A failed CAS means the
-// mark was stolen: when a vertex's primary rank dies while a (surviving)
-// committer is mid-fan-out, promotion forcibly re-seeds the marked follower
-// words — nothing would ever complete the fan-out if the committer had died
-// too, and a live committer finding its mark gone simply leaves the word to
-// its new owner. No release hook fires: snapshot cuts pin primaries, so
-// follower blocks never carry retirement obligations.
-func ReleaseMirrorTrain(origin fabric.Rank, words []Word, vers []uint64) {
-	mirrorTrain(origin, words, vers, writeBit, func(_ int, cur uint64) uint64 { return bumpVersion(cur &^ writeBit) })
+// marked, each as its mark says (aligned with words; nil marks every word
+// Written): a written word moves from write-marked at version v to free at
+// v+1, the same bump the primary's release performed, and an Unwritten one
+// back to free at v. A failed CAS means the mark was stolen: when a
+// vertex's primary rank dies while a (surviving) committer is mid-fan-out,
+// promotion forcibly re-seeds the marked follower words — nothing would
+// ever complete the fan-out if the committer had died too, and a live
+// committer finding its mark gone simply leaves the word to its new owner.
+func ReleaseMirrorTrain(origin fabric.Rank, words []Word, vers []uint64, marks []ReleaseMark) {
+	checkMarks("mirror release", len(words), marks)
+	mirrorTrain(origin, words, vers, writeBit, func(i int, cur uint64) uint64 { return markOf(marks, i).release(cur) })
 }
 
 // SeedMirrorWord initializes a follower copy's version word. Seeding runs
@@ -502,18 +520,6 @@ func ReleaseMirrorTrain(origin fabric.Rank, words []Word, vers []uint64) {
 // again.
 func SeedMirrorWord(origin fabric.Rank, w Word, primaryVer uint64) {
 	w.Win.Store(origin, w.Target, w.Idx, bumpVersion(primaryVer<<versionShift))
-}
-
-// BumpMirrorTrain moves lockstep follower words from free at v to free at
-// v+1 with one best-effort CAS train per owner rank — the follower half of a
-// content-preserving write release (an aborted transaction, a skipped
-// migration, a bailed replica seed). The primary's release bumped its version
-// without changing its content, so a follower in lockstep stays in lockstep
-// by tracking the bump. A word that fails the CAS was already out of lockstep
-// (or is mid-mark by a racing committer) and is left alone: its next replica
-// read simply fails version validation and falls back.
-func BumpMirrorTrain(origin fabric.Rank, words []Word, vers []uint64) {
-	mirrorTrain(origin, words, vers, 0, func(_ int, cur uint64) uint64 { return bumpVersion(cur) })
 }
 
 // AcquireReadTrain is AcquireReadTrainAt seeded with version 0, for callers

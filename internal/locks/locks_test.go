@@ -409,7 +409,7 @@ func TestWriteTrainRollbackPreservesVersion(t *testing.T) {
 	if _, err := AcquireWriteTrain(0, ls, 4); err != ErrContended {
 		t.Fatalf("train over a held word: err = %v, want ErrContended", err)
 	}
-	// Rollback is not a write-unlock: versions unchanged, words free.
+	// A rollback wrote nothing: versions unchanged, words free.
 	if v := Version(raw(ws[0])); v != 1 {
 		t.Fatalf("word 0 version after rollback = %d, want 1", v)
 	}
@@ -511,11 +511,62 @@ func TestMirrorTrainLockstep(t *testing.T) {
 			t.Fatalf("follower %d word = %#x after mark", i, got)
 		}
 	}
-	ReleaseMirrorTrain(0, words, vers)
+	ReleaseMirrorTrain(0, words, vers, nil)
 	for i := range words {
 		got := raw(words[i])
 		if WriteHeld(got) || Version(got) != 8 {
 			t.Fatalf("follower %d word = %#x after release, want free at version 8", i, got)
+		}
+	}
+}
+
+// TestReleaseBumpsOnlyWrittenWords holds both release trains to the one
+// version rule: a word whose hold wrote the block moves one version up, a
+// word marked Unwritten drops at the version it was taken at with its stub
+// bit kept, and each train still takes one round per owner rank, plus the
+// round a stub word's unguessed bit costs.
+func TestReleaseBumpsOnlyWrittenWords(t *testing.T) {
+	f := rma.New(3)
+	win := f.NewWordWin(8)
+	ws := []Word{{win, 1, 0}, {win, 1, 1}, {win, 2, 2}, {win, 2, 3}}
+	for i, w := range ws {
+		win.Store(0, w.Target, w.Idx, freeAt(5))
+		if i == 3 {
+			win.Store(0, w.Target, w.Idx, freeAt(5)|stubBit)
+		}
+	}
+	ls := []TrainLock{{ws[0], 5}, {ws[1], 5}, {ws[2], 5}, {ws[3], 5}}
+	vers, err := AcquireWriteTrain(0, ls, 1) // the stub word takes a second round
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.ResetCounters()
+	ReleaseWriteTrainMarked(0, ws, vers, []ReleaseMark{Written, Unwritten, StubSet, Unwritten})
+	if n := f.CounterSnapshot(0).AtomicBatches; n != 3 {
+		t.Fatalf("marked release used %d trains, want 3 (one per rank, and a second round for the stub word)", n)
+	}
+	want := []uint64{freeAt(6), freeAt(5), freeAt(6) | stubBit, freeAt(5) | stubBit}
+	for i, w := range ws {
+		if got := raw(w); got != want[i] {
+			t.Fatalf("word %d = %#x after release, want %#x", i, got, want[i])
+		}
+	}
+
+	// Mirror words marked at 5: a written fan-out lands them at 6, one given
+	// up before it wrote back at 5.
+	for _, w := range ws {
+		win.Store(0, w.Target, w.Idx, freeAt(5))
+	}
+	mv := []uint64{5, 5, 5, 5}
+	AcquireMirrorTrain(0, ws, mv)
+	f.ResetCounters()
+	ReleaseMirrorTrain(0, ws, mv, []ReleaseMark{Unwritten, Written, Unwritten, Written})
+	if n := f.CounterSnapshot(0).AtomicBatches; n != 2 {
+		t.Fatalf("marked mirror release used %d trains, want 2 (one per rank)", n)
+	}
+	for i, w := range ws {
+		if got, v := raw(w), uint64(5+i%2); got != freeAt(v) {
+			t.Fatalf("mirror word %d = %#x after release, want free at %d", i, got, v)
 		}
 	}
 }
@@ -536,7 +587,7 @@ func TestMirrorTrainDropsOutOfLockstepFollowers(t *testing.T) {
 		t.Fatalf("held = %v, want [true false false]", held)
 	}
 	// Only the marked follower releases; the dropped ones are untouched.
-	ReleaseMirrorTrain(0, words[:1], []uint64{4})
+	ReleaseMirrorTrain(0, words[:1], []uint64{4}, nil)
 	if got := raw(words[0]); Version(got) != 5 || WriteHeld(got) {
 		t.Fatalf("follower 0 word = %#x, want free at version 5", got)
 	}
@@ -554,7 +605,7 @@ func TestMirrorTrainVersionWrap(t *testing.T) {
 	if held := AcquireMirrorTrain(0, []Word{w}, []uint64{top}); !held[0] {
 		t.Fatal("mark at the top version failed")
 	}
-	ReleaseMirrorTrain(0, []Word{w}, []uint64{top})
+	ReleaseMirrorTrain(0, []Word{w}, []uint64{top}, nil)
 	if got := raw(w); got != 0 {
 		t.Fatalf("word = %#x after wrap, want 0 (version wrapped inside its field)", got)
 	}

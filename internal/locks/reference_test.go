@@ -11,7 +11,9 @@ import (
 // their words, group them by owner rank, build a CASOp slice, call CASBatch
 // and sort the results into took, probed and learned. They are the oracle
 // TestLockTrainsMatchReference checks the engine against, kept as they were
-// apart from the ref prefix on their names.
+// apart from the ref prefix on their names and the release rule they now
+// share with the engine: a release bumps a word iff its hold wrote the
+// block (refReleased).
 
 // refCheckTrainWin verifies the single-window invariant of lock trains.
 func refCheckTrainWin(win fabric.WordWin, w Word) {
@@ -102,7 +104,7 @@ func refAcquireWriteRounds(origin fabric.Rank, train []TrainLock, tries int) (he
 // vectored CAS train per owner rank per retry round (refAcquireWriteRounds).
 // Acquisition is all or nothing: if any word cannot be taken within the
 // retry budget, every lock the train did acquire is rolled back to its
-// pre-train state (versions untouched — a rollback is not a write-unlock)
+// pre-train state (versions untouched — a rollback wrote nothing)
 // and (nil, ErrContended) is returned.
 //
 // On success it returns the version of every held word, aligned with ls.
@@ -141,24 +143,46 @@ func refAcquireWriteTrain(origin fabric.Rank, ls []TrainLock, tries int) ([]uint
 	return nil, ErrContended
 }
 
-// refReleaseWriteTrainMarked is ReleaseWriteTrain that also publishes each
-// word's stub bit as marks asks (aligned with words; nil keeps every bit).
-// The first round guesses the bit set on a word marked StubClear — the
-// stubs a caller retires or reclaims — and clear on the others.
-func refReleaseWriteTrainMarked(origin fabric.Rank, words []Word, vers []uint64, marks []StubMark) {
+// refReleased is the word a release marked m installs over the held word
+// w: a hold that wrote the block bumps the version and publishes the stub
+// bit m asks for; one that wrote nothing only clears the write bit.
+func refReleased(m ReleaseMark, w uint64) uint64 {
+	w &^= writeBit
+	if m == Unwritten {
+		return w
+	}
+	w = bumpVersion(w)
+	switch m {
+	case StubSet:
+		w |= stubBit
+	case StubClear:
+		w &^= stubBit
+	}
+	return w
+}
+
+// refMarkAt is marks[i], or Written when marks is nil.
+func refMarkAt(marks []ReleaseMark, i int) ReleaseMark {
+	if marks == nil {
+		return Written
+	}
+	return marks[i]
+}
+
+// refReleaseWriteTrainMarked drops exclusively held locks, one vectored CAS
+// train per owner rank per round, each word as its mark says (aligned with
+// words; nil marks every word Written; refReleased). The first round
+// guesses the stub bit set on a word marked StubClear — the stubs a caller
+// retires or reclaims — and clear on the others.
+func refReleaseWriteTrainMarked(origin fabric.Rank, words []Word, vers []uint64, marks []ReleaseMark) {
 	checkVers("release", len(words), vers)
 	if marks != nil && len(marks) != len(words) {
-		panic(fmt.Sprintf("locks: release train of %d words with %d stub marks", len(words), len(marks)))
+		panic(fmt.Sprintf("locks: release train of %d words with %d marks", len(words), len(marks)))
 	}
 	if len(words) == 0 {
 		return
 	}
-	mark := func(i int) StubMark {
-		if marks == nil {
-			return StubKeep
-		}
-		return marks[i]
-	}
+	mark := func(i int) ReleaseMark { return refMarkAt(marks, i) }
 	order := refTrainOrder(len(words), func(i int) Word { return words[i] })
 	train := make([]Word, len(words))
 	for i, src := range order {
@@ -168,9 +192,6 @@ func refReleaseWriteTrainMarked(origin fabric.Rank, words []Word, vers []uint64,
 	done := make([]bool, len(train))
 	expected := make([]uint64, len(train))
 	for i, src := range order {
-		// The hook must see every word still write-held at its pre-bump
-		// version, so fire it for the whole train before any CAS round.
-		runReleaseHook(win, train[i].Target, train[i].Idx)
 		expected[i] = writeBit
 		if vers != nil {
 			expected[i] |= freeAt(vers[src])
@@ -188,7 +209,7 @@ func refReleaseWriteTrainMarked(origin fabric.Rank, words []Word, vers []uint64,
 				if done[i] {
 					continue
 				}
-				ops = append(ops, fabric.CASOp{Idx: train[i].Idx, Old: expected[i], New: mark(order[i]).apply(bumpVersion(expected[i] &^ writeBit))})
+				ops = append(ops, fabric.CASOp{Idx: train[i].Idx, Old: expected[i], New: refReleased(mark(order[i]), expected[i])})
 				opIdx = append(opIdx, i)
 			}
 			for j, r := range win.CASBatch(origin, train[lo].Target, ops) {
@@ -242,13 +263,14 @@ func refAcquireWriteTrainEach(origin fabric.Rank, ls []TrainLock, tries int) (ve
 // from the fan-out instead of waiting. Returns the per-word marked flags,
 // aligned with words.
 func refAcquireMirrorTrain(origin fabric.Rank, words []Word, vers []uint64) []bool {
-	return refMirrorTrain(origin, words, vers, func(free uint64) (uint64, uint64) { return free, free | writeBit })
+	return refMirrorTrain(origin, words, vers, func(_ int, free uint64) (uint64, uint64) { return free, free | writeBit })
 }
 
 // refMirrorTrain issues one CAS per follower word, one vectored train per owner
-// rank and one round, each CAS computed by cas from the word's expected free
-// value; it returns the per-word swapped flags, aligned with words.
-func refMirrorTrain(origin fabric.Rank, words []Word, vers []uint64, cas func(free uint64) (old, new uint64)) []bool {
+// rank and one round, each CAS computed by cas from the word's position in
+// words and its expected free value; it returns the per-word swapped flags,
+// aligned with words.
+func refMirrorTrain(origin fabric.Rank, words []Word, vers []uint64, cas func(i int, free uint64) (old, new uint64)) []bool {
 	swapped := make([]bool, len(words))
 	if len(words) == 0 {
 		return swapped
@@ -261,7 +283,7 @@ func refMirrorTrain(origin fabric.Rank, words []Word, vers []uint64, cas func(fr
 	refForEachRank(len(order), func(i int) fabric.Rank { return words[order[i]].Target }, func(lo, hi int) {
 		ops := make([]fabric.CASOp, 0, hi-lo)
 		for _, i := range order[lo:hi] {
-			old, new := cas(freeAt(vers[i]))
+			old, new := cas(i, freeAt(vers[i]))
 			ops = append(ops, fabric.CASOp{Idx: words[i].Idx, Old: old, New: new})
 		}
 		for j, r := range win.CASBatch(origin, words[order[lo]].Target, ops) {
@@ -271,29 +293,22 @@ func refMirrorTrain(origin fabric.Rank, words []Word, vers []uint64, cas func(fr
 	return swapped
 }
 
-// refReleaseMirrorTrain completes the fan-out on follower words refAcquireMirrorTrain
-// marked: each word moves from write-marked at version v to free at v+1, the
-// same bump the primary's release already performed. A failed CAS means the
-// mark was stolen: when a vertex's primary rank dies while a (surviving)
-// committer is mid-fan-out, promotion forcibly re-seeds the marked follower
-// words — nothing would ever complete the fan-out if the committer had died
-// too, and a live committer finding its mark gone simply leaves the word to
-// its new owner. No release hook fires: snapshot cuts pin primaries, so
-// follower blocks never carry retirement obligations.
-func refReleaseMirrorTrain(origin fabric.Rank, words []Word, vers []uint64) {
-	refMirrorTrain(origin, words, vers, func(free uint64) (uint64, uint64) { return free | writeBit, bumpVersion(free) })
-}
-
-// refBumpMirrorTrain moves lockstep follower words from free at v to free at
-// v+1 with one best-effort CAS train per owner rank — the follower half of a
-// content-preserving write release (an aborted transaction, a skipped
-// migration, a bailed replica seed). The primary's release bumped its version
-// without changing its content, so a follower in lockstep stays in lockstep
-// by tracking the bump. A word that fails the CAS was already out of lockstep
-// (or is mid-mark by a racing committer) and is left alone: its next replica
-// read simply fails version validation and falls back.
-func refBumpMirrorTrain(origin fabric.Rank, words []Word, vers []uint64) {
-	refMirrorTrain(origin, words, vers, func(free uint64) (uint64, uint64) { return free, bumpVersion(free) })
+// refReleaseMirrorTrain completes the fan-out on follower words
+// refAcquireMirrorTrain marked: each word moves from write-marked at version
+// v as its mark says (refReleased) — to free at v+1, the same bump the
+// primary's release performed, or back to free at v when the writer wrote
+// nothing. A failed CAS means the mark was stolen: when a vertex's primary
+// rank dies while a (surviving) committer is mid-fan-out, promotion forcibly
+// re-seeds the marked follower words — nothing would ever complete the
+// fan-out if the committer had died too, and a live committer finding its
+// mark gone simply leaves the word to its new owner.
+func refReleaseMirrorTrain(origin fabric.Rank, words []Word, vers []uint64, marks []ReleaseMark) {
+	if marks != nil && len(marks) != len(words) {
+		panic(fmt.Sprintf("locks: mirror release train of %d words with %d marks", len(words), len(marks)))
+	}
+	refMirrorTrain(origin, words, vers, func(i int, free uint64) (uint64, uint64) {
+		return free | writeBit, refReleased(refMarkAt(marks, i), free|writeBit)
+	})
 }
 
 // refAcquireReadTrainAt takes shared locks on every word, one vectored CAS

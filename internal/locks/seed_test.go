@@ -149,7 +149,7 @@ func TestOneWordWriteReleaseWithVersIsOneCAS(t *testing.T) {
 func TestStubBitRidesEveryLockOperation(t *testing.T) {
 	ws, vers, f := seededWords(t)
 	const oneRound, twoRounds = 2, 4
-	set := make([]StubMark, len(ws))
+	set := make([]ReleaseMark, len(ws))
 	for i := range set {
 		set[i] = StubSet
 	}
@@ -196,7 +196,7 @@ func TestStubBitRidesEveryLockOperation(t *testing.T) {
 	ws[0].ReleaseRead(0)
 	checkWords(t, ws, vers, true)
 
-	clearing := make([]StubMark, len(ws))
+	clearing := make([]ReleaseMark, len(ws))
 	for i := range clearing {
 		clearing[i] = StubClear
 	}

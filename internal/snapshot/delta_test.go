@@ -148,9 +148,9 @@ func TestRetireAndCutReadPreserveOldBytes(t *testing.T) {
 	c := m.NewCut()
 	m.PinRank(c, 0)
 
-	// A writer overwrites the block; the pre-write hook (Retire) must save
+	// A writer overwrites the block; the pre-write hook (BeforeWrite) must save
 	// the pinned bytes into the arena first.
-	m.Retire(dp.Rank(), dp.Off())
+	m.BeforeWrite(dp)
 	m.store.WriteBlock(0, dp, make([]byte, m.bs))
 
 	if m.RetiredBlocks() == 0 || m.ArenaBytes() == 0 {

@@ -11,9 +11,11 @@
 // — the same vectored atomic-load train the PR 3 block cache revalidates
 // with, issued owner-locally and therefore latency-free. Afterwards, any
 // writer about to overwrite a block whose stamped version is still live first
-// retires the old bytes into the owner rank's version arena (Manager.Retire,
-// invoked from the block store's pre-write hook and from the lock layer's
-// write-unlock hook). Cut readers check the arena first and fall back to a
+// retires the old bytes into the owner rank's version arena
+// (Manager.BeforeWrite, the block store's pre-write hook). That one hook
+// suffices because a lock word's version moves only when a release's hold
+// wrote the block (package locks): a release that wrote nothing leaves the
+// stamp current. Cut readers check the arena first and fall back to a
 // validated live read; the retire-before-write ordering guarantees a reader
 // that misses the arena observed bytes no writer had started replacing.
 //
@@ -218,20 +220,16 @@ func (m *Manager) release(c *Cut) {
 }
 
 // BeforeWrite implements block.Retirer: the store calls it before
-// overwriting dp's payload, giving the manager the chance to retire the old
-// bytes for any cut still pinning them.
-func (m *Manager) BeforeWrite(dp fabric.DPtr) { m.Retire(dp.Rank(), dp.Off()) }
-
-// Retire preserves block (target, off)'s current bytes for every active cut
-// whose stamp still names the block's current lock-word version, unless that
-// version is already in the arena. It runs owner-side: the lock word and the
-// payload are read with rank-local accesses, which the fabric charges no
-// remote latency for — the model being that the owner's version maintenance
-// never crosses the network. Callers (the block store's pre-write hook and
-// the lock layer's write-unlock hook) invoke it before the first byte of the
-// new value lands and before the version bump, which is the ordering cut
-// readers rely on.
-func (m *Manager) Retire(target fabric.Rank, off uint64) {
+// overwriting dp's payload, and so before the first byte of the new value
+// lands and before the release's version bump, which is the ordering cut
+// readers rely on. It preserves the block's current bytes for every active
+// cut whose stamp still names the block's current lock-word version, unless
+// that version is already in the arena. It runs owner-side: the lock word
+// and the payload are read with rank-local accesses, which the fabric
+// charges no remote latency for — the model being that the owner's version
+// maintenance never crosses the network.
+func (m *Manager) BeforeWrite(dp fabric.DPtr) {
+	target, off := dp.Rank(), dp.Off()
 	rs := &m.ranks[target]
 	if rs.pinned.Load() == 0 {
 		return
@@ -311,7 +309,8 @@ func (m *Manager) ReadBlock(origin fabric.Rank, c *Cut, dp fabric.DPtr, buf []by
 			return nil
 		}
 		// The live bytes predate any post-cut overwrite; check that the
-		// version still matches the stamp (it must — a bump retires first).
+		// version still matches the stamp (it must — only a write bumps it, and a
+		// write retires first).
 		ver := locks.Version(m.sys.Load(origin, target, 1+int(off)))
 		if ver == c.stamps[target][off] {
 			return nil
