@@ -592,9 +592,10 @@ func TestHTAPArenaLeakOnDrop(t *testing.T) {
 // train, and bumps the mirror words — and the invariants are:
 //
 //   - every block version the pinned cut retired is released with it, so
-//     the arena drains to exactly zero when the session closes (the mirror
-//     trains retire nothing themselves: retirement is the block store's
-//     pre-write hook alone);
+//     the arena drains to exactly zero when the session closes. Only the
+//     primaries' blocks are retired: a cut reads primaries alone, so it
+//     stamps its ranks' follower chains as unreachable when it is pinned,
+//     and the fan-out's writes to them retire nothing;
 //   - follower chains are invisible to analytics (they live in the replica
 //     directory, not the local vertex index), so PageRank over the pinned
 //     cut stays bit-identical to the pre-write answer and a post-Refresh

@@ -198,19 +198,7 @@ func (c *Constraint) EvalEntries(region []byte) (bool, error) {
 	if c == nil {
 		return true, nil
 	}
-	it := lpg.IterEntries(region)
-	for {
-		id, payload, ok := it.Next()
-		if !ok {
-			break
-		}
-		if id == lpg.IDLabel {
-			if _, ok := lpg.EntryLabel(payload); !ok {
-				return false, fmt.Errorf("constraint: malformed label entry payload of %d bytes", len(payload))
-			}
-		}
-	}
-	if err := it.Err(); err != nil {
+	if err := lpg.CheckEntries(region); err != nil {
 		return false, err
 	}
 	for i := range c.Subs {

@@ -401,8 +401,10 @@ func TestEdgesAllocatesOnlyItsResult(t *testing.T) {
 // TestUpdateCommitAllocs is the guard for the write path: a read-write
 // transaction that adds a label to an 8-edge vertex, or removes it, and
 // commits — the optimistic association, the lock train, the write-back and
-// the release train — allocates at most 24 objects when the vertex is local
-// and 27 when it is remote (2 simulated ranks). The commit
+// the release train — allocates at most 22 objects when the vertex is local
+// and 25 when it is remote (2 simulated ranks). The label edit splices the
+// copied entry region and the commit copies the stored edge region, so
+// neither the labels nor the records are decoded. The commit
 // record is a field of the Tx, so the prepare loop's indirect calls move
 // nothing to the heap; the lock trains' state comes from a pool, and the
 // group committer reuses its queue.
@@ -426,8 +428,8 @@ func TestUpdateCommitAllocs(t *testing.T) {
 		origin rma.Rank
 		bound  float64
 	}{
-		{"local", center.Rank(), 24},
-		{"remote", rma.Rank(1 - int(center.Rank())), 27},
+		{"local", center.Rank(), 22},
+		{"remote", rma.Rank(1 - int(center.Rank())), 25},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			update := func(add bool) {

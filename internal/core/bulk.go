@@ -91,7 +91,7 @@ func (e *Engine) buildVertices(rank fabric.Rank, in [][]VertexSpec) (entries []i
 	}
 	for _, batch := range in {
 		for _, sp := range batch {
-			v := &holder.Vertex{AppID: sp.AppID, Labels: sp.Labels, Props: sp.Props}
+			v := &holder.Vertex{AppID: sp.AppID, Entries: lpg.EncodeEntries(sp.Labels, sp.Props)}
 			stream := holder.EncodeVertex(v, bs)
 			blocks, _, err := e.layoutChain(rank, rank, stream, nil, nil)
 			if err != nil {

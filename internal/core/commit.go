@@ -7,6 +7,7 @@ import (
 	"github.com/gdi-go/gdi/internal/fabric"
 	"github.com/gdi-go/gdi/internal/holder"
 	"github.com/gdi-go/gdi/internal/locks"
+	"github.com/gdi-go/gdi/internal/lpg"
 	"github.com/gdi-go/gdi/internal/snapshot"
 )
 
@@ -400,12 +401,16 @@ func (r *commitRun) logDeltas() {
 		if st == nil || w.stream == nil && st.isNew {
 			continue
 		}
-		rec := snapshot.Record{Kind: snapshot.KindUpdate, DP: st.primary, App: st.v.AppID, Edges: st.v.Edges}
+		rec := snapshot.Record{Kind: snapshot.KindUpdate, DP: st.primary, App: st.v.AppID}
 		switch {
 		case w.stream == nil:
-			rec.Kind, rec.Edges = snapshot.KindDelete, nil
+			rec.Kind = snapshot.KindDelete
 		case st.isNew:
 			rec.Kind = snapshot.KindCreate
+		}
+		if w.stream != nil {
+			st.decodeRecords() // st is materialized, so this cannot fail
+			rec.Edges = st.v.Edges
 		}
 		byRank[st.primary.Rank()] = append(byRank[st.primary.Rank()], rec)
 	}
@@ -419,19 +424,24 @@ func (r *commitRun) logDeltas() {
 // exclusive locks, which is what lets migration assume the internal index
 // changes a key only under its vertex's lock. New vertices have been
 // findable through the internal index since prepare, but no reader gets
-// past their locks before the release.
+// past their locks before the release. The stored labels are the fetched
+// view's; a vertex whose labels were edited diffs them against its region.
 func (r *commitRun) publish() {
+	var was, is [8]lpg.LabelID
 	for _, w := range r.ws {
 		if st := w.vs; st != nil {
 			switch {
 			case w.stream == nil && !st.isNew:
 				r.eng.index.Delete(r.rank, st.v.AppID)
-				r.eng.idxRemoveVertex(r.rank, st.primary, st.origLabel)
+				r.eng.idxRemoveVertex(r.rank, st.primary, lpg.AppendLabels(was[:0], st.view.Entries()))
 			case w.stream == nil:
 			case st.isNew:
-				r.eng.idxAddVertex(r.rank, st.primary, st.v.AppID, st.v.Labels)
-			case !slices.Equal(st.origLabel, st.v.Labels):
-				r.eng.idxUpdateLabels(r.rank, st.primary, st.origLabel, st.v.Labels)
+				r.eng.idxAddVertex(r.rank, st.primary, st.v.AppID, lpg.AppendLabels(is[:0], st.v.Entries))
+			case st.relabeled:
+				old, cur := lpg.AppendLabels(was[:0], st.view.Entries()), lpg.AppendLabels(is[:0], st.v.Entries)
+				if !slices.Equal(old, cur) {
+					r.eng.idxUpdateLabels(r.rank, st.primary, old, cur)
+				}
 			}
 			st.blocks = w.blocks
 		} else if w.es != nil {
@@ -471,21 +481,24 @@ func chainOf(primary fabric.DPtr, blocks []fabric.DPtr) []fabric.DPtr {
 	return blocks
 }
 
-// encodeForCommit encodes a dirty vertex for write-back and decides the fate
-// of its follower groups. A same-shape rewrite keeps them — the fan-out
-// lands the new content on every follower inside this commit. A reshape
+// encodeForCommit encodes a dirty vertex for write-back — its stored edge
+// region copied, with the records appended behind it, while that region
+// was never decoded — and decides the fate of its follower groups. A
+// same-shape rewrite keeps them — the fan-out lands the new content on
+// every follower inside this commit. A reshape
 // (block count changed) strips the groups from the encoding and retires
 // them instead of resizing remote chains on the commit path; a later
 // seeding round restores k. The stripped encoding is made from a copy of
 // the vertex: until the apply half runs, the groups are still the vertex's,
 // and an abort leaves them in lockstep with the primary it did not write.
 func (tx *Tx) encodeForCommit(st *vertexState, bs int) (stream []byte, fan, drop [][]fabric.DPtr) {
-	if len(st.v.Replicas) == 0 || st.blocks != nil && holder.VertexBlocks(st.v, bs) == len(st.blocks) {
-		return holder.EncodeVertex(st.v, bs), st.v.Replicas, nil
+	stored := st.storedEdges()
+	if len(st.v.Replicas) == 0 || st.blocks != nil && holder.VertexBlocksAfter(st.v, stored, bs) == len(st.blocks) {
+		return holder.EncodeVertexAfter(st.v, stored, bs), st.v.Replicas, nil
 	}
 	bare := *st.v
 	bare.Replicas = nil
-	return holder.EncodeVertex(&bare, bs), nil, st.v.Replicas
+	return holder.EncodeVertexAfter(&bare, stored, bs), nil, st.v.Replicas
 }
 
 // Abort discards the transaction (GDI_CloseTransaction with abort

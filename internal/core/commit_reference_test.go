@@ -369,6 +369,9 @@ func referenceCommit(tx *Tx) error {
 				kind = snapshot.KindCreate
 			}
 			r := st.primary.Rank()
+			if err := st.decodeRecords(); err != nil {
+				panic(err)
+			}
 			byRank[r] = append(byRank[r], snapshot.Record{Kind: kind, DP: st.primary, App: st.v.AppID, Edges: st.v.Edges})
 		}
 		for _, st := range tx.verts {
@@ -396,10 +399,11 @@ func referenceCommit(tx *Tx) error {
 		}
 		if pl.vs != nil {
 			st := pl.vs
+			labels := lpg.AppendLabels(nil, st.v.Entries)
 			if st.isNew {
-				tx.eng.idxAddVertex(tx.rank, st.primary, st.v.AppID, st.v.Labels)
-			} else if !slices.Equal(st.origLabel, st.v.Labels) {
-				tx.eng.idxUpdateLabels(tx.rank, st.primary, st.origLabel, st.v.Labels)
+				tx.eng.idxAddVertex(tx.rank, st.primary, st.v.AppID, labels)
+			} else if old := lpg.AppendLabels(nil, st.view.Entries()); !slices.Equal(old, labels) {
+				tx.eng.idxUpdateLabels(tx.rank, st.primary, old, labels)
 			}
 			st.blocks = pl.blocks
 		} else {
@@ -434,7 +438,7 @@ func referenceCommit(tx *Tx) error {
 		}
 		if !st.isNew {
 			tx.eng.index.Delete(tx.rank, st.v.AppID)
-			tx.eng.idxRemoveVertex(tx.rank, st.primary, st.origLabel)
+			tx.eng.idxRemoveVertex(tx.rank, st.primary, lpg.AppendLabels(nil, st.view.Entries()))
 		}
 		for _, dp := range chainOf(st.primary, st.blocks) {
 			tx.eng.store.ReleaseBlock(tx.rank, dp)
@@ -699,7 +703,7 @@ func buildCommitWorld(t *testing.T, e *Engine, ops commitOps) *commitWorld {
 	w.run(t, func(tx *Tx) error {
 		h, err := tx.AssociateVertex(w.hub)
 		if err == nil {
-			err = h.st.materialize()
+			err = h.st.decodeRecords()
 		}
 		if err == nil {
 			w.heavy = h.st.v.Edges[w.heavyUID.Index].Neighbor

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"github.com/gdi-go/gdi/internal/fabric"
+	"github.com/gdi-go/gdi/internal/holder"
+	"github.com/gdi-go/gdi/internal/lpg"
 	"github.com/gdi-go/gdi/internal/rma"
 	"github.com/gdi-go/gdi/internal/snapshot"
 )
@@ -85,8 +87,8 @@ func TestCutSurvivesUnwrittenReleases(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: cut read: %v", c.name, err)
 		}
-		if len(v.Props) != 1 || !bytes.Equal(v.Props[0].Value, payloadPattern(0, words)) {
-			t.Errorf("%s: the cut read %v, want the pre-cut payload", c.name, v.Props)
+		if want := lpg.AppendPropertyEntry(nil, pt, payloadPattern(0, words)); !bytes.Equal(v.Entries, want) {
+			t.Errorf("%s: the cut read entries %v, want the pre-cut payload's %v", c.name, v.Entries, want)
 		}
 	}
 	if got := readSeq(t, e, 0, 1, pt); got != 0 {
@@ -94,5 +96,62 @@ func TestCutSurvivesUnwrittenReleases(t *testing.T) {
 	}
 	if got := readSeq(t, e, 0, 2, pt); got != 9 {
 		t.Errorf("y reads sequence %d live, want 9", got)
+	}
+}
+
+// TestCutRetiresNoFollowerBlock: a cut lists primaries and reads their
+// chains, so a commit's fan-out to a follower copy retires nothing into a
+// pinned cut's arena. A same-shape rewrite of a 4-block vertex with one
+// follower copy (k = 2) under a pinned cut retires the primary's 4 blocks,
+// not the 8 blocks it writes, and a cut read still returns the pre-cut
+// bytes.
+func TestCutRetiresNoFollowerBlock(t *testing.T) {
+	e := NewEngine(rma.New(3), Config{BlockSize: 64, BlocksPerRank: 1 << 10, LockTries: 64,
+		DHTEntriesPerRank: 256, HTAPSnapshots: true})
+	pt := payloadPType(t, e)
+	const app = 5
+	words := 1
+	for ; ; words++ {
+		v := &holder.Vertex{AppID: app, Entries: lpg.AppendPropertyEntry(nil, pt, payloadPattern(0, words)),
+			Replicas: [][]fabric.DPtr{make([]fabric.DPtr, 4)}}
+		if holder.VertexBlocks(v, 64) == 4 {
+			break
+		}
+	}
+	dp := seedPayloadVertex(t, e, app, pt, words)
+	if n := e.replicateAll(otherRank(dp, 3), []uint64{app}, 2); n != 1 {
+		t.Fatalf("seeded %d follower copies, want 1", n)
+	}
+	if stream, _ := e.readChain(dp.Rank(), dp, nil); holder.NumBlocks(stream) != 4 || holder.NumReplicas(stream) != 1 {
+		t.Fatalf("the replicated holder has %d blocks and %d follower copies, want 4 and 1", holder.NumBlocks(stream), holder.NumReplicas(stream))
+	}
+	var cut *snapshot.Cut
+	e.fab.Run(func(r fabric.Rank) {
+		c, err := e.AcquireCut(r)
+		if err != nil {
+			t.Error(err)
+		}
+		if r == 0 {
+			cut = c
+		}
+	})
+	if cut == nil {
+		t.FailNow()
+	}
+	defer cut.Release()
+	retired := e.RetiredBlocks()
+	writeSeq(t, e, 0, app, 1, pt, words)
+	if n := e.RetiredBlocks() - retired; n != 4 {
+		t.Errorf("a same-shape rewrite of a 4-block vertex and its follower copy retired %d blocks, want 4", n)
+	}
+	if got := readSeq(t, e, otherRank(dp, 3), app, pt); got != 1 {
+		t.Errorf("the follower copy reads sequence %d, want 1", got)
+	}
+	v, err := e.CutVertex(0, cut, dp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := lpg.AppendPropertyEntry(nil, pt, payloadPattern(0, words)); !bytes.Equal(v.Entries, want) {
+		t.Errorf("the cut read entries %v, want the pre-cut payload's %v", v.Entries, want)
 	}
 }

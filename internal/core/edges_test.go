@@ -151,7 +151,7 @@ func TestEdgesLazyMatchesMaterialized(t *testing.T) {
 		tx := e.StartLocal(0, ReadWrite)
 		h, err := tx.AssociateVertex(hub)
 		if err == nil {
-			err = h.st.materialize()
+			err = h.st.decodeRecords()
 		}
 		if err != nil {
 			t.Fatal(err)

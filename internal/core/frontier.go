@@ -14,10 +14,7 @@ import (
 // Matches evaluates cons against the vertex's labels and properties in
 // place — no copies, no communication (a nil constraint matches).
 func (h *VertexHandle) Matches(cons *constraint.Constraint) bool {
-	if h.st.v != nil {
-		return cons.Eval(h.st.v.Labels, h.st.v.Props)
-	}
-	ok, _ := cons.EvalEntries(h.st.view.Entries()) // install checked the region
+	ok, _ := cons.EvalEntries(h.st.entryRegion()) // install checked the region, the mutators keep it well formed
 	return ok
 }
 

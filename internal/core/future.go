@@ -207,7 +207,7 @@ func (tx *Tx) flush(pending []*VertexFuture, spec bool, expect uint64) {
 	// here through chaseAlias + the installed state — no fresh chase
 	// generation, no second ForwardedReads count, no traffic
 	// (TestMultiHopRevisitOfMigratedVertexUsesAliasMap).
-	gen, spare := fs.gen[:0], fs.next[:0]
+	gen, spare := reuse(fs.gen), reuse(fs.next)
 	var uniq map[fabric.DPtr]int
 	// enqueue adds the futures from pending[first] to pending[last] to the
 	// generation being built, at dp.
@@ -256,7 +256,7 @@ func (tx *Tx) flush(pending []*VertexFuture, spec bool, expect uint64) {
 		}
 		tx.readGeneration(&fs.chainReader, gen, spec, expect)
 		cur := gen
-		gen, uniq = spare[:0], nil
+		gen, uniq = reuse(spare), nil
 		for i := range cur {
 			a := &cur[i]
 			switch {
@@ -313,7 +313,7 @@ func (tx *Tx) readGeneration(r *chainReader, gen []assoc, spec bool, expect uint
 		want = isPrimaryHead
 	}
 	followers := tx.readsFollowers()
-	r.items = r.items[:0]
+	r.items = reuse(r.items)
 	for i := range gen {
 		a := &gen[i]
 		a.st = tx.newState(a.dp)
@@ -390,14 +390,16 @@ func (tx *Tx) readsFollowers() bool {
 
 // install makes an item read OK a's state and the transaction's. The state
 // keeps the stream behind its view, which every read accessor is served
-// from; nothing is decoded to the heap until a mutation needs it
-// (materialize). The header, the fixed regions and the entry region are
+// from; nothing is decoded to the heap until a mutation needs it, and then
+// only what it changes: the first mutation copies the entry region and the
+// fixed regions (materialize), and only a removal of records decodes them
+// (decodeRecords). The header, the fixed regions and the entry region are
 // checked here, so those reads cannot fail later; the edge region is checked
 // by the walk that reads it. It returns false for a stream that does not
 // check, or a follower copy that is not this vertex's.
 func (tx *Tx) install(a *assoc, it *chainItem) bool {
 	st := a.st
-	if st.view.Reset(it.buf) != nil || !entriesValid(st.view.Entries()) {
+	if st.view.Reset(it.buf) != nil || lpg.CheckEntries(st.view.Entries()) != nil {
 		return false
 	}
 	if !a.follow.head.IsNull() {
@@ -416,21 +418,6 @@ func (tx *Tx) install(a *assoc, it *chainItem) bool {
 		tx.optReads = append(tx.optReads, optRead{a.dp, st.ver})
 	}
 	return true
-}
-
-// entriesValid reports whether a label/property entry region decodes: every
-// entry well formed, and every label entry's payload one exact uvarint.
-func entriesValid(region []byte) bool {
-	it := lpg.IterEntries(region)
-	for id, payload, ok := it.Next(); ok; id, payload, ok = it.Next() {
-		if id != lpg.IDLabel {
-			continue
-		}
-		if _, ok := lpg.EntryLabel(payload); !ok {
-			return false
-		}
-	}
-	return it.Err() == nil
 }
 
 // chaseAlias resolves dp through the migration aliases this transaction has

@@ -74,7 +74,7 @@ func (h *VertexHandle) AddLabel(l lpg.LabelID) error {
 	if err := h.tx.ensureWrite(h.st); err != nil {
 		return err
 	}
-	h.st.v.Labels = append(h.st.v.Labels, l)
+	h.st.v.Entries, h.st.relabeled = lpg.InsertLabel(h.st.v.Entries, l), true
 	return nil
 }
 
@@ -89,8 +89,7 @@ func (h *VertexHandle) RemoveLabel(l lpg.LabelID) error {
 	if err := h.tx.ensureWrite(h.st); err != nil {
 		return err
 	}
-	i := slices.Index(h.st.v.Labels, l)
-	h.st.v.Labels = append(h.st.v.Labels[:i], h.st.v.Labels[i+1:]...)
+	h.st.v.Entries, h.st.relabeled = lpg.RemoveLabel(h.st.v.Entries, l), true
 	return nil
 }
 
@@ -128,50 +127,43 @@ func (h *VertexHandle) PTypes() []lpg.PTypeID {
 	return out
 }
 
-// entryWalk iterates a vertex state's labels and properties, each kind in
-// insertion order: in place on the view's entry region while the state is
-// clean, over the materialized vertex (labels, then properties) once a
-// mutation built it. A property's Value aliases the stream or the vertex.
+// entryWalk iterates a vertex state's labels and properties in region
+// order, in place on its entry region (entryRegion). A property's Value
+// aliases the region.
 type entryWalk struct {
 	isLabel bool
 	label   lpg.LabelID  // the entry, when isLabel
 	prop    lpg.Property // the entry, otherwise
-	v       *holder.Vertex
-	i       int
 	it      lpg.EntryIter
+}
+
+// entryRegion returns st's label/property entry region: the view's while st
+// is clean, the materialized vertex's own copy, which the mutators edit,
+// from then on.
+func (st *vertexState) entryRegion() []byte {
+	if st.v == nil {
+		return st.view.Entries()
+	}
+	return st.v.Entries
 }
 
 // entries starts a walk over st's labels and properties.
 func (st *vertexState) entries() entryWalk {
-	if st.v != nil {
-		return entryWalk{v: st.v}
-	}
-	return entryWalk{it: lpg.IterEntries(st.view.Entries())}
+	return entryWalk{it: lpg.IterEntries(st.entryRegion())}
 }
 
 // next advances to the next entry: false at the end. install checked the
-// region, so a clean state's walk meets no malformed entry.
+// region and the mutators keep it well formed, so a walk meets no malformed
+// entry.
 func (w *entryWalk) next() bool {
-	if w.v == nil {
-		id, payload, ok := w.it.Next()
-		if !ok {
-			return false
-		}
-		if w.isLabel = id == lpg.IDLabel; w.isLabel {
-			w.label, _ = lpg.EntryLabel(payload)
-		} else {
-			w.prop = lpg.Property{PType: lpg.PTypeID(id), Value: payload}
-		}
-		return true
-	}
-	labels, props := w.v.Labels, w.v.Props
-	switch w.i++; {
-	case w.i <= len(labels):
-		w.isLabel, w.label = true, labels[w.i-1]
-	case w.i <= len(labels)+len(props):
-		w.isLabel, w.prop = false, props[w.i-1-len(labels)]
-	default:
+	id, payload, ok := w.it.Next()
+	if !ok {
 		return false
+	}
+	if w.isLabel = id == lpg.IDLabel; w.isLabel {
+		w.label, _ = lpg.EntryLabel(payload)
+	} else {
+		w.prop = lpg.Property{PType: lpg.PTypeID(id), Value: payload}
 	}
 	return true
 }
@@ -208,7 +200,7 @@ func (h *VertexHandle) AddProperty(pt lpg.PTypeID, value []byte) error {
 	if err := h.tx.ensureWrite(h.st); err != nil {
 		return err
 	}
-	h.st.v.Props = append(h.st.v.Props, lpg.Property{PType: pt, Value: append([]byte(nil), value...)})
+	h.st.v.Entries = lpg.AppendPropertyEntry(h.st.v.Entries, pt, value)
 	return nil
 }
 
@@ -224,13 +216,7 @@ func (h *VertexHandle) SetProperty(pt lpg.PTypeID, value []byte) error {
 	if err := h.tx.ensureWrite(h.st); err != nil {
 		return err
 	}
-	for i, p := range h.st.v.Props {
-		if p.PType == pt {
-			h.st.v.Props[i].Value = append([]byte(nil), value...)
-			return nil
-		}
-	}
-	h.st.v.Props = append(h.st.v.Props, lpg.Property{PType: pt, Value: append([]byte(nil), value...)})
+	h.st.v.Entries = lpg.SetProperty(h.st.v.Entries, pt, value)
 	return nil
 }
 
@@ -254,7 +240,7 @@ func (h *VertexHandle) RemoveProperties(pt lpg.PTypeID) (int, error) {
 	if err := h.tx.ensureWrite(h.st); err != nil {
 		return 0, err
 	}
-	h.st.v.Props = slices.DeleteFunc(h.st.v.Props, func(p lpg.Property) bool { return p.PType == pt })
+	h.st.v.Entries = lpg.RemoveProperties(h.st.v.Entries, pt)
 	return n, nil
 }
 
@@ -375,9 +361,10 @@ func (h *VertexHandle) Edges(mask DirMask, cons *constraint.Constraint) (EdgeLis
 	if err := h.tx.check(); err != nil {
 		return EdgeList{}, err
 	}
+	inView := h.st.edgesInView()
 	deg := h.Degree()
 	l := EdgeList{vertex: h.st.primary, nbrs: make([]fabric.DPtr, 0, deg), runs: make([]edgeRun, 0, min(deg, 4))}
-	if h.st.v == nil && cons == nil {
+	if inView && cons == nil {
 		return h.viewEdges(l, mask)
 	}
 	w := h.st.edges()
@@ -392,10 +379,10 @@ func (h *VertexHandle) Edges(mask DirMask, cons *constraint.Constraint) (EdgeLis
 	return l, nil
 }
 
-// viewEdges is Edges on a clean state without a constraint. It walks the
-// view a run at a time: a light run that mask selects is decoded by StepRun
-// straight into the tail of the neighbor array, and only heavy runs and the
-// runs mask drops go record by record.
+// viewEdges is Edges on a state whose records are all in its view, without
+// a constraint. It walks the view a run at a time: a light run that mask
+// selects is decoded by StepRun straight into the tail of the neighbor
+// array, and only heavy runs and the runs mask drops go record by record.
 func (h *VertexHandle) viewEdges(l EdgeList, mask DirMask) (EdgeList, error) {
 	pos := uint32(0)
 	c := h.st.view.Edges()
@@ -464,9 +451,9 @@ func (h *VertexHandle) appendEdge(l *EdgeList, rec holder.EdgeRec, pos uint32, m
 }
 
 // edgeWalk iterates a vertex state's edge records in record order: through
-// the view's cursor while the state is clean, over the materialized slice
-// once a mutation realized it. pos is the record's index in that slice either
-// way, so an EdgeUID built from it names the record DeleteEdge removes.
+// the view's cursor while they are all in the view, over v.Edges once they
+// are not (edgesInView). pos is the record's index either way, so an EdgeUID
+// built from it names the record DeleteEdge removes.
 type edgeWalk struct {
 	rec  holder.EdgeRec
 	pos  int
@@ -478,7 +465,7 @@ type edgeWalk struct {
 
 // edges starts a walk over st's records.
 func (st *vertexState) edges() edgeWalk {
-	w := edgeWalk{pos: -1, st: st, lazy: st.v == nil}
+	w := edgeWalk{pos: -1, st: st, lazy: st.edgesInView()}
 	if w.lazy {
 		w.c = st.view.Edges()
 	} else {
@@ -553,7 +540,7 @@ func (h *VertexHandle) ForEachEdge(mask DirMask, fn func(nb fabric.DPtr, dir hol
 	if err := h.tx.check(); err != nil {
 		return err
 	}
-	if h.st.v != nil {
+	if !h.st.edgesInView() {
 		for _, rec := range h.st.v.Edges {
 			if err := h.visitEdge(rec, mask, fn); err != nil {
 				return err
@@ -655,12 +642,7 @@ func (h *VertexHandle) Neighbors(mask DirMask, cons *constraint.Constraint) ([]f
 // state it is a header read — no edge region is touched — bounded by the
 // bytes the edge region has (holder.View.EdgeCap), so a corrupt header's
 // count cannot size a caller's buffer beyond the stream.
-func (h *VertexHandle) Degree() int {
-	if h.st.v == nil {
-		return h.st.view.EdgeCap()
-	}
-	return len(h.st.v.Edges)
-}
+func (h *VertexHandle) Degree() int { return h.st.degree() }
 
 // CreateEdge adds a lightweight edge (§5.4.2: at most one label, no
 // properties) between two vertices. A record is stored in both endpoint
@@ -677,7 +659,9 @@ func (tx *Tx) CreateEdge(origin, target fabric.DPtr, dir holder.Direction, label
 	if err != nil {
 		return holder.EdgeUID{}, err
 	}
-	uid := holder.EdgeUID{Vertex: origin, Index: uint32(len(oh.st.v.Edges))}
+	// The records go to v.Edges, behind the stored ones while those stay
+	// encoded.
+	uid := holder.EdgeUID{Vertex: origin, Index: uint32(oh.st.degree())}
 	if origin == target { // self-loop: both records in one holder
 		oh.st.v.Edges = append(oh.st.v.Edges, holder.EdgeRec{Neighbor: target, Dir: dir, Label: label})
 		if dir == holder.DirOut {
@@ -735,7 +719,7 @@ func (tx *Tx) CreateRichEdge(origin, target fabric.DPtr, dir holder.Direction, l
 		dirty: true,
 	}
 	tx.addEdgeState(es)
-	uid := holder.EdgeUID{Vertex: origin, Index: uint32(len(oh.st.v.Edges))}
+	uid := holder.EdgeUID{Vertex: origin, Index: uint32(oh.st.degree())}
 	oh.st.v.Edges = append(oh.st.v.Edges, holder.EdgeRec{Neighbor: hp, Dir: dir, Heavy: true})
 	if origin != target {
 		th, err := tx.writableEndpoint(tf)
@@ -789,7 +773,7 @@ func (tx *Tx) DeleteEdge(uid holder.EdgeUID) error {
 	if err != nil {
 		return err
 	}
-	if err := vh.st.materialize(); err != nil { // the UID indexes the record slice
+	if err := vh.st.decodeRecords(); err != nil { // the UID indexes the record slice
 		return err
 	}
 	if int(uid.Index) >= len(vh.st.v.Edges) {
@@ -848,7 +832,7 @@ func (tx *Tx) removeRecord(at fabric.DPtr, match func(holder.EdgeRec) bool) erro
 	if err != nil {
 		return err
 	}
-	if err := tx.ensureWrite(h.st); err != nil {
+	if err := tx.writableRecords(h.st); err != nil {
 		return err
 	}
 	before := len(h.st.v.Edges)

@@ -9,6 +9,7 @@ import (
 	"github.com/gdi-go/gdi/internal/fabric"
 	"github.com/gdi-go/gdi/internal/holder"
 	"github.com/gdi-go/gdi/internal/locks"
+	"github.com/gdi-go/gdi/internal/lpg"
 )
 
 // Live vertex migration moves a vertex's holder chain from its primary P on
@@ -139,8 +140,9 @@ func (e *Engine) swingMoves(me fabric.Rank, ms []*chainMove) (migrated int, fata
 			m.tail = nil // written but not swung: its vacated chain must not be freed
 			continue
 		}
-		e.idxRemoveVertex(me, m.head, m.v.Labels)
-		e.local[me].addVertex(m.chain[0], m.app, m.v.Labels)
+		labels := lpg.AppendLabels(nil, m.v.Entries)
+		e.idxRemoveVertex(me, m.head, labels)
+		e.local[me].addVertex(m.chain[0], m.app, labels)
 		migrated++
 	}
 	return migrated, fatal

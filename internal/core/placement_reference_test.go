@@ -223,8 +223,9 @@ func referenceSwingMoves(e *Engine, me fabric.Rank, live []*refMigCand) (migrate
 			c.ok = false
 			continue
 		}
-		e.idxRemoveVertex(me, c.mv.Old, c.v.Labels)
-		e.local[me].addVertex(c.dst, c.v.AppID, c.v.Labels)
+		labels := lpg.AppendLabels(nil, c.v.Entries)
+		e.idxRemoveVertex(me, c.mv.Old, labels)
+		e.local[me].addVertex(c.dst, c.v.AppID, labels)
 		migrated++
 	}
 	return migrated, fatal
@@ -538,9 +539,10 @@ func referencePromoteOne(e *Engine, origin fabric.Rank, it promoteItem, dead map
 	// Explicit indexes: the vertex now lives here; the dead rank's shard (if
 	// its memory is still in this process, as under the simulator's kill) is
 	// cleaned so collective scans stop listing the stale placement.
-	e.idxAddVertex(origin, it.head, it.app, v.Labels)
+	labels := lpg.AppendLabels(nil, v.Entries)
+	e.idxAddVertex(origin, it.head, it.app, labels)
 	if e.fab.Local(it.primary.Rank()) {
-		e.local[it.primary.Rank()].removeVertex(it.primary, v.Labels)
+		e.local[it.primary.Rank()].removeVertex(it.primary, labels)
 	}
 
 	// Release primary-then-follower: my word bumps to fv+1, the survivors

@@ -147,25 +147,35 @@ func getReadScratch() *readScratch { return readerPool.Get().(*readScratch) }
 const pooledBatch = 256
 
 // release drops everything the scratch points into — streams, states,
-// futures' neighbours — and returns it to the pool.
+// futures' neighbours — and returns it to the pool. Every batch empties the
+// slices that point into its streams and states through reuse, which
+// clears what the last batch held, so what the last one left, their
+// lengths, is all there is to clear: a one-item point read clears one item,
+// whatever batch the scratch once served.
 func (s *readScratch) release() {
 	r := &s.chainReader
 	if cap(r.items) > pooledBatch || cap(r.dps) > pooledBatch {
 		return
 	}
-	clear(r.items[:cap(r.items)])
-	clear(r.reads[:cap(r.reads)])
-	clear(r.fetched[:cap(r.fetched)])
-	clear(r.bufs[:cap(r.bufs)])
-	clear(s.gen[:cap(s.gen)])
-	clear(s.next[:cap(s.next)])
+	clear(r.items)
+	clear(r.reads)
+	clear(r.fetched)
+	clear(r.bufs)
+	clear(s.gen)
+	clear(s.next)
 	r.bytes = byteArena{}
 	readerPool.Put(s)
 }
 
+// reuse empties s for the next batch, clearing what it held.
+func reuse[S ~[]E, E any](s S) S {
+	clear(s)
+	return s[:0]
+}
+
 // reset starts a batch of up to n items and recycles the bytes of the last.
 func (r *chainReader) reset(n int) {
-	r.items = slices.Grow(r.items[:0], n)
+	r.items = slices.Grow(reuse(r.items), n)
 	r.bytes.reset()
 }
 
@@ -247,8 +257,8 @@ func (r *chainReader) read(e *Engine, origin fabric.Rank, mode readMode, prefix,
 			r.batch = append(r.batch, int32(i))
 		}
 	}
-	r.fetched = r.fetched[:0]
-	r.reads, r.readOf = slices.Grow(r.reads[:0], len(r.batch)), slices.Grow(r.readOf[:0], len(r.batch))
+	r.fetched = reuse(r.fetched)
+	r.reads, r.readOf = slices.Grow(reuse(r.reads), len(r.batch)), slices.Grow(r.readOf[:0], len(r.batch))
 	r.heads = slices.Grow(r.heads[:0], len(r.batch)*bs)[:len(r.batch)*bs]
 	for k, i := range r.batch {
 		it := &r.items[i]
@@ -302,7 +312,7 @@ func (r *chainReader) read(e *Engine, origin fabric.Rank, mode readMode, prefix,
 	// its blocks read so far locate, each entry checked before its block is
 	// queued.
 	for len(r.walking) > 0 {
-		r.reads, r.readOf = r.reads[:0], r.readOf[:0]
+		r.reads, r.readOf = reuse(r.reads), r.readOf[:0]
 		more := r.walking[:0]
 		for _, i := range r.walking {
 			it := &r.items[i]
@@ -357,7 +367,7 @@ func (r *chainReader) queue(i int32, dp fabric.DPtr, buf []byte, load, check boo
 // post-stamps its trains loaded and notes what came off the wire.
 func (r *chainReader) round(e *Engine, origin fabric.Rank, mode readMode) {
 	if mode == readUnderLock {
-		r.dps, r.bufs = r.dps[:0], r.bufs[:0]
+		r.dps, r.bufs = r.dps[:0], reuse(r.bufs)
 		for j := range r.reads {
 			r.dps, r.bufs = append(r.dps, r.reads[j].DP), append(r.bufs, r.reads[j].Buf)
 		}
@@ -403,7 +413,7 @@ func (r *chainReader) validate(e *Engine, origin fabric.Rank, confirm bool) {
 	// Cache what held holder by holder, each in chain order: a cache smaller
 	// than the batch keeps whole holders.
 	slices.SortStableFunc(r.fetched, func(a, b fetchedRead) int { return cmp.Compare(a.item, b.item) })
-	r.reads = r.reads[:0]
+	r.reads = reuse(r.reads)
 	for _, f := range r.fetched {
 		if it := &r.items[f.item]; it.wire && (it.verdict == readOK || it.verdict == readStub) {
 			r.reads = append(r.reads, f.StampedRead)
@@ -419,7 +429,7 @@ func (e *Engine) readChains(origin fabric.Rank, heads []fabric.DPtr, want func(h
 	fs := getReadScratch()
 	defer fs.release()
 	r := &fs.chainReader
-	r.items = r.items[:0]
+	r.items = reuse(r.items)
 	for _, h := range heads {
 		r.items = append(r.items, chainItem{head: h, want: want})
 	}

@@ -7,7 +7,6 @@ import (
 	"github.com/gdi-go/gdi/internal/fabric"
 	"github.com/gdi-go/gdi/internal/holder"
 	"github.com/gdi-go/gdi/internal/locks"
-	"github.com/gdi-go/gdi/internal/lpg"
 )
 
 // refFetch tracks one unique vertex being materialized by a flush: its
@@ -84,7 +83,6 @@ func referenceFlush(tx *Tx, pending []*VertexFuture, spec bool, expect uint64) {
 				}
 				tx.eng.replicaReads.Add(1)
 				st.ver = ver
-				st.origLabel = append([]lpg.LabelID(nil), st.v.Labels...)
 				tx.verts[dp] = st
 				tx.optReads = append(tx.optReads, optRead{dp, ver})
 				tx.eng.recordHeat(tx.rank, st.v.AppID, dp.Rank())
@@ -219,7 +217,6 @@ func referenceFlush(tx *Tx, pending []*VertexFuture, spec bool, expect uint64) {
 					pf.st.v = v
 					pf.st.ver = pf.ver
 					pf.st.blocks = pf.blocks
-					pf.st.origLabel = append([]lpg.LabelID(nil), v.Labels...)
 					tx.verts[pf.dp] = pf.st
 					// pf.dp is the block the holder actually decoded from —
 					// the post-chase primary when the fetch went through a

@@ -326,7 +326,7 @@ func stateString(st *vertexState) string {
 	}
 	c := *st
 	if c.v == nil {
-		if err := c.materialize(); err != nil {
+		if err := c.decodeRecords(); err != nil {
 			return err.Error()
 		}
 		if c.view.IsReplica() {
@@ -809,7 +809,7 @@ func TestSeqlockReadRoundTrips(t *testing.T) {
 	longChain := func(k int64) fabric.DPtr {
 		t.Helper()
 		for words := 1; ; words++ {
-			v := &holder.Vertex{AppID: app, Props: []lpg.Property{{PType: pt, Value: payloadPattern(0, words)}}}
+			v := &holder.Vertex{AppID: app, Entries: lpg.AppendPropertyEntry(nil, pt, payloadPattern(0, words))}
 			if n := holder.VertexBlocks(v, 64); n == int(k) {
 				dp := create(app, words)
 				app += 2
@@ -876,5 +876,53 @@ func TestSeqlockReadRoundTrips(t *testing.T) {
 	}
 	if want := (traffic{atoms: 2 * width, atomTrains: 1, gets: width, getTrains: 1, cacheMisses: width}); hop != want {
 		t.Errorf("frontier hop over %d remote one-block holders: %+v, want %+v", width, hop, want)
+	}
+}
+
+// TestReadScratchReleaseDropsEveryPointer: a pooled reader that served a
+// batch of 40 chains and then one of a single chain points into neither
+// batch's streams once released, although release clears only what the
+// last batch left: every batch empties the slices through reuse, which
+// clears what the one before held.
+func TestReadScratchReleaseDropsEveryPointer(t *testing.T) {
+	e := NewEngine(rma.New(2), Config{BlockSize: 64, BlocksPerRank: 1 << 10, LockTries: 64, CacheCapacity: 256})
+	pt := payloadPType(t, e)
+	var heads []fabric.DPtr
+	for app := range uint64(40) {
+		heads = append(heads, seedPayloadVertex(t, e, app, pt, 8))
+	}
+	s := new(readScratch)
+	r := &s.chainReader
+	for _, batch := range [][]fabric.DPtr{heads, heads[:1]} {
+		r.items = reuse(r.items)
+		for _, h := range batch {
+			r.items = append(r.items, chainItem{head: h})
+		}
+		r.stamp(e, 0)
+		r.read(e, 0, readSeqlock, false, false)
+		if r.items[0].verdict != readOK || len(batch) > 1 && len(r.fetched) == 0 {
+			t.Fatalf("the batch of %d read %v, %d blocks off the wire", len(batch), r.items[0].verdict, len(r.fetched))
+		}
+	}
+	s.release()
+	for i, it := range r.items[:cap(r.items)] {
+		if it.buf != nil || it.want != nil {
+			t.Fatalf("item %d keeps its stream after release", i)
+		}
+	}
+	for i, rd := range r.reads[:cap(r.reads)] {
+		if rd.Buf != nil {
+			t.Fatalf("read %d keeps its block after release", i)
+		}
+	}
+	for i, f := range r.fetched[:cap(r.fetched)] {
+		if f.Buf != nil {
+			t.Fatalf("fetched read %d keeps its block after release", i)
+		}
+	}
+	for i, b := range r.bufs[:cap(r.bufs)] {
+		if b != nil {
+			t.Fatalf("buffer %d kept after release", i)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"github.com/gdi-go/gdi/internal/fabric"
 	"github.com/gdi-go/gdi/internal/holder"
 	"github.com/gdi-go/gdi/internal/locks"
+	"github.com/gdi-go/gdi/internal/lpg"
 )
 
 // k-replica holder chains: read-scale replication with kill-a-rank failover.
@@ -478,9 +479,10 @@ func (e *Engine) publishPromoted(origin fabric.Rank, it promoteItem, m *chainMov
 	var w writeList
 	w.appendChainWrites(stream, m.chain, v.Replicas, bs)
 	runIsolated(func() { e.store.WriteBlocksBatch(origin, w.dps, w.data) })
-	e.idxAddVertex(origin, it.head, it.app, v.Labels)
+	labels := lpg.AppendLabels(nil, v.Entries)
+	e.idxAddVertex(origin, it.head, it.app, labels)
 	if e.fab.Local(it.primary.Rank()) {
-		e.local[it.primary.Rank()].removeVertex(it.primary, v.Labels)
+		e.local[it.primary.Rank()].removeVertex(it.primary, labels)
 	}
 }
 

@@ -34,7 +34,7 @@ func (e *Engine) AcquireCut(rank fabric.Rank) (*snapshot.Cut, error) {
 	// Gate held, cut shared: stamp this rank's shard and snapshot its vertex
 	// listing. The local index is maintained inside the gated apply phase, so
 	// under the exclusive gate it agrees exactly with the stamped blocks.
-	e.snap.PinRank(cut, rank)
+	e.snap.PinRank(cut, rank, e.followerBlocks(rank))
 	cut.SetVerts(rank, e.cutVertexRefs(rank))
 	e.comm.Barrier(rank)
 	if rank == 0 {
@@ -42,6 +42,44 @@ func (e *Engine) AcquireCut(rank fabric.Rank) (*snapshot.Cut, error) {
 	}
 	e.comm.Barrier(rank)
 	return cut, nil
+}
+
+// followerBlocks lists the blocks of rank r's follower copies: the chains
+// its replica directory names, each read stable under its head's word (the
+// one a fan-out marks) and checked to be the copy of the vertex its entry
+// names. No read through a cut reaches them: a cut lists primaries, and
+// reads their chains, the forwarding stubs of their former homes and their
+// heavy-edge holders. A copy that is not read stable, one being rewritten,
+// is left out, and its blocks are retired like any other.
+func (e *Engine) followerBlocks(r fabric.Rank) []fabric.DPtr {
+	dir := e.repl[r]
+	dir.mu.Lock()
+	ents := make([]replicaEntry, 0, len(dir.m))
+	for _, ent := range dir.m {
+		ents = append(ents, ent)
+	}
+	dir.mu.Unlock()
+	if len(ents) == 0 {
+		return nil
+	}
+	fs := getReadScratch()
+	defer fs.release()
+	rd := &fs.chainReader
+	rd.items = reuse(rd.items)
+	for _, ent := range ents {
+		rd.items = append(rd.items, chainItem{head: ent.head, want: holder.IsReplicaBlock, follower: true})
+	}
+	rd.stamp(e, r)
+	rd.read(e, r, readSeqlock, false, false)
+	var out []fabric.DPtr
+	var w holder.View
+	for i := range rd.items {
+		it := &rd.items[i]
+		if it.verdict == readOK && w.Reset(it.buf) == nil && w.IsReplica() && w.AppID() == ents[i].app {
+			out = append(out, it.chain()...)
+		}
+	}
+	return out
 }
 
 // cutVertexRefs snapshots rank r's local vertex shard as cut references.

@@ -7,7 +7,6 @@ import (
 	"github.com/gdi-go/gdi/internal/fabric"
 	"github.com/gdi-go/gdi/internal/holder"
 	"github.com/gdi-go/gdi/internal/locks"
-	"github.com/gdi-go/gdi/internal/lpg"
 	"github.com/gdi-go/gdi/internal/metadata"
 )
 
@@ -38,9 +37,15 @@ type guard struct {
 // A fetched state is clean until its first mutation: v is nil, and every
 // read — labels, properties, Degree, Edges, the CSR build — is served in
 // place from the fetched stream through view, with no decoded copy. The
-// first mutation (ensureWrite, or DeleteEdge) pays one materialize, which
-// builds v with its edge list, the block list and origLabel from the view.
-// A vertex this transaction created has v from the start.
+// first mutation pays one materialize, which builds v from the view without
+// its records: its homes and replica groups, a copy of its entry region
+// (which the label and property mutators then edit in place), and the block
+// list. The stored edge region stays encoded: v.Edges holds only the records
+// CreateEdge appends behind it, and the commit copies the region and
+// encodes those behind it. Only a mutation that removes records, and an
+// edge read of a state that appended some, decodes the stored records into
+// v.Edges (decodeRecords). A vertex this transaction created has v, with
+// every record in v.Edges, from the start.
 type vertexState struct {
 	primary fabric.DPtr
 	v       *holder.Vertex // the mutable form; nil while clean
@@ -49,7 +54,13 @@ type vertexState struct {
 	dirty     bool
 	isNew     bool
 	deleted   bool
-	origLabel []lpg.LabelID // labels at fetch time, for index diffs
+	relabeled bool // a label was added or removed: the commit diffs the label index
+
+	// keepsStored: v.Edges are the records appended behind the stored edge
+	// region, which stored locates in stream; otherwise v.Edges holds every
+	// record.
+	keepsStored bool
+	stored      holder.StoredEdges
 
 	view   holder.View // over stream
 	stream []byte      // the fetched holder stream, which view aliases
@@ -351,7 +362,7 @@ func (tx *Tx) AssociateVertex(dp fabric.DPtr) (*VertexHandle, error) {
 
 // ensureWrite marks st dirty, which defers its exclusive lock to the
 // commit's lock train, seeded with the version st was read at. Mutations
-// (and the commit re-encode they lead to) work on the materialized vertex,
+// (and the commit encode they lead to) work on the materialized vertex,
 // which a clean state builds first.
 func (tx *Tx) ensureWrite(st *vertexState) error {
 	if tx.mode == ReadOnly {
@@ -368,19 +379,46 @@ func (tx *Tx) ensureWrite(st *vertexState) error {
 }
 
 // materialize builds a clean state's mutable form from its view: the
-// decoded vertex with its edge list, the chain's blocks and the labels at
-// fetch time. Idempotent, and free for a materialized or fresh state. The
-// edge walk is also the edge region's validation (install only vouched for
-// the entries), so a corrupt region surfaces here, as the ErrNotFound a
-// corrupt holder has always been.
+// decoded vertex without its records, with a copy of its entry region, and
+// the chain's blocks. The stored edge region is kept, located by one walk
+// over its runs that materializes no record (holder.View.StoredEdges).
+// Idempotent, and free for a materialized or fresh state.
 func (st *vertexState) materialize() error {
 	if st.v != nil {
 		return nil
 	}
+	return st.build(false)
+}
+
+// decodeRecords materializes st with its stored records decoded into
+// v.Edges, ahead of the records appended behind them, so that v.Edges holds
+// every record: what a mutation that removes records needs, and an edge
+// read of a state that appended some. Idempotent.
+func (st *vertexState) decodeRecords() error {
+	switch {
+	case st.v == nil:
+		return st.build(true)
+	case !st.keepsStored:
+		return nil
+	}
+	recs := st.view.AppendEdges(make([]holder.EdgeRec, 0, st.stored.Len()+len(st.v.Edges)))
+	st.v.Edges, st.keepsStored = append(recs, st.v.Edges...), false
+	return nil // materialize validated the region
+}
+
+// build materializes a clean state, with its records decoded (decode) or
+// its stored edge region located. Either walk is also the edge region's
+// validation (install only vouched for the entries), so a corrupt region
+// surfaces here, as the ErrNotFound a corrupt holder has always been.
+func (st *vertexState) build(decode bool) error {
 	v, err := st.view.DecodeMeta()
-	if err == nil {
+	switch {
+	case err != nil:
+	case decode:
 		v.Edges = st.view.AppendEdges(nil)
 		err = st.view.Err()
+	default:
+		st.stored, err = st.view.StoredEdges()
 	}
 	if err != nil {
 		return fmt.Errorf("%w: holder %v: %v", ErrNotFound, st.primary, err)
@@ -390,7 +428,39 @@ func (st *vertexState) materialize() error {
 	for i := 1; i < len(st.blocks); i++ {
 		st.blocks[i] = holder.TableEntry(st.stream, i-1)
 	}
-	st.v, st.origLabel = v, slices.Clone(v.Labels)
+	st.v, st.keepsStored = v, !decode
+	return nil
+}
+
+// edgesInView reports whether st's records are all in its view — a clean
+// state's, or a materialized one's that appended none — and otherwise
+// decodes them into v.Edges, the one place an edge read then finds them.
+func (st *vertexState) edgesInView() bool {
+	if st.v == nil || st.keepsStored && len(st.v.Edges) == 0 {
+		return true
+	}
+	st.decodeRecords() // st is materialized, so this cannot fail
+	return false
+}
+
+// degree returns st's record count: a header read while the records are in
+// the view (holder.View.EdgeCap).
+func (st *vertexState) degree() int {
+	switch {
+	case st.v == nil:
+		return st.view.EdgeCap()
+	case st.keepsStored:
+		return st.stored.Len() + len(st.v.Edges)
+	}
+	return len(st.v.Edges)
+}
+
+// storedEdges returns the stored region commit writes v.Edges behind, or nil
+// when v.Edges holds every record.
+func (st *vertexState) storedEdges() *holder.StoredEdges {
+	if st.keepsStored {
+		return &st.stored
+	}
 	return nil
 }
 
@@ -442,9 +512,12 @@ func (tx *Tx) DeleteVertex(dp fabric.DPtr) error {
 	if err := tx.ensureWrite(st); err != nil {
 		return err
 	}
-	futs := make([]*VertexFuture, len(st.v.Edges))
-	errs := make([]error, len(st.v.Edges))
-	for i, rec := range st.v.Edges {
+	// The vertex's own records are walked where they are, in the view while
+	// it appended none: nothing is left of them to write back.
+	futs := make([]*VertexFuture, st.degree())
+	errs := make([]error, len(futs))
+	for w := st.edges(); w.next(); {
+		i, rec := w.pos, w.rec
 		nb := rec.Neighbor
 		if rec.Heavy {
 			if nb, errs[i] = tx.heavySibling(st, rec.Neighbor); errs[i] != nil {
@@ -457,7 +530,8 @@ func (tx *Tx) DeleteVertex(dp fabric.DPtr) error {
 	}
 	tx.flushPending()
 	// Remove the sibling record at every neighbor.
-	for i, rec := range st.v.Edges {
+	for w := st.edges(); w.next(); {
+		i, rec := w.pos, w.rec
 		if errs[i] != nil {
 			return errs[i]
 		}
@@ -473,7 +547,7 @@ func (tx *Tx) DeleteVertex(dp fabric.DPtr) error {
 		if err != nil {
 			return err
 		}
-		if err := tx.ensureWrite(nh.st); err != nil {
+		if err := tx.writableRecords(nh.st); err != nil {
 			return err
 		}
 		if rec.Heavy {
@@ -482,9 +556,19 @@ func (tx *Tx) DeleteVertex(dp fabric.DPtr) error {
 			nh.st.v.Edges = removeSiblings(nh.st.v.Edges, st)
 		}
 	}
-	st.v.Edges = nil
+	st.v.Edges, st.keepsStored = nil, false
 	st.deleted = true
 	return nil
+}
+
+// writableRecords makes st writable with every record in v.Edges: the
+// state of a mutation that removes records. A clean state decodes them
+// without locating its stored region first.
+func (tx *Tx) writableRecords(st *vertexState) error {
+	if err := st.decodeRecords(); err != nil {
+		return err
+	}
+	return tx.ensureWrite(st)
 }
 
 // heavySibling returns the endpoint other than st of the heavy edge whose
@@ -534,7 +618,7 @@ func (tx *Tx) fetchEdgeState(dp fabric.DPtr) (*edgeState, error) {
 	fs := getReadScratch()
 	defer fs.release()
 	r := &fs.chainReader
-	r.items = append(r.items[:0], chainItem{head: dp, want: holder.IsEdgeHolder})
+	r.items = append(reuse(r.items), chainItem{head: dp, want: holder.IsEdgeHolder})
 	it := &r.items[0]
 	mode := tx.readMode()
 	for attempts := 1; ; attempts++ {

@@ -120,21 +120,29 @@ func (c *Counters) CountPut(local bool, n int) {
 }
 
 // CountGet accounts one get of n bytes.
-func (c *Counters) CountGet(local bool, n int) {
+func (c *Counters) CountGet(local bool, n int) { c.CountGets(local, 1, n) }
+
+// CountGets accounts gets one-sided gets of n bytes in all, with one add
+// per counter: what a train counts for its GETs.
+func (c *Counters) CountGets(local bool, gets, n int) {
 	if local {
-		c.LocalGets.Add(1)
+		c.LocalGets.Add(int64(gets))
 	} else {
-		c.RemoteGets.Add(1)
+		c.RemoteGets.Add(int64(gets))
 	}
 	c.BytesGot.Add(int64(n))
 }
 
 // CountAtomic accounts one word atomic.
-func (c *Counters) CountAtomic(local bool) {
+func (c *Counters) CountAtomic(local bool) { c.CountAtomics(local, 1) }
+
+// CountAtomics accounts n word atomics with one add: what a train counts
+// for its loads or CASes.
+func (c *Counters) CountAtomics(local bool, n int) {
 	if local {
-		c.LocalAtomics.Add(1)
+		c.LocalAtomics.Add(int64(n))
 	} else {
-		c.RemoteAtomic.Add(1)
+		c.RemoteAtomic.Add(int64(n))
 	}
 }
 
@@ -163,17 +171,19 @@ func (c *Counters) CountAtomicBatch(local bool) {
 // its ops carry, and the train itself — a GET train when it carries a GET, an
 // atomic train when it loads alone. It reports whether the train GETs.
 func (c *Counters) CountGuardedBatch(local bool, ops []GuardedGetOp) (gets bool) {
+	loads, n, bytes := 0, 0, 0
 	for i := range ops {
 		op := &ops[i]
-		for range op.Loads() {
-			c.CountAtomic(local)
-		}
+		loads += op.Loads()
 		if len(op.Buf) > 0 {
-			c.CountGet(local, len(op.Buf))
-			gets = true
+			n, bytes = n+1, bytes+len(op.Buf)
 		}
 	}
-	if gets {
+	if loads > 0 {
+		c.CountAtomics(local, loads)
+	}
+	if gets = n > 0; gets {
+		c.CountGets(local, n, bytes)
 		c.CountGetBatch(local)
 	} else {
 		c.CountAtomicBatch(local)

@@ -430,8 +430,8 @@ func (w *wordWin) LoadBatch(origin, target fabric.Rank, idxs []int) []uint64 {
 	w.t.counters.CountAtomicBatch(local)
 	for _, idx := range idxs {
 		w.checkIdx(idx)
-		w.t.counters.CountAtomic(local)
 	}
+	w.t.counters.CountAtomics(local, len(idxs))
 	out := make([]uint64, len(idxs))
 	if local {
 		for i, idx := range idxs {
@@ -460,8 +460,8 @@ func (w *wordWin) CASBatch(origin, target fabric.Rank, ops []fabric.CASOp) []fab
 	w.t.counters.CountAtomicBatch(local)
 	for _, op := range ops {
 		w.checkIdx(op.Idx)
-		w.t.counters.CountAtomic(local)
 	}
+	w.t.counters.CountAtomics(local, len(ops))
 	out := make([]fabric.CASResult, len(ops))
 	if local {
 		for i, op := range ops {

@@ -57,16 +57,19 @@ func vertexFromBytes(data []byte) *Vertex {
 		appID |= uint64(b) << (8 * (i % 8))
 	}
 	v := &Vertex{AppID: appID, Edges: recordsFromBytes(data)}
+	var labels []lpg.LabelID
+	var props []lpg.Property
 	for i := 0; i+1 < len(data) && i < 10; i += 2 {
 		if data[i]%2 == 0 {
-			v.Labels = append(v.Labels, lpg.LabelID(uint32(data[i])<<8|uint32(data[i+1])))
+			labels = append(labels, lpg.LabelID(uint32(data[i])<<8|uint32(data[i+1])))
 		} else {
-			v.Props = append(v.Props, lpg.Property{
+			props = append(props, lpg.Property{
 				PType: lpg.PTypeID(lpg.FirstDynamicID + uint32(data[i])),
 				Value: data[i+1 : min(len(data), i+1+int(data[i+1])%9)],
 			})
 		}
 	}
+	v.Entries = lpg.EncodeEntries(labels, props)
 	if len(data) > 2 {
 		for i := 0; i < int(data[0]%3); i++ {
 			v.Homes = append(v.Homes, rma.MakeDPtr(rma.Rank(data[1])+rma.Rank(i), uint64(data[2])))
@@ -309,5 +312,61 @@ func FuzzEdgeHolderRoundTrip(f *testing.F) {
 				t.Fatalf("prop %d: got %+v, want %+v", i, got.Props[i], e.Props[i])
 			}
 		}
+	})
+}
+
+// FuzzEncodeVertexAfter checks the writer that appends behind a stored edge
+// region against EncodeVertex. A fuzz vertex's records are split at a fuzzed
+// point; the first part is stored by EncodeVertex, and the rest appended by
+// EncodeVertexAfter over the stored stream's StoredEdges must give
+// EncodeVertex's stream of the whole, at the block count VertexBlocksAfter
+// promised. Tail records copy their predecessor's run key where the fuzzed
+// mask says so, so appends continue the stored last run, across the run
+// header's one-byte count boundary too. Arbitrary bytes as a stored region
+// either fail StoredEdges or take the tail behind exactly their own records.
+func FuzzEncodeVertexAfter(f *testing.F) {
+	f.Add([]byte{9, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, uint8(4), uint64(0))
+	f.Add([]byte{39, 7, 1, 1, 0, 0, 9, 1, 0, 0, 0, 1, 1, 0, 0, 10, 1, 0, 0, 0}, uint8(1), ^uint64(0))
+	f.Add([]byte{0x0b, 0x10, 0x64, 0x06, 0x04}, uint8(0), uint64(5))
+	f.Fuzz(func(t *testing.T, data []byte, split uint8, same uint64) {
+		v := vertexFromBytes(data)
+		k := int(split) % (len(v.Edges) + 1)
+		for i := max(k, 1); i < len(v.Edges); i++ {
+			if same>>(i%64)&1 == 1 {
+				p := v.Edges[i-1]
+				v.Edges[i].Dir, v.Edges[i].Heavy, v.Edges[i].Label = p.Dir, p.Heavy, p.Label
+			}
+		}
+		head, tail := *v, *v
+		head.Edges, tail.Edges = v.Edges[:k], v.Edges[k:]
+		for _, bs := range []int{64, 512} {
+			var w View
+			if err := w.Reset(EncodeVertex(&head, bs)); err != nil {
+				t.Fatal(err)
+			}
+			s, err := w.StoredEdges()
+			if err != nil {
+				t.Fatalf("a stored region EncodeVertex wrote: %v", err)
+			}
+			got := EncodeVertexAfter(&tail, &s, bs)
+			if n := VertexBlocksAfter(&tail, &s, bs); n*bs != len(got) {
+				t.Fatalf("bs %d: VertexBlocksAfter = %d, stream of %d bytes", bs, n, len(got))
+			}
+			if want := EncodeVertex(v, bs); !bytes.Equal(got, want) {
+				t.Fatalf("bs %d, %d stored + %d appended records:\n got %v\nwant %v", bs, k, len(v.Edges)-k, got, want)
+			}
+		}
+
+		count := int(split)
+		s, err := regionView(data, count).StoredEdges()
+		if err != nil {
+			return
+		}
+		stored, _ := cursorWalk(regionView(data, count), 0)
+		dec, err := DecodeVertex(EncodeVertexAfter(&tail, &s, 512))
+		if err != nil {
+			t.Fatalf("the stream over an arbitrary stored region: %v", err)
+		}
+		sameRecords(t, dec.Edges, append(stored, tail.Edges...))
 	})
 }

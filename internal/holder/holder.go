@@ -32,6 +32,13 @@
 // byte. View is the zero-copy reader; EntryBlocks tells a reader how much of
 // a chain the labels and properties need.
 //
+// A writer keeps what it does not change encoded. Vertex carries its labels
+// and properties as the entry region itself (Entries), which package lpg's
+// region edits splice in place, and EncodeVertexAfter writes a stored edge
+// region as it stands (View.StoredEdges locates it) with new records
+// appended behind it, so a label, property or edge write decodes neither
+// the properties nor the records.
+//
 // A record's index is its edge UID (deletion is by index), so nothing
 // reorders stored records: the codec keeps whatever order its writer
 // appends in. Transactional appends (CreateEdge) keep insertion order. A
@@ -159,12 +166,15 @@ type Vertex struct {
 	// primary.
 	IsReplica bool
 	// Edges are the inline edge records in record order: an edge UID is an
-	// index into them.
+	// index into them. A writer that appends behind a stored edge region
+	// without decoding it (EncodeVertexAfter) holds only the appended
+	// records here.
 	Edges []EdgeRec
-	// Labels are the vertex's label IDs in insertion order.
-	Labels []lpg.LabelID
-	// Props are the vertex's properties in insertion order.
-	Props []lpg.Property
+	// Entries is the label/property entry region exactly as package lpg
+	// encodes it — labels first, then properties, each kind in insertion
+	// order — and the only form of a vertex's labels and properties: readers
+	// walk it with lpg.IterEntries, writers edit it with lpg's region edits.
+	Entries []byte
 }
 
 // Edge is the decoded logical form of a heavy-edge holder.
@@ -261,31 +271,42 @@ func appendEdgeRuns(dst []byte, recs []EdgeRec) []byte {
 }
 
 // contentSizeVertex returns the logical byte size of v excluding slack, with
-// the edge and entry region sizes precomputed by the caller (they do not
-// depend on the block count, so the fixed point recomputes only the
-// fixed-width regions). Each replica group stores one DPtr per block of the
-// holder, so the replica region participates in the fixed point exactly as
-// the table does.
-func contentSizeVertex(v *Vertex, numBlocks, edgeBytes, entryBytes int) int {
+// the edge region size precomputed by the caller (it does not depend on the
+// block count, so the fixed point recomputes only the fixed-width regions).
+// Each replica group stores one DPtr per block of the holder, so the replica
+// region participates in the fixed point exactly as the table does.
+func contentSizeVertex(v *Vertex, numBlocks, edgeBytes int) int {
 	return HeaderSize + 8*(numBlocks-1) + 8*len(v.Homes) + 8*len(v.Replicas)*numBlocks +
-		edgeBytes + entryBytes
+		edgeBytes + len(v.Entries)
 }
 
 // VertexBlocks returns how many blocks v needs at the given block size. It
 // always agrees with len(EncodeVertex(v, blockSize))/blockSize.
-func VertexBlocks(v *Vertex, blockSize int) int {
-	edgeBytes := edgeRunsSize(v.Edges)
-	entryBytes := lpg.EntriesSize(v.Labels, v.Props)
-	return blocksFor(func(n int) int { return contentSizeVertex(v, n, edgeBytes, entryBytes) }, blockSize)
+func VertexBlocks(v *Vertex, blockSize int) int { return VertexBlocksAfter(v, nil, blockSize) }
+
+// VertexBlocksAfter returns how many blocks EncodeVertexAfter(v, stored)
+// takes at the given block size.
+func VertexBlocksAfter(v *Vertex, stored *StoredEdges, blockSize int) int {
+	edgeBytes := stored.size(v.Edges, stored.continued(v.Edges))
+	return blocksFor(func(n int) int { return contentSizeVertex(v, n, edgeBytes) }, blockSize)
 }
 
 // EncodeVertex serializes v into a logical stream of exactly
 // VertexBlocks(v)·blockSize bytes. The block table is zeroed; the caller
 // fills it with SetTableEntry after acquiring the continuation blocks.
-func EncodeVertex(v *Vertex, blockSize int) []byte {
-	edgeBytes := edgeRunsSize(v.Edges)
-	entryRegion := lpg.EncodeEntries(v.Labels, v.Props)
-	numBlocks := blocksFor(func(n int) int { return contentSizeVertex(v, n, edgeBytes, len(entryRegion)) }, blockSize)
+func EncodeVertex(v *Vertex, blockSize int) []byte { return EncodeVertexAfter(v, nil, blockSize) }
+
+// EncodeVertexAfter is EncodeVertex of a vertex whose records are stored's,
+// then v.Edges: the stored region is copied as it stands and v.Edges are
+// appended behind it, the first of them continuing stored's last run while
+// they share its direction, heavy bit and label. On a stored region in the
+// form EncodeVertex writes — every run as long as its records allow — the
+// stream is byte for byte EncodeVertex's with the stored records decoded
+// ahead of v.Edges. A nil stored is an empty region.
+func EncodeVertexAfter(v *Vertex, stored *StoredEdges, blockSize int) []byte {
+	k := stored.continued(v.Edges)
+	edgeBytes := stored.size(v.Edges, k)
+	numBlocks := blocksFor(func(n int) int { return contentSizeVertex(v, n, edgeBytes) }, blockSize)
 	buf := make([]byte, numBlocks*blockSize)
 
 	flags := uint32(flagV2)
@@ -296,8 +317,8 @@ func EncodeVertex(v *Vertex, blockSize int) []byte {
 		flags |= flagInline
 	}
 	binary.LittleEndian.PutUint32(buf[0:], uint32(numBlocks))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(len(v.Edges)))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(len(entryRegion)))
+	binary.LittleEndian.PutUint32(buf[4:], uint32(stored.Len()+len(v.Edges)))
+	binary.LittleEndian.PutUint32(buf[8:], uint32(len(v.Entries)))
 	binary.LittleEndian.PutUint32(buf[12:], flags)
 	binary.LittleEndian.PutUint64(buf[16:], v.AppID)
 	binary.LittleEndian.PutUint32(buf[24:], uint32(len(v.Homes)))
@@ -317,14 +338,86 @@ func EncodeVertex(v *Vertex, blockSize int) []byte {
 			off += 8
 		}
 	}
-	off += copy(buf[off:], entryRegion)
+	off += copy(buf[off:], v.Entries)
 	// Append in place: buf[:off] has capacity for the whole stream, so the
-	// varint appends land directly in the slack-backed buffer.
-	edges := appendEdgeRuns(buf[:off], v.Edges)
+	// appends land directly in the slack-backed buffer.
+	edges := stored.appendRecords(buf[:off], v.Edges, k)
 	if len(edges) != off+edgeBytes {
 		panic(fmt.Sprintf("holder: edge region of %d bytes, sized %d", len(edges)-off, edgeBytes))
 	}
 	return buf
+}
+
+// StoredEdges is the edge region of a stored vertex stream, located for a
+// writer that appends records behind it without decoding it
+// (View.StoredEdges, EncodeVertexAfter). It aliases the stream.
+type StoredEdges struct {
+	region []byte  // the region, through its last record
+	count  int     // its records
+	runOff int     // the offset in region of its last run's header
+	runHdr uint64  // that header
+	hdrLen int     // its encoded length
+	last   EdgeRec // the last record: its run's direction, heavy bit and label, and the last neighbor
+}
+
+// Len returns how many records s holds; 0 for a nil s.
+func (s *StoredEdges) Len() int {
+	if s == nil {
+		return 0
+	}
+	return s.count
+}
+
+// continued returns how many leading records of recs continue s's last run.
+func (s *StoredEdges) continued(recs []EdgeRec) int {
+	if s.Len() == 0 {
+		return 0
+	}
+	k := 0
+	for k < len(recs) && recs[k].Dir == s.last.Dir && recs[k].Heavy == s.last.Heavy && recs[k].Label == s.last.Label {
+		k++
+	}
+	return k
+}
+
+// size returns the encoded size of s's region with recs appended, the first
+// k of them continuing its last run.
+func (s *StoredEdges) size(recs []EdgeRec, k int) int {
+	if s == nil {
+		return edgeRunsSize(recs)
+	}
+	n := len(s.region) + edgeRunsSize(recs[k:])
+	if k > 0 {
+		n += lpg.UvarintLen(s.runHdr+uint64(k)<<3) - s.hdrLen
+		prev := s.last.Neighbor
+		for _, r := range recs[:k] {
+			n += lpg.VarintLen(int64(r.Neighbor) - int64(prev))
+			prev = r.Neighbor
+		}
+	}
+	return n
+}
+
+// appendRecords appends s's region with recs behind it, the first k of them
+// continuing its last run: the run's header is rewritten with the new count
+// and the k records follow its last one as deltas.
+func (s *StoredEdges) appendRecords(dst []byte, recs []EdgeRec, k int) []byte {
+	if s == nil {
+		return appendEdgeRuns(dst, recs)
+	}
+	if k == 0 {
+		dst = append(dst, s.region...)
+	} else {
+		dst = append(dst, s.region[:s.runOff]...)
+		dst = binary.AppendUvarint(dst, s.runHdr+uint64(k)<<3)
+		dst = append(dst, s.region[s.runOff+s.hdrLen:]...)
+		prev := s.last.Neighbor
+		for _, r := range recs[:k] {
+			dst = binary.AppendVarint(dst, int64(r.Neighbor)-int64(prev))
+			prev = r.Neighbor
+		}
+	}
+	return appendEdgeRuns(dst, recs[k:])
 }
 
 // EncodeVertexCodec is EncodeVertex; the codec argument is ignored. Kept
@@ -416,9 +509,18 @@ func DecodeEdge(buf []byte) (*Edge, error) {
 	}
 	e.Dir = Direction(binary.LittleEndian.Uint32(buf[off:]))
 	off += 8
-	e.Labels, e.Props, err = lpg.SplitEntries(buf[off : off+entryBytes])
-	if err != nil {
+	region := buf[off : off+entryBytes]
+	if err := lpg.CheckEntries(region); err != nil {
 		return nil, err
+	}
+	it := lpg.IterEntries(region)
+	for id, payload, ok := it.Next(); ok; id, payload, ok = it.Next() {
+		if id == lpg.IDLabel {
+			l, _ := lpg.EntryLabel(payload)
+			e.Labels = append(e.Labels, l)
+		} else {
+			e.Props = append(e.Props, lpg.Property{PType: lpg.PTypeID(id), Value: append([]byte(nil), payload...)})
+		}
 	}
 	return e, nil
 }

@@ -20,11 +20,10 @@ func sampleVertex() *Vertex {
 			{Neighbor: rma.MakeDPtr(2, 9), Dir: DirIn},
 			{Neighbor: rma.MakeDPtr(0, 3), Dir: DirUndirected, Heavy: true, Label: 0},
 		},
-		Labels: []lpg.LabelID{16, 18},
-		Props: []lpg.Property{
+		Entries: lpg.EncodeEntries([]lpg.LabelID{16, 18}, []lpg.Property{
 			{PType: 20, Value: lpg.EncodeUint64(33)},
 			{PType: 21, Value: lpg.EncodeString("alice")},
-		},
+		}),
 	}
 }
 
@@ -53,7 +52,7 @@ func TestEmptyVertex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.AppID != 1 || len(got.Edges) != 0 || got.Labels != nil || got.Props != nil {
+	if got.AppID != 1 || len(got.Edges) != 0 || len(got.Entries) != 0 {
 		t.Fatalf("empty vertex decoded as %+v", got)
 	}
 }
@@ -63,7 +62,7 @@ func TestMultiBlockVertex(t *testing.T) {
 	for i := 0; i < 100; i++ { // one run per record: ~1 KB of edge runs alone
 		v.Edges = append(v.Edges, EdgeRec{Neighbor: rma.MakeDPtr(rma.Rank(i%4), uint64(i+1)), Dir: DirOut, Label: lpg.LabelID(i)})
 	}
-	v.Props = append(v.Props, lpg.Property{PType: 30, Value: bytes.Repeat([]byte{9}, 700)})
+	v.Entries = lpg.AppendPropertyEntry(v.Entries, 30, bytes.Repeat([]byte{9}, 700))
 	buf := EncodeVertex(v, 256)
 	if nb := NumBlocks(buf); nb < 7 {
 		t.Fatalf("vertex with 1.7KB content in %d blocks of 256B", nb)
@@ -85,7 +84,7 @@ func TestBlocksFixedPointConverges(t *testing.T) {
 			for i := 0; i < nEdges; i++ {
 				v.Edges = append(v.Edges, EdgeRec{Neighbor: rma.MakeDPtr(rma.Rank(i%3), uint64(i)), Label: lpg.LabelID(i % 2)})
 			}
-			size := func(n int) int { return contentSizeVertex(v, n, edgeRunsSize(v.Edges), 0) }
+			size := func(n int) int { return contentSizeVertex(v, n, edgeRunsSize(v.Edges)) }
 			nb := VertexBlocks(v, blockSize)
 			content := size(nb)
 			if content > nb*blockSize {
@@ -115,7 +114,7 @@ func TestTableEntryStreamingInvariant(t *testing.T) {
 }
 
 func TestSetGetTableEntry(t *testing.T) {
-	v := &Vertex{AppID: 2, Props: []lpg.Property{{PType: 30, Value: bytes.Repeat([]byte{1}, 300)}}}
+	v := &Vertex{AppID: 2, Entries: lpg.AppendPropertyEntry(nil, 30, bytes.Repeat([]byte{1}, 300))}
 	buf := EncodeVertex(v, 128)
 	nb := NumBlocks(buf)
 	if nb < 3 {
@@ -134,7 +133,7 @@ func TestSetGetTableEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Props[0].Value, v.Props[0].Value) {
+	if !bytes.Equal(got.Entries, v.Entries) {
 		t.Fatal("table writes corrupted the property payload")
 	}
 }
@@ -231,37 +230,29 @@ func TestQuickVertexRoundTrip(t *testing.T) {
 				Label:    lpg.LabelID(rng.Intn(100)),
 			})
 		}
+		var labels []lpg.LabelID
+		var props []lpg.Property
 		for _, s := range labelSeeds {
-			v.Labels = append(v.Labels, lpg.LabelID(s%500+lpg.FirstDynamicID))
+			labels = append(labels, lpg.LabelID(s%500+lpg.FirstDynamicID))
 		}
 		for i, p := range payloads {
 			if len(p) > 2000 {
 				p = p[:2000]
 			}
-			v.Props = append(v.Props, lpg.Property{PType: lpg.PTypeID(lpg.FirstDynamicID + uint32(i)), Value: p})
+			props = append(props, lpg.Property{PType: lpg.PTypeID(lpg.FirstDynamicID + uint32(i)), Value: p})
 		}
+		v.Entries = lpg.EncodeEntries(labels, props)
 		for _, bs := range []int{64, 128, 512, 4096} {
 			buf := EncodeVertex(v, bs)
 			got, err := DecodeVertex(buf)
 			if err != nil {
 				return false
 			}
-			if got.AppID != v.AppID || len(got.Edges) != len(v.Edges) ||
-				len(got.Labels) != len(v.Labels) || len(got.Props) != len(v.Props) {
+			if got.AppID != v.AppID || len(got.Edges) != len(v.Edges) || !bytes.Equal(got.Entries, v.Entries) {
 				return false
 			}
 			for i := range v.Edges {
 				if got.Edges[i] != v.Edges[i] {
-					return false
-				}
-			}
-			for i := range v.Labels {
-				if got.Labels[i] != v.Labels[i] {
-					return false
-				}
-			}
-			for i := range v.Props {
-				if got.Props[i].PType != v.Props[i].PType || !bytes.Equal(got.Props[i].Value, v.Props[i].Value) {
 					return false
 				}
 			}
@@ -310,7 +301,7 @@ func TestReplicatedMultiBlockVertex(t *testing.T) {
 	// group stores one DPtr per block, so adding groups can itself grow the
 	// block count. Groups must match the converged count exactly.
 	v := &Vertex{AppID: 5, Edges: []EdgeRec{{Neighbor: rma.MakeDPtr(0, 8), Dir: DirOut}}}
-	v.Props = append(v.Props, lpg.Property{PType: 30, Value: bytes.Repeat([]byte{7}, 300)})
+	v.Entries = lpg.AppendPropertyEntry(v.Entries, 30, bytes.Repeat([]byte{7}, 300))
 	base := VertexBlocks(v, 128)
 	group := func(r rma.Rank, n int) []rma.DPtr {
 		g := make([]rma.DPtr, n)
@@ -340,7 +331,7 @@ func TestReplicatedMultiBlockVertex(t *testing.T) {
 
 func TestRewriteAsReplica(t *testing.T) {
 	v := &Vertex{AppID: 9}
-	v.Props = append(v.Props, lpg.Property{PType: 30, Value: bytes.Repeat([]byte{3}, 300)})
+	v.Entries = lpg.AppendPropertyEntry(v.Entries, 30, bytes.Repeat([]byte{3}, 300))
 	nb := VertexBlocks(v, 128)
 	if nb < 2 {
 		t.Fatalf("test needs a multi-block vertex, got %d blocks", nb)
@@ -383,7 +374,7 @@ func TestRewriteAsReplica(t *testing.T) {
 	if !got.IsReplica {
 		t.Fatal("decoded follower not marked IsReplica")
 	}
-	if got.AppID != v.AppID || !reflect.DeepEqual(got.Props, v.Props) || !reflect.DeepEqual(got.Replicas, v.Replicas) {
+	if got.AppID != v.AppID || !bytes.Equal(got.Entries, v.Entries) || !reflect.DeepEqual(got.Replicas, v.Replicas) {
 		t.Fatalf("follower content diverges from primary:\n got %+v\nwant %+v", got, v)
 	}
 }

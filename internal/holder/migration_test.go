@@ -18,8 +18,7 @@ func TestVertexHomesRoundTrip(t *testing.T) {
 			v.Homes = append(v.Homes, rma.MakeDPtr(rma.Rank(i%4), uint64(i+1)))
 		}
 		v.Edges = []EdgeRec{{Neighbor: rma.MakeDPtr(1, 7), Dir: DirOut, Label: 2}}
-		v.Labels = []lpg.LabelID{5}
-		v.Props = []lpg.Property{{PType: lpg.PTypeID(lpg.FirstDynamicID), Value: []byte("abcd")}}
+		v.Entries = lpg.EncodeEntries([]lpg.LabelID{5}, []lpg.Property{{PType: lpg.PTypeID(lpg.FirstDynamicID), Value: []byte("abcd")}})
 
 		buf := EncodeVertex(v, bs)
 		if len(buf)%bs != 0 {
@@ -40,11 +39,8 @@ func TestVertexHomesRoundTrip(t *testing.T) {
 		if len(got.Edges) != 1 || got.Edges[0] != v.Edges[0] {
 			t.Fatalf("homes=%d: edges corrupted: %+v", nHomes, got.Edges)
 		}
-		if len(got.Labels) != 1 || got.Labels[0] != 5 {
-			t.Fatalf("homes=%d: labels corrupted", nHomes)
-		}
-		if len(got.Props) != 1 || !bytes.Equal(got.Props[0].Value, []byte("abcd")) {
-			t.Fatalf("homes=%d: props corrupted", nHomes)
+		if !bytes.Equal(got.Entries, v.Entries) {
+			t.Fatalf("homes=%d: labels or properties corrupted", nHomes)
 		}
 		if again := EncodeVertex(got, bs); !bytes.Equal(again, buf) {
 			t.Fatalf("homes=%d: re-encode not canonical", nHomes)

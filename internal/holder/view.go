@@ -156,10 +156,37 @@ func (w *View) AppendEdges(dst []EdgeRec) []EdgeRec {
 	return dst
 }
 
+// StoredEdges walks the edge region a run at a time, without materializing
+// a record, and locates its end and its last run for a writer that appends
+// behind it (EncodeVertexAfter). The walk is the region's validation: a
+// corrupt region is the walk's error, as View.Err reports it.
+func (w *View) StoredEdges() (StoredEdges, error) {
+	var s StoredEdges
+	var nbrs [16]fabric.DPtr
+	c := w.Edges()
+	for {
+		start := c.off
+		if !c.NextRun() {
+			break
+		}
+		s.runOff = start
+		s.runHdr, s.hdrLen = uvarint(c.buf[start:])
+		for c.StepRun(nbrs[:]) > 0 {
+		}
+		s.last = c.Rec
+	}
+	if w.err != nil {
+		return StoredEdges{}, w.err
+	}
+	s.region, s.count = c.buf[:c.off], w.numEdges
+	return s, nil
+}
+
 // DecodeMeta decodes everything except the edge records into a fresh Vertex
-// (Edges stays nil). The transaction layer never calls it on a read: a
-// clean vertex serves labels, properties and edges from the view in place,
-// and only its first mutation pays for DecodeMeta and AppendEdges.
+// (Edges stays nil), with a copy of the checked entry region. The
+// transaction layer never calls it on a read: a clean vertex serves labels,
+// properties and edges from the view in place, and only its first mutation
+// pays for DecodeMeta.
 func (w *View) DecodeMeta() (*Vertex, error) {
 	v := &Vertex{AppID: w.appID, IsReplica: w.isReplica}
 	off := w.homesOff
@@ -181,11 +208,10 @@ func (w *View) DecodeMeta() (*Vertex, error) {
 			v.Replicas[g] = group
 		}
 	}
-	var err error
-	v.Labels, v.Props, err = lpg.SplitEntries(w.Entries())
-	if err != nil {
+	if err := lpg.CheckEntries(w.Entries()); err != nil {
 		return nil, err
 	}
+	v.Entries = append([]byte(nil), w.Entries()...)
 	return v, nil
 }
 

@@ -38,21 +38,8 @@ func sameVertexContent(t *testing.T, got, want *Vertex) {
 		}
 	}
 	sameRecords(t, got.Edges, want.Edges)
-	if len(got.Labels) != len(want.Labels) {
-		t.Fatalf("%d labels, want %d", len(got.Labels), len(want.Labels))
-	}
-	for i := range want.Labels {
-		if got.Labels[i] != want.Labels[i] {
-			t.Fatalf("label %d: %d, want %d", i, got.Labels[i], want.Labels[i])
-		}
-	}
-	if len(got.Props) != len(want.Props) {
-		t.Fatalf("%d props, want %d", len(got.Props), len(want.Props))
-	}
-	for i := range want.Props {
-		if got.Props[i].PType != want.Props[i].PType || !bytes.Equal(got.Props[i].Value, want.Props[i].Value) {
-			t.Fatalf("prop %d: %+v, want %+v", i, got.Props[i], want.Props[i])
-		}
+	if !bytes.Equal(got.Entries, want.Entries) {
+		t.Fatalf("entry region %v, want %v", got.Entries, want.Entries)
 	}
 }
 
@@ -70,11 +57,10 @@ func testVertex() *Vertex {
 			{Neighbor: rma.MakeDPtr(0, 5), Dir: DirOut, Heavy: true},
 			{Neighbor: rma.MakeDPtr(1, 104), Dir: DirOut, Label: 17},
 		},
-		Labels: []lpg.LabelID{16, 300},
-		Props: []lpg.Property{
+		Entries: lpg.EncodeEntries([]lpg.LabelID{16, 300}, []lpg.Property{
 			{PType: lpg.PTypeAppID, Value: lpg.EncodeUint64(0xfeedbeefcafe)},
 			{PType: 40, Value: []byte("hello")},
-		},
+		}),
 	}
 }
 
@@ -257,24 +243,21 @@ func TestViewMatchesDecode(t *testing.T) {
 	}
 }
 
-// sameEntries asserts an encoded entry region decodes to v's labels and
-// properties.
+// sameEntries asserts an encoded entry region is v's.
 func sameEntries(t *testing.T, region []byte, v *Vertex) {
 	t.Helper()
-	labels, props, err := lpg.SplitEntries(region)
-	if err != nil {
+	if err := lpg.CheckEntries(region); err != nil {
 		t.Fatalf("entry region: %v", err)
 	}
-	sameVertexContent(t, &Vertex{AppID: v.AppID, Homes: v.Homes, Edges: v.Edges, Labels: labels, Props: props}, v)
+	sameVertexContent(t, &Vertex{AppID: v.AppID, Homes: v.Homes, Edges: v.Edges, Entries: region}, v)
 }
 
 // hubVertex is a vertex with n lightweight edges in runs of 50 and a label
 // and property worth reading.
 func hubVertex(n int) *Vertex {
 	v := &Vertex{
-		AppID:  99,
-		Labels: []lpg.LabelID{16},
-		Props:  []lpg.Property{{PType: 40, Value: lpg.EncodeUint64(31)}},
+		AppID:   99,
+		Entries: lpg.EncodeEntries([]lpg.LabelID{16}, []lpg.Property{{PType: 40, Value: lpg.EncodeUint64(31)}}),
 	}
 	for i := 0; i < n; i++ {
 		v.Edges = append(v.Edges, EdgeRec{
@@ -378,7 +361,7 @@ func TestViewServesEntriesOfADamagedHolder(t *testing.T) {
 		t.Fatalf("reset must not look at the edge region: %v", err)
 	}
 	sameEntries(t, w.Entries(), v)
-	if meta, err := w.DecodeMeta(); err != nil || meta.AppID != v.AppID || len(meta.Props) != 1 {
+	if meta, err := w.DecodeMeta(); err != nil || meta.AppID != v.AppID || !bytes.Equal(meta.Entries, v.Entries) {
 		t.Fatalf("DecodeMeta over a damaged edge region: %+v, %v", meta, err)
 	}
 	if w.Err() != nil {

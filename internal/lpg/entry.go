@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // The label/property entry wire format of §5.4.3, in its varint form. An
@@ -134,30 +135,101 @@ func EntryLabel(payload []byte) (l LabelID, ok bool) {
 	return LabelID(v), true
 }
 
-// SplitEntries decodes an entry region back into label IDs and properties,
-// preserving order within each kind. Property values are copied out of buf
-// so callers may reuse the stream buffer.
-func SplitEntries(buf []byte) (labels []LabelID, props []Property, err error) {
-	it := IterEntries(buf)
-	for {
-		id, payload, ok := it.Next()
-		if !ok {
-			break
-		}
+// CheckEntries validates an entry region: every entry well formed, and
+// every label entry's payload one exact uvarint. A region it accepts is one
+// the other walkers of this file read without meeting an error.
+func CheckEntries(region []byte) error {
+	it := IterEntries(region)
+	for id, payload, ok := it.Next(); ok; id, payload, ok = it.Next() {
 		if id != IDLabel {
-			props = append(props, Property{PType: PTypeID(id), Value: append([]byte(nil), payload...)})
 			continue
 		}
-		l, ok := EntryLabel(payload)
-		if !ok {
-			return nil, nil, fmt.Errorf("lpg: malformed label entry payload of %d bytes", len(payload))
+		if _, ok := EntryLabel(payload); !ok {
+			return fmt.Errorf("lpg: malformed label entry payload of %d bytes", len(payload))
 		}
-		labels = append(labels, l)
 	}
-	if err := it.Err(); err != nil {
-		return nil, nil, err
+	return it.Err()
+}
+
+// AppendLabels appends the labels of a checked region to dst, in order.
+func AppendLabels(dst []LabelID, region []byte) []LabelID {
+	it := IterEntries(region)
+	for id, payload, ok := it.Next(); ok; id, payload, ok = it.Next() {
+		if id == IDLabel {
+			l, _ := EntryLabel(payload)
+			dst = append(dst, l)
+		}
 	}
-	return labels, props, nil
+	return dst
+}
+
+// The region edits below splice one checked region in place, growing it
+// through append when an entry does not fit, and keep the order of every
+// entry they do not touch: a region EncodeEntries wrote (labels, then
+// properties) stays in that form.
+
+// InsertLabel inserts a label entry for l after the region's last label
+// entry, at the front when it has none.
+func InsertLabel(region []byte, l LabelID) []byte {
+	at := 0
+	it := IterEntries(region)
+	for id, _, ok := it.Next(); ok; id, _, ok = it.Next() {
+		if id == IDLabel {
+			at = it.off
+		}
+	}
+	var entry [2 + binary.MaxVarintLen32]byte
+	return slices.Insert(region, at, AppendLabelEntry(entry[:0], l)...)
+}
+
+// RemoveLabel drops the first label entry for l, if any.
+func RemoveLabel(region []byte, l LabelID) []byte {
+	it := IterEntries(region)
+	for start := 0; ; start = it.off {
+		id, payload, ok := it.Next()
+		if !ok {
+			return region
+		}
+		if id != IDLabel {
+			continue
+		}
+		if got, _ := EntryLabel(payload); got == l {
+			return slices.Delete(region, start, it.off)
+		}
+	}
+}
+
+// SetProperty replaces the payload of the first entry of pt with value, or
+// appends an entry when there is none.
+func SetProperty(region []byte, pt PTypeID, value []byte) []byte {
+	it := IterEntries(region)
+	for start := 0; ; start = it.off {
+		id, _, ok := it.Next()
+		if !ok {
+			return AppendPropertyEntry(region, pt, value)
+		}
+		if id == uint32(pt) {
+			var entry [2 * binary.MaxVarintLen64]byte
+			head := binary.AppendUvarint(binary.AppendUvarint(entry[:0], uint64(id)), uint64(len(value)))
+			region = slices.Replace(region, start, it.off, head...)
+			return slices.Insert(region, start+len(head), value...)
+		}
+	}
+}
+
+// RemoveProperties drops every entry of pt.
+func RemoveProperties(region []byte, pt PTypeID) []byte {
+	kept := 0
+	it := IterEntries(region)
+	for start := 0; ; start = it.off {
+		id, _, ok := it.Next()
+		if !ok {
+			return region[:kept]
+		}
+		if id != uint32(pt) {
+			kept += copy(region[kept:], region[start:it.off])
+		}
+	}
 }
 
 // UvarintLen returns the encoded size of v as a uvarint.

@@ -80,7 +80,7 @@ func TestEntryEncodeDecode(t *testing.T) {
 		{PType: PTypeID(21), Value: nil}, // empty payload is legal
 	}
 	buf := EncodeEntries(labels, props)
-	gotLabels, gotProps, err := SplitEntries(buf)
+	gotLabels, gotProps, err := splitEntries(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestEntriesEmpty(t *testing.T) {
 	if len(buf) != 0 {
 		t.Fatalf("empty region = %d bytes, want 0", len(buf))
 	}
-	labels, props, err := SplitEntries(buf)
+	labels, props, err := splitEntries(buf)
 	if err != nil || labels != nil || props != nil {
 		t.Fatalf("empty region decoded to %v, %v, %v", labels, props, err)
 	}
@@ -115,7 +115,7 @@ func TestDecodeWithoutTerminatorStopsAtEnd(t *testing.T) {
 	buf := AppendLabelEntry(nil, 3)
 	region := len(buf)
 	buf = append(buf, 0xff, 0xff) // what follows the region: no entry at all
-	labels, props, err := SplitEntries(buf[:region])
+	labels, props, err := splitEntries(buf[:region])
 	if err != nil || len(labels) != 1 || labels[0] != 3 || props != nil {
 		t.Fatalf("region decoded to %v, %v, %v; want the one label", labels, props, err)
 	}
@@ -124,7 +124,7 @@ func TestDecodeWithoutTerminatorStopsAtEnd(t *testing.T) {
 	if _, _, ok := it.Next(); ok || it.Err() != nil {
 		t.Fatalf("walk past the last entry: ok %v, err %v; want a clean end", ok, it.Err())
 	}
-	if _, _, err := SplitEntries(buf); err == nil {
+	if _, _, err := splitEntries(buf); err == nil {
 		t.Fatal("the bytes past the region decoded as an entry")
 	}
 }
@@ -133,7 +133,7 @@ func TestReservedEntryIDsRejected(t *testing.T) {
 	for _, id := range []uint32{IDEmpty, IDEnd} {
 		buf := AppendLabelEntry(nil, 7)
 		buf = AppendEntry(buf, id, make([]byte, 4))
-		if _, _, err := SplitEntries(buf); err == nil {
+		if _, _, err := splitEntries(buf); err == nil {
 			t.Fatalf("entry with reserved ID %d accepted", id)
 		}
 	}
@@ -150,7 +150,7 @@ func TestQuickEntryRoundTrip(t *testing.T) {
 			props = append(props, Property{PType: PTypeID(FirstDynamicID + uint32(i)), Value: p})
 		}
 		buf := EncodeEntries(labels, props)
-		gl, gp, err := SplitEntries(buf)
+		gl, gp, err := splitEntries(buf)
 		if err != nil || len(gl) != len(labels) || len(gp) != len(props) {
 			return false
 		}
@@ -173,11 +173,11 @@ func TestQuickEntryRoundTrip(t *testing.T) {
 
 func TestTruncatedEntryRejected(t *testing.T) {
 	buf := AppendPropertyEntry(nil, 30, make([]byte, 40))
-	if _, _, err := SplitEntries(buf[:12]); err == nil { // the size promises 40 bytes, 10 follow
+	if _, _, err := splitEntries(buf[:12]); err == nil { // the size promises 40 bytes, 10 follow
 		t.Fatal("truncated entry region accepted")
 	}
 	bad := AppendEntry(nil, IDLabel, []byte{0x80}) // a label payload that is no uvarint
-	if _, _, err := SplitEntries(bad); err == nil {
+	if _, _, err := splitEntries(bad); err == nil {
 		t.Fatal("malformed label payload accepted")
 	}
 }
@@ -212,4 +212,23 @@ func TestDatatypeStrings(t *testing.T) {
 			t.Errorf("%v.String() = %q, want %q", uint8(dt), dt.String(), want)
 		}
 	}
+}
+
+// splitEntries decodes an entry region into label IDs and properties, each
+// kind in order, with the property values copied out of buf: the decoded
+// form the region edits are checked against.
+func splitEntries(buf []byte) (labels []LabelID, props []Property, err error) {
+	if err := CheckEntries(buf); err != nil {
+		return nil, nil, err
+	}
+	it := IterEntries(buf)
+	for id, payload, ok := it.Next(); ok; id, payload, ok = it.Next() {
+		if id == IDLabel {
+			l, _ := EntryLabel(payload)
+			labels = append(labels, l)
+		} else {
+			props = append(props, Property{PType: PTypeID(id), Value: append([]byte(nil), payload...)})
+		}
+	}
+	return labels, props, nil
 }

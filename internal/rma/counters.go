@@ -50,6 +50,9 @@ func (f *Fabric) countAtomicBatch(origin, target Rank) {
 	f.counters[origin].CountAtomicBatch(origin == target)
 }
 
-func (f *Fabric) countAtomic(origin, target Rank) {
-	f.counters[origin].CountAtomic(origin == target)
+func (f *Fabric) countAtomic(origin, target Rank) { f.countAtomics(origin, target, 1) }
+
+// countAtomics accounts n word atomics of one train.
+func (f *Fabric) countAtomics(origin, target Rank, n int) {
+	f.counters[origin].CountAtomics(origin == target, n)
 }

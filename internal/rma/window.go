@@ -295,8 +295,8 @@ func (w *WordWin) LoadBatch(origin, target Rank, idxs []int) []uint64 {
 	}
 	for _, idx := range idxs {
 		w.checkIdx(target, idx)
-		w.f.countAtomic(origin, target)
 	}
+	w.f.countAtomics(origin, target, len(idxs))
 	w.f.countAtomicBatch(origin, target)
 	w.f.chargeOp(origin, target, 8*len(idxs))
 	out := make([]uint64, len(idxs))
@@ -319,8 +319,8 @@ func (w *WordWin) CASBatch(origin, target Rank, ops []CASOp) []CASResult {
 	}
 	for _, op := range ops {
 		w.checkIdx(target, op.Idx)
-		w.f.countAtomic(origin, target)
 	}
+	w.f.countAtomics(origin, target, len(ops))
 	w.f.countAtomicBatch(origin, target)
 	w.f.chargeOp(origin, target, 8*len(ops))
 	res := make([]CASResult, len(ops))

@@ -78,7 +78,7 @@ func TestDeltaLogWindowAndTrim(t *testing.T) {
 
 	m.AppendDeltas(0, []Record{mk(1), mk(2)})
 	c := m.NewCut()
-	m.PinRank(c, 0) // records log position 2 for rank 0
+	m.PinRank(c, 0, nil) // records log position 2 for rank 0
 	if got := c.LogPos(0); got != 2 {
 		t.Fatalf("pinned log position: got %d, want 2", got)
 	}
@@ -96,7 +96,7 @@ func TestDeltaLogWindowAndTrim(t *testing.T) {
 	// the minimum still-active position: the old window must now be refused,
 	// while the absolute position does not move.
 	c2 := m.NewCut()
-	m.PinRank(c2, 0)
+	m.PinRank(c2, 0, nil)
 	c.Release()
 	if _, err := m.Deltas(0, 0, 2); err == nil {
 		t.Fatal("trimmed window [0,2) still readable")
@@ -121,8 +121,8 @@ func TestDeltaLogWindowAndTrim(t *testing.T) {
 func TestReleaseIsIdempotent(t *testing.T) {
 	m := newTestManager(t)
 	c := m.NewCut()
-	m.PinRank(c, 0)
-	m.PinRank(c, 1)
+	m.PinRank(c, 0, nil)
+	m.PinRank(c, 1, nil)
 	c.Release()
 	c.Release()
 	if !c.Released() {
@@ -146,7 +146,7 @@ func TestRetireAndCutReadPreserveOldBytes(t *testing.T) {
 	m.store.WriteBlock(0, dp, old)
 
 	c := m.NewCut()
-	m.PinRank(c, 0)
+	m.PinRank(c, 0, nil)
 
 	// A writer overwrites the block; the pre-write hook (BeforeWrite) must save
 	// the pinned bytes into the arena first.

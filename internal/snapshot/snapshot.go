@@ -15,9 +15,12 @@
 // (Manager.BeforeWrite, the block store's pre-write hook). That one hook
 // suffices because a lock word's version moves only when a release's hold
 // wrote the block (package locks): a release that wrote nothing leaves the
-// stamp current. Cut readers check the arena first and fall back to a
-// validated live read; the retire-before-write ordering guarantees a reader
-// that misses the arena observed bytes no writer had started replacing.
+// stamp current. A block no cut read reaches — the engine's follower
+// copies, since a cut lists and reads primaries — is stamped so that no
+// write retires it (PinRank). Cut readers check the arena first and fall
+// back to a validated live read; the retire-before-write ordering
+// guarantees a reader that misses the arena observed bytes no writer had
+// started replacing.
 //
 // Arena entries are reference-counted by the cuts whose stamp they preserve
 // and freed when the last such cut is released, so a dropped analytics run
@@ -140,6 +143,10 @@ func (m *Manager) NewCut() *Cut {
 	}
 }
 
+// unread stamps a block no read through the cut reaches: no lock-word
+// version equals it, so no write retires the block for the cut.
+const unread = ^uint64(0)
+
 // PinRank stamps rank me's whole shard into the cut: one guard-stamp train
 // (a vectored atomic load of every lock word, owner-local and therefore
 // latency-free) plus the shard's current delta-log position. It must run
@@ -148,8 +155,11 @@ func (m *Manager) NewCut() *Cut {
 // that exclusion is what makes the per-rank stamps one transaction-
 // consistent cut. Write-held words are stamped at their pre-bump version:
 // such a commit has not written a byte yet (its apply phase is gated) and
-// will retire the stamped bytes before it does.
-func (m *Manager) PinRank(c *Cut, me fabric.Rank) {
+// will retire the stamped bytes before it does. The blocks of me listed in
+// unreached are ones no read through the cut can reach — the engine's
+// follower copies, since a cut lists and reads primaries — and are stamped
+// so that no write retires them.
+func (m *Manager) PinRank(c *Cut, me fabric.Rank, unreached []fabric.DPtr) {
 	idxs := make([]int, m.perRank-1)
 	for i := range idxs {
 		idxs[i] = 2 + i // lock word of block 1+i (word 1+off; block 0 is reserved)
@@ -158,6 +168,11 @@ func (m *Manager) PinRank(c *Cut, me fabric.Rank) {
 	stamps := make([]uint64, m.perRank)
 	for i, w := range words {
 		stamps[1+i] = locks.Version(w)
+	}
+	for _, dp := range unreached {
+		if dp.Rank() == me && dp.Off() < uint64(len(stamps)) {
+			stamps[dp.Off()] = unread
+		}
 	}
 	rs := &m.ranks[me]
 	rs.mu.Lock()
