@@ -226,19 +226,22 @@
 // Traversal cost model. A hop does not materialize handles. In a local
 // transaction a frontier vertex costs one guard stamp, the blocks
 // the hop needs of it, and the bytes of its labels and properties — no heap
-// object: holders are read into a per-transaction arena (cache hits copied,
-// misses in one GET train per rank per round), the constraint is evaluated
-// in place on the encoded entry region, neighbors are harvested straight off
-// the varint runs, and a (vertex, version) pair joins the read set Commit
+// object: holders are read into a pooled frontier arena the transaction holds
+// until it closes (cache hits copied, misses in one GET train per rank per
+// round), the constraint is evaluated in place on the encoded entry region,
+// neighbors are harvested straight off the varint runs a run at a time, and
+// a (vertex, version) pair joins the read set Commit
 // revalidates. What a hop fetches depends on what it does next: a harvesting
 // hop reads whole chains (it wants the edges); the last, filter-only hop reads
 // each holder only up to the end of its entries — the holder stream is
 // header | table | homes | replicas | entries | edges, so that is the
 // primary block for all but mega-hubs, and a frontier vertex costs its
-// properties, not its degree. A hop allocates a few dozen objects — the
-// arena's slices, each sized in one step — whatever its width (CI pins this
-// next to the point-read guard), and the arena is garbage once the
-// transaction closes: nothing of a hop counts against the live heap.
+// properties, not its degree. A hop allocates its results, its read-set
+// growth and the fabric's word slices, one per train and rank: a warm
+// read-only transaction that runs one hop and commits allocates at most 9
+// objects, whatever the hop's width and its vertices' degrees (CI pins this
+// next to the point-read guard). Closing the transaction returns the arena
+// to a pool that keeps at most two of them, each of at most 1 MiB.
 // LIMIT is a bounded top-k on the canonical order over IDs, and only the
 // rows it keeps are associated as handles, for the projection. In a local
 // transaction it also stops the last hop early

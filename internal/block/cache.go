@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"github.com/gdi-go/gdi/internal/fabric"
 	"github.com/gdi-go/gdi/internal/locks"
@@ -172,6 +173,12 @@ type Trains struct {
 	idxs []int                 // one train's word indices
 	ops  []fabric.GetOp        // one train's GET ops
 	gops []fabric.GuardedGetOp // one guarded train's ops
+}
+
+// Footprint is the bytes the scratch keeps: the capacity of its buffers.
+func (tr *Trains) Footprint() int {
+	return 4*(cap(tr.target)+cap(tr.count)+cap(tr.touched)+cap(tr.order)) + int(unsafe.Sizeof(0))*cap(tr.idxs) +
+		int(unsafe.Sizeof(fabric.GetOp{}))*cap(tr.ops) + int(unsafe.Sizeof(fabric.GuardedGetOp{}))*cap(tr.gops)
 }
 
 // group sorts the positions named in tr.target by owner rank — a counting

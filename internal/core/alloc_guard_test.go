@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"github.com/gdi-go/gdi/internal/constraint"
@@ -262,11 +264,11 @@ func TestReadOnlyTxAllocs(t *testing.T) {
 // TestFrontierHopAllocsIndependentOfWidth is the same guard for the frontier
 // path: a frontier vertex costs no heap object. A warm-cache filter hop in a
 // transaction of its own — begin, ExpandFrontier with a predicate, commit —
-// allocates a few dozen objects (the transaction and its arena: one slice per
-// kind of per-vertex bookkeeping, each sized in one step; the result slice,
-// the read set, one word slice per stamp train and rank), and that count is
-// the same for a frontier of 64 vertices and one of 1 024, local, cached and
-// multi-block ones mixed, over 64- and 256-byte blocks alike.
+// takes its arena from the pool and allocates at most 8 objects (the
+// transaction, the result slice, the read set, one word slice per stamp
+// train and rank), and that count is the same for a frontier of 64 vertices
+// and one of 1 024, local, cached and multi-block ones mixed, over 64- and
+// 256-byte blocks alike. An arena made per transaction cost 28.
 func TestFrontierHopAllocsIndependentOfWidth(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is not meaningful under the race detector")
@@ -321,11 +323,103 @@ func TestFrontierHopAllocsIndependentOfWidth(t *testing.T) {
 				return testing.AllocsPerRun(100, run)
 			}
 			at64, at1024 := hop(64), hop(wide)
-			if at64 != at1024 || at64 > 48 {
-				t.Fatalf("a warm filter hop allocates %.0f objects over 64 vertices and %.0f over 1024, want the same few dozen", at64, at1024)
+			if at64 != at1024 || at64 > 8 {
+				t.Fatalf("a warm filter hop allocates %.0f objects over 64 vertices and %.0f over 1024, want the same, at most 8", at64, at1024)
 			}
 			t.Logf("%.0f allocations per warm filter hop", at64)
 		})
+	}
+}
+
+// TestExpansionHopAllocsIndependentOfWidth is the count contract of the
+// expansion hop: neither a frontier vertex nor an edge costs a heap object,
+// and an edge costs no byte. A warm-cache read-only transaction that expands
+// a frontier under MaskAll and commits allocates the same objects for 64
+// vertices of degree 16 (Σ degree 1 024), 64 of degree 256 and 1 024 of
+// degree 16 (Σ degree 16 384 each), all three harvesting the same 256
+// neighbors; the first two allocate the same bytes, and the third at most
+// 40 more per frontier vertex — its matched ID, its read-set entry, and the
+// guard words the fabric returns to the stamp train and to Commit's
+// validation train — and nothing of the arena. The harvest dedups each run
+// in place in the pooled arena and copies the results out, each in one
+// allocation.
+func TestExpansionHopAllocsIndependentOfWidth(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const targets, narrow, wide = 256, 1024, 64
+	e := NewEngine(rma.New(2), Config{
+		BlockSize:     256,
+		BlocksPerRank: 1 << 13,
+		LockTries:     256,
+		CacheCapacity: 1 << 13,
+	})
+	seed := e.StartLocal(0, ReadWrite)
+	create := func(n int, app uint64) []rma.DPtr {
+		dps := make([]rma.DPtr, n)
+		for i := range dps {
+			dp, err := seed.CreateVertex(app + uint64(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dps[i] = dp
+		}
+		return dps
+	}
+	to := create(targets, 0)
+	// Source i of degree d links to targets i·d … i·d+d-1 (mod 256), so 16
+	// sources of degree 16, or any one of degree 256, cover every target.
+	link := func(from []rma.DPtr, degree int) {
+		for i, src := range from {
+			for j := range degree {
+				if _, err := seed.CreateEdge(src, to[(i*degree+j)%targets], holder.DirOut, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	sparse, dense := create(narrow, 1000), create(wide, 3000)
+	link(sparse, 16)
+	link(dense, targets)
+	if err := seed.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	type cost struct{ objects, bytes uint64 }
+	measure := func(frontier []rma.DPtr) cost {
+		hop := func() {
+			tx := e.StartLocal(0, ReadOnly)
+			matched, next, err := tx.ExpandFrontier(frontier, MaskAll, nil)
+			if err != nil || len(matched) != len(frontier) || len(next) != targets {
+				panic(fmt.Sprintf("expansion: %d matched, %d next, %v", len(matched), len(next), err))
+			}
+			if err := tx.Commit(); err != nil {
+				panic(err)
+			}
+		}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		hop() // fills the cache and the arena
+		c := cost{math.MaxUint64, math.MaxUint64}
+		var before, after runtime.MemStats
+		for range 20 {
+			runtime.ReadMemStats(&before)
+			hop()
+			runtime.ReadMemStats(&after)
+			c.objects = min(c.objects, after.Mallocs-before.Mallocs)
+			c.bytes = min(c.bytes, after.TotalAlloc-before.TotalAlloc)
+		}
+		return c
+	}
+	base, deep, broad := measure(sparse[:wide]), measure(dense), measure(sparse)
+	t.Logf("64 × degree 16: %+v; 64 × degree 256: %+v; 1024 × degree 16: %+v", base, deep, broad)
+	if base.objects != deep.objects || base.objects != broad.objects {
+		t.Errorf("an expansion hop allocates %d, %d and %d objects; want the same", base.objects, deep.objects, broad.objects)
+	}
+	if base.bytes != deep.bytes {
+		t.Errorf("an expansion hop over Σ degree 1 024 allocates %d bytes, over Σ degree 16 384 %d: want the same", base.bytes, deep.bytes)
+	}
+	if perVertex := (int64(broad.bytes) - int64(base.bytes)) / (narrow - wide); perVertex > 40 {
+		t.Errorf("an expansion hop allocates %d bytes over 64 vertices and %d over 1024: %d per vertex, want at most 40", base.bytes, broad.bytes, perVertex)
 	}
 }
 

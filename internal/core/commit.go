@@ -568,9 +568,13 @@ func (tx *Tx) releaseLocks(applied bool) {
 	locks.ReleaseWriteTrainMarked(tx.rank, words, vers, marks)
 }
 
-// close marks the transaction finished and lets go of its frontier arena: a
-// closed Tx someone still holds pins no holder bytes.
+// close marks the transaction finished and returns its frontier arena to the
+// pool: a closed Tx someone still holds pins no holder bytes, and the next
+// transaction's first hop starts warm.
 func (tx *Tx) close() {
 	tx.closed = true
-	tx.frontier = nil
+	if tx.frontier != nil {
+		tx.frontier.release(tx.eng)
+		tx.frontier = nil
+	}
 }

@@ -121,8 +121,11 @@ type Engine struct {
 	heat    []*heatShard     // per-rank access-heat counters (rebalancing)
 	repl    []*replicaShard  // per-rank replica directories (read-scale replication)
 	xlate   []xlateCache     // per-rank translation caches (xlate.go)
-	cfg     Config
-	mp      bool // true when some rank lives in another OS process
+	// frontiers holds idle frontier arenas, which a transaction takes at its
+	// first hop and returns at its close (frontier.go).
+	frontiers chan *frontierScratch
+	cfg       Config
+	mp        bool // true when some rank lives in another OS process
 
 	// dead is the engine's view of failed ranks, filled by the transport's
 	// peer-death notifications; PromoteDead drains it into follower
@@ -193,6 +196,8 @@ func NewEngine(f fabric.Transport, cfg Config) *Engine {
 		xlate:   make([]xlateCache, f.Size()),
 		dead:    make(map[fabric.Rank]bool),
 		cfg:     cfg,
+
+		frontiers: make(chan *frontierScratch, frontierPoolSlots),
 	}
 	for r := range e.regs {
 		e.regs[r] = metadata.NewRegistry()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"unsafe"
 
 	"github.com/gdi-go/gdi/internal/constraint"
 	"github.com/gdi-go/gdi/internal/fabric"
@@ -32,16 +33,18 @@ func (h *VertexHandle) Matches(cons *constraint.Constraint) bool {
 // A frontier vertex costs its label/property bytes and no heap object. The
 // hop stamps the deduped frontier in one load train per owner rank
 // (stampFrontier) and reads what the stamps vouch for in one seqlock batch of
-// the chain reader ("Life of a holder read" in ARCHITECTURE.md) into the
-// transaction's frontier arena, reused from hop to hop. It evaluates cons in
-// place on the encoded entry region, harvests neighbors straight off the
-// view, and appends a (vertex, version) pair to the read set Commit
-// validates. Whatever the batch did not read OK goes through
-// AssociateVertices in one batch and is filtered and harvested through its
-// handles: forwarding stubs, vertices a local follower copy serves, holders
-// that were being written or look deleted, the vertices a transaction that
-// wrote holds (so it sees its own writes and deletions), and every frontier
-// of a collective read-only transaction.
+// the chain reader ("Life of a holder read" in ARCHITECTURE.md) into a
+// pooled frontier arena, which the transaction keeps from its first hop to
+// its close. It evaluates cons in place on the encoded entry region,
+// harvests neighbors straight off the view a run at a time (harvestRuns),
+// and appends a (vertex, version) pair to the read set Commit validates.
+// Whatever the batch did not read OK goes through AssociateVertices in one
+// batch and is filtered and harvested through its handles: forwarding stubs,
+// vertices a local follower copy serves, holders that were being written or
+// look deleted, the vertices a transaction that wrote holds (so it sees its
+// own writes and deletions), and every frontier of a collective read-only
+// transaction. matched and next are the caller's: nothing of the arena
+// aliases them.
 func (tx *Tx) ExpandFrontier(frontier []fabric.DPtr, mask DirMask, cons *constraint.Constraint) (matched, next []fabric.DPtr, err error) {
 	if mask == 0 {
 		matched, err = tx.FilterFrontier(frontier, cons, 0)
@@ -97,18 +100,16 @@ func (tx *Tx) FilterFrontier(frontier []fabric.DPtr, cons *constraint.Constraint
 
 	// The early-stopping hop: matched is a set, since a vertex resolved late
 	// may turn out to be one an earlier chunk already counted.
-	var matched []fabric.DPtr
-	sc.seen.reset(0)
+	sc.matched = sc.matched[:0]
+	sc.seen.begin(tx.eng)
 	match := func(i int) error {
 		id, ok, err := tx.evalItem(sc, i, cons)
-		if ok {
-			if _, dup := sc.seen.getOrPut(id, struct{}{}); !dup {
-				matched = append(matched, id)
-			}
+		if ok && sc.seen.add(id) {
+			sc.matched = append(sc.matched, id)
 		}
 		return err
 	}
-	for i := range sc.items {
+	for i := range sc.verts {
 		if sc.verts[i].h != nil && !sc.verts[i].dup {
 			if err := match(i); err != nil {
 				return nil, err
@@ -118,12 +119,12 @@ func (tx *Tx) FilterFrontier(frontier []fabric.DPtr, cons *constraint.Constraint
 	rest := sc.stamped()
 	read, hits := 0, 0
 	for len(rest) > 0 {
-		bound := sc.items[rest[0]].head
+		bound := sc.verts[rest[0]].head
 		for _, i := range rest[1:] {
-			bound = min(bound, sc.items[i].head)
+			bound = min(bound, sc.verts[i].head)
 		}
 		below := 0
-		for _, id := range matched {
+		for _, id := range sc.matched {
 			if id < bound {
 				below++
 			}
@@ -149,12 +150,12 @@ func (tx *Tx) FilterFrontier(frontier []fabric.DPtr, cons *constraint.Constraint
 			if sc.verts[i].dup {
 				continue
 			}
-			n := len(matched)
+			n := len(sc.matched)
 			if err := match(int(i)); err != nil {
 				return nil, err
 			}
 			read++
-			if len(matched) > n {
+			if len(sc.matched) > n {
 				hits++
 			}
 		}
@@ -162,16 +163,18 @@ func (tx *Tx) FilterFrontier(frontier []fabric.DPtr, cons *constraint.Constraint
 		// further on; the resolution stands for it.
 		rest = slices.DeleteFunc(rest[size:], func(i int32) bool { return sc.verts[i].dup })
 	}
+	sc.seen.end(sc.matched)
+	tx.optReads = slices.Grow(tx.optReads, len(rest))
 	for _, i := range rest {
-		it := &sc.items[i]
-		tx.optReads = append(tx.optReads, optRead{it.head, locks.Version(it.stamp)})
+		v := &sc.verts[i]
+		tx.optReads = append(tx.optReads, optRead{v.head, locks.Version(v.stamp)})
 	}
-	return matched, nil
+	return clone(sc.matched), nil
 }
 
 // startHop checks the transaction and cons, and dedups frontier into the
-// transaction's frontier arena. A nil arena means there is nothing to do: an
-// empty frontier, or the error.
+// transaction's frontier arena, which its first hop takes from the pool. A
+// nil arena means there is nothing to do: an empty frontier, or the error.
 func (tx *Tx) startHop(frontier []fabric.DPtr, cons *constraint.Constraint) (*frontierScratch, error) {
 	if len(frontier) == 0 {
 		return nil, nil
@@ -183,132 +186,232 @@ func (tx *Tx) startHop(frontier []fabric.DPtr, cons *constraint.Constraint) (*fr
 		return nil, fmt.Errorf("%w: stale constraint", ErrTxCritical)
 	}
 	if tx.frontier == nil {
-		tx.frontier = new(frontierScratch)
+		tx.frontier = tx.eng.takeFrontier()
 	}
-	if err := tx.frontier.reset(frontier); err != nil {
+	if err := tx.frontier.reset(tx.eng, frontier); err != nil {
 		return nil, err
 	}
 	return tx.frontier, nil
 }
 
 // frontierScratch is the arena of a frontier hop: everything a hop needs per
-// frontier vertex lives in slices that are sized once from the frontier's
-// width and reused from hop to hop, so the allocations of a hop are a small
-// constant — the result slices, the fabric's own word slices, and whatever of
-// the arena has to grow, each grown in one step — whatever the width. It
-// belongs to one transaction and is garbage once that closes: nothing of a
-// hop outlives the transaction that ran it.
+// frontier vertex lives in slices that grow to the widest hop they served and
+// are reused from hop to hop and, through the engine's pool, from
+// transaction to transaction, so the allocations of a hop are its results
+// and whatever of the arena has to grow, each grown in one step, whatever
+// the width. A transaction holds it from its first hop to its close, which
+// returns it to the pool (release); nothing of a hop outlives that but the
+// results, which are the caller's. Unlike the flush's reader, its byte arena
+// is pooled with it: a hop's streams back only the arena's own view.
 type frontierScratch struct {
-	chainReader                     // items[i] reads distinct frontier vertex i
-	verts       []frontierVertex    // aligned with items
-	index       dptrTable[int32]    // distinct frontier vertex → its item
-	seen        dptrTable[struct{}] // neighbors harvested, or IDs matched, this hop
-	view        holder.View
-	pick        []int32 // items to read
-	resolving   []int32 // items in the AssociateVertices batch
+	// The chain reader's items are the vertices the current read walks:
+	// item verts[i].item is vertex i, while its verdict says it was read.
+	chainReader
+	verts []frontierVertex // the distinct frontier vertices, in frontier order
+	// index maps a vertex ID to its vertex, for the resolutions that name a
+	// vertex under another ID than its frontier entry (forwarding stubs):
+	// built on the first such resolution of a hop (indexed).
+	index     dptrTable[int32]
+	indexed   bool
+	seen      dptrSet // the frontier while it is deduped; then the neighbors harvested, or IDs matched
+	view      holder.View
+	pick      []int32 // vertices to read
+	resolving []int32 // vertices in the AssociateVertices batch
+	// The hop's results, built here and copied out (clone): nothing of the
+	// arena aliases what a hop returns.
+	matched, next []fabric.DPtr
 }
 
-// frontierVertex is what a hop knows of a frontier vertex beyond its read.
+// frontierVertex is what a hop knows of a distinct frontier vertex: 32 bytes,
+// whether or not the hop reads it.
 type frontierVertex struct {
-	h   *VertexHandle // its handle, when the batch did not read it OK
-	dup bool          // resolved to a vertex an earlier item already stands for
+	head    fabric.DPtr
+	stamp   uint64        // its guard word, as the stamp train loaded it
+	h       *VertexHandle // its handle, when the batch did not read it OK
+	item    int32         // its item in the chain reader's last read
+	verdict verdict       // readStamped once stamped and vouched for; then the read's verdict
+	dup     bool          // resolved to a vertex an earlier one already stands for
 }
 
-// reset starts a hop: it dedups frontier into sc.items (first occurrence
-// wins) and recycles the arena of the previous hop, whose views are dead.
-func (sc *frontierScratch) reset(frontier []fabric.DPtr) error {
-	n := len(frontier)
-	sc.chainReader.reset(n)
-	sc.verts = slices.Grow(sc.verts[:0], n)
-	sc.index.reset(n)
+// The frontier pool's retention budget: at most frontierPoolSlots idle arenas
+// (Engine.frontiers), each of at most pooledFrontierBytes by its footprint,
+// 2 MiB in all. The budget, not the concurrency, sets the slot count: a
+// transaction that finds the pool empty makes an arena, and one that finds it
+// full, or has grown its arena past its share, leaves it to the collector.
+// The pool is a buffered channel rather than a sync.Pool so that the budget
+// is a bound: a sync.Pool keeps any number of idle objects through a
+// collection.
+const (
+	frontierPoolSlots   = 2
+	pooledFrontierBytes = 1 << 20
+)
+
+// takeFrontier takes an arena from the pool, or makes one.
+func (e *Engine) takeFrontier() *frontierScratch {
+	select {
+	case sc := <-e.frontiers:
+		return sc
+	default:
+		return new(frontierScratch)
+	}
+}
+
+// release drops everything the arena points to outside itself — the
+// handles of the last hop's resolutions — and every pointer into its
+// streams, and returns it to the pool if it is within budget and the pool
+// has room. Each hop empties the slices that point into streams or states
+// through reuse, so what the last hop left, their lengths, is all there is to
+// clear: a one-vertex hop clears one vertex, whatever hop the arena served
+// before.
+func (sc *frontierScratch) release(e *Engine) {
+	if sc.footprint() > pooledFrontierBytes {
+		return
+	}
+	clear(sc.verts)
+	clear(sc.items)
+	clear(sc.reads)
+	clear(sc.fetched)
+	clear(sc.bufs)
+	sc.view = holder.View{}
+	select {
+	case e.frontiers <- sc:
+	default:
+	}
+}
+
+// footprint is the arena's size in bytes: the capacity of every slice it
+// keeps.
+func (sc *frontierScratch) footprint() int {
+	r := &sc.chainReader
+	hop := arrayBytes(sc.verts) + arrayBytes(sc.index.slots) + arrayBytes(sc.seen.bits) +
+		arrayBytes(sc.seen.spill.slots) + arrayBytes(sc.pick) + arrayBytes(sc.resolving) +
+		arrayBytes(sc.matched) + arrayBytes(sc.next)
+	reader := arrayBytes(r.items) + arrayBytes(r.bytes.buf) + arrayBytes(r.heads) + arrayBytes(r.batch) +
+		arrayBytes(r.reads) + arrayBytes(r.readOf) + arrayBytes(r.walking) + arrayBytes(r.fetched) +
+		arrayBytes(r.dps) + arrayBytes(r.bufs) + arrayBytes(r.words) + r.trains.Footprint()
+	return hop + reader
+}
+
+// arrayBytes is the size of s's backing array.
+func arrayBytes[S ~[]E, E any](s S) int {
+	var e E
+	return cap(s) * int(unsafe.Sizeof(e))
+}
+
+// reset starts a hop on e: it dedups frontier into sc.verts (first
+// occurrence wins) and recycles the arena of the previous hop, whose views
+// are dead.
+func (sc *frontierScratch) reset(e *Engine, frontier []fabric.DPtr) error {
+	sc.verts = slices.Grow(reuse(sc.verts), len(frontier))
+	sc.indexed = false
+	sc.seen.begin(e)
 	for _, dp := range frontier {
 		if dp.IsNull() {
 			return fmt.Errorf("%w: NULL vertex ID in a frontier", ErrBadArgument)
 		}
-		if _, dup := sc.index.getOrPut(dp, int32(len(sc.items))); !dup {
-			sc.items = append(sc.items, chainItem{head: dp})
-			sc.verts = append(sc.verts, frontierVertex{})
+		if sc.seen.add(dp) {
+			sc.verts = append(sc.verts, frontierVertex{head: dp})
 		}
 	}
+	// Empty the set again for the hop's harvest.
+	for i := range sc.verts {
+		sc.seen.drop(sc.verts[i].head)
+	}
+	sc.seen.end(nil)
 	return nil
 }
 
 // stampFrontier is a hop's first look at its frontier. It loads every guard
-// word, one load train per owner rank, and marks the items the stamp vouches
-// for readStamped: their word shows neither a stub nor a writer, so each is
-// a vertex known by its DPtr. It refuses the others, a vertex this rank
-// follows, whose local copy the flush reads, and, once the transaction has
-// written, every vertex it holds, whose state may differ from the stored
-// holder. A collective read-only transaction refuses every item: its
+// word, one load train per owner rank, and marks the vertices the stamp
+// vouches for readStamped: their word shows neither a stub nor a writer, so
+// each is a vertex known by its DPtr. It refuses the others, a vertex this
+// rank follows, whose local copy the flush reads, and, once the transaction
+// has written, every vertex it holds, whose state may differ from the stored
+// holder. A collective read-only transaction refuses every vertex: its
 // frontiers go to AssociateVertices whole.
 func (tx *Tx) stampFrontier(sc *frontierScratch) {
 	e := tx.eng
 	if !tx.optimistic() {
-		for i := range sc.items {
-			sc.items[i].verdict = readRefused
+		for i := range sc.verts {
+			sc.verts[i].verdict = readRefused
 		}
 		return
 	}
 	followers, wrote := tx.readsFollowers(), len(tx.dirtyList) > 0
 	if followers || wrote {
-		for i := range sc.items {
-			head := sc.items[i].head
+		for i := range sc.verts {
+			head := sc.verts[i].head
 			refuse := wrote && tx.cached(head) != nil
 			if !refuse && followers {
 				_, refuse = e.repl[tx.rank].lookup(head)
 			}
 			if refuse {
-				sc.items[i].verdict = readRefused
+				sc.verts[i].verdict = readRefused
 			}
 		}
 	}
-	sc.stamp(e, tx.rank)
-	for i := range sc.items {
-		if it := &sc.items[i]; it.verdict == unread {
-			it.verdict = readStamped
-			if locks.Stub(it.stamp) || locks.WriteHeld(it.stamp) {
-				it.verdict = readRefused
+	r := &sc.chainReader
+	r.dps = slices.Grow(r.dps[:0], len(sc.verts))
+	for i := range sc.verts {
+		if sc.verts[i].verdict == unread {
+			r.dps = append(r.dps, sc.verts[i].head)
+		}
+	}
+	words := r.load(e, tx.rank)
+	for i := range sc.verts {
+		if v := &sc.verts[i]; v.verdict == unread {
+			v.stamp, words = words[0], words[1:]
+			v.verdict = readStamped
+			if locks.Stub(v.stamp) || locks.WriteHeld(v.stamp) {
+				v.verdict = readRefused
 			}
 		}
 	}
 }
 
-// stamped lists the stamped items no earlier resolution stands for, in
+// stamped lists the stamped vertices no earlier resolution stands for, in
 // frontier order, in sc.pick.
 func (sc *frontierScratch) stamped() []int32 {
-	sc.pick = slices.Grow(sc.pick[:0], len(sc.items))
-	for i := range sc.items {
-		if sc.items[i].verdict == readStamped && !sc.verts[i].dup {
+	sc.pick = slices.Grow(sc.pick[:0], len(sc.verts))
+	for i := range sc.verts {
+		if sc.verts[i].verdict == readStamped && !sc.verts[i].dup {
 			sc.pick = append(sc.pick, int32(i))
 		}
 	}
 	return sc.pick
 }
 
-// readPicked reads the stamped items pick lists in one seqlock batch,
+// readPicked reads the stamped vertices pick lists in one seqlock batch,
 // reaching the end of the entry region when entriesOnly and the whole chain
-// otherwise. Each item read OK joins the read set.
+// otherwise, under the stamps the stamp train loaded. The batch recycles the
+// streams of the last one, whose vertices have been evaluated. Each vertex
+// read OK joins the read set.
 func (tx *Tx) readPicked(sc *frontierScratch, pick []int32, entriesOnly bool) {
 	if len(pick) == 0 {
 		return
 	}
+	r := &sc.chainReader
+	r.reset(len(pick))
 	for _, i := range pick {
-		sc.items[i].verdict = unread
+		v := &sc.verts[i]
+		v.item = int32(len(r.items))
+		r.items = append(r.items, chainItem{head: v.head, stamp: v.stamp, stamped: true})
 	}
-	sc.read(tx.eng, tx.rank, readSeqlock, entriesOnly, false)
+	r.read(tx.eng, tx.rank, readSeqlock, entriesOnly, false)
 	tx.optReads = slices.Grow(tx.optReads, len(pick))
 	for _, i := range pick {
-		if it := &sc.items[i]; it.verdict == readOK {
-			tx.optReads = append(tx.optReads, optRead{it.head, locks.Version(it.stamp)})
+		v := &sc.verts[i]
+		if v.verdict = r.items[v.item].verdict; v.verdict == readOK {
+			tx.optReads = append(tx.optReads, optRead{v.head, locks.Version(v.stamp)})
 		}
 	}
 }
 
-// selectSmallest reorders pick so that its first k items are the k with the
-// smallest DPtrs (0 < k < len(pick)), by quickselect: linear in len(pick),
-// where sorting the frontier would cost O(n log n).
+// selectSmallest reorders pick so that its first k vertices are the k with
+// the smallest DPtrs (0 < k < len(pick)), by quickselect: linear in
+// len(pick), where sorting the frontier would cost O(n log n).
 func (sc *frontierScratch) selectSmallest(pick []int32, k int) {
-	head := func(j int) fabric.DPtr { return sc.items[pick[j]].head }
+	head := func(j int) fabric.DPtr { return sc.verts[pick[j]].head }
 	for lo, hi := 0, len(pick); hi-lo > 1; {
 		// Partition [lo, hi) around its middle head: [lo, lt) below it,
 		// [lt, gt) the pivot (heads are distinct), [gt, hi) above.
@@ -338,14 +441,14 @@ func (sc *frontierScratch) selectSmallest(pick []int32, k int) {
 	}
 }
 
-// associateHandled resolves every item the hop has neither read OK nor still
-// to read — refused by the stamp, or not read OK — in one AssociateVertices
-// batch.
+// associateHandled resolves every vertex the hop has neither read OK nor
+// still to read — refused by the stamp, or not read OK — in one
+// AssociateVertices batch.
 func (tx *Tx) associateHandled(sc *frontierScratch) error {
 	sc.resolving, sc.dps = sc.resolving[:0], sc.dps[:0]
-	for i := range sc.items {
-		if v := sc.items[i].verdict; v != readOK && v != readStamped && sc.verts[i].h == nil && !sc.verts[i].dup {
-			sc.resolving, sc.dps = append(sc.resolving, int32(i)), append(sc.dps, sc.items[i].head)
+	for i := range sc.verts {
+		if v := &sc.verts[i]; v.verdict != readOK && v.verdict != readStamped && v.h == nil && !v.dup {
+			sc.resolving, sc.dps = append(sc.resolving, int32(i)), append(sc.dps, v.head)
 		}
 	}
 	if len(sc.dps) == 0 {
@@ -356,7 +459,7 @@ func (tx *Tx) associateHandled(sc *frontierScratch) error {
 		return err
 	}
 	for k, i := range sc.resolving {
-		dp := sc.items[i].head
+		dp := sc.verts[i].head
 		h := hs[k]
 		if sc.verts[i].h = h; h == nil {
 			return fmt.Errorf("%w: frontier vertex %v no longer exists", ErrNotFound, dp)
@@ -365,6 +468,13 @@ func (tx *Tx) associateHandled(sc *frontierScratch) error {
 		// the frontier may name it a second time: the first occurrence stands
 		// for both.
 		if id := h.ID(); id != dp {
+			if !sc.indexed {
+				sc.index.reset(len(sc.verts))
+				for j := range sc.verts {
+					sc.index.getOrPut(sc.verts[j].head, int32(j))
+				}
+				sc.indexed = true
+			}
 			j, named := sc.index.getOrPut(id, i)
 			if named && j < i {
 				sc.verts[i].dup = true
@@ -379,39 +489,42 @@ func (tx *Tx) associateHandled(sc *frontierScratch) error {
 	return nil
 }
 
-// evalItem filters item i by cons — through its handle, or in place on the
+// evalItem filters vertex i by cons — through its handle, or in place on the
 // entries the lean route read, leaving sc.view on its stream — and returns
 // the vertex's ID.
 func (tx *Tx) evalItem(sc *frontierScratch, i int, cons *constraint.Constraint) (id fabric.DPtr, ok bool, err error) {
-	if h := sc.verts[i].h; h != nil {
-		return h.ID(), h.Matches(cons), nil
+	v := &sc.verts[i]
+	if v.h != nil {
+		return v.h.ID(), v.h.Matches(cons), nil
 	}
-	it := &sc.items[i]
-	err = sc.view.Reset(it.buf)
+	err = sc.view.Reset(sc.items[v.item].buf)
 	if err == nil {
 		ok, err = cons.EvalEntries(sc.view.Entries())
 	}
 	if err != nil {
-		return it.head, false, fmt.Errorf("%w: holder %v: %v", ErrNotFound, it.head, err)
+		return v.head, false, fmt.Errorf("%w: holder %v: %v", ErrNotFound, v.head, err)
 	}
-	tx.eng.recordHeat(tx.rank, sc.view.AppID(), it.head.Rank())
-	return it.head, ok, nil
+	tx.eng.recordHeat(tx.rank, sc.view.AppID(), v.head.Rank())
+	return v.head, ok, nil
 }
 
 // evalFrontier filters the resolved frontier by cons, in frontier order, and,
 // when mask is non-zero, harvests the matched vertices' neighbors — on the
-// encoded stream for the items the lean route read, through the handle for
-// the others.
+// encoded stream for the vertices the lean route read (harvestRuns), through
+// the handle for the others. Both lists are built in the arena and copied
+// out, each in one allocation of its exact size.
 func (tx *Tx) evalFrontier(sc *frontierScratch, mask DirMask, cons *constraint.Constraint) (matched, next []fabric.DPtr, err error) {
-	matched = make([]fabric.DPtr, 0, len(sc.items))
-	sc.seen.reset(0)
+	sc.matched, sc.next = sc.matched[:0], sc.next[:0]
+	if mask != 0 {
+		sc.seen.begin(tx.eng)
+	}
 	add := func(nb fabric.DPtr) {
-		if _, dup := sc.seen.getOrPut(nb, struct{}{}); !dup {
-			next = append(next, nb)
+		if sc.seen.add(nb) {
+			sc.next = append(sc.next, nb)
 		}
 	}
 	view := &sc.view
-	for i := range sc.items {
+	for i := range sc.verts {
 		if sc.verts[i].dup {
 			continue
 		}
@@ -422,7 +535,7 @@ func (tx *Tx) evalFrontier(sc *frontierScratch, mask DirMask, cons *constraint.C
 		if !ok {
 			continue
 		}
-		matched = append(matched, id)
+		sc.matched = append(sc.matched, id)
 		switch h := sc.verts[i].h; {
 		case mask == 0:
 		case h != nil:
@@ -430,39 +543,165 @@ func (tx *Tx) evalFrontier(sc *frontierScratch, mask DirMask, cons *constraint.C
 				return nil, nil, err
 			}
 		default:
-			c := view.Edges()
-			for c.Next() {
-				rec := &c.Rec
-				if !mask.matches(rec.Dir) {
-					continue
+			// The far end of a heavy edge is in its holder (handles.go's
+			// heavyNeighbor, on the view).
+			far := func(nb fabric.DPtr) (fabric.DPtr, bool, error) {
+				es, err := tx.fetchEdgeState(nb)
+				if err != nil || es.deleted {
+					return 0, false, err
 				}
-				nb := rec.Neighbor
-				if rec.Heavy {
-					// The far end of a heavy edge is in its holder
-					// (handles.go's heavyNeighbor, on the view).
-					es, err := tx.fetchEdgeState(nb)
-					if err != nil {
-						return nil, nil, err
-					}
-					if es.deleted {
-						continue
-					}
-					if nb = es.e.Target; nb == id || view.HasHome(nb) {
-						nb = es.e.Origin
-					}
+				if nb = es.e.Target; nb == id || view.HasHome(nb) {
+					nb = es.e.Origin
 				}
-				add(nb)
+				return nb, true, nil
 			}
-			if err := view.Err(); err != nil {
-				return nil, nil, fmt.Errorf("%w: holder %v: %v", ErrNotFound, id, err)
+			if sc.next, err = harvestRuns(view, mask, &sc.seen, sc.next, far); err != nil {
+				if view.Err() != nil {
+					err = fmt.Errorf("%w: holder %v: %v", ErrNotFound, id, err)
+				}
+				return nil, nil, err
 			}
 		}
 	}
-	return matched, next, nil
+	if mask != 0 {
+		sc.seen.end(sc.next)
+	}
+	return clone(sc.matched), clone(sc.next), nil
+}
+
+// clone copies s out of the arena: nil when s is empty.
+func clone(s []fabric.DPtr) []fabric.DPtr { return append([]fabric.DPtr(nil), s...) }
+
+// harvestRuns appends to next the neighbors under mask of the vertex view is
+// on that seen does not hold yet, in record order, and adds them to seen. It
+// walks the view a run at a time: a light run that mask selects is decoded by
+// StepRun straight into the tail of next, which is then deduped in place
+// against seen (the first occurrence wins); a heavy run goes record by record,
+// each record's neighbor being the far end far resolves from its edge holder
+// (ok false: a deleted edge, which yields nothing). A run mask drops is
+// skipped. It stops at the first error: far's, or the corruption the walk
+// met (view.Err), and returns next as far as it got.
+func harvestRuns(view *holder.View, mask DirMask, seen *dptrSet, next []fabric.DPtr, far func(fabric.DPtr) (nb fabric.DPtr, ok bool, err error)) ([]fabric.DPtr, error) {
+	// The cursor yields at most EdgeCap records, so with this much room the
+	// tail always has space for the rest of a run.
+	next = slices.Grow(next, view.EdgeCap())
+	c := view.Edges()
+	for c.NextRun() {
+		if !mask.matches(c.Rec.Dir) {
+			continue // NextRun skips the rest of the run
+		}
+		if c.Rec.Heavy {
+			for ok := true; ok; ok = c.Step() {
+				nb, kept, err := far(c.Rec.Neighbor)
+				if err != nil {
+					return next, err
+				}
+				if kept && seen.add(nb) {
+					next = append(next, nb)
+				}
+			}
+			continue
+		}
+		tail := len(next)
+		next = append(next, c.Rec.Neighbor)
+		for n := c.StepRun(next[len(next):cap(next)]); n > 0; n = c.StepRun(next[len(next):cap(next)]) {
+			next = next[:len(next)+n]
+		}
+		kept := tail
+		for _, nb := range next[tail:] {
+			if seen.add(nb) {
+				next[kept] = nb
+				kept++
+			}
+		}
+		next = next[:kept]
+	}
+	return next, view.Err()
+}
+
+// dptrSet is the set of DPtrs a hop dedups against: one bit per pool block
+// of every rank — a test and a set on a bitmap that stays in cache, however
+// many keys — and a hash table for the keys off the pool, or for every key
+// on an engine whose bitmap would pass setBitsMax. A user brackets its keys
+// with begin and end, and end clears just the bits of the keys it names: a
+// one-key use costs one bit, whatever the pool's size. A use that ends
+// without end (an error) leaves the set dirty, and the next begin clears it
+// whole.
+type dptrSet struct {
+	bits   []uint64 // bit rank·blocks + offset
+	blocks uint64   // the pool blocks per rank the bits are laid out for; 0: no bitmap
+	ranks  int
+	spill  dptrTable[struct{}]
+	null   bool // NullDPtr, off the bitmap, is in the set: the table cannot hold it
+	dirty  bool
+}
+
+// setBitsMax bounds a bitmap: 128 KiB, for pools of up to 2^20 blocks over
+// all ranks (512 MiB of 512-byte blocks). A larger pool dedups in the table.
+const setBitsMax = 1 << 20
+
+// begin starts a use. A fresh set lays its bitmap out for e's pool first.
+func (s *dptrSet) begin(e *Engine) {
+	if s.ranks == 0 {
+		blocks, ranks := uint64(e.store.BlocksPerRank()), e.fab.Size()
+		if n := blocks * uint64(ranks); n <= setBitsMax {
+			s.bits, s.blocks = make([]uint64, (n+63)/64), blocks
+		}
+		s.ranks = ranks
+	} else if s.dirty {
+		clear(s.bits)
+	}
+	s.spill.reset(0)
+	s.null, s.dirty = false, true
+}
+
+// bit returns the word and mask of key's bit; ok is false for a key the
+// bitmap does not cover.
+func (s *dptrSet) bit(key fabric.DPtr) (w *uint64, m uint64, ok bool) {
+	off, r := key.Off(), uint64(key.Rank())
+	if off >= s.blocks || r >= uint64(s.ranks) {
+		return nil, 0, false
+	}
+	i := r*s.blocks + off
+	return &s.bits[i/64], 1 << (i % 64), true
+}
+
+// add adds key and reports whether it was new.
+func (s *dptrSet) add(key fabric.DPtr) bool {
+	if w, m, ok := s.bit(key); ok {
+		if *w&m != 0 {
+			return false
+		}
+		*w |= m
+		return true
+	}
+	if key.IsNull() {
+		added := !s.null
+		s.null = true
+		return added
+	}
+	_, dup := s.spill.getOrPut(key, struct{}{})
+	return !dup
+}
+
+// drop removes key from the bitmap; the table empties at the next begin.
+func (s *dptrSet) drop(key fabric.DPtr) {
+	if w, m, ok := s.bit(key); ok {
+		*w &^= m
+	}
+}
+
+// end ends a use whose keys are keys (plus any already dropped): the set is
+// empty again.
+func (s *dptrSet) end(keys []fabric.DPtr) {
+	for _, k := range keys {
+		s.drop(k)
+	}
+	s.dirty = false
 }
 
 // dptrTable is an open-addressing hash table keyed by DPtr, reset — not
-// reallocated — from hop to hop: one slice however many keys, and a probe is
+// reallocated — from use to use: one slice however many keys, and a probe is
 // a multiply and a compare. NullDPtr, which no frontier and no edge record
 // carries, marks the empty slot. With V = struct{} it is a set of eight bytes
 // a slot.
@@ -476,15 +715,17 @@ type dptrSlot[V any] struct {
 	val V
 }
 
-// reset empties the table and makes room for n keys.
+// reset empties the table and makes room for n keys. It clears only the
+// slots this use spans: a small use after a large one stays small.
 func (t *dptrTable[V]) reset(n int) {
 	size := 16
 	for size < 2*n {
 		size *= 2
 	}
-	if size > len(t.slots) {
+	if size > cap(t.slots) {
 		t.slots = make([]dptrSlot[V], size)
 	} else {
+		t.slots = t.slots[:size]
 		clear(t.slots)
 	}
 	t.used = 0

@@ -56,8 +56,8 @@ const (
 	readRefused                    // refused by the caller, by its head test or before the read
 	readStale                      // the stamp refused a speculative translation (chainReader.admit)
 	readTorn                       // the post-stamp moved: the blocks read are not one version
-	// readStamped is the frontier hop's: stamped, and vouched for by the
-	// stamp, but not read yet. The reader leaves it alone.
+	// readStamped is the frontier hop's, for a vertex stamped and vouched
+	// for by its stamp but not read yet; no reader item carries it.
 	readStamped
 )
 

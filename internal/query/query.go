@@ -9,10 +9,10 @@
 // frontier goes to core.Tx.ExpandFrontier, which dedups it, stamps the guard
 // words and reads the holders — cached blocks locally, the rest as one
 // vectored GET train per owner rank per round — into the transaction's
-// frontier arena, evaluates the hop's predicate in place on the encoded
-// label/property entries, harvests the next frontier straight off the edge
-// runs, and records one (vertex, version) pair per vertex for commit-time
-// validation. A hop materializes no handle and allocates nothing per vertex;
+// pooled frontier arena, evaluates the hop's predicate in place on the
+// encoded label/property entries, harvests the next frontier straight off
+// the edge runs, and records one (vertex, version) pair per vertex for
+// commit-time validation. A hop materializes no handle and allocates nothing per vertex;
 // only vertex IDs travel between hops. The last hop of a k-hop only filters
 // (core.Tx.FilterFrontier), so it fetches each holder just up to the end of
 // its entries — the primary block for all but mega-hubs — not its edge
@@ -172,11 +172,16 @@ type executor struct {
 // Run executes the pattern with the compiled frontier-batched plan: one
 // batched round (one train per owner rank) per hop.
 func Run(tx *core.Tx, src fabric.DPtr, p *Pattern) (*Result, error) {
-	return run(tx, src, p, executor{
+	return run(tx, src, p, compiled(tx))
+}
+
+// compiled is Run's executor on tx.
+func compiled(tx *core.Tx) executor {
+	return executor{
 		expand:    tx.ExpandFrontier,
 		filter:    tx.FilterFrontier,
 		associate: func(dps []fabric.DPtr) ([]*core.VertexHandle, error) { return associateAll(tx, dps) },
-	})
+	}
 }
 
 // associateAll is one AssociateVertices round in which a vertex that no

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/gdi-go/gdi/internal/constraint"
@@ -151,12 +152,28 @@ func (g *testGraph) ageOver(over uint64) *constraint.Constraint {
 }
 
 // runBoth executes p compiled and naive in fresh transactions of the given
-// mode and requires bit-identical results.
+// mode and requires bit-identical results, and each of the compiled plan's
+// expansions to give what the per-vertex reference expansion gives on its
+// transaction.
 func runBoth(t *testing.T, g *testGraph, mode core.Mode, src fabric.DPtr, p *Pattern) *Result {
 	t.Helper()
 	txC := g.e.StartLocal(0, mode)
 	defer txC.Abort()
-	compiled, err := Run(txC, src, p)
+	// Run, with every expansion checked against the per-vertex reference
+	// expansion on the same transaction.
+	ex, reference := compiled(txC), naiveExpand(txC)
+	expand := ex.expand
+	ex.expand = func(frontier []fabric.DPtr, mask core.DirMask, cons *constraint.Constraint) (matched, next []fabric.DPtr, err error) {
+		if matched, next, err = expand(frontier, mask, cons); err != nil {
+			return nil, nil, err
+		}
+		wantM, wantN, err := reference(frontier, mask, cons)
+		if err != nil || !slices.Equal(matched, wantM) || !slices.Equal(next, wantN) {
+			t.Fatalf("hop over %v (mask %#x): matched %v, next %v; the reference: %v, %v, %v", frontier, mask, matched, next, wantM, wantN, err)
+		}
+		return matched, next, nil
+	}
+	compiled, err := run(txC, src, p, ex)
 	if err != nil {
 		t.Fatalf("compiled: %v", err)
 	}
