@@ -429,7 +429,9 @@ func TestExpansionHopAllocsIndependentOfWidth(t *testing.T) {
 // never a regrown array. On a warm handle each call costs at most those two
 // objects, and a transaction that reads a vertex's edges costs at most two
 // objects more than one that reads its degree, at degree 8 (one block) as at
-// degree 512 (a chain).
+// degree 512 (a chain). So does a read-write transaction that appended a
+// record with CreateEdge: its Edges walks the stored runs and then the
+// appended tail, and leaves the runs encoded.
 func TestEdgesAllocatesOnlyItsResult(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is not meaningful under the race detector")
@@ -487,6 +489,38 @@ func TestEdgesAllocatesOnlyItsResult(t *testing.T) {
 			withDegree := testing.AllocsPerRun(100, read(degreeOnly))
 			if withEdges > withDegree+2 {
 				t.Fatalf("a transaction reading the edges allocates %.0f objects, one reading the degree %.0f: want at most two more", withEdges, withDegree)
+			}
+
+			// An undirected self-loop appends one record.
+			appended := func(use func(*VertexHandle) int) func() {
+				return func() {
+					tx := e.StartLocal(center.Rank(), ReadWrite)
+					defer tx.Abort()
+					if _, err := tx.CreateEdge(center, center, holder.DirUndirected, 0); err != nil {
+						panic(err)
+					}
+					h, err := tx.AssociateVertex(center)
+					if err != nil {
+						panic(err)
+					}
+					if n := use(h); n != degree+1 {
+						panic(fmt.Sprintf("%d edges after the append, want %d", n, degree+1))
+					}
+					if n := h.st.stored.Len(); n != degree {
+						panic(fmt.Sprintf("%d stored records after the read, want the %d stored runs left encoded", n, degree))
+					}
+				}
+			}
+			withEdges = testing.AllocsPerRun(100, appended(func(h *VertexHandle) int {
+				l, err := h.Edges(MaskAll, nil)
+				if err != nil {
+					panic(err)
+				}
+				return l.Len()
+			}))
+			withDegree = testing.AllocsPerRun(100, appended((*VertexHandle).Degree))
+			if withEdges > withDegree+2 {
+				t.Fatalf("after an append, a transaction reading the edges allocates %.0f objects, one reading the degree %.0f: want at most two more", withEdges, withDegree)
 			}
 		})
 	}

@@ -409,8 +409,7 @@ func (r *commitRun) logDeltas() {
 			rec.Kind = snapshot.KindCreate
 		}
 		if w.stream != nil {
-			st.decodeRecords() // st is materialized, so this cannot fail
-			rec.Edges = st.v.Edges
+			rec.Edges = st.records()
 		}
 		byRank[st.primary.Rank()] = append(byRank[st.primary.Rank()], rec)
 	}
@@ -482,8 +481,8 @@ func chainOf(primary fabric.DPtr, blocks []fabric.DPtr) []fabric.DPtr {
 }
 
 // encodeForCommit encodes a dirty vertex for write-back — its stored edge
-// region copied, with the records appended behind it, while that region
-// was never decoded — and decides the fate of its follower groups. A
+// runs copied as they stand, with its appended tail encoded behind them —
+// and decides the fate of its follower groups. A
 // same-shape rewrite keeps them — the fan-out lands the new content on
 // every follower inside this commit. A reshape
 // (block count changed) strips the groups from the encoding and retires
@@ -492,7 +491,7 @@ func chainOf(primary fabric.DPtr, blocks []fabric.DPtr) []fabric.DPtr {
 // the vertex: until the apply half runs, the groups are still the vertex's,
 // and an abort leaves them in lockstep with the primary it did not write.
 func (tx *Tx) encodeForCommit(st *vertexState, bs int) (stream []byte, fan, drop [][]fabric.DPtr) {
-	stored := st.storedEdges()
+	stored := &st.stored
 	if len(st.v.Replicas) == 0 || st.blocks != nil && holder.VertexBlocksAfter(st.v, stored, bs) == len(st.blocks) {
 		return holder.EncodeVertexAfter(st.v, stored, bs), st.v.Replicas, nil
 	}

@@ -369,7 +369,7 @@ func referenceCommit(tx *Tx) error {
 				kind = snapshot.KindCreate
 			}
 			r := st.primary.Rank()
-			if err := st.decodeRecords(); err != nil {
+			if err := st.fold(); err != nil {
 				panic(err)
 			}
 			byRank[r] = append(byRank[r], snapshot.Record{Kind: kind, DP: st.primary, App: st.v.AppID, Edges: st.v.Edges})
@@ -703,7 +703,7 @@ func buildCommitWorld(t *testing.T, e *Engine, ops commitOps) *commitWorld {
 	w.run(t, func(tx *Tx) error {
 		h, err := tx.AssociateVertex(w.hub)
 		if err == nil {
-			err = h.st.decodeRecords()
+			err = h.st.fold()
 		}
 		if err == nil {
 			w.heavy = h.st.v.Edges[w.heavyUID.Index].Neighbor

@@ -22,7 +22,10 @@ func referenceDeleteVertex(tx *Tx, dp fabric.DPtr) error {
 		return err
 	}
 	st := h.st
-	if err := tx.writableRecords(st); err != nil {
+	if err := st.fold(); err != nil {
+		return err
+	}
+	if err := tx.ensureWrite(st); err != nil {
 		return err
 	}
 	for _, rec := range st.v.Edges {
@@ -49,7 +52,10 @@ func referenceDeleteVertex(tx *Tx, dp fabric.DPtr) error {
 		if err != nil {
 			return err
 		}
-		if err := tx.writableRecords(nh.st); err != nil {
+		if err := nh.st.fold(); err != nil {
+			return err
+		}
+		if err := tx.ensureWrite(nh.st); err != nil {
 			return err
 		}
 		if rec.Heavy {
@@ -125,7 +131,10 @@ func buildDeleteFixture(t *testing.T, e *Engine, gone bool) deleteFixture {
 			if err != nil {
 				return err
 			}
-			if err := tx.writableRecords(h.st); err != nil {
+			if err := h.st.fold(); err != nil {
+				return err
+			}
+			if err := tx.ensureWrite(h.st); err != nil {
 				return err
 			}
 			h.st.v.Edges = nil

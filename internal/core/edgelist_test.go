@@ -17,60 +17,41 @@ import (
 // implementation before EdgeList and stay here as the oracles the run
 // walks are held to (checkEdges).
 
+// oracleRecords returns st's records one at a time, without the cursor's
+// tail: the view's through Next while st is clean, and once it is written
+// its stored records, which the view still holds, decoded ahead of v.Edges.
+// err is the corruption a clean walk met.
+func oracleRecords(st *vertexState) ([]holder.EdgeRec, error) {
+	if st.v != nil {
+		var recs []holder.EdgeRec
+		if st.stored.Len() > 0 {
+			recs = st.view.AppendEdges(nil)
+		}
+		return append(recs, st.v.Edges...), nil
+	}
+	var recs []holder.EdgeRec
+	c := st.view.Edges()
+	for c.Next() {
+		recs = append(recs, c.Rec)
+	}
+	return recs, st.viewErr()
+}
+
 // oracleEdges is Edges returning one EdgeInfo per edge.
 func oracleEdges(h *VertexHandle, mask DirMask, cons *constraint.Constraint) ([]EdgeInfo, error) {
 	if err := h.tx.check(); err != nil {
 		return nil, err
 	}
 	var out []EdgeInfo // not presized: a corrupt header's Degree is unbounded
-	if h.st.v == nil && cons == nil {
-		return oracleViewEdges(h, out, mask)
-	}
-	var err error
-	w := h.st.edges()
-	for w.next() {
-		if out, err = oracleAppendEdge(h, out, w.rec, w.pos, mask, cons); err != nil {
+	recs, walkErr := oracleRecords(h.st)
+	for i, rec := range recs {
+		var err error
+		if out, err = oracleAppendEdge(h, out, rec, i, mask, cons); err != nil {
 			return nil, err
 		}
 	}
-	if err := w.err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// oracleViewEdges is oracleEdges on a clean state without a constraint: a
-// light run mask selects is appended an EdgeInfo per decoded neighbor.
-func oracleViewEdges(h *VertexHandle, out []EdgeInfo, mask DirMask) ([]EdgeInfo, error) {
-	var (
-		nbrs [64]fabric.DPtr
-		err  error
-	)
-	pos := uint32(0)
-	c := h.st.view.Edges()
-	for c.NextRun() {
-		if c.Rec.Heavy || !mask.matches(c.Rec.Dir) {
-			for ok := true; ok; ok = c.Step() {
-				if out, err = oracleAppendEdge(h, out, c.Rec, int(pos), mask, nil); err != nil {
-					return nil, err
-				}
-				pos++
-			}
-			continue
-		}
-		info := EdgeInfo{UID: holder.EdgeUID{Vertex: h.st.primary, Index: pos}, Neighbor: c.Rec.Neighbor, Dir: c.Rec.Dir, Label: c.Rec.Label}
-		out = append(out, info)
-		pos++
-		for n := c.StepRun(nbrs[:]); n > 0; n = c.StepRun(nbrs[:]) {
-			for _, nb := range nbrs[:n] {
-				info.UID.Index, info.Neighbor = pos, nb
-				out = append(out, info)
-				pos++
-			}
-		}
-	}
-	if err := h.st.viewErr(); err != nil {
-		return nil, err
+	if walkErr != nil {
+		return nil, walkErr
 	}
 	return out, nil
 }
@@ -97,7 +78,9 @@ func oracleAppendEdge(h *VertexHandle, out []EdgeInfo, rec holder.EdgeRec, pos i
 		if es.deleted {
 			return out, nil
 		}
-		info.Neighbor = heavyNeighbor(es.e, h.st)
+		if info.Neighbor = es.e.Target; h.st.isIdentity(info.Neighbor) {
+			info.Neighbor = es.e.Origin
+		}
 		if len(es.e.Labels) > 0 {
 			info.Label = es.e.Labels[0]
 		}
@@ -139,9 +122,8 @@ func oracleForEachEdge(h *VertexHandle, mask DirMask, fn func(nb fabric.DPtr, di
 	if err := h.tx.check(); err != nil {
 		return err
 	}
-	w := h.st.edges()
-	for w.next() {
-		rec := &w.rec
+	recs, walkErr := oracleRecords(h.st)
+	for _, rec := range recs {
 		if !mask.matches(rec.Dir) {
 			continue
 		}
@@ -154,11 +136,13 @@ func oracleForEachEdge(h *VertexHandle, mask DirMask, fn func(nb fabric.DPtr, di
 			if es.deleted {
 				continue
 			}
-			nb = heavyNeighbor(es.e, h.st)
+			if nb = es.e.Target; h.st.isIdentity(nb) {
+				nb = es.e.Origin
+			}
 		}
 		fn(nb, rec.Dir)
 	}
-	return w.err()
+	return walkErr
 }
 
 // infosOf returns every EdgeInfo of l, in list order.

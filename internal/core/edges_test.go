@@ -151,7 +151,7 @@ func TestEdgesLazyMatchesMaterialized(t *testing.T) {
 		tx := e.StartLocal(0, ReadWrite)
 		h, err := tx.AssociateVertex(hub)
 		if err == nil {
-			err = h.st.decodeRecords()
+			err = h.st.fold()
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -509,19 +509,14 @@ func (tx *Tx) evalItem(sc *frontierScratch, i int, cons *constraint.Constraint) 
 }
 
 // evalFrontier filters the resolved frontier by cons, in frontier order, and,
-// when mask is non-zero, harvests the matched vertices' neighbors — on the
-// encoded stream for the vertices the lean route read (harvestRuns), through
-// the handle for the others. Both lists are built in the arena and copied
-// out, each in one allocation of its exact size.
+// when mask is non-zero, harvests the matched vertices' neighbors a run at a
+// time (harvestRuns): on the encoded stream for the vertices the lean route
+// read, over the state's records for the others. Both lists are built in
+// the arena and copied out, each in one allocation of its exact size.
 func (tx *Tx) evalFrontier(sc *frontierScratch, mask DirMask, cons *constraint.Constraint) (matched, next []fabric.DPtr, err error) {
 	sc.matched, sc.next = sc.matched[:0], sc.next[:0]
 	if mask != 0 {
 		sc.seen.begin(tx.eng)
-	}
-	add := func(nb fabric.DPtr) {
-		if sc.seen.add(nb) {
-			sc.next = append(sc.next, nb)
-		}
 	}
 	view := &sc.view
 	for i := range sc.verts {
@@ -536,31 +531,27 @@ func (tx *Tx) evalFrontier(sc *frontierScratch, mask DirMask, cons *constraint.C
 			continue
 		}
 		sc.matched = append(sc.matched, id)
-		switch h := sc.verts[i].h; {
-		case mask == 0:
-		case h != nil:
-			if err := h.ForEachNeighbor(mask, add); err != nil {
-				return nil, nil, err
+		if mask == 0 {
+			continue
+		}
+		// A vertex with a handle is walked in its state, the transaction's
+		// own writes included; the others on their streams.
+		var c holder.EdgeCursor
+		deg, is := 0, func(dp fabric.DPtr) bool { return dp == id || view.HasHome(dp) }
+		if h := sc.verts[i].h; h != nil {
+			c, deg, is = h.st.edges(), h.st.degree(), h.st.isIdentity
+		} else {
+			c, deg = view.Edges(), view.EdgeCap()
+		}
+		far := func(hp fabric.DPtr) (fabric.DPtr, bool, error) {
+			nb, e, err := tx.farEnd(hp, is)
+			return nb, e != nil, err
+		}
+		if sc.next, err = harvestRuns(&c, deg, mask, &sc.seen, sc.next, far); err != nil {
+			if c.Err() != nil {
+				err = fmt.Errorf("%w: holder %v: %v", ErrNotFound, id, err)
 			}
-		default:
-			// The far end of a heavy edge is in its holder (handles.go's
-			// heavyNeighbor, on the view).
-			far := func(nb fabric.DPtr) (fabric.DPtr, bool, error) {
-				es, err := tx.fetchEdgeState(nb)
-				if err != nil || es.deleted {
-					return 0, false, err
-				}
-				if nb = es.e.Target; nb == id || view.HasHome(nb) {
-					nb = es.e.Origin
-				}
-				return nb, true, nil
-			}
-			if sc.next, err = harvestRuns(view, mask, &sc.seen, sc.next, far); err != nil {
-				if view.Err() != nil {
-					err = fmt.Errorf("%w: holder %v: %v", ErrNotFound, id, err)
-				}
-				return nil, nil, err
-			}
+			return nil, nil, err
 		}
 	}
 	if mask != 0 {
@@ -572,20 +563,19 @@ func (tx *Tx) evalFrontier(sc *frontierScratch, mask DirMask, cons *constraint.C
 // clone copies s out of the arena: nil when s is empty.
 func clone(s []fabric.DPtr) []fabric.DPtr { return append([]fabric.DPtr(nil), s...) }
 
-// harvestRuns appends to next the neighbors under mask of the vertex view is
-// on that seen does not hold yet, in record order, and adds them to seen. It
-// walks the view a run at a time: a light run that mask selects is decoded by
-// StepRun straight into the tail of next, which is then deduped in place
-// against seen (the first occurrence wins); a heavy run goes record by record,
-// each record's neighbor being the far end far resolves from its edge holder
-// (ok false: a deleted edge, which yields nothing). A run mask drops is
-// skipped. It stops at the first error: far's, or the corruption the walk
-// met (view.Err), and returns next as far as it got.
-func harvestRuns(view *holder.View, mask DirMask, seen *dptrSet, next []fabric.DPtr, far func(fabric.DPtr) (nb fabric.DPtr, ok bool, err error)) ([]fabric.DPtr, error) {
-	// The cursor yields at most EdgeCap records, so with this much room the
-	// tail always has space for the rest of a run.
-	next = slices.Grow(next, view.EdgeCap())
-	c := view.Edges()
+// harvestRuns appends to next the neighbors under mask of the records c
+// walks, at most deg of them, that seen does not hold yet, in record order,
+// and adds them to seen. It walks a run at a time: a light run that mask
+// selects is decoded by StepRun straight into the tail of next, which is then
+// deduped in place against seen (the first occurrence wins); a heavy run goes
+// record by record, each record's neighbor being the far end far resolves
+// from its edge holder (ok false: a deleted edge, which yields nothing). A
+// run mask drops is skipped. It stops at the first error: far's, or the
+// corruption the walk met (c.Err), and returns next as far as it got.
+func harvestRuns(c *holder.EdgeCursor, deg int, mask DirMask, seen *dptrSet, next []fabric.DPtr, far func(fabric.DPtr) (nb fabric.DPtr, ok bool, err error)) ([]fabric.DPtr, error) {
+	// The cursor yields at most deg records, so with this much room the tail
+	// always has space for the rest of a run.
+	next = slices.Grow(next, deg)
 	for c.NextRun() {
 		if !mask.matches(c.Rec.Dir) {
 			continue // NextRun skips the rest of the run
@@ -616,7 +606,7 @@ func harvestRuns(view *holder.View, mask DirMask, seen *dptrSet, next []fabric.D
 		}
 		next = next[:kept]
 	}
-	return next, view.Err()
+	return next, c.Err()
 }
 
 // dptrSet is the set of DPtrs a hop dedups against: one bit per pool block

@@ -393,7 +393,7 @@ func (tx *Tx) readsFollowers() bool {
 // from; nothing is decoded to the heap until a mutation needs it, and then
 // only what it changes: the first mutation copies the entry region and the
 // fixed regions (materialize), and only a removal of records decodes them
-// (decodeRecords). The header, the fixed regions and the entry region are
+// (fold). The header, the fixed regions and the entry region are
 // checked here, so those reads cannot fail later; the edge region is checked
 // by the walk that reads it. It returns false for a stream that does not
 // check, or a follower copy that is not this vertex's.

@@ -353,58 +353,44 @@ func (l *EdgeList) add(pos uint32, nb fabric.DPtr, dir holder.Direction, label l
 // constraint over the edges' labels/properties (GDI_GetEdgesOfVertex).
 // Lightweight edges evaluate the constraint on their single label without
 // any communication; heavy edges fetch their holder. O(deg(v)) plus one
-// holder fetch per heavy edge. A read-only call walks the fetched stream in
-// place, decodes each neighbor straight into the list and allocates two
-// objects, the neighbor array and the run table; it never materializes the
-// records.
+// holder fetch per heavy edge. It walks the records a run at a time — the
+// fetched stream in place while the state is clean, its stored runs and
+// then its appended tail once it is written: a light run that mask and cons
+// select is decoded by StepRun straight into the tail of the neighbor
+// array, a run they drop is counted past, and only heavy runs go record by
+// record. So a call allocates two objects, the neighbor array and the run
+// table, and never materializes the records.
 func (h *VertexHandle) Edges(mask DirMask, cons *constraint.Constraint) (EdgeList, error) {
 	if err := h.tx.check(); err != nil {
 		return EdgeList{}, err
 	}
-	inView := h.st.edgesInView()
 	deg := h.Degree()
 	l := EdgeList{vertex: h.st.primary, nbrs: make([]fabric.DPtr, 0, deg), runs: make([]edgeRun, 0, min(deg, 4))}
-	if inView && cons == nil {
-		return h.viewEdges(l, mask)
-	}
-	w := h.st.edges()
-	for w.next() {
-		if err := h.appendEdge(&l, w.rec, uint32(w.pos), mask, cons); err != nil {
-			return EdgeList{}, err
-		}
-	}
-	if err := w.err(); err != nil {
-		return EdgeList{}, err
-	}
-	return l, nil
-}
-
-// viewEdges is Edges on a state whose records are all in its view, without
-// a constraint. It walks the view a run at a time: a light run that mask
-// selects is decoded by StepRun straight into the tail of the neighbor
-// array, and only heavy runs and the runs mask drops go record by record.
-func (h *VertexHandle) viewEdges(l EdgeList, mask DirMask) (EdgeList, error) {
 	pos := uint32(0)
-	c := h.st.view.Edges()
+	c := h.st.edges()
 	for c.NextRun() {
-		if c.Rec.Heavy || !mask.matches(c.Rec.Dir) {
+		switch {
+		case !mask.matches(c.Rec.Dir) || !c.Rec.Heavy && !lightMatches(cons, c.Rec.Label):
+			for pos++; c.Step(); pos++ {
+			}
+		case c.Rec.Heavy:
 			for ok := true; ok; ok = c.Step() {
-				if err := h.appendEdge(&l, c.Rec, pos, mask, nil); err != nil {
+				if err := h.appendHeavy(&l, c.Rec, pos, cons); err != nil {
 					return EdgeList{}, err
 				}
 				pos++
 			}
-			continue
+		default:
+			l.add(pos, c.Rec.Neighbor, c.Rec.Dir, c.Rec.Label, 0, false)
+			// The array's capacity bounds the records the cursor yields
+			// (Degree), so the tail has room for the rest of the run.
+			r := &l.runs[len(l.runs)-1]
+			for n := c.StepRun(l.nbrs[len(l.nbrs):cap(l.nbrs)]); n > 0; n = c.StepRun(l.nbrs[len(l.nbrs):cap(l.nbrs)]) {
+				l.nbrs = l.nbrs[:len(l.nbrs)+n]
+				r.count += uint32(n)
+			}
+			pos = r.first + r.count
 		}
-		l.add(pos, c.Rec.Neighbor, c.Rec.Dir, c.Rec.Label, 0, false)
-		// The array's capacity bounds the records the cursor yields
-		// (EdgeCap), so the tail has room for the rest of the run.
-		r := &l.runs[len(l.runs)-1]
-		for n := c.StepRun(l.nbrs[len(l.nbrs):cap(l.nbrs)]); n > 0; n = c.StepRun(l.nbrs[len(l.nbrs):cap(l.nbrs)]) {
-			l.nbrs = l.nbrs[:len(l.nbrs)+n]
-			r.count += uint32(n)
-		}
-		pos = r.first + r.count
 	}
 	if err := h.st.viewErr(); err != nil {
 		return EdgeList{}, err
@@ -412,113 +398,42 @@ func (h *VertexHandle) viewEdges(l EdgeList, mask DirMask) (EdgeList, error) {
 	return l, nil
 }
 
-// appendEdge adds to l the edge of record rec, the record at index pos, if
-// the edge matches mask and cons. A heavy record fetches its edge holder; a
-// deleted heavy edge matches nothing.
-func (h *VertexHandle) appendEdge(l *EdgeList, rec holder.EdgeRec, pos uint32, mask DirMask, cons *constraint.Constraint) error {
-	if !mask.matches(rec.Dir) {
-		return nil
+// lightMatches reports whether cons, if any, accepts a lightweight edge,
+// whose one label is label (0: none).
+func lightMatches(cons *constraint.Constraint, label lpg.LabelID) bool {
+	switch {
+	case cons == nil:
+		return true
+	case label == 0:
+		return cons.Eval(nil, nil)
 	}
-	if !rec.Heavy {
-		if cons != nil {
-			var labels []lpg.LabelID
-			if rec.Label != 0 {
-				labels = []lpg.LabelID{rec.Label}
-			}
-			if !cons.Eval(labels, nil) {
-				return nil
-			}
-		}
-		l.add(pos, rec.Neighbor, rec.Dir, rec.Label, 0, false)
-		return nil
-	}
-	es, err := h.tx.fetchEdgeState(rec.Neighbor)
-	if err != nil {
+	return cons.Eval([]lpg.LabelID{label}, nil)
+}
+
+// appendHeavy adds to l the edge of heavy record rec, the record at index
+// pos, if its holder's labels and properties match cons. A deleted edge
+// matches nothing.
+func (h *VertexHandle) appendHeavy(l *EdgeList, rec holder.EdgeRec, pos uint32, cons *constraint.Constraint) error {
+	nb, e, err := h.tx.farEnd(rec.Neighbor, h.st.isIdentity)
+	if err != nil || e == nil || cons != nil && !cons.Eval(e.Labels, e.Props) {
 		return err
 	}
-	if es.deleted {
-		return nil
-	}
 	label := rec.Label
-	if len(es.e.Labels) > 0 {
-		label = es.e.Labels[0]
+	if len(e.Labels) > 0 {
+		label = e.Labels[0]
 	}
-	if cons != nil && !cons.Eval(es.e.Labels, es.e.Props) {
-		return nil
-	}
-	l.add(pos, heavyNeighbor(es.e, h.st), rec.Dir, label, rec.Neighbor, true)
+	l.add(pos, nb, rec.Dir, label, rec.Neighbor, true)
 	return nil
 }
 
-// edgeWalk iterates a vertex state's edge records in record order: through
-// the view's cursor while they are all in the view, over v.Edges once they
-// are not (edgesInView). pos is the record's index either way, so an EdgeUID
-// built from it names the record DeleteEdge removes.
-type edgeWalk struct {
-	rec  holder.EdgeRec
-	pos  int
-	st   *vertexState
-	recs []holder.EdgeRec // the materialized records, as of the walk's start
-	c    holder.EdgeCursor
-	lazy bool
-}
-
-// edges starts a walk over st's records.
-func (st *vertexState) edges() edgeWalk {
-	w := edgeWalk{pos: -1, st: st, lazy: st.edgesInView()}
-	if w.lazy {
-		w.c = st.view.Edges()
-	} else {
-		w.recs = st.v.Edges
-	}
-	return w
-}
-
-// next advances to the next record: false at the end and at a corrupt one.
-func (w *edgeWalk) next() bool {
-	w.pos++
-	if w.lazy {
-		if !w.c.Next() {
-			return false
-		}
-		w.rec = w.c.Rec
-		return true
-	}
-	if w.pos >= len(w.recs) {
-		return false
-	}
-	w.rec = w.recs[w.pos]
-	return true
-}
-
-// err reports the corruption a lazy walk stopped at (viewErr).
-func (w *edgeWalk) err() error {
-	if !w.lazy {
-		return nil
-	}
-	return w.st.viewErr()
-}
-
 // viewErr reports the corruption an edge walk over st's view met as the
-// ErrNotFound a corrupt holder has always been.
+// ErrNotFound a corrupt holder has always been. A materialized state's walk
+// meets none: materialize validated its stored runs.
 func (st *vertexState) viewErr() error {
 	if st.view.Err() == nil {
 		return nil
 	}
 	return fmt.Errorf("%w: holder %v: %v", ErrNotFound, st.primary, st.view.Err())
-}
-
-// heavyNeighbor resolves the far endpoint of a heavy edge relative to the
-// querying vertex: the edge's target, unless the querying vertex is the
-// target (including self-loops, where both endpoints coincide). The
-// comparison accepts every identity the querying vertex has had — edge
-// holders record endpoint DPtrs as of edge creation, which live migration
-// does not rewrite.
-func heavyNeighbor(e *holder.Edge, st *vertexState) fabric.DPtr {
-	if st.isIdentity(e.Target) {
-		return e.Origin
-	}
-	return e.Target
 }
 
 // ForEachNeighbor streams the neighbor vertex ID of every incident edge
@@ -533,65 +448,39 @@ func (h *VertexHandle) ForEachNeighbor(mask DirMask, fn func(fabric.DPtr)) error
 // ForEachEdge streams (neighbor, direction) for every incident edge record
 // matching mask, in record order and without materializing EdgeInfo values —
 // the snapshot path analytics uses to build CSR adjacency without per-vertex
-// slice allocations. On a clean state it walks the view a run at a time, as
-// Edges does. Heavy-edge records resolve their holder exactly as Edges
-// does; deleted heavy edges are skipped.
+// slice allocations. It walks the records a run at a time, as Edges does.
+// Heavy-edge records resolve their holder exactly as Edges does; deleted
+// heavy edges are skipped.
 func (h *VertexHandle) ForEachEdge(mask DirMask, fn func(nb fabric.DPtr, dir holder.Direction)) error {
 	if err := h.tx.check(); err != nil {
 		return err
 	}
-	if !h.st.edgesInView() {
-		for _, rec := range h.st.v.Edges {
-			if err := h.visitEdge(rec, mask, fn); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	var nbrs [64]fabric.DPtr
-	c := h.st.view.Edges()
+	c := h.st.edges()
 	for c.NextRun() {
-		if !mask.matches(c.Rec.Dir) {
-			continue // NextRun skips the rest of the run
-		}
-		if c.Rec.Heavy {
+		dir := c.Rec.Dir
+		switch {
+		case !mask.matches(dir): // NextRun skips the rest of the run
+		case c.Rec.Heavy:
 			for ok := true; ok; ok = c.Step() {
-				if err := h.visitEdge(c.Rec, mask, fn); err != nil {
+				nb, e, err := h.tx.farEnd(c.Rec.Neighbor, h.st.isIdentity)
+				if err != nil {
 					return err
 				}
+				if e != nil {
+					fn(nb, dir)
+				}
 			}
-			continue
-		}
-		dir := c.Rec.Dir
-		fn(c.Rec.Neighbor, dir)
-		for n := c.StepRun(nbrs[:]); n > 0; n = c.StepRun(nbrs[:]) {
-			for _, nb := range nbrs[:n] {
-				fn(nb, dir)
+		default:
+			fn(c.Rec.Neighbor, dir)
+			for n := c.StepRun(nbrs[:]); n > 0; n = c.StepRun(nbrs[:]) {
+				for _, nb := range nbrs[:n] {
+					fn(nb, dir)
+				}
 			}
 		}
 	}
 	return h.st.viewErr()
-}
-
-// visitEdge passes record rec to fn if it matches mask, resolving a heavy
-// record's neighbor through its holder; a deleted heavy edge is skipped.
-func (h *VertexHandle) visitEdge(rec holder.EdgeRec, mask DirMask, fn func(nb fabric.DPtr, dir holder.Direction)) error {
-	if !mask.matches(rec.Dir) {
-		return nil
-	}
-	nb := rec.Neighbor
-	if rec.Heavy {
-		es, err := h.tx.fetchEdgeState(nb)
-		if err != nil {
-			return err
-		}
-		if es.deleted {
-			return nil
-		}
-		nb = heavyNeighbor(es.e, h.st)
-	}
-	fn(nb, rec.Dir)
-	return nil
 }
 
 // CountEdges counts incident edges matching mask
@@ -604,10 +493,11 @@ func (h *VertexHandle) CountEdges(mask DirMask) int {
 		return h.Degree() // a header field on a clean state; no edge-region walk
 	}
 	n := 0
-	w := h.st.edges()
-	for w.next() {
-		if mask.matches(w.rec.Dir) {
-			n++
+	c := h.st.edges()
+	for c.NextRun() {
+		if mask.matches(c.Rec.Dir) {
+			for n++; c.Step(); n++ {
+			}
 		}
 	}
 	return n
@@ -659,8 +549,7 @@ func (tx *Tx) CreateEdge(origin, target fabric.DPtr, dir holder.Direction, label
 	if err != nil {
 		return holder.EdgeUID{}, err
 	}
-	// The records go to v.Edges, behind the stored ones while those stay
-	// encoded.
+	// The records go to v.Edges, the tail behind the stored runs.
 	uid := holder.EdgeUID{Vertex: origin, Index: uint32(oh.st.degree())}
 	if origin == target { // self-loop: both records in one holder
 		oh.st.v.Edges = append(oh.st.v.Edges, holder.EdgeRec{Neighbor: target, Dir: dir, Label: label})
@@ -773,7 +662,7 @@ func (tx *Tx) DeleteEdge(uid holder.EdgeUID) error {
 	if err != nil {
 		return err
 	}
-	if err := vh.st.decodeRecords(); err != nil { // the UID indexes the record slice
+	if err := vh.st.fold(); err != nil { // the UID indexes the record slice
 		return err
 	}
 	if int(uid.Index) >= len(vh.st.v.Edges) {
@@ -785,22 +674,16 @@ func (tx *Tx) DeleteEdge(uid holder.EdgeUID) error {
 	rec := vh.st.v.Edges[uid.Index]
 	vh.st.v.Edges = append(vh.st.v.Edges[:uid.Index], vh.st.v.Edges[uid.Index+1:]...)
 	if rec.Heavy {
-		es, err := tx.fetchEdgeState(rec.Neighbor)
+		other, e, err := tx.farEnd(rec.Neighbor, vh.st.isIdentity)
 		if err != nil {
 			return err
 		}
-		other := es.e.Target
-		if vh.st.isIdentity(other) {
-			other = es.e.Origin
-		}
-		if !vh.st.isIdentity(other) {
+		if e != nil && !vh.st.isIdentity(other) {
 			if err := tx.removeRecord(other, matchHeavySibling(rec.Neighbor)); err != nil {
 				return err
 			}
 		}
-		es.deleted = true
-		es.dirty = true
-		return nil
+		return tx.dropEdgeHolder(rec.Neighbor)
 	}
 	if vh.st.isIdentity(rec.Neighbor) {
 		// Self-loop: drop the sibling record in the same holder.
@@ -832,7 +715,10 @@ func (tx *Tx) removeRecord(at fabric.DPtr, match func(holder.EdgeRec) bool) erro
 	if err != nil {
 		return err
 	}
-	if err := tx.writableRecords(h.st); err != nil {
+	if err := h.st.fold(); err != nil {
+		return err
+	}
+	if err := tx.ensureWrite(h.st); err != nil {
 		return err
 	}
 	before := len(h.st.v.Edges)

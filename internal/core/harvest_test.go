@@ -209,7 +209,8 @@ func FuzzHarvestMatchesRecordWalk(f *testing.F) {
 					view.Reset(s)
 					want, wantErr := harvestRecords(&view, mask, slices.Clip(slices.Clone(prefix)), seenRef, fuzzFar)
 					view.Reset(s)
-					got, gotErr := harvestRuns(&view, mask, &set, slices.Clip(slices.Clone(prefix)), fuzzFar)
+					c := view.Edges()
+					got, gotErr := harvestRuns(&c, view.EdgeCap(), mask, &set, slices.Clip(slices.Clone(prefix)), fuzzFar)
 					if !slices.Equal(got, want) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 						t.Fatalf("mask %#x, spill %v, stream % x:\nruns    %v, %v\nrecords %v, %v", mask, spill, s, got, gotErr, want, wantErr)
 					}

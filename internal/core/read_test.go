@@ -326,7 +326,7 @@ func stateString(st *vertexState) string {
 	}
 	c := *st
 	if c.v == nil {
-		if err := c.decodeRecords(); err != nil {
+		if err := c.fold(); err != nil {
 			return err.Error()
 		}
 		if c.view.IsReplica() {

@@ -40,12 +40,16 @@ type guard struct {
 // first mutation pays one materialize, which builds v from the view without
 // its records: its homes and replica groups, a copy of its entry region
 // (which the label and property mutators then edit in place), and the block
-// list. The stored edge region stays encoded: v.Edges holds only the records
-// CreateEdge appends behind it, and the commit copies the region and
-// encodes those behind it. Only a mutation that removes records, and an
-// edge read of a state that appended some, decodes the stored records into
-// v.Edges (decodeRecords). A vertex this transaction created has v, with
-// every record in v.Edges, from the start.
+// list.
+//
+// A materialized state's records have one form: its stored runs, which
+// stored locates in stream and keeps encoded, and then v.Edges, the tail of
+// records CreateEdge appends behind them. Every edge read walks the two as
+// one cursor (edges), and the commit copies the runs and encodes the tail
+// behind them. A removal folds the runs into v.Edges and empties stored
+// (fold), since it edits records by index. A vertex this transaction
+// created is the same form from the start: no stored runs, every record in
+// the tail.
 type vertexState struct {
 	primary fabric.DPtr
 	v       *holder.Vertex // the mutable form; nil while clean
@@ -56,11 +60,7 @@ type vertexState struct {
 	deleted   bool
 	relabeled bool // a label was added or removed: the commit diffs the label index
 
-	// keepsStored: v.Edges are the records appended behind the stored edge
-	// region, which stored locates in stream; otherwise v.Edges holds every
-	// record.
-	keepsStored bool
-	stored      holder.StoredEdges
+	stored holder.StoredEdges // the stored runs ahead of v.Edges; empty once folded
 
 	view   holder.View // over stream
 	stream []byte      // the fetched holder stream, which view aliases
@@ -390,20 +390,18 @@ func (st *vertexState) materialize() error {
 	return st.build(false)
 }
 
-// decodeRecords materializes st with its stored records decoded into
-// v.Edges, ahead of the records appended behind them, so that v.Edges holds
-// every record: what a mutation that removes records needs, and an edge
-// read of a state that appended some. Idempotent.
-func (st *vertexState) decodeRecords() error {
-	switch {
-	case st.v == nil:
+// fold puts every record of st in v.Edges — its stored runs decoded ahead
+// of its appended tail — and empties st.stored: the form a removal edits,
+// as a record's index is its position in v.Edges. A clean state decodes its
+// records without locating its stored runs first. Idempotent.
+func (st *vertexState) fold() error {
+	if st.v == nil {
 		return st.build(true)
-	case !st.keepsStored:
-		return nil
 	}
-	recs := st.view.AppendEdges(make([]holder.EdgeRec, 0, st.stored.Len()+len(st.v.Edges)))
-	st.v.Edges, st.keepsStored = append(recs, st.v.Edges...), false
-	return nil // materialize validated the region
+	if st.stored.Len() > 0 {
+		st.v.Edges, st.stored = st.records(), holder.StoredEdges{}
+	}
+	return nil
 }
 
 // build materializes a clean state, with its records decoded (decode) or
@@ -428,40 +426,38 @@ func (st *vertexState) build(decode bool) error {
 	for i := 1; i < len(st.blocks); i++ {
 		st.blocks[i] = holder.TableEntry(st.stream, i-1)
 	}
-	st.v, st.keepsStored = v, !decode
+	st.v = v
 	return nil
 }
 
-// edgesInView reports whether st's records are all in its view — a clean
-// state's, or a materialized one's that appended none — and otherwise
-// decodes them into v.Edges, the one place an edge read then finds them.
-func (st *vertexState) edgesInView() bool {
-	if st.v == nil || st.keepsStored && len(st.v.Edges) == 0 {
-		return true
+// edges returns a cursor over st's records in record order: the view's
+// while st is clean, its stored runs and then its appended tail once it is
+// materialized. A record's position in the walk is its index, which an
+// EdgeUID names. Only a view's walk can meet corruption (viewErr).
+func (st *vertexState) edges() holder.EdgeCursor {
+	if st.v == nil {
+		return st.view.Edges()
 	}
-	st.decodeRecords() // st is materialized, so this cannot fail
-	return false
+	return st.stored.Edges(st.v.Edges)
 }
 
-// degree returns st's record count: a header read while the records are in
-// the view (holder.View.EdgeCap).
+// records returns st's records in record order, in a slice of their own.
+func (st *vertexState) records() []holder.EdgeRec {
+	recs := make([]holder.EdgeRec, 0, st.degree())
+	c := st.edges()
+	for c.Next() {
+		recs = append(recs, c.Rec)
+	}
+	return recs
+}
+
+// degree returns st's record count: a header read while st is clean
+// (holder.View.EdgeCap).
 func (st *vertexState) degree() int {
-	switch {
-	case st.v == nil:
+	if st.v == nil {
 		return st.view.EdgeCap()
-	case st.keepsStored:
-		return st.stored.Len() + len(st.v.Edges)
 	}
-	return len(st.v.Edges)
-}
-
-// storedEdges returns the stored region commit writes v.Edges behind, or nil
-// when v.Edges holds every record.
-func (st *vertexState) storedEdges() *holder.StoredEdges {
-	if st.keepsStored {
-		return &st.stored
-	}
-	return nil
+	return st.stored.Len() + len(st.v.Edges)
 }
 
 // CreateVertex allocates a new vertex with the given application-level ID,
@@ -512,15 +508,15 @@ func (tx *Tx) DeleteVertex(dp fabric.DPtr) error {
 	if err := tx.ensureWrite(st); err != nil {
 		return err
 	}
-	// The vertex's own records are walked where they are, in the view while
-	// it appended none: nothing is left of them to write back.
+	// The vertex's own records are walked where they are: nothing is left of
+	// them to write back.
 	futs := make([]*VertexFuture, st.degree())
 	errs := make([]error, len(futs))
-	for w := st.edges(); w.next(); {
-		i, rec := w.pos, w.rec
-		nb := rec.Neighbor
-		if rec.Heavy {
-			if nb, errs[i] = tx.heavySibling(st, rec.Neighbor); errs[i] != nil {
+	c := st.edges()
+	for i := 0; c.Next(); i++ {
+		nb := c.Rec.Neighbor
+		if c.Rec.Heavy {
+			if nb, _, errs[i] = tx.farEnd(c.Rec.Neighbor, st.isIdentity); errs[i] != nil {
 				continue
 			}
 		}
@@ -530,8 +526,9 @@ func (tx *Tx) DeleteVertex(dp fabric.DPtr) error {
 	}
 	tx.flushPending()
 	// Remove the sibling record at every neighbor.
-	for w := st.edges(); w.next(); {
-		i, rec := w.pos, w.rec
+	c = st.edges()
+	for i := 0; c.Next(); i++ {
+		rec := c.Rec
 		if errs[i] != nil {
 			return errs[i]
 		}
@@ -547,7 +544,10 @@ func (tx *Tx) DeleteVertex(dp fabric.DPtr) error {
 		if err != nil {
 			return err
 		}
-		if err := tx.writableRecords(nh.st); err != nil {
+		if err := nh.st.fold(); err != nil {
+			return err
+		}
+		if err := tx.ensureWrite(nh.st); err != nil {
 			return err
 		}
 		if rec.Heavy {
@@ -556,30 +556,27 @@ func (tx *Tx) DeleteVertex(dp fabric.DPtr) error {
 			nh.st.v.Edges = removeSiblings(nh.st.v.Edges, st)
 		}
 	}
-	st.v.Edges, st.keepsStored = nil, false
+	st.v.Edges, st.stored = nil, holder.StoredEdges{}
 	st.deleted = true
 	return nil
 }
 
-// writableRecords makes st writable with every record in v.Edges: the
-// state of a mutation that removes records. A clean state decodes them
-// without locating its stored region first.
-func (tx *Tx) writableRecords(st *vertexState) error {
-	if err := st.decodeRecords(); err != nil {
-		return err
-	}
-	return tx.ensureWrite(st)
-}
-
-// heavySibling returns the endpoint other than st of the heavy edge whose
-// holder is hp — st itself for a self-loop — or the null DPtr when this
-// transaction already deleted the holder.
-func (tx *Tx) heavySibling(st *vertexState, hp fabric.DPtr) (fabric.DPtr, error) {
+// farEnd fetches the holder of the heavy edge hp and returns the edge and
+// its far end seen from the vertex whose identities is reports
+// (vertexState.isIdentity): the edge's target, unless that is the vertex —
+// a self-loop included — and then its origin. Every identity counts, since
+// an edge holder records its endpoints as of the edge's creation and live
+// migration does not rewrite them. An edge this transaction deleted yields
+// a nil edge and the null DPtr.
+func (tx *Tx) farEnd(hp fabric.DPtr, is func(fabric.DPtr) bool) (fabric.DPtr, *holder.Edge, error) {
 	es, err := tx.fetchEdgeState(hp)
-	if err != nil || es.deleted {
-		return fabric.NullDPtr, err
+	switch {
+	case err != nil || es.deleted:
+		return fabric.NullDPtr, nil, err
+	case is(es.e.Target):
+		return es.e.Origin, es.e, nil
 	}
-	return heavyNeighbor(es.e, st), nil
+	return es.e.Target, es.e, nil
 }
 
 // removeSiblings drops every record pointing at the deleted vertex, under

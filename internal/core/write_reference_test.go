@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/gdi-go/gdi/internal/constraint"
 	"github.com/gdi-go/gdi/internal/fabric"
 	"github.com/gdi-go/gdi/internal/holder"
 	"github.com/gdi-go/gdi/internal/lpg"
@@ -67,7 +68,7 @@ func referenceEncode(r *refVertex, oldBlocks, bs int) []byte {
 // writeOp is one mutation of a FuzzWriteMatchesReference script, applied to
 // the stored vertex through a transaction and to its decoded form.
 type writeOp struct {
-	kind  int // 0 AddLabel, 1 RemoveLabel, 2 AddProperty, 3 SetProperty, 4 RemoveProperties, 5 CreateEdge, 6 DeleteEdge
+	kind  int // 0 AddLabel, 1 RemoveLabel, 2 AddProperty, 3 SetProperty, 4 RemoveProperties, 5 CreateEdge, 6 DeleteEdge, 7 DeleteVertex of a neighbour
 	arg   int
 	value []byte
 	dir   holder.Direction // CreateEdge: DirOut or DirUndirected, from the origin
@@ -76,12 +77,15 @@ type writeOp struct {
 
 // writeWorld is the engine a script runs in: the stored vertex v on rank 0,
 // its light records' neighbours nbrs on rank 1, each holding the sibling
-// records, the labels and property types the fuzz input draws from.
+// records, the edge holders its heavy records name, on rank 1 too, the
+// labels and property types the fuzz input draws from.
 type writeWorld struct {
 	e      *Engine
 	bs     int
 	v      fabric.DPtr
 	nbrs   []fabric.DPtr
+	heavy  map[fabric.DPtr]*holder.Edge // by holder; its far end from v is not v
+	gone   map[fabric.DPtr]bool         // the neighbours the script deleted
 	labels []lpg.LabelID
 	ptypes []lpg.PTypeID
 	raw    bool // the stored entry region is raw fuzz bytes
@@ -102,9 +106,11 @@ func (b *fuzzBytes) next() int {
 // newWriteWorld builds the stored vertex from fuzz input: up to 4 labels
 // and 13 properties (or, with a flag set, whatever raw bytes of the input
 // form a valid entry region), light runs to the 4 neighbours and heavy runs
-// to holders nobody reads, up to 2 homes, and a replica group on rank 1 when
-// the flags ask for one. Its records are in EncodeVertex's form; the
-// neighbours hold a sibling record for each light one.
+// to 4 edge holders, up to 2 homes, and a replica group on rank 1 when the
+// flags ask for one. Its records are in EncodeVertex's form; the
+// neighbours hold a sibling record for each light one. Edge holder k joins
+// v to a vertex nobody reads, v being its origin for an even k and its
+// target for an odd one, and carries label k for k < 2.
 func newWriteWorld(t *testing.T, in *fuzzBytes) (*writeWorld, bool) {
 	t.Helper()
 	flags := in.next()
@@ -134,6 +140,18 @@ func newWriteWorld(t *testing.T, in *fuzzBytes) (*writeWorld, bool) {
 	w.v = acquire(0)
 	for range 4 {
 		w.nbrs = append(w.nbrs, acquire(1))
+	}
+	var holders []fabric.DPtr
+	w.heavy, w.gone = make(map[fabric.DPtr]*holder.Edge), make(map[fabric.DPtr]bool)
+	for k := range 4 {
+		hp, e := acquire(1), &holder.Edge{Origin: w.v, Target: rma.MakeDPtr(1, uint64(900+k)), Dir: holder.DirOut}
+		if k%2 == 1 {
+			e.Origin, e.Target = e.Target, e.Origin
+		}
+		if k < 2 {
+			e.Labels = []lpg.LabelID{w.labels[k]}
+		}
+		holders, w.heavy[hp] = append(holders, hp), e
 	}
 
 	v := &holder.Vertex{AppID: 7}
@@ -171,7 +189,7 @@ func newWriteWorld(t *testing.T, in *fuzzBytes) (*writeWorld, bool) {
 		for range 1 + in.next()%20 {
 			rec := holder.EdgeRec{Neighbor: w.nbrs[in.next()%4], Dir: dir, Label: label}
 			if heavy {
-				rec = holder.EdgeRec{Neighbor: rma.MakeDPtr(1, uint64(700+in.next()%200)), Dir: dir, Heavy: true}
+				rec = holder.EdgeRec{Neighbor: holders[in.next()%4], Dir: dir, Heavy: true}
 			}
 			v.Edges = append(v.Edges, rec)
 		}
@@ -215,6 +233,10 @@ func newWriteWorld(t *testing.T, in *fuzzBytes) (*writeWorld, bool) {
 		s := holder.EncodeVertex(n, w.bs)
 		wl.appendChainWrites(s, chain(1, s, nb), nil, w.bs)
 	}
+	for hp, e := range w.heavy {
+		s := holder.EncodeEdge(e, w.bs)
+		wl.appendChainWrites(s, chain(1, s, hp), nil, w.bs)
+	}
 	w.e.store.WriteBlocksBatch(0, wl.dps, wl.data)
 	return w, true
 }
@@ -234,7 +256,7 @@ func reverse(d holder.Direction) holder.Direction {
 func readScript(in *fuzzBytes) []writeOp {
 	var ops []writeOp
 	for len(*in) > 0 && len(ops) < 12 {
-		op := writeOp{kind: in.next() % 7, arg: in.next()}
+		op := writeOp{kind: in.next() % 8, arg: in.next()}
 		switch op.kind {
 		case 2, 3:
 			op.value = bytes.Repeat([]byte{byte(in.next())}, in.next()%24)
@@ -252,8 +274,9 @@ func readScript(in *fuzzBytes) []writeOp {
 
 // applyReference applies op to the decoded vertex and reports whether it
 // changes anything an engine call would accept: an op the engine refuses
-// (removing an absent label) or skips (deleting a heavy record, which this
-// script leaves alone) is false.
+// (removing an absent label, an edge to a deleted neighbour, deleting it
+// again) or skips (deleting a heavy record, which this script leaves alone)
+// is false.
 func (w *writeWorld) applyReference(r *refVertex, op writeOp) bool {
 	switch op.kind {
 	case 0:
@@ -280,6 +303,9 @@ func (w *writeWorld) applyReference(r *refVertex, op writeOp) bool {
 		r.props = slices.DeleteFunc(r.props, func(p lpg.Property) bool { return p.PType == pt })
 	case 5:
 		rec := holder.EdgeRec{Neighbor: w.nbrs[op.arg%4], Dir: op.dir, Label: w.labels[op.arg/4%4]}
+		if w.gone[rec.Neighbor] {
+			return false
+		}
 		if !op.out {
 			rec.Dir = reverse(op.dir)
 		}
@@ -289,6 +315,13 @@ func (w *writeWorld) applyReference(r *refVertex, op writeOp) bool {
 			return false
 		}
 		r.v.Edges = slices.Delete(r.v.Edges, op.arg%len(r.v.Edges), op.arg%len(r.v.Edges)+1)
+	case 7:
+		nb := w.nbrs[op.arg%4]
+		if w.gone[nb] {
+			return false
+		}
+		w.gone[nb] = true
+		r.v.Edges = slices.DeleteFunc(r.v.Edges, func(r holder.EdgeRec) bool { return !r.Heavy && r.Neighbor == nb })
 	}
 	return true
 }
@@ -320,6 +353,8 @@ func (w *writeWorld) applyEngine(tx *Tx, op writeOp, degree int, rec holder.Edge
 		}
 		_, err := tx.CreateEdge(o, t, op.dir, w.labels[op.arg/4%4])
 		return err
+	case 7:
+		return tx.DeleteVertex(w.nbrs[op.arg%4])
 	}
 	if degree == 0 || rec.Heavy {
 		return errSkipped
@@ -329,17 +364,90 @@ func (w *writeWorld) applyEngine(tx *Tx, op writeOp, degree int, rec holder.Edge
 
 var errSkipped = errors.New("skipped")
 
+// checkReads holds the engine's reads of v inside tx to recs, the
+// reference's records: Degree, and under every direction mask CountEdges,
+// ForEachEdge, and Edges and Neighbors without a constraint and with
+// labelled, which asks for label. A heavy record's edge is its holder's:
+// its far end, and its label if it has one. No edge has more than one
+// label, so labelled keeps the edges whose label is label.
+func (w *writeWorld) checkReads(t *testing.T, tx *Tx, recs []holder.EdgeRec, labelled *constraint.Constraint, label lpg.LabelID) {
+	t.Helper()
+	h, err := tx.AssociateVertex(w.v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := h.Degree(); d != len(recs) {
+		t.Fatalf("Degree %d, the reference has %d records", d, len(recs))
+	}
+	for mask := DirMask(0); mask <= MaskAll; mask++ {
+		var all []EdgeInfo
+		var visits []edgeVisit
+		for i, r := range recs {
+			if !mask.matches(r.Dir) {
+				continue
+			}
+			e := EdgeInfo{UID: holder.EdgeUID{Vertex: w.v, Index: uint32(i)}, Neighbor: r.Neighbor, Label: r.Label, Dir: r.Dir, Heavy: r.Heavy}
+			if r.Heavy {
+				eh := w.heavy[r.Neighbor]
+				if e.Holder, e.Neighbor = r.Neighbor, eh.Target; eh.Target == w.v {
+					e.Neighbor = eh.Origin
+				}
+				if len(eh.Labels) > 0 {
+					e.Label = eh.Labels[0]
+				}
+			}
+			all, visits = append(all, e), append(visits, edgeVisit{e.Neighbor, e.Dir})
+		}
+		if n := h.CountEdges(mask); n != len(all) {
+			t.Fatalf("mask %b: CountEdges %d, the reference %d", mask, n, len(all))
+		}
+		var got []edgeVisit
+		err := h.ForEachEdge(mask, func(nb fabric.DPtr, dir holder.Direction) { got = append(got, edgeVisit{nb, dir}) })
+		if err != nil || !slices.Equal(got, visits) {
+			t.Fatalf("mask %b: ForEachEdge %v, %v; the reference %v", mask, got, err, visits)
+		}
+		for _, cons := range []*constraint.Constraint{nil, labelled} {
+			want := all
+			if cons != nil {
+				want = slices.DeleteFunc(slices.Clone(all), func(e EdgeInfo) bool { return e.Label != label })
+			}
+			l, err := h.Edges(mask, cons)
+			if err != nil || !slices.Equal(infosOf(l), want) {
+				t.Fatalf("mask %b, constraint %v: Edges %+v, %v; the reference %+v", mask, cons != nil, infosOf(l), err, want)
+			}
+			var nbrs, distinct []fabric.DPtr
+			for _, e := range want {
+				nbrs = append(nbrs, e.Neighbor)
+				if !slices.Contains(distinct, e.Neighbor) {
+					distinct = append(distinct, e.Neighbor)
+				}
+			}
+			if !slices.Equal(l.Neighbors(), nbrs) {
+				t.Fatalf("mask %b, constraint %v: EdgeList.Neighbors %v, the reference %v", mask, cons != nil, l.Neighbors(), nbrs)
+			}
+			if got, err := h.Neighbors(mask, cons); err != nil || !slices.Equal(got, distinct) {
+				t.Fatalf("mask %b, constraint %v: Neighbors %v, %v; the reference %v", mask, cons != nil, got, err, distinct)
+			}
+		}
+	}
+}
+
 // FuzzWriteMatchesReference is the oracle of the write path, which keeps a
 // vertex encoded from read to write-back: labels and properties as the
-// entry region the mutators splice, the stored edge region copied with the
-// appended records behind it, records decoded only by DeleteEdge. A fuzzed
-// stored vertex — labels, up to 13 properties, light and heavy edge runs,
-// homes, a replica group — takes a fuzzed script of AddLabel, RemoveLabel,
-// AddProperty, SetProperty, RemoveProperties, CreateEdge (either endpoint
-// the origin) and DeleteEdge in one transaction that commits, and the
-// stream it writes must be referenceEncode's: the same script applied to
-// the vertex decoded whole, encoded whole. Every op the reference refuses
-// the engine must refuse, and the reverse. The block table is compared
+// entry region the mutators splice, the stored edge runs copied with the
+// appended tail behind them, records decoded only by a removal (fold). A
+// fuzzed stored vertex — labels, up to 13 properties, light and heavy edge
+// runs, homes, a replica group — takes a fuzzed script of AddLabel,
+// RemoveLabel, AddProperty, SetProperty, RemoveProperties, CreateEdge
+// (either endpoint the origin), DeleteEdge and DeleteVertex of a neighbour
+// (which removes its sibling records from the vertex) in one transaction
+// that commits, and the stream it writes must be referenceEncode's: the
+// same script applied to the vertex decoded whole, encoded whole. Every op
+// the reference refuses the engine must refuse, and the reverse. Before
+// the first op and after every op, the transaction's edge reads of the
+// vertex — clean, then its stored runs and appended tail, then folded —
+// must answer what the reference's record list does (checkReads). The
+// block table is compared
 // apart from the content: it names whatever blocks layout took. A stored
 // entry region of arbitrary bytes (any valid region: labels among the
 // properties, non-minimal varints) keeps its own order under the splices,
@@ -362,6 +470,16 @@ func FuzzWriteMatchesReference(f *testing.F) {
 	f.Add([]byte{18, 0, 3, 5, 0, 5, 3, 19, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 2, 5, 4, 1, 5, 8, 0, 5, 12, 2, 6, 40, 6, 0})
 	f.Add([]byte{8, 9, 3, 2, 1, 16, 4, 1, 2, 3, 4, 2, 1, 17, 1, 2, 1, 3, 0, 1, 5, 2, 1, 2, 5, 3, 1, 0, 2, 1, 3, 4, 5, 6, 0, 2})
 	f.Add([]byte{17, 1, 1, 2, 2, 2, 5, 1, 4, 1, 0, 3, 15, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 1, 1, 5, 6, 1, 5, 7, 0, 5, 1, 2, 6, 3, 3, 2, 9, 9})
+	// A light DirOut run to the four neighbours and a heavy DirIn run to
+	// edge holders 0 and 1, then: appends read behind the stored runs; a
+	// DeleteEdge, reads of the folded records, and appends after it; an
+	// append and a DeleteVertex of its neighbour, which takes the stored and
+	// the appended record to it, then an edge to it and its deletion again,
+	// both refused; a DeleteVertex of a neighbour of the clean vertex.
+	f.Add([]byte{0, 1, 0, 0, 2, 0, 1, 1, 3, 0, 1, 2, 3, 1, 0, 0, 1, 0, 0, 0, 1, 1, 5, 4, 0, 5, 1, 0, 5, 6, 3})
+	f.Add([]byte{0, 1, 0, 0, 2, 0, 1, 1, 3, 0, 1, 2, 3, 1, 0, 0, 1, 0, 0, 0, 1, 1, 6, 2, 5, 4, 0, 5, 9, 1, 6, 7})
+	f.Add([]byte{0, 1, 0, 0, 2, 0, 1, 1, 3, 0, 1, 2, 3, 1, 0, 0, 1, 0, 0, 0, 1, 1, 5, 4, 0, 7, 0, 5, 0, 0, 7, 4, 7, 1, 5, 2, 0})
+	f.Add([]byte{0, 1, 0, 0, 2, 0, 1, 1, 3, 0, 1, 2, 3, 1, 0, 0, 1, 0, 0, 0, 1, 1, 7, 3, 5, 3, 0, 6, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
 		w, ok := newWriteWorld(t, &in)
@@ -374,7 +492,11 @@ func FuzzWriteMatchesReference(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		label := w.labels[1]
+		labelled := &constraint.Constraint{}
+		labelled.AddLabelCond(labelled.AddSubconstraint(constraint.Subconstraint{}), constraint.LabelCond{Label: label})
 		tx := w.e.StartLocal(0, ReadWrite)
+		w.checkReads(t, tx, ref.v.Edges, labelled, label)
 		for i, op := range readScript(&in) {
 			degree := len(ref.v.Edges)
 			var rec holder.EdgeRec
@@ -385,6 +507,7 @@ func FuzzWriteMatchesReference(f *testing.F) {
 			if err := w.applyEngine(tx, op, degree, rec); (err == nil) != want {
 				t.Fatalf("op %d %+v: engine error %v, the reference accepts it: %v", i, op, err, want)
 			}
+			w.checkReads(t, tx, ref.v.Edges, labelled, label)
 		}
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)

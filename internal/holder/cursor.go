@@ -34,33 +34,54 @@ import (
 //		}
 //	}
 //
+// A cursor may continue behind the region into a tail of decoded records
+// (StoredEdges.Edges): a writer's records appended behind a stored region.
+// Each maximal stretch of tail records that share a direction, heavy bit and
+// label is one run, and the steps copy its neighbors out of the tail.
+//
 // Every step decodes only the records it yields, so a caller that stops
 // early has decoded nothing past the last record it asked for. A cursor that
-// meets corruption stops there and records it on its View for Err; a cursor
-// started on a view whose Err is already set yields nothing. The cursor
-// aliases the view and its stream, and is valid as long as they are.
-// Declare it before the loop, as above: a cursor declared in a for clause is
-// a per-iteration variable, which the compiler copies on every iteration.
+// meets corruption stops there and records it for Err, and on its View; a
+// cursor started on a view whose Err is already set yields nothing. The
+// cursor aliases the view, its stream and its tail, and is valid as long as
+// they are. Declare it before the loop, as above: a cursor declared in a for
+// clause is a per-iteration variable, which the compiler copies on every
+// iteration.
 type EdgeCursor struct {
 	// Rec is the record the last step that yielded one decoded: after a
 	// StepRun, the last record it stored.
 	Rec EdgeRec
 
-	w    *View
-	buf  []byte // the edge region through the end of the stream
-	off  int    // bytes of buf decoded so far
-	run  int    // records of the current run still to come
-	left int    // records of the region in runs not yet started
+	w      *View     // the view corruption is recorded on; nil over a StoredEdges
+	buf    []byte    // the edge region through the end of the stream
+	off    int       // bytes of buf decoded so far
+	run    int       // records of the current run still to come
+	left   int       // records of the region in runs not yet started
+	tail   []EdgeRec // the records behind the region not yet yielded
+	inTail bool      // the current run is the tail's
+	err    error
 }
 
 // Edges returns a cursor positioned before the view's first edge record.
 func (w *View) Edges() EdgeCursor {
-	c := EdgeCursor{w: w}
+	c := EdgeCursor{w: w, err: w.err}
 	if w.err == nil {
 		c.buf, c.left = w.buf[w.edgesOff:], w.numEdges
 	}
 	return c
 }
+
+// Edges returns a cursor over s's records and then tail's: the records of a
+// vertex whose writer appends tail behind its stored region. The region was
+// validated when it was located (View.StoredEdges), so the walk meets no
+// corruption.
+func (s *StoredEdges) Edges(tail []EdgeRec) EdgeCursor {
+	return EdgeCursor{buf: s.region, left: s.count, tail: tail}
+}
+
+// Err returns the corruption the walk stopped at, or the one its view
+// reported when the walk started; nil for a walk that met none.
+func (c *EdgeCursor) Err() error { return c.err }
 
 // Next advances to the next record and reports whether there was one: false
 // at the end of the region and at the first corruption (then View.Err).
@@ -82,6 +103,15 @@ func (c *EdgeCursor) Step() bool {
 // stored, at corruption. The records' other fields are the run's, in Rec.
 func (c *EdgeCursor) StepRun(nbrs []fabric.DPtr) int {
 	n := min(len(nbrs), c.run)
+	if c.inTail {
+		for i, r := range c.tail[:n] {
+			nbrs[i] = r.Neighbor
+		}
+		if n > 0 {
+			c.Rec.Neighbor, c.tail, c.run = c.tail[n-1].Neighbor, c.tail[n:], c.run-n
+		}
+		return n
+	}
 	buf, off, nb := c.buf, c.off, c.Rec.Neighbor
 	for i := range n {
 		if off < len(buf) && buf[off] < 0x80 {
@@ -105,13 +135,19 @@ func (c *EdgeCursor) StepRun(nbrs []fabric.DPtr) int {
 }
 
 // NextRun advances to the first record of the next run and reports whether
-// there was one: false at the end of the region and at corruption. Records
-// of the current run not yet stepped over are decoded and skipped first.
+// there was one: false at the end of the region and its tail, and at
+// corruption. Records of the current run not yet stepped over are decoded
+// and skipped first.
 func (c *EdgeCursor) NextRun() bool {
 	for c.Step() {
 	}
 	if c.left == 0 {
-		return false
+		if len(c.tail) == 0 {
+			return false
+		}
+		c.Rec, c.run, c.inTail = c.tail[0], runOf(c.tail[0], c.tail)-1, true
+		c.tail = c.tail[1:]
+		return true
 	}
 	hdr, n := uvarint(c.buf[c.off:])
 	if n <= 0 {
@@ -142,10 +178,12 @@ func (c *EdgeCursor) NextRun() bool {
 	return true
 }
 
-// fail records err on the view and ends the walk.
+// fail records err, on the view too, and ends the walk.
 func (c *EdgeCursor) fail(err error) bool {
-	c.w.err = err
-	c.run, c.left = 0, 0
+	if c.err = err; c.w != nil {
+		c.w.err = err
+	}
+	c.run, c.left, c.tail = 0, 0, nil
 	return false
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/gdi-go/gdi/internal/fabric"
 	"github.com/gdi-go/gdi/internal/lpg"
 	"github.com/gdi-go/gdi/internal/rma"
 )
@@ -315,19 +316,66 @@ func FuzzEdgeHolderRoundTrip(f *testing.F) {
 	})
 }
 
+// checkTailCursor holds a cursor over s and then tail to want, s's records
+// followed by tail's: record by record through Next, and a run at a time
+// through NextRun and StepRun into buffers of 1, 3 and 64 neighbors, where
+// a tail run must end exactly where the tail's run key changes and Rec must
+// carry the last neighbor each StepRun stored.
+func checkTailCursor(t *testing.T, s *StoredEdges, tail, want []EdgeRec) {
+	t.Helper()
+	var got []EdgeRec
+	c := s.Edges(tail)
+	for c.Next() {
+		got = append(got, c.Rec)
+	}
+	if c.Err() != nil {
+		t.Fatalf("a cursor over a located region and a tail: %v", c.Err())
+	}
+	sameRecords(t, got, want)
+	for _, chunk := range []int{1, 3, 64} {
+		nbrs := make([]fabric.DPtr, chunk)
+		got = got[:0]
+		c := s.Edges(tail)
+		for c.NextRun() {
+			if i := len(got); i > s.Len() && runOf(want[i-1], want[i:i+1]) == 1 {
+				t.Fatalf("chunk %d: a tail run starts at record %d, which continues the one before", chunk, i)
+			}
+			got = append(got, c.Rec)
+			for n := c.StepRun(nbrs); n > 0; n = c.StepRun(nbrs) {
+				if c.Rec.Neighbor != nbrs[n-1] {
+					t.Fatalf("chunk %d: Rec's neighbor %v after a StepRun that stored %v last", chunk, c.Rec.Neighbor, nbrs[n-1])
+				}
+				for _, nb := range nbrs[:n] {
+					rec := c.Rec
+					rec.Neighbor = nb
+					got = append(got, rec)
+				}
+			}
+		}
+		sameRecords(t, got, want)
+	}
+}
+
 // FuzzEncodeVertexAfter checks the writer that appends behind a stored edge
-// region against EncodeVertex. A fuzz vertex's records are split at a fuzzed
-// point; the first part is stored by EncodeVertex, and the rest appended by
-// EncodeVertexAfter over the stored stream's StoredEdges must give
-// EncodeVertex's stream of the whole, at the block count VertexBlocksAfter
-// promised. Tail records copy their predecessor's run key where the fuzzed
-// mask says so, so appends continue the stored last run, across the run
-// header's one-byte count boundary too. Arbitrary bytes as a stored region
-// either fail StoredEdges or take the tail behind exactly their own records.
+// region against EncodeVertex, and the cursor that walks the region and
+// then the appended records (checkTailCursor). A fuzz vertex's records are
+// split at a fuzzed point; the first part is stored by EncodeVertex, and the
+// rest appended by EncodeVertexAfter over the stored stream's StoredEdges
+// must give EncodeVertex's stream of the whole, at the block count
+// VertexBlocksAfter promised. Tail records copy their predecessor's run key
+// where the fuzzed mask says so, so appends continue the stored last run,
+// across the run header's one-byte count boundary too. The zero
+// StoredEdges, an empty region, must encode byte for byte as nil does.
+// Arbitrary bytes as a stored region either fail StoredEdges or take the
+// tail behind exactly their own records.
 func FuzzEncodeVertexAfter(f *testing.F) {
 	f.Add([]byte{9, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, uint8(4), uint64(0))
 	f.Add([]byte{39, 7, 1, 1, 0, 0, 9, 1, 0, 0, 0, 1, 1, 0, 0, 10, 1, 0, 0, 0}, uint8(1), ^uint64(0))
 	f.Add([]byte{0x0b, 0x10, 0x64, 0x06, 0x04}, uint8(0), uint64(5))
+	// Every record in the tail, in runs of up to 40, then a tail behind a
+	// stored region of several runs.
+	f.Add([]byte{39, 7, 2, 1, 0, 0, 9, 1, 0, 0, 0, 1, 1, 0, 0, 10, 1, 0, 0, 0, 5, 6, 7}, uint8(0), ^uint64(7))
+	f.Add([]byte{31, 0, 1, 0, 0, 0, 1, 0, 1, 16, 0, 1, 0, 0, 0, 1, 2, 32, 1, 2}, uint8(6), uint64(0x0f0f0f0f0f0f0f0f))
 	f.Fuzz(func(t *testing.T, data []byte, split uint8, same uint64) {
 		v := vertexFromBytes(data)
 		k := int(split) % (len(v.Edges) + 1)
@@ -355,6 +403,10 @@ func FuzzEncodeVertexAfter(f *testing.F) {
 			if want := EncodeVertex(v, bs); !bytes.Equal(got, want) {
 				t.Fatalf("bs %d, %d stored + %d appended records:\n got %v\nwant %v", bs, k, len(v.Edges)-k, got, want)
 			}
+			if empty := EncodeVertexAfter(v, &StoredEdges{}, bs); !bytes.Equal(empty, EncodeVertex(v, bs)) || VertexBlocksAfter(v, &StoredEdges{}, bs) != VertexBlocks(v, bs) {
+				t.Fatalf("bs %d: an empty StoredEdges encodes\n%v\nnil\n%v", bs, empty, EncodeVertex(v, bs))
+			}
+			checkTailCursor(t, &s, tail.Edges, v.Edges)
 		}
 
 		count := int(split)
@@ -368,5 +420,6 @@ func FuzzEncodeVertexAfter(f *testing.F) {
 			t.Fatalf("the stream over an arbitrary stored region: %v", err)
 		}
 		sameRecords(t, dec.Edges, append(stored, tail.Edges...))
+		checkTailCursor(t, &s, tail.Edges, dec.Edges)
 	})
 }

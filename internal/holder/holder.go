@@ -227,10 +227,7 @@ func edgeRunsSize(recs []EdgeRec) int {
 	size := 0
 	for i := 0; i < len(recs); {
 		r0 := recs[i]
-		j := i + 1
-		for j < len(recs) && recs[j].Dir == r0.Dir && recs[j].Heavy == r0.Heavy && recs[j].Label == r0.Label {
-			j++
-		}
+		j := i + runOf(r0, recs[i:])
 		size += lpg.UvarintLen(uint64(j-i)<<3) + lpg.UvarintLen(uint64(r0.Label)) +
 			lpg.UvarintLen(uint64(r0.Neighbor))
 		prev := uint64(r0.Neighbor)
@@ -244,14 +241,21 @@ func edgeRunsSize(recs []EdgeRec) int {
 	return size
 }
 
+// runOf returns how many leading records of recs share key's direction,
+// heavy bit and label: the records one run of key's kind takes.
+func runOf(key EdgeRec, recs []EdgeRec) int {
+	k := 0
+	for k < len(recs) && recs[k].Dir == key.Dir && recs[k].Heavy == key.Heavy && recs[k].Label == key.Label {
+		k++
+	}
+	return k
+}
+
 // appendEdgeRuns encodes recs into the run format.
 func appendEdgeRuns(dst []byte, recs []EdgeRec) []byte {
 	for i := 0; i < len(recs); {
 		r0 := recs[i]
-		j := i + 1
-		for j < len(recs) && recs[j].Dir == r0.Dir && recs[j].Heavy == r0.Heavy && recs[j].Label == r0.Label {
-			j++
-		}
+		j := i + runOf(r0, recs[i:])
 		hdr := uint64(j-i)<<3 | uint64(r0.Dir)&0x3
 		if r0.Heavy {
 			hdr |= 1 << 2
@@ -350,7 +354,9 @@ func EncodeVertexAfter(v *Vertex, stored *StoredEdges, blockSize int) []byte {
 
 // StoredEdges is the edge region of a stored vertex stream, located for a
 // writer that appends records behind it without decoding it
-// (View.StoredEdges, EncodeVertexAfter). It aliases the stream.
+// (View.StoredEdges, EncodeVertexAfter), and for a cursor that walks it and
+// then those records (Edges). It aliases the stream. The zero StoredEdges
+// is an empty region, which EncodeVertexAfter treats as it does nil.
 type StoredEdges struct {
 	region []byte  // the region, through its last record
 	count  int     // its records
@@ -373,11 +379,7 @@ func (s *StoredEdges) continued(recs []EdgeRec) int {
 	if s.Len() == 0 {
 		return 0
 	}
-	k := 0
-	for k < len(recs) && recs[k].Dir == s.last.Dir && recs[k].Heavy == s.last.Heavy && recs[k].Label == s.last.Label {
-		k++
-	}
-	return k
+	return runOf(s.last, recs)
 }
 
 // size returns the encoded size of s's region with recs appended, the first
