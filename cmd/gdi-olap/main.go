@@ -235,6 +235,5 @@ func runHTAP(rt *gdi.Runtime, db *gdi.Database, g *analytics.Graph, sch kron.Sch
 		fmt.Printf("%-10s %-12s %11.0f %11d  %s\n", name, elapsed, res.QPS(), res.Failed, summary)
 	}
 	eng := db.Engine()
-	fmt.Printf("snapshots: %d cuts, %d block versions retired, %d incremental folds\n",
-		eng.SnapshotCuts(), eng.RetiredBlocks(), eng.DeltaFolds())
+	fmt.Printf("snapshots: %d cuts, %d block versions retired\n", eng.SnapshotCuts(), eng.RetiredBlocks())
 }

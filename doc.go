@@ -357,7 +357,7 @@
 //     takes the commit gate exclusively — in-flight commits drain, new ones
 //     wait — and every rank stamps its shard with one guard-word train
 //     (snapshot.Manager.PinRank reads all lock-word versions in a single
-//     batched load) and records its vertex listing and delta-log position.
+//     batched load) and records its vertex listing.
 //     The gate reopens after one barrier; pinning costs OLTP a pause
 //     proportional to one lock-word scan, not to the analytics runtime.
 //
@@ -369,28 +369,24 @@
 //     hook). A cut reader that loses the race — the block's
 //     version no longer matches its stamp — finds the retired bytes in the
 //     arena instead; the read protocol re-checks the arena after the live
-//     read so the handoff has no window. Arena entries are reference-counted
-//     across cuts and freed when the last referencing cut releases;
+//     read so the handoff has no window. An arena entry is shared only by
+//     the cuts pinned when it was retired (a continuation block's lock word
+//     never moves, so a later cut stamping the same version gets its own
+//     entry), reference-counted by them and freed when the last releases;
 //     Engine.ArenaBytes must return to zero once all sessions close (a
 //     leak test holds it there, including for cuts dropped mid-iteration
 //     via HTAPSession.Drop).
 //
-//   - Incremental folding: every commit appends, per vertex it created,
-//     deleted, or rewrote, one record to the owning rank's delta log —
-//     inside the commit gate, so a record lands atomically before or after
-//     any cut's position. HTAPSession.Refresh pins a new cut and replays
-//     only the log window between the two cuts' positions into its decoded
-//     shard mirror, instead of re-reading every holder. A fold is
-//     bit-identical to a full rebuild (golden-tested); windows trimmed
-//     under it, or vertex sets that drifted via live migration (which moves
-//     primaries without logging), are detected and answered with a full
-//     rebuild agreed across ranks by one OR-reduction. Released sessions
-//     trim the log to the oldest still-pinned position, so an idle system
-//     carries no log at all.
+//   - Refresh: HTAPSession.Refresh pins a new cut, releases the old one and
+//     rebuilds the session's CSR from the new cut — the very build OpenHTAP
+//     runs, so a refreshed session is bit-identical to one opened at the
+//     same cut (golden-tested across commits, live migration and bulk
+//     loads). The write path keeps no log for it: a commit's only HTAP work
+//     is passing the commit gate and retiring the blocks a cut pinned.
 //
 // Knobs and counters: DatabaseParams.HTAPSnapshots enables the subsystem
-// (commits skip all of it when off); Engine.SnapshotCuts, RetiredBlocks,
-// ArenaBytes, and DeltaFolds expose cut, copy-on-write, and fold activity.
+// (commits skip all of it when off); Engine.SnapshotCuts, RetiredBlocks and
+// ArenaBytes expose cut and copy-on-write activity.
 // TestHTAPCutStableUnderWrites pins a cut while commits land and retire block
 // versions, and requires the cut's PageRank to be bit-identical to the
 // quiesced run. TestHTAPCoherenceStress runs writers,

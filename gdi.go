@@ -245,9 +245,9 @@ type DatabaseParams struct {
 	RebalanceHeatTracking bool
 	// HTAPSnapshots enables the MVCC-lite snapshot subsystem: collective
 	// AcquireCut pins transaction-consistent cuts of the block store while
-	// OLTP commits keep landing, writers retire overwritten block versions
-	// into per-process arenas, and committed vertex deltas feed the
-	// incremental CSR fold of the HTAP analytics sessions.
+	// OLTP commits keep landing, and writers retire overwritten block
+	// versions into per-process arenas, so the HTAP analytics sessions build
+	// their CSR from a cut.
 	HTAPSnapshots bool
 }
 

@@ -10,6 +10,7 @@ import (
 
 	gdi "github.com/gdi-go/gdi"
 	"github.com/gdi-go/gdi/internal/analytics"
+	"github.com/gdi-go/gdi/internal/core"
 	"github.com/gdi-go/gdi/internal/kron"
 )
 
@@ -20,8 +21,8 @@ import (
 //   - cut stability: PageRank over a pinned cut is bit-identical to the
 //     quiesced result from before the writes started, no matter how many
 //     commits land mid-iteration;
-//   - fold equivalence: refreshing a session by folding the delta log is
-//     bit-identical to rebuilding the CSR from scratch (the golden test);
+//   - refresh equivalence: a refreshed session is bit-identical to one
+//     freshly opened at the same point (the golden test);
 //   - arena hygiene: dropping a session mid-run returns every retired block
 //     version, leaving the arena at zero bytes;
 //   - conservation: every committed create survives to the quiesced end
@@ -303,25 +304,32 @@ func TestHTAPCutStableUnderWrites(t *testing.T) {
 	if snap.RetiredBlocks() == 0 {
 		t.Fatal("writers never retired a block version")
 	}
-	t.Logf("commits: %d (created %d); retired versions: %d; cuts: %d; folds: %d",
-		totalCommits, totalCreated, snap.RetiredBlocks(), snap.CutsAcquired(), snap.DeltaFolds())
+	t.Logf("commits: %d (created %d); retired versions: %d; cuts: %d",
+		totalCommits, totalCreated, snap.RetiredBlocks(), snap.CutsAcquired())
 }
 
-// TestHTAPFoldBitIdenticalToRebuild is the golden equivalence test: after a
-// batch of creates, adjacency updates, and a delete, a session refreshed by
-// folding the delta log must produce exactly the CSR a freshly opened session
-// rebuilds from block reads — held to bit-identical PageRank output.
-func TestHTAPFoldBitIdenticalToRebuild(t *testing.T) {
-	const ranks = 4
+// TestHTAPRefreshMatchesFreshOpen is the golden equivalence test of
+// Refresh: after a commit batch (a create, adjacency rewrites and a delete),
+// a live migration and a bulk edge load, a refreshed session must produce
+// exactly the CSR a freshly opened session builds — held to bit-identical
+// PageRank output, which must also equal the live kernel's on the quiesced
+// database.
+func TestHTAPRefreshMatchesFreshOpen(t *testing.T) {
+	const (
+		ranks   = 4
+		newApp  = uint64(1) << 40
+		deleted = uint64(9)
+		moved   = uint64(5)
+	)
 	cfg := kron.Config{Scale: 7, EdgeFactor: 8, Seed: 11}
 	rt, db, g := htapGraph(t, ranks, cfg)
 	defer rt.Finalize()
 
 	var (
-		mu       sync.Mutex
-		firstErr error
-		foldPR   = make(map[uint64]float64)
-		fullPR   = make(map[uint64]float64)
+		mu        sync.Mutex
+		firstErr  error
+		refreshPR = make(map[uint64]float64)
+		freshPR   = make(map[uint64]float64)
 	)
 	report := func(err error) {
 		mu.Lock()
@@ -339,10 +347,10 @@ func TestHTAPFoldBitIdenticalToRebuild(t *testing.T) {
 		}
 		p.Barrier()
 		if p.Rank() == 0 {
-			// One writer, quiesced around the barriers: creates, an adjacency
-			// rewrite, and a delete — every delta-record kind.
+			// One writer, quiesced around the barriers: a create, adjacency
+			// rewrites and a delete.
 			tx := p.StartTransaction(gdi.ReadWrite)
-			a, err := tx.CreateVertex(1 << 40)
+			a, err := tx.CreateVertex(newApp)
 			if err == nil {
 				var old gdi.VertexID
 				if old, err = tx.TranslateVertexID(3); err == nil {
@@ -350,13 +358,16 @@ func TestHTAPFoldBitIdenticalToRebuild(t *testing.T) {
 				}
 				var o2 gdi.VertexID
 				if err == nil {
-					if o2, err = tx.TranslateVertexID(5); err == nil {
+					if o2, err = tx.TranslateVertexID(moved); err == nil {
 						_, err = tx.CreateEdge(old, o2, gdi.DirUndirected, 0)
 					}
 				}
+				if err == nil { // a heavy edge into the vertex that migrates
+					_, err = tx.CreateRichEdge(old, o2, gdi.DirUndirected, nil, nil)
+				}
 				var victim gdi.VertexID
 				if err == nil {
-					if victim, err = tx.TranslateVertexID(9); err == nil {
+					if victim, err = tx.TranslateVertexID(deleted); err == nil {
 						err = tx.DeleteVertex(victim)
 					}
 				}
@@ -371,13 +382,42 @@ func TestHTAPFoldBitIdenticalToRebuild(t *testing.T) {
 			}
 		}
 		p.Barrier()
-		foldsBefore := eng.DeltaFolds()
-		if err := s.Refresh(); err != nil {
+		// A live migration moves a primary to the next rank; edge records
+		// elsewhere still name its former home.
+		look := p.StartTransaction(gdi.ReadOnly)
+		old, err := look.TranslateVertexID(moved)
+		look.Abort()
+		if err != nil {
 			report(err)
 			return
 		}
-		if p.Rank() == 0 && eng.DeltaFolds() != foldsBefore+1 {
-			report(fmt.Errorf("refresh fell back to a rebuild: folds %d -> %d", foldsBefore, eng.DeltaFolds()))
+		if dest := (old.Rank() + 1) % gdi.Rank(p.Size()); p.Rank() == dest {
+			n, err := eng.MigrateVertices(dest, []core.MigrationMove{{App: moved, Old: old, Dest: dest}})
+			if err == nil && n != 1 {
+				err = fmt.Errorf("migration of vertex %d moved %d vertices", moved, n)
+			}
+			if err != nil {
+				report(err)
+			}
+		}
+		p.Barrier()
+		// A bulk edge merge rewrites adjacency, the migrated vertex's and the
+		// created one's included.
+		var specs []gdi.EdgeSpec
+		if p.Rank() == 0 {
+			specs = []gdi.EdgeSpec{
+				{OriginApp: moved, TargetApp: newApp, Dir: gdi.DirOut},
+				{OriginApp: 7, TargetApp: moved, Dir: gdi.DirUndirected},
+				{OriginApp: newApp, TargetApp: 11, Dir: gdi.DirOut},
+			}
+		}
+		if err := p.BulkLoadEdges(specs); err != nil {
+			report(err)
+			return
+		}
+		if err := s.Refresh(); err != nil {
+			report(err)
+			return
 		}
 		pr, _, err := s.PageRank(15, 0.85)
 		if err != nil {
@@ -396,10 +436,10 @@ func TestHTAPFoldBitIdenticalToRebuild(t *testing.T) {
 		}
 		mu.Lock()
 		for k, v := range pr {
-			foldPR[k] = v
+			refreshPR[k] = v
 		}
 		for k, v := range pr2 {
-			fullPR[k] = v
+			freshPR[k] = v
 		}
 		mu.Unlock()
 		s2.Close()
@@ -408,7 +448,14 @@ func TestHTAPFoldBitIdenticalToRebuild(t *testing.T) {
 	if firstErr != nil {
 		t.Fatal(firstErr)
 	}
-	samePageRank(t, "folded session vs full rebuild", foldPR, fullPR)
+	if _, ok := refreshPR[newApp]; !ok {
+		t.Fatal("the refreshed session misses the vertex created before Refresh")
+	}
+	if _, ok := refreshPR[deleted]; ok {
+		t.Fatal("the refreshed session still has the vertex deleted before Refresh")
+	}
+	samePageRank(t, "refreshed session vs freshly opened one", refreshPR, freshPR)
+	samePageRank(t, "refreshed session vs live kernel", refreshPR, quiescedPageRank(t, rt, db, g, 15))
 	if got := db.Engine().Snapshots().ArenaBytes(); got != 0 {
 		t.Fatalf("arena holds %d bytes after both sessions closed", got)
 	}
@@ -416,7 +463,7 @@ func TestHTAPFoldBitIdenticalToRebuild(t *testing.T) {
 
 // TestHTAPKernelsMatchLiveKernels holds the session's WCC, CDLP and LCC to
 // the live kernels on a quiesced database, bit for bit: over the opening cut,
-// and again after a batch of commits folded in by Refresh. The session and
+// and again after Refresh over a batch of commits. The session and
 // the live kernels share the kernel bodies; only the CSR's source differs.
 func TestHTAPKernelsMatchLiveKernels(t *testing.T) {
 	const ranks = 4
@@ -435,7 +482,7 @@ func TestHTAPKernelsMatchLiveKernels(t *testing.T) {
 	var (
 		mu       sync.Mutex
 		firstErr error
-		session  = [2]*results{newResults(), newResults()} // opening cut, after the fold
+		session  = [2]*results{newResults(), newResults()} // opening cut, after Refresh
 		live     = [2]*results{newResults(), newResults()}
 	)
 	report := func(err error) {
@@ -499,7 +546,7 @@ func TestHTAPKernelsMatchLiveKernels(t *testing.T) {
 	if firstErr != nil {
 		t.Fatal(firstErr)
 	}
-	for round, name := range []string{"opening cut", "after the fold"} {
+	for round, name := range []string{"opening cut", "after Refresh"} {
 		got, want := session[round], live[round]
 		if len(got.wcc) != len(want.wcc) || len(got.cdlp) != len(want.cdlp) {
 			t.Fatalf("%s: session covers %d/%d vertices, live kernels %d/%d",
@@ -523,7 +570,7 @@ func TestHTAPKernelsMatchLiveKernels(t *testing.T) {
 		}
 	}
 	if len(session[1].wcc) == len(session[0].wcc) {
-		t.Fatal("the write batch created no vertex; the fold tested nothing")
+		t.Fatal("the write batch created no vertex; Refresh tested nothing")
 	}
 }
 
@@ -990,6 +1037,6 @@ func TestHTAPCoherenceStress(t *testing.T) {
 	if got := snap.ArenaBytes(); got != 0 {
 		t.Fatalf("arena holds %d bytes after the stress run", got)
 	}
-	t.Logf("commits: %d (created %d); reads validated: %d; cuts: %d; folds: %d; retired: %d",
-		commits, created, validated, snap.CutsAcquired(), snap.DeltaFolds(), snap.RetiredBlocks())
+	t.Logf("commits: %d (created %d); reads validated: %d; cuts: %d; retired: %d",
+		commits, created, validated, snap.CutsAcquired(), snap.RetiredBlocks())
 }

@@ -2,49 +2,34 @@ package analytics
 
 import (
 	"fmt"
+	"slices"
 
 	gdi "github.com/gdi-go/gdi"
-	"github.com/gdi-go/gdi/internal/collective"
 	"github.com/gdi-go/gdi/internal/core"
-	"github.com/gdi-go/gdi/internal/fabric"
-	"github.com/gdi-go/gdi/internal/holder"
 	"github.com/gdi-go/gdi/internal/snapshot"
 )
 
 // This file is the HTAP analytics path: iterative kernels over a pinned
 // snapshot cut (package snapshot) instead of a read-only transaction, so the
 // dense kernels run while OLTP commit trains keep landing. A session owns
-// one cut and a per-rank shard mirror — the decoded committed state of this
-// rank's vertices as of the cut. The CSR the kernels iterate is built from
-// the mirror, and Refresh advances the session to a fresh cut by folding the
-// committed delta-log window into the mirror instead of re-reading holders;
-// because both the incremental fold and a full rebuild fill the same mirror
-// and finish through the same mirror-to-CSR path, a fold is bit-identical to
-// rebuilding from scratch (the golden equivalence test holds it to that).
-
-// mirrorVertex is one vertex's committed state in the shard mirror: its
-// application ID and its holder's inline edge-record list, verbatim. homes
-// (former primaries, kept across migrations) only matter for resolving
-// heavy self-loop endpoints; delta records don't carry them, and updates
-// never change them, so folds preserve the entry's existing homes.
-type mirrorVertex struct {
-	app   uint64
-	edges []holder.EdgeRec
-	homes []fabric.DPtr
-}
+// one cut and the CSR built from it: every vertex of this rank's cut listing
+// is read through the cut's versioned block reads straight into the live
+// build's csrBuilder. Opening a session and refreshing it are the same
+// build over a freshly pinned cut, so a refreshed session is bit-identical
+// to one opened at the same cut (the golden equivalence test holds it to
+// that).
 
 // HTAPSession is one rank's handle on a live-analytics run. All methods are
 // collective unless noted: every rank must call them in the same order.
 type HTAPSession struct {
-	p      *gdi.Process
-	eng    *core.Engine
-	cut    *snapshot.Cut
-	mirror map[fabric.DPtr]*mirrorVertex
-	c      *csr
+	p   *gdi.Process
+	eng *core.Engine
+	cut *snapshot.Cut
+	c   *csr
 }
 
-// OpenHTAP pins a cut and builds the session's shard mirror and CSR from it.
-// Collective; requires DatabaseParams.HTAPSnapshots.
+// OpenHTAP pins a cut and builds the session's CSR from it. Collective;
+// requires DatabaseParams.HTAPSnapshots.
 func OpenHTAP(p *gdi.Process, g *Graph) (*HTAPSession, error) {
 	s := &HTAPSession{p: p, eng: g.DB.Engine()}
 	if s.eng.Snapshots() == nil {
@@ -55,136 +40,59 @@ func OpenHTAP(p *gdi.Process, g *Graph) (*HTAPSession, error) {
 		return nil, err
 	}
 	s.cut = cut
-	if s.mirror, err = s.buildMirror(cut); err != nil {
-		return nil, err
-	}
-	if s.c, err = s.buildCSRFromMirror(cut); err != nil {
+	if s.c, err = s.buildCSR(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// buildMirror reads every vertex of this rank's cut listing through the
-// cut's versioned block reads. Local work only.
-func (s *HTAPSession) buildMirror(cut *snapshot.Cut) (map[fabric.DPtr]*mirrorVertex, error) {
+// Refresh advances the session to a freshly pinned cut: it pins the new
+// cut, releases the old one (returning its retired block versions) and
+// rebuilds the CSR from the new cut exactly as OpenHTAP does.
+func (s *HTAPSession) Refresh() error {
 	me := s.p.Rank()
-	refs := cut.Verts(me)
-	mirror := make(map[fabric.DPtr]*mirrorVertex, len(refs))
-	for _, ref := range refs {
-		v, err := s.eng.CutVertex(me, cut, ref.DP)
+	cut, err := s.eng.AcquireCut(me)
+	if err != nil {
+		return err
+	}
+	s.eng.ReleaseCut(me, s.cut)
+	s.cut = cut
+	s.c, err = s.buildCSR()
+	return err
+}
+
+// buildCSR reads every vertex of this rank's cut listing through the cut
+// and lays it out in the dense CSR the kernels iterate. Heavy edge records
+// resolve their holder through the cut, exactly like a live holder walk;
+// the layout, the index exchange and the shard-size allgather are the live
+// build's own (csrBuilder).
+func (s *HTAPSession) buildCSR() (*csr, error) {
+	me := s.p.Rank()
+	b := newCSRBuilder(s.p, slices.Clone(s.cut.Verts(me)))
+	for i, dp := range b.c.ids {
+		v, err := s.eng.CutVertex(me, s.cut, dp)
 		if err != nil {
 			return nil, err
 		}
-		mirror[ref.DP] = &mirrorVertex{app: v.AppID, edges: v.Edges, homes: v.Homes}
-	}
-	return mirror, nil
-}
-
-// buildCSRFromMirror converts the shard mirror into the dense CSR the
-// kernels iterate. Heavy edge records resolve their holder through the cut,
-// exactly like a live holder walk; the layout, the index exchange and the
-// shard-size allgather are the live build's own (csrBuilder).
-func (s *HTAPSession) buildCSRFromMirror(cut *snapshot.Cut) (*csr, error) {
-	me := s.p.Rank()
-	ids := make([]gdi.VertexID, 0, len(s.mirror))
-	for dp := range s.mirror {
-		ids = append(ids, dp)
-	}
-	b := newCSRBuilder(s.p, ids)
-	for i, dp := range b.c.ids {
-		mv := s.mirror[dp]
-		for _, rec := range mv.edges {
+		for _, rec := range v.Edges {
 			nb := rec.Neighbor
 			if rec.Heavy {
-				e, err := s.eng.CutEdge(me, cut, rec.Neighbor)
+				e, err := s.eng.CutEdge(me, s.cut, rec.Neighbor)
 				if err != nil {
 					return nil, err
 				}
+				// Edge holders record endpoints as of creation; migration
+				// does not rewrite them, so a former home names this vertex.
 				nb = e.Target
-				if nb == dp || mirrorIsHome(mv, nb) {
+				if nb == dp || slices.Contains(v.Homes, nb) {
 					nb = e.Origin
 				}
 			}
 			b.add(nb, rec.Dir)
 		}
-		b.end(i, mv.app, mv.homes)
+		b.end(i, v.AppID, v.Homes)
 	}
 	return b.finish(s.p)
-}
-
-// mirrorIsHome reports whether dp is one of the vertex's former primaries
-// (edge holders record endpoints as of creation; migration does not rewrite
-// them).
-func mirrorIsHome(mv *mirrorVertex, dp fabric.DPtr) bool {
-	for _, h := range mv.homes {
-		if h == dp {
-			return true
-		}
-	}
-	return false
-}
-
-// Refresh advances the session to a freshly pinned cut. The committed
-// delta-log window between the old and new cut positions folds into the
-// mirror in commit order; if any rank's window was trimmed or its vertex set
-// drifted from the log's account (live migration moves primaries without
-// logging), every rank falls back to a full mirror rebuild — agreed with one
-// OR-reduction so the collective CSR finish stays aligned. The old cut is
-// released only after the fold read its log window, since releasing may trim
-// the log up to the new cut's position.
-func (s *HTAPSession) Refresh() error {
-	me := s.p.Rank()
-	newCut, err := s.eng.AcquireCut(me)
-	if err != nil {
-		return err
-	}
-	snap := s.eng.Snapshots()
-	fallback := false
-	recs, err := snap.Deltas(me, s.cut.LogPos(me), newCut.LogPos(me))
-	if err != nil {
-		fallback = true
-	} else {
-		for _, r := range recs {
-			switch r.Kind {
-			case snapshot.KindDelete:
-				delete(s.mirror, r.DP)
-			default: // create or update: replace wholesale
-				if mv, ok := s.mirror[r.DP]; ok {
-					mv.app = r.App
-					mv.edges = r.Edges
-				} else {
-					s.mirror[r.DP] = &mirrorVertex{app: r.App, edges: r.Edges}
-				}
-			}
-		}
-		// Drift check: the folded mirror must name exactly the new cut's
-		// vertices. Anything the log could not account for (migrations)
-		// shows up here as a set mismatch.
-		refs := newCut.Verts(me)
-		if len(refs) != len(s.mirror) {
-			fallback = true
-		} else {
-			for _, ref := range refs {
-				mv, ok := s.mirror[ref.DP]
-				if !ok || mv.app != ref.App {
-					fallback = true
-					break
-				}
-			}
-		}
-	}
-	fallback = collective.OrReduce(s.p.Comm(), me, fallback)
-	s.eng.ReleaseCut(me, s.cut)
-	s.cut = newCut
-	if fallback {
-		if s.mirror, err = s.buildMirror(newCut); err != nil {
-			return err
-		}
-	} else if me == 0 {
-		snap.CountFold() // once per collective fold, not once per rank
-	}
-	s.c, err = s.buildCSRFromMirror(newCut)
-	return err
 }
 
 // Close releases the session's cut collectively, returning its retired

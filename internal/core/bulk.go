@@ -9,7 +9,6 @@ import (
 	"github.com/gdi-go/gdi/internal/fabric"
 	"github.com/gdi-go/gdi/internal/holder"
 	"github.com/gdi-go/gdi/internal/lpg"
-	"github.com/gdi-go/gdi/internal/snapshot"
 )
 
 // VertexSpec describes one vertex for bulk loading.
@@ -81,13 +80,9 @@ func (e *Engine) buildVertices(rank fabric.Rank, in [][]VertexSpec) (entries []i
 	// The local materialization runs under the HTAP commit gate like any
 	// apply phase; the gate is scoped between two collectives so a holder
 	// never waits on another rank.
-	var deltas []snapshot.Record
 	if e.snap != nil {
 		e.htapGate.RLock()
-		defer func() {
-			e.snap.AppendDeltas(rank, deltas)
-			e.htapGate.RUnlock()
-		}()
+		defer e.htapGate.RUnlock()
 	}
 	for _, batch := range in {
 		for _, sp := range batch {
@@ -105,9 +100,6 @@ func (e *Engine) buildVertices(rank fabric.Rank, in [][]VertexSpec) (entries []i
 			}
 			entries = append(entries, indexEntry{App: sp.AppID, DP: blocks[0]})
 			e.local[rank].addVertex(blocks[0], sp.AppID, sp.Labels)
-			if e.snap != nil {
-				deltas = append(deltas, snapshot.Record{Kind: snapshot.KindCreate, DP: blocks[0], App: sp.AppID})
-			}
 		}
 	}
 	return entries, nil
@@ -318,11 +310,6 @@ func (e *Engine) appendRecords(rank fabric.Rank, primary fabric.DPtr, recs []hol
 	e.releaseBlocks(rank, tail)
 	for i, dp := range blocks {
 		e.store.WriteBlock(rank, dp, stream[i*bs:(i+1)*bs])
-	}
-	// A bulk edge merge rewrites adjacency without changing the vertex set,
-	// which the incremental fold's drift check cannot see — log it.
-	if e.snap != nil {
-		e.snap.AppendDeltas(rank, []snapshot.Record{{Kind: snapshot.KindUpdate, DP: primary, App: v.AppID, Edges: v.Edges}})
 	}
 	return nil
 }

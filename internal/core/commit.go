@@ -8,7 +8,6 @@ import (
 	"github.com/gdi-go/gdi/internal/holder"
 	"github.com/gdi-go/gdi/internal/locks"
 	"github.com/gdi-go/gdi/internal/lpg"
-	"github.com/gdi-go/gdi/internal/snapshot"
 )
 
 // writeEntry is one holder of a commit's write set: a vertex (vs), a
@@ -98,11 +97,10 @@ func (tx *Tx) Commit() error {
 		}
 	}
 	// HTAP gate: the whole apply half — first write-back PUT through the
-	// final lock release, plus the delta-log append — runs under the commit
-	// gate in read mode. AcquireCut holds the gate exclusively while every
-	// rank stamps its shard, so a cut never observes a commit whose writes
-	// have partially landed or whose delta records straddle the cut's log
-	// position. Lock waits stay outside the gate: a prepared commit holds
+	// final lock release — runs under the commit gate in read mode.
+	// AcquireCut holds the gate exclusively while every rank stamps its
+	// shard, so a cut never observes a commit whose writes have partially
+	// landed. Lock waits stay outside the gate: a prepared commit holds
 	// locks but has written nothing, which stamping tolerates.
 	if tx.eng.snap != nil {
 		tx.eng.htapGate.RLock()
@@ -111,7 +109,6 @@ func (tx *Tx) Commit() error {
 	r.mark()
 	r.writeBack()
 	r.dropFollowers()
-	r.logDeltas()
 	r.publish()
 	r.release()
 	r.free()
@@ -381,40 +378,6 @@ func (r *commitRun) writeBack() {
 func (r *commitRun) dropFollowers() {
 	for _, w := range r.ws {
 		r.eng.dropFollowerGroups(r.rank, w.head, w.drop)
-	}
-}
-
-// logDeltas appends one delta record per created, rewritten, or deleted
-// vertex to the log of the rank owning its primary block. The record
-// carries the committed holder's full inline edge list verbatim, so the
-// incremental CSR fold replaces adjacency wholesale without diffing. It
-// runs inside the gate, after the write-back, so the records and the block
-// state a cut observes always agree.
-func (r *commitRun) logDeltas() {
-	snap := r.eng.snap
-	if snap == nil {
-		return
-	}
-	byRank := make(map[fabric.Rank][]snapshot.Record)
-	for _, w := range r.ws {
-		st := w.vs
-		if st == nil || w.stream == nil && st.isNew {
-			continue
-		}
-		rec := snapshot.Record{Kind: snapshot.KindUpdate, DP: st.primary, App: st.v.AppID}
-		switch {
-		case w.stream == nil:
-			rec.Kind = snapshot.KindDelete
-		case st.isNew:
-			rec.Kind = snapshot.KindCreate
-		}
-		if w.stream != nil {
-			rec.Edges = st.records()
-		}
-		byRank[st.primary.Rank()] = append(byRank[st.primary.Rank()], rec)
-	}
-	for rank, recs := range byRank {
-		snap.AppendDeltas(rank, recs)
 	}
 }
 

@@ -13,12 +13,11 @@ import (
 	"github.com/gdi-go/gdi/internal/locks"
 	"github.com/gdi-go/gdi/internal/lpg"
 	"github.com/gdi-go/gdi/internal/rma"
-	"github.com/gdi-go/gdi/internal/snapshot"
 )
 
 // referenceCommit is the Commit the one-write-set commit replaced: deletions
 // ride a second path — their own stub lock train, separate walks of the
-// transaction's maps for poisons, follower drops, delta records and frees,
+// transaction's maps for poisons, follower drops and frees,
 // and four write-release trains — and the index retract runs after the
 // release. It is the oracle TestCommitMatchesReference checks Commit
 // against; its failure paths abort through referenceAbort. Its releases
@@ -217,11 +216,10 @@ func referenceCommit(tx *Tx) error {
 	}
 
 	// HTAP gate: the whole apply phase — first write-back PUT through the
-	// final lock release, plus the delta-log append — runs under the commit
-	// gate in read mode. AcquireCut holds the gate exclusively while every
-	// rank stamps its shard, so a cut never observes a commit whose writes
-	// have partially landed or whose delta records straddle the cut's log
-	// position. Lock waits above stay outside the gate: a prepare-stage
+	// final lock release — runs under the commit gate in read mode.
+	// AcquireCut holds the gate exclusively while every rank stamps its
+	// shard, so a cut never observes a commit whose writes have partially
+	// landed. Lock waits above stay outside the gate: a prepare-stage
 	// commit holds locks but has written nothing, which stamping tolerates.
 	if tx.eng.snap != nil {
 		tx.eng.htapGate.RLock()
@@ -349,44 +347,6 @@ func referenceCommit(tx *Tx) error {
 	}
 	for _, dd := range delDrops {
 		tx.eng.dropFollowerGroups(tx.rank, dd.vs.primary, dd.drop)
-	}
-
-	// Delta log: one record per created, rewritten, or deleted vertex,
-	// routed to the rank owning its primary block. The record carries the
-	// committed holder's full inline edge list verbatim, so the incremental
-	// CSR fold replaces adjacency wholesale without diffing. Appended inside
-	// the gate, after the write-back, so the records and the block state a
-	// cut observes always agree.
-	if snap := tx.eng.snap; snap != nil {
-		byRank := make(map[fabric.Rank][]snapshot.Record)
-		for _, pl := range plans {
-			if pl.vs == nil {
-				continue
-			}
-			st := pl.vs
-			kind := snapshot.KindUpdate
-			if st.isNew {
-				kind = snapshot.KindCreate
-			}
-			r := st.primary.Rank()
-			if err := st.fold(); err != nil {
-				panic(err)
-			}
-			byRank[r] = append(byRank[r], snapshot.Record{Kind: kind, DP: st.primary, App: st.v.AppID, Edges: st.v.Edges})
-		}
-		for _, st := range tx.verts {
-			if st.deleted && !st.isNew {
-				rec := snapshot.Record{Kind: snapshot.KindDelete, DP: st.primary}
-				if st.v != nil {
-					rec.App = st.v.AppID
-				}
-				r := st.primary.Rank()
-				byRank[r] = append(byRank[r], rec)
-			}
-		}
-		for r, recs := range byRank {
-			snap.AppendDeltas(r, recs)
-		}
 	}
 
 	// Apply, publish: release excess blocks and maintain the explicit
@@ -900,8 +860,8 @@ var commitCases = []commitCase{
 // commit. Each scenario runs on twin engines, one closing every transaction
 // of its history with Commit and Abort, the other with the reference pair.
 // Both must return the same error and leave every window of every rank —
-// block payloads, free lists, lock words, the internal index — and, with
-// HTAP on, every delta log identical. The last close must issue the same
+// block payloads, free lists, lock words, the internal index — identical,
+// with HTAP on and off. The last close must issue the same
 // remote traffic, less the atomic trains a scenario saves by locking or
 // releasing in one train per owner rank what the reference splits.
 func TestCommitMatchesReference(t *testing.T) {
@@ -909,7 +869,6 @@ func TestCommitMatchesReference(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			type outcome struct {
 				log *windowLog
-				e   *Engine
 				err string
 				tr  traffic
 			}
@@ -936,7 +895,7 @@ func TestCommitMatchesReference(t *testing.T) {
 				if !errors.Is(err, c.wantErr) {
 					t.Fatalf("commit returned %v, want %v", err, c.wantErr)
 				}
-				return outcome{log, e, fmt.Sprint(err), tr}
+				return outcome{log, fmt.Sprint(err), tr}
 			}
 			got, want := run(liveOps), run(refOps)
 			if got.err != want.err {
@@ -952,18 +911,6 @@ func TestCommitMatchesReference(t *testing.T) {
 			}
 			if want.tr.atomTrains -= c.saved; got.tr != want.tr {
 				t.Errorf("traffic %+v, want the reference's less %d atomic trains: %+v", got.tr, c.saved, want.tr)
-			}
-			if !c.htap {
-				return
-			}
-			for r := 0; r < 4; r++ {
-				rank := fabric.Rank(r)
-				gs, ws := got.e.Snapshots(), want.e.Snapshots()
-				gd, gerr := gs.Deltas(rank, 0, gs.LogLen(rank))
-				wd, werr := ws.Deltas(rank, 0, ws.LogLen(rank))
-				if gerr != nil || werr != nil || !reflect.DeepEqual(gd, wd) {
-					t.Errorf("rank %d: delta log of %d records differs from the reference's %d (%v, %v)", r, len(gd), len(wd), gerr, werr)
-				}
 			}
 		})
 	}

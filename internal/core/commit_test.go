@@ -20,7 +20,7 @@ type commitEngine struct {
 
 // commitEngines returns an engine built from cfg and its twin with HTAP
 // snapshots on, so commit-protocol invariants are checked with and without
-// the snapshot hooks on the write path: block retirement and the delta log.
+// the snapshot hook on the write path: block retirement.
 func commitEngines(ranks int, cfg Config) []commitEngine {
 	htap := cfg
 	htap.HTAPSnapshots = true
@@ -30,21 +30,10 @@ func commitEngines(ranks int, cfg Config) []commitEngine {
 	}
 }
 
-// deltaLogLen is rank r's delta-log position: how many vertex deltas commits
-// have logged there for the incremental CSR fold (always 0 without HTAP
-// snapshots).
-func deltaLogLen(e *Engine, r rma.Rank) int {
-	if e.Snapshots() == nil {
-		return 0
-	}
-	return e.Snapshots().LogLen(r)
-}
-
 // TestPrepareFailureReleasesAcquiredBlocks drives the prepare phase into a
 // mid-walk AcquireBlock failure: a commit that needs several continuation
 // blocks with too few left in the pool must release every block it did
-// acquire, abort without touching the stored holder or the delta log, and
-// leave the vertex writable for a later transaction.
+// acquire, abort without touching the stored holder, and leave the vertex writable for a later transaction.
 func TestPrepareFailureReleasesAcquiredBlocks(t *testing.T) {
 	for _, ce := range commitEngines(1, Config{BlockSize: 64, BlocksPerRank: 64}) {
 		t.Run(ce.name, func(t *testing.T) {
@@ -72,7 +61,7 @@ func TestPrepareFailureReleasesAcquiredBlocks(t *testing.T) {
 				}
 				filler = append(filler, f)
 			}
-			free, logged := e.FreeBlocks(0), deltaLogLen(e, 0)
+			free := e.FreeBlocks(0)
 
 			tx := e.StartLocal(0, ReadWrite)
 			h, err := tx.AssociateVertex(dp)
@@ -88,9 +77,6 @@ func TestPrepareFailureReleasesAcquiredBlocks(t *testing.T) {
 			}
 			if got := e.FreeBlocks(0); got != free {
 				t.Fatalf("prepare leaked blocks: free %d -> %d", free, got)
-			}
-			if got := deltaLogLen(e, 0); got != logged {
-				t.Fatalf("failed prepare logged %d deltas", got-logged)
 			}
 
 			// No partial write-back: the holder decodes with its old state.
@@ -120,18 +106,14 @@ func TestPrepareFailureReleasesAcquiredBlocks(t *testing.T) {
 			if err := retry.Commit(); err != nil {
 				t.Fatalf("retry after refill: %v", err)
 			}
-			if e.Snapshots() != nil && deltaLogLen(e, 0) != logged+1 {
-				t.Fatalf("retry logged %d deltas, want 1", deltaLogLen(e, 0)-logged)
-			}
 		})
 	}
 }
 
 // TestMetadataStaleAbortsWithoutPartialWriteBack covers the §3.8 abort: a
 // write transaction racing a metadata change must abort at commit with no
-// write-back at all — stored holders keep their old state, nothing reaches
-// the delta log, new vertices return their blocks, and every lock is
-// released.
+// write-back at all — stored holders keep their old state, new vertices
+// return their blocks, and every lock is released.
 func TestMetadataStaleAbortsWithoutPartialWriteBack(t *testing.T) {
 	for _, ce := range commitEngines(1, Config{BlockSize: 256, BlocksPerRank: 1024}) {
 		t.Run(ce.name, func(t *testing.T) {
@@ -155,7 +137,7 @@ func TestMetadataStaleAbortsWithoutPartialWriteBack(t *testing.T) {
 			if err := setup.Commit(); err != nil {
 				t.Fatal(err)
 			}
-			free, logged := e.FreeBlocks(0), deltaLogLen(e, 0)
+			free := e.FreeBlocks(0)
 
 			tx := e.StartLocal(0, ReadWrite)
 			h, err := tx.AssociateVertex(dp)
@@ -179,9 +161,6 @@ func TestMetadataStaleAbortsWithoutPartialWriteBack(t *testing.T) {
 			// The new vertex's block came back and nothing was published.
 			if got := e.FreeBlocks(0); got != free {
 				t.Fatalf("stale abort leaked blocks: free %d -> %d", free, got)
-			}
-			if got := deltaLogLen(e, 0); got != logged {
-				t.Fatalf("stale abort logged %d deltas", got-logged)
 			}
 			probe := e.StartLocal(0, ReadOnly)
 			if _, err := probe.TranslateVertexID(2); !errors.Is(err, ErrNotFound) {

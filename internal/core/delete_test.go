@@ -451,3 +451,61 @@ func TestDeleteVertexDropsHeavySibling(t *testing.T) {
 		})
 	}
 }
+
+// TestRefusedDeleteEdgeLeavesStateClean: a DeleteEdge refused in a read-only
+// transaction, or for an index past the vertex's degree, decodes nothing —
+// the state stays clean and a later Edges walks its view — and a refused
+// delete in a read-write transaction marks nothing for write-back.
+func TestRefusedDeleteEdgeLeavesStateClean(t *testing.T) {
+	e := NewEngine(rma.New(2), Config{BlockSize: 256, BlocksPerRank: 1 << 10, LockTries: 64})
+	setup := e.StartLocal(0, ReadWrite)
+	a, err := setup.CreateVertex(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nbrs []fabric.DPtr
+	for app := uint64(1); app <= 8; app++ {
+		b, err := setup.CreateVertex(app)
+		if err == nil {
+			_, err = setup.CreateEdge(a, b, holder.DirOut, 0)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		nbrs = append(nbrs, b)
+	}
+	if err := setup.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		mode  Mode
+		index uint32
+		want  error
+	}{
+		{"read-only", ReadOnly, 0, ErrReadOnly},
+		{"past the degree", ReadWrite, uint32(len(nbrs)), ErrNotFound},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tx := e.StartLocal(0, c.mode)
+			defer tx.Abort()
+			if err := tx.DeleteEdge(holder.EdgeUID{Vertex: a, Index: c.index}); !errors.Is(err, c.want) {
+				t.Fatalf("DeleteEdge: %v, want %v", err, c.want)
+			}
+			h, err := tx.AssociateVertex(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h.st.v != nil || h.st.dirty {
+				t.Fatalf("the refused delete left the state decoded=%v dirty=%v, want it clean", h.st.v != nil, h.st.dirty)
+			}
+			l, err := h.Edges(MaskAll, nil)
+			if err != nil || !reflect.DeepEqual(l.Neighbors(), nbrs) {
+				t.Fatalf("Edges after the refused delete: %v, %v; want %v", l.Neighbors(), err, nbrs)
+			}
+			if h.st.v != nil {
+				t.Fatal("Edges decoded the records instead of walking the view")
+			}
+		})
+	}
+}

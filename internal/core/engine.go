@@ -78,9 +78,8 @@ type Config struct {
 	RebalanceHeatTracking bool
 	// HTAPSnapshots enables the MVCC-lite snapshot subsystem (package
 	// snapshot): collective AcquireCut pins transaction-consistent cuts of
-	// the block store while commits keep landing, writers retire overwritten
-	// block versions into per-rank arenas, and committed vertex deltas are
-	// logged for the incremental CSR fold. Off by default — the commit path
+	// the block store while commits keep landing, and writers retire
+	// overwritten block versions into per-rank arenas. Off by default — the commit path
 	// then pays only an uncontended RWMutex and one atomic load per write.
 	HTAPSnapshots bool
 }
@@ -136,11 +135,11 @@ type Engine struct {
 	// snap is the HTAP snapshot manager (nil unless Config.HTAPSnapshots).
 	// htapGate is the commit gate: commits (and live migration) hold it in
 	// read mode across their whole apply phase — first write-back PUT through
-	// final lock release plus the delta-log append — while AcquireCut holds
-	// it exclusively across every rank's shard stamping. The exclusion makes
-	// the per-rank guard-stamp trains one transaction-consistent cut: no
-	// commit is mid-write-back while any rank stamps, so every commit's
-	// writes and delta records land atomically before or after the cut.
+	// final lock release — while AcquireCut holds it exclusively across every
+	// rank's shard stamping. The exclusion makes the per-rank guard-stamp
+	// trains one transaction-consistent cut: no commit is mid-write-back
+	// while any rank stamps, so every commit's writes land atomically before
+	// or after the cut.
 	snap     *snapshot.Manager
 	htapGate sync.RWMutex
 
@@ -533,13 +532,4 @@ func (e *Engine) ArenaBytes() int64 {
 		return 0
 	}
 	return e.snap.ArenaBytes()
-}
-
-// DeltaFolds reports how many incremental CSR folds the analytics layer has
-// applied from the committed delta logs.
-func (e *Engine) DeltaFolds() int64 {
-	if e.snap == nil {
-		return 0
-	}
-	return e.snap.DeltaFolds()
 }

@@ -658,15 +658,23 @@ func clonedProps(props []lpg.Property) []lpg.Property {
 // holders (and releasing the edge holder for heavy edges). O(deg) scan at
 // the sibling endpoint.
 func (tx *Tx) DeleteEdge(uid holder.EdgeUID) error {
+	if err := tx.check(); err != nil {
+		return err
+	}
+	if tx.mode == ReadOnly {
+		return ErrReadOnly
+	}
 	vh, err := tx.AssociateVertex(uid.Vertex)
 	if err != nil {
 		return err
 	}
+	// A refused delete leaves a clean state clean: the bound is the header's
+	// degree, and only a delete that goes ahead decodes the records.
+	if int(uid.Index) >= vh.st.degree() {
+		return fmt.Errorf("%w: edge %v/%d", ErrNotFound, uid.Vertex, uid.Index)
+	}
 	if err := vh.st.fold(); err != nil { // the UID indexes the record slice
 		return err
-	}
-	if int(uid.Index) >= len(vh.st.v.Edges) {
-		return fmt.Errorf("%w: edge %v/%d", ErrNotFound, uid.Vertex, uid.Index)
 	}
 	if err := tx.ensureWrite(vh.st); err != nil {
 		return err

@@ -59,8 +59,7 @@ func (e *Engine) MigrateVertices(me fabric.Rank, moves []MigrationMove) (int, er
 	}
 
 	// The HTAP commit gate, read mode: a cut never stamps shards mid-move.
-	// No delta records: the incremental fold sees the moved primaries as
-	// vertex-set drift and rebuilds. No barriers, so holders never wait.
+	// No barriers, so holders never wait.
 	if e.snap != nil {
 		e.htapGate.RLock()
 		defer e.htapGate.RUnlock()

@@ -79,9 +79,7 @@ func referenceMigrateVertices(e *Engine, me fabric.Rank, moves []MigrationMove) 
 
 	// The whole train runs under the HTAP commit gate (read mode, like a
 	// commit's apply phase): a cut must never stamp shards while copies,
-	// stubs, and index swings have partially landed. Migration emits no
-	// delta records — it changes primary DPtrs, which the incremental fold
-	// detects as vertex-set drift and answers with a full rebuild. The body
+	// stubs, and index swings have partially landed. The body
 	// has no barriers, so gate holders never wait on other ranks.
 	if e.snap != nil {
 		e.htapGate.RLock()

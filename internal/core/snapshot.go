@@ -14,9 +14,9 @@ import (
 // transaction-consistent cut. Rank 0 takes the commit gate exclusively,
 // every rank stamps its own shard (one owner-local guard-stamp train, so the
 // whole pin charges zero simulated network latency) and records its vertex
-// listing and delta-log position, and only then is the gate dropped — no
-// commit's apply phase overlaps any rank's stamping, which is what makes the
-// per-rank stamps one global cut.
+// listing, and only then is the gate dropped — no commit's apply phase
+// overlaps any rank's stamping, which is what makes the per-rank stamps one
+// global cut.
 //
 // Work: O(blocks/rank) local atomic loads per rank; depth: O(log P) for the
 // barriers. Commits block only for the duration of the stamping itself.
@@ -35,7 +35,7 @@ func (e *Engine) AcquireCut(rank fabric.Rank) (*snapshot.Cut, error) {
 	// listing. The local index is maintained inside the gated apply phase, so
 	// under the exclusive gate it agrees exactly with the stamped blocks.
 	e.snap.PinRank(cut, rank, e.followerBlocks(rank))
-	cut.SetVerts(rank, e.cutVertexRefs(rank))
+	cut.SetVerts(rank, e.LocalVertices(rank))
 	e.comm.Barrier(rank)
 	if rank == 0 {
 		e.htapGate.Unlock()
@@ -78,18 +78,6 @@ func (e *Engine) followerBlocks(r fabric.Rank) []fabric.DPtr {
 		if it.verdict == readOK && w.Reset(it.buf) == nil && w.IsReplica() && w.AppID() == ents[i].app {
 			out = append(out, it.chain()...)
 		}
-	}
-	return out
-}
-
-// cutVertexRefs snapshots rank r's local vertex shard as cut references.
-func (e *Engine) cutVertexRefs(r fabric.Rank) []snapshot.VertexRef {
-	li := e.local[r]
-	li.mu.Lock()
-	defer li.mu.Unlock()
-	out := make([]snapshot.VertexRef, 0, len(li.verts))
-	for dp, app := range li.verts {
-		out = append(out, snapshot.VertexRef{DP: dp, App: app})
 	}
 	return out
 }

@@ -399,7 +399,11 @@ func (st *vertexState) fold() error {
 		return st.build(true)
 	}
 	if st.stored.Len() > 0 {
-		st.v.Edges, st.stored = st.records(), holder.StoredEdges{}
+		recs := make([]holder.EdgeRec, 0, st.degree())
+		for c := st.edges(); c.Next(); {
+			recs = append(recs, c.Rec)
+		}
+		st.v.Edges, st.stored = recs, holder.StoredEdges{}
 	}
 	return nil
 }
@@ -439,16 +443,6 @@ func (st *vertexState) edges() holder.EdgeCursor {
 		return st.view.Edges()
 	}
 	return st.stored.Edges(st.v.Edges)
-}
-
-// records returns st's records in record order, in a slice of their own.
-func (st *vertexState) records() []holder.EdgeRec {
-	recs := make([]holder.EdgeRec, 0, st.degree())
-	c := st.edges()
-	for c.Next() {
-		recs = append(recs, c.Rec)
-	}
-	return recs
 }
 
 // degree returns st's record count: a header read while st is clean

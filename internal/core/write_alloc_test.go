@@ -18,15 +18,16 @@ import (
 // with props string properties and degree out-edges to leaves of their own
 // on its rank, created in order, so that each record's delta takes a byte:
 // at 1 KiB blocks, each holder is one block at degree 8 and at degree 512.
+// With htap the engine runs with HTAP snapshots on, and no cut pinned.
 type writeFixture struct {
 	e     *Engine
 	a, b  fabric.DPtr
 	first lpg.PTypeID // the first of the property types
 }
 
-func newWriteFixture(t *testing.T, props, degree int) writeFixture {
+func newWriteFixture(t *testing.T, props, degree int, htap bool) writeFixture {
 	t.Helper()
-	e := NewEngine(rma.New(2), Config{BlockSize: 1024, BlocksPerRank: 1 << 12, LockTries: 256, CacheCapacity: 512})
+	e := NewEngine(rma.New(2), Config{BlockSize: 1024, BlocksPerRank: 1 << 12, LockTries: 256, CacheCapacity: 512, HTAPSnapshots: htap})
 	var pts []lpg.PTypeID
 	for i := range props {
 		pt, err := e.DefinePType(fmt.Sprint("p", i), metadata.PTypeSpec{Datatype: lpg.TypeString})
@@ -118,7 +119,9 @@ func commitAllocs(t *testing.T, e *Engine, n int, op, restore func(tx *Tx) error
 // The holders keep one block at both degrees, since reading, caching and
 // writing a block costs allocations of its own whatever the write decodes.
 // Each AddEdge is undone by a DeleteEdge before the next, and no measured
-// commit grows a chain.
+// commit grows a chain. With HTAP snapshots on and no cut pinned, an AddEdge
+// commit allocates exactly what it does with them off, at both degrees: the
+// snapshot subsystem adds nothing to a write while no cut is open.
 func TestWriteCommitAllocsIndependentOfContent(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -128,8 +131,8 @@ func TestWriteCommitAllocsIndependentOfContent(t *testing.T) {
 		blocks         int
 		cached         int // the content bytes of the remote endpoint's block
 	}
-	measure := func(props, degree int, setProperty bool) result {
-		f := newWriteFixture(t, props, degree)
+	measure := func(props, degree int, setProperty, htap bool) result {
+		f := newWriteFixture(t, props, degree, htap)
 		ends := []fabric.DPtr{f.a, f.b}
 		var uid holder.EdgeUID
 		op := func(tx *Tx) (err error) {
@@ -172,14 +175,14 @@ func TestWriteCommitAllocsIndependentOfContent(t *testing.T) {
 		}
 		return r
 	}
-	one, thirteen := measure(1, 8, false), measure(13, 8, false)
+	one, thirteen := measure(1, 8, false, false), measure(13, 8, false, false)
 	t.Logf("AddEdge, 1 vs 13 properties: %d vs %d objects", one.objects, thirteen.objects)
 	if one.objects != thirteen.objects {
 		t.Errorf("an AddEdge commit allocates %d objects between vertices with 1 property, %d with 13", one.objects, thirteen.objects)
 	}
 	for _, setProperty := range []bool{false, true} {
 		name := map[bool]string{false: "AddEdge", true: "SetProperty"}[setProperty]
-		low, high := measure(13, 8, setProperty), measure(13, 512, setProperty)
+		low, high := measure(13, 8, setProperty, false), measure(13, 512, setProperty, false)
 		t.Logf("%s, degree 8 vs 512: %d vs %d objects, %d vs %d bytes", name, low.objects, high.objects, low.bytes, high.bytes)
 		if low.blocks != high.blocks {
 			t.Fatalf("%s: the holders take %d blocks at degree 8, %d at degree 512", name, low.blocks, high.blocks)
@@ -189,6 +192,14 @@ func TestWriteCommitAllocsIndependentOfContent(t *testing.T) {
 		if low.objects != high.objects || high.bytes > low.bytes+uint64(high.cached-low.cached+128) {
 			t.Errorf("a %s commit allocates %d objects, %d bytes at degree 8, and %d objects, %d bytes at degree 512; the cached block grew %d bytes",
 				name, low.objects, low.bytes, high.objects, high.bytes, high.cached-low.cached)
+		}
+	}
+	for _, degree := range []int{8, 512} {
+		off, on := measure(13, degree, false, false), measure(13, degree, false, true)
+		t.Logf("AddEdge at degree %d, HTAP off vs on: %d vs %d objects, %d vs %d bytes", degree, off.objects, on.objects, off.bytes, on.bytes)
+		if off.objects != on.objects || off.bytes != on.bytes {
+			t.Errorf("at degree %d an AddEdge commit allocates %d objects, %d bytes with HTAP snapshots off, and %d objects, %d bytes with them on",
+				degree, off.objects, off.bytes, on.objects, on.bytes)
 		}
 	}
 }

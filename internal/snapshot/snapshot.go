@@ -22,14 +22,14 @@
 // guarantees a reader that misses the arena observed bytes no writer had
 // started replacing.
 //
-// Arena entries are reference-counted by the cuts whose stamp they preserve
-// and freed when the last such cut is released, so a dropped analytics run
+// A retired version belongs to the cuts that were pinned when it was
+// retired, not to every cut stamping the same version: a continuation
+// block's lock word never moves, so cuts pinned before and after a rewrite
+// of it stamp it alike yet need different bytes. Each cut therefore holds
+// its retired blocks itself, one per block, and an entry is shared only by
+// the cuts it was retired for. Entries are reference-counted by those cuts
+// and freed when the last of them is released, so a dropped analytics run
 // returns the arena to zero bytes (see Manager.ArenaBytes).
-//
-// The package also owns the per-rank delta log (delta.go): commits append
-// committed (vertex, edge-delta) records, cuts record their log position, and
-// the incremental CSR fold in internal/analytics replays the window between
-// two cuts instead of rebuilding from block reads.
 package snapshot
 
 import (
@@ -45,46 +45,25 @@ import (
 // cutRetries bounds the arena/live-read alternation of ReadBlock.
 const cutRetries = 64
 
-// VertexRef is one entry of a cut's per-rank vertex listing: the primary
-// block and application ID of a vertex that existed when the cut was pinned.
-// The core engine fills it from its local index under the commit gate.
-type VertexRef struct {
-	DP  fabric.DPtr
-	App uint64
-}
-
-// arenaKey addresses one retired block version within a rank's arena.
-type arenaKey struct {
-	off uint64 // block offset within the rank
-	ver uint64 // lock-word version the bytes belonged to
-}
-
-// arenaEntry is one retired block version, pinned by refs cuts.
+// arenaEntry is one retired block version, held by refs cuts.
 type arenaEntry struct {
 	data []byte
 	refs int
 }
 
-// rankShard is the per-rank snapshot state: the version arena, the active
-// cuts pinning this shard, and the committed delta log.
+// rankShard is the per-rank snapshot state: the active cuts pinning this
+// shard. Its mutex also guards those cuts' retired blocks on this rank.
 type rankShard struct {
 	mu     sync.Mutex
 	active []*Cut
-	arena  map[arenaKey]*arenaEntry
 	// pinned mirrors len(active) so the write-path hooks can skip all work
 	// with one atomic load while no cut is open.
 	pinned atomic.Int32
-
-	// Committed delta records, encoded (delta.go). logBase is the absolute
-	// position of recs[0]; positions only grow, records below every active
-	// cut's position are trimmed on release.
-	recs    [][]byte
-	logBase int
 }
 
-// Manager tracks the active cuts, version arenas, and delta logs of all
-// ranks. One Manager serves one engine; all methods are safe for concurrent
-// use from any rank.
+// Manager tracks the active cuts and version arenas of all ranks. One
+// Manager serves one engine; all methods are safe for concurrent use from
+// any rank.
 type Manager struct {
 	store   *block.Store
 	sys     fabric.WordWin
@@ -97,7 +76,6 @@ type Manager struct {
 	arenaBytes atomic.Int64
 	retired    atomic.Int64
 	cutsTotal  atomic.Int64
-	folds      atomic.Int64
 }
 
 // NewManager creates the snapshot manager over the given block store.
@@ -111,9 +89,6 @@ func NewManager(store *block.Store) *Manager {
 		bs:      store.BlockSize(),
 		ranks:   make([]rankShard, store.Fabric().Size()),
 	}
-	for r := range m.ranks {
-		m.ranks[r].arena = make(map[arenaKey]*arenaEntry)
-	}
 	return m
 }
 
@@ -122,10 +97,9 @@ func NewManager(store *block.Store) *Manager {
 // (from any rank) with Release.
 type Cut struct {
 	m        *Manager
-	stamps   [][]uint64    // [rank][off] pinned lock-word version
-	verts    [][]VertexRef // [rank] vertex listing at pin time
-	logPos   []int         // [rank] delta-log position at pin time
-	retained [][]arenaKey  // [rank] arena entries this cut holds a ref on
+	stamps   [][]uint64               // [rank][off] pinned lock-word version
+	verts    [][]fabric.DPtr          // [rank] primary blocks of the vertices at pin time
+	retired  []map[uint64]*arenaEntry // [rank][off] the block's bytes at pin time, once overwritten
 	released atomic.Bool
 }
 
@@ -135,11 +109,10 @@ type Cut struct {
 func (m *Manager) NewCut() *Cut {
 	m.cutsTotal.Add(1)
 	return &Cut{
-		m:        m,
-		stamps:   make([][]uint64, m.nRanks),
-		verts:    make([][]VertexRef, m.nRanks),
-		logPos:   make([]int, m.nRanks),
-		retained: make([][]arenaKey, m.nRanks),
+		m:       m,
+		stamps:  make([][]uint64, m.nRanks),
+		verts:   make([][]fabric.DPtr, m.nRanks),
+		retired: make([]map[uint64]*arenaEntry, m.nRanks),
 	}
 }
 
@@ -149,7 +122,7 @@ const unread = ^uint64(0)
 
 // PinRank stamps rank me's whole shard into the cut: one guard-stamp train
 // (a vectored atomic load of every lock word, owner-local and therefore
-// latency-free) plus the shard's current delta-log position. It must run
+// latency-free). It must run
 // under the engine's exclusive commit gate, so no commit is between its
 // first write-back PUT and its final lock release while any shard stamps —
 // that exclusion is what makes the per-rank stamps one transaction-
@@ -177,21 +150,18 @@ func (m *Manager) PinRank(c *Cut, me fabric.Rank, unreached []fabric.DPtr) {
 	rs := &m.ranks[me]
 	rs.mu.Lock()
 	c.stamps[me] = stamps
-	c.logPos[me] = rs.logBase + len(rs.recs)
 	rs.active = append(rs.active, c)
 	rs.pinned.Add(1)
 	rs.mu.Unlock()
 }
 
-// SetVerts records the cut's vertex listing for rank me (filled by the
-// engine from its local index, under the same gate as PinRank).
-func (c *Cut) SetVerts(me fabric.Rank, refs []VertexRef) { c.verts[me] = refs }
+// SetVerts records the cut's vertex listing for rank me: the primary blocks
+// of the vertices that existed when the cut was pinned (filled by the engine
+// from its local index, under the same gate as PinRank).
+func (c *Cut) SetVerts(me fabric.Rank, dps []fabric.DPtr) { c.verts[me] = dps }
 
 // Verts returns the cut's vertex listing for rank r.
-func (c *Cut) Verts(r fabric.Rank) []VertexRef { return c.verts[r] }
-
-// LogPos returns rank r's delta-log position at pin time.
-func (c *Cut) LogPos(r fabric.Rank) int { return c.logPos[r] }
+func (c *Cut) Verts(r fabric.Rank) []fabric.DPtr { return c.verts[r] }
 
 // Released reports whether the cut has been released.
 func (c *Cut) Released() bool { return c.released.Load() }
@@ -217,19 +187,12 @@ func (m *Manager) release(c *Cut) {
 				break
 			}
 		}
-		for _, k := range c.retained[r] {
-			e := rs.arena[k]
-			if e == nil {
-				continue
-			}
-			e.refs--
-			if e.refs <= 0 {
-				delete(rs.arena, k)
+		for _, e := range c.retired[r] {
+			if e.refs--; e.refs == 0 {
 				m.arenaBytes.Add(-int64(len(e.data)))
 			}
 		}
-		c.retained[r] = nil
-		rs.trimLogLocked(fabric.Rank(r))
+		c.retired[r] = nil
 		rs.mu.Unlock()
 	}
 }
@@ -238,11 +201,12 @@ func (m *Manager) release(c *Cut) {
 // overwriting dp's payload, and so before the first byte of the new value
 // lands and before the release's version bump, which is the ordering cut
 // readers rely on. It preserves the block's current bytes for every active
-// cut whose stamp still names the block's current lock-word version, unless
-// that version is already in the arena. It runs owner-side: the lock word
-// and the payload are read with rank-local accesses, which the fabric
-// charges no remote latency for — the model being that the owner's version
-// maintenance never crosses the network.
+// cut whose stamp still names the block's current lock-word version and
+// that has not retired the block yet: one entry, shared by those cuts. A
+// cut that has retired it already holds its pin-time bytes. It runs
+// owner-side: the lock word and the payload are read with rank-local
+// accesses, which the fabric charges no remote latency for — the model
+// being that the owner's version maintenance never crosses the network.
 func (m *Manager) BeforeWrite(dp fabric.DPtr) {
 	target, off := dp.Rank(), dp.Off()
 	rs := &m.ranks[target]
@@ -252,53 +216,46 @@ func (m *Manager) BeforeWrite(dp fabric.DPtr) {
 	ver := locks.Version(m.sys.Load(target, target, 1+int(off)))
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	key := arenaKey{off: off, ver: ver}
-	if _, dup := rs.arena[key]; dup {
-		return
-	}
-	refs := 0
+	var e *arenaEntry
 	for _, c := range rs.active {
-		if c.stamps[target] != nil && c.stamps[target][off] == ver {
-			refs++
+		if c.stamps[target][off] != ver || c.retired[target][off] != nil {
+			continue
 		}
-	}
-	if refs == 0 {
-		return
-	}
-	buf := make([]byte, m.bs)
-	m.store.ReadBlock(target, fabric.MakeDPtr(target, off), buf)
-	rs.arena[key] = &arenaEntry{data: buf, refs: refs}
-	for _, c := range rs.active {
-		if c.stamps[target] != nil && c.stamps[target][off] == ver {
-			c.retained[target] = append(c.retained[target], key)
+		if e == nil {
+			e = &arenaEntry{data: make([]byte, m.bs)}
+			m.store.ReadBlock(target, dp, e.data)
+			m.arenaBytes.Add(int64(m.bs))
+			m.retired.Add(1)
 		}
+		if c.retired[target] == nil {
+			c.retired[target] = make(map[uint64]*arenaEntry)
+		}
+		c.retired[target][off] = e
+		e.refs++
 	}
-	m.arenaBytes.Add(int64(m.bs))
-	m.retired.Add(1)
 }
 
-// lookupArena returns a copy-free view of the retired bytes for (rank, off)
-// at the cut's pinned version, or nil. Entries are immutable once inserted
-// and outlive the lookup as long as the cut holds its reference, so the
-// caller may copy from the returned slice without holding the shard mutex.
+// lookupArena returns a copy-free view of the bytes the cut retired for
+// (rank, off), or nil. Entries are immutable once inserted and outlive the
+// lookup as long as the cut holds its reference, so the caller may copy from
+// the returned slice without holding the shard mutex.
 func (m *Manager) lookupArena(c *Cut, target fabric.Rank, off uint64) []byte {
 	rs := &m.ranks[target]
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	e := rs.arena[arenaKey{off: off, ver: c.stamps[target][off]}]
-	if e == nil {
-		return nil
+	if e := c.retired[target][off]; e != nil {
+		return e.data
 	}
-	return e.data
+	return nil
 }
 
 // ReadBlock reads block dp as of the cut into buf (whole-block reads only):
 // the versioned read the cut-sourced CSR build walks holder chains with.
 //
-// Protocol: check the owner's arena for the pinned version; on a miss, read
-// the live bytes (charged like any one-sided GET) and re-check the arena.
-// A second miss proves consistency: every writer inserts (or observes) the
-// arena entry for the pinned version before its first PUT of the block, so
+// Protocol: check the cut's retired blocks on the owner; on a miss, read the
+// live bytes (charged like any one-sided GET) and check again. A second miss
+// proves consistency: every writer retires the block for the cut (or finds
+// it retired) before its first PUT of the block, so
 // "no entry after the live read" means no post-cut overwrite had started
 // when the read began — including for continuation blocks, whose lock words
 // never change and whose reads a version stamp alone could not validate.
@@ -343,10 +300,3 @@ func (m *Manager) RetiredBlocks() int64 { return m.retired.Load() }
 
 // CutsAcquired counts cuts created since start.
 func (m *Manager) CutsAcquired() int64 { return m.cutsTotal.Load() }
-
-// DeltaFolds counts incremental CSR folds performed against this manager's
-// delta logs (incremented by the analytics layer through CountFold).
-func (m *Manager) DeltaFolds() int64 { return m.folds.Load() }
-
-// CountFold records one successful incremental fold.
-func (m *Manager) CountFold() { m.folds.Add(1) }
