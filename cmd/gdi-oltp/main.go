@@ -21,7 +21,7 @@ func main() {
 	ranks := flag.Int("ranks", 4, "number of simulated processes (servers)")
 	scale := flag.Int("scale", 12, "graph has 2^scale vertices")
 	ops := flag.Int("ops", 10000, "operations per worker")
-	workers := flag.Int("workers", 0, "concurrent client sessions (default: one per rank; more exercises group commit)")
+	workers := flag.Int("workers", 0, "concurrent client sessions (default: one per rank; more run several committers per rank)")
 	seed := flag.Int64("seed", 1, "run seed")
 	hist := flag.Bool("hist", false, "print per-op latency histograms")
 	zipfS := flag.Float64("zipf", 0, "Zipf exponent for operation keys (0 = uniform); skewed traffic, rank 0 hottest")

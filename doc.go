@@ -97,7 +97,7 @@
 // a blocking call implies a flush of everything queued, exactly as a
 // blocking MPI call implies progress.
 //
-// # Batched writes and group commit
+// # Batched writes
 //
 // The write path mirrors the read tier's batching. During a read-write
 // transaction, mutations do not pay remote lock round-trips: a transaction
@@ -118,12 +118,11 @@
 //     and aborts the transaction with ErrTransactionCritical.
 //  2. Write-back train (apply). All dirty holder blocks and deletion
 //     poisons are flushed as one vectored PUT train per owner rank, instead
-//     of one blocking PUT per block. Concurrent transactions committing
-//     from the same rank coalesce: the first to reach write-back becomes
-//     the train leader and carries every write set queued on the rank
-//     (group commit); followers wait for their blocks to land. Write sets
-//     never overlap, because each committer holds exclusive locks on its
-//     holders.
+//     of one blocking PUT per block. Each transaction lands its own write
+//     set; concurrent committers of one rank never overlap, because each
+//     holds exclusive locks on its holders. Each rank's train is isolated:
+//     a train to a rank that died mid-write is absorbed, and the trains to
+//     the live ranks still land.
 //  3. Release train. All locks still held at the end of commit are dropped
 //     as one train per owner rank, again seeded with the versions they are
 //     held at.

@@ -167,9 +167,15 @@ func (g *Graph) reuseOrBuild(p *gdi.Process, tx *gdi.Transaction, build func(*gd
 // mirror plan's transpose over the one-sided exchange (finish).
 func buildCSR(p *gdi.Process, tx *gdi.Transaction) (*csr, error) {
 	b := newCSRBuilder(p, p.LocalVertices())
+	return b.finish(p, b.readLive(tx))
+}
+
+// readLive lays the live shard out: every local vertex's records, read in
+// one batched association.
+func (b *csrBuilder) readLive(tx *gdi.Transaction) error {
 	handles, err := tx.AssociateVertices(b.c.ids)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Degree is a header read (no edge-region walk on lazy holders), so one
 	// cheap pass sizes the adjacency array exactly and the gather loop below
@@ -177,18 +183,18 @@ func buildCSR(p *gdi.Process, tx *gdi.Transaction) (*csr, error) {
 	totalDeg := 0
 	for i, v := range b.c.ids {
 		if handles[i] == nil {
-			return nil, fmt.Errorf("analytics: local vertex %v disappeared", v)
+			return fmt.Errorf("analytics: local vertex %v disappeared", v)
 		}
 		totalDeg += handles[i].Degree()
 	}
 	b.nbrs = make([]gdi.VertexID, 0, totalDeg)
 	for i, h := range handles {
 		if err := h.ForEachEdge(gdi.MaskAll, b.add); err != nil {
-			return nil, err
+			return err
 		}
 		b.end(i, h.AppID(), h.Homes())
 	}
-	return b.finish(p)
+	return nil
 }
 
 // csrBuilder lays a shard out in csr form, for the live build and the
@@ -248,9 +254,18 @@ func (b *csrBuilder) end(i int, app uint64, homes []gdi.VertexID) {
 // every neighbor reference into dense (rank, index) targets, builds the
 // mirror plan and allgathers the shard sizes. Both builds end here, which is
 // what makes their outputs comparable bit for bit. Collective, failures
-// included: a rank that cannot resolve a neighbor fails every rank.
-func (b *csrBuilder) finish(p *gdi.Process) (*csr, error) {
-	if err := collective.AgreeOnError(p.Comm(), p.Rank(), b.resolve(p), kernelErrs...); err != nil {
+// included: a rank whose shard read failed (readErr) or that cannot resolve
+// a neighbor fails every rank. A failed read still takes its part in the
+// index exchange, with nothing of its own to resolve, so no peer waits on it.
+func (b *csrBuilder) finish(p *gdi.Process, readErr error) (*csr, error) {
+	if readErr != nil {
+		b.nbrs, b.homes = nil, nil
+	}
+	err := b.resolve(p)
+	if readErr != nil {
+		err = readErr
+	}
+	if err := collective.AgreeOnError(p.Comm(), p.Rank(), err, kernelErrs...); err != nil {
 		return nil, err
 	}
 	b.c.buildPlan(p)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"runtime"
 	"testing"
+	"time"
 
 	gdi "github.com/gdi-go/gdi"
 	"github.com/gdi-go/gdi/internal/holder"
@@ -51,4 +52,115 @@ func TestCSRBuildBoundsCorruptDegree(t *testing.T) {
 	if n := mem.TotalAlloc - before; n > 64<<20 {
 		t.Errorf("the CSR build allocated %d MiB", n>>20)
 	}
+}
+
+// TestCSRReadErrorFailsEveryRank zeroes the header of one of rank 0's
+// vertices and builds a CSR on 4 ranks, from the live shard (a dense kernel),
+// from a cut (an HTAP session) and from a refreshed cut (a session opened
+// before the damage): rank 0's shard read fails, and every rank must return
+// an error instead of waiting for rank 0 in the build's index exchange.
+func TestCSRReadErrorFailsEveryRank(t *testing.T) {
+	const ranks = 4
+	for _, c := range []struct {
+		name string
+		htap bool
+		run  func(p *gdi.Process, g *Graph, s *HTAPSession) error
+	}{
+		{"live", false, func(p *gdi.Process, g *Graph, _ *HTAPSession) error {
+			_, _, err := PageRank(p, g, 2, 0.85)
+			return err
+		}},
+		{"cut", true, func(p *gdi.Process, g *Graph, _ *HTAPSession) error {
+			s, err := OpenHTAP(p, g)
+			if err == nil {
+				s.Close()
+			}
+			return err
+		}},
+		{"refresh", true, func(_ *gdi.Process, _ *Graph, s *HTAPSession) error {
+			err := s.Refresh()
+			s.Close()
+			return err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rt, g := testGraphWith(t, ranks, smallCfg, gdi.DatabaseParams{HTAPSnapshots: c.htap})
+			sessions := make([]*HTAPSession, ranks)
+			if c.name == "refresh" {
+				for r, err := range runBounded(t, rt, g, func(p *gdi.Process) (err error) {
+					sessions[p.Rank()], err = OpenHTAP(p, g)
+					return err
+				}) {
+					if err != nil {
+						t.Fatalf("rank %d: opening the session before the damage: %v", r, err)
+					}
+				}
+			}
+			zeroRank0Header(g)
+			for r, err := range runBounded(t, rt, g, func(p *gdi.Process) error {
+				return c.run(p, g, sessions[p.Rank()])
+			}) {
+				if err == nil {
+					t.Errorf("rank %d built a CSR over a corrupt holder on rank 0", r)
+				}
+			}
+		})
+	}
+}
+
+// TestOpenHTAPReleasesItsCutOnFailure: an OpenHTAP whose build fails returns
+// no session, so it must release the cut it pinned; otherwise every later
+// write retires its pre-image into the version arena for a cut nobody reads.
+func TestOpenHTAPReleasesItsCutOnFailure(t *testing.T) {
+	const ranks = 4
+	rt, g := testGraphWith(t, ranks, smallCfg, gdi.DatabaseParams{HTAPSnapshots: true})
+	dp := zeroRank0Header(g)
+	for r, err := range runBounded(t, rt, g, func(p *gdi.Process) error {
+		s, err := OpenHTAP(p, g)
+		if s != nil {
+			t.Errorf("rank %d: OpenHTAP returned a session with error %v", p.Rank(), err)
+		}
+		return err
+	}) {
+		if err == nil {
+			t.Fatalf("rank %d opened a session over a corrupt holder on rank 0", r)
+		}
+	}
+	eng := g.DB.Engine()
+	block := make([]byte, eng.Store().BlockSize())
+	eng.Store().ReadBlock(0, dp, block)
+	eng.Store().WriteBlock(0, dp, block)
+	if n, b := eng.RetiredBlocks(), eng.Snapshots().ArenaBytes(); n != 0 || b != 0 {
+		t.Errorf("a write after the failed open retired %d blocks (%d arena bytes): the open left its cut pinned", n, b)
+	}
+}
+
+// zeroRank0Header clears the holder header of rank 0's first local vertex
+// and returns that vertex's primary block.
+func zeroRank0Header(g *Graph) gdi.VertexID {
+	store := g.DB.Engine().Store()
+	dp := g.DB.Process(0).LocalVertices()[0]
+	block := make([]byte, store.BlockSize())
+	store.ReadBlock(0, dp, block)
+	clear(block[:holder.HeaderSize])
+	store.WriteBlock(0, dp, block)
+	return dp
+}
+
+// runBounded runs fn on every rank and returns each rank's error, failing
+// the test if the ranks have not all returned within a minute.
+func runBounded(t *testing.T, rt *gdi.Runtime, g *Graph, fn func(p *gdi.Process) error) []error {
+	t.Helper()
+	errs := make([]error, g.DB.Process(0).Size())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rt.Run(g.DB, func(p *gdi.Process) { errs[p.Rank()] = fn(p) })
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("the ranks were still running a minute after rank 0's shard read failed")
+	}
+	return errs
 }

@@ -29,7 +29,7 @@ type HTAPSession struct {
 }
 
 // OpenHTAP pins a cut and builds the session's CSR from it. Collective;
-// requires DatabaseParams.HTAPSnapshots.
+// requires DatabaseParams.HTAPSnapshots. A failed build releases the cut.
 func OpenHTAP(p *gdi.Process, g *Graph) (*HTAPSession, error) {
 	s := &HTAPSession{p: p, eng: g.DB.Engine()}
 	if s.eng.Snapshots() == nil {
@@ -41,6 +41,9 @@ func OpenHTAP(p *gdi.Process, g *Graph) (*HTAPSession, error) {
 	}
 	s.cut = cut
 	if s.c, err = s.buildCSR(); err != nil {
+		// Every rank returns the build's error (csrBuilder.finish agrees on
+		// it), so every rank is here: release the cut that no session holds.
+		s.eng.ReleaseCut(p.Rank(), cut)
 		return nil, err
 	}
 	return s, nil
@@ -67,19 +70,24 @@ func (s *HTAPSession) Refresh() error {
 // the layout, the index exchange and the shard-size allgather are the live
 // build's own (csrBuilder).
 func (s *HTAPSession) buildCSR() (*csr, error) {
+	b := newCSRBuilder(s.p, slices.Clone(s.cut.Verts(s.p.Rank())))
+	return b.finish(s.p, s.readCut(b))
+}
+
+// readCut lays the cut's shard out into b.
+func (s *HTAPSession) readCut(b *csrBuilder) error {
 	me := s.p.Rank()
-	b := newCSRBuilder(s.p, slices.Clone(s.cut.Verts(me)))
 	for i, dp := range b.c.ids {
 		v, err := s.eng.CutVertex(me, s.cut, dp)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, rec := range v.Edges {
 			nb := rec.Neighbor
 			if rec.Heavy {
 				e, err := s.eng.CutEdge(me, s.cut, rec.Neighbor)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				// Edge holders record endpoints as of creation; migration
 				// does not rewrite them, so a former home names this vertex.
@@ -92,7 +100,7 @@ func (s *HTAPSession) buildCSR() (*csr, error) {
 		}
 		b.end(i, v.AppID, v.Homes)
 	}
-	return b.finish(s.p)
+	return nil
 }
 
 // Close releases the session's cut collectively, returning its retired

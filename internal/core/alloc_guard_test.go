@@ -529,13 +529,13 @@ func TestEdgesAllocatesOnlyItsResult(t *testing.T) {
 // TestUpdateCommitAllocs is the guard for the write path: a read-write
 // transaction that adds a label to an 8-edge vertex, or removes it, and
 // commits — the optimistic association, the lock train, the write-back and
-// the release train — allocates at most 22 objects when the vertex is local
-// and 25 when it is remote (2 simulated ranks). The label edit splices the
+// the release train — allocates at most 20 objects when the vertex is local
+// and 23 when it is remote (2 simulated ranks). The label edit splices the
 // copied entry region and the commit copies the stored edge region, so
 // neither the labels nor the records are decoded. The commit
 // record is a field of the Tx, so the prepare loop's indirect calls move
 // nothing to the heap; the lock trains' state comes from a pool, and the
-// group committer reuses its queue.
+// write-back groups its write set by owner rank in place.
 func TestUpdateCommitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is not meaningful under the race detector")
@@ -556,8 +556,8 @@ func TestUpdateCommitAllocs(t *testing.T) {
 		origin rma.Rank
 		bound  float64
 	}{
-		{"local", center.Rank(), 22},
-		{"remote", rma.Rank(1 - int(center.Rank())), 25},
+		{"local", center.Rank(), 20},
+		{"remote", rma.Rank(1 - int(center.Rank())), 23},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			update := func(add bool) {

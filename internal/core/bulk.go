@@ -287,18 +287,29 @@ func runClass(r holder.EdgeRec) uint64 {
 	return uint64(r.Label)
 }
 
-// appendRecords merges records into one locally-owned vertex holder.
+// appendRecords merges records into one locally-owned vertex holder,
+// appending them behind its stored edge region, which is copied, not
+// decoded.
 func (e *Engine) appendRecords(rank fabric.Rank, primary fabric.DPtr, recs []holder.EdgeRec, bs int) error {
 	buf, blocks := e.readChain(rank, primary, nil)
 	if buf == nil {
 		return fmt.Errorf("%w: bulk edge endpoint %v", ErrNotFound, primary)
 	}
-	v, err := holder.DecodeVertex(buf)
+	var view holder.View
+	var v *holder.Vertex
+	var stored holder.StoredEdges
+	err := view.Reset(buf)
+	if err == nil {
+		v, err = view.DecodeMeta()
+	}
+	if err == nil {
+		stored, err = view.StoredEdges()
+	}
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrNotFound, err)
 	}
-	v.Edges = append(v.Edges, recs...)
-	stream := holder.EncodeVertex(v, bs)
+	v.Edges = recs
+	stream := holder.EncodeVertexAfter(v, &stored, bs)
 	had := len(blocks)
 	blocks, tail, err := e.layoutChain(rank, rank, stream, blocks, nil)
 	if err != nil {

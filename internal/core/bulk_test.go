@@ -275,6 +275,89 @@ func TestBulkLoadEdgesMatchesReferenceLoader(t *testing.T) {
 	}
 }
 
+// TestBulkLoadEdgesInBatchesAppendsBehindStoredRecords loads the edges of
+// bulkTestGraph in three collective batches, so every batch after the first
+// merges into holders that already store records. After each batch every
+// vertex's records must be exactly those its endpoints' specs so far name
+// (an oracle computed from the specs alone), and the records stored before
+// the batch must still lead, unchanged, in their stored order.
+func TestBulkLoadEdgesInBatchesAppendsBehindStoredRecords(t *testing.T) {
+	const ranks, vertices, batches = 4, 300, 3
+	for _, bs := range []int{64, 512} {
+		t.Run(fmt.Sprintf("block=%d", bs), func(t *testing.T) {
+			e := NewEngine(rma.New(ranks), Config{BlockSize: bs, BlocksPerRank: 1 << 12})
+			label, _ := e.DefineLabel("L")
+			ptype, _ := e.DefinePType("p", metadata.PTypeSpec{Datatype: lpg.TypeString})
+			vs, es := bulkTestGraph(ranks, vertices, 3000, label, ptype)
+			e.fab.Run(func(r rma.Rank) {
+				if err := e.BulkLoadVertices(r, vs[r]); err != nil {
+					t.Error(err)
+				}
+			})
+			if t.Failed() {
+				return
+			}
+			primary := func(app uint64) fabric.DPtr {
+				raw, ok := e.index.Lookup(0, app)
+				if !ok {
+					t.Fatalf("vertex %d is not indexed", app)
+				}
+				return fabric.DPtr(raw)
+			}
+			want := make(map[uint64][]holder.EdgeRec)
+			stored := make(map[uint64][]holder.EdgeRec)
+			for b := range batches {
+				batch := make([][]EdgeSpec, ranks)
+				for r, specs := range es {
+					lo, hi := len(specs)*b/batches, len(specs)*(b+1)/batches
+					batch[r] = specs[lo:hi]
+					for _, sp := range batch[r] {
+						o, tg := primary(sp.OriginApp), primary(sp.TargetApp)
+						back := holder.DirIn
+						if sp.Dir == holder.DirUndirected {
+							back = holder.DirUndirected
+						}
+						want[sp.OriginApp] = append(want[sp.OriginApp], holder.EdgeRec{Neighbor: tg, Dir: sp.Dir, Label: sp.Label})
+						if o != tg || sp.Dir != holder.DirUndirected {
+							want[sp.TargetApp] = append(want[sp.TargetApp], holder.EdgeRec{Neighbor: o, Dir: back, Label: sp.Label})
+						}
+					}
+				}
+				e.fab.Run(func(r rma.Rank) {
+					if err := e.BulkLoadEdges(r, batch[r]); err != nil {
+						t.Error(err)
+					}
+				})
+				if t.Failed() {
+					return
+				}
+				for i := range vertices {
+					app := uint64(i) * 3
+					buf, _ := e.readChain(0, primary(app), nil)
+					v, err := holder.DecodeVertex(buf)
+					if err != nil {
+						t.Fatalf("batch %d: vertex %d: %v", b, app, err)
+					}
+					if !slices.Equal(v.Edges[:min(len(v.Edges), len(stored[app]))], stored[app]) {
+						t.Fatalf("batch %d: vertex %d's records stored before the batch were not kept in order", b, app)
+					}
+					got, exp := slices.Clone(v.Edges), slices.Clone(want[app])
+					slices.SortFunc(got, cmpEdgeRec)
+					slices.SortFunc(exp, cmpEdgeRec)
+					if !slices.Equal(got, exp) {
+						t.Fatalf("batch %d: vertex %d holds %d records %v, its specs name %d: %v", b, app, len(got), got, len(exp), exp)
+					}
+					stored[app] = v.Edges
+				}
+			}
+		})
+	}
+}
+
+func cmpEdgeRec(a, b holder.EdgeRec) int {
+	return cmp.Or(cmp.Compare(a.Neighbor, b.Neighbor), cmp.Compare(a.Dir, b.Dir), cmp.Compare(a.Label, b.Label))
+}
+
 // TestBulkLoadEdgesResolvesEachEndpointOnce is the loader's traffic contract:
 // the remote atomics BulkLoadEdges issues (all of them belong to the resolve
 // phase — routing is messages, the merge is rank-local) depend on the distinct

@@ -73,9 +73,8 @@ var prepare = [...]func(*commitRun) error{
 // phase walks it once, and each phase's remote traffic is one train per
 // owner rank: the lock train is one vectored CAS train, the read-set
 // validation one load train for the words the lock train does not hold, the
-// write-back one vectored PUT train coalesced with concurrent committers of
-// the rank by the engine's group committer, and the release, shared with
-// Abort, one write train.
+// write-back one vectored PUT train, and the release, shared with Abort, one
+// write train.
 //
 // Work: O(Σ dirty holder blocks); depth: O(1) per holder after the
 // sequential prepare walk. Collective transactions add two O(log P)
@@ -317,7 +316,7 @@ func (r *commitRun) reserve() error {
 // entry dropped — the commit itself never blocks on a follower. Its stale
 // listing in the primary's group table is harmless: every later fan-out
 // fails the same CAS and drops it again. Marked groups get the new content
-// through the same group-committer train as the primary blocks and are
+// through the same write-back as the primary blocks and are
 // released to the primary's new version after the primary's own release:
 // primary-then-follower order end to end.
 func (r *commitRun) mark() {
@@ -351,9 +350,8 @@ func (r *commitRun) mark() {
 // poison (a zeroed primary header, so stale DPtrs fail cleanly), and a
 // poisoned head for every follower group a rewrite reshapes away or a
 // deletion takes with it (a local replica read then fails the replica-flag
-// check and falls back). The whole write set goes to the rank's group
-// committer, which flushes it — merged with any concurrently committing
-// transactions of this rank — as one vectored PUT train per owner rank.
+// check and falls back). The transaction lands its whole write set itself,
+// as one isolated vectored PUT train per owner rank (writeBackByRank).
 func (r *commitRun) writeBack() {
 	bs := r.eng.cfg.BlockSize
 	var wb writeList
@@ -369,7 +367,7 @@ func (r *commitRun) writeBack() {
 			}
 		}
 	}
-	r.eng.groupWriteBack(r.rank, wb.dps, wb.data)
+	r.eng.writeBackByRank(r.rank, &wb)
 }
 
 // dropFollowers retires the dropped follower groups once their poison has

@@ -293,10 +293,8 @@ func referenceCommit(tx *Tx) error {
 
 	// Apply, write-back: every holder block and every deletion poison (a
 	// zeroed primary header, so stale DPtrs fail cleanly). This phase
-	// cannot fail. The transaction's whole write set goes to the rank's
-	// group committer, which flushes it — merged with any concurrently
-	// committing transactions of this rank — as one vectored PUT train per
-	// owner rank.
+	// cannot fail. The transaction's whole write set lands as one isolated
+	// vectored PUT train per owner rank.
 	var wb writeList
 	for pi, pl := range plans {
 		// Follower fan-out: the marked groups receive the same stream as
@@ -336,7 +334,7 @@ func referenceCommit(tx *Tx) error {
 	for _, h := range stubBlocks {
 		wb.put(h, make([]byte, holder.HeaderSize))
 	}
-	tx.eng.groupWriteBack(tx.rank, wb.dps, wb.data)
+	tx.eng.writeBackByRank(tx.rank, &wb)
 
 	// Retire dropped follower groups now that their poison has landed: return
 	// the blocks and clear the follower ranks' directory entries.

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -191,63 +192,108 @@ func TestMetadataStaleAbortsWithoutPartialWriteBack(t *testing.T) {
 	}
 }
 
-// TestGroupCommitCoalescesConcurrentWriteBacks submits many single-block
-// write sets to one rank's combiner under heavy injected latency: every
-// block must land, and the leader/follower protocol must merge queued
-// trains instead of flushing one per submitter.
-func TestGroupCommitCoalescesConcurrentWriteBacks(t *testing.T) {
-	const workers = 16
-	f := rma.New(2, rma.Options{Latency: rma.Latency{RemoteNs: 500_000}})
-	e := NewEngine(f, Config{BlockSize: 64, BlocksPerRank: 256})
-
-	dps := make([]rma.DPtr, workers)
-	for i := range dps {
-		dp, err := e.store.AcquireBlock(0, 1) // remote blocks: trains pay latency
-		if err != nil {
-			t.Fatal(err)
-		}
-		dps[i] = dp
+// TestWriteBackByRankAbsorbsADeadRank lands a write set of two blocks on
+// each of 3 ranks, one of them killed, in every order of its six writes: the
+// dead rank's train is absorbed wherever the grouping meets it, and every
+// live block holds its own payload.
+func TestWriteBackByRankAbsorbsADeadRank(t *testing.T) {
+	const ranks, perRank, bs = 3, 2, 64
+	for dead := rma.Rank(0); dead < ranks; dead++ {
+		t.Run(fmt.Sprintf("dead=%d", dead), func(t *testing.T) {
+			f := rma.New(ranks)
+			e := NewEngine(f, Config{BlockSize: bs, BlocksPerRank: 64})
+			origin := (dead + 1) % ranks
+			var dps []rma.DPtr
+			for r := rma.Rank(0); r < ranks; r++ {
+				for range perRank {
+					dp, err := e.store.AcquireBlock(origin, r)
+					if err != nil {
+						t.Fatal(err)
+					}
+					dps = append(dps, dp)
+				}
+			}
+			f.KillRank(dead)
+			round := 0
+			forEachOrder([]int{0, 1, 2, 3, 4, 5}, 0, func(order []int) {
+				round++
+				var w writeList
+				for _, i := range order {
+					payload := make([]byte, bs)
+					payload[0], payload[1] = byte(round), byte(i)
+					w.put(dps[i], payload)
+				}
+				e.writeBackByRank(origin, &w)
+				for i, dp := range dps {
+					if dp.Rank() == dead {
+						continue
+					}
+					got := make([]byte, bs)
+					e.store.ReadBlock(origin, dp, got)
+					if got[0] != byte(round) || got[1] != byte(i) {
+						t.Fatalf("order %v: block %d on rank %d holds payload (%d, %d), want (%d, %d)",
+							order, i, dp.Rank(), got[0], got[1], byte(round), i)
+					}
+				}
+			})
+		})
 	}
+}
+
+// TestWriteBackByRankIssuesOneTrainPerRank is the writer's traffic
+// contract: a write set interleaving three blocks on each of 4 ranks lands
+// as one PUT train per remote owner rank, with one put per block, and every
+// block holds its own payload.
+func TestWriteBackByRankIssuesOneTrainPerRank(t *testing.T) {
+	const ranks, perRank, bs = 4, 3, 64
+	f := rma.New(ranks)
+	e := NewEngine(f, Config{BlockSize: bs, BlocksPerRank: 64})
+	const origin = rma.Rank(0)
+	var w writeList
+	for i := range perRank {
+		for r := rma.Rank(0); r < ranks; r++ {
+			dp, err := e.store.AcquireBlock(origin, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload := make([]byte, bs)
+			payload[0], payload[1] = byte(r), byte(i)
+			w.put(dp, payload)
+		}
+	}
+	dps := slices.Clone(w.dps)
 	f.ResetCounters()
-
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			payload := make([]byte, 64)
-			for j := range payload {
-				payload[j] = byte(i)
-			}
-			e.groupWriteBack(0, []rma.DPtr{dps[i]}, [][]byte{payload})
-		}(i)
+	e.writeBackByRank(origin, &w)
+	snap := f.CounterSnapshot(origin)
+	if snap.PutBatches != ranks-1 || snap.RemotePuts != (ranks-1)*perRank || snap.LocalPuts != perRank {
+		t.Errorf("%d remote PUT trains, %d remote and %d local puts; want %d, %d and %d",
+			snap.PutBatches, snap.RemotePuts, snap.LocalPuts, ranks-1, (ranks-1)*perRank, perRank)
 	}
-	wg.Wait()
-
-	for i, dp := range dps {
-		got := make([]byte, 64)
-		e.store.ReadBlock(1, dp, got)
-		for _, b := range got {
-			if b != byte(i) {
-				t.Fatalf("block %d: payload %v not written back", i, got)
-			}
+	for j, dp := range dps {
+		got := make([]byte, bs)
+		e.store.ReadBlock(origin, dp, got)
+		if got[0] != byte(dp.Rank()) || got[1] != byte(j/ranks) {
+			t.Errorf("block %v holds payload (%d, %d), want (%d, %d)", dp, got[0], got[1], dp.Rank(), j/ranks)
 		}
 	}
-	snap := f.CounterSnapshot(0)
-	if snap.RemotePuts != workers {
-		t.Errorf("RemotePuts = %d, want %d", snap.RemotePuts, workers)
+}
+
+// forEachOrder calls visit with every ordering of p[k:] behind p[:k].
+func forEachOrder(p []int, k int, visit func([]int)) {
+	if k == len(p) {
+		visit(p)
+		return
 	}
-	// A merged flush shows up as a PutBatch train (singleton flushes count
-	// as plain puts): with 500µs flushes and all submitters racing, the
-	// followers must have piled onto a leader's train at least once.
-	if snap.PutBatches == 0 {
-		t.Errorf("no coalescing: %d submitters all flushed singleton trains", workers)
+	for i := k; i < len(p); i++ {
+		p[k], p[i] = p[i], p[k]
+		forEachOrder(p, k+1, visit)
+		p[k], p[i] = p[i], p[k]
 	}
 }
 
 // TestConcurrentCommittersOneRank runs many goroutines committing disjoint
-// vertices from the same rank — the group-commit hot path — and verifies
-// every update landed (primarily a race-detector target).
+// vertices from the same rank, each writing back its own trains, and
+// verifies every update landed (primarily a race-detector target).
 func TestConcurrentCommittersOneRank(t *testing.T) {
 	const workers, txPerWorker = 8, 10
 	e := newEngine(t, 2)

@@ -110,16 +110,15 @@ func (c Config) withDefaults() Config {
 // Engine is one distributed graph database instance (GDI supports several
 // concurrent databases per environment, §3.9 — each gets its own Engine).
 type Engine struct {
-	fab     fabric.Transport
-	store   *block.Store
-	index   *dht.Map
-	comm    *collective.Comm
-	regs    []*metadata.Registry
-	local   []*localIndex
-	commits []groupCommitter // one write-back combiner per rank
-	heat    []*heatShard     // per-rank access-heat counters (rebalancing)
-	repl    []*replicaShard  // per-rank replica directories (read-scale replication)
-	xlate   []xlateCache     // per-rank translation caches (xlate.go)
+	fab   fabric.Transport
+	store *block.Store
+	index *dht.Map
+	comm  *collective.Comm
+	regs  []*metadata.Registry
+	local []*localIndex
+	heat  []*heatShard    // per-rank access-heat counters (rebalancing)
+	repl  []*replicaShard // per-rank replica directories (read-scale replication)
+	xlate []xlateCache    // per-rank translation caches (xlate.go)
 	// frontiers holds idle frontier arenas, which a transaction takes at its
 	// first hop and returns at its close (frontier.go).
 	frontiers chan *frontierScratch
@@ -183,18 +182,17 @@ func newLocalIndex() *localIndex {
 func NewEngine(f fabric.Transport, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	e := &Engine{
-		fab:     f,
-		store:   block.NewStore(f, block.Config{BlockSize: cfg.BlockSize, BlocksPerRank: cfg.BlocksPerRank, CacheBlocks: cfg.CacheCapacity}),
-		index:   dht.New(f, dht.Config{BucketsPerRank: cfg.DHTBucketsPerRank, EntriesPerRank: cfg.DHTEntriesPerRank}),
-		comm:    collective.New(f),
-		regs:    make([]*metadata.Registry, f.Size()),
-		local:   make([]*localIndex, f.Size()),
-		commits: make([]groupCommitter, f.Size()),
-		heat:    make([]*heatShard, f.Size()),
-		repl:    make([]*replicaShard, f.Size()),
-		xlate:   make([]xlateCache, f.Size()),
-		dead:    make(map[fabric.Rank]bool),
-		cfg:     cfg,
+		fab:   f,
+		store: block.NewStore(f, block.Config{BlockSize: cfg.BlockSize, BlocksPerRank: cfg.BlocksPerRank, CacheBlocks: cfg.CacheCapacity}),
+		index: dht.New(f, dht.Config{BucketsPerRank: cfg.DHTBucketsPerRank, EntriesPerRank: cfg.DHTEntriesPerRank}),
+		comm:  collective.New(f),
+		regs:  make([]*metadata.Registry, f.Size()),
+		local: make([]*localIndex, f.Size()),
+		heat:  make([]*heatShard, f.Size()),
+		repl:  make([]*replicaShard, f.Size()),
+		xlate: make([]xlateCache, f.Size()),
+		dead:  make(map[fabric.Rank]bool),
+		cfg:   cfg,
 
 		frontiers: make(chan *frontierScratch, frontierPoolSlots),
 	}

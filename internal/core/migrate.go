@@ -33,6 +33,17 @@ import (
 // its release. Optimistic readers need no locks: their version validation
 // rejects anything that raced the move.
 
+// MigrationMove is one planned vertex migration: move the vertex with the
+// given application ID, currently resident at primary block Old, onto rank
+// Dest. Old pins the placement the plan was computed against — an executor
+// that finds the vertex elsewhere (it moved or died since planning) skips
+// the move instead of migrating a stranger.
+type MigrationMove struct {
+	App  uint64
+	Old  fabric.DPtr
+	Dest fabric.Rank
+}
+
 // MigrateVertices executes one batched migration train: every move must have
 // Dest == me. The train write-locks the old primaries with one best-effort
 // vectored CAS train (busy vertices are skipped, not retried forever), reads
@@ -234,25 +245,20 @@ type RebalanceStats struct {
 // layer (each contributes its rebalanceTopK hottest vertices), rank 0
 // computes a greedy Schism-style plan — hottest vertices first, each moved
 // to its dominant accessor when that beats the current placement, capped per
-// destination — and broadcasts it in the migration-plan wire format; each
-// rank then executes the moves it is the destination of, in migration trains
-// of rebalanceBatch vertices. Heat shards reset afterwards so the next round
-// reacts to fresh traffic. OLTP traffic may keep running concurrently; the
+// destination — and broadcasts it as a value; each rank then executes the
+// moves it is the destination of, in migration trains of rebalanceBatch
+// vertices. Heat shards reset afterwards so the next round reacts to fresh
+// traffic. OLTP traffic may keep running concurrently; the
 // per-vertex locks and version stamps keep it coherent.
 func (e *Engine) Rebalance(rank fabric.Rank) (RebalanceStats, error) {
 	var stats RebalanceStats
 	e.comm.Barrier(rank)
 	tops := collective.Allgather(e.comm, rank, e.topHeat(rank, rebalanceTopK))
-	var planBytes []byte
+	var plan []MigrationMove
 	if rank == 0 {
-		planBytes = EncodeMigrationPlan(e.planRebalance(tops))
+		plan = e.planRebalance(tops)
 	}
-	planBytes = collective.Bcast(e.comm, rank, 0, planBytes)
-	plan, err := DecodeMigrationPlan(planBytes)
-	if err != nil {
-		e.comm.Barrier(rank)
-		return stats, err
-	}
+	plan = collective.Bcast(e.comm, rank, 0, plan)
 	stats.Planned = len(plan)
 	var mine []MigrationMove
 	for _, mv := range plan {

@@ -3,8 +3,12 @@ package core
 import (
 	"bytes"
 	"errors"
+	"slices"
+	"sync"
 	"testing"
 
+	"github.com/gdi-go/gdi/internal/collective"
+	"github.com/gdi-go/gdi/internal/fabric/tcp"
 	"github.com/gdi-go/gdi/internal/locks"
 	"github.com/gdi-go/gdi/internal/lpg"
 	"github.com/gdi-go/gdi/internal/rma"
@@ -443,35 +447,48 @@ func TestStaleAndFreshDPtrInOneBatch(t *testing.T) {
 	}
 }
 
-// TestMigrationPlanRoundTrip pins the wire format.
-func TestMigrationPlanRoundTrip(t *testing.T) {
-	plans := [][]MigrationMove{
-		nil,
-		{{App: 1, Old: rma.MakeDPtr(1, 17), Dest: 0}},
-		{{App: 0, Old: rma.MakeDPtr(0, 1), Dest: 3}, {App: ^uint64(0), Old: rma.MakeDPtr(65535, 1<<48-1), Dest: 65535}},
+// TestMigrationPlanCrossesAWire broadcasts plans from rank 0 over a
+// loopback TCP cluster, as Rebalance does: a nil, an empty and a non-empty
+// plan each arrive on every rank equal to what rank 0 sent.
+func TestMigrationPlanCrossesAWire(t *testing.T) {
+	const ranks = 4
+	ts, err := tcp.NewLoopbackCluster(ranks)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, p := range plans {
-		buf := EncodeMigrationPlan(p)
-		got, err := DecodeMigrationPlan(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(p) {
-			t.Fatalf("decoded %d moves, want %d", len(got), len(p))
-		}
-		for i := range p {
-			if got[i] != p[i] {
-				t.Fatalf("move %d: got %+v, want %+v", i, got[i], p[i])
+	comms := make([]*collective.Comm, ranks)
+	for r, tr := range ts {
+		defer tr.Close()
+		comms[r] = collective.New(tr)
+	}
+	for _, c := range []struct {
+		name string
+		plan []MigrationMove
+	}{
+		{"nil", nil},
+		{"empty", []MigrationMove{}},
+		{"two moves", []MigrationMove{
+			{App: 1, Old: rma.MakeDPtr(1, 17), Dest: 0},
+			{App: ^uint64(0), Old: rma.MakeDPtr(65535, 1<<48-1), Dest: 65535},
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var wg sync.WaitGroup
+			for r := range rma.Rank(ranks) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var sent []MigrationMove
+					if r == 0 {
+						sent = c.plan
+					}
+					if got := collective.Bcast(comms[r], r, 0, sent); !slices.Equal(got, c.plan) {
+						t.Errorf("rank %d received plan %v, rank 0 sent %v", r, got, c.plan)
+					}
+				}()
 			}
-		}
-		if again := EncodeMigrationPlan(got); !bytes.Equal(again, buf) {
-			t.Fatal("re-encode not canonical")
-		}
-	}
-	for _, bad := range [][]byte{nil, []byte("GDM"), []byte("XXXX\x01\x00\x00\x00\x00"), append(EncodeMigrationPlan(plans[1]), 0)} {
-		if _, err := DecodeMigrationPlan(bad); err == nil {
-			t.Fatalf("decode accepted %v", bad)
-		}
+			wg.Wait()
+		})
 	}
 }
 

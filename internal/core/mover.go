@@ -138,6 +138,30 @@ func (w *writeList) appendChainWrites(stream []byte, chain []fabric.DPtr, groups
 	}
 }
 
+// writeBackByRank lands w as one PUT train per owner rank, ranks in the
+// order w first names them, each train isolated: a train whose destination
+// dies mid-write panics with a peer-death error, which is absorbed, and the
+// trains to the other ranks are still issued. Absorbing the dead rank's
+// train is sound: primaries on a dead rank are unreachable regardless, and a
+// replicated vertex's surviving copies receive the same payload through
+// their own ranks' trains. A write set names each block once, so the order
+// of the writes within a train is immaterial; grouping reorders w in place.
+func (e *Engine) writeBackByRank(origin fabric.Rank, w *writeList) {
+	dps, data := w.dps, w.data
+	for len(dps) > 0 {
+		r, n := dps[0].Rank(), 0
+		for i, dp := range dps {
+			if dp.Rank() == r {
+				dps[n], dps[i] = dp, dps[n]
+				data[n], data[i] = data[i], data[n]
+				n++
+			}
+		}
+		runIsolated(func() { e.store.WriteBlocksBatch(origin, dps[:n], data[:n]) })
+		dps, data = dps[n:], data[n:]
+	}
+}
+
 // splitHeld splits a train whose words were taken one by one (a best-effort
 // write-lock train or a mirror-mark train) into the words it did take, with
 // their versions, and whether that was all of them. A caller that needs the

@@ -478,7 +478,7 @@ func (e *Engine) publishPromoted(origin fabric.Rank, it promoteItem, m *chainMov
 	m.chain, m.tail = chain, append(m.tail, tail...)
 	var w writeList
 	w.appendChainWrites(stream, m.chain, v.Replicas, bs)
-	runIsolated(func() { e.store.WriteBlocksBatch(origin, w.dps, w.data) })
+	e.writeBackByRank(origin, &w)
 	labels := lpg.AppendLabels(nil, v.Entries)
 	e.idxAddVertex(origin, it.head, it.app, labels)
 	if e.fab.Local(it.primary.Rank()) {

@@ -121,7 +121,9 @@ func commitAllocs(t *testing.T, e *Engine, n int, op, restore func(tx *Tx) error
 // Each AddEdge is undone by a DeleteEdge before the next, and no measured
 // commit grows a chain. With HTAP snapshots on and no cut pinned, an AddEdge
 // commit allocates exactly what it does with them off, at both degrees: the
-// snapshot subsystem adds nothing to a write while no cut is open.
+// snapshot subsystem adds nothing to a write while no cut is open. At
+// degree 8 an AddEdge commit allocates at most 45 objects, a SetProperty
+// commit at most 20.
 func TestWriteCommitAllocsIndependentOfContent(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -182,8 +184,12 @@ func TestWriteCommitAllocsIndependentOfContent(t *testing.T) {
 	}
 	for _, setProperty := range []bool{false, true} {
 		name := map[bool]string{false: "AddEdge", true: "SetProperty"}[setProperty]
+		bound := map[bool]uint64{false: 45, true: 20}[setProperty]
 		low, high := measure(13, 8, setProperty, false), measure(13, 512, setProperty, false)
 		t.Logf("%s, degree 8 vs 512: %d vs %d objects, %d vs %d bytes", name, low.objects, high.objects, low.bytes, high.bytes)
+		if low.objects > bound {
+			t.Errorf("a %s commit at degree 8 allocates %d objects, want at most %d", name, low.objects, bound)
+		}
 		if low.blocks != high.blocks {
 			t.Fatalf("%s: the holders take %d blocks at degree 8, %d at degree 512", name, low.blocks, high.blocks)
 		}
