@@ -8,9 +8,8 @@ package gdi_test
 //     pool memory.
 //   - Lightweight vs. heavy edges (§5.4.2): inline records vs. dedicated
 //     edge holders.
-//   - Collective vs. pointwise transactions for global reads (§3.3): the
-//     cost of the per-vertex version validation that collective read
-//     transactions elide.
+//   - Collective vs. pointwise transactions for global reads (§3.3): one
+//     read set validated once per rank against a validation per vertex.
 
 import (
 	"fmt"
@@ -123,9 +122,9 @@ func BenchmarkAblation_EdgeWeight(b *testing.B) {
 }
 
 // BenchmarkAblation_CollectiveVsLocalScan compares reading every vertex
-// through one collective read transaction (no validation, §3.3) against
-// pointwise local read transactions (one stamp and one validation train per
-// vertex).
+// through one collective read transaction (one read set, validated at Commit
+// in one load train per owner rank) against pointwise local read
+// transactions (one validation per vertex).
 func BenchmarkAblation_CollectiveVsLocalScan(b *testing.B) {
 	cfg := kron.Config{Scale: 9, EdgeFactor: 4, Seed: 1, NumLabels: 4, NumProps: 3}.WithDefaults()
 	const ranks = 2

@@ -177,10 +177,10 @@
 //     bumped version simply makes the stale copy miss. There are no
 //     invalidation messages: writers invalidate by releasing their locks.
 //
-//   - Optimistic reads. Every transaction but a collective read-only one
-//     takes no read locks at all. A fetch is accepted only if its guard
-//     shows the same version with the write bit clear on both sides of the
-//     read (cached copies satisfy this by construction, so a fully cached
+//   - Optimistic reads. No transaction takes read locks, a collective one
+//     included. A fetch is accepted only if its guard shows the same
+//     version with the write bit clear on both sides of the read (cached
+//     copies satisfy this by construction, so a fully cached
 //     fetch needs no second look), and the transaction records every
 //     (holder, version) pair it read. The guard loads ride the fetch's own trains:
 //     a guarded GET train (fabric.ByteWin.GuardedGetBatch, one round trip)
@@ -192,9 +192,10 @@
 //     for what it locked): if every version is unchanged the transaction
 //     serializes at that instant; if any moved, it fails with
 //     ErrTransactionCritical — the optimistic abort of §3.8 — and the
-//     caller retries, exactly as with lock contention. Collective
-//     read-only transactions keep their §3.3 lock-free epoch and still
-//     ride the cache.
+//     caller retries, exactly as with lock contention. A collective
+//     transaction is a local one between barriers: it reads the same way,
+//     and each rank's Commit validates that rank's read set, so its
+//     outcome is per-rank.
 //
 // Every tier reads a holder's chain through one batched reader, which also
 // rejects a block whose count or table names no real chain (ARCHITECTURE.md,
@@ -242,17 +243,16 @@
 // next to the point-read guard). Closing the transaction returns the arena
 // to a pool that keeps at most two of them, each of at most 1 MiB.
 // LIMIT is a bounded top-k on the canonical order over IDs, and only the
-// rows it keeps are associated as handles, for the projection. In a local
-// transaction it also stops the last hop early
+// rows it keeps are associated as handles, for the projection. It also
+// stops the last hop early
 // (Transaction.FilterFrontier): the lock word's stub bit tells which
 // frontier DPtrs are forwarding stubs, every other DPtr is its vertex's ID,
 // so the hop reads the frontier in ascending DPtr order, in chunks, until
 // LIMIT matches sort below everything unread, whose stamped versions Commit
 // validates. Forwarding stubs, follower-served vertices, holders caught
-// mid-write, the vertices a writing transaction holds (so it sees its own
-// writes and deletions), and all frontiers of collective read-only
-// transactions fall back to one AssociateVertices batch; a frontier vertex
-// that no longer exists is ErrNotFound.
+// mid-write, and the vertices a writing transaction holds (so it sees its
+// own writes and deletions) fall back to one AssociateVertices batch; a
+// frontier vertex that no longer exists is ErrNotFound.
 //
 // The cmd/gdi-ldbc driver exercises the layer end to end with an
 // LDBC-SNB-interactive-flavored mix — IS-style point reads, IC-style 2-hop

@@ -136,15 +136,17 @@ func KHop(p *gdi.Process, g *Graph, rootApp uint64, k int) (int64, error) {
 // LDBC SNB BI query 2): count vertices carrying the given label whose
 // filter property lies in [lo, hi), grouped by the group property's value.
 // Partial aggregates are merged with a gather, Listing 3 style. The full
-// grouped map is returned on every rank (via broadcast).
+// grouped map is returned on every rank (via broadcast). A vertex that fails
+// to associate on one rank fails the query on every rank.
 func BI2(p *gdi.Process, g *Graph, label gdi.LabelID, filterProp gdi.PTypeID, lo, hi uint64, groupProp gdi.PTypeID) (map[uint64]int64, error) {
 	tx := p.StartCollectiveTransaction(gdi.ReadOnly)
 	defer tx.Commit()
 	local := make(map[uint64]int64)
+	var err error
 	for _, v := range p.LocalVerticesWithLabel(label) {
-		h, err := tx.AssociateVertex(v)
-		if err != nil {
-			return nil, err
+		var h *gdi.Vertex
+		if h, err = tx.AssociateVertex(v); err != nil {
+			break
 		}
 		fv, ok := h.Property(filterProp)
 		if !ok {
@@ -159,6 +161,9 @@ func BI2(p *gdi.Process, g *Graph, label gdi.LabelID, filterProp gdi.PTypeID, lo
 			continue
 		}
 		local[gdi.Uint64Of(gv)]++
+	}
+	if err := collective.AgreeOnError(p.Comm(), p.Rank(), err, kernelErrs...); err != nil {
+		return nil, err
 	}
 	parts := collective.Gather(p.Comm(), p.Rank(), 0, local)
 	var merged map[uint64]int64

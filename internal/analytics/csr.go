@@ -121,8 +121,8 @@ type builtCSR struct {
 
 // csrOf returns this rank's CSR of g for a dense kernel running in the
 // collective read-only transaction tx: the one built by an earlier kernel on
-// g while no rank's store epoch has moved since, else a fresh build.
-// Collective.
+// g while no rank's store epoch has moved since, else a fresh build, whose
+// reads join tx's read set. Collective.
 func (g *Graph) csrOf(p *gdi.Process, tx *gdi.Transaction) (*csr, error) {
 	return g.reuseOrBuild(p, tx, buildCSR)
 }

@@ -2,7 +2,10 @@ package analytics
 
 import (
 	"encoding/binary"
+	"errors"
+	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -135,16 +138,96 @@ func TestOpenHTAPReleasesItsCutOnFailure(t *testing.T) {
 	}
 }
 
+// TestCollectiveKernelsAgreeOnError: a kernel whose work fails on one rank
+// only fails on every rank, and every rank returns, instead of the others
+// waiting in the kernel's next collective step for the rank that left. The
+// holder header of a rank-0 vertex that no other rank's vertex has an edge
+// to is zeroed, so only rank 0 fails to associate it: in BI2 over that
+// vertex's label, and in GNNForward's read phase.
+func TestCollectiveKernelsAgreeOnError(t *testing.T) {
+	const ranks = 4
+	gnnCfg := GNNConfig{K: 4, Layers: 1, Seed: 5}
+	var feat, featNext gdi.PTypeID
+	for _, c := range []struct {
+		name  string
+		setup func(p *gdi.Process, g *Graph) error // before the damage
+		run   func(p *gdi.Process, g *Graph, label gdi.LabelID) error
+	}{
+		{"BI2", nil, func(p *gdi.Process, g *Graph, label gdi.LabelID) error {
+			_, err := BI2(p, g, label, g.Schema.AgeProp, 0, math.MaxUint64, g.Schema.Props[0])
+			return err
+		}},
+		{"GNNForward", func(p *gdi.Process, g *Graph) error {
+			f, n, err := GNNSetup(p, g, gnnCfg)
+			if p.Rank() == 0 {
+				feat, featNext = f, n
+			}
+			return err
+		}, func(p *gdi.Process, g *Graph, _ gdi.LabelID) error {
+			_, err := GNNForward(p, g, gnnCfg, feat, featNext)
+			return err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rt, g := testGraph(t, ranks, smallCfg)
+			if c.setup != nil {
+				for r, err := range runBounded(t, rt, g, func(p *gdi.Process) error { return c.setup(p, g) }) {
+					if err != nil {
+						t.Fatalf("rank %d: setup: %v", r, err)
+					}
+				}
+			}
+			dp, label := rank0OnlyVertex(t, g)
+			zeroHeader(g, dp)
+			for r, err := range runBounded(t, rt, g, func(p *gdi.Process) error { return c.run(p, g, label) }) {
+				if !errors.Is(err, gdi.ErrNotFound) {
+					t.Errorf("rank %d: %v, want the ErrNotFound rank 0 met", r, err)
+				}
+			}
+		})
+	}
+}
+
+// rank0OnlyVertex returns a rank-0 vertex whose neighbors all live on rank 0,
+// so no other rank reads it in a kernel that walks its own vertices' edges,
+// and that vertex's first label.
+func rank0OnlyVertex(t *testing.T, g *Graph) (gdi.VertexID, gdi.LabelID) {
+	t.Helper()
+	p := g.DB.Process(0)
+	tx := p.StartTransaction(gdi.ReadOnly)
+	defer tx.Abort()
+	for _, v := range p.LocalVertices() {
+		h, err := tx.AssociateVertex(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edges, err := h.Edges(gdi.MaskAll, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if labels := h.Labels(); len(labels) > 0 && !slices.ContainsFunc(edges.Neighbors(), func(nb gdi.VertexID) bool { return nb.Rank() != 0 }) {
+			return v, labels[0]
+		}
+	}
+	t.Fatal("every labeled rank-0 vertex has a neighbor on another rank")
+	return 0, 0
+}
+
 // zeroRank0Header clears the holder header of rank 0's first local vertex
 // and returns that vertex's primary block.
 func zeroRank0Header(g *Graph) gdi.VertexID {
-	store := g.DB.Engine().Store()
 	dp := g.DB.Process(0).LocalVertices()[0]
-	block := make([]byte, store.BlockSize())
-	store.ReadBlock(0, dp, block)
-	clear(block[:holder.HeaderSize])
-	store.WriteBlock(0, dp, block)
+	zeroHeader(g, dp)
 	return dp
+}
+
+// zeroHeader clears the holder header in dp's primary block.
+func zeroHeader(g *Graph, dp gdi.VertexID) {
+	store := g.DB.Engine().Store()
+	block := make([]byte, store.BlockSize())
+	store.ReadBlock(dp.Rank(), dp, block)
+	clear(block[:holder.HeaderSize])
+	store.WriteBlock(dp.Rank(), dp, block)
 }
 
 // runBounded runs fn on every rank and returns each rank's error, failing
@@ -160,7 +243,7 @@ func runBounded(t *testing.T, rt *gdi.Runtime, g *Graph, fn func(p *gdi.Process)
 	select {
 	case <-done:
 	case <-time.After(time.Minute):
-		t.Fatal("the ranks were still running a minute after rank 0's shard read failed")
+		t.Fatal("the ranks were still running a minute after rank 0's read failed")
 	}
 	return errs
 }

@@ -73,10 +73,11 @@ func BFSDense(p *gdi.Process, g *Graph, rootApp uint64) (int64, int, BFSStats, e
 		return 0, 0, BFSStats{}, err
 	}
 	// The root starts on whichever rank holds it, which after a migration
-	// need not be its DHT owner; the owner reports a missing root.
+	// need not be its DHT owner; the owner reports a missing root. A root
+	// in the owner's own CSR exists, so only one elsewhere is translated.
 	rootIdx := int32(slices.Index(c.app, rootApp))
 	var firstErr error
-	if int(c.me) == int(p.Database().Engine().OwnerOf(rootApp)) {
+	if rootIdx < 0 && int(c.me) == int(p.Database().Engine().OwnerOf(rootApp)) {
 		if _, terr := tx.TranslateVertexID(rootApp); terr != nil {
 			// Record the error but keep running the collective loop; an
 			// empty frontier terminates it immediately.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	gdi "github.com/gdi-go/gdi"
+	"github.com/gdi-go/gdi/internal/collective"
 )
 
 // GNNConfig parameterizes the graph-convolution workload of Listing 2 /
@@ -19,7 +20,8 @@ type GNNConfig struct {
 // GNNSetup registers the feature property types and initializes every local
 // vertex's feature vector deterministically. It must run collectively after
 // the graph is loaded. The two p-types implement the double buffering the
-// layer update needs (all vertices read old features, write new ones).
+// layer update needs (all vertices read old features, write new ones). A
+// write that fails on one rank fails the setup on every rank.
 func GNNSetup(p *gdi.Process, g *Graph, cfg GNNConfig) (feat, featNext gdi.PTypeID, err error) {
 	spec := gdi.PTypeSpec{Datatype: gdi.TypeFloat64Vector, Entity: gdi.EntityVertex}
 	if feat, err = p.CreatePType("__gnn_feat", spec); err != nil {
@@ -45,9 +47,7 @@ func GNNSetup(p *gdi.Process, g *Graph, cfg GNNConfig) (feat, featNext gdi.PType
 			break
 		}
 	}
-	if cerr := tx.Commit(); cerr != nil && err == nil {
-		err = cerr
-	}
+	err = closeCollective(p, tx, err)
 	return
 }
 
@@ -70,84 +70,116 @@ func gnnWeights(cfg GNNConfig) [][]float64 {
 // layer is two collective transactions: a read phase that computes into
 // memory and a write phase in which every rank writes only its own shard
 // (so per-vertex write locks never contend). Returns the global L1 norm of
-// the final features as a checksum.
+// the final features as a checksum. A phase that fails on one rank fails
+// the forward pass on every rank.
 func GNNForward(p *gdi.Process, g *Graph, cfg GNNConfig, feat, featNext gdi.PTypeID) (float64, error) {
 	w := gnnWeights(cfg)
 	cur, nxt := feat, featNext
 	for layer := 0; layer < cfg.Layers; layer++ {
 		// Read phase: aggregate neighbor features (remote reads through GDI).
 		tx := p.StartCollectiveTransaction(gdi.ReadOnly)
-		computed := make(map[gdi.VertexID][]float64)
-		for _, v := range p.LocalVertices() {
-			h, err := tx.AssociateVertex(v)
-			if err != nil {
-				tx.Abort()
-				return 0, err
-			}
-			raw, ok := h.Property(cur)
-			if !ok {
-				continue
-			}
-			agg := gdi.Float64VectorOf(raw)
-			edges, err := h.Edges(gdi.MaskOut, nil)
-			if err != nil {
-				tx.Abort()
-				return 0, err
-			}
-			for _, nb := range edges.Neighbors() {
-				nh, err := tx.AssociateVertex(nb)
-				if err != nil {
-					tx.Abort()
-					return 0, err
-				}
-				nraw, ok := nh.Property(cur)
-				if !ok {
-					continue
-				}
-				nvec := gdi.Float64VectorOf(nraw)
-				for i := range agg {
-					agg[i] += nvec[i]
-				}
-			}
-			// Update phase: MLP + ReLU.
-			out := make([]float64, cfg.K)
-			for i := 0; i < cfg.K; i++ {
-				s := 0.0
-				for j := 0; j < cfg.K; j++ {
-					s += w[i][j] * agg[j]
-				}
-				out[i] = relu(s)
-			}
-			computed[v] = out
-		}
-		if err := tx.Commit(); err != nil {
+		computed, err := gnnAggregate(p, tx, w, cur)
+		if err := closeCollective(p, tx, err); err != nil {
 			return 0, err
 		}
 		// Write phase: each rank updates only its own vertices.
 		wtx := p.StartCollectiveTransaction(gdi.ReadWrite)
-		for v, vec := range computed {
-			h, err := wtx.AssociateVertex(v)
-			if err != nil {
-				wtx.Abort()
-				return 0, err
-			}
-			if err := h.SetProperty(nxt, gdi.Float64VectorValue(vec)); err != nil {
-				wtx.Abort()
-				return 0, err
-			}
-		}
-		if err := wtx.Commit(); err != nil {
+		if err := closeCollective(p, wtx, gnnWrite(wtx, computed, nxt)); err != nil {
 			return 0, err
 		}
 		cur, nxt = nxt, cur
 	}
 	// Checksum: global L1 norm of the final layer.
 	tx := p.StartCollectiveTransaction(gdi.ReadOnly)
+	local, err := gnnNorm(p, tx, cur)
+	if err := closeCollective(p, tx, err); err != nil {
+		return 0, err
+	}
+	return p.AllreduceFloat64(local), nil
+}
+
+// closeCollective ends a kernel's collective transaction, whose work failed
+// on this rank with err or not: it aborts the transaction on failure and
+// commits it otherwise, and the ranks then agree on the outcome, so no rank
+// enters the kernel's next collective step while another has left.
+func closeCollective(p *gdi.Process, tx *gdi.Transaction, err error) error {
+	if err != nil {
+		tx.Abort()
+	} else {
+		err = tx.Commit()
+	}
+	return collective.AgreeOnError(p.Comm(), p.Rank(), err, kernelErrs...)
+}
+
+// gnnAggregate is a layer's read phase on this rank: each local vertex's
+// feature vector under cur plus its out-neighbors', through the MLP and the
+// ReLU.
+func gnnAggregate(p *gdi.Process, tx *gdi.Transaction, w [][]float64, cur gdi.PTypeID) (map[gdi.VertexID][]float64, error) {
+	computed := make(map[gdi.VertexID][]float64)
+	for _, v := range p.LocalVertices() {
+		h, err := tx.AssociateVertex(v)
+		if err != nil {
+			return nil, err
+		}
+		raw, ok := h.Property(cur)
+		if !ok {
+			continue
+		}
+		agg := gdi.Float64VectorOf(raw)
+		edges, err := h.Edges(gdi.MaskOut, nil)
+		if err != nil {
+			return nil, err
+		}
+		for _, nb := range edges.Neighbors() {
+			nh, err := tx.AssociateVertex(nb)
+			if err != nil {
+				return nil, err
+			}
+			nraw, ok := nh.Property(cur)
+			if !ok {
+				continue
+			}
+			nvec := gdi.Float64VectorOf(nraw)
+			for i := range agg {
+				agg[i] += nvec[i]
+			}
+		}
+		// Update phase: MLP + ReLU.
+		out := make([]float64, len(w))
+		for i := range w {
+			s := 0.0
+			for j := range w[i] {
+				s += w[i][j] * agg[j]
+			}
+			out[i] = relu(s)
+		}
+		computed[v] = out
+	}
+	return computed, nil
+}
+
+// gnnWrite is a layer's write phase on this rank: each computed vector
+// becomes its vertex's property nxt.
+func gnnWrite(tx *gdi.Transaction, computed map[gdi.VertexID][]float64, nxt gdi.PTypeID) error {
+	for v, vec := range computed {
+		h, err := tx.AssociateVertex(v)
+		if err != nil {
+			return err
+		}
+		if err := h.SetProperty(nxt, gdi.Float64VectorValue(vec)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// gnnNorm is this rank's part of the checksum: the L1 norm of its vertices'
+// feature vectors under cur.
+func gnnNorm(p *gdi.Process, tx *gdi.Transaction, cur gdi.PTypeID) (float64, error) {
 	local := 0.0
 	for _, v := range p.LocalVertices() {
 		h, err := tx.AssociateVertex(v)
 		if err != nil {
-			tx.Abort()
 			return 0, err
 		}
 		if raw, ok := h.Property(cur); ok {
@@ -156,8 +188,5 @@ func GNNForward(p *gdi.Process, g *Graph, cfg GNNConfig, feat, featNext gdi.PTyp
 			}
 		}
 	}
-	if err := tx.Commit(); err != nil {
-		return 0, err
-	}
-	return p.AllreduceFloat64(local), nil
+	return local, nil
 }

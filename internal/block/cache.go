@@ -256,10 +256,9 @@ func (s *Store) LockStampsInto(origin fabric.Rank, dps []fabric.DPtr, out []uint
 }
 
 // StampedRead is one block of a stamped read: the unit the read protocols
-// revalidate. The locking and collective tiers stamp the guards of a whole
-// fetch once and serve every streaming round of every holder against those
-// stamps; the seqlock tier has each round's train load the guard around the
-// blocks it reads (Load, Check).
+// revalidate. A reader may stamp the guards of a whole fetch once and serve
+// every streaming round of every holder against those stamps, or have each
+// round's train load the guard around the blocks it reads (Load, Check).
 type StampedRead struct {
 	// DP is the block to read and Buf its destination.
 	DP  fabric.DPtr
@@ -296,13 +295,10 @@ type StampedRead struct {
 // read i's stamp, admits it. A refused read is not fetched and its Post
 // repeats the stamp. refetch must be set when any read has Load.
 //
-// When install is true the caller guarantees content stability — it holds
-// read locks on the guards, or runs in a collective read epoch (§3.3) — so
-// fetched blocks are installed into the cache immediately at the stamped
-// version. When install is false (the seqlock tier) nothing is installed:
-// the caller must establish stability from Stamp and Post and then hand the
-// accepted reads to InstallStamped.
-func (s *Store) ReadBlocksStamped(origin fabric.Rank, reads []StampedRead, install bool, tr *Trains, refetch func(i int, stamp uint64) bool) {
+// Nothing is installed into the cache: the caller establishes stability —
+// from Stamp and Post, or from the locks it holds — and hands the accepted
+// reads to InstallStamped.
+func (s *Store) ReadBlocksStamped(origin fabric.Rank, reads []StampedRead, tr *Trains, refetch func(i int, stamp uint64) bool) {
 	if len(reads) == 0 {
 		return
 	}
@@ -372,9 +368,6 @@ func (s *Store) ReadBlocksStamped(origin fabric.Rank, reads []StampedRead, insta
 	if cache != nil {
 		s.f.AddCache(origin, hits, misses)
 	}
-	if install {
-		s.InstallStamped(origin, reads)
-	}
 }
 
 // current reports whether a cached copy at version ver is valid under stamp:
@@ -442,9 +435,9 @@ func (s *Store) getTrain(origin, t fabric.Rank, reads []StampedRead, pos []int32
 
 // InstallStamped installs validated copies of the reads that came off the
 // wire (Fetched, and remote), each under its guard at its stamp's version.
-// Callers on the seqlock tier invoke it, on the reads of the holders they
-// accepted, after the post-stamps confirmed the guards did not move across
-// the fetch.
+// Callers invoke it on the reads of the holders they accepted: on the
+// seqlock tier once the post-stamps confirmed the guards did not move across
+// the fetch, under locks at once.
 func (s *Store) InstallStamped(origin fabric.Rank, reads []StampedRead) {
 	cache := s.cacheOf(origin)
 	if cache == nil {
@@ -465,8 +458,8 @@ func (s *Store) InstallStamped(origin fabric.Rank, reads []StampedRead) {
 // train per owner rank: a cached copy is served under the first load, and a
 // fetch is accepted and cached only if its guard shows the same version
 // with the write bit clear on both sides of it. With locked true the caller
-// guarantees stability (read locks or a collective read epoch): one stamp
-// train over the distinct guards, then the reads, with no post-check.
+// guarantees stability (it holds the guards' locks): one stamp train over
+// the distinct guards, then the reads, with no post-check.
 //
 // It returns, aligned with dps: the guard version each accepted buffer
 // corresponds to, and whether the read was accepted. Rejected reads
@@ -495,7 +488,7 @@ func (s *Store) ReadBlocksCached(origin fabric.Rank, dps, guards []fabric.DPtr, 
 		}
 	}
 	// A stamp with a writer on it cannot validate the block read under it.
-	s.ReadBlocksStamped(origin, reads, locked, &tr, func(_ int, stamp uint64) bool { return !locks.WriteHeld(stamp) })
+	s.ReadBlocksStamped(origin, reads, &tr, func(_ int, stamp uint64) bool { return !locks.WriteHeld(stamp) })
 	for i := range reads {
 		r := &reads[i]
 		// Cache hits were validated against the stamp at lookup time.
@@ -505,9 +498,7 @@ func (s *Store) ReadBlocksCached(origin fabric.Rank, dps, guards []fabric.DPtr, 
 		}
 		vers[i], ok[i] = locks.Version(r.Stamp), true
 	}
-	if !locked {
-		s.InstallStamped(origin, reads)
-	}
+	s.InstallStamped(origin, reads)
 	return vers, ok
 }
 

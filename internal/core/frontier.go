@@ -41,10 +41,9 @@ func (h *VertexHandle) Matches(cons *constraint.Constraint) bool {
 // Whatever the batch did not read OK goes through AssociateVertices in one
 // batch and is filtered and harvested through its handles: forwarding stubs,
 // vertices a local follower copy serves, holders that were being written or
-// look deleted, the vertices a transaction that wrote holds (so it sees its
-// own writes and deletions), and every frontier of a collective read-only
-// transaction. matched and next are the caller's: nothing of the arena
-// aliases them.
+// look deleted, and the vertices a transaction that wrote holds (so it sees
+// its own writes and deletions). matched and next are the caller's: nothing
+// of the arena aliases them.
 func (tx *Tx) ExpandFrontier(frontier []fabric.DPtr, mask DirMask, cons *constraint.Constraint) (matched, next []fabric.DPtr, err error) {
 	if mask == 0 {
 		matched, err = tx.FilterFrontier(frontier, cons, 0)
@@ -69,9 +68,9 @@ func (tx *Tx) ExpandFrontier(frontier []fabric.DPtr, mask DirMask, cons *constra
 // block for all but mega-hubs), not its chain.
 //
 // A limit > 0 is a LIMIT the caller applies to the canonically sorted IDs,
-// and lets the optimistic tier stop early: the result then holds the limit
-// smallest matched IDs — every match when there are fewer — plus whatever
-// else it met, in no particular order. The hop first resolves what the
+// and lets the hop stop early: the result then holds the limit smallest
+// matched IDs — every match when there are fewer — plus whatever else it
+// met, in no particular order. The hop first resolves what the
 // stamps cannot vouch for through AssociateVertices (a stub's current ID
 // sorts anywhere), then reads the rest in ascending DPtr order, in chunks:
 // the first of 2×limit vertices, each later one sized from the match rate so
@@ -79,7 +78,7 @@ func (tx *Tx) ExpandFrontier(frontier []fabric.DPtr, mask DirMask, cons *constra
 // DPtr before it is read, so the hop stops once limit distinct matched IDs lie
 // below the smallest unread DPtr. Each unread vertex joins the read set at
 // its stamped version: a migration or a write that lands on it after the
-// stamp fails Commit. A collective read-only transaction reads every vertex.
+// stamp fails Commit.
 func (tx *Tx) FilterFrontier(frontier []fabric.DPtr, cons *constraint.Constraint, limit int) ([]fabric.DPtr, error) {
 	sc, err := tx.startHop(frontier, cons)
 	if sc == nil {
@@ -89,7 +88,7 @@ func (tx *Tx) FilterFrontier(frontier []fabric.DPtr, cons *constraint.Constraint
 	if err := tx.associateHandled(sc); err != nil {
 		return nil, err
 	}
-	if limit <= 0 || !tx.optimistic() {
+	if limit <= 0 {
 		tx.readPicked(sc, sc.stamped(), true)
 		if err := tx.associateHandled(sc); err != nil {
 			return nil, err
@@ -327,16 +326,9 @@ func (sc *frontierScratch) reset(e *Engine, frontier []fabric.DPtr) error {
 // each is a vertex known by its DPtr. It refuses the others, a vertex this
 // rank follows, whose local copy the flush reads, and, once the transaction
 // has written, every vertex it holds, whose state may differ from the stored
-// holder. A collective read-only transaction refuses every vertex: its
-// frontiers go to AssociateVertices whole.
+// holder.
 func (tx *Tx) stampFrontier(sc *frontierScratch) {
 	e := tx.eng
-	if !tx.optimistic() {
-		for i := range sc.verts {
-			sc.verts[i].verdict = readRefused
-		}
-		return
-	}
 	followers, wrote := tx.readsFollowers(), len(tx.dirtyList) > 0
 	if followers || wrote {
 		for i := range sc.verts {

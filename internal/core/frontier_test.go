@@ -141,14 +141,13 @@ func (g *frontierGraph) ageOver(over uint64) *constraint.Constraint {
 
 // TestExpandFrontierMatchesHandleWalk holds the expansion to its handle-based
 // oracle — same matched IDs, same neighbors, same order — and every hop's
-// harvest to the record-at-a-time walk over its arena (checkHarvest), on
-// both tiers it serves: the optimistic read-only one (the lean route, over a
-// cache that holds the graph and over a one-block cache that evicts on every
-// install) and the locking read-write one (handed to AssociateVertices
-// whole), over
+// harvest to the record-at-a-time walk over its arena (checkHarvest), in
+// read-only transactions (over a cache that holds the graph and over a
+// one-block cache that evicts on every install) and read-write ones, over
 // 64- and 256-byte blocks, on frontiers with duplicates, before and after
 // live migration leaves forwarding stubs behind some of the DPtrs the
-// frontiers and the edge records still use.
+// frontiers and the edge records still use. Every hop takes the lean route:
+// only the vertices behind stubs reach AssociateVertices.
 func TestExpandFrontierMatchesHandleWalk(t *testing.T) {
 	tiers := []struct {
 		name        string
@@ -182,7 +181,7 @@ func TestExpandFrontierMatchesHandleWalk(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if tx.optimistic() && len(tx.verts) > stubs {
+						if len(tx.verts) > stubs {
 							t.Fatalf("trial %d: the expansion materialized %d vertex states, want at most the %d behind stubs",
 								trial, len(tx.verts), stubs)
 						}

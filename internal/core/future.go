@@ -295,8 +295,8 @@ func (w waiters) resolve(first int32, st *vertexState) {
 	}
 }
 
-// readGeneration reads and settles every vertex of gen. In a local
-// read-only transaction a vertex this rank holds a follower copy of is read
+// readGeneration reads and settles every vertex of gen. In a read-only
+// transaction a vertex this rank holds a follower copy of is read
 // from that copy, an item of the same batch guarded by its own word, and
 // recorded in the read set against the primary; a copy that cannot serve is
 // dropped from the directory (unless it was merely busy) and the primary is
@@ -326,13 +326,12 @@ func (tx *Tx) readGeneration(r *chainReader, gen []assoc, spec bool, expect uint
 		}
 		r.items = append(r.items, it)
 	}
-	mode := tx.readMode()
 	r.spec, r.expect = spec, expect
 	for attempts := 0; ; {
-		if mode == readStable || attempts > 0 {
+		if attempts > 0 {
 			r.stamp(e, tx.rank)
 		}
-		r.read(e, tx.rank, mode, false, true)
+		r.read(e, tx.rank, readSeqlock, false, true)
 		torn, again := false, false
 		for _, i := range r.batch {
 			a, it := &gen[i], &r.items[i]
@@ -382,10 +381,9 @@ func (tx *Tx) readGeneration(r *chainReader, gen []assoc, spec bool, expect uint
 }
 
 // readsFollowers reports whether the transaction's reads may be served by
-// this rank's follower copies: a local read-only one's, while the rank holds
-// any.
+// this rank's follower copies: a read-only one's, while the rank holds any.
 func (tx *Tx) readsFollowers() bool {
-	return tx.mode == ReadOnly && !tx.collective && tx.eng.repl[tx.rank].size() > 0
+	return tx.mode == ReadOnly && tx.eng.repl[tx.rank].size() > 0
 }
 
 // install makes an item read OK a's state and the transaction's. The state
@@ -414,9 +412,7 @@ func (tx *Tx) install(a *assoc, it *chainItem) bool {
 	// through a forwarding stub, the primary a follower copy stands for — so
 	// heat lands against its current owner, not a vacated or follower rank.
 	tx.eng.recordHeat(tx.rank, st.view.AppID(), a.dp.Rank())
-	if tx.optimistic() {
-		tx.optReads = append(tx.optReads, optRead{a.dp, st.ver})
-	}
+	tx.optReads = append(tx.optReads, optRead{a.dp, st.ver})
 	return true
 }
 

@@ -166,9 +166,6 @@ func TestLaggingFollowerMultiHopReadValidatesPrimary(t *testing.T) {
 	}
 
 	tx := e.StartLocal(fr, ReadOnly)
-	if !tx.optimistic() {
-		t.Fatal("reader is not on the optimistic tier")
-	}
 
 	// Hop 1: local expansion of A.
 	hA, err := tx.AssociateVertex(dpA)

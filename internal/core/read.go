@@ -23,8 +23,7 @@ import (
 // walk as readImplausible before any buffer is sized or rank addressed from
 // them.
 
-// readMode says where a batch's stamps come from and what keeps its reads
-// stable.
+// readMode says what keeps a batch's reads stable.
 type readMode uint8
 
 const (
@@ -35,9 +34,6 @@ const (
 	// with the write bit clear, and only then are the fetched blocks cached
 	// (the optimistic reads of transactions).
 	readSeqlock readMode = iota
-	// readStable: the stamps were loaded in a collective read epoch. Nothing
-	// moves them, so fetched blocks are cached at once.
-	readStable
 	// readUnderLock: the caller holds each head's write lock or mark. Blocks
 	// come straight from the pool, neither stamped nor cached.
 	readUnderLock
@@ -65,7 +61,7 @@ const (
 type chainItem struct {
 	head  fabric.DPtr            // the chain's first block, whose lock word guards all of it
 	want  func(head []byte) bool // the caller's head test; nil accepts any holder head
-	stamp uint64                 // that word before the first read (stamped modes)
+	stamp uint64                 // that word before the first read (readSeqlock)
 	// stamped: stamp holds the word — the caller's, or the head round's. A
 	// seqlock item without one has the head round load it.
 	stamped bool
@@ -181,8 +177,8 @@ func (r *chainReader) reset(n int) {
 
 // stamp loads the guard word of every unread item not stamped yet, one load
 // train per owner rank: ahead of the reads, for a caller that acts on the
-// stamps before it reads (a frontier hop, the collective tier), or that has
-// seen a writer (a seqlock retry).
+// stamps before it reads (a frontier hop), or that has seen a writer (a
+// seqlock retry).
 func (r *chainReader) stamp(e *Engine, origin fabric.Rank) {
 	r.dps, r.readOf = slices.Grow(r.dps[:0], len(r.items)), slices.Grow(r.readOf[:0], len(r.items))
 	for i := range r.items {
@@ -206,21 +202,20 @@ func (r *chainReader) load(e *Engine, origin fabric.Rank) []uint64 {
 
 // admit judges an item by its stamp before anything read of it counts, and
 // reports whether the stamp admits it; if not, the item takes its refusal.
-func (r *chainReader) admit(it *chainItem, seqlock bool) bool {
-	it.verdict = r.refusal(it, it.stamp, seqlock)
+func (r *chainReader) admit(it *chainItem) bool {
+	it.verdict = r.refusal(it, it.stamp)
 	return it.verdict == unread
 }
 
 // refusal is the one rule by which a stamp refuses an item: a speculative
 // batch refuses a stamp at another version than it expects, with the stub
-// bit, or with a writer on anything but a follower copy (readStale); on
-// readSeqlock a writer otherwise makes the item readHeld. An admitted item
-// stays unread.
-func (r *chainReader) refusal(it *chainItem, stamp uint64, seqlock bool) verdict {
+// bit, or with a writer on anything but a follower copy (readStale); a
+// writer otherwise makes the item readHeld. An admitted item stays unread.
+func (r *chainReader) refusal(it *chainItem, stamp uint64) verdict {
 	switch {
 	case r.spec && (locks.Version(stamp) != r.expect || locks.Stub(stamp) || locks.WriteHeld(stamp) && !it.follower):
 		return readStale
-	case seqlock && locks.WriteHeld(stamp):
+	case locks.WriteHeld(stamp):
 		return readHeld
 	}
 	return unread
@@ -230,7 +225,7 @@ func (r *chainReader) refusal(it *chainItem, stamp uint64, seqlock bool) verdict
 // block its probe refuted: the block is fetched under stamp only if the
 // stamp admits the read's item.
 func (r *chainReader) refetch(j int, stamp uint64) bool {
-	return r.refusal(&r.items[r.readOf[j]], stamp, true) == unread
+	return r.refusal(&r.items[r.readOf[j]], stamp) == unread
 }
 
 // read walks the chain of every unread item and gives each a verdict: a head
@@ -262,7 +257,7 @@ func (r *chainReader) read(e *Engine, origin fabric.Rank, mode readMode, prefix,
 	r.heads = slices.Grow(r.heads[:0], len(r.batch)*bs)[:len(r.batch)*bs]
 	for k, i := range r.batch {
 		it := &r.items[i]
-		if it.stamped && !r.admit(it, seqlock) {
+		if it.stamped && !r.admit(it) {
 			continue
 		}
 		it.buf, it.wire, it.got = r.heads[k*bs:(k+1)*bs:(k+1)*bs], false, 1
@@ -274,7 +269,7 @@ func (r *chainReader) read(e *Engine, origin fabric.Rank, mode readMode, prefix,
 	streams := 0 // bytes of the streams read OK
 	for j, i := range r.readOf {
 		it := &r.items[i]
-		if r.reads[j].Load && !r.admit(it, seqlock) {
+		if r.reads[j].Load && !r.admit(it) {
 			continue
 		}
 		nb := holder.NumBlocks(it.buf)
@@ -364,7 +359,8 @@ func (r *chainReader) queue(i int32, dp fabric.DPtr, buf []byte, load, check boo
 }
 
 // round reads the queued blocks and, on readSeqlock, takes the stamps and
-// post-stamps its trains loaded and notes what came off the wire.
+// post-stamps its trains loaded and notes what came off the wire, which
+// validate caches once its item holds.
 func (r *chainReader) round(e *Engine, origin fabric.Rank, mode readMode) {
 	if mode == readUnderLock {
 		r.dps, r.bufs = r.dps[:0], reuse(r.bufs)
@@ -374,10 +370,7 @@ func (r *chainReader) round(e *Engine, origin fabric.Rank, mode readMode) {
 		e.store.ReadBlocksBatch(origin, r.dps, r.bufs)
 		return
 	}
-	e.store.ReadBlocksStamped(origin, r.reads, mode == readStable, &r.trains, r.refetch)
-	if mode != readSeqlock {
-		return
-	}
+	e.store.ReadBlocksStamped(origin, r.reads, &r.trains, r.refetch)
 	for j := range r.reads {
 		rd, it := &r.reads[j], &r.items[r.readOf[j]]
 		if rd.Load {

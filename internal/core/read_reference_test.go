@@ -73,7 +73,7 @@ func referenceFlush(tx *Tx, pending []*VertexFuture, spec bool, expect uint64) {
 		// validation train still proves freshness against the primary's word.
 		// Heat stays attributed to the primary's owner — a replica read must
 		// not make the follower rank look like the place the vertex lives.
-		if tx.mode == ReadOnly && tx.optimistic() {
+		if tx.mode == ReadOnly {
 			if st, ver, ok := referenceReplicaRead(tx, dp); ok {
 				if spec && ver != expect {
 					for _, f := range futs {
@@ -186,7 +186,7 @@ func referenceFlush(tx *Tx, pending []*VertexFuture, spec bool, expect uint64) {
 		}
 
 		// Phase 3: decode, install, resolve — or re-queue fetches that found
-		// a forwarding stub where the holder used to be. The optimistic tier
+		// a forwarding stub where the holder used to be. The read set
 		// records the version each holder was validated at; Commit
 		// revalidates the whole read set in one train per owner rank.
 		gen := fetches
@@ -223,9 +223,7 @@ func referenceFlush(tx *Tx, pending []*VertexFuture, spec bool, expect uint64) {
 					// forwarding stub — so heat lands against the vertex's
 					// current owner, not the vacated one.
 					tx.eng.recordHeat(tx.rank, v.AppID, pf.dp.Rank())
-					if tx.optimistic() {
-						tx.optReads = append(tx.optReads, optRead{pf.dp, pf.ver})
-					}
+					tx.optReads = append(tx.optReads, optRead{pf.dp, pf.ver})
 				}
 			}
 			for _, f := range pf.futs {
@@ -251,8 +249,8 @@ func referenceFlush(tx *Tx, pending []*VertexFuture, spec bool, expect uint64) {
 // Every round of every holder is served against one stamp of its guard:
 // cache hits valid at the stamp cost no traffic at all, and misses come off
 // the wire one GET train per rank per round. The guards are stamped up
-// front, one atomic-load train per owner rank. The
-// optimistic tier then establishes stability with a single post-stamp train
+// front, one atomic-load train per owner rank. Stability is then
+// established with a single post-stamp train
 // covering only the holders that actually touched the wire (a fully
 // cache-served holder is a consistent copy at its stamped version by
 // construction); fetched blocks of holders whose guard did not move are
@@ -260,11 +258,11 @@ func referenceFlush(tx *Tx, pending []*VertexFuture, spec bool, expect uint64) {
 func referenceFetchStreams(tx *Tx, fetches []*refFetch, spec bool, expect uint64) (unstable []*refFetch) {
 	bs := tx.eng.cfg.BlockSize
 	store := tx.eng.store
-	opt := tx.optimistic()
 
-	// Stamp every primary once; in optimistic mode a guard already held by a
-	// writer cannot validate, so its holder goes straight to retry. A speculative fetch is stale instead, at another
-	// version or under a writer (whose release moves the version).
+	// Stamp every primary once; a guard already held by a writer cannot
+	// validate, so its holder goes straight to retry. A speculative fetch is
+	// stale instead, at another version or under a writer (whose release
+	// moves the version).
 	var trains block.Trains
 	live := make([]*refFetch, 0, len(fetches))
 	prims := make([]fabric.DPtr, len(fetches))
@@ -278,7 +276,7 @@ func referenceFetchStreams(tx *Tx, fetches []*refFetch, spec bool, expect uint64
 		switch {
 		case spec && (locks.Version(w) != expect || locks.WriteHeld(w)):
 			pf.err = errStaleTranslation
-		case opt && locks.WriteHeld(w):
+		case locks.WriteHeld(w):
 			unstable = append(unstable, pf)
 		default:
 			pf.stamp, pf.ver = w, locks.Version(w)
@@ -291,26 +289,20 @@ func referenceFetchStreams(tx *Tx, fetches []*refFetch, spec bool, expect uint64
 	reads := make([]block.StampedRead, 0, len(live))
 	roundPfs := make([]*refFetch, 0, len(live))
 	readRound := func() {
-		store.ReadBlocksStamped(tx.rank, reads, !opt, &trains, nil)
-		if opt {
-			for j, pf := range roundPfs {
-				if reads[j].Fetched {
-					pf.fetched = append(pf.fetched, reads[j])
-				}
+		store.ReadBlocksStamped(tx.rank, reads, &trains, nil)
+		for j, pf := range roundPfs {
+			if reads[j].Fetched {
+				pf.fetched = append(pf.fetched, reads[j])
 			}
 		}
 	}
-	// fail marks a holder deleted/corrupt. On the optimistic tier the
-	// verdict is provisional — the poison itself may be a torn read — and
-	// is confirmed or discarded by the post-stamp check.
+	// fail marks a holder deleted/corrupt. The verdict is provisional — the
+	// poison itself may be a torn read — and is confirmed or discarded by
+	// the post-stamp check.
 	var toCheck []*refFetch
 	fail := func(pf *refFetch, err error) {
-		if opt {
-			pf.suspect = err
-			toCheck = append(toCheck, pf)
-			return
-		}
-		pf.err = err
+		pf.suspect = err
+		toCheck = append(toCheck, pf)
 	}
 
 	// Round 0: every primary block, guarded by its own lock word.
@@ -336,8 +328,7 @@ func referenceFetchStreams(tx *Tx, fetches []*refFetch, spec bool, expect uint64
 		if holder.IsMoved(pf.buf) {
 			// The vertex migrated away and left a forwarding stub: record
 			// the chase target — the flush re-queues the fetch at the
-			// current primary. On the
-			// optimistic tier the stub read still goes through the
+			// current primary. The stub read still goes through the
 			// post-stamp check below before the target is trusted.
 			pf.fwd = holder.MovedTarget(pf.buf)
 			continue
@@ -382,34 +373,32 @@ func referenceFetchStreams(tx *Tx, fetches []*refFetch, spec bool, expect uint64
 	// Optimistic post-validation: one stamp train over the holders that
 	// fetched anything (or look deleted); an unmoved guard proves every one
 	// of their wire reads was stable.
-	if opt {
-		for _, pf := range fetches {
-			if pf.err == nil && pf.suspect == nil && len(pf.fetched) > 0 {
-				toCheck = append(toCheck, pf)
-			}
+	for _, pf := range fetches {
+		if pf.err == nil && pf.suspect == nil && len(pf.fetched) > 0 {
+			toCheck = append(toCheck, pf)
 		}
-		if len(toCheck) == 0 {
-			return unstable
+	}
+	if len(toCheck) == 0 {
+		return unstable
+	}
+	prims = make([]fabric.DPtr, len(toCheck))
+	for i, pf := range toCheck {
+		prims[i] = pf.dp
+	}
+	post := make([]uint64, len(prims))
+	store.LockStampsInto(tx.rank, prims, post, &trains)
+	for i, pf := range toCheck {
+		if w := post[i]; locks.Version(w) != pf.ver || locks.WriteHeld(w) {
+			pf.suspect = nil
+			unstable = append(unstable, pf)
+			continue
 		}
-		prims := make([]fabric.DPtr, len(toCheck))
-		for i, pf := range toCheck {
-			prims[i] = pf.dp
+		if pf.suspect != nil {
+			pf.err = pf.suspect
+			pf.suspect = nil
+			continue
 		}
-		post := make([]uint64, len(prims))
-		store.LockStampsInto(tx.rank, prims, post, &trains)
-		for i, pf := range toCheck {
-			if w := post[i]; locks.Version(w) != pf.ver || locks.WriteHeld(w) {
-				pf.suspect = nil
-				unstable = append(unstable, pf)
-				continue
-			}
-			if pf.suspect != nil {
-				pf.err = pf.suspect
-				pf.suspect = nil
-				continue
-			}
-			store.InstallStamped(tx.rank, pf.fetched)
-		}
+		store.InstallStamped(tx.rank, pf.fetched)
 	}
 	return unstable
 }

@@ -374,28 +374,26 @@ type assocOutcome struct {
 // atomic trains and round trips of every step; every word window after
 // every step; and the engine's read counters. It runs in read-write, local
 // read-only (optimistic) and collective read-only transactions, at 64- and
-// 256-byte blocks, with a 512-block and a one-block cache. The seqlock reads
-// of the first two load the guard inside their GET trains, so their trains
-// and atomics are not the reference's: seqlockTraffic restates them, and
-// compareSeqlockTraffic holds their GETs and bytes to the reference's and
-// their round trips to at most the reference's. A chain's continuation
-// rounds read every block its table entries locate, where the reference
-// read one block per round, so at 64-byte blocks the collective tier's GET
-// trains are restated too (stampedTraffic), with its GETs and bytes the
-// reference's and no more round trips.
+// 256-byte blocks, with a 512-block and a one-block cache. A collective
+// read-only transaction reads as a local one does, so its rows are the
+// optimistic tier's. The seqlock reads load the guard inside their GET
+// trains, so their trains and atomics are not the reference's:
+// seqlockTraffic restates them, and compareSeqlockTraffic holds their GETs
+// and bytes to the reference's and their round trips to at most the
+// reference's.
 func TestAssociateMatchesReference(t *testing.T) {
 	tiers := []struct {
 		name       string
 		mode       Mode
 		collective bool
-	}{{"read-write", ReadWrite, false}, {"optimistic", ReadOnly, false}, {"collective", ReadOnly, true}}
+		traffic    string // the tier whose seqlockTraffic rows this one's are
+	}{{"read-write", ReadWrite, false, "read-write"}, {"optimistic", ReadOnly, false, "optimistic"}, {"collective", ReadOnly, true, "optimistic"}}
 	for _, tier := range tiers {
 		for _, bs := range []int{64, 256} {
 			for _, cache := range []int{512, 1} {
 				t.Run(fmt.Sprintf("%s/block=%d/cache=%d", tier.name, bs, cache), func(t *testing.T) {
 					var spec []uint64 // the fixture's speculative cases
-					seqlock := !tier.collective
-					optimistic := seqlock && tier.mode == ReadOnly
+					optimistic := tier.mode == ReadOnly
 					run := func(associate func(*Tx, []fabric.DPtr) ([]*VertexHandle, error),
 						flush func(*Tx, []*VertexFuture, bool, uint64)) assocOutcome {
 						log := &windowLog{Transport: rma.New(4)}
@@ -449,20 +447,19 @@ func TestAssociateMatchesReference(t *testing.T) {
 							tx.collective = false
 							tx.Abort()
 						}
-						if !tier.collective {
-							for _, a := range fx.spec {
-								tx := start()
-								dp, ver, ok := e.xlate[0].get(a)
-								if !ok {
-									t.Fatalf("no cached translation of %d", a)
-								}
-								step(tx, func() {
-									f := &VertexFuture{tx: tx, dp: dp}
-									flush(tx, []*VertexFuture{f}, true, ver)
-									out.Results = append(out.Results, fmt.Sprint(a, " ", errClass(f.err), " ", stateString(f.st)))
-								})
-								tx.Abort()
+						for _, a := range fx.spec {
+							tx := start()
+							dp, ver, ok := e.xlate[0].get(a)
+							if !ok {
+								t.Fatalf("no cached translation of %d", a)
 							}
+							step(tx, func() {
+								f := &VertexFuture{tx: tx, dp: dp}
+								flush(tx, []*VertexFuture{f}, true, ver)
+								out.Results = append(out.Results, fmt.Sprint(a, " ", errClass(f.err), " ", stateString(f.st)))
+							})
+							tx.collective = false
+							tx.Abort()
 						}
 						if e.ForwardedReads() == forwards {
 							t.Error("no read chased a forwarding stub")
@@ -487,31 +484,25 @@ func TestAssociateMatchesReference(t *testing.T) {
 					// stamp refuses it — the reference stamped first and read
 					// nothing.
 					blocks := slices.Clone(want.Blocks)
-					if !tier.collective {
-						// The lagging follower's cached version still holds on
-						// the optimistic tier, which reads the follower; a
-						// read-write transaction reads the primary, which moved.
-						classes := []string{"ok", "ok", "ok", "ok", "ok", "stale", "stale"}
-						if tier.mode == ReadWrite {
-							classes[3] = "stale"
+					// The lagging follower's cached version still holds on
+					// the optimistic tier, which reads the follower; a
+					// read-write transaction reads the primary, which moved.
+					classes := []string{"ok", "ok", "ok", "ok", "ok", "stale", "stale"}
+					if tier.mode == ReadWrite {
+						classes[3] = "stale"
+					}
+					for i, c := range classes {
+						if r := want.Results[len(want.Results)-len(classes)+i]; !strings.HasPrefix(r, fmt.Sprint(spec[i], " ", c, " ")) {
+							t.Errorf("speculative case %d: %s, want %s", i, r, c)
 						}
-						for i, c := range classes {
-							if r := want.Results[len(want.Results)-len(classes)+i]; !strings.HasPrefix(r, fmt.Sprint(spec[i], " ", c, " ")) {
-								t.Errorf("speculative case %d: %s, want %s", i, r, c)
-							}
-							if c == "stale" && cache == 1 {
-								blocks[len(blocks)-len(classes)+i] = fmt.Sprint(1, bs)
-							}
+						if c == "stale" && cache == 1 {
+							blocks[len(blocks)-len(classes)+i] = fmt.Sprint(1, bs)
 						}
 					}
 					compare("results", got.Results, want.Results)
 					compare("read sets", got.ReadSets, want.ReadSets)
 					compare("aliases", got.Moved, want.Moved)
-					if seqlock {
-						compareSeqlockTraffic(t, fmt.Sprintf("%s/block=%d/cache=%d", tier.name, bs, cache), got, want, blocks)
-					} else {
-						compareStampedTraffic(t, fmt.Sprintf("%s/block=%d/cache=%d", tier.name, bs, cache), got, want)
-					}
+					compareSeqlockTraffic(t, fmt.Sprintf("%s/block=%d/cache=%d", tier.traffic, bs, cache), got, want, blocks)
 					compare("counters", got.Counters, want.Counters)
 					if !reflect.DeepEqual(got.Words, want.Words) {
 						t.Error("word windows (lock words, free lists, index) differ from the reference's")
@@ -565,50 +556,6 @@ func compareSeqlockTraffic(t *testing.T, config string, got, want assocOutcome, 
 	for k, n := range got.Trips {
 		if n != got.Trains[k] || n > want.Trips[k] {
 			t.Errorf("step %d: %d round trips, want its %d trains and at most the reference's %d", k, n, got.Trains[k], want.Trips[k])
-		}
-	}
-}
-
-// stampedTraffic restates the collective tier's traffic in
-// TestAssociateMatchesReference where it is not the reference's: remote
-// GETs, GET trains, remote atomics and atomic trains per step, then the
-// round trips per step. At 64-byte blocks the hub's chain is read in the
-// rounds its table entries allow — every block whose entry lies in the
-// blocks already read — where the reference read one block per round, so
-// its later blocks ride fewer, fuller trains. The GETs and bytes got are
-// the reference's, and the one GET train more is a lone block the reference
-// read with a scalar GET, which no train counts.
-var stampedTraffic = map[string]struct {
-	traffic []string
-	trips   []int64
-}{
-	"collective/block=64/cache=512": {[]string{"20 7 10 3", "0 0 10 3"}, []int64{10, 3}},
-	"collective/block=64/cache=1":   {[]string{"24 7 10 3", "24 7 10 3"}, []int64{10, 10}},
-}
-
-// compareStampedTraffic checks the collective tier's traffic in
-// TestAssociateMatchesReference, step by step: the counts and round trips
-// stampedTraffic restates, or else the reference's; the remote GETs and
-// bytes got, which are the reference's; and no round trips beyond the
-// reference's.
-func compareStampedTraffic(t *testing.T, config string, got, want assocOutcome) {
-	t.Helper()
-	traffic, trips := want.Traffic, want.Trips
-	if r, ok := stampedTraffic[config]; ok {
-		traffic, trips = r.traffic, r.trips
-	}
-	if !reflect.DeepEqual(got.Traffic, traffic) {
-		t.Errorf("remote traffic differs:\n got %v\nwant %v", got.Traffic, traffic)
-	}
-	if !reflect.DeepEqual(got.Trips, trips) {
-		t.Errorf("round trips differ:\n got %v\nwant %v", got.Trips, trips)
-	}
-	if !reflect.DeepEqual(got.Blocks, want.Blocks) {
-		t.Errorf("remote GETs and bytes got differ from the reference's:\n got %v\nwant %v", got.Blocks, want.Blocks)
-	}
-	for k, n := range got.Trips {
-		if n > want.Trips[k] {
-			t.Errorf("step %d: %d round trips, more than the reference's %d", k, n, want.Trips[k])
 		}
 	}
 }
@@ -830,29 +777,23 @@ func TestSeqlockReadRoundTrips(t *testing.T) {
 			t.Errorf("cold %d-block chain association: %+v, want %+v", c.blocks, got, want)
 		}
 	}
-	// The same rounds on the chain reader's other modes, from rank 0 with a
-	// cold cache: a stamped read (the locking and collective tiers) after its
-	// stamp, and a read under lock (the chain mover). Each round is one GET
-	// train, or a scalar GET for the lone head block, so the round trips are
-	// the rounds.
-	for _, mode := range []readMode{readStable, readUnderLock} {
-		for _, c := range chains {
-			dp := longChain(c.blocks)
-			var r chainReader
-			r.reset(1)
-			r.items = append(r.items, chainItem{head: dp})
-			if mode == readStable {
-				r.stamp(e, 0)
-			}
-			trips := log.trips.Load()
-			got := measure(e, func() { r.read(e, 0, mode, false, false) })
-			if v := r.items[0].verdict; v != readOK {
-				t.Fatalf("mode %d, %d-block chain: verdict %d", mode, c.blocks, v)
-			}
-			if n := log.trips.Load() - trips; n != c.rounds || got.gets != c.blocks || got.atoms != 0 {
-				t.Errorf("mode %d, cold %d-block chain: %d round trips, %+v; want %d round trips and %d GETs",
-					mode, c.blocks, n, got, c.rounds, c.blocks)
-			}
+	// The same rounds on the chain reader's other mode, a read under lock
+	// (the chain mover), from rank 0 with a cold cache. Each round is one
+	// GET train, or a scalar GET for the lone head block, so the round trips
+	// are the rounds.
+	for _, c := range chains {
+		dp := longChain(c.blocks)
+		var r chainReader
+		r.reset(1)
+		r.items = append(r.items, chainItem{head: dp})
+		trips := log.trips.Load()
+		got := measure(e, func() { r.read(e, 0, readUnderLock, false, false) })
+		if v := r.items[0].verdict; v != readOK {
+			t.Fatalf("%d-block chain under lock: verdict %d", c.blocks, v)
+		}
+		if n := log.trips.Load() - trips; n != c.rounds || got.gets != c.blocks || got.atoms != 0 {
+			t.Errorf("cold %d-block chain under lock: %d round trips, %+v; want %d round trips and %d GETs",
+				c.blocks, n, got, c.rounds, c.blocks)
 		}
 	}
 

@@ -150,11 +150,13 @@ func (e *Engine) StartLocal(rank fabric.Rank, mode Mode) *Tx {
 }
 
 // StartCollective begins a collective transaction
-// (GDI_StartCollectiveTransaction): every rank must call it. The state is
-// replicated per process; a barrier delimits the epoch. Read-only
-// collective transactions skip per-vertex locking entirely — GDI specifies
-// that read transactions may assume no participant modifies the data
-// (§3.3), which is what makes large OLAP scans cheap.
+// (GDI_StartCollectiveTransaction): every rank must call it. A collective
+// transaction is a local one between barriers — one as it starts, and one
+// on each side of its Commit or Abort. It reads as every transaction does,
+// on the seqlock tier, and each rank's Commit validates that rank's read
+// set, so a collective commit's outcome is per-rank. §3.3 would let a
+// collective read-only transaction assume that no participant writes; the
+// read set it keeps instead costs one load train per owner rank at Commit.
 func (e *Engine) StartCollective(rank fabric.Rank, mode Mode) *Tx {
 	e.comm.Barrier(rank)
 	tx := e.StartLocal(rank, mode)
@@ -193,26 +195,6 @@ func (tx *Tx) check() error {
 	return nil
 }
 
-// optimistic reports whether this transaction reads optimistically (§3.8),
-// as every transaction but a collective read-only one does. It takes no
-// read locks: a holder read is accepted only when its guard word shows the
-// same version (write bit clear) on both sides of the read, the (holder,
-// version) pair joins the read set, and Commit validates the whole read set,
-// aborting with a transaction-critical error when any version moved. A write
-// defers its exclusive lock to the commit's lock train. Collective read-only
-// transactions keep their own lock-free path: §3.3 lets them assume no
-// concurrent writers, so they need neither locks nor validation.
-func (tx *Tx) optimistic() bool { return !tx.collective || tx.mode == ReadWrite }
-
-// readMode is how the transaction reads holder chains: under the seqlock, or
-// stable in a collective read epoch.
-func (tx *Tx) readMode() readMode {
-	if tx.optimistic() {
-		return readSeqlock
-	}
-	return readStable
-}
-
 // registry returns the rank-local metadata replica.
 func (tx *Tx) registry() *metadata.Registry { return tx.eng.regs[tx.rank] }
 
@@ -226,7 +208,7 @@ func (tx *Tx) MetadataStale() bool { return tx.registry().Version() != tx.metaVe
 // cost. Vertices created by this transaction are visible before commit
 // (read-your-own-writes).
 //
-// A local transaction first asks its rank's translation cache. A hit is a
+// A transaction first asks its rank's translation cache. A hit is a
 // speculative association: the vertex is associated at the cached DPtr as
 // AssociateVertex would (a read-set entry), and the translation is served
 // only if the guard still carries the cached version, the head block is a
@@ -237,8 +219,7 @@ func (tx *Tx) MetadataStale() bool { return tx.registry().Version() != tx.metaVe
 // refreshes the cache; ErrNotFound comes back exactly when the index has no
 // entry. An index entry naming a holder that was deleted or reused since is
 // looked up again; one that keeps doing so past the lock retry budget fails
-// the transaction like lock contention. Collective transactions translate
-// through the index alone and associate nothing.
+// the transaction like lock contention.
 func (tx *Tx) TranslateVertexID(appID uint64) (fabric.DPtr, error) {
 	if err := tx.check(); err != nil {
 		return fabric.NullDPtr, err
@@ -248,13 +229,6 @@ func (tx *Tx) TranslateVertexID(appID uint64) (fabric.DPtr, error) {
 			return fabric.NullDPtr, errNoVertex(appID)
 		}
 		return dp, nil
-	}
-	if tx.collective {
-		v, ok := tx.eng.index.Lookup(tx.rank, appID)
-		if st := tx.verts[fabric.DPtr(v)]; !ok || st != nil && st.deleted {
-			return fabric.NullDPtr, errNoVertex(appID)
-		}
-		return fabric.DPtr(v), nil
 	}
 	xc := &tx.eng.xlate[tx.rank]
 	if dp, ver, ok := xc.get(appID); ok && !tx.eng.isDead(dp.Rank()) {
@@ -600,8 +574,8 @@ func (tx *Tx) dropEdgeHolder(dp fabric.DPtr) error {
 // fetchEdgeState returns the transaction's state of the heavy-edge holder at
 // dp. The first use reads the holder as an association reads a vertex: on
 // the seqlock tier, read again while torn or write-held, and added to the
-// read set; stable in a collective read-only transaction. The chain is read
-// like any untrusted bytes: a reused block yields ErrNotFound, not a panic.
+// read set. The chain is read like any untrusted bytes: a reused block
+// yields ErrNotFound, not a panic.
 func (tx *Tx) fetchEdgeState(dp fabric.DPtr) (*edgeState, error) {
 	if es, ok := tx.edges[dp]; ok {
 		return es, nil
@@ -611,12 +585,11 @@ func (tx *Tx) fetchEdgeState(dp fabric.DPtr) (*edgeState, error) {
 	r := &fs.chainReader
 	r.items = append(reuse(r.items), chainItem{head: dp, want: holder.IsEdgeHolder})
 	it := &r.items[0]
-	mode := tx.readMode()
 	for attempts := 1; ; attempts++ {
-		if mode == readStable || attempts > 1 {
+		if attempts > 1 {
 			r.stamp(tx.eng, tx.rank)
 		}
-		r.read(tx.eng, tx.rank, mode, false, true)
+		r.read(tx.eng, tx.rank, readSeqlock, false, true)
 		if it.verdict != readHeld && it.verdict != readTorn {
 			break
 		}
@@ -636,9 +609,7 @@ func (tx *Tx) fetchEdgeState(dp fabric.DPtr) (*edgeState, error) {
 	es := &edgeState{primary: dp, e: e, blocks: it.chain()}
 	es.ver = locks.Version(it.stamp)
 	tx.addEdgeState(es)
-	if tx.optimistic() {
-		tx.optReads = append(tx.optReads, optRead{dp, es.ver})
-	}
+	tx.optReads = append(tx.optReads, optRead{dp, es.ver})
 	return es, nil
 }
 

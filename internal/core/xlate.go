@@ -89,9 +89,8 @@ func (c *xlateCache) drop(app uint64, dp fabric.DPtr) {
 // to the internal index.
 var errStaleTranslation = errors.New("core: cached translation is stale")
 
-// TranslationCacheStats reports how many translations of local transactions
-// the rank caches served (hits) and how many went to the internal index
-// (misses).
+// TranslationCacheStats reports how many translations the rank caches
+// served (hits) and how many went to the internal index (misses).
 func (e *Engine) TranslationCacheStats() (hits, misses int64) {
 	return e.xlateHits.Load(), e.xlateMisses.Load()
 }
@@ -100,9 +99,6 @@ func (e *Engine) TranslationCacheStats() (hits, misses int64) {
 // vertices of a commit's write set: each is cached at the version its
 // release published, or forgotten when the commit deleted it.
 func (tx *Tx) noteCommitted(ws []writeEntry) {
-	if tx.collective {
-		return
-	}
 	xc := &tx.eng.xlate[tx.rank]
 	for _, w := range ws {
 		switch st := w.vs; {
