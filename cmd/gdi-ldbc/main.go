@@ -32,6 +32,7 @@ func main() {
 	ageOver := flag.Uint64("age-over", 30, "2-hop predicate: friends-of-friends with age >= this")
 	hist := flag.Bool("hist", false, "print per-class latency histograms")
 	replicas := flag.Int("replicas", 1, "k-replica holder chains; optimistic reads are served from a local follower when one exists")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the timed mix (not the load) to this file")
 	flag.Parse()
 	if *workers == 0 {
 		*workers = *ranks
@@ -66,6 +67,11 @@ func main() {
 	}
 	db.Engine().Fabric().ResetCounters() // count the mix, not the load
 
+	stopProfile, err := workload.StartCPUProfile(*cpuprofile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "gdi-ldbc:", err)
+		os.Exit(1)
+	}
 	res, err := workload.RunLDBC(db, sch, workload.LDBCConfig{
 		Workers:      *workers,
 		OpsPerWorker: *ops,
@@ -80,6 +86,9 @@ func main() {
 		FriendLimit: *limit,
 		AgeOver:     *ageOver,
 	})
+	if perr := stopProfile(); perr != nil && err == nil {
+		err = perr
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gdi-ldbc:", err)
 		os.Exit(1)

@@ -30,6 +30,7 @@ func main() {
 	iters := flag.Int("iters", 10, "iterations for pagerank (cdlp uses 5, wcc runs to convergence)")
 	seed := flag.Int64("seed", 1, "generator seed")
 	htap := flag.Bool("htap", false, "run the kernels over a live snapshot cut while an open-loop OLTP load keeps committing; reports the load's served QPS next to each algorithm's wall time (bfs and pagerank only)")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the timed kernels (not the load) to this file")
 	flag.Parse()
 
 	var algos []string
@@ -62,6 +63,17 @@ func main() {
 		os.Exit(1)
 	}
 	g := &analytics.Graph{DB: db, Schema: sch}
+	stopProfile, err := workload.StartCPUProfile(*cpuprofile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "gdi-olap:", err)
+		os.Exit(1)
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintln(os.Stderr, "gdi-olap:", err)
+			os.Exit(1)
+		}
+	}()
 	if *htap {
 		runHTAP(rt, db, g, sch, cfg, algos, *ranks, *iters)
 		return

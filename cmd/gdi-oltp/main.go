@@ -28,6 +28,7 @@ func main() {
 	zipfLocal := flag.Bool("zipf-local", false, "with -zipf: give each worker its own hot set (worker-affine skew, the regime -rebalance exploits)")
 	rebalance := flag.Bool("rebalance", false, "gda: track access heat, run a warmup round, and live-migrate hot vertices onto their dominant accessors before the measured run")
 	replicas := flag.Int("replicas", 1, "gda: k-replica holder chains — every vertex gets one primary plus k-1 follower chains kept in lockstep by the commit fan-out; optimistic reads are served from a local follower when one exists")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the measured run (not the load or the warmup) to this file")
 	flag.Parse()
 	if *workers == 0 {
 		*workers = *ranks
@@ -126,12 +127,20 @@ func main() {
 		os.Exit(2)
 	}
 
+	stopProfile, err := workload.StartCPUProfile(*cpuprofile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "gdi-oltp:", err)
+		os.Exit(1)
+	}
 	res, err := workload.Run(sys, workload.RunConfig{
 		Mix: mix, Workers: *workers, OpsPerWorker: *ops,
 		KeySpace: cfg.NumVertices(), Seed: *seed,
 		ZipfS: *zipfS, ZipfWorkerHot: *zipfLocal,
 		InsertBase: insertBase,
 	})
+	if perr := stopProfile(); perr != nil && err == nil {
+		err = perr
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gdi-oltp:", err)
 		os.Exit(1)

@@ -10,7 +10,10 @@
 //     block following block i;
 //   - the system window holds, per rank, the tagged head of the free list
 //     (word 0) plus one reader-writer lock word per block (words 1..#blocks),
-//     used by the transaction layer for the per-vertex locks of §5.6.
+//     used by the transaction layer for the per-vertex locks of §5.6. Word
+//     1, the lock word of the reserved block 0, guards no holder: it is the
+//     rank's forwarding word, whose version counts the migrations that
+//     published a forwarding stub on the rank (ForwardingWord).
 //
 // Blocks are addressed with 64-bit DPtrs (16-bit rank, 48-bit block index).
 // Block index 0 of every rank is reserved so that DPtr 0 remains NULL.
@@ -310,6 +313,19 @@ func (s *Store) LockWord(dp fabric.DPtr) (fabric.WordWin, fabric.Rank, int) {
 	s.checkDPtr(dp)
 	return s.sys, dp.Rank(), 1 + int(dp.Off())
 }
+
+// ForwardingWord returns the system window and word index of rank r's
+// forwarding word: the lock word of the reserved block 0, which no holder
+// uses. A fresh pool leaves it 0; the transaction layer bumps its version
+// before it shows a forwarding stub on r, so a word still at 0 says that no
+// block of r has ever been a stub.
+func (s *Store) ForwardingWord(r fabric.Rank) (fabric.WordWin, fabric.Rank, int) {
+	return s.sys, r, 1
+}
+
+// ForwardingGuard is the guard LockStampsInto loads rank r's forwarding word
+// through: block 0 of r (NullDPtr on rank 0).
+func ForwardingGuard(r fabric.Rank) fabric.DPtr { return fabric.MakeDPtr(r, 0) }
 
 func (s *Store) checkDPtr(dp fabric.DPtr) {
 	if dp.IsNull() {

@@ -234,11 +234,15 @@ func (tr *Trains) pop(k int) (fabric.Rank, []int32) {
 // words of out — one vectored atomic-load train per distinct owner rank;
 // interpret them with locks.Version and locks.WriteHeld — grouping the batch
 // in the caller's scratch: beyond the word slices the fabric itself returns
-// (one per owner rank), it allocates nothing.
+// (one per owner rank), it allocates nothing. A guard may be block 0 of its
+// rank (ForwardingGuard): its word is the rank's forwarding word, which rides
+// the rank's train like any other.
 func (s *Store) LockStampsInto(origin fabric.Rank, dps []fabric.DPtr, out []uint64, tr *Trains) {
 	tr.target = slices.Grow(tr.target[:0], len(dps))
 	for _, dp := range dps {
-		s.checkDPtr(dp)
+		if dp.Off() != 0 {
+			s.checkDPtr(dp)
+		}
 		tr.target = append(tr.target, int32(dp.Rank()))
 	}
 	tr.group(s.f.Size())

@@ -263,12 +263,14 @@ func TestReadOnlyTxAllocs(t *testing.T) {
 
 // TestFrontierHopAllocsIndependentOfWidth is the same guard for the frontier
 // path: a frontier vertex costs no heap object. A warm-cache filter hop in a
-// transaction of its own — begin, ExpandFrontier with a predicate, commit —
+// transaction of its own — begin, a filter-only hop with a predicate, commit —
 // takes its arena from the pool and allocates at most 8 objects (the
 // transaction, the result slice, the read set, one word slice per stamp
 // train and rank), and that count is the same for a frontier of 64 vertices
 // and one of 1 024, local, cached and multi-block ones mixed, over 64- and
-// 256-byte blocks alike. An arena made per transaction cost 28.
+// 256-byte blocks alike. An arena made per transaction cost 28. A warm LIMIT 5
+// filter hop and its commit allocate the same objects over 520 vertices as
+// over 5 200: its forwarding-word entries join the read set, one per rank.
 func TestFrontierHopAllocsIndependentOfWidth(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is not meaningful under the race detector")
@@ -277,12 +279,12 @@ func TestFrontierHopAllocsIndependentOfWidth(t *testing.T) {
 		t.Run(fmt.Sprintf("block=%d", blockSize), func(t *testing.T) {
 			e := NewEngine(rma.New(2), Config{
 				BlockSize:     blockSize,
-				BlocksPerRank: 1 << 13,
+				BlocksPerRank: 1 << 14,
 				LockTries:     256,
 				CacheCapacity: 1 << 13,
 			})
 			_, knows, age, _ := seedPersonSchema(t, e)
-			const wide = 1024
+			const wide = 5200
 			seed := e.StartLocal(0, ReadWrite)
 			frontier := make([]rma.DPtr, wide)
 			for i := range frontier {
@@ -308,10 +310,10 @@ func TestFrontierHopAllocsIndependentOfWidth(t *testing.T) {
 			cons.AddPropCond(cons.AddSubconstraint(constraint.Subconstraint{}), constraint.PropCond{
 				PType: age, Datatype: lpg.TypeUint64, Op: constraint.OpGe, Operand: lpg.EncodeUint64(30)})
 
-			hop := func(width int) float64 {
+			hop := func(width, limit int) float64 {
 				run := func() {
 					tx := e.StartLocal(0, ReadOnly)
-					matched, _, err := tx.ExpandFrontier(frontier[:width], 0, cons)
+					matched, err := tx.FilterFrontier(frontier[:width], cons, limit)
 					if err != nil || len(matched) == 0 {
 						panic(fmt.Sprintf("filter hop: %d matched, %v", len(matched), err))
 					}
@@ -322,11 +324,15 @@ func TestFrontierHopAllocsIndependentOfWidth(t *testing.T) {
 				run() // fills the cache
 				return testing.AllocsPerRun(100, run)
 			}
-			at64, at1024 := hop(64), hop(wide)
+			at64, at1024 := hop(64, 0), hop(1024, 0)
 			if at64 != at1024 || at64 > 8 {
 				t.Fatalf("a warm filter hop allocates %.0f objects over 64 vertices and %.0f over 1024, want the same, at most 8", at64, at1024)
 			}
-			t.Logf("%.0f allocations per warm filter hop", at64)
+			at520, at5200 := hop(520, 5), hop(wide, 5)
+			if at520 != at5200 {
+				t.Fatalf("a warm LIMIT 5 filter hop allocates %.0f objects over 520 vertices and %.0f over 5200, want the same", at520, at5200)
+			}
+			t.Logf("%.0f allocations per warm filter hop, %.0f per warm LIMIT 5 hop", at64, at520)
 		})
 	}
 }

@@ -211,6 +211,9 @@ func (r *commitRun) lock() error {
 // before and after that writer; a read-only one passes, since the content it
 // read is still the latest committed state and it serializes before the
 // writer (torn reads were already rejected by the seqlock double-check).
+// An entry may name a rank's forwarding word at version 0 (a LIMIT hop's
+// unread vertices, Tx.FilterFrontier): it rides that rank's train, and any
+// stub published on the rank since fails it.
 func (r *commitRun) validateReads() error {
 	reads := r.optReads
 	if len(r.ws) > 0 {
@@ -270,6 +273,9 @@ func (r *commitRun) heldGuard(dp fabric.DPtr) *guard {
 // carries version got (or a foreign writer).
 func (r *commitRun) readMoved(rd optRead, got uint64) error {
 	r.eng.optAborts.Add(1)
+	if rd.dp.Off() == 0 {
+		return fmt.Errorf("validating rank %d's forwarding word: version %d, read at 0: %w", rd.dp.Rank(), got, locks.ErrContended)
+	}
 	return fmt.Errorf("validating the read of %v: version %d, read at %d: %w", rd.dp, got, rd.ver, locks.ErrContended)
 }
 

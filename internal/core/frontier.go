@@ -6,6 +6,7 @@ import (
 	"slices"
 	"unsafe"
 
+	"github.com/gdi-go/gdi/internal/block"
 	"github.com/gdi-go/gdi/internal/constraint"
 	"github.com/gdi-go/gdi/internal/fabric"
 	"github.com/gdi-go/gdi/internal/holder"
@@ -53,7 +54,7 @@ func (tx *Tx) ExpandFrontier(frontier []fabric.DPtr, mask DirMask, cons *constra
 	if sc == nil {
 		return nil, nil, err
 	}
-	tx.stampFrontier(sc)
+	tx.stampFrontier(sc, false)
 	tx.readPicked(sc, sc.stamped(), false)
 	if err := tx.associateHandled(sc); err != nil {
 		return nil, nil, err
@@ -70,21 +71,29 @@ func (tx *Tx) ExpandFrontier(frontier []fabric.DPtr, mask DirMask, cons *constra
 // A limit > 0 is a LIMIT the caller applies to the canonically sorted IDs,
 // and lets the hop stop early: the result then holds the limit smallest
 // matched IDs — every match when there are fewer — plus whatever else it
-// met, in no particular order. The hop first resolves what the
-// stamps cannot vouch for through AssociateVertices (a stub's current ID
-// sorts anywhere), then reads the rest in ascending DPtr order, in chunks:
-// the first of 2×limit vertices, each later one sized from the match rate so
-// far. A vertex whose stamp shows neither a stub nor a writer is known by its
-// DPtr before it is read, so the hop stops once limit distinct matched IDs lie
-// below the smallest unread DPtr. Each unread vertex joins the read set at
-// its stamped version: a migration or a write that lands on it after the
-// stamp fails Commit.
+// met, in no particular order. The hop pays for what it reads, not for the
+// width of the frontier: it loads one forwarding word per owner rank
+// (vouchStubFree), and a rank whose word reads 0 has never held a forwarding
+// stub, so each of its vertices is known by its DPtr without a stamp. Only
+// the vertices of the other ranks (and of dead ones) are stamped, and what
+// their stamps cannot vouch for is resolved through AssociateVertices first
+// (a stub's current ID sorts anywhere). The hop then reads the rest in
+// ascending DPtr order, in chunks: the first of 2×limit vertices, each later
+// one sized from the match rate so far, each read loading its guard words as
+// it goes; a stub or a writer met there is resolved as a refused stamp is. It
+// stops once limit distinct matched IDs lie below the smallest unread DPtr.
+// An unread vertex of a stamped rank joins the read set at its stamped
+// version; the unread vertices of a stub-free rank join it as one entry, the
+// rank's forwarding word at 0. A migration that publishes a stub on such a
+// rank fails Commit, and so does one that moves a stamped unread vertex; a
+// write that lands on a vertex the hop did not read does not, since the
+// vertex's ID, which is all the result depends on, stays above the bound.
 func (tx *Tx) FilterFrontier(frontier []fabric.DPtr, cons *constraint.Constraint, limit int) ([]fabric.DPtr, error) {
 	sc, err := tx.startHop(frontier, cons)
 	if sc == nil {
 		return nil, err
 	}
-	tx.stampFrontier(sc)
+	tx.stampFrontier(sc, limit > 0)
 	if err := tx.associateHandled(sc); err != nil {
 		return nil, err
 	}
@@ -165,8 +174,16 @@ func (tx *Tx) FilterFrontier(frontier []fabric.DPtr, cons *constraint.Constraint
 	sc.seen.end(sc.matched)
 	tx.optReads = slices.Grow(tx.optReads, len(rest))
 	for _, i := range rest {
-		v := &sc.verts[i]
-		tx.optReads = append(tx.optReads, optRead{v.head, locks.Version(v.stamp)})
+		if v := &sc.verts[i]; v.unstamped {
+			sc.ranks[v.head.Rank()] = rankUnread
+		} else {
+			tx.optReads = append(tx.optReads, optRead{v.head, locks.Version(v.stamp)})
+		}
+	}
+	for r, st := range sc.ranks {
+		if st == rankUnread {
+			tx.optReads = append(tx.optReads, optRead{block.ForwardingGuard(fabric.Rank(r)), 0})
+		}
 	}
 	return clone(sc.matched), nil
 }
@@ -214,8 +231,9 @@ type frontierScratch struct {
 	indexed   bool
 	seen      dptrSet // the frontier while it is deduped; then the neighbors harvested, or IDs matched
 	view      holder.View
-	pick      []int32 // vertices to read
-	resolving []int32 // vertices in the AssociateVertices batch
+	pick      []int32     // vertices to read
+	resolving []int32     // vertices in the AssociateVertices batch
+	ranks     []rankState // a LIMIT hop's view of each rank (vouchStubFree)
 	// The hop's results, built here and copied out (clone): nothing of the
 	// arena aliases what a hop returns.
 	matched, next []fabric.DPtr
@@ -230,7 +248,20 @@ type frontierVertex struct {
 	item    int32         // its item in the chain reader's last read
 	verdict verdict       // readStamped once stamped and vouched for; then the read's verdict
 	dup     bool          // resolved to a vertex an earlier one already stands for
+	// unstamped: vouched for by its rank's forwarding word, not by a stamp;
+	// the read loads its stamp in its head round.
+	unstamped bool
 }
+
+// rankState is what a LIMIT hop knows of one rank.
+type rankState uint8
+
+const (
+	rankIdle     rankState = iota // owns no vertex the hop has to vouch for
+	rankOwner                     // owns one: its forwarding word is loaded
+	rankStubFree                  // its forwarding word read 0: its vertices go unstamped
+	rankUnread                    // stub-free, with a vertex the hop left unread
+)
 
 // The frontier pool's retention budget: at most frontierPoolSlots idle arenas
 // (Engine.frontiers), each of at most pooledFrontierBytes by its footprint,
@@ -284,7 +315,7 @@ func (sc *frontierScratch) footprint() int {
 	r := &sc.chainReader
 	hop := arrayBytes(sc.verts) + arrayBytes(sc.index.slots) + arrayBytes(sc.seen.bits) +
 		arrayBytes(sc.seen.spill.slots) + arrayBytes(sc.pick) + arrayBytes(sc.resolving) +
-		arrayBytes(sc.matched) + arrayBytes(sc.next)
+		arrayBytes(sc.ranks) + arrayBytes(sc.matched) + arrayBytes(sc.next)
 	reader := arrayBytes(r.items) + arrayBytes(r.bytes.buf) + arrayBytes(r.heads) + arrayBytes(r.batch) +
 		arrayBytes(r.reads) + arrayBytes(r.readOf) + arrayBytes(r.walking) + arrayBytes(r.fetched) +
 		arrayBytes(r.dps) + arrayBytes(r.bufs) + arrayBytes(r.words) + r.trains.Footprint()
@@ -320,14 +351,15 @@ func (sc *frontierScratch) reset(e *Engine, frontier []fabric.DPtr) error {
 	return nil
 }
 
-// stampFrontier is a hop's first look at its frontier. It loads every guard
-// word, one load train per owner rank, and marks the vertices the stamp
-// vouches for readStamped: their word shows neither a stub nor a writer, so
-// each is a vertex known by its DPtr. It refuses the others, a vertex this
-// rank follows, whose local copy the flush reads, and, once the transaction
-// has written, every vertex it holds, whose state may differ from the stored
-// holder.
-func (tx *Tx) stampFrontier(sc *frontierScratch) {
+// stampFrontier is a hop's first look at its frontier. It refuses a vertex
+// this rank follows, whose local copy the flush reads, and, once the
+// transaction has written, every vertex it holds, whose state may differ from
+// the stored holder. A LIMIT hop (byRank) vouches for the vertices of
+// stub-free ranks by their forwarding words (vouchStubFree). The hop loads
+// every other guard word, one load train per owner rank, and marks the
+// vertices the stamp vouches for readStamped: their word shows neither a stub
+// nor a writer, so each is a vertex known by its DPtr. It refuses the others.
+func (tx *Tx) stampFrontier(sc *frontierScratch, byRank bool) {
 	e := tx.eng
 	followers, wrote := tx.readsFollowers(), len(tx.dirtyList) > 0
 	if followers || wrote {
@@ -341,6 +373,9 @@ func (tx *Tx) stampFrontier(sc *frontierScratch) {
 				sc.verts[i].verdict = readRefused
 			}
 		}
+	}
+	if byRank {
+		tx.vouchStubFree(sc)
 	}
 	r := &sc.chainReader
 	r.dps = slices.Grow(r.dps[:0], len(sc.verts))
@@ -361,6 +396,37 @@ func (tx *Tx) stampFrontier(sc *frontierScratch) {
 	}
 }
 
+// vouchStubFree loads the forwarding word of every live rank that owns an
+// unread vertex, one load per rank, and marks each vertex of a rank whose
+// word reads 0 readStamped and unstamped: no block of that rank has ever been
+// a forwarding stub, so the vertex is known by its DPtr (block.ForwardingWord).
+func (tx *Tx) vouchStubFree(sc *frontierScratch) {
+	e := tx.eng
+	sc.ranks = slices.Grow(reuse(sc.ranks), e.fab.Size())[:e.fab.Size()]
+	for i := range sc.verts {
+		if v := &sc.verts[i]; v.verdict == unread {
+			sc.ranks[v.head.Rank()] = rankOwner
+		}
+	}
+	r := &sc.chainReader
+	r.dps = r.dps[:0]
+	for rank, st := range sc.ranks {
+		if st == rankOwner && !e.isDead(fabric.Rank(rank)) {
+			r.dps = append(r.dps, block.ForwardingGuard(fabric.Rank(rank)))
+		}
+	}
+	for k, w := range r.load(e, tx.rank) {
+		if w == 0 {
+			sc.ranks[r.dps[k].Rank()] = rankStubFree
+		}
+	}
+	for i := range sc.verts {
+		if v := &sc.verts[i]; v.verdict == unread && sc.ranks[v.head.Rank()] == rankStubFree {
+			v.verdict, v.unstamped = readStamped, true
+		}
+	}
+}
+
 // stamped lists the stamped vertices no earlier resolution stands for, in
 // frontier order, in sc.pick.
 func (sc *frontierScratch) stamped() []int32 {
@@ -375,9 +441,10 @@ func (sc *frontierScratch) stamped() []int32 {
 
 // readPicked reads the stamped vertices pick lists in one seqlock batch,
 // reaching the end of the entry region when entriesOnly and the whole chain
-// otherwise, under the stamps the stamp train loaded. The batch recycles the
-// streams of the last one, whose vertices have been evaluated. Each vertex
-// read OK joins the read set.
+// otherwise, under the stamps the stamp train loaded; the head round loads
+// the stamps of unstamped vertices. The batch recycles the streams of the
+// last one, whose vertices have been evaluated. Each vertex read OK joins the
+// read set.
 func (tx *Tx) readPicked(sc *frontierScratch, pick []int32, entriesOnly bool) {
 	if len(pick) == 0 {
 		return
@@ -387,13 +454,13 @@ func (tx *Tx) readPicked(sc *frontierScratch, pick []int32, entriesOnly bool) {
 	for _, i := range pick {
 		v := &sc.verts[i]
 		v.item = int32(len(r.items))
-		r.items = append(r.items, chainItem{head: v.head, stamp: v.stamp, stamped: true})
+		r.items = append(r.items, chainItem{head: v.head, stamp: v.stamp, stamped: !v.unstamped})
 	}
 	r.read(tx.eng, tx.rank, readSeqlock, entriesOnly, false)
 	tx.optReads = slices.Grow(tx.optReads, len(pick))
 	for _, i := range pick {
-		v := &sc.verts[i]
-		if v.verdict = r.items[v.item].verdict; v.verdict == readOK {
+		v, it := &sc.verts[i], &r.items[sc.verts[i].item]
+		if v.stamp, v.verdict = it.stamp, it.verdict; v.verdict == readOK {
 			tx.optReads = append(tx.optReads, optRead{v.head, locks.Version(v.stamp)})
 		}
 	}

@@ -123,13 +123,39 @@ func (e *Engine) MigrateVertices(me fabric.Rank, moves []MigrationMove) (int, er
 	}
 	e.store.WriteBlocksBatch(me, w.dps, w.data)
 
-	// Swing the index, release (the version bumps invalidate every copy).
+	// Swing the index, count the stubs on their ranks' forwarding words,
+	// release (the version bumps invalidate every copy).
 	migrated, fatal := e.swingMoves(me, ms)
+	e.bumpForwarding(me, marks)
 	e.releaseMoves(me, ms, marks)
 	e.fab.FlushAll(me)
 	e.migrations.Add(int64(migrated))
 	e.migSkips.Add(int64(len(moves) - migrated))
 	return migrated, fatal
+}
+
+// bumpForwarding bumps the forwarding word of every rank on which marks sets
+// a stub bit, once per rank, before the release makes a stub visible there:
+// a reader that finds a rank's word at the version it validated knows that
+// no block of the rank turned into a stub in between (the LIMIT hop,
+// Tx.FilterFrontier). A move the release then gives up leaves an extra bump,
+// which costs such a reader its shortcut, never its correctness.
+func (e *Engine) bumpForwarding(me fabric.Rank, marks map[locks.Word]locks.ReleaseMark) {
+	stubbed := make([]bool, e.fab.Size())
+	for w, m := range marks {
+		stubbed[w.Target] = stubbed[w.Target] || m == locks.StubSet
+	}
+	for r, bump := range stubbed {
+		if bump {
+			e.forwardingWord(fabric.Rank(r)).Bump(me)
+		}
+	}
+}
+
+// forwardingWord addresses rank r's forwarding word.
+func (e *Engine) forwardingWord(r fabric.Rank) locks.Word {
+	win, target, idx := e.store.ForwardingWord(r)
+	return locks.Word{Win: win, Target: target, Idx: idx}
 }
 
 // swingMoves CAS-swings each published move's DHT entry from the old primary

@@ -168,6 +168,17 @@ func referenceMigrateVertices(e *Engine, me fabric.Rank, moves []MigrationMove) 
 	// Phase 6: swing the DHT entries and move the explicit-index postings.
 	migrated, fatal := referenceSwingMoves(e, me, live)
 
+	// Bump the forwarding word of every rank that gains a stub bit, once,
+	// before the release shows the stub.
+	bumped := make(map[fabric.Rank]bool)
+	for w, m := range marks {
+		if m == locks.StubSet && !bumped[w.Target] {
+			bumped[w.Target] = true
+			win, r, idx := e.store.ForwardingWord(w.Target)
+			locks.Word{Win: win, Target: r, Idx: idx}.Bump(me)
+		}
+	}
+
 	// Phase 7: release every lock (bumping the versions of the published
 	// moves' words — the invalidation broadcast — and dropping the skipped
 	// ones' unchanged), then retire the vacated continuation blocks. The old

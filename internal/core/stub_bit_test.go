@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"github.com/gdi-go/gdi/internal/holder"
@@ -163,4 +164,82 @@ func appAt(t *testing.T, e *Engine, r rma.Rank, dp rma.DPtr) uint64 {
 		t.Fatal(err)
 	}
 	return h.AppID()
+}
+
+// checkForwardingWords fails unless the forwarding word of every live rank
+// is non-zero exactly on the ranks stubbed lists, and unless every live rank
+// whose words carry a stub bit is among them: a rank gains a non-zero
+// forwarding word before it shows its first stub, and keeps it.
+func checkForwardingWords(t *testing.T, e *Engine, step string, stubbed ...rma.Rank) {
+	t.Helper()
+	for r := 0; r < e.fab.Size(); r++ {
+		rank := rma.Rank(r)
+		if e.isDead(rank) {
+			continue
+		}
+		want := slices.Contains(stubbed, rank)
+		if w := e.forwardingWord(rank).Stamp(rank); (w != 0) != want {
+			t.Fatalf("%s: rank %d's forwarding word is %#x, want it non-zero: %v", step, r, w, want)
+		}
+		for off := 1; off < e.store.BlocksPerRank() && !want; off++ {
+			if w := wordAt(e, rma.MakeDPtr(rank, uint64(off))).Stamp(rank); locks.Stub(w) {
+				t.Fatalf("%s: block %d of rank %d carries the stub bit under a forwarding word at 0", step, off, r)
+			}
+		}
+	}
+}
+
+// TestMigrationBumpsForwardingWord is the forwarding word's contract, which
+// the LIMIT hop's early stop rests on (Tx.FilterFrontier): a rank's word
+// reads 0 until a migration publishes a stub on it, and non-zero from then
+// on. A bulk load, commits, a migration's destination, replica seeding and a
+// failover promotion leave a rank's word at 0; a migration bumps the word of
+// the rank it vacates, and a migration back onto the former home bumps the
+// rank it vacates in turn and leaves the home's word non-zero.
+func TestMigrationBumpsForwardingWord(t *testing.T) {
+	const ranks, vertices = 4, 16
+	f, e := newReplicaEngine(t, ranks)
+	e.fab.Run(func(r rma.Rank) {
+		var vs []VertexSpec
+		var es []EdgeSpec
+		for i := int(r); i < vertices; i += ranks {
+			vs = append(vs, VertexSpec{AppID: uint64(i)})
+			es = append(es, EdgeSpec{OriginApp: uint64(i), TargetApp: uint64((i + 1) % vertices), Dir: holder.DirOut})
+		}
+		if err := e.BulkLoadVertices(r, vs); err != nil {
+			t.Error(err)
+			return
+		}
+		e.comm.Barrier(r)
+		if err := e.BulkLoadEdges(r, es); err != nil {
+			t.Error(err)
+		}
+	})
+	if t.Failed() {
+		t.FailNow()
+	}
+	checkForwardingWords(t, e, "bulk load")
+	pt := payloadPType(t, e)
+	seedPayloadVertex(t, e, vertices+1, pt, 4) // rank 1
+	checkForwardingWords(t, e, "commit")
+
+	away := mustMigrate(t, e, 1, 0) // from rank 1
+	checkForwardingWords(t, e, "migration off rank 1", 1)
+	mustMigrate(t, e, 1, 1)
+	checkForwardingWords(t, e, "migration back onto the former home", 0, 1)
+	if checkStubBits(t, e) != 1 || !locks.Stub(wordAt(e, away).Stamp(0)) {
+		t.Fatal("the stub of the migration back is not the block it vacated")
+	}
+
+	// Vertex 2 lives on rank 2; rank 3 follows it, loses it and promotes
+	// its follower.
+	if n := e.ReplicateFromRank(3, 2, 2); n == 0 {
+		t.Fatal("seeded no follower on rank 3")
+	}
+	checkForwardingWords(t, e, "replica seeding", 0, 1)
+	f.KillRank(2)
+	if n := e.PromoteDead(3); n == 0 {
+		t.Fatal("PromoteDead promoted nothing")
+	}
+	checkForwardingWords(t, e, "promotion", 0, 1)
 }

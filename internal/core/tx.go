@@ -133,7 +133,8 @@ type Tx struct {
 // optRead is one entry of the read set: a holder (a vertex by primary DPtr,
 // also when a follower copy served the read, or a heavy-edge holder) and the
 // guard version its content was validated at. A holder read twice appears
-// twice; both versions must still hold at commit.
+// twice; both versions must still hold at commit. Block 0 of a rank names the
+// rank's forwarding word, at version 0 (block.ForwardingGuard).
 type optRead struct {
 	dp  fabric.DPtr
 	ver uint64

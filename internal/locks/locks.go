@@ -187,6 +187,11 @@ func (w Word) TryAcquireWrite(origin fabric.Rank, tries int) error {
 // readers their cached copies of the guarded holder are stale.
 func (w Word) ReleaseWrite(origin fabric.Rank) { ReleaseWriteTrain(origin, []Word{w}, nil) }
 
+// Bump adds one to the version of a word no lock takes, in one remote
+// fetch-and-add: a rank's forwarding word, which counts the migrations that
+// published a forwarding stub there and is validated like any version.
+func (w Word) Bump(origin fabric.Rank) { w.Win.FetchAdd(origin, w.Target, w.Idx, versionOne) }
+
 // Peek returns the word's writer flag and reader count (diagnostics and
 // tests).
 func (w Word) Peek(origin fabric.Rank) (writer bool, readers uint32) {

@@ -36,7 +36,7 @@ func newFanGraph(t *testing.T, ranks int, shape storeShape, leafApp func(i int) 
 	t.Helper()
 	e := core.NewEngine(rma.New(ranks), core.Config{
 		BlockSize:     shape.blockSize,
-		BlocksPerRank: 1 << 12,
+		BlocksPerRank: 1 << 13,
 		LockTries:     256,
 		CacheCapacity: shape.cacheBlocks,
 	})
@@ -107,8 +107,11 @@ func span(lo, hi int) []int {
 // wideFan is the graph of the early-stop contracts: 520 leaves on rank 1,
 // 130 under each of four hubs, read from rank 0, so every leaf read is a
 // remote one.
-func wideFan(t *testing.T) *fanGraph {
-	const leaves, hubs = 520, 4
+func wideFan(t *testing.T) *fanGraph { return wideFanOf(t, 520) }
+
+// wideFanOf is wideFan with the given number of leaves, a multiple of four.
+func wideFanOf(t *testing.T, leaves int) *fanGraph {
+	const hubs = 4
 	var perFan [][]int
 	for j := 0; j < hubs; j++ {
 		perFan = append(perFan, span(j*leaves/hubs, (j+1)*leaves/hubs))
@@ -145,32 +148,119 @@ func TestLimitStopsFinalHopEarly(t *testing.T) {
 	}
 }
 
+// TestLimitHopLoadsWhatItReads is the count contract of the LIMIT hop on a
+// rank that never held a forwarding stub: over wideFan's 520 leaves and over
+// 5 200, a LIMIT 5 final hop and its commit load at most 2 guard words per
+// owner rank plus 3 per vertex read — the rank's forwarding word at the hop
+// and again at Commit, and a vertex's guard ahead of its read, behind it and
+// at Commit — so the same number at both widths, where a stamp of the whole
+// frontier loaded one per frontier vertex and Commit another. Commit loads
+// the forwarding word in the load train it already sends the rank: one train.
+func TestLimitHopLoadsWhatItReads(t *testing.T) {
+	const limit, owners = 5, 1
+	var loads [2]int64
+	for k, width := range []int{520, 5200} {
+		g := wideFanOf(t, width)
+		p := &Pattern{Kind: KHop, Hops: []Hop{{Mask: core.MaskOut}, {Mask: core.MaskOut, Cons: g.ageOver(30)}}, Limit: limit}
+		fab := g.e.Fabric()
+		before := fab.TotalSnapshot()
+		tx := g.e.StartLocal(0, core.ReadOnly)
+		res, err := Run(tx, g.src, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mid := fab.TotalSnapshot()
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		after := fab.TotalSnapshot()
+		if len(res.Rows) != limit {
+			t.Fatalf("width %d: %d rows, want %d", width, len(res.Rows), limit)
+		}
+		read := mid.RemoteGets + mid.CacheHits - before.RemoteGets - before.CacheHits
+		loads[k] = after.RemoteAtoms - before.RemoteAtoms
+		if bound := 2*owners + 3*read; loads[k] > bound || read > 8*limit {
+			t.Fatalf("width %d: the hop read %d vertices and, with its commit, loaded %d guard words, want at most %d reads and %d words",
+				width, read, loads[k], 8*limit, bound)
+		}
+		if trains := after.AtomicBatches - mid.AtomicBatches; trains != owners {
+			t.Fatalf("width %d: Commit sent %d load trains, want one per owner rank", width, trains)
+		}
+		if commit := after.RemoteAtoms - mid.RemoteAtoms; commit > owners+read {
+			t.Fatalf("width %d: Commit loaded %d words, want at most the forwarding word and the %d vertices read", width, commit, read)
+		}
+		t.Logf("width %d: %d vertices read, %d guard words loaded (%d at Commit)", width, read, loads[k], after.RemoteAtoms-mid.RemoteAtoms)
+	}
+	if loads[0] != loads[1] {
+		t.Fatalf("a LIMIT hop and its commit loaded %d guard words over 520 vertices and %d over 5 200, want the same", loads[0], loads[1])
+	}
+}
+
 // TestLimitEarlyStopValidatesUnread: the vertices a LIMIT hop stopped before
-// reading are in the read set at the versions their stamps showed. Migrating
-// or rewriting one of them between Run and Commit fails Commit with a
-// transaction-critical error; left alone, Commit succeeds.
+// reading are in the read set through their rank's forwarding word, at 0:
+// wideFan's leaf rank has never held a stub. A migration of one of them
+// between Run and Commit publishes a stub there and fails Commit with a
+// transaction-critical error: the last leaf ("migrate"), or a matching leaf
+// that moves below every vertex the hop read and so belongs in the result
+// ("migrate-below"). So does the first stub on the rank, of a vertex that is
+// not in the frontier at all ("first-stub"). A rewrite of an unread leaf
+// commits: the leaf's ID, which is all the hop's result depends on, stays
+// above every row the hop returned, so the transaction serializes at its
+// commit with the same rows. Left alone, Commit succeeds.
 func TestLimitEarlyStopValidatesUnread(t *testing.T) {
-	for _, interfere := range []string{"none", "migrate", "rewrite"} {
+	for _, interfere := range []string{"none", "migrate", "migrate-below", "first-stub", "rewrite"} {
 		t.Run(interfere, func(t *testing.T) {
 			g := wideFan(t)
 			p := &Pattern{Kind: KHop, Hops: []Hop{{Mask: core.MaskOut}, {Mask: core.MaskOut, Cons: g.ageOver(30)}}, Limit: 5}
 			tx := g.e.StartLocal(0, core.ReadOnly)
 			defer tx.Abort()
 			before := g.e.Fabric().TotalSnapshot()
-			if _, err := Run(tx, g.src, p); err != nil {
+			res, err := Run(tx, g.src, p)
+			if err != nil {
 				t.Fatal(err)
 			}
 			if gets := g.e.Fabric().TotalSnapshot().RemoteGets - before.RemoteGets; gets >= int64(len(g.leaves)) {
 				t.Fatalf("the hop read %d holders: it did not stop early", gets)
 			}
+			migrate := func(app uint64, old fabric.DPtr) {
+				t.Helper()
+				if n, err := g.e.MigrateVertices(0, []core.MigrationMove{{App: app, Old: old, Dest: 0}}); err != nil || n != 1 {
+					t.Fatalf("migration of vertex %d: moved %d, %v", app, n, err)
+				}
+			}
 			// The last leaf sorts after every other: the hop never read it.
 			last := len(g.leaves) - 1
 			switch interfere {
 			case "migrate":
-				n, err := g.e.MigrateVertices(0, []core.MigrationMove{{App: leafBase + uint64(2*last+1), Old: g.leaves[last], Dest: 0}})
-				if err != nil || n != 1 {
-					t.Fatalf("migration of the unread leaf: moved %d, %v", n, err)
+				migrate(leafBase+uint64(2*last+1), g.leaves[last])
+			case "migrate-below":
+				// The last matching leaf but one: rank 0 takes it below
+				// every leaf, so a fresh run returns it first.
+				i := last - 1
+				for i*7%90 < 30 {
+					i--
 				}
+				migrate(leafBase+uint64(2*i+1), g.leaves[i])
+				fresh := g.e.StartLocal(0, core.ReadOnly)
+				now, err := RunNaive(fresh, g.src, p)
+				fresh.Abort()
+				if err != nil || now.Rows[0].Verts[0].Rank() != 0 || reflect.DeepEqual(now, res) {
+					t.Fatalf("after the move a fresh run returns %+v (%v), want the moved leaf first", now, err)
+				}
+			case "first-stub":
+				w := g.e.StartLocal(1, core.ReadWrite)
+				app := leafBase + uint64(2*len(g.leaves)+1)
+				dp, err := w.CreateVertex(app)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				if dp.Rank() != 1 {
+					t.Fatalf("vertex %d created on rank %d, want the leaves' rank 1", app, dp.Rank())
+				}
+				migrate(app, dp)
 			case "rewrite":
 				w := g.e.StartLocal(1, core.ReadWrite)
 				h, err := w.AssociateVertex(g.leaves[last])
@@ -184,12 +274,16 @@ func TestLimitEarlyStopValidatesUnread(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			err := tx.Commit()
-			if interfere == "none" && err != nil {
-				t.Fatalf("commit of an undisturbed LIMIT hop: %v", err)
-			}
-			if interfere != "none" && !errors.Is(err, core.ErrTxCritical) {
-				t.Fatalf("commit after a %s of an unread frontier vertex: %v, want ErrTxCritical", interfere, err)
+			err = tx.Commit()
+			switch interfere {
+			case "none", "rewrite":
+				if err != nil {
+					t.Fatalf("commit after a %s of an unread frontier vertex: %v", interfere, err)
+				}
+			default:
+				if !errors.Is(err, core.ErrTxCritical) {
+					t.Fatalf("commit after a %s: %v, want ErrTxCritical", interfere, err)
+				}
 			}
 		})
 	}
@@ -201,18 +295,23 @@ func TestLimitEarlyStopValidatesUnread(t *testing.T) {
 // 1 to 3. One matching leaf moved from rank 3 to rank 0, so it resolves below
 // every DPtr the hop reads; one moved from rank 1 to rank 3, so it resolves
 // above most; and one moved from rank 2 to rank 1 and got an edge from the
-// second hub under its new DPtr, so the frontier names it twice.
+// second hub under its new DPtr, so the frontier names it twice. In the
+// "mixed" store only the first of those moves happened: rank 3 holds a stub
+// and ranks 1 and 2 none, so one last frontier has vertices the hop stamps
+// and vertices their ranks' forwarding words vouch for.
 func goldenEarlyStop(t *testing.T, ranks int) {
 	// Leaf i goes to rank i%3 + 1: a leaf's index picks its rank.
 	leafApp := func(i int) uint64 { return uint64(ranks*(i/3) + i%3 + 1) }
 	const low, high, twice = 5, 6, 7 // on ranks 3, 1 and 2, aged 35, 42 and 49
-	build := func(shape storeShape) (*fanGraph, [3]fabric.DPtr) {
+	type move struct {
+		leaf int
+		dest fabric.Rank
+	}
+	every := []move{{low, 0}, {high, 3}, {twice, 1}}
+	build := func(shape storeShape, moves []move) (*fanGraph, []fabric.DPtr) {
 		g := newFanGraph(t, ranks, shape, leafApp, span(0, 60), span(55, 70))
-		var moved [3]fabric.DPtr
-		for k, mv := range []struct {
-			leaf int
-			dest fabric.Rank
-		}{{low, 0}, {high, 3}, {twice, 1}} {
+		var moved []fabric.DPtr
+		for _, mv := range moves {
 			app := leafBase + leafApp(mv.leaf)
 			if n, err := g.e.MigrateVertices(mv.dest, []core.MigrationMove{{App: app, Old: g.leaves[mv.leaf], Dest: mv.dest}}); err != nil || n != 1 {
 				t.Fatalf("migration of leaf %d: moved %d, %v", mv.leaf, n, err)
@@ -223,18 +322,20 @@ func goldenEarlyStop(t *testing.T, ranks int) {
 			if err != nil || cur.Rank() != mv.dest {
 				t.Fatalf("leaf %d after migration: %v, %v", mv.leaf, cur, err)
 			}
-			moved[k] = cur
+			moved = append(moved, cur)
 		}
-		tx := g.e.StartLocal(0, core.ReadWrite)
-		if _, err := tx.CreateEdge(g.fans[1], moved[2], holder.DirOut, g.person); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
+		if len(moves) == len(every) {
+			tx := g.e.StartLocal(0, core.ReadWrite)
+			if _, err := tx.CreateEdge(g.fans[1], moved[2], holder.DirOut, g.person); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return g, moved
 	}
-	check := func(t *testing.T, g *fanGraph, moved [3]fabric.DPtr, mode core.Mode) {
+	check := func(t *testing.T, g *fanGraph, moved []fabric.DPtr, mode core.Mode) {
 		hops := []Hop{{Mask: core.MaskOut}, {Mask: core.MaskOut, Cons: g.ageOver(30)}}
 		all := runBoth(t, g.testGraph, mode, g.src, &Pattern{Kind: KHop, Hops: hops})
 		for _, dp := range moved {
@@ -258,12 +359,17 @@ func goldenEarlyStop(t *testing.T, ranks int) {
 			}
 		}
 	}
-	g, moved := build(defaultShape)
+	g, moved := build(defaultShape, every)
 	t.Run("read-only", func(t *testing.T) { check(t, g, moved, core.ReadOnly) })
 	t.Run("read-write", func(t *testing.T) { check(t, g, moved, core.ReadWrite) })
 	t.Run("cache=1", func(t *testing.T) {
-		cold, moved := build(storeShape{blockSize: defaultShape.blockSize, cacheBlocks: 1})
+		cold, moved := build(storeShape{blockSize: defaultShape.blockSize, cacheBlocks: 1}, every)
 		check(t, cold, moved, core.ReadOnly)
+	})
+	t.Run("mixed", func(t *testing.T) {
+		mixed, moved := build(defaultShape, every[:1])
+		check(t, mixed, moved, core.ReadOnly)
+		check(t, mixed, moved, core.ReadWrite)
 	})
 }
 

@@ -261,8 +261,8 @@ func (t tuples) at(i int) []fabric.DPtr { return t.v[i*t.w : (i+1)*t.w] }
 // re-enter a frontier, so a k-hop costs exactly k+1 rounds. Only IDs travel
 // between the rounds.
 func runKHop(src fabric.DPtr, p *Pattern, ex executor) (tuples, error) {
-	frontier := []fabric.DPtr{src}
-	visited := map[fabric.DPtr]struct{}{src: {}}
+	// visited holds the layers before the next one, sorted.
+	frontier, visited := []fabric.DPtr{src}, []fabric.DPtr{src}
 	for i := 0; ; i++ {
 		var cons *constraint.Constraint
 		if i > 0 {
@@ -280,17 +280,15 @@ func runKHop(src fabric.DPtr, p *Pattern, ex executor) (tuples, error) {
 		if err != nil {
 			return tuples{}, err
 		}
-		frontier = frontier[:0]
-		// The final layer is never consulted as "visited": next is already
-		// distinct, so it only has to be told from the layers before it.
-		finalLayer := i+1 == len(p.Hops)
-		for _, nb := range next {
-			if _, seen := visited[nb]; !seen {
-				if !finalLayer {
-					visited[nb] = struct{}{}
-				}
-				frontier = append(frontier, nb)
-			}
+		// next is already distinct, so it only has to be told from the
+		// layers before it; the final layer is never consulted as visited.
+		frontier = slices.DeleteFunc(next, func(nb fabric.DPtr) bool {
+			_, seen := slices.BinarySearch(visited, nb)
+			return seen
+		})
+		if i+1 < len(p.Hops) {
+			visited = append(visited, frontier...)
+			slices.Sort(visited)
 		}
 	}
 }
