@@ -54,9 +54,13 @@ func main() {
 	mixName := flag.String("mix", "LinkBench", `OLTP mix: "read mostly", "read intensive", "write intensive", "LinkBench"`)
 	replicas := flag.Int("replicas", 1, "k-replica holder chains: every vertex gets one primary plus k-1 follower chains kept in lockstep by the commit fan-out")
 	kill := flag.Int("kill", -1, "kill-one-process variant: rank to kill halfway through the write run (must not be 0); survivors promote its followers and each prints a committed-write conservation line")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the OLTP phase to `file` (under -backend tcp each rank process writes file.<rank>)")
 	flag.Parse()
 	if *kill == 0 || *kill >= *ranks {
 		fatalf("-kill must name a non-zero rank below -ranks (rank 0 prints the reports)")
+	}
+	if *kill >= 0 && *cpuprofile != "" {
+		fatalf("-cpuprofile profiles the fixed workload's OLTP phase; the -kill variant has none")
 	}
 
 	var mix workload.Mix
@@ -76,7 +80,7 @@ func main() {
 		if *kill >= 0 {
 			runKill(rt, *ops, *seed, *replicas, *kill)
 		} else {
-			runWorkload(rt, mix, *scale, *ops, *iters, *seed, *replicas)
+			runWorkload(rt, mix, *scale, *ops, *iters, *seed, *replicas, profile{0, *cpuprofile})
 		}
 	case *rank >= 0:
 		list := strings.Split(*peers, ",")
@@ -88,7 +92,11 @@ func main() {
 		if *kill >= 0 {
 			runKill(rt, *ops, *seed, *replicas, *kill)
 		} else {
-			runWorkload(rt, mix, *scale, *ops, *iters, *seed, *replicas)
+			prof := profile{rank: *rank}
+			if *cpuprofile != "" {
+				prof.path = fmt.Sprintf("%s.%d", *cpuprofile, *rank)
+			}
+			runWorkload(rt, mix, *scale, *ops, *iters, *seed, *replicas, prof)
 		}
 	case *backend == "tcp":
 		launch(*ranks, *kill)
@@ -168,7 +176,15 @@ func freePorts(n int) ([]string, error) {
 // runWorkload executes the fixed cluster workload over whatever transport
 // the runtime wraps. On a wire transport every rank process executes this
 // same function; the collective calls inside line them up.
-func runWorkload(rt *gdi.Runtime, mix workload.Mix, scale, ops, iters int, seed int64, replicas int) {
+// profile is where a process profiles the OLTP phase: the rank that starts
+// and stops the profile — the process's own rank on a wire transport, rank 0
+// in the simulator's one process — and the file it writes ("" for none).
+type profile struct {
+	rank int
+	path string
+}
+
+func runWorkload(rt *gdi.Runtime, mix workload.Mix, scale, ops, iters int, seed int64, replicas int, prof profile) {
 	cfg := kron.Config{Scale: scale, EdgeFactor: 16, Seed: seed, NumLabels: 20, NumProps: 13}.WithDefaults()
 	idxBuckets, idxEntries := workload.IndexSizing(cfg, rt.Size())
 	db := rt.CreateDatabase(gdi.DatabaseParams{
@@ -237,11 +253,25 @@ func runWorkload(rt *gdi.Runtime, mix workload.Mix, scale, ops, iters int, seed 
 			// %.17g round-trips a float64, so equal lines mean equal bits.
 			fmt.Printf("lcc: average %.17g\n", avgLCC)
 		}
+		// The profile starts before the barrier every rank leaves for the
+		// OLTP phase, and stops once the reduction of its counts shows every
+		// rank through it.
+		var stopProfile func() error
+		if int(me) == prof.rank {
+			if stopProfile, err = workload.StartCPUProfile(prof.path); err != nil {
+				fatalf("%v", err)
+			}
+		}
 		p.Barrier()
 
 		committed, failed := oltpWorker(sys, p, mix, cfg, ops, seed)
 		totalCommitted := p.AllreduceInt64(committed)
 		totalFailed := p.AllreduceInt64(failed)
+		if stopProfile != nil {
+			if err := stopProfile(); err != nil {
+				fatalf("%v", err)
+			}
+		}
 		if me == 0 {
 			fmt.Printf("oltp: mix=%q ranks=%d ops=%d committed=%d failed=%d\n",
 				mix.Name, p.Size(), p.Size()*ops, totalCommitted, totalFailed)

@@ -244,17 +244,21 @@
 // to a pool that keeps at most two of them, each of at most 1 MiB.
 // LIMIT is a bounded top-k on the canonical order over IDs, and only the
 // rows it keeps are associated as handles, for the projection. It also
-// stops the last hop early
-// (Transaction.FilterFrontier): a rank's forwarding word, which every
-// migration that publishes a stub on the rank bumps, tells the hop with one
-// load that none of the rank's DPtrs is a stub, and the lock word's stub bit
-// tells it which DPtrs of the other ranks are; every other DPtr is its
-// vertex's ID. So the hop reads the frontier in ascending DPtr order, in
-// chunks, until LIMIT matches sort below everything unread, loading only
-// the guard words of what it reads. Commit validates the forwarding words
-// of the ranks whose vertices went unread, and the stamped versions of the
-// unread vertices elsewhere: a write to an unread vertex does not fail it,
-// a migration does. Forwarding stubs, follower-served vertices, holders caught
+// stops the last hop early (Transaction.FilterFrontier), whose cost follows
+// what it reads, not the width of the layer: the query hands it the last
+// layer as harvested with the layers before it as an exclude set, and the
+// hop keeps each vertex as an 8-byte candidate, its DPtr, giving a record
+// only to what it stamps, resolves or reads. A rank's forwarding word,
+// which every migration that publishes a stub on the rank bumps, tells the
+// hop with one load that none of the rank's DPtrs is a stub, and the lock
+// word's stub bit tells it which DPtrs of the other ranks are; every other
+// DPtr is its vertex's ID. So the hop reads the candidates in ascending
+// DPtr order, in chunks a quickselect cuts off their front, until LIMIT
+// matches sort below everything unread, loading only the guard words of
+// what it reads. Commit validates the forwarding words of the ranks whose
+// vertices went unread, and the stamped versions of the unread vertices
+// elsewhere: a write to an unread vertex does not fail it, a migration
+// does. Forwarding stubs, follower-served vertices, holders caught
 // mid-write, and the vertices a writing transaction holds (so it sees its
 // own writes and deletions) fall back to one AssociateVertices batch; a
 // frontier vertex that no longer exists is ErrNotFound.

@@ -269,51 +269,22 @@ func TestReadOnlyTxAllocs(t *testing.T) {
 // train and rank), and that count is the same for a frontier of 64 vertices
 // and one of 1 024, local, cached and multi-block ones mixed, over 64- and
 // 256-byte blocks alike. An arena made per transaction cost 28. A warm LIMIT 5
-// filter hop and its commit allocate the same objects over 520 vertices as
-// over 5 200: its forwarding-word entries join the read set, one per rank.
+// filter hop and its commit allocate at most 9 objects, and the same objects
+// and the same bytes over 520 vertices as over 5 200: the read set grows by
+// the vertices the hop read and one forwarding-word entry per rank, not by
+// the vertices it left unread.
 func TestFrontierHopAllocsIndependentOfWidth(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is not meaningful under the race detector")
 	}
 	for _, blockSize := range []int{64, 256} {
 		t.Run(fmt.Sprintf("block=%d", blockSize), func(t *testing.T) {
-			e := NewEngine(rma.New(2), Config{
-				BlockSize:     blockSize,
-				BlocksPerRank: 1 << 14,
-				LockTries:     256,
-				CacheCapacity: 1 << 13,
-			})
-			_, knows, age, _ := seedPersonSchema(t, e)
-			const wide = 5200
-			seed := e.StartLocal(0, ReadWrite)
-			frontier := make([]rma.DPtr, wide)
-			for i := range frontier {
-				dp, err := seed.CreateVertex(uint64(i))
-				if err != nil {
-					t.Fatal(err)
-				}
-				frontier[i] = dp
-				h, _ := seed.AssociateVertex(dp)
-				if err := h.AddProperty(age, lpg.EncodeUint64(uint64(i%90))); err != nil {
-					t.Fatal(err)
-				}
-				if i > 0 {
-					if _, err := seed.CreateEdge(dp, frontier[i/2], holder.DirOut, knows); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			if err := seed.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			cons := constraint.New(e.Registry(0))
-			cons.AddPropCond(cons.AddSubconstraint(constraint.Subconstraint{}), constraint.PropCond{
-				PType: age, Datatype: lpg.TypeUint64, Op: constraint.OpGe, Operand: lpg.EncodeUint64(30)})
-
-			hop := func(width, limit int) float64 {
+			e, frontier, cons := newPersonFrontier(t, blockSize, 5200)
+			type cost struct{ objects, bytes uint64 }
+			hop := func(width, limit int) cost {
 				run := func() {
 					tx := e.StartLocal(0, ReadOnly)
-					matched, err := tx.FilterFrontier(frontier[:width], cons, limit)
+					matched, err := tx.FilterFrontier(frontier[:width], nil, cons, limit)
 					if err != nil || len(matched) == 0 {
 						panic(fmt.Sprintf("filter hop: %d matched, %v", len(matched), err))
 					}
@@ -321,20 +292,69 @@ func TestFrontierHopAllocsIndependentOfWidth(t *testing.T) {
 						panic(err)
 					}
 				}
-				run() // fills the cache
-				return testing.AllocsPerRun(100, run)
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+				run() // fills the cache and the arena
+				c := cost{math.MaxUint64, math.MaxUint64}
+				var before, after runtime.MemStats
+				for range 20 {
+					runtime.ReadMemStats(&before)
+					run()
+					runtime.ReadMemStats(&after)
+					c.objects = min(c.objects, after.Mallocs-before.Mallocs)
+					c.bytes = min(c.bytes, after.TotalAlloc-before.TotalAlloc)
+				}
+				return c
 			}
 			at64, at1024 := hop(64, 0), hop(1024, 0)
-			if at64 != at1024 || at64 > 8 {
-				t.Fatalf("a warm filter hop allocates %.0f objects over 64 vertices and %.0f over 1024, want the same, at most 8", at64, at1024)
+			if at64.objects != at1024.objects || at64.objects > 8 {
+				t.Fatalf("a warm filter hop allocates %d objects over 64 vertices and %d over 1024, want the same, at most 8", at64.objects, at1024.objects)
 			}
-			at520, at5200 := hop(520, 5), hop(wide, 5)
-			if at520 != at5200 {
-				t.Fatalf("a warm LIMIT 5 filter hop allocates %.0f objects over 520 vertices and %.0f over 5200, want the same", at520, at5200)
+			at520, at5200 := hop(520, 5), hop(len(frontier), 5)
+			if at520 != at5200 || at520.objects > 9 {
+				t.Fatalf("a warm LIMIT 5 filter hop allocates %+v over 520 vertices and %+v over 5200, want the same, at most 9 objects", at520, at5200)
 			}
-			t.Logf("%.0f allocations per warm filter hop, %.0f per warm LIMIT 5 hop", at64, at520)
+			t.Logf("%d allocations per warm filter hop; %d allocations and %d bytes per warm LIMIT 5 hop", at64.objects, at520.objects, at520.bytes)
 		})
 	}
+}
+
+// newPersonFrontier commits n vertices over two ranks, vertex i aged i%90
+// and linked to vertex i/2, and returns them in creation order with the
+// predicate age ≥ 30, which two thirds of them match.
+func newPersonFrontier(t *testing.T, blockSize, n int) (*Engine, []rma.DPtr, *constraint.Constraint) {
+	t.Helper()
+	e := NewEngine(rma.New(2), Config{
+		BlockSize:     blockSize,
+		BlocksPerRank: 1 << 14,
+		LockTries:     256,
+		CacheCapacity: 1 << 13,
+	})
+	_, knows, age, _ := seedPersonSchema(t, e)
+	seed := e.StartLocal(0, ReadWrite)
+	frontier := make([]rma.DPtr, n)
+	for i := range frontier {
+		dp, err := seed.CreateVertex(uint64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frontier[i] = dp
+		h, _ := seed.AssociateVertex(dp)
+		if err := h.AddProperty(age, lpg.EncodeUint64(uint64(i%90))); err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			if _, err := seed.CreateEdge(dp, frontier[i/2], holder.DirOut, knows); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := seed.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	cons := constraint.New(e.Registry(0))
+	cons.AddPropCond(cons.AddSubconstraint(constraint.Subconstraint{}), constraint.PropCond{
+		PType: age, Datatype: lpg.TypeUint64, Op: constraint.OpGe, Operand: lpg.EncodeUint64(30)})
+	return e, frontier, cons
 }
 
 // TestExpansionHopAllocsIndependentOfWidth is the count contract of the

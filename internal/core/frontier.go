@@ -47,14 +47,14 @@ func (h *VertexHandle) Matches(cons *constraint.Constraint) bool {
 // of the arena aliases them.
 func (tx *Tx) ExpandFrontier(frontier []fabric.DPtr, mask DirMask, cons *constraint.Constraint) (matched, next []fabric.DPtr, err error) {
 	if mask == 0 {
-		matched, err = tx.FilterFrontier(frontier, cons, 0)
+		matched, err = tx.FilterFrontier(frontier, nil, cons, 0)
 		return matched, nil, err
 	}
-	sc, err := tx.startHop(frontier, cons)
+	sc, err := tx.startHop(frontier, nil, cons)
 	if sc == nil {
 		return nil, nil, err
 	}
-	tx.stampFrontier(sc, false)
+	tx.stampFrontier(sc)
 	tx.readPicked(sc, sc.stamped(), false)
 	if err := tx.associateHandled(sc); err != nil {
 		return nil, nil, err
@@ -63,55 +63,70 @@ func (tx *Tx) ExpandFrontier(frontier []fabric.DPtr, mask DirMask, cons *constra
 }
 
 // FilterFrontier is the filter-only hop: the IDs of the frontier vertices
-// that satisfy cons, deduped. With limit 0 it is ExpandFrontier with mask 0:
-// every match, in frontier order. A filter-only hop reads each holder only up
-// to the end of its label/property entries (holder.EntryBlocks: the primary
+// that satisfy cons, deduped. A frontier DPtr that exclude names is left
+// out, as a duplicate of it would be: exclude is what a k-hop's final round
+// must not report again, the layers before its last, matched by DPtr. With
+// limit 0 it is ExpandFrontier with mask 0 over what exclude leaves: every
+// match, in frontier order. A filter-only hop reads each holder only up to
+// the end of its label/property entries (holder.EntryBlocks: the primary
 // block for all but mega-hubs), not its chain.
 //
 // A limit > 0 is a LIMIT the caller applies to the canonically sorted IDs,
 // and lets the hop stop early: the result then holds the limit smallest
 // matched IDs — every match when there are fewer — plus whatever else it
 // met, in no particular order. The hop pays for what it reads, not for the
-// width of the frontier: it loads one forwarding word per owner rank
-// (vouchStubFree), and a rank whose word reads 0 has never held a forwarding
-// stub, so each of its vertices is known by its DPtr without a stamp. Only
-// the vertices of the other ranks (and of dead ones) are stamped, and what
-// their stamps cannot vouch for is resolved through AssociateVertices first
-// (a stub's current ID sorts anywhere). The hop then reads the rest in
-// ascending DPtr order, in chunks: the first of 2×limit vertices, each later
+// width of the frontier. A frontier vertex is an 8-byte candidate, its DPtr,
+// until the hop stamps, resolves or reads it; only then does it get a
+// record in the arena. The hop loads one forwarding word per owner rank
+// (vouch), and a rank whose word reads 0 has never held a forwarding stub,
+// so each of its vertices is known by its DPtr without a stamp. Only the
+// vertices of the other ranks (and of dead ones) are stamped; those whose
+// stamp shows a stub or a writer are resolved through AssociateVertices
+// first (a stub's current ID sorts anywhere). The hop then reads the
+// candidates in ascending DPtr order, in chunks that a quickselect over the
+// candidates cuts off their front: the first of 2×limit vertices, each later
 // one sized from the match rate so far, each read loading its guard words as
-// it goes; a stub or a writer met there is resolved as a refused stamp is. It
-// stops once limit distinct matched IDs lie below the smallest unread DPtr.
-// An unread vertex of a stamped rank joins the read set at its stamped
-// version; the unread vertices of a stub-free rank join it as one entry, the
-// rank's forwarding word at 0. A migration that publishes a stub on such a
-// rank fails Commit, and so does one that moves a stamped unread vertex; a
-// write that lands on a vertex the hop did not read does not, since the
-// vertex's ID, which is all the result depends on, stays above the bound.
-func (tx *Tx) FilterFrontier(frontier []fabric.DPtr, cons *constraint.Constraint, limit int) ([]fabric.DPtr, error) {
-	sc, err := tx.startHop(frontier, cons)
+// it goes; a stub or a writer met there is resolved as a refused stamp is.
+// It stops once limit distinct matched IDs lie below the smallest unread
+// DPtr. Of what it left unread, a stamped vertex joins the read set at its
+// stamped version, and the vertices of a stub-free rank as one entry, the
+// rank's forwarding word at 0 (leaveUnread). A migration that publishes a
+// stub on such a rank fails Commit, and so does one that moves a stamped
+// unread vertex; a write that lands on a vertex the hop did not read does
+// not, since the vertex's ID, which is all the result depends on, stays
+// above the bound.
+func (tx *Tx) FilterFrontier(frontier, exclude []fabric.DPtr, cons *constraint.Constraint, limit int) ([]fabric.DPtr, error) {
+	sc, err := tx.startHop(frontier, exclude, cons)
 	if sc == nil {
 		return nil, err
 	}
-	tx.stampFrontier(sc, limit > 0)
+	if limit > 0 {
+		return tx.filterEarly(sc, cons, limit)
+	}
+	tx.stampFrontier(sc)
 	if err := tx.associateHandled(sc); err != nil {
 		return nil, err
 	}
-	if limit <= 0 {
-		tx.readPicked(sc, sc.stamped(), true)
-		if err := tx.associateHandled(sc); err != nil {
-			return nil, err
-		}
-		matched, _, err := tx.evalFrontier(sc, 0, cons)
-		return matched, err
+	tx.readPicked(sc, sc.stamped(), true)
+	if err := tx.associateHandled(sc); err != nil {
+		return nil, err
 	}
+	matched, _, err := tx.evalFrontier(sc, 0, cons)
+	return matched, err
+}
 
-	// The early-stopping hop: matched is a set, since a vertex resolved late
-	// may turn out to be one an earlier chunk already counted.
+// filterEarly is FilterFrontier's early-stopping hop over the candidates
+// startHop gathered. matched is a set, since a vertex resolved late may turn
+// out to be one an earlier chunk already counted.
+func (tx *Tx) filterEarly(sc *frontierScratch, cons *constraint.Constraint, limit int) ([]fabric.DPtr, error) {
+	tx.vouch(sc)
+	if err := tx.associateHandled(sc); err != nil {
+		return nil, err
+	}
 	sc.matched = sc.matched[:0]
 	sc.seen.begin(tx.eng)
-	match := func(i int) error {
-		id, ok, err := tx.evalItem(sc, i, cons)
+	match := func(i int32) error {
+		id, ok, err := tx.evalItem(sc, int(i), cons)
 		if ok && sc.seen.add(id) {
 			sc.matched = append(sc.matched, id)
 		}
@@ -119,18 +134,21 @@ func (tx *Tx) FilterFrontier(frontier []fabric.DPtr, cons *constraint.Constraint
 	}
 	for i := range sc.verts {
 		if sc.verts[i].h != nil && !sc.verts[i].dup {
-			if err := match(i); err != nil {
+			if err := match(int32(i)); err != nil {
 				return nil, err
 			}
 		}
 	}
-	rest := sc.stamped()
+	// rest is the candidates not read yet, and bound the smallest of them:
+	// every selection leaves it behind its chunk. Before the first one only
+	// a resolved match can lie below it.
+	rest := sc.cands
+	var bound fabric.DPtr
+	if len(sc.matched) > 0 && len(rest) > 0 {
+		bound = slices.Min(rest)
+	}
 	read, hits := 0, 0
 	for len(rest) > 0 {
-		bound := sc.verts[rest[0]].head
-		for _, i := range rest[1:] {
-			bound = min(bound, sc.verts[i].head)
-		}
 		below := 0
 		for _, id := range sc.matched {
 			if id < bound {
@@ -146,20 +164,22 @@ func (tx *Tx) FilterFrontier(frontier []fabric.DPtr, cons *constraint.Constraint
 			size = max(need, 2*need*read/max(hits, 1))
 		}
 		if size < len(rest) {
-			sc.selectSmallest(rest, size)
+			bound = selectSmallest(rest, size)
+		} else {
+			size = len(rest)
 		}
-		size = min(size, len(rest))
-		chunk := rest[:size]
-		tx.readPicked(sc, chunk, true)
+		pick := sc.pickChunk(rest[:size])
+		rest = rest[size:]
+		tx.readPicked(sc, pick, true)
 		if err := tx.associateHandled(sc); err != nil {
 			return nil, err
 		}
-		for _, i := range chunk {
+		for _, i := range pick {
 			if sc.verts[i].dup {
 				continue
 			}
 			n := len(sc.matched)
-			if err := match(int(i)); err != nil {
+			if err := match(i); err != nil {
 				return nil, err
 			}
 			read++
@@ -167,31 +187,16 @@ func (tx *Tx) FilterFrontier(frontier []fabric.DPtr, cons *constraint.Constraint
 				hits++
 			}
 		}
-		// A vertex resolved in this chunk may be one the frontier names again
-		// further on; the resolution stands for it.
-		rest = slices.DeleteFunc(rest[size:], func(i int32) bool { return sc.verts[i].dup })
 	}
 	sc.seen.end(sc.matched)
-	tx.optReads = slices.Grow(tx.optReads, len(rest))
-	for _, i := range rest {
-		if v := &sc.verts[i]; v.unstamped {
-			sc.ranks[v.head.Rank()] = rankUnread
-		} else {
-			tx.optReads = append(tx.optReads, optRead{v.head, locks.Version(v.stamp)})
-		}
-	}
-	for r, st := range sc.ranks {
-		if st == rankUnread {
-			tx.optReads = append(tx.optReads, optRead{block.ForwardingGuard(fabric.Rank(r)), 0})
-		}
-	}
+	tx.leaveUnread(sc)
 	return clone(sc.matched), nil
 }
 
-// startHop checks the transaction and cons, and dedups frontier into the
-// transaction's frontier arena, which its first hop takes from the pool. A
-// nil arena means there is nothing to do: an empty frontier, or the error.
-func (tx *Tx) startHop(frontier []fabric.DPtr, cons *constraint.Constraint) (*frontierScratch, error) {
+// startHop checks the transaction and cons, and gathers the frontier into
+// the transaction's frontier arena, which its first hop takes from the pool.
+// A nil arena means there is nothing to do: no candidate, or the error.
+func (tx *Tx) startHop(frontier, exclude []fabric.DPtr, cons *constraint.Constraint) (*frontierScratch, error) {
 	if len(frontier) == 0 {
 		return nil, nil
 	}
@@ -204,10 +209,11 @@ func (tx *Tx) startHop(frontier []fabric.DPtr, cons *constraint.Constraint) (*fr
 	if tx.frontier == nil {
 		tx.frontier = tx.eng.takeFrontier()
 	}
-	if err := tx.frontier.reset(tx.eng, frontier); err != nil {
+	sc := tx.frontier
+	if err := sc.gather(tx.eng, frontier, exclude); err != nil || len(sc.cands) == 0 {
 		return nil, err
 	}
-	return tx.frontier, nil
+	return sc, nil
 }
 
 // frontierScratch is the arena of a frontier hop: everything a hop needs per
@@ -223,24 +229,28 @@ type frontierScratch struct {
 	// The chain reader's items are the vertices the current read walks:
 	// item verts[i].item is vertex i, while its verdict says it was read.
 	chainReader
-	verts []frontierVertex // the distinct frontier vertices, in frontier order
-	// index maps a vertex ID to its vertex, for the resolutions that name a
-	// vertex under another ID than its frontier entry (forwarding stubs):
-	// built on the first such resolution of a hop (indexed).
+	// cands holds the distinct frontier DPtrs the hop reports on, in
+	// frontier order; a LIMIT hop reorders them as it picks its chunks.
+	cands []fabric.DPtr
+	verts []frontierVertex // the records: every candidate's, or a LIMIT hop's few
+	// index maps a vertex ID to its record, for the resolutions that name a
+	// vertex under another ID than its frontier entry (forwarding stubs) and
+	// for a LIMIT hop's stamped candidates: built on first use in a hop
+	// (indexRecords).
 	index     dptrTable[int32]
 	indexed   bool
 	seen      dptrSet // the frontier while it is deduped; then the neighbors harvested, or IDs matched
 	view      holder.View
-	pick      []int32     // vertices to read
-	resolving []int32     // vertices in the AssociateVertices batch
-	ranks     []rankState // a LIMIT hop's view of each rank (vouchStubFree)
+	pick      []int32    // vertices to read
+	resolving []int32    // vertices in the AssociateVertices batch
+	ranks     []rankView // per rank: its candidates, and a LIMIT hop's view of its stubs
 	// The hop's results, built here and copied out (clone): nothing of the
 	// arena aliases what a hop returns.
 	matched, next []fabric.DPtr
 }
 
-// frontierVertex is what a hop knows of a distinct frontier vertex: 32 bytes,
-// whether or not the hop reads it.
+// frontierVertex is the record of a frontier vertex the hop stamps,
+// resolves or reads: 32 bytes.
 type frontierVertex struct {
 	head    fabric.DPtr
 	stamp   uint64        // its guard word, as the stamp train loaded it
@@ -253,15 +263,13 @@ type frontierVertex struct {
 	unstamped bool
 }
 
-// rankState is what a LIMIT hop knows of one rank.
-type rankState uint8
-
-const (
-	rankIdle     rankState = iota // owns no vertex the hop has to vouch for
-	rankOwner                     // owns one: its forwarding word is loaded
-	rankStubFree                  // its forwarding word read 0: its vertices go unstamped
-	rankUnread                    // stub-free, with a vertex the hop left unread
-)
+// rankView is what a hop knows of one rank.
+type rankView struct {
+	unread int32 // its candidates a LIMIT hop has not picked
+	// stubFree: its forwarding word read 0, so its candidates are known by
+	// their DPtrs and have no record until they are picked.
+	stubFree bool
+}
 
 // The frontier pool's retention budget: at most frontierPoolSlots idle arenas
 // (Engine.frontiers), each of at most pooledFrontierBytes by its footprint,
@@ -313,7 +321,7 @@ func (sc *frontierScratch) release(e *Engine) {
 // keeps.
 func (sc *frontierScratch) footprint() int {
 	r := &sc.chainReader
-	hop := arrayBytes(sc.verts) + arrayBytes(sc.index.slots) + arrayBytes(sc.seen.bits) +
+	hop := arrayBytes(sc.cands) + arrayBytes(sc.verts) + arrayBytes(sc.index.slots) + arrayBytes(sc.seen.bits) +
 		arrayBytes(sc.seen.spill.slots) + arrayBytes(sc.pick) + arrayBytes(sc.resolving) +
 		arrayBytes(sc.ranks) + arrayBytes(sc.matched) + arrayBytes(sc.next)
 	reader := arrayBytes(r.items) + arrayBytes(r.bytes.buf) + arrayBytes(r.heads) + arrayBytes(r.batch) +
@@ -328,55 +336,124 @@ func arrayBytes[S ~[]E, E any](s S) int {
 	return cap(s) * int(unsafe.Sizeof(e))
 }
 
-// reset starts a hop on e: it dedups frontier into sc.verts (first
-// occurrence wins) and recycles the arena of the previous hop, whose views
-// are dead.
-func (sc *frontierScratch) reset(e *Engine, frontier []fabric.DPtr) error {
-	sc.verts = slices.Grow(reuse(sc.verts), len(frontier))
+// gather starts a hop on e: it dedups frontier into sc.cands (first
+// occurrence wins), leaving out what exclude names, counts each rank's
+// candidates, and recycles the records of the previous hop, whose views are
+// dead.
+func (sc *frontierScratch) gather(e *Engine, frontier, exclude []fabric.DPtr) error {
+	n := e.fab.Size()
+	sc.ranks = slices.Grow(sc.ranks[:0], n)[:n]
+	clear(sc.ranks)
+	sc.cands = slices.Grow(sc.cands[:0], len(frontier))
+	sc.verts = reuse(sc.verts)
 	sc.indexed = false
 	sc.seen.begin(e)
+	for _, dp := range exclude {
+		sc.seen.add(dp)
+	}
 	for _, dp := range frontier {
 		if dp.IsNull() {
 			return fmt.Errorf("%w: NULL vertex ID in a frontier", ErrBadArgument)
 		}
 		if sc.seen.add(dp) {
-			sc.verts = append(sc.verts, frontierVertex{head: dp})
+			sc.cands = append(sc.cands, dp)
+			sc.ranks[dp.Rank()].unread++
 		}
 	}
-	// Empty the set again for the hop's harvest.
-	for i := range sc.verts {
-		sc.seen.drop(sc.verts[i].head)
+	// Empty the set again for the hop's harvest, or its matches.
+	for _, dp := range exclude {
+		sc.seen.drop(dp)
 	}
-	sc.seen.end(nil)
+	sc.seen.end(sc.cands)
 	return nil
 }
 
-// stampFrontier is a hop's first look at its frontier. It refuses a vertex
-// this rank follows, whose local copy the flush reads, and, once the
-// transaction has written, every vertex it holds, whose state may differ from
-// the stored holder. A LIMIT hop (byRank) vouches for the vertices of
-// stub-free ranks by their forwarding words (vouchStubFree). The hop loads
-// every other guard word, one load train per owner rank, and marks the
-// vertices the stamp vouches for readStamped: their word shows neither a stub
-// nor a writer, so each is a vertex known by its DPtr. It refuses the others.
-func (tx *Tx) stampFrontier(sc *frontierScratch, byRank bool) {
-	e := tx.eng
+// stampFrontier is the first look of a hop that reads every candidate: each
+// gets a record, refused if the transaction must see it through a handle
+// (refuses), and is stamped (stampRecords).
+func (tx *Tx) stampFrontier(sc *frontierScratch) {
 	followers, wrote := tx.readsFollowers(), len(tx.dirtyList) > 0
-	if followers || wrote {
-		for i := range sc.verts {
-			head := sc.verts[i].head
-			refuse := wrote && tx.cached(head) != nil
-			if !refuse && followers {
-				_, refuse = e.repl[tx.rank].lookup(head)
-			}
-			if refuse {
-				sc.verts[i].verdict = readRefused
-			}
+	sc.verts = slices.Grow(sc.verts, len(sc.cands))
+	for _, dp := range sc.cands {
+		v := frontierVertex{head: dp}
+		if tx.refuses(dp, followers, wrote) {
+			v.verdict = readRefused
+		}
+		sc.verts = append(sc.verts, v)
+	}
+	tx.stampRecords(sc)
+}
+
+// vouch is a LIMIT hop's first look at its candidates. It loads the
+// forwarding word of every live rank that owns one, one load per rank: a
+// rank whose word reads 0 has never held a forwarding stub, so its
+// candidates are known by their DPtrs (block.ForwardingWord). Only when some
+// rank is not stub-free, or the transaction must see vertices through
+// handles (refuses), does it look at the candidates one by one: a refused
+// one, and every one of a rank not stub-free, leaves the candidates for a
+// record; the latter are stamped (stampRecords), and those the stamp vouches
+// for rejoin the candidates.
+func (tx *Tx) vouch(sc *frontierScratch) {
+	e := tx.eng
+	r := &sc.chainReader
+	r.dps = r.dps[:0]
+	for rank, rv := range sc.ranks {
+		if rv.unread > 0 && !e.isDead(fabric.Rank(rank)) {
+			r.dps = append(r.dps, block.ForwardingGuard(fabric.Rank(rank)))
 		}
 	}
-	if byRank {
-		tx.vouchStubFree(sc)
+	for k, w := range r.load(e, tx.rank) {
+		sc.ranks[r.dps[k].Rank()].stubFree = w == 0
 	}
+	stamping := slices.ContainsFunc(sc.ranks, func(rv rankView) bool { return rv.unread > 0 && !rv.stubFree })
+	followers, wrote := tx.readsFollowers(), len(tx.dirtyList) > 0
+	if !stamping && !followers && !wrote {
+		return
+	}
+	kept := 0
+	for _, dp := range sc.cands {
+		switch {
+		case tx.refuses(dp, followers, wrote):
+			sc.verts = append(sc.verts, frontierVertex{head: dp, verdict: readRefused})
+		case !sc.ranks[dp.Rank()].stubFree:
+			sc.verts = append(sc.verts, frontierVertex{head: dp})
+		default:
+			sc.cands[kept] = dp
+			kept++
+			continue
+		}
+		sc.ranks[dp.Rank()].unread--
+	}
+	sc.cands = sc.cands[:kept]
+	tx.stampRecords(sc)
+	for i := range sc.verts {
+		if v := &sc.verts[i]; v.verdict == readStamped {
+			sc.cands = append(sc.cands, v.head)
+			sc.ranks[v.head.Rank()].unread++
+		}
+	}
+}
+
+// refuses reports whether a hop must see dp through a handle rather than
+// read it: a vertex this rank follows (followers), whose local copy the
+// flush reads, and, once the transaction has written (wrote), every vertex
+// it holds, whose state may differ from the stored holder.
+func (tx *Tx) refuses(dp fabric.DPtr, followers, wrote bool) bool {
+	if wrote && tx.cached(dp) != nil {
+		return true
+	}
+	if followers {
+		_, follows := tx.eng.repl[tx.rank].lookup(dp)
+		return follows
+	}
+	return false
+}
+
+// stampRecords loads the guard word of every record not refused yet, one
+// load train per owner rank, and marks the records the stamp vouches for
+// readStamped: their word shows neither a stub nor a writer, so each is a
+// vertex known by its DPtr. It refuses the others.
+func (tx *Tx) stampRecords(sc *frontierScratch) {
 	r := &sc.chainReader
 	r.dps = slices.Grow(r.dps[:0], len(sc.verts))
 	for i := range sc.verts {
@@ -384,7 +461,7 @@ func (tx *Tx) stampFrontier(sc *frontierScratch, byRank bool) {
 			r.dps = append(r.dps, sc.verts[i].head)
 		}
 	}
-	words := r.load(e, tx.rank)
+	words := r.load(tx.eng, tx.rank)
 	for i := range sc.verts {
 		if v := &sc.verts[i]; v.verdict == unread {
 			v.stamp, words = words[0], words[1:]
@@ -396,38 +473,7 @@ func (tx *Tx) stampFrontier(sc *frontierScratch, byRank bool) {
 	}
 }
 
-// vouchStubFree loads the forwarding word of every live rank that owns an
-// unread vertex, one load per rank, and marks each vertex of a rank whose
-// word reads 0 readStamped and unstamped: no block of that rank has ever been
-// a forwarding stub, so the vertex is known by its DPtr (block.ForwardingWord).
-func (tx *Tx) vouchStubFree(sc *frontierScratch) {
-	e := tx.eng
-	sc.ranks = slices.Grow(reuse(sc.ranks), e.fab.Size())[:e.fab.Size()]
-	for i := range sc.verts {
-		if v := &sc.verts[i]; v.verdict == unread {
-			sc.ranks[v.head.Rank()] = rankOwner
-		}
-	}
-	r := &sc.chainReader
-	r.dps = r.dps[:0]
-	for rank, st := range sc.ranks {
-		if st == rankOwner && !e.isDead(fabric.Rank(rank)) {
-			r.dps = append(r.dps, block.ForwardingGuard(fabric.Rank(rank)))
-		}
-	}
-	for k, w := range r.load(e, tx.rank) {
-		if w == 0 {
-			sc.ranks[r.dps[k].Rank()] = rankStubFree
-		}
-	}
-	for i := range sc.verts {
-		if v := &sc.verts[i]; v.verdict == unread && sc.ranks[v.head.Rank()] == rankStubFree {
-			v.verdict, v.unstamped = readStamped, true
-		}
-	}
-}
-
-// stamped lists the stamped vertices no earlier resolution stands for, in
+// stamped lists the stamped records no earlier resolution stands for, in
 // frontier order, in sc.pick.
 func (sc *frontierScratch) stamped() []int32 {
 	sc.pick = slices.Grow(sc.pick[:0], len(sc.verts))
@@ -437,6 +483,50 @@ func (sc *frontierScratch) stamped() []int32 {
 		}
 	}
 	return sc.pick
+}
+
+// pickChunk lists in sc.pick the records of the candidates of a LIMIT hop's
+// chunk: a stamped candidate's record, and a new one, unstamped, for a
+// candidate of a stub-free rank. It skips a candidate that a resolution
+// already stands for.
+func (sc *frontierScratch) pickChunk(chunk []fabric.DPtr) []int32 {
+	sc.pick = sc.pick[:0]
+	for _, dp := range chunk {
+		rv := &sc.ranks[dp.Rank()]
+		rv.unread--
+		if !rv.stubFree {
+			sc.indexRecords()
+			if i, _ := sc.index.get(dp); sc.verts[i].head == dp && !sc.verts[i].dup {
+				sc.pick = append(sc.pick, i)
+			}
+			continue
+		}
+		i := int32(len(sc.verts))
+		if sc.indexed {
+			if _, named := sc.index.getOrPut(dp, i); named {
+				continue
+			}
+		}
+		sc.verts = append(sc.verts, frontierVertex{head: dp, verdict: readStamped, unstamped: true})
+		sc.pick = append(sc.pick, i)
+	}
+	return sc.pick
+}
+
+// leaveUnread puts what a LIMIT hop left unread into the read set: a stamped
+// record at its stamped version, and the candidates of a stub-free rank as
+// one entry, the rank's forwarding word at 0.
+func (tx *Tx) leaveUnread(sc *frontierScratch) {
+	for i := range sc.verts {
+		if v := &sc.verts[i]; v.verdict == readStamped && !v.dup {
+			tx.optReads = append(tx.optReads, optRead{v.head, locks.Version(v.stamp)})
+		}
+	}
+	for rank, rv := range sc.ranks {
+		if rv.stubFree && rv.unread > 0 {
+			tx.optReads = append(tx.optReads, optRead{block.ForwardingGuard(fabric.Rank(rank)), 0})
+		}
+	}
 }
 
 // readPicked reads the stamped vertices pick lists in one seqlock batch,
@@ -466,38 +556,42 @@ func (tx *Tx) readPicked(sc *frontierScratch, pick []int32, entriesOnly bool) {
 	}
 }
 
-// selectSmallest reorders pick so that its first k vertices are the k with
-// the smallest DPtrs (0 < k < len(pick)), by quickselect: linear in
-// len(pick), where sorting the frontier would cost O(n log n).
-func (sc *frontierScratch) selectSmallest(pick []int32, k int) {
-	head := func(j int) fabric.DPtr { return sc.verts[pick[j]].head }
-	for lo, hi := 0, len(pick); hi-lo > 1; {
-		// Partition [lo, hi) around its middle head: [lo, lt) below it,
-		// [lt, gt) the pivot (heads are distinct), [gt, hi) above.
-		pivot := head(lo + (hi-lo)/2)
+// selectSmallest reorders s so that its first k DPtrs are its k smallest
+// (0 < k < len(s); s holds no DPtr twice) and returns the smallest of the
+// others, by quickselect: linear in len(s), where sorting would cost
+// O(n log n).
+func selectSmallest(s []fabric.DPtr, k int) fabric.DPtr {
+	// Everything in s[:lo] lies below s[lo:hi], which lies below s[hi:],
+	// whose smallest is s[hi].
+	lo, hi := 0, len(s)
+	for lo < k && k < hi {
+		// Partition [lo, hi) around its middle DPtr: [lo, lt) below it,
+		// [lt, gt) the pivot, [gt, hi) above.
+		pivot := s[lo+(hi-lo)/2]
 		lt, gt := lo, hi
 		for j := lo; j < gt; {
-			switch h := head(j); {
+			switch h := s[j]; {
 			case h < pivot:
-				pick[lt], pick[j] = pick[j], pick[lt]
+				s[lt], s[j] = s[j], s[lt]
 				lt++
 				j++
 			case h > pivot:
 				gt--
-				pick[j], pick[gt] = pick[gt], pick[j]
+				s[j], s[gt] = s[gt], s[j]
 			default:
 				j++
 			}
 		}
-		switch {
-		case k < lt:
+		if k <= lt {
 			hi = lt
-		case k > gt:
+		} else {
 			lo = gt
-		default:
-			return
 		}
 	}
+	if k == hi {
+		return s[hi]
+	}
+	return slices.Min(s[k:hi])
 }
 
 // associateHandled resolves every vertex the hop has neither read OK nor
@@ -527,13 +621,7 @@ func (tx *Tx) associateHandled(sc *frontierScratch) error {
 		// the frontier may name it a second time: the first occurrence stands
 		// for both.
 		if id := h.ID(); id != dp {
-			if !sc.indexed {
-				sc.index.reset(len(sc.verts))
-				for j := range sc.verts {
-					sc.index.getOrPut(sc.verts[j].head, int32(j))
-				}
-				sc.indexed = true
-			}
+			sc.indexRecords()
 			j, named := sc.index.getOrPut(id, i)
 			if named && j < i {
 				sc.verts[i].dup = true
@@ -546,6 +634,19 @@ func (tx *Tx) associateHandled(sc *frontierScratch) error {
 		}
 	}
 	return nil
+}
+
+// indexRecords builds the index over the hop's records, unless it is built:
+// once it is, a LIMIT hop's new records join it as they are made.
+func (sc *frontierScratch) indexRecords() {
+	if sc.indexed {
+		return
+	}
+	sc.index.reset(len(sc.verts))
+	for j := range sc.verts {
+		sc.index.getOrPut(sc.verts[j].head, int32(j))
+	}
+	sc.indexed = true
 }
 
 // evalItem filters vertex i by cons — through its handle, or in place on the
@@ -817,6 +918,12 @@ func (t *dptrTable[V]) getOrPut(key fabric.DPtr, val V) (got V, dup bool) {
 	s.key, s.val = key, val
 	t.used++
 	return val, false
+}
+
+// get returns key's value, and whether the table holds it.
+func (t *dptrTable[V]) get(key fabric.DPtr) (V, bool) {
+	s := t.slot(key)
+	return s.val, s.key == key
 }
 
 // put overwrites the value of a key the table already holds.

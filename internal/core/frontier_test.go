@@ -621,3 +621,46 @@ func TestDPtrTableSpreadsRanks(t *testing.T) {
 		t.Fatalf("mean probe distance %.3f over %d keys, want at most 0.5", mean, len(keys))
 	}
 }
+
+// TestLimitHopRecordsWhatItReads is the white-box side of the LIMIT hop's
+// cost: over 5 200 vertices of stub-free ranks, a LIMIT 5 hop keeps the
+// frontier as 8-byte candidates and gives a record only to the vertices it
+// read, each read OK, a small share of the frontier; and it grows the read set by
+// those vertices and one forwarding-word entry per rank, not by the
+// vertices it left unread.
+func TestLimitHopRecordsWhatItReads(t *testing.T) {
+	const limit = 5
+	e, frontier, cons := newPersonFrontier(t, 256, 5200)
+	tx := e.StartLocal(0, ReadOnly)
+	defer tx.Abort()
+	matched, err := tx.FilterFrontier(frontier, nil, cons, limit)
+	if err != nil || len(matched) < limit {
+		t.Fatalf("LIMIT %d hop: %d matched, %v", limit, len(matched), err)
+	}
+	sc := tx.frontier
+	if len(sc.cands) != len(frontier) {
+		t.Fatalf("%d candidates, want the %d frontier vertices", len(sc.cands), len(frontier))
+	}
+	if n := len(sc.verts); n == 0 || n > len(frontier)/10 {
+		t.Fatalf("the hop made %d records, want between 1 and %d", n, len(frontier)/10)
+	}
+	for i, v := range sc.verts {
+		if v.verdict != readOK || v.h != nil {
+			t.Fatalf("record %d (%v): verdict %d, handle %v; want only vertices read OK", i, v.head, v.verdict, v.h != nil)
+		}
+	}
+	ranks := 0
+	for _, rv := range sc.ranks {
+		if !rv.stubFree {
+			t.Fatal("a rank that never held a stub is not stub-free")
+		}
+		if rv.unread > 0 {
+			ranks++
+		}
+	}
+	if want := len(sc.verts) + ranks; len(tx.optReads) != want || cap(tx.optReads) > 4*want {
+		t.Fatalf("read set of %d entries (capacity %d), want the %d vertices read and %d forwarding words, without room for the unread",
+			len(tx.optReads), cap(tx.optReads), len(sc.verts), ranks)
+	}
+	t.Logf("%d records, %d read-set entries (capacity %d)", len(sc.verts), len(tx.optReads), cap(tx.optReads))
+}

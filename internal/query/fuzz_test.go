@@ -3,7 +3,14 @@ package query
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
+
+	"github.com/gdi-go/gdi/internal/core"
+	"github.com/gdi-go/gdi/internal/fabric"
+	"github.com/gdi-go/gdi/internal/lpg"
+	"github.com/gdi-go/gdi/internal/metadata"
+	"github.com/gdi-go/gdi/internal/rma"
 )
 
 // FuzzQueryPattern fuzzes the pattern/predicate wire codec: any input that
@@ -38,4 +45,149 @@ func FuzzQueryPattern(f *testing.F) {
 			t.Fatal("canonical form is not a fixed point of encode/decode")
 		}
 	})
+}
+
+// limitFuzzVerts is the vertex count of FuzzLimitHopMatchesNaive's fixture:
+// vertex i has application ID i, so it lives on rank i%4, is a Person, and is
+// aged i*7%90.
+const limitFuzzVerts = 24
+
+// FuzzLimitHopMatchesNaive holds the filter hop to its handle-walk
+// reference over a 4-rank fixture. The input picks an age threshold
+// (byte 0), a limit in 0..n+1 (byte 1), whether a vertex migrates first, so
+// that its old rank's forwarding word is no longer 0 and the frontier may
+// name its stub, and whether the transaction rewrites a vertex's age first,
+// so that the hop must see its own write (byte 2, which also picks the
+// vertex), and then one DPtr per byte for the frontier, the exclude set, or
+// both, duplicates allowed. The limit smallest of the IDs the compiled hop
+// returns must be the limit smallest of the naive filter's (all of them at
+// limit 0); every ID it returns must be one of the naive filter's, none
+// twice; and the transaction must commit.
+func FuzzLimitHopMatchesNaive(f *testing.F) {
+	f.Add([]byte{30, 5, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	f.Add([]byte{30, 3, 0x11, 1, 5, 9, 13, 0x44, 0xc5, 17, 21, 24, 2, 2, 0x82})
+	f.Add([]byte{0, 25, 0x23, 0, 4, 8, 12, 16, 20, 0x40, 0x84, 1, 24})
+	f.Add([]byte{45, 0, 0x0a, 3, 3, 7, 0x47, 11, 15, 19, 23, 0x8b})
+	// The rewritten vertex 2 matches, above the matching vertex 5 and below
+	// vertex 3: the hop must not stop at it.
+	f.Add([]byte{30, 1, 0x0a, 0, 4, 5, 2, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		over, limit, flags := uint64(data[0]%91), int(data[1])%(limitFuzzVerts+2), data[2]
+		g, dps := newLimitFuzzGraph(t)
+		victim := int(flags>>2) % limitFuzzVerts
+		target := dps[victim]
+		if flags&1 != 0 {
+			// Move the victim one rank up: its old DPtr becomes a stub, and
+			// its new one is dps[limitFuzzVerts].
+			dest := fabric.Rank((victim + 1) % 4)
+			if n, err := g.e.MigrateVertices(dest, []core.MigrationMove{{App: uint64(victim), Old: dps[victim], Dest: dest}}); err != nil || n != 1 {
+				t.Fatalf("migration of vertex %d: moved %d, %v", victim, n, err)
+			}
+			look := g.e.StartLocal(0, core.ReadOnly)
+			cur, err := look.TranslateVertexID(uint64(victim))
+			look.Abort()
+			if err != nil || cur.Rank() != dest {
+				t.Fatalf("vertex %d after migration: %v, %v", victim, cur, err)
+			}
+			dps, target = append(dps, cur), cur
+		}
+		mode := core.ReadOnly
+		if flags&2 != 0 {
+			mode = core.ReadWrite
+		}
+		tx := g.e.StartLocal(0, mode)
+		defer tx.Abort()
+		if mode == core.ReadWrite {
+			h, err := tx.AssociateVertex(target)
+			if err == nil {
+				err = h.SetProperty(g.age, lpg.EncodeUint64(89-over))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		var frontier, exclude []fabric.DPtr
+		for _, b := range data[3:] {
+			dp := dps[int(b&0x3f)%len(dps)]
+			if b&0x80 == 0 {
+				frontier = append(frontier, dp)
+			}
+			if b&0xc0 != 0 {
+				exclude = append(exclude, dp)
+			}
+		}
+		cons := g.ageOver(over)
+		got, err := tx.FilterFrontier(frontier, exclude, cons, limit)
+		if err != nil {
+			t.Fatalf("compiled filter: %v", err)
+		}
+		want, _, err := naiveHop(tx, frontier, exclude, 0, cons)
+		if err != nil {
+			t.Fatalf("naive filter: %v", err)
+		}
+		slices.Sort(got)
+		slices.Sort(want)
+		if len(slices.Compact(slices.Clone(got))) != len(got) {
+			t.Fatalf("compiled filter returned %v: an ID twice", got)
+		}
+		for _, id := range got {
+			if _, ok := slices.BinarySearch(want, id); !ok {
+				t.Fatalf("compiled filter returned %v, which holds %v; the naive filter %v", got, id, want)
+			}
+		}
+		keep := len(want)
+		if limit > 0 {
+			keep = min(limit, keep)
+		}
+		if len(got) < keep || !slices.Equal(got[:keep], want[:keep]) {
+			t.Fatalf("frontier %v less %v, age ≥ %d, LIMIT %d: compiled %v, naive %v", frontier, exclude, over, limit, got, want)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatalf("commit: %v", err)
+		}
+	})
+}
+
+// newLimitFuzzGraph builds FuzzLimitHopMatchesNaive's fixture and returns
+// its vertices by application ID.
+func newLimitFuzzGraph(t *testing.T) (*testGraph, []fabric.DPtr) {
+	t.Helper()
+	e := core.NewEngine(rma.New(4), core.Config{
+		BlockSize:     256,
+		BlocksPerRank: 1 << 8,
+		LockTries:     256,
+		CacheCapacity: 1 << 6,
+	})
+	g := &testGraph{e: e}
+	var err error
+	if g.person, err = e.DefineLabel("Person"); err != nil {
+		t.Fatal(err)
+	}
+	if g.age, err = e.DefinePType("age", metadata.PTypeSpec{Datatype: lpg.TypeUint64}); err != nil {
+		t.Fatal(err)
+	}
+	tx := e.StartLocal(0, core.ReadWrite)
+	dps := make([]fabric.DPtr, limitFuzzVerts)
+	for i := range dps {
+		if dps[i], err = tx.CreateVertex(uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+		h, err := tx.AssociateVertex(dps[i])
+		if err == nil {
+			err = h.AddLabel(g.person)
+		}
+		if err == nil {
+			err = h.AddProperty(g.age, lpg.EncodeUint64(uint64(i*7%90)))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return g, dps
 }

@@ -24,12 +24,12 @@
 //
 // LIMIT is applied as a bounded top-k over the matched IDs in canonical
 // order, and only the rows it keeps are built and — under projection —
-// associated as handles. On an optimistic transaction it also stops the
-// last hop early. The stamp train tells which frontier DPtrs are forwarding
-// stubs, so those are resolved first; every other DPtr is its vertex's ID.
-// The hop then reads the frontier in ascending DPtr order, in chunks, and
-// stops once LIMIT matched IDs sort below every DPtr it has not read. The
-// vertices it did not read join the read set at their stamped versions.
+// associated as handles. It also stops the last hop early, which takes the
+// earlier layers as its exclude set and keeps each vertex of the last as an
+// 8-byte candidate, its DPtr: one forwarding word per owner rank, or a stamp,
+// shows which DPtrs are forwarding stubs, resolved first; every other DPtr
+// is its vertex's ID. The hop reads the candidates in ascending DPtr order,
+// in chunks, until LIMIT matched IDs sort below every DPtr it has not read.
 //
 // Both executors return canonically sorted rows, so their results are
 // bit-identical — the golden-equivalence contract the tests pin across
@@ -159,11 +159,10 @@ type executor struct {
 	// expand filters frontier by cons and harvests the matched vertices'
 	// distinct neighbors under mask (core.Tx.ExpandFrontier's contract).
 	expand func(frontier []fabric.DPtr, mask core.DirMask, cons *constraint.Constraint) (matched, next []fabric.DPtr, err error)
-	// filter, when set, is a k-hop's final round: the matched IDs of
-	// frontier, of which a LIMIT keeps the limit smallest
-	// (core.Tx.FilterFrontier's contract). Without it the round is expand
-	// with mask 0.
-	filter func(frontier []fabric.DPtr, cons *constraint.Constraint, limit int) ([]fabric.DPtr, error)
+	// filter is a k-hop's final round: the matched IDs of frontier, less
+	// the DPtrs exclude names, of which a LIMIT keeps the limit smallest
+	// (core.Tx.FilterFrontier's contract).
+	filter func(frontier, exclude []fabric.DPtr, cons *constraint.Constraint, limit int) ([]fabric.DPtr, error)
 	// associate returns a handle per vertex, aligned with dps; a vertex that
 	// no longer exists is an ErrNotFound.
 	associate func(dps []fabric.DPtr) ([]*core.VertexHandle, error)
@@ -205,7 +204,13 @@ func associateAll(tx *core.Tx, dps []fabric.DPtr) ([]*core.VertexHandle, error) 
 // calls it.
 func RunNaive(tx *core.Tx, src fabric.DPtr, p *Pattern) (*Result, error) {
 	return run(tx, src, p, executor{
-		expand: naiveExpand(tx),
+		expand: func(frontier []fabric.DPtr, mask core.DirMask, cons *constraint.Constraint) (matched, next []fabric.DPtr, err error) {
+			return naiveHop(tx, frontier, nil, mask, cons)
+		},
+		filter: func(frontier, exclude []fabric.DPtr, cons *constraint.Constraint, _ int) ([]fabric.DPtr, error) {
+			matched, _, err := naiveHop(tx, frontier, exclude, 0, cons)
+			return matched, err
+		},
 		associate: func(dps []fabric.DPtr) ([]*core.VertexHandle, error) {
 			hs := make([]*core.VertexHandle, len(dps))
 			for i, dp := range dps {
@@ -257,40 +262,32 @@ func (t tuples) at(i int) []fabric.DPtr { return t.v[i*t.w : (i+1)*t.w] }
 // runKHop is BFS layering: round i expands the layer-i frontier (one train
 // per rank under the compiled executor), filtering it by the predicate of the
 // hop that reached it and harvesting the next layer under hop i's mask. The
-// final round only filters, under the pattern's LIMIT. Visited vertices never
-// re-enter a frontier, so a k-hop costs exactly k+1 rounds. Only IDs travel
-// between the rounds.
+// final round only filters the last layer, less the layers before it (its
+// exclude set), under the pattern's LIMIT. Visited vertices never re-enter a
+// frontier, so a k-hop costs exactly k+1 rounds. Only IDs travel between.
 func runKHop(src fabric.DPtr, p *Pattern, ex executor) (tuples, error) {
 	// visited holds the layers before the next one, sorted.
 	frontier, visited := []fabric.DPtr{src}, []fabric.DPtr{src}
-	for i := 0; ; i++ {
-		var cons *constraint.Constraint
-		if i > 0 {
-			cons = p.Hops[i-1].Cons
-		}
-		if i == len(p.Hops) {
-			if ex.filter == nil {
-				last, _, err := ex.expand(frontier, 0, cons)
-				return tuples{w: 1, v: last}, err
-			}
-			last, err := ex.filter(frontier, cons, p.Limit)
-			return tuples{w: 1, v: last}, err
-		}
-		_, next, err := ex.expand(frontier, p.Hops[i].Mask, cons)
+	var cons *constraint.Constraint
+	for i, hop := range p.Hops {
+		_, next, err := ex.expand(frontier, hop.Mask, cons)
 		if err != nil {
 			return tuples{}, err
 		}
+		if frontier, cons = next, hop.Cons; i == len(p.Hops)-1 {
+			break
+		}
 		// next is already distinct, so it only has to be told from the
-		// layers before it; the final layer is never consulted as visited.
+		// layers before it.
 		frontier = slices.DeleteFunc(next, func(nb fabric.DPtr) bool {
 			_, seen := slices.BinarySearch(visited, nb)
 			return seen
 		})
-		if i+1 < len(p.Hops) {
-			visited = append(visited, frontier...)
-			slices.Sort(visited)
-		}
+		visited = append(visited, frontier...)
+		slices.Sort(visited)
 	}
+	last, err := ex.filter(frontier, visited, cons, p.Limit)
+	return tuples{w: 1, v: last}, err
 }
 
 // filterHandles is expand's filter step for the shapes that go on to walk
@@ -413,43 +410,45 @@ func runPath(src fabric.DPtr, p *Pattern, ex executor) (tuples, error) {
 	return paths.dedup(), nil
 }
 
-// naiveExpand is core.Tx.ExpandFrontier's contract vertex by vertex, on
-// handles: same dedup, same filter, same harvest order — but one scalar
+// naiveHop is core.Tx.ExpandFrontier's contract on handles, over the
+// frontier less what exclude names (with mask 0, FilterFrontier's, every
+// match returned): same dedup, filter and harvest order, but one scalar
 // association round-trip per frontier vertex.
-func naiveExpand(tx *core.Tx) func([]fabric.DPtr, core.DirMask, *constraint.Constraint) (matched, next []fabric.DPtr, err error) {
-	return func(frontier []fabric.DPtr, mask core.DirMask, cons *constraint.Constraint) (matched, next []fabric.DPtr, err error) {
-		var kept []*core.VertexHandle
-		seenV := make(map[fabric.DPtr]struct{}, len(frontier))
-		for _, dp := range frontier {
-			h, err := tx.AssociateVertex(dp)
-			if err != nil {
-				return nil, nil, err
-			}
-			if _, dup := seenV[h.ID()]; dup {
-				continue
-			}
-			seenV[h.ID()] = struct{}{}
-			if h.Matches(cons) {
-				kept = append(kept, h)
-				matched = append(matched, h.ID())
-			}
+func naiveHop(tx *core.Tx, frontier, exclude []fabric.DPtr, mask core.DirMask, cons *constraint.Constraint) (matched, next []fabric.DPtr, err error) {
+	var kept []*core.VertexHandle
+	seenV := make(map[fabric.DPtr]struct{}, len(frontier))
+	for _, dp := range frontier {
+		if slices.Contains(exclude, dp) {
+			continue
 		}
-		if mask == 0 {
-			return matched, nil, nil
+		h, err := tx.AssociateVertex(dp)
+		if err != nil {
+			return nil, nil, err
 		}
-		seenN := make(map[fabric.DPtr]struct{})
-		for _, h := range kept {
-			if err := h.ForEachNeighbor(mask, func(nb fabric.DPtr) {
-				if _, dup := seenN[nb]; !dup {
-					seenN[nb] = struct{}{}
-					next = append(next, nb)
-				}
-			}); err != nil {
-				return nil, nil, err
-			}
+		if _, dup := seenV[h.ID()]; dup {
+			continue
 		}
-		return matched, next, nil
+		seenV[h.ID()] = struct{}{}
+		if h.Matches(cons) {
+			kept = append(kept, h)
+			matched = append(matched, h.ID())
+		}
 	}
+	if mask == 0 {
+		return matched, nil, nil
+	}
+	seenN := make(map[fabric.DPtr]struct{})
+	for _, h := range kept {
+		if err := h.ForEachNeighbor(mask, func(nb fabric.DPtr) {
+			if _, dup := seenN[nb]; !dup {
+				seenN[nb] = struct{}{}
+				next = append(next, nb)
+			}
+		}); err != nil {
+			return nil, nil, err
+		}
+	}
+	return matched, next, nil
 }
 
 // finish puts the found tuples in canonical order — lexicographic — keeps the
