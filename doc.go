@@ -244,24 +244,29 @@
 // to a pool that keeps at most two of them, each of at most 1 MiB.
 // LIMIT is a bounded top-k on the canonical order over IDs, and only the
 // rows it keeps are associated as handles, for the projection. It also
-// stops the last hop early (Transaction.FilterFrontier), whose cost follows
-// what it reads, not the width of the layer: the query hands it the last
-// layer as harvested with the layers before it as an exclude set, and the
-// hop keeps each vertex as an 8-byte candidate, its DPtr, giving a record
-// only to what it stamps, resolves or reads. A rank's forwarding word,
-// which every migration that publishes a stub on the rank bumps, tells the
-// hop with one load that none of the rank's DPtrs is a stub, and the lock
-// word's stub bit tells it which DPtrs of the other ranks are; every other
-// DPtr is its vertex's ID. So the hop reads the candidates in ascending
-// DPtr order, in chunks a quickselect cuts off their front, until LIMIT
-// matches sort below everything unread, loading only the guard words of
-// what it reads. Commit validates the forwarding words of the ranks whose
-// vertices went unread, and the stamped versions of the unread vertices
-// elsewhere: a write to an unread vertex does not fail it, a migration
-// does. Forwarding stubs, follower-served vertices, holders caught
-// mid-write, and the vertices a writing transaction holds (so it sees its
-// own writes and deletions) fall back to one AssociateVertices batch; a
-// frontier vertex that no longer exists is ErrNotFound.
+// stops the last hop early, whose cost follows what it reads, not the width
+// of the layer: the query's final round is one call
+// (Transaction.FilterNeighbors), whose harvest ORs each neighbor into the
+// hop's bitmap — one bit per pool block of every rank, so bit order is
+// ascending DPtr order — and drops the layers before the last from it, with
+// no per-neighbor test, list or copy. The hop then reads its candidates
+// straight off the bits: each is an 8-byte DPtr until the hop stamps,
+// resolves or reads it, and only then gets a record. A rank's forwarding
+// word, which every migration that publishes a stub on the rank bumps, tells
+// the hop with one load that none of the rank's DPtrs is a stub, and the
+// lock word's stub bit tells it which DPtrs of the other ranks are; every
+// other DPtr is its vertex's ID. So the hop reads the next set bits after a
+// cursor, a chunk at a time, until LIMIT matches sort below the next set
+// bit, loading only the guard words of what it reads, and ends with one
+// clear of the words the harvest touched. (A pool too large for a bitmap
+// keeps its keys in a hash table and a sorted list the reader merges in.)
+// Commit validates the forwarding words of the ranks whose vertices went
+// unread, and the stamped versions of the unread vertices elsewhere: a write
+// to an unread vertex does not fail it, a migration does. Forwarding stubs,
+// follower-served vertices, holders caught mid-write, and the vertices a
+// writing transaction holds (so it sees its own writes and deletions) fall
+// back to one AssociateVertices batch; a frontier vertex that no longer
+// exists is ErrNotFound.
 //
 // The cmd/gdi-ldbc driver exercises the layer end to end with an
 // LDBC-SNB-interactive-flavored mix — IS-style point reads, IC-style 2-hop

@@ -368,7 +368,10 @@ func newPersonFrontier(t *testing.T, blockSize, n int) (*Engine, []rma.DPtr, *co
 // guard words the fabric returns to the stamp train and to Commit's
 // validation train — and nothing of the arena. The harvest dedups each run
 // in place in the pooled arena and copies the results out, each in one
-// allocation.
+// allocation. A LIMIT 5 final round over the same frontiers
+// (FilterNeighbors), which ORs the harvest into the hop's bitmap and reads
+// its candidates off the bits, allocates the same objects and the same bytes
+// at Σ degree 1 024 as at 16 384, at most 11 objects.
 func TestExpansionHopAllocsIndependentOfWidth(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -412,11 +415,14 @@ func TestExpansionHopAllocsIndependentOfWidth(t *testing.T) {
 	}
 
 	type cost struct{ objects, bytes uint64 }
-	measure := func(frontier []rma.DPtr) cost {
+	measureLimit := func(frontier []rma.DPtr, limit int) cost {
 		hop := func() {
 			tx := e.StartLocal(0, ReadOnly)
-			matched, next, err := tx.ExpandFrontier(frontier, MaskAll, nil)
-			if err != nil || len(matched) != len(frontier) || len(next) != targets {
+			if limit > 0 {
+				if last, err := tx.FilterNeighbors(frontier, nil, MaskAll, nil, nil, limit); err != nil || len(last) < limit {
+					panic(fmt.Sprintf("LIMIT %d round: %d matched, %v", limit, len(last), err))
+				}
+			} else if matched, next, err := tx.ExpandFrontier(frontier, MaskAll, nil); err != nil || len(matched) != len(frontier) || len(next) != targets {
 				panic(fmt.Sprintf("expansion: %d matched, %d next, %v", len(matched), len(next), err))
 			}
 			if err := tx.Commit(); err != nil {
@@ -436,6 +442,7 @@ func TestExpansionHopAllocsIndependentOfWidth(t *testing.T) {
 		}
 		return c
 	}
+	measure := func(frontier []rma.DPtr) cost { return measureLimit(frontier, 0) }
 	base, deep, broad := measure(sparse[:wide]), measure(dense), measure(sparse)
 	t.Logf("64 × degree 16: %+v; 64 × degree 256: %+v; 1024 × degree 16: %+v", base, deep, broad)
 	if base.objects != deep.objects || base.objects != broad.objects {
@@ -446,6 +453,11 @@ func TestExpansionHopAllocsIndependentOfWidth(t *testing.T) {
 	}
 	if perVertex := (int64(broad.bytes) - int64(base.bytes)) / (narrow - wide); perVertex > 40 {
 		t.Errorf("an expansion hop allocates %d bytes over 64 vertices and %d over 1024: %d per vertex, want at most 40", base.bytes, broad.bytes, perVertex)
+	}
+	limitBase, limitDeep := measureLimit(sparse[:wide], 5), measureLimit(dense, 5)
+	t.Logf("LIMIT 5 round, Σ degree 1 024: %+v; Σ degree 16 384: %+v", limitBase, limitDeep)
+	if limitBase != limitDeep || limitBase.objects > 11 {
+		t.Errorf("a LIMIT 5 round allocates %+v over Σ degree 1 024 and %+v over Σ degree 16 384, want the same, at most 11 objects", limitBase, limitDeep)
 	}
 }
 

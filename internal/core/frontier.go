@@ -26,10 +26,9 @@ func (h *VertexHandle) Matches(cons *constraint.Constraint) bool {
 //
 // matched holds the IDs of the frontier vertices that satisfy cons, deduped,
 // in frontier order; next holds the union of their neighbors in
-// first-encounter order (mask 0 skips the harvest: filter only, the shape a
-// traversal's final hop wants, which is FilterFrontier without a limit). A
-// frontier vertex that no longer exists — the read set is stale — fails the
-// expansion with ErrNotFound.
+// first-encounter order (mask 0 skips the harvest: filter only, which is
+// FilterFrontier without a limit). A frontier vertex that no longer exists —
+// the read set is stale — fails the expansion with ErrNotFound.
 //
 // A frontier vertex costs its label/property bytes and no heap object. The
 // hop stamps the deduped frontier in one load train per owner rank
@@ -54,12 +53,46 @@ func (tx *Tx) ExpandFrontier(frontier []fabric.DPtr, mask DirMask, cons *constra
 	if sc == nil {
 		return nil, nil, err
 	}
-	tx.stampFrontier(sc)
-	tx.readPicked(sc, sc.stamped(), false)
-	if err := tx.associateHandled(sc); err != nil {
+	if err := tx.readFrontier(sc); err != nil {
 		return nil, nil, err
 	}
-	return tx.evalFrontier(sc, mask, cons)
+	sc.next = sc.next[:0]
+	sc.seen.begin(tx.eng)
+	if err := tx.evalFrontier(sc, mask, cons, false); err != nil {
+		return nil, nil, err
+	}
+	sc.seen.end(sc.next)
+	return clone(sc.matched), clone(sc.next), nil
+}
+
+// FilterNeighbors is a k-hop's final round in one call: it filters frontier
+// by cons, as ExpandFrontier does, harvests the matched vertices' neighbors
+// under mask, less the DPtrs exclude names (the layers before the last), and
+// returns what FilterFrontier(neighbors, exclude, last, limit) would. The
+// harvest never lists the neighbors: it ORs each into the hop's bitmap
+// (harvestRuns), and the last layer's hop takes its candidates off the bits
+// — with a limit, in ascending DPtr order as far as it reads (filterFed).
+func (tx *Tx) FilterNeighbors(frontier []fabric.DPtr, cons *constraint.Constraint, mask DirMask, exclude []fabric.DPtr, last *constraint.Constraint, limit int) ([]fabric.DPtr, error) {
+	sc, err := tx.startHop(frontier, nil, cons)
+	if sc == nil {
+		return nil, err
+	}
+	if last != nil && last.Stale(tx.registry()) {
+		return nil, fmt.Errorf("%w: stale constraint", ErrTxCritical)
+	}
+	if err := tx.readFrontier(sc); err != nil {
+		return nil, err
+	}
+	sc.beginFeed(tx.eng, exclude)
+	if err := tx.evalFrontier(sc, mask, cons, true); err != nil {
+		return nil, err
+	}
+	sc.endFeed(exclude)
+	if limit > 0 {
+		return tx.filterFed(sc, last, limit)
+	}
+	sc.listFed(tx.eng)
+	return tx.filterListed(sc, last)
 }
 
 // FilterFrontier is the filter-only hop: the IDs of the frontier vertices
@@ -75,34 +108,39 @@ func (tx *Tx) ExpandFrontier(frontier []fabric.DPtr, mask DirMask, cons *constra
 // and lets the hop stop early: the result then holds the limit smallest
 // matched IDs — every match when there are fewer — plus whatever else it
 // met, in no particular order. The hop pays for what it reads, not for the
-// width of the frontier. A frontier vertex is an 8-byte candidate, its DPtr,
-// until the hop stamps, resolves or reads it; only then does it get a
-// record in the arena. The hop loads one forwarding word per owner rank
-// (vouch), and a rank whose word reads 0 has never held a forwarding stub,
-// so each of its vertices is known by its DPtr without a stamp. Only the
-// vertices of the other ranks (and of dead ones) are stamped; those whose
-// stamp shows a stub or a writer are resolved through AssociateVertices
-// first (a stub's current ID sorts anywhere). The hop then reads the
-// candidates in ascending DPtr order, in chunks that a quickselect over the
-// candidates cuts off their front: the first of 2×limit vertices, each later
-// one sized from the match rate so far, each read loading its guard words as
-// it goes; a stub or a writer met there is resolved as a refused stamp is.
-// It stops once limit distinct matched IDs lie below the smallest unread
-// DPtr. Of what it left unread, a stamped vertex joins the read set at its
-// stamped version, and the vertices of a stub-free rank as one entry, the
-// rank's forwarding word at 0 (leaveUnread). A migration that publishes a
-// stub on such a rank fails Commit, and so does one that moves a stamped
-// unread vertex; a write that lands on a vertex the hop did not read does
-// not, since the vertex's ID, which is all the result depends on, stays
-// above the bound.
+// width of the frontier: it ORs the frontier into the hop's bitmap, one bit
+// per pool block of every rank, and reads its candidates off the bits, whose
+// order is ascending DPtr order (filterFed).
 func (tx *Tx) FilterFrontier(frontier, exclude []fabric.DPtr, cons *constraint.Constraint, limit int) ([]fabric.DPtr, error) {
+	if limit > 0 {
+		sc, err := tx.arena(frontier, cons)
+		if sc == nil {
+			return nil, err
+		}
+		sc.beginFeed(tx.eng, exclude)
+		for _, dp := range frontier {
+			if dp.IsNull() {
+				return nil, errNullFrontier
+			}
+			sc.feed(dp)
+		}
+		sc.endFeed(exclude)
+		return tx.filterFed(sc, cons, limit)
+	}
 	sc, err := tx.startHop(frontier, exclude, cons)
 	if sc == nil {
 		return nil, err
 	}
-	if limit > 0 {
-		return tx.filterEarly(sc, cons, limit)
-	}
+	return tx.filterListed(sc, cons)
+}
+
+// errNullFrontier is a frontier that names NullDPtr.
+var errNullFrontier = fmt.Errorf("%w: NULL vertex ID in a frontier", ErrBadArgument)
+
+// filterListed is the filter-only hop over every candidate in sc.cands: each
+// is stamped, and read up to the end of its entries unless the stamp refused
+// it; it returns the matched IDs in candidate order.
+func (tx *Tx) filterListed(sc *frontierScratch, cons *constraint.Constraint) ([]fabric.DPtr, error) {
 	tx.stampFrontier(sc)
 	if err := tx.associateHandled(sc); err != nil {
 		return nil, err
@@ -111,24 +149,64 @@ func (tx *Tx) FilterFrontier(frontier, exclude []fabric.DPtr, cons *constraint.C
 	if err := tx.associateHandled(sc); err != nil {
 		return nil, err
 	}
-	matched, _, err := tx.evalFrontier(sc, 0, cons)
-	return matched, err
+	if err := tx.evalFrontier(sc, 0, cons, false); err != nil {
+		return nil, err
+	}
+	return clone(sc.matched), nil
 }
 
-// filterEarly is FilterFrontier's early-stopping hop over the candidates
-// startHop gathered. matched is a set, since a vertex resolved late may turn
-// out to be one an earlier chunk already counted.
-func (tx *Tx) filterEarly(sc *frontierScratch, cons *constraint.Constraint, limit int) ([]fabric.DPtr, error) {
+// readFrontier stamps every candidate and reads the whole chain of each the
+// stamp vouches for; the rest are resolved through their handles.
+func (tx *Tx) readFrontier(sc *frontierScratch) error {
+	tx.stampFrontier(sc)
+	tx.readPicked(sc, sc.stamped(), false)
+	return tx.associateHandled(sc)
+}
+
+// filterFed is the LIMIT hop over the candidates a feed left in the hop's
+// set: the bits of the bitmap and, for keys off it, the list sc.next. The
+// candidates are read in ascending DPtr order, which is the order of the
+// bits, the list sorted and merged in (fedAt): a candidate is an 8-byte DPtr
+// until the hop stamps, resolves or reads it, and only then gets a record in
+// the arena.
+//
+// The hop loads one forwarding word per owner rank (vouch), and a rank whose
+// word reads 0 has never held a forwarding stub, so each of its vertices is
+// known by its DPtr without a stamp. Only the vertices of the other ranks
+// (and of dead ones) are stamped; those whose stamp shows a stub or a writer
+// are resolved through AssociateVertices first (a stub's current ID sorts
+// anywhere). The hop then reads the candidates in chunks off a cursor: the
+// first of 2×limit candidates, each later one sized from the match rate so
+// far, each read loading its guard words as it goes; a stub or a writer met
+// there is resolved as a refused stamp is. It stops once limit distinct
+// matched IDs lie below the next candidate, the smallest unread DPtr. Of
+// what it left unread, a stamped vertex joins the read set at its stamped
+// version, and the vertices of a stub-free rank as one entry, the rank's
+// forwarding word at 0 (leaveUnread). A migration that publishes a stub on
+// such a rank fails Commit, and so does one that moves a stamped unread
+// vertex; a write that lands on a vertex the hop did not read does not,
+// since the vertex's ID, which is all the result depends on, stays above the
+// bound. The hop ends with one clear of the bitmap words the feed touched.
+//
+// matched is a set, since a vertex resolved late may turn out to be one an
+// earlier chunk already counted.
+func (tx *Tx) filterFed(sc *frontierScratch, cons *constraint.Constraint, limit int) ([]fabric.DPtr, error) {
+	sc.startRecords(tx.eng)
 	tx.vouch(sc)
+	slices.Sort(sc.next)
 	if err := tx.associateHandled(sc); err != nil {
 		return nil, err
 	}
+	// found keeps the size an earlier LIMIT hop of the arena grew it to, so
+	// that a warm hop does not regrow it.
 	sc.matched = sc.matched[:0]
-	sc.seen.begin(tx.eng)
+	sc.found.reset(len(sc.found.slots) / 2)
 	match := func(i int32) error {
 		id, ok, err := tx.evalItem(sc, int(i), cons)
-		if ok && sc.seen.add(id) {
-			sc.matched = append(sc.matched, id)
+		if ok {
+			if _, dup := sc.found.getOrPut(id, struct{}{}); !dup {
+				sc.matched = append(sc.matched, id)
+			}
 		}
 		return err
 	}
@@ -139,16 +217,10 @@ func (tx *Tx) filterEarly(sc *frontierScratch, cons *constraint.Constraint, limi
 			}
 		}
 	}
-	// rest is the candidates not read yet, and bound the smallest of them:
-	// every selection leaves it behind its chunk. Before the first one only
-	// a resolved match can lie below it.
-	rest := sc.cands
-	var bound fabric.DPtr
-	if len(sc.matched) > 0 && len(rest) > 0 {
-		bound = slices.Min(rest)
-	}
+	sc.at = fedCursor{}
+	bound, _, more := sc.fedAt(sc.at)
 	read, hits := 0, 0
-	for len(rest) > 0 {
+	for more {
 		below := 0
 		for _, id := range sc.matched {
 			if id < bound {
@@ -163,13 +235,8 @@ func (tx *Tx) filterEarly(sc *frontierScratch, cons *constraint.Constraint, limi
 		if read > 0 {
 			size = max(need, 2*need*read/max(hits, 1))
 		}
-		if size < len(rest) {
-			bound = selectSmallest(rest, size)
-		} else {
-			size = len(rest)
-		}
-		pick := sc.pickChunk(rest[:size])
-		rest = rest[size:]
+		pick := sc.pickChunk(size)
+		bound, _, more = sc.fedAt(sc.at)
 		tx.readPicked(sc, pick, true)
 		if err := tx.associateHandled(sc); err != nil {
 			return nil, err
@@ -188,15 +255,15 @@ func (tx *Tx) filterEarly(sc *frontierScratch, cons *constraint.Constraint, limi
 			}
 		}
 	}
-	sc.seen.end(sc.matched)
 	tx.leaveUnread(sc)
+	sc.seen.clearSpan()
 	return clone(sc.matched), nil
 }
 
-// startHop checks the transaction and cons, and gathers the frontier into
-// the transaction's frontier arena, which its first hop takes from the pool.
-// A nil arena means there is nothing to do: no candidate, or the error.
-func (tx *Tx) startHop(frontier, exclude []fabric.DPtr, cons *constraint.Constraint) (*frontierScratch, error) {
+// arena checks the transaction and cons, and returns the transaction's
+// frontier arena, which its first hop takes from the pool. A nil arena means
+// there is nothing to do: an empty frontier, or the error.
+func (tx *Tx) arena(frontier []fabric.DPtr, cons *constraint.Constraint) (*frontierScratch, error) {
 	if len(frontier) == 0 {
 		return nil, nil
 	}
@@ -209,7 +276,16 @@ func (tx *Tx) startHop(frontier, exclude []fabric.DPtr, cons *constraint.Constra
 	if tx.frontier == nil {
 		tx.frontier = tx.eng.takeFrontier()
 	}
-	sc := tx.frontier
+	return tx.frontier, nil
+}
+
+// startHop takes the arena and gathers the frontier into sc.cands. A nil
+// arena means there is nothing to do: no candidate, or the error.
+func (tx *Tx) startHop(frontier, exclude []fabric.DPtr, cons *constraint.Constraint) (*frontierScratch, error) {
+	sc, err := tx.arena(frontier, cons)
+	if sc == nil {
+		return nil, err
+	}
 	if err := sc.gather(tx.eng, frontier, exclude); err != nil || len(sc.cands) == 0 {
 		return nil, err
 	}
@@ -229,23 +305,32 @@ type frontierScratch struct {
 	// The chain reader's items are the vertices the current read walks:
 	// item verts[i].item is vertex i, while its verdict says it was read.
 	chainReader
-	// cands holds the distinct frontier DPtrs the hop reports on, in
-	// frontier order; a LIMIT hop reorders them as it picks its chunks.
+	// cands holds the distinct DPtrs a hop that reads every candidate
+	// reports on: in frontier order, or in DPtr order off a feed (listFed).
 	cands []fabric.DPtr
 	verts []frontierVertex // the records: every candidate's, or a LIMIT hop's few
 	// index maps a vertex ID to its record, for the resolutions that name a
 	// vertex under another ID than its frontier entry (forwarding stubs) and
 	// for a LIMIT hop's stamped candidates: built on first use in a hop
 	// (indexRecords).
-	index     dptrTable[int32]
-	indexed   bool
-	seen      dptrSet // the frontier while it is deduped; then the neighbors harvested, or IDs matched
+	index   dptrTable[int32]
+	indexed bool
+	// seen dedups the frontier, then holds the neighbors harvested: listed
+	// in next, or fed, the candidates of the last layer (beginFeed).
+	seen      dptrSet
+	at        fedCursor           // a LIMIT hop's cursor: the candidates before it are picked
+	found     dptrTable[struct{}] // a LIMIT hop's matched IDs
 	view      holder.View
-	pick      []int32    // vertices to read
-	resolving []int32    // vertices in the AssociateVertices batch
-	ranks     []rankView // per rank: its candidates, and a LIMIT hop's view of its stubs
+	pick      []int32 // vertices to read
+	resolving []int32 // vertices in the AssociateVertices batch
+	// stubFree is, per rank, a LIMIT hop's view of its stubs: its forwarding
+	// word read 0, so its candidates are known by their DPtrs and have no
+	// record until they are picked.
+	stubFree []bool
 	// The hop's results, built here and copied out (clone): nothing of the
-	// arena aliases what a hop returns.
+	// arena aliases what a hop returns. A fed hop lists in next only the
+	// neighbors off the bitmap; matched is then the LIMIT hop's, deduped in
+	// found.
 	matched, next []fabric.DPtr
 }
 
@@ -261,14 +346,6 @@ type frontierVertex struct {
 	// unstamped: vouched for by its rank's forwarding word, not by a stamp;
 	// the read loads its stamp in its head round.
 	unstamped bool
-}
-
-// rankView is what a hop knows of one rank.
-type rankView struct {
-	unread int32 // its candidates a LIMIT hop has not picked
-	// stubFree: its forwarding word read 0, so its candidates are known by
-	// their DPtrs and have no record until they are picked.
-	stubFree bool
 }
 
 // The frontier pool's retention budget: at most frontierPoolSlots idle arenas
@@ -322,8 +399,8 @@ func (sc *frontierScratch) release(e *Engine) {
 func (sc *frontierScratch) footprint() int {
 	r := &sc.chainReader
 	hop := arrayBytes(sc.cands) + arrayBytes(sc.verts) + arrayBytes(sc.index.slots) + arrayBytes(sc.seen.bits) +
-		arrayBytes(sc.seen.spill.slots) + arrayBytes(sc.pick) + arrayBytes(sc.resolving) +
-		arrayBytes(sc.ranks) + arrayBytes(sc.matched) + arrayBytes(sc.next)
+		arrayBytes(sc.seen.spill.slots) + arrayBytes(sc.found.slots) + arrayBytes(sc.pick) + arrayBytes(sc.resolving) +
+		arrayBytes(sc.stubFree) + arrayBytes(sc.matched) + arrayBytes(sc.next)
 	reader := arrayBytes(r.items) + arrayBytes(r.bytes.buf) + arrayBytes(r.heads) + arrayBytes(r.batch) +
 		arrayBytes(r.reads) + arrayBytes(r.readOf) + arrayBytes(r.walking) + arrayBytes(r.fetched) +
 		arrayBytes(r.dps) + arrayBytes(r.bufs) + arrayBytes(r.words) + r.trains.Footprint()
@@ -336,36 +413,109 @@ func arrayBytes[S ~[]E, E any](s S) int {
 	return cap(s) * int(unsafe.Sizeof(e))
 }
 
-// gather starts a hop on e: it dedups frontier into sc.cands (first
-// occurrence wins), leaving out what exclude names, counts each rank's
-// candidates, and recycles the records of the previous hop, whose views are
-// dead.
+// gather starts a hop on e that reads every candidate: it dedups frontier
+// into sc.cands (first occurrence wins), leaving out what exclude names.
 func (sc *frontierScratch) gather(e *Engine, frontier, exclude []fabric.DPtr) error {
-	n := e.fab.Size()
-	sc.ranks = slices.Grow(sc.ranks[:0], n)[:n]
-	clear(sc.ranks)
+	sc.startRecords(e)
 	sc.cands = slices.Grow(sc.cands[:0], len(frontier))
-	sc.verts = reuse(sc.verts)
-	sc.indexed = false
 	sc.seen.begin(e)
 	for _, dp := range exclude {
 		sc.seen.add(dp)
 	}
 	for _, dp := range frontier {
 		if dp.IsNull() {
-			return fmt.Errorf("%w: NULL vertex ID in a frontier", ErrBadArgument)
+			return errNullFrontier
 		}
 		if sc.seen.add(dp) {
 			sc.cands = append(sc.cands, dp)
-			sc.ranks[dp.Rank()].unread++
 		}
 	}
-	// Empty the set again for the hop's harvest, or its matches.
+	// Empty the set again for the hop's harvest.
 	for _, dp := range exclude {
 		sc.seen.drop(dp)
 	}
 	sc.seen.end(sc.cands)
 	return nil
+}
+
+// startRecords recycles the records of the previous hop, whose views are
+// dead, for a hop on e.
+func (sc *frontierScratch) startRecords(e *Engine) {
+	n := e.fab.Size()
+	sc.stubFree = slices.Grow(sc.stubFree[:0], n)[:n]
+	clear(sc.stubFree)
+	sc.verts = reuse(sc.verts)
+	sc.indexed = false
+}
+
+// beginFeed starts a feed of the hop's set, less what exclude names:
+// exclude's keys enter the set first, so that the feed does not list those
+// off the bitmap, and endFeed drops those on it.
+func (sc *frontierScratch) beginFeed(e *Engine, exclude []fabric.DPtr) {
+	sc.seen.begin(e)
+	sc.next = sc.next[:0]
+	for _, dp := range exclude {
+		sc.seen.add(dp)
+	}
+}
+
+// feed adds a candidate to the hop's set: its bit, or, off the bitmap, an
+// entry in the table and in the list sc.next, unless the table holds it.
+func (sc *frontierScratch) feed(dp fabric.DPtr) {
+	if sc.seen.take(dp, true) {
+		sc.next = append(sc.next, dp)
+	}
+}
+
+// endFeed ends a feed begun with exclude: it drops exclude's bits, which the
+// feed may have set again.
+func (sc *frontierScratch) endFeed(exclude []fabric.DPtr) {
+	for _, dp := range exclude {
+		sc.seen.drop(dp)
+	}
+}
+
+// fedCursor is a position among the candidates a feed left: a bit of the
+// bitmap and an index into the sorted list of the keys off it.
+type fedCursor struct {
+	bit   uint64
+	spill int
+}
+
+// fedAt returns the smallest candidate at or after c, and the cursor past
+// it; ok is false when there is none.
+func (sc *frontierScratch) fedAt(c fedCursor) (dp fabric.DPtr, past fedCursor, ok bool) {
+	b, onBits := sc.seen.nextBit(c.bit)
+	if c.spill < len(sc.next) && (!onBits || sc.next[c.spill] < sc.seen.key(b)) {
+		return sc.next[c.spill], fedCursor{c.bit, c.spill + 1}, true
+	}
+	if !onBits {
+		return fabric.NullDPtr, c, false
+	}
+	return sc.seen.key(b), fedCursor{b + 1, c.spill}, true
+}
+
+// fedOn reports whether a candidate at or after c lies on rank.
+func (sc *frontierScratch) fedOn(rank int, c fedCursor) bool {
+	s := &sc.seen
+	lo, hi := uint64(rank)*s.blocks, uint64(rank+1)*s.blocks
+	if b, ok := s.nextBit(max(lo, c.bit)); ok && b < hi {
+		return true
+	}
+	return slices.ContainsFunc(sc.next[c.spill:], func(dp fabric.DPtr) bool { return int(dp.Rank()) == rank })
+}
+
+// listFed moves what a feed left in the hop's set into sc.cands, in
+// ascending DPtr order, for a hop that reads every candidate, and empties
+// the set.
+func (sc *frontierScratch) listFed(e *Engine) {
+	sc.startRecords(e)
+	slices.Sort(sc.next)
+	sc.cands = sc.cands[:0]
+	for dp, c, ok := sc.fedAt(fedCursor{}); ok; dp, c, ok = sc.fedAt(c) {
+		sc.cands = append(sc.cands, dp)
+	}
+	sc.seen.clearSpan()
 }
 
 // stampFrontier is the first look of a hop that reads every candidate: each
@@ -389,47 +539,49 @@ func (tx *Tx) stampFrontier(sc *frontierScratch) {
 // rank whose word reads 0 has never held a forwarding stub, so its
 // candidates are known by their DPtrs (block.ForwardingWord). Only when some
 // rank is not stub-free, or the transaction must see vertices through
-// handles (refuses), does it look at the candidates one by one: a refused
-// one, and every one of a rank not stub-free, leaves the candidates for a
-// record; the latter are stamped (stampRecords), and those the stamp vouches
-// for rejoin the candidates.
+// handles (refuses), does it walk the candidates one by one: a refused one,
+// and every one of a rank not stub-free, leaves the set for a record; the
+// latter are stamped (stampRecords), and those the stamp vouches for rejoin
+// the set.
 func (tx *Tx) vouch(sc *frontierScratch) {
 	e := tx.eng
 	r := &sc.chainReader
 	r.dps = r.dps[:0]
-	for rank, rv := range sc.ranks {
-		if rv.unread > 0 && !e.isDead(fabric.Rank(rank)) {
+	stamping := false
+	for rank := range sc.stubFree {
+		switch {
+		case !sc.fedOn(rank, fedCursor{}):
+		case e.isDead(fabric.Rank(rank)):
+			stamping = true
+		default:
 			r.dps = append(r.dps, block.ForwardingGuard(fabric.Rank(rank)))
 		}
 	}
 	for k, w := range r.load(e, tx.rank) {
-		sc.ranks[r.dps[k].Rank()].stubFree = w == 0
+		sc.stubFree[r.dps[k].Rank()] = w == 0
+		stamping = stamping || w != 0
 	}
-	stamping := slices.ContainsFunc(sc.ranks, func(rv rankView) bool { return rv.unread > 0 && !rv.stubFree })
 	followers, wrote := tx.readsFollowers(), len(tx.dirtyList) > 0
 	if !stamping && !followers && !wrote {
 		return
 	}
-	kept := 0
-	for _, dp := range sc.cands {
+	record := func(dp fabric.DPtr) bool {
 		switch {
 		case tx.refuses(dp, followers, wrote):
 			sc.verts = append(sc.verts, frontierVertex{head: dp, verdict: readRefused})
-		case !sc.ranks[dp.Rank()].stubFree:
+		case !sc.stubFree[dp.Rank()]:
 			sc.verts = append(sc.verts, frontierVertex{head: dp})
 		default:
-			sc.cands[kept] = dp
-			kept++
-			continue
+			return false
 		}
-		sc.ranks[dp.Rank()].unread--
+		return true
 	}
-	sc.cands = sc.cands[:kept]
+	sc.seen.dropFunc(record)
+	sc.next = slices.DeleteFunc(sc.next, record)
 	tx.stampRecords(sc)
 	for i := range sc.verts {
-		if v := &sc.verts[i]; v.verdict == readStamped {
-			sc.cands = append(sc.cands, v.head)
-			sc.ranks[v.head.Rank()].unread++
+		if v := &sc.verts[i]; v.verdict == readStamped && !sc.seen.or(v.head) {
+			sc.next = append(sc.next, v.head)
 		}
 	}
 }
@@ -485,16 +637,19 @@ func (sc *frontierScratch) stamped() []int32 {
 	return sc.pick
 }
 
-// pickChunk lists in sc.pick the records of the candidates of a LIMIT hop's
-// chunk: a stamped candidate's record, and a new one, unstamped, for a
-// candidate of a stub-free rank. It skips a candidate that a resolution
-// already stands for.
-func (sc *frontierScratch) pickChunk(chunk []fabric.DPtr) []int32 {
+// pickChunk takes the next size candidates off the cursor and lists in
+// sc.pick their records: a stamped candidate's record, and a new one,
+// unstamped, for a candidate of a stub-free rank. It skips a candidate that
+// a resolution already stands for.
+func (sc *frontierScratch) pickChunk(size int) []int32 {
 	sc.pick = sc.pick[:0]
-	for _, dp := range chunk {
-		rv := &sc.ranks[dp.Rank()]
-		rv.unread--
-		if !rv.stubFree {
+	for range size {
+		dp, past, ok := sc.fedAt(sc.at)
+		if !ok {
+			break
+		}
+		sc.at = past
+		if !sc.stubFree[dp.Rank()] {
 			sc.indexRecords()
 			if i, _ := sc.index.get(dp); sc.verts[i].head == dp && !sc.verts[i].dup {
 				sc.pick = append(sc.pick, i)
@@ -514,16 +669,16 @@ func (sc *frontierScratch) pickChunk(chunk []fabric.DPtr) []int32 {
 }
 
 // leaveUnread puts what a LIMIT hop left unread into the read set: a stamped
-// record at its stamped version, and the candidates of a stub-free rank as
-// one entry, the rank's forwarding word at 0.
+// record at its stamped version, and the candidates of a stub-free rank
+// past the cursor as one entry, the rank's forwarding word at 0.
 func (tx *Tx) leaveUnread(sc *frontierScratch) {
 	for i := range sc.verts {
 		if v := &sc.verts[i]; v.verdict == readStamped && !v.dup {
 			tx.optReads = append(tx.optReads, optRead{v.head, locks.Version(v.stamp)})
 		}
 	}
-	for rank, rv := range sc.ranks {
-		if rv.stubFree && rv.unread > 0 {
+	for rank, free := range sc.stubFree {
+		if free && sc.fedOn(rank, sc.at) {
 			tx.optReads = append(tx.optReads, optRead{block.ForwardingGuard(fabric.Rank(rank)), 0})
 		}
 	}
@@ -554,44 +709,6 @@ func (tx *Tx) readPicked(sc *frontierScratch, pick []int32, entriesOnly bool) {
 			tx.optReads = append(tx.optReads, optRead{v.head, locks.Version(v.stamp)})
 		}
 	}
-}
-
-// selectSmallest reorders s so that its first k DPtrs are its k smallest
-// (0 < k < len(s); s holds no DPtr twice) and returns the smallest of the
-// others, by quickselect: linear in len(s), where sorting would cost
-// O(n log n).
-func selectSmallest(s []fabric.DPtr, k int) fabric.DPtr {
-	// Everything in s[:lo] lies below s[lo:hi], which lies below s[hi:],
-	// whose smallest is s[hi].
-	lo, hi := 0, len(s)
-	for lo < k && k < hi {
-		// Partition [lo, hi) around its middle DPtr: [lo, lt) below it,
-		// [lt, gt) the pivot, [gt, hi) above.
-		pivot := s[lo+(hi-lo)/2]
-		lt, gt := lo, hi
-		for j := lo; j < gt; {
-			switch h := s[j]; {
-			case h < pivot:
-				s[lt], s[j] = s[j], s[lt]
-				lt++
-				j++
-			case h > pivot:
-				gt--
-				s[j], s[gt] = s[gt], s[j]
-			default:
-				j++
-			}
-		}
-		if k <= lt {
-			hi = lt
-		} else {
-			lo = gt
-		}
-	}
-	if k == hi {
-		return s[hi]
-	}
-	return slices.Min(s[k:hi])
 }
 
 // associateHandled resolves every vertex the hop has neither read OK nor
@@ -668,16 +785,14 @@ func (tx *Tx) evalItem(sc *frontierScratch, i int, cons *constraint.Constraint) 
 	return v.head, ok, nil
 }
 
-// evalFrontier filters the resolved frontier by cons, in frontier order, and,
-// when mask is non-zero, harvests the matched vertices' neighbors a run at a
-// time (harvestRuns): on the encoded stream for the vertices the lean route
-// read, over the state's records for the others. Both lists are built in
-// the arena and copied out, each in one allocation of its exact size.
-func (tx *Tx) evalFrontier(sc *frontierScratch, mask DirMask, cons *constraint.Constraint) (matched, next []fabric.DPtr, err error) {
-	sc.matched, sc.next = sc.matched[:0], sc.next[:0]
-	if mask != 0 {
-		sc.seen.begin(tx.eng)
-	}
+// evalFrontier filters the resolved frontier by cons into sc.matched, in
+// frontier order, and, when mask is non-zero, harvests the matched vertices'
+// neighbors a run at a time into the hop's set (harvestRuns): on the encoded
+// stream for the vertices the lean route read, over the state's records for
+// the others. The set lists its new keys in sc.next, or, fed, only those off
+// its bitmap; the caller begins and ends its use.
+func (tx *Tx) evalFrontier(sc *frontierScratch, mask DirMask, cons *constraint.Constraint, feed bool) (err error) {
+	sc.matched = sc.matched[:0]
 	view := &sc.view
 	for i := range sc.verts {
 		if sc.verts[i].dup {
@@ -685,7 +800,7 @@ func (tx *Tx) evalFrontier(sc *frontierScratch, mask DirMask, cons *constraint.C
 		}
 		id, ok, err := tx.evalItem(sc, i, cons)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		if !ok {
 			continue
@@ -707,32 +822,31 @@ func (tx *Tx) evalFrontier(sc *frontierScratch, mask DirMask, cons *constraint.C
 			nb, e, err := tx.farEnd(hp, is)
 			return nb, e != nil, err
 		}
-		if sc.next, err = harvestRuns(&c, deg, mask, &sc.seen, sc.next, far); err != nil {
+		if sc.next, err = harvestRuns(&c, deg, mask, &sc.seen, sc.next, feed, far); err != nil {
 			if c.Err() != nil {
 				err = fmt.Errorf("%w: holder %v: %v", ErrNotFound, id, err)
 			}
-			return nil, nil, err
+			return err
 		}
 	}
-	if mask != 0 {
-		sc.seen.end(sc.next)
-	}
-	return clone(sc.matched), clone(sc.next), nil
+	return nil
 }
 
 // clone copies s out of the arena: nil when s is empty.
 func clone(s []fabric.DPtr) []fabric.DPtr { return append([]fabric.DPtr(nil), s...) }
 
-// harvestRuns appends to next the neighbors under mask of the records c
-// walks, at most deg of them, that seen does not hold yet, in record order,
-// and adds them to seen. It walks a run at a time: a light run that mask
-// selects is decoded by StepRun straight into the tail of next, which is then
-// deduped in place against seen (the first occurrence wins); a heavy run goes
-// record by record, each record's neighbor being the far end far resolves
-// from its edge holder (ok false: a deleted edge, which yields nothing). A
-// run mask drops is skipped. It stops at the first error: far's, or the
-// corruption the walk met (c.Err), and returns next as far as it got.
-func harvestRuns(c *holder.EdgeCursor, deg int, mask DirMask, seen *dptrSet, next []fabric.DPtr, far func(fabric.DPtr) (nb fabric.DPtr, ok bool, err error)) ([]fabric.DPtr, error) {
+// harvestRuns adds to seen the neighbors under mask of the records c walks,
+// at most deg of them, and appends to next, in record order, those it lists:
+// the keys seen did not hold yet, or, when feed is set, only those of them
+// off seen's bitmap, whose bits it just ORs in (dptrSet.take). It walks a run
+// at a time: a light run that mask selects is decoded by StepRun straight
+// into the tail of next, which is then cut back in place to the keys it
+// lists (the first occurrence wins); a heavy run goes record by record, each
+// record's neighbor being the far end far resolves from its edge holder (ok
+// false: a deleted edge, which yields nothing). A run mask drops is skipped.
+// It stops at the first error: far's, or the corruption the walk met
+// (c.Err), and returns next as far as it got.
+func harvestRuns(c *holder.EdgeCursor, deg int, mask DirMask, seen *dptrSet, next []fabric.DPtr, feed bool, far func(fabric.DPtr) (nb fabric.DPtr, ok bool, err error)) ([]fabric.DPtr, error) {
 	// The cursor yields at most deg records, so with this much room the tail
 	// always has space for the rest of a run.
 	next = slices.Grow(next, deg)
@@ -746,7 +860,7 @@ func harvestRuns(c *holder.EdgeCursor, deg int, mask DirMask, seen *dptrSet, nex
 				if err != nil {
 					return next, err
 				}
-				if kept && seen.add(nb) {
+				if kept && seen.take(nb, feed) {
 					next = append(next, nb)
 				}
 			}
@@ -756,6 +870,10 @@ func harvestRuns(c *holder.EdgeCursor, deg int, mask DirMask, seen *dptrSet, nex
 		next = append(next, c.Rec.Neighbor)
 		for n := c.StepRun(next[len(next):cap(next)]); n > 0; n = c.StepRun(next[len(next):cap(next)]) {
 			next = next[:len(next)+n]
+		}
+		if feed {
+			next = next[:tail+seen.feedRun(next[tail:])]
+			continue
 		}
 		kept := tail
 		for _, nb := range next[tail:] {
@@ -774,13 +892,16 @@ func harvestRuns(c *holder.EdgeCursor, deg int, mask DirMask, seen *dptrSet, nex
 // many keys — and a hash table for the keys off the pool, or for every key
 // on an engine whose bitmap would pass setBitsMax. A user brackets its keys
 // with begin and end, and end clears just the bits of the keys it names: a
-// one-key use costs one bit, whatever the pool's size. A use that ends
-// without end (an error) leaves the set dirty, and the next begin clears it
-// whole.
+// one-key use costs one bit, whatever the pool's size. A fed use instead
+// ORs its keys on the bitmap in without a test (take), reads them back in
+// bit order, which is DPtr order (nextBit), and ends with one clear of the
+// words it touched (clearSpan). A use that ends without end or clearSpan (an
+// error) leaves the set dirty, and the next begin clears it whole.
 type dptrSet struct {
 	bits   []uint64 // bit rank·blocks + offset
 	blocks uint64   // the pool blocks per rank the bits are laid out for; 0: no bitmap
 	ranks  int
+	lo, hi uint64 // the span of words a fed use touched: bits[lo:hi]
 	spill  dptrTable[struct{}]
 	null   bool // NullDPtr, off the bitmap, is in the set: the table cannot hold it
 	dirty  bool
@@ -802,27 +923,28 @@ func (s *dptrSet) begin(e *Engine) {
 		clear(s.bits)
 	}
 	s.spill.reset(0)
+	s.lo, s.hi = uint64(len(s.bits)), 0
 	s.null, s.dirty = false, true
 }
 
-// bit returns the word and mask of key's bit; ok is false for a key the
-// bitmap does not cover.
-func (s *dptrSet) bit(key fabric.DPtr) (w *uint64, m uint64, ok bool) {
+// bit returns the index of key's word in the bitmap and the mask of its
+// bit; ok is false for a key the bitmap does not cover.
+func (s *dptrSet) bit(key fabric.DPtr) (w, m uint64, ok bool) {
 	off, r := key.Off(), uint64(key.Rank())
 	if off >= s.blocks || r >= uint64(s.ranks) {
-		return nil, 0, false
+		return 0, 0, false
 	}
 	i := r*s.blocks + off
-	return &s.bits[i/64], 1 << (i % 64), true
+	return i / 64, 1 << (i % 64), true
 }
 
 // add adds key and reports whether it was new.
 func (s *dptrSet) add(key fabric.DPtr) bool {
 	if w, m, ok := s.bit(key); ok {
-		if *w&m != 0 {
+		if s.bits[w]&m != 0 {
 			return false
 		}
-		*w |= m
+		s.bits[w] |= m
 		return true
 	}
 	if key.IsNull() {
@@ -834,10 +956,64 @@ func (s *dptrSet) add(key fabric.DPtr) bool {
 	return !dup
 }
 
+// or sets key's bit and widens the span to its word; on is false for a key
+// the bitmap does not cover, which it leaves alone.
+func (s *dptrSet) or(key fabric.DPtr) (on bool) {
+	w, m, on := s.bit(key)
+	if on {
+		s.bits[w] |= m
+		s.lo, s.hi = min(s.lo, w), max(s.hi, w+1)
+	}
+	return on
+}
+
+// feedRun is take over keys in a fed use: it ORs in the keys on the bitmap,
+// and moves those off it that are new to the front of keys, in order, and
+// returns how many it moved. The loop over the bitmap's keys makes no call,
+// so that the bitmap, its layout and the span stay in registers; the keys
+// off the bitmap, if any, take a second pass.
+func (s *dptrSet) feedRun(keys []fabric.DPtr) int {
+	bits, blocks, ranks := s.bits, s.blocks, uint64(s.ranks)
+	lo, hi := s.lo, s.hi
+	spilled := false
+	for _, key := range keys {
+		off, r := key.Off(), uint64(key.Rank())
+		if off >= blocks || r >= ranks {
+			spilled = true
+			continue
+		}
+		i := r*blocks + off
+		w := i / 64
+		bits[w] |= 1 << (i % 64)
+		lo, hi = min(lo, w), max(hi, w+1)
+	}
+	s.lo, s.hi = lo, hi
+	if !spilled {
+		return 0
+	}
+	n := 0
+	for _, key := range keys {
+		if _, _, on := s.bit(key); !on && s.add(key) {
+			keys[n] = key
+			n++
+		}
+	}
+	return n
+}
+
+// take adds key and reports whether the caller lists it: when it was new,
+// or, in a fed use (feed), when it was new and off the bitmap.
+func (s *dptrSet) take(key fabric.DPtr, feed bool) bool {
+	if feed && s.or(key) {
+		return false
+	}
+	return s.add(key)
+}
+
 // drop removes key from the bitmap; the table empties at the next begin.
 func (s *dptrSet) drop(key fabric.DPtr) {
 	if w, m, ok := s.bit(key); ok {
-		*w &^= m
+		s.bits[w] &^= m
 	}
 }
 
@@ -846,6 +1022,52 @@ func (s *dptrSet) drop(key fabric.DPtr) {
 func (s *dptrSet) end(keys []fabric.DPtr) {
 	for _, k := range keys {
 		s.drop(k)
+	}
+	s.dirty = false
+}
+
+// nextBit returns the first set bit at or after bit i within the span.
+func (s *dptrSet) nextBit(i uint64) (uint64, bool) {
+	w := i / 64
+	if w < s.lo {
+		w, i = s.lo, s.lo*64
+	}
+	if w >= s.hi {
+		return 0, false
+	}
+	word := s.bits[w] &^ (1<<(i%64) - 1)
+	for word == 0 {
+		if w++; w >= s.hi {
+			return 0, false
+		}
+		word = s.bits[w]
+	}
+	return w*64 + uint64(bits.TrailingZeros64(word)), true
+}
+
+// key returns the DPtr whose bit is bit i.
+func (s *dptrSet) key(i uint64) fabric.DPtr {
+	return fabric.MakeDPtr(fabric.Rank(i/s.blocks), i%s.blocks)
+}
+
+// dropFunc calls drop for the key of every set bit in the span, in bit
+// order, and clears the bits it reports true for.
+func (s *dptrSet) dropFunc(drop func(fabric.DPtr) bool) {
+	for w := s.lo; w < s.hi; w++ {
+		for word := s.bits[w]; word != 0; word &= word - 1 {
+			b := uint64(bits.TrailingZeros64(word))
+			if drop(s.key(w*64 + b)) {
+				s.bits[w] &^= 1 << b
+			}
+		}
+	}
+}
+
+// clearSpan ends a fed use: it clears the words the use touched, and the
+// set is empty again.
+func (s *dptrSet) clearSpan() {
+	if s.lo < s.hi {
+		clear(s.bits[s.lo:s.hi])
 	}
 	s.dirty = false
 }

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/gdi-go/gdi/internal/block"
 	"github.com/gdi-go/gdi/internal/constraint"
 	"github.com/gdi-go/gdi/internal/holder"
 	"github.com/gdi-go/gdi/internal/locks"
@@ -623,44 +624,228 @@ func TestDPtrTableSpreadsRanks(t *testing.T) {
 }
 
 // TestLimitHopRecordsWhatItReads is the white-box side of the LIMIT hop's
-// cost: over 5 200 vertices of stub-free ranks, a LIMIT 5 hop keeps the
-// frontier as 8-byte candidates and gives a record only to the vertices it
-// read, each read OK, a small share of the frontier; and it grows the read set by
-// those vertices and one forwarding-word entry per rank, not by the
-// vertices it left unread.
+// cost: a LIMIT 5 final round (FilterNeighbors) over 8 hubs harvests 10 400
+// edge records, two for each of 5 200 vertices on stub-free ranks, into the
+// hop's bitmap and reads its candidates off the bits. It gives a record only
+// to the vertices it read, each read OK, a small share of the layer; no
+// slice of the arena grows to the layer (cands holds the hubs, next the
+// decode of one hub's run at a time); the read set grows by the hubs, the
+// vertices read and one forwarding-word entry per rank with unread
+// candidates, not by the vertices left unread; and every bitmap word is 0
+// after the hop.
 func TestLimitHopRecordsWhatItReads(t *testing.T) {
-	const limit = 5
-	e, frontier, cons := newPersonFrontier(t, 256, 5200)
+	const limit, hubs, degree = 5, 8, 1300
+	e, layer, cons := newPersonFrontier(t, 256, 5200)
+	frontier := addHubs(t, e, layer, hubs, degree)
 	tx := e.StartLocal(0, ReadOnly)
 	defer tx.Abort()
-	matched, err := tx.FilterFrontier(frontier, nil, cons, limit)
+	matched, err := tx.FilterNeighbors(frontier, nil, MaskOut, frontier, cons, limit)
 	if err != nil || len(matched) < limit {
-		t.Fatalf("LIMIT %d hop: %d matched, %v", limit, len(matched), err)
+		t.Fatalf("LIMIT %d round: %d matched, %v", limit, len(matched), err)
 	}
 	sc := tx.frontier
-	if len(sc.cands) != len(frontier) {
-		t.Fatalf("%d candidates, want the %d frontier vertices", len(sc.cands), len(frontier))
+	for name, c := range map[string]int{
+		"cands": cap(sc.cands), "verts": cap(sc.verts), "next": cap(sc.next), "pick": cap(sc.pick),
+		"matched": cap(sc.matched), "resolving": cap(sc.resolving), "items": cap(sc.items), "found": len(sc.found.slots),
+	} {
+		if c >= len(layer)/2 {
+			t.Fatalf("the arena's %s grew to %d for a layer of %d", name, c, len(layer))
+		}
 	}
-	if n := len(sc.verts); n == 0 || n > len(frontier)/10 {
-		t.Fatalf("the hop made %d records, want between 1 and %d", n, len(frontier)/10)
+	if n := len(sc.verts); n == 0 || n > len(layer)/10 {
+		t.Fatalf("the hop made %d records, want between 1 and %d", n, len(layer)/10)
 	}
 	for i, v := range sc.verts {
 		if v.verdict != readOK || v.h != nil {
 			t.Fatalf("record %d (%v): verdict %d, handle %v; want only vertices read OK", i, v.head, v.verdict, v.h != nil)
 		}
 	}
-	ranks := 0
-	for _, rv := range sc.ranks {
-		if !rv.stubFree {
-			t.Fatal("a rank that never held a stub is not stub-free")
-		}
-		if rv.unread > 0 {
-			ranks++
+	if !slices.Equal(sc.stubFree, []bool{true, true}) {
+		t.Fatalf("stub-free ranks %v, want both: neither ever held a stub", sc.stubFree)
+	}
+	words := 0
+	for _, rd := range tx.optReads {
+		if rd.dp == block.ForwardingGuard(rd.dp.Rank()) {
+			words++
 		}
 	}
-	if want := len(sc.verts) + ranks; len(tx.optReads) != want || cap(tx.optReads) > 4*want {
-		t.Fatalf("read set of %d entries (capacity %d), want the %d vertices read and %d forwarding words, without room for the unread",
-			len(tx.optReads), cap(tx.optReads), len(sc.verts), ranks)
+	if want := hubs + len(sc.verts) + words; words == 0 || len(tx.optReads) != want || cap(tx.optReads) > 4*want {
+		t.Fatalf("read set of %d entries (capacity %d), want the %d hubs, %d vertices read and %d forwarding words, without room for the unread",
+			len(tx.optReads), cap(tx.optReads), hubs, len(sc.verts), words)
+	}
+	if sc.seen.blocks == 0 {
+		t.Fatal("the hop's set has no bitmap")
+	}
+	if i := slices.IndexFunc(sc.seen.bits, func(w uint64) bool { return w != 0 }); i >= 0 {
+		t.Fatalf("bitmap word %d = %#x after the hop", i, sc.seen.bits[i])
+	}
+	want := referenceFilter(t, tx, layer, nil, cons)
+	slices.Sort(matched)
+	if !slices.Equal(matched[:limit], want[:limit]) {
+		t.Fatalf("LIMIT %d round returned %v, want the %d smallest matches %v", limit, matched, limit, want[:limit])
 	}
 	t.Logf("%d records, %d read-set entries (capacity %d)", len(sc.verts), len(tx.optReads), cap(tx.optReads))
+}
+
+// addHubs commits hubs vertices on top of newPersonFrontier's, hub j with an
+// out-edge to each of the degree layer vertices from j·len(layer)/hubs on,
+// wrapping around, and returns them.
+func addHubs(t *testing.T, e *Engine, layer []rma.DPtr, hubs, degree int) []rma.DPtr {
+	t.Helper()
+	seed := e.StartLocal(0, ReadWrite)
+	out := make([]rma.DPtr, hubs)
+	for j := range out {
+		dp, err := seed.CreateVertex(uint64(len(layer) + j))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[j] = dp
+		for k := range degree {
+			if _, err := seed.CreateEdge(dp, layer[(j*len(layer)/hubs+k)%len(layer)], holder.DirOut, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := seed.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// referenceFilter is the LIMIT hop's contract on handles: the distinct IDs,
+// sorted, of the vertices of frontier that exclude does not name and that
+// satisfy cons (referenceExpand with mask 0).
+func referenceFilter(t *testing.T, tx *Tx, frontier, exclude []rma.DPtr, cons *constraint.Constraint) []rma.DPtr {
+	t.Helper()
+	rest := slices.DeleteFunc(slices.Clone(frontier), func(dp rma.DPtr) bool { return slices.Contains(exclude, dp) })
+	if len(rest) == 0 {
+		return nil
+	}
+	matched, _, err := referenceExpand(tx, rest, 0, cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(matched)
+	return matched
+}
+
+// TestLimitHopSpillRouteMatchesNaive runs the LIMIT hops the way a pool past
+// setBitsMax runs them — the hop's bitmap off (blocks 0), every key in the
+// set's hash table and listed in next — and, beside them, on the bitmap. A
+// list-fed FilterFrontier over a layer less an exclude set, and a
+// harvest-fed FilterNeighbors over hubs whose out-edges reach it, at LIMIT
+// 1, 5, 40 and none, are held to the handle walk (referenceFilter): the
+// limit smallest IDs are the reference's, every ID is one of the
+// reference's, none twice, and a read-only transaction commits. Each runs
+// read-only and read-write, having rewritten a vertex so that it now matches
+// and another so that it no longer does (and then aborted, so that the
+// stored vertices stay as they were), first on stub-free ranks, then after a
+// migration has left a stub on one, whose candidates the hop then stamps.
+func TestLimitHopSpillRouteMatchesNaive(t *testing.T) {
+	const hubs, degree = 4, 300
+	e, layer, cons := newPersonFrontier(t, 256, 600)
+	hub := addHubs(t, e, layer, hubs, degree)
+	pt, _ := e.Registry(0).PTypeByName("age")
+	// The rewritten vertices: the non-matching one with the smallest DPtr,
+	// which the transaction's own write puts among the smallest matches,
+	// and the matching one with the smallest DPtr, which it drops from them.
+	var young, old []rma.DPtr
+	for i, dp := range layer {
+		if i%90 < 30 {
+			young = append(young, dp)
+		} else {
+			old = append(old, dp)
+		}
+	}
+	rewrite := map[rma.DPtr]uint64{slices.Min(young): 89, slices.Min(old): 0}
+	var exclude []rma.DPtr
+	for i := 0; i < len(layer); i += 7 {
+		exclude = append(exclude, layer[i])
+	}
+	check := func(t *testing.T, spill bool, mode Mode, route string, limit int) {
+		tx := e.StartLocal(0, mode)
+		defer tx.Abort()
+		sc := new(frontierScratch)
+		tx.frontier = sc
+		if spill {
+			sc.seen.begin(e)
+			sc.seen.blocks = 0
+		}
+		if mode == ReadWrite {
+			for dp, age := range rewrite {
+				h, err := tx.AssociateVertex(dp)
+				if err == nil {
+					err = h.SetProperty(pt.ID, lpg.EncodeUint64(age))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		var got, want []rma.DPtr
+		var err error
+		fed := limit > 0
+		switch route {
+		case "list":
+			got, err = tx.FilterFrontier(layer, exclude, cons, limit)
+			want = referenceFilter(t, tx, layer, exclude, cons)
+		case "harvest":
+			fed = true
+			got, err = tx.FilterNeighbors(hub, nil, MaskOut, append(slices.Clip(hub), exclude...), cons, limit)
+			_, next, rerr := referenceExpand(tx, hub, MaskOut, nil)
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			want = referenceFilter(t, tx, next, append(slices.Clip(hub), exclude...), cons)
+		}
+		if err != nil {
+			t.Fatalf("%s hop: %v", route, err)
+		}
+		slices.Sort(got)
+		if len(slices.Compact(slices.Clone(got))) != len(got) {
+			t.Fatalf("the hop returned %v: an ID twice", got)
+		}
+		for _, id := range got {
+			if _, ok := slices.BinarySearch(want, id); !ok {
+				t.Fatalf("the hop returned %v, which is not a match of the reference", id)
+			}
+		}
+		keep := len(want)
+		if limit > 0 {
+			keep = min(limit, keep)
+		}
+		if len(got) < keep || !slices.Equal(got[:keep], want[:keep]) {
+			t.Fatalf("the hop's %d smallest IDs %v, want the reference's %v", keep, got[:min(keep, len(got))], want[:keep])
+		}
+		if spill && fed && len(sc.next) == 0 {
+			t.Fatal("with the bitmap off the feed listed no key")
+		}
+		if i := slices.IndexFunc(sc.seen.bits, func(w uint64) bool { return w != 0 }); i >= 0 {
+			t.Fatalf("bitmap word %d = %#x after the hop", i, sc.seen.bits[i])
+		}
+		if mode == ReadOnly {
+			if err := tx.Commit(); err != nil {
+				t.Fatalf("commit: %v", err)
+			}
+		}
+	}
+	sweep := func(t *testing.T) {
+		for _, spill := range []bool{true, false} {
+			for _, mode := range []Mode{ReadOnly, ReadWrite} {
+				for _, route := range []string{"list", "harvest"} {
+					for _, limit := range []int{1, 5, 40, 0} {
+						t.Run(fmt.Sprintf("spill=%v/mode=%d/%s/limit=%d", spill, mode, route, limit), func(t *testing.T) {
+							check(t, spill, mode, route, limit)
+						})
+					}
+				}
+			}
+		}
+	}
+	t.Run("stub-free", sweep)
+	// A matching vertex moves to the other rank: its old DPtr is a stub the
+	// hubs' edges still name.
+	const moved = 31
+	mustMigrate(t, e, moved, 1-layer[moved].Rank())
+	t.Run("stub", sweep)
 }

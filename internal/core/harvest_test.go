@@ -162,7 +162,9 @@ func harvestVertex(data []byte, long bool) *holder.Vertex {
 // harvest starts behind a prefix of neighbors an earlier vertex contributed,
 // in a slice without spare capacity, on the pool's bitmap and again with
 // every key in the set's hash table; it must leave the set empty once the
-// keys it returned are dropped.
+// keys it returned are dropped. Fed (feed), the harvest lists only the keys
+// off the bitmap, in the walk's order, and its bits are exactly the walk's
+// other keys, in a span that one clear empties.
 func FuzzHarvestMatchesRecordWalk(f *testing.F) {
 	f.Add([]byte{}, byte(0))
 	f.Add([]byte{9, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, byte(1))
@@ -210,13 +212,47 @@ func FuzzHarvestMatchesRecordWalk(f *testing.F) {
 					want, wantErr := harvestRecords(&view, mask, slices.Clip(slices.Clone(prefix)), seenRef, fuzzFar)
 					view.Reset(s)
 					c := view.Edges()
-					got, gotErr := harvestRuns(&c, view.EdgeCap(), mask, &set, slices.Clip(slices.Clone(prefix)), fuzzFar)
+					got, gotErr := harvestRuns(&c, view.EdgeCap(), mask, &set, slices.Clip(slices.Clone(prefix)), false, fuzzFar)
 					if !slices.Equal(got, want) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 						t.Fatalf("mask %#x, spill %v, stream % x:\nruns    %v, %v\nrecords %v, %v", mask, spill, s, got, gotErr, want, wantErr)
 					}
 					set.end(got)
 					if i := slices.IndexFunc(set.bits, func(w uint64) bool { return w != 0 }); i >= 0 {
 						t.Fatalf("mask %#x: bitmap word %d = %#x after end", mask, i, set.bits[i])
+					}
+
+					set.begin(e)
+					if spill {
+						set.blocks = 0
+					}
+					for _, nb := range prefix {
+						set.add(nb)
+					}
+					view.Reset(s)
+					c = view.Edges()
+					listed, fedErr := harvestRuns(&c, view.EdgeCap(), mask, &set, nil, true, fuzzFar)
+					for _, nb := range prefix {
+						set.drop(nb)
+					}
+					var onBits, offBits []fabric.DPtr
+					for _, nb := range want[len(prefix):] {
+						if _, _, on := set.bit(nb); on {
+							onBits = append(onBits, nb)
+						} else {
+							offBits = append(offBits, nb)
+						}
+					}
+					var fed []fabric.DPtr
+					for b, ok := set.nextBit(0); ok; b, ok = set.nextBit(b + 1) {
+						fed = append(fed, set.key(b))
+					}
+					slices.Sort(onBits)
+					if !slices.Equal(listed, offBits) || !slices.Equal(fed, onBits) || fmt.Sprint(fedErr) != fmt.Sprint(wantErr) {
+						t.Fatalf("mask %#x, spill %v, fed, stream % x:\nlisted %v, bits %v, %v\nwant   %v, %v, %v", mask, spill, s, listed, fed, fedErr, offBits, onBits, wantErr)
+					}
+					set.clearSpan()
+					if i := slices.IndexFunc(set.bits, func(w uint64) bool { return w != 0 }); i >= 0 {
+						t.Fatalf("mask %#x: bitmap word %d = %#x after the fed use", mask, i, set.bits[i])
 					}
 				}
 			}

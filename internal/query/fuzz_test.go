@@ -8,6 +8,7 @@ import (
 
 	"github.com/gdi-go/gdi/internal/core"
 	"github.com/gdi-go/gdi/internal/fabric"
+	"github.com/gdi-go/gdi/internal/holder"
 	"github.com/gdi-go/gdi/internal/lpg"
 	"github.com/gdi-go/gdi/internal/metadata"
 	"github.com/gdi-go/gdi/internal/rma"
@@ -49,20 +50,29 @@ func FuzzQueryPattern(f *testing.F) {
 
 // limitFuzzVerts is the vertex count of FuzzLimitHopMatchesNaive's fixture:
 // vertex i has application ID i, so it lives on rank i%4, is a Person, and is
-// aged i*7%90.
+// aged i*7%90; it has out-edges to vertices i+1, 5i+3 and 7i+2 (mod n).
 const limitFuzzVerts = 24
 
 // FuzzLimitHopMatchesNaive holds the filter hop to its handle-walk
 // reference over a 4-rank fixture. The input picks an age threshold
-// (byte 0), a limit in 0..n+1 (byte 1), whether a vertex migrates first, so
-// that its old rank's forwarding word is no longer 0 and the frontier may
-// name its stub, and whether the transaction rewrites a vertex's age first,
-// so that the hop must see its own write (byte 2, which also picks the
-// vertex), and then one DPtr per byte for the frontier, the exclude set, or
-// both, duplicates allowed. The limit smallest of the IDs the compiled hop
-// returns must be the limit smallest of the naive filter's (all of them at
-// limit 0); every ID it returns must be one of the naive filter's, none
-// twice; and the transaction must commit.
+// (byte 0), a limit in 0..n+1 and the route (byte 1: its top bit picks the
+// harvest), whether a vertex migrates first, so that its old rank's
+// forwarding word is no longer 0 and a frontier or an edge may name its
+// stub, and whether the transaction rewrites a vertex's age first, so that
+// the hop must see its own write (byte 2, which also picks the vertex).
+//
+// On the list route every further byte picks a DPtr for the frontier, the
+// exclude set, or both, duplicates allowed, and FilterFrontier filters them.
+// On the harvest route byte 3 picks a direction mask and a frontier of 1 to
+// 3 vertices, which the next bytes name; every byte after those picks a
+// DPtr for the exclude set. FilterNeighbors then harvests the frontier's
+// neighbors under the mask into the hop's bitmap and filters them, and
+// naiveHop does the same in two steps: the harvest, then the filter.
+//
+// The limit smallest of the IDs the compiled hop returns must be the limit
+// smallest of the naive filter's (all of them at limit 0); every ID it
+// returns must be one of the naive filter's, none twice; and the
+// transaction must commit.
 func FuzzLimitHopMatchesNaive(f *testing.F) {
 	f.Add([]byte{30, 5, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{30, 3, 0x11, 1, 5, 9, 13, 0x44, 0xc5, 17, 21, 24, 2, 2, 0x82})
@@ -71,11 +81,22 @@ func FuzzLimitHopMatchesNaive(f *testing.F) {
 	// The rewritten vertex 2 matches, above the matching vertex 5 and below
 	// vertex 3: the hop must not stop at it.
 	f.Add([]byte{30, 1, 0x0a, 0, 4, 5, 2, 3})
+	// The harvest route: one, two and three frontier vertices under each
+	// mask, with and without a migration, a rewrite and an exclude set.
+	f.Add([]byte{30, 0x85, 0, 0x03, 0})
+	f.Add([]byte{30, 0x83, 0x11, 0x05, 1, 5, 0, 2})
+	f.Add([]byte{0, 0x99, 0x23, 0x0a, 0, 4, 8, 0x40, 1, 24})
+	f.Add([]byte{45, 0x80, 0x0a, 0x07, 3, 7, 11, 19})
+	f.Add([]byte{30, 0x81, 0x0a, 0x02, 1, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
 		}
-		over, limit, flags := uint64(data[0]%91), int(data[1])%(limitFuzzVerts+2), data[2]
+		over, limit, flags := uint64(data[0]%91), int(data[1]&0x7f)%(limitFuzzVerts+2), data[2]
+		harvest := data[1]&0x80 != 0
+		if harvest && len(data) < 4 {
+			return
+		}
 		g, dps := newLimitFuzzGraph(t)
 		victim := int(flags>>2) % limitFuzzVerts
 		target := dps[victim]
@@ -109,24 +130,48 @@ func FuzzLimitHopMatchesNaive(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
+		pick := func(b byte) fabric.DPtr { return dps[int(b&0x3f)%len(dps)] }
 		var frontier, exclude []fabric.DPtr
-		for _, b := range data[3:] {
-			dp := dps[int(b&0x3f)%len(dps)]
-			if b&0x80 == 0 {
-				frontier = append(frontier, dp)
-			}
-			if b&0xc0 != 0 {
-				exclude = append(exclude, dp)
-			}
-		}
 		cons := g.ageOver(over)
-		got, err := tx.FilterFrontier(frontier, exclude, cons, limit)
-		if err != nil {
-			t.Fatalf("compiled filter: %v", err)
-		}
-		want, _, err := naiveHop(tx, frontier, exclude, 0, cons)
-		if err != nil {
-			t.Fatalf("naive filter: %v", err)
+		var got, want []fabric.DPtr
+		var err error
+		if harvest {
+			mask := core.DirMask(data[3] & 3)
+			if mask == 0 {
+				mask = core.MaskAll
+			}
+			n := min(1+int(data[3]>>2)%3, len(data)-4)
+			for _, b := range data[4 : 4+n] {
+				frontier = append(frontier, pick(b))
+			}
+			for _, b := range data[4+n:] {
+				exclude = append(exclude, pick(b))
+			}
+			if got, err = tx.FilterNeighbors(frontier, nil, mask, exclude, cons, limit); err != nil {
+				t.Fatalf("compiled round: %v", err)
+			}
+			_, next, err := naiveHop(tx, frontier, nil, mask, nil)
+			if err != nil {
+				t.Fatalf("naive harvest: %v", err)
+			}
+			if want, _, err = naiveHop(tx, next, exclude, 0, cons); err != nil {
+				t.Fatalf("naive filter: %v", err)
+			}
+		} else {
+			for _, b := range data[3:] {
+				if b&0x80 == 0 {
+					frontier = append(frontier, pick(b))
+				}
+				if b&0xc0 != 0 {
+					exclude = append(exclude, pick(b))
+				}
+			}
+			if got, err = tx.FilterFrontier(frontier, exclude, cons, limit); err != nil {
+				t.Fatalf("compiled filter: %v", err)
+			}
+			if want, _, err = naiveHop(tx, frontier, exclude, 0, cons); err != nil {
+				t.Fatalf("naive filter: %v", err)
+			}
 		}
 		slices.Sort(got)
 		slices.Sort(want)
@@ -143,7 +188,7 @@ func FuzzLimitHopMatchesNaive(f *testing.F) {
 			keep = min(limit, keep)
 		}
 		if len(got) < keep || !slices.Equal(got[:keep], want[:keep]) {
-			t.Fatalf("frontier %v less %v, age ≥ %d, LIMIT %d: compiled %v, naive %v", frontier, exclude, over, limit, got, want)
+			t.Fatalf("frontier %v (harvested: %v) less %v, age ≥ %d, LIMIT %d: compiled %v, naive %v", frontier, harvest, exclude, over, limit, got, want)
 		}
 		if err := tx.Commit(); err != nil {
 			t.Fatalf("commit: %v", err)
@@ -184,6 +229,13 @@ func newLimitFuzzGraph(t *testing.T) (*testGraph, []fabric.DPtr) {
 		}
 		if err != nil {
 			t.Fatal(err)
+		}
+	}
+	for i, dp := range dps {
+		for _, j := range []int{i + 1, 5*i + 3, 7*i + 2} {
+			if _, err := tx.CreateEdge(dp, dps[j%len(dps)], holder.DirOut, g.person); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := tx.Commit(); err != nil {

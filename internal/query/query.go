@@ -13,23 +13,28 @@
 // encoded label/property entries, harvests the next frontier straight off
 // the edge runs, and records one (vertex, version) pair per vertex for
 // commit-time validation. A hop materializes no handle and allocates nothing per vertex;
-// only vertex IDs travel between hops. The last hop of a k-hop only filters
-// (core.Tx.FilterFrontier), so it fetches each holder just up to the end of
-// its entries — the primary block for all but mega-hubs — not its edge
-// chain. Forwarding stubs, follower-served vertices and locking transactions
-// fall back to one AssociateVertices batch inside the same call. A k-hop
-// pattern therefore costs k+1 rounds regardless of frontier width, where the
-// naive reference (RunNaive) pays one scalar AssociateVertex round-trip per
+// only vertex IDs travel between hops. The final round of a k-hop is one
+// call (core.Tx.FilterNeighbors): it reads the layer before the last as a
+// hop does, ORs the neighbors it harvests into the hop's bitmap of the
+// pool's blocks, less the layers before the last, and only filters the last
+// layer, so it fetches each holder of that layer just up to the end of its
+// entries — the primary block for all but mega-hubs — not its edge chain.
+// Forwarding stubs, follower-served vertices and locking transactions fall
+// back to one AssociateVertices batch inside the same call. A k-hop pattern
+// therefore costs k+1 rounds regardless of frontier width, where the naive
+// reference (RunNaive) pays one scalar AssociateVertex round-trip per
 // frontier vertex.
 //
 // LIMIT is applied as a bounded top-k over the matched IDs in canonical
 // order, and only the rows it keeps are built and — under projection —
-// associated as handles. It also stops the last hop early, which takes the
-// earlier layers as its exclude set and keeps each vertex of the last as an
-// 8-byte candidate, its DPtr: one forwarding word per owner rank, or a stamp,
-// shows which DPtrs are forwarding stubs, resolved first; every other DPtr
-// is its vertex's ID. The hop reads the candidates in ascending DPtr order,
-// in chunks, until LIMIT matched IDs sort below every DPtr it has not read.
+// associated as handles. It also stops the last hop early, which reads its
+// candidates straight off the bitmap, whose bit order is ascending DPtr
+// order: a candidate is an 8-byte DPtr until the hop reads it. One
+// forwarding word per owner rank, or a stamp, shows which DPtrs are
+// forwarding stubs, resolved first; every other DPtr is its vertex's ID. The
+// hop reads the next set bits after a cursor, a chunk at a time, until LIMIT
+// matched IDs sort below the next set bit, and then clears the words the
+// harvest touched.
 //
 // Both executors return canonically sorted rows, so their results are
 // bit-identical — the golden-equivalence contract the tests pin across
@@ -159,10 +164,11 @@ type executor struct {
 	// expand filters frontier by cons and harvests the matched vertices'
 	// distinct neighbors under mask (core.Tx.ExpandFrontier's contract).
 	expand func(frontier []fabric.DPtr, mask core.DirMask, cons *constraint.Constraint) (matched, next []fabric.DPtr, err error)
-	// filter is a k-hop's final round: the matched IDs of frontier, less
-	// the DPtrs exclude names, of which a LIMIT keeps the limit smallest
-	// (core.Tx.FilterFrontier's contract).
-	filter func(frontier, exclude []fabric.DPtr, cons *constraint.Constraint, limit int) ([]fabric.DPtr, error)
+	// final is a k-hop's final round: it expands frontier as expand does
+	// and returns the neighbors, less the DPtrs exclude names, that satisfy
+	// last, of which a LIMIT keeps the limit smallest
+	// (core.Tx.FilterNeighbors' contract).
+	final func(frontier []fabric.DPtr, cons *constraint.Constraint, mask core.DirMask, exclude []fabric.DPtr, last *constraint.Constraint, limit int) ([]fabric.DPtr, error)
 	// associate returns a handle per vertex, aligned with dps; a vertex that
 	// no longer exists is an ErrNotFound.
 	associate func(dps []fabric.DPtr) ([]*core.VertexHandle, error)
@@ -178,7 +184,7 @@ func Run(tx *core.Tx, src fabric.DPtr, p *Pattern) (*Result, error) {
 func compiled(tx *core.Tx) executor {
 	return executor{
 		expand:    tx.ExpandFrontier,
-		filter:    tx.FilterFrontier,
+		final:     tx.FilterNeighbors,
 		associate: func(dps []fabric.DPtr) ([]*core.VertexHandle, error) { return associateAll(tx, dps) },
 	}
 }
@@ -207,8 +213,12 @@ func RunNaive(tx *core.Tx, src fabric.DPtr, p *Pattern) (*Result, error) {
 		expand: func(frontier []fabric.DPtr, mask core.DirMask, cons *constraint.Constraint) (matched, next []fabric.DPtr, err error) {
 			return naiveHop(tx, frontier, nil, mask, cons)
 		},
-		filter: func(frontier, exclude []fabric.DPtr, cons *constraint.Constraint, _ int) ([]fabric.DPtr, error) {
-			matched, _, err := naiveHop(tx, frontier, exclude, 0, cons)
+		final: func(frontier []fabric.DPtr, cons *constraint.Constraint, mask core.DirMask, exclude []fabric.DPtr, last *constraint.Constraint, _ int) ([]fabric.DPtr, error) {
+			_, next, err := naiveHop(tx, frontier, nil, mask, cons)
+			if err != nil {
+				return nil, err
+			}
+			matched, _, err := naiveHop(tx, next, exclude, 0, last)
 			return matched, err
 		},
 		associate: func(dps []fabric.DPtr) ([]*core.VertexHandle, error) {
@@ -262,20 +272,19 @@ func (t tuples) at(i int) []fabric.DPtr { return t.v[i*t.w : (i+1)*t.w] }
 // runKHop is BFS layering: round i expands the layer-i frontier (one train
 // per rank under the compiled executor), filtering it by the predicate of the
 // hop that reached it and harvesting the next layer under hop i's mask. The
-// final round only filters the last layer, less the layers before it (its
-// exclude set), under the pattern's LIMIT. Visited vertices never re-enter a
-// frontier, so a k-hop costs exactly k+1 rounds. Only IDs travel between.
+// final round harvests the last layer and filters it, less the layers before
+// it (its exclude set), under the pattern's LIMIT, in one call that never
+// lists the layer. Visited vertices never re-enter a frontier, so a k-hop
+// costs exactly k+1 rounds. Only IDs travel between.
 func runKHop(src fabric.DPtr, p *Pattern, ex executor) (tuples, error) {
 	// visited holds the layers before the next one, sorted.
 	frontier, visited := []fabric.DPtr{src}, []fabric.DPtr{src}
 	var cons *constraint.Constraint
-	for i, hop := range p.Hops {
+	final := len(p.Hops) - 1
+	for _, hop := range p.Hops[:final] {
 		_, next, err := ex.expand(frontier, hop.Mask, cons)
 		if err != nil {
 			return tuples{}, err
-		}
-		if frontier, cons = next, hop.Cons; i == len(p.Hops)-1 {
-			break
 		}
 		// next is already distinct, so it only has to be told from the
 		// layers before it.
@@ -285,8 +294,10 @@ func runKHop(src fabric.DPtr, p *Pattern, ex executor) (tuples, error) {
 		})
 		visited = append(visited, frontier...)
 		slices.Sort(visited)
+		cons = hop.Cons
 	}
-	last, err := ex.filter(frontier, visited, cons, p.Limit)
+	hop := p.Hops[final]
+	last, err := ex.final(frontier, cons, hop.Mask, visited, hop.Cons, p.Limit)
 	return tuples{w: 1, v: last}, err
 }
 
