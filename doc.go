@@ -242,9 +242,12 @@
 // objects, whatever the hop's width and its vertices' degrees (CI pins this
 // next to the point-read guard). Closing the transaction returns the arena
 // to a pool that keeps at most two of them, each of at most 1 MiB.
-// LIMIT is a bounded top-k on the canonical order over IDs, and only the
-// rows it keeps are associated as handles, for the projection. It also
-// stops the last hop early, whose cost follows what it reads, not the width
+// LIMIT is a bounded top-k on the canonical order over IDs, and a
+// projection costs no round of its own: the final round copies the
+// projected property of each vertex it returns out of the entries it has
+// just read and matched (or out of the handle it saw the vertex through), so
+// the rows are built without an association, and the read set holds each
+// row once. LIMIT also stops the last hop early, whose cost follows what it reads, not the width
 // of the layer: the query's final round is one call
 // (Transaction.FilterNeighbors), whose harvest ORs each neighbor into the
 // hop's bitmap — one bit per pool block of every rank, so bit order is

@@ -284,7 +284,7 @@ func TestFrontierHopAllocsIndependentOfWidth(t *testing.T) {
 			hop := func(width, limit int) cost {
 				run := func() {
 					tx := e.StartLocal(0, ReadOnly)
-					matched, err := tx.FilterFrontier(frontier[:width], nil, cons, limit)
+					matched, _, err := tx.FilterFrontier(frontier[:width], nil, cons, limit, 0)
 					if err != nil || len(matched) == 0 {
 						panic(fmt.Sprintf("filter hop: %d matched, %v", len(matched), err))
 					}
@@ -371,7 +371,9 @@ func newPersonFrontier(t *testing.T, blockSize, n int) (*Engine, []rma.DPtr, *co
 // allocation. A LIMIT 5 final round over the same frontiers
 // (FilterNeighbors), which ORs the harvest into the hop's bitmap and reads
 // its candidates off the bits, allocates the same objects and the same bytes
-// at Σ degree 1 024 as at 16 384, at most 11 objects.
+// at Σ degree 1 024 as at 16 384, at most 11 objects. So does one that
+// projects the targets' age, at most 13 objects: the values and the one
+// buffer they share.
 func TestExpansionHopAllocsIndependentOfWidth(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -383,6 +385,7 @@ func TestExpansionHopAllocsIndependentOfWidth(t *testing.T) {
 		LockTries:     256,
 		CacheCapacity: 1 << 13,
 	})
+	_, _, age, _ := seedPersonSchema(t, e)
 	seed := e.StartLocal(0, ReadWrite)
 	create := func(n int, app uint64) []rma.DPtr {
 		dps := make([]rma.DPtr, n)
@@ -396,6 +399,15 @@ func TestExpansionHopAllocsIndependentOfWidth(t *testing.T) {
 		return dps
 	}
 	to := create(targets, 0)
+	for i, dp := range to {
+		h, err := seed.AssociateVertex(dp)
+		if err == nil {
+			err = h.AddProperty(age, lpg.EncodeUint64(uint64(i)))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 	// Source i of degree d links to targets i·d … i·d+d-1 (mod 256), so 16
 	// sources of degree 16, or any one of degree 256, cover every target.
 	link := func(from []rma.DPtr, degree int) {
@@ -415,12 +427,16 @@ func TestExpansionHopAllocsIndependentOfWidth(t *testing.T) {
 	}
 
 	type cost struct{ objects, bytes uint64 }
-	measureLimit := func(frontier []rma.DPtr, limit int) cost {
+	measureLimit := func(frontier []rma.DPtr, limit int, project lpg.PTypeID) cost {
 		hop := func() {
 			tx := e.StartLocal(0, ReadOnly)
 			if limit > 0 {
-				if last, err := tx.FilterNeighbors(frontier, nil, MaskAll, nil, nil, limit); err != nil || len(last) < limit {
+				last, vals, err := tx.FilterNeighbors(frontier, nil, MaskAll, nil, nil, limit, project)
+				if err != nil || len(last) < limit {
 					panic(fmt.Sprintf("LIMIT %d round: %d matched, %v", limit, len(last), err))
+				}
+				if project != 0 && (len(vals) != len(last) || !vals[0].OK || len(vals[0].Value) != 8) {
+					panic(fmt.Sprintf("LIMIT %d round: %d values for %d IDs, the first %+v", limit, len(vals), len(last), vals[0]))
 				}
 			} else if matched, next, err := tx.ExpandFrontier(frontier, MaskAll, nil); err != nil || len(matched) != len(frontier) || len(next) != targets {
 				panic(fmt.Sprintf("expansion: %d matched, %d next, %v", len(matched), len(next), err))
@@ -442,7 +458,7 @@ func TestExpansionHopAllocsIndependentOfWidth(t *testing.T) {
 		}
 		return c
 	}
-	measure := func(frontier []rma.DPtr) cost { return measureLimit(frontier, 0) }
+	measure := func(frontier []rma.DPtr) cost { return measureLimit(frontier, 0, 0) }
 	base, deep, broad := measure(sparse[:wide]), measure(dense), measure(sparse)
 	t.Logf("64 × degree 16: %+v; 64 × degree 256: %+v; 1024 × degree 16: %+v", base, deep, broad)
 	if base.objects != deep.objects || base.objects != broad.objects {
@@ -454,10 +470,15 @@ func TestExpansionHopAllocsIndependentOfWidth(t *testing.T) {
 	if perVertex := (int64(broad.bytes) - int64(base.bytes)) / (narrow - wide); perVertex > 40 {
 		t.Errorf("an expansion hop allocates %d bytes over 64 vertices and %d over 1024: %d per vertex, want at most 40", base.bytes, broad.bytes, perVertex)
 	}
-	limitBase, limitDeep := measureLimit(sparse[:wide], 5), measureLimit(dense, 5)
+	limitBase, limitDeep := measureLimit(sparse[:wide], 5, 0), measureLimit(dense, 5, 0)
 	t.Logf("LIMIT 5 round, Σ degree 1 024: %+v; Σ degree 16 384: %+v", limitBase, limitDeep)
 	if limitBase != limitDeep || limitBase.objects > 11 {
 		t.Errorf("a LIMIT 5 round allocates %+v over Σ degree 1 024 and %+v over Σ degree 16 384, want the same, at most 11 objects", limitBase, limitDeep)
+	}
+	projBase, projDeep := measureLimit(sparse[:wide], 5, age), measureLimit(dense, 5, age)
+	t.Logf("projected LIMIT 5 round, Σ degree 1 024: %+v; Σ degree 16 384: %+v", projBase, projDeep)
+	if projBase != projDeep || projBase.objects > 13 {
+		t.Errorf("a projected LIMIT 5 round allocates %+v over Σ degree 1 024 and %+v over Σ degree 16 384, want the same, at most 13 objects", projBase, projDeep)
 	}
 }
 

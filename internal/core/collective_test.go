@@ -116,7 +116,7 @@ func TestCollectiveFrontierHopsTakeTheLeanRoute(t *testing.T) {
 	var states int
 	for r, err := range f.collectively(t, func(tx *Tx) error {
 		before := f.e.Fabric().TotalSnapshot()
-		ids, err := tx.FilterFrontier(f.dps, nil, cons, limit)
+		ids, _, err := tx.FilterFrontier(f.dps, nil, cons, limit, 0)
 		after := f.e.Fabric().TotalSnapshot()
 		matched, read = len(ids), after.RemoteGets+after.CacheHits-before.RemoteGets-before.CacheHits
 		if err != nil {

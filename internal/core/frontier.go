@@ -11,6 +11,7 @@ import (
 	"github.com/gdi-go/gdi/internal/fabric"
 	"github.com/gdi-go/gdi/internal/holder"
 	"github.com/gdi-go/gdi/internal/locks"
+	"github.com/gdi-go/gdi/internal/lpg"
 )
 
 // Matches evaluates cons against the vertex's labels and properties in
@@ -46,7 +47,7 @@ func (h *VertexHandle) Matches(cons *constraint.Constraint) bool {
 // of the arena aliases them.
 func (tx *Tx) ExpandFrontier(frontier []fabric.DPtr, mask DirMask, cons *constraint.Constraint) (matched, next []fabric.DPtr, err error) {
 	if mask == 0 {
-		matched, err = tx.FilterFrontier(frontier, nil, cons, 0)
+		matched, _, err = tx.FilterFrontier(frontier, nil, cons, 0, 0)
 		return matched, nil, err
 	}
 	sc, err := tx.startHop(frontier, nil, cons)
@@ -58,7 +59,7 @@ func (tx *Tx) ExpandFrontier(frontier []fabric.DPtr, mask DirMask, cons *constra
 	}
 	sc.next = sc.next[:0]
 	sc.seen.begin(tx.eng)
-	if err := tx.evalFrontier(sc, mask, cons, false); err != nil {
+	if err := tx.evalFrontier(sc, mask, cons, false, 0); err != nil {
 		return nil, nil, err
 	}
 	sc.seen.end(sc.next)
@@ -72,27 +73,37 @@ func (tx *Tx) ExpandFrontier(frontier []fabric.DPtr, mask DirMask, cons *constra
 // harvest never lists the neighbors: it ORs each into the hop's bitmap
 // (harvestRuns), and the last layer's hop takes its candidates off the bits
 // — with a limit, in ascending DPtr order as far as it reads (filterFed).
-func (tx *Tx) FilterNeighbors(frontier []fabric.DPtr, cons *constraint.Constraint, mask DirMask, exclude []fabric.DPtr, last *constraint.Constraint, limit int) ([]fabric.DPtr, error) {
+// Its projection, as FilterFrontier's, is the value of project on each ID it
+// returns.
+func (tx *Tx) FilterNeighbors(frontier []fabric.DPtr, cons *constraint.Constraint, mask DirMask, exclude []fabric.DPtr, last *constraint.Constraint, limit int, project lpg.PTypeID) ([]fabric.DPtr, []Projected, error) {
 	sc, err := tx.startHop(frontier, nil, cons)
 	if sc == nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if last != nil && last.Stale(tx.registry()) {
-		return nil, fmt.Errorf("%w: stale constraint", ErrTxCritical)
+		return nil, nil, fmt.Errorf("%w: stale constraint", ErrTxCritical)
 	}
 	if err := tx.readFrontier(sc); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sc.beginFeed(tx.eng, exclude)
-	if err := tx.evalFrontier(sc, mask, cons, true); err != nil {
-		return nil, err
+	if err := tx.evalFrontier(sc, mask, cons, true, 0); err != nil {
+		return nil, nil, err
 	}
 	sc.endFeed(exclude)
 	if limit > 0 {
-		return tx.filterFed(sc, last, limit)
+		return tx.filterFed(sc, last, limit, project)
 	}
 	sc.listFed(tx.eng)
-	return tx.filterListed(sc, last)
+	return tx.filterListed(sc, last, project)
+}
+
+// Projected is the value of a filter hop's projected property on one ID the
+// hop returns, as VertexHandle.Property returns it: Value is nil when the
+// vertex lacks the property (OK false) or holds it empty.
+type Projected struct {
+	Value []byte
+	OK    bool
 }
 
 // FilterFrontier is the filter-only hop: the IDs of the frontier vertices
@@ -111,27 +122,35 @@ func (tx *Tx) FilterNeighbors(frontier []fabric.DPtr, cons *constraint.Constrain
 // width of the frontier: it ORs the frontier into the hop's bitmap, one bit
 // per pool block of every rank, and reads its candidates off the bits, whose
 // order is ascending DPtr order (filterFed).
-func (tx *Tx) FilterFrontier(frontier, exclude []fabric.DPtr, cons *constraint.Constraint, limit int) ([]fabric.DPtr, error) {
+//
+// A project other than 0 (lpg.IDEmpty, which names no p-type) projects:
+// the hop then also returns, aligned with the IDs, each one's value of it.
+// It copies the value out of the entries it has just filtered, or, for a
+// vertex it sees through a handle, out of the handle's state, so a
+// transaction's own writes show. Either way the vertex is already in the
+// read set, at the version whose entries it matched, and the projection
+// costs no communication. The values share one buffer.
+func (tx *Tx) FilterFrontier(frontier, exclude []fabric.DPtr, cons *constraint.Constraint, limit int, project lpg.PTypeID) ([]fabric.DPtr, []Projected, error) {
 	if limit > 0 {
 		sc, err := tx.arena(frontier, cons)
 		if sc == nil {
-			return nil, err
+			return nil, nil, err
 		}
 		sc.beginFeed(tx.eng, exclude)
 		for _, dp := range frontier {
 			if dp.IsNull() {
-				return nil, errNullFrontier
+				return nil, nil, errNullFrontier
 			}
 			sc.feed(dp)
 		}
 		sc.endFeed(exclude)
-		return tx.filterFed(sc, cons, limit)
+		return tx.filterFed(sc, cons, limit, project)
 	}
 	sc, err := tx.startHop(frontier, exclude, cons)
 	if sc == nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return tx.filterListed(sc, cons)
+	return tx.filterListed(sc, cons, project)
 }
 
 // errNullFrontier is a frontier that names NullDPtr.
@@ -139,20 +158,21 @@ var errNullFrontier = fmt.Errorf("%w: NULL vertex ID in a frontier", ErrBadArgum
 
 // filterListed is the filter-only hop over every candidate in sc.cands: each
 // is stamped, and read up to the end of its entries unless the stamp refused
-// it; it returns the matched IDs in candidate order.
-func (tx *Tx) filterListed(sc *frontierScratch, cons *constraint.Constraint) ([]fabric.DPtr, error) {
+// it; it returns the matched IDs in candidate order, and their values of
+// project.
+func (tx *Tx) filterListed(sc *frontierScratch, cons *constraint.Constraint, project lpg.PTypeID) ([]fabric.DPtr, []Projected, error) {
 	tx.stampFrontier(sc)
 	if err := tx.associateHandled(sc); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	tx.readPicked(sc, sc.stamped(), true)
 	if err := tx.associateHandled(sc); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if err := tx.evalFrontier(sc, 0, cons, false); err != nil {
-		return nil, err
+	if err := tx.evalFrontier(sc, 0, cons, false, project); err != nil {
+		return nil, nil, err
 	}
-	return clone(sc.matched), nil
+	return clone(sc.matched), sc.projected(project), nil
 }
 
 // readFrontier stamps every candidate and reads the whole chain of each the
@@ -176,8 +196,9 @@ func (tx *Tx) readFrontier(sc *frontierScratch) error {
 // (and of dead ones) are stamped; those whose stamp shows a stub or a writer
 // are resolved through AssociateVertices first (a stub's current ID sorts
 // anywhere). The hop then reads the candidates in chunks off a cursor: the
-// first of 2×limit candidates, each later one sized from the match rate so
-// far, each read loading its guard words as it goes; a stub or a writer met
+// first of 2×limit candidates, each later one twice the last until a read
+// vertex matches, and from then on sized from the match rate so far, each
+// read loading its guard words as it goes; a stub or a writer met
 // there is resolved as a refused stamp is. It stops once limit distinct
 // matched IDs lie below the next candidate, the smallest unread DPtr. Of
 // what it left unread, a stamped vertex joins the read set at its stamped
@@ -189,23 +210,24 @@ func (tx *Tx) readFrontier(sc *frontierScratch) error {
 // bound. The hop ends with one clear of the bitmap words the feed touched.
 //
 // matched is a set, since a vertex resolved late may turn out to be one an
-// earlier chunk already counted.
-func (tx *Tx) filterFed(sc *frontierScratch, cons *constraint.Constraint, limit int) ([]fabric.DPtr, error) {
+// earlier chunk already counted. Each matched ID's value of project is
+// copied as it joins the set.
+func (tx *Tx) filterFed(sc *frontierScratch, cons *constraint.Constraint, limit int, project lpg.PTypeID) ([]fabric.DPtr, []Projected, error) {
 	sc.startRecords(tx.eng)
 	tx.vouch(sc)
 	slices.Sort(sc.next)
 	if err := tx.associateHandled(sc); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// found keeps the size an earlier LIMIT hop of the arena grew it to, so
 	// that a warm hop does not regrow it.
-	sc.matched = sc.matched[:0]
+	sc.startMatched()
 	sc.found.reset(len(sc.found.slots) / 2)
 	match := func(i int32) error {
 		id, ok, err := tx.evalItem(sc, int(i), cons)
 		if ok {
 			if _, dup := sc.found.getOrPut(id, struct{}{}); !dup {
-				sc.matched = append(sc.matched, id)
+				sc.keep(int(i), id, project)
 			}
 		}
 		return err
@@ -213,13 +235,13 @@ func (tx *Tx) filterFed(sc *frontierScratch, cons *constraint.Constraint, limit 
 	for i := range sc.verts {
 		if sc.verts[i].h != nil && !sc.verts[i].dup {
 			if err := match(int32(i)); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 	}
 	sc.at = fedCursor{}
 	bound, _, more := sc.fedAt(sc.at)
-	read, hits := 0, 0
+	read, hits, size := 0, 0, 0
 	for more {
 		below := 0
 		for _, id := range sc.matched {
@@ -231,15 +253,24 @@ func (tx *Tx) filterFed(sc *frontierScratch, cons *constraint.Constraint, limit 
 		if need <= 0 {
 			break
 		}
-		size := 2 * limit
-		if read > 0 {
-			size = max(need, 2*need*read/max(hits, 1))
+		switch {
+		case read == 0:
+			size = 2 * limit
+		case hits == 0:
+			// No read vertex has matched yet: a rate of one in read would
+			// overshoot by read/limit.
+			size *= 2
+		default:
+			size = max(need, 2*need*read/hits)
 		}
 		pick := sc.pickChunk(size)
 		bound, _, more = sc.fedAt(sc.at)
+		// Room in the read set for what the chunk reads and for the
+		// forwarding words leaveUnread may add after the last one.
+		tx.optReads = slices.Grow(tx.optReads, len(pick)+len(sc.stubFree))
 		tx.readPicked(sc, pick, true)
 		if err := tx.associateHandled(sc); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for _, i := range pick {
 			if sc.verts[i].dup {
@@ -247,7 +278,7 @@ func (tx *Tx) filterFed(sc *frontierScratch, cons *constraint.Constraint, limit 
 			}
 			n := len(sc.matched)
 			if err := match(i); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			read++
 			if len(sc.matched) > n {
@@ -257,7 +288,7 @@ func (tx *Tx) filterFed(sc *frontierScratch, cons *constraint.Constraint, limit 
 	}
 	tx.leaveUnread(sc)
 	sc.seen.clearSpan()
-	return clone(sc.matched), nil
+	return clone(sc.matched), sc.projected(project), nil
 }
 
 // arena checks the transaction and cons, and returns the transaction's
@@ -327,11 +358,21 @@ type frontierScratch struct {
 	// word read 0, so its candidates are known by their DPtrs and have no
 	// record until they are picked.
 	stubFree []bool
-	// The hop's results, built here and copied out (clone): nothing of the
-	// arena aliases what a hop returns. A fed hop lists in next only the
-	// neighbors off the bitmap; matched is then the LIMIT hop's, deduped in
-	// found.
+	// The hop's results, built here and copied out (clone, projected):
+	// nothing of the arena aliases what a hop returns. A fed hop lists in
+	// next only the neighbors off the bitmap; matched is then the LIMIT
+	// hop's, deduped in found. A projecting hop's values are aligned with
+	// matched: value k is vals[spans[k-1].end:spans[k].end].
 	matched, next []fabric.DPtr
+	vals          []byte
+	spans         []valSpan
+}
+
+// valSpan is where a projected value ends in the arena's vals, and whether
+// its vertex has the property.
+type valSpan struct {
+	end uint32
+	ok  bool
 }
 
 // frontierVertex is the record of a frontier vertex the hop stamps,
@@ -400,7 +441,7 @@ func (sc *frontierScratch) footprint() int {
 	r := &sc.chainReader
 	hop := arrayBytes(sc.cands) + arrayBytes(sc.verts) + arrayBytes(sc.index.slots) + arrayBytes(sc.seen.bits) +
 		arrayBytes(sc.seen.spill.slots) + arrayBytes(sc.found.slots) + arrayBytes(sc.pick) + arrayBytes(sc.resolving) +
-		arrayBytes(sc.stubFree) + arrayBytes(sc.matched) + arrayBytes(sc.next)
+		arrayBytes(sc.stubFree) + arrayBytes(sc.matched) + arrayBytes(sc.next) + arrayBytes(sc.vals) + arrayBytes(sc.spans)
 	reader := arrayBytes(r.items) + arrayBytes(r.bytes.buf) + arrayBytes(r.heads) + arrayBytes(r.batch) +
 		arrayBytes(r.reads) + arrayBytes(r.readOf) + arrayBytes(r.walking) + arrayBytes(r.fetched) +
 		arrayBytes(r.dps) + arrayBytes(r.bufs) + arrayBytes(r.words) + r.trains.Footprint()
@@ -791,8 +832,8 @@ func (tx *Tx) evalItem(sc *frontierScratch, i int, cons *constraint.Constraint) 
 // stream for the vertices the lean route read, over the state's records for
 // the others. The set lists its new keys in sc.next, or, fed, only those off
 // its bitmap; the caller begins and ends its use.
-func (tx *Tx) evalFrontier(sc *frontierScratch, mask DirMask, cons *constraint.Constraint, feed bool) (err error) {
-	sc.matched = sc.matched[:0]
+func (tx *Tx) evalFrontier(sc *frontierScratch, mask DirMask, cons *constraint.Constraint, feed bool, project lpg.PTypeID) (err error) {
+	sc.startMatched()
 	view := &sc.view
 	for i := range sc.verts {
 		if sc.verts[i].dup {
@@ -805,7 +846,7 @@ func (tx *Tx) evalFrontier(sc *frontierScratch, mask DirMask, cons *constraint.C
 		if !ok {
 			continue
 		}
-		sc.matched = append(sc.matched, id)
+		sc.keep(i, id, project)
 		if mask == 0 {
 			continue
 		}
@@ -830,6 +871,48 @@ func (tx *Tx) evalFrontier(sc *frontierScratch, mask DirMask, cons *constraint.C
 		}
 	}
 	return nil
+}
+
+// startMatched empties the hop's results before it filters.
+func (sc *frontierScratch) startMatched() {
+	sc.matched, sc.vals, sc.spans = sc.matched[:0], sc.vals[:0], sc.spans[:0]
+}
+
+// keep adds id, vertex i's, to the hop's matched IDs and, when project is
+// not 0, its value of project to sc.vals: off the state of its handle, if
+// it has one, or else off the entries evalItem just left sc.view on.
+func (sc *frontierScratch) keep(i int, id fabric.DPtr, project lpg.PTypeID) {
+	sc.matched = append(sc.matched, id)
+	if project == 0 {
+		return
+	}
+	var region []byte
+	if h := sc.verts[i].h; h != nil {
+		region = h.st.entryRegion()
+	} else {
+		region = sc.view.Entries()
+	}
+	val, ok := propertyIn(region, project)
+	sc.vals = append(sc.vals, val...)
+	sc.spans = append(sc.spans, valSpan{uint32(len(sc.vals)), ok})
+}
+
+// projected copies the hop's projected values out of the arena, all into one
+// buffer: nil when project is 0.
+func (sc *frontierScratch) projected(project lpg.PTypeID) []Projected {
+	if project == 0 {
+		return nil
+	}
+	out := make([]Projected, len(sc.spans))
+	buf := append([]byte(nil), sc.vals...)
+	start := uint32(0)
+	for k, s := range sc.spans {
+		if s.end > start {
+			out[k].Value = buf[start:s.end:s.end]
+		}
+		out[k].OK, start = s.ok, s.end
+	}
+	return out
 }
 
 // clone copies s out of the arena: nil when s is empty.

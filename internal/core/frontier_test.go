@@ -627,9 +627,12 @@ func TestDPtrTableSpreadsRanks(t *testing.T) {
 // cost: a LIMIT 5 final round (FilterNeighbors) over 8 hubs harvests 10 400
 // edge records, two for each of 5 200 vertices on stub-free ranks, into the
 // hop's bitmap and reads its candidates off the bits. It gives a record only
-// to the vertices it read, each read OK, a small share of the layer; no
-// slice of the arena grows to the layer (cands holds the hubs, next the
-// decode of one hub's run at a time); the read set grows by the hubs, the
+// to the vertices it read, each read OK: at most 6×LIMIT, since its first
+// chunk of 2×LIMIT candidates, the youngest vertices, matches nothing and
+// the next one is twice as large (a chunk sized from a match rate of one in
+// the 2×LIMIT read made it 20×LIMIT). No slice of the arena grows to the
+// layer (cands holds the hubs, next the decode of one hub's run at a time);
+// the read set grows by the hubs, the
 // vertices read and one forwarding-word entry per rank with unread
 // candidates, not by the vertices left unread; and every bitmap word is 0
 // after the hop.
@@ -639,7 +642,7 @@ func TestLimitHopRecordsWhatItReads(t *testing.T) {
 	frontier := addHubs(t, e, layer, hubs, degree)
 	tx := e.StartLocal(0, ReadOnly)
 	defer tx.Abort()
-	matched, err := tx.FilterNeighbors(frontier, nil, MaskOut, frontier, cons, limit)
+	matched, _, err := tx.FilterNeighbors(frontier, nil, MaskOut, frontier, cons, limit, 0)
 	if err != nil || len(matched) < limit {
 		t.Fatalf("LIMIT %d round: %d matched, %v", limit, len(matched), err)
 	}
@@ -652,8 +655,8 @@ func TestLimitHopRecordsWhatItReads(t *testing.T) {
 			t.Fatalf("the arena's %s grew to %d for a layer of %d", name, c, len(layer))
 		}
 	}
-	if n := len(sc.verts); n == 0 || n > len(layer)/10 {
-		t.Fatalf("the hop made %d records, want between 1 and %d", n, len(layer)/10)
+	if n := len(sc.verts); n == 0 || n > 6*limit {
+		t.Fatalf("the hop made %d records, want between 1 and %d", n, 6*limit)
 	}
 	for i, v := range sc.verts {
 		if v.verdict != readOK || v.h != nil {
@@ -673,6 +676,7 @@ func TestLimitHopRecordsWhatItReads(t *testing.T) {
 		t.Fatalf("read set of %d entries (capacity %d), want the %d hubs, %d vertices read and %d forwarding words, without room for the unread",
 			len(tx.optReads), cap(tx.optReads), hubs, len(sc.verts), words)
 	}
+	t.Logf("%d records, %d read-set entries (capacity %d)", len(sc.verts), len(tx.optReads), cap(tx.optReads))
 	if sc.seen.blocks == 0 {
 		t.Fatal("the hop's set has no bitmap")
 	}
@@ -684,7 +688,6 @@ func TestLimitHopRecordsWhatItReads(t *testing.T) {
 	if !slices.Equal(matched[:limit], want[:limit]) {
 		t.Fatalf("LIMIT %d round returned %v, want the %d smallest matches %v", limit, matched, limit, want[:limit])
 	}
-	t.Logf("%d records, %d read-set entries (capacity %d)", len(sc.verts), len(tx.optReads), cap(tx.optReads))
 }
 
 // addHubs commits hubs vertices on top of newPersonFrontier's, hub j with an
@@ -787,11 +790,11 @@ func TestLimitHopSpillRouteMatchesNaive(t *testing.T) {
 		fed := limit > 0
 		switch route {
 		case "list":
-			got, err = tx.FilterFrontier(layer, exclude, cons, limit)
+			got, _, err = tx.FilterFrontier(layer, exclude, cons, limit, 0)
 			want = referenceFilter(t, tx, layer, exclude, cons)
 		case "harvest":
 			fed = true
-			got, err = tx.FilterNeighbors(hub, nil, MaskOut, append(slices.Clip(hub), exclude...), cons, limit)
+			got, _, err = tx.FilterNeighbors(hub, nil, MaskOut, append(slices.Clip(hub), exclude...), cons, limit, 0)
 			_, next, rerr := referenceExpand(tx, hub, MaskOut, nil)
 			if rerr != nil {
 				t.Fatal(rerr)

@@ -107,9 +107,16 @@ func (h *VertexHandle) Properties(pt lpg.PTypeID) [][]byte {
 
 // Property returns the single value of p-type pt, or ok=false.
 func (h *VertexHandle) Property(pt lpg.PTypeID) ([]byte, bool) {
-	for w := h.st.entries(); w.next(); {
+	val, ok := propertyIn(h.st.entryRegion(), pt)
+	return append([]byte(nil), val...), ok
+}
+
+// propertyIn returns the value of the first entry of p-type pt in an entry
+// region, aliasing the region, or ok=false.
+func propertyIn(region []byte, pt lpg.PTypeID) ([]byte, bool) {
+	for w := (entryWalk{it: lpg.IterEntries(region)}); w.next(); {
 		if !w.isLabel && w.prop.PType == pt {
-			return append([]byte(nil), w.prop.Value...), true
+			return w.prop.Value, true
 		}
 	}
 	return nil, false

@@ -239,7 +239,7 @@ func TestInterleavingsSerialize(t *testing.T) {
 			if _, _, err := t1.ExpandFrontier(frontier, MaskAll, nil); !errors.Is(err, ErrNotFound) {
 				w.t.Fatalf("ExpandFrontier over a vertex T1 deleted: %v, want ErrNotFound", err)
 			}
-			if _, err := t1.FilterFrontier(frontier, nil, nil, 1); !errors.Is(err, ErrNotFound) {
+			if _, _, err := t1.FilterFrontier(frontier, nil, nil, 1, 0); !errors.Is(err, ErrNotFound) {
 				w.t.Fatalf("FilterFrontier with LIMIT 1 over a vertex T1 deleted: %v, want ErrNotFound", err)
 			}
 		},
@@ -254,7 +254,7 @@ func TestInterleavingsSerialize(t *testing.T) {
 				constraint.PropCond{PType: w.n, Datatype: lpg.TypeUint64, Op: constraint.OpEq, Operand: lpg.EncodeUint64(9)})
 			frontier := []fabric.DPtr{w.y, w.x}
 			for _, limit := range []int{0, 1} {
-				if got, err := t1.FilterFrontier(frontier, nil, nine, limit); err != nil || !slices.Equal(got, []fabric.DPtr{w.x}) {
+				if got, _, err := t1.FilterFrontier(frontier, nil, nine, limit, 0); err != nil || !slices.Equal(got, []fabric.DPtr{w.x}) {
 					w.t.Fatalf("FilterFrontier (LIMIT %d) for T1's write: %v, %v; want [%v]", limit, got, err, w.x)
 				}
 			}

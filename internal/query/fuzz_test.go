@@ -50,16 +50,19 @@ func FuzzQueryPattern(f *testing.F) {
 
 // limitFuzzVerts is the vertex count of FuzzLimitHopMatchesNaive's fixture:
 // vertex i has application ID i, so it lives on rank i%4, is a Person, and is
-// aged i*7%90; it has out-edges to vertices i+1, 5i+3 and 7i+2 (mod n).
+// aged i*7%90; unless i%3 is 1 it has a nick of i%4 bytes, empty when i%4 is
+// 0; it has out-edges to vertices i+1, 5i+3 and 7i+2 (mod n).
 const limitFuzzVerts = 24
 
 // FuzzLimitHopMatchesNaive holds the filter hop to its handle-walk
-// reference over a 4-rank fixture. The input picks an age threshold
-// (byte 0), a limit in 0..n+1 and the route (byte 1: its top bit picks the
-// harvest), whether a vertex migrates first, so that its old rank's
-// forwarding word is no longer 0 and a frontier or an edge may name its
-// stub, and whether the transaction rewrites a vertex's age first, so that
-// the hop must see its own write (byte 2, which also picks the vertex).
+// reference over a 4-rank fixture. The input picks an age threshold and a
+// projection (byte 0: the threshold is byte%91, and byte/91 projects
+// nothing, the age, or the nick), a limit in 0..n+1 and the route (byte 1:
+// its top bit picks the harvest), whether a vertex migrates first, so that
+// its old rank's forwarding word is no longer 0 and a frontier or an edge
+// may name its stub, and whether the transaction rewrites a vertex's age
+// and nick first, so that the hop must see its own write (byte 2, which
+// also picks the vertex).
 //
 // On the list route every further byte picks a DPtr for the frontier, the
 // exclude set, or both, duplicates allowed, and FilterFrontier filters them.
@@ -71,7 +74,9 @@ const limitFuzzVerts = 24
 //
 // The limit smallest of the IDs the compiled hop returns must be the limit
 // smallest of the naive filter's (all of them at limit 0); every ID it
-// returns must be one of the naive filter's, none twice; and the
+// returns must be one of the naive filter's, none twice; under a projection
+// the value it returns with each ID, and whether there is one, must be what
+// AssociateVertex(id).Property gives in the same transaction; and the
 // transaction must commit.
 func FuzzLimitHopMatchesNaive(f *testing.F) {
 	f.Add([]byte{30, 5, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
@@ -88,6 +93,15 @@ func FuzzLimitHopMatchesNaive(f *testing.F) {
 	f.Add([]byte{0, 0x99, 0x23, 0x0a, 0, 4, 8, 0x40, 1, 24})
 	f.Add([]byte{45, 0x80, 0x0a, 0x07, 3, 7, 11, 19})
 	f.Add([]byte{30, 0x81, 0x0a, 0x02, 1, 2})
+	// Projected: the age, then the nick, which vertices 1, 4, 7, … lack and
+	// 0, 12 and 24 hold empty, on both routes, with and without a limit, a
+	// migration and a rewrite.
+	f.Add([]byte{91 + 30, 5, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	f.Add([]byte{182 + 0, 0, 0x0a, 0, 1, 4, 8, 12, 16, 20, 2, 3})
+	f.Add([]byte{182 + 30, 3, 0x11, 1, 5, 9, 13, 0x44, 0xc5, 17, 21, 24, 2, 2, 0x82})
+	f.Add([]byte{91 + 0, 0x99, 0x23, 0x0a, 0, 4, 8, 0x40, 1, 24})
+	f.Add([]byte{182 + 45, 0x83, 0x0b, 0x05, 1, 5, 0, 2})
+	f.Add([]byte{182 + 0, 0x80, 0x02, 0x03, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -97,7 +111,8 @@ func FuzzLimitHopMatchesNaive(f *testing.F) {
 		if harvest && len(data) < 4 {
 			return
 		}
-		g, dps := newLimitFuzzGraph(t)
+		g, dps, nick := newLimitFuzzGraph(t)
+		project := []lpg.PTypeID{0, g.age, nick}[data[0]/91]
 		victim := int(flags>>2) % limitFuzzVerts
 		target := dps[victim]
 		if flags&1 != 0 {
@@ -126,6 +141,9 @@ func FuzzLimitHopMatchesNaive(f *testing.F) {
 			if err == nil {
 				err = h.SetProperty(g.age, lpg.EncodeUint64(89-over))
 			}
+			if err == nil {
+				err = h.SetProperty(nick, []byte("own"))
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,6 +152,8 @@ func FuzzLimitHopMatchesNaive(f *testing.F) {
 		var frontier, exclude []fabric.DPtr
 		cons := g.ageOver(over)
 		var got, want []fabric.DPtr
+		var vals []core.Projected
+		var kept []*core.VertexHandle
 		var err error
 		if harvest {
 			mask := core.DirMask(data[3] & 3)
@@ -147,14 +167,14 @@ func FuzzLimitHopMatchesNaive(f *testing.F) {
 			for _, b := range data[4+n:] {
 				exclude = append(exclude, pick(b))
 			}
-			if got, err = tx.FilterNeighbors(frontier, nil, mask, exclude, cons, limit); err != nil {
+			if got, vals, err = tx.FilterNeighbors(frontier, nil, mask, exclude, cons, limit, project); err != nil {
 				t.Fatalf("compiled round: %v", err)
 			}
 			_, next, err := naiveHop(tx, frontier, nil, mask, nil)
 			if err != nil {
 				t.Fatalf("naive harvest: %v", err)
 			}
-			if want, _, err = naiveHop(tx, next, exclude, 0, cons); err != nil {
+			if kept, _, err = naiveHop(tx, next, exclude, 0, cons); err != nil {
 				t.Fatalf("naive filter: %v", err)
 			}
 		} else {
@@ -166,11 +186,30 @@ func FuzzLimitHopMatchesNaive(f *testing.F) {
 					exclude = append(exclude, pick(b))
 				}
 			}
-			if got, err = tx.FilterFrontier(frontier, exclude, cons, limit); err != nil {
+			if got, vals, err = tx.FilterFrontier(frontier, exclude, cons, limit, project); err != nil {
 				t.Fatalf("compiled filter: %v", err)
 			}
-			if want, _, err = naiveHop(tx, frontier, exclude, 0, cons); err != nil {
+			if kept, _, err = naiveHop(tx, frontier, exclude, 0, cons); err != nil {
 				t.Fatalf("naive filter: %v", err)
+			}
+		}
+		want = ids(kept)
+		if project == 0 && vals != nil {
+			t.Fatalf("the hop projected nothing and returned %d values", len(vals))
+		}
+		if project != 0 && len(vals) != len(got) {
+			t.Fatalf("the hop returned %d values for %d IDs", len(vals), len(got))
+		}
+		for k, id := range got {
+			if project == 0 {
+				break
+			}
+			h, err := tx.AssociateVertex(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if val, ok := h.Property(project); !reflect.DeepEqual(vals[k], core.Projected{Value: val, OK: ok}) {
+				t.Fatalf("the hop projected %+v on %v, its handle %q, %v", vals[k], id, val, ok)
 			}
 		}
 		slices.Sort(got)
@@ -197,8 +236,8 @@ func FuzzLimitHopMatchesNaive(f *testing.F) {
 }
 
 // newLimitFuzzGraph builds FuzzLimitHopMatchesNaive's fixture and returns
-// its vertices by application ID.
-func newLimitFuzzGraph(t *testing.T) (*testGraph, []fabric.DPtr) {
+// its vertices by application ID, and the nick's p-type.
+func newLimitFuzzGraph(t *testing.T) (*testGraph, []fabric.DPtr, lpg.PTypeID) {
 	t.Helper()
 	e := core.NewEngine(rma.New(4), core.Config{
 		BlockSize:     256,
@@ -214,6 +253,10 @@ func newLimitFuzzGraph(t *testing.T) (*testGraph, []fabric.DPtr) {
 	if g.age, err = e.DefinePType("age", metadata.PTypeSpec{Datatype: lpg.TypeUint64}); err != nil {
 		t.Fatal(err)
 	}
+	nick, err := e.DefinePType("nick", metadata.PTypeSpec{Datatype: lpg.TypeBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
 	tx := e.StartLocal(0, core.ReadWrite)
 	dps := make([]fabric.DPtr, limitFuzzVerts)
 	for i := range dps {
@@ -226,6 +269,9 @@ func newLimitFuzzGraph(t *testing.T) (*testGraph, []fabric.DPtr) {
 		}
 		if err == nil {
 			err = h.AddProperty(g.age, lpg.EncodeUint64(uint64(i*7%90)))
+		}
+		if err == nil && i%3 != 1 {
+			err = h.AddProperty(nick, []byte("abc")[:i%4])
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -241,5 +287,5 @@ func newLimitFuzzGraph(t *testing.T) (*testGraph, []fabric.DPtr) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	return g, dps
+	return g, dps, nick
 }

@@ -196,6 +196,62 @@ func TestLimitHopLoadsWhatItReads(t *testing.T) {
 	}
 }
 
+// TestProjectionCostsNoRead is the count contract of the projection: the
+// friends pattern — two hops, age ≥ 30 at the last, LIMIT 20, and the
+// filter-all route without a LIMIT — run and committed from rank 0 over
+// wideFan's leaves on rank 1, puts the same traffic on the fabric with the
+// age projected as without, in Run and in Commit alike: the same trains,
+// guard loads, GETs, cache hits and bytes. The final round hands back the
+// value of each row it has read and matched, so building the rows reads
+// nothing, and the read set, which Commit loads entry by entry, holds each
+// row once. Each run has a graph of its own, so both start from a cold
+// cache. The rows are the same, each with its age.
+func TestProjectionCostsNoRead(t *testing.T) {
+	for _, limit := range []int{20, 0} {
+		type cost struct{ run, commit fabric.Snapshot }
+		measure := func(project bool) (cost, *Result) {
+			g := wideFan(t)
+			p := &Pattern{Kind: KHop, Hops: []Hop{{Mask: core.MaskOut}, {Mask: core.MaskOut, Cons: g.ageOver(30)}},
+				Limit: limit, Project: g.age, HasProject: project}
+			fab := g.e.Fabric()
+			before := fab.TotalSnapshot()
+			tx := g.e.StartLocal(0, core.ReadOnly)
+			res, err := Run(tx, g.src, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mid := fab.TotalSnapshot()
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			return cost{since(mid, before), since(fab.TotalSnapshot(), mid)}, res
+		}
+		plain, rows := measure(false)
+		projected, prows := measure(true)
+		if plain != projected {
+			t.Fatalf("LIMIT %d: the pattern cost\n%+v\nwithout a projection and\n%+v\nwith one", limit, plain, projected)
+		}
+		if plain.run.RemoteGets == 0 || len(rows.Rows) == 0 || len(prows.Rows) != len(rows.Rows) {
+			t.Fatalf("LIMIT %d: %d remote GETs, %d rows and %d projected rows: the pattern reads no remote row", limit, plain.run.RemoteGets, len(rows.Rows), len(prows.Rows))
+		}
+		for i, row := range prows.Rows {
+			if !row.OK || len(row.Prop) != 8 || lpg.DecodeUint64(row.Prop) < 30 || !reflect.DeepEqual(row.Verts, rows.Rows[i].Verts) {
+				t.Fatalf("LIMIT %d: projected row %d is %+v, the plain one %+v", limit, i, row, rows.Rows[i])
+			}
+		}
+		t.Logf("LIMIT %d, with and without the projection: Run %+v, Commit %+v", limit, plain.run, plain.commit)
+	}
+}
+
+// since returns the counters of after less those of before.
+func since(after, before fabric.Snapshot) fabric.Snapshot {
+	a, b := reflect.ValueOf(&after).Elem(), reflect.ValueOf(before)
+	for i := range a.NumField() {
+		a.Field(i).SetInt(a.Field(i).Int() - b.Field(i).Int())
+	}
+	return after
+}
+
 // TestLimitEarlyStopValidatesUnread: the vertices a LIMIT hop stopped before
 // reading are in the read set through their rank's forwarding word, at 0:
 // wideFan's leaf rank has never held a stub. A migration of one of them

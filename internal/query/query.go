@@ -26,15 +26,19 @@
 // frontier vertex.
 //
 // LIMIT is applied as a bounded top-k over the matched IDs in canonical
-// order, and only the rows it keeps are built and — under projection —
-// associated as handles. It also stops the last hop early, which reads its
-// candidates straight off the bitmap, whose bit order is ascending DPtr
-// order: a candidate is an 8-byte DPtr until the hop reads it. One
-// forwarding word per owner rank, or a stamp, shows which DPtrs are
-// forwarding stubs, resolved first; every other DPtr is its vertex's ID. The
-// hop reads the next set bits after a cursor, a chunk at a time, until LIMIT
-// matched IDs sort below the next set bit, and then clears the words the
-// harvest touched.
+// order, and only the rows it keeps are built. A projection costs no round
+// of its own: the final round hands back, with each ID it returns, the
+// value of the projected property, copied out of the entries it has just
+// read and matched (or out of the handle it saw the vertex through), so the
+// rows are built without an association, and Commit validates the value as
+// part of the read that matched. LIMIT also stops the last hop early, which
+// reads its candidates straight off the bitmap, whose bit order is
+// ascending DPtr order: a candidate is an 8-byte DPtr until the hop reads
+// it. One forwarding word per owner rank, or a stamp, shows which DPtrs are
+// forwarding stubs, resolved first; every other DPtr is its vertex's ID.
+// The hop reads the next set bits after a cursor, a chunk at a time, until
+// LIMIT matched IDs sort below the next set bit, and then clears the words
+// the harvest touched.
 //
 // Both executors return canonically sorted rows, so their results are
 // bit-identical — the golden-equivalence contract the tests pin across
@@ -155,7 +159,8 @@ func (p *Pattern) Validate() error {
 }
 
 // executor is what the two executors differ in: how a frontier is expanded
-// (IDs in, IDs out) and how the vertices whose own adjacency a shape walks are
+// (IDs in, IDs out), how a k-hop's final round filters and projects its last
+// layer, and how the vertices whose own adjacency a shape walks are
 // associated. The compiled one batches either into one round; the naive one
 // pays a scalar association per vertex. Everything downstream — predicate
 // filtering, dedup, harvest order, canonical sort — is shared, which is what
@@ -166,9 +171,10 @@ type executor struct {
 	expand func(frontier []fabric.DPtr, mask core.DirMask, cons *constraint.Constraint) (matched, next []fabric.DPtr, err error)
 	// final is a k-hop's final round: it expands frontier as expand does
 	// and returns the neighbors, less the DPtrs exclude names, that satisfy
-	// last, of which a LIMIT keeps the limit smallest
+	// last, of which a LIMIT keeps the limit smallest, and, aligned with
+	// them, their values of project (none when project is 0)
 	// (core.Tx.FilterNeighbors' contract).
-	final func(frontier []fabric.DPtr, cons *constraint.Constraint, mask core.DirMask, exclude []fabric.DPtr, last *constraint.Constraint, limit int) ([]fabric.DPtr, error)
+	final func(frontier []fabric.DPtr, cons *constraint.Constraint, mask core.DirMask, exclude []fabric.DPtr, last *constraint.Constraint, limit int, project lpg.PTypeID) ([]fabric.DPtr, []core.Projected, error)
 	// associate returns a handle per vertex, aligned with dps; a vertex that
 	// no longer exists is an ErrNotFound.
 	associate func(dps []fabric.DPtr) ([]*core.VertexHandle, error)
@@ -177,7 +183,7 @@ type executor struct {
 // Run executes the pattern with the compiled frontier-batched plan: one
 // batched round (one train per owner rank) per hop.
 func Run(tx *core.Tx, src fabric.DPtr, p *Pattern) (*Result, error) {
-	return run(tx, src, p, compiled(tx))
+	return run(src, p, compiled(tx))
 }
 
 // compiled is Run's executor on tx.
@@ -209,17 +215,25 @@ func associateAll(tx *core.Tx, dps []fabric.DPtr) ([]*core.VertexHandle, error) 
 // reference Run is tested against, and the benchmark module's result check
 // calls it.
 func RunNaive(tx *core.Tx, src fabric.DPtr, p *Pattern) (*Result, error) {
-	return run(tx, src, p, executor{
+	return run(src, p, executor{
 		expand: func(frontier []fabric.DPtr, mask core.DirMask, cons *constraint.Constraint) (matched, next []fabric.DPtr, err error) {
-			return naiveHop(tx, frontier, nil, mask, cons)
+			kept, next, err := naiveHop(tx, frontier, nil, mask, cons)
+			return ids(kept), next, err
 		},
-		final: func(frontier []fabric.DPtr, cons *constraint.Constraint, mask core.DirMask, exclude []fabric.DPtr, last *constraint.Constraint, _ int) ([]fabric.DPtr, error) {
+		final: func(frontier []fabric.DPtr, cons *constraint.Constraint, mask core.DirMask, exclude []fabric.DPtr, last *constraint.Constraint, _ int, project lpg.PTypeID) ([]fabric.DPtr, []core.Projected, error) {
 			_, next, err := naiveHop(tx, frontier, nil, mask, cons)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			matched, _, err := naiveHop(tx, next, exclude, 0, last)
-			return matched, err
+			kept, _, err := naiveHop(tx, next, exclude, 0, last)
+			if err != nil {
+				return nil, nil, err
+			}
+			found := tuples{w: 1}
+			for _, h := range kept {
+				found.add(project, h, h.ID())
+			}
+			return found.v, found.props, nil
 		},
 		associate: func(dps []fabric.DPtr) ([]*core.VertexHandle, error) {
 			hs := make([]*core.VertexHandle, len(dps))
@@ -234,7 +248,7 @@ func RunNaive(tx *core.Tx, src fabric.DPtr, p *Pattern) (*Result, error) {
 	})
 }
 
-func run(tx *core.Tx, src fabric.DPtr, p *Pattern, ex executor) (*Result, error) {
+func run(src fabric.DPtr, p *Pattern, ex executor) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -253,21 +267,43 @@ func run(tx *core.Tx, src fabric.DPtr, p *Pattern, ex executor) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	return finish(tx, p, found)
+	return finish(p, found), nil
+}
+
+// projection is the p-type whose values the rows carry: 0 (lpg.IDEmpty),
+// which no entry has, unless the pattern projects.
+func (p *Pattern) projection() lpg.PTypeID {
+	if !p.HasProject {
+		return 0
+	}
+	return p.Project
 }
 
 // tuples is a set of witness tuples of one width, stored flat: tuple i is
 // v[i*w:(i+1)*w]. Every shape yields one width — 1 for k-hop, 3 for
 // triangles, len(Hops)+1 for paths — so the executors carry IDs, never rows,
-// and only the rows a result keeps are ever built.
+// and only the rows a result keeps are ever built. Under projection,
+// props[i] is the projected value on tuple i's last vertex, which the shape
+// read to match it; without, props is nil.
 type tuples struct {
-	w int
-	v []fabric.DPtr
+	w     int
+	v     []fabric.DPtr
+	props []core.Projected
 }
 
 func (t tuples) len() int { return len(t.v) / t.w }
 
 func (t tuples) at(i int) []fabric.DPtr { return t.v[i*t.w : (i+1)*t.w] }
+
+// add appends the tuple vs and, when project is not 0, the value of
+// project on h, the handle of vs's last vertex.
+func (t *tuples) add(project lpg.PTypeID, h *core.VertexHandle, vs ...fabric.DPtr) {
+	t.v = append(t.v, vs...)
+	if project != 0 {
+		val, ok := h.Property(project)
+		t.props = append(t.props, core.Projected{Value: val, OK: ok})
+	}
+}
 
 // runKHop is BFS layering: round i expands the layer-i frontier (one train
 // per rank under the compiled executor), filtering it by the predicate of the
@@ -297,8 +333,8 @@ func runKHop(src fabric.DPtr, p *Pattern, ex executor) (tuples, error) {
 		cons = hop.Cons
 	}
 	hop := p.Hops[final]
-	last, err := ex.final(frontier, cons, hop.Mask, visited, hop.Cons, p.Limit)
-	return tuples{w: 1, v: last}, err
+	last, vals, err := ex.final(frontier, cons, hop.Mask, visited, hop.Cons, p.Limit, p.projection())
+	return tuples{w: 1, v: last, props: vals}, err
 }
 
 // filterHandles is expand's filter step for the shapes that go on to walk
@@ -321,7 +357,8 @@ func filterHandles(hs []*core.VertexHandle, cons *constraint.Constraint) []*core
 
 // runTriangle closes wedges: expand the source for its neighbors, associate
 // them in one round, keep those matching the predicate, and report every
-// matched pair that is itself adjacent under the same mask. Two rounds total.
+// matched pair that is itself adjacent under the same mask, projecting
+// through the far corner's handle. Two rounds total.
 func runTriangle(src fabric.DPtr, p *Pattern, ex executor) (tuples, error) {
 	hop := Hop{Mask: core.MaskAll}
 	if len(p.Hops) == 1 {
@@ -342,9 +379,9 @@ func runTriangle(src fabric.DPtr, p *Pattern, ex executor) (tuples, error) {
 		return tuples{}, err
 	}
 	matched := filterHandles(hs, hop.Cons)
-	inSet := make(map[fabric.DPtr]struct{}, len(matched))
+	inSet := make(map[fabric.DPtr]*core.VertexHandle, len(matched))
 	for _, h := range matched {
-		inSet[h.ID()] = struct{}{}
+		inSet[h.ID()] = h
 	}
 	found := tuples{w: 3}
 	for _, hb := range matched {
@@ -353,8 +390,8 @@ func runTriangle(src fabric.DPtr, p *Pattern, ex executor) (tuples, error) {
 			if c <= b {
 				return // each closing edge reports once, b < c
 			}
-			if _, ok := inSet[c]; ok {
-				found.v = append(found.v, src, b, c)
+			if hc, ok := inSet[c]; ok {
+				found.add(p.projection(), hc, src, b, c)
 			}
 		}); err != nil {
 			return tuples{}, err
@@ -366,7 +403,8 @@ func runTriangle(src fabric.DPtr, p *Pattern, ex executor) (tuples, error) {
 // runPath enumerates simple paths level by level: round i associates the
 // distinct depth-i path tails in one train per rank, prunes paths whose tail
 // fails the predicate of the hop that reached it, and extends the survivors
-// under hop i's mask, skipping vertices already on the path.
+// under hop i's mask, skipping vertices already on the path. A path that
+// survives the final depth projects through its tail's handle.
 func runPath(src fabric.DPtr, p *Pattern, ex executor) (tuples, error) {
 	paths := tuples{w: 1, v: []fabric.DPtr{src}}
 	for i := 0; i <= len(p.Hops); i++ {
@@ -405,7 +443,7 @@ func runPath(src fabric.DPtr, p *Pattern, ex executor) (tuples, error) {
 				continue
 			}
 			if i == len(p.Hops) {
-				next.v = append(next.v, path...)
+				next.add(p.projection(), h, path...)
 				continue
 			}
 			if err := h.ForEachNeighbor(p.Hops[i].Mask, func(nb fabric.DPtr) {
@@ -424,9 +462,9 @@ func runPath(src fabric.DPtr, p *Pattern, ex executor) (tuples, error) {
 // naiveHop is core.Tx.ExpandFrontier's contract on handles, over the
 // frontier less what exclude names (with mask 0, FilterFrontier's, every
 // match returned): same dedup, filter and harvest order, but one scalar
-// association round-trip per frontier vertex.
-func naiveHop(tx *core.Tx, frontier, exclude []fabric.DPtr, mask core.DirMask, cons *constraint.Constraint) (matched, next []fabric.DPtr, err error) {
-	var kept []*core.VertexHandle
+// association round-trip per frontier vertex. It returns the matched
+// vertices' handles.
+func naiveHop(tx *core.Tx, frontier, exclude []fabric.DPtr, mask core.DirMask, cons *constraint.Constraint) (kept []*core.VertexHandle, next []fabric.DPtr, err error) {
 	seenV := make(map[fabric.DPtr]struct{}, len(frontier))
 	for _, dp := range frontier {
 		if slices.Contains(exclude, dp) {
@@ -442,11 +480,10 @@ func naiveHop(tx *core.Tx, frontier, exclude []fabric.DPtr, mask core.DirMask, c
 		seenV[h.ID()] = struct{}{}
 		if h.Matches(cons) {
 			kept = append(kept, h)
-			matched = append(matched, h.ID())
 		}
 	}
 	if mask == 0 {
-		return matched, nil, nil
+		return kept, nil, nil
 	}
 	seenN := make(map[fabric.DPtr]struct{})
 	for _, h := range kept {
@@ -459,16 +496,25 @@ func naiveHop(tx *core.Tx, frontier, exclude []fabric.DPtr, mask core.DirMask, c
 			return nil, nil, err
 		}
 	}
-	return matched, next, nil
+	return kept, next, nil
+}
+
+// ids is the IDs of hs, in order.
+func ids(hs []*core.VertexHandle) []fabric.DPtr {
+	var out []fabric.DPtr
+	for _, h := range hs {
+		out = append(out, h.ID())
+	}
+	return out
 }
 
 // finish puts the found tuples in canonical order — lexicographic — keeps the
 // first Pattern.Limit of them, and only then builds rows: a limited result
 // selects its rows with a bounded top-k instead of sorting, or even
-// materializing, the rows it drops, and the projection associates just the
-// rows it returns (one batched round; their holders were read moments ago, so
-// the cache serves it).
-func finish(tx *core.Tx, p *Pattern, found tuples) (*Result, error) {
+// materializing, the rows it drops. Under projection each row takes the
+// value its tuple carries, which the shape read with the vertex: building
+// the rows reads and communicates nothing.
+func finish(p *Pattern, found tuples) *Result {
 	keep := found.len()
 	if p.Limit > 0 && keep > p.Limit {
 		keep = p.Limit
@@ -479,21 +525,11 @@ func finish(tx *core.Tx, p *Pattern, found tuples) (*Result, error) {
 	for k, i := range top {
 		verts = append(verts, found.at(int(i))...)
 		rows[k].Verts = verts[len(verts)-found.w : len(verts) : len(verts)]
-	}
-	if p.HasProject && len(rows) > 0 {
-		lasts := make([]fabric.DPtr, len(rows))
-		for k := range rows {
-			lasts[k] = rows[k].Verts[found.w-1]
-		}
-		hs, err := associateAll(tx, lasts)
-		if err != nil {
-			return nil, err
-		}
-		for k, h := range hs {
-			rows[k].Prop, rows[k].OK = h.Property(p.Project)
+		if found.props != nil {
+			rows[k].Prop, rows[k].OK = found.props[i].Value, found.props[i].OK
 		}
 	}
-	return &Result{Rows: rows}, nil
+	return &Result{Rows: rows}
 }
 
 // smallest returns the indices of the k canonically smallest tuples, in
@@ -543,7 +579,7 @@ func (t tuples) smallest(k int) []int32 {
 // wedges closed by multi-edges) without disturbing order.
 func (t tuples) dedup() tuples {
 	seen := make(map[string]struct{}, t.len())
-	out := tuples{w: t.w, v: t.v[:0]}
+	out := tuples{w: t.w, v: t.v[:0], props: t.props[:0]}
 	for i := 0; i < t.len(); i++ {
 		k := vertsKey(t.at(i))
 		if _, dup := seen[k]; dup {
@@ -551,6 +587,9 @@ func (t tuples) dedup() tuples {
 		}
 		seen[k] = struct{}{}
 		out.v = append(out.v, t.at(i)...)
+		if t.props != nil {
+			out.props = append(out.props, t.props[i])
+		}
 	}
 	return out
 }

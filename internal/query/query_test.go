@@ -167,13 +167,14 @@ func runBoth(t *testing.T, g *testGraph, mode core.Mode, src fabric.DPtr, p *Pat
 		if matched, next, err = expand(frontier, mask, cons); err != nil {
 			return nil, nil, err
 		}
-		wantM, wantN, err := naiveHop(txC, frontier, nil, mask, cons)
+		kept, wantN, err := naiveHop(txC, frontier, nil, mask, cons)
+		wantM := ids(kept)
 		if err != nil || !slices.Equal(matched, wantM) || !slices.Equal(next, wantN) {
 			t.Fatalf("hop over %v (mask %#x): matched %v, next %v; the reference: %v, %v, %v", frontier, mask, matched, next, wantM, wantN, err)
 		}
 		return matched, next, nil
 	}
-	compiled, err := run(txC, src, p, ex)
+	compiled, err := run(src, p, ex)
 	if err != nil {
 		t.Fatalf("compiled: %v", err)
 	}
@@ -190,8 +191,9 @@ func runBoth(t *testing.T, g *testGraph, mode core.Mode, src fabric.DPtr, p *Pat
 }
 
 // patternsUnderTest enumerates every shape the golden tier pins: k-hop for
-// k=1..3 with and without predicates/limit/projection, triangle plain and
-// constrained, and 2/3-edge simple paths with per-hop masks.
+// k=1..3 with and without predicates/limit/projection, triangle plain,
+// constrained and projected, and 2/3-edge simple paths with per-hop masks,
+// one projected.
 func patternsUnderTest(g *testGraph) map[string]*Pattern {
 	out := MaskOut(core.MaskOut)
 	all := MaskOut(core.MaskAll)
@@ -203,7 +205,9 @@ func patternsUnderTest(g *testGraph) map[string]*Pattern {
 		"2hop-limit-proj": {Kind: KHop, Hops: []Hop{all, all}, Limit: 5, Project: g.age, HasProject: true},
 		"triangle":        {Kind: Triangle},
 		"triangle-pred":   {Kind: Triangle, Hops: []Hop{{Mask: core.MaskAll, Cons: g.ageOver(10)}}},
+		"triangle-proj":   {Kind: Triangle, Limit: 3, Project: g.age, HasProject: true},
 		"path-2":          {Kind: Path, Hops: []Hop{out, all}},
+		"path-2-proj":     {Kind: Path, Hops: []Hop{out, all}, Project: g.age, HasProject: true},
 		"path-3-pred":     {Kind: Path, Hops: []Hop{all, {Mask: core.MaskAll, Cons: g.ageOver(20)}, out}, Limit: 50},
 	}
 }
