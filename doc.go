@@ -218,9 +218,7 @@
 // equivalent across replicated engines, migrated vertices, and read-only
 // and read-write transactions, and TestCompiledExpansionBatchesTrains pins the
 // count: the compiled plan rides at most one GET train per owner rank per
-// hop, the naive walk none, with identical rows.
-// Patterns also carry a versioned wire codec (Encode/Decode, fuzzed in CI) so
-// a driver can ship a plan to a server rank as bytes. Results are canonically
+// hop, the naive walk none, with identical rows. Results are canonically
 // ordered, so runs are reproducible under any association interleaving.
 //
 // Traversal cost model. A hop does not materialize handles. In a local
@@ -261,8 +259,11 @@
 // other DPtr is its vertex's ID. So the hop reads the next set bits after a
 // cursor, a chunk at a time, until LIMIT matches sort below the next set
 // bit, loading only the guard words of what it reads, and ends with one
-// clear of the words the harvest touched. (A pool too large for a bitmap
-// keeps its keys in a hash table and a sorted list the reader merges in.)
+// clear of the words the harvest touched. Without a LIMIT the same reader
+// reads every candidate in one chunk: there is one filter-only reader,
+// whether a harvest feeds it or a list (Transaction.FilterFrontier). (A
+// pool too large for a bitmap keeps its keys in a hash table and a sorted
+// list the reader merges in.)
 // Commit validates the forwarding words of the ranks whose vertices went
 // unread, and the stamped versions of the unread vertices elsewhere: a write
 // to an unread vertex does not fail it, a migration does. Forwarding stubs,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"unsafe"
@@ -27,9 +28,11 @@ func (h *VertexHandle) Matches(cons *constraint.Constraint) bool {
 //
 // matched holds the IDs of the frontier vertices that satisfy cons, deduped,
 // in frontier order; next holds the union of their neighbors in
-// first-encounter order (mask 0 skips the harvest: filter only, which is
-// FilterFrontier without a limit). A frontier vertex that no longer exists —
-// the read set is stale — fails the expansion with ErrNotFound.
+// first-encounter order. Mask 0 skips the harvest: the hop only filters, and
+// reads each holder only up to the end of its label/property entries, as
+// FilterFrontier does, but keeps frontier order. A frontier vertex that no
+// longer exists — the read set is stale — fails the expansion with
+// ErrNotFound.
 //
 // A frontier vertex costs its label/property bytes and no heap object. The
 // hop stamps the deduped frontier in one load train per owner rank
@@ -46,20 +49,16 @@ func (h *VertexHandle) Matches(cons *constraint.Constraint) bool {
 // its own writes and deletions). matched and next are the caller's: nothing
 // of the arena aliases them.
 func (tx *Tx) ExpandFrontier(frontier []fabric.DPtr, mask DirMask, cons *constraint.Constraint) (matched, next []fabric.DPtr, err error) {
-	if mask == 0 {
-		matched, _, err = tx.FilterFrontier(frontier, nil, cons, 0, 0)
-		return matched, nil, err
-	}
-	sc, err := tx.startHop(frontier, nil, cons)
+	sc, err := tx.startHop(frontier, cons)
 	if sc == nil {
 		return nil, nil, err
 	}
-	if err := tx.readFrontier(sc); err != nil {
+	if err := tx.readFrontier(sc, mask == 0); err != nil {
 		return nil, nil, err
 	}
 	sc.next = sc.next[:0]
 	sc.seen.begin(tx.eng)
-	if err := tx.evalFrontier(sc, mask, cons, false, 0); err != nil {
+	if err := tx.evalFrontier(sc, mask, cons, false); err != nil {
 		return nil, nil, err
 	}
 	sc.seen.end(sc.next)
@@ -72,30 +71,29 @@ func (tx *Tx) ExpandFrontier(frontier []fabric.DPtr, mask DirMask, cons *constra
 // returns what FilterFrontier(neighbors, exclude, last, limit) would. The
 // harvest never lists the neighbors: it ORs each into the hop's bitmap
 // (harvestRuns), and the last layer's hop takes its candidates off the bits
-// — with a limit, in ascending DPtr order as far as it reads (filterFed).
-// Its projection, as FilterFrontier's, is the value of project on each ID it
-// returns.
+// in ascending DPtr order, as far as it reads (filterFed). Its projection, as
+// FilterFrontier's, is the value of project on each ID it returns. A
+// negative limit is an ErrBadArgument.
 func (tx *Tx) FilterNeighbors(frontier []fabric.DPtr, cons *constraint.Constraint, mask DirMask, exclude []fabric.DPtr, last *constraint.Constraint, limit int, project lpg.PTypeID) ([]fabric.DPtr, []Projected, error) {
-	sc, err := tx.startHop(frontier, nil, cons)
+	if limit < 0 {
+		return nil, nil, errNegativeLimit
+	}
+	sc, err := tx.startHop(frontier, cons)
 	if sc == nil {
 		return nil, nil, err
 	}
 	if last != nil && last.Stale(tx.registry()) {
 		return nil, nil, fmt.Errorf("%w: stale constraint", ErrTxCritical)
 	}
-	if err := tx.readFrontier(sc); err != nil {
+	if err := tx.readFrontier(sc, false); err != nil {
 		return nil, nil, err
 	}
 	sc.beginFeed(tx.eng, exclude)
-	if err := tx.evalFrontier(sc, mask, cons, true, 0); err != nil {
+	if err := tx.evalFrontier(sc, mask, cons, true); err != nil {
 		return nil, nil, err
 	}
 	sc.endFeed(exclude)
-	if limit > 0 {
-		return tx.filterFed(sc, last, limit, project)
-	}
-	sc.listFed(tx.eng)
-	return tx.filterListed(sc, last, project)
+	return tx.filterFed(sc, last, limit, project)
 }
 
 // Projected is the value of a filter hop's projected property on one ID the
@@ -110,10 +108,10 @@ type Projected struct {
 // that satisfy cons, deduped. A frontier DPtr that exclude names is left
 // out, as a duplicate of it would be: exclude is what a k-hop's final round
 // must not report again, the layers before its last, matched by DPtr. With
-// limit 0 it is ExpandFrontier with mask 0 over what exclude leaves: every
-// match, in frontier order. A filter-only hop reads each holder only up to
-// the end of its label/property entries (holder.EntryBlocks: the primary
-// block for all but mega-hubs), not its chain.
+// limit 0 it returns every match, in no particular order. A filter-only hop
+// reads each holder only up to the end of its label/property entries
+// (holder.EntryBlocks: the primary block for all but mega-hubs), not its
+// chain.
 //
 // A limit > 0 is a LIMIT the caller applies to the canonically sorted IDs,
 // and lets the hop stop early: the result then holds the limit smallest
@@ -121,7 +119,8 @@ type Projected struct {
 // met, in no particular order. The hop pays for what it reads, not for the
 // width of the frontier: it ORs the frontier into the hop's bitmap, one bit
 // per pool block of every rank, and reads its candidates off the bits, whose
-// order is ascending DPtr order (filterFed).
+// order is ascending DPtr order (filterFed). A negative limit is an
+// ErrBadArgument.
 //
 // A project other than 0 (lpg.IDEmpty, which names no p-type) projects:
 // the hop then also returns, aligned with the IDs, each one's value of it.
@@ -131,74 +130,62 @@ type Projected struct {
 // read set, at the version whose entries it matched, and the projection
 // costs no communication. The values share one buffer.
 func (tx *Tx) FilterFrontier(frontier, exclude []fabric.DPtr, cons *constraint.Constraint, limit int, project lpg.PTypeID) ([]fabric.DPtr, []Projected, error) {
-	if limit > 0 {
-		sc, err := tx.arena(frontier, cons)
-		if sc == nil {
-			return nil, nil, err
-		}
-		sc.beginFeed(tx.eng, exclude)
-		for _, dp := range frontier {
-			if dp.IsNull() {
-				return nil, nil, errNullFrontier
-			}
-			sc.feed(dp)
-		}
-		sc.endFeed(exclude)
-		return tx.filterFed(sc, cons, limit, project)
+	if limit < 0 {
+		return nil, nil, errNegativeLimit
 	}
-	sc, err := tx.startHop(frontier, exclude, cons)
+	sc, err := tx.arena(frontier, cons)
 	if sc == nil {
 		return nil, nil, err
 	}
-	return tx.filterListed(sc, cons, project)
+	sc.beginFeed(tx.eng, exclude)
+	for _, dp := range frontier {
+		if dp.IsNull() {
+			return nil, nil, errNullFrontier
+		}
+		sc.feed(dp)
+	}
+	sc.endFeed(exclude)
+	return tx.filterFed(sc, cons, limit, project)
 }
 
 // errNullFrontier is a frontier that names NullDPtr.
 var errNullFrontier = fmt.Errorf("%w: NULL vertex ID in a frontier", ErrBadArgument)
 
-// filterListed is the filter-only hop over every candidate in sc.cands: each
-// is stamped, and read up to the end of its entries unless the stamp refused
-// it; it returns the matched IDs in candidate order, and their values of
-// project.
-func (tx *Tx) filterListed(sc *frontierScratch, cons *constraint.Constraint, project lpg.PTypeID) ([]fabric.DPtr, []Projected, error) {
-	tx.stampFrontier(sc)
-	if err := tx.associateHandled(sc); err != nil {
-		return nil, nil, err
-	}
-	tx.readPicked(sc, sc.stamped(), true)
-	if err := tx.associateHandled(sc); err != nil {
-		return nil, nil, err
-	}
-	if err := tx.evalFrontier(sc, 0, cons, false, project); err != nil {
-		return nil, nil, err
-	}
-	return clone(sc.matched), sc.projected(project), nil
-}
+// errNegativeLimit is a filter hop's negative limit.
+var errNegativeLimit = fmt.Errorf("%w: negative limit", ErrBadArgument)
 
-// readFrontier stamps every candidate and reads the whole chain of each the
-// stamp vouches for; the rest are resolved through their handles.
-func (tx *Tx) readFrontier(sc *frontierScratch) error {
+// readFrontier stamps every candidate and reads, in one batch, each one the
+// stamp vouches for: up to the end of its entries when entriesOnly, its
+// whole chain otherwise. The rest are resolved through their handles.
+func (tx *Tx) readFrontier(sc *frontierScratch, entriesOnly bool) error {
 	tx.stampFrontier(sc)
-	tx.readPicked(sc, sc.stamped(), false)
+	sc.pick = slices.Grow(sc.pick[:0], len(sc.verts))
+	for i := range sc.verts {
+		if sc.verts[i].verdict == readStamped {
+			sc.pick = append(sc.pick, int32(i))
+		}
+	}
+	tx.readPicked(sc, sc.pick, entriesOnly)
 	return tx.associateHandled(sc)
 }
 
-// filterFed is the LIMIT hop over the candidates a feed left in the hop's
-// set: the bits of the bitmap and, for keys off it, the list sc.next. The
-// candidates are read in ascending DPtr order, which is the order of the
-// bits, the list sorted and merged in (fedAt): a candidate is an 8-byte DPtr
-// until the hop stamps, resolves or reads it, and only then gets a record in
-// the arena.
+// filterFed is the filter-only hop over the candidates a feed left in the
+// hop's set: the bits of the bitmap and, for keys off it, the list sc.next.
+// Every filter-only hop but ExpandFrontier's ends here. The candidates are
+// read in ascending DPtr order, which is the order of the bits, the list
+// sorted and merged in (fedAt): a candidate is an 8-byte DPtr until the hop
+// stamps, resolves or reads it, and only then gets a record in the arena.
 //
 // The hop loads one forwarding word per owner rank (vouch), and a rank whose
 // word reads 0 has never held a forwarding stub, so each of its vertices is
 // known by its DPtr without a stamp. Only the vertices of the other ranks
 // (and of dead ones) are stamped; those whose stamp shows a stub or a writer
 // are resolved through AssociateVertices first (a stub's current ID sorts
-// anywhere). The hop then reads the candidates in chunks off a cursor: the
-// first of 2×limit candidates, each later one twice the last until a read
-// vertex matches, and from then on sized from the match rate so far, each
-// read loading its guard words as it goes; a stub or a writer met
+// anywhere). The hop then reads the candidates in chunks off a cursor, each
+// read loading its guard words as it goes: with limit 0 (no LIMIT) every
+// candidate in one chunk; otherwise a first chunk of 2×limit candidates,
+// each later one twice the last until a read vertex matches, and from then
+// on sized from the match rate so far. A stub or a writer met
 // there is resolved as a refused stamp is. It stops once limit distinct
 // matched IDs lie below the next candidate, the smallest unread DPtr. Of
 // what it left unread, a stamped vertex joins the read set at its stamped
@@ -219,7 +206,7 @@ func (tx *Tx) filterFed(sc *frontierScratch, cons *constraint.Constraint, limit 
 	if err := tx.associateHandled(sc); err != nil {
 		return nil, nil, err
 	}
-	// found keeps the size an earlier LIMIT hop of the arena grew it to, so
+	// found keeps the size an earlier filter hop of the arena grew it to, so
 	// that a warm hop does not regrow it.
 	sc.startMatched()
 	sc.found.reset(len(sc.found.slots) / 2)
@@ -250,10 +237,12 @@ func (tx *Tx) filterFed(sc *frontierScratch, cons *constraint.Constraint, limit 
 			}
 		}
 		need := limit - below
-		if need <= 0 {
+		if limit != 0 && need <= 0 {
 			break
 		}
 		switch {
+		case limit == 0:
+			size = math.MaxInt // no LIMIT: every candidate, in one chunk
 		case read == 0:
 			size = 2 * limit
 		case hits == 0:
@@ -311,13 +300,13 @@ func (tx *Tx) arena(frontier []fabric.DPtr, cons *constraint.Constraint) (*front
 }
 
 // startHop takes the arena and gathers the frontier into sc.cands. A nil
-// arena means there is nothing to do: no candidate, or the error.
-func (tx *Tx) startHop(frontier, exclude []fabric.DPtr, cons *constraint.Constraint) (*frontierScratch, error) {
+// arena means there is nothing to do: an empty frontier, or the error.
+func (tx *Tx) startHop(frontier []fabric.DPtr, cons *constraint.Constraint) (*frontierScratch, error) {
 	sc, err := tx.arena(frontier, cons)
 	if sc == nil {
 		return nil, err
 	}
-	if err := sc.gather(tx.eng, frontier, exclude); err != nil || len(sc.cands) == 0 {
+	if err := sc.gather(tx.eng, frontier); err != nil {
 		return nil, err
 	}
 	return sc, nil
@@ -336,31 +325,31 @@ type frontierScratch struct {
 	// The chain reader's items are the vertices the current read walks:
 	// item verts[i].item is vertex i, while its verdict says it was read.
 	chainReader
-	// cands holds the distinct DPtrs a hop that reads every candidate
-	// reports on: in frontier order, or in DPtr order off a feed (listFed).
+	// cands holds the distinct DPtrs of an expanding hop's frontier, in
+	// frontier order (gather); a filter hop's candidates are fed instead.
 	cands []fabric.DPtr
-	verts []frontierVertex // the records: every candidate's, or a LIMIT hop's few
+	verts []frontierVertex // the records: every candidate's, or a filter hop's few
 	// index maps a vertex ID to its record, for the resolutions that name a
 	// vertex under another ID than its frontier entry (forwarding stubs) and
-	// for a LIMIT hop's stamped candidates: built on first use in a hop
+	// for a filter hop's stamped candidates: built on first use in a hop
 	// (indexRecords).
 	index   dptrTable[int32]
 	indexed bool
 	// seen dedups the frontier, then holds the neighbors harvested: listed
 	// in next, or fed, the candidates of the last layer (beginFeed).
 	seen      dptrSet
-	at        fedCursor           // a LIMIT hop's cursor: the candidates before it are picked
-	found     dptrTable[struct{}] // a LIMIT hop's matched IDs
+	at        fedCursor           // a filter hop's cursor: the candidates before it are picked
+	found     dptrTable[struct{}] // a filter hop's matched IDs
 	view      holder.View
 	pick      []int32 // vertices to read
 	resolving []int32 // vertices in the AssociateVertices batch
-	// stubFree is, per rank, a LIMIT hop's view of its stubs: its forwarding
+	// stubFree is, per rank, a filter hop's view of its stubs: its forwarding
 	// word read 0, so its candidates are known by their DPtrs and have no
 	// record until they are picked.
 	stubFree []bool
 	// The hop's results, built here and copied out (clone, projected):
 	// nothing of the arena aliases what a hop returns. A fed hop lists in
-	// next only the neighbors off the bitmap; matched is then the LIMIT
+	// next only the neighbors off the bitmap; matched is then the filter
 	// hop's, deduped in found. A projecting hop's values are aligned with
 	// matched: value k is vals[spans[k-1].end:spans[k].end].
 	matched, next []fabric.DPtr
@@ -454,15 +443,12 @@ func arrayBytes[S ~[]E, E any](s S) int {
 	return cap(s) * int(unsafe.Sizeof(e))
 }
 
-// gather starts a hop on e that reads every candidate: it dedups frontier
-// into sc.cands (first occurrence wins), leaving out what exclude names.
-func (sc *frontierScratch) gather(e *Engine, frontier, exclude []fabric.DPtr) error {
+// gather starts an expanding hop on e, which reads every candidate: it
+// dedups frontier into sc.cands (first occurrence wins).
+func (sc *frontierScratch) gather(e *Engine, frontier []fabric.DPtr) error {
 	sc.startRecords(e)
 	sc.cands = slices.Grow(sc.cands[:0], len(frontier))
 	sc.seen.begin(e)
-	for _, dp := range exclude {
-		sc.seen.add(dp)
-	}
 	for _, dp := range frontier {
 		if dp.IsNull() {
 			return errNullFrontier
@@ -470,10 +456,6 @@ func (sc *frontierScratch) gather(e *Engine, frontier, exclude []fabric.DPtr) er
 		if sc.seen.add(dp) {
 			sc.cands = append(sc.cands, dp)
 		}
-	}
-	// Empty the set again for the hop's harvest.
-	for _, dp := range exclude {
-		sc.seen.drop(dp)
 	}
 	sc.seen.end(sc.cands)
 	return nil
@@ -546,20 +528,7 @@ func (sc *frontierScratch) fedOn(rank int, c fedCursor) bool {
 	return slices.ContainsFunc(sc.next[c.spill:], func(dp fabric.DPtr) bool { return int(dp.Rank()) == rank })
 }
 
-// listFed moves what a feed left in the hop's set into sc.cands, in
-// ascending DPtr order, for a hop that reads every candidate, and empties
-// the set.
-func (sc *frontierScratch) listFed(e *Engine) {
-	sc.startRecords(e)
-	slices.Sort(sc.next)
-	sc.cands = sc.cands[:0]
-	for dp, c, ok := sc.fedAt(fedCursor{}); ok; dp, c, ok = sc.fedAt(c) {
-		sc.cands = append(sc.cands, dp)
-	}
-	sc.seen.clearSpan()
-}
-
-// stampFrontier is the first look of a hop that reads every candidate: each
+// stampFrontier is the first look of an expanding hop: each candidate
 // gets a record, refused if the transaction must see it through a handle
 // (refuses), and is stamped (stampRecords).
 func (tx *Tx) stampFrontier(sc *frontierScratch) {
@@ -575,7 +544,7 @@ func (tx *Tx) stampFrontier(sc *frontierScratch) {
 	tx.stampRecords(sc)
 }
 
-// vouch is a LIMIT hop's first look at its candidates. It loads the
+// vouch is a filter hop's first look at its candidates. It loads the
 // forwarding word of every live rank that owns one, one load per rank: a
 // rank whose word reads 0 has never held a forwarding stub, so its
 // candidates are known by their DPtrs (block.ForwardingWord). Only when some
@@ -666,18 +635,6 @@ func (tx *Tx) stampRecords(sc *frontierScratch) {
 	}
 }
 
-// stamped lists the stamped records no earlier resolution stands for, in
-// frontier order, in sc.pick.
-func (sc *frontierScratch) stamped() []int32 {
-	sc.pick = slices.Grow(sc.pick[:0], len(sc.verts))
-	for i := range sc.verts {
-		if sc.verts[i].verdict == readStamped && !sc.verts[i].dup {
-			sc.pick = append(sc.pick, int32(i))
-		}
-	}
-	return sc.pick
-}
-
 // pickChunk takes the next size candidates off the cursor and lists in
 // sc.pick their records: a stamped candidate's record, and a new one,
 // unstamped, for a candidate of a stub-free rank. It skips a candidate that
@@ -709,7 +666,7 @@ func (sc *frontierScratch) pickChunk(size int) []int32 {
 	return sc.pick
 }
 
-// leaveUnread puts what a LIMIT hop left unread into the read set: a stamped
+// leaveUnread puts what a filter hop left unread into the read set: a stamped
 // record at its stamped version, and the candidates of a stub-free rank
 // past the cursor as one entry, the rank's forwarding word at 0.
 func (tx *Tx) leaveUnread(sc *frontierScratch) {
@@ -795,7 +752,7 @@ func (tx *Tx) associateHandled(sc *frontierScratch) error {
 }
 
 // indexRecords builds the index over the hop's records, unless it is built:
-// once it is, a LIMIT hop's new records join it as they are made.
+// once it is, a filter hop's new records join it as they are made.
 func (sc *frontierScratch) indexRecords() {
 	if sc.indexed {
 		return
@@ -832,7 +789,7 @@ func (tx *Tx) evalItem(sc *frontierScratch, i int, cons *constraint.Constraint) 
 // stream for the vertices the lean route read, over the state's records for
 // the others. The set lists its new keys in sc.next, or, fed, only those off
 // its bitmap; the caller begins and ends its use.
-func (tx *Tx) evalFrontier(sc *frontierScratch, mask DirMask, cons *constraint.Constraint, feed bool, project lpg.PTypeID) (err error) {
+func (tx *Tx) evalFrontier(sc *frontierScratch, mask DirMask, cons *constraint.Constraint, feed bool) (err error) {
 	sc.startMatched()
 	view := &sc.view
 	for i := range sc.verts {
@@ -846,7 +803,7 @@ func (tx *Tx) evalFrontier(sc *frontierScratch, mask DirMask, cons *constraint.C
 		if !ok {
 			continue
 		}
-		sc.keep(i, id, project)
+		sc.matched = append(sc.matched, id)
 		if mask == 0 {
 			continue
 		}

@@ -276,9 +276,21 @@ func TestExpandFrontierReportsVanishedVertex(t *testing.T) {
 
 // TestFilterHopFetchesPropertyPrefixOnly is the traffic contract of a
 // filter-only hop over multi-block holders: with a cold cache it GETs one
-// block per remote frontier vertex — the one its labels and properties sit in — where a
-// harvesting hop reads every chain to its end; warm, neither GETs anything.
+// block per remote frontier vertex — the one its labels and properties sit
+// in — in one train, where a harvesting hop reads every chain to its end;
+// warm, neither GETs anything. Both filter-only hops keep it, each on an
+// engine of its own (a cold cache): ExpandFrontier with mask 0 and
+// FilterFrontier without a LIMIT.
 func TestFilterHopFetchesPropertyPrefixOnly(t *testing.T) {
+	for _, route := range []string{"ExpandFrontier", "FilterFrontier"} {
+		t.Run(route, func(t *testing.T) { filterHopFetchesPropertyPrefixOnly(t, route == "FilterFrontier") })
+	}
+}
+
+// filterHopFetchesPropertyPrefixOnly holds the contract on a fresh engine;
+// its filter hop is FilterFrontier when viaFilterFrontier, and ExpandFrontier
+// with mask 0 otherwise.
+func filterHopFetchesPropertyPrefixOnly(t *testing.T, viaFilterFrontier bool) {
 	e := NewEngine(rma.New(2), Config{
 		BlockSize: 128, BlocksPerRank: 1 << 12, LockTries: 64, CacheCapacity: 1 << 11,
 	})
@@ -331,7 +343,12 @@ func TestFilterHopFetchesPropertyPrefixOnly(t *testing.T) {
 	gets := func(mask DirMask) (remote, trains int64, matched []rma.DPtr) {
 		before := e.Fabric().TotalSnapshot()
 		tx := e.StartLocal(0, ReadOnly)
-		matched, _, err := tx.ExpandFrontier(frontier, mask, cons)
+		var err error
+		if mask == 0 && viaFilterFrontier {
+			matched, _, err = tx.FilterFrontier(frontier, nil, cons, 0, 0)
+		} else {
+			matched, _, err = tx.ExpandFrontier(frontier, mask, cons)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -715,7 +732,42 @@ func addHubs(t *testing.T, e *Engine, layer []rma.DPtr, hubs, degree int) []rma.
 	return out
 }
 
-// referenceFilter is the LIMIT hop's contract on handles: the distinct IDs,
+// TestFilterHopRejectsNegativeLimit: a negative limit is a bad argument to
+// either filter hop, as it is to query.Validate, not a hop that reads no
+// candidate; the same hops with limit 0 return every match.
+func TestFilterHopRejectsNegativeLimit(t *testing.T) {
+	e, layer, cons := newPersonFrontier(t, 256, 120)
+	hub := addHubs(t, e, layer, 1, len(layer))
+	tx := e.StartLocal(0, ReadOnly)
+	defer tx.Abort()
+	hops := map[string]func(limit int) ([]rma.DPtr, error){
+		"FilterFrontier": func(limit int) ([]rma.DPtr, error) {
+			got, _, err := tx.FilterFrontier(layer, nil, cons, limit, 0)
+			return got, err
+		},
+		"FilterNeighbors": func(limit int) ([]rma.DPtr, error) {
+			got, _, err := tx.FilterNeighbors(hub, nil, MaskOut, hub, cons, limit, 0)
+			return got, err
+		},
+	}
+	want := referenceFilter(t, tx, layer, nil, cons)
+	for name, hop := range hops {
+		for _, limit := range []int{-1, -20} {
+			if got, err := hop(limit); !errors.Is(err, ErrBadArgument) {
+				t.Errorf("%s with limit %d: %d IDs, %v; want ErrBadArgument", name, limit, len(got), err)
+			}
+		}
+		got, err := hop(0)
+		if err != nil {
+			t.Fatalf("%s with limit 0: %v", name, err)
+		}
+		if slices.Sort(got); !slices.Equal(got, want) {
+			t.Errorf("%s with limit 0 returned %d IDs, want the %d matches", name, len(got), len(want))
+		}
+	}
+}
+
+// referenceFilter is the filter hop's contract on handles: the distinct IDs,
 // sorted, of the vertices of frontier that exclude does not name and that
 // satisfy cons (referenceExpand with mask 0).
 func referenceFilter(t *testing.T, tx *Tx, frontier, exclude []rma.DPtr, cons *constraint.Constraint) []rma.DPtr {
@@ -732,10 +784,10 @@ func referenceFilter(t *testing.T, tx *Tx, frontier, exclude []rma.DPtr, cons *c
 	return matched
 }
 
-// TestLimitHopSpillRouteMatchesNaive runs the LIMIT hops the way a pool past
+// TestLimitHopSpillRouteMatchesNaive runs the filter hops the way a pool past
 // setBitsMax runs them — the hop's bitmap off (blocks 0), every key in the
 // set's hash table and listed in next — and, beside them, on the bitmap. A
-// list-fed FilterFrontier over a layer less an exclude set, and a
+// FilterFrontier over a layer less an exclude set, and a
 // harvest-fed FilterNeighbors over hubs whose out-edges reach it, at LIMIT
 // 1, 5, 40 and none, are held to the handle walk (referenceFilter): the
 // limit smallest IDs are the reference's, every ID is one of the
@@ -787,13 +839,11 @@ func TestLimitHopSpillRouteMatchesNaive(t *testing.T) {
 		}
 		var got, want []rma.DPtr
 		var err error
-		fed := limit > 0
 		switch route {
 		case "list":
 			got, _, err = tx.FilterFrontier(layer, exclude, cons, limit, 0)
 			want = referenceFilter(t, tx, layer, exclude, cons)
 		case "harvest":
-			fed = true
 			got, _, err = tx.FilterNeighbors(hub, nil, MaskOut, append(slices.Clip(hub), exclude...), cons, limit, 0)
 			_, next, rerr := referenceExpand(tx, hub, MaskOut, nil)
 			if rerr != nil {
@@ -820,7 +870,7 @@ func TestLimitHopSpillRouteMatchesNaive(t *testing.T) {
 		if len(got) < keep || !slices.Equal(got[:keep], want[:keep]) {
 			t.Fatalf("the hop's %d smallest IDs %v, want the reference's %v", keep, got[:min(keep, len(got))], want[:keep])
 		}
-		if spill && fed && len(sc.next) == 0 {
+		if spill && len(sc.next) == 0 {
 			t.Fatal("with the bitmap off the feed listed no key")
 		}
 		if i := slices.IndexFunc(sc.seen.bits, func(w uint64) bool { return w != 0 }); i >= 0 {

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"bytes"
 	"reflect"
 	"slices"
 	"testing"
@@ -13,40 +12,6 @@ import (
 	"github.com/gdi-go/gdi/internal/metadata"
 	"github.com/gdi-go/gdi/internal/rma"
 )
-
-// FuzzQueryPattern fuzzes the pattern/predicate wire codec: any input that
-// decodes must (1) produce a pattern that passes Validate, (2) re-encode to
-// a canonical form that decodes back to a deep-equal pattern, and (3) have
-// that canonical form be a fixed point of encode∘decode. Inputs that do not
-// decode must fail without panicking — Decode is total over adversarial
-// bytes.
-func FuzzQueryPattern(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{codecMagic, codecVersion})
-	for _, p := range samplePatterns() {
-		f.Add(Encode(nil, p))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := Decode(data)
-		if err != nil {
-			return
-		}
-		if err := p.Validate(); err != nil {
-			t.Fatalf("decoded pattern fails Validate: %v", err)
-		}
-		enc := Encode(nil, p)
-		p2, err := Decode(enc)
-		if err != nil {
-			t.Fatalf("re-encoded pattern does not decode: %v", err)
-		}
-		if !reflect.DeepEqual(p, p2) {
-			t.Fatalf("re-decode diverged:\nfirst:  %+v\nsecond: %+v", p, p2)
-		}
-		if enc2 := Encode(nil, p2); !bytes.Equal(enc, enc2) {
-			t.Fatal("canonical form is not a fixed point of encode/decode")
-		}
-	})
-}
 
 // limitFuzzVerts is the vertex count of FuzzLimitHopMatchesNaive's fixture:
 // vertex i has application ID i, so it lives on rank i%4, is a Person, and is

@@ -130,6 +130,9 @@ var (
 	ErrBadPattern = errors.New("query: bad pattern")
 )
 
+// MaxHops bounds a pattern's traversal depth.
+const MaxHops = 16
+
 // Validate rejects patterns the executors cannot run.
 func (p *Pattern) Validate() error {
 	switch p.Kind {

@@ -478,3 +478,27 @@ func TestCompiledExpansionBatchesTrains(t *testing.T) {
 		t.Fatalf("compiled 2-hop issued %d GET trains, the naive walk %d: no batching", trains, ng)
 	}
 }
+
+func TestPatternValidate(t *testing.T) {
+	bad := []*Pattern{
+		{Kind: KHop}, // no hops
+		{Kind: Path}, // no hops
+		{Kind: Kind(77), Hops: []Hop{{Mask: core.MaskOut}}}, // unknown kind
+		{Kind: KHop, Hops: []Hop{{Mask: 0}}},                // zero mask
+		{Kind: KHop, Hops: []Hop{{Mask: 0x80}}},             // out-of-range mask
+		{Kind: KHop, Hops: []Hop{{Mask: core.MaskOut}}, Limit: -1},
+		{Kind: Triangle, Hops: []Hop{{Mask: core.MaskOut}, {Mask: core.MaskOut}}},
+	}
+	for i, p := range bad {
+		if err := p.Validate(); err == nil {
+			t.Errorf("pattern %d: Validate accepted %+v", i, p)
+		}
+	}
+	tooDeep := &Pattern{Kind: KHop}
+	for i := 0; i <= MaxHops; i++ {
+		tooDeep.Hops = append(tooDeep.Hops, Hop{Mask: core.MaskOut})
+	}
+	if err := tooDeep.Validate(); err == nil {
+		t.Error("Validate accepted a pattern over MaxHops")
+	}
+}
