@@ -479,26 +479,61 @@ func TestCompiledExpansionBatchesTrains(t *testing.T) {
 	}
 }
 
+// TestPatternValidate holds Validate to the patterns the executors can run:
+// each accepted pattern passes, and each rejected one fails with
+// ErrBadPattern. The accepted ones cover all three kinds, predicates,
+// projection, limits and the MaxHops bound itself.
 func TestPatternValidate(t *testing.T) {
-	bad := []*Pattern{
-		{Kind: KHop}, // no hops
-		{Kind: Path}, // no hops
-		{Kind: Kind(77), Hops: []Hop{{Mask: core.MaskOut}}}, // unknown kind
-		{Kind: KHop, Hops: []Hop{{Mask: 0}}},                // zero mask
-		{Kind: KHop, Hops: []Hop{{Mask: 0x80}}},             // out-of-range mask
-		{Kind: KHop, Hops: []Hop{{Mask: core.MaskOut}}, Limit: -1},
-		{Kind: Triangle, Hops: []Hop{{Mask: core.MaskOut}, {Mask: core.MaskOut}}},
+	pred := &constraint.Constraint{
+		Version: 42,
+		Subs: []constraint.Subconstraint{
+			{
+				Labels: []constraint.LabelCond{{Label: 3}, {Label: 9, Absent: true}},
+				Props: []constraint.PropCond{{
+					PType: 1, Datatype: 2, Op: constraint.OpGe, Operand: []byte{1, 2, 3, 4},
+				}},
+			},
+			{Props: []constraint.PropCond{{PType: 7, Op: constraint.OpExists}}},
+		},
 	}
-	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("pattern %d: Validate accepted %+v", i, p)
+	hops := func(n int) []Hop {
+		out := make([]Hop, n)
+		for i := range out {
+			out[i] = Hop{Mask: core.MaskOut}
 		}
+		return out
 	}
-	tooDeep := &Pattern{Kind: KHop}
-	for i := 0; i <= MaxHops; i++ {
-		tooDeep.Hops = append(tooDeep.Hops, Hop{Mask: core.MaskOut})
+	good := map[string]*Pattern{
+		"khop one hop":              {Kind: KHop, Hops: []Hop{{Mask: core.MaskOut}}},
+		"khop predicate and limit":  {Kind: KHop, Hops: []Hop{{Mask: core.MaskAll}, {Mask: core.MaskIn, Cons: pred}}, Limit: 20},
+		"triangle no hop spec":      {Kind: Triangle},
+		"triangle one hop spec":     {Kind: Triangle, Hops: []Hop{{Mask: core.MaskAll, Cons: pred}}},
+		"path projection and limit": {Kind: Path, Hops: []Hop{{Mask: core.MaskOut}, {Mask: core.MaskUndirected}, {Mask: core.MaskAll, Cons: pred}}, Limit: 5, Project: 11, HasProject: true},
+		"khop at MaxHops":           {Kind: KHop, Hops: hops(MaxHops)},
 	}
-	if err := tooDeep.Validate(); err == nil {
-		t.Error("Validate accepted a pattern over MaxHops")
+	bad := map[string]*Pattern{
+		"khop no hops":             {Kind: KHop},
+		"path no hops":             {Kind: Path},
+		"unknown kind":             {Kind: Kind(77), Hops: []Hop{{Mask: core.MaskOut}}},
+		"zero mask":                {Kind: KHop, Hops: []Hop{{Mask: 0}}},
+		"zero mask on a later hop": {Kind: Path, Hops: []Hop{{Mask: core.MaskOut}, {Mask: 0}}},
+		"out-of-range mask":        {Kind: KHop, Hops: []Hop{{Mask: 0x80}}},
+		"negative limit":           {Kind: KHop, Hops: []Hop{{Mask: core.MaskOut}}, Limit: -1},
+		"triangle two hop specs":   {Kind: Triangle, Hops: hops(2)},
+		"khop over MaxHops":        {Kind: KHop, Hops: hops(MaxHops + 1)},
+	}
+	for name, p := range good {
+		t.Run("accepts/"+name, func(t *testing.T) {
+			if err := p.Validate(); err != nil {
+				t.Fatalf("Validate rejected %+v: %v", p, err)
+			}
+		})
+	}
+	for name, p := range bad {
+		t.Run("rejects/"+name, func(t *testing.T) {
+			if err := p.Validate(); !errors.Is(err, ErrBadPattern) {
+				t.Fatalf("Validate of %+v: %v, want ErrBadPattern", p, err)
+			}
+		})
 	}
 }
