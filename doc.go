@@ -259,11 +259,19 @@
 // other DPtr is its vertex's ID. So the hop reads the next set bits after a
 // cursor, a chunk at a time, until LIMIT matches sort below the next set
 // bit, loading only the guard words of what it reads, and ends with one
-// clear of the words the harvest touched. Without a LIMIT the same reader
-// reads every candidate in one chunk: there is one filter-only reader,
-// whether a harvest feeds it or a list (Transaction.FilterFrontier). (A
-// pool too large for a bitmap keeps its keys in a hash table and a sorted
-// list the reader merges in.)
+// clear of the words the harvest touched. A LIMIT also bounds the harvest:
+// a light run's neighbors ascend, so the harvest leaves every run of 8
+// records or more undecoded, paused at its head, and the reader feeds the
+// paused runs only up to a bound it raises as its reads need candidates —
+// the first spans 2×LIMIT blocks from the lowest head, and each raise
+// doubles it — so a LIMIT round decodes the records below its last bound,
+// not its layer's degree. The bound is lifted, and every run fed to its
+// end, when a rank that may hold a candidate is dead or has held a stub, or
+// the transaction must see vertices through handles. Without a LIMIT the
+// same reader reads every candidate in one chunk: there is one filter-only
+// reader, whether a harvest feeds it or a list
+// (Transaction.FilterFrontier). (A pool too large for a bitmap keeps its
+// keys in a hash table and a sorted list the reader merges in.)
 // Commit validates the forwarding words of the ranks whose vertices went
 // unread, and the stamped versions of the unread vertices elsewhere: a write
 // to an unread vertex does not fail it, a migration does. Forwarding stubs,

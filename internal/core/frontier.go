@@ -74,6 +74,13 @@ func (tx *Tx) ExpandFrontier(frontier []fabric.DPtr, mask DirMask, cons *constra
 // in ascending DPtr order, as far as it reads (filterFed). Its projection, as
 // FilterFrontier's, is the value of project on each ID it returns. A
 // negative limit is an ErrBadArgument.
+//
+// With a LIMIT the harvest is resumable: a light run's neighbors ascend, so
+// it decodes none of a run of pauseMin records or more, and keeps the run
+// paused at its head (fedRuns). filterFed then feeds the paused runs up to a
+// bound that it raises only as far as its reads need candidates, and a run
+// is decoded only below it. The bound is lifted, and the harvest completed,
+// when a candidate may not be known by its DPtr (vouch).
 func (tx *Tx) FilterNeighbors(frontier []fabric.DPtr, cons *constraint.Constraint, mask DirMask, exclude []fabric.DPtr, last *constraint.Constraint, limit int, project lpg.PTypeID) ([]fabric.DPtr, []Projected, error) {
 	if limit < 0 {
 		return nil, nil, errNegativeLimit
@@ -89,11 +96,26 @@ func (tx *Tx) FilterNeighbors(frontier []fabric.DPtr, cons *constraint.Constrain
 		return nil, nil, err
 	}
 	sc.beginFeed(tx.eng, exclude)
+	if limit > 0 {
+		sc.fed.top, sc.fed.limit = 0, limit
+	}
 	if err := tx.evalFrontier(sc, mask, cons, true); err != nil {
 		return nil, nil, err
 	}
 	sc.endFeed(exclude)
-	return tx.filterFed(sc, last, limit, project)
+	return tx.filterFed(sc, last, limit, project, exclude)
+}
+
+// DecodedRecords returns how many edge records the transaction's final
+// rounds (FilterNeighbors) have decoded in their harvests so far: the
+// records they fed, and each paused run's head. A LIMIT round that never
+// raises its bound past the rows it returns decodes few of its layer's
+// records; one without a LIMIT decodes them all.
+func (tx *Tx) DecodedRecords() int {
+	if tx.frontier == nil {
+		return 0
+	}
+	return tx.frontier.fed.decoded
 }
 
 // Projected is the value of a filter hop's projected property on one ID the
@@ -145,7 +167,7 @@ func (tx *Tx) FilterFrontier(frontier, exclude []fabric.DPtr, cons *constraint.C
 		sc.feed(dp)
 	}
 	sc.endFeed(exclude)
-	return tx.filterFed(sc, cons, limit, project)
+	return tx.filterFed(sc, cons, limit, project, exclude)
 }
 
 // errNullFrontier is a frontier that names NullDPtr.
@@ -175,6 +197,10 @@ func (tx *Tx) readFrontier(sc *frontierScratch, entriesOnly bool) error {
 // read in ascending DPtr order, which is the order of the bits, the list
 // sorted and merged in (fedAt): a candidate is an 8-byte DPtr until the hop
 // stamps, resolves or reads it, and only then gets a record in the arena.
+// A harvest that paused runs has fed only the candidates up to its bound,
+// sc.fed.top, and the hop takes none above it: when it needs more, it raises
+// the bound (raise) and feeds the paused runs up to the new one, until they
+// are spent.
 //
 // The hop loads one forwarding word per owner rank (vouch), and a rank whose
 // word reads 0 has never held a forwarding stub, so each of its vertices is
@@ -187,21 +213,27 @@ func (tx *Tx) readFrontier(sc *frontierScratch, entriesOnly bool) error {
 // each later one twice the last until a read vertex matches, and from then
 // on sized from the match rate so far. A stub or a writer met
 // there is resolved as a refused stamp is. It stops once limit distinct
-// matched IDs lie below the next candidate, the smallest unread DPtr. Of
-// what it left unread, a stamped vertex joins the read set at its stamped
-// version, and the vertices of a stub-free rank as one entry, the rank's
-// forwarding word at 0 (leaveUnread). A migration that publishes a stub on
-// such a rank fails Commit, and so does one that moves a stamped unread
-// vertex; a write that lands on a vertex the hop did not read does not,
-// since the vertex's ID, which is all the result depends on, stays above the
-// bound. The hop ends with one clear of the bitmap words the feed touched.
+// matched IDs lie below the next candidate, the smallest unread DPtr, or,
+// past the last candidate fed, the bound above which a paused run may yet
+// feed one (nextBound). Of what it left unread, a stamped vertex joins the
+// read set at its stamped version, and the vertices of a stub-free rank as
+// one entry, the rank's forwarding word at 0 (leaveUnread): the candidates
+// past the cursor, and every record a paused run did not decode. A
+// migration that publishes a stub on such a rank fails Commit, and so does
+// one that moves a stamped unread vertex; a write that lands on a vertex
+// the hop did not read does not, since the vertex's ID, which is all the
+// result depends on, stays above the bound. The hop ends with one clear of
+// the bitmap words the feed touched, and no run paused.
 //
 // matched is a set, since a vertex resolved late may turn out to be one an
 // earlier chunk already counted. Each matched ID's value of project is
 // copied as it joins the set.
-func (tx *Tx) filterFed(sc *frontierScratch, cons *constraint.Constraint, limit int, project lpg.PTypeID) ([]fabric.DPtr, []Projected, error) {
+func (tx *Tx) filterFed(sc *frontierScratch, cons *constraint.Constraint, limit int, project lpg.PTypeID, exclude []fabric.DPtr) ([]fabric.DPtr, []Projected, error) {
 	sc.startRecords(tx.eng)
-	tx.vouch(sc)
+	sc.at = fedCursor{}
+	if err := tx.vouch(sc, exclude); err != nil {
+		return nil, nil, err
+	}
 	slices.Sort(sc.next)
 	if err := tx.associateHandled(sc); err != nil {
 		return nil, nil, err
@@ -226,8 +258,7 @@ func (tx *Tx) filterFed(sc *frontierScratch, cons *constraint.Constraint, limit 
 			}
 		}
 	}
-	sc.at = fedCursor{}
-	bound, _, more := sc.fedAt(sc.at)
+	bound, more := sc.nextBound()
 	read, hits, size := 0, 0, 0
 	for more {
 		below := 0
@@ -252,8 +283,11 @@ func (tx *Tx) filterFed(sc *frontierScratch, cons *constraint.Constraint, limit 
 		default:
 			size = max(need, 2*need*read/hits)
 		}
-		pick := sc.pickChunk(size)
-		bound, _, more = sc.fedAt(sc.at)
+		pick, err := sc.pickChunk(tx.eng, size, exclude)
+		if err != nil {
+			return nil, nil, err
+		}
+		bound, more = sc.nextBound()
 		// Room in the read set for what the chunk reads and for the
 		// forwarding words leaveUnread may add after the last one.
 		tx.optReads = slices.Grow(tx.optReads, len(pick)+len(sc.stubFree))
@@ -277,6 +311,7 @@ func (tx *Tx) filterFed(sc *frontierScratch, cons *constraint.Constraint, limit 
 	}
 	tx.leaveUnread(sc)
 	sc.seen.clearSpan()
+	sc.fed.reset()
 	return clone(sc.matched), sc.projected(project), nil
 }
 
@@ -296,6 +331,7 @@ func (tx *Tx) arena(frontier []fabric.DPtr, cons *constraint.Constraint) (*front
 	if tx.frontier == nil {
 		tx.frontier = tx.eng.takeFrontier()
 	}
+	tx.frontier.fed.reset()
 	return tx.frontier, nil
 }
 
@@ -347,6 +383,10 @@ type frontierScratch struct {
 	// word read 0, so its candidates are known by their DPtrs and have no
 	// record until they are picked.
 	stubFree []bool
+	// fed is a fed harvest's bound and the runs it paused there. They alias
+	// the streams of the layer it harvested, so while any is paused, a read
+	// carves its streams in behind those rather than over them (readPicked).
+	fed fedRuns
 	// The hop's results, built here and copied out (clone, projected):
 	// nothing of the arena aliases what a hop returns. A fed hop lists in
 	// next only the neighbors off the bitmap; matched is then the filter
@@ -417,7 +457,9 @@ func (sc *frontierScratch) release(e *Engine) {
 	clear(sc.reads)
 	clear(sc.fetched)
 	clear(sc.bufs)
+	clear(sc.fed.paused)
 	sc.view = holder.View{}
+	sc.fed.decoded = 0
 	select {
 	case e.frontiers <- sc:
 	default:
@@ -430,7 +472,8 @@ func (sc *frontierScratch) footprint() int {
 	r := &sc.chainReader
 	hop := arrayBytes(sc.cands) + arrayBytes(sc.verts) + arrayBytes(sc.index.slots) + arrayBytes(sc.seen.bits) +
 		arrayBytes(sc.seen.spill.slots) + arrayBytes(sc.found.slots) + arrayBytes(sc.pick) + arrayBytes(sc.resolving) +
-		arrayBytes(sc.stubFree) + arrayBytes(sc.matched) + arrayBytes(sc.next) + arrayBytes(sc.vals) + arrayBytes(sc.spans)
+		arrayBytes(sc.stubFree) + arrayBytes(sc.fed.paused) + arrayBytes(sc.matched) + arrayBytes(sc.next) + arrayBytes(sc.vals) +
+		arrayBytes(sc.spans)
 	reader := arrayBytes(r.items) + arrayBytes(r.bytes.buf) + arrayBytes(r.heads) + arrayBytes(r.batch) +
 		arrayBytes(r.reads) + arrayBytes(r.readOf) + arrayBytes(r.walking) + arrayBytes(r.fetched) +
 		arrayBytes(r.dps) + arrayBytes(r.bufs) + arrayBytes(r.words) + r.trains.Footprint()
@@ -506,16 +549,35 @@ type fedCursor struct {
 }
 
 // fedAt returns the smallest candidate at or after c, and the cursor past
-// it; ok is false when there is none.
+// it; ok is false when there is none, or, while a run is paused, none at
+// most the feed's bound, sc.fed.top.
 func (sc *frontierScratch) fedAt(c fedCursor) (dp fabric.DPtr, past fedCursor, ok bool) {
 	b, onBits := sc.seen.nextBit(c.bit)
-	if c.spill < len(sc.next) && (!onBits || sc.next[c.spill] < sc.seen.key(b)) {
-		return sc.next[c.spill], fedCursor{c.bit, c.spill + 1}, true
-	}
-	if !onBits {
+	switch {
+	case c.spill < len(sc.next) && (!onBits || sc.next[c.spill] < sc.seen.key(b)):
+		dp, past = sc.next[c.spill], fedCursor{c.bit, c.spill + 1}
+	case onBits:
+		dp, past = sc.seen.key(b), fedCursor{b + 1, c.spill}
+	default:
 		return fabric.NullDPtr, c, false
 	}
-	return sc.seen.key(b), fedCursor{b + 1, c.spill}, true
+	if dp > sc.fed.top && len(sc.fed.paused) > 0 {
+		return fabric.NullDPtr, c, false
+	}
+	return dp, past, true
+}
+
+// nextBound returns the smallest candidate past the cursor or, when every
+// one fed so far is picked and runs are paused, the smallest one they may
+// yet feed, top+1; more is false when there is none.
+func (sc *frontierScratch) nextBound() (bound fabric.DPtr, more bool) {
+	if dp, _, ok := sc.fedAt(sc.at); ok {
+		return dp, true
+	}
+	if len(sc.fed.paused) > 0 {
+		return sc.fed.top + 1, true
+	}
+	return fabric.NullDPtr, false
 }
 
 // fedOn reports whether a candidate at or after c lies on rank.
@@ -545,22 +607,25 @@ func (tx *Tx) stampFrontier(sc *frontierScratch) {
 }
 
 // vouch is a filter hop's first look at its candidates. It loads the
-// forwarding word of every live rank that owns one, one load per rank: a
-// rank whose word reads 0 has never held a forwarding stub, so its
-// candidates are known by their DPtrs (block.ForwardingWord). Only when some
-// rank is not stub-free, or the transaction must see vertices through
-// handles (refuses), does it walk the candidates one by one: a refused one,
-// and every one of a rank not stub-free, leaves the set for a record; the
-// latter are stamped (stampRecords), and those the stamp vouches for rejoin
-// the set.
-func (tx *Tx) vouch(sc *frontierScratch) {
+// forwarding word of every live rank that owns one, or may own a record of a
+// paused run, one load per rank: a rank whose word reads 0 has never held a
+// forwarding stub, so its candidates are known by their DPtrs
+// (block.ForwardingWord). Only when some such rank is dead or not stub-free,
+// or the transaction must see vertices through handles (refuses), does it
+// walk the candidates one by one. Such a candidate's ID may sort anywhere,
+// so the harvest first feeds every paused run to its end. Then a refused
+// candidate, and every one of a rank not stub-free, leaves the set for a
+// record; the latter are stamped (stampRecords), and those the stamp vouches
+// for rejoin the set.
+func (tx *Tx) vouch(sc *frontierScratch, exclude []fabric.DPtr) error {
 	e := tx.eng
 	r := &sc.chainReader
 	r.dps = r.dps[:0]
 	stamping := false
+	paused := sc.fed.lowestRank(len(sc.stubFree))
 	for rank := range sc.stubFree {
 		switch {
-		case !sc.fedOn(rank, fedCursor{}):
+		case rank < paused && !sc.fedOn(rank, fedCursor{}):
 		case e.isDead(fabric.Rank(rank)):
 			stamping = true
 		default:
@@ -573,7 +638,10 @@ func (tx *Tx) vouch(sc *frontierScratch) {
 	}
 	followers, wrote := tx.readsFollowers(), len(tx.dirtyList) > 0
 	if !stamping && !followers && !wrote {
-		return
+		return nil
+	}
+	if err := sc.raiseTo(maxDPtr, exclude); err != nil {
+		return err
 	}
 	record := func(dp fabric.DPtr) bool {
 		switch {
@@ -594,6 +662,7 @@ func (tx *Tx) vouch(sc *frontierScratch) {
 			sc.next = append(sc.next, v.head)
 		}
 	}
+	return nil
 }
 
 // refuses reports whether a hop must see dp through a handle rather than
@@ -638,11 +707,18 @@ func (tx *Tx) stampRecords(sc *frontierScratch) {
 // pickChunk takes the next size candidates off the cursor and lists in
 // sc.pick their records: a stamped candidate's record, and a new one,
 // unstamped, for a candidate of a stub-free rank. It skips a candidate that
-// a resolution already stands for.
-func (sc *frontierScratch) pickChunk(size int) []int32 {
+// a resolution already stands for. Past the last candidate fed, it raises
+// the feed's bound until one is fed or no run is paused.
+func (sc *frontierScratch) pickChunk(e *Engine, size int, exclude []fabric.DPtr) ([]int32, error) {
 	sc.pick = sc.pick[:0]
 	for range size {
 		dp, past, ok := sc.fedAt(sc.at)
+		for !ok && len(sc.fed.paused) > 0 {
+			if err := sc.raise(e, exclude); err != nil {
+				return nil, err
+			}
+			dp, past, ok = sc.fedAt(sc.at)
+		}
 		if !ok {
 			break
 		}
@@ -663,20 +739,23 @@ func (sc *frontierScratch) pickChunk(size int) []int32 {
 		sc.verts = append(sc.verts, frontierVertex{head: dp, verdict: readStamped, unstamped: true})
 		sc.pick = append(sc.pick, i)
 	}
-	return sc.pick
+	return sc.pick, nil
 }
 
 // leaveUnread puts what a filter hop left unread into the read set: a stamped
 // record at its stamped version, and the candidates of a stub-free rank
-// past the cursor as one entry, the rank's forwarding word at 0.
+// past the cursor as one entry, the rank's forwarding word at 0. A paused
+// run's records lie at or above its head, so every rank from the lowest
+// head's on may hold some.
 func (tx *Tx) leaveUnread(sc *frontierScratch) {
 	for i := range sc.verts {
 		if v := &sc.verts[i]; v.verdict == readStamped && !v.dup {
 			tx.optReads = append(tx.optReads, optRead{v.head, locks.Version(v.stamp)})
 		}
 	}
+	paused := sc.fed.lowestRank(len(sc.stubFree))
 	for rank, free := range sc.stubFree {
-		if free && sc.fedOn(rank, sc.at) {
+		if free && (rank >= paused || sc.fedOn(rank, sc.at)) {
 			tx.optReads = append(tx.optReads, optRead{block.ForwardingGuard(fabric.Rank(rank)), 0})
 		}
 	}
@@ -686,14 +765,18 @@ func (tx *Tx) leaveUnread(sc *frontierScratch) {
 // reaching the end of the entry region when entriesOnly and the whole chain
 // otherwise, under the stamps the stamp train loaded; the head round loads
 // the stamps of unstamped vertices. The batch recycles the streams of the
-// last one, whose vertices have been evaluated. Each vertex read OK joins the
+// last one, whose vertices have been evaluated, unless paused runs alias
+// them: it then carves its streams in behind. Each vertex read OK joins the
 // read set.
 func (tx *Tx) readPicked(sc *frontierScratch, pick []int32, entriesOnly bool) {
 	if len(pick) == 0 {
 		return
 	}
 	r := &sc.chainReader
-	r.reset(len(pick))
+	r.items = slices.Grow(reuse(r.items), len(pick))
+	if len(sc.fed.paused) == 0 {
+		r.bytes.reset()
+	}
 	for _, i := range pick {
 		v := &sc.verts[i]
 		v.item = int32(len(r.items))
@@ -788,10 +871,15 @@ func (tx *Tx) evalItem(sc *frontierScratch, i int, cons *constraint.Constraint) 
 // neighbors a run at a time into the hop's set (harvestRuns): on the encoded
 // stream for the vertices the lean route read, over the state's records for
 // the others. The set lists its new keys in sc.next, or, fed, only those off
-// its bitmap; the caller begins and ends its use.
+// its bitmap, up to the bound sc.fed.top; the caller begins and ends its
+// use.
 func (tx *Tx) evalFrontier(sc *frontierScratch, mask DirMask, cons *constraint.Constraint, feed bool) (err error) {
 	sc.startMatched()
 	view := &sc.view
+	var fed *fedRuns
+	if feed {
+		fed = &sc.fed
+	}
 	for i := range sc.verts {
 		if sc.verts[i].dup {
 			continue
@@ -820,7 +908,7 @@ func (tx *Tx) evalFrontier(sc *frontierScratch, mask DirMask, cons *constraint.C
 			nb, e, err := tx.farEnd(hp, is)
 			return nb, e != nil, err
 		}
-		if sc.next, err = harvestRuns(&c, deg, mask, &sc.seen, sc.next, feed, far); err != nil {
+		if sc.next, err = harvestRuns(&c, deg, mask, &sc.seen, sc.next, fed, far); err != nil {
 			if c.Err() != nil {
 				err = fmt.Errorf("%w: holder %v: %v", ErrNotFound, id, err)
 			}
@@ -877,25 +965,35 @@ func clone(s []fabric.DPtr) []fabric.DPtr { return append([]fabric.DPtr(nil), s.
 
 // harvestRuns adds to seen the neighbors under mask of the records c walks,
 // at most deg of them, and appends to next, in record order, those it lists:
-// the keys seen did not hold yet, or, when feed is set, only those of them
+// the keys seen did not hold yet, or, when fed is not nil, only those of them
 // off seen's bitmap, whose bits it just ORs in (dptrSet.take). It walks a run
-// at a time: a light run that mask selects is decoded by StepRun straight
-// into the tail of next, which is then cut back in place to the keys it
-// lists (the first occurrence wins); a heavy run goes record by record, each
-// record's neighbor being the far end far resolves from its edge holder (ok
-// false: a deleted edge, which yields nothing). A run mask drops is skipped.
-// It stops at the first error: far's, or the corruption the walk met
-// (c.Err), and returns next as far as it got.
-func harvestRuns(c *holder.EdgeCursor, deg int, mask DirMask, seen *dptrSet, next []fabric.DPtr, feed bool, far func(fabric.DPtr) (nb fabric.DPtr, ok bool, err error)) ([]fabric.DPtr, error) {
-	// The cursor yields at most deg records, so with this much room the tail
-	// always has space for the rest of a run.
-	next = slices.Grow(next, deg)
+// at a time. Unfed, a light run that mask selects is decoded by StepRun
+// straight into the tail of next, which is then cut back in place to the
+// keys it lists (the first occurrence wins). Fed, a light run is fed up to
+// the bound fed.top, and one of pauseMin records or more that stops at a
+// neighbor above it joins fed.paused (fedRuns.feed), and, when it is the
+// walk's last run, ends the walk unread; a shorter one is fed whole. A
+// heavy run goes record by record, each record's neighbor being the
+// far end far resolves from its edge holder (ok false: a deleted edge, which
+// yields nothing). A run mask drops is passed over. It stops at the first
+// error: far's, or the corruption the walk met (c.Err), and returns next as
+// far as it got.
+func harvestRuns(c *holder.EdgeCursor, deg int, mask DirMask, seen *dptrSet, next []fabric.DPtr, fed *fedRuns, far func(fabric.DPtr) (nb fabric.DPtr, ok bool, err error)) ([]fabric.DPtr, error) {
+	feed := fed != nil
+	if !feed {
+		// The cursor yields at most deg records, so with this much room the
+		// tail always has space for the rest of a run.
+		next = slices.Grow(next, deg)
+	}
 	for c.NextRun() {
 		if !mask.matches(c.Rec.Dir) {
-			continue // NextRun skips the rest of the run
+			continue // NextRun passes over the rest of the run
 		}
 		if c.Rec.Heavy {
 			for ok := true; ok; ok = c.Step() {
+				if feed {
+					fed.decoded++
+				}
 				nb, kept, err := far(c.Rec.Neighbor)
 				if err != nil {
 					return next, err
@@ -906,14 +1004,25 @@ func harvestRuns(c *holder.EdgeCursor, deg int, mask DirMask, seen *dptrSet, nex
 			}
 			continue
 		}
+		if feed {
+			top := fed.top
+			if 1+c.RunLeft() < pauseMin {
+				top = maxDPtr
+			}
+			fed.decoded++
+			var paused bool
+			if next, paused = fed.feed(c, seen, next, top); paused {
+				fed.paused = append(fed.paused, c.RestOfRun())
+				if c.LastRun() {
+					break // the rest of the run is the paused cursor's to read
+				}
+			}
+			continue
+		}
 		tail := len(next)
 		next = append(next, c.Rec.Neighbor)
 		for n := c.StepRun(next[len(next):cap(next)]); n > 0; n = c.StepRun(next[len(next):cap(next)]) {
 			next = next[:len(next)+n]
-		}
-		if feed {
-			next = next[:tail+seen.feedRun(next[tail:])]
-			continue
 		}
 		kept := tail
 		for _, nb := range next[tail:] {
@@ -925,6 +1034,139 @@ func harvestRuns(c *holder.EdgeCursor, deg int, mask DirMask, seen *dptrSet, nex
 		next = next[:kept]
 	}
 	return next, c.Err()
+}
+
+// maxDPtr is the bound of a feed that bounds nothing.
+const maxDPtr = fabric.DPtr(math.MaxUint64)
+
+// pauseMin is the shortest light run a bounded feed pauses: a shorter one is
+// fed whole, since its pause and resumption would cost more than decoding
+// it.
+const pauseMin = 8
+
+// fedRuns is the state of a fed harvest that is resumable. Every record of
+// the layer it harvested whose neighbor is at most top has been fed; so has
+// every record of a heavy run or of a light run shorter than pauseMin. Each
+// longer light run that met a neighbor above top is paused: a cursor over
+// the rest of the run (holder.EdgeCursor.RestOfRun), whose Rec, the run's
+// head, is that neighbor, decoded but not fed, and every record behind it
+// lies at or above it. A paused cursor aliases the stream the hop read its
+// run from, and records corruption on itself. A feed with top maxDPtr, the
+// default, pauses nothing: it is the full harvest.
+type fedRuns struct {
+	top    fabric.DPtr
+	paused []holder.EdgeCursor
+	// The bound's place in the block order of the pool (rank·BlocksPerRank
+	// + offset): top is the last DPtr below lo + span, and each raise
+	// doubles span. limit sizes the first span.
+	lo, span uint64
+	limit    int
+	// decoded counts the edge records the transaction's fed harvests have
+	// decoded, paused heads included (Tx.DecodedRecords).
+	decoded int
+}
+
+// reset ends whatever feed the last hop left: no run is paused, and the
+// next harvest feeds to no bound unless its hop sets one.
+func (f *fedRuns) reset() {
+	f.paused = reuse(f.paused)
+	f.top, f.lo, f.span, f.limit = maxDPtr, 0, 0, 0
+}
+
+// feed feeds the light run c stands at, from its head c.Rec on, up to top:
+// it ORs in or lists each neighbor at most top (dptrSet.feedRun), appending
+// the keys it lists to next, and reports whether the run stopped at one
+// above top, which c then holds as its head.
+func (f *fedRuns) feed(c *holder.EdgeCursor, seen *dptrSet, next []fabric.DPtr, top fabric.DPtr) ([]fabric.DPtr, bool) {
+	if c.Rec.Neighbor > top {
+		return next, true
+	}
+	var nbrs [64]fabric.DPtr
+	nbrs[0] = c.Rec.Neighbor
+	for k := 1; ; k = 0 {
+		n, over := c.StepUpTo(nbrs[k:], top)
+		k += n
+		f.decoded += n
+		next = append(next, nbrs[:seen.feedRun(nbrs[:k])]...)
+		if over {
+			f.decoded++
+			return next, true
+		}
+		if k < len(nbrs) {
+			return next, false
+		}
+	}
+}
+
+// raiseTo feeds every paused run up to top, appending the keys it lists to
+// next, and drops the runs it spends. It stops at a run's corruption.
+func (f *fedRuns) raiseTo(top fabric.DPtr, seen *dptrSet, next []fabric.DPtr) ([]fabric.DPtr, error) {
+	f.top = top
+	kept := f.paused[:0]
+	for i := range f.paused {
+		c := &f.paused[i]
+		var paused bool
+		next, paused = f.feed(c, seen, next, top)
+		if err := c.Err(); err != nil {
+			return next, err
+		}
+		if paused {
+			kept = append(kept, *c)
+		}
+	}
+	clear(f.paused[len(kept):])
+	f.paused = kept
+	return next, nil
+}
+
+// lowestRank returns the rank of the lowest paused head, or n when no run is
+// paused: a paused run's records lie on that rank or above.
+func (f *fedRuns) lowestRank(n int) int {
+	for i := range f.paused {
+		n = min(n, int(f.paused[i].Rec.Neighbor.Rank()))
+	}
+	return n
+}
+
+// raise raises the feed's bound on e's pool and feeds the paused runs up to
+// it. The first bound spans 2×limit blocks from the lowest head on: a vertex
+// takes a block at least, so no fewer can hold the first chunk's 2×limit
+// candidates. Each later raise doubles the span, and past the pool's last
+// block lifts the bound.
+func (sc *frontierScratch) raise(e *Engine, exclude []fabric.DPtr) error {
+	f := &sc.fed
+	per := uint64(e.store.BlocksPerRank())
+	end := uint64(e.fab.Size()) * per
+	if f.span == 0 {
+		f.lo, f.span = end, uint64(2*f.limit)
+		for i := range f.paused {
+			head := f.paused[i].Rec.Neighbor
+			f.lo = min(f.lo, uint64(head.Rank())*per+head.Off())
+		}
+	} else {
+		f.span *= 2
+	}
+	top := maxDPtr
+	if p := f.lo + f.span; p < end {
+		top = fabric.MakeDPtr(fabric.Rank(p/per), p%per) - 1
+	}
+	return sc.raiseTo(top, exclude)
+}
+
+// raiseTo feeds the paused runs up to top. The keys it lists off the
+// bitmap all lie above the old bound, past the cursor, so it sorts them
+// into the unread part of sc.next; and it drops exclude's bits, which the
+// feed may have set again.
+func (sc *frontierScratch) raiseTo(top fabric.DPtr, exclude []fabric.DPtr) error {
+	next, err := sc.fed.raiseTo(top, &sc.seen, sc.next)
+	if sc.next = next; err != nil {
+		return fmt.Errorf("%w: a paused edge run: %v", ErrNotFound, err)
+	}
+	slices.Sort(sc.next[sc.at.spill:])
+	for _, dp := range exclude {
+		sc.seen.drop(dp)
+	}
+	return nil
 }
 
 // dptrSet is the set of DPtrs a hop dedups against: one bit per pool block

@@ -656,7 +656,7 @@ func TestDPtrTableSpreadsRanks(t *testing.T) {
 func TestLimitHopRecordsWhatItReads(t *testing.T) {
 	const limit, hubs, degree = 5, 8, 1300
 	e, layer, cons := newPersonFrontier(t, 256, 5200)
-	frontier := addHubs(t, e, layer, hubs, degree)
+	frontier := addHubs(t, e, layer, hubs, degree, false)
 	tx := e.StartLocal(0, ReadOnly)
 	defer tx.Abort()
 	matched, _, err := tx.FilterNeighbors(frontier, nil, MaskOut, frontier, cons, limit, 0)
@@ -709,8 +709,9 @@ func TestLimitHopRecordsWhatItReads(t *testing.T) {
 
 // addHubs commits hubs vertices on top of newPersonFrontier's, hub j with an
 // out-edge to each of the degree layer vertices from j·len(layer)/hubs on,
-// wrapping around, and returns them.
-func addHubs(t *testing.T, e *Engine, layer []rma.DPtr, hubs, degree int) []rma.DPtr {
+// wrapping around, and returns them. The edges are created in layer order,
+// or, ascending, in DPtr order, so that each hub holds one ascending run.
+func addHubs(t *testing.T, e *Engine, layer []rma.DPtr, hubs, degree int, ascending bool) []rma.DPtr {
 	t.Helper()
 	seed := e.StartLocal(0, ReadWrite)
 	out := make([]rma.DPtr, hubs)
@@ -720,8 +721,15 @@ func addHubs(t *testing.T, e *Engine, layer []rma.DPtr, hubs, degree int) []rma.
 			t.Fatal(err)
 		}
 		out[j] = dp
-		for k := range degree {
-			if _, err := seed.CreateEdge(dp, layer[(j*len(layer)/hubs+k)%len(layer)], holder.DirOut, 0); err != nil {
+		targets := make([]rma.DPtr, degree)
+		for k := range targets {
+			targets[k] = layer[(j*len(layer)/hubs+k)%len(layer)]
+		}
+		if ascending {
+			slices.Sort(targets)
+		}
+		for _, to := range targets {
+			if _, err := seed.CreateEdge(dp, to, holder.DirOut, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -732,12 +740,91 @@ func addHubs(t *testing.T, e *Engine, layer []rma.DPtr, hubs, degree int) []rma.
 	return out
 }
 
+// TestLimitHopDecodesBelowItsBound is the count contract of the resumable
+// harvest. A LIMIT 5 final round (FilterNeighbors) over 8 hubs of 1 300
+// out-edges each, created in ascending DPtr order (10 400 edge records, one
+// ascending run per hub), less an exclude set, decodes fewer than a tenth of
+// the records on stub-free ranks, where each candidate is known by its DPtr
+// and the round raises its bound only as far as its reads need candidates:
+// on the hop's bitmap and with every key in its hash table. It decodes all
+// of them in a transaction that has written, which sees the vertices it
+// holds through their handles, and after a migration has left a forwarding
+// stub on an owner rank, where a candidate's ID may sort anywhere. Every
+// round returns the 5 smallest matches, leaves no bitmap word set and no
+// run paused, and a read-only one commits.
+func TestLimitHopDecodesBelowItsBound(t *testing.T) {
+	const limit, hubs, degree = 5, 8, 1300
+	e, layer, cons := newPersonFrontier(t, 256, 5200)
+	frontier := addHubs(t, e, layer, hubs, degree, true)
+	mark, err := e.DefineLabel("Marked")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exclude []rma.DPtr
+	for i := 0; i < len(layer); i += 7 {
+		exclude = append(exclude, layer[i])
+	}
+	exclude = append(exclude, frontier...)
+	round := func(t *testing.T, spill bool, mode Mode, all bool) {
+		tx := e.StartLocal(0, mode)
+		defer tx.Abort()
+		sc := new(frontierScratch)
+		tx.frontier = sc
+		if spill {
+			sc.seen.begin(e)
+			sc.seen.blocks = 0
+		}
+		if mode == ReadWrite {
+			h, err := tx.AssociateVertex(layer[len(layer)-1])
+			if err == nil {
+				err = h.AddLabel(mark)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, _, err := tx.FilterNeighbors(frontier, nil, MaskOut, exclude, cons, limit, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := referenceFilter(t, tx, layer, exclude, cons)
+		slices.Sort(got)
+		if len(got) < limit || !slices.Equal(got[:limit], want[:limit]) {
+			t.Fatalf("LIMIT %d round returned %v, want the %d smallest matches %v", limit, got, limit, want[:limit])
+		}
+		decoded := tx.DecodedRecords()
+		t.Logf("%d of %d edge records decoded", decoded, hubs*degree)
+		if all && decoded != hubs*degree || !all && decoded >= hubs*degree/10 {
+			t.Fatalf("the round decoded %d of %d edge records, want all: %v", decoded, hubs*degree, all)
+		}
+		if len(sc.fed.paused) != 0 {
+			t.Fatalf("%d runs still paused after the round", len(sc.fed.paused))
+		}
+		if i := slices.IndexFunc(sc.seen.bits, func(w uint64) bool { return w != 0 }); i >= 0 {
+			t.Fatalf("bitmap word %d = %#x after the round", i, sc.seen.bits[i])
+		}
+		if mode == ReadOnly {
+			if err := tx.Commit(); err != nil {
+				t.Fatalf("commit: %v", err)
+			}
+		}
+	}
+	for _, spill := range []bool{false, true} {
+		t.Run(fmt.Sprintf("spill=%v/stub-free", spill), func(t *testing.T) { round(t, spill, ReadOnly, false) })
+		t.Run(fmt.Sprintf("spill=%v/wrote", spill), func(t *testing.T) { round(t, spill, ReadWrite, true) })
+	}
+	mustMigrate(t, e, 31, 1-layer[31].Rank())
+	for _, spill := range []bool{false, true} {
+		t.Run(fmt.Sprintf("spill=%v/stub", spill), func(t *testing.T) { round(t, spill, ReadOnly, true) })
+	}
+}
+
 // TestFilterHopRejectsNegativeLimit: a negative limit is a bad argument to
 // either filter hop, as it is to query.Validate, not a hop that reads no
 // candidate; the same hops with limit 0 return every match.
 func TestFilterHopRejectsNegativeLimit(t *testing.T) {
 	e, layer, cons := newPersonFrontier(t, 256, 120)
-	hub := addHubs(t, e, layer, 1, len(layer))
+	hub := addHubs(t, e, layer, 1, len(layer), false)
 	tx := e.StartLocal(0, ReadOnly)
 	defer tx.Abort()
 	hops := map[string]func(limit int) ([]rma.DPtr, error){
@@ -799,7 +886,7 @@ func referenceFilter(t *testing.T, tx *Tx, frontier, exclude []rma.DPtr, cons *c
 func TestLimitHopSpillRouteMatchesNaive(t *testing.T) {
 	const hubs, degree = 4, 300
 	e, layer, cons := newPersonFrontier(t, 256, 600)
-	hub := addHubs(t, e, layer, hubs, degree)
+	hub := addHubs(t, e, layer, hubs, degree, false)
 	pt, _ := e.Registry(0).PTypeByName("age")
 	// The rewritten vertices: the non-matching one with the smallest DPtr,
 	// which the transaction's own write puts among the smallest matches,

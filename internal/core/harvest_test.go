@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -129,8 +130,9 @@ func fuzzFar(nb fabric.DPtr) (fabric.DPtr, bool, error) {
 // direction, light and heavy runs, neighbors on ranks 0–2 at offsets below
 // 80 (NullDPtr among them), so that they repeat within and across runs and
 // fall on and off a two-rank, 64-block pool's bitmap. With long set it ends
-// in a light run of 100 records, longer than any tail a run is decoded into
-// before the records ahead of it are deduped.
+// in a light run of 100 ascending records, longer than any buffer a run is
+// decoded into before the records ahead of it are deduped or fed, and long
+// enough for a bounded feed to pause.
 func harvestVertex(data []byte, long bool) *holder.Vertex {
 	v := &holder.Vertex{AppID: uint64(len(data))}
 	for i := 0; i+2 < len(data); i += 3 {
@@ -150,6 +152,8 @@ func harvestVertex(data []byte, long bool) *holder.Vertex {
 			}
 			v.Edges = append(v.Edges, holder.EdgeRec{Neighbor: rma.MakeDPtr(rma.Rank(k%2), 1+off), Dir: holder.DirOut, Label: 1})
 		}
+		long := v.Edges[len(v.Edges)-100:]
+		slices.SortFunc(long, func(a, b holder.EdgeRec) int { return cmp.Compare(a.Neighbor, b.Neighbor) })
 	}
 	return v
 }
@@ -162,9 +166,12 @@ func harvestVertex(data []byte, long bool) *holder.Vertex {
 // harvest starts behind a prefix of neighbors an earlier vertex contributed,
 // in a slice without spare capacity, on the pool's bitmap and again with
 // every key in the set's hash table; it must leave the set empty once the
-// keys it returned are dropped. Fed (feed), the harvest lists only the keys
-// off the bitmap, in the walk's order, and its bits are exactly the walk's
-// other keys, in a span that one clear empties.
+// keys it returned are dropped. Fed, the harvest lists only the keys off the
+// bitmap, in the walk's order, and its bits are exactly the walk's other
+// keys, in a span that one clear empties. Fed up to a bound the input picks
+// (fedRuns.top) and then to no bound (raiseTo), it must leave the same bits
+// and list the same keys, meet the same error and, if it meets none, pause
+// no run past the second feed; one clear then empties the span.
 func FuzzHarvestMatchesRecordWalk(f *testing.F) {
 	f.Add([]byte{}, byte(0))
 	f.Add([]byte{9, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, byte(1))
@@ -212,7 +219,7 @@ func FuzzHarvestMatchesRecordWalk(f *testing.F) {
 					want, wantErr := harvestRecords(&view, mask, slices.Clip(slices.Clone(prefix)), seenRef, fuzzFar)
 					view.Reset(s)
 					c := view.Edges()
-					got, gotErr := harvestRuns(&c, view.EdgeCap(), mask, &set, slices.Clip(slices.Clone(prefix)), false, fuzzFar)
+					got, gotErr := harvestRuns(&c, view.EdgeCap(), mask, &set, slices.Clip(slices.Clone(prefix)), nil, fuzzFar)
 					if !slices.Equal(got, want) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 						t.Fatalf("mask %#x, spill %v, stream % x:\nruns    %v, %v\nrecords %v, %v", mask, spill, s, got, gotErr, want, wantErr)
 					}
@@ -230,7 +237,7 @@ func FuzzHarvestMatchesRecordWalk(f *testing.F) {
 					}
 					view.Reset(s)
 					c = view.Edges()
-					listed, fedErr := harvestRuns(&c, view.EdgeCap(), mask, &set, nil, true, fuzzFar)
+					listed, fedErr := harvestRuns(&c, view.EdgeCap(), mask, &set, nil, &fedRuns{top: maxDPtr}, fuzzFar)
 					for _, nb := range prefix {
 						set.drop(nb)
 					}
@@ -254,6 +261,36 @@ func FuzzHarvestMatchesRecordWalk(f *testing.F) {
 					if i := slices.IndexFunc(set.bits, func(w uint64) bool { return w != 0 }); i >= 0 {
 						t.Fatalf("mask %#x: bitmap word %d = %#x after the fed use", mask, i, set.bits[i])
 					}
+
+					set.begin(e)
+					if spill {
+						set.blocks = 0
+					}
+					for _, nb := range prefix {
+						set.add(nb)
+					}
+					view.Reset(s)
+					c = view.Edges()
+					bounded := &fedRuns{top: rma.MakeDPtr(rma.Rank(sel%3), uint64(sel)%80)}
+					part, partErr := harvestRuns(&c, view.EdgeCap(), mask, &set, nil, bounded, fuzzFar)
+					whole, restErr := bounded.raiseTo(maxDPtr, &set, part)
+					for _, nb := range prefix {
+						set.drop(nb)
+					}
+					var bits []fabric.DPtr
+					for b, ok := set.nextBit(0); ok; b, ok = set.nextBit(b + 1) {
+						bits = append(bits, set.key(b))
+					}
+					slices.Sort(whole)
+					slices.Sort(offBits)
+					if err := cmp.Or(partErr, restErr); !slices.Equal(bits, fed) || !slices.Equal(whole, offBits) || err == nil && len(bounded.paused) != 0 || fmt.Sprint(err) != fmt.Sprint(fedErr) {
+						t.Fatalf("mask %#x, spill %v, fed up to %v, then to no bound, stream % x:\nlisted %v, bits %v, %d paused, %v\nwant   %v, %v, %v",
+							mask, spill, bounded.top, s, whole, bits, len(bounded.paused), err, offBits, fed, fedErr)
+					}
+					set.clearSpan()
+					if i := slices.IndexFunc(set.bits, func(w uint64) bool { return w != 0 }); i >= 0 {
+						t.Fatalf("mask %#x: bitmap word %d = %#x after the bounded use", mask, i, set.bits[i])
+					}
 				}
 			}
 		}
@@ -270,12 +307,14 @@ func bytesTrimZeros(b []byte) []byte {
 }
 
 // TestFrontierScratchReleaseDropsEveryPointer: a pooled frontier arena that
-// served a wide expansion — stream reads and handles both — and then a
-// one-vertex hop in the next transaction points into neither hop's streams
-// and holds no handle once released, although release clears only what the
-// last hop left: every hop empties the slices through reuse, which clears
-// what the one before held. The first transaction's results are its own:
-// the second's reuse of the arena leaves them as they were.
+// served a wide expansion — stream reads and handles both — then a
+// one-vertex hop in the next transaction, and then, in a third, a LIMIT 1
+// final round that fails with runs paused (its smallest candidate is
+// write-held, so the transaction turns critical) points into none of the
+// hops' streams and holds no handle once released, although release clears
+// only what the last hop left: every hop empties the slices through reuse,
+// which clears what the one before held. The first transaction's results
+// are its own: the second's reuse of the arena leaves them as they were.
 func TestFrontierScratchReleaseDropsEveryPointer(t *testing.T) {
 	e := NewEngine(rma.New(2), Config{BlockSize: 64, BlocksPerRank: 1 << 10, LockTries: 64, CacheCapacity: 256})
 	pt := payloadPType(t, e)
@@ -290,6 +329,17 @@ func TestFrontierScratchReleaseDropsEveryPointer(t *testing.T) {
 	seed := e.StartLocal(0, ReadWrite)
 	for i := 1; i < len(heads); i++ {
 		if _, err := seed.CreateEdge(heads[i], heads[i/2], holder.DirOut, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The hub of the LIMIT round: one ascending run over every head.
+	hub, err := seed.CreateVertex(uint64(len(heads)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sorted := slices.Sorted(slices.Values(heads))
+	for _, dp := range sorted {
+		if _, err := seed.CreateEdge(hub, dp, holder.DirOut, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -335,6 +385,20 @@ func TestFrontierScratchReleaseDropsEveryPointer(t *testing.T) {
 	if !slices.Equal(matchedA, keptM) || !slices.Equal(nextA, keptN) {
 		t.Fatal("the first transaction's results changed when the next one reused the arena")
 	}
+
+	word := wordAt(e, sorted[0])
+	if err := word.TryAcquireWrite(0, 64); err != nil {
+		t.Fatal(err)
+	}
+	tx := e.StartLocal(1, ReadOnly)
+	if _, _, err := tx.FilterNeighbors([]fabric.DPtr{hub}, nil, MaskOut, nil, nil, 1, 0); !errors.Is(err, ErrTxCritical) {
+		t.Fatalf("a LIMIT round whose smallest candidate is write-held: %v", err)
+	}
+	if tx.frontier != wide || len(wide.fed.paused) == 0 {
+		t.Fatalf("the failed LIMIT round left %d runs paused in the pooled arena (%v), want some", len(wide.fed.paused), tx.frontier == wide)
+	}
+	tx.Abort()
+	word.ReleaseWrite(0)
 	if len(e.frontiers) != 1 {
 		t.Fatalf("%d arenas pooled, want the one", len(e.frontiers))
 	}
@@ -366,5 +430,10 @@ func TestFrontierScratchReleaseDropsEveryPointer(t *testing.T) {
 	}
 	if !reflect.ValueOf(sc.view).IsZero() {
 		t.Fatal("the view keeps its stream after release")
+	}
+	for i, c := range sc.fed.paused[:cap(sc.fed.paused)] {
+		if !reflect.ValueOf(c).IsZero() {
+			t.Fatalf("paused run %d keeps its stream after release", i)
+		}
 	}
 }

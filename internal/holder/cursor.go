@@ -36,20 +36,28 @@ import (
 //
 // A cursor may continue behind the region into a tail of decoded records
 // (StoredEdges.Edges): a writer's records appended behind a stored region.
-// Each maximal stretch of tail records that share a direction, heavy bit and
-// label is one run, and the steps copy its neighbors out of the tail.
+// Each maximal stretch of tail records that runOf groups is one run, and the
+// steps copy its neighbors out of the tail.
 //
-// Every step decodes only the records it yields, so a caller that stops
-// early has decoded nothing past the last record it asked for. A cursor that
-// meets corruption stops there and records it for Err, and on its View; a
-// cursor started on a view whose Err is already set yields nothing. The
-// cursor aliases the view, its stream and its tail, and is valid as long as
-// they are. Declare it before the loop, as above: a cursor declared in a for
-// clause is a per-iteration variable, which the compiler copies on every
-// iteration.
+// A light run's neighbors ascend, so StepUpTo can stop a run at a bound:
+// it yields the neighbors at most top and keeps the first one above it as
+// the run's head. RestOfRun hands the rest of such a run to a cursor of its
+// own, which a caller resumes with a higher bound, while this one moves on
+// to the next run.
+//
+// Every step decodes only the records it yields, and NextRun passes over
+// the records of a run no step asked for without decoding them, so a caller
+// that stops early has decoded nothing past the last record it asked for.
+// A cursor that meets corruption stops there and records it for Err, and on
+// its View; a cursor started on a view whose Err is already set yields
+// nothing. The cursor aliases the view, its stream and its tail, and is
+// valid as long as they are. Declare it before the loop, as above: a cursor
+// declared in a for clause is a per-iteration variable, which the compiler
+// copies on every iteration.
 type EdgeCursor struct {
 	// Rec is the record the last step that yielded one decoded: after a
-	// StepRun, the last record it stored.
+	// StepRun, the last record it stored; after a StepUpTo that stopped
+	// over its bound, the record it stopped at.
 	Rec EdgeRec
 
 	w      *View     // the view corruption is recorded on; nil over a StoredEdges
@@ -102,15 +110,31 @@ func (c *EdgeCursor) Step() bool {
 // stored: 0 at the end of the run and, once the records ahead of it are
 // stored, at corruption. The records' other fields are the run's, in Rec.
 func (c *EdgeCursor) StepRun(nbrs []fabric.DPtr) int {
-	n := min(len(nbrs), c.run)
+	n, _ := c.StepUpTo(nbrs, math.MaxUint64)
+	return n
+}
+
+// StepUpTo is StepRun up to a bound: it stores the neighbors of the run's
+// next records while they are at most top. At the first record whose
+// neighbor is above top it stops, having decoded that record, and reports
+// over: the record is then Rec, not stored, and the run's next step goes on
+// behind it, so its caller keeps it as the run's head. In a light run,
+// whose neighbors ascend, every record not yet yielded then lies above top.
+// top math.MaxUint64 bounds nothing.
+func (c *EdgeCursor) StepUpTo(nbrs []fabric.DPtr, top fabric.DPtr) (n int, over bool) {
+	n = min(len(nbrs), c.run)
 	if c.inTail {
 		for i, r := range c.tail[:n] {
+			if r.Neighbor > top {
+				c.Rec.Neighbor, c.tail, c.run = r.Neighbor, c.tail[i+1:], c.run-i-1
+				return i, true
+			}
 			nbrs[i] = r.Neighbor
 		}
 		if n > 0 {
 			c.Rec.Neighbor, c.tail, c.run = c.tail[n-1].Neighbor, c.tail[n:], c.run-n
 		}
-		return n
+		return n, false
 	}
 	buf, off, nb := c.buf, c.off, c.Rec.Neighbor
 	for i := range n {
@@ -123,23 +147,57 @@ func (c *EdgeCursor) StepRun(nbrs []fabric.DPtr) int {
 			if k <= 0 {
 				c.off, c.Rec.Neighbor = off, nb
 				c.fail(fmt.Errorf("holder: malformed delta at offset %d", off))
-				return i
+				return i, false
 			}
 			off += k
 			nb = fabric.DPtr(int64(nb) + delta)
 		}
+		if nb > top {
+			c.off, c.Rec.Neighbor, c.run = off, nb, c.run-i-1
+			return i, true
+		}
 		nbrs[i] = nb
 	}
 	c.off, c.Rec.Neighbor, c.run = off, nb, c.run-n
-	return n
+	return n, false
+}
+
+// RunLeft returns how many records of the current run lie behind Rec.
+func (c *EdgeCursor) RunLeft() int { return c.run }
+
+// LastRun reports whether the current run is the walk's last: no run of the
+// region and no tail record follows it. A caller that hands its rest to
+// RestOfRun can stop there, and leave its bytes unread.
+func (c *EdgeCursor) LastRun() bool {
+	behind := c.tail
+	if c.inTail {
+		behind = behind[c.run:]
+	}
+	return c.left == 0 && len(behind) == 0
+}
+
+// RestOfRun returns a cursor over what is left of the current run: its
+// Rec is c's, and its steps yield the run's records behind Rec, after which
+// it walks no further run. It shares c's stream and tail, but records the
+// corruption it meets on itself alone, not on c's View, so a caller can
+// resume it after resetting that View on another stream. c goes on as it
+// was: its next NextRun passes over the run.
+func (c *EdgeCursor) RestOfRun() EdgeCursor {
+	r := *c
+	r.w, r.left, r.tail = nil, 0, nil
+	if c.inTail {
+		r.tail = c.tail[:c.run]
+	}
+	return r
 }
 
 // NextRun advances to the first record of the next run and reports whether
 // there was one: false at the end of the region and its tail, and at
-// corruption. Records of the current run not yet stepped over are decoded
-// and skipped first.
+// corruption. Records of the current run not yet stepped over are passed
+// over first (skipRun).
 func (c *EdgeCursor) NextRun() bool {
-	for c.Step() {
+	if c.skipRun(); c.err != nil {
+		return false
 	}
 	if c.left == 0 {
 		if len(c.tail) == 0 {
@@ -176,6 +234,46 @@ func (c *EdgeCursor) NextRun() bool {
 	c.run = int(count) - 1
 	c.left -= int(count)
 	return true
+}
+
+// skipRun passes over the records of the current run still to come
+// without decoding them: it finds where each delta ends, as a decode would,
+// and meets the same corruption at the same offset. It takes eight bytes at
+// a time while their deltas are one or two bytes long — no such delta is
+// malformed — through the last that ends among them, and every other delta
+// on its own.
+func (c *EdgeCursor) skipRun() {
+	if c.inTail {
+		c.tail, c.run = c.tail[c.run:], 0
+		return
+	}
+	const tops = 0x8080808080808080 // each byte's continuation bit
+	buf, off := c.buf, c.off
+	for c.run > 0 {
+		if len(buf)-off >= 8 {
+			x := binary.LittleEndian.Uint64(buf[off:])
+			ends := ^x & tops
+			span := 64 - bits.LeadingZeros64(ends) // the bits through the last byte that ends a delta
+			cont := x & tops & (1<<span - 1)
+			if n := bits.OnesCount64(ends); n > 0 && n <= c.run && cont&(cont<<8) == 0 {
+				off, c.run = off+span/8, c.run-n
+				continue
+			}
+		}
+		if off < len(buf) && buf[off] < 0x80 {
+			off++
+		} else {
+			_, k := uvarint(buf[off:])
+			if k <= 0 {
+				c.off = off
+				c.fail(fmt.Errorf("holder: malformed delta at offset %d", off))
+				return
+			}
+			off += k
+		}
+		c.run--
+	}
+	c.off = off
 }
 
 // fail records err, on the view too, and ends the walk.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/gdi-go/gdi/internal/fabric"
@@ -83,8 +84,11 @@ func vertexFromBytes(data []byte) *Vertex {
 // ends. Arbitrary bytes through the EdgeCursor must error — never panic — and
 // agree with the forEachEdgeRun oracle: the same records, an error or not
 // alike, the same bytes decoded, walked in full, a run at a time and stopped
-// early. Records derived from the input must survive encode→decode
-// bit-exactly, with the measured size matching the encoder's output.
+// early; and each run stopped at a bound (StepUpTo) and resumed must agree
+// with the filtered run walk (sameBoundWalk), the bound one of the region's
+// own neighbors, less one or not. Records derived from the input must
+// survive encode→decode bit-exactly, with the measured size matching the
+// encoder's output, and every light run they encode to must ascend.
 func FuzzVarintEdgeRun(f *testing.F) {
 	f.Add([]byte{}, uint16(0))
 	f.Add([]byte{9, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, uint16(3))
@@ -96,6 +100,18 @@ func FuzzVarintEdgeRun(f *testing.F) {
 		count, stop := int(n)%1024, int(n>>10)+1
 		sameWalk(t, data, count, 0)
 		sameWalk(t, data, count, stop)
+		boundWalks := func(region []byte, count int) {
+			t.Helper()
+			recs, _, _ := runWalk(regionView(region, count), 64)
+			top := fabric.DPtr(math.MaxUint64)
+			if len(recs) > 0 {
+				top = recs[stop%len(recs)].Neighbor - fabric.DPtr(stop&1)
+			}
+			for _, chunk := range []int{1, 3, 64} {
+				sameBoundWalk(t, region, count, top, chunk)
+			}
+		}
+		boundWalks(data, count)
 
 		// Derived records: encode, check the size accounting, decode back.
 		recs := recordsFromBytes(data)
@@ -113,6 +129,8 @@ func FuzzVarintEdgeRun(f *testing.F) {
 		}
 		sameRecords(t, got, recs)
 		sameWalk(t, enc, len(recs), stop)
+		checkRunsAscend(t, enc, len(recs))
+		boundWalks(enc, len(recs))
 
 		// An early stop ends the walk: the bytes of the records behind the
 		// first stay undecoded.
@@ -244,6 +262,7 @@ func FuzzHolderV2RoundTrip(f *testing.F) {
 			t.Fatalf("edge walk over a fresh stream: %v", err)
 		}
 		sameWalk(t, stream[w.edgesOff:], w.numEdges, 0)
+		checkRunsAscend(t, stream[w.edgesOff:], w.numEdges)
 		// The entries sit ahead of the edge runs: the prefix EntryBlocks
 		// names is all a label/property reader needs.
 		if err := w.Reset(stream[:EntryBlocks(stream, blockSize)*blockSize]); err != nil {
@@ -264,6 +283,30 @@ func FuzzHolderV2RoundTrip(f *testing.F) {
 			t.Fatalf("re-decode: %v", err)
 		}
 		sameRecords(t, again.Edges, got.Edges)
+
+		// Append behind the stored region, as a transactional CreateEdge
+		// does, after a light record: records of its run's kind that first
+		// ascend from it, then descend. The descent must start a new run.
+		base, tail := *v, *v
+		run := EdgeRec{Neighbor: rma.MakeDPtr(1, 9), Dir: DirOut, Label: 7}
+		base.Edges = append(slices.Clone(v.Edges), run)
+		tail.Edges = []EdgeRec{run, run, run}
+		tail.Edges[0].Neighbor++
+		tail.Edges[1].Neighbor -= 6
+		tail.Edges[2].Neighbor = rma.MakeDPtr(2, 0)
+		if err := w.Reset(EncodeVertex(&base, blockSize)); err != nil {
+			t.Fatal(err)
+		}
+		s, err := w.StoredEdges()
+		if err != nil {
+			t.Fatal(err)
+		}
+		appended := EncodeVertexAfter(&tail, &s, blockSize)
+		if err := w.Reset(appended); err != nil {
+			t.Fatal(err)
+		}
+		sameRecords(t, w.AppendEdges(nil), append(base.Edges, tail.Edges...))
+		checkRunsAscend(t, appended[w.edgesOff:], w.numEdges)
 	})
 }
 
@@ -319,8 +362,9 @@ func FuzzEdgeHolderRoundTrip(f *testing.F) {
 // checkTailCursor holds a cursor over s and then tail to want, s's records
 // followed by tail's: record by record through Next, and a run at a time
 // through NextRun and StepRun into buffers of 1, 3 and 64 neighbors, where
-// a tail run must end exactly where the tail's run key changes and Rec must
-// carry the last neighbor each StepRun stored.
+// a tail run must end exactly where the tail's run key changes, Rec must
+// carry the last neighbor each StepRun stored, and LastRun must hold of the
+// last run alone.
 func checkTailCursor(t *testing.T, s *StoredEdges, tail, want []EdgeRec) {
 	t.Helper()
 	var got []EdgeRec
@@ -351,6 +395,9 @@ func checkTailCursor(t *testing.T, s *StoredEdges, tail, want []EdgeRec) {
 					got = append(got, rec)
 				}
 			}
+			if c.LastRun() != (len(got) == len(want)) {
+				t.Fatalf("chunk %d: LastRun %v after %d of %d records", chunk, c.LastRun(), len(got), len(want))
+			}
 		}
 		sameRecords(t, got, want)
 	}
@@ -365,8 +412,9 @@ func checkTailCursor(t *testing.T, s *StoredEdges, tail, want []EdgeRec) {
 // VertexBlocksAfter promised. Tail records copy their predecessor's run key
 // where the fuzzed mask says so, so appends continue the stored last run,
 // across the run header's one-byte count boundary too. The zero
-// StoredEdges, an empty region, must encode byte for byte as nil does.
-// Arbitrary bytes as a stored region either fail StoredEdges or take the
+// StoredEdges, an empty region, must encode byte for byte as nil does, and
+// every light run of the stream must ascend: an appended record below its
+// predecessor starts a new run. Arbitrary bytes as a stored region either fail StoredEdges or take the
 // tail behind exactly their own records.
 func FuzzEncodeVertexAfter(f *testing.F) {
 	f.Add([]byte{9, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, uint8(4), uint64(0))
@@ -407,6 +455,10 @@ func FuzzEncodeVertexAfter(f *testing.F) {
 				t.Fatalf("bs %d: an empty StoredEdges encodes\n%v\nnil\n%v", bs, empty, EncodeVertex(v, bs))
 			}
 			checkTailCursor(t, &s, tail.Edges, v.Edges)
+			if err := w.Reset(got); err != nil {
+				t.Fatal(err)
+			}
+			checkRunsAscend(t, got[w.edgesOff:], w.numEdges)
 		}
 
 		count := int(split)

@@ -16,10 +16,11 @@
 //	replicas    #replicas groups of #blocks DPtrs: the follower copies
 //	entries     label & property entries (package lpg varint wire format)
 //	edges       runs of consecutive records sharing (direction, heavy,
-//	            label): uvarint run header (count<<3 | heavy<<2 | dir),
-//	            uvarint label, the first neighbor DPtr as an absolute
-//	            uvarint, every following neighbor as a zig-zag varint delta
-//	            from its predecessor (vertices only)
+//	            label), a light run's neighbors ascending: uvarint run
+//	            header (count<<3 | heavy<<2 | dir), uvarint label, the
+//	            first neighbor DPtr as an absolute uvarint, every following
+//	            neighbor as a zig-zag varint delta from its predecessor
+//	            (vertices only)
 //	unused      slack up to #blocks · blockSize
 //
 // The paper's Figure 3 puts the edge records before the entries, which
@@ -41,14 +42,20 @@
 //
 // A record's index is its edge UID (deletion is by index), so nothing
 // reorders stored records: the codec keeps whatever order its writer
-// appends in. Transactional appends (CreateEdge) keep insertion order. A
-// bulk edge load appends each vertex's batch in canonical order, grouped by
-// (direction, weight class, label) with neighbors ascending, so a
-// bulk-loaded holder holds one run per group and its deltas take one or two
-// bytes: the largest hub of the oltp-rm benchmark graph (degree 11 304,
-// 512-byte blocks) fits in 23 blocks, where its batch appended in delivery
-// order, out- and in-records interleaved into short runs that each store an
-// absolute first neighbor, took 133 (6.0 bytes per record).
+// appends in. Transactional appends (CreateEdge) keep insertion order. The
+// neighbors of a light run ascend (equal ones may repeat): a light record
+// whose neighbor is smaller than its predecessor's starts a new run, so an
+// append that descends costs a run header and an absolute neighbor, and a
+// reader that wants the neighbors below a bound stops a run at the first
+// one past it (EdgeCursor.StepUpTo). A heavy run names edge holders, in
+// whatever order they were appended. A bulk edge load appends each
+// vertex's batch in canonical order, grouped by (direction, weight class,
+// label) with neighbors ascending, so a bulk-loaded holder holds one run
+// per group and its deltas take one or two bytes: the largest hub of the
+// oltp-rm benchmark graph (degree 11 304, 512-byte blocks) fits in 23
+// blocks, where its batch appended in delivery order, out- and in-records
+// interleaved into short runs that each store an absolute first neighbor,
+// took 133 (6.0 bytes per record).
 //
 // Every table entry i lands at logical offset 32+8i, which is always inside
 // the first i+1 blocks, so a reader can fetch the primary block and then
@@ -241,11 +248,14 @@ func edgeRunsSize(recs []EdgeRec) int {
 	return size
 }
 
-// runOf returns how many leading records of recs share key's direction,
-// heavy bit and label: the records one run of key's kind takes.
-func runOf(key EdgeRec, recs []EdgeRec) int {
+// runOf returns how many leading records of recs continue a run whose last
+// record is last: they share its direction, heavy bit and label, and in a
+// light run each neighbor is at least the one before it.
+func runOf(last EdgeRec, recs []EdgeRec) int {
 	k := 0
-	for k < len(recs) && recs[k].Dir == key.Dir && recs[k].Heavy == key.Heavy && recs[k].Label == key.Label {
+	for k < len(recs) && recs[k].Dir == last.Dir && recs[k].Heavy == last.Heavy && recs[k].Label == last.Label &&
+		(last.Heavy || recs[k].Neighbor >= last.Neighbor) {
+		last = recs[k]
 		k++
 	}
 	return k
@@ -303,10 +313,11 @@ func EncodeVertex(v *Vertex, blockSize int) []byte { return EncodeVertexAfter(v,
 // EncodeVertexAfter is EncodeVertex of a vertex whose records are stored's,
 // then v.Edges: the stored region is copied as it stands and v.Edges are
 // appended behind it, the first of them continuing stored's last run while
-// they share its direction, heavy bit and label. On a stored region in the
-// form EncodeVertex writes — every run as long as its records allow — the
-// stream is byte for byte EncodeVertex's with the stored records decoded
-// ahead of v.Edges. A nil stored is an empty region.
+// they share its direction, heavy bit and label and, in a light run, do not
+// descend (runOf). On a stored region in the form EncodeVertex writes —
+// every run as long as its records allow — the stream is byte for byte
+// EncodeVertex's with the stored records decoded ahead of v.Edges. A nil
+// stored is an empty region.
 func EncodeVertexAfter(v *Vertex, stored *StoredEdges, blockSize int) []byte {
 	k := stored.continued(v.Edges)
 	edgeBytes := stored.size(v.Edges, k)

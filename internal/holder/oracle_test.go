@@ -1,9 +1,11 @@
 package holder
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/gdi-go/gdi/internal/fabric"
@@ -168,5 +170,105 @@ func sameWalk(t *testing.T, region []byte, n, stop int) {
 		if h != got[heads[i]] {
 			t.Fatalf("run %d: head %+v, the run walk's %+v", i, h, got[heads[i]])
 		}
+	}
+}
+
+// sameBoundWalk checks StepUpTo against the run walk over one region: each
+// run is walked up to top into a buffer of chunk neighbors and, where it
+// stops above top, its head and the rest are walked through RestOfRun. The
+// records met must be the run walk's, in order, and those met below the
+// bound exactly the ones ahead of the first neighbor above top in their run
+// (a filtered walk). A stopped run is the last (LastRun) when the run walk
+// meets no other after it. Corruption must end both walks or neither, and a
+// resumed cursor records what it meets on itself, never on the view.
+func sameBoundWalk(t *testing.T, region []byte, n int, top fabric.DPtr, chunk int) {
+	t.Helper()
+	w := regionView(region, n)
+	want, heads, _ := runWalk(w, 64)
+	wantErr := w.Err()
+	var below []bool
+	for i := range want {
+		below = append(below, want[i].Neighbor <= top && (slices.Contains(heads, i) || below[i-1]))
+	}
+
+	w = regionView(region, n)
+	var got []EdgeRec
+	var gotBelow []bool
+	var restErr error
+	nbrs := make([]fabric.DPtr, chunk)
+	met := func(rec EdgeRec, nb fabric.DPtr, under bool) {
+		rec.Neighbor = nb
+		got, gotBelow = append(got, rec), append(gotBelow, under)
+	}
+	c := w.Edges()
+	for runs := 0; c.NextRun(); runs++ {
+		run := c.Rec
+		if c.Rec.Neighbor > top {
+			met(run, c.Rec.Neighbor, false)
+		} else {
+			met(run, c.Rec.Neighbor, true)
+			over := false
+			for k := 1; k > 0 && !over; {
+				k, over = c.StepUpTo(nbrs, top)
+				for _, nb := range nbrs[:k] {
+					met(run, nb, true)
+				}
+			}
+			if !over {
+				continue
+			}
+			met(run, c.Rec.Neighbor, false)
+		}
+		if last := runs == len(heads)-1; c.LastRun() != last && wantErr == nil {
+			t.Fatalf("%d records, top %v: run %d of %d stopped, LastRun %v", n, top, runs, len(heads), !last)
+		}
+		rest, viewErr := c.RestOfRun(), w.err
+		w.err = nil
+		for k := rest.StepRun(nbrs); k > 0; k = rest.StepRun(nbrs) {
+			for _, nb := range nbrs[:k] {
+				met(run, nb, false)
+			}
+		}
+		if rest.NextRun() {
+			t.Fatalf("%d records, top %v: the rest of a run walked on into another", n, top)
+		}
+		if w.err != nil {
+			t.Fatalf("%d records, top %v: a resumed cursor recorded %v on the view", n, top, w.err)
+		}
+		w.err, restErr = viewErr, cmp.Or(restErr, rest.Err())
+	}
+	sameRecords(t, got, want)
+	if !slices.Equal(gotBelow, below) {
+		t.Fatalf("%d records, top %v, chunk %d: met below the bound %v, want %v", n, top, chunk, gotBelow, below)
+	}
+	if gotErr := cmp.Or(w.Err(), restErr); (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%d records, top %v: bounded walk error %v, run walk error %v", n, top, gotErr, wantErr)
+	}
+}
+
+// checkRunsAscend fails unless the neighbors of every light run of the
+// n-record region ascend: an encoder starts a new run where they would
+// descend, and a reader that stops a run at a bound relies on it.
+func checkRunsAscend(t *testing.T, region []byte, n int) {
+	t.Helper()
+	var nbrs [16]fabric.DPtr
+	w := regionView(region, n)
+	c := w.Edges()
+	for c.NextRun() {
+		if c.Rec.Heavy {
+			continue
+		}
+		prev := c.Rec.Neighbor
+		for k := c.StepRun(nbrs[:]); k > 0; k = c.StepRun(nbrs[:]) {
+			for _, nb := range nbrs[:k] {
+				if nb < prev {
+					t.Fatalf("a light run descends from %v to %v", prev, nb)
+				}
+				prev = nb
+			}
+		}
+	}
+	if err := w.Err(); err != nil {
+		t.Fatalf("walking an encoded region: %v", err)
 	}
 }

@@ -98,8 +98,9 @@ func loadKHopFixture() (*khopFixture, error) {
 // in a read-only transaction of its own per query, rooted in turn at each
 // of a fixed pool of 256 vertices of a scale-13, 4-rank graph at zero
 // latency, from rank 0. Besides ns/op, B/op and allocs/op it reports
-// records/op, the edge records the query's final round harvests, and
-// rows/op.
+// records/op, the edge records of the layer the query's final round
+// harvests, decoded/op, those of them the round decoded
+// (core.Tx.DecodedRecords), and rows/op.
 func BenchmarkKHopLimit(b *testing.B) {
 	khopOnce.Do(func() { khopFix, khopSetup = loadKHopFixture() })
 	if khopSetup != nil {
@@ -107,13 +108,14 @@ func BenchmarkKHopLimit(b *testing.B) {
 	}
 	f := khopFix
 	p := f.db.Process(0)
-	records, rows := 0, 0
+	records, decoded, rows := 0, 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := range b.N {
 		k := i % len(f.roots)
 		tx := p.StartTransaction(gdi.ReadOnly)
 		res, err := query.Run(tx, f.roots[k], f.pattern)
+		decoded += tx.DecodedRecords()
 		if err == nil {
 			err = tx.Commit()
 		} else {
@@ -126,5 +128,6 @@ func BenchmarkKHopLimit(b *testing.B) {
 		rows += len(res.Rows)
 	}
 	b.ReportMetric(float64(records)/float64(b.N), "records/op")
+	b.ReportMetric(float64(decoded)/float64(b.N), "decoded/op")
 	b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
 }

@@ -16,7 +16,11 @@ import (
 // limitFuzzVerts is the vertex count of FuzzLimitHopMatchesNaive's fixture:
 // vertex i has application ID i, so it lives on rank i%4, is a Person, and is
 // aged i*7%90; unless i%3 is 1 it has a nick of i%4 bytes, empty when i%4 is
-// 0; it has out-edges to vertices i+1, 5i+3 and 7i+2 (mod n).
+// 0. A bulk load gives it out-edges to vertices i+1, i+3, …, i+17 (mod n),
+// stored as one ascending run, and then a transaction appends out-edges to
+// vertices i+1, 5i+3 and 7i+2 (mod n) behind it, in that order: those below
+// the run's last neighbor, or below the append before them, start runs of
+// their own. The in-records on the targets mix the same way.
 const limitFuzzVerts = 24
 
 // FuzzLimitHopMatchesNaive holds the filter hop to its handle-walk
@@ -242,6 +246,24 @@ func newLimitFuzzGraph(t *testing.T) (*testGraph, []fabric.DPtr, lpg.PTypeID) {
 			t.Fatal(err)
 		}
 	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	e.Fabric().Run(func(r fabric.Rank) {
+		var specs []core.EdgeSpec
+		for i := range limitFuzzVerts {
+			for k := 1; r == 0 && k < 18; k += 2 {
+				specs = append(specs, core.EdgeSpec{OriginApp: uint64(i), TargetApp: uint64((i + k) % limitFuzzVerts), Dir: holder.DirOut, Label: g.person})
+			}
+		}
+		if err := e.BulkLoadEdges(r, specs); err != nil {
+			t.Error(err)
+		}
+	})
+	if t.Failed() {
+		t.FailNow()
+	}
+	tx = e.StartLocal(0, core.ReadWrite)
 	for i, dp := range dps {
 		for _, j := range []int{i + 1, 5*i + 3, 7*i + 2} {
 			if _, err := tx.CreateEdge(dp, dps[j%len(dps)], holder.DirOut, g.person); err != nil {
