@@ -248,9 +248,11 @@
 // row once. LIMIT also stops the last hop early, whose cost follows what it reads, not the width
 // of the layer: the query's final round is one call
 // (Transaction.FilterNeighbors), whose harvest ORs each neighbor into the
-// hop's bitmap — one bit per pool block of every rank, so bit order is
-// ascending DPtr order — and drops the layers before the last from it, with
-// no per-neighbor test, list or copy. The hop then reads its candidates
+// hop's bitmap — a bitmap over the DPtr space, kept in 64-byte pages that
+// exist only where a neighbor falls, so bit order is ascending DPtr order
+// and a hop costs the pages its neighbors fall on, not the pool's size — and
+// drops the layers before the last from it, with no per-neighbor test, list
+// or copy. The hop then reads its candidates
 // straight off the bits: each is an 8-byte DPtr until the hop stamps,
 // resolves or reads it, and only then gets a record. A rank's forwarding
 // word, which every migration that publishes a stub on the rank bumps, tells
@@ -259,7 +261,7 @@
 // other DPtr is its vertex's ID. So the hop reads the next set bits after a
 // cursor, a chunk at a time, until LIMIT matches sort below the next set
 // bit, loading only the guard words of what it reads, and ends with one
-// clear of the words the harvest touched. A LIMIT also bounds the harvest:
+// clear of the pages the harvest touched. A LIMIT also bounds the harvest:
 // a light run's neighbors ascend, so the harvest leaves every run of 8
 // records or more undecoded, paused at its head, and the reader feeds the
 // paused runs only up to a bound it raises as its reads need candidates —
@@ -270,8 +272,7 @@
 // the transaction must see vertices through handles. Without a LIMIT the
 // same reader reads every candidate in one chunk: there is one filter-only
 // reader, whether a harvest feeds it or a list
-// (Transaction.FilterFrontier). (A pool too large for a bitmap keeps its
-// keys in a hash table and a sorted list the reader merges in.)
+// (Transaction.FilterFrontier).
 // Commit validates the forwarding words of the ranks whose vertices went
 // unread, and the stamped versions of the unread vertices elsewhere: a write
 // to an unread vertex does not fail it, a migration does. Forwarding stubs,

@@ -327,6 +327,15 @@ func (s *Store) ForwardingWord(r fabric.Rank) (fabric.WordWin, fabric.Rank, int)
 // through: block 0 of r (NullDPtr on rank 0).
 func ForwardingGuard(r fabric.Rank) fabric.DPtr { return fabric.MakeDPtr(r, 0) }
 
+// InPool reports whether dp names a block of the pool: a rank of the
+// fabric, and an offset past the reserved block 0 and below BlocksPerRank.
+// It is checkDPtr's test for a DPtr from outside the program, which it
+// rejects rather than panics on.
+func (s *Store) InPool(dp fabric.DPtr) bool {
+	off := dp.Off()
+	return int(dp.Rank()) < s.f.Size() && off != 0 && off < uint64(s.perRank)
+}
+
 func (s *Store) checkDPtr(dp fabric.DPtr) {
 	if dp.IsNull() {
 		panic("block: NULL DPtr")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -57,11 +58,10 @@ func (tx *Tx) ExpandFrontier(frontier []fabric.DPtr, mask DirMask, cons *constra
 		return nil, nil, err
 	}
 	sc.next = sc.next[:0]
-	sc.seen.begin(tx.eng)
 	if err := tx.evalFrontier(sc, mask, cons, false); err != nil {
 		return nil, nil, err
 	}
-	sc.seen.end(sc.next)
+	sc.seen.clear()
 	return clone(sc.matched), clone(sc.next), nil
 }
 
@@ -69,7 +69,7 @@ func (tx *Tx) ExpandFrontier(frontier []fabric.DPtr, mask DirMask, cons *constra
 // by cons, as ExpandFrontier does, harvests the matched vertices' neighbors
 // under mask, less the DPtrs exclude names (the layers before the last), and
 // returns what FilterFrontier(neighbors, exclude, last, limit) would. The
-// harvest never lists the neighbors: it ORs each into the hop's bitmap
+// harvest never lists the neighbors: it ORs each into the hop's paged bitmap
 // (harvestRuns), and the last layer's hop takes its candidates off the bits
 // in ascending DPtr order, as far as it reads (filterFed). Its projection, as
 // FilterFrontier's, is the value of project on each ID it returns. A
@@ -95,14 +95,13 @@ func (tx *Tx) FilterNeighbors(frontier []fabric.DPtr, cons *constraint.Constrain
 	if err := tx.readFrontier(sc, false); err != nil {
 		return nil, nil, err
 	}
-	sc.beginFeed(tx.eng, exclude)
 	if limit > 0 {
 		sc.fed.top, sc.fed.limit = 0, limit
 	}
 	if err := tx.evalFrontier(sc, mask, cons, true); err != nil {
 		return nil, nil, err
 	}
-	sc.endFeed(exclude)
+	sc.seen.dropAll(exclude)
 	return tx.filterFed(sc, last, limit, project, exclude)
 }
 
@@ -139,10 +138,10 @@ type Projected struct {
 // and lets the hop stop early: the result then holds the limit smallest
 // matched IDs — every match when there are fewer — plus whatever else it
 // met, in no particular order. The hop pays for what it reads, not for the
-// width of the frontier: it ORs the frontier into the hop's bitmap, one bit
-// per pool block of every rank, and reads its candidates off the bits, whose
-// order is ascending DPtr order (filterFed). A negative limit is an
-// ErrBadArgument.
+// width of the frontier: it ORs the frontier into the hop's paged bitmap
+// (dptrSet), and reads its candidates off the bits, whose order is
+// ascending DPtr order (filterFed). A frontier ID that names no block of the
+// pool, or a negative limit, is an ErrBadArgument.
 //
 // A project other than 0 (lpg.IDEmpty, which names no p-type) projects:
 // the hop then also returns, aligned with the IDs, each one's value of it.
@@ -159,19 +158,15 @@ func (tx *Tx) FilterFrontier(frontier, exclude []fabric.DPtr, cons *constraint.C
 	if sc == nil {
 		return nil, nil, err
 	}
-	sc.beginFeed(tx.eng, exclude)
 	for _, dp := range frontier {
-		if dp.IsNull() {
-			return nil, nil, errNullFrontier
+		if !tx.eng.store.InPool(dp) {
+			return nil, nil, errNoBlock(dp)
 		}
-		sc.feed(dp)
+		sc.seen.or(dp)
 	}
-	sc.endFeed(exclude)
+	sc.seen.dropAll(exclude)
 	return tx.filterFed(sc, cons, limit, project, exclude)
 }
-
-// errNullFrontier is a frontier that names NullDPtr.
-var errNullFrontier = fmt.Errorf("%w: NULL vertex ID in a frontier", ErrBadArgument)
 
 // errNegativeLimit is a filter hop's negative limit.
 var errNegativeLimit = fmt.Errorf("%w: negative limit", ErrBadArgument)
@@ -192,11 +187,10 @@ func (tx *Tx) readFrontier(sc *frontierScratch, entriesOnly bool) error {
 }
 
 // filterFed is the filter-only hop over the candidates a feed left in the
-// hop's set: the bits of the bitmap and, for keys off it, the list sc.next.
-// Every filter-only hop but ExpandFrontier's ends here. The candidates are
-// read in ascending DPtr order, which is the order of the bits, the list
-// sorted and merged in (fedAt): a candidate is an 8-byte DPtr until the hop
-// stamps, resolves or reads it, and only then gets a record in the arena.
+// hop's set. Every filter-only hop but ExpandFrontier's ends here. The
+// candidates are read in ascending DPtr order, which is the order of the
+// set's bits (fedAt): a candidate is an 8-byte DPtr until the hop stamps,
+// resolves or reads it, and only then gets a record in the arena.
 // A harvest that paused runs has fed only the candidates up to its bound,
 // sc.fed.top, and the hop takes none above it: when it needs more, it raises
 // the bound (raise) and feeds the paused runs up to the new one, until they
@@ -223,18 +217,17 @@ func (tx *Tx) readFrontier(sc *frontierScratch, entriesOnly bool) error {
 // one that moves a stamped unread vertex; a write that lands on a vertex
 // the hop did not read does not, since the vertex's ID, which is all the
 // result depends on, stays above the bound. The hop ends with one clear of
-// the bitmap words the feed touched, and no run paused.
+// the set, and no run paused.
 //
 // matched is a set, since a vertex resolved late may turn out to be one an
 // earlier chunk already counted. Each matched ID's value of project is
 // copied as it joins the set.
 func (tx *Tx) filterFed(sc *frontierScratch, cons *constraint.Constraint, limit int, project lpg.PTypeID, exclude []fabric.DPtr) ([]fabric.DPtr, []Projected, error) {
 	sc.startRecords(tx.eng)
-	sc.at = fedCursor{}
+	sc.at = fabric.NullDPtr
 	if err := tx.vouch(sc, exclude); err != nil {
 		return nil, nil, err
 	}
-	slices.Sort(sc.next)
 	if err := tx.associateHandled(sc); err != nil {
 		return nil, nil, err
 	}
@@ -310,14 +303,15 @@ func (tx *Tx) filterFed(sc *frontierScratch, cons *constraint.Constraint, limit 
 		}
 	}
 	tx.leaveUnread(sc)
-	sc.seen.clearSpan()
+	sc.seen.clear()
 	sc.fed.reset()
 	return clone(sc.matched), sc.projected(project), nil
 }
 
 // arena checks the transaction and cons, and returns the transaction's
-// frontier arena, which its first hop takes from the pool. A nil arena means
-// there is nothing to do: an empty frontier, or the error.
+// frontier arena, which its first hop takes from the pool, with an empty
+// set and no feed: a hop that failed leaves both as it stopped. A nil arena
+// means there is nothing to do: an empty frontier, or the error.
 func (tx *Tx) arena(frontier []fabric.DPtr, cons *constraint.Constraint) (*frontierScratch, error) {
 	if len(frontier) == 0 {
 		return nil, nil
@@ -331,6 +325,7 @@ func (tx *Tx) arena(frontier []fabric.DPtr, cons *constraint.Constraint) (*front
 	if tx.frontier == nil {
 		tx.frontier = tx.eng.takeFrontier()
 	}
+	tx.frontier.seen.clear()
 	tx.frontier.fed.reset()
 	return tx.frontier, nil
 }
@@ -371,10 +366,10 @@ type frontierScratch struct {
 	// (indexRecords).
 	index   dptrTable[int32]
 	indexed bool
-	// seen dedups the frontier, then holds the neighbors harvested: listed
-	// in next, or fed, the candidates of the last layer (beginFeed).
+	// seen dedups the frontier, then the neighbors harvested: listed in
+	// next, or, fed, the candidates of a filter hop, read off its bits.
 	seen      dptrSet
-	at        fedCursor           // a filter hop's cursor: the candidates before it are picked
+	at        fabric.DPtr         // a filter hop's cursor: the candidates below it are picked
 	found     dptrTable[struct{}] // a filter hop's matched IDs
 	view      holder.View
 	pick      []int32 // vertices to read
@@ -388,10 +383,10 @@ type frontierScratch struct {
 	// carves its streams in behind those rather than over them (readPicked).
 	fed fedRuns
 	// The hop's results, built here and copied out (clone, projected):
-	// nothing of the arena aliases what a hop returns. A fed hop lists in
-	// next only the neighbors off the bitmap; matched is then the filter
-	// hop's, deduped in found. A projecting hop's values are aligned with
-	// matched: value k is vals[spans[k-1].end:spans[k].end].
+	// nothing of the arena aliases what a hop returns. A fed hop lists
+	// nothing in next; matched is then the filter hop's, deduped in found.
+	// A projecting hop's values are aligned with matched: value k is
+	// vals[spans[k-1].end:spans[k].end].
 	matched, next []fabric.DPtr
 	vals          []byte
 	spans         []valSpan
@@ -470,8 +465,8 @@ func (sc *frontierScratch) release(e *Engine) {
 // keeps.
 func (sc *frontierScratch) footprint() int {
 	r := &sc.chainReader
-	hop := arrayBytes(sc.cands) + arrayBytes(sc.verts) + arrayBytes(sc.index.slots) + arrayBytes(sc.seen.bits) +
-		arrayBytes(sc.seen.spill.slots) + arrayBytes(sc.found.slots) + arrayBytes(sc.pick) + arrayBytes(sc.resolving) +
+	hop := arrayBytes(sc.cands) + arrayBytes(sc.verts) + arrayBytes(sc.index.slots) + arrayBytes(sc.seen.pages) +
+		arrayBytes(sc.seen.order) + arrayBytes(sc.seen.index.slots) + arrayBytes(sc.found.slots) + arrayBytes(sc.pick) + arrayBytes(sc.resolving) +
 		arrayBytes(sc.stubFree) + arrayBytes(sc.fed.paused) + arrayBytes(sc.matched) + arrayBytes(sc.next) + arrayBytes(sc.vals) +
 		arrayBytes(sc.spans)
 	reader := arrayBytes(r.items) + arrayBytes(r.bytes.buf) + arrayBytes(r.heads) + arrayBytes(r.batch) +
@@ -487,20 +482,17 @@ func arrayBytes[S ~[]E, E any](s S) int {
 }
 
 // gather starts an expanding hop on e, which reads every candidate: it
-// dedups frontier into sc.cands (first occurrence wins).
+// dedups frontier into sc.cands (first occurrence wins). A frontier ID that
+// names no block of the pool is an ErrBadArgument.
 func (sc *frontierScratch) gather(e *Engine, frontier []fabric.DPtr) error {
 	sc.startRecords(e)
-	sc.cands = slices.Grow(sc.cands[:0], len(frontier))
-	sc.seen.begin(e)
 	for _, dp := range frontier {
-		if dp.IsNull() {
-			return errNullFrontier
-		}
-		if sc.seen.add(dp) {
-			sc.cands = append(sc.cands, dp)
+		if !e.store.InPool(dp) {
+			return errNoBlock(dp)
 		}
 	}
-	sc.seen.end(sc.cands)
+	sc.cands = sc.seen.addRun(append(sc.cands[:0], frontier...))
+	sc.seen.clear()
 	return nil
 }
 
@@ -514,64 +506,22 @@ func (sc *frontierScratch) startRecords(e *Engine) {
 	sc.indexed = false
 }
 
-// beginFeed starts a feed of the hop's set, less what exclude names:
-// exclude's keys enter the set first, so that the feed does not list those
-// off the bitmap, and endFeed drops those on it.
-func (sc *frontierScratch) beginFeed(e *Engine, exclude []fabric.DPtr) {
-	sc.seen.begin(e)
-	sc.next = sc.next[:0]
-	for _, dp := range exclude {
-		sc.seen.add(dp)
+// fedAt returns the smallest candidate at or after the cursor; ok is false
+// when there is none, or, while a run is paused, none at most the feed's
+// bound, sc.fed.top.
+func (sc *frontierScratch) fedAt() (dp fabric.DPtr, ok bool) {
+	dp, ok = sc.seen.next(sc.at)
+	if !ok || dp > sc.fed.top && len(sc.fed.paused) > 0 {
+		return fabric.NullDPtr, false
 	}
-}
-
-// feed adds a candidate to the hop's set: its bit, or, off the bitmap, an
-// entry in the table and in the list sc.next, unless the table holds it.
-func (sc *frontierScratch) feed(dp fabric.DPtr) {
-	if sc.seen.take(dp, true) {
-		sc.next = append(sc.next, dp)
-	}
-}
-
-// endFeed ends a feed begun with exclude: it drops exclude's bits, which the
-// feed may have set again.
-func (sc *frontierScratch) endFeed(exclude []fabric.DPtr) {
-	for _, dp := range exclude {
-		sc.seen.drop(dp)
-	}
-}
-
-// fedCursor is a position among the candidates a feed left: a bit of the
-// bitmap and an index into the sorted list of the keys off it.
-type fedCursor struct {
-	bit   uint64
-	spill int
-}
-
-// fedAt returns the smallest candidate at or after c, and the cursor past
-// it; ok is false when there is none, or, while a run is paused, none at
-// most the feed's bound, sc.fed.top.
-func (sc *frontierScratch) fedAt(c fedCursor) (dp fabric.DPtr, past fedCursor, ok bool) {
-	b, onBits := sc.seen.nextBit(c.bit)
-	switch {
-	case c.spill < len(sc.next) && (!onBits || sc.next[c.spill] < sc.seen.key(b)):
-		dp, past = sc.next[c.spill], fedCursor{c.bit, c.spill + 1}
-	case onBits:
-		dp, past = sc.seen.key(b), fedCursor{b + 1, c.spill}
-	default:
-		return fabric.NullDPtr, c, false
-	}
-	if dp > sc.fed.top && len(sc.fed.paused) > 0 {
-		return fabric.NullDPtr, c, false
-	}
-	return dp, past, true
+	return dp, true
 }
 
 // nextBound returns the smallest candidate past the cursor or, when every
 // one fed so far is picked and runs are paused, the smallest one they may
 // yet feed, top+1; more is false when there is none.
 func (sc *frontierScratch) nextBound() (bound fabric.DPtr, more bool) {
-	if dp, _, ok := sc.fedAt(sc.at); ok {
+	if dp, ok := sc.fedAt(); ok {
 		return dp, true
 	}
 	if len(sc.fed.paused) > 0 {
@@ -580,14 +530,10 @@ func (sc *frontierScratch) nextBound() (bound fabric.DPtr, more bool) {
 	return fabric.NullDPtr, false
 }
 
-// fedOn reports whether a candidate at or after c lies on rank.
-func (sc *frontierScratch) fedOn(rank int, c fedCursor) bool {
-	s := &sc.seen
-	lo, hi := uint64(rank)*s.blocks, uint64(rank+1)*s.blocks
-	if b, ok := s.nextBit(max(lo, c.bit)); ok && b < hi {
-		return true
-	}
-	return slices.ContainsFunc(sc.next[c.spill:], func(dp fabric.DPtr) bool { return int(dp.Rank()) == rank })
+// fedOn reports whether a candidate at or after from lies on rank.
+func (sc *frontierScratch) fedOn(rank int, from fabric.DPtr) bool {
+	dp, ok := sc.seen.next(max(from, fabric.MakeDPtr(fabric.Rank(rank), 0)))
+	return ok && int(dp.Rank()) == rank
 }
 
 // stampFrontier is the first look of an expanding hop: each candidate
@@ -616,7 +562,8 @@ func (tx *Tx) stampFrontier(sc *frontierScratch) {
 // so the harvest first feeds every paused run to its end. Then a refused
 // candidate, and every one of a rank not stub-free, leaves the set for a
 // record; the latter are stamped (stampRecords), and those the stamp vouches
-// for rejoin the set.
+// for rejoin the set. A candidate that names no block of the pool fails the
+// hop before any of them is stamped.
 func (tx *Tx) vouch(sc *frontierScratch, exclude []fabric.DPtr) error {
 	e := tx.eng
 	r := &sc.chainReader
@@ -625,7 +572,7 @@ func (tx *Tx) vouch(sc *frontierScratch, exclude []fabric.DPtr) error {
 	paused := sc.fed.lowestRank(len(sc.stubFree))
 	for rank := range sc.stubFree {
 		switch {
-		case rank < paused && !sc.fedOn(rank, fedCursor{}):
+		case rank < paused && !sc.fedOn(rank, fabric.NullDPtr):
 		case e.isDead(fabric.Rank(rank)):
 			stamping = true
 		default:
@@ -643,8 +590,12 @@ func (tx *Tx) vouch(sc *frontierScratch, exclude []fabric.DPtr) error {
 	if err := sc.raiseTo(maxDPtr, exclude); err != nil {
 		return err
 	}
+	var bad error
 	record := func(dp fabric.DPtr) bool {
 		switch {
+		case bad != nil:
+		case !e.store.InPool(dp):
+			bad = errOffPool(dp)
 		case tx.refuses(dp, followers, wrote):
 			sc.verts = append(sc.verts, frontierVertex{head: dp, verdict: readRefused})
 		case !sc.stubFree[dp.Rank()]:
@@ -655,11 +606,13 @@ func (tx *Tx) vouch(sc *frontierScratch, exclude []fabric.DPtr) error {
 		return true
 	}
 	sc.seen.dropFunc(record)
-	sc.next = slices.DeleteFunc(sc.next, record)
+	if bad != nil {
+		return bad
+	}
 	tx.stampRecords(sc)
 	for i := range sc.verts {
-		if v := &sc.verts[i]; v.verdict == readStamped && !sc.seen.or(v.head) {
-			sc.next = append(sc.next, v.head)
+		if v := &sc.verts[i]; v.verdict == readStamped {
+			sc.seen.or(v.head)
 		}
 	}
 	return nil
@@ -708,21 +661,27 @@ func (tx *Tx) stampRecords(sc *frontierScratch) {
 // sc.pick their records: a stamped candidate's record, and a new one,
 // unstamped, for a candidate of a stub-free rank. It skips a candidate that
 // a resolution already stands for. Past the last candidate fed, it raises
-// the feed's bound until one is fed or no run is paused.
+// the feed's bound until one is fed or no run is paused. A candidate that
+// names no block of the pool, which only a corrupt edge record can feed,
+// fails the hop: it may be the largest DPtr, past which the cursor cannot
+// move.
 func (sc *frontierScratch) pickChunk(e *Engine, size int, exclude []fabric.DPtr) ([]int32, error) {
 	sc.pick = sc.pick[:0]
 	for range size {
-		dp, past, ok := sc.fedAt(sc.at)
+		dp, ok := sc.fedAt()
 		for !ok && len(sc.fed.paused) > 0 {
 			if err := sc.raise(e, exclude); err != nil {
 				return nil, err
 			}
-			dp, past, ok = sc.fedAt(sc.at)
+			dp, ok = sc.fedAt()
 		}
 		if !ok {
 			break
 		}
-		sc.at = past
+		if !e.store.InPool(dp) {
+			return nil, errOffPool(dp)
+		}
+		sc.at = dp + 1
 		if !sc.stubFree[dp.Rank()] {
 			sc.indexRecords()
 			if i, _ := sc.index.get(dp); sc.verts[i].head == dp && !sc.verts[i].dup {
@@ -740,6 +699,12 @@ func (sc *frontierScratch) pickChunk(e *Engine, size int, exclude []fabric.DPtr)
 		sc.pick = append(sc.pick, i)
 	}
 	return sc.pick, nil
+}
+
+// errOffPool is the error of a hop fed a candidate that names no block of
+// the pool, which only a corrupt edge record can feed.
+func errOffPool(dp fabric.DPtr) error {
+	return fmt.Errorf("%w: an edge record names %v, no block of the pool", ErrNotFound, dp)
 }
 
 // leaveUnread puts what a filter hop left unread into the read set: a stamped
@@ -870,9 +835,9 @@ func (tx *Tx) evalItem(sc *frontierScratch, i int, cons *constraint.Constraint) 
 // frontier order, and, when mask is non-zero, harvests the matched vertices'
 // neighbors a run at a time into the hop's set (harvestRuns): on the encoded
 // stream for the vertices the lean route read, over the state's records for
-// the others. The set lists its new keys in sc.next, or, fed, only those off
-// its bitmap, up to the bound sc.fed.top; the caller begins and ends its
-// use.
+// the others. The harvest lists its new keys in sc.next, or, fed, lists
+// none and feeds the set up to the bound sc.fed.top; the caller ends the
+// set's use.
 func (tx *Tx) evalFrontier(sc *frontierScratch, mask DirMask, cons *constraint.Constraint, feed bool) (err error) {
 	sc.startMatched()
 	view := &sc.view
@@ -964,17 +929,16 @@ func (sc *frontierScratch) projected(project lpg.PTypeID) []Projected {
 func clone(s []fabric.DPtr) []fabric.DPtr { return append([]fabric.DPtr(nil), s...) }
 
 // harvestRuns adds to seen the neighbors under mask of the records c walks,
-// at most deg of them, and appends to next, in record order, those it lists:
-// the keys seen did not hold yet, or, when fed is not nil, only those of them
-// off seen's bitmap, whose bits it just ORs in (dptrSet.take). It walks a run
-// at a time. Unfed, a light run that mask selects is decoded by StepRun
-// straight into the tail of next, which is then cut back in place to the
-// keys it lists (the first occurrence wins). Fed, a light run is fed up to
-// the bound fed.top, and one of pauseMin records or more that stops at a
-// neighbor above it joins fed.paused (fedRuns.feed), and, when it is the
-// walk's last run, ends the walk unread; a shorter one is fed whole. A
-// heavy run goes record by record, each record's neighbor being the
-// far end far resolves from its edge holder (ok false: a deleted edge, which
+// at most deg of them. Unfed, it appends to next, in record order, the keys
+// seen did not hold yet; fed (fed not nil), it ORs the keys in and lists
+// none. It walks a run at a time. Unfed, a light run that mask selects is
+// decoded by StepRun straight into the tail of next, which is then cut back
+// in place to the new keys (the first occurrence wins). Fed, a light run is
+// fed up to the bound fed.top, and one of pauseMin records or more that
+// stops at a neighbor above it joins fed.paused (fedRuns.feed), and, when it
+// is the walk's last run, ends the walk unread; a shorter one is fed whole.
+// A heavy run goes record by record, each record's neighbor being the far
+// end far resolves from its edge holder (ok false: a deleted edge, which
 // yields nothing). A run mask drops is passed over. It stops at the first
 // error: far's, or the corruption the walk met (c.Err), and returns next as
 // far as it got.
@@ -995,10 +959,13 @@ func harvestRuns(c *holder.EdgeCursor, deg int, mask DirMask, seen *dptrSet, nex
 					fed.decoded++
 				}
 				nb, kept, err := far(c.Rec.Neighbor)
-				if err != nil {
+				switch {
+				case err != nil:
 					return next, err
-				}
-				if kept && seen.take(nb, feed) {
+				case !kept:
+				case feed:
+					seen.or(nb)
+				case seen.add(nb):
 					next = append(next, nb)
 				}
 			}
@@ -1010,8 +977,7 @@ func harvestRuns(c *holder.EdgeCursor, deg int, mask DirMask, seen *dptrSet, nex
 				top = maxDPtr
 			}
 			fed.decoded++
-			var paused bool
-			if next, paused = fed.feed(c, seen, next, top); paused {
+			if fed.feed(c, seen, top) {
 				fed.paused = append(fed.paused, c.RestOfRun())
 				if c.LastRun() {
 					break // the rest of the run is the paused cursor's to read
@@ -1024,14 +990,7 @@ func harvestRuns(c *holder.EdgeCursor, deg int, mask DirMask, seen *dptrSet, nex
 		for n := c.StepRun(next[len(next):cap(next)]); n > 0; n = c.StepRun(next[len(next):cap(next)]) {
 			next = next[:len(next)+n]
 		}
-		kept := tail
-		for _, nb := range next[tail:] {
-			if seen.add(nb) {
-				next[kept] = nb
-				kept++
-			}
-		}
-		next = next[:kept]
+		next = next[:tail+len(seen.addRun(next[tail:]))]
 	}
 	return next, c.Err()
 }
@@ -1074,12 +1033,11 @@ func (f *fedRuns) reset() {
 }
 
 // feed feeds the light run c stands at, from its head c.Rec on, up to top:
-// it ORs in or lists each neighbor at most top (dptrSet.feedRun), appending
-// the keys it lists to next, and reports whether the run stopped at one
-// above top, which c then holds as its head.
-func (f *fedRuns) feed(c *holder.EdgeCursor, seen *dptrSet, next []fabric.DPtr, top fabric.DPtr) ([]fabric.DPtr, bool) {
+// it adds each neighbor at most top (dptrSet.addRun), and reports whether
+// the run stopped at one above top, which c then holds as its head.
+func (f *fedRuns) feed(c *holder.EdgeCursor, seen *dptrSet, top fabric.DPtr) bool {
 	if c.Rec.Neighbor > top {
-		return next, true
+		return true
 	}
 	var nbrs [64]fabric.DPtr
 	nbrs[0] = c.Rec.Neighbor
@@ -1087,28 +1045,27 @@ func (f *fedRuns) feed(c *holder.EdgeCursor, seen *dptrSet, next []fabric.DPtr, 
 		n, over := c.StepUpTo(nbrs[k:], top)
 		k += n
 		f.decoded += n
-		next = append(next, nbrs[:seen.feedRun(nbrs[:k])]...)
+		seen.addRun(nbrs[:k])
 		if over {
 			f.decoded++
-			return next, true
+			return true
 		}
 		if k < len(nbrs) {
-			return next, false
+			return false
 		}
 	}
 }
 
-// raiseTo feeds every paused run up to top, appending the keys it lists to
-// next, and drops the runs it spends. It stops at a run's corruption.
-func (f *fedRuns) raiseTo(top fabric.DPtr, seen *dptrSet, next []fabric.DPtr) ([]fabric.DPtr, error) {
+// raiseTo feeds every paused run up to top, and drops the runs it spends. It
+// stops at a run's corruption.
+func (f *fedRuns) raiseTo(top fabric.DPtr, seen *dptrSet) error {
 	f.top = top
 	kept := f.paused[:0]
 	for i := range f.paused {
 		c := &f.paused[i]
-		var paused bool
-		next, paused = f.feed(c, seen, next, top)
+		paused := f.feed(c, seen, top)
 		if err := c.Err(); err != nil {
-			return next, err
+			return err
 		}
 		if paused {
 			kept = append(kept, *c)
@@ -1116,7 +1073,7 @@ func (f *fedRuns) raiseTo(top fabric.DPtr, seen *dptrSet, next []fabric.DPtr) ([
 	}
 	clear(f.paused[len(kept):])
 	f.paused = kept
-	return next, nil
+	return nil
 }
 
 // lowestRank returns the rank of the lowest paused head, or n when no run is
@@ -1153,212 +1110,208 @@ func (sc *frontierScratch) raise(e *Engine, exclude []fabric.DPtr) error {
 	return sc.raiseTo(top, exclude)
 }
 
-// raiseTo feeds the paused runs up to top. The keys it lists off the
-// bitmap all lie above the old bound, past the cursor, so it sorts them
-// into the unread part of sc.next; and it drops exclude's bits, which the
-// feed may have set again.
+// raiseTo feeds the paused runs up to top, and drops exclude's keys, which
+// the feed may have added again.
 func (sc *frontierScratch) raiseTo(top fabric.DPtr, exclude []fabric.DPtr) error {
-	next, err := sc.fed.raiseTo(top, &sc.seen, sc.next)
-	if sc.next = next; err != nil {
+	if err := sc.fed.raiseTo(top, &sc.seen); err != nil {
 		return fmt.Errorf("%w: a paused edge run: %v", ErrNotFound, err)
 	}
-	slices.Sort(sc.next[sc.at.spill:])
-	for _, dp := range exclude {
-		sc.seen.drop(dp)
-	}
+	sc.seen.dropAll(exclude)
 	return nil
 }
 
-// dptrSet is the set of DPtrs a hop dedups against: one bit per pool block
-// of every rank — a test and a set on a bitmap that stays in cache, however
-// many keys — and a hash table for the keys off the pool, or for every key
-// on an engine whose bitmap would pass setBitsMax. A user brackets its keys
-// with begin and end, and end clears just the bits of the keys it names: a
-// one-key use costs one bit, whatever the pool's size. A fed use instead
-// ORs its keys on the bitmap in without a test (take), reads them back in
-// bit order, which is DPtr order (nextBit), and ends with one clear of the
-// words it touched (clearSpan). A use that ends without end or clearSpan (an
-// error) leaves the set dirty, and the next begin clears it whole.
+// dptrSet is the set of DPtrs a hop dedups against: a bitmap over the DPtr
+// space, whose bit order is DPtr order, kept in pages of 512 bits (64 bytes)
+// that exist only where a key falls, so that a use costs the pages its keys
+// fall on, not the pool's size. A page is found through a table
+// keyed by its number + 1: page 0, which holds NullDPtr, would collide with
+// the table's empty key. The set reads its keys back in ascending order
+// (next, dropFunc) off its list of pages, which it sorts when asked; a page
+// added after that below the list's last marks it unsorted again. A use
+// ends with clear; one that fails leaves its keys to the next hop's start
+// (Tx.arena), which clears them.
 type dptrSet struct {
-	bits   []uint64 // bit rank·blocks + offset
-	blocks uint64   // the pool blocks per rank the bits are laid out for; 0: no bitmap
-	ranks  int
-	lo, hi uint64 // the span of words a fed use touched: bits[lo:hi]
-	spill  dptrTable[struct{}]
-	null   bool // NullDPtr, off the bitmap, is in the set: the table cannot hold it
-	dirty  bool
+	pages  []setPage
+	order  []pageRef        // one per page; sorted by page number when sorted is set
+	index  dptrTable[int32] // page number + 1 → the page's index in pages
+	sorted bool
+	at     int // the entry of order at which next last stopped
 }
 
-// setBitsMax bounds a bitmap: 128 KiB, for pools of up to 2^20 blocks over
-// all ranks (512 MiB of 512-byte blocks). A larger pool dedups in the table.
-const setBitsMax = 1 << 20
+// pageShift is the log2 of the set's bits per page. A key alone on its page,
+// as when a hop's keys spread over many ranks, costs the page, two table
+// slots (the table is at most half full) and a list entry: 112 bytes at 512
+// bits. Pages of 4 096 bits expanded two hops up to 8 % faster on 4 ranks,
+// but on 2 048 ranks their 512 bytes a key pushed the arena past its pool
+// budget (pooledFrontierBytes).
+const pageShift = 9
 
-// begin starts a use. A fresh set lays its bitmap out for e's pool first.
-func (s *dptrSet) begin(e *Engine) {
-	if s.ranks == 0 {
-		blocks, ranks := uint64(e.store.BlocksPerRank()), e.fab.Size()
-		if n := blocks * uint64(ranks); n <= setBitsMax {
-			s.bits, s.blocks = make([]uint64, (n+63)/64), blocks
-		}
-		s.ranks = ranks
-	} else if s.dirty {
-		clear(s.bits)
-	}
-	s.spill.reset(0)
-	s.lo, s.hi = uint64(len(s.bits)), 0
-	s.null, s.dirty = false, true
+type setPage [1 << pageShift / 64]uint64
+
+// pageRef names page pages[i], the page of the keys whose DPtr >> pageShift
+// is num.
+type pageRef struct {
+	num uint64
+	i   int32
 }
 
-// bit returns the index of key's word in the bitmap and the mask of its
-// bit; ok is false for a key the bitmap does not cover.
-func (s *dptrSet) bit(key fabric.DPtr) (w, m uint64, ok bool) {
-	off, r := key.Off(), uint64(key.Rank())
-	if off >= s.blocks || r >= uint64(s.ranks) {
-		return 0, 0, false
+// page returns page num, which it adds, empty, if the set has none.
+func (s *dptrSet) page(num uint64) *setPage {
+	i, dup := s.index.getOrPut(fabric.DPtr(num+1), int32(len(s.pages)))
+	if !dup {
+		s.sorted = s.sorted && (len(s.order) == 0 || s.order[len(s.order)-1].num < num)
+		s.pages = append(s.pages, setPage{})
+		s.order = append(s.order, pageRef{num, i})
 	}
-	i := r*s.blocks + off
-	return i / 64, 1 << (i % 64), true
+	return &s.pages[i]
+}
+
+// word returns the word of key's bit, on a page it adds if the set has
+// none, and the bit's mask.
+func (s *dptrSet) word(key fabric.DPtr) (*uint64, uint64) {
+	b := uint64(key) & (1<<pageShift - 1)
+	return &s.page(uint64(key) >> pageShift)[b/64], 1 << (b % 64)
 }
 
 // add adds key and reports whether it was new.
 func (s *dptrSet) add(key fabric.DPtr) bool {
-	if w, m, ok := s.bit(key); ok {
-		if s.bits[w]&m != 0 {
-			return false
-		}
-		s.bits[w] |= m
-		return true
-	}
-	if key.IsNull() {
-		added := !s.null
-		s.null = true
-		return added
-	}
-	_, dup := s.spill.getOrPut(key, struct{}{})
-	return !dup
-}
-
-// or sets key's bit and widens the span to its word; on is false for a key
-// the bitmap does not cover, which it leaves alone.
-func (s *dptrSet) or(key fabric.DPtr) (on bool) {
-	w, m, on := s.bit(key)
-	if on {
-		s.bits[w] |= m
-		s.lo, s.hi = min(s.lo, w), max(s.hi, w+1)
-	}
-	return on
-}
-
-// feedRun is take over keys in a fed use: it ORs in the keys on the bitmap,
-// and moves those off it that are new to the front of keys, in order, and
-// returns how many it moved. The loop over the bitmap's keys makes no call,
-// so that the bitmap, its layout and the span stay in registers; the keys
-// off the bitmap, if any, take a second pass.
-func (s *dptrSet) feedRun(keys []fabric.DPtr) int {
-	bits, blocks, ranks := s.bits, s.blocks, uint64(s.ranks)
-	lo, hi := s.lo, s.hi
-	spilled := false
-	for _, key := range keys {
-		off, r := key.Off(), uint64(key.Rank())
-		if off >= blocks || r >= ranks {
-			spilled = true
-			continue
-		}
-		i := r*blocks + off
-		w := i / 64
-		bits[w] |= 1 << (i % 64)
-		lo, hi = min(lo, w), max(hi, w+1)
-	}
-	s.lo, s.hi = lo, hi
-	if !spilled {
-		return 0
-	}
-	n := 0
-	for _, key := range keys {
-		if _, _, on := s.bit(key); !on && s.add(key) {
-			keys[n] = key
-			n++
-		}
-	}
-	return n
-}
-
-// take adds key and reports whether the caller lists it: when it was new,
-// or, in a fed use (feed), when it was new and off the bitmap.
-func (s *dptrSet) take(key fabric.DPtr, feed bool) bool {
-	if feed && s.or(key) {
+	w, m := s.word(key)
+	if *w&m != 0 {
 		return false
 	}
-	return s.add(key)
+	*w |= m
+	return true
 }
 
-// drop removes key from the bitmap; the table empties at the next begin.
+// or adds key.
+func (s *dptrSet) or(key fabric.DPtr) {
+	w, m := s.word(key)
+	*w |= m
+}
+
+// addRun adds keys and cuts them back in place to those that were new (the
+// first occurrence wins). It looks a page up only where the keys leave the
+// last one, and keeps the page and its number in registers while they stay
+// on it: for ascending keys, a run's neighbors, once a page.
+func (s *dptrSet) addRun(keys []fabric.DPtr) []fabric.DPtr {
+	num, pg := uint64(math.MaxUint64), (*setPage)(nil)
+	kept := keys[:0]
+	for _, key := range keys {
+		if uint64(key)>>pageShift != num {
+			num = uint64(key) >> pageShift
+			pg = s.page(num)
+		}
+		b := uint64(key) & (1<<pageShift - 1)
+		if w, m := &pg[b/64], uint64(1)<<(b%64); *w&m == 0 {
+			*w |= m
+			kept = append(kept, key)
+		}
+	}
+	return kept
+}
+
+// drop removes key.
 func (s *dptrSet) drop(key fabric.DPtr) {
-	if w, m, ok := s.bit(key); ok {
-		s.bits[w] &^= m
+	if i, ok := s.index.get(fabric.DPtr(uint64(key)>>pageShift + 1)); ok {
+		b := uint64(key) & (1<<pageShift - 1)
+		s.pages[i][b/64] &^= 1 << (b % 64)
 	}
 }
 
-// end ends a use whose keys are keys (plus any already dropped): the set is
-// empty again.
-func (s *dptrSet) end(keys []fabric.DPtr) {
-	for _, k := range keys {
-		s.drop(k)
+// dropAll removes keys.
+func (s *dptrSet) dropAll(keys []fabric.DPtr) {
+	for _, key := range keys {
+		s.drop(key)
 	}
-	s.dirty = false
 }
 
-// nextBit returns the first set bit at or after bit i within the span.
-func (s *dptrSet) nextBit(i uint64) (uint64, bool) {
-	w := i / 64
-	if w < s.lo {
-		w, i = s.lo, s.lo*64
+// sort sorts the list of pages, unless it is sorted.
+func (s *dptrSet) sort() {
+	if !s.sorted {
+		slices.SortFunc(s.order, func(a, b pageRef) int { return cmp.Compare(a.num, b.num) })
+		s.sorted = true
 	}
-	if w >= s.hi {
-		return 0, false
+}
+
+// next returns the smallest key at or after from; ok is false when there is
+// none. It resumes its walk of the sorted pages at the one where it last
+// stopped, unless from lies before it, so that calls with ascending from
+// walk each page once.
+func (s *dptrSet) next(from fabric.DPtr) (key fabric.DPtr, ok bool) {
+	s.sort()
+	num := uint64(from) >> pageShift
+	k := s.at
+	if k >= len(s.order) || s.order[k].num > num {
+		k, _ = slices.BinarySearchFunc(s.order, num, func(r pageRef, num uint64) int { return cmp.Compare(r.num, num) })
 	}
-	word := s.bits[w] &^ (1<<(i%64) - 1)
+	for ; k < len(s.order); k++ {
+		r := s.order[k]
+		b := uint64(0)
+		switch {
+		case r.num < num:
+			continue
+		case r.num == num:
+			b = uint64(from) & (1<<pageShift - 1)
+		}
+		if b, ok := s.pages[r.i].next(b); ok {
+			s.at = k
+			return fabric.DPtr(r.num<<pageShift | b), true
+		}
+	}
+	s.at = k
+	return fabric.NullDPtr, false
+}
+
+// next returns the first set bit of the page at or after bit b.
+func (pg *setPage) next(b uint64) (uint64, bool) {
+	w := b / 64
+	word := pg[w] &^ (1<<(b%64) - 1)
 	for word == 0 {
-		if w++; w >= s.hi {
+		if w++; w == uint64(len(pg)) {
 			return 0, false
 		}
-		word = s.bits[w]
+		word = pg[w]
 	}
 	return w*64 + uint64(bits.TrailingZeros64(word)), true
 }
 
-// key returns the DPtr whose bit is bit i.
-func (s *dptrSet) key(i uint64) fabric.DPtr {
-	return fabric.MakeDPtr(fabric.Rank(i/s.blocks), i%s.blocks)
-}
-
-// dropFunc calls drop for the key of every set bit in the span, in bit
-// order, and clears the bits it reports true for.
+// dropFunc calls drop for every key, in ascending order, and removes those
+// it reports true for.
 func (s *dptrSet) dropFunc(drop func(fabric.DPtr) bool) {
-	for w := s.lo; w < s.hi; w++ {
-		for word := s.bits[w]; word != 0; word &= word - 1 {
-			b := uint64(bits.TrailingZeros64(word))
-			if drop(s.key(w*64 + b)) {
-				s.bits[w] &^= 1 << b
+	s.sort()
+	for _, r := range s.order {
+		pg := &s.pages[r.i]
+		for w := range pg {
+			for word := pg[w]; word != 0; word &= word - 1 {
+				b := uint64(bits.TrailingZeros64(word))
+				if drop(fabric.DPtr(r.num<<pageShift | uint64(w)*64 + b)) {
+					pg[w] &^= 1 << b
+				}
 			}
 		}
 	}
 }
 
-// clearSpan ends a fed use: it clears the words the use touched, and the
-// set is empty again.
-func (s *dptrSet) clearSpan() {
-	if s.lo < s.hi {
-		clear(s.bits[s.lo:s.hi])
+// clear empties the set, in time linear in its pages, not in its table's
+// size: it finds the slot of every page before it empties any, since an
+// emptied slot cuts the probe path through it, and keeps each one's index in
+// its pageRef, which it no longer needs.
+func (s *dptrSet) clear() {
+	for k, r := range s.order {
+		s.order[k].i = int32(s.index.find(fabric.DPtr(r.num + 1)))
 	}
-	s.dirty = false
+	for _, r := range s.order {
+		s.index.slots[r.i] = dptrSlot[int32]{}
+	}
+	s.index.used = 0
+	s.pages, s.order, s.sorted, s.at = s.pages[:0], s.order[:0], true, 0
 }
 
 // dptrTable is an open-addressing hash table keyed by DPtr, reset — not
 // reallocated — from use to use: one slice however many keys, and a probe is
 // a multiply and a compare. NullDPtr, which no frontier and no edge record
 // carries, marks the empty slot. With V = struct{} it is a set of eight bytes
-// a slot.
+// a slot. A zero table takes its first slots at its first getOrPut.
 type dptrTable[V any] struct {
 	slots []dptrSlot[V] // a power of two, at most half full
 	used  int
@@ -1393,22 +1346,26 @@ func (t *dptrTable[V]) home(key fabric.DPtr) uint64 {
 	return uint64(key) * 0x9E3779B97F4A7C15 >> (64 - bits.TrailingZeros(uint(len(t.slots))))
 }
 
-// slot returns the slot holding key, or the empty one where it belongs.
-func (t *dptrTable[V]) slot(key fabric.DPtr) *dptrSlot[V] {
+// find returns the index of the slot holding key, or of the empty one where
+// it belongs.
+func (t *dptrTable[V]) find(key fabric.DPtr) uint64 {
 	mask := uint64(len(t.slots) - 1)
 	for i := t.home(key); ; i = (i + 1) & mask {
 		if s := &t.slots[i]; s.key == key || s.key.IsNull() {
-			return s
+			return i
 		}
 	}
 }
+
+// slot returns the slot holding key, or the empty one where it belongs.
+func (t *dptrTable[V]) slot(key fabric.DPtr) *dptrSlot[V] { return &t.slots[t.find(key)] }
 
 // getOrPut returns key's value if the table holds it; otherwise it stores
 // val under key and reports dup = false.
 func (t *dptrTable[V]) getOrPut(key fabric.DPtr, val V) (got V, dup bool) {
 	if 2*(t.used+1) > len(t.slots) {
 		old := t.slots
-		t.slots = make([]dptrSlot[V], 2*len(old))
+		t.slots = make([]dptrSlot[V], max(16, 2*len(old)))
 		for _, s := range old {
 			if !s.key.IsNull() {
 				*t.slot(s.key) = s

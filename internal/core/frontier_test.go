@@ -60,7 +60,7 @@ func referenceExpand(tx *Tx, frontier []rma.DPtr, mask DirMask, cons *constraint
 }
 
 // frontierGraph is a seeded engine for the expansion tests: small blocks
-// (at 64 bytes properties alone spill most holders into chains), a hub,
+// (at 64 bytes properties alone overflow most holders into chains), a hub,
 // heavy edges, and — after shake — vertices that live behind forwarding
 // stubs.
 type frontierGraph struct {
@@ -643,16 +643,16 @@ func TestDPtrTableSpreadsRanks(t *testing.T) {
 // TestLimitHopRecordsWhatItReads is the white-box side of the LIMIT hop's
 // cost: a LIMIT 5 final round (FilterNeighbors) over 8 hubs harvests 10 400
 // edge records, two for each of 5 200 vertices on stub-free ranks, into the
-// hop's bitmap and reads its candidates off the bits. It gives a record only
-// to the vertices it read, each read OK: at most 6×LIMIT, since its first
-// chunk of 2×LIMIT candidates, the youngest vertices, matches nothing and
-// the next one is twice as large (a chunk sized from a match rate of one in
-// the 2×LIMIT read made it 20×LIMIT). No slice of the arena grows to the
-// layer (cands holds the hubs, next the decode of one hub's run at a time);
-// the read set grows by the hubs, the
-// vertices read and one forwarding-word entry per rank with unread
-// candidates, not by the vertices left unread; and every bitmap word is 0
-// after the hop.
+// hop's paged bitmap and reads its candidates off the bits. It gives a
+// record only to the vertices it read, each read OK: at most 6×LIMIT, since
+// its first chunk of 2×LIMIT candidates, the youngest vertices, matches
+// nothing and the next one is twice as large (a chunk sized from a match
+// rate of one in the 2×LIMIT read made it 20×LIMIT). No slice of the arena
+// grows to the layer (cands holds the hubs, next the decode of one hub's
+// run at a time); the read set grows by the hubs, the vertices read and one
+// forwarding-word entry per rank with unread candidates, not by the
+// vertices left unread; and the hop's set holds no page after the hop's
+// clear.
 func TestLimitHopRecordsWhatItReads(t *testing.T) {
 	const limit, hubs, degree = 5, 8, 1300
 	e, layer, cons := newPersonFrontier(t, 256, 5200)
@@ -694,11 +694,8 @@ func TestLimitHopRecordsWhatItReads(t *testing.T) {
 			len(tx.optReads), cap(tx.optReads), hubs, len(sc.verts), words)
 	}
 	t.Logf("%d records, %d read-set entries (capacity %d)", len(sc.verts), len(tx.optReads), cap(tx.optReads))
-	if sc.seen.blocks == 0 {
-		t.Fatal("the hop's set has no bitmap")
-	}
-	if i := slices.IndexFunc(sc.seen.bits, func(w uint64) bool { return w != 0 }); i >= 0 {
-		t.Fatalf("bitmap word %d = %#x after the hop", i, sc.seen.bits[i])
+	if n := len(sc.seen.pages); n != 0 {
+		t.Fatalf("%d pages of the hop's set left after the hop", n)
 	}
 	want := referenceFilter(t, tx, layer, nil, cons)
 	slices.Sort(matched)
@@ -745,13 +742,12 @@ func addHubs(t *testing.T, e *Engine, layer []rma.DPtr, hubs, degree int, ascend
 // out-edges each, created in ascending DPtr order (10 400 edge records, one
 // ascending run per hub), less an exclude set, decodes fewer than a tenth of
 // the records on stub-free ranks, where each candidate is known by its DPtr
-// and the round raises its bound only as far as its reads need candidates:
-// on the hop's bitmap and with every key in its hash table. It decodes all
-// of them in a transaction that has written, which sees the vertices it
-// holds through their handles, and after a migration has left a forwarding
-// stub on an owner rank, where a candidate's ID may sort anywhere. Every
-// round returns the 5 smallest matches, leaves no bitmap word set and no
-// run paused, and a read-only one commits.
+// and the round raises its bound only as far as its reads need candidates.
+// It decodes all of them in a transaction that has written, which sees the
+// vertices it holds through their handles, and after a migration has left a
+// forwarding stub on an owner rank, where a candidate's ID may sort
+// anywhere. Every round returns the 5 smallest matches, leaves no page of
+// the hop's set and no run paused, and a read-only one commits.
 func TestLimitHopDecodesBelowItsBound(t *testing.T) {
 	const limit, hubs, degree = 5, 8, 1300
 	e, layer, cons := newPersonFrontier(t, 256, 5200)
@@ -765,15 +761,11 @@ func TestLimitHopDecodesBelowItsBound(t *testing.T) {
 		exclude = append(exclude, layer[i])
 	}
 	exclude = append(exclude, frontier...)
-	round := func(t *testing.T, spill bool, mode Mode, all bool) {
+	round := func(t *testing.T, mode Mode, all bool) {
 		tx := e.StartLocal(0, mode)
 		defer tx.Abort()
 		sc := new(frontierScratch)
 		tx.frontier = sc
-		if spill {
-			sc.seen.begin(e)
-			sc.seen.blocks = 0
-		}
 		if mode == ReadWrite {
 			h, err := tx.AssociateVertex(layer[len(layer)-1])
 			if err == nil {
@@ -800,8 +792,8 @@ func TestLimitHopDecodesBelowItsBound(t *testing.T) {
 		if len(sc.fed.paused) != 0 {
 			t.Fatalf("%d runs still paused after the round", len(sc.fed.paused))
 		}
-		if i := slices.IndexFunc(sc.seen.bits, func(w uint64) bool { return w != 0 }); i >= 0 {
-			t.Fatalf("bitmap word %d = %#x after the round", i, sc.seen.bits[i])
+		if n := len(sc.seen.pages); n != 0 {
+			t.Fatalf("%d pages of the hop's set left after the round", n)
 		}
 		if mode == ReadOnly {
 			if err := tx.Commit(); err != nil {
@@ -809,14 +801,10 @@ func TestLimitHopDecodesBelowItsBound(t *testing.T) {
 			}
 		}
 	}
-	for _, spill := range []bool{false, true} {
-		t.Run(fmt.Sprintf("spill=%v/stub-free", spill), func(t *testing.T) { round(t, spill, ReadOnly, false) })
-		t.Run(fmt.Sprintf("spill=%v/wrote", spill), func(t *testing.T) { round(t, spill, ReadWrite, true) })
-	}
+	t.Run("stub-free", func(t *testing.T) { round(t, ReadOnly, false) })
+	t.Run("wrote", func(t *testing.T) { round(t, ReadWrite, true) })
 	mustMigrate(t, e, 31, 1-layer[31].Rank())
-	for _, spill := range []bool{false, true} {
-		t.Run(fmt.Sprintf("spill=%v/stub", spill), func(t *testing.T) { round(t, spill, ReadOnly, true) })
-	}
+	t.Run("stub", func(t *testing.T) { round(t, ReadOnly, true) })
 }
 
 // TestFilterHopRejectsNegativeLimit: a negative limit is a bad argument to
@@ -871,22 +859,27 @@ func referenceFilter(t *testing.T, tx *Tx, frontier, exclude []rma.DPtr, cons *c
 	return matched
 }
 
-// TestLimitHopSpillRouteMatchesNaive runs the filter hops the way a pool past
-// setBitsMax runs them — the hop's bitmap off (blocks 0), every key in the
-// set's hash table and listed in next — and, beside them, on the bitmap. A
-// FilterFrontier over a layer less an exclude set, and a
-// harvest-fed FilterNeighbors over hubs whose out-edges reach it, at LIMIT
-// 1, 5, 40 and none, are held to the handle walk (referenceFilter): the
-// limit smallest IDs are the reference's, every ID is one of the
-// reference's, none twice, and a read-only transaction commits. Each runs
-// read-only and read-write, having rewritten a vertex so that it now matches
-// and another so that it no longer does (and then aborted, so that the
-// stored vertices stay as they were), first on stub-free ranks, then after a
-// migration has left a stub on one, whose candidates the hop then stamps.
-func TestLimitHopSpillRouteMatchesNaive(t *testing.T) {
+// TestFilterHopsMatchNaive holds the filter hops to the handle walk
+// (referenceFilter). A FilterFrontier over a layer less an exclude set, and
+// a harvest-fed FilterNeighbors over hubs whose out-edges reach it, at LIMIT
+// 1, 5, 40 and none: the limit smallest IDs are the reference's, every ID is
+// one of the reference's, none twice, and a read-only transaction commits.
+// Each runs over two shapes: hubs whose edges were created in DPtr order,
+// one ascending run per hub, which a LIMIT harvest pauses, and hubs whose
+// edges follow the layer's creation order, which alternates ranks, so that
+// their runs are too short to pause (the list route is handed the layer
+// sorted, and in creation order). Each runs read-only and read-write, having
+// rewritten a vertex so that it now matches and another so that it no
+// longer does (and then aborted, so that the stored vertices stay as they
+// were), first on stub-free ranks, then after a migration has left a stub
+// on one, whose candidates the hop then stamps. A read-only LIMIT round over
+// the ascending hubs on stub-free ranks decodes fewer than all their
+// records: the oracle reaches the paused runs.
+func TestFilterHopsMatchNaive(t *testing.T) {
 	const hubs, degree = 4, 300
 	e, layer, cons := newPersonFrontier(t, 256, 600)
-	hub := addHubs(t, e, layer, hubs, degree, false)
+	hubsOf := map[bool][]rma.DPtr{true: addHubs(t, e, layer, hubs, degree, true), false: addHubs(t, e, layer, hubs, degree, false)}
+	frontierOf := map[bool][]rma.DPtr{true: slices.Sorted(slices.Values(layer)), false: layer}
 	pt, _ := e.Registry(0).PTypeByName("age")
 	// The rewritten vertices: the non-matching one with the smallest DPtr,
 	// which the transaction's own write puts among the smallest matches,
@@ -904,15 +897,11 @@ func TestLimitHopSpillRouteMatchesNaive(t *testing.T) {
 	for i := 0; i < len(layer); i += 7 {
 		exclude = append(exclude, layer[i])
 	}
-	check := func(t *testing.T, spill bool, mode Mode, route string, limit int) {
+	check := func(t *testing.T, stubFree, ascending bool, mode Mode, route string, limit int) {
 		tx := e.StartLocal(0, mode)
 		defer tx.Abort()
 		sc := new(frontierScratch)
 		tx.frontier = sc
-		if spill {
-			sc.seen.begin(e)
-			sc.seen.blocks = 0
-		}
 		if mode == ReadWrite {
 			for dp, age := range rewrite {
 				h, err := tx.AssociateVertex(dp)
@@ -926,17 +915,21 @@ func TestLimitHopSpillRouteMatchesNaive(t *testing.T) {
 		}
 		var got, want []rma.DPtr
 		var err error
-		switch route {
+		switch hub := hubsOf[ascending]; route {
 		case "list":
-			got, _, err = tx.FilterFrontier(layer, exclude, cons, limit, 0)
+			got, _, err = tx.FilterFrontier(frontierOf[ascending], exclude, cons, limit, 0)
 			want = referenceFilter(t, tx, layer, exclude, cons)
 		case "harvest":
 			got, _, err = tx.FilterNeighbors(hub, nil, MaskOut, append(slices.Clip(hub), exclude...), cons, limit, 0)
+			decoded := tx.DecodedRecords()
 			_, next, rerr := referenceExpand(tx, hub, MaskOut, nil)
 			if rerr != nil {
 				t.Fatal(rerr)
 			}
 			want = referenceFilter(t, tx, next, append(slices.Clip(hub), exclude...), cons)
+			if ascending && stubFree && mode == ReadOnly && limit > 0 && decoded >= hubs*degree {
+				t.Fatalf("the round decoded %d of %d edge records, want fewer", decoded, hubs*degree)
+			}
 		}
 		if err != nil {
 			t.Fatalf("%s hop: %v", route, err)
@@ -957,11 +950,8 @@ func TestLimitHopSpillRouteMatchesNaive(t *testing.T) {
 		if len(got) < keep || !slices.Equal(got[:keep], want[:keep]) {
 			t.Fatalf("the hop's %d smallest IDs %v, want the reference's %v", keep, got[:min(keep, len(got))], want[:keep])
 		}
-		if spill && len(sc.next) == 0 {
-			t.Fatal("with the bitmap off the feed listed no key")
-		}
-		if i := slices.IndexFunc(sc.seen.bits, func(w uint64) bool { return w != 0 }); i >= 0 {
-			t.Fatalf("bitmap word %d = %#x after the hop", i, sc.seen.bits[i])
+		if n := len(sc.seen.pages); n != 0 {
+			t.Fatalf("%d pages of the hop's set left after the hop", n)
 		}
 		if mode == ReadOnly {
 			if err := tx.Commit(); err != nil {
@@ -969,23 +959,25 @@ func TestLimitHopSpillRouteMatchesNaive(t *testing.T) {
 			}
 		}
 	}
-	sweep := func(t *testing.T) {
-		for _, spill := range []bool{true, false} {
-			for _, mode := range []Mode{ReadOnly, ReadWrite} {
-				for _, route := range []string{"list", "harvest"} {
-					for _, limit := range []int{1, 5, 40, 0} {
-						t.Run(fmt.Sprintf("spill=%v/mode=%d/%s/limit=%d", spill, mode, route, limit), func(t *testing.T) {
-							check(t, spill, mode, route, limit)
-						})
+	sweep := func(stubFree bool) func(t *testing.T) {
+		return func(t *testing.T) {
+			for _, ascending := range []bool{true, false} {
+				for _, mode := range []Mode{ReadOnly, ReadWrite} {
+					for _, route := range []string{"list", "harvest"} {
+						for _, limit := range []int{1, 5, 40, 0} {
+							t.Run(fmt.Sprintf("ascending=%v/mode=%d/%s/limit=%d", ascending, mode, route, limit), func(t *testing.T) {
+								check(t, stubFree, ascending, mode, route, limit)
+							})
+						}
 					}
 				}
 			}
 		}
 	}
-	t.Run("stub-free", sweep)
+	t.Run("stub-free", sweep(true))
 	// A matching vertex moves to the other rank: its old DPtr is a stub the
 	// hubs' edges still name.
 	const moved = 31
 	mustMigrate(t, e, moved, 1-layer[moved].Rank())
-	t.Run("stub", sweep)
+	t.Run("stub", sweep(false))
 }

@@ -85,17 +85,23 @@ func (tx *Tx) AssociateVertexAsync(dp fabric.DPtr) *VertexFuture {
 }
 
 // begin completes f at once where no read is needed — a closed or failed
-// transaction, a NULL ID, a vertex the transaction holds — and reports
-// whether it did.
+// transaction, an ID that names no block of the pool (NULL among them), a
+// vertex the transaction holds — and reports whether it did.
 func (tx *Tx) begin(f *VertexFuture) bool {
 	if err := tx.check(); err != nil {
 		f.fail(err)
-	} else if f.dp.IsNull() {
-		f.fail(fmt.Errorf("%w: NULL vertex ID", ErrBadArgument))
+	} else if !tx.eng.store.InPool(f.dp) {
+		f.fail(errNoBlock(f.dp))
 	} else if st := tx.cached(f.dp); st != nil {
 		f.resolveState(st)
 	}
 	return f.done
+}
+
+// errNoBlock is the error of a vertex ID from outside the program that
+// names no block of the pool (block.Store.InPool).
+func errNoBlock(dp fabric.DPtr) error {
+	return fmt.Errorf("%w: vertex ID %v names no block of the pool", ErrBadArgument, dp)
 }
 
 // cached returns the state this transaction holds for dp, or nil: a stale
@@ -120,8 +126,8 @@ func (tx *Tx) cached(dp fabric.DPtr) *vertexState {
 // duplicates in dps resolve to the same per-transaction state. A vertex that
 // does not exist (or was deleted by this transaction) yields a nil entry
 // rather than failing the batch; transaction-level failures — closed
-// transaction, transaction-critical lock contention, a NULL vertex ID —
-// return a non-nil error.
+// transaction, transaction-critical lock contention, an ID that names no
+// block of the pool — return a non-nil error.
 func (tx *Tx) AssociateVertices(dps []fabric.DPtr) ([]*VertexHandle, error) {
 	if err := tx.check(); err != nil {
 		return nil, err

@@ -129,7 +129,7 @@ func fuzzFar(nb fabric.DPtr) (fabric.DPtr, bool, error) {
 // harvestVertex derives a vertex from the bytes, three a record: every
 // direction, light and heavy runs, neighbors on ranks 0–2 at offsets below
 // 80 (NullDPtr among them), so that they repeat within and across runs and
-// fall on and off a two-rank, 64-block pool's bitmap. With long set it ends
+// fall on three pages of the hop's set. With long set it ends
 // in a light run of 100 ascending records, longer than any buffer a run is
 // decoded into before the records ahead of it are deduped or fed, and long
 // enough for a bounded feed to pause.
@@ -164,14 +164,11 @@ func harvestVertex(data []byte, long bool) *holder.Vertex {
 // bytes and a vertex derived from them (harvestVertex), optionally with a
 // corrupt tail — a record count past the region, or a mangled last byte. The
 // harvest starts behind a prefix of neighbors an earlier vertex contributed,
-// in a slice without spare capacity, on the pool's bitmap and again with
-// every key in the set's hash table; it must leave the set empty once the
-// keys it returned are dropped. Fed, the harvest lists only the keys off the
-// bitmap, in the walk's order, and its bits are exactly the walk's other
-// keys, in a span that one clear empties. Fed up to a bound the input picks
-// (fedRuns.top) and then to no bound (raiseTo), it must leave the same bits
-// and list the same keys, meet the same error and, if it meets none, pause
-// no run past the second feed; one clear then empties the span.
+// in a slice without spare capacity. Fed, the harvest lists nothing, and,
+// the prefix dropped, the set's keys are exactly the walk's. Fed up to a
+// bound the input picks (fedRuns.top) and then to no bound (raiseTo), it
+// must leave the same keys, meet the same error and, if it meets none,
+// pause no run past the second feed. After each use, clear leaves no page.
 func FuzzHarvestMatchesRecordWalk(f *testing.F) {
 	f.Add([]byte{}, byte(0))
 	f.Add([]byte{9, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, byte(1))
@@ -179,7 +176,6 @@ func FuzzHarvestMatchesRecordWalk(f *testing.F) {
 	f.Add([]byte{16, 0, 1, 0, 0, 0, 1, 0, 1, 16, 0, 1, 0, 0, 0, 1, 2, 32}, byte(12))
 	f.Add([]byte{5, 9, 5, 9, 5, 9, 4, 9, 4, 9, 0xc1, 9, 0xc1, 9, 0xc1, 200, 5, 9, 5, 9}, byte(22))
 	f.Add([]byte{1, 1, 1, 1, 1, 2, 1, 1, 3, 1, 0, 0, 1, 0, 160}, byte(0)) // NullDPtr, twice, behind the prefix
-	e := NewEngine(rma.New(2), Config{BlockSize: 64, BlocksPerRank: 64, LockTries: 4})
 	f.Fuzz(func(t *testing.T, data []byte, sel byte) {
 		stream := holder.EncodeVertex(harvestVertex(data, sel&4 != 0), []int{64, 72, 128, 512}[sel%4])
 		switch {
@@ -203,95 +199,55 @@ func FuzzHarvestMatchesRecordWalk(f *testing.F) {
 				}
 			}
 			prefix = slices.Compact(prefix)
-			for _, spill := range []bool{false, true} {
-				for mask := DirMask(0); mask <= MaskAll; mask++ {
-					seenRef := make(map[fabric.DPtr]bool)
-					var set dptrSet
-					set.begin(e)
-					if spill {
-						set.blocks = 0
-					}
-					for _, nb := range prefix {
-						seenRef[nb] = true
-						set.add(nb)
-					}
-					view.Reset(s)
-					want, wantErr := harvestRecords(&view, mask, slices.Clip(slices.Clone(prefix)), seenRef, fuzzFar)
-					view.Reset(s)
-					c := view.Edges()
-					got, gotErr := harvestRuns(&c, view.EdgeCap(), mask, &set, slices.Clip(slices.Clone(prefix)), nil, fuzzFar)
-					if !slices.Equal(got, want) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-						t.Fatalf("mask %#x, spill %v, stream % x:\nruns    %v, %v\nrecords %v, %v", mask, spill, s, got, gotErr, want, wantErr)
-					}
-					set.end(got)
-					if i := slices.IndexFunc(set.bits, func(w uint64) bool { return w != 0 }); i >= 0 {
-						t.Fatalf("mask %#x: bitmap word %d = %#x after end", mask, i, set.bits[i])
-					}
-
-					set.begin(e)
-					if spill {
-						set.blocks = 0
-					}
-					for _, nb := range prefix {
-						set.add(nb)
-					}
-					view.Reset(s)
-					c = view.Edges()
-					listed, fedErr := harvestRuns(&c, view.EdgeCap(), mask, &set, nil, &fedRuns{top: maxDPtr}, fuzzFar)
-					for _, nb := range prefix {
-						set.drop(nb)
-					}
-					var onBits, offBits []fabric.DPtr
-					for _, nb := range want[len(prefix):] {
-						if _, _, on := set.bit(nb); on {
-							onBits = append(onBits, nb)
-						} else {
-							offBits = append(offBits, nb)
-						}
-					}
-					var fed []fabric.DPtr
-					for b, ok := set.nextBit(0); ok; b, ok = set.nextBit(b + 1) {
-						fed = append(fed, set.key(b))
-					}
-					slices.Sort(onBits)
-					if !slices.Equal(listed, offBits) || !slices.Equal(fed, onBits) || fmt.Sprint(fedErr) != fmt.Sprint(wantErr) {
-						t.Fatalf("mask %#x, spill %v, fed, stream % x:\nlisted %v, bits %v, %v\nwant   %v, %v, %v", mask, spill, s, listed, fed, fedErr, offBits, onBits, wantErr)
-					}
-					set.clearSpan()
-					if i := slices.IndexFunc(set.bits, func(w uint64) bool { return w != 0 }); i >= 0 {
-						t.Fatalf("mask %#x: bitmap word %d = %#x after the fed use", mask, i, set.bits[i])
-					}
-
-					set.begin(e)
-					if spill {
-						set.blocks = 0
-					}
-					for _, nb := range prefix {
-						set.add(nb)
-					}
-					view.Reset(s)
-					c = view.Edges()
-					bounded := &fedRuns{top: rma.MakeDPtr(rma.Rank(sel%3), uint64(sel)%80)}
-					part, partErr := harvestRuns(&c, view.EdgeCap(), mask, &set, nil, bounded, fuzzFar)
-					whole, restErr := bounded.raiseTo(maxDPtr, &set, part)
-					for _, nb := range prefix {
-						set.drop(nb)
-					}
-					var bits []fabric.DPtr
-					for b, ok := set.nextBit(0); ok; b, ok = set.nextBit(b + 1) {
-						bits = append(bits, set.key(b))
-					}
-					slices.Sort(whole)
-					slices.Sort(offBits)
-					if err := cmp.Or(partErr, restErr); !slices.Equal(bits, fed) || !slices.Equal(whole, offBits) || err == nil && len(bounded.paused) != 0 || fmt.Sprint(err) != fmt.Sprint(fedErr) {
-						t.Fatalf("mask %#x, spill %v, fed up to %v, then to no bound, stream % x:\nlisted %v, bits %v, %d paused, %v\nwant   %v, %v, %v",
-							mask, spill, bounded.top, s, whole, bits, len(bounded.paused), err, offBits, fed, fedErr)
-					}
-					set.clearSpan()
-					if i := slices.IndexFunc(set.bits, func(w uint64) bool { return w != 0 }); i >= 0 {
-						t.Fatalf("mask %#x: bitmap word %d = %#x after the bounded use", mask, i, set.bits[i])
-					}
+			for mask := DirMask(0); mask <= MaskAll; mask++ {
+				seenRef := make(map[fabric.DPtr]bool)
+				var set dptrSet
+				for _, nb := range prefix {
+					seenRef[nb] = true
+					set.add(nb)
 				}
+				view.Reset(s)
+				want, wantErr := harvestRecords(&view, mask, slices.Clip(slices.Clone(prefix)), seenRef, fuzzFar)
+				view.Reset(s)
+				c := view.Edges()
+				got, gotErr := harvestRuns(&c, view.EdgeCap(), mask, &set, slices.Clip(slices.Clone(prefix)), nil, fuzzFar)
+				if !slices.Equal(got, want) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+					t.Fatalf("mask %#x, stream % x:\nruns    %v, %v\nrecords %v, %v", mask, s, got, gotErr, want, wantErr)
+				}
+				set.clear()
+				checkSetEmpty(t, &set)
+
+				for _, nb := range prefix {
+					set.add(nb)
+				}
+				view.Reset(s)
+				c = view.Edges()
+				listed, fedErr := harvestRuns(&c, view.EdgeCap(), mask, &set, nil, &fedRuns{top: maxDPtr}, fuzzFar)
+				set.dropAll(prefix)
+				fed := setKeys(t, &set)
+				walked := slices.Sorted(slices.Values(want[len(prefix):]))
+				if len(listed) != 0 || !slices.Equal(fed, walked) || fmt.Sprint(fedErr) != fmt.Sprint(wantErr) {
+					t.Fatalf("mask %#x, fed, stream % x:\nlisted %v, keys %v, %v\nwant   none, %v, %v", mask, s, listed, fed, fedErr, walked, wantErr)
+				}
+				set.clear()
+				checkSetEmpty(t, &set)
+
+				for _, nb := range prefix {
+					set.add(nb)
+				}
+				view.Reset(s)
+				c = view.Edges()
+				bounded := &fedRuns{top: rma.MakeDPtr(rma.Rank(sel%3), uint64(sel)%80)}
+				listed, partErr := harvestRuns(&c, view.EdgeCap(), mask, &set, nil, bounded, fuzzFar)
+				restErr := bounded.raiseTo(maxDPtr, &set)
+				set.dropAll(prefix)
+				keys := setKeys(t, &set)
+				if err := cmp.Or(partErr, restErr); len(listed) != 0 || !slices.Equal(keys, fed) || err == nil && len(bounded.paused) != 0 || fmt.Sprint(err) != fmt.Sprint(fedErr) {
+					t.Fatalf("mask %#x, fed up to %v, then to no bound, stream % x:\nlisted %v, keys %v, %d paused, %v\nwant   none, %v, %v",
+						mask, bounded.top, s, listed, keys, len(bounded.paused), err, fed, fedErr)
+				}
+				set.clear()
+				checkSetEmpty(t, &set)
 			}
 		}
 	})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/gdi-go/gdi/internal/holder"
@@ -86,6 +87,62 @@ func TestAssociateNullVertexRejected(t *testing.T) {
 		t.Fatalf("NULL associate: %v", err)
 	}
 	tx.Commit()
+}
+
+// TestOutOfPoolVertexIDsRejected: a vertex ID from outside the program that
+// names no block of the pool — a rank past the engine's, the reserved block
+// 0 of a rank, an offset past BlocksPerRank — is an ErrBadArgument to every
+// entry point that takes one, as NULL is, not a panic.
+func TestOutOfPoolVertexIDsRejected(t *testing.T) {
+	const ranks = 2
+	e := newEngine(t, ranks)
+	per := uint64(e.Store().BlocksPerRank())
+	ids := map[string]rma.DPtr{
+		"rank=P":               rma.MakeDPtr(ranks, 1),
+		"offset=0":             rma.MakeDPtr(1, 0),
+		"offset=BlocksPerRank": rma.MakeDPtr(0, per),
+	}
+	calls := map[string]func(tx *Tx, dp rma.DPtr) error{
+		"AssociateVertex": func(tx *Tx, dp rma.DPtr) error {
+			_, err := tx.AssociateVertex(dp)
+			return err
+		},
+		"AssociateVertices": func(tx *Tx, dp rma.DPtr) error {
+			_, err := tx.AssociateVertices([]rma.DPtr{dp})
+			return err
+		},
+		"ExpandFrontier": func(tx *Tx, dp rma.DPtr) error {
+			_, _, err := tx.ExpandFrontier([]rma.DPtr{dp}, MaskAll, nil)
+			return err
+		},
+		"FilterFrontier": func(tx *Tx, dp rma.DPtr) error {
+			_, _, err := tx.FilterFrontier([]rma.DPtr{dp}, nil, nil, 5, 0)
+			return err
+		},
+		"FilterNeighbors": func(tx *Tx, dp rma.DPtr) error {
+			_, _, err := tx.FilterNeighbors([]rma.DPtr{dp}, nil, MaskAll, nil, nil, 5, 0)
+			return err
+		},
+	}
+	for id, dp := range ids {
+		for name, call := range calls {
+			t.Run(id+"/"+name, func(t *testing.T) {
+				tx := e.StartLocal(0, ReadOnly)
+				defer tx.Abort()
+				err := func() (err error) {
+					defer func() {
+						if p := recover(); p != nil {
+							err = fmt.Errorf("panic: %v", p)
+						}
+					}()
+					return call(tx, dp)
+				}()
+				if !errors.Is(err, ErrBadArgument) {
+					t.Fatalf("%s(%v): %v, want ErrBadArgument", name, dp, err)
+				}
+			})
+		}
+	}
 }
 
 // Failure injection: exhausting the block pool mid-commit must abort the

@@ -15,8 +15,8 @@
 // commit-time validation. A hop materializes no handle and allocates nothing per vertex;
 // only vertex IDs travel between hops. The final round of a k-hop is one
 // call (core.Tx.FilterNeighbors): it reads the layer before the last as a
-// hop does, ORs the neighbors it harvests into the hop's bitmap of the
-// pool's blocks, less the layers before the last, and only filters the last
+// hop does, ORs the neighbors it harvests into the hop's paged bitmap over
+// the DPtr space, less the layers before the last, and only filters the last
 // layer, so it fetches each holder of that layer just up to the end of its
 // entries — the primary block for all but mega-hubs — not its edge chain.
 // Forwarding stubs, follower-served vertices and locking transactions fall
@@ -37,7 +37,7 @@
 // it. One forwarding word per owner rank, or a stamp, shows which DPtrs are
 // forwarding stubs, resolved first; every other DPtr is its vertex's ID.
 // The hop reads the next set bits after a cursor, a chunk at a time, until
-// LIMIT matched IDs sort below the next set bit, and then clears the words
+// LIMIT matched IDs sort below the next set bit, and then clears the pages
 // the harvest touched.
 //
 // Both executors return canonically sorted rows, so their results are
