@@ -222,9 +222,10 @@
 // ordered, so runs are reproducible under any association interleaving.
 //
 // Traversal cost model. A hop does not materialize handles. In a local
-// transaction a frontier vertex costs one guard stamp, the blocks
-// the hop needs of it, and the bytes of its labels and properties — no heap
-// object: holders are read into a pooled frontier arena the transaction holds
+// transaction a frontier vertex costs one guard stamp, which its read loads
+// in the GET train ahead of its head block (no load train goes first), the
+// blocks the hop needs of it, and the bytes of its labels and properties —
+// no heap object: holders are read into a pooled frontier arena the transaction holds
 // until it closes (cache hits copied, misses in one GET train per rank per
 // round), the constraint is evaluated in place on the encoded entry region,
 // neighbors are harvested straight off the varint runs a run at a time, and

@@ -17,8 +17,9 @@
 // iteration traffic routed through the one-sided exchange. A Graph keeps
 // each rank's snapshot and reuses it until some rank's store epoch moves.
 // KHop, BI2 and the GNN layer are the paper's OLSP path instead: collective
-// transactions that associate vertices through handles and move messages
-// with the collective layer's all-to-all (exchange below).
+// transactions that read vertices through the transactional API (KHop a
+// ring at a time with ExpandFrontier, the others through handles) and move
+// messages with the collective layer's all-to-all (exchange below).
 package analytics
 
 import (
@@ -72,7 +73,9 @@ var kernelErrs = []error{gdi.ErrNotFound, gdi.ErrNoMemory, gdi.ErrTransactionCri
 // KHop counts the vertices within k hops of rootApp (the k-hop queries of
 // Figure 6e/6f). Like BFS, a missing root reaches nothing and only its owner
 // rank reports ErrNotFound; a failure while expanding a ring is reported on
-// every rank.
+// every rank. Each rank expands its share of a ring in one ExpandFrontier
+// hop, so a ring vertex that no longer exists fails the run with
+// ErrNotFound on every rank rather than being skipped.
 func KHop(p *gdi.Process, g *Graph, rootApp uint64, k int) (int64, error) {
 	tx := p.StartCollectiveTransaction(gdi.ReadOnly)
 	defer tx.Commit()
@@ -106,17 +109,12 @@ func KHop(p *gdi.Process, g *Graph, rootApp uint64, k int) (int64, error) {
 			}
 			batch = append(batch, v)
 		}
-		// Expand the whole ring at once: one batched fetch train per owner
-		// rank instead of one blocking round-trip per vertex.
+		// Expand the whole ring at once: one batched read per owner rank
+		// instead of one blocking round-trip per vertex.
 		buckets := bucketize[gdi.VertexID](n)
-		handles, err := tx.AssociateVertices(batch)
-		for _, h := range handles {
-			if h == nil || err != nil {
-				continue
-			}
-			err = h.ForEachNeighbor(gdi.MaskAll, func(nb gdi.VertexID) {
-				buckets[int(nb.Rank())] = append(buckets[int(nb.Rank())], nb)
-			})
+		_, next, err := tx.ExpandFrontier(batch, gdi.MaskAll, nil)
+		for _, nb := range next {
+			buckets[int(nb.Rank())] = append(buckets[int(nb.Rank())], nb)
 		}
 		if err := collective.AgreeOnError(p.Comm(), p.Rank(), err, kernelErrs...); err != nil {
 			return 0, err

@@ -29,32 +29,34 @@ func (h *VertexHandle) Matches(cons *constraint.Constraint) bool {
 //
 // matched holds the IDs of the frontier vertices that satisfy cons, deduped,
 // in frontier order; next holds the union of their neighbors in
-// first-encounter order. Mask 0 skips the harvest: the hop only filters, and
-// reads each holder only up to the end of its label/property entries, as
-// FilterFrontier does, but keeps frontier order. A frontier vertex that no
-// longer exists — the read set is stale — fails the expansion with
+// first-encounter order. Mask 0, which harvests nothing, is an
+// ErrBadArgument: the filter-only hop is FilterFrontier. A frontier vertex
+// that no longer exists — the read set is stale — fails the expansion with
 // ErrNotFound.
 //
 // A frontier vertex costs its label/property bytes and no heap object. The
-// hop stamps the deduped frontier in one load train per owner rank
-// (stampFrontier) and reads what the stamps vouch for in one seqlock batch of
-// the chain reader ("Life of a holder read" in ARCHITECTURE.md) into a
-// pooled frontier arena, which the transaction keeps from its first hop to
-// its close. It evaluates cons in place on the encoded entry region,
-// harvests neighbors straight off the view a run at a time (harvestRuns),
-// and appends a (vertex, version) pair to the read set Commit validates.
-// Whatever the batch did not read OK goes through AssociateVertices in one
-// batch and is filtered and harvested through its handles: forwarding stubs,
-// vertices a local follower copy serves, holders that were being written or
-// look deleted, and the vertices a transaction that wrote holds (so it sees
-// its own writes and deletions). matched and next are the caller's: nothing
-// of the arena aliases them.
+// hop reads the deduped frontier in one seqlock batch of the chain reader
+// ("Life of a holder read" in ARCHITECTURE.md), whose head round loads each
+// vertex's guard word ahead of its head, into a pooled frontier arena, which
+// the transaction keeps from its first hop to its close (readFrontier). It
+// evaluates cons in place on the encoded entry region, harvests neighbors
+// straight off the view a run at a time (harvestRuns), and appends a
+// (vertex, version) pair to the read set Commit validates. Whatever the
+// batch did not read OK goes through AssociateVertices in one batch and is
+// filtered and harvested through its handles: forwarding stubs, vertices a
+// local follower copy serves, holders that were being written, torn or look
+// deleted, and the vertices a transaction that wrote holds (so it sees its
+// own writes and deletions). matched and next are the caller's: nothing of
+// the arena aliases them.
 func (tx *Tx) ExpandFrontier(frontier []fabric.DPtr, mask DirMask, cons *constraint.Constraint) (matched, next []fabric.DPtr, err error) {
+	if mask == 0 {
+		return nil, nil, fmt.Errorf("%w: mask 0 expands nothing", ErrBadArgument)
+	}
 	sc, err := tx.startHop(frontier, cons)
 	if sc == nil {
 		return nil, nil, err
 	}
-	if err := tx.readFrontier(sc, mask == 0); err != nil {
+	if err := tx.readFrontier(sc); err != nil {
 		return nil, nil, err
 	}
 	sc.next = sc.next[:0]
@@ -92,7 +94,7 @@ func (tx *Tx) FilterNeighbors(frontier []fabric.DPtr, cons *constraint.Constrain
 	if last != nil && last.Stale(tx.registry()) {
 		return nil, nil, fmt.Errorf("%w: stale constraint", ErrTxCritical)
 	}
-	if err := tx.readFrontier(sc, false); err != nil {
+	if err := tx.readFrontier(sc); err != nil {
 		return nil, nil, err
 	}
 	if limit > 0 {
@@ -171,30 +173,36 @@ func (tx *Tx) FilterFrontier(frontier, exclude []fabric.DPtr, cons *constraint.C
 // errNegativeLimit is a filter hop's negative limit.
 var errNegativeLimit = fmt.Errorf("%w: negative limit", ErrBadArgument)
 
-// readFrontier stamps every candidate and reads, in one batch, each one the
-// stamp vouches for: up to the end of its entries when entriesOnly, its
-// whole chain otherwise. The rest are resolved through their handles.
-func (tx *Tx) readFrontier(sc *frontierScratch, entriesOnly bool) error {
-	tx.stampFrontier(sc)
-	sc.pick = slices.Grow(sc.pick[:0], len(sc.verts))
-	for i := range sc.verts {
-		if sc.verts[i].verdict == readStamped {
-			sc.pick = append(sc.pick, int32(i))
+// readFrontier is an expanding hop's one read: each candidate gets a record,
+// refused if the transaction must see it through a handle (refuses), and
+// the others are read, whole chains, in one seqlock batch (readPicked) whose
+// head round loads their guard words. What the batch refused or did not read
+// OK — a stub, a writer, a torn read — is resolved through its handle.
+func (tx *Tx) readFrontier(sc *frontierScratch) error {
+	followers, wrote := tx.readsFollowers(), len(tx.dirtyList) > 0
+	sc.verts = slices.Grow(sc.verts, len(sc.cands))
+	sc.pick = slices.Grow(sc.pick[:0], len(sc.cands))
+	for _, dp := range sc.cands {
+		v := frontierVertex{head: dp}
+		if tx.refuses(dp, followers, wrote) {
+			v.verdict = readRefused
+		} else {
+			sc.pick = append(sc.pick, int32(len(sc.verts)))
 		}
+		sc.verts = append(sc.verts, v)
 	}
-	tx.readPicked(sc, sc.pick, entriesOnly)
+	tx.readPicked(sc, sc.pick, false)
 	return tx.associateHandled(sc)
 }
 
 // filterFed is the filter-only hop over the candidates a feed left in the
-// hop's set. Every filter-only hop but ExpandFrontier's ends here. The
-// candidates are read in ascending DPtr order, which is the order of the
-// set's bits (fedAt): a candidate is an 8-byte DPtr until the hop stamps,
-// resolves or reads it, and only then gets a record in the arena.
-// A harvest that paused runs has fed only the candidates up to its bound,
-// sc.fed.top, and the hop takes none above it: when it needs more, it raises
-// the bound (raise) and feeds the paused runs up to the new one, until they
-// are spent.
+// hop's set: every filter-only hop ends here. The candidates are read in
+// ascending DPtr order, which is the order of the set's bits (fedAt): a
+// candidate is an 8-byte DPtr until the hop stamps, resolves or reads it,
+// and only then gets a record in the arena. A harvest that paused runs has
+// fed only the candidates up to its bound, sc.fed.top, and the hop takes none
+// above it: when it needs more, it raises the bound (raise) and feeds the
+// paused runs up to the new one, until they are spent.
 //
 // The hop loads one forwarding word per owner rank (vouch), and a rank whose
 // word reads 0 has never held a forwarding stub, so each of its vertices is
@@ -402,15 +410,15 @@ type valSpan struct {
 // frontierVertex is the record of a frontier vertex the hop stamps,
 // resolves or reads: 32 bytes.
 type frontierVertex struct {
-	head    fabric.DPtr
-	stamp   uint64        // its guard word, as the stamp train loaded it
-	h       *VertexHandle // its handle, when the batch did not read it OK
-	item    int32         // its item in the chain reader's last read
-	verdict verdict       // readStamped once stamped and vouched for; then the read's verdict
-	dup     bool          // resolved to a vertex an earlier one already stands for
-	// unstamped: vouched for by its rank's forwarding word, not by a stamp;
-	// the read loads its stamp in its head round.
-	unstamped bool
+	head  fabric.DPtr
+	stamp uint64        // its guard word: vouch's stamp, or else the read's head round's
+	h     *VertexHandle // its handle, when the batch did not read it OK
+	item  int32         // its item in the chain reader's last read
+	// verdict is unread until the vertex is read, when its read loads its
+	// stamp in its head round, or readStamped once vouch stamped it and the
+	// stamp vouched for it; then the read's verdict.
+	verdict verdict
+	dup     bool // resolved to a vertex an earlier one already stands for
 }
 
 // The frontier pool's retention budget: at most frontierPoolSlots idle arenas
@@ -536,22 +544,6 @@ func (sc *frontierScratch) fedOn(rank int, from fabric.DPtr) bool {
 	return ok && int(dp.Rank()) == rank
 }
 
-// stampFrontier is the first look of an expanding hop: each candidate
-// gets a record, refused if the transaction must see it through a handle
-// (refuses), and is stamped (stampRecords).
-func (tx *Tx) stampFrontier(sc *frontierScratch) {
-	followers, wrote := tx.readsFollowers(), len(tx.dirtyList) > 0
-	sc.verts = slices.Grow(sc.verts, len(sc.cands))
-	for _, dp := range sc.cands {
-		v := frontierVertex{head: dp}
-		if tx.refuses(dp, followers, wrote) {
-			v.verdict = readRefused
-		}
-		sc.verts = append(sc.verts, v)
-	}
-	tx.stampRecords(sc)
-}
-
 // vouch is a filter hop's first look at its candidates. It loads the
 // forwarding word of every live rank that owns one, or may own a record of a
 // paused run, one load per rank: a rank whose word reads 0 has never held a
@@ -659,7 +651,7 @@ func (tx *Tx) stampRecords(sc *frontierScratch) {
 
 // pickChunk takes the next size candidates off the cursor and lists in
 // sc.pick their records: a stamped candidate's record, and a new one,
-// unstamped, for a candidate of a stub-free rank. It skips a candidate that
+// unread, for a candidate of a stub-free rank. It skips a candidate that
 // a resolution already stands for. Past the last candidate fed, it raises
 // the feed's bound until one is fed or no run is paused. A candidate that
 // names no block of the pool, which only a corrupt edge record can feed,
@@ -695,7 +687,7 @@ func (sc *frontierScratch) pickChunk(e *Engine, size int, exclude []fabric.DPtr)
 				continue
 			}
 		}
-		sc.verts = append(sc.verts, frontierVertex{head: dp, verdict: readStamped, unstamped: true})
+		sc.verts = append(sc.verts, frontierVertex{head: dp})
 		sc.pick = append(sc.pick, i)
 	}
 	return sc.pick, nil
@@ -726,13 +718,13 @@ func (tx *Tx) leaveUnread(sc *frontierScratch) {
 	}
 }
 
-// readPicked reads the stamped vertices pick lists in one seqlock batch,
-// reaching the end of the entry region when entriesOnly and the whole chain
-// otherwise, under the stamps the stamp train loaded; the head round loads
-// the stamps of unstamped vertices. The batch recycles the streams of the
-// last one, whose vertices have been evaluated, unless paused runs alias
-// them: it then carves its streams in behind. Each vertex read OK joins the
-// read set.
+// readPicked reads the vertices pick lists in one seqlock batch, reaching
+// the end of the entry region when entriesOnly and the whole chain
+// otherwise: a stamped vertex under the stamp vouch loaded, and an unread
+// one under the stamp the head round loads ahead of its head. The batch
+// recycles the streams of the last one, whose vertices have been evaluated,
+// unless paused runs alias them: it then carves its streams in behind. Each
+// vertex read OK joins the read set.
 func (tx *Tx) readPicked(sc *frontierScratch, pick []int32, entriesOnly bool) {
 	if len(pick) == 0 {
 		return
@@ -745,7 +737,7 @@ func (tx *Tx) readPicked(sc *frontierScratch, pick []int32, entriesOnly bool) {
 	for _, i := range pick {
 		v := &sc.verts[i]
 		v.item = int32(len(r.items))
-		r.items = append(r.items, chainItem{head: v.head, stamp: v.stamp, stamped: !v.unstamped})
+		r.items = append(r.items, chainItem{head: v.head, stamp: v.stamp, stamped: v.verdict == readStamped})
 	}
 	r.read(tx.eng, tx.rank, readSeqlock, entriesOnly, false)
 	tx.optReads = slices.Grow(tx.optReads, len(pick))
@@ -832,12 +824,11 @@ func (tx *Tx) evalItem(sc *frontierScratch, i int, cons *constraint.Constraint) 
 }
 
 // evalFrontier filters the resolved frontier by cons into sc.matched, in
-// frontier order, and, when mask is non-zero, harvests the matched vertices'
-// neighbors a run at a time into the hop's set (harvestRuns): on the encoded
-// stream for the vertices the lean route read, over the state's records for
-// the others. The harvest lists its new keys in sc.next, or, fed, lists
-// none and feeds the set up to the bound sc.fed.top; the caller ends the
-// set's use.
+// frontier order, and harvests the matched vertices' neighbors under mask a
+// run at a time into the hop's set (harvestRuns): on the encoded stream for
+// the vertices the lean route read, over the state's records for the others.
+// The harvest lists its new keys in sc.next, or, fed, lists none and feeds
+// the set up to the bound sc.fed.top; the caller ends the set's use.
 func (tx *Tx) evalFrontier(sc *frontierScratch, mask DirMask, cons *constraint.Constraint, feed bool) (err error) {
 	sc.startMatched()
 	view := &sc.view
@@ -857,9 +848,6 @@ func (tx *Tx) evalFrontier(sc *frontierScratch, mask DirMask, cons *constraint.C
 			continue
 		}
 		sc.matched = append(sc.matched, id)
-		if mask == 0 {
-			continue
-		}
 		// A vertex with a handle is walked in its state, the transaction's
 		// own writes included; the others on their streams.
 		var c holder.EdgeCursor

@@ -142,7 +142,9 @@ func (g *frontierGraph) ageOver(over uint64) *constraint.Constraint {
 
 // TestExpandFrontierMatchesHandleWalk holds the expansion to its handle-based
 // oracle — same matched IDs, same neighbors, same order — and every hop's
-// harvest to the record-at-a-time walk over its arena (checkHarvest), in
+// harvest to the record-at-a-time walk over its arena (checkHarvest); a
+// quarter of the trials filter only (FilterFrontier without a LIMIT) and are
+// held to the oracle's matched IDs as a set. It runs in
 // read-only transactions (over a cache that holds the graph and over a
 // one-block cache that evicts on every install) and read-write ones, over
 // 64- and 256-byte blocks, on frontiers with duplicates, before and after
@@ -178,7 +180,13 @@ func TestExpandFrontierMatchesHandleWalk(t *testing.T) {
 						cons := []*constraint.Constraint{nil, g.ageOver(30), g.ageOver(0)}[trial%3]
 
 						tx := g.e.StartLocal(rma.Rank(trial%4), tier.mode)
-						matched, next, err := tx.ExpandFrontier(frontier, mask, cons)
+						var matched, next []rma.DPtr
+						var err error
+						if mask == 0 {
+							matched, _, err = tx.FilterFrontier(frontier, nil, cons, 0, 0)
+						} else {
+							matched, next, err = tx.ExpandFrontier(frontier, mask, cons)
+						}
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -198,12 +206,15 @@ func TestExpandFrontierMatchesHandleWalk(t *testing.T) {
 							t.Fatal(err)
 						}
 						ref.Abort()
+						if mask == 0 {
+							// The filter-only hop returns its matches in no
+							// particular order.
+							slices.Sort(matched)
+							slices.Sort(wantM)
+						}
 						if !slices.Equal(matched, wantM) || !slices.Equal(next, wantN) {
 							t.Fatalf("trial %d (mask %#x, %s, %d-vertex frontier):\nmatched %v\n   want %v\nnext %v\nwant %v",
 								trial, mask, cons, len(frontier), matched, wantM, next, wantN)
-						}
-						if mask == 0 && next != nil {
-							t.Fatalf("filter-only hop returned a next frontier: %v", next)
 						}
 					}
 				}
@@ -269,7 +280,7 @@ func TestExpandFrontierReportsVanishedVertex(t *testing.T) {
 	if err := rw.DeleteVertex(a); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := rw.ExpandFrontier([]rma.DPtr{a}, 0, nil); !errors.Is(err, ErrNotFound) {
+	if _, _, err := rw.ExpandFrontier([]rma.DPtr{a}, MaskAll, nil); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("expansion over a vertex this transaction deleted: %v, want ErrNotFound", err)
 	}
 }
@@ -278,9 +289,10 @@ func TestExpandFrontierReportsVanishedVertex(t *testing.T) {
 // filter-only hop over multi-block holders: with a cold cache it GETs one
 // block per remote frontier vertex — the one its labels and properties sit
 // in — in one train, where a harvesting hop reads every chain to its end;
-// warm, neither GETs anything. Both filter-only hops keep it, each on an
-// engine of its own (a cold cache): ExpandFrontier with mask 0 and
-// FilterFrontier without a LIMIT.
+// warm, neither GETs anything. Its filter hop is FilterFrontier without a
+// LIMIT. Each route runs on an engine of its own (a cold cache): FilterFrontier
+// filters first and then harvests over the cached primaries; ExpandFrontier
+// harvests first, cold, and GETs every block of every chain in two trains.
 func TestFilterHopFetchesPropertyPrefixOnly(t *testing.T) {
 	for _, route := range []string{"ExpandFrontier", "FilterFrontier"} {
 		t.Run(route, func(t *testing.T) { filterHopFetchesPropertyPrefixOnly(t, route == "FilterFrontier") })
@@ -288,9 +300,9 @@ func TestFilterHopFetchesPropertyPrefixOnly(t *testing.T) {
 }
 
 // filterHopFetchesPropertyPrefixOnly holds the contract on a fresh engine;
-// its filter hop is FilterFrontier when viaFilterFrontier, and ExpandFrontier
-// with mask 0 otherwise.
-func filterHopFetchesPropertyPrefixOnly(t *testing.T, viaFilterFrontier bool) {
+// its first hop is the filter-only one when filterFirst, and the harvesting
+// one otherwise.
+func filterHopFetchesPropertyPrefixOnly(t *testing.T, filterFirst bool) {
 	e := NewEngine(rma.New(2), Config{
 		BlockSize: 128, BlocksPerRank: 1 << 12, LockTries: 64, CacheCapacity: 1 << 11,
 	})
@@ -344,7 +356,7 @@ func filterHopFetchesPropertyPrefixOnly(t *testing.T, viaFilterFrontier bool) {
 		before := e.Fabric().TotalSnapshot()
 		tx := e.StartLocal(0, ReadOnly)
 		var err error
-		if mask == 0 && viaFilterFrontier {
+		if mask == 0 {
 			matched, _, err = tx.FilterFrontier(frontier, nil, cons, 0, 0)
 		} else {
 			matched, _, err = tx.ExpandFrontier(frontier, mask, cons)
@@ -357,6 +369,24 @@ func filterHopFetchesPropertyPrefixOnly(t *testing.T, viaFilterFrontier bool) {
 		}
 		after := e.Fabric().TotalSnapshot()
 		return after.RemoteGets - before.RemoteGets, after.GetBatches - before.GetBatches, matched
+	}
+	if !filterFirst {
+		remote, trains, matched := gets(MaskAll)
+		if len(matched) != n-10 {
+			t.Fatalf("harvesting hop matched %d vertices, want %d", len(matched), n-10)
+		}
+		// The head round's train, then one train for the rest of every
+		// chain, whose block table the head holds.
+		if remote != int64(blocks) || trains != 2 {
+			t.Fatalf("cold harvesting hop: %d remote GETs in %d trains, want the %d chain blocks in 2", remote, trains, blocks)
+		}
+		if remote, _, _ := gets(MaskAll); remote != 0 {
+			t.Fatalf("warm harvesting hop issued %d remote GETs, want 0", remote)
+		}
+		if remote, _, _ := gets(0); remote != 0 {
+			t.Fatalf("filter hop after the harvest issued %d remote GETs, want 0", remote)
+		}
+		return
 	}
 	remote, trains, matched := gets(0)
 	if len(matched) != n-10 {
@@ -387,7 +417,7 @@ func TestExpandFrontierJoinsTheReadSet(t *testing.T) {
 	frontier := g.dps[:10]
 
 	tx := g.e.StartLocal(0, ReadOnly)
-	if _, _, err := tx.ExpandFrontier(frontier, 0, g.ageOver(0)); err != nil {
+	if _, _, err := tx.FilterFrontier(frontier, nil, g.ageOver(0), 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if len(tx.optReads) != len(frontier) {
@@ -565,10 +595,15 @@ func expandFrontierCoherenceStress(t *testing.T, cacheBlocks int) {
 			counted := false
 			for i := 0; writing.Load() > 0; i++ {
 				tx := e.StartLocal(rma.Rank(r%ranks), ReadOnly)
-				torn, _, err := tx.ExpandFrontier(dps, DirMask(i%2)*MaskAll, differ)
-				var all []rma.DPtr
+				var torn, all []rma.DPtr
+				var err error
+				if i%2 == 0 {
+					torn, _, err = tx.FilterFrontier(dps, nil, differ, 0, 0)
+				} else {
+					torn, _, err = tx.ExpandFrontier(dps, MaskAll, differ)
+				}
 				if err == nil {
-					all, _, err = tx.ExpandFrontier(dps, 0, nil)
+					all, _, err = tx.FilterFrontier(dps, nil, nil, 0, 0)
 				}
 				if err == nil {
 					err = tx.Commit()
@@ -838,6 +873,26 @@ func TestFilterHopRejectsNegativeLimit(t *testing.T) {
 		}
 		if slices.Sort(got); !slices.Equal(got, want) {
 			t.Errorf("%s with limit 0 returned %d IDs, want the %d matches", name, len(got), len(want))
+		}
+	}
+}
+
+// TestExpandFrontierRejectsMaskZero: an expansion that harvests no direction
+// is a bad argument, not a filter-only hop (FilterFrontier is that), and it
+// reads nothing.
+func TestExpandFrontierRejectsMaskZero(t *testing.T) {
+	e, layer, cons := newPersonFrontier(t, 256, 120)
+	tx := e.StartLocal(0, ReadOnly)
+	defer tx.Abort()
+	for _, c := range []*constraint.Constraint{nil, cons} {
+		var matched, next []rma.DPtr
+		var err error
+		cost := measure(e, func() { matched, next, err = tx.ExpandFrontier(layer, 0, c) })
+		if !errors.Is(err, ErrBadArgument) || matched != nil || next != nil {
+			t.Errorf("ExpandFrontier with mask 0 (constraint %v): %d matched, %d next, %v; want ErrBadArgument", c, len(matched), len(next), err)
+		}
+		if cost != (traffic{}) || len(tx.optReads) != 0 {
+			t.Errorf("ExpandFrontier with mask 0 put %+v on the fabric and %d entries in the read set, want nothing", cost, len(tx.optReads))
 		}
 	}
 }

@@ -52,8 +52,8 @@ const (
 	readRefused                    // refused by the caller, by its head test or before the read
 	readStale                      // the stamp refused a speculative translation (chainReader.admit)
 	readTorn                       // the post-stamp moved: the blocks read are not one version
-	// readStamped is the frontier hop's, for a vertex stamped and vouched
-	// for by its stamp but not read yet; no reader item carries it.
+	// readStamped is the filter hop's, for a vertex stamped and vouched for
+	// by its stamp (vouch) but not read yet; no reader item carries it.
 	readStamped
 )
 
@@ -176,9 +176,8 @@ func (r *chainReader) reset(n int) {
 }
 
 // stamp loads the guard word of every unread item not stamped yet, one load
-// train per owner rank: ahead of the reads, for a caller that acts on the
-// stamps before it reads (a frontier hop), or that has seen a writer (a
-// seqlock retry).
+// train per owner rank, ahead of the reads: a seqlock retry's, after the
+// last read saw a writer. A first read loads its stamps in its head round.
 func (r *chainReader) stamp(e *Engine, origin fabric.Rank) {
 	r.dps, r.readOf = slices.Grow(r.dps[:0], len(r.items)), slices.Grow(r.readOf[:0], len(r.items))
 	for i := range r.items {

@@ -797,10 +797,10 @@ func TestSeqlockReadRoundTrips(t *testing.T) {
 		}
 	}
 
-	// A frontier hop stamps its frontier in one load train per owner rank —
-	// the stub bit and a LIMIT's bound are read off those stamps — and reads
-	// it in one guarded train per owner rank, a GET and a load per vertex
-	// (3 trains per owner rank before).
+	// A frontier hop reads its frontier in one guarded train per owner rank,
+	// a GET and two loads per vertex, the stamp ahead of its head and the
+	// post-stamp behind it: no load train goes first (3 trains per owner
+	// rank before, then 2).
 	const width = 8
 	frontier := make([]fabric.DPtr, width)
 	for i := range frontier {
@@ -815,8 +815,26 @@ func TestSeqlockReadRoundTrips(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if want := (traffic{atoms: 2 * width, atomTrains: 1, gets: width, getTrains: 1, cacheMisses: width}); hop != want {
+	if want := (traffic{atoms: 2 * width, gets: width, getTrains: 1, cacheMisses: width}); hop != want {
 		t.Errorf("frontier hop over %d remote one-block holders: %+v, want %+v", width, hop, want)
+	}
+
+	// A frontier vertex behind a forwarding stub costs the hop its head
+	// block in the batch's guarded train, which finds the stub and drops
+	// it, before the flush resolves it in a guarded train of its own: the
+	// stub again, then the vertex at its new home, here the reader's rank
+	// (a stamp train, then the flush's train, before).
+	moved := mustMigrate(t, e, 101, 0)
+	stub := measure(e, func() {
+		tx := e.StartLocal(0, ReadOnly)
+		matched, _, err := tx.ExpandFrontier(frontier[:1], MaskAll, nil)
+		if err != nil || !slices.Equal(matched, []fabric.DPtr{moved}) {
+			t.Fatalf("hop over a stub: matched %v, %v; want [%v]", matched, err, moved)
+		}
+		tx.Abort()
+	})
+	if want := (traffic{atoms: 4, gets: 2, getTrains: 2, cacheMisses: 2}); stub != want {
+		t.Errorf("frontier hop over a remote forwarding stub: %+v, want %+v", stub, want)
 	}
 }
 
@@ -839,7 +857,6 @@ func TestReadScratchReleaseDropsEveryPointer(t *testing.T) {
 		for _, h := range batch {
 			r.items = append(r.items, chainItem{head: h})
 		}
-		r.stamp(e, 0)
 		r.read(e, 0, readSeqlock, false, false)
 		if r.items[0].verdict != readOK || len(batch) > 1 && len(r.fetched) == 0 {
 			t.Fatalf("the batch of %d read %v, %d blocks off the wire", len(batch), r.items[0].verdict, len(r.fetched))

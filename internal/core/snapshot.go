@@ -69,7 +69,6 @@ func (e *Engine) followerBlocks(r fabric.Rank) []fabric.DPtr {
 	for _, ent := range ents {
 		rd.items = append(rd.items, chainItem{head: ent.head, want: holder.IsReplicaBlock, follower: true})
 	}
-	rd.stamp(e, r)
 	rd.read(e, r, readSeqlock, false, false)
 	var out []fabric.DPtr
 	var w holder.View

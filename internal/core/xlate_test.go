@@ -494,7 +494,7 @@ func TestTranslationChurnStress(t *testing.T) {
 	writers.Add(2)
 	go func() {
 		defer writers.Done()
-		defer stop.Store(true) // the migrator stops with the churner
+		defer stop.Store(true) // the migrator stops with the churner, once it has moved a vertex
 		rng := rand.New(rand.NewSource(17))
 		for i := 0; i < rounds; i++ {
 			k := rng.Intn(len(churn))
@@ -539,7 +539,9 @@ func TestTranslationChurnStress(t *testing.T) {
 	go func() {
 		defer writers.Done()
 		rng := rand.New(rand.NewSource(29))
-		for !stop.Load() {
+		// Past the churner's end the keys are stable, so a migrator that has
+		// moved nothing yet keeps on until it has: the test wants one.
+		for !stop.Load() || e.Migrations() == 0 {
 			app := keys[rng.Intn(2*len(churn))]
 			val, ok := e.index.Lookup(0, app)
 			if !ok {

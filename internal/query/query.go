@@ -6,13 +6,13 @@
 // API.
 //
 // The compiled executor (Run) turns every hop into ONE batched round: the
-// frontier goes to core.Tx.ExpandFrontier, which dedups it, stamps the guard
-// words and reads the holders — cached blocks locally, the rest as one
-// vectored GET train per owner rank per round — into the transaction's
-// pooled frontier arena, evaluates the hop's predicate in place on the
-// encoded label/property entries, harvests the next frontier straight off
-// the edge runs, and records one (vertex, version) pair per vertex for
-// commit-time validation. A hop materializes no handle and allocates nothing per vertex;
+// frontier goes to core.Tx.ExpandFrontier, which dedups it and reads the
+// holders — cached blocks locally, the rest as one vectored GET train per
+// owner rank per round, which loads each guard word ahead of its head —
+// into the transaction's pooled frontier arena, evaluates the hop's
+// predicate in place on the encoded label/property entries, harvests the
+// next frontier straight off the edge runs, and records one (vertex,
+// version) pair per vertex for commit-time validation. A hop materializes no handle and allocates nothing per vertex;
 // only vertex IDs travel between hops. The final round of a k-hop is one
 // call (core.Tx.FilterNeighbors): it reads the layer before the last as a
 // hop does, ORs the neighbors it harvests into the hop's paged bitmap over
@@ -463,10 +463,10 @@ func runPath(src fabric.DPtr, p *Pattern, ex executor) (tuples, error) {
 }
 
 // naiveHop is core.Tx.ExpandFrontier's contract on handles, over the
-// frontier less what exclude names (with mask 0, FilterFrontier's, every
-// match returned): same dedup, filter and harvest order, but one scalar
-// association round-trip per frontier vertex. It returns the matched
-// vertices' handles.
+// frontier less what exclude names: same dedup, filter and harvest order,
+// but one scalar association round-trip per frontier vertex. It returns the
+// matched vertices' handles. With mask 0 it harvests nothing, and is
+// FilterFrontier's contract without a LIMIT.
 func naiveHop(tx *core.Tx, frontier, exclude []fabric.DPtr, mask core.DirMask, cons *constraint.Constraint) (kept []*core.VertexHandle, next []fabric.DPtr, err error) {
 	seenV := make(map[fabric.DPtr]struct{}, len(frontier))
 	for _, dp := range frontier {
